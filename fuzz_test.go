@@ -10,9 +10,10 @@ import (
 )
 
 // FuzzTableScanEquivalence asserts the table-scan subsystem — the
-// expression tree, the per-block cross-column planner, the bitmap
-// intersection ops, the misaligned whole-column fallback and the
-// late-materialized aggregation — answers identically to
+// expression tree, the per-chunk cross-column planner (blocks on
+// aligned tables, refined chunks on misaligned ones), the bitmap
+// intersection ops and the late-materialized aggregation — answers
+// identically to
 // decompress-all-then-filter on random multi-column data and random
 // expression trees. raw seeds three columns of different character
 // (low-cardinality, signed walk, widened), shape steers block sizes
@@ -182,11 +183,12 @@ func FuzzTableScanEquivalence(f *testing.F) {
 // CountWhere, SumWhere and Aggregate, including the leaf fast paths
 // that answer Range/Eq/In on the packed words without a selection —
 // agrees exactly with both naive decompress-then-filter and the
-// classic Scan → Count → Sum pipeline. The mode bits steer the data
-// generator toward different scheme families (low-cardinality → dict
-// and RLE, signed walk → model and FOR, wide → shifted NS, sorted →
-// linear, constant-with-outliers → RPE), so every fused kernel family
-// faces its own scheme.
+// Scan → Count → Sum route, which runs the same driver into the
+// selection sink instead of the count/sum sink. The mode bits steer
+// the data generator toward different scheme families
+// (low-cardinality → dict and RLE, signed walk → model and FOR, wide →
+// shifted NS, sorted → linear, constant-with-outliers → RPE), so every
+// fused kernel family faces its own scheme.
 func FuzzFusedSchemeEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0), int64(1), int64(6))
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(17), int64(-40), int64(40))
@@ -304,7 +306,8 @@ func FuzzFusedSchemeEquivalence(f *testing.F) {
 					tc.expr, agg.Matched, agg.Sums, wantCnt, wantSumV, wantSumW)
 			}
 
-			// The classic pipeline agrees too — selection words included.
+			// The selection sink agrees with the count/sum sink — selection
+			// words included.
 			scan, err := tbl.Scan(tc.expr)
 			if err != nil {
 				t.Fatalf("Scan(%s): %v", tc.expr, err)

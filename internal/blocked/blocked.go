@@ -428,62 +428,16 @@ func (c *Column) decompressBlockInto(out []int64, i int, s *core.Scratch) error 
 	return nil
 }
 
-// Sum returns the exact column sum, aggregated block by block.
-// Blocks are summed concurrently (bounded by the column's
-// parallelism); wrapping int64 addition is commutative, so the result
-// does not depend on worker scheduling.
-func (c *Column) Sum() (int64, error) {
-	workers := c.workers()
-	if workers > len(c.Blocks) {
-		workers = len(c.Blocks)
-	}
-	if workers <= 1 {
-		var total int64
-		for i := range c.Blocks {
-			if i+1 < len(c.Blocks) {
-				c.Prefetch(nil, i+1)
-			}
-			f, err := c.form(i)
-			if err != nil {
-				return 0, err
-			}
-			s, err := query.Sum(f)
-			if err != nil {
-				return 0, err
-			}
-			total += s
-		}
-		return total, nil
-	}
-	var total int64
-	err := ParallelFor(workers, len(c.Blocks), func(i int) error {
-		if i+1 < len(c.Blocks) {
-			c.Prefetch(nil, i+1)
-		}
-		f, err := c.form(i)
-		if err != nil {
-			return err
-		}
-		s, err := query.Sum(f)
-		if err != nil {
-			return err
-		}
-		atomic.AddInt64(&total, s)
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return total, nil
-}
-
 // Min returns the exact column minimum. Blocks with recorded stats
 // answer from the index; others delegate to the form.
-func (c *Column) Min() (int64, error) {
-	if c.N == 0 {
-		return 0, fmt.Errorf("query: Min of empty column")
-	}
-	have := false
+func (c *Column) Min() (int64, error) { return c.extreme("Min", query.Min) }
+
+// Max returns the exact column maximum, symmetric with Min.
+func (c *Column) Max() (int64, error) { return c.extreme("Max", query.Max) }
+
+// extreme folds the per-block minima (or maxima) into the column's.
+func (c *Column) extreme(name string, ofForm func(*core.Form) (int64, error)) (int64, error) {
+	have, isMax := false, name == "Max"
 	var m int64
 	for i := range c.Blocks {
 		b := &c.Blocks[i]
@@ -491,55 +445,24 @@ func (c *Column) Min() (int64, error) {
 			continue
 		}
 		v := b.Min
+		if isMax {
+			v = b.Max
+		}
 		if !b.HasStats {
 			f, err := c.form(i)
 			if err != nil {
 				return 0, err
 			}
-			v, err = query.Min(f)
-			if err != nil {
+			if v, err = ofForm(f); err != nil {
 				return 0, err
 			}
 		}
-		if !have || v < m {
+		if !have || (v > m) == isMax {
 			m, have = v, true
 		}
 	}
 	if !have {
-		return 0, fmt.Errorf("query: Min of empty column")
-	}
-	return m, nil
-}
-
-// Max returns the exact column maximum, symmetric with Min.
-func (c *Column) Max() (int64, error) {
-	if c.N == 0 {
-		return 0, fmt.Errorf("query: Max of empty column")
-	}
-	have := false
-	var m int64
-	for i := range c.Blocks {
-		b := &c.Blocks[i]
-		if b.Count == 0 {
-			continue
-		}
-		v := b.Max
-		if !b.HasStats {
-			f, err := c.form(i)
-			if err != nil {
-				return 0, err
-			}
-			v, err = query.Max(f)
-			if err != nil {
-				return 0, err
-			}
-		}
-		if !have || v > m {
-			m, have = v, true
-		}
-	}
-	if !have {
-		return 0, fmt.Errorf("query: Max of empty column")
+		return 0, fmt.Errorf("query: %s of empty column", name)
 	}
 	return m, nil
 }
@@ -575,61 +498,6 @@ func (b *Block) ClassifyRange(lo, hi int64) RangeClass {
 		return RangeAll
 	}
 	return RangePart
-}
-
-func (b *Block) classify(lo, hi int64) RangeClass {
-	return b.ClassifyRange(lo, hi)
-}
-
-// scanState is the pooled per-query state of the parallel scan paths:
-// block classifications, the indices of straddling blocks, and the
-// per-block selections parallel workers fill.
-type scanState struct {
-	classes []RangeClass
-	parts   []int
-	counts  []int64
-	sels    []*sel.Selection
-}
-
-var scanPool = sync.Pool{New: func() any { return new(scanState) }}
-
-// getScanState returns a pooled scanState sized for nblocks, with
-// parts emptied and sels cleared.
-func getScanState(nblocks int) *scanState {
-	st := scanPool.Get().(*scanState)
-	if cap(st.classes) < nblocks {
-		st.classes = make([]RangeClass, nblocks)
-	} else {
-		st.classes = st.classes[:nblocks]
-	}
-	st.parts = st.parts[:0]
-	if cap(st.counts) < nblocks {
-		st.counts = make([]int64, nblocks)
-	} else {
-		st.counts = st.counts[:nblocks]
-	}
-	if cap(st.sels) < nblocks {
-		st.sels = make([]*sel.Selection, nblocks)
-	} else {
-		st.sels = st.sels[:nblocks]
-		for i := range st.sels {
-			st.sels[i] = nil
-		}
-	}
-	return st
-}
-
-func (st *scanState) release() { scanPool.Put(st) }
-
-// classifyBlocks fills st.classes and collects straddling-block
-// indices into st.parts.
-func (c *Column) classifyBlocks(st *scanState, lo, hi int64) {
-	for i := range c.Blocks {
-		st.classes[i] = c.Blocks[i].classify(lo, hi)
-		if st.classes[i] == RangePart {
-			st.parts = append(st.parts, i)
-		}
-	}
 }
 
 // ParallelFor fans fn out over indices [0, n) from the given number
@@ -681,188 +549,6 @@ func ParallelFor(workers, n int, fn func(i int) error) error {
 	}
 	wg.Wait()
 	return first
-}
-
-// forEachPart runs fn over st.parts from min(workers, len(parts))
-// goroutines (inline when one suffices) and returns the first error.
-// Before each block is processed the next undecided block is
-// announced to the column's prefetcher, so its payload read overlaps
-// the current block's decode; in the parallel shape adjacent workers
-// may announce the same block, which the storage layer's coalescing
-// makes a cheap cache probe.
-func (c *Column) forEachPart(st *scanState, fn func(blockIdx int) error) error {
-	workers := c.workers()
-	if workers > len(st.parts) {
-		workers = len(st.parts)
-	}
-	if workers <= 1 {
-		for k, i := range st.parts {
-			if k+1 < len(st.parts) {
-				c.Prefetch(nil, st.parts[k+1])
-			}
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return ParallelFor(workers, len(st.parts), func(i int) error {
-		if i+1 < len(st.parts) {
-			c.Prefetch(nil, st.parts[i+1])
-		}
-		return fn(st.parts[i])
-	})
-}
-
-// CountRange counts elements in [lo, hi]. Blocks entirely outside
-// the range contribute 0 and blocks entirely inside contribute their
-// size, both in O(1) from the index; only straddling blocks consult
-// their form, concurrently (bounded by the column's parallelism) and
-// through the fused count kernels where the form allows.
-func (c *Column) CountRange(lo, hi int64) (int64, error) {
-	if lo > hi {
-		return 0, nil
-	}
-	st := getScanState(len(c.Blocks))
-	defer st.release()
-	var total int64
-	for i := range c.Blocks {
-		b := &c.Blocks[i]
-		switch b.classify(lo, hi) {
-		case RangeMiss:
-		case RangeAll:
-			total += int64(b.Count)
-		case RangePart:
-			st.parts = append(st.parts, i)
-		}
-	}
-	if len(st.parts) > 0 {
-		// Per-block counts land in pooled state slots rather than a
-		// shared accumulator, keeping the closure capture-by-value (a
-		// by-reference total would escape to the heap on every call,
-		// including pure-miss queries).
-		err := c.forEachPart(st, func(i int) error {
-			f, err := c.form(i)
-			if err != nil {
-				return err
-			}
-			n, err := query.CountRange(f, lo, hi)
-			if err != nil {
-				return err
-			}
-			st.counts[i] = n
-			return nil
-		})
-		if err != nil {
-			return 0, err
-		}
-		for _, i := range st.parts {
-			total += st.counts[i]
-		}
-	}
-	return total, nil
-}
-
-// SelectRange returns the row positions of elements in [lo, hi], in
-// ascending order. A block whose [min, max] misses the range is
-// never decoded; a block entirely inside emits its whole row span as
-// a single run without decoding. The matches accumulate in a pooled
-// bitmap selection (see SelectRangeSel); this method converts to the
-// explicit row-position column at the boundary.
-func (c *Column) SelectRange(lo, hi int64) ([]int64, error) {
-	bm, err := c.SelectRangeSel(lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	rows := bm.AppendRows(make([]int64, 0, bm.Count()), 0)
-	bm.Release()
-	return rows, nil
-}
-
-// SelectRangeSel evaluates the range predicate into a bitmap
-// selection vector over [0, c.N): straddling blocks are scanned
-// concurrently (bounded by the column's parallelism, each into its
-// own pooled per-block selection) and merged in block order, so the
-// result is deterministic. The selection comes from the shared pool —
-// callers should Release it when done to keep steady-state scans
-// allocation-free.
-func (c *Column) SelectRangeSel(lo, hi int64) (*sel.Selection, error) {
-	dst := sel.Get(c.N)
-	if lo > hi {
-		return dst, nil
-	}
-	st := getScanState(len(c.Blocks))
-	defer st.release()
-	c.classifyBlocks(st, lo, hi)
-
-	workers := c.workers()
-	if workers > 1 && len(st.parts) > 1 {
-		// Parallel: each straddling block scans into a local
-		// selection; the merge below ORs them in block order.
-		err := c.forEachPart(st, func(i int) error {
-			b := &c.Blocks[i]
-			f, err := c.form(i)
-			if err != nil {
-				return err
-			}
-			local := sel.Get(b.Count)
-			if err := query.SelectRangeSel(f, lo, hi, local, 0); err != nil {
-				local.Release()
-				return err
-			}
-			st.sels[i] = local
-			return nil
-		})
-		if err != nil {
-			for _, i := range st.parts {
-				if st.sels[i] != nil {
-					st.sels[i].Release()
-				}
-			}
-			dst.Release()
-			return nil, err
-		}
-		for i := range c.Blocks {
-			b := &c.Blocks[i]
-			switch st.classes[i] {
-			case RangeAll:
-				dst.AddRun(int(b.Start), b.Count)
-			case RangePart:
-				dst.OrAt(st.sels[i], int(b.Start))
-				st.sels[i].Release()
-				st.sels[i] = nil
-			}
-		}
-		return dst, nil
-	}
-
-	// Serial: emit every block directly at its row offset, announcing
-	// the following undecided block before each fetch.
-	next := 0
-	for i := range c.Blocks {
-		b := &c.Blocks[i]
-		switch st.classes[i] {
-		case RangeAll:
-			dst.AddRun(int(b.Start), b.Count)
-		case RangePart:
-			if next < len(st.parts) && st.parts[next] == i {
-				next++
-			}
-			if next < len(st.parts) {
-				c.Prefetch(nil, st.parts[next])
-			}
-			f, err := c.form(i)
-			if err != nil {
-				dst.Release()
-				return nil, err
-			}
-			if err := query.SelectRangeSel(f, lo, hi, dst, int(b.Start)); err != nil {
-				dst.Release()
-				return nil, err
-			}
-		}
-	}
-	return dst, nil
 }
 
 // SelectBlockRangeSel evaluates the predicate lo ≤ v ≤ hi on block i
@@ -1007,7 +693,7 @@ func (c *Column) CacheStats() (stats CacheStats, ok bool) {
 // and Describe use it to make pruning observable.
 func (c *Column) SkipStats(lo, hi int64) (skipped, whole, consulted int) {
 	for i := range c.Blocks {
-		switch c.Blocks[i].classify(lo, hi) {
+		switch c.Blocks[i].ClassifyRange(lo, hi) {
 		case RangeMiss:
 			skipped++
 		case RangeAll:

@@ -19,4 +19,12 @@
 // through the BlockSource at first use (the lazy path behind
 // lwcomp.OpenFile). In-memory columns keep their forms resident and
 // never consult a source, so the hot scan paths stay allocation-free.
+//
+// The package also owns the scan driver (scan.go): the one loop —
+// classify chunks from stats, prefetch, evaluate the undecided ones
+// serially or in parallel, hand the outcome to a sink — that both the
+// column's own range queries and package table's expression scans run
+// through. A Plan says how the rows split into chunks and what the
+// stats know about each; a Sink says what becomes of the chunks the
+// stats did not refute. DESIGN.md §1.9 has the picture.
 package blocked

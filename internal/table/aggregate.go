@@ -12,21 +12,15 @@ import (
 	"lwcomp/internal/sel"
 )
 
-// This file is the fused scan+aggregate path: Count and Sum queries
-// answered in one pass over the compressed blocks, without ever
-// building the table-wide selection a Scan would hand back. The
-// per-block plan is the same as scanAligned's — stats-refuted blocks
-// never fetch, stats-proved blocks contribute whole-block counts and
-// compressed-form sums — but undecided blocks go straight from
-// predicate evaluation to the aggregate: a Range/Eq/In leaf whose sum
-// column is the predicate column (or a pure count) runs entirely on
-// the packed words through query.CountRange / query.SumRange, and
-// composite predicates consume their block-local selection in place
-// instead of merging it into a result bitmap. Degraded semantics
-// match the Scan-then-Sum pipeline exactly: a predicate-side failure
-// drops the block's rows from the count and every sum, a sum-side
-// failure on a matched block keeps the count and omits only that
-// column's contribution, and both record the block in the Manifest.
+// This file is the count/sum sink: Count and Sum queries answered in
+// one pass over the compressed blocks, without ever building the
+// table-wide selection a Scan would hand back. The scan driver plans it
+// like any other scan; what differs is what happens to a chunk (see
+// Proved, Visit and addSums). Degraded semantics match Scan-then-Sum
+// exactly: a predicate-side failure drops the chunk's rows from the
+// count and every sum, a sum-side failure on a matched chunk keeps the
+// count and omits only that column's contribution, and both record the
+// block in the Manifest.
 
 // AggregateResult is what Table.Aggregate returns: the matched-row
 // count, one sum per requested column (parallel to the sumCols
@@ -46,64 +40,30 @@ type AggregateResult struct {
 // Aggregate evaluates e and returns the matched-row count plus the
 // sums of sumCols over the matched rows, fused into a single pass —
 // the one-shot equivalent of Scan + Count + Sum that never
-// materializes the scan's selection. On a misaligned table it falls
-// back to exactly that pipeline, so results (including degraded-mode
-// semantics) are identical either way.
+// materializes the scan's selection. Results, including degraded-mode
+// semantics, are identical to that pipeline's on aligned and
+// misaligned tables alike.
 func (t *Table) Aggregate(ctx context.Context, e Expr, sumCols []string, opt ScanOptions) (AggregateResult, error) {
-	if e == nil {
-		return AggregateResult{}, fmt.Errorf("table: Aggregate of a nil expression")
-	}
-	if err := e.check(t); err != nil {
-		return AggregateResult{}, err
-	}
-	if !t.aligned {
-		return t.aggregateWhole(ctx, e, sumCols, opt)
-	}
-	cols := make([]*blocked.Column, len(sumCols))
-	for i, name := range sumCols {
-		c, err := t.colByName(name)
-		if err != nil {
-			return AggregateResult{}, err
-		}
-		cols[i] = c
-	}
-	var man *Manifest
+	var res AggregateResult
 	if opt.Degraded {
-		man = &Manifest{}
+		res.Manifest = &Manifest{}
 	}
-	res := AggregateResult{Manifest: man}
 	if len(sumCols) > 0 {
 		res.Sums = make([]int64, len(sumCols))
 	}
-	matched, err := t.aggregateAligned(ctx, e, cols, sumCols, res.Sums, man)
-	if err != nil {
+	var err error
+	if res.Matched, err = t.aggregate(ctx, e, sumCols, res.Sums, res.Manifest); err != nil {
 		return AggregateResult{}, err
 	}
-	res.Matched = matched
 	return res, nil
 }
 
 // CountWhere returns the number of rows matching e without building a
 // selection — the fused count. It is allocation-free in the steady
-// state on an aligned table with one worker. Failures are always
-// fatal; use Aggregate for degraded counting.
+// state with one worker. Failures are always fatal; use Aggregate for
+// degraded counting.
 func (t *Table) CountWhere(ctx context.Context, e Expr) (int64, error) {
-	if e == nil {
-		return 0, fmt.Errorf("table: CountWhere of a nil expression")
-	}
-	if err := e.check(t); err != nil {
-		return 0, err
-	}
-	if !t.aligned {
-		s, err := t.ScanWith(ctx, e, ScanOptions{})
-		if err != nil {
-			return 0, err
-		}
-		n := int64(s.Count())
-		s.Release()
-		return n, nil
-	}
-	return t.aggregateAligned(ctx, e, nil, nil, nil, nil)
+	return t.aggregate(ctx, e, nil, nil, nil)
 }
 
 // SumWhere returns the sum of col over the rows matching e, plus the
@@ -111,344 +71,233 @@ func (t *Table) CountWhere(ctx context.Context, e Expr) (int64, error) {
 // allocation-free in the serial steady state and always fail-fast;
 // use Aggregate for degraded sums.
 func (t *Table) SumWhere(ctx context.Context, e Expr, col string) (sum, matched int64, err error) {
+	var sums [1]int64
+	if matched, err = t.aggregate(ctx, e, []string{col}, sums[:], nil); err != nil {
+		return 0, 0, err
+	}
+	return sums[0], matched, nil
+}
+
+// aggregation is the count/sum sink, pooled so the serial steady state
+// allocates nothing. matched and sums are committed with atomic adds,
+// giving the serial and parallel shapes of the driver one code path.
+type aggregation struct {
+	p plan
+	// cols are the table positions of the sum columns; sums is parallel
+	// to it.
+	cols    []int
+	sums    []int64
+	matched int64
+}
+
+var aggPool = sync.Pool{New: func() any { return new(aggregation) }}
+
+// aggregate runs e through the driver into a pooled aggregation and
+// returns the matched-row count, copying the sums of sumCols into the
+// parallel sums (the copy keeps a caller's stack array off the heap).
+func (t *Table) aggregate(ctx context.Context, e Expr, sumCols []string, sums []int64, man *Manifest) (int64, error) {
 	if e == nil {
-		return 0, 0, fmt.Errorf("table: SumWhere of a nil expression")
+		return 0, fmt.Errorf("table: aggregate of a nil expression")
 	}
 	if err := e.check(t); err != nil {
-		return 0, 0, err
-	}
-	c, err := t.colByName(col)
-	if err != nil {
-		return 0, 0, err
-	}
-	if !t.aligned {
-		s, err := t.ScanWith(ctx, e, ScanOptions{})
-		if err != nil {
-			return 0, 0, err
-		}
-		defer s.Release()
-		v, err := s.SumContext(ctx, col)
-		if err != nil {
-			return 0, 0, err
-		}
-		return v, int64(s.Count()), nil
-	}
-	// The argument arrays come from a pool: the parallel path's
-	// closure makes them escape, so stack arrays would heap-allocate
-	// per call even on the serial path.
-	a := aggArgsPool.Get().(*aggArgs)
-	a.cols[0], a.names[0], a.sums[0] = c, col, 0
-	matched, err = t.aggregateAligned(ctx, e, a.cols[:], a.names[:], a.sums[:], nil)
-	sum = a.sums[0]
-	aggArgsPool.Put(a)
-	if err != nil {
-		return 0, 0, err
-	}
-	return sum, matched, nil
-}
-
-// aggArgs is SumWhere's pooled single-column argument block.
-type aggArgs struct {
-	cols  [1]*blocked.Column
-	names [1]string
-	sums  [1]int64
-}
-
-var aggArgsPool = sync.Pool{New: func() any { return new(aggArgs) }}
-
-// aggregateWhole is the misaligned-table fallback: the classic
-// Scan → Count → Sum pipeline, preserving its exact semantics.
-func (t *Table) aggregateWhole(ctx context.Context, e Expr, sumCols []string, opt ScanOptions) (AggregateResult, error) {
-	s, err := t.ScanWith(ctx, e, opt)
-	if err != nil {
-		return AggregateResult{}, err
-	}
-	defer s.Release()
-	res := AggregateResult{Matched: int64(s.Count()), Manifest: s.Manifest()}
-	if len(sumCols) > 0 {
-		res.Sums = make([]int64, len(sumCols))
-		for i, name := range sumCols {
-			if res.Sums[i], err = s.SumContext(ctx, name); err != nil {
-				return AggregateResult{}, err
-			}
-		}
-	}
-	return res, nil
-}
-
-// aggregateAligned runs the fused per-block plan. cols/names/sums are
-// parallel (all may be empty for a pure count); sums is committed
-// with atomic adds so the parallel path and the serial path share one
-// code shape. A non-nil man puts the pass in degraded mode.
-func (t *Table) aggregateAligned(ctx context.Context, e Expr, cols []*blocked.Column, names []string, sums []int64, man *Manifest) (int64, error) {
-	blocks := t.cols[0].Col.Blocks
-	st := getScanState(len(blocks))
-	defer st.release()
-	skipped, proved := 0, 0
-	var matched int64
-	for i := range blocks {
-		st.classes[i] = e.prune(t, i)
-		switch st.classes[i] {
-		case triTrue:
-			proved++
-			matched += int64(blocks[i].Count)
-		case triFalse:
-			skipped++
-		case triUnknown:
-			st.parts = append(st.parts, i)
-		}
-	}
-	t.counters.skipped.Add(int64(skipped))
-	t.counters.proved.Add(int64(proved))
-	t.counters.fetched.Add(int64(len(st.parts)))
-
-	// Proved blocks contribute compressed-form sums without a
-	// selection; a permanent failure here keeps the block's count (the
-	// stats proved those rows match) and omits only the broken
-	// column's sum, exactly like Scan.Sum on a fully selected block.
-	if len(cols) > 0 && proved > 0 {
-		for i := range blocks {
-			if st.classes[i] != triTrue || blocks[i].Count == 0 {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			for ci, c := range cols {
-				v, err := c.SumBlock(i)
-				if err != nil {
-					if man != nil && blocked.IsPermanent(err) {
-						noteColSkip(man, names[ci], i, &blocks[i], err)
-						continue
-					}
-					return 0, err
-				}
-				atomic.AddInt64(&sums[ci], v)
-			}
-		}
-	}
-
-	workers := t.workers()
-	if workers > len(st.parts) {
-		workers = len(st.parts)
-	}
-	if workers <= 1 {
-		sc := core.GetScratch()
-		defer sc.Release()
-		for k, i := range st.parts {
-			if err := ctx.Err(); err != nil {
-				return 0, err
-			}
-			if k+1 < len(st.parts) {
-				t.announcePrefetch(ctx, e, st.parts[k+1])
-			}
-			cnt, err := t.aggregateBlock(e, i, cols, names, sums, sc, man)
-			if err != nil {
-				if man != nil && blocked.IsPermanent(err) {
-					t.noteEvalSkip(man, i, &blocks[i], err)
-					continue
-				}
-				return 0, err
-			}
-			matched += cnt
-		}
-		return matched, nil
-	}
-	// The concurrent remainder lives in its own function: its closure
-	// captures the accumulators and makes them escape, which would
-	// heap-allocate on every call — including the serial path's — if
-	// it shared this frame.
-	pm, err := t.aggregateParallel(ctx, e, blocks, st, cols, names, sums, man, workers)
-	if err != nil {
 		return 0, err
 	}
-	return matched + pm, nil
-}
-
-// aggregateParallel runs the undecided blocks concurrently, committing
-// counts and sums with atomic adds.
-func (t *Table) aggregateParallel(ctx context.Context, e Expr, blocks []blocked.Block, st *scanState, cols []*blocked.Column, names []string, sums []int64, man *Manifest, workers int) (int64, error) {
-	var matched int64
-	err := blocked.ParallelFor(workers, len(st.parts), func(pi int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if pi+1 < len(st.parts) {
-			t.announcePrefetch(ctx, e, st.parts[pi+1])
-		}
-		i := st.parts[pi]
-		sc := core.GetScratch()
-		defer sc.Release()
-		cnt, err := t.aggregateBlock(e, i, cols, names, sums, sc, man)
-		if err != nil {
-			if man != nil && blocked.IsPermanent(err) {
-				t.noteEvalSkip(man, i, &blocks[i], err)
-				return nil
-			}
-			return err
-		}
-		atomic.AddInt64(&matched, cnt)
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return matched, nil
-}
-
-// aggregateBlock counts (and sums) one undecided block. Leaf
-// predicates whose sum column is the predicate column — or pure
-// counts — run on the compressed form through the fused range
-// kernels, one pass over the packed words with no selection at all.
-// Everything else evaluates the predicate into a pooled block-local
-// selection and consumes it immediately. An error means the block's
-// predicate side failed: the caller drops the block (count and sums)
-// and, in degraded mode, records it. Sum-side failures on matched
-// rows degrade in place, per column.
-func (t *Table) aggregateBlock(e Expr, i int, cols []*blocked.Column, names []string, sums []int64, sc *core.Scratch, man *Manifest) (int64, error) {
-	b := &t.cols[0].Col.Blocks[i]
-	if b.Count == 0 {
-		return 0, nil
-	}
-	switch n := e.(type) {
-	case *rangeNode:
-		c := n.column(t)
-		if len(cols) == 0 {
-			f, err := c.BlockForm(i)
-			if err != nil {
-				return 0, err
-			}
-			return query.CountRange(f, n.lo, n.hi)
-		}
-		if len(cols) == 1 && cols[0] == c {
-			f, err := c.BlockForm(i)
-			if err != nil {
-				return 0, err
-			}
-			s, cnt, err := query.SumRange(f, n.lo, n.hi)
-			if err != nil {
-				return 0, err
-			}
-			atomic.AddInt64(&sums[0], s)
-			return cnt, nil
-		}
-	case *inNode:
-		c := n.column(t)
-		if len(cols) == 0 || (len(cols) == 1 && cols[0] == c) {
-			return t.aggregateInLeaf(n, c, i, sums, len(cols) == 1)
-		}
-	}
-
-	local := sel.Get(b.Count)
-	if err := e.evalBlock(t, i, local); err != nil {
-		local.Release()
-		return 0, err
-	}
-	cnt := int64(local.Count())
-	if cnt > 0 {
-		for ci, c := range cols {
-			var v int64
-			var err error
-			if int(cnt) == b.Count {
-				v, err = c.SumBlock(i)
-			} else if lo, hi, f, ok := sameColRangeLeaf(e, t, c, i); ok {
-				// The predicate is a Range leaf over this very sum
-				// column: its matched rows are exactly the in-range
-				// rows, so the fused kernel sums them on the
-				// compressed form without a decode.
-				v, _, err = query.SumRange(f, lo, hi)
-			} else {
-				vals := sc.I64(b.Count)
-				if err = c.DecompressBlock(i, vals); err == nil {
-					v = maskedSum(local, 0, vals)
-				}
-				sc.PutI64(vals)
-			}
-			if err != nil {
-				if man != nil && blocked.IsPermanent(err) {
-					noteColSkip(man, names[ci], i, b, err)
-					continue
-				}
-				local.Release()
-				return 0, err
-			}
-			atomic.AddInt64(&sums[ci], v)
-		}
-	}
-	local.Release()
-	return cnt, nil
-}
-
-// aggregateInLeaf fuses an In leaf: each maximal run of consecutive
-// values probes the compressed form as one range. Runs are disjoint,
-// so per-run counts and sums add without double counting. The run
-// walk is inlined (no closure) to keep the serial path off the heap.
-func (t *Table) aggregateInLeaf(n *inNode, c *blocked.Column, i int, sums []int64, wantSum bool) (int64, error) {
-	cb := &c.Blocks[i]
-	var f *core.Form
-	var cnt, sum int64
-	vals := n.vals
-	for a := 0; a < len(vals); {
-		j := a + 1
-		for j < len(vals) && vals[j] == vals[j-1]+1 {
-			j++
-		}
-		lo, hi := vals[a], vals[j-1]
-		a = j
-		if cb.ClassifyRange(lo, hi) == blocked.RangeMiss {
-			continue
-		}
-		if f == nil {
-			var err error
-			if f, err = c.BlockForm(i); err != nil {
-				return 0, err
-			}
-		}
-		if wantSum {
-			s, rc, err := query.SumRange(f, lo, hi)
-			if err != nil {
-				return 0, err
-			}
-			sum += s
-			cnt += rc
-			continue
-		}
-		rc, err := query.CountRange(f, lo, hi)
+	a := aggPool.Get().(*aggregation)
+	defer aggPool.Put(a)
+	a.p = plan{t: t, e: e, man: man}
+	a.cols, a.sums, a.matched = a.cols[:0], a.sums[:0], 0
+	for _, name := range sumCols {
+		ci, err := t.colIndex(name)
 		if err != nil {
 			return 0, err
 		}
-		cnt += rc
+		a.cols, a.sums = append(a.cols, ci), append(a.sums, 0)
 	}
-	if wantSum && sum != 0 {
-		atomic.AddInt64(&sums[0], sum)
+	if err := a.p.run(ctx, a); err != nil {
+		return 0, err
 	}
-	return cnt, nil
+	copy(sums, a.sums)
+	return a.matched, nil
 }
 
-// sameColRangeLeaf reports whether e is a Range leaf over exactly c
-// AND block i's form sums structurally, returning the bounds and form.
-// When both hold, the matched rows of the block are exactly the
-// in-range rows, so c's sum over them comes from the fused SumRange
-// kernel instead of a decode. Composite predicates match a subset of
-// the leaf's range and must not take this shortcut (they never reach
-// here: e is the whole expression); non-structural forms would pay
-// SumRange's materializing fallback on top of the decode the caller
-// is about to do anyway.
-func sameColRangeLeaf(e Expr, t *Table, c *blocked.Column, i int) (lo, hi int64, f *core.Form, ok bool) {
-	n, isRange := e.(*rangeNode)
-	if !isRange || n.column(t) != c {
+// Proved counts a chunk the stats proved and sums every column over
+// all its rows, on the compressed form when the chunk is a whole block.
+// It runs before any worker starts, so matched needs no atomic here.
+func (a *aggregation) Proved(k int) error {
+	_, count := a.p.t.chunk(k)
+	a.matched += int64(count)
+	if count == 0 {
+		return nil
+	}
+	return a.addSums(k, nil)
+}
+
+// Visit counts (and sums) one undecided chunk. When the predicate is a
+// leaf over a whole block, with the leaf's own column the only sum (or
+// none), it runs on the compressed form through the fused range
+// kernels, one pass over the packed words with no selection at all.
+// Everything else evaluates the predicate into a pooled chunk-local
+// selection and consumes it immediately. An error means the chunk's
+// predicate side failed: the driver drops the chunk (count and sums)
+// and, in degraded mode, records it. Sum-side failures on matched rows
+// degrade in place, per column.
+func (a *aggregation) Visit(k int) error {
+	_, count := a.p.t.chunk(k)
+	if count == 0 {
+		return nil
+	}
+	var leaf string
+	switch n := a.p.e.(type) {
+	case *rangeNode:
+		leaf = n.col
+	case *inNode:
+		leaf = n.col
+	}
+	if f, b, err := a.fusable(leaf, k, count); err != nil {
+		return err
+	} else if f != nil {
+		return a.visitLeaf(f, b)
+	}
+
+	local := sel.Get(count)
+	defer local.Release()
+	if err := a.p.e.evalBlock(a.p.t, k, local); err != nil {
+		return err
+	}
+	cnt := local.Count()
+	atomic.AddInt64(&a.matched, int64(cnt))
+	switch cnt {
+	case 0:
+		return nil
+	case count:
+		return a.addSums(k, nil)
+	}
+	return a.addSums(k, local)
+}
+
+// visitLeaf answers a leaf predicate on its block's form f: a Range
+// leaf is one fused range probe, an In leaf one per maximal run of
+// consecutive values that the block's stats do not refute (runs are
+// disjoint, so their counts and sums add).
+func (a *aggregation) visitLeaf(f *core.Form, b *blocked.Block) error {
+	switch n := a.p.e.(type) {
+	case *rangeNode:
+		return a.addRange(f, n.lo, n.hi)
+	case *inNode:
+		for i := 0; i < len(n.vals); {
+			var lo, hi int64
+			if lo, hi, i = n.run(i); b.ClassifyRange(lo, hi) == blocked.RangeMiss {
+				continue
+			}
+			if err := a.addRange(f, lo, hi); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// addRange counts lo ≤ v ≤ hi on f — and sums the matches when a sum is
+// wanted — through the fused range kernels.
+func (a *aggregation) addRange(f *core.Form, lo, hi int64) error {
+	var sum, cnt int64
+	var err error
+	if len(a.cols) == 0 {
+		cnt, err = query.CountRange(f, lo, hi)
+	} else {
+		sum, cnt, err = query.SumRange(f, lo, hi)
+	}
+	if err != nil {
+		return err
+	}
+	atomic.AddInt64(&a.matched, cnt)
+	if sum != 0 {
+		atomic.AddInt64(&a.sums[0], sum)
+	}
+	return nil
+}
+
+// fusable fetches the form (and returns the index entry) of the named
+// leaf column's block holding chunk k when the leaf can be answered on
+// the compressed form alone: the chunk is the whole block, and the
+// column is the only sum requested, or none is. Otherwise — or when
+// the predicate is no leaf and leaf is empty — f is nil. The fetch is
+// never wasted: the driver only visits chunks with a range the stats
+// could not decide.
+func (a *aggregation) fusable(leaf string, k, count int) (f *core.Form, b *blocked.Block, err error) {
+	ci, ok := a.p.t.index[leaf]
+	if !ok || len(a.cols) > 1 || (len(a.cols) == 1 && a.cols[0] != ci) {
+		return nil, nil, nil
+	}
+	c, bi := a.p.t.block(ci, k)
+	if b = &c.Blocks[bi]; b.Count != count {
+		return nil, nil, nil
+	}
+	f, err = c.BlockForm(bi)
+	return f, b, err
+}
+
+// addSums folds every sum column over chunk k's rows selected in local
+// — all of them when local is nil — into a.sums. A whole block with
+// every row selected sums on its compressed form; a Range leaf over
+// the sum column itself sums through the fused kernel; everything else
+// decodes the block and masks. A permanently unreadable block degrades
+// in place: recorded, and only that column's contribution is omitted.
+func (a *aggregation) addSums(k int, local *sel.Selection) error {
+	t := a.p.t
+	start, count := t.chunk(k)
+	for i, ci := range a.cols {
+		c, bi := t.block(ci, k)
+		b := &c.Blocks[bi]
+		var v int64
+		var err error
+		if local == nil && count == b.Count {
+			v, err = c.SumBlock(bi)
+		} else if lo, hi, f, ok := a.sameColRangeLeaf(ci, c, bi, count); ok {
+			v, _, err = query.SumRange(f, lo, hi)
+		} else {
+			sc := core.GetScratch()
+			vals := sc.I64(b.Count)
+			if err = c.DecompressBlock(bi, vals); err == nil {
+				window := vals[start-int(b.Start):][:count]
+				if local != nil {
+					v = maskedSum(local, 0, window)
+				} else {
+					for _, x := range window {
+						v += x
+					}
+				}
+			}
+			sc.PutI64(vals)
+			sc.Release()
+		}
+		if err != nil {
+			if err = a.p.skipColumn(ci, bi, err); err != nil {
+				return err
+			}
+			continue
+		}
+		atomic.AddInt64(&a.sums[i], v)
+	}
+	return nil
+}
+
+// sameColRangeLeaf reports whether the predicate is a Range leaf over
+// exactly column ci, the chunk is the whole block bi, AND the block's
+// form sums structurally, returning the bounds and form. Then the
+// matched rows are exactly the in-range rows, and the fused SumRange
+// kernel sums them without a decode. A composite predicate matches a
+// subset of a leaf's range and never gets here (e is the whole
+// expression); a non-structural form would pay SumRange's
+// materializing fallback on top of the decode the caller does anyway.
+func (a *aggregation) sameColRangeLeaf(ci int, c *blocked.Column, bi, count int) (lo, hi int64, f *core.Form, ok bool) {
+	n, isRange := a.p.e.(*rangeNode)
+	if !isRange || a.p.t.index[n.col] != ci || c.Blocks[bi].Count != count {
 		return 0, 0, nil, false
 	}
-	f, err := c.BlockForm(i)
+	f, err := c.BlockForm(bi)
 	if err != nil || !query.SumRangeIsStructural(f) {
 		return 0, 0, nil, false
 	}
 	return n.lo, n.hi, f, true
-}
-
-// noteColSkip records a sum column's permanently unreadable block —
-// the aggregate-side analogue of Scan.noteSkip.
-func noteColSkip(man *Manifest, col string, i int, b *blocked.Block, err error) {
-	man.add(SkippedBlock{Column: col, Block: i,
-		RowStart: b.Start, RowCount: b.Count, Reason: err.Error()})
 }

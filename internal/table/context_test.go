@@ -153,11 +153,11 @@ func TestStreamBatches(t *testing.T) {
 	}
 }
 
-// TestStreamBatchesMisaligned covers the whole-materialize fallback
-// for tables whose columns do not share block boundaries.
+// TestStreamBatchesMisaligned streams a column whose block boundaries
+// differ from the scanned one's: the walk goes chunk by chunk.
 func TestStreamBatchesMisaligned(t *testing.T) {
 	_, data := testData(1000)
-	// Different block sizes per column force the misaligned path.
+	// Different block sizes per column make the table misaligned.
 	colA, err := blocked.Encode(data[0], blocked.EncodeOptions{BlockSize: 256, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -95,26 +95,49 @@ type ScanOptions struct {
 	Degraded bool
 }
 
-// noteEvalSkip records block i's omission during predicate
-// evaluation. The expression tree does not report which column's
-// fetch failed, but the failing column quarantined the block on the
-// way out — so the exact (column, block) comes from asking every
-// column for its quarantine verdict at i. The fallback (no column
-// quarantined — a resident in-memory form failed to decode) records
-// the block with the raw error and no column attribution.
-func (t *Table) noteEvalSkip(man *Manifest, i int, b *blocked.Block, err error) {
+// Tolerate is the driver's degraded-mode hook: a degraded scan drops
+// chunk k, whose predicate evaluation failed permanently, and records
+// why. The expression tree does not report which column's fetch
+// failed, but the failing column quarantined its block on the way out
+// — so the exact (column, block, row range) comes from asking every
+// column for its quarantine verdict on the block holding the chunk.
+// The fallback (no column quarantined — a resident in-memory form
+// failed to decode) records the chunk with the raw error and no column
+// attribution.
+func (p *plan) Tolerate(k int, err error) bool {
+	if p.man == nil {
+		return false
+	}
 	found := false
-	for _, c := range t.cols {
-		if i >= len(c.Col.Blocks) {
-			continue
-		}
-		if qerr, ok := c.Col.QuarantineError(i); ok {
-			man.add(SkippedBlock{Column: c.Name, Block: i,
-				RowStart: b.Start, RowCount: b.Count, Reason: qerr.Error()})
+	for ci := range p.t.cols {
+		c, bi := p.t.block(ci, k)
+		if qerr, ok := c.QuarantineError(bi); ok {
+			p.note(ci, bi, qerr)
 			found = true
 		}
 	}
 	if !found {
-		man.add(SkippedBlock{Block: i, RowStart: b.Start, RowCount: b.Count, Reason: err.Error()})
+		start, count := p.t.chunk(k)
+		p.man.add(SkippedBlock{Block: k, RowStart: int64(start), RowCount: count, Reason: err.Error()})
 	}
+	return true
+}
+
+// skipColumn is the projection- and aggregation-side analogue, where
+// the failing column is known directly: a degraded scan records block
+// bi of column ci and carries on without its values (nil), anything
+// else hands err back.
+func (p *plan) skipColumn(ci, bi int, err error) error {
+	if p.man == nil || !blocked.IsPermanent(err) {
+		return err
+	}
+	p.note(ci, bi, err)
+	return nil
+}
+
+// note records block bi of column ci, with its exact row range.
+func (p *plan) note(ci, bi int, err error) {
+	b := &p.t.cols[ci].Col.Blocks[bi]
+	p.man.add(SkippedBlock{Column: p.t.cols[ci].Name, Block: bi,
+		RowStart: b.Start, RowCount: b.Count, Reason: err.Error()})
 }

@@ -205,3 +205,120 @@ func TestFaultDegradedDefaultViaTableFlag(t *testing.T) {
 		t.Fatalf("count=%d manifest=%d", scan.Count(), scan.Manifest().Len())
 	}
 }
+
+// TestFaultDegradedMisaligned: a degraded scan on a table whose columns
+// do not share block boundaries skips exactly the chunks inside the
+// unreadable block and records that block — the failing column's, with
+// its own row range — once, however many chunks it spans. Scan,
+// Aggregate and StreamBatches all go through the chunked driver.
+func TestFaultDegradedMisaligned(t *testing.T) {
+	const n = 400
+	id := make([]int64, n)
+	amount := make([]int64, n)
+	for i := range id {
+		id[i] = int64(i)
+		amount[i] = int64(i % 10)
+	}
+	enc := func(vals []int64, bs int) *blocked.Column {
+		col, err := blocked.Encode(vals, blocked.EncodeOptions{BlockSize: bs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return col
+	}
+	// amount: blocks of 100 rows, block 1 (rows 100..199) rotten; id:
+	// blocks of 64, so the rotten block spans chunks [100,128),
+	// [128,192) and [192,200).
+	amtOrig := enc(amount, 100)
+	lazy := &blocked.Column{N: n, BlockSize: 100, Blocks: append([]blocked.Block(nil), amtOrig.Blocks...)}
+	for i := range lazy.Blocks {
+		lazy.Blocks[i].Form = nil
+	}
+	lazy.Source = &failingSource{orig: amtOrig,
+		fail: map[int]error{1: fmt.Errorf("payload rot: %w", core.ErrCorruptForm)}}
+	tbl, err := New([]storage.BlockedColumn{{Name: "id", Col: enc(id, 64)}, {Name: "amount", Col: lazy}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tbl.Aligned() {
+		t.Fatal("fixture is aligned")
+	}
+	ctx := context.Background()
+	wantEntry := SkippedBlock{Column: "amount", Block: 1, RowStart: 100, RowCount: 100}
+	checkManifest := func(what string, man *Manifest) {
+		t.Helper()
+		sk := man.Skipped()
+		if len(sk) != 1 {
+			t.Fatalf("%s: manifest = %+v, want exactly one entry", what, sk)
+		}
+		if sk[0].Reason == "" {
+			t.Fatalf("%s: manifest entry has no reason", what)
+		}
+		sk[0].Reason = ""
+		if sk[0] != wantEntry {
+			t.Fatalf("%s: manifest entry = %+v, want %+v", what, sk[0], wantEntry)
+		}
+	}
+	outside := func(r int64) bool { return r < 100 || r >= 200 }
+
+	// Default scans stay fail-fast.
+	if _, err := tbl.Scan(Eq("amount", 3)); !errors.Is(err, core.ErrCorruptForm) {
+		t.Fatalf("default scan error = %v, want the permanent decode failure", err)
+	}
+
+	// amount = i%10 is 3 on 40 rows, 10 of them inside the rotten block.
+	scan, err := tbl.ScanWith(ctx, Eq("amount", 3), ScanOptions{Degraded: true})
+	if err != nil {
+		t.Fatalf("degraded scan: %v", err)
+	}
+	rows := scan.Rows()
+	if len(rows) != 30 {
+		t.Fatalf("degraded scan found %d rows, want 30", len(rows))
+	}
+	for _, r := range rows {
+		if !outside(r) || r%10 != 3 {
+			t.Fatalf("degraded scan returned row %d", r)
+		}
+	}
+	checkManifest("scan", scan.Manifest())
+	scan.Release()
+
+	agg, err := tbl.Aggregate(ctx, Eq("amount", 3), []string{"id"}, ScanOptions{Degraded: true})
+	if err != nil {
+		t.Fatalf("degraded aggregate: %v", err)
+	}
+	var wantID int64
+	for _, r := range rows {
+		wantID += r
+	}
+	if agg.Matched != 30 || agg.Sums[0] != wantID {
+		t.Fatalf("degraded aggregate = %d rows, sum(id) %d; want 30, %d", agg.Matched, agg.Sums[0], wantID)
+	}
+	checkManifest("aggregate", agg.Manifest)
+
+	// Projection side: every row matches without touching amount; the
+	// stream then drops the three chunks of the rotten block, in
+	// lockstep across both columns.
+	scan, err = tbl.ScanWith(ctx, And(), ScanOptions{Degraded: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer scan.Release()
+	var streamed int
+	err = scan.StreamBatches(ctx, []string{"id", "amount"}, 50, func(r []int64, vals [][]int64) error {
+		for i, row := range r {
+			if !outside(row) || vals[0][i] != row || vals[1][i] != row%10 {
+				t.Fatalf("streamed row %d with values (%d, %d)", row, vals[0][i], vals[1][i])
+			}
+		}
+		streamed += len(r)
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("degraded stream: %v", err)
+	}
+	if streamed != 300 {
+		t.Fatalf("streamed %d rows, want 300", streamed)
+	}
+	checkManifest("stream", scan.Manifest())
+}

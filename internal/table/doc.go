@@ -7,8 +7,9 @@
 // compressed constituents themselves; packages query and blocked apply
 // it one column at a time. This package extends it to whole analytical
 // predicates over several columns. An expression tree built from
-// Range/Eq/In leaves under And/Or/Not combinators is planned per
-// block:
+// Range/Eq/In leaves under And/Or/Not combinators is handed, as a
+// blocked.Plan, to the one scan driver in package blocked, which plans
+// it per block:
 //
 //   - every leaf is first classified against its own column's
 //     per-block [min, max] stats, giving a three-valued verdict per
@@ -28,13 +29,13 @@
 //     container, columns never touched by the predicate or the
 //     projection never leave the file.
 //
-// Per-block planning requires every referenced column to share block
-// boundaries (columns encoded from equal-length inputs with one block
-// size always do). Tables whose columns do not align fall back to
-// whole-column evaluation per leaf — still exact, still fused, but
-// without cross-column block skipping.
+// Columns that share block boundaries (those encoded from equal-length
+// inputs with one block size always do) plan per block. Otherwise the
+// table refines the columns' boundaries into chunks — row ranges no
+// boundary cuts — and the same driver plans per chunk, pruning each
+// chunk with the stats of the blocks that hold it.
 //
-// All per-scan state — the selection, the block classifications, the
-// per-block scratch selections — is pooled, so a steady-state scan
+// All per-scan state — the selection, the undecided-chunk list, the
+// per-chunk scratch selections — is pooled, so a steady-state scan
 // with a prebuilt expression allocates nothing.
 package table

@@ -25,43 +25,26 @@ type Expr interface {
 	// no nil children). It must not allocate on success: Scan calls it
 	// on the steady-state path.
 	check(t *Table) error
-	// prune classifies block blk with stats only, never fetching a
-	// payload.
-	prune(t *Table, blk int) tri
-	// evalBlock evaluates the predicate on block blk alone into dst,
-	// a cleared block-local selection (row r of the block is bit r).
-	// The planner only calls it when prune returned triUnknown.
-	evalBlock(t *Table, blk int, dst *sel.Selection) error
-	// evalWhole evaluates the predicate over the full column domain
-	// into dst, a cleared selection of t.n rows — the fallback for
-	// tables whose columns do not share block boundaries.
-	evalWhole(t *Table, dst *sel.Selection) error
-	// estimate guesses the fraction of block blk's rows that match,
+	// prune classifies chunk ck (see Table.chunk; on an aligned table a
+	// chunk is a block) with stats only, never fetching a payload.
+	prune(t *Table, ck int) blocked.RangeClass
+	// evalBlock evaluates the predicate on chunk ck alone into dst, a
+	// cleared chunk-local selection (row r of the chunk is bit r). The
+	// driver only calls it when prune returned RangePart.
+	evalBlock(t *Table, ck int, dst *sel.Selection) error
+	// estimate guesses the fraction of chunk ck's rows that match,
 	// from stats alone; the conjunction planner evaluates the leaf
 	// with the smallest estimate first.
-	estimate(t *Table, blk int) float64
+	estimate(t *Table, ck int) float64
 	// prefetchCol names the table column whose payload evalBlock on
-	// block blk will fetch first, from stats alone — the scan paths
-	// announce it to the storage prefetcher one block ahead. ok is
+	// chunk ck will fetch first, from stats alone — the scan driver
+	// announces it to the storage prefetcher one chunk ahead. ok is
 	// false when no fetch is certain. Implementations must stay in
 	// lockstep with their evalBlock's evaluation order: naming a
 	// column evalBlock then never touches turns prefetch into wasted
 	// reads (never incorrectness, but measurable I/O).
-	prefetchCol(t *Table, blk int) (col int, ok bool)
+	prefetchCol(t *Table, ck int) (col int, ok bool)
 }
-
-// tri is the three-valued verdict of stats-only pruning.
-type tri uint8
-
-const (
-	// triUnknown: the stats cannot decide; the payload must be
-	// consulted.
-	triUnknown tri = iota
-	// triFalse: the stats refute the predicate for every row.
-	triFalse
-	// triTrue: the stats prove the predicate for every row.
-	triTrue
-)
 
 // Range returns the predicate lo ≤ col ≤ hi (both bounds inclusive).
 // Use math.MinInt64 / math.MaxInt64 for half-open comparisons. An
@@ -124,41 +107,20 @@ func (n *rangeNode) String() string {
 }
 
 func (n *rangeNode) check(t *Table) error {
-	_, err := t.colByName(n.col)
+	_, err := t.colIndex(n.col)
 	return err
 }
 
-func (n *rangeNode) column(t *Table) *blocked.Column {
-	return t.cols[t.index[n.col]].Col
+func (n *rangeNode) prune(t *Table, ck int) blocked.RangeClass {
+	return t.statsBlock(n.col, ck).ClassifyRange(n.lo, n.hi)
 }
 
-func (n *rangeNode) prune(t *Table, blk int) tri {
-	switch n.column(t).Blocks[blk].ClassifyRange(n.lo, n.hi) {
-	case blocked.RangeMiss:
-		return triFalse
-	case blocked.RangeAll:
-		return triTrue
-	default:
-		return triUnknown
-	}
+func (n *rangeNode) evalBlock(t *Table, ck int, dst *sel.Selection) error {
+	return t.selectChunk(t.index[n.col], ck, n.lo, n.hi, dst)
 }
 
-func (n *rangeNode) evalBlock(t *Table, blk int, dst *sel.Selection) error {
-	return n.column(t).SelectBlockRangeSel(blk, n.lo, n.hi, dst, 0)
-}
-
-func (n *rangeNode) evalWhole(t *Table, dst *sel.Selection) error {
-	bm, err := n.column(t).SelectRangeSel(n.lo, n.hi)
-	if err != nil {
-		return err
-	}
-	err = dst.Union(bm)
-	bm.Release()
-	return err
-}
-
-func (n *rangeNode) estimate(t *Table, blk int) float64 {
-	b := &n.column(t).Blocks[blk]
+func (n *rangeNode) estimate(t *Table, ck int) float64 {
+	b := t.statsBlock(n.col, ck)
 	if !b.HasStats || n.lo > n.hi {
 		return 1
 	}
@@ -177,10 +139,10 @@ func (n *rangeNode) estimate(t *Table, blk int) float64 {
 	return (float64(hi) - float64(lo) + 1) / (float64(b.Max) - float64(b.Min) + 1)
 }
 
-func (n *rangeNode) prefetchCol(t *Table, blk int) (int, bool) {
+func (n *rangeNode) prefetchCol(t *Table, ck int) (int, bool) {
 	// evalBlock fetches the leaf's column exactly when the stats leave
 	// the block undecided.
-	if n.column(t).Blocks[blk].ClassifyRange(n.lo, n.hi) != blocked.RangePart {
+	if n.prune(t, ck) != blocked.RangePart {
 		return 0, false
 	}
 	return t.index[n.col], true
@@ -207,72 +169,56 @@ func (n *inNode) String() string {
 }
 
 func (n *inNode) check(t *Table) error {
-	_, err := t.colByName(n.col)
+	_, err := t.colIndex(n.col)
 	return err
 }
 
-func (n *inNode) column(t *Table) *blocked.Column {
-	return t.cols[t.index[n.col]].Col
-}
-
-// runs visits the maximal runs of consecutive values in n.vals as
-// inclusive [lo, hi] ranges — In(3,4,5,9) probes [3,5] and [9,9].
-func (n *inNode) runs(visit func(lo, hi int64) error) error {
-	for i := 0; i < len(n.vals); {
-		j := i + 1
-		for j < len(n.vals) && n.vals[j] == n.vals[j-1]+1 {
-			j++
-		}
-		if err := visit(n.vals[i], n.vals[j-1]); err != nil {
-			return err
-		}
-		i = j
+// run returns the maximal run of consecutive values starting at
+// vals[i] as an inclusive [lo, hi] range, and the index after it —
+// In(3,4,5,9) probes [3,5] and [9,9]. No closure, so the serial scan
+// paths walk runs without touching the heap.
+func (n *inNode) run(i int) (lo, hi int64, next int) {
+	next = i + 1
+	for next < len(n.vals) && n.vals[next] == n.vals[next-1]+1 {
+		next++
 	}
-	return nil
+	return n.vals[i], n.vals[next-1], next
 }
 
-func (n *inNode) prune(t *Table, blk int) tri {
+func (n *inNode) prune(t *Table, ck int) blocked.RangeClass {
 	if len(n.vals) == 0 {
-		return triFalse
+		return blocked.RangeMiss
 	}
-	b := &n.column(t).Blocks[blk]
+	b := t.statsBlock(n.col, ck)
 	if !b.HasStats {
-		return triUnknown
+		return blocked.RangePart
 	}
 	// First value ≥ min; the set overlaps the block iff it is ≤ max.
 	i, _ := slices.BinarySearch(n.vals, b.Min)
 	if i == len(n.vals) || n.vals[i] > b.Max {
-		return triFalse
+		return blocked.RangeMiss
 	}
 	if b.Min == b.Max {
 		// Constant block: overlap means the constant is in the set.
-		return triTrue
+		return blocked.RangeAll
 	}
-	return triUnknown
+	return blocked.RangePart
 }
 
-func (n *inNode) evalBlock(t *Table, blk int, dst *sel.Selection) error {
-	c := n.column(t)
-	return n.runs(func(lo, hi int64) error {
-		return c.SelectBlockRangeSel(blk, lo, hi, dst, 0)
-	})
-}
-
-func (n *inNode) evalWhole(t *Table, dst *sel.Selection) error {
-	c := n.column(t)
-	return n.runs(func(lo, hi int64) error {
-		bm, err := c.SelectRangeSel(lo, hi)
-		if err != nil {
+func (n *inNode) evalBlock(t *Table, ck int, dst *sel.Selection) error {
+	ci := t.index[n.col]
+	for i := 0; i < len(n.vals); {
+		var lo, hi int64
+		lo, hi, i = n.run(i)
+		if err := t.selectChunk(ci, ck, lo, hi, dst); err != nil {
 			return err
 		}
-		err = dst.Union(bm)
-		bm.Release()
-		return err
-	})
+	}
+	return nil
 }
 
-func (n *inNode) estimate(t *Table, blk int) float64 {
-	b := &n.column(t).Blocks[blk]
+func (n *inNode) estimate(t *Table, ck int) float64 {
+	b := t.statsBlock(n.col, ck)
 	if !b.HasStats {
 		return 1
 	}
@@ -283,21 +229,18 @@ func (n *inNode) estimate(t *Table, blk int) float64 {
 	return 1
 }
 
-func (n *inNode) prefetchCol(t *Table, blk int) (int, bool) {
+func (n *inNode) prefetchCol(t *Table, ck int) (int, bool) {
 	// evalBlock probes each run against the payload; any run the stats
 	// cannot decide forces a fetch of the leaf's column.
-	b := &n.column(t).Blocks[blk]
-	hit := false
-	n.runs(func(lo, hi int64) error {
+	b := t.statsBlock(n.col, ck)
+	for i := 0; i < len(n.vals); {
+		var lo, hi int64
+		lo, hi, i = n.run(i)
 		if b.ClassifyRange(lo, hi) == blocked.RangePart {
-			hit = true
+			return t.index[n.col], true
 		}
-		return nil
-	})
-	if !hit {
-		return 0, false
 	}
-	return t.index[n.col], true
+	return 0, false
 }
 
 // andNode is the conjunction combinator.
@@ -309,14 +252,14 @@ func (n *andNode) String() string { return joinKids(n.kids, " and ", "true") }
 
 func (n *andNode) check(t *Table) error { return checkKids(t, n.kids) }
 
-func (n *andNode) prune(t *Table, blk int) tri {
-	out := triTrue
+func (n *andNode) prune(t *Table, ck int) blocked.RangeClass {
+	out := blocked.RangeAll
 	for _, k := range n.kids {
-		switch k.prune(t, blk) {
-		case triFalse:
-			return triFalse
-		case triUnknown:
-			out = triUnknown
+		switch k.prune(t, ck) {
+		case blocked.RangeMiss:
+			return blocked.RangeMiss
+		case blocked.RangePart:
+			out = blocked.RangePart
 		}
 	}
 	return out
@@ -328,37 +271,29 @@ func (n *andNode) prune(t *Table, blk int) tri {
 // on a lazy container that means later columns' payloads are never
 // fetched. Children the stats already prove contribute nothing to the
 // intersection and are skipped outright.
-func (n *andNode) evalBlock(t *Table, blk int, dst *sel.Selection) error {
-	best, bestEst := -1, math.Inf(1)
-	for i, k := range n.kids {
-		switch k.prune(t, blk) {
-		case triFalse:
-			// Defensive: the planner never sends a refuted block here.
-			return nil
-		case triTrue:
-			continue
-		}
-		if est := k.estimate(t, blk); est < bestEst {
-			best, bestEst = i, est
-		}
+func (n *andNode) evalBlock(t *Table, ck int, dst *sel.Selection) error {
+	best, refuted := n.first(t, ck)
+	if refuted {
+		// Defensive: the driver never sends a refuted chunk here.
+		return nil
 	}
 	if best < 0 {
 		// All children proved: the whole block matches.
 		dst.AddRun(0, dst.Len())
 		return nil
 	}
-	if err := n.kids[best].evalBlock(t, blk, dst); err != nil {
+	if err := n.kids[best].evalBlock(t, ck, dst); err != nil {
 		return err
 	}
 	for i, k := range n.kids {
-		if i == best || k.prune(t, blk) == triTrue {
+		if i == best || k.prune(t, ck) == blocked.RangeAll {
 			continue
 		}
 		if dst.Count() == 0 {
 			return nil
 		}
 		tmp := sel.Get(dst.Len())
-		if err := k.evalBlock(t, blk, tmp); err != nil {
+		if err := k.evalBlock(t, ck, tmp); err != nil {
 			tmp.Release()
 			return err
 		}
@@ -371,60 +306,41 @@ func (n *andNode) evalBlock(t *Table, blk int, dst *sel.Selection) error {
 	return nil
 }
 
-func (n *andNode) evalWhole(t *Table, dst *sel.Selection) error {
-	if len(n.kids) == 0 {
-		dst.AddRun(0, dst.Len())
-		return nil
-	}
-	if err := n.kids[0].evalWhole(t, dst); err != nil {
-		return err
-	}
-	for _, k := range n.kids[1:] {
-		if dst.Count() == 0 {
-			return nil
-		}
-		tmp := sel.Get(dst.Len())
-		if err := k.evalWhole(t, tmp); err != nil {
-			tmp.Release()
-			return err
-		}
-		err := dst.And(tmp)
-		tmp.Release()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (n *andNode) estimate(t *Table, blk int) float64 {
+func (n *andNode) estimate(t *Table, ck int) float64 {
 	est := 1.0
 	for _, k := range n.kids {
-		est *= k.estimate(t, blk)
+		est *= k.estimate(t, ck)
 	}
 	return est
 }
 
-// prefetchCol mirrors evalBlock's planning: the undecided child with
-// the smallest estimate runs first, so its column is what the block's
-// evaluation fetches first.
-func (n *andNode) prefetchCol(t *Table, blk int) (int, bool) {
+// first picks the child evalBlock runs first on chunk ck: the
+// undecided one with the smallest selectivity estimate, or -1 when the
+// stats prove them all. refuted reports a child the stats refute.
+// evalBlock and prefetchCol both plan through it, so the announced
+// column cannot drift from the evaluation order.
+func (n *andNode) first(t *Table, ck int) (best int, refuted bool) {
 	best, bestEst := -1, math.Inf(1)
 	for i, k := range n.kids {
-		switch k.prune(t, blk) {
-		case triFalse:
-			return 0, false
-		case triTrue:
+		switch k.prune(t, ck) {
+		case blocked.RangeMiss:
+			return -1, true
+		case blocked.RangeAll:
 			continue
 		}
-		if est := k.estimate(t, blk); est < bestEst {
+		if est := k.estimate(t, ck); est < bestEst {
 			best, bestEst = i, est
 		}
 	}
-	if best < 0 {
+	return best, false
+}
+
+func (n *andNode) prefetchCol(t *Table, ck int) (int, bool) {
+	best, refuted := n.first(t, ck)
+	if refuted || best < 0 {
 		return 0, false
 	}
-	return n.kids[best].prefetchCol(t, blk)
+	return n.kids[best].prefetchCol(t, ck)
 }
 
 // orNode is the disjunction combinator.
@@ -436,25 +352,25 @@ func (n *orNode) String() string { return joinKids(n.kids, " or ", "false") }
 
 func (n *orNode) check(t *Table) error { return checkKids(t, n.kids) }
 
-func (n *orNode) prune(t *Table, blk int) tri {
-	out := triFalse
+func (n *orNode) prune(t *Table, ck int) blocked.RangeClass {
+	out := blocked.RangeMiss
 	for _, k := range n.kids {
-		switch k.prune(t, blk) {
-		case triTrue:
-			return triTrue
-		case triUnknown:
-			out = triUnknown
+		switch k.prune(t, ck) {
+		case blocked.RangeAll:
+			return blocked.RangeAll
+		case blocked.RangePart:
+			out = blocked.RangePart
 		}
 	}
 	return out
 }
 
-func (n *orNode) evalBlock(t *Table, blk int, dst *sel.Selection) error {
+func (n *orNode) evalBlock(t *Table, ck int, dst *sel.Selection) error {
 	for _, k := range n.kids {
-		switch k.prune(t, blk) {
-		case triFalse:
+		switch k.prune(t, ck) {
+		case blocked.RangeMiss:
 			continue
-		case triTrue:
+		case blocked.RangeAll:
 			// Defensive: the planner never sends a proved block here.
 			dst.AddRun(0, dst.Len())
 			return nil
@@ -464,36 +380,13 @@ func (n *orNode) evalBlock(t *Table, blk int, dst *sel.Selection) error {
 		// destination (And intersects into it, Not complements it) and
 		// must go through a pooled temporary.
 		if isLeaf(k) {
-			if err := k.evalBlock(t, blk, dst); err != nil {
+			if err := k.evalBlock(t, ck, dst); err != nil {
 				return err
 			}
 			continue
 		}
 		tmp := sel.Get(dst.Len())
-		if err := k.evalBlock(t, blk, tmp); err != nil {
-			tmp.Release()
-			return err
-		}
-		err := dst.Union(tmp)
-		tmp.Release()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (n *orNode) evalWhole(t *Table, dst *sel.Selection) error {
-	for _, k := range n.kids {
-		// See evalBlock: only leaves may share the destination.
-		if isLeaf(k) {
-			if err := k.evalWhole(t, dst); err != nil {
-				return err
-			}
-			continue
-		}
-		tmp := sel.Get(dst.Len())
-		if err := k.evalWhole(t, tmp); err != nil {
+		if err := k.evalBlock(t, ck, tmp); err != nil {
 			tmp.Release()
 			return err
 		}
@@ -516,10 +409,10 @@ func isLeaf(e Expr) bool {
 	return false
 }
 
-func (n *orNode) estimate(t *Table, blk int) float64 {
+func (n *orNode) estimate(t *Table, ck int) float64 {
 	est := 0.0
 	for _, k := range n.kids {
-		est += k.estimate(t, blk)
+		est += k.estimate(t, ck)
 	}
 	if est > 1 {
 		return 1
@@ -529,15 +422,15 @@ func (n *orNode) estimate(t *Table, blk int) float64 {
 
 // prefetchCol mirrors evalBlock's order: the first non-refuted child
 // evaluates first, so its first fetch is the disjunction's.
-func (n *orNode) prefetchCol(t *Table, blk int) (int, bool) {
+func (n *orNode) prefetchCol(t *Table, ck int) (int, bool) {
 	for _, k := range n.kids {
-		switch k.prune(t, blk) {
-		case triFalse:
+		switch k.prune(t, ck) {
+		case blocked.RangeMiss:
 			continue
-		case triTrue:
+		case blocked.RangeAll:
 			return 0, false
 		}
-		return k.prefetchCol(t, blk)
+		return k.prefetchCol(t, ck)
 	}
 	return 0, false
 }
@@ -556,39 +449,31 @@ func (n *notNode) check(t *Table) error {
 	return n.kid.check(t)
 }
 
-func (n *notNode) prune(t *Table, blk int) tri {
-	switch n.kid.prune(t, blk) {
-	case triTrue:
-		return triFalse
-	case triFalse:
-		return triTrue
+func (n *notNode) prune(t *Table, ck int) blocked.RangeClass {
+	switch n.kid.prune(t, ck) {
+	case blocked.RangeAll:
+		return blocked.RangeMiss
+	case blocked.RangeMiss:
+		return blocked.RangeAll
 	default:
-		return triUnknown
+		return blocked.RangePart
 	}
 }
 
-func (n *notNode) evalBlock(t *Table, blk int, dst *sel.Selection) error {
-	if err := n.kid.evalBlock(t, blk, dst); err != nil {
+func (n *notNode) evalBlock(t *Table, ck int, dst *sel.Selection) error {
+	if err := n.kid.evalBlock(t, ck, dst); err != nil {
 		return err
 	}
 	dst.Not()
 	return nil
 }
 
-func (n *notNode) evalWhole(t *Table, dst *sel.Selection) error {
-	if err := n.kid.evalWhole(t, dst); err != nil {
-		return err
-	}
-	dst.Not()
-	return nil
+func (n *notNode) estimate(t *Table, ck int) float64 {
+	return 1 - n.kid.estimate(t, ck)
 }
 
-func (n *notNode) estimate(t *Table, blk int) float64 {
-	return 1 - n.kid.estimate(t, blk)
-}
-
-func (n *notNode) prefetchCol(t *Table, blk int) (int, bool) {
-	return n.kid.prefetchCol(t, blk)
+func (n *notNode) prefetchCol(t *Table, ck int) (int, bool) {
+	return n.kid.prefetchCol(t, ck)
 }
 
 // joinKids renders a combinator's children, parenthesized, or the

@@ -153,35 +153,21 @@ func (p *parser) keyword(kw string) bool {
 	return p.tok.kind == tokIdent && strings.EqualFold(p.tok.text, kw)
 }
 
-func (p *parser) parseOr() (Expr, error) {
-	e, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	kids := []Expr{e}
-	for p.keyword("or") {
-		p.next()
-		k, err := p.parseAnd()
-		if err != nil {
-			return nil, err
-		}
-		kids = append(kids, k)
-	}
-	if len(kids) == 1 {
-		return kids[0], nil
-	}
-	return Or(kids...), nil
-}
+func (p *parser) parseOr() (Expr, error) { return p.parseChain("or", p.parseAnd, Or) }
 
-func (p *parser) parseAnd() (Expr, error) {
-	e, err := p.parseNot()
+func (p *parser) parseAnd() (Expr, error) { return p.parseChain("and", p.parseNot, And) }
+
+// parseChain parses `operand (kw operand)*`, joining two or more
+// operands with join.
+func (p *parser) parseChain(kw string, operand func() (Expr, error), join func(...Expr) Expr) (Expr, error) {
+	e, err := operand()
 	if err != nil {
 		return nil, err
 	}
 	kids := []Expr{e}
-	for p.keyword("and") {
+	for p.keyword(kw) {
 		p.next()
-		k, err := p.parseNot()
+		k, err := operand()
 		if err != nil {
 			return nil, err
 		}
@@ -190,7 +176,7 @@ func (p *parser) parseAnd() (Expr, error) {
 	if len(kids) == 1 {
 		return kids[0], nil
 	}
-	return And(kids...), nil
+	return join(kids...), nil
 }
 
 func (p *parser) parseNot() (Expr, error) {

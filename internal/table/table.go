@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -26,8 +25,13 @@ type Table struct {
 	index map[string]int
 	n     int
 	// aligned reports whether every column shares cols[0]'s block
-	// boundaries, enabling the per-block cross-column plan.
+	// boundaries, which makes a scan's chunks exactly the blocks.
 	aligned bool
+	// chunkStart and chunkBlock describe a misaligned table's chunks
+	// (see buildChunks): chunk k covers rows [chunkStart[k],
+	// chunkStart[k+1]) and lies in block chunkBlock[ci][k] of column ci.
+	chunkStart []int
+	chunkBlock [][]int
 	// Parallelism bounds the number of blocks scanned concurrently;
 	// <= 0 means GOMAXPROCS. New seeds it from the first column.
 	Parallelism int
@@ -94,6 +98,9 @@ func NewWithClosers(cols []storage.BlockedColumn, closers ...io.Closer) (*Table,
 			break
 		}
 	}
+	if !t.aligned {
+		t.buildChunks()
+	}
 	t.Parallelism = cols[0].Col.Parallelism
 	return t, nil
 }
@@ -112,12 +119,19 @@ func (t *Table) ColumnNames() []string {
 
 // Column returns the named column's handle.
 func (t *Table) Column(name string) (*blocked.Column, error) {
-	return t.colByName(name)
+	i, err := t.colIndex(name)
+	if err != nil {
+		return nil, err
+	}
+	return t.cols[i].Col, nil
 }
 
-// Aligned reports whether every column shares block boundaries, the
-// precondition for per-block cross-column planning. Misaligned tables
-// still scan correctly through whole-column evaluation.
+// Aligned reports whether every column shares block boundaries, so
+// that scans plan block by block. A misaligned table scans through the
+// same driver over chunks — the row ranges no column's block boundary
+// cuts — with the same skipping, degraded-mode and streaming behaviour;
+// only the shortcuts that answer from a whole block's compressed form
+// are lost on chunks smaller than a block.
 func (t *Table) Aligned() bool { return t.aligned }
 
 // Close releases the containers behind the table's columns, when the
@@ -149,75 +163,160 @@ func (t *Table) ScanCounters() blocked.ScanCounters {
 	}
 }
 
-// colByName resolves a column name without allocating on the hit
-// path (Scan calls it per leaf).
-func (t *Table) colByName(name string) (*blocked.Column, error) {
+// colIndex resolves a column name to its position in the table
+// without allocating on the hit path (Scan calls it per leaf).
+func (t *Table) colIndex(name string) (int, error) {
 	i, ok := t.index[name]
 	if !ok {
-		return nil, fmt.Errorf("table: no column %q", name)
+		return 0, fmt.Errorf("table: no column %q", name)
 	}
-	return t.cols[i].Col, nil
+	return i, nil
 }
 
-// workers mirrors the column handles' parallelism convention.
-func (t *Table) workers() int {
-	if t.Parallelism > 0 {
-		return t.Parallelism
+// numChunks returns the number of chunks scans walk: row ranges inside
+// which no column has a block boundary. On an aligned table a chunk is
+// a block; otherwise New refined the columns' boundaries into chunks.
+func (t *Table) numChunks() int {
+	if t.aligned {
+		return len(t.cols[0].Col.Blocks)
 	}
-	return runtime.GOMAXPROCS(0)
+	return len(t.chunkStart) - 1
 }
 
-// scanState is the pooled per-scan planner state: the per-block
-// three-valued verdicts, the undecided block list, and the merge
-// slots the parallel path fills.
-type scanState struct {
-	classes []tri
-	parts   []int
-	sels    []*sel.Selection
+// chunk returns chunk k's first row and row count.
+func (t *Table) chunk(k int) (start, count int) {
+	if t.aligned {
+		b := &t.cols[0].Col.Blocks[k]
+		return int(b.Start), b.Count
+	}
+	return t.chunkStart[k], t.chunkStart[k+1] - t.chunkStart[k]
 }
 
-var scanStatePool = sync.Pool{New: func() any { return new(scanState) }}
-
-// getScanState returns a pooled scanState sized for nblocks.
-func getScanState(nblocks int) *scanState {
-	st := scanStatePool.Get().(*scanState)
-	if cap(st.classes) < nblocks {
-		st.classes = make([]tri, nblocks)
-	} else {
-		st.classes = st.classes[:nblocks]
+// block returns column ci and the index of its block holding chunk k.
+// The chunk is the whole block exactly when their row counts agree —
+// always, on an aligned table — which is the precondition of every
+// shortcut that answers from a block's compressed form.
+func (t *Table) block(ci, k int) (*blocked.Column, int) {
+	if !t.aligned {
+		k = t.chunkBlock[ci][k]
 	}
-	st.parts = st.parts[:0]
-	if cap(st.sels) < nblocks {
-		st.sels = make([]*sel.Selection, nblocks)
-	} else {
-		st.sels = st.sels[:nblocks]
-		for i := range st.sels {
-			st.sels[i] = nil
+	return t.cols[ci].Col, k
+}
+
+// statsBlock returns the index entry of the named column's block
+// holding chunk k. A block's [min, max] bound every row range inside
+// it, so leaves prune chunks with their block's stats.
+func (t *Table) statsBlock(name string, k int) *blocked.Block {
+	c, bi := t.block(t.index[name], k)
+	return &c.Blocks[bi]
+}
+
+// buildChunks refines the block boundaries of a misaligned table's
+// columns into chunks, recording for every column the block each chunk
+// falls in. The columns' indexes each tile [0, n), so a cursor per
+// column advances monotonically.
+func (t *Table) buildChunks() {
+	t.chunkStart = []int{0}
+	if t.n == 0 {
+		return
+	}
+	t.chunkBlock = make([][]int, len(t.cols))
+	cur := make([]int, len(t.cols))
+	for pos := 0; pos < t.n; {
+		next := t.n
+		for ci, c := range t.cols {
+			blocks := c.Col.Blocks
+			for int(blocks[cur[ci]].Start)+blocks[cur[ci]].Count <= pos {
+				cur[ci]++
+			}
+			if end := int(blocks[cur[ci]].Start) + blocks[cur[ci]].Count; end < next {
+				next = end
+			}
+			t.chunkBlock[ci] = append(t.chunkBlock[ci], cur[ci])
 		}
+		t.chunkStart = append(t.chunkStart, next)
+		pos = next
 	}
-	return st
 }
 
-func (st *scanState) release() { scanStatePool.Put(st) }
+// selectChunk evaluates lo ≤ v ≤ hi on column ci over chunk k into the
+// chunk-local dst. A chunk that is a whole block runs straight on the
+// block's compressed form; a chunk inside a larger block (misaligned
+// tables only) evaluates the block and copies its window of the result.
+func (t *Table) selectChunk(ci, k int, lo, hi int64, dst *sel.Selection) error {
+	c, bi := t.block(ci, k)
+	b := &c.Blocks[bi]
+	start, count := t.chunk(k)
+	if count == b.Count {
+		return c.SelectBlockRangeSel(bi, lo, hi, dst, 0)
+	}
+	whole := sel.Get(b.Count)
+	defer whole.Release()
+	if err := c.SelectBlockRangeSel(bi, lo, hi, whole, 0); err != nil {
+		return err
+	}
+	for r, off := 0, start-int(b.Start); r < count; r += 64 {
+		dst.OrWord(r, window(whole.Words(), off+r, count-r))
+	}
+	return nil
+}
+
+// plan lays one predicate over the table's chunks: the blocked.Plan
+// every table scan hands the driver. man is non-nil exactly when the
+// scan runs degraded.
+type plan struct {
+	t   *Table
+	e   Expr
+	man *Manifest
+}
+
+func (p *plan) Chunks() int { return p.t.numChunks() }
+
+func (p *plan) Bounds(k int) (start, count int) { return p.t.chunk(k) }
+
+func (p *plan) Classify(k int) blocked.RangeClass { return p.e.prune(p.t, k) }
+
+// Announce hints the storage layer about chunk k's first payload
+// fetch: the expression names the column its evaluation order touches
+// first. Columns without a prefetching source, resident blocks and
+// quarantined blocks all no-op.
+func (p *plan) Announce(ctx context.Context, k int) {
+	if ci, ok := p.e.prefetchCol(p.t, k); ok {
+		c, bi := p.t.block(ci, k)
+		c.Prefetch(ctx, bi)
+	}
+}
+
+func (p *plan) Select(k int, dst *sel.Selection) error { return p.e.evalBlock(p.t, k, dst) }
+
+// run drives the plan into sink and adds the chunk tally to the
+// table's counters.
+func (p *plan) run(ctx context.Context, sink blocked.Sink) error {
+	n, err := blocked.Scan(ctx, p.t.Parallelism, p, sink)
+	p.t.counters.skipped.Add(n.Skipped)
+	p.t.counters.proved.Add(n.Proved)
+	p.t.counters.fetched.Add(n.Fetched)
+	return err
+}
 
 // Scan evaluates the predicate over the table and returns the result
-// handle. On an aligned table the expression is planned per block:
-// stats-refuted blocks are skipped without touching any column,
-// stats-proved blocks emit whole runs, and only the undecided
-// remainder evaluates on the compressed payloads (concurrently,
-// bounded by Parallelism). The scan's selection comes from the shared
-// pool — Release the handle to keep steady-state scans
-// allocation-free.
+// handle. The expression is planned per chunk — per block, when the
+// columns share block boundaries: stats-refuted chunks are skipped
+// without touching any column, stats-proved chunks emit whole runs,
+// and only the undecided remainder evaluates on the compressed
+// payloads (concurrently, bounded by Parallelism). The scan's selection
+// comes from the shared pool — Release the handle to keep steady-state
+// scans allocation-free.
 func (t *Table) Scan(e Expr) (*Scan, error) {
 	return t.ScanContext(context.Background(), e)
 }
 
-// ScanContext is Scan with a cancellation seam: the block iteration
-// checks ctx between blocks (and between parallel work items), so a
+// ScanContext is Scan with a cancellation seam: the driver checks ctx
+// before every chunk it visits (serially or from a worker), so a
 // client that disconnects or a request that outlives its deadline
 // stops fetching and decoding mid-scan and returns ctx.Err(). A
-// Background context makes it exactly Scan — the check is one atomic
-// load per block, so the steady state stays allocation-free.
+// Background context makes it exactly Scan, and the steady state stays
+// allocation-free.
 func (t *Table) ScanContext(ctx context.Context, e Expr) (*Scan, error) {
 	return t.ScanWith(ctx, e, ScanOptions{Degraded: t.Degraded})
 }
@@ -225,9 +324,8 @@ func (t *Table) ScanContext(ctx context.Context, e Expr) (*Scan, error) {
 // ScanWith is ScanContext with per-scan options: opt.Degraded lets
 // this one scan skip permanently unreadable blocks (recording each
 // omission in the result's Manifest) regardless of the table's
-// default. Degradation needs the per-block plan — on a misaligned
-// table the whole-column fallback has no block to skip, so permanent
-// errors stay fatal there.
+// default. Aligned or not, the failing column's block is known, so the
+// manifest names it with its exact row range.
 func (t *Table) ScanWith(ctx context.Context, e Expr, opt ScanOptions) (*Scan, error) {
 	if e == nil {
 		return nil, fmt.Errorf("table: Scan of a nil expression")
@@ -235,141 +333,17 @@ func (t *Table) ScanWith(ctx context.Context, e Expr, opt ScanOptions) (*Scan, e
 	if err := e.check(t); err != nil {
 		return nil, err
 	}
-	var man *Manifest
+	s := scanPool.Get().(*Scan)
+	s.p = plan{t: t, e: e}
 	if opt.Degraded {
-		man = &Manifest{}
+		s.p.man = &Manifest{}
 	}
-	dst := sel.Get(t.n)
-	var err error
-	if t.aligned {
-		err = t.scanAligned(ctx, e, dst, man)
-	} else {
-		err = t.scanWhole(ctx, e, dst)
-	}
-	if err != nil {
-		dst.Release()
+	s.sink.Plan, s.sink.Dst = &s.p, sel.Get(t.n)
+	if err := s.p.run(ctx, &s.sink); err != nil {
+		s.Release()
 		return nil, err
 	}
-	s := scanPool.Get().(*Scan)
-	s.t, s.sel, s.manifest = t, dst, man
 	return s, nil
-}
-
-// scanWhole is the misaligned-table fallback: whole-column evaluation,
-// with the context checked once up front (the column paths have no
-// per-block seam to thread it through).
-func (t *Table) scanWhole(ctx context.Context, e Expr, dst *sel.Selection) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return e.evalWhole(t, dst)
-}
-
-// scanAligned is the per-block plan: classify every block through the
-// expression tree with stats only, then evaluate just the undecided
-// blocks, serially when one worker suffices (the allocation-free
-// path) or concurrently with a deterministic block-order merge. A
-// non-nil man puts the evaluation in degraded mode: blocks whose
-// payloads fail permanently contribute no rows and are recorded in
-// man instead of failing the scan.
-func (t *Table) scanAligned(ctx context.Context, e Expr, dst *sel.Selection, man *Manifest) error {
-	blocks := t.cols[0].Col.Blocks
-	st := getScanState(len(blocks))
-	defer st.release()
-	skipped, proved := 0, 0
-	for i := range blocks {
-		st.classes[i] = e.prune(t, i)
-		switch st.classes[i] {
-		case triTrue:
-			proved++
-			dst.AddRun(int(blocks[i].Start), blocks[i].Count)
-		case triFalse:
-			skipped++
-		case triUnknown:
-			st.parts = append(st.parts, i)
-		}
-	}
-	t.counters.skipped.Add(int64(skipped))
-	t.counters.proved.Add(int64(proved))
-	t.counters.fetched.Add(int64(len(st.parts)))
-	workers := t.workers()
-	if workers > len(st.parts) {
-		workers = len(st.parts)
-	}
-	if workers <= 1 {
-		for k, i := range st.parts {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if k+1 < len(st.parts) {
-				t.announcePrefetch(ctx, e, st.parts[k+1])
-			}
-			b := &blocks[i]
-			local := sel.Get(b.Count)
-			if err := e.evalBlock(t, i, local); err != nil {
-				local.Release()
-				if man != nil && blocked.IsPermanent(err) {
-					t.noteEvalSkip(man, i, b, err)
-					continue
-				}
-				return err
-			}
-			dst.OrAt(local, int(b.Start))
-			local.Release()
-		}
-		return nil
-	}
-	err := blocked.ParallelFor(workers, len(st.parts), func(pi int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if pi+1 < len(st.parts) {
-			t.announcePrefetch(ctx, e, st.parts[pi+1])
-		}
-		i := st.parts[pi]
-		local := sel.Get(blocks[i].Count)
-		if err := e.evalBlock(t, i, local); err != nil {
-			local.Release()
-			if man != nil && blocked.IsPermanent(err) {
-				t.noteEvalSkip(man, i, &blocks[i], err)
-				return nil
-			}
-			return err
-		}
-		st.sels[i] = local
-		return nil
-	})
-	if err != nil {
-		for _, i := range st.parts {
-			if st.sels[i] != nil {
-				st.sels[i].Release()
-				st.sels[i] = nil
-			}
-		}
-		return err
-	}
-	for _, i := range st.parts {
-		if st.sels[i] == nil {
-			// Degraded-skipped block: no selection to merge.
-			continue
-		}
-		dst.OrAt(st.sels[i], int(blocks[i].Start))
-		st.sels[i].Release()
-		st.sels[i] = nil
-	}
-	return nil
-}
-
-// announcePrefetch hints the storage layer about the next undecided
-// block's first payload fetch: the expression names the column its
-// evaluation order touches first, and that column's source overlaps
-// the read with the current block's decode. Best-effort — columns
-// without a prefetching source, resident blocks, and quarantined
-// blocks all no-op.
-func (t *Table) announcePrefetch(ctx context.Context, e Expr, blk int) {
-	if ci, ok := e.prefetchCol(t, blk); ok {
-		t.cols[ci].Col.Prefetch(ctx, blk)
-	}
 }
 
 // Scan is the result of Table.Scan: the surviving rows as a bitmap
@@ -378,12 +352,12 @@ func (t *Table) announcePrefetch(ctx context.Context, e Expr, blk int) {
 // — the selection returns to the shared pool, and the handle must not
 // be used afterwards.
 type Scan struct {
-	t   *Table
-	sel *sel.Selection
-	// manifest is non-nil exactly when the scan ran degraded; the
+	// p.man is non-nil exactly when the scan ran degraded; the
 	// projection and aggregation methods keep recording omissions into
 	// it as they encounter unreadable blocks.
-	manifest *Manifest
+	p plan
+	// sink.Dst is the scan's selection.
+	sink blocked.SelectSink
 }
 
 var scanPool = sync.Pool{New: func() any { return new(Scan) }}
@@ -393,40 +367,94 @@ var scanPool = sync.Pool{New: func() any { return new(Scan) }}
 // not be used afterwards. The Manifest, if one was obtained, remains
 // valid — it is not pooled.
 func (s *Scan) Release() {
-	if s.sel != nil {
-		s.sel.Release()
-		s.sel = nil
+	if s.sink.Dst != nil {
+		s.sink.Dst.Release()
 	}
-	s.t = nil
-	s.manifest = nil
+	s.p = plan{}
+	s.sink.Plan, s.sink.Dst = nil, nil
 	scanPool.Put(s)
 }
 
 // Degraded reports whether the scan ran in degraded mode.
-func (s *Scan) Degraded() bool { return s.manifest != nil }
+func (s *Scan) Degraded() bool { return s.p.man != nil }
 
 // Manifest returns the degradation record: every block the scan (and
 // any projection or aggregate run on it so far) skipped. It is nil
 // unless the scan ran in degraded mode, and stays valid after
 // Release.
-func (s *Scan) Manifest() *Manifest { return s.manifest }
-
-// noteSkip records a block omitted by a projection or aggregation
-// method — there the failing column is known directly.
-func (s *Scan) noteSkip(col string, i int, b *blocked.Block, err error) {
-	s.manifest.add(SkippedBlock{Column: col, Block: i,
-		RowStart: b.Start, RowCount: b.Count, Reason: err.Error()})
-}
+func (s *Scan) Manifest() *Manifest { return s.p.man }
 
 // Count returns the number of surviving rows.
-func (s *Scan) Count() int { return s.sel.Count() }
+func (s *Scan) Count() int { return s.sink.Dst.Count() }
 
 // Rows returns the surviving row positions in ascending order.
-func (s *Scan) Rows() []int64 { return s.sel.Rows() }
+func (s *Scan) Rows() []int64 { return s.sink.Dst.Rows() }
 
 // Selection returns the scan's bitmap selection — a borrowed view,
 // valid until Release.
-func (s *Scan) Selection() *sel.Selection { return s.sel }
+func (s *Scan) Selection() *sel.Selection { return s.sink.Dst }
+
+// survivors is the one late-materialising walk behind Sum, Materialize
+// and StreamBatches: it visits, in row order, the chunks that still
+// hold selected rows and decodes a column's block only when asked for
+// its values. One pooled block buffer is live at a time.
+type survivors struct {
+	s   *Scan
+	ctx context.Context
+	sc  *core.Scratch
+	// k is the current chunk, [start, start+count) its rows and hits
+	// the number of them still selected.
+	k, start, count, hits int
+	// buf holds block bufBlk of column bufCol, the last one decoded.
+	buf            []int64
+	bufCol, bufBlk int
+	err            error
+}
+
+// survivors starts a walk; pair it with done.
+func (s *Scan) survivors(ctx context.Context) survivors {
+	return survivors{s: s, ctx: ctx, sc: core.GetScratch(), k: -1, bufCol: -1}
+}
+
+// next advances to the next chunk with surviving rows. It returns false
+// at the end of the table or when ctx expired, which leaves w.err set.
+func (w *survivors) next() bool {
+	t := w.s.p.t
+	for w.k++; w.k < t.numChunks(); w.k++ {
+		if w.err = w.ctx.Err(); w.err != nil {
+			return false
+		}
+		w.start, w.count = t.chunk(w.k)
+		if w.hits = w.s.sink.Dst.CountRange(w.start, w.start+w.count); w.hits > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// values returns column ci's values over the current chunk, decoding
+// the block that holds it straight into the walk's buffer. The slice is
+// valid until the next call. A nil slice with a nil error means the
+// block is permanently unreadable and the degraded scan recorded it.
+func (w *survivors) values(ci int) ([]int64, error) {
+	c, bi := w.s.p.t.block(ci, w.k)
+	b := &c.Blocks[bi]
+	if ci != w.bufCol || bi != w.bufBlk {
+		w.sc.PutI64(w.buf)
+		w.buf, w.bufCol = w.sc.I64(b.Count), -1
+		if err := c.DecompressBlock(bi, w.buf); err != nil {
+			return nil, w.s.p.skipColumn(ci, bi, err)
+		}
+		w.bufCol, w.bufBlk = ci, bi
+	}
+	off := w.start - int(b.Start)
+	return w.buf[off : off+w.count], nil
+}
+
+func (w *survivors) done() {
+	w.sc.PutI64(w.buf)
+	w.sc.Release()
+}
 
 // Sum returns the sum of the named column over the surviving rows,
 // late-materialized: blocks with no set bits are never fetched,
@@ -437,128 +465,97 @@ func (s *Scan) Sum(col string) (int64, error) {
 	return s.SumContext(context.Background(), col)
 }
 
-// SumContext is Sum with the per-block cancellation seam: the block
-// loop checks ctx before each fetch, so an expired request stops
+// SumContext is Sum with the per-block cancellation seam: the walk
+// checks ctx before each fetch, so an expired request stops
 // aggregating instead of decoding the rest of the column.
 func (s *Scan) SumContext(ctx context.Context, col string) (int64, error) {
-	c, err := s.t.colByName(col)
+	ci, err := s.p.t.colIndex(col)
 	if err != nil {
 		return 0, err
 	}
-	sc := core.GetScratch()
-	defer sc.Release()
 	var total int64
-	for i := range c.Blocks {
-		if err := ctx.Err(); err != nil {
-			return 0, err
-		}
-		b := &c.Blocks[i]
-		if b.Count == 0 {
-			continue
-		}
-		start := int(b.Start)
-		cnt := s.sel.CountRange(start, start+b.Count)
-		if cnt == 0 {
-			continue
-		}
-		if cnt == b.Count {
-			v, err := c.SumBlock(i)
+	w := s.survivors(ctx)
+	defer w.done()
+	for w.next() {
+		if c, bi := s.p.t.block(ci, w.k); w.hits == c.Blocks[bi].Count {
+			v, err := c.SumBlock(bi)
 			if err != nil {
-				if s.manifest != nil && blocked.IsPermanent(err) {
-					s.noteSkip(col, i, b, err)
-					continue
-				}
+				err = s.p.skipColumn(ci, bi, err)
+			}
+			if err != nil {
 				return 0, err
 			}
 			total += v
 			continue
 		}
-		vals := sc.I64(b.Count)
-		if err := c.DecompressBlock(i, vals); err != nil {
-			sc.PutI64(vals)
-			if s.manifest != nil && blocked.IsPermanent(err) {
-				s.noteSkip(col, i, b, err)
-				continue
-			}
+		vals, err := w.values(ci)
+		if err != nil {
 			return 0, err
 		}
-		total += maskedSum(s.sel, start, vals)
-		sc.PutI64(vals)
+		total += maskedSum(s.sink.Dst, w.start, vals)
 	}
-	return total, nil
+	return total, w.err
 }
 
 // Materialize returns the named column's values at the surviving
 // rows, in row order — the late-materialization projection. Only
 // blocks holding set bits are fetched and decoded.
 func (s *Scan) Materialize(col string) ([]int64, error) {
-	c, err := s.t.colByName(col)
+	ci, err := s.p.t.colIndex(col)
 	if err != nil {
 		return nil, err
 	}
-	return s.materializeColumn(c, col)
+	out := make([]int64, 0, s.sink.Dst.Count())
+	w := s.survivors(context.Background())
+	defer w.done()
+	for w.next() {
+		vals, err := w.values(ci)
+		if err != nil {
+			return nil, err
+		}
+		out = maskedAppend(out, s.sink.Dst, w.start, vals)
+	}
+	return out, w.err
 }
 
 // StreamBatches visits the surviving rows in ascending order in
-// batches, late-materializing the named columns block by block — the
+// batches, late-materializing the named columns chunk by chunk — the
 // server's streaming projection: a million-row result never holds
-// more than one block per column plus one batch in memory. Each call
-// to fn receives the batch's global row positions and, parallel to
-// cols, each column's values at those rows; the slices are reused
-// across calls, so fn must consume (encode, copy) them before
-// returning. Batches hold at most batchSize rows (the final one may
-// be shorter); batchSize <= 0 defaults to 4096. The context is
-// checked between blocks, so an expired or disconnected request stops
-// fetching mid-stream.
-//
-// The block-wise path requires the requested columns to share block
-// boundaries (columns of one table encoded from equal-length inputs
-// always do); misaligned columns fall back to materializing each
-// column fully before batching, which is still exact but buffers the
-// whole result.
+// more than one block plus one batch per column in memory, whether or
+// not the columns share block boundaries. Each call to fn receives the
+// batch's global row positions and, parallel to cols, each column's
+// values at those rows; the slices are reused across calls, so fn must
+// consume (encode, copy) them before returning. Batches hold at most
+// batchSize rows (the final one may be shorter); batchSize <= 0
+// defaults to 4096. The context is checked between chunks, so an
+// expired or disconnected request stops fetching mid-stream.
 func (s *Scan) StreamBatches(ctx context.Context, cols []string, batchSize int, fn func(rows []int64, vals [][]int64) error) error {
 	if batchSize <= 0 {
 		batchSize = 4096
 	}
-	handles := make([]*blocked.Column, len(cols))
+	cis := make([]int, len(cols))
 	for i, name := range cols {
-		c, err := s.t.colByName(name)
+		ci, err := s.p.t.colIndex(name)
 		if err != nil {
 			return err
 		}
-		handles[i] = c
+		cis[i] = ci
 	}
-	aligned := true
-	for _, c := range handles[1:] {
-		if !handles[0].BoundariesEqual(c) {
-			aligned = false
-			break
-		}
-	}
-	if len(handles) > 0 && !aligned {
-		return s.streamMisaligned(ctx, cols, handles, batchSize, fn)
-	}
-
 	rows := make([]int64, 0, batchSize)
-	vals := make([][]int64, len(handles))
+	vals := make([][]int64, len(cols))
 	for i := range vals {
 		vals[i] = make([]int64, 0, batchSize)
 	}
+	sub := make([][]int64, len(cols))
 	flush := func() error {
-		emitted := 0
-		for emitted < len(rows) {
-			end := emitted + batchSize
-			if end > len(rows) {
-				end = len(rows)
-			}
-			sub := make([][]int64, len(vals))
+		for emitted := 0; emitted < len(rows); emitted += batchSize {
+			end := min(emitted+batchSize, len(rows))
 			for i := range vals {
 				sub[i] = vals[i][emitted:end]
 			}
 			if err := fn(rows[emitted:end], sub); err != nil {
 				return err
 			}
-			emitted = end
 		}
 		rows = rows[:0]
 		for i := range vals {
@@ -567,213 +564,102 @@ func (s *Scan) StreamBatches(ctx context.Context, cols []string, batchSize int, 
 		return nil
 	}
 
-	// Blocks come from the first requested column, or — for a pure
-	// row-id stream — from the table's first column.
-	blocks := s.t.cols[0].Col.Blocks
-	if len(handles) > 0 {
-		blocks = handles[0].Blocks
-	}
-	sc := core.GetScratch()
-	defer sc.Release()
-blockLoop:
-	for i := range blocks {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		b := &blocks[i]
-		if b.Count == 0 {
-			continue
-		}
-		start := int(b.Start)
-		if s.sel.CountRange(start, start+b.Count) == 0 {
-			continue
-		}
-		// mark lets a degraded skip roll the batch back to the state
-		// before this block: rows and every vals[ci] grow in lockstep,
-		// so one length captures them all.
-		mark := len(rows)
-		rows = maskedAppendRows(rows, s.sel, start, b.Count)
-		for ci, c := range handles {
-			decoded := sc.I64(b.Count)
-			if err := c.DecompressBlock(i, decoded); err != nil {
-				sc.PutI64(decoded)
-				if s.manifest != nil && blocked.IsPermanent(err) {
-					rows = rows[:mark]
-					for cj := 0; cj < ci; cj++ {
-						vals[cj] = vals[cj][:mark]
-					}
-					s.noteSkip(cols[ci], i, b, err)
-					continue blockLoop
-				}
+	w := s.survivors(ctx)
+	defer w.done()
+chunks:
+	for w.next() {
+		for i, ci := range cis {
+			decoded, err := w.values(ci)
+			if err != nil {
 				return err
 			}
-			vals[ci] = maskedAppend(vals[ci], s.sel, start, decoded)
-			sc.PutI64(decoded)
+			if decoded == nil {
+				// Degraded skip: the chunk's rows were not appended yet,
+				// so dropping it is rolling the earlier columns back.
+				for j := range vals[:i] {
+					vals[j] = vals[j][:len(rows)]
+				}
+				continue chunks
+			}
+			vals[i] = maskedAppend(vals[i], s.sink.Dst, w.start, decoded)
 		}
+		rows = maskedAppendRows(rows, s.sink.Dst, w.start, w.count)
 		if len(rows) >= batchSize {
 			if err := flush(); err != nil {
 				return err
 			}
 		}
 	}
+	if w.err != nil {
+		return w.err
+	}
 	return flush()
 }
 
-// streamMisaligned is StreamBatches' fallback for columns with
-// differing block boundaries: materialize every requested column in
-// full, then emit batches of the buffered result.
-func (s *Scan) streamMisaligned(ctx context.Context, cols []string, handles []*blocked.Column, batchSize int, fn func(rows []int64, vals [][]int64) error) error {
-	if err := ctx.Err(); err != nil {
-		return err
+// window returns the selection bits of rows [pos, pos+64) as one word,
+// bit j standing for row pos+j, with only the first n kept when fewer
+// than 64 remain. It is how the masked walks below and selectChunk read
+// a selection at a row offset that need not be word-aligned.
+func window(words []uint64, pos, n int) uint64 {
+	m := words[pos>>6] >> (uint(pos) & 63)
+	if pos&63 != 0 && pos>>6+1 < len(words) {
+		m |= words[pos>>6+1] << (64 - uint(pos)&63)
 	}
-	rows := s.sel.Rows()
-	full := make([][]int64, len(handles))
-	for i, c := range handles {
-		var err error
-		full[i], err = s.materializeColumn(c, cols[i])
-		if err != nil {
-			return err
-		}
+	if n < 64 {
+		m &= 1<<uint(n) - 1
 	}
-	for start := 0; start < len(rows); start += batchSize {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		end := start + batchSize
-		if end > len(rows) {
-			end = len(rows)
-		}
-		sub := make([][]int64, len(full))
-		for i := range full {
-			sub[i] = full[i][start:end]
-		}
-		if err := fn(rows[start:end], sub); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// materializeColumn is Materialize by handle rather than by name; the
-// name rides along for degraded-mode manifest attribution.
-func (s *Scan) materializeColumn(c *blocked.Column, name string) ([]int64, error) {
-	sc := core.GetScratch()
-	defer sc.Release()
-	out := make([]int64, 0, s.sel.Count())
-	for i := range c.Blocks {
-		b := &c.Blocks[i]
-		if b.Count == 0 {
-			continue
-		}
-		start := int(b.Start)
-		if s.sel.CountRange(start, start+b.Count) == 0 {
-			continue
-		}
-		vals := sc.I64(b.Count)
-		if err := c.DecompressBlock(i, vals); err != nil {
-			sc.PutI64(vals)
-			if s.manifest != nil && blocked.IsPermanent(err) {
-				s.noteSkip(name, i, b, err)
-				continue
-			}
-			return nil, err
-		}
-		out = maskedAppend(out, s.sel, start, vals)
-		sc.PutI64(vals)
-	}
-	return out, nil
+	return m
 }
 
 // maskedAppendRows appends the global positions of the set bits in
 // [start, start+count) to out, mirroring maskedAppend's walk.
 func maskedAppendRows(out []int64, bm *sel.Selection, start, count int) []int64 {
 	words := bm.Words()
-	r := 0
-	for r < count {
-		pos := start + r
-		if pos&63 == 0 && count-r >= 64 {
-			switch w := words[pos>>6]; w {
-			case 0:
-			case ^uint64(0):
-				for k := 0; k < 64; k++ {
-					out = append(out, int64(pos+k))
-				}
-			default:
-				for w != 0 {
-					out = append(out, int64(pos+bits.TrailingZeros64(w)))
-					w &= w - 1
-				}
-			}
-			r += 64
-			continue
+	for r := 0; r < count; r += 64 {
+		for m := window(words, start+r, count-r); m != 0; m &= m - 1 {
+			out = append(out, int64(start+r+bits.TrailingZeros64(m)))
 		}
-		if words[pos>>6]&(1<<(uint(pos)&63)) != 0 {
-			out = append(out, int64(pos))
-		}
-		r++
 	}
 	return out
 }
 
-// maskedSum adds the values of vals (a block decoded at row offset
-// start) whose rows are set in bm, word-at-a-time: full words add 64
-// values branch-free, sparse words walk their set bits. No callback,
-// no allocation.
+// maskedSum adds the values of vals (decoded at row offset start)
+// whose rows are set in bm, word-at-a-time: full words add 64 values
+// branch-free, sparse words walk their set bits. No callback, no
+// allocation.
 func maskedSum(bm *sel.Selection, start int, vals []int64) int64 {
 	words := bm.Words()
 	var total int64
-	r, n := 0, len(vals)
-	for r < n {
-		pos := start + r
-		if pos&63 == 0 && n-r >= 64 {
-			switch w := words[pos>>6]; w {
-			case 0:
-			case ^uint64(0):
-				for _, v := range vals[r : r+64] {
-					total += v
-				}
-			default:
-				for w != 0 {
-					total += vals[r+bits.TrailingZeros64(w)]
-					w &= w - 1
-				}
+	for r := 0; r < len(vals); r += 64 {
+		switch m := window(words, start+r, len(vals)-r); m {
+		case 0:
+		case ^uint64(0):
+			for _, v := range vals[r : r+64] {
+				total += v
 			}
-			r += 64
-			continue
+		default:
+			for ; m != 0; m &= m - 1 {
+				total += vals[r+bits.TrailingZeros64(m)]
+			}
 		}
-		if words[pos>>6]&(1<<(uint(pos)&63)) != 0 {
-			total += vals[r]
-		}
-		r++
 	}
 	return total
 }
 
-// maskedAppend appends the selected values of a decoded block to out,
-// mirroring maskedSum's word-at-a-time walk.
+// maskedAppend appends the selected values of vals (decoded at row
+// offset start) to out, mirroring maskedSum's word-at-a-time walk.
 func maskedAppend(out []int64, bm *sel.Selection, start int, vals []int64) []int64 {
 	words := bm.Words()
-	r, n := 0, len(vals)
-	for r < n {
-		pos := start + r
-		if pos&63 == 0 && n-r >= 64 {
-			switch w := words[pos>>6]; w {
-			case 0:
-			case ^uint64(0):
-				out = append(out, vals[r:r+64]...)
-			default:
-				for w != 0 {
-					out = append(out, vals[r+bits.TrailingZeros64(w)])
-					w &= w - 1
-				}
+	for r := 0; r < len(vals); r += 64 {
+		switch m := window(words, start+r, len(vals)-r); m {
+		case 0:
+		case ^uint64(0):
+			out = append(out, vals[r:r+64]...)
+		default:
+			for ; m != 0; m &= m - 1 {
+				out = append(out, vals[r+bits.TrailingZeros64(m)])
 			}
-			r += 64
-			continue
 		}
-		if words[pos>>6]&(1<<(uint(pos)&63)) != 0 {
-			out = append(out, vals[r])
-		}
-		r++
 	}
 	return out
 }

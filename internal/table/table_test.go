@@ -1,6 +1,8 @@
 package table
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"testing"
 
@@ -102,20 +104,20 @@ func checkScan(t *testing.T, tbl *Table, raw map[string][]int64, aggCol string, 
 	}
 }
 
-// TestScanEquivalence runs a catalogue of expression shapes — leaves,
-// conjunctions, disjunctions with composite children, negations,
-// in-lists — against the naive row-filter reference, on aligned and
-// misaligned tables and serial and parallel scans.
-func TestScanEquivalence(t *testing.T) {
-	const n = 20000
-	names, data := testData(n)
-	date, status, amount := data[0], data[1], data[2]
-	dLo, dHi := date[n/4], date[3*n/4]
+// scanCase pairs an expression with its plain row-filter reference.
+type scanCase struct {
+	e    Expr
+	pred func(row int) bool
+}
 
-	exprs := []struct {
-		e    Expr
-		pred func(row int) bool
-	}{
+// scanCases is the catalogue of expression shapes — leaves,
+// conjunctions, disjunctions with composite children, negations,
+// in-lists — over testData's three columns.
+func scanCases(data [][]int64) []scanCase {
+	date, status, amount := data[0], data[1], data[2]
+	n := len(date)
+	dLo, dHi := date[n/4], date[3*n/4]
+	return []scanCase{
 		{Range("date", dLo, dHi), func(r int) bool { return date[r] >= dLo && date[r] <= dHi }},
 		{Eq("status", 2), func(r int) bool { return status[r] == 2 }},
 		{In("status", 3, 0, 3, 1), func(r int) bool { return status[r] == 0 || status[r] == 1 || status[r] == 3 }},
@@ -134,6 +136,35 @@ func TestScanEquivalence(t *testing.T) {
 			func(r int) bool { return amount[r] >= 0 && status[r] != 0 && date[r] <= dHi }},
 		{Range("date", dHi, dLo), func(int) bool { return false }}, // inverted: matches nothing
 	}
+}
+
+// encodeTable encodes data[i] with blockSizes[i] (equal sizes align;
+// 0 means one block) and the given parallelism.
+func encodeTable(t *testing.T, names []string, data [][]int64, blockSizes []int, parallel int) *Table {
+	t.Helper()
+	cols := make([]storage.BlockedColumn, len(names))
+	for i, name := range names {
+		col, err := blocked.Encode(data[i], blocked.EncodeOptions{
+			BlockSize: blockSizes[i], Parallelism: parallel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols[i] = storage.BlockedColumn{Name: name, Col: col}
+	}
+	tbl, err := New(cols, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
+}
+
+// TestScanEquivalence runs the expression catalogue against the naive
+// row-filter reference, on aligned and misaligned tables and serial
+// and parallel scans.
+func TestScanEquivalence(t *testing.T) {
+	const n = 20000
+	names, data := testData(n)
+	raw := map[string][]int64{"date": data[0], "status": data[1], "amount": data[2]}
 
 	for _, shape := range []struct {
 		name       string
@@ -146,28 +177,100 @@ func TestScanEquivalence(t *testing.T) {
 		{"single-block", []int{0, 0, 0}, 1},
 	} {
 		t.Run(shape.name, func(t *testing.T) {
-			cols := make([]storage.BlockedColumn, len(names))
-			for i, name := range names {
-				col, err := blocked.Encode(data[i], blocked.EncodeOptions{
-					BlockSize: shape.blockSizes[i], Parallelism: shape.parallel})
-				if err != nil {
-					t.Fatal(err)
-				}
-				cols[i] = storage.BlockedColumn{Name: name, Col: col}
-			}
-			tbl, err := New(cols, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			tbl := encodeTable(t, names, data, shape.blockSizes, shape.parallel)
 			wantAligned := shape.name != "misaligned"
 			if tbl.Aligned() != wantAligned {
 				t.Fatalf("Aligned() = %v, want %v", tbl.Aligned(), wantAligned)
 			}
-			raw := map[string][]int64{"date": date, "status": status, "amount": amount}
-			for _, tc := range exprs {
+			for _, tc := range scanCases(data) {
 				checkScan(t, tbl, raw, "amount", tc.e, tc.pred)
 			}
 		})
+	}
+}
+
+// TestMisalignedEquivalence runs every operation an aligned table
+// offers — ScanWith rows, Aggregate (count + two sums), CountWhere,
+// SumWhere, StreamBatches — over tables whose columns were encoded
+// with differing block sizes, serially and in parallel, against a
+// plain []int64 filter. Misaligned tables go through the same scan
+// driver as aligned ones, chunk by chunk; (64, 64, 64) is the aligned
+// control.
+func TestMisalignedEquivalence(t *testing.T) {
+	const n = 1500
+	names, data := testData(n)
+	raw := map[string][]int64{"date": data[0], "status": data[1], "amount": data[2]}
+	ctx := context.Background()
+	for _, sizes := range [][]int{
+		{0, 7, 64}, {7, 64, 100}, {100, 0, 7}, {64, 100, 0}, {7, 7, 100}, {64, 64, 64},
+	} {
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%v/workers-%d", sizes, workers), func(t *testing.T) {
+				tbl := encodeTable(t, names, data, sizes, workers)
+				if want := sizes[0] == sizes[1] && sizes[1] == sizes[2]; tbl.Aligned() != want {
+					t.Fatalf("Aligned() = %v, want %v", tbl.Aligned(), want)
+				}
+				for _, tc := range scanCases(data) {
+					checkScan(t, tbl, raw, "amount", tc.e, tc.pred)
+
+					want := refRows(n, tc.pred)
+					var wantAmount, wantDate int64
+					for _, r := range want {
+						wantAmount += raw["amount"][r]
+						wantDate += raw["date"][r]
+					}
+					agg, err := tbl.Aggregate(ctx, tc.e, []string{"amount", "date"}, ScanOptions{})
+					if err != nil {
+						t.Fatalf("Aggregate(%s): %v", tc.e, err)
+					}
+					if agg.Matched != int64(len(want)) || agg.Sums[0] != wantAmount || agg.Sums[1] != wantDate {
+						t.Fatalf("Aggregate(%s) = %d rows, sums %v; want %d rows, sums [%d %d]",
+							tc.e, agg.Matched, agg.Sums, len(want), wantAmount, wantDate)
+					}
+					if cnt, err := tbl.CountWhere(ctx, tc.e); err != nil || cnt != int64(len(want)) {
+						t.Fatalf("CountWhere(%s) = %d, %v; want %d", tc.e, cnt, err, len(want))
+					}
+					for _, col := range []string{"amount", "date"} { // a foreign and (for date leaves) the predicate's own column
+						wantSum := wantAmount
+						if col == "date" {
+							wantSum = wantDate
+						}
+						sum, cnt, err := tbl.SumWhere(ctx, tc.e, col)
+						if err != nil || sum != wantSum || cnt != int64(len(want)) {
+							t.Fatalf("SumWhere(%s, %s) = %d over %d rows, %v; want %d over %d",
+								tc.e, col, sum, cnt, err, wantSum, len(want))
+						}
+					}
+
+					s, err := tbl.ScanWith(ctx, tc.e, ScanOptions{})
+					if err != nil {
+						t.Fatalf("ScanWith(%s): %v", tc.e, err)
+					}
+					var gotRows, gotAmount, gotStatus []int64
+					err = s.StreamBatches(ctx, []string{"amount", "status"}, 37,
+						func(rows []int64, vals [][]int64) error {
+							gotRows = append(gotRows, rows...)
+							gotAmount = append(gotAmount, vals[0]...)
+							gotStatus = append(gotStatus, vals[1]...)
+							return nil
+						})
+					s.Release()
+					if err != nil {
+						t.Fatalf("StreamBatches(%s): %v", tc.e, err)
+					}
+					if !equalRows(gotRows, want) || len(gotAmount) != len(want) || len(gotStatus) != len(want) {
+						t.Fatalf("StreamBatches(%s): %d rows, %d/%d values; want %d",
+							tc.e, len(gotRows), len(gotAmount), len(gotStatus), len(want))
+					}
+					for i, r := range want {
+						if gotAmount[i] != raw["amount"][r] || gotStatus[i] != raw["status"][r] {
+							t.Fatalf("StreamBatches(%s): row %d streamed (%d, %d), want (%d, %d)",
+								tc.e, r, gotAmount[i], gotStatus[i], raw["amount"][r], raw["status"][r])
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -195,8 +195,8 @@ func assertSameReads(t *testing.T, phase string, got, want [][2]int64) {
 }
 
 // TestOpenTableQueries exercises the path-based open and the full
-// expression surface against raw-data references, including the
-// misaligned fallback (different block sizes per column in one
+// expression surface against raw-data references, including a
+// misaligned table (different block sizes per column in one
 // container) and projection.
 func TestOpenTableQueries(t *testing.T) {
 	const n, bs = 1 << 14, 1024
@@ -273,7 +273,7 @@ func TestOpenTableQueries(t *testing.T) {
 	s1.Release()
 
 	// Misaligned: the same logical table with per-column block sizes
-	// must answer identically through the whole-column fallback.
+	// must answer identically, chunk by chunk.
 	var cols []lwcomp.NamedColumn
 	for _, c := range []struct {
 		name string
@@ -303,7 +303,7 @@ func TestOpenTableQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !equal(sa.Rows(), sm.Rows()) {
-		t.Fatal("misaligned fallback diverges from the aligned plan")
+		t.Fatal("misaligned table diverges from the aligned plan")
 	}
 	sm.Release()
 	sa.Release()
