@@ -985,6 +985,59 @@ func BenchmarkTableScan(b *testing.B) {
 		}
 		reportElems(b, benchN)
 	})
+
+	// The same logical table with date in 1Ki-row blocks and the other
+	// two columns in 16Ki-row blocks: scans are cut into chunks by the
+	// columns they read, and a block spanning several chunks must cost
+	// one decode, not one per chunk. "wide" leaves every chunk
+	// undecided; "one-column" must cost what it does on an aligned table.
+	var misCols []lwcomp.NamedColumn
+	for i, raw := range [][]int64{date, status, amount} {
+		bs := 1 << 14
+		if i == 0 {
+			bs = 1 << 10
+		}
+		col, err := lwcomp.Encode(raw, lwcomp.WithBlockSize(bs))
+		if err != nil {
+			b.Fatal(err)
+		}
+		misCols = append(misCols, lwcomp.NamedColumn{Name: cols[i].Name, Col: col})
+	}
+	mis, err := lwcomp.NewTable(misCols)
+	if err != nil || mis.Aligned() {
+		b.Fatalf("misaligned fixture: aligned=%v err=%v", mis.Aligned(), err)
+	}
+	wide := lwcomp.And(lwcomp.Range("date", 0, date[benchN/2]), lwcomp.Not(lwcomp.Eq("status", status[benchN/2])))
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name string
+		e    lwcomp.Expr
+	}{{"misaligned-count", expr}, {"misaligned-count-wide", wide}, {"misaligned-count-one-column", lwcomp.Eq("status", status[benchN/2])}} {
+		b.Run(tc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if n, err := mis.CountWhere(ctx, tc.e); err != nil || n == 0 {
+					b.Fatalf("CountWhere = %d, %v", n, err)
+				}
+			}
+			reportElems(b, benchN)
+		})
+	}
+	b.Run("misaligned-stream-wide", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			s, err := mis.Scan(wide)
+			if err != nil {
+				b.Fatal(err)
+			}
+			err = s.StreamBatches(ctx, []string{"date", "amount"}, 4096, func([]int64, [][]int64) error { return nil })
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.Release()
+		}
+		reportElems(b, benchN)
+	})
 }
 
 // BenchmarkFusedAggregate measures the fused one-pass aggregates

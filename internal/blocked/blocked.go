@@ -430,14 +430,11 @@ func (c *Column) decompressBlockInto(out []int64, i int, s *core.Scratch) error 
 
 // Min returns the exact column minimum. Blocks with recorded stats
 // answer from the index; others delegate to the form.
-func (c *Column) Min() (int64, error) { return c.extreme("Min", query.Min) }
-
-// Max returns the exact column maximum, symmetric with Min.
-func (c *Column) Max() (int64, error) { return c.extreme("Max", query.Max) }
-
-// extreme folds the per-block minima (or maxima) into the column's.
-func (c *Column) extreme(name string, ofForm func(*core.Form) (int64, error)) (int64, error) {
-	have, isMax := false, name == "Max"
+func (c *Column) Min() (int64, error) {
+	if c.N == 0 {
+		return 0, fmt.Errorf("query: Min of empty column")
+	}
+	have := false
 	var m int64
 	for i := range c.Blocks {
 		b := &c.Blocks[i]
@@ -445,24 +442,55 @@ func (c *Column) extreme(name string, ofForm func(*core.Form) (int64, error)) (i
 			continue
 		}
 		v := b.Min
-		if isMax {
-			v = b.Max
-		}
 		if !b.HasStats {
 			f, err := c.form(i)
 			if err != nil {
 				return 0, err
 			}
-			if v, err = ofForm(f); err != nil {
+			v, err = query.Min(f)
+			if err != nil {
 				return 0, err
 			}
 		}
-		if !have || (v > m) == isMax {
+		if !have || v < m {
 			m, have = v, true
 		}
 	}
 	if !have {
-		return 0, fmt.Errorf("query: %s of empty column", name)
+		return 0, fmt.Errorf("query: Min of empty column")
+	}
+	return m, nil
+}
+
+// Max returns the exact column maximum, symmetric with Min.
+func (c *Column) Max() (int64, error) {
+	if c.N == 0 {
+		return 0, fmt.Errorf("query: Max of empty column")
+	}
+	have := false
+	var m int64
+	for i := range c.Blocks {
+		b := &c.Blocks[i]
+		if b.Count == 0 {
+			continue
+		}
+		v := b.Max
+		if !b.HasStats {
+			f, err := c.form(i)
+			if err != nil {
+				return 0, err
+			}
+			v, err = query.Max(f)
+			if err != nil {
+				return 0, err
+			}
+		}
+		if !have || v > m {
+			m, have = v, true
+		}
+	}
+	if !have {
+		return 0, fmt.Errorf("query: Max of empty column")
 	}
 	return m, nil
 }

@@ -55,20 +55,17 @@ func IsPermanent(err error) bool {
 		errors.Is(err, ErrTombstone)
 }
 
-// quarantine records a permanent failure of block i and reports
-// whether the block was newly quarantined. First writer wins; later
-// failures of the same block keep the original cause.
-func (c *Column) quarantine(i int, err error) bool {
+// quarantine records a permanent failure of block i. First writer
+// wins; later failures of the same block keep the original cause.
+func (c *Column) quarantine(i int, err error) {
 	c.quarMu.Lock()
-	defer c.quarMu.Unlock()
 	if c.quar == nil {
 		c.quar = make(map[int]error)
 	}
-	if _, dup := c.quar[i]; dup {
-		return false
+	if _, dup := c.quar[i]; !dup {
+		c.quar[i] = err
 	}
-	c.quar[i] = err
-	return true
+	c.quarMu.Unlock()
 }
 
 // Quarantine records an externally diagnosed permanent failure of
@@ -82,7 +79,16 @@ func (c *Column) Quarantine(i int, err error) bool {
 	if i < 0 || i >= len(c.Blocks) || err == nil || !IsPermanent(err) {
 		return false
 	}
-	return c.quarantine(i, err)
+	c.quarMu.Lock()
+	defer c.quarMu.Unlock()
+	if c.quar == nil {
+		c.quar = make(map[int]error)
+	}
+	if _, dup := c.quar[i]; dup {
+		return false
+	}
+	c.quar[i] = err
+	return true
 }
 
 // MarkTombstone declares block i's payload lost for good: the block

@@ -104,7 +104,6 @@ func (t *Table) aggregate(ctx context.Context, e Expr, sumCols []string, sums []
 	}
 	a := aggPool.Get().(*aggregation)
 	defer aggPool.Put(a)
-	a.p = plan{t: t, e: e, man: man}
 	a.cols, a.sums, a.matched = a.cols[:0], a.sums[:0], 0
 	for _, name := range sumCols {
 		ci, err := t.colIndex(name)
@@ -113,6 +112,7 @@ func (t *Table) aggregate(ctx context.Context, e Expr, sumCols []string, sums []
 		}
 		a.cols, a.sums = append(a.cols, ci), append(a.sums, 0)
 	}
+	a.p = t.plan(e, man, a.cols)
 	if err := a.p.run(ctx, a); err != nil {
 		return 0, err
 	}
@@ -124,7 +124,7 @@ func (t *Table) aggregate(ctx context.Context, e Expr, sumCols []string, sums []
 // all its rows, on the compressed form when the chunk is a whole block.
 // It runs before any worker starts, so matched needs no atomic here.
 func (a *aggregation) Proved(k int) error {
-	_, count := a.p.t.chunk(k)
+	_, count := a.p.Bounds(k)
 	a.matched += int64(count)
 	if count == 0 {
 		return nil
@@ -142,7 +142,7 @@ func (a *aggregation) Proved(k int) error {
 // and, in degraded mode, records it. Sum-side failures on matched rows
 // degrade in place, per column.
 func (a *aggregation) Visit(k int) error {
-	_, count := a.p.t.chunk(k)
+	_, count := a.p.Bounds(k)
 	if count == 0 {
 		return nil
 	}
@@ -153,7 +153,7 @@ func (a *aggregation) Visit(k int) error {
 	case *inNode:
 		leaf = n.col
 	}
-	if f, b, err := a.fusable(leaf, k, count); err != nil {
+	if f, b, err := a.fusable(leaf, k); err != nil {
 		return err
 	} else if f != nil {
 		return a.visitLeaf(f, b)
@@ -161,7 +161,7 @@ func (a *aggregation) Visit(k int) error {
 
 	local := sel.Get(count)
 	defer local.Release()
-	if err := a.p.e.evalBlock(a.p.t, k, local); err != nil {
+	if err := a.p.e.evalBlock(&a.p.chunks, k, local); err != nil {
 		return err
 	}
 	cnt := local.Count()
@@ -178,34 +178,23 @@ func (a *aggregation) Visit(k int) error {
 // visitLeaf answers a leaf predicate on its block's form f: a Range
 // leaf is one fused range probe, an In leaf one per maximal run of
 // consecutive values that the block's stats do not refute (runs are
-// disjoint, so their counts and sums add).
+// disjoint, so their counts and sums add). The totals are committed
+// once, after every probe succeeded, so a failing block contributes
+// nothing.
 func (a *aggregation) visitLeaf(f *core.Form, b *blocked.Block) error {
+	var cnt, sum int64
+	var err error
 	switch n := a.p.e.(type) {
 	case *rangeNode:
-		return a.addRange(f, n.lo, n.hi)
+		cnt, sum, err = a.rangeOn(f, n.lo, n.hi)
 	case *inNode:
-		for i := 0; i < len(n.vals); {
-			var lo, hi int64
-			if lo, hi, i = n.run(i); b.ClassifyRange(lo, hi) == blocked.RangeMiss {
-				continue
-			}
-			if err := a.addRange(f, lo, hi); err != nil {
-				return err
+		for i := 0; i < len(n.vals) && err == nil; {
+			var lo, hi, c, s int64
+			if lo, hi, i = n.run(i); b.ClassifyRange(lo, hi) != blocked.RangeMiss {
+				c, s, err = a.rangeOn(f, lo, hi)
+				cnt, sum = cnt+c, sum+s
 			}
 		}
-	}
-	return nil
-}
-
-// addRange counts lo ≤ v ≤ hi on f — and sums the matches when a sum is
-// wanted — through the fused range kernels.
-func (a *aggregation) addRange(f *core.Form, lo, hi int64) error {
-	var sum, cnt int64
-	var err error
-	if len(a.cols) == 0 {
-		cnt, err = query.CountRange(f, lo, hi)
-	} else {
-		sum, cnt, err = query.SumRange(f, lo, hi)
 	}
 	if err != nil {
 		return err
@@ -217,6 +206,17 @@ func (a *aggregation) addRange(f *core.Form, lo, hi int64) error {
 	return nil
 }
 
+// rangeOn counts lo ≤ v ≤ hi on f — and sums the matches when a sum is
+// wanted — through the fused range kernels.
+func (a *aggregation) rangeOn(f *core.Form, lo, hi int64) (cnt, sum int64, err error) {
+	if len(a.cols) == 0 {
+		cnt, err = query.CountRange(f, lo, hi)
+	} else {
+		sum, cnt, err = query.SumRange(f, lo, hi)
+	}
+	return cnt, sum, err
+}
+
 // fusable fetches the form (and returns the index entry) of the named
 // leaf column's block holding chunk k when the leaf can be answered on
 // the compressed form alone: the chunk is the whole block, and the
@@ -224,48 +224,43 @@ func (a *aggregation) addRange(f *core.Form, lo, hi int64) error {
 // the predicate is no leaf and leaf is empty — f is nil. The fetch is
 // never wasted: the driver only visits chunks with a range the stats
 // could not decide.
-func (a *aggregation) fusable(leaf string, k, count int) (f *core.Form, b *blocked.Block, err error) {
+func (a *aggregation) fusable(leaf string, k int) (f *core.Form, b *blocked.Block, err error) {
 	ci, ok := a.p.t.index[leaf]
 	if !ok || len(a.cols) > 1 || (len(a.cols) == 1 && a.cols[0] != ci) {
 		return nil, nil, nil
 	}
-	c, bi := a.p.t.block(ci, k)
-	if b = &c.Blocks[bi]; b.Count != count {
+	c, bi, whole := a.p.blockOf(ci, k)
+	if !whole {
 		return nil, nil, nil
 	}
 	f, err = c.BlockForm(bi)
-	return f, b, err
+	return f, &c.Blocks[bi], err
 }
 
 // addSums folds every sum column over chunk k's rows selected in local
 // — all of them when local is nil — into a.sums. A whole block with
 // every row selected sums on its compressed form; a Range leaf over
 // the sum column itself sums through the fused kernel; everything else
-// decodes the block and masks. A permanently unreadable block degrades
+// masks the decoded values. A permanently unreadable block degrades
 // in place: recorded, and only that column's contribution is omitted.
 func (a *aggregation) addSums(k int, local *sel.Selection) error {
-	t := a.p.t
-	start, count := t.chunk(k)
 	for i, ci := range a.cols {
-		c, bi := t.block(ci, k)
-		b := &c.Blocks[bi]
+		c, bi, whole := a.p.blockOf(ci, k)
 		var v int64
 		var err error
-		if local == nil && count == b.Count {
+		if local == nil && whole {
 			v, err = c.SumBlock(bi)
-		} else if lo, hi, f, ok := a.sameColRangeLeaf(ci, c, bi, count); ok {
+		} else if lo, hi, f, ok := a.sameColRangeLeaf(ci, c, bi, whole); ok {
 			v, _, err = query.SumRange(f, lo, hi)
 		} else {
 			sc := core.GetScratch()
-			vals := sc.I64(b.Count)
-			if err = c.DecompressBlock(bi, vals); err == nil {
-				window := vals[start-int(b.Start):][:count]
-				if local != nil {
-					v = maskedSum(local, 0, window)
-				} else {
-					for _, x := range window {
-						v += x
-					}
+			var vals []int64
+			vals, err = a.p.load(sc, ci, k) // empty on error
+			if local != nil {
+				v = maskedSum(local, 0, vals)
+			} else {
+				for _, x := range vals {
+					v += x
 				}
 			}
 			sc.PutI64(vals)
@@ -290,9 +285,9 @@ func (a *aggregation) addSums(k int, local *sel.Selection) error {
 // subset of a leaf's range and never gets here (e is the whole
 // expression); a non-structural form would pay SumRange's
 // materializing fallback on top of the decode the caller does anyway.
-func (a *aggregation) sameColRangeLeaf(ci int, c *blocked.Column, bi, count int) (lo, hi int64, f *core.Form, ok bool) {
+func (a *aggregation) sameColRangeLeaf(ci int, c *blocked.Column, bi int, whole bool) (lo, hi int64, f *core.Form, ok bool) {
 	n, isRange := a.p.e.(*rangeNode)
-	if !isRange || a.p.t.index[n.col] != ci || c.Blocks[bi].Count != count {
+	if !isRange || !whole || a.p.t.index[n.col] != ci {
 		return 0, 0, nil, false
 	}
 	f, err := c.BlockForm(bi)

@@ -22,11 +22,16 @@ type SkippedBlock struct {
 	Column string `json:"column,omitempty"`
 	// Block is the block index within the column.
 	Block int `json:"block"`
-	// RowStart and RowCount delimit the omitted row range
-	// [RowStart, RowStart+RowCount): those rows are absent from the
-	// scan's selection and from every projection and aggregate.
+	// RowStart and RowCount delimit the unreadable block's row range
+	// [RowStart, RowStart+RowCount). Every row the scan omitted lies
+	// inside it, and when the scan's columns share block boundaries it
+	// is exactly the omitted range: those rows are absent from the
+	// selection and from every projection and aggregate. When they do
+	// not (see Table.Aligned) it is an upper bound — the scan drops only
+	// the chunks that needed the block, and still answers the rows of
+	// the range that another column's stats decided without it.
 	RowStart int64 `json:"row_start"`
-	// RowCount is the number of omitted rows.
+	// RowCount is the number of rows in the range.
 	RowCount int `json:"row_count"`
 	// Reason is the permanent error that condemned the block.
 	Reason string `json:"reason"`
@@ -100,24 +105,24 @@ type ScanOptions struct {
 // why. The expression tree does not report which column's fetch
 // failed, but the failing column quarantined its block on the way out
 // — so the exact (column, block, row range) comes from asking every
-// column for its quarantine verdict on the block holding the chunk.
-// The fallback (no column quarantined — a resident in-memory form
-// failed to decode) records the chunk with the raw error and no column
-// attribution.
+// column the expression names for its quarantine verdict on the block
+// holding the chunk. The fallback (no column quarantined — a resident
+// in-memory form failed to decode) records the chunk with the raw error
+// and no column attribution.
 func (p *plan) Tolerate(k int, err error) bool {
 	if p.man == nil {
 		return false
 	}
 	found := false
-	for ci := range p.t.cols {
-		c, bi := p.t.block(ci, k)
+	for _, ci := range columnsOf(p.t, p.e, nil) {
+		c, bi, _ := p.blockOf(ci, k)
 		if qerr, ok := c.QuarantineError(bi); ok {
 			p.note(ci, bi, qerr)
 			found = true
 		}
 	}
 	if !found {
-		start, count := p.t.chunk(k)
+		start, count := p.Bounds(k)
 		p.man.add(SkippedBlock{Block: k, RowStart: int64(start), RowCount: count, Reason: err.Error()})
 	}
 	return true

@@ -207,7 +207,7 @@ func TestFaultDegradedDefaultViaTableFlag(t *testing.T) {
 }
 
 // TestFaultDegradedMisaligned: a degraded scan on a table whose columns
-// do not share block boundaries skips exactly the chunks inside the
+// do not share block boundaries skips exactly the chunks that need the
 // unreadable block and records that block — the failing column's, with
 // its own row range — once, however many chunks it spans. Scan,
 // Aggregate and StreamBatches all go through the chunked driver.
@@ -295,6 +295,20 @@ func TestFaultDegradedMisaligned(t *testing.T) {
 		t.Fatalf("degraded aggregate = %d rows, sum(id) %d; want 30, %d", agg.Matched, agg.Sums[0], wantID)
 	}
 	checkManifest("aggregate", agg.Manifest)
+
+	// The recorded range bounds the omitted rows: id's stats prove chunk
+	// [128,192) without amount, so its 64 rows are answered although they
+	// lie inside the rotten block; only chunks [100,128) and [192,200),
+	// which needed it, are dropped.
+	scan, err = tbl.ScanWith(ctx, Or(Eq("amount", 3), Range("id", 128, 191)), ScanOptions{Degraded: true})
+	if err != nil {
+		t.Fatalf("degraded or-scan: %v", err)
+	}
+	if got := scan.Count(); got != 30+64 {
+		t.Fatalf("degraded or-scan found %d rows, want 94", got)
+	}
+	checkManifest("or-scan", scan.Manifest())
+	scan.Release()
 
 	// Projection side: every row matches without touching amount; the
 	// stream then drops the three chunks of the rotten block, in

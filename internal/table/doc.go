@@ -30,10 +30,10 @@
 //     projection never leave the file.
 //
 // Columns that share block boundaries (those encoded from equal-length
-// inputs with one block size always do) plan per block. Otherwise the
-// table refines the columns' boundaries into chunks — row ranges no
-// boundary cuts — and the same driver plans per chunk, pruning each
-// chunk with the stats of the blocks that hold it.
+// inputs with one block size always do) plan per block. Otherwise a
+// scan refines the boundaries of the columns it reads into chunks — row
+// ranges none of them cuts — and the same driver plans per chunk,
+// pruning each chunk with the stats of the blocks that hold it.
 //
 // All per-scan state — the selection, the undecided-chunk list, the
 // per-chunk scratch selections — is pooled, so a steady-state scan

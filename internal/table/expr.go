@@ -25,17 +25,18 @@ type Expr interface {
 	// no nil children). It must not allocate on success: Scan calls it
 	// on the steady-state path.
 	check(t *Table) error
-	// prune classifies chunk ck (see Table.chunk; on an aligned table a
-	// chunk is a block) with stats only, never fetching a payload.
-	prune(t *Table, ck int) blocked.RangeClass
+	// prune classifies chunk ck of the scan's cut (see chunks; on an
+	// aligned table a chunk is a block) with stats only, never fetching
+	// a payload.
+	prune(ch *chunks, ck int) blocked.RangeClass
 	// evalBlock evaluates the predicate on chunk ck alone into dst, a
 	// cleared chunk-local selection (row r of the chunk is bit r). The
 	// driver only calls it when prune returned RangePart.
-	evalBlock(t *Table, ck int, dst *sel.Selection) error
+	evalBlock(ch *chunks, ck int, dst *sel.Selection) error
 	// estimate guesses the fraction of chunk ck's rows that match,
 	// from stats alone; the conjunction planner evaluates the leaf
 	// with the smallest estimate first.
-	estimate(t *Table, ck int) float64
+	estimate(ch *chunks, ck int) float64
 	// prefetchCol names the table column whose payload evalBlock on
 	// chunk ck will fetch first, from stats alone — the scan driver
 	// announces it to the storage prefetcher one chunk ahead. ok is
@@ -43,7 +44,7 @@ type Expr interface {
 	// lockstep with their evalBlock's evaluation order: naming a
 	// column evalBlock then never touches turns prefetch into wasted
 	// reads (never incorrectness, but measurable I/O).
-	prefetchCol(t *Table, ck int) (col int, ok bool)
+	prefetchCol(ch *chunks, ck int) (col int, ok bool)
 }
 
 // Range returns the predicate lo ≤ col ≤ hi (both bounds inclusive).
@@ -111,16 +112,16 @@ func (n *rangeNode) check(t *Table) error {
 	return err
 }
 
-func (n *rangeNode) prune(t *Table, ck int) blocked.RangeClass {
-	return t.statsBlock(n.col, ck).ClassifyRange(n.lo, n.hi)
+func (n *rangeNode) prune(ch *chunks, ck int) blocked.RangeClass {
+	return ch.stats(n.col, ck).ClassifyRange(n.lo, n.hi)
 }
 
-func (n *rangeNode) evalBlock(t *Table, ck int, dst *sel.Selection) error {
-	return t.selectChunk(t.index[n.col], ck, n.lo, n.hi, dst)
+func (n *rangeNode) evalBlock(ch *chunks, ck int, dst *sel.Selection) error {
+	return ch.selectChunk(ch.t.index[n.col], ck, n.lo, n.hi, dst)
 }
 
-func (n *rangeNode) estimate(t *Table, ck int) float64 {
-	b := t.statsBlock(n.col, ck)
+func (n *rangeNode) estimate(ch *chunks, ck int) float64 {
+	b := ch.stats(n.col, ck)
 	if !b.HasStats || n.lo > n.hi {
 		return 1
 	}
@@ -139,13 +140,13 @@ func (n *rangeNode) estimate(t *Table, ck int) float64 {
 	return (float64(hi) - float64(lo) + 1) / (float64(b.Max) - float64(b.Min) + 1)
 }
 
-func (n *rangeNode) prefetchCol(t *Table, ck int) (int, bool) {
+func (n *rangeNode) prefetchCol(ch *chunks, ck int) (int, bool) {
 	// evalBlock fetches the leaf's column exactly when the stats leave
 	// the block undecided.
-	if n.prune(t, ck) != blocked.RangePart {
+	if n.prune(ch, ck) != blocked.RangePart {
 		return 0, false
 	}
-	return t.index[n.col], true
+	return ch.t.index[n.col], true
 }
 
 // inNode is the In leaf: col ∈ vals, vals sorted and deduplicated.
@@ -185,11 +186,11 @@ func (n *inNode) run(i int) (lo, hi int64, next int) {
 	return n.vals[i], n.vals[next-1], next
 }
 
-func (n *inNode) prune(t *Table, ck int) blocked.RangeClass {
+func (n *inNode) prune(ch *chunks, ck int) blocked.RangeClass {
 	if len(n.vals) == 0 {
 		return blocked.RangeMiss
 	}
-	b := t.statsBlock(n.col, ck)
+	b := ch.stats(n.col, ck)
 	if !b.HasStats {
 		return blocked.RangePart
 	}
@@ -205,20 +206,20 @@ func (n *inNode) prune(t *Table, ck int) blocked.RangeClass {
 	return blocked.RangePart
 }
 
-func (n *inNode) evalBlock(t *Table, ck int, dst *sel.Selection) error {
-	ci := t.index[n.col]
+func (n *inNode) evalBlock(ch *chunks, ck int, dst *sel.Selection) error {
+	ci := ch.t.index[n.col]
 	for i := 0; i < len(n.vals); {
 		var lo, hi int64
 		lo, hi, i = n.run(i)
-		if err := t.selectChunk(ci, ck, lo, hi, dst); err != nil {
+		if err := ch.selectChunk(ci, ck, lo, hi, dst); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (n *inNode) estimate(t *Table, ck int) float64 {
-	b := t.statsBlock(n.col, ck)
+func (n *inNode) estimate(ch *chunks, ck int) float64 {
+	b := ch.stats(n.col, ck)
 	if !b.HasStats {
 		return 1
 	}
@@ -229,15 +230,15 @@ func (n *inNode) estimate(t *Table, ck int) float64 {
 	return 1
 }
 
-func (n *inNode) prefetchCol(t *Table, ck int) (int, bool) {
+func (n *inNode) prefetchCol(ch *chunks, ck int) (int, bool) {
 	// evalBlock probes each run against the payload; any run the stats
 	// cannot decide forces a fetch of the leaf's column.
-	b := t.statsBlock(n.col, ck)
+	b := ch.stats(n.col, ck)
 	for i := 0; i < len(n.vals); {
 		var lo, hi int64
 		lo, hi, i = n.run(i)
 		if b.ClassifyRange(lo, hi) == blocked.RangePart {
-			return t.index[n.col], true
+			return ch.t.index[n.col], true
 		}
 	}
 	return 0, false
@@ -252,10 +253,10 @@ func (n *andNode) String() string { return joinKids(n.kids, " and ", "true") }
 
 func (n *andNode) check(t *Table) error { return checkKids(t, n.kids) }
 
-func (n *andNode) prune(t *Table, ck int) blocked.RangeClass {
+func (n *andNode) prune(ch *chunks, ck int) blocked.RangeClass {
 	out := blocked.RangeAll
 	for _, k := range n.kids {
-		switch k.prune(t, ck) {
+		switch k.prune(ch, ck) {
 		case blocked.RangeMiss:
 			return blocked.RangeMiss
 		case blocked.RangePart:
@@ -271,8 +272,8 @@ func (n *andNode) prune(t *Table, ck int) blocked.RangeClass {
 // on a lazy container that means later columns' payloads are never
 // fetched. Children the stats already prove contribute nothing to the
 // intersection and are skipped outright.
-func (n *andNode) evalBlock(t *Table, ck int, dst *sel.Selection) error {
-	best, refuted := n.first(t, ck)
+func (n *andNode) evalBlock(ch *chunks, ck int, dst *sel.Selection) error {
+	best, refuted := n.first(ch, ck)
 	if refuted {
 		// Defensive: the driver never sends a refuted chunk here.
 		return nil
@@ -282,18 +283,18 @@ func (n *andNode) evalBlock(t *Table, ck int, dst *sel.Selection) error {
 		dst.AddRun(0, dst.Len())
 		return nil
 	}
-	if err := n.kids[best].evalBlock(t, ck, dst); err != nil {
+	if err := n.kids[best].evalBlock(ch, ck, dst); err != nil {
 		return err
 	}
 	for i, k := range n.kids {
-		if i == best || k.prune(t, ck) == blocked.RangeAll {
+		if i == best || k.prune(ch, ck) == blocked.RangeAll {
 			continue
 		}
 		if dst.Count() == 0 {
 			return nil
 		}
 		tmp := sel.Get(dst.Len())
-		if err := k.evalBlock(t, ck, tmp); err != nil {
+		if err := k.evalBlock(ch, ck, tmp); err != nil {
 			tmp.Release()
 			return err
 		}
@@ -306,10 +307,10 @@ func (n *andNode) evalBlock(t *Table, ck int, dst *sel.Selection) error {
 	return nil
 }
 
-func (n *andNode) estimate(t *Table, ck int) float64 {
+func (n *andNode) estimate(ch *chunks, ck int) float64 {
 	est := 1.0
 	for _, k := range n.kids {
-		est *= k.estimate(t, ck)
+		est *= k.estimate(ch, ck)
 	}
 	return est
 }
@@ -319,28 +320,28 @@ func (n *andNode) estimate(t *Table, ck int) float64 {
 // stats prove them all. refuted reports a child the stats refute.
 // evalBlock and prefetchCol both plan through it, so the announced
 // column cannot drift from the evaluation order.
-func (n *andNode) first(t *Table, ck int) (best int, refuted bool) {
+func (n *andNode) first(ch *chunks, ck int) (best int, refuted bool) {
 	best, bestEst := -1, math.Inf(1)
 	for i, k := range n.kids {
-		switch k.prune(t, ck) {
+		switch k.prune(ch, ck) {
 		case blocked.RangeMiss:
 			return -1, true
 		case blocked.RangeAll:
 			continue
 		}
-		if est := k.estimate(t, ck); est < bestEst {
+		if est := k.estimate(ch, ck); est < bestEst {
 			best, bestEst = i, est
 		}
 	}
 	return best, false
 }
 
-func (n *andNode) prefetchCol(t *Table, ck int) (int, bool) {
-	best, refuted := n.first(t, ck)
+func (n *andNode) prefetchCol(ch *chunks, ck int) (int, bool) {
+	best, refuted := n.first(ch, ck)
 	if refuted || best < 0 {
 		return 0, false
 	}
-	return n.kids[best].prefetchCol(t, ck)
+	return n.kids[best].prefetchCol(ch, ck)
 }
 
 // orNode is the disjunction combinator.
@@ -352,10 +353,10 @@ func (n *orNode) String() string { return joinKids(n.kids, " or ", "false") }
 
 func (n *orNode) check(t *Table) error { return checkKids(t, n.kids) }
 
-func (n *orNode) prune(t *Table, ck int) blocked.RangeClass {
+func (n *orNode) prune(ch *chunks, ck int) blocked.RangeClass {
 	out := blocked.RangeMiss
 	for _, k := range n.kids {
-		switch k.prune(t, ck) {
+		switch k.prune(ch, ck) {
 		case blocked.RangeAll:
 			return blocked.RangeAll
 		case blocked.RangePart:
@@ -365,9 +366,9 @@ func (n *orNode) prune(t *Table, ck int) blocked.RangeClass {
 	return out
 }
 
-func (n *orNode) evalBlock(t *Table, ck int, dst *sel.Selection) error {
+func (n *orNode) evalBlock(ch *chunks, ck int, dst *sel.Selection) error {
 	for _, k := range n.kids {
-		switch k.prune(t, ck) {
+		switch k.prune(ch, ck) {
 		case blocked.RangeMiss:
 			continue
 		case blocked.RangeAll:
@@ -380,13 +381,13 @@ func (n *orNode) evalBlock(t *Table, ck int, dst *sel.Selection) error {
 		// destination (And intersects into it, Not complements it) and
 		// must go through a pooled temporary.
 		if isLeaf(k) {
-			if err := k.evalBlock(t, ck, dst); err != nil {
+			if err := k.evalBlock(ch, ck, dst); err != nil {
 				return err
 			}
 			continue
 		}
 		tmp := sel.Get(dst.Len())
-		if err := k.evalBlock(t, ck, tmp); err != nil {
+		if err := k.evalBlock(ch, ck, tmp); err != nil {
 			tmp.Release()
 			return err
 		}
@@ -409,10 +410,10 @@ func isLeaf(e Expr) bool {
 	return false
 }
 
-func (n *orNode) estimate(t *Table, ck int) float64 {
+func (n *orNode) estimate(ch *chunks, ck int) float64 {
 	est := 0.0
 	for _, k := range n.kids {
-		est += k.estimate(t, ck)
+		est += k.estimate(ch, ck)
 	}
 	if est > 1 {
 		return 1
@@ -422,15 +423,15 @@ func (n *orNode) estimate(t *Table, ck int) float64 {
 
 // prefetchCol mirrors evalBlock's order: the first non-refuted child
 // evaluates first, so its first fetch is the disjunction's.
-func (n *orNode) prefetchCol(t *Table, ck int) (int, bool) {
+func (n *orNode) prefetchCol(ch *chunks, ck int) (int, bool) {
 	for _, k := range n.kids {
-		switch k.prune(t, ck) {
+		switch k.prune(ch, ck) {
 		case blocked.RangeMiss:
 			continue
 		case blocked.RangeAll:
 			return 0, false
 		}
-		return k.prefetchCol(t, ck)
+		return k.prefetchCol(ch, ck)
 	}
 	return 0, false
 }
@@ -449,8 +450,8 @@ func (n *notNode) check(t *Table) error {
 	return n.kid.check(t)
 }
 
-func (n *notNode) prune(t *Table, ck int) blocked.RangeClass {
-	switch n.kid.prune(t, ck) {
+func (n *notNode) prune(ch *chunks, ck int) blocked.RangeClass {
+	switch n.kid.prune(ch, ck) {
 	case blocked.RangeAll:
 		return blocked.RangeMiss
 	case blocked.RangeMiss:
@@ -460,20 +461,41 @@ func (n *notNode) prune(t *Table, ck int) blocked.RangeClass {
 	}
 }
 
-func (n *notNode) evalBlock(t *Table, ck int, dst *sel.Selection) error {
-	if err := n.kid.evalBlock(t, ck, dst); err != nil {
+func (n *notNode) evalBlock(ch *chunks, ck int, dst *sel.Selection) error {
+	if err := n.kid.evalBlock(ch, ck, dst); err != nil {
 		return err
 	}
 	dst.Not()
 	return nil
 }
 
-func (n *notNode) estimate(t *Table, ck int) float64 {
-	return 1 - n.kid.estimate(t, ck)
+func (n *notNode) estimate(ch *chunks, ck int) float64 {
+	return 1 - n.kid.estimate(ch, ck)
 }
 
-func (n *notNode) prefetchCol(t *Table, ck int) (int, bool) {
-	return n.kid.prefetchCol(t, ck)
+func (n *notNode) prefetchCol(ch *chunks, ck int) (int, bool) {
+	return n.kid.prefetchCol(ch, ck)
+}
+
+// columnsOf appends the table positions of the columns e names to cols.
+func columnsOf(t *Table, e Expr, cols []int) []int {
+	var kids []Expr
+	switch n := e.(type) {
+	case *rangeNode:
+		return append(cols, t.index[n.col])
+	case *inNode:
+		return append(cols, t.index[n.col])
+	case *notNode:
+		return columnsOf(t, n.kid, cols)
+	case *andNode:
+		kids = n.kids
+	case *orNode:
+		kids = n.kids
+	}
+	for _, k := range kids {
+		cols = columnsOf(t, k, cols)
+	}
+	return cols
 }
 
 // joinKids renders a combinator's children, parenthesized, or the

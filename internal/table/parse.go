@@ -153,21 +153,15 @@ func (p *parser) keyword(kw string) bool {
 	return p.tok.kind == tokIdent && strings.EqualFold(p.tok.text, kw)
 }
 
-func (p *parser) parseOr() (Expr, error) { return p.parseChain("or", p.parseAnd, Or) }
-
-func (p *parser) parseAnd() (Expr, error) { return p.parseChain("and", p.parseNot, And) }
-
-// parseChain parses `operand (kw operand)*`, joining two or more
-// operands with join.
-func (p *parser) parseChain(kw string, operand func() (Expr, error), join func(...Expr) Expr) (Expr, error) {
-	e, err := operand()
+func (p *parser) parseOr() (Expr, error) {
+	e, err := p.parseAnd()
 	if err != nil {
 		return nil, err
 	}
 	kids := []Expr{e}
-	for p.keyword(kw) {
+	for p.keyword("or") {
 		p.next()
-		k, err := operand()
+		k, err := p.parseAnd()
 		if err != nil {
 			return nil, err
 		}
@@ -176,7 +170,27 @@ func (p *parser) parseChain(kw string, operand func() (Expr, error), join func(.
 	if len(kids) == 1 {
 		return kids[0], nil
 	}
-	return join(kids...), nil
+	return Or(kids...), nil
+}
+
+func (p *parser) parseAnd() (Expr, error) {
+	e, err := p.parseNot()
+	if err != nil {
+		return nil, err
+	}
+	kids := []Expr{e}
+	for p.keyword("and") {
+		p.next()
+		k, err := p.parseNot()
+		if err != nil {
+			return nil, err
+		}
+		kids = append(kids, k)
+	}
+	if len(kids) == 1 {
+		return kids[0], nil
+	}
+	return And(kids...), nil
 }
 
 func (p *parser) parseNot() (Expr, error) {

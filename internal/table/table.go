@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -25,13 +26,8 @@ type Table struct {
 	index map[string]int
 	n     int
 	// aligned reports whether every column shares cols[0]'s block
-	// boundaries, which makes a scan's chunks exactly the blocks.
+	// boundaries, which makes every scan's chunks exactly the blocks.
 	aligned bool
-	// chunkStart and chunkBlock describe a misaligned table's chunks
-	// (see buildChunks): chunk k covers rows [chunkStart[k],
-	// chunkStart[k+1]) and lies in block chunkBlock[ci][k] of column ci.
-	chunkStart []int
-	chunkBlock [][]int
 	// Parallelism bounds the number of blocks scanned concurrently;
 	// <= 0 means GOMAXPROCS. New seeds it from the first column.
 	Parallelism int
@@ -98,9 +94,6 @@ func NewWithClosers(cols []storage.BlockedColumn, closers ...io.Closer) (*Table,
 			break
 		}
 	}
-	if !t.aligned {
-		t.buildChunks()
-	}
 	t.Parallelism = cols[0].Col.Parallelism
 	return t, nil
 }
@@ -127,11 +120,14 @@ func (t *Table) Column(name string) (*blocked.Column, error) {
 }
 
 // Aligned reports whether every column shares block boundaries, so
-// that scans plan block by block. A misaligned table scans through the
-// same driver over chunks — the row ranges no column's block boundary
-// cuts — with the same skipping, degraded-mode and streaming behaviour;
-// only the shortcuts that answer from a whole block's compressed form
-// are lost on chunks smaller than a block.
+// that every scan plans block by block. A misaligned table scans
+// through the same driver over chunks — the row ranges that no block
+// boundary of a column the scan reads cuts, so a one-column scan still
+// walks that column's blocks — with the same skipping, degraded-mode
+// and streaming behaviour. A column whose block is larger than the
+// chunk loses the shortcuts that answer from the compressed form: its
+// block decodes, once for all the chunks it spans, and the chunks work
+// on the values.
 func (t *Table) Aligned() bool { return t.aligned }
 
 // Close releases the containers behind the table's columns, when the
@@ -152,7 +148,9 @@ func (t *Table) Close() error {
 // ScanCounters snapshots the cumulative block-level outcomes of every
 // scan planned on this table: blocks skipped (stats refuted — never
 // fetched), proved (stats satisfied — emitted as whole runs, never
-// fetched), and fetched (undecided — payloads consulted). Servers
+// fetched), and fetched (undecided — payloads consulted). A scan over
+// columns that do not share block boundaries counts its chunks, which
+// are then smaller than blocks (see Aligned). Servers
 // export the counters per table; the deltas across a query window are
 // the pushdown's observable win.
 func (t *Table) ScanCounters() blocked.ScanCounters {
@@ -173,121 +171,208 @@ func (t *Table) colIndex(name string) (int, error) {
 	return i, nil
 }
 
-// numChunks returns the number of chunks scans walk: row ranges inside
-// which no column has a block boundary. On an aligned table a chunk is
-// a block; otherwise New refined the columns' boundaries into chunks.
-func (t *Table) numChunks() int {
-	if t.aligned {
-		return len(t.cols[0].Col.Blocks)
-	}
-	return len(t.chunkStart) - 1
+// chunks is one scan's cut of the row space over the columns it reads:
+// the maximal row ranges inside which none of them has a block
+// boundary. Columns the scan never names do not cut it, so a scan over
+// columns that share boundaries — one column, or any columns of an
+// aligned table — walks exactly their blocks.
+type chunks struct {
+	t *Table
+	// lead is set when the cut's columns share block boundaries: chunk k
+	// is lead's block k, and block k of every other column of the cut.
+	lead *blocked.Column
+	// Otherwise chunk k covers rows [start[k], start[k+1]) and lies in
+	// block block[ci][k] of table column ci, and held[ci] keeps ci's last
+	// decoded block for the chunks that share it.
+	start []int
+	block [][]int
+	held  []heldBlock
 }
 
-// chunk returns chunk k's first row and row count.
-func (t *Table) chunk(k int) (start, count int) {
-	if t.aligned {
-		b := &t.cols[0].Col.Blocks[k]
-		return int(b.Start), b.Count
-	}
-	return t.chunkStart[k], t.chunkStart[k+1] - t.chunkStart[k]
+// heldBlock is a column's last decoded block (blk; -1 for none), so
+// that a block spanning several chunks decodes once for all of them.
+type heldBlock struct {
+	mu   sync.Mutex
+	blk  int
+	vals []int64
 }
 
-// block returns column ci and the index of its block holding chunk k.
-// The chunk is the whole block exactly when their row counts agree —
-// always, on an aligned table — which is the precondition of every
-// shortcut that answers from a block's compressed form.
-func (t *Table) block(ci, k int) (*blocked.Column, int) {
-	if !t.aligned {
-		k = t.chunkBlock[ci][k]
-	}
-	return t.cols[ci].Col, k
-}
-
-// statsBlock returns the index entry of the named column's block
-// holding chunk k. A block's [min, max] bound every row range inside
-// it, so leaves prune chunks with their block's stats.
-func (t *Table) statsBlock(name string, k int) *blocked.Block {
-	c, bi := t.block(t.index[name], k)
-	return &c.Blocks[bi]
-}
-
-// buildChunks refines the block boundaries of a misaligned table's
-// columns into chunks, recording for every column the block each chunk
-// falls in. The columns' indexes each tile [0, n), so a cursor per
-// column advances monotonically.
-func (t *Table) buildChunks() {
-	t.chunkStart = []int{0}
-	if t.n == 0 {
-		return
-	}
-	t.chunkBlock = make([][]int, len(t.cols))
-	cur := make([]int, len(t.cols))
-	for pos := 0; pos < t.n; {
-		next := t.n
-		for ci, c := range t.cols {
-			blocks := c.Col.Blocks
-			for int(blocks[cur[ci]].Start)+blocks[cur[ci]].Count <= pos {
-				cur[ci]++
-			}
-			if end := int(blocks[cur[ci]].Start) + blocks[cur[ci]].Count; end < next {
-				next = end
-			}
-			t.chunkBlock[ci] = append(t.chunkBlock[ci], cur[ci])
-		}
-		t.chunkStart = append(t.chunkStart, next)
-		pos = next
-	}
-}
-
-// selectChunk evaluates lo ≤ v ≤ hi on column ci over chunk k into the
-// chunk-local dst. A chunk that is a whole block runs straight on the
-// block's compressed form; a chunk inside a larger block (misaligned
-// tables only) evaluates the block and copies its window of the result.
-func (t *Table) selectChunk(ci, k int, lo, hi int64, dst *sel.Selection) error {
-	c, bi := t.block(ci, k)
+// copyRows copies rows [start, start+len(out)) of c's block bi into
+// out, decoding the block first unless h already holds it.
+func (h *heldBlock) copyRows(c *blocked.Column, bi, start int, out []int64) error {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	b := &c.Blocks[bi]
-	start, count := t.chunk(k)
-	if count == b.Count {
-		return c.SelectBlockRangeSel(bi, lo, hi, dst, 0)
+	if h.blk != bi {
+		h.blk, h.vals = -1, slices.Grow(h.vals[:0], b.Count)[:b.Count]
+		if err := c.DecompressBlock(bi, h.vals); err != nil {
+			return err
+		}
+		h.blk = bi
 	}
-	whole := sel.Get(b.Count)
-	defer whole.Release()
-	if err := c.SelectBlockRangeSel(bi, lo, hi, whole, 0); err != nil {
-		return err
-	}
-	for r, off := 0, start-int(b.Start); r < count; r += 64 {
-		dst.OrWord(r, window(whole.Words(), off+r, count-r))
-	}
+	copy(out, h.vals[start-int(b.Start):])
 	return nil
 }
 
-// plan lays one predicate over the table's chunks: the blocked.Plan
+// cut chunks the row space over the table columns cols (positions,
+// repeats allowed; none means any column will do). On an aligned table,
+// or when the columns share boundaries, it allocates nothing.
+func (t *Table) cut(cols []int) chunks {
+	ch := chunks{t: t, lead: t.cols[0].Col}
+	if t.aligned || len(cols) == 0 {
+		return ch
+	}
+	ch.lead = t.cols[cols[0]].Col
+	shared := true
+	for _, ci := range cols[1:] {
+		shared = shared && ch.lead.BoundariesEqual(t.cols[ci].Col)
+	}
+	if shared || t.n == 0 {
+		return ch
+	}
+	// Refine: every column's index tiles [0, n), so one cursor per
+	// column advances monotonically.
+	ch.lead, ch.start = nil, []int{0}
+	ch.block, ch.held = make([][]int, len(t.cols)), make([]heldBlock, len(t.cols))
+	cur := make([]int, len(t.cols))
+	for pos := 0; pos < t.n; {
+		next := t.n
+		for _, ci := range cols {
+			if len(ch.block[ci]) == len(ch.start) {
+				continue // a repeat, already placed for this chunk
+			}
+			blocks := t.cols[ci].Col.Blocks
+			for int(blocks[cur[ci]].Start)+blocks[cur[ci]].Count <= pos {
+				cur[ci]++
+			}
+			next = min(next, int(blocks[cur[ci]].Start)+blocks[cur[ci]].Count)
+			ch.block[ci] = append(ch.block[ci], cur[ci])
+			ch.held[ci].blk = -1
+		}
+		ch.start = append(ch.start, next)
+		pos = next
+	}
+	return ch
+}
+
+// Chunks returns the number of chunks.
+func (ch *chunks) Chunks() int {
+	if ch.lead != nil {
+		return len(ch.lead.Blocks)
+	}
+	return len(ch.start) - 1
+}
+
+// Bounds returns chunk k's first row and row count.
+func (ch *chunks) Bounds(k int) (start, count int) {
+	if ch.lead != nil {
+		return int(ch.lead.Blocks[k].Start), ch.lead.Blocks[k].Count
+	}
+	return ch.start[k], ch.start[k+1] - ch.start[k]
+}
+
+// blockOf returns column ci of the cut, the index of its block holding
+// chunk k, and whether the chunk is that whole block — the precondition
+// of every shortcut that answers from a block's compressed form. A
+// block's [min, max] bound every row range inside it, so leaves prune
+// chunks with their block's stats either way.
+func (ch *chunks) blockOf(ci, k int) (c *blocked.Column, bi int, whole bool) {
+	c = ch.t.cols[ci].Col
+	if ch.lead != nil {
+		return c, k, true
+	}
+	bi = ch.block[ci][k]
+	return c, bi, c.Blocks[bi].Count == ch.start[k+1]-ch.start[k]
+}
+
+// stats returns the index entry of the named column's block holding
+// chunk k.
+func (ch *chunks) stats(name string, k int) *blocked.Block {
+	c, bi, _ := ch.blockOf(ch.t.index[name], k)
+	return &c.Blocks[bi]
+}
+
+// load returns column ci's values over chunk k in a buffer borrowed
+// from sc (return it with sc.PutI64). A chunk that is a whole block
+// decodes straight into it; a chunk inside a larger block copies its
+// window of the column's held block, which decodes on first use only.
+func (ch *chunks) load(sc *core.Scratch, ci, k int) ([]int64, error) {
+	c, bi, whole := ch.blockOf(ci, k)
+	start, count := ch.Bounds(k)
+	vals := sc.I64(count)
+	var err error
+	if whole {
+		err = c.DecompressBlock(bi, vals)
+	} else {
+		err = ch.held[ci].copyRows(c, bi, start, vals)
+	}
+	if err != nil {
+		sc.PutI64(vals)
+		return nil, err
+	}
+	return vals, nil
+}
+
+// selectChunk evaluates lo ≤ v ≤ hi on column ci over chunk k into the
+// chunk-local dst: on the block's compressed form when the chunk is the
+// whole block, on its window of the decoded block otherwise.
+func (ch *chunks) selectChunk(ci, k int, lo, hi int64, dst *sel.Selection) error {
+	c, bi, whole := ch.blockOf(ci, k)
+	if whole {
+		return c.SelectBlockRangeSel(bi, lo, hi, dst, 0)
+	}
+	sc := core.GetScratch()
+	defer sc.Release()
+	vals, err := ch.load(sc, ci, k)
+	for r := 0; r < len(vals) && lo <= hi; r += 64 {
+		var m uint64
+		for j, v := range vals[r:min(r+64, len(vals))] {
+			// One unsigned compare tests both bounds, branch-free.
+			var bit uint64
+			if uint64(v)-uint64(lo) <= uint64(hi)-uint64(lo) {
+				bit = 1
+			}
+			m |= bit << uint(j)
+		}
+		dst.OrWord(r, m)
+	}
+	sc.PutI64(vals)
+	return err
+}
+
+// plan lays one predicate over a cut of the table: the blocked.Plan
 // every table scan hands the driver. man is non-nil exactly when the
 // scan runs degraded.
 type plan struct {
-	t   *Table
+	chunks
 	e   Expr
 	man *Manifest
 }
 
-func (p *plan) Chunks() int { return p.t.numChunks() }
+// plan cuts the table over the columns e names plus also — the columns
+// the sink will read chunk by chunk.
+func (t *Table) plan(e Expr, man *Manifest, also []int) plan {
+	var cols []int
+	if !t.aligned {
+		cols = columnsOf(t, e, slices.Clip(also))
+	}
+	return plan{chunks: t.cut(cols), e: e, man: man}
+}
 
-func (p *plan) Bounds(k int) (start, count int) { return p.t.chunk(k) }
-
-func (p *plan) Classify(k int) blocked.RangeClass { return p.e.prune(p.t, k) }
+func (p *plan) Classify(k int) blocked.RangeClass { return p.e.prune(&p.chunks, k) }
 
 // Announce hints the storage layer about chunk k's first payload
 // fetch: the expression names the column its evaluation order touches
 // first. Columns without a prefetching source, resident blocks and
 // quarantined blocks all no-op.
 func (p *plan) Announce(ctx context.Context, k int) {
-	if ci, ok := p.e.prefetchCol(p.t, k); ok {
-		c, bi := p.t.block(ci, k)
+	if ci, ok := p.e.prefetchCol(&p.chunks, k); ok {
+		c, bi, _ := p.blockOf(ci, k)
 		c.Prefetch(ctx, bi)
 	}
 }
 
-func (p *plan) Select(k int, dst *sel.Selection) error { return p.e.evalBlock(p.t, k, dst) }
+func (p *plan) Select(k int, dst *sel.Selection) error { return p.e.evalBlock(&p.chunks, k, dst) }
 
 // run drives the plan into sink and adds the chunk tally to the
 // table's counters.
@@ -334,10 +419,11 @@ func (t *Table) ScanWith(ctx context.Context, e Expr, opt ScanOptions) (*Scan, e
 		return nil, err
 	}
 	s := scanPool.Get().(*Scan)
-	s.p = plan{t: t, e: e}
+	var man *Manifest
 	if opt.Degraded {
-		s.p.man = &Manifest{}
+		man = &Manifest{}
 	}
+	s.p = t.plan(e, man, nil)
 	s.sink.Plan, s.sink.Dst = &s.p, sel.Get(t.n)
 	if err := s.p.run(ctx, &s.sink); err != nil {
 		s.Release()
@@ -395,36 +481,36 @@ func (s *Scan) Rows() []int64 { return s.sink.Dst.Rows() }
 func (s *Scan) Selection() *sel.Selection { return s.sink.Dst }
 
 // survivors is the one late-materialising walk behind Sum, Materialize
-// and StreamBatches: it visits, in row order, the chunks that still
-// hold selected rows and decodes a column's block only when asked for
-// its values. One pooled block buffer is live at a time.
+// and StreamBatches: over its own cut of the table — by the columns it
+// reads, whatever the predicate's were — it visits, in row order, the
+// chunks that still hold selected rows, and decodes a column's block
+// only when asked for its values. One pooled buffer is live at a time.
 type survivors struct {
+	chunks
 	s   *Scan
 	ctx context.Context
 	sc  *core.Scratch
 	// k is the current chunk, [start, start+count) its rows and hits
 	// the number of them still selected.
 	k, start, count, hits int
-	// buf holds block bufBlk of column bufCol, the last one decoded.
-	buf            []int64
-	bufCol, bufBlk int
-	err            error
+	// vals is what values last returned.
+	vals []int64
+	err  error
 }
 
-// survivors starts a walk; pair it with done.
-func (s *Scan) survivors(ctx context.Context) survivors {
-	return survivors{s: s, ctx: ctx, sc: core.GetScratch(), k: -1, bufCol: -1}
+// survivors starts a walk over the columns cols; pair it with done.
+func (s *Scan) survivors(ctx context.Context, cols ...int) survivors {
+	return survivors{chunks: s.p.t.cut(cols), s: s, ctx: ctx, sc: core.GetScratch(), k: -1}
 }
 
 // next advances to the next chunk with surviving rows. It returns false
 // at the end of the table or when ctx expired, which leaves w.err set.
 func (w *survivors) next() bool {
-	t := w.s.p.t
-	for w.k++; w.k < t.numChunks(); w.k++ {
+	for w.k++; w.k < w.Chunks(); w.k++ {
 		if w.err = w.ctx.Err(); w.err != nil {
 			return false
 		}
-		w.start, w.count = t.chunk(w.k)
+		w.start, w.count = w.Bounds(w.k)
 		if w.hits = w.s.sink.Dst.CountRange(w.start, w.start+w.count); w.hits > 0 {
 			return true
 		}
@@ -432,27 +518,21 @@ func (w *survivors) next() bool {
 	return false
 }
 
-// values returns column ci's values over the current chunk, decoding
-// the block that holds it straight into the walk's buffer. The slice is
-// valid until the next call. A nil slice with a nil error means the
+// values returns column ci's values over the current chunk; the slice
+// is valid until the next call. A nil slice with a nil error means the
 // block is permanently unreadable and the degraded scan recorded it.
 func (w *survivors) values(ci int) ([]int64, error) {
-	c, bi := w.s.p.t.block(ci, w.k)
-	b := &c.Blocks[bi]
-	if ci != w.bufCol || bi != w.bufBlk {
-		w.sc.PutI64(w.buf)
-		w.buf, w.bufCol = w.sc.I64(b.Count), -1
-		if err := c.DecompressBlock(bi, w.buf); err != nil {
-			return nil, w.s.p.skipColumn(ci, bi, err)
-		}
-		w.bufCol, w.bufBlk = ci, bi
+	w.sc.PutI64(w.vals)
+	var err error
+	if w.vals, err = w.load(w.sc, ci, w.k); err != nil {
+		_, bi, _ := w.blockOf(ci, w.k)
+		return nil, w.s.p.skipColumn(ci, bi, err)
 	}
-	off := w.start - int(b.Start)
-	return w.buf[off : off+w.count], nil
+	return w.vals, nil
 }
 
 func (w *survivors) done() {
-	w.sc.PutI64(w.buf)
+	w.sc.PutI64(w.vals)
 	w.sc.Release()
 }
 
@@ -474,10 +554,11 @@ func (s *Scan) SumContext(ctx context.Context, col string) (int64, error) {
 		return 0, err
 	}
 	var total int64
-	w := s.survivors(ctx)
+	w := s.survivors(ctx, ci)
 	defer w.done()
 	for w.next() {
-		if c, bi := s.p.t.block(ci, w.k); w.hits == c.Blocks[bi].Count {
+		// One column: the walk's chunks are its blocks.
+		if c, bi, _ := w.blockOf(ci, w.k); w.hits == w.count {
 			v, err := c.SumBlock(bi)
 			if err != nil {
 				err = s.p.skipColumn(ci, bi, err)
@@ -506,7 +587,7 @@ func (s *Scan) Materialize(col string) ([]int64, error) {
 		return nil, err
 	}
 	out := make([]int64, 0, s.sink.Dst.Count())
-	w := s.survivors(context.Background())
+	w := s.survivors(context.Background(), ci)
 	defer w.done()
 	for w.next() {
 		vals, err := w.values(ci)
@@ -564,7 +645,7 @@ func (s *Scan) StreamBatches(ctx context.Context, cols []string, batchSize int, 
 		return nil
 	}
 
-	w := s.survivors(ctx)
+	w := s.survivors(ctx, cis...)
 	defer w.done()
 chunks:
 	for w.next() {

@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"lwcomp/internal/blocked"
+	"lwcomp/internal/core"
 	"lwcomp/internal/storage"
 	"lwcomp/internal/workload"
 )
@@ -270,6 +272,123 @@ func TestMisalignedEquivalence(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// countingSource serves a resident column's forms and counts the
+// fetches of each block.
+type countingSource struct {
+	orig    *blocked.Column
+	mu      sync.Mutex
+	fetches []int
+}
+
+func (s *countingSource) BlockForm(i int) (*core.Form, error) {
+	s.mu.Lock()
+	s.fetches[i]++
+	s.mu.Unlock()
+	return s.orig.Blocks[i].Form, nil
+}
+
+// take returns the most fetches any block saw and their total, and
+// zeroes the counts.
+func (s *countingSource) take() (most, total int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i, f := range s.fetches {
+		most, total = max(most, f), total+f
+		s.fetches[i] = 0
+	}
+	return most, total
+}
+
+// TestMisalignedBlockWorkOnce pins the cost model of a misaligned
+// table: a scan is cut only by the columns it reads — a one-column
+// predicate walks that column's blocks, whatever the other columns'
+// boundaries — and a block spanning many chunks is fetched and decoded
+// once for all of them, not once per chunk.
+func TestMisalignedBlockWorkOnce(t *testing.T) {
+	const n, small, big = 4096, 16, 1024
+	id := make([]int64, n)
+	wide := make([]int64, n)
+	for i := range id {
+		id[i] = int64(i % 13)
+		wide[i] = int64(i * 7 % 1000)
+	}
+	enc := func(vals []int64, bs int) *blocked.Column {
+		col, err := blocked.Encode(vals, blocked.EncodeOptions{BlockSize: bs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return col
+	}
+	orig := enc(wide, big)
+	lazy := &blocked.Column{N: n, BlockSize: big, Blocks: append([]blocked.Block(nil), orig.Blocks...)}
+	for i := range lazy.Blocks {
+		lazy.Blocks[i].Form = nil
+	}
+	src := &countingSource{orig: orig, fetches: make([]int, len(orig.Blocks))}
+	lazy.Source = src
+	tbl, err := New([]storage.BlockedColumn{{Name: "id", Col: enc(id, small)}, {Name: "wide", Col: lazy}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+
+	// One-column predicates: the chunks are that column's blocks.
+	for _, tc := range []struct {
+		e      Expr
+		blocks int64
+	}{{Range("id", 3, 9), n / small}, {Range("wide", 100, 800), n / big}} {
+		before := tbl.ScanCounters()
+		if _, err := tbl.CountWhere(ctx, tc.e); err != nil {
+			t.Fatal(err)
+		}
+		after := tbl.ScanCounters()
+		got := after.Skipped + after.Proved + after.Fetched - before.Skipped - before.Proved - before.Fetched
+		if got != tc.blocks {
+			t.Fatalf("%s planned %d chunks, want the column's %d blocks", tc.e, got, tc.blocks)
+		}
+	}
+	src.take()
+
+	// Both columns, every chunk undecided: n/small chunks, n/big blocks
+	// of wide.
+	e := And(Range("id", 3, 9), Range("wide", 100, 800))
+	ops := map[string]func() error{
+		"CountWhere": func() error { _, err := tbl.CountWhere(ctx, e); return err },
+		"SumWhere":   func() error { _, _, err := tbl.SumWhere(ctx, e, "wide"); return err },
+		"Aggregate": func() error {
+			_, err := tbl.Aggregate(ctx, Range("id", 3, 9), []string{"wide", "id"}, ScanOptions{})
+			return err
+		},
+		"Scan+StreamBatches": func() error {
+			s, err := tbl.Scan(e)
+			if err != nil {
+				return err
+			}
+			defer s.Release()
+			src.take() // the walk's own fetches, not the scan's
+			return s.StreamBatches(ctx, []string{"id", "wide"}, 100, func([]int64, [][]int64) error { return nil })
+		},
+	}
+	for name, op := range ops {
+		tbl.Parallelism = 1
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if most, _ := src.take(); most != 1 {
+			t.Fatalf("%s, 1 worker: a block of wide was fetched %d times, want once", name, most)
+		}
+		// Workers share one held block per column, so a block may be
+		// decoded again around a boundary — but never once per chunk.
+		tbl.Parallelism = 4
+		if err := op(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if _, total := src.take(); total > n/small/4 {
+			t.Fatalf("%s, 4 workers: %d fetches of wide's %d blocks over %d chunks", name, total, n/big, n/small)
 		}
 	}
 }

@@ -32,9 +32,9 @@ import (
 // one logical table. Scans plan predicate trees per block across all
 // referenced columns when the columns share block boundaries (columns
 // encoded with one block size from equal-length inputs always do);
-// otherwise they plan per chunk — the row ranges no column's block
-// boundary cuts — through the same engine, with the same skipping and
-// degraded-mode behaviour.
+// otherwise they plan per chunk — the row ranges that no block boundary
+// of a column the scan reads cuts — through the same engine, with the
+// same skipping and degraded-mode behaviour.
 type Table = table.Table
 
 // Scan is the result handle of Table.Scan: the surviving rows as a
