@@ -10,6 +10,7 @@
 package lwcomp_test
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
@@ -826,6 +827,42 @@ func BenchmarkLazyOpen(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkLazyHotScan measures a count over a lazily opened container
+// whose every block is already in the block cache — the steady state
+// of a served hot table: per block, one cache lookup and the kernel
+// (fused on the ns column, decode-then-filter on the patch column),
+// with no payload parse and no per-query garbage.
+func BenchmarkLazyHotScan(b *testing.B) {
+	ctx := context.Background()
+	_, _, _, data := cacheFixture(b, benchN, 1<<14)
+	tbl, err := lwcomp.OpenTableReader(bytes.NewReader(data), int64(len(data)), lwcomp.WithParallelism(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tbl.Close()
+	for _, tc := range []struct {
+		name string
+		e    lwcomp.Expr
+	}{
+		{"ns", lwcomp.Range("qty", 9000, 41000)},
+		{"patch", lwcomp.Range("price", 100, 700)},
+	} {
+		b.Run(tc.name, func(b *testing.B) {
+			if _, err := tbl.CountWhere(ctx, tc.e); err != nil { // the warm pass
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if n, err := tbl.CountWhere(ctx, tc.e); err != nil || n == 0 {
+					b.Fatalf("CountWhere = %d, %v", n, err)
+				}
+			}
+			reportElems(b, benchN)
+		})
+	}
 }
 
 // BenchmarkEncodeScheme measures the pooled fixed-scheme block

@@ -676,7 +676,10 @@ type CacheStats struct {
 	Hits, Misses int64
 	// Evictions counts entries dropped to make room.
 	Evictions int64
-	// BytesUsed is the current resident payload total.
+	// Decodes counts payload→form decodes performed on the way into the
+	// cache; a hit performs none.
+	Decodes int64
+	// BytesUsed is the encoded payload total of the resident blocks.
 	BytesUsed int64
 	// BytesBudget is the configured capacity.
 	BytesBudget int64

@@ -2,6 +2,7 @@ package query
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,7 @@ import (
 	"lwcomp/internal/bitpack"
 	"lwcomp/internal/core"
 	"lwcomp/internal/scheme"
+	"lwcomp/internal/sel"
 	"lwcomp/internal/vec"
 )
 
@@ -117,6 +119,43 @@ func TestSelectRangeEmptyAndInverted(t *testing.T) {
 	count, err := CountRange(f, -100, -50)
 	if err != nil || count != 0 {
 		t.Fatalf("empty range count = %d, %v", count, err)
+	}
+}
+
+// TestEmitOffsetMatchesExtremes pins the branch-free scalar fallback
+// (emitOffsetMatches, and scanSelRows through it) against the plain
+// two-sided compare where the arithmetic is least forgiving: full-span
+// bounds, inverted ranges, and references that make ref + o wrap.
+func TestEmitOffsetMatchesExtremes(t *testing.T) {
+	offs := make([]int64, 150) // two full mask words and a tail
+	rng := rand.New(rand.NewSource(9))
+	for i := range offs {
+		switch i % 5 {
+		case 0:
+			offs[i] = math.MaxInt64 - int64(rng.Intn(4))
+		case 1:
+			offs[i] = math.MinInt64 + int64(rng.Intn(4))
+		default:
+			offs[i] = rng.Int63n(7) - 3
+		}
+	}
+	bounds := []int64{math.MinInt64, math.MinInt64 + 2, -2, 0, 2, math.MaxInt64 - 2, math.MaxInt64}
+	for _, ref := range []int64{0, 1, -1, 3, math.MaxInt64, math.MinInt64} {
+		for _, lo := range bounds {
+			for _, hi := range bounds {
+				var want []int64
+				for i, o := range offs {
+					if v := ref + o; v >= lo && v <= hi {
+						want = append(want, int64(7+i))
+					}
+				}
+				dst := sel.New(7 + len(offs))
+				emitOffsetMatches(offs, ref, lo, hi, dst, 7)
+				if got := dst.Rows(); !vec.Equal(got, want) {
+					t.Fatalf("ref %d [%d, %d]: %d rows, want %d", ref, lo, hi, len(got), len(want))
+				}
+			}
+		}
 	}
 }
 

@@ -909,8 +909,14 @@ func (p *forPruner) vnsSegment(segLo, segHi int, visit func(words []uint64, w ui
 }
 
 // emitOffsetMatches scans materialized offsets against [lo, hi] with
-// reference ref, ORing chunk masks into dst at base.
+// reference ref, ORing chunk masks into dst at base. ref + o wraps
+// like every int64 sum here; one unsigned compare then tests both
+// bounds, branch-free.
 func emitOffsetMatches(offs []int64, ref, lo, hi int64, dst *sel.Selection, base int) {
+	if lo > hi {
+		return
+	}
+	span := uint64(hi) - uint64(lo)
 	for chunk := 0; chunk < len(offs); chunk += 64 {
 		end := chunk + 64
 		if end > len(offs) {
@@ -918,10 +924,11 @@ func emitOffsetMatches(offs []int64, ref, lo, hi int64, dst *sel.Selection, base
 		}
 		var m uint64
 		for j, o := range offs[chunk:end] {
-			v := ref + o
-			if v >= lo && v <= hi {
-				m |= 1 << uint(j)
+			var bit uint64
+			if uint64(ref+o)-uint64(lo) <= span {
+				bit = 1
 			}
+			m |= bit << uint(j)
 		}
 		if m != 0 {
 			dst.OrWord(base+chunk, m)

@@ -4,7 +4,7 @@
 //
 // The subsystem is resource governance around the existing scan
 // engine, not a new engine. Every mounted container joins one
-// SharedBlockCache, so resident payload bytes stay under a single
+// SharedBlockCache, so cached blocks stay under a single
 // byte budget however many tables are open; an admission gate bounds
 // in-flight queries and queue depth, answering 429 with Retry-After
 // at saturation instead of collapsing; every query runs under a

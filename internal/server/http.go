@@ -512,8 +512,8 @@ func (s *Server) queryError(w http.ResponseWriter, err error) {
 
 // metricsCache is the cache section of /metrics.
 type metricsCache struct {
-	// Hits, Misses, Evictions, BytesUsed and BytesBudget mirror
-	// lwcomp.CacheStats.
+	// Hits, Misses, Evictions, BytesUsed, BytesBudget and Decodes
+	// mirror lwcomp.CacheStats.
 	Hits      int64 `json:"hits"`
 	Misses    int64 `json:"misses"`
 	Evictions int64 `json:"evictions"`
@@ -522,6 +522,9 @@ type metricsCache struct {
 	BytesBudget int64 `json:"bytes_budget"`
 	// HitRate is hits / (hits + misses), 0 with no traffic.
 	HitRate float64 `json:"hit_rate"`
+	// Decodes counts payload→form decodes: what the misses cost beyond
+	// the read. A warm cache serves hits without adding to it.
+	Decodes int64 `json:"decodes"`
 }
 
 // toMetricsCache converts CacheStats for the JSON surface.
@@ -529,6 +532,7 @@ func toMetricsCache(st lwcomp.CacheStats) metricsCache {
 	mc := metricsCache{
 		Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
 		BytesUsed: st.BytesUsed, BytesBudget: st.BytesBudget,
+		Decodes: st.Decodes,
 	}
 	if total := st.Hits + st.Misses; total > 0 {
 		mc.HitRate = float64(st.Hits) / float64(total)

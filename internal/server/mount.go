@@ -33,8 +33,9 @@ func (mt *mountedTable) cacheStats() lwcomp.CacheStats {
 		total.Hits += st.Hits
 		total.Misses += st.Misses
 		total.Evictions += st.Evictions
-		// Bytes are pooled across the whole shared cache; report the
-		// budget once rather than a meaningless per-table sum.
+		// Bytes and decodes are pooled across the whole shared cache;
+		// report them once rather than a meaningless per-table sum.
+		total.Decodes = st.Decodes
 		total.BytesUsed = st.BytesUsed
 		total.BytesBudget = st.BytesBudget
 	}

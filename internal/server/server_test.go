@@ -632,6 +632,11 @@ func TestMetricsEndpoint(t *testing.T) {
 	if m.Cache.BytesBudget != DefaultCacheBytes {
 		t.Fatalf("pooled budget = %d, want %d", m.Cache.BytesBudget, DefaultCacheBytes)
 	}
+	// Blocks were decoded on the way into the cache; the repeat's hits
+	// decoded nothing, so decodes stay below lookups.
+	if m.Cache.Decodes == 0 || m.Cache.Decodes >= m.Cache.Hits+m.Cache.Misses {
+		t.Fatalf("pooled cache: %+v, want decodes only on the way in", m.Cache)
+	}
 
 	// healthz and the reload endpoint answer too.
 	hr, err := http.Get(ts.URL + "/healthz")

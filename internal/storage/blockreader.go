@@ -40,15 +40,15 @@ type BlockReader interface {
 // OpenOptions configures lazy container opening.
 type OpenOptions struct {
 	// CacheBytes is the byte budget of the container's shared block
-	// cache (raw verified payloads, LRU). Zero or negative disables
-	// caching; OpenFile's public wrapper defaults it to
-	// DefaultBlockCacheBytes.
+	// cache (verified, decoded forms, charged at their encoded payload
+	// length, LRU). Zero or negative disables caching; OpenFile's
+	// public wrapper defaults it to DefaultBlockCacheBytes.
 	CacheBytes int64
 	// Shared, when non-nil, makes the container join this cache
 	// instead of creating its own: its blocks compete with every
 	// other member container's under the one byte budget. CacheBytes
 	// is ignored. A server mounting many containers uses one
-	// SharedCache so total resident payload bytes stay bounded
+	// SharedCache so the total of cached blocks stays bounded
 	// regardless of how many tables are open.
 	Shared *SharedCache
 	// Mmap maps the file instead of issuing ReadAt calls. Ignored
@@ -119,8 +119,8 @@ func (s *mmapSource) Close() error { return munmap(s.data) }
 
 // ContainerFile is an open container whose block payloads load on
 // demand: only the prefix and block index are resident. All columns
-// share one byte source and one block cache, so hot blocks decode
-// from cached verified bytes while cold blocks never enter memory.
+// share one byte source and one block cache, so hot blocks are served
+// as cached decoded forms while cold blocks never enter memory.
 //
 // Containers of earlier generations (v1, v2) open eagerly — their
 // layouts cannot be read incrementally — and behave identically
@@ -141,11 +141,11 @@ type ContainerFile struct {
 	shared                 bool
 	localHits, localMisses atomic.Int64
 
-	// flights coalesces concurrent fetches of one block payload into a
-	// single source read: a prefetch and the demand fetch it races join
-	// the same flight instead of reading the same bytes twice.
+	// flights coalesces concurrent fetches of one block into a single
+	// source read and decode: a prefetch and the demand fetch it races
+	// join the same flight instead of doing the same work twice.
 	flightMu sync.Mutex
-	flights  map[cacheKey]*payloadFlight
+	flights  map[cacheKey]*blockFlight
 
 	// The prefetch worker stages announced blocks into the cache in
 	// the background. It starts lazily on the first announcement and is
@@ -159,15 +159,12 @@ type ContainerFile struct {
 	closeErr  error
 }
 
-// payloadFlight is one in-progress block-payload fetch. Late callers
-// mark it shared and wait on done; the flight leader publishes data
-// and err before closing done. A shared flight's buffer is never
-// recycled — a waiter may still hold it.
-type payloadFlight struct {
-	done   chan struct{}
-	data   []byte
-	err    error
-	shared bool
+// blockFlight is one in-progress block fetch. Late callers wait on
+// done; the flight leader publishes form and err before closing it.
+type blockFlight struct {
+	done chan struct{}
+	form *core.Form
+	err  error
 }
 
 // prefetchReq names one block a scan expects to need next. A nil ctx
@@ -286,7 +283,7 @@ func openSource(src byteSource, size int64, opt OpenOptions) (*ContainerFile, er
 		cols:         p.cols,
 		locs:         p.locs,
 		owner:        nextCacheOwner.Add(1),
-		flights:      make(map[cacheKey]*payloadFlight),
+		flights:      make(map[cacheKey]*blockFlight),
 	}
 	if opt.Shared != nil {
 		cf.cache, cf.shared = opt.Shared.c, true
@@ -366,9 +363,9 @@ func (cf *ContainerFile) Mapped() bool { return cf.mapped }
 
 // CacheStats snapshots the container's block-cache counters. On a
 // container that joined a SharedCache, hits and misses are the
-// container's own traffic while evictions, resident bytes and budget
-// are the pooled cache's — per-table hit rates stay meaningful even
-// though the byte budget is shared.
+// container's own traffic while evictions, decodes, resident bytes and
+// budget are the pooled cache's — per-table hit rates stay meaningful
+// even though the byte budget is shared.
 func (cf *ContainerFile) CacheStats() CacheStats {
 	st := cf.cache.stats()
 	if cf.shared {
@@ -424,62 +421,52 @@ func (cf *ContainerFile) Close() error {
 	return cf.closeErr
 }
 
-// fetchPayload returns block (colIdx, i)'s CRC-verified payload
-// bytes, coalescing concurrent fetches of the same block — a prefetch
-// and the demand fetch it races, or two scan workers straddling one
-// block — into a single source read. owned reports that the caller
-// holds the only reference to a pooled scratch buffer and must
-// recycle it with putPayloadBuf when done; bytes belonging to the
-// mapping, the cache, or a concurrent waiter come back owned=false.
-func (cf *ContainerFile) fetchPayload(colIdx, i int) (data []byte, owned bool, err error) {
+// fetchForm reads, CRC-verifies and decodes block (colIdx, i) and
+// inserts the form into the block cache, coalescing concurrent fetches
+// of the same block — a prefetch and the demand fetch it races, or two
+// scan workers straddling one block — into a single read and decode.
+// Callers must not mutate the returned form: the cache and every
+// waiter on the flight share it.
+func (cf *ContainerFile) fetchForm(colIdx, i int) (*core.Form, error) {
 	key := cacheKey{owner: cf.owner, col: colIdx, block: i}
 	cf.flightMu.Lock()
 	if fl, ok := cf.flights[key]; ok {
-		fl.shared = true
 		cf.flightMu.Unlock()
 		<-fl.done
-		return fl.data, false, fl.err
+		return fl.form, fl.err
 	}
-	if d, ok := cf.cache.peek(key); ok {
-		// A finished flight (or another fetch) cached the block between
-		// the caller's cache miss and here.
+	if f, ok := cf.cache.peek(key); ok {
+		// A finished flight cached the block between the caller's cache
+		// miss and here.
 		cf.flightMu.Unlock()
-		return d, false, nil
+		return f, nil
 	}
-	fl := &payloadFlight{done: make(chan struct{})}
+	fl := &blockFlight{done: make(chan struct{})}
 	cf.flights[key] = fl
 	cf.flightMu.Unlock()
 
 	loc := cf.locs[colIdx][i]
 	n := int(loc.length)
+	// ReadAt fills the scratch; an mmap source returns a view into the
+	// mapping and leaves it untouched. Either way the decoded form owns
+	// its words, so the scratch goes straight back.
 	scratch := getPayloadBuf(n)
-	data, err = cf.src.view(cf.payloadStart+loc.off, n, scratch)
+	var f *core.Form
+	data, err := cf.src.view(cf.payloadStart+loc.off, n, scratch)
 	if err == nil {
-		err = verifyBlockCRC(data, loc, cf.cols[colIdx].Name, i)
+		col := &cf.cols[colIdx]
+		f, err = decodeBlockPayload(data, loc, col.Name, i, col.Col.Blocks[i].Count)
 	}
-	// ReadAt filled our scratch; an mmap source returned a view into
-	// the mapping and left scratch untouched.
-	fromPool := err == nil && len(data) > 0 && &data[0] == &scratch[0]
-	if !fromPool {
-		putPayloadBuf(scratch)
+	putPayloadBuf(scratch)
+	if err == nil {
+		cf.cache.add(key, f, loc.length)
 	}
-	if err != nil {
-		data = nil
-	}
-	cached := false
-	if err == nil && cf.cache != nil && cf.cache.add(key, data) {
-		// Ownership moved to the cache for good: cached slices are
-		// handed to concurrent readers, so the buffer is never pooled
-		// again (mmap views just keep aliasing the mapping).
-		cached = true
-	}
+	fl.form, fl.err = f, err
 	cf.flightMu.Lock()
-	fl.data, fl.err = data, err
-	shared := fl.shared
 	delete(cf.flights, key)
 	cf.flightMu.Unlock()
 	close(fl.done)
-	return data, fromPool && !cached && !shared, err
+	return f, err
 }
 
 // prefetchAsync asks the container's background worker to stage block
@@ -525,12 +512,7 @@ func (cf *ContainerFile) prefetchLoop(ch chan prefetchReq) {
 		if _, ok := cf.cache.peek(cacheKey{owner: cf.owner, col: req.col, block: req.block}); ok {
 			continue
 		}
-		data, owned, err := cf.fetchPayload(req.col, req.block)
-		if err == nil && owned {
-			// The cache declined the buffer (raced duplicate, or the
-			// payload outweighs the budget); recycle it.
-			putPayloadBuf(data)
-		}
+		_, _ = cf.fetchForm(req.col, req.block)
 	}
 }
 
@@ -556,41 +538,26 @@ func (r *colReader) Payload(i int, scratch []byte) ([]byte, error) {
 	return r.cf.src.view(r.cf.payloadStart+loc.off, n, scratch[:n])
 }
 
-// BlockForm implements blocked.BlockSource: fetch block i's payload
-// (from the cache when hot, through the coalesced fetch path when
-// cold — its CRC is verified there, on first touch) and decode it.
-// The decoded form does not alias the payload buffer, so ReadAt
-// scratch recycles through the pool.
+// BlockForm implements blocked.BlockSource: a hot block is one cache
+// lookup returning the shared decoded form; a cold one goes through
+// the coalesced fetch path, where its CRC is verified and its payload
+// decoded once, on first touch.
 func (r *colReader) BlockForm(i int) (*core.Form, error) {
 	cf := r.cf
-	name := cf.cols[r.colIdx].Name
-	count := cf.cols[r.colIdx].Col.Blocks[i].Count
-
 	if cf.cache != nil {
-		data, ok := cf.cache.get(cacheKey{owner: cf.owner, col: r.colIdx, block: i})
-		if ok {
+		if f, ok := cf.cache.get(cacheKey{owner: cf.owner, col: r.colIdx, block: i}); ok {
 			cf.localHits.Add(1)
-			// Cached bytes were verified when inserted.
-			return decodeBlockBody(data, name, i, count)
+			return f, nil
 		}
 		cf.localMisses.Add(1)
 	}
-
-	data, owned, err := cf.fetchPayload(r.colIdx, i)
-	if err != nil {
-		return nil, err
-	}
-	f, err := decodeBlockBody(data, name, i, count)
-	if owned {
-		putPayloadBuf(data)
-	}
-	return f, err
+	return cf.fetchForm(r.colIdx, i)
 }
 
 // PrefetchBlock implements blocked.BlockPrefetcher: it hints that
-// block i's payload will be needed soon, staging it into the block
-// cache in the background so the demand fetch hits warm, verified
-// bytes. Best-effort — no cache, a resident block, a full queue, or
+// block i will be needed soon, staging it into the block cache in the
+// background so the demand fetch hits a verified, decoded form.
+// Best-effort — no cache, a resident block, a full queue, or
 // an expired ctx all drop the hint.
 func (r *colReader) PrefetchBlock(ctx context.Context, i int) {
 	r.cf.prefetchAsync(ctx, r.colIdx, i)

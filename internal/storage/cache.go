@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"lwcomp/internal/blocked"
+	"lwcomp/internal/core"
 )
 
 // DefaultBlockCacheBytes is the block-cache budget used when a
@@ -13,11 +14,9 @@ import (
 const DefaultBlockCacheBytes = 32 << 20
 
 // payloadPool recycles the scratch buffers non-mmap block fetches
-// read payloads into. A fetch that inserts its buffer into the block
-// cache hands ownership over permanently: the cache returns cached
-// slices to concurrent readers outside its lock, so an evicted
-// buffer may still be mid-decode elsewhere and must be left to the
-// garbage collector, never recycled.
+// read payloads into. Nothing keeps a payload past its decode — the
+// cache holds the decoded form, which does not alias the bytes — so
+// every buffer comes back.
 var payloadPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // getPayloadBuf returns a pooled buffer of length n.
@@ -42,18 +41,21 @@ type cacheKey struct {
 	col, block int
 }
 
-// cacheEntry is one cached raw block payload. The cache owns data
-// exclusively among writers — nothing mutates it after insertion —
-// so get can hand it to readers outside the lock; eviction merely
-// drops the reference (see payloadPool).
+// cacheEntry is one cached block: its decoded form, charged at the
+// length of the payload it was decoded from. Forms are immutable once
+// inserted (the blocked.BlockSource contract), so get hands the same
+// pointer to every reader outside the lock and eviction merely drops
+// the reference.
 type cacheEntry struct {
 	key  cacheKey
-	data []byte
+	form *core.Form
+	size int64
 }
 
-// blockCache is a byte-budgeted LRU over raw (CRC-verified) block
-// payloads, shared by every query on a container. It is safe for
-// concurrent use.
+// blockCache is a byte-budgeted LRU over decoded block forms — CRC-
+// verified and decoded once, on the way in — shared by every query on
+// a container. The budget counts encoded payload bytes, not the forms'
+// heap footprint. It is safe for concurrent use.
 type blockCache struct {
 	mu     sync.Mutex
 	budget int64
@@ -61,7 +63,7 @@ type blockCache struct {
 	ll     *list.List // front = most recently used
 	m      map[cacheKey]*list.Element
 
-	hits, misses, evictions int64
+	hits, misses, evictions, decodes int64
 }
 
 // newBlockCache returns a cache with the given byte budget, or nil
@@ -73,9 +75,9 @@ func newBlockCache(budget int64) *blockCache {
 	return &blockCache{budget: budget, ll: list.New(), m: make(map[cacheKey]*list.Element)}
 }
 
-// get returns the cached payload for key, promoting it to most
-// recently used.
-func (c *blockCache) get(key cacheKey) ([]byte, bool) {
+// get returns the cached form for key, promoting it to most recently
+// used.
+func (c *blockCache) get(key cacheKey) (*core.Form, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.m[key]
@@ -85,14 +87,14 @@ func (c *blockCache) get(key cacheKey) ([]byte, bool) {
 	}
 	c.hits++
 	c.ll.MoveToFront(e)
-	return e.Value.(*cacheEntry).data, true
+	return e.Value.(*cacheEntry).form, true
 }
 
-// peek returns the cached payload for key without promoting it or
+// peek returns the cached form for key without promoting it or
 // touching the hit/miss counters — the presence probe the prefetcher
 // uses to skip warm blocks and the fetch coalescer uses for its
 // last-moment recheck. Nil-safe, like stats.
-func (c *blockCache) peek(key cacheKey) ([]byte, bool) {
+func (c *blockCache) peek(key cacheKey) (*core.Form, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -102,39 +104,36 @@ func (c *blockCache) peek(key cacheKey) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return e.Value.(*cacheEntry).data, true
+	return e.Value.(*cacheEntry).form, true
 }
 
-// add inserts a verified payload, evicting least-recently-used
-// entries until the budget holds. It reports whether the cache took
-// ownership of data: a false return (entry too large, or the key
-// raced in from another goroutine) leaves the buffer with the caller.
-// A true return transfers data to the cache for good — it may be
-// handed to concurrent readers at any later point, so the caller
-// must not reuse or pool it.
-func (c *blockCache) add(key cacheKey, data []byte) bool {
-	size := int64(len(data))
-	if size > c.budget {
-		return false
+// add records one payload→form decode and inserts the form, charged
+// size bytes (its encoded payload length), evicting least-recently-
+// used entries until the budget holds. An entry larger than the whole
+// budget, or a key that raced in from another goroutine, is not
+// inserted. Nil-safe: an uncached container decodes without counting.
+func (c *blockCache) add(key cacheKey, f *core.Form, size int64) {
+	if c == nil {
+		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.decodes++
+	if size > c.budget {
+		return
+	}
 	if _, dup := c.m[key]; dup {
-		return false
+		return
 	}
 	for c.used+size > c.budget {
 		c.evictOldestLocked()
 	}
-	e := c.ll.PushFront(&cacheEntry{key: key, data: data})
-	c.m[key] = e
+	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, form: f, size: size})
 	c.used += size
-	return true
 }
 
 // evictOldestLocked drops the least-recently-used entry. Callers hold
-// c.mu and have ensured the cache is non-empty. The entry's buffer is
-// only dereferenced, never recycled: a reader that got it from get
-// may still be decoding it.
+// c.mu and have ensured the cache is non-empty.
 func (c *blockCache) evictOldestLocked() {
 	e := c.ll.Back()
 	if e == nil {
@@ -143,7 +142,7 @@ func (c *blockCache) evictOldestLocked() {
 	ent := e.Value.(*cacheEntry)
 	c.ll.Remove(e)
 	delete(c.m, ent.key)
-	c.used -= int64(len(ent.data))
+	c.used -= ent.size
 	c.evictions++
 }
 
@@ -159,7 +158,7 @@ var nextCacheOwner atomic.Uint64
 
 // SharedCache is a block cache several containers share under one
 // byte budget — the server's resource-governance primitive: however
-// many tables a process mounts, their verified block payloads compete
+// many tables a process mounts, their decoded blocks compete
 // for one LRU budget instead of each container holding its own.
 // Containers join it through OpenOptions.Shared (the public
 // WithSharedBlockCache option); each opener gets a unique key space,
@@ -202,6 +201,7 @@ func (c *blockCache) stats() CacheStats {
 		Hits:        c.hits,
 		Misses:      c.misses,
 		Evictions:   c.evictions,
+		Decodes:     c.decodes,
 		BytesUsed:   c.used,
 		BytesBudget: c.budget,
 	}

@@ -378,29 +378,14 @@ func parseIndexV3(index []byte, payloadSize int64) (*parsedIndex, error) {
 	return p, nil
 }
 
-// decodeBlockPayload verifies a block payload's CRC and decodes it
-// into a form with the expected element count.
+// decodeBlockPayload checks a block payload against the CRC-32C the
+// index recorded for it and decodes it into a form with the expected
+// element count. The lazy read path runs it once per fetch, on the way
+// into the block cache, so a cached form is always verified.
 func decodeBlockPayload(data []byte, loc blockLoc, name string, blockIdx, count int) (*core.Form, error) {
-	if err := verifyBlockCRC(data, loc, name, blockIdx); err != nil {
-		return nil, err
-	}
-	return decodeBlockBody(data, name, blockIdx, count)
-}
-
-// verifyBlockCRC checks a block payload's bytes against the CRC-32C
-// the index recorded for it. The lazy read path runs this once per
-// fetch, before the bytes can enter the block cache, so cached
-// payloads are always verified.
-func verifyBlockCRC(data []byte, loc blockLoc, name string, blockIdx int) error {
 	if crc32.Checksum(data, castagnoli) != loc.crc {
-		return fmt.Errorf("column %q block %d: %w", name, blockIdx, ErrChecksum)
+		return nil, fmt.Errorf("column %q block %d: %w", name, blockIdx, ErrChecksum)
 	}
-	return nil
-}
-
-// decodeBlockBody decodes an already-CRC-verified block payload into
-// a form with the expected element count.
-func decodeBlockBody(data []byte, name string, blockIdx, count int) (*core.Form, error) {
 	f, consumed, err := DecodeForm(data)
 	if err != nil {
 		return nil, fmt.Errorf("column %q block %d: %w", name, blockIdx, err)

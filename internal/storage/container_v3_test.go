@@ -112,8 +112,8 @@ func TestOpenContainerLazyAndCacheCounters(t *testing.T) {
 		}
 	}
 	cold := cf.CacheStats()
-	if cold.Misses == 0 || cold.BytesUsed == 0 {
-		t.Fatalf("cold stats: %+v", cold)
+	if cold.Misses == 0 || cold.BytesUsed == 0 || cold.Decodes != int64(len(lazy.Blocks)) {
+		t.Fatalf("cold stats over %d blocks: %+v", len(lazy.Blocks), cold)
 	}
 	if err := lazy.DecompressInto(out); err != nil {
 		t.Fatal(err)
@@ -122,8 +122,8 @@ func TestOpenContainerLazyAndCacheCounters(t *testing.T) {
 	if warm.Hits < int64(len(lazy.Blocks)) {
 		t.Fatalf("warm pass hit %d of %d blocks", warm.Hits, len(lazy.Blocks))
 	}
-	if warm.Misses != cold.Misses {
-		t.Fatalf("warm pass missed: %+v -> %+v", cold, warm)
+	if warm.Misses != cold.Misses || warm.Decodes != cold.Decodes {
+		t.Fatalf("warm pass missed or decoded: %+v -> %+v", cold, warm)
 	}
 }
 

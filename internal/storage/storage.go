@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"sort"
+	"sync"
 
 	"lwcomp/internal/bitpack"
 	"lwcomp/internal/core"
@@ -186,9 +187,40 @@ func (d *decoder) name() (string, error) {
 	if d.pos+int(n) > len(d.data) {
 		return "", fmt.Errorf("%w: truncated name at byte %d", ErrCorrupt, d.pos)
 	}
-	s := string(d.data[d.pos : d.pos+int(n)])
+	s := internName(d.data[d.pos : d.pos+int(n)])
 	d.pos += int(n)
 	return s, nil
+}
+
+// internName returns the canonical copy of a scheme name, parameter
+// key or constituent name. Forms are built from a small vocabulary
+// repeated in every node of every block, and a decoded form can sit in
+// the block cache for a long time, where each string of its own is one
+// more object for the garbage collector to mark every cycle — with a
+// copy per node, about half of a cached block's objects. The table is
+// capped so that files inventing names cannot grow it without bound;
+// past the cap a new name is simply not shared.
+var (
+	internMu sync.RWMutex
+	interned = make(map[string]string)
+)
+
+const maxInternedNames = 1024
+
+func internName(b []byte) string {
+	internMu.RLock()
+	s, ok := interned[string(b)]
+	internMu.RUnlock()
+	if ok {
+		return s
+	}
+	s = string(b)
+	internMu.Lock()
+	if len(interned) < maxInternedNames {
+		interned[s] = s
+	}
+	internMu.Unlock()
+	return s
 }
 
 func (d *decoder) uvarint() (uint64, error) {

@@ -3,8 +3,10 @@ package storage
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"lwcomp/internal/core"
 	"lwcomp/internal/scheme"
@@ -107,6 +109,69 @@ func TestEncodeDecodeConstAndEmpty(t *testing.T) {
 	got, err = core.Decompress(back)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty roundtrip: %v", err)
+	}
+}
+
+// TestDecodeFormInternsNames: two decodes share one copy of every
+// scheme name, parameter key and constituent name, and the table stops
+// growing at its cap without changing what is decoded.
+func TestDecodeFormInternsNames(t *testing.T) {
+	src := make([]int64, 500)
+	for i := range src {
+		src[i] = int64(i / 7)
+	}
+	f, err := scheme.RLEDeltaComposite().Compress(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := EncodeForm(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names func(f *core.Form, out map[string]*byte)
+	names = func(f *core.Form, out map[string]*byte) {
+		for _, s := range append(append(f.Params.Keys(), f.ChildNames()...), f.Scheme) {
+			if p, seen := out[s]; seen && p != unsafe.StringData(s) {
+				t.Errorf("name %q has two copies inside one form", s)
+			}
+			out[s] = unsafe.StringData(s)
+		}
+		for _, c := range f.Children {
+			names(c, out)
+		}
+	}
+	var seen [2]map[string]*byte
+	for i := range seen {
+		got, _, err := DecodeForm(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seen[i] = make(map[string]*byte)
+		names(got, seen[i])
+	}
+	for s, p := range seen[0] {
+		if seen[1][s] != p {
+			t.Errorf("name %q was copied again by the second decode", s)
+		}
+	}
+
+	internMu.Lock()
+	saved := interned
+	interned = make(map[string]string)
+	internMu.Unlock()
+	defer func() {
+		internMu.Lock()
+		interned = saved
+		internMu.Unlock()
+	}()
+	for i := 0; i < 2*maxInternedNames; i++ {
+		want := fmt.Sprintf("name-%d", i)
+		if got := internName([]byte(want)); got != want {
+			t.Fatalf("internName(%q) = %q", want, got)
+		}
+	}
+	if len(interned) != maxInternedNames {
+		t.Fatalf("table holds %d names, want the cap %d", len(interned), maxInternedNames)
 	}
 }
 

@@ -70,9 +70,31 @@ func In(col string, vals ...int64) Expr {
 }
 
 // And returns the conjunction of kids. And() with no operands matches
-// every row.
+// every row. Direct Range/Eq operands over one column intersect into a
+// single leaf — "qty >= a and qty <= b" is Range(qty, a, b): one block
+// fetch and one kernel, not two and a bitmap intersection — and an
+// empty intersection is the never-matching inverted range. A
+// conjunction left with one leaf is that leaf.
 func And(kids ...Expr) Expr {
-	return &andNode{kids: slices.Clone(kids)}
+	out := make([]Expr, 0, len(kids))
+next:
+	for _, k := range kids {
+		if r, ok := k.(*rangeNode); ok {
+			for i, o := range out {
+				if p, ok := o.(*rangeNode); ok && p.col == r.col {
+					out[i] = &rangeNode{col: r.col, lo: max(p.lo, r.lo), hi: min(p.hi, r.hi)}
+					continue next
+				}
+			}
+		}
+		out = append(out, k)
+	}
+	if len(out) == 1 {
+		if r, ok := out[0].(*rangeNode); ok {
+			return r
+		}
+	}
+	return &andNode{kids: out}
 }
 
 // Or returns the disjunction of kids. Or() with no operands matches

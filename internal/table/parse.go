@@ -25,10 +25,9 @@ import (
 // them). true and false are the match-all and match-nothing leaves —
 // what the empty combinators And() and Or() render as, so every
 // expression String() produces parses back. Comparisons translate to
-// the closed-range leaves the planner prunes with: "date >= 100 and
-// date < 200 or status = 3" parses as
-// Or(And(Range(date,100,MaxInt64), Range(date,MinInt64,199)),
-// Eq(status,3)).
+// the closed-range leaves the planner prunes with, and And folds the
+// bounds on one column into one leaf: "date >= 100 and date < 200 or
+// status = 3" parses as Or(Range(date,100,199), Eq(status,3)).
 func Parse(s string) (Expr, error) {
 	p := &parser{input: s}
 	p.next()

@@ -2,6 +2,7 @@ package table
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
@@ -57,6 +58,10 @@ func TestParseSemantics(t *testing.T) {
 			t.Fatalf("Parse(String(%q) = %q): %v", tc.src, e.String(), err)
 		}
 		checkScan(t, tbl, raw, "amount", back, tc.pred)
+		// ... and to the same tree: String is a fixed point of the trip.
+		if back.String() != e.String() {
+			t.Fatalf("Parse(%q) renders %q, which parses back as %q", tc.src, e.String(), back.String())
+		}
 	}
 
 	// The empty combinators render as the true/false literals, which
@@ -67,6 +72,72 @@ func TestParseSemantics(t *testing.T) {
 			t.Fatalf("Parse(String() = %q): %v", e.String(), err)
 		}
 	}
+}
+
+// TestAndMergesSameColumnRanges pins And's folding of direct Range/Eq
+// operands over one column into one leaf — the shape the fused
+// count/sum leaf path and the one-fetch-per-block evaluation need —
+// and that nothing else is folded.
+func TestAndMergesSameColumnRanges(t *testing.T) {
+	leaf := func(e Expr) *rangeNode {
+		t.Helper()
+		n, ok := e.(*rangeNode)
+		if !ok {
+			t.Fatalf("%q is a %T, want one range leaf", e, e)
+		}
+		return n
+	}
+	for _, tc := range []struct {
+		e      Expr
+		lo, hi int64
+	}{
+		{mustParse(t, "qty >= 10 and qty <= 20"), 10, 20},
+		{mustParse(t, "qty > 10 and qty < 20 and qty >= 12"), 12, 19},
+		{mustParse(t, Range("qty", 10, 20).String()), 10, 20}, // what Range renders is what it parses to
+		{And(Range("qty", 10, 20), Eq("qty", 15)), 15, 15},
+		{And(Range("qty", 10, 20)), 10, 20},
+		{And(Range("qty", math.MinInt64, 5), Range("qty", math.MinInt64, math.MaxInt64)), math.MinInt64, 5},
+	} {
+		if n := leaf(tc.e); n.col != "qty" || n.lo != tc.lo || n.hi != tc.hi {
+			t.Errorf("%q: leaf %s [%d, %d], want qty [%d, %d]", tc.e, n.col, n.lo, n.hi, tc.lo, tc.hi)
+		}
+	}
+	// An empty intersection is the never-matching inverted range.
+	if n := leaf(mustParse(t, "qty >= 20 and qty <= 10")); n.lo <= n.hi || n.String() != "qty in ()" {
+		t.Errorf("empty intersection: [%d, %d] rendering %q", n.lo, n.hi, n)
+	}
+	if n := leaf(And(Eq("qty", 1), Eq("qty", 2))); n.lo <= n.hi {
+		t.Errorf("qty = 1 and qty = 2: [%d, %d], want inverted", n.lo, n.hi)
+	}
+
+	// Same-column leaves fold across other operands and keep the first
+	// one's position; other columns, In leaves and nested combinators
+	// are left alone.
+	for src, want := range map[string]string{
+		"qty >= 10 and status = 1 and qty <= 20":   "(qty >= 10 and qty <= 20) and (status = 1)",
+		"status = 1 and qty >= 10 and qty <= 20":   "(status = 1) and (qty >= 10 and qty <= 20)",
+		"qty >= 10 and price <= 20":                "(qty >= 10) and (price <= 20)",
+		"qty in (1, 2) and qty >= 2":               "(qty in (1, 2)) and (qty >= 2)",
+		"(qty >= 10 and status = 1) and qty <= 20": "((qty >= 10) and (status = 1)) and (qty <= 20)",
+		"not qty >= 10 and qty <= 20":              "(not (qty >= 10)) and (qty <= 20)",
+		"qty >= 10 or qty <= 20":                   "(qty >= 10) or (qty <= 20)",
+	} {
+		if got := mustParse(t, src).String(); got != want {
+			t.Errorf("Parse(%q) = %q, want %q", src, got, want)
+		}
+	}
+	if _, isAnd := And().(*andNode); !isAnd {
+		t.Errorf("And() is a %T, want the empty conjunction", And())
+	}
+}
+
+func mustParse(t *testing.T, src string) Expr {
+	t.Helper()
+	e, err := Parse(src)
+	if err != nil {
+		t.Fatalf("Parse(%q): %v", src, err)
+	}
+	return e
 }
 
 func itoa(v int64) string {

@@ -174,11 +174,17 @@ func SelectRange(src []int64, lo, hi int64) []int64 {
 	return out
 }
 
-// CountRange returns how many elements of src fall in [lo, hi].
+// CountRange returns how many elements of src fall in [lo, hi]. One
+// unsigned compare tests both bounds, so the loop carries no
+// data-dependent branch.
 func CountRange(src []int64, lo, hi int64) int64 {
+	if lo > hi {
+		return 0
+	}
 	var c int64
+	span := uint64(hi) - uint64(lo)
 	for _, v := range src {
-		if v >= lo && v <= hi {
+		if uint64(v)-uint64(lo) <= span {
 			c++
 		}
 	}

@@ -2,6 +2,7 @@ package vec
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -279,6 +280,30 @@ func TestSelections(t *testing.T) {
 	vals, err := Compact(src, idx)
 	if err != nil || !Equal(vals, []int64{-3}) {
 		t.Fatalf("Compact = %v, %v", vals, err)
+	}
+}
+
+// TestCountRangeExtremes pins the single-unsigned-compare form of
+// CountRange at the bounds where a signed difference would overflow.
+func TestCountRangeExtremes(t *testing.T) {
+	src := []int64{math.MinInt64, math.MinInt64 + 1, -1, 0, 1, math.MaxInt64 - 1, math.MaxInt64}
+	for _, tc := range []struct {
+		lo, hi, want int64
+	}{
+		{math.MinInt64, math.MaxInt64, 7},
+		{math.MinInt64, math.MinInt64, 1},
+		{math.MaxInt64, math.MaxInt64, 1},
+		{math.MinInt64, -1, 3},
+		{0, math.MaxInt64, 4},
+		{-1, 1, 3},
+		{math.MinInt64 + 2, math.MaxInt64 - 2, 3},
+		{1, -1, 0},                        // inverted
+		{math.MaxInt64, math.MinInt64, 0}, // inverted across the full span
+		{math.MinInt64 + 1, math.MinInt64, 0},
+	} {
+		if got := CountRange(src, tc.lo, tc.hi); got != tc.want {
+			t.Errorf("CountRange(%d, %d) = %d, want %d", tc.lo, tc.hi, got, tc.want)
+		}
 	}
 }
 

@@ -39,7 +39,7 @@
 // individual block payloads at first touch:
 //
 //	col, err := lwcomp.OpenFile("dates.lwc",
-//	    lwcomp.WithBlockCache(64<<20),   // LRU over verified block payloads
+//	    lwcomp.WithBlockCache(64<<20),   // LRU over verified, decoded blocks
 //	    lwcomp.WithMmap(true))           // optional, where the platform allows
 //	defer col.Close()
 //	v, err := col.PointLookup(1_000_000) // reads exactly one block

@@ -32,7 +32,8 @@ type Container = storage.ContainerFile
 type BlockExtent = storage.BlockExtent
 
 // CacheStats reports an open container's block-cache traffic —
-// lookups by outcome, evictions, and resident bytes against budget.
+// lookups by outcome, evictions, decodes, and resident bytes against
+// budget.
 type CacheStats = storage.CacheStats
 
 // RetryPolicy configures WithReadRetry's capped exponential backoff:
@@ -49,7 +50,7 @@ type ReadStats = blocked.ReadStats
 // SharedBlockCache is a block cache several open containers share
 // under one byte budget: pass it to OpenFile / OpenContainer /
 // OpenTable through WithSharedBlockCache and every member container's
-// verified payloads compete in one LRU. Stats snapshots the pooled
+// decoded blocks compete in one LRU. Stats snapshots the pooled
 // counters; each member container still reports its own hit/miss
 // traffic through CacheStats.
 type SharedBlockCache = storage.SharedCache
@@ -68,7 +69,7 @@ func NewSharedBlockCache(bytes int64) *SharedBlockCache {
 // SelectRange only the blocks its [min, max] stats admit.
 //
 //	col, err := lwcomp.OpenFile("dates.lwc",
-//	    lwcomp.WithBlockCache(64<<20), // verified payload LRU, shared across queries
+//	    lwcomp.WithBlockCache(64<<20), // decoded-block LRU, shared across queries
 //	    lwcomp.WithMmap(true))         // let the page cache own residency
 //	defer col.Close()
 //	v, err := col.PointLookup(123_456) // reads header + index + one block

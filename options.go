@@ -101,20 +101,20 @@ func WithExtraCandidates(extra ...Candidate) Option {
 }
 
 // WithBlockCache sets the byte budget of an opened container's block
-// cache: raw, checksum-verified block payloads kept under an LRU
-// policy and shared across every query on the container, so hot
-// blocks decode from cached bytes while cold blocks never enter
-// memory. bytes <= 0 disables caching entirely; without this option,
+// cache: checksum-verified, decoded block forms kept under an LRU
+// policy, each charged at its encoded payload length, and shared
+// read-only across every query on the container, so a hot block costs
+// one lookup while cold blocks never enter memory. bytes <= 0 disables caching entirely; without this option,
 // OpenFile and OpenContainer use DefaultBlockCacheBytes.
 func WithBlockCache(bytes int64) Option {
 	return func(o *options) { o.cacheBytes = bytes }
 }
 
 // WithSharedBlockCache makes the opened container join sc instead of
-// creating its own block cache: the container's verified payloads
+// creating its own block cache: the container's decoded blocks
 // compete with every other member container's under sc's one byte
 // budget. A server mounting a directory of containers opens them all
-// with one shared cache, so total resident payload bytes stay bounded
+// with one shared cache, so the total of cached blocks stays bounded
 // no matter how many tables are open. A nil sc opens the container
 // uncached. Overrides WithBlockCache.
 func WithSharedBlockCache(sc *SharedBlockCache) Option {

@@ -143,7 +143,9 @@ func In(col string, vals ...int64) Expr { return table.In(col, vals...) }
 // conjunct's stats refute without fetching the other columns, and
 // within an undecided block evaluates the most selective-looking leaf
 // first, abandoning the block as soon as the intersection is empty.
-// And() with no operands matches every row.
+// Range/Eq operands over one column fold into a single leaf, so
+// "c >= a and c <= b" costs what Range(c, a, b) does. And() with no
+// operands matches every row.
 func And(kids ...Expr) Expr { return table.And(kids...) }
 
 // Or returns the disjunction of kids; per-column results merge as
