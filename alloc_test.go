@@ -173,6 +173,53 @@ func TestFusedScanAllocs(t *testing.T) {
 	})
 }
 
+// TestPatchPushdownAllocs: a patch(for(ns)) block — narrow values with
+// rare spikes, the composite no kernel was written for — is counted,
+// summed under a range, selected and summed whole by the pushdown
+// rewrite: the verb on the base's packed offsets, then one gather at
+// the exception positions, none of it allocating.
+func TestPatchPushdownAllocs(t *testing.T) {
+	const n = 1 << 14
+	data := workload.UniformBits(n, 10, 11)
+	for i := 7; i < n; i += 997 {
+		data[i] = 1<<30 + int64(i)
+	}
+	col, err := lwcomp.Encode(data, lwcomp.WithBlockSize(n), lwcomp.WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	form, err := col.BlockForm(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := form.Describe(); got != "patch(base=for(offsets=ns, refs=ns), positions=id, values=id)" {
+		t.Fatalf("fixture encodes as %s; want patch over for(ns)", got)
+	}
+	lo, hi := int64(100), int64(1)<<30+5000 // some of the exceptions
+	mustZeroAllocs(t, "patch-count", func() {
+		if _, err := query.CountRange(form, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+	})
+	mustZeroAllocs(t, "patch-sum-range", func() {
+		if _, _, err := query.SumRange(form, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+	})
+	bm := lwcomp.NewSelection(n)
+	mustZeroAllocs(t, "patch-select", func() {
+		bm.Reset(n)
+		if err := query.SelectRangeSel(form, lo, hi, bm, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+	mustZeroAllocs(t, "patch-sum-block", func() {
+		if _, err := col.SumBlock(0); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestTableScanAllocs: the steady-state two-predicate table scan —
 // per-block cross-column planning, fused leaf evaluation, word-
 // granular bitmap intersection, pooled scan handle — allocates

@@ -831,9 +831,12 @@ func BenchmarkLazyOpen(b *testing.B) {
 
 // BenchmarkLazyHotScan measures a count over a lazily opened container
 // whose every block is already in the block cache — the steady state
-// of a served hot table: per block, one cache lookup and the kernel
-// (fused on the ns column, decode-then-filter on the patch column),
-// with no payload parse and no per-query garbage.
+// of a served hot table: per block, one cache lookup and the pushed-down
+// verb (the fused kernel on the ns column's words; on the patch column
+// the same kernel over the base's for(ns) offsets plus a fix-up at the
+// exceptions), with no payload parse and no per-query garbage. The
+// patch-sum case is SumWhere over the predicate's own column: the sum
+// verb down the same form.
 func BenchmarkLazyHotScan(b *testing.B) {
 	ctx := context.Background()
 	_, _, _, data := cacheFixture(b, benchN, 1<<14)
@@ -845,19 +848,28 @@ func BenchmarkLazyHotScan(b *testing.B) {
 	for _, tc := range []struct {
 		name string
 		e    lwcomp.Expr
+		sum  string
 	}{
-		{"ns", lwcomp.Range("qty", 9000, 41000)},
-		{"patch", lwcomp.Range("price", 100, 700)},
+		{"ns", lwcomp.Range("qty", 9000, 41000), ""},
+		{"patch", lwcomp.Range("price", 100, 700), ""},
+		{"patch-sum", lwcomp.Range("price", 100, 700), "price"},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			if _, err := tbl.CountWhere(ctx, tc.e); err != nil { // the warm pass
+			scan := func() (int64, error) {
+				if tc.sum == "" {
+					return tbl.CountWhere(ctx, tc.e)
+				}
+				_, n, err := tbl.SumWhere(ctx, tc.e, tc.sum)
+				return n, err
+			}
+			if _, err := scan(); err != nil { // the warm pass
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if n, err := tbl.CountWhere(ctx, tc.e); err != nil || n == 0 {
-					b.Fatalf("CountWhere = %d, %v", n, err)
+				if n, err := scan(); err != nil || n == 0 {
+					b.Fatalf("matched = %d, %v", n, err)
 				}
 			}
 			reportElems(b, benchN)

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"lwcomp"
+	"lwcomp/internal/storage"
 )
 
 // FuzzTableScanEquivalence asserts the table-scan subsystem — the
@@ -188,13 +190,19 @@ func FuzzTableScanEquivalence(f *testing.F) {
 // the data generator toward different scheme families
 // (low-cardinality → dict and RLE, signed walk → model and FOR, wide →
 // shifted NS, sorted → linear, constant-with-outliers → RPE), so every
-// fused kernel family faces its own scheme.
+// fused kernel family faces its own scheme; narrow values with rare 2^30
+// spikes — the benchmark's price shape — make the analyzer emit
+// patch(for), the composite no kernel was written for.
 func FuzzFusedSchemeEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0), int64(1), int64(6))
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(17), int64(-40), int64(40))
 	f.Add([]byte{255, 0, 255, 0, 9, 9, 9, 9, 9, 9, 9, 9}, uint8(34), int64(1<<22), int64(200)<<22)
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(51), int64(0), int64(0))
 	f.Add([]byte{7, 7, 7, 7, 200, 7, 7, 7, 7, 7, 7, 90}, uint8(68), int64(7), int64(7))
+	spiky := spikySeed(f)
+	f.Add(spiky, uint8(80), int64(100), int64(700))       // between the spikes
+	f.Add(spiky, uint8(80), int64(900), int64(1<<30+252)) // some of them
+	f.Add(spiky, uint8(80), int64(0), int64(1)<<31)       // all of them
 
 	f.Fuzz(func(t *testing.T, raw []byte, shape uint8, lo, hi int64) {
 		if len(raw) == 0 || len(raw) > 1024 {
@@ -216,6 +224,8 @@ func FuzzFusedSchemeEquivalence(f *testing.F) {
 			case 3: // non-decreasing → linear / delta
 				acc += int64(b)
 				v[i] = acc
+			case 5: // narrow with rare 2^30 spikes → patch(for)
+				v[i] = spike(b)
 			default: // constant with rare outliers → RPE
 				v[i] = 7
 				if b > 250 {
@@ -331,14 +341,17 @@ func FuzzFusedSchemeEquivalence(f *testing.F) {
 // to naive decompress-then-filter, across random columns, block
 // sizes, worker counts and ranges. The value mode byte steers the
 // generator toward different scheme families (low-cardinality, signed
-// walks, wide values, sorted) so the analyzer picks diverse per-block
-// composites.
+// walks, wide values, sorted, narrow with rare spikes) so the analyzer
+// picks diverse per-block composites, patch(for) among them.
 func FuzzSelectRangeEquivalence(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0), int64(2), int64(6))
 	f.Add([]byte{255, 0, 255, 0, 9, 9, 9, 9, 9, 9, 9, 9}, uint8(17), int64(-5), int64(300))
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(34), int64(100), int64(110))
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0}, uint8(51), int64(0), int64(0))
 	f.Add([]byte{128, 7, 3, 200, 90, 1, 1, 1, 64, 64, 64, 32}, uint8(70), int64(1<<20), int64(1)<<30)
+	spiky := spikySeed(f)
+	f.Add(spiky, uint8(80), int64(100), int64(700))       // one block, between the spikes
+	f.Add(spiky, uint8(84), int64(900), int64(1<<30+252)) // 1000-row blocks, some of them
 
 	f.Fuzz(func(t *testing.T, raw []byte, shape uint8, lo, hi int64) {
 		if len(raw) == 0 || len(raw) > 2048 {
@@ -347,7 +360,13 @@ func FuzzSelectRangeEquivalence(f *testing.F) {
 		data := make([]int64, len(raw))
 		var acc int64
 		for i, b := range raw {
-			switch shape >> 4 & 3 {
+			mode := shape >> 4 & 7
+			if mode != 5 {
+				mode &= 3
+			}
+			switch mode {
+			case 5: // narrow with rare 2^30 spikes
+				data[i] = spike(b)
 			case 0: // low cardinality, non-negative
 				data[i] = int64(b & 15)
 			case 1: // signed random walk
@@ -413,6 +432,42 @@ func FuzzSelectRangeEquivalence(f *testing.F) {
 	})
 }
 
+// spike maps a fuzz byte to the benchmark's price shape: a narrow value,
+// or for the few largest bytes a spike near 2^30.
+func spike(b byte) int64 {
+	if b > 250 {
+		return 1<<30 + int64(b)
+	}
+	return int64(b) * 4
+}
+
+// spikySeed returns fuzz bytes whose spike column the analyzer encodes,
+// as one block, as patch(base=for(...)) — checked here, so a seed that
+// stopped reaching the patch rule says so.
+func spikySeed(f *testing.F) []byte {
+	raw := make([]byte, 700)
+	data := make([]int64, len(raw))
+	for i := range raw {
+		raw[i] = byte(i * 37 % 250)
+	}
+	raw[0], raw[40], raw[41], raw[199], raw[263], raw[699] = 253, 255, 251, 254, 252, 255
+	for i, b := range raw {
+		data[i] = spike(b)
+	}
+	col, err := lwcomp.Encode(data, lwcomp.WithBlockSize(0))
+	if err != nil {
+		f.Fatal(err)
+	}
+	form, err := col.BlockForm(0)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if got := form.Describe(); !strings.HasPrefix(got, "patch(base=for(") {
+		f.Fatalf("spiky seed encodes as %s, want patch(base=for(...))", got)
+	}
+	return raw
+}
+
 // FuzzOpenCorrupt asserts the fault-tolerance contract of the whole
 // read stack over arbitrary corruption: mutate any byte of a valid v3
 // container, open it and query it, and nothing may panic or hang —
@@ -429,12 +484,36 @@ func FuzzOpenCorrupt(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// The container is assembled raw so that its last block can be one
+	// no writer would emit: a checksum-valid payload whose patch
+	// positions repeat. Left unmutated it must fail every query the way
+	// any corrupt form does — decode and the pushed-down verbs alike.
+	raw := storage.RawColumn{Name: "c", BlockSize: col.BlockSize}
+	for i := range col.Blocks {
+		b := &col.Blocks[i]
+		enc, err := lwcomp.EncodeForm(b.Form)
+		if err != nil {
+			f.Fatal(err)
+		}
+		raw.Blocks = append(raw.Blocks, storage.RawBlock{Count: b.Count, HasStats: true, Min: b.Min, Max: b.Max, Payload: enc})
+	}
+	hostile, err := lwcomp.PFOR(64).Compress([]int64{5, 6, 1 << 40, 7, 5, 1 << 41, 6, 7})
+	if err != nil {
+		f.Fatal(err)
+	}
+	hostile.Children["positions"].Leaf[1] = hostile.Children["positions"].Leaf[0]
+	enc, err := lwcomp.EncodeForm(hostile)
+	if err != nil {
+		f.Fatal(err)
+	}
+	raw.Blocks = append(raw.Blocks, storage.RawBlock{Count: hostile.N, HasStats: true, Min: 5, Max: 1 << 41, Payload: enc})
 	var buf bytes.Buffer
-	if err := lwcomp.WriteColumns(&buf, []lwcomp.NamedColumn{{Name: "c", Col: col}}); err != nil {
+	if err := storage.WriteContainerV3Raw(&buf, []storage.RawColumn{raw}); err != nil {
 		f.Fatal(err)
 	}
 	template := buf.Bytes()
 
+	f.Add(uint32(0), byte(0))                          // intact bytes: only the hostile block fails
 	f.Add(uint32(0), byte(0xFF))                       // magic
 	f.Add(uint32(5), byte(0x80))                       // version
 	f.Add(uint32(9), byte(0x01))                       // index length
@@ -463,16 +542,21 @@ func FuzzOpenCorrupt(f *testing.F) {
 				t.Fatalf("open: unclassified error %v", err)
 			}
 		} else {
-			if _, err := c.Sum(); err != nil && !allowed(err) {
-				t.Fatalf("sum: unclassified error %v", err)
+			// With the bytes intact (mut == 0) the hostile block is the
+			// only fault, and each path must find it.
+			_, err := c.Sum()
+			if err != nil && !allowed(err) || mut == 0 && !errors.Is(err, lwcomp.ErrCorruptForm) {
+				t.Fatalf("sum: error %v", err)
 			}
-			if _, err := c.CountRange(10, 200); err != nil && !allowed(err) {
-				t.Fatalf("count: unclassified error %v", err)
+			_, err = c.CountRange(10, 200)
+			if err != nil && !allowed(err) || mut == 0 && !errors.Is(err, lwcomp.ErrCorruptForm) {
+				t.Fatalf("count: error %v", err)
 			}
 			// A block that failed permanently above must now be
 			// quarantined: the second pass fails fast, same class.
-			if _, err := c.Decompress(); err != nil && !allowed(err) {
-				t.Fatalf("decompress: unclassified error %v", err)
+			_, err = c.Decompress()
+			if err != nil && !allowed(err) || mut == 0 && err == nil {
+				t.Fatalf("decompress: error %v", err)
 			}
 		}
 

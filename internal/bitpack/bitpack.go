@@ -198,6 +198,22 @@ func UnpackRange(packed []uint64, start, count int, w uint) ([]uint64, error) {
 	return dst, nil
 }
 
+// ValueAt returns value i of the width-w payload without unpacking its
+// neighbours — the random-access read of a gather. The caller
+// guarantees w ≤ 64 and that packed holds at least i+1 values.
+func ValueAt(packed []uint64, i int, w uint) uint64 {
+	if w == 0 {
+		return 0
+	}
+	bitPos := uint64(i) * uint64(w)
+	word, off := bitPos>>6, uint(bitPos&63)
+	v := packed[word] >> off
+	if off+w > 64 {
+		v |= packed[word+1] << (64 - off)
+	}
+	return v & Mask(w)
+}
+
 // packGeneric packs src at width w into dst starting at absolute bit
 // offset bitPos. Values are assumed pre-validated against the mask.
 func packGeneric(src []uint64, w uint, dst []uint64, bitPos uint64) {

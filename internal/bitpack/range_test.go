@@ -41,6 +41,9 @@ func TestUnpackRange(t *testing.T) {
 					t.Fatalf("w=%d [%d,+%d): element %d = %d, want %d",
 						w, start, count, i, got[i], src[start+i])
 				}
+				if v := ValueAt(packed, start+i, w); v != src[start+i] {
+					t.Fatalf("w=%d: ValueAt(%d) = %d, want %d", w, start+i, v, src[start+i])
+				}
 			}
 		}
 	}

@@ -89,6 +89,19 @@ func ApproxSum(f *core.Form) (Interval, error) {
 	return Interval{s, s}, nil
 }
 
+// sumStep sums a step function: Σ refs[s] · |segment s|.
+func sumStep(refs []int64, segLen, n int) int64 {
+	var acc int64
+	for s := 0; s*segLen < n; s++ {
+		size := segLen
+		if (s+1)*segLen > n {
+			size = n - s*segLen
+		}
+		acc += refs[s] * int64(size)
+	}
+	return acc
+}
+
 // residualSlack bounds the total contribution of a non-negative
 // residual form from its width parameters alone.
 func residualSlack(f *core.Form) (int64, error) {
@@ -138,13 +151,19 @@ func residualSlack(f *core.Form) (int64, error) {
 
 // GradualSummer implements the paper's "gradual-refinement query
 // processing" for FOR forms: it starts from the model-only interval
-// of ApproxSum and tightens it segment by segment, decoding each
+// of ApproxSum and tightens it segment by segment, summing each
 // segment's offsets exactly once. After all segments are refined the
 // interval collapses to the exact sum.
 type GradualSummer struct {
-	pruner  *forPruner
+	refs    []int64
+	segLen  int
+	n       int
+	offsets leaf
+	// store backs offsets; the summer outlives any scratch arena, so
+	// what the leaf borrows is plainly allocated and dropped with it.
+	store   leaves
 	refined int
-	// exact accumulates the exact sums of refined segments.
+	// exact accumulates the exact offset sums of refined segments.
 	exact int64
 	// remainingSlack is the summed slack of unrefined segments.
 	remainingSlack int64
@@ -157,28 +176,46 @@ func NewGradualSummer(f *core.Form) (*GradualSummer, error) {
 	if f.Scheme != scheme.FORName {
 		return nil, fmt.Errorf("query: NewGradualSummer on scheme %q (want %q)", f.Scheme, scheme.FORName)
 	}
-	// The pruner outlives this call, so it gets no scratch arena: its
-	// slices are plainly allocated and simply dropped when the summer
-	// is garbage collected.
-	p, err := newFORPruner(f, nil)
+	if err := check(f); err != nil {
+		return nil, err
+	}
+	refs, err := core.DecompressChild(f, "refs")
 	if err != nil {
 		return nil, err
 	}
-	g := &GradualSummer{pruner: p}
-	for s := 0; s*p.segLen < p.n; s++ {
-		segLo := s * p.segLen
-		segHi := segLo + p.segLen
-		if segHi > p.n {
-			segHi = p.n
-		}
-		g.modelSum += p.refs[s] * int64(segHi-segLo)
-		g.remainingSlack += int64(segHi-segLo) * p.bounds[s]
+	g := &GradualSummer{refs: refs, segLen: int(f.Params["seglen"]), n: f.N}
+	if g.offsets, err = g.store.open(f.Children["offsets"], nil); err != nil {
+		return nil, err
+	}
+	for seg, ref := range refs {
+		start, size := g.segment(seg)
+		g.modelSum += ref * int64(size)
+		g.remainingSlack += g.slack(start, size)
 	}
 	return g, nil
 }
 
+// segment returns segment seg's first row and row count.
+func (g *GradualSummer) segment(seg int) (start, size int) {
+	start = seg * g.segLen
+	return start, min(g.segLen, g.n-start)
+}
+
+// slack bounds the offset sum of rows [start, start+size) from the
+// leaf's extent alone: offsets are non-negative, so it is size times
+// the largest offset the packing width admits. Offsets that had to be
+// materialised have no such bound short of their own sum.
+func (g *GradualSummer) slack(start, size int) int64 {
+	if _, ok := g.offsets.(*plain); ok {
+		sum, _ := g.offsets.sum(start, size)
+		return sum
+	}
+	_, top := g.offsets.extent(start, size)
+	return int64(size) * top
+}
+
 // Segments returns the total number of segments.
-func (g *GradualSummer) Segments() int { return len(g.pruner.refs) }
+func (g *GradualSummer) Segments() int { return len(g.refs) }
 
 // Refined returns how many segments have been refined so far.
 func (g *GradualSummer) Refined() int { return g.refined }
@@ -192,28 +229,18 @@ func (g *GradualSummer) Bounds() Interval {
 	return Interval{base, base + g.remainingSlack}
 }
 
-// Refine decodes up to k more segments exactly and tightens the
+// Refine sums up to k more segments exactly and tightens the
 // interval; it returns the number of segments actually refined.
 func (g *GradualSummer) Refine(k int) (int, error) {
-	p := g.pruner
 	done := 0
 	for ; done < k && g.refined < g.Segments(); g.refined++ {
-		s := g.refined
-		segLo := s * p.segLen
-		segHi := segLo + p.segLen
-		if segHi > p.n {
-			segHi = p.n
-		}
-		offs, err := p.segmentOffsets(s)
+		start, size := g.segment(g.refined)
+		sum, err := g.offsets.sum(start, size)
 		if err != nil {
 			return done, err
 		}
-		var segExact int64
-		for _, o := range offs {
-			segExact += o
-		}
-		g.exact += segExact
-		g.remainingSlack -= int64(segHi-segLo) * p.bounds[s]
+		g.exact += sum
+		g.remainingSlack -= g.slack(start, size)
 		done++
 	}
 	return done, nil

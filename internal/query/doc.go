@@ -7,15 +7,23 @@
 // aggregates and selections can often be answered from the
 // constituents without materializing the column:
 //
-//   - SUM over RLE is Σ lengths·values — a dot product over the runs;
-//   - range selections over FOR prune whole segments using the refs
-//     column and the offsets' width bound, the paper's "rough
+//   - a range predicate is pushed down the form by one rewrite — each
+//     scheme says how the range on the parent becomes a range on a
+//     child and how the child's answer is combined — under one of
+//     three verbs (count, select into a bitmap, sum), ending in a leaf
+//     of packed words or materialised values (select.go, leaf.go); so
+//     SUM over RLE is Σ lengths·values, FOR prunes whole segments by
+//     its refs and the offsets' width (the paper's "rough
 //     correspondence of the column data to a simple model can be used
-//     to speed up selections";
+//     to speed up selections"), and a patched form runs its base's
+//     kernel and corrects at the exceptions;
+//   - values at given rows are gathered the same way, by position
+//     (query.go);
 //   - SUM over FOR-like forms splits into an exact model part and a
 //     bounded residual part, enabling the paper's "approximate or
-//     gradual-refinement query processing" (package approx side).
+//     gradual-refinement query processing" (approx.go).
 //
 // Every operation falls back to full decompression for forms it has
-// no shortcut for, so results are always exact and always available.
+// no rule for — in one place, the leaf — so results are always exact
+// and always available.
 package query

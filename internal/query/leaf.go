@@ -1,0 +1,258 @@
+package query
+
+import (
+	"lwcomp/internal/bitpack"
+	"lwcomp/internal/core"
+	"lwcomp/internal/scheme"
+	"lwcomp/internal/vec"
+)
+
+// leaf is where every pushdown ends: a column the verbs run on
+// directly. It has two implementations — packed NS/VNS words, scanned
+// in place by the fused bitpack kernels, and a plain []int64, the one
+// materialising fallback — and the rewrite in select.go never needs to
+// know which it holds. A nil leaf stands for the all-zero column (a
+// bare step model has no offsets).
+type leaf interface {
+	// extent bounds the values of rows [start, start+count) without
+	// reading them: every value lies in [min, max].
+	extent(start, count int) (min, max int64)
+	// apply runs p's verb over the rows of [start, start+count) whose
+	// value lies in [lo, hi] (a range inside the extent): each is
+	// counted, selected at its own position, or summed with add on top.
+	apply(p *pushdown, start, count int, lo, hi, add int64) error
+	// sum returns the wrapping sum of rows [start, start+count).
+	sum(start, count int) (int64, error)
+	// at returns the value of row i.
+	at(i int) int64
+}
+
+// leaves is the storage behind the leaf a pushdown holds. A pushdown
+// has at most one leaf open at a time (the rewrite recurses into one
+// child at a time and a leaf ends the recursion), so one of each kind,
+// living in the pooled pushdown, hands out leaves without allocating.
+type leaves struct {
+	pk packed
+	pl plain
+}
+
+// open returns the leaf over f: f's own words when f is an NS or VNS
+// form whose layout the kernels can scan, an ID form's values as they
+// are, and otherwise — here and nowhere else — f decoded into scratch
+// storage, which is also how a corrupt packed layout reports itself:
+// the decode it falls back to refuses it. Pair with close.
+func (l *leaves) open(f *core.Form, s *core.Scratch) (leaf, error) {
+	if f.Scheme == scheme.IDName && len(f.Leaf) == f.N {
+		l.pl = plain{vals: f.Leaf}
+		return &l.pl, nil
+	}
+	if l.pk.open(f, s) {
+		return &l.pk, nil
+	}
+	vals := s.I64(f.N)
+	if err := core.DecompressInto(f, vals, s); err != nil {
+		s.PutI64(vals)
+		return nil, err
+	}
+	l.pl = plain{vals: vals, borrowed: true}
+	return &l.pl, nil
+}
+
+// close returns what open borrowed from s.
+func (l *leaves) close(s *core.Scratch) {
+	s.PutI64(l.pk.widths)
+	s.PutI64(l.pk.offs)
+	if l.pl.borrowed {
+		s.PutI64(l.pl.vals)
+	}
+	l.pk, l.pl = packed{}, plain{}
+}
+
+// packed is the leaf over bit-packed words: a VNS payload is a row of
+// mini-blocks, each packed at its own width, and an NS payload is the
+// same with one mini-block spanning the column.
+type packed struct {
+	words []uint64
+	n     int
+	zz    bool
+	// block is the mini-block length; mini-block b is packed at
+	// widths[b] and starts at word offs[b]. An NS leaf keeps its single
+	// width in one and leaves offs nil.
+	block  int
+	widths []int64
+	offs   []int64
+	one    [1]int64
+}
+
+// open points k at f's payload and reports whether the kernels can scan
+// it: an NS or VNS form with a known zigzag flag, every width one the
+// kernels compare correctly (the unsigned ones reinterpret stored words
+// as non-negative values, so they stop at 63 bits; the zigzag ones
+// decode inline and take all 64), and a payload that covers every
+// mini-block.
+func (k *packed) open(f *core.Form, s *core.Scratch) bool {
+	zz := f.Params["zigzag"]
+	if f.N == 0 || (zz != 0 && zz != 1) {
+		return false
+	}
+	maxW := 63 + zz
+	*k = packed{words: f.Packed, n: f.N, zz: zz == 1}
+	switch f.Scheme {
+	case scheme.NSName:
+		w := f.Params["width"]
+		k.block, k.one[0] = f.N, w
+		return w >= 0 && w <= maxW && bitpack.PackedWords(f.N, uint(w)) <= len(f.Packed)
+	case scheme.VNSName:
+		k.block = int(f.Params["block"])
+		if k.block < 1 {
+			return false
+		}
+		widths, err := core.ChildScratch(f, "widths", s)
+		if err != nil {
+			return false // the decode open falls back to reports it
+		}
+		nblocks := (f.N + k.block - 1) / k.block
+		offs := s.I64(nblocks + 1)
+		offs[0] = 0
+		ok := len(widths) == nblocks
+		for b := 0; ok && b < nblocks; b++ {
+			if w := widths[b]; w < 0 || w > maxW {
+				ok = false
+			} else {
+				offs[b+1] = offs[b] + int64(bitpack.PackedWords(min(k.block, f.N-b*k.block), uint(w)))
+			}
+		}
+		if !ok || int(offs[nblocks]) > len(f.Packed) {
+			s.PutI64(widths)
+			s.PutI64(offs)
+			return false
+		}
+		k.widths, k.offs = widths, offs
+		return true
+	}
+	return false
+}
+
+// miniBlock returns mini-block b's words, width and first row.
+func (k *packed) miniBlock(b int) (words []uint64, w uint, first int) {
+	if k.offs == nil {
+		return k.words, uint(k.one[0]), 0
+	}
+	return k.words[k.offs[b]:k.offs[b+1]], uint(k.widths[b]), b * k.block
+}
+
+// overlap clips rows [start, end) to the mini-block starting at first,
+// returning the overlap's first row relative to the block and its
+// length.
+func (k *packed) overlap(first, start, end int) (rel, count int) {
+	lo, hi := max(start, first), min(end, first+k.block, k.n)
+	return lo - first, hi - lo
+}
+
+func (k *packed) extent(start, count int) (int64, int64) {
+	var w uint
+	for b, end := start/k.block, start+count; b*k.block < end; b++ {
+		_, bw, _ := k.miniBlock(b)
+		w = max(w, bw)
+	}
+	switch {
+	case !k.zz:
+		return 0, int64(bitpack.Mask(w))
+	case w == 0:
+		return 0, 0
+	}
+	return -1 << (w - 1), 1<<(w-1) - 1
+}
+
+func (k *packed) apply(p *pushdown, start, count int, lo, hi, add int64) error {
+	for b, end := start/k.block, start+count; b*k.block < end; b++ {
+		words, w, first := k.miniBlock(b)
+		rel, n := k.overlap(first, start, end)
+		var c, s int64
+		var err error
+		switch {
+		case p.verb == selectVerb:
+			emit := func(pos int, m uint64) { p.dst.OrWord(p.base+first+pos, m) }
+			if k.zz {
+				err = bitpack.SelectRangeZZ(words, rel, n, w, lo, hi, emit)
+			} else {
+				err = bitpack.SelectRangeU(words, rel, n, w, uint64(lo), uint64(hi), emit)
+			}
+		case p.verb == CountVerb && k.zz:
+			c, err = bitpack.CountRangeZZ(words, rel, n, w, lo, hi)
+		case p.verb == CountVerb:
+			c, err = bitpack.CountRangeU(words, rel, n, w, uint64(lo), uint64(hi))
+		case k.zz:
+			s, c, err = bitpack.SumRangeZZ(words, rel, n, w, lo, hi)
+		default:
+			var us uint64
+			us, c, err = bitpack.SumRangeU(words, rel, n, w, uint64(lo), uint64(hi))
+			s = int64(us)
+		}
+		if err != nil {
+			return err
+		}
+		p.count += c
+		p.sum += s + add*c
+	}
+	return nil
+}
+
+func (k *packed) sum(start, count int) (total int64, err error) {
+	for b, end := start/k.block, start+count; b*k.block < end && err == nil; b++ {
+		words, w, first := k.miniBlock(b)
+		rel, n := k.overlap(first, start, end)
+		if k.zz {
+			var s int64
+			s, err = bitpack.SumZZ(words, rel, n, w)
+			total += s
+		} else {
+			// The wrapping uint64 sum is bit-identical to the wrapping
+			// int64 sum of the reinterpreted values.
+			var us uint64
+			us, err = bitpack.SumU(words, rel, n, w)
+			total += int64(us)
+		}
+	}
+	return total, err
+}
+
+func (k *packed) at(i int) int64 {
+	words, w, first := k.miniBlock(i / k.block)
+	u := bitpack.ValueAt(words, i-first, w)
+	if k.zz {
+		return bitpack.Unzigzag(u)
+	}
+	return int64(u)
+}
+
+// plain is the leaf over materialised values. Its extent is all of
+// int64: reading the values to bound them would cost what answering
+// from them costs.
+type plain struct {
+	vals     []int64
+	borrowed bool // vals came from the scratch arena
+}
+
+func (*plain) extent(int, int) (int64, int64) { return minInt64, maxInt64 }
+
+func (v *plain) apply(p *pushdown, start, count int, lo, hi, add int64) error {
+	rows := v.vals[start : start+count]
+	switch p.verb {
+	case selectVerb:
+		selectPlain(rows, lo, hi, p.dst, p.base+start)
+	case CountVerb:
+		p.count += vec.CountRange(rows, lo, hi)
+	default:
+		s, c := vec.SumRange(rows, lo, hi)
+		p.count += c
+		p.sum += s + add*c
+	}
+	return nil
+}
+
+func (v *plain) sum(start, count int) (int64, error) {
+	return vec.Sum(v.vals[start : start+count]), nil
+}
+
+func (v *plain) at(i int) int64 { return v.vals[i] }

@@ -122,38 +122,36 @@ func TestSelectRangeEmptyAndInverted(t *testing.T) {
 	}
 }
 
-// TestEmitOffsetMatchesExtremes pins the branch-free scalar fallback
-// (emitOffsetMatches, and scanSelRows through it) against the plain
-// two-sided compare where the arithmetic is least forgiving: full-span
-// bounds, inverted ranges, and references that make ref + o wrap.
-func TestEmitOffsetMatchesExtremes(t *testing.T) {
-	offs := make([]int64, 150) // two full mask words and a tail
+// TestSelectPlainExtremes pins the branch-free scan of the plain leaf
+// (selectPlain) against the two-sided compare where the arithmetic is
+// least forgiving: full-span bounds, inverted ranges, and values at
+// both int64 extremes.
+func TestSelectPlainExtremes(t *testing.T) {
+	vals := make([]int64, 150) // two full mask words and a tail
 	rng := rand.New(rand.NewSource(9))
-	for i := range offs {
+	for i := range vals {
 		switch i % 5 {
 		case 0:
-			offs[i] = math.MaxInt64 - int64(rng.Intn(4))
+			vals[i] = math.MaxInt64 - int64(rng.Intn(4))
 		case 1:
-			offs[i] = math.MinInt64 + int64(rng.Intn(4))
+			vals[i] = math.MinInt64 + int64(rng.Intn(4))
 		default:
-			offs[i] = rng.Int63n(7) - 3
+			vals[i] = rng.Int63n(7) - 3
 		}
 	}
 	bounds := []int64{math.MinInt64, math.MinInt64 + 2, -2, 0, 2, math.MaxInt64 - 2, math.MaxInt64}
-	for _, ref := range []int64{0, 1, -1, 3, math.MaxInt64, math.MinInt64} {
-		for _, lo := range bounds {
-			for _, hi := range bounds {
-				var want []int64
-				for i, o := range offs {
-					if v := ref + o; v >= lo && v <= hi {
-						want = append(want, int64(7+i))
-					}
+	for _, lo := range bounds {
+		for _, hi := range bounds {
+			var want []int64
+			for i, v := range vals {
+				if v >= lo && v <= hi {
+					want = append(want, int64(7+i))
 				}
-				dst := sel.New(7 + len(offs))
-				emitOffsetMatches(offs, ref, lo, hi, dst, 7)
-				if got := dst.Rows(); !vec.Equal(got, want) {
-					t.Fatalf("ref %d [%d, %d]: %d rows, want %d", ref, lo, hi, len(got), len(want))
-				}
+			}
+			dst := sel.New(7 + len(vals))
+			selectPlain(vals, lo, hi, dst, 7)
+			if got := dst.Rows(); !vec.Equal(got, want) {
+				t.Fatalf("[%d, %d]: %d rows, want %d", lo, hi, len(got), len(want))
 			}
 		}
 	}
@@ -428,13 +426,14 @@ func TestRLEOverrunningRuns(t *testing.T) {
 }
 
 // TestCorruptRunBoundsSharedTable is the shared corrupt-payload table
-// for every consumer of RLE/RPE run bounds: the scalar decode path
-// (core.Decompress) and the fused select and aggregate kernels
-// (SelectRange, CountRange, Sum, SumRange) must all reject the same
-// corrupt run sets with the same error class, core.ErrCorruptForm. A
-// path that accepted a run set the others reject would let a corrupt
-// block answer differently depending on which kernel the planner
-// happened to pick.
+// for every consumer of RLE/RPE run bounds and of patch positions: the
+// scalar decode path (core.Decompress) and the pushed-down select and
+// aggregate verbs (SelectRange, CountRange, Sum, SumRange) must all
+// reject the same corrupt run sets and exception lists with the same
+// error class, core.ErrCorruptForm. A path that accepted what the
+// others reject would let a corrupt block answer differently depending
+// on which verb the planner happened to pick — duplicate patch
+// positions used to decode last-write-wins while Sum counted both.
 func TestCorruptRunBoundsSharedTable(t *testing.T) {
 	rle := func(lengths, values []int64, n int) *core.Form {
 		return &core.Form{
@@ -456,10 +455,34 @@ func TestCorruptRunBoundsSharedTable(t *testing.T) {
 			},
 		}
 	}
+	patch := func(positions []int64) *core.Form {
+		base, err := scheme.NS{}.Compress([]int64{1, 2, 3, 4, 5, 6, 7, 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &core.Form{
+			Scheme: scheme.PatchName,
+			N:      8,
+			Children: map[string]*core.Form{
+				"base":      base,
+				"positions": scheme.NewIDForm(positions),
+				"values":    scheme.NewIDForm([]int64{100, 200}),
+			},
+		}
+	}
 	cases := []struct {
 		name string
 		f    *core.Form
 	}{
+		{"for/seglen-zero", &core.Form{
+			Scheme: scheme.FORName, N: 2, Params: core.Params{"seglen": 0},
+			Children: map[string]*core.Form{"refs": scheme.NewIDForm([]int64{1}), "offsets": scheme.NewIDForm([]int64{0, 1})},
+		}},
+		{"patch/duplicate-positions", patch([]int64{2, 2})},
+		{"patch/unsorted-positions", patch([]int64{5, 3})},
+		{"patch/negative-position", patch([]int64{-1, 3})},
+		{"patch/position-past-end", patch([]int64{3, 8})},
+		{"patch/child-length-mismatch", patch([]int64{3})},
 		{"rle/overshoot", rle([]int64{3, 200}, []int64{1, 2}, 8)},
 		{"rle/undershoot", rle([]int64{3, 2}, []int64{1, 2}, 8)},
 		{"rle/negative-length", rle([]int64{10, -2}, []int64{1, 2}, 8)},

@@ -4,30 +4,82 @@ import (
 	"fmt"
 	"sync"
 
-	"lwcomp/internal/bitpack"
 	"lwcomp/internal/core"
 	"lwcomp/internal/scheme"
 	"lwcomp/internal/sel"
 	"lwcomp/internal/vec"
 )
 
-// SelectRange returns the row positions whose values fall in
-// [lo, hi], exploiting the form's structure:
-//
-//   - RLE/RPE test one value per run and emit whole runs;
-//   - FOR classifies each segment against [refs[s], refs[s]+bound]
-//     (the paper's model-based selection speed-up): segments entirely
-//     outside the range are skipped without decoding their offsets,
-//     segments entirely inside are emitted without decoding, and
-//     straddling segments run the fused unpack-and-compare kernels on
-//     the packed offsets;
-//   - NS/VNS run the fused kernels over the packed payload directly;
-//   - DICT maps the value range to a code range and scans the codes
-//     form recursively.
-//
-// The result is always exact. Internally the matches accumulate in a
-// pooled bitmap selection vector (package sel); this function converts
-// to an explicit row-position column at the boundary. Callers that can
+// This file is the pushdown: one recursive rewrite that turns a range
+// predicate on a compressed form into range predicates on its
+// constituents, parameterised by a verb — count the matching rows,
+// select them into a bitmap, or sum them. Each scheme states once how
+// [lo, hi] on the parent becomes a range on a child plus a way to
+// combine the child's answer (push); the recursion ends in a leaf
+// (leaf.go), packed words or materialised values, which is the only
+// place the three verbs differ. A composition nobody wrote a kernel for
+// is pushed down by construction, and count, select and sum cannot
+// disagree about a scheme because they share its rule.
+
+// Verb is what a pushdown does with the rows whose value is in range.
+type Verb uint8
+
+const (
+	CountVerb  Verb = iota // count them
+	SumVerb                // count them and sum their values
+	selectVerb             // set their bits in a selection (SelectRangeSel)
+)
+
+// answer is what a pushdown accumulates.
+type answer struct {
+	// count and sum are CountVerb's and SumVerb's result; sums wrap mod
+	// 2^64 like plain int64 addition.
+	count, sum int64
+	// stats counts the leaf ranges the walk classified and the ones it
+	// had to scan (SelectRangeFORWithStats reports it).
+	stats SelectStats
+	// materialised is set when some node had no rule and was decoded:
+	// how the rewrite says a form was not pushable.
+	materialised bool
+}
+
+// pushdown is the state of one verb running over one form.
+type pushdown struct {
+	verb Verb
+	answer
+	// selectVerb sets bit base+r of dst for a matching row r.
+	dst  *sel.Selection
+	base int
+	s    *core.Scratch
+	leaves
+}
+
+var pushdownPool = sync.Pool{New: func() any { return new(pushdown) }}
+
+// run pushes verb v with range [lo, hi] down f. The pushdown is
+// pooled, so the steady state allocates nothing.
+func run(v Verb, f *core.Form, lo, hi int64, dst *sel.Selection, base int, s *core.Scratch) (answer, error) {
+	p := pushdownPool.Get().(*pushdown)
+	*p = pushdown{verb: v, dst: dst, base: base, s: s}
+	err := p.push(f, lo, hi, 0)
+	a := p.answer
+	*p = pushdown{}
+	pushdownPool.Put(p)
+	return a, err
+}
+
+// leafOf opens the leaf over f (see leaves.open), noting a decode.
+func (p *pushdown) leafOf(f *core.Form) (leaf, error) {
+	l, err := p.open(f, p.s)
+	p.materialised = p.materialised || p.pl.borrowed
+	return l, err
+}
+
+// SelectRange returns the row positions whose values fall in [lo, hi],
+// evaluated on the compressed form (see push). The result is always
+// exact. Internally the matches accumulate in a pooled bitmap
+// selection vector (package sel); this function converts to an
+// explicit row-position column at the boundary. Callers that can
 // consume the bitmap directly should use SelectRangeSel.
 func SelectRange(f *core.Form, lo, hi int64) ([]int64, error) {
 	bm := sel.Get(f.N)
@@ -38,233 +90,50 @@ func SelectRange(f *core.Form, lo, hi int64) ([]int64, error) {
 	return bm.AppendRows(make([]int64, 0, bm.Count()), 0), nil
 }
 
-// SelectRangeSel emits the row positions of f whose values fall in
-// [lo, hi] into dst, each offset by base (row r of f sets bit base+r).
-// It is the zero-allocation core of SelectRange: runs arrive as word
-// fills and straddling packed blocks as fused 64-bit match masks.
+// SelectRangeSel ORs the row positions of f whose values fall in
+// [lo, hi] into dst, each offset by base (row r of f sets bit base+r;
+// bits dst already holds stay set). It is the zero-allocation core of
+// SelectRange: runs arrive as word fills and packed words as fused
+// 64-bit match masks.
 func SelectRangeSel(f *core.Form, lo, hi int64, dst *sel.Selection, base int) error {
 	s := core.GetScratch()
 	defer s.Release()
-	return selectRangeSel(f, lo, hi, dst, base, s)
+	_, err := run(selectVerb, f, lo, hi, dst, base, s)
+	return err
 }
 
-func selectRangeSel(f *core.Form, lo, hi int64, dst *sel.Selection, base int, s *core.Scratch) error {
-	if lo > hi || f.N == 0 {
-		return nil
-	}
-	switch f.Scheme {
-	case scheme.ConstName:
-		if v := f.Params["value"]; v >= lo && v <= hi {
-			dst.AddRun(base, f.N)
-		}
-		return nil
-
-	case scheme.RLEName, scheme.RPEName:
-		bounds, values, err := runBoundariesScratch(f, s)
-		if err != nil {
-			return err
-		}
-		var start int64
-		for i, end := range bounds {
-			if values[i] >= lo && values[i] <= hi {
-				dst.AddRun(base+int(start), int(end-start))
-			}
-			start = end
-		}
-		s.PutI64(bounds)
-		s.PutI64(values)
-		return nil
-
-	case scheme.FORName:
-		return selectRangeSelFOR(f, lo, hi, dst, base, s)
-
-	case scheme.NSName:
-		if w, ok := fusedNSWidth(f); ok {
-			ulo, uhi, any := unsignedBounds(lo, hi)
-			if !any {
-				return nil
-			}
-			return bitpack.SelectRangeU(f.Packed, 0, f.N, w, ulo, uhi, func(pos int, m uint64) {
-				dst.OrWord(base+pos, m)
-			})
-		}
-		if w, ok := fusedNSZZWidth(f); ok {
-			return bitpack.SelectRangeZZ(f.Packed, 0, f.N, w, lo, hi, func(pos int, m uint64) {
-				dst.OrWord(base+pos, m)
-			})
-		}
-
-	case scheme.VNSName:
-		if done, err := selectRangeSelVNS(f, lo, hi, dst, base, s); done || err != nil {
-			return err
-		}
-
-	case scheme.DictName:
-		dict, err := core.ChildScratch(f, "dict", s)
-		if err != nil {
-			return err
-		}
-		cLo := int64(vec.LowerBound(dict, lo))
-		cHi := int64(vec.UpperBound(dict, hi)) - 1
-		s.PutI64(dict)
-		if cLo > cHi {
-			return nil
-		}
-		codes, err := f.Child("codes")
-		if err != nil {
-			return err
-		}
-		return selectRangeSel(codes, cLo, cHi, dst, base, s)
-
-	case scheme.PlusName:
-		if done, err := selectRangeSelPlus(f, lo, hi, dst, base, s); done || err != nil {
-			return err
-		}
-	}
-
-	// Fallback: materialize into scratch and scan.
-	col := s.I64(f.N)
-	defer s.PutI64(col)
-	if err := core.DecompressInto(f, col, s); err != nil {
-		return err
-	}
-	scanSelRows(col, lo, hi, dst, base)
-	return nil
-}
-
-// CountRange returns |{i : lo ≤ col[i] ≤ hi}| with the same
-// structure-exploiting shortcuts as SelectRange, but without
-// materializing row ids — fully-inside FOR segments contribute their
-// size in O(1) and packed payloads go through the fused count
-// kernels, so the common paths allocate nothing.
+// CountRange returns |{i : lo ≤ col[i] ≤ hi}| on the compressed form,
+// without materializing row ids — ranges the structure proves
+// contribute their size in O(1) and packed payloads go through the
+// fused count kernels, so the pushable forms allocate nothing.
 func CountRange(f *core.Form, lo, hi int64) (int64, error) {
+	count, _, err := Fold(f, lo, hi, CountVerb)
+	return count, err
+}
+
+// SelectStats counts the leaf ranges (FOR segments) a selection
+// classified and the ones whose offsets it had to scan; benchmarks
+// report it to show pruning at work.
+type SelectStats struct {
+	Segments        int
+	DecodedSegments int
+}
+
+// SelectRangeFORWithStats is SelectRange on a FOR form that also
+// reports how many segments escaped scanning.
+func SelectRangeFORWithStats(f *core.Form, lo, hi int64) ([]int64, SelectStats, error) {
+	if f.Scheme != scheme.FORName {
+		return nil, SelectStats{}, fmt.Errorf("query: SelectRangeFORWithStats on scheme %q", f.Scheme)
+	}
 	s := core.GetScratch()
 	defer s.Release()
-	return countRange(f, lo, hi, s)
-}
-
-func countRange(f *core.Form, lo, hi int64, s *core.Scratch) (int64, error) {
-	if lo > hi || f.N == 0 {
-		return 0, nil
+	bm := sel.Get(f.N)
+	defer bm.Release()
+	a, err := run(selectVerb, f, lo, hi, bm, 0, s)
+	if err != nil {
+		return nil, SelectStats{}, err
 	}
-	switch f.Scheme {
-	case scheme.ConstName:
-		v := f.Params["value"]
-		if v < lo || v > hi {
-			return 0, nil
-		}
-		return int64(f.N), nil
-
-	case scheme.RLEName, scheme.RPEName:
-		bounds, values, err := runBoundariesScratch(f, s)
-		if err != nil {
-			return 0, err
-		}
-		var count int64
-		var start int64
-		for i, end := range bounds {
-			if values[i] >= lo && values[i] <= hi {
-				count += end - start
-			}
-			start = end
-		}
-		s.PutI64(bounds)
-		s.PutI64(values)
-		return count, nil
-
-	case scheme.FORName:
-		return countRangeFOR(f, lo, hi, s)
-
-	case scheme.NSName:
-		if w, ok := fusedNSWidth(f); ok {
-			ulo, uhi, any := unsignedBounds(lo, hi)
-			if !any {
-				return 0, nil
-			}
-			return bitpack.CountRangeU(f.Packed, 0, f.N, w, ulo, uhi)
-		}
-		if w, ok := fusedNSZZWidth(f); ok {
-			return bitpack.CountRangeZZ(f.Packed, 0, f.N, w, lo, hi)
-		}
-
-	case scheme.VNSName:
-		if n, done, err := countRangeVNS(f, lo, hi, s); done || err != nil {
-			return n, err
-		}
-
-	case scheme.DictName:
-		dict, err := core.ChildScratch(f, "dict", s)
-		if err != nil {
-			return 0, err
-		}
-		cLo := int64(vec.LowerBound(dict, lo))
-		cHi := int64(vec.UpperBound(dict, hi)) - 1
-		s.PutI64(dict)
-		if cLo > cHi {
-			return 0, nil
-		}
-		codes, err := f.Child("codes")
-		if err != nil {
-			return 0, err
-		}
-		return countRange(codes, cLo, cHi, s)
-
-	case scheme.PlusName:
-		if n, done, err := countRangePlus(f, lo, hi, s); done || err != nil {
-			return n, err
-		}
-	}
-
-	col := s.I64(f.N)
-	defer s.PutI64(col)
-	if err := core.DecompressInto(f, col, s); err != nil {
-		return 0, err
-	}
-	return vec.CountRange(col, lo, hi), nil
-}
-
-// fusedNSWidth reports whether an NS form's payload can be scanned by
-// the fused unsigned kernels: no zigzag (the mapping does not preserve
-// value order) and width ≤ 63 (so stored words reinterpret to
-// non-negative values).
-func fusedNSWidth(f *core.Form) (uint, bool) {
-	w := f.Params["width"]
-	if f.Params["zigzag"] != 0 || w < 0 || w > 63 {
-		return 0, false
-	}
-	return uint(w), true
-}
-
-// fusedNSZZWidth reports whether an NS form's payload can be scanned
-// by the fused zigzag kernels, which decode the mapping inline and
-// compare in the signed domain — any width works there. The zigzag
-// parameter must be exactly 1, matching what decode treats as zigzag.
-func fusedNSZZWidth(f *core.Form) (uint, bool) {
-	w := f.Params["width"]
-	if f.Params["zigzag"] != 1 || w < 0 || w > 64 {
-		return 0, false
-	}
-	return uint(w), true
-}
-
-// translateRange maps the value window [lo, hi] into the residual
-// domain of a PLUS form whose model contributes m (v = m + r, so r
-// ranges over [lo-m, hi-m]), saturating at the int64 extremes. any is
-// false when no representable residual can land in the window.
-func translateRange(lo, hi, m int64) (tLo, tHi int64, any bool) {
-	tLo = lo - m
-	if m > 0 && tLo > lo {
-		tLo = minInt64 // lo-m underflows: every residual clears the lower bound
-	} else if m < 0 && tLo < lo {
-		return 0, 0, false // lo-m overflows: the window sits above the domain
-	}
-	tHi = hi - m
-	if m > 0 && tHi > hi {
-		return 0, 0, false // hi-m underflows: the window sits below the domain
-	} else if m < 0 && tHi < hi {
-		tHi = maxInt64 // hi-m overflows: every residual clears the upper bound
-	}
-	return tLo, tHi, true
+	return bm.Rows(), a.stats, nil
 }
 
 const (
@@ -272,272 +141,301 @@ const (
 	maxInt64 = 1<<63 - 1
 )
 
-// plusModelParts returns the model and residual of a PLUS form when
-// the pair is structurally scannable (lengths agree with the parent).
-func plusModelParts(f *core.Form) (model, residual *core.Form, ok bool, err error) {
-	model, err = f.Child("model")
+// push applies the verb to the rows of f whose value v satisfies
+// lo ≤ v ≤ hi; under SumVerb a matching row contributes v + add (add is
+// what the schemes above f contribute to each of its rows). The switch
+// is the rewrite table: per scheme, the child range and the combinator.
+//
+//	const   decides for the whole column from its one value
+//	rle/rpe test one value per run, expand matches by the run bounds
+//	step    a segment matches as a whole when its reference is in range
+//	for     v = ref + offset: per segment, the range moves by the
+//	        reference onto the offsets (window); segments the offsets'
+//	        width proves inside or outside are not scanned
+//	plus    v = model + residual: a const model moves the range once
+//	        and recurses; a step model is for's segment walk over the
+//	        residual
+//	dict    v = dict[code], dict sorted: value bounds become code
+//	        bounds, recurse into codes (count and select; a sum of
+//	        dict[code] is not a sum of codes)
+//	patch   run the verb on base, then correct it at the exception
+//	        positions
+//	ns/vns  a leaf: the fused kernels scan the packed words
+//
+// Anything else is materialised and scanned as a plain leaf: delta (a
+// value is a prefix sum, so a range on values is no range on deltas),
+// linear and poly models and plus over them (the range on the residual
+// would change every row), varint and elias (byte and bit streams
+// without random access), a dict under sum, and any ns/vns layout the
+// kernels cannot take. That fallback is leaves.open, and exists once;
+// answer.materialised reports that it was taken.
+func (p *pushdown) push(f *core.Form, lo, hi, add int64) error {
+	if lo > hi || f.N == 0 {
+		return nil
+	}
+	if err := check(f); err != nil {
+		return err
+	}
+	in := func(v int64) bool { return v >= lo && v <= hi }
+	switch f.Scheme {
+	case scheme.ConstName:
+		if v := f.Params["value"]; in(v) {
+			p.whole(0, f.N, (v+add)*int64(f.N))
+		}
+		return nil
+
+	case scheme.RLEName, scheme.RPEName:
+		bounds, values, err := runBoundariesScratch(f, p.s)
+		if err != nil {
+			return err
+		}
+		var start int64
+		for i, end := range bounds {
+			if in(values[i]) {
+				p.whole(int(start), int(end-start), (values[i]+add)*(end-start))
+			}
+			start = end
+		}
+		p.s.PutI64(bounds)
+		p.s.PutI64(values)
+		return nil
+
+	case scheme.StepName:
+		return p.segments(f, nil, lo, hi, add)
+
+	case scheme.FORName:
+		return p.segments(f, f.Children["offsets"], lo, hi, add)
+
+	case scheme.PlusName:
+		model, residual := f.Children["model"], f.Children["residual"]
+		if err := check(model); err != nil {
+			return err
+		}
+		switch model.Scheme {
+		case scheme.ConstName:
+			m := model.Params["value"]
+			w, n, _ := window(lo, hi, m, minInt64, maxInt64)
+			for _, r := range w[:n] {
+				if err := p.push(residual, r[0], r[1], add+m); err != nil {
+					return err
+				}
+			}
+			return nil
+		case scheme.StepName:
+			return p.segments(model, residual, lo, hi, add)
+		}
+
+	case scheme.DictName:
+		if p.verb == SumVerb {
+			break
+		}
+		dict, err := core.ChildScratch(f, "dict", p.s)
+		if err != nil {
+			return err
+		}
+		cLo := int64(vec.LowerBound(dict, lo))
+		cHi := int64(vec.UpperBound(dict, hi)) - 1
+		p.s.PutI64(dict)
+		return p.push(f.Children["codes"], cLo, cHi, 0)
+
+	case scheme.PatchName:
+		return p.patch(f, lo, hi, add)
+	}
+
+	l, err := p.leafOf(f)
 	if err != nil {
-		return nil, nil, false, err
+		return err
 	}
-	residual, err = f.Child("residual")
-	if err != nil {
-		return nil, nil, false, err
-	}
-	if model.N != f.N || residual.N != f.N {
-		// Corrupt lengths: let the materialize fallback surface the
-		// decode error rather than scanning out of bounds here.
-		return nil, nil, false, nil
-	}
-	return model, residual, true, nil
+	defer p.close(p.s)
+	return p.leafRange(l, 0, f.N, lo, hi, 0, add)
 }
 
-// selectRangeSelPlus is the fused predict+residual+compare path for
-// PLUS forms: a constant model translates the window once and recurses
-// into the residual; a step model translates it per segment and runs
-// the fused kernels on the packed residual slice of that segment.
-// done=false (without error) falls back to materializing.
-func selectRangeSelPlus(f *core.Form, lo, hi int64, dst *sel.Selection, base int, s *core.Scratch) (bool, error) {
-	model, residual, ok, err := plusModelParts(f)
-	if !ok || err != nil {
-		return false, err
+// check runs f's scheme's own structural check on the node, so a form
+// decode would refuse is refused by every verb with the same error
+// instead of being walked.
+func check(f *core.Form) error {
+	s, ok := core.Lookup(f.Scheme)
+	if !ok {
+		return fmt.Errorf("%w: %q", core.ErrUnknownScheme, f.Scheme)
 	}
-	switch model.Scheme {
-	case scheme.ConstName:
-		tLo, tHi, any := translateRange(lo, hi, model.Params["value"])
-		if !any {
-			return true, nil
-		}
-		return true, selectRangeSel(residual, tLo, tHi, dst, base, s)
-	case scheme.StepName:
-		return plusStepSegments(model, residual, s, func(segLo, segCount int, tLo, tHi int64, w uint, zz bool, _ int64) error {
-			if zz {
-				return bitpack.SelectRangeZZ(residual.Packed, segLo, segCount, w, tLo, tHi,
-					func(pos int, m uint64) { dst.OrWord(base+pos, m) })
-			}
-			ulo, uhi, any := unsignedBounds(tLo, tHi)
-			if !any {
-				return nil
-			}
-			return bitpack.SelectRangeU(residual.Packed, segLo, segCount, w, ulo, uhi,
-				func(pos int, m uint64) { dst.OrWord(base+pos, m) })
-		}, lo, hi)
+	if v, ok := s.(core.Validator); ok {
+		return v.ValidateForm(f)
 	}
-	return false, nil
+	return nil
 }
 
-// countRangePlus is selectRangeSelPlus's counting twin.
-func countRangePlus(f *core.Form, lo, hi int64, s *core.Scratch) (int64, bool, error) {
-	model, residual, ok, err := plusModelParts(f)
-	if !ok || err != nil {
-		return 0, false, err
+// whole records that every row of [start, start+count) matches; sum is
+// what they add up to.
+func (p *pushdown) whole(start, count int, sum int64) {
+	p.count += int64(count)
+	p.sum += sum
+	if p.verb == selectVerb {
+		p.dst.AddRun(p.base+start, count)
 	}
-	switch model.Scheme {
-	case scheme.ConstName:
-		tLo, tHi, any := translateRange(lo, hi, model.Params["value"])
-		if !any {
-			return 0, true, nil
+}
+
+// segments is the walk for, step and plus(model=step) share: model is
+// a step function (refs, one per seglen rows) and each row's value is
+// its segment's reference plus its value in child — a nil child (a bare
+// step model) adds nothing. The child is opened as a leaf once, and
+// every segment hands its rows of it to leafRange with the range moved
+// by the reference.
+func (p *pushdown) segments(model, child *core.Form, lo, hi, add int64) error {
+	refs, err := core.ChildScratch(model, "refs", p.s)
+	if err != nil {
+		return err
+	}
+	defer p.s.PutI64(refs)
+	var l leaf
+	if child != nil {
+		if l, err = p.leafOf(child); err != nil {
+			return err
 		}
-		n, err := countRange(residual, tLo, tHi, s)
-		return n, true, err
-	case scheme.StepName:
-		var total int64
-		done, err := plusStepSegments(model, residual, s, func(segLo, segCount int, tLo, tHi int64, w uint, zz bool, _ int64) error {
-			if zz {
-				n, err := bitpack.CountRangeZZ(residual.Packed, segLo, segCount, w, tLo, tHi)
-				total += n
+		defer p.close(p.s)
+	}
+	segLen, n := int(model.Params["seglen"]), model.N
+	for seg, ref := range refs {
+		start := seg * segLen
+		if err := p.leafRange(l, start, min(segLen, n-start), lo, hi, ref, add); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// leafRange applies the verb to rows [start, start+count) of l, whose
+// values are ref + l's: outside the range nothing happens, inside it
+// the rows match as a whole without being read (under SumVerb, summed
+// without being compared), and a straddling range is scanned by the
+// leaf over the window's one or two child ranges.
+func (p *pushdown) leafRange(l leaf, start, count int, lo, hi, ref, add int64) error {
+	var lmin, lmax int64
+	if l != nil {
+		lmin, lmax = l.extent(start, count)
+	}
+	w, n, all := window(lo, hi, ref, lmin, lmax)
+	p.stats.Segments++
+	if all {
+		var sum int64
+		if p.verb == SumVerb && l != nil {
+			var err error
+			if sum, err = l.sum(start, count); err != nil {
 				return err
 			}
-			ulo, uhi, any := unsignedBounds(tLo, tHi)
-			if !any {
-				return nil
-			}
-			n, err := bitpack.CountRangeU(residual.Packed, segLo, segCount, w, ulo, uhi)
-			total += n
+		}
+		p.whole(start, count, sum+(ref+add)*int64(count))
+		return nil
+	}
+	if n > 0 {
+		p.stats.DecodedSegments++
+	}
+	for _, r := range w[:n] {
+		if err := l.apply(p, start, count, r[0], r[1], ref+add); err != nil {
 			return err
-		}, lo, hi)
-		return total, done, err
+		}
 	}
-	return 0, false, nil
+	return nil
 }
 
-// plusStepSegments walks the segments of a step model over an NS
-// residual, translating the query window by each segment's reference
-// and handing visit the segment's residual row range, translated
-// window, kernel parameters and the reference itself (aggregating
-// callers add it back per match). done=false reports a shape the
-// fused path cannot take (non-NS residual, foreign widths, short
-// refs).
-func plusStepSegments(model, residual *core.Form, s *core.Scratch,
-	visit func(segLo, segCount int, tLo, tHi int64, w uint, zz bool, ref int64) error, lo, hi int64) (bool, error) {
-	if residual.Scheme != scheme.NSName {
-		return false, nil
+// window moves the range lo ≤ v ≤ hi on v = ref + o onto o, for o known
+// to lie in [omin, omax]: it returns the n ≤ 2 disjoint ranges of o
+// inside [omin, omax] that match, ascending, and all when that is the
+// whole of [omin, omax] (then w[0] is it). The arithmetic is unsigned
+// and wrapping, exactly as decode's ref + o wraps, so the answer is
+// exact at the int64 extremes: a range that wraps in o's domain comes
+// back as two pieces, nothing saturates, and nothing overflows.
+func window(lo, hi, ref, omin, omax int64) (w [2][2]int64, n int, all bool) {
+	// Shift o to o' = o − omin ∈ [0, width]; the matches are the
+	// circular range of span+1 values starting at o' = first.
+	width := uint64(omax) - uint64(omin)
+	span := uint64(hi) - uint64(lo)
+	first := uint64(lo) - uint64(ref) - uint64(omin)
+	if span == ^uint64(0) {
+		first = 0 // every int64 matches, wherever the range starts
 	}
-	w, ok := fusedNSWidth(residual)
-	zzPath := false
-	if !ok {
-		if w, ok = fusedNSZZWidth(residual); !ok {
-			return false, nil
+	piece := func(a, b uint64) {
+		w[n] = [2]int64{int64(uint64(omin) + a), int64(uint64(omin) + b)}
+		n++
+	}
+	if zeroAt := -first; zeroAt <= span {
+		// o' = 0 is the zeroAt'th value of the range, which runs on to
+		// o' = end and, if it wrapped to get to 0, started at first.
+		end := span - zeroAt
+		if end >= width {
+			piece(0, width)
+			return w, n, true
 		}
-		zzPath = true
+		piece(0, end)
+		if first != 0 && first <= width {
+			piece(first, width)
+		}
+	} else if first <= width {
+		// No wrap: first+span < 2^64 because zeroAt > span.
+		piece(first, min(first+span, width))
 	}
-	segLen := int(model.Params["seglen"])
-	if segLen < 1 {
-		return false, nil
-	}
-	refs, err := core.ChildScratch(model, "refs", s)
+	return w, n, false
+}
+
+// patch runs the verb on the base and corrects the answer at the
+// exception positions, where the column holds values[i] and not what
+// the base says: count and sum take the base's value back out and put
+// the exception's in, each under the range test; select restores the
+// bit to what the exception's value says — unless it was set before
+// this call, since dst may hold another leaf's matches.
+func (p *pushdown) patch(f *core.Form, lo, hi, add int64) error {
+	base := f.Children["base"]
+	positions, err := core.ChildScratch(f, "positions", p.s)
 	if err != nil {
-		return false, err
-	}
-	defer s.PutI64(refs)
-	n := residual.N
-	nseg := (n + segLen - 1) / segLen
-	if len(refs) < nseg {
-		return false, nil // short refs child: fall back so decode errors
-	}
-	for seg := 0; seg < nseg; seg++ {
-		segLo := seg * segLen
-		segHi := segLo + segLen
-		if segHi > n {
-			segHi = n
-		}
-		tLo, tHi, any := translateRange(lo, hi, refs[seg])
-		if !any {
-			continue
-		}
-		if err := visit(segLo, segHi-segLo, tLo, tHi, w, zzPath, refs[seg]); err != nil {
-			return false, err
-		}
-	}
-	return true, nil
-}
-
-// unsignedBounds clamps a signed query range onto the non-negative
-// unsigned domain of a fused payload. any is false when the range
-// misses the domain entirely.
-func unsignedBounds(lo, hi int64) (ulo, uhi uint64, any bool) {
-	if hi < 0 {
-		return 0, 0, false
-	}
-	if lo > 0 {
-		ulo = uint64(lo)
-	}
-	return ulo, uint64(hi), true
-}
-
-// offsetBounds translates a value range [lo, hi] into the unsigned
-// offset domain of a FOR segment with reference ref (v = ref + off,
-// off ≥ 0). The uint64 subtraction is exact for any int64 pair with
-// hi ≥ ref, which is why the translation never overflows.
-func offsetBounds(ref, lo, hi int64) (ulo, uhi uint64, any bool) {
-	if hi < ref {
-		return 0, 0, false
-	}
-	uhi = uint64(hi) - uint64(ref)
-	if lo > ref {
-		ulo = uint64(lo) - uint64(ref)
-	}
-	return ulo, uhi, true
-}
-
-// scanSelRows scans a materialized column chunk-wise, ORing one match
-// mask per 64 values into dst (emitOffsetMatches with a zero
-// reference).
-func scanSelRows(col []int64, lo, hi int64, dst *sel.Selection, base int) {
-	emitOffsetMatches(col, 0, lo, hi, dst, base)
-}
-
-// vnsWalk iterates the mini-blocks of a VNS form, handing each
-// visit the block's packed words, width, logical position and length.
-// It reports done=false (without error) when a stored width exceeds
-// maxW (63 for the unsigned kernels, whose word-to-value
-// reinterpretation needs non-negative values; 64 for the zigzag and
-// sum kernels) or the layout is implausible.
-func vnsWalk(f *core.Form, s *core.Scratch, maxW int64, visit func(words []uint64, w uint, pos, count int) error) (done bool, err error) {
-	widths, err := core.ChildScratch(f, "widths", s)
-	if err != nil {
-		return false, err
-	}
-	defer s.PutI64(widths)
-	for _, w := range widths {
-		if w < 0 || w > maxW {
-			return false, nil
-		}
-	}
-	block := int(f.Params["block"])
-	wordPos := 0
-	for bIdx := 0; bIdx*block < f.N; bIdx++ {
-		lo := bIdx * block
-		hi := lo + block
-		if hi > f.N {
-			hi = f.N
-		}
-		if bIdx >= len(widths) {
-			return false, fmt.Errorf("%w: vns widths child exhausted at block %d", core.ErrCorruptForm, bIdx)
-		}
-		w := uint(widths[bIdx])
-		need := bitpack.PackedWords(hi-lo, w)
-		if wordPos+need > len(f.Packed) {
-			return false, fmt.Errorf("%w: vns payload exhausted at block %d", core.ErrCorruptForm, bIdx)
-		}
-		if err := visit(f.Packed[wordPos:wordPos+need], w, lo, hi-lo); err != nil {
-			return false, err
-		}
-		wordPos += need
-	}
-	return true, nil
-}
-
-func selectRangeSelVNS(f *core.Form, lo, hi int64, dst *sel.Selection, base int, s *core.Scratch) (bool, error) {
-	if zz := f.Params["zigzag"]; zz == 1 {
-		return vnsWalk(f, s, 64, func(words []uint64, w uint, pos, count int) error {
-			return bitpack.SelectRangeZZ(words, 0, count, w, lo, hi, func(p int, m uint64) {
-				dst.OrWord(base+pos+p, m)
-			})
-		})
-	} else if zz != 0 {
-		return false, nil // unknown mapping: let decode interpret it
-	}
-	ulo, uhi, any := unsignedBounds(lo, hi)
-	if !any {
-		// "Fully negative range matches nothing" holds only if every
-		// stored width is ≤ 63 — a width-64 block reinterprets to
-		// negative values. vnsWalk performs exactly that check (and
-		// falls back when it fails), so walk with a no-op visit.
-		return vnsWalk(f, s, 63, func([]uint64, uint, int, int) error { return nil })
-	}
-	return vnsWalk(f, s, 63, func(words []uint64, w uint, pos, count int) error {
-		return bitpack.SelectRangeU(words, 0, count, w, ulo, uhi, func(p int, m uint64) {
-			dst.OrWord(base+pos+p, m)
-		})
-	})
-}
-
-func countRangeVNS(f *core.Form, lo, hi int64, s *core.Scratch) (int64, bool, error) {
-	if zz := f.Params["zigzag"]; zz == 1 {
-		var total int64
-		done, err := vnsWalk(f, s, 64, func(words []uint64, w uint, pos, count int) error {
-			n, err := bitpack.CountRangeZZ(words, 0, count, w, lo, hi)
-			total += n
-			return err
-		})
-		return total, done, err
-	} else if zz != 0 {
-		return 0, false, nil // unknown mapping: let decode interpret it
-	}
-	ulo, uhi, any := unsignedBounds(lo, hi)
-	if !any {
-		// See selectRangeSelVNS: width-64 blocks hold negative values,
-		// so the no-match shortcut must clear vnsWalk's width check.
-		done, err := vnsWalk(f, s, 63, func([]uint64, uint, int, int) error { return nil })
-		return 0, done, err
-	}
-	var total int64
-	done, err := vnsWalk(f, s, 63, func(words []uint64, w uint, pos, count int) error {
-		n, err := bitpack.CountRangeU(words, 0, count, w, ulo, uhi)
-		total += n
 		return err
-	})
-	return total, done, err
+	}
+	defer p.s.PutI64(positions)
+	values, err := core.ChildScratch(f, "values", p.s)
+	if err != nil {
+		return err
+	}
+	defer p.s.PutI64(values)
+	in := func(v int64) bool { return v >= lo && v <= hi }
+	// was holds, per exception, the bit before the base ran (select) or
+	// the base's value (count, sum).
+	was := p.s.I64(len(positions))
+	defer p.s.PutI64(was)
+	if p.verb == selectVerb {
+		for i, pos := range positions {
+			was[i] = 0
+			if p.dst.Contains(p.base + int(pos)) {
+				was[i] = 1
+			}
+		}
+	}
+	if err := p.push(base, lo, hi, add); err != nil {
+		return err
+	}
+	if p.verb == selectVerb {
+		for i, pos := range positions {
+			switch {
+			case was[i] == 1:
+			case in(values[i]):
+				p.dst.Add(p.base + int(pos))
+			default:
+				p.dst.Remove(p.base + int(pos))
+			}
+		}
+		return nil
+	}
+	if err := p.gather(base, positions, was); err != nil {
+		return err
+	}
+	for i, v := range values {
+		if b := was[i]; in(b) {
+			p.count--
+			p.sum -= b + add
+		}
+		if in(v) {
+			p.count++
+			p.sum += v + add
+		}
+	}
+	return nil
 }
 
 // runBoundariesScratch returns (exclusive run end positions, run
@@ -549,21 +447,18 @@ func runBoundariesScratch(f *core.Form, s *core.Scratch) ([]int64, []int64, erro
 		return nil, nil, err
 	}
 	var bounds []int64
-	switch f.Scheme {
-	case scheme.RLEName:
+	if f.Scheme == scheme.RLEName {
 		bounds, err = core.ChildScratch(f, "lengths", s)
 		if err == nil {
 			_, err = vec.PrefixSumInclusiveInto(bounds, bounds)
 		}
-	case scheme.RPEName:
+	} else {
 		bounds, err = core.ChildScratch(f, "positions", s)
-	default:
-		err = fmt.Errorf("query: runBoundaries on scheme %q", f.Scheme)
 	}
 	if err == nil && len(bounds) != len(values) {
 		// The scalar decode path rejects this via checkRLE/checkRPE;
 		// without the check here a short values child would panic in
-		// the fused run walks instead of erroring.
+		// the run walks instead of erroring.
 		err = fmt.Errorf("%w: %s has %d runs but %d values",
 			core.ErrCorruptForm, f.Scheme, len(bounds), len(values))
 	}
@@ -601,453 +496,23 @@ func checkRunBounds(f *core.Form, bounds []int64) error {
 	return nil
 }
 
-// segmentClass is the trichotomy of the FOR pruning walk.
-type segmentClass uint8
-
-const (
-	segOutside segmentClass = iota
-	segInside
-	segStraddle
-)
-
-// forPruner precomputes what the FOR segment walk needs: refs, the
-// per-segment offset upper bounds, and accessors that can decode or
-// fused-scan a single segment. All slices are borrowed from a Scratch
-// and the pruner itself is pooled; pair newFORPruner with release.
-type forPruner struct {
-	refs    []int64
-	segLen  int
-	n       int
-	bounds  []int64 // per-segment max offset (inclusive upper bound)
-	offsets *core.Form
-	// nsWidth is the fused-scan width of NS offsets; valid when
-	// nsFused is set.
-	nsWidth uint
-	nsFused bool
-	// decoded caches the fully decompressed offsets when the child
-	// supports no partial decoding.
-	decoded []int64
-	// VNS partial-decode state: per-block widths, block length and
-	// each block's starting word within the packed payload.
-	vnsWidths   []int64
-	vnsBlock    int
-	vnsWordOffs []int64
-}
-
-// SelectStats counts segments whose offsets were actually decoded (or
-// fused-scanned); benchmarks report it to show pruning at work.
-type SelectStats struct {
-	Segments        int
-	DecodedSegments int
-}
-
-var prunerPool = sync.Pool{New: func() any { return new(forPruner) }}
-
-func newFORPruner(f *core.Form, s *core.Scratch) (*forPruner, error) {
-	refs, err := core.ChildScratch(f, "refs", s)
-	if err != nil {
-		return nil, err
-	}
-	offsets, err := f.Child("offsets")
-	if err != nil {
-		s.PutI64(refs)
-		return nil, err
-	}
-	p := prunerPool.Get().(*forPruner)
-	*p = forPruner{
-		refs:    refs,
-		segLen:  int(f.Params["seglen"]),
-		n:       f.N,
-		offsets: offsets,
-	}
-	nseg := len(refs)
-	p.bounds = s.I64(nseg)
-	switch offsets.Scheme {
-	case scheme.NSName:
-		w, ok := fusedNSWidth(offsets)
-		if !ok {
-			// Zigzag offsets mean a foreign form (FOR offsets are
-			// non-negative by construction) — fall back to decoding.
-			if err := p.materialize(s); err != nil {
-				p.release(s)
-				return nil, err
-			}
-			break
-		}
-		p.nsWidth, p.nsFused = w, true
-		bound := int64(bitpack.Mask(w))
-		for i := range p.bounds {
-			p.bounds[i] = bound
-		}
-	case scheme.VNSName:
-		if offsets.Params["zigzag"] == 1 {
-			if err := p.materialize(s); err != nil {
-				p.release(s)
-				return nil, err
-			}
-			break
-		}
-		widths, err := core.ChildScratch(offsets, "widths", s)
-		if err != nil {
-			p.release(s)
-			return nil, err
-		}
-		block := int(offsets.Params["block"])
-		nblocks := 0
-		if block >= 1 {
-			nblocks = (p.n + block - 1) / block
-		}
-		// The fused walk requires a sane layout: a positive block
-		// length, widths covering every block, and widths ≤ 63. On
-		// anything else — including a corrupt short widths child —
-		// fall back to materializing, which answers correctly or
-		// surfaces the decode's ErrCorruptForm rather than silently
-		// dropping the uncovered rows.
-		wide := block < 1 || len(widths) < nblocks
-		for _, w := range widths {
-			if w < 0 || w > 63 {
-				wide = true
-				break
-			}
-		}
-		if wide {
-			s.PutI64(widths)
-			if err := p.materialize(s); err != nil {
-				p.release(s)
-				return nil, err
-			}
-			break
-		}
-		p.vnsWidths = widths
-		p.vnsBlock = block
-		// Per-block starting words, for partial decode.
-		p.vnsWordOffs = s.I64(nblocks + 1)
-		p.vnsWordOffs[0] = 0
-		for b := 0; b < nblocks; b++ {
-			blockLen := block
-			if (b+1)*block > p.n {
-				blockLen = p.n - b*block
-			}
-			p.vnsWordOffs[b+1] = p.vnsWordOffs[b] + int64(bitpack.PackedWords(blockLen, uint(widths[b])))
-		}
-		if int(p.vnsWordOffs[nblocks]) > len(offsets.Packed) {
-			// Truncated payload: same fallback as above.
-			s.PutI64(p.vnsWordOffs)
-			s.PutI64(p.vnsWidths)
-			p.vnsWordOffs, p.vnsWidths = nil, nil
-			if err := p.materialize(s); err != nil {
-				p.release(s)
-				return nil, err
-			}
-			break
-		}
-		for seg := range p.bounds {
-			segLo := seg * p.segLen
-			segHi := segLo + p.segLen
-			if segHi > p.n {
-				segHi = p.n
-			}
-			var maxW int64
-			for b := segLo / block; b*block < segHi; b++ {
-				if widths[b] > maxW {
-					maxW = widths[b]
-				}
-			}
-			p.bounds[seg] = int64(bitpack.Mask(uint(maxW)))
-		}
-	default:
-		if err := p.materialize(s); err != nil {
-			p.release(s)
-			return nil, err
-		}
-	}
-	return p, nil
-}
-
-// release returns the pruner's borrowed slices to s and the pruner to
-// its pool.
-func (p *forPruner) release(s *core.Scratch) {
-	s.PutI64(p.refs)
-	s.PutI64(p.bounds)
-	s.PutI64(p.decoded)
-	s.PutI64(p.vnsWidths)
-	s.PutI64(p.vnsWordOffs)
-	*p = forPruner{}
-	prunerPool.Put(p)
-}
-
-// materialize decompresses the offsets into scratch storage and
-// computes exact per-segment bounds from the data.
-func (p *forPruner) materialize(s *core.Scratch) error {
-	col := s.I64(p.offsets.N)
-	if err := core.DecompressInto(p.offsets, col, s); err != nil {
-		s.PutI64(col)
-		return err
-	}
-	p.decoded = col
-	for seg := range p.bounds {
-		lo := seg * p.segLen
-		hi := lo + p.segLen
-		if hi > p.n {
-			hi = p.n
-		}
-		var m int64
-		for _, v := range col[lo:hi] {
-			if v > m {
-				m = v
-			}
-		}
-		p.bounds[seg] = m
-	}
-	return nil
-}
-
-// classify places segment s relative to the value range [lo, hi].
-func (p *forPruner) classify(s int, lo, hi int64) segmentClass {
-	segMin := p.refs[s]
-	segMax := p.refs[s] + p.bounds[s]
-	if segMax < lo || segMin > hi {
-		return segOutside
-	}
-	if segMin >= lo && segMax <= hi {
-		return segInside
-	}
-	return segStraddle
-}
-
-// segRange clamps segment s to [0, n) and returns its row range.
-func (p *forPruner) segRange(s int) (int, int) {
-	segLo := s * p.segLen
-	segHi := segLo + p.segLen
-	if segHi > p.n {
-		segHi = p.n
-	}
-	return segLo, segHi
-}
-
-// selectSegment emits the matching rows of straddling segment seg
-// into dst (offset by base) without materializing the segment when
-// the offsets are fused-scannable.
-func (p *forPruner) selectSegment(seg int, lo, hi int64, dst *sel.Selection, base int) error {
-	segLo, segHi := p.segRange(seg)
-	ref := p.refs[seg]
-	if p.decoded != nil {
-		emitOffsetMatches(p.decoded[segLo:segHi], ref, lo, hi, dst, base+segLo)
-		return nil
-	}
-	ulo, uhi, any := offsetBounds(ref, lo, hi)
-	if !any {
-		return nil
-	}
-	if p.nsFused {
-		return bitpack.SelectRangeU(p.offsets.Packed, segLo, segHi-segLo, p.nsWidth, ulo, uhi,
-			func(pos int, m uint64) { dst.OrWord(base+pos, m) })
-	}
-	return p.vnsSegment(segLo, segHi, func(words []uint64, w uint, blockLo, relStart, relCount int) error {
-		return bitpack.SelectRangeU(words, relStart, relCount, w, ulo, uhi,
-			func(pos int, m uint64) { dst.OrWord(base+blockLo+pos, m) })
-	})
-}
-
-// countSegment counts the matching rows of straddling segment seg.
-func (p *forPruner) countSegment(seg int, lo, hi int64) (int64, error) {
-	segLo, segHi := p.segRange(seg)
-	ref := p.refs[seg]
-	if p.decoded != nil {
-		var count int64
-		for _, o := range p.decoded[segLo:segHi] {
-			v := ref + o
-			if v >= lo && v <= hi {
-				count++
-			}
-		}
-		return count, nil
-	}
-	ulo, uhi, any := offsetBounds(ref, lo, hi)
-	if !any {
-		return 0, nil
-	}
-	if p.nsFused {
-		return bitpack.CountRangeU(p.offsets.Packed, segLo, segHi-segLo, p.nsWidth, ulo, uhi)
-	}
-	var total int64
-	err := p.vnsSegment(segLo, segHi, func(words []uint64, w uint, blockLo, relStart, relCount int) error {
-		n, err := bitpack.CountRangeU(words, relStart, relCount, w, ulo, uhi)
-		total += n
-		return err
-	})
-	return total, err
-}
-
-// vnsSegment visits the VNS mini-blocks overlapping rows
-// [segLo, segHi), handing visit each block's words, width, logical
-// start and the overlap range relative to the block.
-func (p *forPruner) vnsSegment(segLo, segHi int, visit func(words []uint64, w uint, blockLo, relStart, relCount int) error) error {
-	block := p.vnsBlock
-	// newFORPruner validated that widths and word offsets cover every
-	// block, so the loop bound needs no widths-length guard.
-	for b := segLo / block; b*block < segHi; b++ {
-		blockLo := b * block
-		blockHi := blockLo + block
-		if blockHi > p.n {
-			blockHi = p.n
-		}
-		lo := segLo
-		if blockLo > lo {
-			lo = blockLo
-		}
-		hi := segHi
-		if blockHi < hi {
-			hi = blockHi
-		}
-		words := p.offsets.Packed[p.vnsWordOffs[b]:p.vnsWordOffs[b+1]]
-		if err := visit(words, uint(p.vnsWidths[b]), blockLo, lo-blockLo, hi-lo); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// emitOffsetMatches scans materialized offsets against [lo, hi] with
-// reference ref, ORing chunk masks into dst at base. ref + o wraps
-// like every int64 sum here; one unsigned compare then tests both
+// selectPlain scans materialized values chunk-wise, ORing one match
+// mask per 64 values into dst at base. One unsigned compare tests both
 // bounds, branch-free.
-func emitOffsetMatches(offs []int64, ref, lo, hi int64, dst *sel.Selection, base int) {
+func selectPlain(vals []int64, lo, hi int64, dst *sel.Selection, base int) {
 	if lo > hi {
 		return
 	}
 	span := uint64(hi) - uint64(lo)
-	for chunk := 0; chunk < len(offs); chunk += 64 {
-		end := chunk + 64
-		if end > len(offs) {
-			end = len(offs)
-		}
+	for chunk := 0; chunk < len(vals); chunk += 64 {
 		var m uint64
-		for j, o := range offs[chunk:end] {
+		for j, v := range vals[chunk:min(chunk+64, len(vals))] {
 			var bit uint64
-			if uint64(ref+o)-uint64(lo) <= span {
+			if uint64(v)-uint64(lo) <= span {
 				bit = 1
 			}
 			m |= bit << uint(j)
 		}
-		if m != 0 {
-			dst.OrWord(base+chunk, m)
-		}
+		dst.OrWord(base+chunk, m)
 	}
-}
-
-// segmentOffsets decodes the offsets of segment s only (allocating;
-// the instrumented WithStats path uses it).
-func (p *forPruner) segmentOffsets(s int) ([]int64, error) {
-	segLo, segHi := p.segRange(s)
-	if p.decoded != nil {
-		return p.decoded[segLo:segHi], nil
-	}
-	if p.vnsWidths != nil {
-		out := make([]int64, 0, segHi-segLo)
-		err := p.vnsSegment(segLo, segHi, func(words []uint64, w uint, blockLo, relStart, relCount int) error {
-			u, err := bitpack.UnpackRange(words, relStart, relCount, w)
-			if err != nil {
-				return err
-			}
-			out = append(out, bitpack.SignedSlice(u)...)
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	u, err := bitpack.UnpackRange(p.offsets.Packed, segLo, segHi-segLo, uint(p.offsets.Params["width"]))
-	if err != nil {
-		return nil, err
-	}
-	return bitpack.SignedSlice(u), nil
-}
-
-func selectRangeSelFOR(f *core.Form, lo, hi int64, dst *sel.Selection, base int, s *core.Scratch) error {
-	p, err := newFORPruner(f, s)
-	if err != nil {
-		return err
-	}
-	defer p.release(s)
-	for seg := 0; seg*p.segLen < p.n; seg++ {
-		switch p.classify(seg, lo, hi) {
-		case segOutside:
-		case segInside:
-			segLo, segHi := p.segRange(seg)
-			dst.AddRun(base+segLo, segHi-segLo)
-		case segStraddle:
-			if err := p.selectSegment(seg, lo, hi, dst, base); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// SelectRangeFORWithStats is the instrumented variant benchmarks use
-// to report how many segments escaped decoding.
-func SelectRangeFORWithStats(f *core.Form, lo, hi int64) ([]int64, SelectStats, error) {
-	if f.Scheme != scheme.FORName {
-		return nil, SelectStats{}, fmt.Errorf("query: SelectRangeFORWithStats on scheme %q", f.Scheme)
-	}
-	s := core.GetScratch()
-	defer s.Release()
-	p, err := newFORPruner(f, s)
-	if err != nil {
-		return nil, SelectStats{}, err
-	}
-	defer p.release(s)
-	var st SelectStats
-	st.Segments = len(p.refs)
-	out := []int64{}
-	for seg := 0; seg*p.segLen < p.n; seg++ {
-		segLo, segHi := p.segRange(seg)
-		switch p.classify(seg, lo, hi) {
-		case segOutside:
-		case segInside:
-			for r := segLo; r < segHi; r++ {
-				out = append(out, int64(r))
-			}
-		case segStraddle:
-			st.DecodedSegments++
-			offs, err := p.segmentOffsets(seg)
-			if err != nil {
-				return nil, st, err
-			}
-			ref := p.refs[seg]
-			for j, o := range offs {
-				v := ref + o
-				if v >= lo && v <= hi {
-					out = append(out, int64(segLo+j))
-				}
-			}
-		}
-	}
-	return out, st, nil
-}
-
-func countRangeFOR(f *core.Form, lo, hi int64, s *core.Scratch) (int64, error) {
-	p, err := newFORPruner(f, s)
-	if err != nil {
-		return 0, err
-	}
-	defer p.release(s)
-	var count int64
-	for seg := 0; seg*p.segLen < p.n; seg++ {
-		switch p.classify(seg, lo, hi) {
-		case segOutside:
-		case segInside:
-			segLo, segHi := p.segRange(seg)
-			count += int64(segHi - segLo)
-		case segStraddle:
-			n, err := p.countSegment(seg, lo, hi)
-			if err != nil {
-				return 0, err
-			}
-			count += n
-		}
-	}
-	return count, nil
 }

@@ -1,49 +1,19 @@
 package query
 
 import (
-	"fmt"
-
-	"lwcomp/internal/bitpack"
 	"lwcomp/internal/core"
 	"lwcomp/internal/scheme"
-	"lwcomp/internal/vec"
 )
 
-// This file holds the aggregation half of the fused scan layer: Sum
-// (the exact column sum, structure-exploiting and scratch-threaded)
-// and SumRange (predicate + sum fused into one pass, so Count/Sum
-// over a filtered block never materializes a selection it would
-// immediately consume). Sums wrap mod 2^64 in two's complement, the
-// same arithmetic plain int64 addition performs.
+// This file holds the aggregation entry points of the pushdown: Sum
+// (the exact column sum) and SumRange (predicate + sum fused into one
+// pass, so Count/Sum over a filtered block never materializes a
+// selection it would immediately consume). Sums wrap mod 2^64 in two's
+// complement, the same arithmetic plain int64 addition performs.
 //
-// Both entry points reject the same corrupt run boundaries the
-// decode path rejects (checkRunBounds), so a form that cannot decode
-// cannot silently aggregate either.
-
-// SumRangeIsStructural reports whether SumRange on f runs on the
-// compressed structure — run walks, segment pruning, fused
-// packed-word kernels — rather than materializing the column first.
-// Callers holding an already-decoded (or about-to-be-decoded)
-// alternative use it to pick the cheaper route: on a structural form
-// SumRange beats decode-then-fold, on anything else it IS
-// decode-then-fold plus dispatch.
-func SumRangeIsStructural(f *core.Form) bool {
-	switch f.Scheme {
-	case scheme.ConstName, scheme.RLEName, scheme.RPEName,
-		scheme.FORName, scheme.StepName, scheme.LinearName:
-		return true
-	case scheme.NSName:
-		if _, ok := fusedNSWidth(f); ok {
-			return true
-		}
-		_, ok := fusedNSZZWidth(f)
-		return ok
-	case scheme.VNSName:
-		zz := f.Params["zigzag"]
-		return zz == 0 || zz == 1
-	}
-	return false
-}
+// Both reject what decode rejects — each node passes its scheme's own
+// check before it is walked — so a form that cannot decode cannot
+// silently aggregate either.
 
 // Sum returns the exact sum of the column represented by f, computed
 // without full materialization where the form's structure allows.
@@ -54,133 +24,24 @@ func Sum(f *core.Form) (int64, error) {
 }
 
 // SumScratch is Sum with caller-provided decode scratch: the
-// steady-state zero-allocation entry point for block workers.
+// steady-state zero-allocation entry point for block workers. A sum is
+// the sum verb over the range that holds every int64 — runs contribute
+// length·value, models reference·size, packed words the fused sum
+// kernels, a patch its base plus the exceptions' corrections — except
+// where a scheme sums in a way no range pushdown would:
 func SumScratch(f *core.Form, s *core.Scratch) (int64, error) {
 	switch f.Scheme {
-	case scheme.ConstName:
-		return f.Params["value"] * int64(f.N), nil
-
-	case scheme.RLEName, scheme.RPEName:
-		bounds, values, err := runBoundariesScratch(f, s)
-		if err != nil {
-			return 0, err
-		}
-		var acc int64
-		var start int64
-		for i, end := range bounds {
-			acc += (end - start) * values[i]
-			start = end
-		}
-		s.PutI64(bounds)
-		s.PutI64(values)
-		return acc, nil
-
-	case scheme.FORName:
-		refs, err := core.ChildScratch(f, "refs", s)
-		if err != nil {
-			return 0, err
-		}
-		acc := sumStep(refs, int(f.Params["seglen"]), f.N)
-		s.PutI64(refs)
-		offsets, err := f.Child("offsets")
-		if err != nil {
-			return 0, err
-		}
-		os, err := SumScratch(offsets, s)
-		if err != nil {
-			return 0, err
-		}
-		return acc + os, nil
-
-	case scheme.StepName:
-		refs, err := core.ChildScratch(f, "refs", s)
-		if err != nil {
-			return 0, err
-		}
-		acc := sumStep(refs, int(f.Params["seglen"]), f.N)
-		s.PutI64(refs)
-		return acc, nil
-
-	case scheme.NSName:
-		w := f.Params["width"]
-		if w >= 0 && w <= 64 {
-			if f.Params["zigzag"] == 1 {
-				return bitpack.SumZZ(f.Packed, 0, f.N, uint(w))
-			}
-			// The wrapping uint64 kernel sum is bit-identical to the
-			// wrapping int64 sum of the reinterpreted values, at any
-			// width.
-			u, err := bitpack.SumU(f.Packed, 0, f.N, uint(w))
-			return int64(u), err
-		}
-
-	case scheme.VNSName:
-		var total int64
-		zz := f.Params["zigzag"] == 1
-		done, err := vnsWalk(f, s, 64, func(words []uint64, w uint, pos, count int) error {
-			if zz {
-				n, err := bitpack.SumZZ(words, 0, count, w)
-				total += n
-				return err
-			}
-			u, err := bitpack.SumU(words, 0, count, w)
-			total += int64(u)
-			return err
-		})
-		if done || err != nil {
-			return total, err
-		}
-
 	case scheme.PlusName:
-		model, err := f.Child("model")
+		// Σ (model + residual) splits, whatever the model is.
+		if err := check(f); err != nil {
+			return 0, err
+		}
+		ms, err := SumScratch(f.Children["model"], s)
 		if err != nil {
 			return 0, err
 		}
-		residual, err := f.Child("residual")
-		if err != nil {
-			return 0, err
-		}
-		ms, err := SumScratch(model, s)
-		if err != nil {
-			return 0, err
-		}
-		rs, err := SumScratch(residual, s)
-		if err != nil {
-			return 0, err
-		}
-		return ms + rs, nil
-
-	case scheme.PatchName:
-		base, err := f.Child("base")
-		if err != nil {
-			return 0, err
-		}
-		// Sum of the base plus the per-exception corrections. The
-		// corrections need the base's values at the patched
-		// positions, which PointLookup provides without full
-		// decompression.
-		bs, err := SumScratch(base, s)
-		if err != nil {
-			return 0, err
-		}
-		positions, err := core.ChildScratch(f, "positions", s)
-		if err != nil {
-			return 0, err
-		}
-		defer s.PutI64(positions)
-		values, err := core.ChildScratch(f, "values", s)
-		if err != nil {
-			return 0, err
-		}
-		defer s.PutI64(values)
-		for i, p := range positions {
-			bv, err := PointLookup(base, p)
-			if err != nil {
-				return 0, err
-			}
-			bs += values[i] - bv
-		}
-		return bs, nil
+		rs, err := SumScratch(f.Children["residual"], s)
+		return ms + rs, err
 
 	case scheme.DeltaName:
 		// Σ prefixsum(d) = Σ (n−i)·d[i]: one pass over the deltas.
@@ -195,400 +56,36 @@ func SumScratch(f *core.Form, s *core.Scratch) (int64, error) {
 			acc += (n - int64(i)) * d
 		}
 		return acc, nil
-
-	case scheme.DictName:
-		dict, codes, err := dictPartsScratch(f, s)
-		if err != nil {
-			return 0, err
-		}
-		defer s.PutI64(dict)
-		defer s.PutI64(codes)
-		var acc int64
-		n := int64(len(dict))
-		for _, c := range codes {
-			if c < 0 || c >= n {
-				return 0, fmt.Errorf("%w: dict code %d out of range", core.ErrCorruptForm, c)
-			}
-			acc += dict[c]
-		}
-		return acc, nil
-
-	case scheme.LinearName:
-		sum, _, done, err := linearFold(f, s, minInt64, maxInt64)
-		if done || err != nil {
-			return sum, err
-		}
 	}
+	a, err := run(SumVerb, f, minInt64, maxInt64, nil, 0, s)
+	return a.sum, err
+}
 
-	// Fallback: materialize into scratch.
-	col := s.I64(f.N)
-	defer s.PutI64(col)
-	if err := core.DecompressInto(f, col, s); err != nil {
-		return 0, err
+// Fold pushes the range [lo, hi] down f under verb v — CountVerb or
+// SumVerb — and returns how many rows match and, under SumVerb only,
+// what they sum to. It is what CountRange and SumRange are made of,
+// for callers that pick the verb at run time.
+func Fold(f *core.Form, lo, hi int64, v Verb) (count, sum int64, err error) {
+	s := core.GetScratch()
+	defer s.Release()
+	a, err := run(v, f, lo, hi, nil, 0, s)
+	if v != SumVerb {
+		a.sum = 0
 	}
-	return vec.Sum(col), nil
+	return a.count, a.sum, err
 }
 
 // SumRange returns the sum and count of the values of f inside
-// [lo, hi] — the fused filter+aggregate: packed payloads go through
-// the sumInRange kernels, runs contribute length·value per run, FOR
-// and step models prune whole segments, and nothing is materialized
-// on the structural paths.
+// [lo, hi] — the fused filter+aggregate, pushed down the form like
+// CountRange (see push): nothing is materialized on the pushable
+// forms.
 func SumRange(f *core.Form, lo, hi int64) (sum, count int64, err error) {
-	s := core.GetScratch()
-	defer s.Release()
-	return SumRangeScratch(f, lo, hi, s)
+	count, sum, err = Fold(f, lo, hi, SumVerb)
+	return sum, count, err
 }
 
 // SumRangeScratch is SumRange with caller-provided decode scratch.
 func SumRangeScratch(f *core.Form, lo, hi int64, s *core.Scratch) (sum, count int64, err error) {
-	if lo > hi || f.N == 0 {
-		return 0, 0, nil
-	}
-	switch f.Scheme {
-	case scheme.ConstName:
-		v := f.Params["value"]
-		if v < lo || v > hi {
-			return 0, 0, nil
-		}
-		return v * int64(f.N), int64(f.N), nil
-
-	case scheme.RLEName, scheme.RPEName:
-		bounds, values, err := runBoundariesScratch(f, s)
-		if err != nil {
-			return 0, 0, err
-		}
-		var start int64
-		for i, end := range bounds {
-			if v := values[i]; v >= lo && v <= hi {
-				sum += (end - start) * v
-				count += end - start
-			}
-			start = end
-		}
-		s.PutI64(bounds)
-		s.PutI64(values)
-		return sum, count, nil
-
-	case scheme.NSName:
-		if w, ok := fusedNSWidth(f); ok {
-			ulo, uhi, any := unsignedBounds(lo, hi)
-			if !any {
-				return 0, 0, nil
-			}
-			us, n, err := bitpack.SumRangeU(f.Packed, 0, f.N, w, ulo, uhi)
-			return int64(us), n, err
-		}
-		if w, ok := fusedNSZZWidth(f); ok {
-			return bitpack.SumRangeZZ(f.Packed, 0, f.N, w, lo, hi)
-		}
-
-	case scheme.VNSName:
-		if sum, count, done, err := sumRangeVNS(f, lo, hi, s); done || err != nil {
-			return sum, count, err
-		}
-
-	case scheme.FORName:
-		return sumRangeFOR(f, lo, hi, s)
-
-	case scheme.StepName:
-		refs, err := core.ChildScratch(f, "refs", s)
-		if err != nil {
-			return 0, 0, err
-		}
-		defer s.PutI64(refs)
-		segLen := int(f.Params["seglen"])
-		if segLen < 1 {
-			break // corrupt: materialize fallback surfaces the error
-		}
-		for seg := 0; seg*segLen < f.N; seg++ {
-			if seg >= len(refs) {
-				break
-			}
-			if v := refs[seg]; v >= lo && v <= hi {
-				size := int64(segLen)
-				if (seg+1)*segLen > f.N {
-					size = int64(f.N - seg*segLen)
-				}
-				sum += v * size
-				count += size
-			}
-		}
-		return sum, count, nil
-
-	case scheme.DictName:
-		dict, codes, err := dictPartsScratch(f, s)
-		if err != nil {
-			return 0, 0, err
-		}
-		defer s.PutI64(dict)
-		defer s.PutI64(codes)
-		cLo := int64(vec.LowerBound(dict, lo))
-		cHi := int64(vec.UpperBound(dict, hi)) - 1
-		n := int64(len(dict))
-		for _, c := range codes {
-			if c < 0 || c >= n {
-				return 0, 0, fmt.Errorf("%w: dict code %d out of range", core.ErrCorruptForm, c)
-			}
-			if c >= cLo && c <= cHi {
-				sum += dict[c]
-				count++
-			}
-		}
-		return sum, count, nil
-
-	case scheme.PlusName:
-		if sum, count, done, err := sumRangePlus(f, lo, hi, s); done || err != nil {
-			return sum, count, err
-		}
-
-	case scheme.LinearName:
-		if sum, count, done, err := linearFold(f, s, lo, hi); done || err != nil {
-			return sum, count, err
-		}
-	}
-
-	// Fallback: materialize into scratch and fold in one pass.
-	col := s.I64(f.N)
-	defer s.PutI64(col)
-	if err := core.DecompressInto(f, col, s); err != nil {
-		return 0, 0, err
-	}
-	for _, v := range col {
-		if v >= lo && v <= hi {
-			sum += v
-			count++
-		}
-	}
-	return sum, count, nil
-}
-
-// sumStep sums a step function: Σ refs[s] · |segment s|.
-func sumStep(refs []int64, segLen, n int) int64 {
-	var acc int64
-	for s := 0; s*segLen < n; s++ {
-		size := segLen
-		if (s+1)*segLen > n {
-			size = n - s*segLen
-		}
-		acc += refs[s] * int64(size)
-	}
-	return acc
-}
-
-// dictPartsScratch borrows a dict form's dictionary and decoded codes
-// from s; the caller returns both with PutI64.
-func dictPartsScratch(f *core.Form, s *core.Scratch) (dict, codes []int64, err error) {
-	dict, err = core.ChildScratch(f, "dict", s)
-	if err != nil {
-		return nil, nil, err
-	}
-	codes, err = core.ChildScratch(f, "codes", s)
-	if err != nil {
-		s.PutI64(dict)
-		return nil, nil, err
-	}
-	return dict, codes, nil
-}
-
-// sumRangeVNS folds the fused filter+sum kernels over a VNS form's
-// mini-blocks.
-func sumRangeVNS(f *core.Form, lo, hi int64, s *core.Scratch) (sum, count int64, done bool, err error) {
-	if zz := f.Params["zigzag"]; zz == 1 {
-		done, err = vnsWalk(f, s, 64, func(words []uint64, w uint, pos, n int) error {
-			bs, bn, err := bitpack.SumRangeZZ(words, 0, n, w, lo, hi)
-			sum += bs
-			count += bn
-			return err
-		})
-		return sum, count, done, err
-	} else if zz != 0 {
-		return 0, 0, false, nil
-	}
-	ulo, uhi, any := unsignedBounds(lo, hi)
-	if !any {
-		done, err = vnsWalk(f, s, 63, func([]uint64, uint, int, int) error { return nil })
-		return 0, 0, done, err
-	}
-	done, err = vnsWalk(f, s, 63, func(words []uint64, w uint, pos, n int) error {
-		bs, bn, err := bitpack.SumRangeU(words, 0, n, w, ulo, uhi)
-		sum += int64(bs)
-		count += bn
-		return err
-	})
-	return sum, count, done, err
-}
-
-// sumRangeFOR walks FOR segments with the pruner trichotomy: outside
-// segments contribute nothing, inside segments their reference times
-// size plus the offsets' plain sum, straddling segments the fused
-// filter+sum over the packed offsets.
-func sumRangeFOR(f *core.Form, lo, hi int64, s *core.Scratch) (sum, count int64, err error) {
-	p, err := newFORPruner(f, s)
-	if err != nil {
-		return 0, 0, err
-	}
-	defer p.release(s)
-	for seg := 0; seg*p.segLen < p.n; seg++ {
-		switch p.classify(seg, lo, hi) {
-		case segOutside:
-		case segInside:
-			segLo, segHi := p.segRange(seg)
-			size := int64(segHi - segLo)
-			os, err := p.sumSegmentOffsets(seg)
-			if err != nil {
-				return 0, 0, err
-			}
-			sum += p.refs[seg]*size + os
-			count += size
-		case segStraddle:
-			ss, sc, err := p.sumRangeSegment(seg, lo, hi)
-			if err != nil {
-				return 0, 0, err
-			}
-			sum += ss
-			count += sc
-		}
-	}
-	return sum, count, nil
-}
-
-// sumSegmentOffsets sums the offsets of segment seg without
-// materializing them when the payload is fused-scannable.
-func (p *forPruner) sumSegmentOffsets(seg int) (int64, error) {
-	segLo, segHi := p.segRange(seg)
-	if p.decoded != nil {
-		var acc int64
-		for _, o := range p.decoded[segLo:segHi] {
-			acc += o
-		}
-		return acc, nil
-	}
-	if p.nsFused {
-		u, err := bitpack.SumU(p.offsets.Packed, segLo, segHi-segLo, p.nsWidth)
-		return int64(u), err
-	}
-	var total int64
-	err := p.vnsSegment(segLo, segHi, func(words []uint64, w uint, blockLo, relStart, relCount int) error {
-		u, err := bitpack.SumU(words, relStart, relCount, w)
-		total += int64(u)
-		return err
-	})
-	return total, err
-}
-
-// sumRangeSegment sums and counts the matching rows of straddling
-// segment seg via the fused filter+sum kernels on the packed offsets.
-func (p *forPruner) sumRangeSegment(seg int, lo, hi int64) (sum, count int64, err error) {
-	segLo, segHi := p.segRange(seg)
-	ref := p.refs[seg]
-	if p.decoded != nil {
-		for _, o := range p.decoded[segLo:segHi] {
-			v := ref + o
-			if v >= lo && v <= hi {
-				sum += v
-				count++
-			}
-		}
-		return sum, count, nil
-	}
-	ulo, uhi, any := offsetBounds(ref, lo, hi)
-	if !any {
-		return 0, 0, nil
-	}
-	if p.nsFused {
-		us, n, err := bitpack.SumRangeU(p.offsets.Packed, segLo, segHi-segLo, p.nsWidth, ulo, uhi)
-		if err != nil {
-			return 0, 0, err
-		}
-		return int64(us) + ref*n, n, nil
-	}
-	err = p.vnsSegment(segLo, segHi, func(words []uint64, w uint, blockLo, relStart, relCount int) error {
-		us, n, err := bitpack.SumRangeU(words, relStart, relCount, w, ulo, uhi)
-		sum += int64(us) + ref*n
-		count += n
-		return err
-	})
-	return sum, count, err
-}
-
-// sumRangePlus is the fused predict+residual+aggregate path for PLUS
-// forms, mirroring selectRangeSelPlus: v = m + r, so the residual is
-// filtered against the translated window and each match contributes
-// its model value back into the sum.
-func sumRangePlus(f *core.Form, lo, hi int64, s *core.Scratch) (sum, count int64, done bool, err error) {
-	model, residual, ok, err := plusModelParts(f)
-	if !ok || err != nil {
-		return 0, 0, false, err
-	}
-	switch model.Scheme {
-	case scheme.ConstName:
-		m := model.Params["value"]
-		tLo, tHi, any := translateRange(lo, hi, m)
-		if !any {
-			return 0, 0, true, nil
-		}
-		rs, n, err := SumRangeScratch(residual, tLo, tHi, s)
-		return rs + m*n, n, true, err
-	case scheme.StepName:
-		done, err = plusStepSegments(model, residual, s, func(segLo, segCount int, tLo, tHi int64, w uint, zz bool, ref int64) error {
-			if zz {
-				rs, n, err := bitpack.SumRangeZZ(residual.Packed, segLo, segCount, w, tLo, tHi)
-				sum += rs + ref*n
-				count += n
-				return err
-			}
-			ulo, uhi, any := unsignedBounds(tLo, tHi)
-			if !any {
-				return nil
-			}
-			us, n, err := bitpack.SumRangeU(residual.Packed, segLo, segCount, w, ulo, uhi)
-			sum += int64(us) + ref*n
-			count += n
-			return err
-		}, lo, hi)
-		return sum, count, done, err
-	}
-	return 0, 0, false, nil
-}
-
-// linearFold folds a LINEAR form without materializing it: each row's
-// prediction is evaluated and tested against [lo, hi] in place.
-// done=false reports a shape the closed walk cannot take.
-func linearFold(f *core.Form, s *core.Scratch, lo, hi int64) (sum, count int64, done bool, err error) {
-	segLen := int(f.Params["seglen"])
-	if segLen < 1 {
-		return 0, 0, false, nil
-	}
-	bases, err := core.ChildScratch(f, "bases", s)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	defer s.PutI64(bases)
-	slopes, err := core.ChildScratch(f, "slopes", s)
-	if err != nil {
-		return 0, 0, false, err
-	}
-	defer s.PutI64(slopes)
-	nseg := (f.N + segLen - 1) / segLen
-	if len(bases) < nseg || len(slopes) < nseg {
-		return 0, 0, false, nil // corrupt: materialize fallback surfaces the error
-	}
-	frac := uint(f.Params["frac"])
-	for seg := 0; seg < nseg; seg++ {
-		rowLo := seg * segLen
-		rowHi := rowLo + segLen
-		if rowHi > f.N {
-			rowHi = f.N
-		}
-		base, slope := bases[seg], slopes[seg]
-		for j := 0; j < rowHi-rowLo; j++ {
-			v := scheme.LinearPredict(base, slope, j, frac)
-			if v >= lo && v <= hi {
-				sum += v
-				count++
-			}
-		}
-	}
-	return sum, count, true, nil
+	a, err := run(SumVerb, f, lo, hi, nil, 0, s)
+	return a.sum, a.count, err
 }

@@ -42,15 +42,8 @@ func NewPatchForm(base *core.Form, positions, values []int64) (*core.Form, error
 		return nil, fmt.Errorf("%w: patch exception lists differ: %d positions, %d values",
 			core.ErrCorruptForm, len(positions), len(values))
 	}
-	prev := int64(-1)
-	for i, p := range positions {
-		if p < 0 || p >= int64(base.N) {
-			return nil, fmt.Errorf("%w: patch position %d out of range [0,%d)", core.ErrCorruptForm, p, base.N)
-		}
-		if p <= prev {
-			return nil, fmt.Errorf("%w: patch positions not strictly increasing at index %d", core.ErrCorruptForm, i)
-		}
-		prev = p
+	if err := checkPatchPositions(positions, base.N); err != nil {
+		return nil, err
 	}
 	return &core.Form{
 		Scheme: PatchName,
@@ -140,6 +133,37 @@ func checkPatch(f *core.Form) error {
 	if p.N != v.N {
 		return fmt.Errorf("%w: patch positions (%d) and values (%d) differ in length",
 			core.ErrCorruptForm, p.N, v.N)
+	}
+	// Every consumer — the scatter of decode, the exception fix-ups of
+	// the pushed-down verbs, PointLookup's binary search — relies on
+	// the positions being a strictly increasing list inside the base,
+	// so it is checked where they all check: O(exceptions), in place
+	// for the ID child every encoder emits.
+	positions := p.Leaf
+	if p.Scheme != IDName {
+		if positions, err = core.Decompress(p); err != nil {
+			return err
+		}
+	}
+	if len(positions) != p.N {
+		return fmt.Errorf("%w: patch positions child declares %d values, holds %d",
+			core.ErrCorruptForm, p.N, len(positions))
+	}
+	return checkPatchPositions(positions, f.N)
+}
+
+// checkPatchPositions reports positions that are not strictly
+// increasing inside [0, n).
+func checkPatchPositions(positions []int64, n int) error {
+	prev := int64(-1)
+	for i, p := range positions {
+		if p < 0 || p >= int64(n) {
+			return fmt.Errorf("%w: patch position %d out of range [0,%d)", core.ErrCorruptForm, p, n)
+		}
+		if p <= prev {
+			return fmt.Errorf("%w: patch positions not strictly increasing at index %d", core.ErrCorruptForm, i)
+		}
+		prev = p
 	}
 	return nil
 }

@@ -64,6 +64,11 @@ func (s *Selection) Add(i int) {
 	s.words[i>>6] |= 1 << (uint(i) & 63)
 }
 
+// Remove deselects row i.
+func (s *Selection) Remove(i int) {
+	s.words[i>>6] &^= 1 << (uint(i) & 63)
+}
+
 // Contains reports whether row i is selected.
 func (s *Selection) Contains(i int) bool {
 	if i < 0 || i >= s.n {

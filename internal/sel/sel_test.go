@@ -30,7 +30,7 @@ func equal(a, b []int64) bool {
 	return true
 }
 
-// TestAddRunRandom cross-checks AddRun/Add/OrWord against a bool-slice
+// TestAddRunRandom cross-checks AddRun/Add/Remove/OrWord against a bool-slice
 // model over random operations and domain sizes that exercise word
 // boundaries.
 func TestAddRunRandom(t *testing.T) {
@@ -39,11 +39,15 @@ func TestAddRunRandom(t *testing.T) {
 		s := New(n)
 		ref := make(reference, n)
 		for op := 0; op < 200 && n > 0; op++ {
-			switch rng.Intn(3) {
+			switch rng.Intn(4) {
 			case 0:
 				i := rng.Intn(n)
 				s.Add(i)
 				ref[i] = true
+			case 3:
+				i := rng.Intn(n)
+				s.Remove(i)
+				ref[i] = false
 			case 1:
 				start := rng.Intn(n)
 				count := rng.Intn(n - start + 1)

@@ -88,6 +88,9 @@ type aggregation struct {
 	cols    []int
 	sums    []int64
 	matched int64
+	// leaf is the table position of the column the predicate tests when
+	// it is a single Range, Eq or In leaf, and -1 otherwise.
+	leaf int
 }
 
 var aggPool = sync.Pool{New: func() any { return new(aggregation) }}
@@ -113,6 +116,14 @@ func (t *Table) aggregate(ctx context.Context, e Expr, sumCols []string, sums []
 		a.cols, a.sums = append(a.cols, ci), append(a.sums, 0)
 	}
 	a.p = t.plan(e, man, a.cols)
+	switch n := e.(type) {
+	case *rangeNode:
+		a.leaf = t.index[n.col]
+	case *inNode:
+		a.leaf = t.index[n.col]
+	default:
+		a.leaf = -1
+	}
 	if err := a.p.run(ctx, a); err != nil {
 		return 0, err
 	}
@@ -134,8 +145,8 @@ func (a *aggregation) Proved(k int) error {
 
 // Visit counts (and sums) one undecided chunk. When the predicate is a
 // leaf over a whole block, with the leaf's own column the only sum (or
-// none), it runs on the compressed form through the fused range
-// kernels, one pass over the packed words with no selection at all.
+// none), the count or sum verb is pushed down the block's compressed
+// form — one pass over the constituents with no selection at all.
 // Everything else evaluates the predicate into a pooled chunk-local
 // selection and consumes it immediately. An error means the chunk's
 // predicate side failed: the driver drops the chunk (count and sums)
@@ -146,17 +157,26 @@ func (a *aggregation) Visit(k int) error {
 	if count == 0 {
 		return nil
 	}
-	var leaf string
-	switch n := a.p.e.(type) {
-	case *rangeNode:
-		leaf = n.col
-	case *inNode:
-		leaf = n.col
-	}
-	if f, b, err := a.fusable(leaf, k); err != nil {
-		return err
-	} else if f != nil {
-		return a.visitLeaf(f, b)
+	if len(a.cols) == 0 || (len(a.cols) == 1 && a.cols[0] == a.leaf) {
+		verb := query.CountVerb
+		if len(a.cols) == 1 {
+			verb = query.SumVerb
+		}
+		if f, b, err := a.leafForm(a.leaf, k); err != nil {
+			return err
+		} else if f != nil {
+			// Committed once, after every probe succeeded, so a failing
+			// block contributes nothing.
+			cnt, sum, err := a.foldLeaf(f, b, verb)
+			if err != nil {
+				return err
+			}
+			atomic.AddInt64(&a.matched, cnt)
+			if verb == query.SumVerb {
+				atomic.AddInt64(&a.sums[0], sum)
+			}
+			return nil
+		}
 	}
 
 	local := sel.Get(count)
@@ -175,58 +195,15 @@ func (a *aggregation) Visit(k int) error {
 	return a.addSums(k, local)
 }
 
-// visitLeaf answers a leaf predicate on its block's form f: a Range
-// leaf is one fused range probe, an In leaf one per maximal run of
-// consecutive values that the block's stats do not refute (runs are
-// disjoint, so their counts and sums add). The totals are committed
-// once, after every probe succeeded, so a failing block contributes
-// nothing.
-func (a *aggregation) visitLeaf(f *core.Form, b *blocked.Block) error {
-	var cnt, sum int64
-	var err error
-	switch n := a.p.e.(type) {
-	case *rangeNode:
-		cnt, sum, err = a.rangeOn(f, n.lo, n.hi)
-	case *inNode:
-		for i := 0; i < len(n.vals) && err == nil; {
-			var lo, hi, c, s int64
-			if lo, hi, i = n.run(i); b.ClassifyRange(lo, hi) != blocked.RangeMiss {
-				c, s, err = a.rangeOn(f, lo, hi)
-				cnt, sum = cnt+c, sum+s
-			}
-		}
-	}
-	if err != nil {
-		return err
-	}
-	atomic.AddInt64(&a.matched, cnt)
-	if sum != 0 {
-		atomic.AddInt64(&a.sums[0], sum)
-	}
-	return nil
-}
-
-// rangeOn counts lo ≤ v ≤ hi on f — and sums the matches when a sum is
-// wanted — through the fused range kernels.
-func (a *aggregation) rangeOn(f *core.Form, lo, hi int64) (cnt, sum int64, err error) {
-	if len(a.cols) == 0 {
-		cnt, err = query.CountRange(f, lo, hi)
-	} else {
-		sum, cnt, err = query.SumRange(f, lo, hi)
-	}
-	return cnt, sum, err
-}
-
-// fusable fetches the form (and returns the index entry) of the named
-// leaf column's block holding chunk k when the leaf can be answered on
-// the compressed form alone: the chunk is the whole block, and the
-// column is the only sum requested, or none is. Otherwise — or when
-// the predicate is no leaf and leaf is empty — f is nil. The fetch is
-// never wasted: the driver only visits chunks with a range the stats
-// could not decide.
-func (a *aggregation) fusable(leaf string, k int) (f *core.Form, b *blocked.Block, err error) {
-	ci, ok := a.p.t.index[leaf]
-	if !ok || len(a.cols) > 1 || (len(a.cols) == 1 && a.cols[0] != ci) {
+// leafForm returns the form (and index entry) of column ci's block
+// holding chunk k when the predicate is a leaf over ci and the chunk is
+// that whole block: then the rows the predicate matches are exactly the
+// rows of the block inside the leaf's ranges, and a verb pushed down
+// the form answers for them without a selection or a decode. Otherwise
+// f is nil. A composite predicate matches a subset of any one leaf's
+// range and never gets here (e is the whole expression).
+func (a *aggregation) leafForm(ci, k int) (f *core.Form, b *blocked.Block, err error) {
+	if ci < 0 || a.leaf != ci {
 		return nil, nil, nil
 	}
 	c, bi, whole := a.p.blockOf(ci, k)
@@ -237,12 +214,33 @@ func (a *aggregation) fusable(leaf string, k int) (f *core.Form, b *blocked.Bloc
 	return f, &c.Blocks[bi], err
 }
 
+// foldLeaf pushes verb down f for the leaf predicate: a Range leaf is
+// one range, an In leaf one per maximal run of consecutive values that
+// the block's stats do not refute (runs are disjoint, so their counts
+// and sums add).
+func (a *aggregation) foldLeaf(f *core.Form, b *blocked.Block, verb query.Verb) (cnt, sum int64, err error) {
+	switch n := a.p.e.(type) {
+	case *rangeNode:
+		return query.Fold(f, n.lo, n.hi, verb)
+	case *inNode:
+		for i := 0; i < len(n.vals) && err == nil; {
+			var lo, hi, c, s int64
+			if lo, hi, i = n.run(i); b.ClassifyRange(lo, hi) != blocked.RangeMiss {
+				c, s, err = query.Fold(f, lo, hi, verb)
+				cnt, sum = cnt+c, sum+s
+			}
+		}
+	}
+	return cnt, sum, err
+}
+
 // addSums folds every sum column over chunk k's rows selected in local
 // — all of them when local is nil — into a.sums. A whole block with
-// every row selected sums on its compressed form; a Range leaf over
-// the sum column itself sums through the fused kernel; everything else
-// masks the decoded values. A permanently unreadable block degrades
-// in place: recorded, and only that column's contribution is omitted.
+// every row selected sums on its compressed form; a leaf predicate over
+// the sum column itself pushes the sum verb down the form; everything
+// else masks the decoded values. A permanently unreadable block
+// degrades in place: recorded, and only that column's contribution is
+// omitted.
 func (a *aggregation) addSums(k int, local *sel.Selection) error {
 	for i, ci := range a.cols {
 		c, bi, whole := a.p.blockOf(ci, k)
@@ -250,8 +248,10 @@ func (a *aggregation) addSums(k int, local *sel.Selection) error {
 		var err error
 		if local == nil && whole {
 			v, err = c.SumBlock(bi)
-		} else if lo, hi, f, ok := a.sameColRangeLeaf(ci, c, bi, whole); ok {
-			v, _, err = query.SumRange(f, lo, hi)
+		} else if f, b, ferr := a.leafForm(ci, k); f != nil || ferr != nil {
+			if err = ferr; err == nil {
+				_, v, err = a.foldLeaf(f, b, query.SumVerb)
+			}
 		} else {
 			sc := core.GetScratch()
 			var vals []int64
@@ -275,24 +275,4 @@ func (a *aggregation) addSums(k int, local *sel.Selection) error {
 		atomic.AddInt64(&a.sums[i], v)
 	}
 	return nil
-}
-
-// sameColRangeLeaf reports whether the predicate is a Range leaf over
-// exactly column ci, the chunk is the whole block bi, AND the block's
-// form sums structurally, returning the bounds and form. Then the
-// matched rows are exactly the in-range rows, and the fused SumRange
-// kernel sums them without a decode. A composite predicate matches a
-// subset of a leaf's range and never gets here (e is the whole
-// expression); a non-structural form would pay SumRange's
-// materializing fallback on top of the decode the caller does anyway.
-func (a *aggregation) sameColRangeLeaf(ci int, c *blocked.Column, bi int, whole bool) (lo, hi int64, f *core.Form, ok bool) {
-	n, isRange := a.p.e.(*rangeNode)
-	if !isRange || !whole || a.p.t.index[n.col] != ci {
-		return 0, 0, nil, false
-	}
-	f, err := c.BlockForm(bi)
-	if err != nil || !query.SumRangeIsStructural(f) {
-		return 0, 0, nil, false
-	}
-	return n.lo, n.hi, f, true
 }

@@ -191,6 +191,26 @@ func CountRange(src []int64, lo, hi int64) int64 {
 	return c
 }
 
+// SumRange returns the wrapping sum and the count of the elements of
+// src that fall in [lo, hi] — CountRange's filter fused with the
+// aggregate, on the same single unsigned compare, so the loop carries
+// no data-dependent branch either.
+func SumRange(src []int64, lo, hi int64) (sum, count int64) {
+	if lo > hi {
+		return 0, 0
+	}
+	span := uint64(hi) - uint64(lo)
+	for _, v := range src {
+		var in int64
+		if uint64(v)-uint64(lo) <= span {
+			in = 1
+		}
+		sum += v & -in
+		count += in
+	}
+	return sum, count
+}
+
 // Sum returns the sum of src. Overflow wraps, matching Go integer
 // semantics; callers that need exactness bound their inputs.
 func Sum(src []int64) int64 {

@@ -304,6 +304,32 @@ func TestCountRangeExtremes(t *testing.T) {
 		if got := CountRange(src, tc.lo, tc.hi); got != tc.want {
 			t.Errorf("CountRange(%d, %d) = %d, want %d", tc.lo, tc.hi, got, tc.want)
 		}
+		// SumRange is the same filter with the aggregate fused in: the
+		// same count, and the wrapping sum of exactly the counted values.
+		var wantSum int64
+		for _, v := range src {
+			if v >= tc.lo && v <= tc.hi {
+				wantSum += v
+			}
+		}
+		if sum, n := SumRange(src, tc.lo, tc.hi); n != tc.want || sum != wantSum {
+			t.Errorf("SumRange(%d, %d) = (%d, %d), want (%d, %d)", tc.lo, tc.hi, sum, n, wantSum, tc.want)
+		}
+	}
+}
+
+// TestSumRangeWraps: the sum wraps mod 2^64 like every int64 sum here,
+// and the count does not care.
+func TestSumRangeWraps(t *testing.T) {
+	src := []int64{math.MaxInt64, math.MaxInt64, 5, math.MinInt64, -7}
+	if sum, n := SumRange(src, 1, math.MaxInt64); n != 3 || sum != 3 { // 2·(2^63−1)+5 wraps to 3
+		t.Fatalf("SumRange above zero = (%d, %d), want (3, 3)", sum, n)
+	}
+	if sum, n := SumRange(src, math.MinInt64, math.MaxInt64); n != 5 || sum != Sum(src) {
+		t.Fatalf("SumRange over everything = (%d, %d), want (%d, 5)", sum, n, Sum(src))
+	}
+	if sum, n := SumRange(nil, 0, 10); n != 0 || sum != 0 {
+		t.Fatalf("SumRange(nil) = (%d, %d)", sum, n)
 	}
 }
 

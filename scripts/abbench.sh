@@ -1,26 +1,30 @@
 #!/usr/bin/env bash
-# abbench.sh <base-ref> <workload> [pairs=3]
+# abbench.sh <base-ref> <workload> [pairs=3] [first-seed=1]
 #
 # A/B the repository benchmark between a base commit and the working
-# tree: checks <base-ref> out into a temporary git worktree, alternates
-# base and head runs of
+# tree: checks <base-ref> out into a temporary git worktree (a shared
+# clone where worktrees are refused), alternates base and head runs of
 #
 #     benchmark/run.sh --workload <workload> --seconds 20 --trace 0
 #
-# (same seed on both sides of a pair, the side that goes first
-# alternating), and prints, per end-to-end metric of BENCHMARK.json,
-# the two medians, head/base, and WORSE when head is worse than base by
-# more than that metric's bound. A metric whose base runs spread
-# (max-min over median) wider than the bound is marked UNRESOLVED: the
-# comparison cannot tell. Read-only with respect to benchmark/ and
-# BENCHMARK.json; each side builds into its own .bench_build/.
+# (same seed on both sides of a pair, first-seed, first-seed+1, …, the
+# side that goes first alternating), and prints, per end-to-end metric
+# of BENCHMARK.json: the two medians, head/base, the base runs'
+# quartiles, how many pairs head won (ties count for neither side), and
+# a verdict. WORSE: head is worse than base by more than that metric's
+# bound. UNRESOLVED: the base runs spread (max-min over median) wider
+# than the bound, so the comparison cannot tell. GAIN: head won at
+# least nine tenths of the pairs and the medians differ by more than
+# the base's inter-quartile distance — the rule a claimed improvement
+# has to meet. Read-only with respect to benchmark/ and BENCHMARK.json;
+# each side builds into its own .bench_build/.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
-	echo "usage: $0 <base-ref> <workload> [pairs=3]" >&2
+	echo "usage: $0 <base-ref> <workload> [pairs=3] [first-seed=1]" >&2
 	exit 2
 fi
-base_ref=$1 workload=$2 pairs=${3:-3}
+base_ref=$1 workload=$2 pairs=${3:-3} seed=${4:-1}
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 tmp="$(mktemp -d)"
@@ -29,7 +33,13 @@ cleanup() {
 	rm -rf "$tmp"
 }
 trap cleanup EXIT
-git -C "$root" worktree add --detach "$tmp/base" "$base_ref" >/dev/null
+if ! git -C "$root" worktree add --detach "$tmp/base" "$base_ref" >/dev/null 2>&1; then
+	# Sandboxes that forbid worktrees still allow a clone sharing the
+	# object store.
+	rm -rf "$tmp/base"
+	git clone --quiet --shared "$root" "$tmp/base"
+	git -C "$tmp/base" checkout --quiet --detach "$(git -C "$root" rev-parse "$base_ref")"
+fi
 
 # run <side> <dir> <seed>: one benchmark run; its result line (the last
 # line of stdout) is appended to $tmp/<side>.ndjson.
@@ -41,11 +51,11 @@ run() {
 for ((i = 1; i <= pairs; i++)); do
 	echo "pair $i/$pairs" >&2
 	if ((i % 2)); then
-		run base "$tmp/base" "$i"
-		run head "$root" "$i"
+		run base "$tmp/base" "$((seed + i - 1))"
+		run head "$root" "$((seed + i - 1))"
 	else
-		run head "$root" "$i"
-		run base "$tmp/base" "$i"
+		run head "$root" "$((seed + i - 1))"
+		run base "$tmp/base" "$((seed + i - 1))"
 	fi
 done
 
@@ -62,17 +72,25 @@ def failed(runs):
 print(f"{workload}: {base_ref} (base) vs working tree (head), {len(base)} pairs")
 print(f"failed ops: base {failed(base)[0]}/{failed(base)[1]}, head {failed(head)[0]}/{failed(head)[1]}"
       + ("" if all(r["correct"] for r in base + head) else "   INCORRECT RUN"))
-print(f"{'metric':<26}{'base':>12}{'head':>12}{'head/base':>11}{'bound':>8}{'base spread':>13}")
+print(f"{'metric':<26}{'base':>11}{'head':>11}{'head/base':>10}{'bound':>7}{'base spread':>12}"
+      f"{'base q1..q3':>22}{'head won':>10}")
 for m in json.load(open(spec))["end_to_end"]:
-    name, bound = m["name"], m["bound"]
-    b = [r["metrics"][name]["value"] for r in base if name in r["metrics"]]
-    h = [r["metrics"][name]["value"] for r in head if name in r["metrics"]]
-    if not b or not h:
+    name, bound, lower = m["name"], m["bound"], m["better"] == "lower"
+    # Pairs are matched by position: run i of each side used seed i.
+    pairs = [(b["metrics"][name]["value"], h["metrics"][name]["value"])
+             for b, h in zip(base, head) if name in b["metrics"] and name in h["metrics"]]
+    if not pairs:
         continue
+    b, h = [p[0] for p in pairs], [p[1] for p in pairs]
     mb, mh = statistics.median(b), statistics.median(h)
     ratio = mh / mb if mb else float("nan")
     spread = (max(b) - min(b)) / mb if mb else 0.0
-    worse = ratio > 1 + bound if m["better"] == "lower" else ratio < 1 - bound
-    verdict = "UNRESOLVED" if spread > bound else "WORSE" if worse else ""
-    print(f"{name:<26}{mb:>12.4g}{mh:>12.4g}{ratio:>11.3f}{bound:>8.3g}{spread:>12.1%}  {verdict}")
+    q1, _, q3 = statistics.quantiles(b, n=4, method="inclusive") if len(b) > 1 else (mb, mb, mb)
+    won = sum((hv < bv) if lower else (hv > bv) for bv, hv in pairs)
+    worse = ratio > 1 + bound if lower else ratio < 1 - bound
+    better = (mh < mb) if lower else (mh > mb)
+    gain = better and won >= 0.9 * len(pairs) and abs(mh - mb) > q3 - q1
+    verdict = "GAIN" if gain else "UNRESOLVED" if spread > bound else "WORSE" if worse else ""
+    print(f"{name:<26}{mb:>11.4g}{mh:>11.4g}{ratio:>10.3f}{bound:>7.3g}{spread:>11.1%}"
+          f"{q1:>12.4g}..{q3:<8.4g}{won:>5}/{len(pairs):<4} {verdict}")
 EOF
