@@ -19,6 +19,7 @@ import (
 
 	"lwcomp"
 	"lwcomp/internal/bitpack"
+	"lwcomp/internal/compact"
 	"lwcomp/internal/core"
 	"lwcomp/internal/query"
 	"lwcomp/internal/scheme"
@@ -914,11 +915,12 @@ func BenchmarkEncodeScheme(b *testing.B) {
 }
 
 // BenchmarkEncodeAnalyzer measures the statistics-driven analyzer
-// encode (ISSUE 5's tentpole): candidates are ranked by estimated
-// size from one-pass block stats and only the top few are
-// trial-compressed. The exhaustive variant is the old
-// trial-everything behavior, kept as ground truth; the effort-1
-// variant trials only the single best estimate.
+// encode: candidates are priced from one-pass block stats, the top
+// few by estimate are shortlisted, and a shortlisted candidate is
+// compressed only while what its price proves can still beat the best
+// size measured so far. The exhaustive variant shortlists every
+// candidate (no heuristic estimate may exclude one); the effort-1
+// variant shortlists only the single best estimate.
 func BenchmarkEncodeAnalyzer(b *testing.B) {
 	third := benchN / 3
 	data := append(workload.OrderShipDates(third, 256, 730120, 1),
@@ -945,6 +947,61 @@ func BenchmarkEncodeAnalyzer(b *testing.B) {
 				}
 			}
 			reportElems(b, benchN)
+		})
+	}
+}
+
+// compressedPerBlock returns how many candidates the exhaustive search
+// compressed, on average, over the blocks of data.
+func compressedPerBlock(b *testing.B, data []int64) float64 {
+	b.Helper()
+	compressed, blocks := 0, 0
+	for lo := 0; lo < len(data); lo += lwcomp.DefaultBlockSize {
+		block := data[lo:min(lo+lwcomp.DefaultBlockSize, len(data))]
+		choice, err := lwcomp.CompressBestWithOptions(block, lwcomp.AnalyzerOptions{Exhaustive: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, r := range choice.Ranking {
+			if r.Trialed || r.Err != nil && r.EstBits != core.ImpossibleBits {
+				compressed++
+			}
+		}
+		blocks++
+	}
+	return float64(compressed) / float64(blocks)
+}
+
+// BenchmarkCompactFile measures background recompaction as the
+// maintenance lifecycle runs it: a container of 64Ki-row blocks
+// encoded by the default search, compacted with the exhaustive search
+// (TrialK 0) at any gain. Per shape it reports the compactor's whole cost per value —
+// read, re-analyze every block, serialize, compare — and how many of
+// the block's candidates the search had to compress to establish
+// every candidate's size.
+func BenchmarkCompactFile(b *testing.B) {
+	for _, sh := range workload.MaintainShapes(benchN, 1) {
+		b.Run(sh.Name, func(b *testing.B) {
+			col, err := lwcomp.Encode(sh.Data, lwcomp.WithBlockSize(lwcomp.DefaultBlockSize))
+			if err != nil {
+				b.Fatal(err)
+			}
+			path := filepath.Join(b.TempDir(), "bench."+sh.Name+".lwc")
+			if err := lwcomp.WriteColumnsFile(path, []lwcomp.NamedColumn{{Name: sh.Name, Col: col}}); err != nil {
+				b.Fatal(err)
+			}
+			c := compact.New(compact.Options{MinGainBytes: -1, Parallelism: 1})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := c.CompactFile(path)
+				if err != nil || res.Action == compact.ActionFailed {
+					b.Fatal(err, res.Err)
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/benchN, "ns/value")
+			b.ReportMetric(compressedPerBlock(b, sh.Data), "compressed/block")
 		})
 	}
 }

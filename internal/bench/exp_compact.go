@@ -130,7 +130,7 @@ func runExpV(cfg Config) (*Table, error) {
 			return nil, err
 		}
 		// The exhaustive reference: what the same data costs when every
-		// candidate is trial-compressed — the floor compaction aims at.
+		// candidate's size is established — the floor compaction aims at.
 		ref, err := blocked.Encode(c.data, blocked.EncodeOptions{BlockSize: 1 << 14, Exhaustive: true})
 		if err != nil {
 			return nil, err

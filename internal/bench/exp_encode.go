@@ -103,7 +103,7 @@ func runExpR(cfg Config) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"single worker, 64Ki blocks; 'size ratio' = pruned bits / exhaustive bits (≤ 1.05 is the acceptance bound)",
-		"'exhaustive' trial-compresses every candidate per block — the pre-ISSUE-5 behavior plus pooled kernels",
+		"'exhaustive' lets no heuristic estimate exclude a candidate: every size is proved from the block stats or measured by compressing",
 		fmt.Sprintf("n = %d per workload, seed = %d", cfg.N, cfg.Seed),
 	)
 	return t, nil

@@ -204,8 +204,9 @@ type EncodeOptions struct {
 	// the per-block analyzer trial-compresses; 0 means
 	// core.DefaultTrialK.
 	TrialK int
-	// Exhaustive disables the analyzer's estimate pruning,
-	// trial-compressing every candidate (ground truth).
+	// Exhaustive lets no heuristic estimate exclude a candidate
+	// from the per-block analyzer: every candidate's size is
+	// established, proved from the stats or measured by compressing.
 	Exhaustive bool
 }
 

@@ -40,9 +40,10 @@ type Options struct {
 	// save a kilobyte.
 	MinGainFraction float64
 	// TrialK selects the re-analysis effort: 0 runs the exhaustive
-	// search (every candidate trial-compressed — ground truth), a
-	// positive value runs the size-biased pruned search, trialing
-	// only the top-K estimate-ranked candidates per block.
+	// search (every candidate's size established, proved from the
+	// block stats or measured by compressing), a positive value runs
+	// the size-biased pruned search, shortlisting only the top-K
+	// estimate-ranked candidates per block.
 	TrialK int
 	// Parallelism bounds concurrent block re-encodes per container;
 	// <= 0 means GOMAXPROCS.

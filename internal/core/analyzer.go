@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 )
 
@@ -13,11 +14,17 @@ import (
 // grammar of compositions, and choosing a scheme becomes a search over
 // that grammar rather than a pick from a flat menu.
 //
-// The search itself is statistics-driven: candidates are ranked by
-// their predicted encoded size (SizeEstimator over one-pass
-// BlockStats), and only the top few ambiguous candidates are actually
-// trial-compressed. Exhaustive trial compression — the ground truth —
-// remains available behind the Exhaustive flag.
+// The search is one bound-ordered loop. Every candidate is priced
+// first from one-pass BlockStats (SizeEstimator), and each price says
+// what it proves (Bound). Candidates are then visited in ascending
+// order of what their price proves they cannot undercut, and one is
+// compressed only while that bound can still beat the best size
+// measured so far — so a candidate whose size the stats already
+// settle costs nothing unless it wins, and then it is compressed
+// once, to produce the form. Heuristic prices prove nothing: the
+// default search lets them exclude all but the top few candidates,
+// the Exhaustive search does not, and that is the only difference
+// between the two.
 
 // Candidate is one point in the composite-scheme space: a description
 // and a compressor.
@@ -31,7 +38,7 @@ type Candidate struct {
 	// the analyzer predict the candidate's encoded size from block
 	// statistics (SizeEstimator) and pool its encode temporaries
 	// (ScratchCompressor). Candidates built from a bare Compress
-	// closure are always trial-compressed.
+	// closure have no price and are always compressed.
 	Scheme Scheme
 }
 
@@ -50,8 +57,12 @@ type Choice struct {
 	// input).
 	Eval CostedSize
 	// Ranking holds per-candidate evaluations, in input order, for
-	// reporting. Pruned candidates carry only their estimate; failed
-	// candidates carry Err.
+	// reporting. A candidate the search did not compress — excluded
+	// by the shortlist, or proved unable to win by an Exact or
+	// LowerBound price — carries only that price (EstBits, EstBound)
+	// with Trialed unset; one that failed, or that the stats prove
+	// must fail (EstBits == ImpossibleBits, an ErrNotRepresentable),
+	// carries Err.
 	Ranking []RankEntry
 }
 
@@ -68,14 +79,15 @@ type RankEntry struct {
 	// the candidate has no estimator; ImpossibleBits when the stats
 	// prove compression would fail).
 	EstBits uint64
-	// EstExact reports whether EstBits is exact rather than bounded.
-	EstExact bool
-	// Trialed reports whether the candidate was trial-compressed.
+	// EstBound says what EstBits proves about the encoded size.
+	EstBound Bound
+	// Trialed reports whether the candidate was compressed and
+	// evaluated; when it was not, EstBits is all that is known.
 	Trialed bool
 }
 
 // DefaultTrialK is the number of top-estimated candidates the pruned
-// search trial-compresses when TrialK is unset.
+// search shortlists when TrialK is unset.
 const DefaultTrialK = 3
 
 // Analyzer searches a candidate list for the best compression of a
@@ -94,14 +106,16 @@ type Analyzer struct {
 	// full column with the winner.
 	SampleSize int
 	// TrialK bounds how many of the top estimate-ranked candidates
-	// are trial-compressed (0 means DefaultTrialK). Candidates
-	// without estimators are always trialed, and the best
-	// exact-estimated candidate is always included so the winner can
-	// never lose to a provable size.
+	// make the shortlist (0 means DefaultTrialK). Candidates without
+	// estimators are always on it, and so is the best
+	// exact-estimated candidate, so the winner can never lose to a
+	// provable size.
 	TrialK int
-	// Exhaustive disables estimate pruning: every candidate is
-	// trial-compressed. This is the ground-truth mode the estimate
-	// fuzz tests compare against.
+	// Exhaustive trusts no heuristic estimate: every candidate is on
+	// the shortlist, so every candidate's size is established —
+	// proved from the stats or measured by compressing — and the
+	// winner is the smallest of them all, the first in input order
+	// among equals.
 	Exhaustive bool
 	// Stats, when non-nil, supplies precomputed one-pass statistics
 	// of the column given to Best; nil collects them on demand.
@@ -126,14 +140,6 @@ func (a *Analyzer) BestForm(src []int64) (*Form, error) {
 	return choice.Form, nil
 }
 
-// trialK returns the effective trial budget.
-func (a *Analyzer) trialK() int {
-	if a.TrialK > 0 {
-		return a.TrialK
-	}
-	return DefaultTrialK
-}
-
 // compressCand encodes data under candidate c, through the pooled
 // path when the candidate carries its scheme.
 func (a *Analyzer) compressCand(c *Candidate, data []int64) (*Form, error) {
@@ -143,10 +149,73 @@ func (a *Analyzer) compressCand(c *Candidate, data []int64) (*Form, error) {
 	return c.Compress(data)
 }
 
+// errProvedImpossible is the Err of a candidate the search never
+// compressed because its price was ImpossibleBits.
+var errProvedImpossible = fmt.Errorf("%w: proved by the block statistics", ErrNotRepresentable)
+
+// price fills in the stats-predicted size of every candidate that
+// has one, collecting the stats of src first when none were supplied.
+func (a *Analyzer) price(rank []RankEntry, src []int64) {
+	st := a.Stats
+	var local BlockStats
+	for i := range a.Candidates {
+		sch := a.Candidates[i].Scheme
+		if _, ok := sch.(SizeEstimator); !ok {
+			continue
+		}
+		if st == nil {
+			local = CollectStats(src, a.Scratch)
+			st = &local
+		}
+		if bits, kind, ok := EstimateOf(sch, st); ok {
+			rank[i].EstBits, rank[i].EstBound = bits, kind
+		}
+	}
+	if st == &local {
+		local.ReleaseSeg(a.Scratch)
+	}
+}
+
+// shortlist sorts order by ascending price — unpriced candidates
+// first, since only compressing them can consider them at all — and
+// returns how many leading entries the default search admits: the
+// unpriced, the k smallest prices (DefaultTrialK when k is unset), and
+// the smallest Exact price, whose size is certain, so the winner can
+// never be worse than the best provable size.
+func shortlist(order []int, rank []RankEntry, k int) int {
+	if k <= 0 {
+		k = DefaultTrialK
+	}
+	// An unpriced candidate's EstBits is 0, below every real price.
+	slices.SortStableFunc(order, func(x, y int) int { return cmp.Compare(rank[x].EstBits, rank[y].EstBits) })
+	short, bestExact := 0, -1
+	for p, idx := range order {
+		e := &rank[idx]
+		if e.EstBits == ImpossibleBits {
+			break // sorted last
+		}
+		if e.EstBits != 0 {
+			if e.EstBound == Exact && bestExact < 0 {
+				bestExact = p
+			}
+			if k--; k < 0 {
+				continue
+			}
+		}
+		short++
+	}
+	if bestExact >= short {
+		idx := order[bestExact]
+		copy(order[short+1:bestExact+1], order[short:bestExact])
+		order[short] = idx
+		short++
+	}
+	return max(short, 1)
+}
+
 // Best searches the candidates and returns the winner: the smallest
-// trial encoding within the cost budget among the estimate-ranked
-// shortlist (or among all candidates under Exhaustive), compressed
-// over the full column.
+// encoding within the cost budget among the shortlist (every
+// candidate under Exhaustive), compressed over the full column.
 func (a *Analyzer) Best(src []int64) (*Choice, error) {
 	n := len(a.Candidates)
 	if n == 0 {
@@ -156,114 +225,70 @@ func (a *Analyzer) Best(src []int64) (*Choice, error) {
 	if a.SampleSize > 0 && len(src) > a.SampleSize {
 		sample = src[:a.SampleSize]
 	}
+	// Prices are of the whole column. Over a strict-prefix sample they
+	// still rank, but prove nothing about what the sample compresses
+	// to — so Exhaustive, which does not rank, has no use for them.
+	whole := len(sample) == len(src)
 	choice := &Choice{Ranking: make([]RankEntry, n)}
+	rank := choice.Ranking
 	for i := range a.Candidates {
-		choice.Ranking[i].Desc = a.Candidates[i].Desc
+		rank[i].Desc = a.Candidates[i].Desc
+	}
+	if whole || !a.Exhaustive {
+		a.price(rank, src)
 	}
 
-	// Phase 1: estimate every candidate that can be estimated.
-	estimated := false
-	if !a.Exhaustive {
-		st := a.Stats
-		var local BlockStats
-		for i := range a.Candidates {
-			c := &a.Candidates[i]
-			if c.Scheme == nil {
-				continue
-			}
-			if _, ok := c.Scheme.(SizeEstimator); !ok {
-				continue
-			}
-			if st == nil {
-				local = CollectStats(src, a.Scratch)
-				st = &local
-			}
-			bits, exact, ok := EstimateOf(c.Scheme, st)
-			if !ok {
-				continue
-			}
-			e := &choice.Ranking[i]
-			e.EstBits, e.EstExact = bits, exact
-			estimated = true
-		}
-		if st == &local {
-			local.ReleaseSeg(a.Scratch)
-		}
-	}
-
-	// Phase 2: order candidates for trialing. Without estimates the
-	// order is the input order and every candidate is trialed (the
-	// exhaustive behavior); with estimates, unestimated candidates
-	// come first (they must be trialed to be considered), then
-	// ascending predicted size.
-	order := make([]int, n)
+	// order is the candidates in preference order — input order under
+	// Exhaustive, price order otherwise — and pos each candidate's
+	// place in it, which breaks ties between equal sizes. The first
+	// short entries are the shortlist.
+	both := make([]int, 2*n)
+	order, pos := both[:n], both[n:]
 	for i := range order {
 		order[i] = i
 	}
-	trialBudget := n
-	if estimated {
-		sort.SliceStable(order, func(x, y int) bool {
-			ex, ey := &choice.Ranking[order[x]], &choice.Ranking[order[y]]
-			if (ex.EstBits == 0) != (ey.EstBits == 0) {
-				return ex.EstBits == 0
-			}
-			return ex.EstBits < ey.EstBits
-		})
-		trialBudget = 0
-		k := a.trialK()
-		bestExact := -1
-		for _, idx := range order {
-			e := &choice.Ranking[idx]
-			if e.EstBits == ImpossibleBits {
-				continue
-			}
-			if e.EstBits == 0 {
-				trialBudget++ // unestimated: always trialed
-				continue
-			}
-			if k > 0 {
-				trialBudget++
-				k--
-			}
-			if e.EstExact && bestExact < 0 {
-				bestExact = idx
-			}
-		}
-		// Guarantee the best exact estimate a trial slot: its actual
-		// size equals its estimate, so the winner can never be worse
-		// than the best provable size.
-		if bestExact >= 0 && !withinFirst(order, trialBudget, bestExact) {
-			for j, idx := range order {
-				if idx == bestExact {
-					copy(order[trialBudget+1:j+1], order[trialBudget:j])
-					order[trialBudget] = bestExact
-					break
-				}
-			}
-			trialBudget++
-		}
-		if trialBudget == 0 {
-			trialBudget = 1
-		}
+	short := n
+	if !a.Exhaustive {
+		short = shortlist(order, rank, a.TrialK)
+	}
+	for p, idx := range order {
+		pos[idx] = p
 	}
 
-	// Phase 3: trial-compress the shortlist on the sample, extending
-	// past the planned budget only while no admissible candidate has
-	// been found.
+	// Visit the shortlist in ascending order of the size each price
+	// proves the candidate cannot undercut (nothing, for a heuristic
+	// or a sampled search), compressing one only while that bound can
+	// still beat the incumbent. The winner has the smallest bound that
+	// is also a size, so everything it beats is passed over unvisited
+	// and an Exact price is compressed only to produce the winning
+	// form. Past the shortlist the search continues, in preference
+	// order, only until some candidate is admissible.
+	bound := func(idx int) uint64 {
+		if e := &rank[idx]; whole && e.EstBound != Heuristic {
+			return e.EstBits
+		}
+		return 0
+	}
+	slices.SortStableFunc(order[:short], func(x, y int) int { return cmp.Compare(bound(x), bound(y)) })
 	bestIdx := -1
-	bestBits := uint64(math.MaxUint64)
+	var bestBits uint64
 	var bestTrialForm *Form
-	admissible := 0
-	for pos, idx := range order {
-		if pos >= trialBudget && admissible > 0 {
+	beats := func(bits uint64, idx int) bool {
+		return bestIdx < 0 || bits < bestBits || bits == bestBits && pos[idx] < pos[bestIdx]
+	}
+	for v, idx := range order {
+		if v >= short && bestIdx >= 0 {
 			break
 		}
-		e := &choice.Ranking[idx]
-		if estimated && e.EstBits == ImpossibleBits {
+		e := &rank[idx]
+		if e.EstBits == ImpossibleBits {
+			e.Err = errProvedImpossible
 			continue
 		}
-		cand := &a.Candidates[idx]
-		f, err := a.compressCand(cand, sample)
+		if !beats(bound(idx), idx) {
+			continue
+		}
+		f, err := a.compressCand(&a.Candidates[idx], sample)
 		if err != nil {
 			e.Err = err
 			continue
@@ -278,23 +303,20 @@ func (a *Analyzer) Best(src []int64) (*Choice, error) {
 		if a.CostBudget > 0 && len(sample) > 0 && ev.Cost/float64(len(sample)) > a.CostBudget {
 			continue
 		}
-		admissible++
-		if ev.Bits < bestBits {
-			bestBits = ev.Bits
-			bestIdx = idx
-			bestTrialForm = f
+		if beats(ev.Bits, idx) {
+			bestIdx, bestBits, bestTrialForm = idx, ev.Bits, f
 		}
 	}
 	if bestIdx < 0 {
 		return nil, ErrNoCandidate
 	}
 
-	// Phase 4: produce the winner's full-column form. When the sample
-	// covered the whole column the winning trial form is the final
-	// form — no second compression. A winner that fails on the full
-	// column falls back down the already-computed ranking instead of
-	// re-running the search.
-	if len(sample) == len(src) {
+	// Produce the winner's full-column form. When the sample covered
+	// the whole column the winning trial form is the final form — no
+	// second compression. A winner that fails on the full column falls
+	// back down the already-computed ranking instead of re-running
+	// the search.
+	if whole {
 		choice.Desc = a.Candidates[bestIdx].Desc
 		choice.Form = bestTrialForm
 		choice.Eval = choice.Ranking[bestIdx].Eval
@@ -355,15 +377,4 @@ func (a *Analyzer) fallbackOrder(choice *Choice, bestIdx int, order []int) []int
 		out = append(out, idx)
 	}
 	return out
-}
-
-// withinFirst reports whether idx appears among the first k entries
-// of order.
-func withinFirst(order []int, k int, idx int) bool {
-	for i := 0; i < k && i < len(order); i++ {
-		if order[i] == idx {
-			return true
-		}
-	}
-	return false
 }

@@ -2,33 +2,54 @@ package core
 
 import "math"
 
-// The size-estimation contract: scheme selection used to
-// trial-compress every candidate on every block, discarding all but
-// one result. A SizeEstimator predicts the encoded size from
-// one-pass BlockStats instead, so the analyzer ranks candidates
-// analytically and trial-encodes only a pruned shortlist. Estimates
-// target the same analytic size model as Form.PayloadBits, so an
-// exact estimate equals the bits the compressed form will report.
+// The size-estimation contract: a SizeEstimator prices a scheme from
+// one-pass BlockStats, in the same analytic size model as
+// Form.PayloadBits, so the analyzer compresses a candidate only when
+// its price leaves the outcome open. Every price says what it proves
+// (Bound): an Exact one is the size the compressed form will report,
+// bit for bit; a LowerBound is never above it; a Heuristic proves
+// nothing and only ranks.
+
+// Bound is what a size estimate proves about the encoded size. The
+// kinds are ordered by strength, so the weakest of several is their
+// minimum.
+type Bound uint8
+
+const (
+	// Heuristic estimates are good enough to rank candidates by; the
+	// actual size may fall on either side.
+	Heuristic Bound = iota
+	// LowerBound estimates are never above the actual size.
+	LowerBound
+	// Exact estimates equal the actual size.
+	Exact
+)
+
+// String names the bound kind for reports.
+func (b Bound) String() string {
+	return [...]string{"heuristic", "lower bound", "exact"}[b]
+}
 
 // SizeEstimator is implemented by schemes (and composites) that can
 // predict their encoded size from column statistics alone.
 type SizeEstimator interface {
 	// EstimateSize predicts the total encoded size in bits
 	// (Form.PayloadBits of the would-be form tree) of compressing a
-	// column with the given stats. exact reports whether the
-	// prediction is guaranteed to equal the actual size; inexact
-	// estimates are bounded heuristics good enough for ranking.
+	// column with the given stats, and says what the prediction
+	// proves. The analyzer never compresses a candidate to learn what
+	// an Exact or LowerBound price already settles, so a scheme must
+	// claim no more than it can guarantee.
 	//
 	// A return of bits == 0 means the scheme cannot estimate from
 	// these stats (every real form costs at least its header);
 	// ImpossibleBits means the stats prove the scheme cannot
 	// represent the column at all.
-	EstimateSize(st *BlockStats) (bits uint64, exact bool)
+	EstimateSize(st *BlockStats) (bits uint64, kind Bound)
 }
 
 // ImpossibleBits is the EstimateSize sentinel for "the stats prove
 // compression would fail" (for example CONST on a column with more
-// than one run). Such candidates rank last and are never trialed.
+// than one run). Such candidates rank last and are never compressed.
 const ImpossibleBits = math.MaxUint64
 
 // PredictedChild is one constituent column of a scheme as predicted
@@ -76,30 +97,35 @@ func SatAddBits(a, b uint64) uint64 {
 // EstimateOf returns the stats-predicted encoded size of compressing
 // a column under s. ok is false when s has no estimator or its
 // estimator cannot price these stats.
-func EstimateOf(s Scheme, st *BlockStats) (bits uint64, exact, ok bool) {
+func EstimateOf(s Scheme, st *BlockStats) (bits uint64, kind Bound, ok bool) {
 	e, isEst := s.(SizeEstimator)
 	if !isEst {
-		return 0, false, false
+		return 0, Heuristic, false
 	}
-	bits, exact = e.EstimateSize(st)
+	bits, kind = e.EstimateSize(st)
 	if bits == 0 {
-		return 0, false, false
+		return 0, Heuristic, false
 	}
-	return bits, exact, true
+	return bits, kind, true
 }
 
 // EstimateSize implements SizeEstimator for compositions: the outer
 // scheme predicts each constituent column's stats, and the inner
 // schemes price them; children left uncomposed stay the raw ID forms
-// the outer emits.
-func (c *Composite) EstimateSize(st *BlockStats) (bits uint64, exact bool) {
+// the outer emits. The sum proves what its weakest term proves, and
+// nothing when the predicted child stats are themselves inexact.
+func (c *Composite) EstimateSize(st *BlockStats) (bits uint64, kind Bound) {
 	cs, isCS := c.outer.(ConstituentStatser)
 	if !isCS {
-		return 0, false
+		return 0, Heuristic
 	}
 	selfBits, children, exact, ok := cs.ConstituentStats(st)
 	if !ok {
-		return 0, false
+		return 0, Heuristic
+	}
+	kind = Exact
+	if !exact {
+		kind = Heuristic
 	}
 	total := selfBits
 	for i := range children {
@@ -110,12 +136,12 @@ func (c *Composite) EstimateSize(st *BlockStats) (bits uint64, exact bool) {
 			total = SatAddBits(total, SatAddBits(FormOverheadBits(0), uint64(ch.Stats.N)*64))
 			continue
 		}
-		cb, cexact, cok := EstimateOf(inner, &ch.Stats)
+		cb, ckind, cok := EstimateOf(inner, &ch.Stats)
 		if !cok {
-			return 0, false
+			return 0, Heuristic
 		}
 		total = SatAddBits(total, cb)
-		exact = exact && cexact
+		kind = min(kind, ckind)
 	}
-	return total, exact
+	return total, kind
 }

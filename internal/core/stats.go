@@ -11,7 +11,8 @@ import (
 // drives the statistics-driven encode path: instead of
 // trial-compressing every candidate scheme on every block, the
 // analyzer predicts each candidate's encoded size from these numbers
-// (SizeEstimator) and trial-encodes only a pruned shortlist.
+// (SizeEstimator) and compresses only those a prediction cannot
+// settle.
 //
 // All fields describe the logical column handed to CollectStats. The
 // Has* flags report which field groups are populated; the collector
@@ -116,10 +117,21 @@ const distinctSketchLogBits = 13
 
 const distinctSketchWords = (1 << distinctSketchLogBits) / 64
 
+// distinctSketchBit returns the sketch bit a value sets.
+func distinctSketchBit(v int64) uint64 {
+	return (uint64(v) * 0x9E3779B97F4A7C15) >> (64 - distinctSketchLogBits)
+}
+
 // CollectStats computes BlockStats over src in one pass. Temporaries
 // (the distinct sketch) and the per-segment extreme arrays come from
 // s when non-nil; the segment arrays escape in the result, so callers
 // threading a scratch must return them with ReleaseSeg when done.
+//
+// The pass walks one base segment at a time with everything it
+// accumulates per element — the segment's extremes, the probe
+// minimum, the four width histograms — in locals, so the inner loop
+// carries no index arithmetic and no loads or stores through the
+// result; the column's extremes fold up from the segments'.
 func CollectStats(src []int64, s *Scratch) BlockStats {
 	var st BlockStats
 	st.N = len(src)
@@ -136,93 +148,102 @@ func CollectStats(src []int64, s *Scratch) BlockStats {
 	st.SegMin = s.I64(nseg)
 	st.SegMax = s.I64(nseg)
 	sketch := s.U64(distinctSketchWords)
-	for i := range sketch {
-		sketch[i] = 0
-	}
+	clear(sketch)
 
 	first := src[0]
 	st.First = first
-	st.Min, st.Max = first, first
-	st.Runs = 1
-	st.DeltaMin, st.DeltaMax = first, first
-	st.RunDeltaMin, st.RunDeltaMax = first, first
-
-	prev := first
-	prevRunHead := first
-	runStart := 0
-	var maxRunLen int64
-	probeMin := first
-	for i, v := range src {
-		if seg := i / StatsSegLen; i%StatsSegLen == 0 {
-			st.SegMin[seg] = v
-			st.SegMax[seg] = v
-		} else {
-			if v < st.SegMin[seg] {
-				st.SegMin[seg] = v
+	var offsets, values, deltas [65]int
+	minV, maxV := first, first
+	deltaMin, deltaMax := first, first
+	runDeltaMin, runDeltaMax := first, first
+	var unordered uint // bit 0: some element fell below its predecessor; bit 1: some rose above
+	var sumAbsDelta uint64
+	runStart, maxRunLen := 0, 0
+	prev, probeMin := first, first
+	// The first element has no delta and starts the first run: it is
+	// observed here, and the walk below starts after it. offW and valW
+	// are the histogram classes of the latest element observed in
+	// full; an element equal to its predecessor within a segment
+	// falls in the same classes, moves no extreme and sets no new
+	// sketch bit, so such repeats are only counted, and credited in
+	// bulk when the next element that differs (or the next segment,
+	// where the probe minimum may restart) is observed.
+	offW, valW, repeats := 0, bits.Len64(bitpack.Zigzag(first)), 0
+	offsets[offW]++
+	values[valW]++
+	h := distinctSketchBit(first)
+	sketch[h>>6] |= 1 << (h & 63)
+	for seg := 0; seg < nseg; seg++ {
+		lo := seg * StatsSegLen
+		if lo%StatsProbeSegLen == 0 {
+			probeMin = src[lo]
+		}
+		segMin, segMax := src[lo], src[lo]
+		for i := max(lo, 1); i < min(lo+StatsSegLen, len(src)); i++ {
+			v := src[i]
+			if v == prev && i > lo {
+				repeats++
+				continue
 			}
-			if v > st.SegMax[seg] {
-				st.SegMax[seg] = v
+			if repeats > 0 {
+				offsets[offW] += repeats
+				values[valW] += repeats
+				deltas[0] += repeats
+				repeats = 0
 			}
-		}
-		if i&(StatsProbeSegLen-1) == 0 {
-			probeMin = v
-		} else if v < probeMin {
-			probeMin = v
-		}
-		st.OffsetHist.Observe(uint64(v - probeMin))
-		st.ValueHist.Observe(bitpack.Zigzag(v))
-		h := (uint64(v) * 0x9E3779B97F4A7C15) >> (64 - distinctSketchLogBits)
-		sketch[h>>6] |= 1 << (h & 63)
-		if i == 0 {
-			continue
-		}
-		if v < st.Min {
-			st.Min = v
-		}
-		if v > st.Max {
-			st.Max = v
-		}
-		if v < prev {
-			st.NonDecreasing = false
-		}
-		if v > prev {
-			st.NonIncreasing = false
-		}
-		d := v - prev
-		st.DeltaHist.Observe(bitpack.Zigzag(d))
-		if d < st.DeltaMin {
-			st.DeltaMin = d
-		}
-		if d > st.DeltaMax {
-			st.DeltaMax = d
-		}
-		if d < 0 {
-			st.SumAbsDelta += uint64(-d)
-		} else {
-			st.SumAbsDelta += uint64(d)
-		}
-		if v != prev {
-			st.Runs++
-			if rl := int64(i - runStart); rl > maxRunLen {
-				maxRunLen = rl
+			segMin, segMax = min(segMin, v), max(segMax, v)
+			probeMin = min(probeMin, v)
+			offW, valW = bits.Len64(uint64(v-probeMin)), bits.Len64(bitpack.Zigzag(v))
+			offsets[offW]++
+			values[valW]++
+			h = distinctSketchBit(v)
+			sketch[h>>6] |= 1 << (h & 63)
+			// Branch-free: on unordered data these comparisons are coin
+			// flips no predictor learns.
+			var down, up uint
+			if v < prev {
+				down = 1
 			}
-			runStart = i
-			rd := v - prevRunHead
-			st.RunDeltaHist.Observe(bitpack.Zigzag(rd))
-			if rd < st.RunDeltaMin {
-				st.RunDeltaMin = rd
+			if v > prev {
+				up = 2
 			}
-			if rd > st.RunDeltaMax {
-				st.RunDeltaMax = rd
+			unordered |= down | up
+			d := v - prev
+			deltas[bits.Len64(bitpack.Zigzag(d))]++
+			deltaMin, deltaMax = min(deltaMin, d), max(deltaMax, d)
+			sumAbsDelta += uint64((d ^ d>>63) - d>>63)
+			if d != 0 {
+				// A run ends. Every element of it equalled its head, so
+				// d is also the delta between the two run heads.
+				maxRunLen = max(maxRunLen, i-runStart)
+				runStart = i
+				runDeltaMin, runDeltaMax = min(runDeltaMin, d), max(runDeltaMax, d)
 			}
-			prevRunHead = v
+			prev = v
 		}
-		prev = v
+		st.SegMin[seg], st.SegMax[seg] = segMin, segMax
+		minV, maxV = min(minV, segMin), max(maxV, segMax)
 	}
-	if rl := int64(len(src) - runStart); rl > maxRunLen {
-		maxRunLen = rl
+	offsets[offW] += repeats
+	values[valW] += repeats
+	deltas[0] += repeats
+	if deltas[0] > 0 { // the repeats' zero deltas, which the walk skipped
+		deltaMin, deltaMax = min(deltaMin, 0), max(deltaMax, 0)
 	}
-	st.MaxRunLen = maxRunLen
+	st.Min, st.Max = minV, maxV
+	st.NonDecreasing, st.NonIncreasing = unordered&1 == 0, unordered&2 == 0
+	st.MaxRunLen = int64(max(maxRunLen, len(src)-runStart))
+	st.DeltaMin, st.DeltaMax, st.SumAbsDelta = deltaMin, deltaMax, sumAbsDelta
+	st.RunDeltaMin, st.RunDeltaMax = runDeltaMin, runDeltaMax
+	st.OffsetHist = bitpack.WidthHistogram{Counts: offsets, N: len(src)}
+	st.ValueHist = bitpack.WidthHistogram{Counts: values, N: len(src)}
+	st.DeltaHist = bitpack.WidthHistogram{Counts: deltas, N: len(src) - 1}
+	// The run-head deltas are the non-zero deltas, and only a zero has
+	// width 0.
+	st.RunDeltaHist = st.DeltaHist
+	st.RunDeltaHist.N -= deltas[0]
+	st.RunDeltaHist.Counts[0] = 0
+	st.Runs = st.RunDeltaHist.N + 1
 
 	ones := 0
 	for _, w := range sketch {

@@ -1,0 +1,206 @@
+package core
+
+import (
+	"math"
+	"math/bits"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"lwcomp/internal/bitpack"
+)
+
+// collectStatsReference is the element-at-a-time collector the
+// segment-at-a-time CollectStats replaced: every field updated through
+// the result, the segment found by division per element. Kept as the
+// reference CollectStats must match field for field.
+func collectStatsReference(src []int64) BlockStats {
+	var s *Scratch
+	var st BlockStats
+	st.N = len(src)
+	st.NonDecreasing, st.NonIncreasing = true, true
+	st.HasMinMax, st.HasRuns, st.HasRunDeltas, st.HasDeltas = true, true, true, true
+	st.HasValueHist, st.HasDistinct = true, true
+	st.SegLen = StatsSegLen
+	st.OffsetSegLen = StatsProbeSegLen
+	if len(src) == 0 {
+		return st
+	}
+
+	nseg := (len(src) + StatsSegLen - 1) / StatsSegLen
+	st.SegMin = s.I64(nseg)
+	st.SegMax = s.I64(nseg)
+	sketch := s.U64(distinctSketchWords)
+	for i := range sketch {
+		sketch[i] = 0
+	}
+
+	first := src[0]
+	st.First = first
+	st.Min, st.Max = first, first
+	st.Runs = 1
+	st.DeltaMin, st.DeltaMax = first, first
+	st.RunDeltaMin, st.RunDeltaMax = first, first
+
+	prev := first
+	prevRunHead := first
+	runStart := 0
+	var maxRunLen int64
+	probeMin := first
+	for i, v := range src {
+		if seg := i / StatsSegLen; i%StatsSegLen == 0 {
+			st.SegMin[seg] = v
+			st.SegMax[seg] = v
+		} else {
+			if v < st.SegMin[seg] {
+				st.SegMin[seg] = v
+			}
+			if v > st.SegMax[seg] {
+				st.SegMax[seg] = v
+			}
+		}
+		if i&(StatsProbeSegLen-1) == 0 {
+			probeMin = v
+		} else if v < probeMin {
+			probeMin = v
+		}
+		st.OffsetHist.Observe(uint64(v - probeMin))
+		st.ValueHist.Observe(bitpack.Zigzag(v))
+		h := (uint64(v) * 0x9E3779B97F4A7C15) >> (64 - distinctSketchLogBits)
+		sketch[h>>6] |= 1 << (h & 63)
+		if i == 0 {
+			continue
+		}
+		if v < st.Min {
+			st.Min = v
+		}
+		if v > st.Max {
+			st.Max = v
+		}
+		if v < prev {
+			st.NonDecreasing = false
+		}
+		if v > prev {
+			st.NonIncreasing = false
+		}
+		d := v - prev
+		st.DeltaHist.Observe(bitpack.Zigzag(d))
+		if d < st.DeltaMin {
+			st.DeltaMin = d
+		}
+		if d > st.DeltaMax {
+			st.DeltaMax = d
+		}
+		if d < 0 {
+			st.SumAbsDelta += uint64(-d)
+		} else {
+			st.SumAbsDelta += uint64(d)
+		}
+		if v != prev {
+			st.Runs++
+			if rl := int64(i - runStart); rl > maxRunLen {
+				maxRunLen = rl
+			}
+			runStart = i
+			rd := v - prevRunHead
+			st.RunDeltaHist.Observe(bitpack.Zigzag(rd))
+			if rd < st.RunDeltaMin {
+				st.RunDeltaMin = rd
+			}
+			if rd > st.RunDeltaMax {
+				st.RunDeltaMax = rd
+			}
+			prevRunHead = v
+		}
+		prev = v
+	}
+	if rl := int64(len(src) - runStart); rl > maxRunLen {
+		maxRunLen = rl
+	}
+	st.MaxRunLen = maxRunLen
+
+	ones := 0
+	for _, w := range sketch {
+		ones += bits.OnesCount64(w)
+	}
+	s.PutU64(sketch)
+	const m = 1 << distinctSketchLogBits
+	if ones >= m {
+		st.Distinct = DistinctCap + 1
+	} else {
+		est := int(float64(m)*math.Log(float64(m)/float64(m-ones)) + 0.5)
+		if est < 1 {
+			est = 1
+		}
+		if est > DistinctCap {
+			est = DistinctCap + 1
+		}
+		st.Distinct = est
+	}
+	return st
+}
+
+// TestCollectStatsSmall pins the collector on a column small enough
+// to check by hand.
+func TestCollectStatsSmall(t *testing.T) {
+	st := CollectStats([]int64{5, 5, 3, 3, 3, 9}, nil)
+	want := BlockStats{
+		N: 6, First: 5, Min: 3, Max: 9, HasMinMax: true,
+		Runs: 3, MaxRunLen: 3, HasRuns: true,
+		RunDeltaMin: -2, RunDeltaMax: 6, HasRunDeltas: true,
+		DeltaMin: -2, DeltaMax: 6, SumAbsDelta: 8, HasDeltas: true,
+		HasValueHist: true, Distinct: 3, HasDistinct: true,
+		SegLen: StatsSegLen, SegMin: []int64{3}, SegMax: []int64{9},
+		OffsetSegLen: StatsProbeSegLen,
+	}
+	want.RunDeltaHist = bitpack.HistogramOf([]uint64{bitpack.Zigzag(-2), bitpack.Zigzag(6)})
+	want.DeltaHist = bitpack.HistogramOf([]uint64{0, bitpack.Zigzag(-2), 0, 0, bitpack.Zigzag(6)})
+	want.ValueHist = bitpack.HistogramOf([]uint64{10, 10, 6, 6, 6, 18})
+	want.OffsetHist = bitpack.HistogramOf([]uint64{0, 0, 0, 0, 0, 6})
+	if !reflect.DeepEqual(st, want) {
+		t.Fatalf("stats =\n%+v\nwant\n%+v", st, want)
+	}
+}
+
+// TestCollectStatsMatchesReference drives random columns of every
+// length around the segment and probe boundaries through both
+// collectors and requires identical results, field for field.
+func TestCollectStatsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var held int64
+	gens := []func() int64{
+		func() int64 { return rng.Int63n(8) },                 // long runs
+		func() int64 { return rng.Int63n(1<<20) - 1<<19 },     // mixed signs
+		func() int64 { return int64(rng.Uint64()) },           // full range: deltas wrap
+		func() int64 { return math.MaxInt64 - rng.Int63n(3) }, // pinned to an extreme
+		func() int64 { return math.MinInt64 + rng.Int63n(3) },
+		func() int64 { // runs long enough to cross segment and probe boundaries
+			if rng.Intn(150) == 0 {
+				held = rng.Int63n(1<<30) - 1<<29
+			}
+			return held
+		},
+	}
+	for n := 0; n <= 1300; n++ {
+		gen := gens[n%len(gens)]
+		src := make([]int64, n)
+		walk := n%2 == 0
+		for i := range src {
+			src[i] = gen()
+			if walk && i > 0 && n%len(gens) < 2 {
+				src[i] += src[i-1] // monotone-ish prefixes for the flags
+			}
+		}
+		got, want := CollectStats(src, nil), collectStatsReference(src)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("n=%d: stats =\n%+v\nreference\n%+v", n, got, want)
+		}
+		s := GetScratch()
+		pooled := CollectStats(src, s)
+		if !reflect.DeepEqual(pooled, want) {
+			t.Fatalf("n=%d: pooled stats differ from reference", n)
+		}
+		pooled.ReleaseSeg(s)
+		s.Release()
+	}
+}

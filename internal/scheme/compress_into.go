@@ -277,57 +277,80 @@ func (Delta) CompressParts(src []int64, s *core.Scratch, emit func(name string, 
 	}, nil
 }
 
-// CompressParts implements core.ConstituentCompressor: the sorted
-// dictionary is deduplicated in a borrowed copy and codes resolve
-// through a borrowed open-addressing table (one hash and a short
-// probe per element — measurably faster than a per-element binary
-// search, and allocation-free unlike the map-based path).
-func (Dict) CompressParts(src []int64, s *core.Scratch, emit func(name string, col []int64) (*core.Form, error)) (*core.Form, error) {
-	buf := s.I64(len(src))
-	defer s.PutI64(buf)
-	copy(buf, src)
-	slices.Sort(buf)
-	d := 0
-	for i, v := range buf {
-		if i == 0 || v != buf[d-1] {
-			buf[d] = v
-			d++
+// dictHash spreads a value over the top bits of a word (Fibonacci
+// hashing); a table of 2^k slots indexes by its top k bits.
+func dictHash(v int64, shift uint) uint64 {
+	return (uint64(v) * 0x9E3779B97F4A7C15) >> shift
+}
+
+// dictTable borrows an open-addressing table of 2^(64-shift) slots
+// holding every value of seen under its index plus one; zero marks an
+// empty slot, so the borrowed keys need no clearing and the value 0
+// is a key like any other.
+func dictTable(seen []int64, shift uint, s *core.Scratch) (keys, nums []int64) {
+	keys, nums = s.I64(1<<(64-shift)), s.I64(1<<(64-shift))
+	clear(nums)
+	for num, v := range seen {
+		h := dictHash(v, shift)
+		for nums[h] != 0 {
+			h = (h + 1) & uint64(len(nums)-1)
 		}
+		keys[h], nums[h] = v, int64(num)+1
 	}
-	dict := buf[:d]
+	return keys, nums
+}
+
+// CompressParts implements core.ConstituentCompressor: one pass over
+// the column finds the distinct values through a borrowed
+// open-addressing table, numbering them in order of first appearance,
+// so only the dictionary — never the column — is sorted, and the
+// codes are those numbers mapped through the sort's permutation. The
+// table is regrown fourfold whenever the distinct values outgrow a
+// quarter of its slots, which keeps probe chains short at any
+// cardinality without a count in advance.
+func (Dict) CompressParts(src []int64, s *core.Scratch, emit func(name string, col []int64) (*core.Form, error)) (*core.Form, error) {
 	codes := s.I64(len(src))
 	defer s.PutI64(codes)
-	if d > 0 {
-		// Table size at load factor ≤ 1/4 keeps probe chains short.
-		shift := uint(64)
-		m := 1
-		for m < 4*d {
-			m <<= 1
-			shift--
+	seen := s.I64(len(src))[:0] // distinct values, in order of first appearance
+	defer s.PutI64(seen)
+	shift := uint(64 - 10)
+	keys, nums := dictTable(nil, shift, s)
+	for i, v := range src {
+		h := dictHash(v, shift)
+		for nums[h] != 0 && keys[h] != v {
+			h = (h + 1) & uint64(len(nums)-1)
 		}
-		mask := uint64(m - 1)
-		keys := s.I64(m)
-		vals := s.I64(m)
-		for i := range vals {
-			vals[i] = 0
+		if nums[h] != 0 {
+			codes[i] = nums[h] - 1
+			continue
 		}
-		for code, v := range dict {
-			h := (uint64(v) * 0x9E3779B97F4A7C15) >> shift
-			for vals[h] != 0 {
-				h = (h + 1) & mask
-			}
-			keys[h] = v
-			vals[h] = int64(code) + 1
+		codes[i] = int64(len(seen))
+		seen = append(seen, v)
+		keys[h], nums[h] = v, int64(len(seen))
+		if 4*len(seen) > len(nums) {
+			s.PutI64(keys)
+			s.PutI64(nums)
+			shift -= 2
+			keys, nums = dictTable(seen, shift, s)
 		}
-		for i, v := range src {
-			h := (uint64(v) * 0x9E3779B97F4A7C15) >> shift
-			for keys[h] != v || vals[h] == 0 {
-				h = (h + 1) & mask
-			}
-			codes[i] = vals[h] - 1
+	}
+	dict := s.I64(len(seen))
+	defer s.PutI64(dict)
+	copy(dict, seen)
+	slices.Sort(dict)
+	// seen has served as the value list: reuse it as the permutation
+	// from first-appearance number to sorted code.
+	for code, v := range dict {
+		h := dictHash(v, shift)
+		for nums[h] == 0 || keys[h] != v {
+			h = (h + 1) & uint64(len(nums)-1)
 		}
-		s.PutI64(keys)
-		s.PutI64(vals)
+		seen[nums[h]-1] = int64(code)
+	}
+	s.PutI64(keys)
+	s.PutI64(nums)
+	for i, num := range codes {
+		codes[i] = seen[num]
 	}
 	codesForm, err := emit("codes", codes)
 	if err != nil {

@@ -59,14 +59,14 @@ func (Const) DecompressCostPerElement(*core.Form) float64 { return 0.5 }
 // EstimateSize implements core.SizeEstimator, exactly: a constant
 // column costs one parameter, and Min ≠ Max proves the scheme cannot
 // represent the column at all.
-func (Const) EstimateSize(st *core.BlockStats) (uint64, bool) {
+func (Const) EstimateSize(st *core.BlockStats) (uint64, core.Bound) {
 	if !st.HasMinMax {
-		return 0, false
+		return 0, core.Heuristic
 	}
 	if st.N > 0 && st.Min != st.Max {
-		return core.ImpossibleBits, true
+		return core.ImpossibleBits, core.Exact
 	}
-	return core.FormOverheadBits(1), true
+	return core.FormOverheadBits(1), core.Exact
 }
 
 func checkConst(f *core.Form) error {

@@ -3,6 +3,8 @@ package scheme
 import (
 	"errors"
 	"fmt"
+	"reflect"
+	"sort"
 	"testing"
 
 	"lwcomp/internal/core"
@@ -39,38 +41,185 @@ func estimateWorkload(kind uint8, n int, param uint8, seed int64) []int64 {
 	}
 }
 
-// checkExactEstimates asserts, for every candidate whose estimate is
-// flagged exact, that the estimate equals the actual encoded size
-// (and that ImpossibleBits candidates really fail).
-func checkExactEstimates(t *testing.T, data []int64, st *core.BlockStats) {
+// checkEstimates asserts that every candidate's price proves what its
+// bound kind claims: an exact estimate equals the actual encoded
+// size, a lower bound is never above it, and an ImpossibleBits
+// candidate really fails.
+func checkEstimates(t *testing.T, data []int64, st *core.BlockStats) {
 	t.Helper()
 	for _, c := range DefaultCandidates(st) {
 		if c.Scheme == nil {
 			continue
 		}
-		bits, exact, ok := core.EstimateOf(c.Scheme, st)
-		if !ok || !exact {
-			continue
-		}
-		if bits == core.ImpossibleBits {
-			if _, err := c.Compress(data); err == nil {
-				t.Errorf("%s: estimate says impossible but compression succeeded", c.Desc)
-			}
+		bits, kind, ok := core.EstimateOf(c.Scheme, st)
+		if !ok || kind == core.Heuristic {
 			continue
 		}
 		form, err := c.Compress(data)
-		if err != nil {
-			t.Errorf("%s: exact estimate %d bits but compression failed: %v", c.Desc, bits, err)
+		if bits == core.ImpossibleBits {
+			if !errors.Is(err, core.ErrNotRepresentable) {
+				t.Errorf("%s: estimate says impossible but compression returned %v", c.Desc, err)
+			}
 			continue
 		}
-		if got := form.PayloadBits(); got != bits {
-			t.Errorf("%s: exact estimate %d bits, actual %d", c.Desc, bits, got)
+		if err != nil {
+			if kind == core.Exact {
+				t.Errorf("%s: exact estimate %d bits but compression failed: %v", c.Desc, bits, err)
+			}
+			continue
+		}
+		got := form.PayloadBits()
+		if kind == core.Exact && got != bits || got < bits {
+			t.Errorf("%s: %s estimate %d bits, actual %d", c.Desc, kind, bits, got)
 		}
 	}
 }
 
+// trial is one candidate's measured outcome in referenceBest.
+type trial struct {
+	idx  int
+	form *core.Form
+	ev   core.CostedSize
+}
+
+// overBudget reports whether an evaluation of n elements exceeds the
+// analyzer's cost budget.
+func overBudget(a *core.Analyzer, ev core.CostedSize, n int) bool {
+	return a.CostBudget > 0 && n > 0 && ev.Cost/float64(n) > a.CostBudget
+}
+
+// referenceBest is the search core.Analyzer.Best must reproduce,
+// written the slow way: no estimate spares a candidate its
+// compression. Under Exhaustive every candidate is compressed on the
+// sample in input order and the first minimum within budget wins —
+// ground truth. Otherwise estimates only rank and shortlist
+// (unestimated candidates, the TrialK smallest estimates, the best
+// exact one; past that only until something is admissible), every
+// shortlisted candidate is compressed, and the first minimum in
+// estimate order wins. A strict-prefix sample then compresses the
+// full column, falling back down the trials by ascending sample size.
+func referenceBest(a *core.Analyzer, src []int64) (desc string, form *core.Form, ev core.CostedSize, err error) {
+	cands := a.Candidates
+	n := len(cands)
+	sample := src
+	if a.SampleSize > 0 && len(src) > a.SampleSize {
+		sample = src[:a.SampleSize]
+	}
+	est, exact := make([]uint64, n), make([]bool, n)
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	shortlist := n
+	if !a.Exhaustive {
+		st := a.Stats
+		if st == nil {
+			collected := core.CollectStats(src, nil)
+			st = &collected
+		}
+		for i, c := range cands {
+			if c.Scheme != nil {
+				bits, kind, _ := core.EstimateOf(c.Scheme, st)
+				est[i], exact[i] = bits, kind == core.Exact
+			}
+		}
+		sort.SliceStable(order, func(x, y int) bool { return est[order[x]] < est[order[y]] })
+		shortlist = 0
+		k := a.TrialK
+		if k <= 0 {
+			k = core.DefaultTrialK
+		}
+		bestExact := -1
+		for p, idx := range order {
+			switch {
+			case est[idx] == core.ImpossibleBits:
+				continue
+			case est[idx] == 0:
+				shortlist++
+				continue
+			case k > 0:
+				shortlist++
+				k--
+			}
+			if exact[idx] && bestExact < 0 {
+				bestExact = p
+			}
+		}
+		if bestExact >= shortlist {
+			idx := order[bestExact]
+			copy(order[shortlist+1:bestExact+1], order[shortlist:bestExact])
+			order[shortlist] = idx
+			shortlist++
+		}
+		shortlist = max(shortlist, 1)
+	}
+
+	var trials []trial // every successful trial, in visiting order
+	failed := make([]bool, n)
+	best := -1 // index into trials
+	for p, idx := range order {
+		if p >= shortlist && best >= 0 {
+			break
+		}
+		if est[idx] == core.ImpossibleBits {
+			continue
+		}
+		f, err := cands[idx].Compress(sample)
+		if err != nil {
+			failed[idx] = true
+			continue
+		}
+		ev, err := core.Evaluate(f)
+		if err != nil {
+			failed[idx] = true
+			continue
+		}
+		trials = append(trials, trial{idx, f, ev})
+		if !overBudget(a, ev, len(sample)) && (best < 0 || ev.Bits < trials[best].ev.Bits) {
+			best = len(trials) - 1
+		}
+	}
+	if best < 0 {
+		return "", nil, core.CostedSize{}, core.ErrNoCandidate
+	}
+	w := trials[best]
+	if len(sample) == len(src) {
+		return cands[w.idx].Desc, w.form, w.ev, nil
+	}
+
+	// Full-column encode: the winner, then the other trials by
+	// ascending sample size, then the never-tried in estimate order.
+	rest := append(append([]trial{}, trials[:best]...), trials[best+1:]...)
+	sort.SliceStable(rest, func(x, y int) bool { return rest[x].ev.Bits < rest[y].ev.Bits })
+	fallback, tried := []int{w.idx}, map[int]bool{}
+	for _, t := range trials {
+		tried[t.idx] = true
+	}
+	for _, t := range rest {
+		fallback = append(fallback, t.idx)
+	}
+	for _, idx := range order {
+		if !tried[idx] && !failed[idx] && est[idx] != core.ImpossibleBits {
+			fallback = append(fallback, idx)
+		}
+	}
+	for _, idx := range fallback {
+		f, err := cands[idx].Compress(src)
+		if err != nil {
+			continue
+		}
+		ev, err := core.Evaluate(f)
+		if err != nil || overBudget(a, ev, len(src)) {
+			continue
+		}
+		return cands[idx].Desc, f, ev, nil
+	}
+	return "", nil, core.CostedSize{}, core.ErrNoCandidate
+}
+
 // checkPrunedVsExhaustive asserts the estimate-pruned analyzer lands
-// within the bounded size ratio of ground truth. Both analyzers get
+// within the bounded size ratio of ground truth — every candidate
+// compressed, first minimum taken (referenceBest). Both searches get
 // the same sampleSize, so a non-zero value exercises the riskier
 // configuration where candidates are ranked on full-column stats but
 // trialed on a prefix.
@@ -78,8 +227,8 @@ func checkPrunedVsExhaustive(t *testing.T, data []int64, st *core.BlockStats, sa
 	t.Helper()
 	pruned := &core.Analyzer{Candidates: DefaultCandidates(st), Stats: st, SampleSize: sampleSize}
 	pc, perr := pruned.Best(data)
-	exhaustive := &core.Analyzer{Candidates: DefaultCandidates(st), Exhaustive: true, SampleSize: sampleSize}
-	ec, eerr := exhaustive.Best(data)
+	truth := &core.Analyzer{Candidates: DefaultCandidates(st), Exhaustive: true, SampleSize: sampleSize}
+	edesc, _, eev, eerr := referenceBest(truth, data)
 	if (perr == nil) != (eerr == nil) {
 		t.Fatalf("pruned err = %v, exhaustive err = %v", perr, eerr)
 	}
@@ -88,11 +237,11 @@ func checkPrunedVsExhaustive(t *testing.T, data []int64, st *core.BlockStats, sa
 	}
 	// 1.05x relative slack, with one node header of absolute slack so
 	// tiny columns aren't dominated by constant overheads.
-	limit := 1.05*float64(ec.Eval.Bits) + float64(core.FormOverheadBits(2))
+	limit := 1.05*float64(eev.Bits) + float64(core.FormOverheadBits(2))
 	if float64(pc.Eval.Bits) > limit {
 		t.Fatalf("pruned winner %s = %d bits, exhaustive winner %s = %d bits (ratio %.3f)",
-			pc.Desc, pc.Eval.Bits, ec.Desc, ec.Eval.Bits,
-			float64(pc.Eval.Bits)/float64(ec.Eval.Bits))
+			pc.Desc, pc.Eval.Bits, edesc, eev.Bits,
+			float64(pc.Eval.Bits)/float64(eev.Bits))
 	}
 }
 
@@ -105,10 +254,56 @@ func TestExactEstimatesMatchActual(t *testing.T) {
 			t.Run(fmt.Sprintf("kind%d-n%d", kind, n), func(t *testing.T) {
 				data := estimateWorkload(kind, n, 17, 42)[:n]
 				st := core.CollectStats(data, nil)
-				checkExactEstimates(t, data, &st)
+				checkEstimates(t, data, &st)
 				checkPrunedVsExhaustive(t, data, &st, 0)
 				checkPrunedVsExhaustive(t, data, &st, n/3)
 			})
+		}
+	}
+}
+
+// TestBoundedSearchMatchesNaive pins the bound-ordered search to the
+// search that compresses everything it considers: same winner, same
+// size, same form tree, across modes, budgets, sampling and whether
+// the caller supplied the stats.
+func TestBoundedSearchMatchesNaive(t *testing.T) {
+	modes := []struct {
+		name       string
+		exhaustive bool
+		trialK     int
+	}{{"exhaustive", true, 0}, {"default", false, 0}, {"trialk1", false, 1}}
+	for kind := uint8(0); kind < 10; kind++ {
+		for _, n := range []int{0, 1, 2, 100, 5000, 65536} {
+			if n == 65536 && testing.Short() {
+				continue
+			}
+			data := estimateWorkload(kind, n, 17, 42)[:n]
+			st := core.CollectStats(data, nil)
+			for _, m := range modes {
+				for _, budget := range []float64{0, 2, 4} {
+					for _, sampleSize := range []int{0, n / 3} {
+						ref := &core.Analyzer{Candidates: DefaultCandidates(&st), Stats: &st,
+							CostBudget: budget, SampleSize: sampleSize, TrialK: m.trialK, Exhaustive: m.exhaustive}
+						wantDesc, wantForm, wantEv, wantErr := referenceBest(ref, data)
+						for _, stats := range []*core.BlockStats{&st, nil} {
+							a := *ref
+							a.Stats = stats
+							got, err := a.Best(data)
+							name := fmt.Sprintf("kind%d n%d %s budget%v sample%d stats=%v", kind, n, m.name, budget, sampleSize, stats != nil)
+							if (err == nil) != (wantErr == nil) {
+								t.Fatalf("%s: err = %v, reference err = %v", name, err, wantErr)
+							}
+							if err != nil {
+								continue
+							}
+							if got.Desc != wantDesc || got.Eval.Bits != wantEv.Bits || !reflect.DeepEqual(got.Form, wantForm) {
+								t.Fatalf("%s: winner %s (%d bits), reference %s (%d bits), forms equal = %v", name,
+									got.Desc, got.Eval.Bits, wantDesc, wantEv.Bits, reflect.DeepEqual(got.Form, wantForm))
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }
@@ -118,9 +313,9 @@ func TestExactEstimatesMatchActual(t *testing.T) {
 // trialed.
 func TestConstEstimateImpossible(t *testing.T) {
 	st := core.CollectStats([]int64{1, 2}, nil)
-	bits, exact := Const{}.EstimateSize(&st)
-	if bits != core.ImpossibleBits || !exact {
-		t.Fatalf("EstimateSize = %d, %v", bits, exact)
+	bits, kind := Const{}.EstimateSize(&st)
+	if bits != core.ImpossibleBits || kind != core.Exact {
+		t.Fatalf("EstimateSize = %d, %v", bits, kind)
 	}
 	if _, err := (Const{}).Compress([]int64{1, 2}); !errors.Is(err, core.ErrNotRepresentable) {
 		t.Fatalf("const compress err = %v", err)
@@ -209,8 +404,10 @@ func formsEqual(a, b *core.Form) bool {
 
 // FuzzAnalyzerEstimateEquivalence drives random workloads through
 // the estimate-pruned analyzer and asserts (a) it picks a form within
-// a bounded size ratio (1.05x) of the exhaustive ground truth, and
-// (b) every exact-flagged estimate equals the actual encoded bits.
+// a bounded size ratio (1.05x) of the compress-everything ground
+// truth, and (b) every estimate proves what its bound kind claims:
+// exact ones equal the actual encoded bits, lower bounds never exceed
+// them, impossible ones fail.
 func FuzzAnalyzerEstimateEquivalence(f *testing.F) {
 	f.Add(uint8(0), uint16(100), uint8(17), int64(1))
 	f.Add(uint8(4), uint16(4096), uint8(3), int64(2))
@@ -220,7 +417,7 @@ func FuzzAnalyzerEstimateEquivalence(f *testing.F) {
 		n := int(nRaw) % 8192
 		data := estimateWorkload(kind, n, param, seed)[:n]
 		st := core.CollectStats(data, nil)
-		checkExactEstimates(t, data, &st)
+		checkEstimates(t, data, &st)
 		// Odd seeds additionally exercise prefix sampling: candidates
 		// rank on full-column stats but trial on a prefix, for both
 		// the pruned and the ground-truth analyzer alike.

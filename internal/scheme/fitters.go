@@ -256,22 +256,24 @@ func modelShape(fitter ModelFitter, n int) (segLen int, modelBits uint64, ok boo
 // (step residuals are precisely the minimum-referenced offsets);
 // bounded for the sloped fitters, whose residual width is capped by
 // the per-segment range and approximated by the local delta noise.
-func (mr ModelResidual) EstimateSize(st *core.BlockStats) (uint64, bool) {
+func (mr ModelResidual) EstimateSize(st *core.BlockStats) (uint64, core.Bound) {
 	if !st.HasMinMax {
-		return 0, false
+		return 0, core.Heuristic
 	}
 	segLen, modelBits, ok := modelShape(mr.Fitter, st.N)
 	if !ok {
-		return 0, false
+		return 0, core.Heuristic
 	}
 	maxOff, _, _, foldOK := st.SegFold(segLen)
 	if !foldOK {
 		maxOff = uint64(st.Max - st.Min)
 	}
 	w := bitpack.Width(maxOff)
-	exact := false
+	kind := core.Heuristic
 	if _, isStep := mr.Fitter.(StepFitter); isStep {
-		exact = foldOK
+		if foldOK {
+			kind = core.Exact
+		}
 	} else if st.HasDeltas && st.N > 1 {
 		// A sloped model tracks trends the step model pays range for;
 		// what remains is near the local variation.
@@ -291,12 +293,12 @@ func (mr ModelResidual) EstimateSize(st *core.BlockStats) (uint64, bool) {
 		child := core.BlockStats{N: st.N, Max: widthMaxValue(w), HasMinMax: true}
 		b, _, ok := core.EstimateOf(res, &child)
 		if !ok {
-			return 0, false
+			return 0, core.Heuristic
 		}
 		resBits = b
-		exact = false
+		kind = core.Heuristic
 	}
-	return core.SatAddBits(core.FormOverheadBits(0)+modelBits, resBits), exact
+	return core.SatAddBits(core.FormOverheadBits(0)+modelBits, resBits), kind
 }
 
 // DefaultExceptionBits is the assumed per-exception storage cost used
@@ -412,9 +414,9 @@ var _ core.Scheme = PFOR{}
 // stand-in for the minimum-referenced offsets the compressor will
 // see), capped at the exact full offset width from the per-segment
 // fold.
-func (p PFOR) EstimateSize(st *core.BlockStats) (uint64, bool) {
+func (p PFOR) EstimateSize(st *core.BlockStats) (uint64, core.Bound) {
 	if !st.HasMinMax {
-		return 0, false
+		return 0, core.Heuristic
 	}
 	segLen := p.SegLen
 	if segLen == 0 {
@@ -450,7 +452,7 @@ func (p PFOR) EstimateSize(st *core.BlockStats) (uint64, bool) {
 	refs := nsFormBits(nseg, nsWidthMinMax(nseg, refMin, refMax))
 	base := core.FormOverheadBits(1) + refs + nsFormBits(st.N, w)
 	patch := core.FormOverheadBits(0) + leafBits(exc) + leafBits(exc)
-	return core.SatAddBits(base, patch), false
+	return core.SatAddBits(base, patch), core.Heuristic
 }
 
 // PatchedModel generalizes PFOR to any model: the paper's L0 and L∞
@@ -567,13 +569,13 @@ var _ core.Scheme = PatchedModel{}
 // count come from the delta histogram (the residuals a fitted model
 // leaves are near the local variation, and its outliers become
 // patches).
-func (pm PatchedModel) EstimateSize(st *core.BlockStats) (uint64, bool) {
+func (pm PatchedModel) EstimateSize(st *core.BlockStats) (uint64, core.Bound) {
 	if !st.HasMinMax {
-		return 0, false
+		return 0, core.Heuristic
 	}
 	segLen, modelBits, ok := modelShape(pm.Fitter, st.N)
 	if !ok {
-		return 0, false
+		return 0, core.Heuristic
 	}
 	excBits := pm.ExcBits
 	if excBits == 0 {
@@ -602,11 +604,11 @@ func (pm PatchedModel) EstimateSize(st *core.BlockStats) (uint64, bool) {
 		child := core.BlockStats{N: st.N, Max: widthMaxValue(w), HasMinMax: true}
 		b, _, ok := core.EstimateOf(res, &child)
 		if !ok {
-			return 0, false
+			return 0, core.Heuristic
 		}
 		resBits = b
 	}
 	base := core.SatAddBits(core.FormOverheadBits(0)+modelBits, resBits)
 	patch := core.FormOverheadBits(0) + leafBits(exc) + leafBits(exc)
-	return core.SatAddBits(base, patch), false
+	return core.SatAddBits(base, patch), core.Heuristic
 }

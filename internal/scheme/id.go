@@ -40,8 +40,8 @@ func (ID) DecompressCostPerElement(*core.Form) float64 { return 1.0 }
 
 // EstimateSize implements core.SizeEstimator, exactly: raw storage
 // costs 64 bits per value plus the node header.
-func (ID) EstimateSize(st *core.BlockStats) (uint64, bool) {
-	return leafBits(st.N), true
+func (ID) EstimateSize(st *core.BlockStats) (uint64, core.Bound) {
+	return leafBits(st.N), core.Exact
 }
 
 func checkID(f *core.Form) error {

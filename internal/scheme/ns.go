@@ -80,12 +80,12 @@ func (NS) DecompressCostPerElement(*core.Form) float64 { return 1.5 }
 // EstimateSize implements core.SizeEstimator, exactly: the zigzag
 // decision and the packed width both follow from Min/Max alone, so
 // the estimate equals the compressed form's PayloadBits.
-func (NS) EstimateSize(st *core.BlockStats) (uint64, bool) {
+func (NS) EstimateSize(st *core.BlockStats) (uint64, core.Bound) {
 	if !st.HasMinMax {
-		return 0, false
+		return 0, core.Heuristic
 	}
 	w, _ := st.NSShape()
-	return nsFormBits(st.N, w), true
+	return nsFormBits(st.N, w), core.Exact
 }
 
 func checkNS(f *core.Form) error {

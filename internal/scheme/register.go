@@ -119,8 +119,9 @@ func LinearNS(segLen int) core.Scheme {
 // data, DICT on near-unique data) are omitted so analysis stays
 // cheap, which is how a practical optimizer would consume the paper's
 // richer scheme space. Every returned candidate carries its scheme,
-// so the analyzer can rank it by estimated size (core.SizeEstimator)
-// and trial-compress only the top few.
+// so the analyzer can price it from the stats (core.SizeEstimator)
+// and compress only the candidates whose price leaves the outcome
+// open.
 func DefaultCandidates(st *core.BlockStats) []core.Candidate {
 	cands := []core.Candidate{
 		core.FromScheme(NS{}),

@@ -79,9 +79,9 @@ func (Varint) DecompressCostPerElement(*core.Form) float64 { return 3.0 }
 // so the byte total follows from the width histogram (shifted out of
 // the zigzag domain when the column is non-negative, matching the
 // compressor's unsigned mode).
-func (Varint) EstimateSize(st *core.BlockStats) (uint64, bool) {
+func (Varint) EstimateSize(st *core.BlockStats) (uint64, core.Bound) {
 	if !st.HasMinMax || !st.HasValueHist {
-		return 0, false
+		return 0, core.Heuristic
 	}
 	hist := st.ValueHist
 	if st.Min >= 0 {
@@ -99,7 +99,7 @@ func (Varint) EstimateSize(st *core.BlockStats) (uint64, bool) {
 		}
 		total += uint64(c) * b
 	}
-	return core.FormOverheadBits(1) + total*8, true
+	return core.FormOverheadBits(1) + total*8, core.Exact
 }
 
 func checkVarint(f *core.Form) error {
@@ -172,14 +172,15 @@ func (Elias) Decompress(f *core.Form) ([]int64, error) {
 // decoding is the slowest route of all.
 func (Elias) DecompressCostPerElement(*core.Form) float64 { return 6.0 }
 
-// EstimateSize implements core.SizeEstimator, bounded: an Elias
-// delta code of a zigzagged value of width w costs about
-// w + 2⌊log₂w⌋ bits (the +1 offset the encoder applies can nudge a
-// value into the next width class, so the per-class cost is
-// approximate).
-func (Elias) EstimateSize(st *core.BlockStats) (uint64, bool) {
+// EstimateSize implements core.SizeEstimator, as a lower bound: an
+// Elias delta code of a value of width w costs w + 2⌊log₂w⌋ bits,
+// which never falls as w grows, and the histogram holds the widths of
+// the zigzagged values while the encoder codes each value plus one —
+// the +1 can only keep a value in its width class or move it up one,
+// so pricing every value at its histogram class never overshoots.
+func (Elias) EstimateSize(st *core.BlockStats) (uint64, core.Bound) {
 	if !st.HasValueHist {
-		return 0, false
+		return 0, core.Heuristic
 	}
 	var total uint64
 	for w := 0; w <= 64; w++ {
@@ -195,5 +196,5 @@ func (Elias) EstimateSize(st *core.BlockStats) (uint64, bool) {
 		total += uint64(c) * (l + 2*ll - 2)
 	}
 	words := (total + 63) / 64
-	return core.FormOverheadBits(0) + words*64, false
+	return core.FormOverheadBits(0) + words*64, core.LowerBound
 }

@@ -136,16 +136,16 @@ func (VNS) DecompressCostPerElement(*core.Form) float64 { return 1.7 }
 // per-mini-block width is approximated by a high quantile of the
 // value-width histogram (the maximum of `block` draws concentrates
 // near the (1−1/block)-quantile), capped at the exact full width.
-func (s VNS) EstimateSize(st *core.BlockStats) (uint64, bool) {
+func (s VNS) EstimateSize(st *core.BlockStats) (uint64, core.Bound) {
 	if !st.HasMinMax {
-		return 0, false
+		return 0, core.Heuristic
 	}
 	block := s.Block
 	if block == 0 {
 		block = DefaultVNSBlock
 	}
 	if block < 1 {
-		return 0, false
+		return 0, core.Heuristic
 	}
 	wMax, zig := st.NSShape()
 	w := wMax
@@ -163,7 +163,7 @@ func (s VNS) EstimateSize(st *core.BlockStats) (uint64, bool) {
 	if rem := st.N % block; rem > 0 {
 		words += uint64(bitpack.PackedWords(rem, w))
 	}
-	return core.FormOverheadBits(2) + leafBits(nblocks) + words*64, false
+	return core.FormOverheadBits(2) + leafBits(nblocks) + words*64, core.Heuristic
 }
 
 func checkVNS(f *core.Form) error {

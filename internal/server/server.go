@@ -392,7 +392,7 @@ func Main(args []string) error {
 	fs.DurationVar(&cfg.CompactInterval, "compact-interval", 0, "pause between background compaction sweeps (0 = 1m)")
 	fs.Int64Var(&cfg.CompactMinGainBytes, "compact-min-gain", 0, "rewrite threshold in bytes (0 = 4096, negative = any gain)")
 	fs.Float64Var(&cfg.CompactMinGainFraction, "compact-min-gain-frac", 0, "rewrite threshold as a fraction of the old container size (0 = off)")
-	fs.IntVar(&cfg.CompactTrialK, "compact-trialk", 0, "prune the compactor's scheme search to the top K estimates (0 = exhaustive)")
+	fs.IntVar(&cfg.CompactTrialK, "compact-trialk", 0, "shortlist the compactor's scheme search to the top K estimates (0 = exhaustive: every candidate's size is established, proved from the stats or measured by compressing)")
 	fs.BoolVar(&cfg.CompactMerge, "compact-merge", false, "also merge small same-table single-column containers")
 	fs.BoolVar(&cfg.Scrub, "scrub", false, "run the background scrubber over the mounted containers")
 	fs.DurationVar(&cfg.ScrubInterval, "scrub-interval", 0, "pause between background scrub sweeps (0 = 5m)")

@@ -179,3 +179,40 @@ func Sorted(n int, max int64, seed int64) []int64 {
 	}
 	return out
 }
+
+// SpikedUniform generates values uniform in [0, 2^w) with a fraction
+// rate of them replaced by spikes uniform in [0, 2^spikeW) — a narrow
+// column with rare wide outliers, the patched-FOR workload.
+func SpikedUniform(n int, w, spikeW uint, rate float64, seed int64) []int64 {
+	out := UniformBits(n, w, seed)
+	rng := rand.New(rand.NewSource(seed + 1))
+	for i := range out {
+		if rng.Float64() < rate {
+			out[i] = rng.Int63n(int64(1) << spikeW)
+		}
+	}
+	return out
+}
+
+// Shape is one named column of a workload mix.
+type Shape struct {
+	Name string
+	Data []int64
+}
+
+// MaintainShapes returns the six column shapes a write-and-maintain
+// lifecycle sees in rotation, n values each: sorted day numbers in
+// runs, a drifting narrow walk, uniform 16-bit noise, eight scattered
+// 40-bit codes, a 10-bit column with one-in-a-thousand 30-bit spikes,
+// and a noisy rising line. Between them every scheme family in the
+// default candidate space wins somewhere.
+func MaintainShapes(n int, seed int64) []Shape {
+	return []Shape{
+		{"sorted-runs", OrderShipDates(n, 27, 730120, seed)},
+		{"walk", RandomWalk(n, 12, 1<<30, seed+1)},
+		{"uniform", UniformBits(n, 16, seed+2)},
+		{"low-cardinality", LowCardinality(n, 8, seed+3)},
+		{"spiked", SpikedUniform(n, 10, 30, 0.001, seed+4)},
+		{"trend", TrendNoise(n, 2.9, 40, seed+5)},
+	}
+}

@@ -146,3 +146,31 @@ func TestSortedIsSorted(t *testing.T) {
 		}
 	}
 }
+
+func TestSpikedUniformRate(t *testing.T) {
+	data := SpikedUniform(100000, 10, 30, 0.001, 5)
+	spikes := 0
+	for _, v := range data {
+		if v < 0 || v >= 1<<30 {
+			t.Fatalf("value %d out of range", v)
+		}
+		if v >= 1<<10 {
+			spikes++
+		}
+	}
+	if spikes < 50 || spikes > 200 {
+		t.Fatalf("%d spikes in 100000 values, want about 100", spikes)
+	}
+}
+
+func TestMaintainShapes(t *testing.T) {
+	shapes := MaintainShapes(1000, 1)
+	if len(shapes) != 6 {
+		t.Fatalf("%d shapes", len(shapes))
+	}
+	for _, s := range shapes {
+		if s.Name == "" || len(s.Data) != 1000 {
+			t.Fatalf("shape %q has %d values", s.Name, len(s.Data))
+		}
+	}
+}

@@ -89,8 +89,32 @@ type Params = core.Params
 // Stats summarizes a column for scheme selection.
 type Stats = column.Stats
 
-// Choice reports the analyzer's selected scheme and ranking.
+// Choice reports the analyzer's selected scheme and ranking. Ranking
+// holds one entry per candidate, in candidate order, and says how each
+// size was established: a candidate the search compressed has Trialed
+// set and its measured Eval; one it did not compress carries only its
+// stats-predicted EstBits with what that prediction proves (EstBound)
+// — under the exhaustive search that is always a BoundExact or
+// BoundLower price that already could not beat the winner, under the
+// default search possibly a BoundHeuristic one the shortlist left
+// out; a candidate that failed, or whose EstBits is the impossible
+// sentinel because the stats prove it cannot represent the column,
+// carries an Err matching ErrNotRepresentable.
 type Choice = core.Choice
+
+// Bound says what a Choice ranking entry's EstBits proves about the
+// size the candidate would compress to.
+type Bound = core.Bound
+
+// The bound kinds, weakest first.
+const (
+	// BoundHeuristic estimates only rank candidates.
+	BoundHeuristic = core.Heuristic
+	// BoundLower estimates are never above the compressed size.
+	BoundLower = core.LowerBound
+	// BoundExact estimates equal the compressed size bit for bit.
+	BoundExact = core.Exact
+)
 
 // Candidate is one point in the composite-scheme search space.
 type Candidate = core.Candidate
@@ -209,8 +233,9 @@ type AnalyzerOptions struct {
 	// are trial-compressed; zero means the default (3). See
 	// WithSearchEffort.
 	TrialK int
-	// Exhaustive disables estimate pruning and trial-compresses
-	// every candidate — the ground-truth search. See
+	// Exhaustive lets no heuristic estimate exclude a candidate:
+	// every candidate's size is established — proved from the stats
+	// or measured by compressing — and the smallest wins. See
 	// WithExhaustiveSearch.
 	Exhaustive bool
 }

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"lwcomp"
+	"lwcomp/internal/core"
+	"lwcomp/internal/scheme"
 	"lwcomp/internal/workload"
 )
 
@@ -331,6 +333,69 @@ func TestPublicAnalyzerOptions(t *testing.T) {
 	back, err := lwcomp.Decompress(tight.Form)
 	if err != nil || !equal(back, data) {
 		t.Fatalf("budgeted roundtrip: %v", err)
+	}
+}
+
+// TestExhaustiveRankingTruthful pins what the exhaustive search
+// reports about each candidate: one it compressed carries its measured
+// size; one it did not carries a price that proves something (never a
+// heuristic), that really bounds the size the candidate compresses to,
+// and that already could not beat the winner; one the stats prove
+// impossible carries ErrNotRepresentable without having been tried.
+func TestExhaustiveRankingTruthful(t *testing.T) {
+	constant, err := lwcomp.ParseScheme("const")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sh := range workload.MaintainShapes(20000, 3) {
+		st := core.CollectStats(sh.Data, nil)
+		cands := append(scheme.DefaultCandidates(&st), lwcomp.SchemeCandidate(constant))
+		choice, err := lwcomp.CompressBestWithOptions(sh.Data, lwcomp.AnalyzerOptions{
+			Exhaustive: true, Extra: cands[len(cands)-1:]})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(choice.Ranking) != len(cands) {
+			t.Fatalf("%s: %d ranking entries for %d candidates", sh.Name, len(choice.Ranking), len(cands))
+		}
+		winner, skipped := -1, 0
+		for i, r := range choice.Ranking {
+			if r.Trialed && r.Eval.Bits == choice.Eval.Bits && r.Desc == choice.Desc && winner < 0 {
+				winner = i
+			}
+		}
+		if winner < 0 {
+			t.Fatalf("%s: winner %s is not a compressed ranking entry", sh.Name, choice.Desc)
+		}
+		for i, r := range choice.Ranking {
+			form, cerr := cands[i].Compress(sh.Data)
+			switch {
+			case r.EstBits == core.ImpossibleBits:
+				if r.Trialed || !errors.Is(r.Err, lwcomp.ErrNotRepresentable) || !errors.Is(cerr, lwcomp.ErrNotRepresentable) {
+					t.Errorf("%s: %s priced impossible: trialed=%v err=%v, compress err=%v", sh.Name, r.Desc, r.Trialed, r.Err, cerr)
+				}
+			case r.Trialed:
+				if cerr != nil || r.Err != nil || r.Eval.Bits != form.PayloadBits() {
+					t.Errorf("%s: %s compressed: reports %d bits, err %v; actual %v", sh.Name, r.Desc, r.Eval.Bits, r.Err, cerr)
+				}
+			default:
+				skipped++
+				if r.Err != nil || cerr != nil {
+					t.Errorf("%s: %s neither compressed nor priced impossible: err=%v, compress err=%v", sh.Name, r.Desc, r.Err, cerr)
+					continue
+				}
+				actual := form.PayloadBits()
+				if r.EstBound == lwcomp.BoundHeuristic || r.EstBits > actual || r.EstBound == lwcomp.BoundExact && r.EstBits != actual {
+					t.Errorf("%s: %s skipped on a %v price of %d bits; actual %d", sh.Name, r.Desc, r.EstBound, r.EstBits, actual)
+				}
+				if r.EstBits < choice.Eval.Bits || r.EstBits == choice.Eval.Bits && i < winner {
+					t.Errorf("%s: %s skipped at %d bits although the winner took %d", sh.Name, r.Desc, r.EstBits, choice.Eval.Bits)
+				}
+			}
+		}
+		if skipped == 0 {
+			t.Errorf("%s: the search compressed every candidate; nothing was settled by its price", sh.Name)
+		}
 	}
 }
 

@@ -76,20 +76,23 @@ func WithSampleSize(n int) Option {
 }
 
 // WithSearchEffort bounds how many of the top estimate-ranked
-// candidate schemes the per-block analyzer trial-compresses (the
-// default is 3). The analyzer predicts every candidate's encoded
-// size from one-pass block statistics and only trial-encodes the k
-// most promising, so lower effort encodes faster at a small risk of
-// a slightly larger block; candidates without estimators and the
-// best exactly-estimated candidate are always trialed.
+// candidate schemes the per-block analyzer shortlists (the default
+// is 3). The analyzer predicts every candidate's encoded size from
+// one-pass block statistics and considers only the k most promising,
+// so lower effort encodes faster at a small risk of a slightly larger
+// block; candidates without estimators and the best
+// exactly-estimated candidate are always shortlisted.
 func WithSearchEffort(k int) Option {
 	return func(o *options) { o.enc.TrialK = k }
 }
 
-// WithExhaustiveSearch disables the statistics-driven pruning and
-// trial-compresses every candidate scheme on every block — the
-// ground-truth search. Encoding is several times slower; use it to
-// validate the estimators or when encode time does not matter.
+// WithExhaustiveSearch lets no heuristic estimate exclude a candidate
+// scheme: on every block every candidate's size is established —
+// proved from the block statistics or measured by compressing — and
+// the smallest wins. Encoding is slower than the default search,
+// which compresses only the few best-estimated candidates; use it
+// when encode time matters less than the last byte, as background
+// compaction does.
 func WithExhaustiveSearch() Option {
 	return func(o *options) { o.enc.Exhaustive = true }
 }
