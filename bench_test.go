@@ -914,6 +914,47 @@ func BenchmarkEncodeScheme(b *testing.B) {
 	}
 }
 
+// BenchmarkWholeColumnCodec measures the whole-column API —
+// Scheme.Compress and lwcomp.Decompress on one 65,536-value column,
+// no blocks, no caller-held scratch — which runs the same codec
+// bodies as the blocked path.
+func BenchmarkWholeColumnCodec(b *testing.B) {
+	const n = 1 << 16
+	for _, tc := range []struct {
+		name   string
+		data   []int64
+		scheme lwcomp.Scheme
+	}{
+		{"dict+ns", workload.LowCardinality(n, 32, 6), lwcomp.DictNS()},
+		{"for+ns", workload.RandomWalk(n, 12, 1<<30, 3), lwcomp.FORNS(1024)},
+		{"pfor", workload.OutlierWalk(n, 10, 0.01, 1<<38, 7), lwcomp.PFOR(1024)},
+		{"rle-delta", workload.OrderShipDates(n, 64, 730120, 5), lwcomp.RLEDeltaNS()},
+	} {
+		form, err := tc.scheme.Compress(tc.data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(tc.name+"/compress", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := tc.scheme.Compress(tc.data); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportElems(b, n)
+		})
+		b.Run(tc.name+"/decompress", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := lwcomp.Decompress(form); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportElems(b, n)
+		})
+	}
+}
+
 // BenchmarkEncodeAnalyzer measures the statistics-driven analyzer
 // encode: candidates are priced from one-pass block stats, the top
 // few by estimate are shortlisted, and a shortlisted candidate is

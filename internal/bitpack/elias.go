@@ -79,30 +79,30 @@ func EliasDeltaEncode(src []int64) ([]uint64, error) {
 	return bw.Words(), nil
 }
 
-// EliasDeltaDecode decodes n delta codes.
-func EliasDeltaDecode(words []uint64, n int) ([]int64, error) {
+// EliasDeltaDecode decodes len(dst) delta codes into dst.
+func EliasDeltaDecode(dst []int64, words []uint64) error {
 	br := NewBitReader(words)
-	out := make([]int64, n)
-	for i := 0; i < n; i++ {
+	n := len(dst)
+	for i := range dst {
 		q, err := br.ReadUnary()
 		if err != nil {
-			return nil, fmt.Errorf("delta code %d of %d: %w", i, n, err)
+			return fmt.Errorf("delta code %d of %d: %w", i, n, err)
 		}
 		lenLow, err := br.ReadBits(q)
 		if err != nil {
-			return nil, fmt.Errorf("delta code %d of %d: %w", i, n, err)
+			return fmt.Errorf("delta code %d of %d: %w", i, n, err)
 		}
 		nb := uint((uint64(1) << q) | lenLow)
 		if nb == 0 || nb > 64 {
-			return nil, fmt.Errorf("%w: delta code %d declares %d-bit value", ErrCorrupt, i, nb)
+			return fmt.Errorf("%w: delta code %d declares %d-bit value", ErrCorrupt, i, nb)
 		}
 		low, err := br.ReadBits(nb - 1)
 		if err != nil {
-			return nil, fmt.Errorf("delta code %d of %d: %w", i, n, err)
+			return fmt.Errorf("delta code %d of %d: %w", i, n, err)
 		}
-		out[i] = int64(((uint64(1) << (nb - 1)) | low) - 1)
+		dst[i] = int64(((uint64(1) << (nb - 1)) | low) - 1)
 	}
-	return out, nil
+	return nil
 }
 
 // EliasDeltaSizeBits returns the exact encoded size in bits of src

@@ -78,8 +78,8 @@ func TestEliasDeltaRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	got, err := EliasDeltaDecode(words, len(src))
-	if err != nil {
+	got := make([]int64, len(src))
+	if err := EliasDeltaDecode(got, words); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	for i := range src {
@@ -107,8 +107,8 @@ func TestEliasRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		dd, err := EliasDeltaDecode(d, len(src))
-		if err != nil {
+		dd := make([]int64, len(src))
+		if err := EliasDeltaDecode(dd, d); err != nil {
 			return false
 		}
 		for i := range src {
@@ -169,7 +169,7 @@ func TestEliasDecodeCorrupt(t *testing.T) {
 	if _, err := EliasGammaDecode([]uint64{0}, 1); err == nil {
 		t.Fatal("all-zero gamma stream accepted")
 	}
-	if _, err := EliasDeltaDecode(nil, 1); err == nil {
+	if err := EliasDeltaDecode(make([]int64, 1), nil); err == nil {
 		t.Fatal("empty delta stream accepted")
 	}
 }

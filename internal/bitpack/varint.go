@@ -17,19 +17,19 @@ func VarintEncode(src []int64) []byte {
 	return out
 }
 
-// VarintDecode decodes n zigzagged LEB128 varints from data.
-func VarintDecode(data []byte, n int) ([]int64, error) {
-	out := make([]int64, n)
+// VarintDecode decodes len(dst) zigzagged LEB128 varints from data
+// into dst.
+func VarintDecode(dst []int64, data []byte) error {
 	pos := 0
-	for i := 0; i < n; i++ {
+	for i := range dst {
 		u, sz := binary.Uvarint(data[pos:])
 		if sz <= 0 {
-			return nil, fmt.Errorf("%w: varint %d of %d at byte %d", ErrCorrupt, i, n, pos)
+			return fmt.Errorf("%w: varint %d of %d at byte %d", ErrCorrupt, i, len(dst), pos)
 		}
-		out[i] = Unzigzag(u)
+		dst[i] = Unzigzag(u)
 		pos += sz
 	}
-	return out, nil
+	return nil
 }
 
 // VarintSize returns the encoded size in bytes of src under
@@ -62,17 +62,17 @@ func VarintEncodeUnsigned(src []int64) ([]byte, error) {
 	return out, nil
 }
 
-// VarintDecodeUnsigned decodes n unsigned varints from data.
-func VarintDecodeUnsigned(data []byte, n int) ([]int64, error) {
-	out := make([]int64, n)
+// VarintDecodeUnsigned decodes len(dst) unsigned varints from data
+// into dst.
+func VarintDecodeUnsigned(dst []int64, data []byte) error {
 	pos := 0
-	for i := 0; i < n; i++ {
+	for i := range dst {
 		u, sz := binary.Uvarint(data[pos:])
 		if sz <= 0 {
-			return nil, fmt.Errorf("%w: varint %d of %d at byte %d", ErrCorrupt, i, n, pos)
+			return fmt.Errorf("%w: varint %d of %d at byte %d", ErrCorrupt, i, len(dst), pos)
 		}
-		out[i] = int64(u)
+		dst[i] = int64(u)
 		pos += sz
 	}
-	return out, nil
+	return nil
 }

@@ -11,8 +11,8 @@ import (
 func TestVarintRoundTrip(t *testing.T) {
 	src := []int64{0, 1, -1, 127, -128, math.MaxInt64, math.MinInt64}
 	data := VarintEncode(src)
-	got, err := VarintDecode(data, len(src))
-	if err != nil {
+	got := make([]int64, len(src))
+	if err := VarintDecode(got, data); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	for i := range src {
@@ -28,8 +28,8 @@ func TestVarintRoundTrip(t *testing.T) {
 func TestVarintRoundTripProperty(t *testing.T) {
 	check := func(src []int64) bool {
 		data := VarintEncode(src)
-		got, err := VarintDecode(data, len(src))
-		if err != nil {
+		got := make([]int64, len(src))
+		if err := VarintDecode(got, data); err != nil {
 			return false
 		}
 		for i := range src {
@@ -46,10 +46,10 @@ func TestVarintRoundTripProperty(t *testing.T) {
 
 func TestVarintTruncated(t *testing.T) {
 	data := VarintEncode([]int64{1, 2, 3})
-	if _, err := VarintDecode(data[:len(data)-1], 3); !errors.Is(err, ErrCorrupt) {
+	if err := VarintDecode(make([]int64, 3), data[:len(data)-1]); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("truncated err = %v", err)
 	}
-	if _, err := VarintDecode(nil, 1); !errors.Is(err, ErrCorrupt) {
+	if err := VarintDecode(make([]int64, 1), nil); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("empty err = %v", err)
 	}
 }
@@ -60,8 +60,8 @@ func TestVarintUnsigned(t *testing.T) {
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	got, err := VarintDecodeUnsigned(data, len(src))
-	if err != nil {
+	got := make([]int64, len(src))
+	if err := VarintDecodeUnsigned(got, data); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
 	for i := range src {

@@ -14,6 +14,7 @@ import (
 
 	"lwcomp/internal/blocked"
 	"lwcomp/internal/storage"
+	"lwcomp/internal/vec"
 )
 
 // DefaultMinGainBytes is the rewrite threshold used when Options does
@@ -471,7 +472,7 @@ func verifyCandidate(candidate []byte, names []string, want [][]int64) error {
 			if b.Count == 0 {
 				continue
 			}
-			lo, hi := minMax(buf[:b.Count])
+			lo, hi, _ := vec.MinMax(buf[:b.Count]) // non-empty: b.Count > 0
 			if !b.HasStats || lo != b.Min || hi != b.Max {
 				return fmt.Errorf("%w: column %q block %d index stats [%d, %d], data spans [%d, %d]",
 					storage.ErrCorrupt, bc.Name, i, b.Min, b.Max, lo, hi)
@@ -479,18 +480,4 @@ func verifyCandidate(candidate []byte, names []string, want [][]int64) error {
 		}
 	}
 	return nil
-}
-
-// minMax returns the extremes of a non-empty slice.
-func minMax(vs []int64) (lo, hi int64) {
-	lo, hi = vs[0], vs[0]
-	for _, v := range vs[1:] {
-		if v < lo {
-			lo = v
-		}
-		if v > hi {
-			hi = v
-		}
-	}
-	return lo, hi
 }

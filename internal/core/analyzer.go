@@ -37,7 +37,7 @@ type Candidate struct {
 	// Scheme, when non-nil, is the scheme behind Compress. It lets
 	// the analyzer predict the candidate's encoded size from block
 	// statistics (SizeEstimator) and pool its encode temporaries
-	// (ScratchCompressor). Candidates built from a bare Compress
+	// (CompressScratch). Candidates built from a bare Compress
 	// closure have no price and are always compressed.
 	Scheme Scheme
 }

@@ -47,16 +47,13 @@ func (c *Composite) Name() string {
 	return out + ")"
 }
 
-// Compress applies the outer scheme, then rewrites each named child by
-// compressing its pure column with the inner scheme.
-func (c *Composite) Compress(src []int64) (*Form, error) {
-	return c.compressRewrite(src, nil)
-}
+// Compress is CompressScratch with an arena from the pool.
+func (c *Composite) Compress(src []int64) (*Form, error) { return CompressPooled(c, src) }
 
-// Decompress delegates to the registry-driven driver; composite forms
-// decompress like any other because composition is structural.
-func (c *Composite) Decompress(f *Form) ([]int64, error) {
-	return Decompress(f)
+// DecompressInto delegates to the registry-driven driver; composite
+// forms decompress like any other because composition is structural.
+func (c *Composite) DecompressInto(f *Form, dst []int64, s *Scratch) error {
+	return DecompressInto(f, dst, s)
 }
 
 // Compile-time check: a Composite is itself a Scheme, so compositions

@@ -2,13 +2,15 @@ package core
 
 import "fmt"
 
-// The pooled-compress contract, mirroring the *Into decode work: a
+// The compress contract: a scheme states its split once, and a
 // steady-state block encode should allocate only what the resulting
-// form retains (nodes and payloads), never its temporaries. Schemes
-// opt in with ScratchCompressor; decomposable schemes additionally
-// implement ConstituentCompressor so a Composite can compress
-// constituent columns straight out of scratch buffers instead of
-// round-tripping them through retained ID forms.
+// form retains (nodes and payloads), never its temporaries. A scheme
+// with temporaries takes them from a Scratch (ScratchCompressor); a
+// decomposable scheme hands its constituent columns out
+// (ConstituentCompressor), so a Composite compresses them straight
+// out of the buffers they were produced in and a bare Compress wraps
+// them in ID leaves. Scheme.Compress is the same body with an arena
+// taken from the pool for the call.
 
 // LeafSchemeName is the registered name of the identity scheme —
 // the raw pure-column leaf every decomposable scheme emits for its
@@ -16,9 +18,9 @@ import "fmt"
 // recognize ID leaves without importing the scheme package.
 const LeafSchemeName = "id"
 
-// ScratchCompressor is the encode-side mirror of IntoDecompressor:
-// Compress drawing temporaries from a Scratch arena so steady-state
-// block encode allocates only the retained form.
+// ScratchCompressor is implemented by schemes whose compressor has
+// temporaries worth pooling: it draws them from a Scratch arena, so
+// steady-state block encode allocates only the retained form.
 type ScratchCompressor interface {
 	// CompressScratch encodes src into a form, borrowing temporaries
 	// from s (which may be nil).
@@ -36,43 +38,57 @@ type ConstituentCompressor interface {
 	CompressParts(src []int64, s *Scratch, emit func(name string, col []int64) (*Form, error)) (*Form, error)
 }
 
-// CompressScratch encodes src under sch, routing through the scheme's
-// pooled compressor when it has one (and a scratch was supplied) and
-// falling back to plain Compress otherwise, so the call never fails
-// for lack of a fast path.
+// CompressScratch encodes src under sch, handing s to a scheme that
+// takes its temporaries from an arena — under either contract; for
+// the rest it is plain Compress.
 func CompressScratch(sch Scheme, src []int64, s *Scratch) (*Form, error) {
-	if s != nil {
-		if sc, ok := sch.(ScratchCompressor); ok {
-			return sc.CompressScratch(src, s)
-		}
+	switch sc := sch.(type) {
+	case ScratchCompressor:
+		return sc.CompressScratch(src, s)
+	case ConstituentCompressor:
+		return sc.CompressParts(src, s, LeafEmit)
 	}
 	return sch.Compress(src)
 }
 
-// newLeafForm builds the canonical ID form over a copy of col — the
-// retained fallback for constituent columns a composite leaves
-// uncompressed.
-func newLeafForm(col []int64) *Form {
+// CompressPooled is CompressScratch over an arena taken from the pool
+// for the call — the whole of Scheme.Compress for a scheme whose one
+// compressor is its CompressScratch or CompressParts. (A scheme with
+// neither must not define Compress through it: CompressScratch would
+// call straight back.)
+func CompressPooled(sch Scheme, src []int64) (*Form, error) {
+	s := GetScratch()
+	defer s.Release()
+	return CompressScratch(sch, src, s)
+}
+
+// NewLeafForm builds the canonical ID form over a copy of col — what
+// a constituent column becomes when nothing compresses it further.
+func NewLeafForm(col []int64) *Form {
 	leaf := make([]int64, len(col))
 	copy(leaf, col)
 	return &Form{Scheme: LeafSchemeName, N: len(col), Leaf: leaf}
 }
 
-// CompressScratch implements ScratchCompressor for compositions. When
-// the outer scheme supports CompressParts, each constituent column is
-// compressed directly from the scratch buffer the outer produced it
-// in; otherwise the composite falls back to compress-then-rewrite,
-// reading pure columns straight from ID leaves where possible.
+// LeafEmit is the CompressParts emit of a bare, uncomposed scheme:
+// every constituent column is retained as an ID leaf.
+func LeafEmit(_ string, col []int64) (*Form, error) { return NewLeafForm(col), nil }
+
+// CompressScratch implements ScratchCompressor for compositions. An
+// outer scheme that can hand out its parts (ConstituentCompressor)
+// has each constituent column compressed directly from the buffer the
+// outer produced it in; one that cannot takes the
+// compress-then-rewrite route.
 func (c *Composite) CompressScratch(src []int64, s *Scratch) (*Form, error) {
 	cc, ok := c.outer.(ConstituentCompressor)
-	if !ok || s == nil {
+	if !ok {
 		return c.compressRewrite(src, s)
 	}
 	seen := 0
 	f, err := cc.CompressParts(src, s, func(name string, col []int64) (*Form, error) {
 		inner, composed := c.inner[name]
 		if !composed {
-			return newLeafForm(col), nil
+			return NewLeafForm(col), nil
 		}
 		seen++
 		cf, err := CompressScratch(inner, col, s)
@@ -86,8 +102,8 @@ func (c *Composite) CompressScratch(src []int64, s *Scratch) (*Form, error) {
 	}
 	if seen != len(c.inner) {
 		// Some configured inner never matched an emitted constituent:
-		// surface the same loud failure Compress gives for unknown
-		// child keys.
+		// surface the same loud failure compressRewrite gives for
+		// unknown child keys.
 		for name := range c.inner {
 			if _, err := f.Child(name); err != nil {
 				return nil, fmt.Errorf("composite %q: %w", c.Name(), err)
@@ -97,9 +113,9 @@ func (c *Composite) CompressScratch(src []int64, s *Scratch) (*Form, error) {
 	return f, nil
 }
 
-// compressRewrite is the compress-then-rewrite composition path:
-// compress with the outer scheme, then replace each named child with
-// its inner compression. Pure columns are read straight from ID
+// compressRewrite composes over an outer scheme that cannot hand out
+// its parts: compress with the outer, then replace each named child
+// with its inner compression. Pure columns are read straight from ID
 // leaves when the outer emitted them that way, avoiding a decompress
 // copy.
 func (c *Composite) compressRewrite(src []int64, s *Scratch) (*Form, error) {

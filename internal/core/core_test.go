@@ -20,8 +20,9 @@ func (m mockRaw) Compress(src []int64) (*Form, error) {
 	return &Form{Scheme: m.name, N: len(src), Leaf: leaf}, nil
 }
 
-func (m mockRaw) Decompress(f *Form) ([]int64, error) {
-	return append([]int64{}, f.Leaf...), nil
+func (m mockRaw) DecompressInto(f *Form, dst []int64, _ *Scratch) error {
+	copy(dst, f.Leaf)
+	return nil
 }
 
 func (m mockRaw) DecompressCostPerElement(*Form) float64 { return 1 }
@@ -47,16 +48,14 @@ func (m mockDouble) Compress(src []int64) (*Form, error) {
 	}, nil
 }
 
-func (m mockDouble) Decompress(f *Form) ([]int64, error) {
-	halves, err := DecompressChild(f, "halves")
-	if err != nil {
-		return nil, err
+func (m mockDouble) DecompressInto(f *Form, dst []int64, s *Scratch) error {
+	if err := DecompressChildInto(f, "halves", dst, s); err != nil {
+		return err
 	}
-	out := make([]int64, len(halves))
-	for i, v := range halves {
-		out[i] = v * 2
+	for i, v := range dst {
+		dst[i] = v * 2
 	}
-	return out, nil
+	return nil
 }
 
 func (m mockDouble) Plan(f *Form) (*exec.Plan, error) {
@@ -134,9 +133,12 @@ func TestDecompressDriver(t *testing.T) {
 	}
 }
 
+// A scheme fills storage sized from f.N, so the one length core can
+// still get wrong is the destination's: it is checked before any
+// scheme code runs.
 func TestDecompressLengthMismatchDetected(t *testing.T) {
-	f := &Form{Scheme: "raw-mock", N: 5, Leaf: []int64{1, 2}}
-	if _, err := Decompress(f); !errors.Is(err, ErrCorruptForm) {
+	f := &Form{Scheme: "raw-mock", N: 5, Leaf: []int64{1, 2, 3, 4, 5}}
+	if err := DecompressInto(f, make([]int64, 2), nil); !errors.Is(err, ErrCorruptForm) {
 		t.Fatalf("length mismatch err = %v", err)
 	}
 }
@@ -267,8 +269,8 @@ func TestComposite(t *testing.T) {
 	if f.Children["halves"].Scheme != "double-mock" {
 		t.Fatalf("inner child scheme = %q", f.Children["halves"].Scheme)
 	}
-	got, err := comp.Decompress(f)
-	if err != nil {
+	got := make([]int64, f.N)
+	if err := comp.DecompressInto(f, got, nil); err != nil {
 		t.Fatal(err)
 	}
 	for i := range src {
@@ -424,8 +426,9 @@ func (c countingScheme) Compress(src []int64) (*Form, error) {
 	return &Form{Scheme: "raw-mock", N: len(src), Leaf: leaf}, nil
 }
 
-func (c countingScheme) Decompress(f *Form) ([]int64, error) {
-	return append([]int64{}, f.Leaf...), nil
+func (c countingScheme) DecompressInto(f *Form, dst []int64, _ *Scratch) error {
+	copy(dst, f.Leaf)
+	return nil
 }
 
 // TestAnalyzerFallbackWalksRanking pins the fallback fix: when the

@@ -15,8 +15,11 @@
 //   - Form: the recursive compressed representation (a tree whose
 //     internal nodes are schemes and whose leaves are raw or
 //     physically packed columns);
-//   - Scheme: the compressor/decompressor contract, with optional
-//     operator-plan decompression (Planner);
+//   - Scheme: the compressor/decompressor contract — one split
+//     (Compress) and one reconstruction (DecompressInto) per scheme,
+//     run alike by the whole-column API and the pooled block path —
+//     with optional operator-plan decompression (Planner), the
+//     paper's specification the one decoder is tested against;
 //   - Composite: the composition operator ∘;
 //   - rewrite rules realizing the paper's decomposition identities;
 //   - a cost model and an analyzer that searches the composite-scheme

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 )
@@ -199,10 +198,10 @@ func (f *Form) Clone() *Form {
 func (f *Form) Validate() error {
 	return f.Walk(func(node *Form) error {
 		if node.Scheme == "" {
-			return errors.New("core: form with empty scheme name")
+			return fmt.Errorf("%w: form with empty scheme name", ErrCorruptForm)
 		}
 		if node.N < 0 {
-			return fmt.Errorf("core: form %q has negative length %d", node.Scheme, node.N)
+			return fmt.Errorf("%w: form %q has negative length %d", ErrCorruptForm, node.Scheme, node.N)
 		}
 		arms := 0
 		if node.Leaf != nil {
@@ -215,7 +214,7 @@ func (f *Form) Validate() error {
 			arms++
 		}
 		if arms > 1 {
-			return fmt.Errorf("core: form %q mixes payload arms", node.Scheme)
+			return fmt.Errorf("%w: form %q mixes payload arms", ErrCorruptForm, node.Scheme)
 		}
 		s, ok := Lookup(node.Scheme)
 		if !ok {

@@ -26,22 +26,28 @@ var ErrCorruptForm = errors.New("core: corrupt form")
 // Scheme is a lightweight compression scheme under the paper's
 // columnar view: Compress splits a logical column into constituent
 // columns (children of the returned Form) plus scalar parameters;
-// Decompress reverses it.
+// DecompressInto reverses it. Each scheme states its split once and
+// its reconstruction once: the whole-column API (Compress,
+// core.Decompress) and the pooled block path (core.CompressScratch,
+// core.DecompressInto with a Scratch) run the same two bodies.
 //
 // Compress must produce children that are ID forms (raw pure columns)
 // or physical leaf forms; making children *themselves* compressed is
 // the job of the Composite combinator — keeping the two concerns
 // separate is exactly the paper's decomposition discipline.
 //
-// Decompress must handle children compressed by arbitrary schemes by
-// resolving them through core.Decompress.
+// DecompressInto must handle children compressed by arbitrary schemes
+// by resolving them through core.DecompressInto (DecompressChildInto,
+// ChildScratch).
 type Scheme interface {
 	// Name returns the registry key, a short lowercase identifier.
 	Name() string
 	// Compress encodes src into a form.
 	Compress(src []int64) (*Form, error)
-	// Decompress reconstructs the column encoded by f.
-	Decompress(f *Form) ([]int64, error)
+	// DecompressInto reconstructs the column encoded by f into dst,
+	// which has length f.N and unspecified contents. Temporaries come
+	// from s, which may be nil (they are then plainly allocated).
+	DecompressInto(f *Form, dst []int64, s *Scratch) error
 }
 
 // Planner is implemented by schemes whose decompression can be
@@ -103,25 +109,21 @@ func Schemes() []string {
 	return names
 }
 
-// Decompress reconstructs the logical column of a form tree by
-// dispatching on the form's scheme name. It is the single entry point
-// schemes use to resolve their (possibly recursively compressed)
-// constituent columns.
+// Decompress reconstructs the logical column of a form tree into a
+// fresh slice. The whole tree is validated before the output is sized
+// from f.N, so a hostile length is refused, not allocated.
 func Decompress(f *Form) ([]int64, error) {
 	if f == nil {
 		return nil, errors.New("core: Decompress(nil)")
 	}
-	s, ok := Lookup(f.Scheme)
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrUnknownScheme, f.Scheme)
+	if err := f.Validate(); err != nil {
+		return nil, err
 	}
-	out, err := s.Decompress(f)
-	if err != nil {
-		return nil, fmt.Errorf("scheme %q: %w", f.Scheme, err)
-	}
-	if len(out) != f.N {
-		return nil, fmt.Errorf("%w: scheme %q decompressed %d values, form declares %d",
-			ErrCorruptForm, f.Scheme, len(out), f.N)
+	s := GetScratch()
+	defer s.Release()
+	out := make([]int64, f.N)
+	if err := DecompressInto(f, out, s); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
@@ -135,21 +137,11 @@ func DecompressChild(f *Form, name string) ([]int64, error) {
 	return Decompress(c)
 }
 
-// IntoDecompressor is implemented by schemes whose decoder can fill
-// caller-provided storage, drawing temporaries from a Scratch arena
-// instead of the heap. It is the allocation-free variant of
-// Scheme.Decompress that the blocked scan path runs on.
-type IntoDecompressor interface {
-	// DecompressInto reconstructs f's column into dst, which has
-	// length f.N. Temporaries come from s (which may be nil).
-	DecompressInto(f *Form, dst []int64, s *Scratch) error
-}
-
 // DecompressInto reconstructs f's column into dst (whose length must
-// equal f.N), using s for decode temporaries. Schemes implementing
-// IntoDecompressor decode with zero steady-state allocations; others
-// fall back to Decompress plus a copy, so the call never fails for
-// lack of a fast path.
+// equal f.N) by dispatching on the form's scheme name, using s for
+// decode temporaries. It is the single entry point schemes use to
+// resolve their (possibly recursively compressed) constituent
+// columns; with a reused Scratch the steady state allocates nothing.
 func DecompressInto(f *Form, dst []int64, s *Scratch) error {
 	if f == nil {
 		return errors.New("core: DecompressInto(nil)")
@@ -162,17 +154,9 @@ func DecompressInto(f *Form, dst []int64, s *Scratch) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownScheme, f.Scheme)
 	}
-	if d, ok := sc.(IntoDecompressor); ok {
-		if err := d.DecompressInto(f, dst, s); err != nil {
-			return fmt.Errorf("scheme %q: %w", f.Scheme, err)
-		}
-		return nil
+	if err := sc.DecompressInto(f, dst, s); err != nil {
+		return fmt.Errorf("scheme %q: %w", f.Scheme, err)
 	}
-	out, err := Decompress(f)
-	if err != nil {
-		return err
-	}
-	copy(dst, out)
 	return nil
 }
 

@@ -14,134 +14,43 @@ import (
 // (offsets are non-negative by construction), DICT's is its first
 // dictionary entry, RLE/RPE scan run values only.
 func Min(f *core.Form) (int64, error) {
-	if f.N == 0 {
-		return 0, fmt.Errorf("query: Min of empty column")
-	}
-	switch f.Scheme {
-	case scheme.ConstName:
-		return f.Params["value"], nil
-
-	case scheme.RLEName, scheme.RPEName:
-		values, err := core.DecompressChild(f, "values")
-		if err != nil {
-			return 0, err
-		}
-		m, _, err := vec.MinMax(values)
-		return m, err
-
-	case scheme.DictName:
-		dict, err := core.DecompressChild(f, "dict")
-		if err != nil {
-			return 0, err
-		}
-		if len(dict) == 0 {
-			return 0, fmt.Errorf("%w: dict form with empty dictionary", core.ErrCorruptForm)
-		}
-		// The dictionary is sorted but may contain entries unused by
-		// the codes; dictionaries built by Dict.Compress use all
-		// entries, so the first is the minimum.
-		return dict[0], nil
-
-	case scheme.FORName:
-		// Offsets are ≥ 0 against per-segment minima, so the column
-		// minimum is the refs minimum — when the offsets child is an
-		// unsigned NS/VNS payload. Foreign offsets fall through.
-		offsets, err := f.Child("offsets")
-		if err != nil {
-			return 0, err
-		}
-		if isUnsignedPacked(offsets) {
-			refs, err := core.DecompressChild(f, "refs")
-			if err != nil {
-				return 0, err
-			}
-			m, _, err := vec.MinMax(refs)
-			return m, err
-		}
-
-	case scheme.StepName:
-		refs, err := core.DecompressChild(f, "refs")
-		if err != nil {
-			return 0, err
-		}
-		m, _, err := vec.MinMax(refs)
-		return m, err
-	}
-	col, err := core.Decompress(f)
-	if err != nil {
-		return 0, err
-	}
-	m, _, err := vec.MinMax(col)
-	return m, err
+	lo, _, err := extremes(f, "Min", false)
+	return lo, err
 }
 
 // Max returns the exact maximum of the column represented by f, with
 // the same structural shortcuts as Min where they are exact and a
 // decompression fallback otherwise.
 func Max(f *core.Form) (int64, error) {
-	if f.N == 0 {
-		return 0, fmt.Errorf("query: Max of empty column")
-	}
-	switch f.Scheme {
-	case scheme.ConstName:
-		return f.Params["value"], nil
-
-	case scheme.RLEName, scheme.RPEName:
-		values, err := core.DecompressChild(f, "values")
-		if err != nil {
-			return 0, err
-		}
-		_, m, err := vec.MinMax(values)
-		return m, err
-
-	case scheme.DictName:
-		dict, err := core.DecompressChild(f, "dict")
-		if err != nil {
-			return 0, err
-		}
-		if len(dict) == 0 {
-			return 0, fmt.Errorf("%w: dict form with empty dictionary", core.ErrCorruptForm)
-		}
-		return dict[len(dict)-1], nil
-
-	case scheme.StepName:
-		refs, err := core.DecompressChild(f, "refs")
-		if err != nil {
-			return 0, err
-		}
-		_, m, err := vec.MinMax(refs)
-		return m, err
-	}
-	col, err := core.Decompress(f)
-	if err != nil {
-		return 0, err
-	}
-	_, m, err := vec.MinMax(col)
-	return m, err
+	_, hi, err := extremes(f, "Max", true)
+	return hi, err
 }
 
 // MinMax returns the exact minimum and maximum of the column in one
-// call. Schemes whose Min and Max shortcuts read the same
-// constituent (run values, the dictionary, the materialized column)
-// decode it once here instead of twice; the remaining schemes have
-// asymmetric shortcuts and delegate to Min and Max. It exists for
+// call: whichever constituent holds both extremes (run values, the
+// dictionary, the materialized column) is decoded once. It exists for
 // callers that adopt pre-existing forms into the blocked-column API
 // and need per-block [min, max] stats.
 func MinMax(f *core.Form) (int64, int64, error) {
+	return extremes(f, "MinMax", true)
+}
+
+// extremes is the one structural walk behind Min, Max and MinMax (op
+// names the caller in errors). It always returns both extremes except
+// on the one route where the minimum is cheaper alone — FOR's refs —
+// which it takes only when the caller does not need the maximum.
+func extremes(f *core.Form, op string, needMax bool) (lo, hi int64, err error) {
 	if f.N == 0 {
-		return 0, 0, fmt.Errorf("query: MinMax of empty column")
+		return 0, 0, fmt.Errorf("query: %s of empty column", op)
 	}
+	part := ""
 	switch f.Scheme {
 	case scheme.ConstName:
 		v := f.Params["value"]
 		return v, v, nil
 
 	case scheme.RLEName, scheme.RPEName:
-		values, err := core.DecompressChild(f, "values")
-		if err != nil {
-			return 0, 0, err
-		}
-		return vec.MinMax(values)
+		part = "values"
 
 	case scheme.DictName:
 		dict, err := core.DecompressChild(f, "dict")
@@ -151,31 +60,33 @@ func MinMax(f *core.Form) (int64, int64, error) {
 		if len(dict) == 0 {
 			return 0, 0, fmt.Errorf("%w: dict form with empty dictionary", core.ErrCorruptForm)
 		}
+		// The dictionary is sorted but may contain entries unused by
+		// the codes; dictionaries built by Dict.Compress use all
+		// entries, so its ends are the extremes.
 		return dict[0], dict[len(dict)-1], nil
 
+	case scheme.FORName:
+		// Offsets are ≥ 0 against per-segment minima, so the column
+		// minimum is the refs minimum — when the offsets child is an
+		// unsigned NS/VNS payload. The maximum, and foreign offsets,
+		// need the column.
+		offsets, err := f.Child("offsets")
+		if err != nil {
+			return 0, 0, err
+		}
+		if !needMax && isUnsignedPacked(offsets) {
+			part = "refs"
+		}
+
 	case scheme.StepName:
-		refs, err := core.DecompressChild(f, "refs")
-		if err != nil {
-			return 0, 0, err
-		}
-		return vec.MinMax(refs)
-
-	case scheme.FORName, scheme.PlusName, scheme.PatchName:
-		// Min and Max take different structural routes here (e.g.
-		// FOR's minimum reads refs only; its maximum decompresses).
-		lo, err := Min(f)
-		if err != nil {
-			return 0, 0, err
-		}
-		hi, err := Max(f)
-		if err != nil {
-			return 0, 0, err
-		}
-		return lo, hi, nil
+		part = "refs"
 	}
-
-	// Fallback: one materialization, both extremes.
-	col, err := core.Decompress(f)
+	var col []int64
+	if part != "" {
+		col, err = core.DecompressChild(f, part)
+	} else {
+		col, err = core.Decompress(f)
+	}
 	if err != nil {
 		return 0, 0, err
 	}

@@ -490,6 +490,7 @@ func TestCorruptRunBoundsSharedTable(t *testing.T) {
 		{"rpe/decreasing", rpe([]int64{5, 3, 8}, []int64{1, 2, 3}, 8)},
 		{"rpe/undershoot", rpe([]int64{3, 6}, []int64{1, 2}, 8)},
 		{"rpe/overshoot", rpe([]int64{3, 200}, []int64{1, 2}, 8)},
+		{"rpe/overshoot-before-last", rpe([]int64{200, 8}, []int64{1, 2}, 8)},
 		{"rpe/child-length-mismatch", rpe([]int64{3, 8}, []int64{1}, 8)},
 	}
 	for _, tc := range cases {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"lwcomp/internal/core"
+	"lwcomp/internal/vec"
 )
 
 // ConstName is the registry name of the constant scheme.
@@ -37,17 +38,13 @@ func (Const) Compress(src []int64) (*core.Form, error) {
 	return &core.Form{Scheme: ConstName, N: len(src), Params: core.Params{"value": v}}, nil
 }
 
-// Decompress materializes the repeated value.
-func (Const) Decompress(f *core.Form) ([]int64, error) {
+// DecompressInto fills dst with the repeated value.
+func (Const) DecompressInto(f *core.Form, dst []int64, _ *core.Scratch) error {
 	if err := checkConst(f); err != nil {
-		return nil, err
+		return err
 	}
-	v := f.Params["value"]
-	out := make([]int64, f.N)
-	for i := range out {
-		out[i] = v
-	}
-	return out, nil
+	vec.ConstantInto(dst, f.Params["value"])
+	return nil
 }
 
 // ValidateForm implements core.Validator.

@@ -27,28 +27,40 @@ type Delta struct{}
 func (Delta) Name() string { return DeltaName }
 
 // Compress stores consecutive differences.
-func (Delta) Compress(src []int64) (*core.Form, error) {
-	return &core.Form{
-		Scheme:   DeltaName,
-		N:        len(src),
-		Children: map[string]*core.Form{"deltas": NewIDForm(vec.Delta(src))},
-	}, nil
-}
+func (sch Delta) Compress(src []int64) (*core.Form, error) { return core.CompressPooled(sch, src) }
 
-// Decompress integrates the deltas.
-func (Delta) Decompress(f *core.Form) ([]int64, error) {
-	if err := checkDelta(f); err != nil {
-		return nil, err
+// CompressParts implements core.ConstituentCompressor: deltas go into
+// a borrowed buffer.
+func (Delta) CompressParts(src []int64, s *core.Scratch, emit func(name string, col []int64) (*core.Form, error)) (*core.Form, error) {
+	d := s.I64(len(src))
+	defer s.PutI64(d)
+	prev := int64(0)
+	for i, v := range src {
+		d[i] = v - prev
+		prev = v
 	}
-	deltas, err := core.DecompressChild(f, "deltas")
+	deltasForm, err := emit("deltas", d)
 	if err != nil {
 		return nil, err
 	}
-	if len(deltas) != f.N {
-		return nil, fmt.Errorf("%w: delta form declares %d values, deltas child has %d",
-			core.ErrCorruptForm, f.N, len(deltas))
+	return &core.Form{
+		Scheme:   DeltaName,
+		N:        len(src),
+		Children: map[string]*core.Form{"deltas": deltasForm},
+	}, nil
+}
+
+// DecompressInto decodes the deltas into dst, then integrates them in
+// place.
+func (Delta) DecompressInto(f *core.Form, dst []int64, s *core.Scratch) error {
+	if err := checkDelta(f); err != nil {
+		return err
 	}
-	return vec.PrefixSumInclusive(deltas), nil
+	if err := core.DecompressChildInto(f, "deltas", dst, s); err != nil {
+		return err
+	}
+	_, err := vec.PrefixSumInclusiveInto(dst, dst)
+	return err
 }
 
 // Plan implements core.Planner: decompression is a single PrefixSum —

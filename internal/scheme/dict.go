@@ -2,11 +2,11 @@ package scheme
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
+	"lwcomp/internal/bitpack"
 	"lwcomp/internal/core"
 	"lwcomp/internal/exec"
-	"lwcomp/internal/vec"
 )
 
 // DictName is the registry name of the dictionary scheme.
@@ -26,52 +26,138 @@ type Dict struct{}
 func (Dict) Name() string { return DictName }
 
 // Compress builds the sorted dictionary and code column.
-func (Dict) Compress(src []int64) (*core.Form, error) {
-	seen := make(map[int64]struct{}, 256)
-	for _, v := range src {
-		seen[v] = struct{}{}
+func (sch Dict) Compress(src []int64) (*core.Form, error) { return core.CompressPooled(sch, src) }
+
+// dictHash spreads a value over the top bits of a word (Fibonacci
+// hashing); a table of 2^k slots indexes by its top k bits.
+func dictHash(v int64, shift uint) uint64 {
+	return (uint64(v) * 0x9E3779B97F4A7C15) >> shift
+}
+
+// dictTable borrows an open-addressing table of 2^(64-shift) slots
+// holding every value of seen under its index plus one; zero marks an
+// empty slot, so the borrowed keys need no clearing and the value 0
+// is a key like any other.
+func dictTable(seen []int64, shift uint, s *core.Scratch) (keys, nums []int64) {
+	keys, nums = s.I64(1<<(64-shift)), s.I64(1<<(64-shift))
+	clear(nums)
+	for num, v := range seen {
+		h := dictHash(v, shift)
+		for nums[h] != 0 {
+			h = (h + 1) & uint64(len(nums)-1)
+		}
+		keys[h], nums[h] = v, int64(num)+1
 	}
-	dict := make([]int64, 0, len(seen))
-	for v := range seen {
-		dict = append(dict, v)
-	}
-	sort.Slice(dict, func(i, j int) bool { return dict[i] < dict[j] })
-	index := make(map[int64]int64, len(dict))
-	for i, v := range dict {
-		index[v] = int64(i)
-	}
-	codes := make([]int64, len(src))
+	return keys, nums
+}
+
+// CompressParts implements core.ConstituentCompressor: one pass over
+// the column finds the distinct values through a borrowed
+// open-addressing table, numbering them in order of first appearance,
+// so only the dictionary — never the column — is sorted, and the
+// codes are those numbers mapped through the sort's permutation. The
+// table is regrown fourfold whenever the distinct values outgrow a
+// quarter of its slots, which keeps probe chains short at any
+// cardinality without a count in advance.
+func (Dict) CompressParts(src []int64, s *core.Scratch, emit func(name string, col []int64) (*core.Form, error)) (*core.Form, error) {
+	codes := s.I64(len(src))
+	defer s.PutI64(codes)
+	seen := s.I64(len(src))[:0] // distinct values, in order of first appearance
+	defer s.PutI64(seen)
+	shift := uint(64 - 10)
+	keys, nums := dictTable(nil, shift, s)
 	for i, v := range src {
-		codes[i] = index[v]
+		h := dictHash(v, shift)
+		for nums[h] != 0 && keys[h] != v {
+			h = (h + 1) & uint64(len(nums)-1)
+		}
+		if nums[h] != 0 {
+			codes[i] = nums[h] - 1
+			continue
+		}
+		codes[i] = int64(len(seen))
+		seen = append(seen, v)
+		keys[h], nums[h] = v, int64(len(seen))
+		if 4*len(seen) > len(nums) {
+			s.PutI64(keys)
+			s.PutI64(nums)
+			shift -= 2
+			keys, nums = dictTable(seen, shift, s)
+		}
+	}
+	dict := s.I64(len(seen))
+	defer s.PutI64(dict)
+	copy(dict, seen)
+	slices.Sort(dict)
+	// seen has served as the value list: reuse it as the permutation
+	// from first-appearance number to sorted code.
+	for code, v := range dict {
+		h := dictHash(v, shift)
+		for nums[h] == 0 || keys[h] != v {
+			h = (h + 1) & uint64(len(nums)-1)
+		}
+		seen[nums[h]-1] = int64(code)
+	}
+	s.PutI64(keys)
+	s.PutI64(nums)
+	for i, num := range codes {
+		codes[i] = seen[num]
+	}
+	codesForm, err := emit("codes", codes)
+	if err != nil {
+		return nil, err
+	}
+	dictForm, err := emit("dict", dict)
+	if err != nil {
+		return nil, err
 	}
 	return &core.Form{
 		Scheme: DictName,
 		N:      len(src),
 		Children: map[string]*core.Form{
-			"codes": NewIDForm(codes),
-			"dict":  NewIDForm(dict),
+			"codes": codesForm,
+			"dict":  dictForm,
 		},
 	}, nil
 }
 
-// Decompress gathers dictionary entries by code.
-func (Dict) Decompress(f *core.Form) ([]int64, error) {
+// DecompressInto gathers dictionary entries by code. When the codes
+// child is a plain NS leaf the generated gather kernels unpack each
+// 64-code block and index the dictionary in the same pass; otherwise
+// the codes decode into dst and the gather rewrites dst in place
+// (reading dst[i] before writing it is safe element-wise).
+func (Dict) DecompressInto(f *core.Form, dst []int64, s *core.Scratch) error {
 	if err := checkDict(f); err != nil {
-		return nil, err
+		return err
 	}
-	codes, err := core.DecompressChild(f, "codes")
+	dict, err := core.ChildScratch(f, "dict", s)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	dict, err := core.DecompressChild(f, "dict")
+	defer s.PutI64(dict)
+	codes, err := f.Child("codes")
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out, err := vec.Gather(dict, codes)
-	if err != nil {
-		return nil, fmt.Errorf("dict: %w", err)
+	if codes.Scheme == NSName && codes.Params["zigzag"] != 1 {
+		if w := codes.Params["width"]; w >= 0 && w <= 32 && codes.N == f.N {
+			if err := bitpack.GatherU(codes.Packed, 0, f.N, uint(w), dict, dst[:f.N]); err != nil {
+				return fmt.Errorf("%w: dict gather: %v", core.ErrCorruptForm, err)
+			}
+			return nil
+		}
 	}
-	return out, nil
+	if err := core.DecompressChildInto(f, "codes", dst, s); err != nil {
+		return err
+	}
+	n := int64(len(dict))
+	for i, c := range dst {
+		if c < 0 || c >= n {
+			return fmt.Errorf("%w: dict code %d out of range at position %d", core.ErrCorruptForm, c, i)
+		}
+		dst[i] = dict[c]
+	}
+	return nil
 }
 
 // Plan implements core.Planner: dictionary decompression is a single

@@ -7,4 +7,11 @@
 //
 // Form layouts are the canonical contracts used by the rewrite rules
 // and the storage format; they are documented per scheme.
+//
+// Each scheme's file holds its one split and its one reconstruction:
+// Compress is the pooled compressor (CompressScratch, or CompressParts
+// with core.LeafEmit) over an arena from the pool, and DecompressInto fills
+// the caller's destination, borrowing temporaries from the core.Scratch
+// it is handed. The whole-column API and the blocked path therefore
+// run the same code; nothing selects between bodies.
 package scheme

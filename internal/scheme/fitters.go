@@ -21,8 +21,10 @@ import (
 type ModelFitter interface {
 	// FitName describes the fitter for composite naming.
 	FitName() string
-	// Fit returns the model form and the model's predictions.
-	Fit(src []int64) (*core.Form, []int64, error)
+	// Fit returns the model form and the model's predictions. The
+	// predictions are borrowed from s (which may be nil); the caller
+	// returns them with s.PutI64.
+	Fit(src []int64, s *core.Scratch) (*core.Form, []int64, error)
 }
 
 // StepFitter fits a fixed-segment step function by taking each
@@ -45,15 +47,17 @@ func (sf StepFitter) segLen() int {
 	return sf.SegLen
 }
 
-// Fit implements ModelFitter.
-func (sf StepFitter) Fit(src []int64) (*core.Form, []int64, error) {
+// Fit implements ModelFitter: segment references are staged in a
+// borrowed buffer (the step form copies them).
+func (sf StepFitter) Fit(src []int64, s *core.Scratch) (*core.Form, []int64, error) {
 	segLen := sf.segLen()
 	if segLen < 1 {
 		return nil, nil, fmt.Errorf("step fitter: invalid segment length %d", segLen)
 	}
 	nseg := (len(src) + segLen - 1) / segLen
-	refs := make([]int64, nseg)
-	pred := make([]int64, len(src))
+	refs := s.I64(nseg)
+	defer s.PutI64(refs)
+	pred := s.I64(len(src))
 	for seg := 0; seg < nseg; seg++ {
 		lo := seg * segLen
 		hi := lo + segLen
@@ -103,8 +107,9 @@ func (lf LinearFitter) frac() uint {
 	return lf.Frac
 }
 
-// Fit implements ModelFitter.
-func (lf LinearFitter) Fit(src []int64) (*core.Form, []int64, error) {
+// Fit implements ModelFitter: the coefficients are staged in borrowed
+// buffers (the linear form copies them).
+func (lf LinearFitter) Fit(src []int64, s *core.Scratch) (*core.Form, []int64, error) {
 	segLen := lf.segLen()
 	frac := lf.frac()
 	if segLen < 1 {
@@ -114,9 +119,11 @@ func (lf LinearFitter) Fit(src []int64) (*core.Form, []int64, error) {
 		return nil, nil, fmt.Errorf("linear fitter: fraction width %d too large (max 30)", frac)
 	}
 	nseg := (len(src) + segLen - 1) / segLen
-	bases := make([]int64, nseg)
-	slopes := make([]int64, nseg)
-	pred := make([]int64, len(src))
+	bases := s.I64(nseg)
+	defer s.PutI64(bases)
+	slopes := s.I64(nseg)
+	defer s.PutI64(slopes)
+	pred := s.I64(len(src))
 	for seg := 0; seg < nseg; seg++ {
 		lo := seg * segLen
 		hi := lo + segLen
@@ -201,28 +208,37 @@ func (mr ModelResidual) Name() string {
 
 // Compress fits the model and compresses the residual.
 func (mr ModelResidual) Compress(src []int64) (*core.Form, error) {
-	model, pred, err := mr.Fitter.Fit(src)
+	return core.CompressPooled(mr, src)
+}
+
+// CompressScratch implements core.ScratchCompressor: model
+// predictions and residuals are borrowed, and the residual scheme
+// compresses through the pooled path.
+func (mr ModelResidual) CompressScratch(src []int64, s *core.Scratch) (*core.Form, error) {
+	model, pred, err := mr.Fitter.Fit(src, s)
 	if err != nil {
 		return nil, fmt.Errorf("model residual: %w", err)
 	}
-	resid := make([]int64, len(src))
+	resid := s.I64(len(src))
 	for i := range src {
 		resid[i] = src[i] - pred[i]
 	}
+	s.PutI64(pred)
 	res := mr.Residual
 	if res == nil {
 		res = NS{}
 	}
-	rf, err := res.Compress(resid)
+	rf, err := core.CompressScratch(res, resid, s)
+	s.PutI64(resid)
 	if err != nil {
 		return nil, fmt.Errorf("model residual: residual scheme %q: %w", res.Name(), err)
 	}
 	return NewPlusForm(model, rf)
 }
 
-// Decompress delegates to the registry (the form is a PLUS form).
-func (ModelResidual) Decompress(f *core.Form) ([]int64, error) {
-	return core.Decompress(f)
+// DecompressInto delegates to the registry (the form is a PLUS form).
+func (ModelResidual) DecompressInto(f *core.Form, dst []int64, s *core.Scratch) error {
+	return core.DecompressInto(f, dst, s)
 }
 
 var _ core.Scheme = ModelResidual{}
@@ -335,7 +351,13 @@ func (p PFOR) Name() string {
 
 // Compress selects the patch width, splits exceptions out and
 // compresses the patched column with FOR over NS offsets.
-func (p PFOR) Compress(src []int64) (*core.Form, error) {
+func (p PFOR) Compress(src []int64) (*core.Form, error) { return core.CompressPooled(p, src) }
+
+// CompressScratch implements core.ScratchCompressor: the offset
+// histogramming, exception split and patched copy all run in
+// borrowed buffers; only the exception lists and the base
+// composition's retained forms are allocated.
+func (p PFOR) CompressScratch(src []int64, s *core.Scratch) (*core.Form, error) {
 	segLen := p.SegLen
 	if segLen == 0 {
 		segLen = DefaultSegmentLength
@@ -347,8 +369,10 @@ func (p PFOR) Compress(src []int64) (*core.Form, error) {
 
 	// First pass: per-segment minima and the offset width histogram.
 	nseg := (len(src) + segLen - 1) / segLen
-	refs := make([]int64, nseg)
-	offsets := make([]uint64, len(src))
+	refs := s.I64(nseg)
+	defer s.PutI64(refs)
+	offsets := s.U64(len(src))
+	defer s.PutU64(offsets)
 	for seg := 0; seg < nseg; seg++ {
 		lo := seg * segLen
 		hi := lo + segLen
@@ -376,7 +400,8 @@ func (p PFOR) Compress(src []int64) (*core.Form, error) {
 
 	// Second pass: split exceptions, collapse their base slots to the
 	// segment reference (offset zero).
-	patched := make([]int64, len(src))
+	patched := s.I64(len(src))
+	defer s.PutI64(patched)
 	copy(patched, src)
 	var positions, values []int64
 	for i, off := range offsets {
@@ -387,10 +412,7 @@ func (p PFOR) Compress(src []int64) (*core.Form, error) {
 		}
 	}
 
-	base, err := core.Compose(FOR{SegLen: segLen}, map[string]core.Scheme{
-		"offsets": NS{},
-		"refs":    NS{},
-	}).Compress(patched)
+	base, err := core.CompressScratch(FORComposite(segLen), patched, s)
 	if err != nil {
 		return nil, fmt.Errorf("pfor: base: %w", err)
 	}
@@ -401,9 +423,9 @@ func (p PFOR) Compress(src []int64) (*core.Form, error) {
 	return NewPatchForm(base, positions, values)
 }
 
-// Decompress delegates to the registry (the form is a PATCH form).
-func (PFOR) Decompress(f *core.Form) ([]int64, error) {
-	return core.Decompress(f)
+// DecompressInto delegates to the registry (the form is a PATCH form).
+func (PFOR) DecompressInto(f *core.Form, dst []int64, s *core.Scratch) error {
+	return core.DecompressInto(f, dst, s)
 }
 
 var _ core.Scheme = PFOR{}
@@ -498,7 +520,7 @@ func (pm PatchedModel) Compress(src []int64) (*core.Form, error) {
 	}
 	// Round one: fit everything, choose the patch width over the
 	// zigzagged residual histogram.
-	_, pred1, err := pm.Fitter.Fit(src)
+	_, pred1, err := pm.Fitter.Fit(src, nil)
 	if err != nil {
 		return nil, fmt.Errorf("patched model: %w", err)
 	}
@@ -530,7 +552,7 @@ func (pm PatchedModel) Compress(src []int64) (*core.Form, error) {
 
 	// Round two: refit on the cleaned column; residuals are
 	// non-negative by the fitters' base-shift construction.
-	model, pred2, err := pm.Fitter.Fit(cleaned)
+	model, pred2, err := pm.Fitter.Fit(cleaned, nil)
 	if err != nil {
 		return nil, fmt.Errorf("patched model: refit: %w", err)
 	}
@@ -557,9 +579,9 @@ func (pm PatchedModel) Compress(src []int64) (*core.Form, error) {
 	return NewPatchForm(base, positions, values)
 }
 
-// Decompress delegates to the registry (the form is a PATCH form).
-func (PatchedModel) Decompress(f *core.Form) ([]int64, error) {
-	return core.Decompress(f)
+// DecompressInto delegates to the registry (the form is a PATCH form).
+func (PatchedModel) DecompressInto(f *core.Form, dst []int64, s *core.Scratch) error {
+	return core.DecompressInto(f, dst, s)
 }
 
 var _ core.Scheme = PatchedModel{}

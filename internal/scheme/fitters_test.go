@@ -70,7 +70,7 @@ func TestLinearFitterShrinksResidualsOnTrends(t *testing.T) {
 
 func TestLinearFitterResidualsNonNegative(t *testing.T) {
 	src := trendColumn(512, -3.3, 15, 3)
-	form, pred, err := (LinearFitter{SegLen: 64}).Fit(src)
+	form, pred, err := (LinearFitter{SegLen: 64}).Fit(src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestLinearFitterResidualsNonNegative(t *testing.T) {
 
 func TestStepFitterPredictionsAreMinima(t *testing.T) {
 	src := []int64{5, 3, 9, 100, 50, 80}
-	form, pred, err := (StepFitter{SegLen: 3}).Fit(src)
+	form, pred, err := (StepFitter{SegLen: 3}).Fit(src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,8 +38,13 @@ type FOR struct {
 func (FOR) Name() string { return FORName }
 
 // Compress encodes src against per-segment minimum references.
-func (s FOR) Compress(src []int64) (*core.Form, error) {
-	segLen := s.SegLen
+func (sch FOR) Compress(src []int64) (*core.Form, error) { return core.CompressPooled(sch, src) }
+
+// CompressParts implements core.ConstituentCompressor: references and
+// offsets are produced in borrowed buffers and handed straight to the
+// composite's inner compressors.
+func (sch FOR) CompressParts(src []int64, s *core.Scratch, emit func(name string, col []int64) (*core.Form, error)) (*core.Form, error) {
+	segLen := sch.SegLen
 	if segLen == 0 {
 		segLen = DefaultSegmentLength
 	}
@@ -47,8 +52,10 @@ func (s FOR) Compress(src []int64) (*core.Form, error) {
 		return nil, fmt.Errorf("for: invalid segment length %d", segLen)
 	}
 	nseg := (len(src) + segLen - 1) / segLen
-	refs := make([]int64, nseg)
-	offsets := make([]int64, len(src))
+	refs := s.I64(nseg)
+	defer s.PutI64(refs)
+	offsets := s.I64(len(src))
+	defer s.PutI64(offsets)
 	for seg := 0; seg < nseg; seg++ {
 		lo := seg * segLen
 		hi := lo + segLen
@@ -66,43 +73,56 @@ func (s FOR) Compress(src []int64) (*core.Form, error) {
 			offsets[i] = src[i] - ref
 		}
 	}
+	refsForm, err := emit("refs", refs)
+	if err != nil {
+		return nil, err
+	}
+	offsetsForm, err := emit("offsets", offsets)
+	if err != nil {
+		return nil, err
+	}
 	return &core.Form{
 		Scheme: FORName,
 		N:      len(src),
 		Params: core.Params{"seglen": int64(segLen)},
 		Children: map[string]*core.Form{
-			"refs":    NewIDForm(refs),
-			"offsets": NewIDForm(offsets),
+			"refs":    refsForm,
+			"offsets": offsetsForm,
 		},
 	}, nil
 }
 
-// Decompress adds each segment's reference back onto its offsets.
-func (FOR) Decompress(f *core.Form) ([]int64, error) {
+// DecompressInto decodes the offsets straight into dst, then adds
+// each segment's reference back in place.
+func (FOR) DecompressInto(f *core.Form, dst []int64, s *core.Scratch) error {
 	if err := checkFOR(f); err != nil {
-		return nil, err
+		return err
 	}
-	segLen := int(f.Params["seglen"])
-	refs, err := core.DecompressChild(f, "refs")
+	refs, err := core.ChildScratch(f, "refs", s)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	offsets, err := core.DecompressChild(f, "offsets")
-	if err != nil {
-		return nil, err
+	defer s.PutI64(refs)
+	if err := core.DecompressChildInto(f, "offsets", dst, s); err != nil {
+		return err
 	}
-	if len(offsets) != f.N {
-		return nil, fmt.Errorf("%w: for offsets child has %d values, form declares %d",
-			core.ErrCorruptForm, len(offsets), f.N)
+	addSegmentRefs(dst, refs, int(f.Params["seglen"]))
+	return nil
+}
+
+// addSegmentRefs adds refs[i/segLen] to every element of dst.
+func addSegmentRefs(dst, refs []int64, segLen int) {
+	for seg := 0; seg*segLen < len(dst); seg++ {
+		lo := seg * segLen
+		hi := lo + segLen
+		if hi > len(dst) {
+			hi = len(dst)
+		}
+		ref := refs[seg]
+		for i := lo; i < hi; i++ {
+			dst[i] += ref
+		}
 	}
-	out, err := vec.ReplicateSegments(refs, segLen, f.N)
-	if err != nil {
-		return nil, fmt.Errorf("for: %w", err)
-	}
-	for i := range out {
-		out[i] += offsets[i]
-	}
-	return out, nil
 }
 
 // Plan implements core.Planner with the paper's Algorithm 2:

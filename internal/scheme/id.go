@@ -9,7 +9,7 @@ import (
 // IDName is the registry name of the identity scheme — the paper's
 // "compression scheme of not applying any compression", the unit of
 // the composition algebra.
-const IDName = "id"
+const IDName = core.LeafSchemeName
 
 // ID is the identity scheme. Form layout: Leaf holds the raw column.
 type ID struct{}
@@ -22,14 +22,13 @@ func (ID) Compress(src []int64) (*core.Form, error) {
 	return NewIDForm(src), nil
 }
 
-// Decompress returns the leaf payload.
-func (ID) Decompress(f *core.Form) ([]int64, error) {
+// DecompressInto copies the leaf payload.
+func (ID) DecompressInto(f *core.Form, dst []int64, _ *core.Scratch) error {
 	if err := checkID(f); err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]int64, len(f.Leaf))
-	copy(out, f.Leaf)
-	return out, nil
+	copy(dst, f.Leaf)
+	return nil
 }
 
 // ValidateForm implements core.Validator.
@@ -60,8 +59,4 @@ func checkID(f *core.Form) error {
 // NewIDForm builds the canonical ID form over a copy of src. Every
 // scheme in this package emits its constituent columns as ID forms;
 // the Composite combinator then substitutes deeper forms.
-func NewIDForm(src []int64) *core.Form {
-	leaf := make([]int64, len(src))
-	copy(leaf, src)
-	return &core.Form{Scheme: IDName, N: len(src), Leaf: leaf}
-}
+func NewIDForm(src []int64) *core.Form { return core.NewLeafForm(src) }

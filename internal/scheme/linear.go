@@ -123,22 +123,23 @@ func NewLinearForm(bases, slopes []int64, segLen int, frac uint, n int) *core.Fo
 	}
 }
 
-// Decompress evaluates the piecewise-linear function.
-func (Linear) Decompress(f *core.Form) ([]int64, error) {
+// DecompressInto evaluates the piecewise-linear function into dst.
+func (Linear) DecompressInto(f *core.Form, dst []int64, s *core.Scratch) error {
 	if err := checkLinear(f); err != nil {
-		return nil, err
+		return err
 	}
 	segLen := int(f.Params["seglen"])
 	frac := uint(f.Params["frac"])
-	bases, err := core.DecompressChild(f, "bases")
+	bases, err := core.ChildScratch(f, "bases", s)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	slopes, err := core.DecompressChild(f, "slopes")
+	defer s.PutI64(bases)
+	slopes, err := core.ChildScratch(f, "slopes", s)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]int64, f.N)
+	defer s.PutI64(slopes)
 	for seg := 0; seg*segLen < f.N; seg++ {
 		lo := seg * segLen
 		hi := lo + segLen
@@ -147,10 +148,10 @@ func (Linear) Decompress(f *core.Form) ([]int64, error) {
 		}
 		base, slope := bases[seg], slopes[seg]
 		for i := lo; i < hi; i++ {
-			out[i] = LinearPredict(base, slope, i-lo, frac)
+			dst[i] = LinearPredict(base, slope, i-lo, frac)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // ValidateForm implements core.Validator.

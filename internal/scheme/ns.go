@@ -27,7 +27,12 @@ type NS struct{}
 func (NS) Name() string { return NSName }
 
 // Compress bit-packs src at its minimal width.
-func (NS) Compress(src []int64) (*core.Form, error) {
+func (sch NS) Compress(src []int64) (*core.Form, error) { return core.CompressPooled(sch, src) }
+
+// unsignedScratch fills a scratch-borrowed word buffer with src in
+// NS's packing domain (zigzag when negatives are present), returning
+// the buffer and the zigzag flag. The caller returns the buffer.
+func unsignedScratch(src []int64, s *core.Scratch) ([]uint64, int64) {
 	zig := int64(0)
 	for _, v := range src {
 		if v < 0 {
@@ -35,12 +40,24 @@ func (NS) Compress(src []int64) (*core.Form, error) {
 			break
 		}
 	}
-	var u []uint64
+	u := s.U64(len(src))
 	if zig == 1 {
-		u = bitpack.ZigzagSlice(src)
+		for i, v := range src {
+			u[i] = bitpack.Zigzag(v)
+		}
 	} else {
-		u = bitpack.UnsignedSlice(src)
+		for i, v := range src {
+			u[i] = uint64(v)
+		}
 	}
+	return u, zig
+}
+
+// CompressScratch implements core.ScratchCompressor: the zigzag
+// staging buffer is borrowed; only the packed payload is allocated.
+func (NS) CompressScratch(src []int64, s *core.Scratch) (*core.Form, error) {
+	u, zig := unsignedScratch(src, s)
+	defer s.PutU64(u)
 	w := bitpack.MaxWidth(u)
 	packed, err := bitpack.Pack(u, w)
 	if err != nil {
@@ -54,20 +71,23 @@ func (NS) Compress(src []int64) (*core.Form, error) {
 	}, nil
 }
 
-// Decompress unpacks the payload.
-func (NS) Decompress(f *core.Form) ([]int64, error) {
+// DecompressInto unpacks into a scratch word buffer, then widens
+// into dst.
+func (NS) DecompressInto(f *core.Form, dst []int64, s *core.Scratch) error {
 	if err := checkNS(f); err != nil {
-		return nil, err
+		return err
 	}
-	w := uint(f.Params["width"])
-	u, err := bitpack.Unpack(f.Packed, f.N, w)
-	if err != nil {
-		return nil, fmt.Errorf("ns: %w", err)
+	u := s.U64(f.N)
+	defer s.PutU64(u)
+	if err := bitpack.UnpackInto(u, f.Packed, uint(f.Params["width"])); err != nil {
+		return fmt.Errorf("ns: %w", err)
 	}
 	if f.Params["zigzag"] == 1 {
-		return bitpack.UnzigzagSlice(u), nil
+		bitpack.UnzigzagInto(dst, u)
+	} else {
+		bitpack.SignedInto(dst, u)
 	}
-	return bitpack.SignedSlice(u), nil
+	return nil
 }
 
 // ValidateForm implements core.Validator.

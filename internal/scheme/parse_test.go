@@ -18,6 +18,9 @@ func TestParseRoundTripsDescribe(t *testing.T) {
 		"for[128](offsets=ns, refs=ns)",
 		"rpe(positions=ns, values=ns)",
 		"dict(codes=ns, dict=ns)",
+		// An outer that cannot hand out its parts: the composite
+		// compresses with it, then rewrites the named child.
+		"vns[4](widths=ns)",
 	}
 	src := []int64{5, 5, 5, 9, 9, 13, 13, 13, 13}
 	for _, expr := range exprs {

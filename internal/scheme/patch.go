@@ -56,28 +56,29 @@ func NewPatchForm(base *core.Form, positions, values []int64) (*core.Form, error
 	}, nil
 }
 
-// Decompress resolves the base and scatters the exception values over
-// it.
-func (Patch) Decompress(f *core.Form) ([]int64, error) {
+// DecompressInto decodes the base into dst and scatters the exception
+// values over it.
+func (Patch) DecompressInto(f *core.Form, dst []int64, s *core.Scratch) error {
 	if err := checkPatch(f); err != nil {
-		return nil, err
+		return err
 	}
-	base, err := core.DecompressChild(f, "base")
+	if err := core.DecompressChildInto(f, "base", dst, s); err != nil {
+		return err
+	}
+	positions, err := core.ChildScratch(f, "positions", s)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	positions, err := core.DecompressChild(f, "positions")
+	defer s.PutI64(positions)
+	values, err := core.ChildScratch(f, "values", s)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	values, err := core.DecompressChild(f, "values")
-	if err != nil {
-		return nil, err
+	defer s.PutI64(values)
+	if _, err := vec.ScatterInto(dst, values, positions); err != nil {
+		return fmt.Errorf("patch: %w", err)
 	}
-	if _, err := vec.ScatterInto(base, values, positions); err != nil {
-		return nil, fmt.Errorf("patch: %w", err)
-	}
-	return base, nil
+	return nil
 }
 
 // Plan implements core.Planner. Scatter in the plan vocabulary

@@ -47,24 +47,24 @@ func NewPlusForm(model, residual *core.Form) (*core.Form, error) {
 	}, nil
 }
 
-// Decompress sums the two children element-wise.
-func (Plus) Decompress(f *core.Form) ([]int64, error) {
+// DecompressInto decodes the model into dst and the residual into
+// scratch, and sums them in place.
+func (Plus) DecompressInto(f *core.Form, dst []int64, s *core.Scratch) error {
 	if err := checkPlus(f); err != nil {
-		return nil, err
+		return err
 	}
-	model, err := core.DecompressChild(f, "model")
+	if err := core.DecompressChildInto(f, "model", dst, s); err != nil {
+		return err
+	}
+	residual, err := core.ChildScratch(f, "residual", s)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	residual, err := core.DecompressChild(f, "residual")
-	if err != nil {
-		return nil, err
+	defer s.PutI64(residual)
+	for i, r := range residual {
+		dst[i] += r
 	}
-	out, err := vec.Elementwise(vec.Add, model, residual)
-	if err != nil {
-		return nil, fmt.Errorf("plus: %w", err)
-	}
-	return out, nil
+	return nil
 }
 
 // Plan implements core.Planner: a single element-wise addition — the

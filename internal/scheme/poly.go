@@ -143,26 +143,28 @@ func fitQuadratic(seg []int64, frac uint) (c0, c1, c2 int64) {
 	return round(a), round(b * scale), round(c * scale)
 }
 
-// Decompress evaluates the piecewise-quadratic function.
-func (Poly2) Decompress(f *core.Form) ([]int64, error) {
+// DecompressInto evaluates the piecewise-quadratic function into dst.
+func (Poly2) DecompressInto(f *core.Form, dst []int64, s *core.Scratch) error {
 	if err := checkPoly2(f); err != nil {
-		return nil, err
+		return err
 	}
 	segLen := int(f.Params["seglen"])
 	frac := uint(f.Params["frac"])
-	c0s, err := core.DecompressChild(f, "c0")
+	c0s, err := core.ChildScratch(f, "c0", s)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	c1s, err := core.DecompressChild(f, "c1")
+	defer s.PutI64(c0s)
+	c1s, err := core.ChildScratch(f, "c1", s)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	c2s, err := core.DecompressChild(f, "c2")
+	defer s.PutI64(c1s)
+	c2s, err := core.ChildScratch(f, "c2", s)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]int64, f.N)
+	defer s.PutI64(c2s)
 	for seg := 0; seg*segLen < f.N; seg++ {
 		lo := seg * segLen
 		hi := lo + segLen
@@ -171,10 +173,10 @@ func (Poly2) Decompress(f *core.Form) ([]int64, error) {
 		}
 		c0, c1, c2 := c0s[seg], c1s[seg], c2s[seg]
 		for i := lo; i < hi; i++ {
-			out[i] = Poly2Predict(c0, c1, c2, i-lo, frac)
+			dst[i] = Poly2Predict(c0, c1, c2, i-lo, frac)
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // ValidateForm implements core.Validator.
@@ -245,7 +247,7 @@ func (pf Poly2Fitter) frac() uint {
 }
 
 // Fit implements ModelFitter.
-func (pf Poly2Fitter) Fit(src []int64) (*core.Form, []int64, error) {
+func (pf Poly2Fitter) Fit(src []int64, s *core.Scratch) (*core.Form, []int64, error) {
 	segLen := pf.segLen()
 	frac := pf.frac()
 	if segLen < 1 {
@@ -258,7 +260,7 @@ func (pf Poly2Fitter) Fit(src []int64) (*core.Form, []int64, error) {
 	c0s := make([]int64, nseg)
 	c1s := make([]int64, nseg)
 	c2s := make([]int64, nseg)
-	pred := make([]int64, len(src))
+	pred := s.I64(len(src))
 	for seg := 0; seg < nseg; seg++ {
 		lo := seg * segLen
 		hi := lo + segLen

@@ -67,7 +67,7 @@ func TestPoly2FitterResidualsNonNegative(t *testing.T) {
 		x := float64(i % 256)
 		src[i] = int64(-0.05*x*x+3*x) + rng.Int63n(9) - 4
 	}
-	_, pred, err := (Poly2Fitter{SegLen: 256}).Fit(src)
+	_, pred, err := (Poly2Fitter{SegLen: 256}).Fit(src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

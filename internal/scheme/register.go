@@ -27,6 +27,22 @@ func init() {
 	core.Register(Poly2{})
 }
 
+// Compile-time checks of the optional encode contracts: a scheme that
+// stopped matching one would still compress, but a Composite over it
+// would silently leave the pooled route.
+var (
+	_ core.ScratchCompressor = NS{}
+	_ core.ScratchCompressor = VNS{}
+	_ core.ScratchCompressor = PFOR{}
+	_ core.ScratchCompressor = ModelResidual{}
+
+	_ core.ConstituentCompressor = FOR{}
+	_ core.ConstituentCompressor = RLE{}
+	_ core.ConstituentCompressor = RPE{}
+	_ core.ConstituentCompressor = Delta{}
+	_ core.ConstituentCompressor = Dict{}
+)
+
 // NSLeaf is the conventional terminal compressor for constituent
 // columns.
 var NSLeaf core.Scheme = NS{}

@@ -25,23 +25,17 @@ type RLE struct{}
 func (RLE) Name() string { return RLEName }
 
 // Compress splits src into maximal runs.
-func (RLE) Compress(src []int64) (*core.Form, error) {
-	lengths, values := runsOf(src)
-	return &core.Form{
-		Scheme: RLEName,
-		N:      len(src),
-		Children: map[string]*core.Form{
-			"lengths": NewIDForm(lengths),
-			"values":  NewIDForm(values),
-		},
-	}, nil
-}
+func (sch RLE) Compress(src []int64) (*core.Form, error) { return core.CompressPooled(sch, src) }
 
-// runsOf returns the maximal-run decomposition of src.
-func runsOf(src []int64) (lengths, values []int64) {
+// runsScratch splits src into maximal runs inside borrowed buffers.
+// The caller returns both buffers.
+func runsScratch(src []int64, s *core.Scratch) (lengths, values []int64) {
+	lengths = s.I64(len(src))
+	values = s.I64(len(src))
 	if len(src) == 0 {
-		return []int64{}, []int64{}
+		return lengths[:0], values[:0]
 	}
+	r := 0
 	cur := src[0]
 	var runLen int64
 	for _, v := range src {
@@ -49,38 +43,62 @@ func runsOf(src []int64) (lengths, values []int64) {
 			runLen++
 			continue
 		}
-		lengths = append(lengths, runLen)
-		values = append(values, cur)
+		lengths[r], values[r] = runLen, cur
+		r++
 		cur = v
 		runLen = 1
 	}
-	lengths = append(lengths, runLen)
-	values = append(values, cur)
-	return lengths, values
+	lengths[r], values[r] = runLen, cur
+	return lengths[:r+1], values[:r+1]
 }
 
-// Decompress expands the runs with the fused kernel.
-func (RLE) Decompress(f *core.Form) ([]int64, error) {
+// CompressParts implements core.ConstituentCompressor: run lengths
+// and values live in borrowed buffers.
+func (RLE) CompressParts(src []int64, s *core.Scratch, emit func(name string, col []int64) (*core.Form, error)) (*core.Form, error) {
+	lengths, values := runsScratch(src, s)
+	defer s.PutI64(lengths[:cap(lengths)])
+	defer s.PutI64(values[:cap(values)])
+	lengthsForm, err := emit("lengths", lengths)
+	if err != nil {
+		return nil, err
+	}
+	valuesForm, err := emit("values", values)
+	if err != nil {
+		return nil, err
+	}
+	return &core.Form{
+		Scheme: RLEName,
+		N:      len(src),
+		Children: map[string]*core.Form{
+			"lengths": lengthsForm,
+			"values":  valuesForm,
+		},
+	}, nil
+}
+
+// DecompressInto expands the runs into dst with the fused kernel.
+func (RLE) DecompressInto(f *core.Form, dst []int64, s *core.Scratch) error {
 	if err := checkRLE(f); err != nil {
-		return nil, err
+		return err
 	}
-	lengths, err := core.DecompressChild(f, "lengths")
+	lengths, err := core.ChildScratch(f, "lengths", s)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	values, err := core.DecompressChild(f, "values")
+	defer s.PutI64(lengths)
+	values, err := core.ChildScratch(f, "values", s)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out := make([]int64, f.N)
-	if _, err := vec.RunExpandInto(out, values, lengths); err != nil {
+	defer s.PutI64(values)
+	if _, err := vec.RunExpandInto(dst, values, lengths); err != nil {
 		// A run set that does not expand to exactly f.N elements —
 		// negative lengths, overshoot, undershoot — is a corrupt
 		// payload, the same class the fused select/aggregate kernels
 		// report for it (checkRunBounds).
-		return nil, fmt.Errorf("%w: rle: %v", core.ErrCorruptForm, err)
+		return fmt.Errorf("%w: rle: %v", core.ErrCorruptForm, err)
 	}
-	return out, nil
+	return nil
 }
 
 // Plan implements core.Planner with the paper's Algorithm 1,

@@ -31,43 +31,59 @@ type RPE struct{}
 func (RPE) Name() string { return RPEName }
 
 // Compress splits src into runs and stores run end positions.
-func (RPE) Compress(src []int64) (*core.Form, error) {
-	lengths, values := runsOf(src)
+func (sch RPE) Compress(src []int64) (*core.Form, error) { return core.CompressPooled(sch, src) }
+
+// CompressParts implements core.ConstituentCompressor: run end
+// positions are integrated in place over the borrowed lengths.
+func (RPE) CompressParts(src []int64, s *core.Scratch, emit func(name string, col []int64) (*core.Form, error)) (*core.Form, error) {
+	lengths, values := runsScratch(src, s)
+	defer s.PutI64(lengths[:cap(lengths)])
+	defer s.PutI64(values[:cap(values)])
+	var pos int64
+	for i, l := range lengths {
+		pos += l
+		lengths[i] = pos
+	}
+	positionsForm, err := emit("positions", lengths)
+	if err != nil {
+		return nil, err
+	}
+	valuesForm, err := emit("values", values)
+	if err != nil {
+		return nil, err
+	}
 	return &core.Form{
 		Scheme: RPEName,
 		N:      len(src),
 		Children: map[string]*core.Form{
-			"positions": NewIDForm(vec.PrefixSumInclusive(lengths)),
-			"values":    NewIDForm(values),
+			"positions": positionsForm,
+			"values":    valuesForm,
 		},
 	}, nil
 }
 
-// Decompress expands runs from their boundary positions.
-func (RPE) Decompress(f *core.Form) ([]int64, error) {
+// DecompressInto expands runs into dst from their boundary positions.
+func (RPE) DecompressInto(f *core.Form, dst []int64, s *core.Scratch) error {
 	if err := checkRPE(f); err != nil {
-		return nil, err
+		return err
 	}
-	positions, err := core.DecompressChild(f, "positions")
+	positions, err := core.ChildScratch(f, "positions", s)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	values, err := core.DecompressChild(f, "values")
+	defer s.PutI64(positions)
+	values, err := core.ChildScratch(f, "values", s)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out, err := vec.ExpandByBoundaries(values, positions)
-	if err != nil {
-		// Decreasing or overshooting boundaries are a corrupt payload,
-		// the same class the fused select/aggregate kernels report for
-		// them (checkRunBounds).
-		return nil, fmt.Errorf("%w: rpe: %v", core.ErrCorruptForm, err)
+	defer s.PutI64(values)
+	if _, err := vec.ExpandByBoundariesInto(dst, values, positions); err != nil {
+		// Decreasing or overshooting boundaries, or ones that stop
+		// short of f.N, are a corrupt payload, the same class the fused
+		// select/aggregate kernels report for them (checkRunBounds).
+		return fmt.Errorf("%w: rpe: %v", core.ErrCorruptForm, err)
 	}
-	if len(out) != f.N {
-		return nil, fmt.Errorf("%w: rpe expanded %d values, form declares %d",
-			core.ErrCorruptForm, len(out), f.N)
-	}
-	return out, nil
+	return nil
 }
 
 // Plan implements core.Planner: Algorithm 1 of the paper "sans its

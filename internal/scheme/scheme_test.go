@@ -331,6 +331,32 @@ func TestCorruptFormsRejected(t *testing.T) {
 			t.Errorf("case %d (%s): corrupt form decompressed without error", i, f.Scheme)
 		}
 	}
+	// Forms whose declared length no payload could back: each must be
+	// refused as corrupt before anything is sized from N (decoding them
+	// for real would ask the runtime for 8 TiB).
+	const huge = 1 << 40
+	hostile := map[string]*core.Form{
+		"ns":     {Scheme: "ns", N: huge, Params: core.Params{"width": 7, "zigzag": 0}, Packed: []uint64{1}},
+		"varint": {Scheme: "varint", N: huge, Params: core.Params{"unsigned": 1}, Bytes: []byte{1, 2, 3}},
+		"elias":  {Scheme: "elias", N: huge, Packed: []uint64{1}},
+		"id":     {Scheme: "id", N: huge, Leaf: []int64{1, 2}},
+		// The root is consistent with its children's declarations; the
+		// lie is one level down.
+		"for(ns)": {Scheme: "for", N: huge, Params: core.Params{"seglen": huge}, Children: map[string]*core.Form{
+			"refs":    NewIDForm([]int64{0}),
+			"offsets": {Scheme: "ns", N: huge, Params: core.Params{"width": 7, "zigzag": 0}, Packed: []uint64{1}},
+		}},
+		"rle(lengths)": {Scheme: "rle", N: 3, Children: map[string]*core.Form{
+			"lengths": {Scheme: "id", N: huge, Leaf: []int64{3}},
+			"values":  {Scheme: "id", N: huge, Leaf: []int64{1}},
+		}},
+		"negative": {Scheme: "const", N: -1, Params: core.Params{"value": 1}},
+	}
+	for name, f := range hostile {
+		if _, err := core.Decompress(f); !errors.Is(err, core.ErrCorruptForm) {
+			t.Errorf("%s: err = %v, want ErrCorruptForm", name, err)
+		}
+	}
 }
 
 func TestRLERandomAccessViaRPE(t *testing.T) {

@@ -71,20 +71,20 @@ func NewStepForm(refs []int64, segLen, n int) *core.Form {
 	}
 }
 
-// Decompress evaluates the step function.
-func (Step) Decompress(f *core.Form) ([]int64, error) {
+// DecompressInto evaluates the step function: each segment's
+// reference replicated over it.
+func (Step) DecompressInto(f *core.Form, dst []int64, s *core.Scratch) error {
 	if err := checkStep(f); err != nil {
-		return nil, err
+		return err
 	}
-	refs, err := core.DecompressChild(f, "refs")
+	refs, err := core.ChildScratch(f, "refs", s)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out, err := vec.ReplicateSegments(refs, int(f.Params["seglen"]), f.N)
-	if err != nil {
-		return nil, fmt.Errorf("step: %w", err)
-	}
-	return out, nil
+	defer s.PutI64(refs)
+	vec.ConstantInto(dst, 0)
+	addSegmentRefs(dst, refs, int(f.Params["seglen"]))
+	return nil
 }
 
 // Plan implements core.Planner: Algorithm 2 with the final addition

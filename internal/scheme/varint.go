@@ -48,23 +48,19 @@ func (Varint) Compress(src []int64) (*core.Form, error) {
 	}, nil
 }
 
-// Decompress decodes the varint stream.
-func (Varint) Decompress(f *core.Form) ([]int64, error) {
+// DecompressInto decodes the varint stream into dst.
+func (Varint) DecompressInto(f *core.Form, dst []int64, _ *core.Scratch) error {
 	if err := checkVarint(f); err != nil {
-		return nil, err
+		return err
 	}
+	decode := bitpack.VarintDecode
 	if f.Params["unsigned"] == 1 {
-		out, err := bitpack.VarintDecodeUnsigned(f.Bytes, f.N)
-		if err != nil {
-			return nil, fmt.Errorf("varint: %w", err)
-		}
-		return out, nil
+		decode = bitpack.VarintDecodeUnsigned
 	}
-	out, err := bitpack.VarintDecode(f.Bytes, f.N)
-	if err != nil {
-		return nil, fmt.Errorf("varint: %w", err)
+	if err := decode(dst, f.Bytes); err != nil {
+		return fmt.Errorf("varint: %w", err)
 	}
-	return out, nil
+	return nil
 }
 
 // ValidateForm implements core.Validator.
@@ -113,8 +109,10 @@ func checkVarint(f *core.Form) error {
 	if u != 0 && u != 1 {
 		return fmt.Errorf("%w: varint unsigned flag %d", core.ErrCorruptForm, u)
 	}
-	if f.N > 0 && len(f.Bytes) == 0 {
-		return fmt.Errorf("%w: varint form declares %d values with empty payload", core.ErrCorruptForm, f.N)
+	// A varint is at least one byte, so the payload bounds the length
+	// a form may declare — before anything is sized from it.
+	if f.N > len(f.Bytes) {
+		return fmt.Errorf("%w: varint form declares %d values in a %d-byte payload", core.ErrCorruptForm, f.N, len(f.Bytes))
 	}
 	if len(f.Children) != 0 {
 		return fmt.Errorf("%w: varint form has children", core.ErrCorruptForm)
@@ -152,21 +150,23 @@ func (Elias) Compress(src []int64) (*core.Form, error) {
 	return &core.Form{Scheme: EliasName, N: len(src), Packed: words}, nil
 }
 
-// Decompress decodes the Elias stream.
-func (Elias) Decompress(f *core.Form) ([]int64, error) {
-	if f.Scheme != EliasName {
-		return nil, fmt.Errorf("%w: elias scheme given form %q", core.ErrCorruptForm, f.Scheme)
+// DecompressInto decodes the Elias stream into dst and undoes the
+// zigzag in place.
+func (Elias) DecompressInto(f *core.Form, dst []int64, _ *core.Scratch) error {
+	if err := checkElias(f); err != nil {
+		return err
 	}
-	zz, err := bitpack.EliasDeltaDecode(f.Packed, f.N)
-	if err != nil {
-		return nil, fmt.Errorf("elias: %w", err)
+	if err := bitpack.EliasDeltaDecode(dst, f.Packed); err != nil {
+		return fmt.Errorf("elias: %w", err)
 	}
-	out := make([]int64, f.N)
-	for i, v := range zz {
-		out[i] = bitpack.Unzigzag(uint64(v))
+	for i, v := range dst {
+		dst[i] = bitpack.Unzigzag(uint64(v))
 	}
-	return out, nil
+	return nil
 }
+
+// ValidateForm implements core.Validator.
+func (Elias) ValidateForm(f *core.Form) error { return checkElias(f) }
 
 // DecompressCostPerElement implements core.Coster: bit-serial
 // decoding is the slowest route of all.
@@ -197,4 +197,16 @@ func (Elias) EstimateSize(st *core.BlockStats) (uint64, core.Bound) {
 	}
 	words := (total + 63) / 64
 	return core.FormOverheadBits(0) + words*64, core.LowerBound
+}
+
+func checkElias(f *core.Form) error {
+	if f.Scheme != EliasName {
+		return fmt.Errorf("%w: elias scheme given form %q", core.ErrCorruptForm, f.Scheme)
+	}
+	// An Elias delta code is at least one bit, so the payload bounds
+	// the length a form may declare — before anything is sized from it.
+	if f.N > 64*len(f.Packed) {
+		return fmt.Errorf("%w: elias form declares %d values in a %d-word payload", core.ErrCorruptForm, f.N, len(f.Packed))
+	}
+	return nil
 }

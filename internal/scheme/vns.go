@@ -35,30 +35,25 @@ type VNS struct {
 func (VNS) Name() string { return VNSName }
 
 // Compress packs each mini-block at its own width.
-func (s VNS) Compress(src []int64) (*core.Form, error) {
-	block := s.Block
+func (sch VNS) Compress(src []int64) (*core.Form, error) { return core.CompressPooled(sch, src) }
+
+// CompressScratch implements core.ScratchCompressor: widths are
+// computed into a borrowed buffer and the payload is packed in one
+// exactly-sized allocation instead of per-mini-block appends.
+func (sch VNS) CompressScratch(src []int64, s *core.Scratch) (*core.Form, error) {
+	block := sch.Block
 	if block == 0 {
 		block = DefaultVNSBlock
 	}
 	if block < 1 {
 		return nil, fmt.Errorf("vns: invalid block length %d", block)
 	}
-	zig := int64(0)
-	for _, v := range src {
-		if v < 0 {
-			zig = 1
-			break
-		}
-	}
-	var u []uint64
-	if zig == 1 {
-		u = bitpack.ZigzagSlice(src)
-	} else {
-		u = bitpack.UnsignedSlice(src)
-	}
+	u, zig := unsignedScratch(src, s)
+	defer s.PutU64(u)
 	nblocks := (len(src) + block - 1) / block
-	widths := make([]int64, nblocks)
-	var packed []uint64
+	widths := s.I64(nblocks)
+	defer s.PutI64(widths)
+	totalWords := 0
 	for bIdx := 0; bIdx < nblocks; bIdx++ {
 		lo := bIdx * block
 		hi := lo + block
@@ -67,14 +62,21 @@ func (s VNS) Compress(src []int64) (*core.Form, error) {
 		}
 		w := bitpack.MaxWidth(u[lo:hi])
 		widths[bIdx] = int64(w)
-		words, err := bitpack.Pack(u[lo:hi], w)
-		if err != nil {
+		totalWords += bitpack.PackedWords(hi-lo, w)
+	}
+	packed := make([]uint64, totalWords)
+	wordPos := 0
+	for bIdx := 0; bIdx < nblocks; bIdx++ {
+		lo := bIdx * block
+		hi := lo + block
+		if hi > len(u) {
+			hi = len(u)
+		}
+		need := bitpack.PackedWords(hi-lo, uint(widths[bIdx]))
+		if err := bitpack.PackInto(packed[wordPos:wordPos+need], u[lo:hi], uint(widths[bIdx])); err != nil {
 			return nil, fmt.Errorf("vns: block %d: %w", bIdx, err)
 		}
-		packed = append(packed, words...)
-	}
-	if packed == nil {
-		packed = []uint64{}
+		wordPos += need
 	}
 	return &core.Form{
 		Scheme:   VNSName,
@@ -85,17 +87,19 @@ func (s VNS) Compress(src []int64) (*core.Form, error) {
 	}, nil
 }
 
-// Decompress unpacks each mini-block at its recorded width.
-func (VNS) Decompress(f *core.Form) ([]int64, error) {
+// DecompressInto unpacks each mini-block at its recorded width.
+func (VNS) DecompressInto(f *core.Form, dst []int64, s *core.Scratch) error {
 	if err := checkVNS(f); err != nil {
-		return nil, err
+		return err
 	}
 	block := int(f.Params["block"])
-	widths, err := core.DecompressChild(f, "widths")
+	widths, err := core.ChildScratch(f, "widths", s)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	u := make([]uint64, f.N)
+	defer s.PutI64(widths)
+	u := s.U64(f.N)
+	defer s.PutU64(u)
 	wordPos := 0
 	for bIdx := 0; bIdx*block < f.N; bIdx++ {
 		lo := bIdx * block
@@ -104,25 +108,27 @@ func (VNS) Decompress(f *core.Form) ([]int64, error) {
 			hi = f.N
 		}
 		if bIdx >= len(widths) {
-			return nil, fmt.Errorf("%w: vns widths child exhausted at block %d", core.ErrCorruptForm, bIdx)
+			return fmt.Errorf("%w: vns widths child exhausted at block %d", core.ErrCorruptForm, bIdx)
 		}
 		w := widths[bIdx]
 		if w < 0 || w > 64 {
-			return nil, fmt.Errorf("%w: vns block %d declares width %d", core.ErrCorruptForm, bIdx, w)
+			return fmt.Errorf("%w: vns block %d declares width %d", core.ErrCorruptForm, bIdx, w)
 		}
 		need := bitpack.PackedWords(hi-lo, uint(w))
 		if wordPos+need > len(f.Packed) {
-			return nil, fmt.Errorf("%w: vns payload exhausted at block %d", core.ErrCorruptForm, bIdx)
+			return fmt.Errorf("%w: vns payload exhausted at block %d", core.ErrCorruptForm, bIdx)
 		}
 		if err := bitpack.UnpackInto(u[lo:hi], f.Packed[wordPos:wordPos+need], uint(w)); err != nil {
-			return nil, fmt.Errorf("vns: block %d: %w", bIdx, err)
+			return fmt.Errorf("vns: block %d: %w", bIdx, err)
 		}
 		wordPos += need
 	}
 	if f.Params["zigzag"] == 1 {
-		return bitpack.UnzigzagSlice(u), nil
+		bitpack.UnzigzagInto(dst, u)
+	} else {
+		bitpack.SignedInto(dst, u)
 	}
-	return bitpack.SignedSlice(u), nil
+	return nil
 }
 
 // ValidateForm implements core.Validator.

@@ -10,6 +10,7 @@ import (
 	"lwcomp/internal/blocked"
 	"lwcomp/internal/core"
 	"lwcomp/internal/storage"
+	"lwcomp/internal/vec"
 )
 
 // Salvage repair rebuilds a damaged container as a new generation:
@@ -248,15 +249,7 @@ func salvageBlock(src storage.BlockReader, i int, ext storage.BlockExtent, b *bl
 			res.Reread++
 		}
 		if b.HasStats && len(vals) > 0 {
-			lo, hi := vals[0], vals[0]
-			for _, v := range vals[1:] {
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-			}
+			lo, hi, _ := vec.MinMax(vals) // non-empty: len(vals) > 0
 			rb.HasStats, rb.Min, rb.Max = true, lo, hi
 			if lo != b.Min || hi != b.Max {
 				res.StatsFixed++

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"lwcomp/internal/blocked"
+	"lwcomp/internal/vec"
 )
 
 // This file is the offline integrity verifier behind `lwc verify` and
@@ -188,15 +189,7 @@ func verifyWalk(cf *ContainerFile, r *VerifyReport) {
 			if !b.HasStats || b.Count == 0 {
 				continue
 			}
-			lo, hi := buf[0], buf[0]
-			for _, v := range buf[1:b.Count] {
-				if v < lo {
-					lo = v
-				}
-				if v > hi {
-					hi = v
-				}
-			}
+			lo, hi, _ := vec.MinMax(buf[:b.Count]) // non-empty: b.Count > 0
 			if lo != b.Min || hi != b.Max {
 				r.Issues = append(r.Issues, VerifyIssue{
 					Column: bc.Name, Block: i, RowStart: b.Start, RowCount: b.Count,

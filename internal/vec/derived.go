@@ -113,6 +113,9 @@ func ExpandByBoundariesInto(dst, values, bounds []int64) ([]int64, error) {
 		if end < start {
 			return nil, fmt.Errorf("vec: ExpandByBoundariesInto: decreasing boundary %d after %d at run %d", end, start, i)
 		}
+		if end > total {
+			return nil, fmt.Errorf("vec: ExpandByBoundariesInto: boundary %d at run %d exceeds total length %d", end, i, total)
+		}
 		v := values[i]
 		for j := start; j < end; j++ {
 			dst[j] = v

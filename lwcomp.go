@@ -80,7 +80,9 @@ import (
 type Form = core.Form
 
 // Scheme is the compress/decompress contract of a (possibly
-// composite) compression scheme.
+// composite) compression scheme. Values come from the constructors
+// below, Compose and ParseScheme; Compress runs the same pooled
+// compressor the blocked encoder does.
 type Scheme = core.Scheme
 
 // Params carries a form's scalar parameters.
@@ -158,7 +160,9 @@ func Compress(schemeName string, src []int64) (*Form, error) {
 	return core.Compress(schemeName, src)
 }
 
-// Decompress reconstructs the column of any form tree.
+// Decompress reconstructs the column of any form tree. The tree is
+// validated before the output is sized from f.N, so a corrupt length
+// is an error (ErrCorruptForm), not an allocation.
 func Decompress(f *Form) ([]int64, error) { return core.Decompress(f) }
 
 // DecompressViaPlan reconstructs the column by building and executing
