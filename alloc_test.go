@@ -8,10 +8,14 @@ package lwcomp_test
 import (
 	"bytes"
 	"context"
+	"net/http"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"lwcomp"
 	"lwcomp/internal/query"
+	"lwcomp/internal/server"
 	"lwcomp/internal/workload"
 )
 
@@ -270,6 +274,120 @@ func TestTableScanAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+
+	// The streaming projection, gather (batch > chunk survivors) and
+	// straight-from-the-decode-buffer (batch < them) alike: scan, batch
+	// state and decode buffers all come from pools.
+	ctx := context.Background()
+	for _, batch := range []int{64, 1 << 20} {
+		var streamed int
+		mustZeroAllocs(t, "table-scan-stream", func() {
+			s, err := tbl.ScanWith(ctx, expr, lwcomp.ScanOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = s.StreamBatches(ctx, streamCols, batch, func(rows []int64, _ [][]int64) error {
+				streamed += len(rows)
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Release()
+		})
+		if streamed == 0 {
+			t.Fatal("stream delivered nothing; the fixture is broken")
+		}
+	}
+}
+
+// streamCols is package-level so that the stream pin measures
+// StreamBatches, not a slice literal.
+var streamCols = []string{"date", "amount"}
+
+// rewindBody is a request body that can be served again.
+type rewindBody struct{ bytes.Reader }
+
+func (*rewindBody) Close() error { return nil }
+
+// discardWriter is an http.ResponseWriter that keeps nothing but the
+// byte count — the reused in-memory writer of the request pin.
+type discardWriter struct {
+	h http.Header
+	n int
+}
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) WriteHeader(int)             {}
+func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
+
+// rowsRequestAllocs is the pinned allocation count of one op=rows
+// request through Server.Handler(): routing, the request's JSON
+// decode, predicate parse, deadline context, the pooled scan, and the
+// header and terminal frames of the stream's json.Encoder. Row frames
+// add nothing to it — the batch state, decode buffers and frame buffer
+// are pooled — so it does not depend on how many rows stream.
+const rowsRequestAllocs = 32
+
+// TestRowsRequestAllocs: an op=rows request that streams tens of
+// thousands of rows in many frames allocates what one that matches
+// nothing does, and both stay under the pinned constant.
+func TestRowsRequestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool reuse is defeated under the race detector")
+	}
+	const n, bs = 1 << 16, 1 << 12
+	dir := t.TempDir()
+	for name, data := range map[string][]int64{
+		"date":   workload.Sorted(n, 1<<20, 31),
+		"amount": workload.RandomWalk(n, 10, 1<<30, 32),
+	} {
+		col, err := lwcomp.Encode(data, lwcomp.WithBlockSize(bs), lwcomp.WithParallelism(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := lwcomp.WriteColumns(&buf, []lwcomp.NamedColumn{{Name: name, Col: col}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, "orders."+name+".lwc"), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := server.New(server.Config{Dir: dir, Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	h := srv.Handler()
+
+	measure := func(where string) (allocs float64, wire int) {
+		body := &rewindBody{}
+		payload := []byte(`{"table":"orders","op":"rows","columns":["date","amount"],"batch_rows":1000,"where":"` + where + `"}`)
+		req, err := http.NewRequest(http.MethodPost, "/query", body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := &discardWriter{h: http.Header{}}
+		allocs = testing.AllocsPerRun(20, func() {
+			body.Reset(payload)
+			w.n = 0
+			h.ServeHTTP(w, req)
+		})
+		return allocs, w.n
+	}
+	many, manyWire := measure("date >= 0")
+	none, noneWire := measure("date < 0")
+	if manyWire < 20*n || noneWire > 1000 {
+		t.Fatalf("fixture broken: %d and %d body bytes", manyWire, noneWire)
+	}
+	if many > none {
+		t.Errorf("streaming %d bytes of frames costs %.0f allocs, a request with no frame %.0f", manyWire, many, none)
+	}
+	if many > rowsRequestAllocs {
+		t.Errorf("op=rows request: %.0f allocs, pinned at %d", many, rowsRequestAllocs)
+	}
+	t.Logf("op=rows request: %.0f allocs streaming, %.0f matching nothing", many, none)
 }
 
 // TestFusedAggregateAllocs: the fused scan+aggregate paths —

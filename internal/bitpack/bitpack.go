@@ -139,15 +139,6 @@ func PackInto(dst, src []uint64, w uint) error {
 	return nil
 }
 
-// Unpack expands n values of width w from packed into a fresh column.
-func Unpack(packed []uint64, n int, w uint) ([]uint64, error) {
-	dst := make([]uint64, n)
-	if err := UnpackInto(dst, packed, w); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
 // UnpackInto expands len(dst) values of width w from packed into dst.
 func UnpackInto(dst, packed []uint64, w uint) error {
 	if w > 64 {
@@ -270,24 +261,6 @@ func Unzigzag(u uint64) int64 {
 	return int64(u>>1) ^ -int64(u&1)
 }
 
-// ZigzagSlice maps a signed column into a fresh unsigned column.
-func ZigzagSlice(src []int64) []uint64 {
-	out := make([]uint64, len(src))
-	for i, v := range src {
-		out[i] = Zigzag(v)
-	}
-	return out
-}
-
-// UnzigzagSlice inverts ZigzagSlice into a fresh signed column.
-func UnzigzagSlice(src []uint64) []int64 {
-	out := make([]int64, len(src))
-	for i, v := range src {
-		out[i] = Unzigzag(v)
-	}
-	return out
-}
-
 // UnzigzagInto writes the zigzag-decoded values of src into dst,
 // which must have the same length.
 func UnzigzagInto(dst []int64, src []uint64) {
@@ -302,23 +275,4 @@ func SignedInto(dst []int64, src []uint64) {
 	for i, v := range src {
 		dst[i] = int64(v)
 	}
-}
-
-// UnsignedSlice reinterprets a signed column as unsigned bit patterns
-// (no zigzag); callers use it when values are known non-negative.
-func UnsignedSlice(src []int64) []uint64 {
-	out := make([]uint64, len(src))
-	for i, v := range src {
-		out[i] = uint64(v)
-	}
-	return out
-}
-
-// SignedSlice reinterprets an unsigned column as signed bit patterns.
-func SignedSlice(src []uint64) []int64 {
-	out := make([]int64, len(src))
-	for i, v := range src {
-		out[i] = int64(v)
-	}
-	return out
 }

@@ -77,9 +77,9 @@ func TestPackUnpackAllWidths(t *testing.T) {
 			if len(packed) != PackedWords(n, w) {
 				t.Fatalf("w=%d n=%d: packed %d words, want %d", w, n, len(packed), PackedWords(n, w))
 			}
-			got, err := Unpack(packed, n, w)
-			if err != nil {
-				t.Fatalf("w=%d n=%d: Unpack: %v", w, n, err)
+			got := make([]uint64, n)
+			if err := UnpackInto(got, packed, w); err != nil {
+				t.Fatalf("w=%d n=%d: UnpackInto: %v", w, n, err)
 			}
 			for i := range src {
 				if got[i] != src[i] {
@@ -104,8 +104,8 @@ func TestPackBoundaryValues(t *testing.T) {
 		if err != nil {
 			t.Fatalf("w=%d: %v", w, err)
 		}
-		got, err := Unpack(packed, len(src), w)
-		if err != nil {
+		got := make([]uint64, len(src))
+		if err := UnpackInto(got, packed, w); err != nil {
 			t.Fatalf("w=%d: %v", w, err)
 		}
 		for i := range src {
@@ -129,15 +129,15 @@ func TestPackOverflowRejected(t *testing.T) {
 }
 
 func TestUnpackCorruptRejected(t *testing.T) {
-	if _, err := Unpack([]uint64{}, 64, 3); !errors.Is(err, ErrCorrupt) {
+	if err := UnpackInto(make([]uint64, 64), []uint64{}, 3); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("short payload err = %v", err)
 	}
-	if _, err := Unpack(nil, 10, 65); !errors.Is(err, ErrWidth) {
+	if err := UnpackInto(make([]uint64, 10), nil, 65); !errors.Is(err, ErrWidth) {
 		t.Fatalf("width err = %v", err)
 	}
-	// Width 0 needs no payload.
-	got, err := Unpack(nil, 5, 0)
-	if err != nil {
+	// Width 0 needs no payload, and overwrites what the destination held.
+	got := []uint64{1, 2, 3, 4, 5}
+	if err := UnpackInto(got, nil, 0); err != nil {
 		t.Fatalf("width-0 unpack: %v", err)
 	}
 	for _, v := range got {
@@ -200,7 +200,12 @@ func TestZigzagRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSlice := func(src []int64) bool {
-		back := UnzigzagSlice(ZigzagSlice(src))
+		zz := make([]uint64, len(src))
+		for i, v := range src {
+			zz[i] = Zigzag(v)
+		}
+		back := make([]int64, len(src))
+		UnzigzagInto(back, zz)
 		for i := range src {
 			if back[i] != src[i] {
 				return false
@@ -215,14 +220,12 @@ func TestZigzagRoundTripProperty(t *testing.T) {
 
 func TestSignedUnsignedSlices(t *testing.T) {
 	src := []int64{-1, 0, 5}
-	u := UnsignedSlice(src)
-	if u[0] != math.MaxUint64 {
-		t.Fatalf("UnsignedSlice(-1) = %d", u[0])
-	}
-	back := SignedSlice(u)
+	u := []uint64{math.MaxUint64, 0, 5}
+	back := make([]int64, len(u))
+	SignedInto(back, u)
 	for i := range src {
 		if back[i] != src[i] {
-			t.Fatal("signed/unsigned reinterpretation not inverse")
+			t.Fatalf("SignedInto(%d) = %d, want %d", u[i], back[i], src[i])
 		}
 	}
 }

@@ -79,8 +79,8 @@ func TestUnpackRangeMatchesFullUnpackProperty(t *testing.T) {
 		}
 		start := int(rawStart) % 200
 		count := int(rawCount) % (200 - start)
-		full, err := Unpack(packed, 200, w)
-		if err != nil {
+		full := make([]uint64, 200)
+		if err := UnpackInto(full, packed, w); err != nil {
 			return false
 		}
 		part, err := UnpackRange(packed, start, count, w)

@@ -479,7 +479,7 @@ func runBoundariesScratch(f *core.Form, s *core.Scratch) ([]int64, []int64, erro
 // non-decreasing, covering exactly [0, f.N). Without it, a corrupt
 // form whose runs overshoot N would panic inside Selection.AddRun
 // instead of erroring (decode validates the same invariant in
-// vec.ExpandByBoundaries / RunExpandInto).
+// vec.ExpandByBoundariesInto / RunExpandInto).
 func checkRunBounds(f *core.Form, bounds []int64) error {
 	var prev int64
 	for _, end := range bounds {

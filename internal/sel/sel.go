@@ -12,6 +12,14 @@ import (
 type Selection struct {
 	n     int
 	words []uint64
+	// Words [lo, hi) are the dirty span: every word of the backing
+	// array outside it — up to the array's capacity, not just the
+	// current domain — is zero, so Reset, Count, CountRange and Rank
+	// touch what a scan set, not the whole domain. lo >= hi means
+	// nothing is set (Reset leaves lo at the word count, so widening is
+	// a plain min/max). Every method that can set a bit widens the
+	// span; clearing bits never narrows it.
+	lo, hi int
 }
 
 // New returns an empty selection over the domain [0, n).
@@ -39,7 +47,8 @@ func (s *Selection) Release() {
 
 // Reset clears the selection and resizes its domain to [0, n).
 // Capacity is retained, so pooled selections reach a steady state
-// with no allocation.
+// with no allocation, and only the dirty span is zeroed: clearing a
+// 4M-row selection that held one 35k-row window costs that window.
 func (s *Selection) Reset(n int) {
 	if n < 0 {
 		n = 0
@@ -48,12 +57,19 @@ func (s *Selection) Reset(n int) {
 	nw := (n + 63) / 64
 	if cap(s.words) < nw {
 		s.words = make([]uint64, nw)
-		return
+	} else if s.lo < s.hi {
+		clear(s.words[s.lo:s.hi])
 	}
 	s.words = s.words[:nw]
-	for i := range s.words {
-		s.words[i] = 0
-	}
+	s.lo, s.hi = nw, 0
+}
+
+// touch widens the dirty span to cover words [first, last]. Another
+// selection's empty span (its word count, -1) and the empty domain's
+// (0, -1) widen nothing.
+func (s *Selection) touch(first, last int) {
+	s.lo = min(s.lo, first)
+	s.hi = max(s.hi, last+1)
 }
 
 // Len returns the domain size n.
@@ -62,6 +78,7 @@ func (s *Selection) Len() int { return s.n }
 // Add selects row i.
 func (s *Selection) Add(i int) {
 	s.words[i>>6] |= 1 << (uint(i) & 63)
+	s.touch(i>>6, i>>6)
 }
 
 // Remove deselects row i.
@@ -90,6 +107,7 @@ func (s *Selection) AddRun(start, count int) {
 	lastWord := (end - 1) >> 6
 	startBit := uint(start) & 63
 	endBits := uint(end-1)&63 + 1 // bits used in the last word
+	s.touch(firstWord, lastWord)
 	if firstWord == lastWord {
 		s.words[firstWord] |= (allOnes >> (64 - endBits + startBit)) << startBit
 		return
@@ -114,18 +132,21 @@ func (s *Selection) OrWord(pos int, mask uint64) {
 	word := pos >> 6
 	off := uint(pos) & 63
 	s.words[word] |= mask << off
+	last := word
 	if off != 0 && word+1 < len(s.words) {
 		s.words[word+1] |= mask >> (64 - off)
+		last++
 	}
+	s.touch(word, last)
 }
 
 // OrAt ORs the whole of o into s with its rows shifted by offset:
 // row i of o selects row offset+i of s. It is the block-merge
 // operation of the parallel scan: cost O(len(o)/64) regardless of how
-// many rows are selected.
+// many rows are selected — and only o's dirty span is walked.
 func (s *Selection) OrAt(o *Selection, offset int) {
-	for w, m := range o.words {
-		s.OrWord(offset+w*64, m)
+	for w := o.lo; w < o.hi; w++ {
+		s.OrWord(offset+w*64, o.words[w])
 	}
 }
 
@@ -134,9 +155,10 @@ func (s *Selection) Union(o *Selection) error {
 	if o.n != s.n {
 		return fmt.Errorf("sel: Union domains differ: %d vs %d", s.n, o.n)
 	}
-	for w, m := range o.words {
-		s.words[w] |= m
+	for w := o.lo; w < o.hi; w++ {
+		s.words[w] |= o.words[w]
 	}
+	s.touch(o.lo, o.hi-1)
 	return nil
 }
 
@@ -172,6 +194,7 @@ func (s *Selection) AndNot(o *Selection) error {
 // invariant Count relies on. It is how NOT nodes of a predicate tree
 // evaluate once their operand's selection is known.
 func (s *Selection) Not() {
+	s.touch(0, len(s.words)-1)
 	for w := range s.words {
 		s.words[w] = ^s.words[w]
 	}
@@ -185,12 +208,9 @@ func (s *Selection) Not() {
 // the per-block cardinality probe of the table scan's aggregation
 // paths: a block whose range counts zero is never fetched.
 func (s *Selection) CountRange(lo, hi int) int {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > s.n {
-		hi = s.n
-	}
+	// Rows outside the dirty span are unselected.
+	lo = max(lo, s.lo<<6)
+	hi = min(hi, s.hi<<6, s.n)
 	if lo >= hi {
 		return 0
 	}
@@ -218,33 +238,20 @@ func (s *Selection) CountRange(lo, hi int) int {
 func (s *Selection) Words() []uint64 { return s.words }
 
 // Count returns the number of selected rows (the rank of the full
-// domain), one popcount per word.
+// domain), one popcount per word of the dirty span.
 func (s *Selection) Count() int {
+	if s.lo >= s.hi {
+		return 0
+	}
 	c := 0
-	for _, w := range s.words {
+	for _, w := range s.words[s.lo:s.hi] {
 		c += bits.OnesCount64(w)
 	}
 	return c
 }
 
 // Rank returns the number of selected rows strictly below position i.
-func (s *Selection) Rank(i int) int {
-	if i <= 0 {
-		return 0
-	}
-	if i > s.n {
-		i = s.n
-	}
-	word := i >> 6
-	c := 0
-	for _, w := range s.words[:word] {
-		c += bits.OnesCount64(w)
-	}
-	if off := uint(i) & 63; off != 0 {
-		c += bits.OnesCount64(s.words[word] & (allOnes >> (64 - off)))
-	}
-	return c
-}
+func (s *Selection) Rank(i int) int { return s.CountRange(0, i) }
 
 // Iterate visits the selected rows in ascending order, stopping early
 // if visit returns false.

@@ -288,3 +288,143 @@ func TestEmptyAndBounds(t *testing.T) {
 		t.Fatalf("full word: count %d rank %d", s2.Count(), s2.Rank(64))
 	}
 }
+
+// fullBacking returns every word of s's backing array, up to its
+// capacity — what a later, larger domain would inherit.
+func fullBacking(s *Selection) []uint64 { return s.words[:cap(s.words)] }
+
+// TestResetClearsEverySetter: whichever method set the bits, Reset
+// leaves the whole backing array zero — the invariant the dirty span
+// exists to keep without clearing every word.
+func TestResetClearsEverySetter(t *testing.T) {
+	const n = 1 << 14
+	other := New(n)
+	other.AddRun(5000, 3000)
+	setters := map[string]func(s *Selection){
+		"Add":           func(s *Selection) { s.Add(0); s.Add(9999); s.Add(n - 1) },
+		"AddRun":        func(s *Selection) { s.AddRun(63, 2); s.AddRun(7000, 700) },
+		"AddRun whole":  func(s *Selection) { s.AddRun(0, n) },
+		"OrWord":        func(s *Selection) { s.OrWord(130, 1<<63|1); s.OrWord(n-64, allOnes) },
+		"OrWord at end": func(s *Selection) { s.OrWord(n-3, 0b111) },
+		"OrAt":          func(s *Selection) { s.OrAt(other, 0) },
+		"Union":         func(s *Selection) { s.Union(other) },
+		"Not":           func(s *Selection) { s.Not() },
+		"Not of some":   func(s *Selection) { s.AddRun(100, 100); s.Not() },
+		"And after set": func(s *Selection) { s.AddRun(4000, 4000); s.And(other) },
+		"Remove":        func(s *Selection) { s.AddRun(64, 64); s.Remove(64); s.Remove(127) },
+	}
+	for name, set := range setters {
+		s := New(n)
+		set(s)
+		if s.Count() == 0 && name != "Remove" {
+			t.Fatalf("%s set nothing", name)
+		}
+		// A smaller domain first: the words beyond it must be clean too.
+		s.Reset(100)
+		for w, m := range fullBacking(s) {
+			if m != 0 {
+				t.Fatalf("%s: word %d = %#x after Reset", name, w, m)
+			}
+		}
+		if s.Count() != 0 || s.Len() != 100 {
+			t.Fatalf("%s: Count %d Len %d after Reset(100)", name, s.Count(), s.Len())
+		}
+	}
+}
+
+// TestCountsMatchBitByBit: Count, CountRange and Rank on random
+// selections — sparse windows far from word 0 included, which is where
+// the dirty span clamps — equal a bit-by-bit count.
+func TestCountsMatchBitByBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(5000)
+		s := New(n)
+		ref := make(reference, n)
+		lo := rng.Intn(n)
+		width := 1 + rng.Intn(n-lo)
+		for k := rng.Intn(40); k > 0; k-- {
+			switch i := lo + rng.Intn(width); rng.Intn(3) {
+			case 0:
+				s.Add(i)
+				ref[i] = true
+			case 1:
+				c := rng.Intn(lo + width - i + 1)
+				s.AddRun(i, c)
+				for j := i; j < i+c; j++ {
+					ref[j] = true
+				}
+			case 2:
+				m := rng.Uint64()
+				if rest := n - i; rest < 64 {
+					m &= 1<<uint(rest) - 1
+				}
+				s.OrWord(i, m)
+				for j := 0; j < 64; j++ {
+					if m>>uint(j)&1 == 1 {
+						ref[i+j] = true
+					}
+				}
+			}
+		}
+		count := func(a, b int) (c int) {
+			for i := max(a, 0); i < min(b, n); i++ {
+				if ref[i] {
+					c++
+				}
+			}
+			return c
+		}
+		if got, want := s.Count(), count(0, n); got != want {
+			t.Fatalf("trial %d: Count %d, want %d", trial, got, want)
+		}
+		for probe := 0; probe < 30; probe++ {
+			a, b := rng.Intn(n+20)-10, rng.Intn(n+20)-10
+			if got, want := s.CountRange(a, b), count(a, b); got != want {
+				t.Fatalf("trial %d: CountRange(%d, %d) = %d, want %d", trial, a, b, got, want)
+			}
+			if got, want := s.Rank(a), count(0, a); got != want {
+				t.Fatalf("trial %d: Rank(%d) = %d, want %d", trial, a, got, want)
+			}
+		}
+		if !equal(s.Rows(), ref.rows()) {
+			t.Fatalf("trial %d: rows diverge from the model", trial)
+		}
+	}
+}
+
+// TestPoolReuseAcrossDomains: one pooled selection serving a 4M-bit
+// and a 16k-bit domain in turn starts each use empty, whatever the
+// previous one set and wherever.
+func TestPoolReuseAcrossDomains(t *testing.T) {
+	const big, small = 1 << 22, 1 << 14
+	s := New(big)
+	for round := 0; round < 3; round++ {
+		s.Reset(big)
+		if s.Count() != 0 {
+			t.Fatalf("round %d: big domain starts with %d rows", round, s.Count())
+		}
+		s.AddRun(big-40000, 35000)
+		s.Add(17)
+		if got := s.Count(); got != 35001 {
+			t.Fatalf("round %d: big Count = %d", round, got)
+		}
+		if got := s.CountRange(big-40000, big); got != 35000 {
+			t.Fatalf("round %d: big CountRange = %d", round, got)
+		}
+		s.Reset(small)
+		if s.Count() != 0 || s.CountRange(0, small) != 0 || len(s.Rows()) != 0 {
+			t.Fatalf("round %d: small domain inherits rows", round)
+		}
+		s.Not()
+		if got := s.Count(); got != small {
+			t.Fatalf("round %d: small Not Count = %d", round, got)
+		}
+	}
+	s.Reset(big)
+	for w, m := range fullBacking(s) {
+		if m != 0 {
+			t.Fatalf("word %d = %#x after the last Reset", w, m)
+		}
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"lwcomp"
@@ -407,7 +408,12 @@ func (s *Server) streamRows(ctx context.Context, w http.ResponseWriter, scan *lw
 	}
 
 	var streamed int64
-	buf := make([]byte, 0, 1<<14)
+	frame := framePool.Get().(*[]byte)
+	buf := *frame
+	defer func() {
+		*frame = buf
+		framePool.Put(frame)
+	}()
 	err := scan.StreamBatches(ctx, req.Columns, batch, func(rows []int64, vals [][]int64) error {
 		if req.Limit > 0 && streamed+int64(len(rows)) > req.Limit {
 			keep := req.Limit - streamed
@@ -465,6 +471,11 @@ func (s *Server) streamRows(ctx context.Context, w http.ResponseWriter, scan *lw
 	}{true, streamed, msSince(started), degradedBlocks(scan)})
 }
 
+// framePool holds the frame buffers of op=rows requests: a frame's
+// worst-case reservation is a few hundred KiB, too much to make anew
+// for every request.
+var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
 // appendRowsFrame renders one NDJSON row frame:
 // {"rows":[...],"cols":[[...],...]}\n — hand-built, because a server
 // streaming millions of rows through reflect-driven json.Marshal
@@ -481,18 +492,6 @@ func appendRowsFrame(buf []byte, rows []int64, vals [][]int64) []byte {
 	}
 	buf = append(buf, "]}\n"...)
 	return buf
-}
-
-// appendInt64s renders a JSON array of integers.
-func appendInt64s(buf []byte, vs []int64) []byte {
-	buf = append(buf, '[')
-	for i, v := range vs {
-		if i > 0 {
-			buf = append(buf, ',')
-		}
-		buf = strconv.AppendInt(buf, v, 10)
-	}
-	return append(buf, ']')
 }
 
 // queryError maps a scan failure onto a status: deadline → 504,

@@ -484,7 +484,8 @@ func (s *Scan) Selection() *sel.Selection { return s.sink.Dst }
 // and StreamBatches: over its own cut of the table — by the columns it
 // reads, whatever the predicate's were — it visits, in row order, the
 // chunks that still hold selected rows, and decodes a column's block
-// only when asked for its values. One pooled buffer is live at a time.
+// only when asked for its values. One pooled buffer per column read is
+// live at a time.
 type survivors struct {
 	chunks
 	s   *Scan
@@ -493,7 +494,7 @@ type survivors struct {
 	// k is the current chunk, [start, start+count) its rows and hits
 	// the number of them still selected.
 	k, start, count, hits int
-	// vals is what values last returned.
+	// vals is the decode buffer of a walk that reads one column.
 	vals []int64
 	err  error
 }
@@ -518,17 +519,19 @@ func (w *survivors) next() bool {
 	return false
 }
 
-// values returns column ci's values over the current chunk; the slice
-// is valid until the next call. A nil slice with a nil error means the
-// block is permanently unreadable and the degraded scan recorded it.
-func (w *survivors) values(ci int) ([]int64, error) {
-	w.sc.PutI64(w.vals)
+// values returns column ci's values over the current chunk in a pooled
+// buffer that replaces *held — the column's previous one, which goes
+// back to the pool — so the slice is valid until the next call with
+// the same held. A nil slice with a nil error means the block is
+// permanently unreadable and the degraded scan recorded it.
+func (w *survivors) values(ci int, held *[]int64) ([]int64, error) {
+	w.sc.PutI64(*held)
 	var err error
-	if w.vals, err = w.load(w.sc, ci, w.k); err != nil {
+	if *held, err = w.load(w.sc, ci, w.k); err != nil {
 		_, bi, _ := w.blockOf(ci, w.k)
 		return nil, w.s.p.skipColumn(ci, bi, err)
 	}
-	return w.vals, nil
+	return *held, nil
 }
 
 func (w *survivors) done() {
@@ -569,7 +572,7 @@ func (s *Scan) SumContext(ctx context.Context, col string) (int64, error) {
 			total += v
 			continue
 		}
-		vals, err := w.values(ci)
+		vals, err := w.values(ci, &w.vals)
 		if err != nil {
 			return 0, err
 		}
@@ -590,7 +593,7 @@ func (s *Scan) Materialize(col string) ([]int64, error) {
 	w := s.survivors(context.Background(), ci)
 	defer w.done()
 	for w.next() {
-		vals, err := w.values(ci)
+		vals, err := w.values(ci, &w.vals)
 		if err != nil {
 			return nil, err
 		}
@@ -599,76 +602,128 @@ func (s *Scan) Materialize(col string) ([]int64, error) {
 	return out, w.err
 }
 
+// stream is the state of one StreamBatches call, pooled so that a
+// steady state of streaming requests allocates nothing.
+type stream struct {
+	cis []int
+	// rows and vals are the batch small chunks gather in: capacity
+	// batchSize, never grown.
+	rows []int64
+	vals [][]int64
+	// held are the live decode buffers, one per streamed column, and sub
+	// is what fn is handed.
+	held, sub [][]int64
+}
+
+var streamPool = sync.Pool{New: func() any { return new(stream) }}
+
 // StreamBatches visits the surviving rows in ascending order in
 // batches, late-materializing the named columns chunk by chunk — the
-// server's streaming projection: a million-row result never holds
-// more than one block plus one batch per column in memory, whether or
-// not the columns share block boundaries. Each call to fn receives the
-// batch's global row positions and, parallel to cols, each column's
-// values at those rows; the slices are reused across calls, so fn must
-// consume (encode, copy) them before returning. Batches hold at most
-// batchSize rows (the final one may be shorter); batchSize <= 0
-// defaults to 4096. The context is checked between chunks, so an
-// expired or disconnected request stops fetching mid-stream.
+// server's streaming projection: a million-row result never holds more
+// than one decoded block per streamed column, one chunk of row numbers
+// and one batch in memory, whether or not the columns share block
+// boundaries. Each call to fn receives the batch's global row
+// positions and, parallel to cols, each column's values at those rows.
+// The slices are valid only for the call: a chunk with at least
+// batchSize surviving rows is handed over as slices of its own decode
+// buffers (compacted in place when only part of it survives), which the
+// next chunk overwrites, and smaller chunks gather in one reused
+// batch — so fn must consume (encode, copy) them before returning.
+// Batches hold at most batchSize rows, and may be shorter wherever a
+// chunk ends or the next one would not fit; batchSize <= 0 defaults to
+// 4096. The context is checked
+// between chunks, so an expired or disconnected request stops fetching
+// mid-stream.
 func (s *Scan) StreamBatches(ctx context.Context, cols []string, batchSize int, fn func(rows []int64, vals [][]int64) error) error {
 	if batchSize <= 0 {
 		batchSize = 4096
 	}
-	cis := make([]int, len(cols))
-	for i, name := range cols {
+	st := streamPool.Get().(*stream)
+	defer streamPool.Put(st)
+	st.cis = st.cis[:0]
+	for _, name := range cols {
 		ci, err := s.p.t.colIndex(name)
 		if err != nil {
 			return err
 		}
-		cis[i] = ci
+		st.cis = append(st.cis, ci)
 	}
-	rows := make([]int64, 0, batchSize)
-	vals := make([][]int64, len(cols))
-	for i := range vals {
-		vals[i] = make([]int64, 0, batchSize)
+	// The batch never needs to hold more than the scan has rows.
+	batchCap := min(batchSize, s.Count())
+	st.rows = slices.Grow(st.rows[:0], batchCap)
+	st.vals = slices.Grow(st.vals[:0], len(cols))[:len(cols)]
+	for i := range st.vals {
+		st.vals[i] = slices.Grow(st.vals[i][:0], batchCap)
 	}
-	sub := make([][]int64, len(cols))
-	flush := func() error {
-		for emitted := 0; emitted < len(rows); emitted += batchSize {
-			end := min(emitted+batchSize, len(rows))
+	st.held = slices.Grow(st.held[:0], len(cols))[:len(cols)]
+	st.sub = slices.Grow(st.sub[:0], len(cols))[:len(cols)]
+
+	w := s.survivors(ctx, st.cis...)
+	defer func() {
+		for i, b := range st.held {
+			w.sc.PutI64(b)
+			st.held[i] = nil
+		}
+		w.done()
+	}()
+	// emit hands fn the rows and per-column values in slices of at most
+	// batchSize.
+	emit := func(rows []int64, vals [][]int64) error {
+		for off := 0; off < len(rows); off += batchSize {
+			end := min(off+batchSize, len(rows))
 			for i := range vals {
-				sub[i] = vals[i][emitted:end]
+				st.sub[i] = vals[i][off:end]
 			}
-			if err := fn(rows[emitted:end], sub); err != nil {
+			if err := fn(rows[off:end], st.sub); err != nil {
 				return err
 			}
 		}
-		rows = rows[:0]
-		for i := range vals {
-			vals[i] = vals[i][:0]
-		}
 		return nil
 	}
-
-	w := s.survivors(ctx, cis...)
-	defer w.done()
+	flush := func() error {
+		err := emit(st.rows, st.vals)
+		st.rows = st.rows[:0]
+		for i := range st.vals {
+			st.vals[i] = st.vals[i][:0]
+		}
+		return err
+	}
 chunks:
 	for w.next() {
-		for i, ci := range cis {
-			decoded, err := w.values(ci)
+		// Every column decodes before anything of the chunk is batched, so
+		// a degraded skip drops the whole chunk by moving on.
+		for i, ci := range st.cis {
+			decoded, err := w.values(ci, &st.held[i])
 			if err != nil {
 				return err
 			}
 			if decoded == nil {
-				// Degraded skip: the chunk's rows were not appended yet,
-				// so dropping it is rolling the earlier columns back.
-				for j := range vals[:i] {
-					vals[j] = vals[j][:len(rows)]
-				}
 				continue chunks
 			}
-			vals[i] = maskedAppend(vals[i], s.sink.Dst, w.start, decoded)
-		}
-		rows = maskedAppendRows(rows, s.sink.Dst, w.start, w.count)
-		if len(rows) >= batchSize {
-			if err := flush(); err != nil {
-				return err
+			if w.hits < w.count {
+				st.held[i] = maskedAppend(decoded[:0], s.sink.Dst, w.start, decoded)
 			}
+		}
+		rows := maskedAppendRows(w.sc.I64(w.hits)[:0], s.sink.Dst, w.start, w.count)
+		var err error
+		if w.hits >= batchSize {
+			if err = flush(); err == nil {
+				err = emit(rows, st.held)
+			}
+		} else {
+			// hits < batchSize and hits <= Count(), so after a flush the
+			// chunk always fits.
+			if len(st.rows)+w.hits > batchCap {
+				err = flush()
+			}
+			st.rows = append(st.rows, rows...)
+			for i := range st.vals {
+				st.vals[i] = append(st.vals[i], st.held[i]...)
+			}
+		}
+		w.sc.PutI64(rows)
+		if err != nil {
+			return err
 		}
 	}
 	if w.err != nil {

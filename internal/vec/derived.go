@@ -61,42 +61,11 @@ func RunExpandInto(dst, values, lengths []int64) ([]int64, error) {
 	return dst, nil
 }
 
-// ExpandByBoundaries materializes run data given exclusive run end
-// positions (the run_positions column of the RPE scheme): run i covers
-// output elements [bounds[i-1], bounds[i]). bounds must be
-// non-decreasing and its last element is the total output length.
-func ExpandByBoundaries(values, bounds []int64) ([]int64, error) {
-	if len(values) != len(bounds) {
-		return nil, fmt.Errorf("%w: values %d, bounds %d", ErrLengthMismatch, len(values), len(bounds))
-	}
-	if len(bounds) == 0 {
-		return []int64{}, nil
-	}
-	total := bounds[len(bounds)-1]
-	if total < 0 {
-		return nil, fmt.Errorf("vec: ExpandByBoundaries: negative total length %d", total)
-	}
-	out := make([]int64, total)
-	var start int64
-	for i, end := range bounds {
-		if end < start {
-			return nil, fmt.Errorf("vec: ExpandByBoundaries: decreasing boundary %d after %d at run %d", end, start, i)
-		}
-		if end > total {
-			return nil, fmt.Errorf("vec: ExpandByBoundaries: boundary %d at run %d exceeds total length %d", end, i, total)
-		}
-		v := values[i]
-		for j := start; j < end; j++ {
-			out[j] = v
-		}
-		start = end
-	}
-	return out, nil
-}
-
-// ExpandByBoundariesInto is the into-destination form of
-// ExpandByBoundaries; dst must have length equal to the final
-// boundary (or 0 for no runs).
+// ExpandByBoundariesInto materializes run data given exclusive run end
+// positions (the run_positions column of the RPE scheme) into dst: run
+// i covers output elements [bounds[i-1], bounds[i]). bounds must be
+// non-decreasing, and dst must have length equal to the final boundary
+// (or 0 for no runs).
 func ExpandByBoundariesInto(dst, values, bounds []int64) ([]int64, error) {
 	if len(values) != len(bounds) {
 		return nil, fmt.Errorf("%w: values %d, bounds %d", ErrLengthMismatch, len(values), len(bounds))

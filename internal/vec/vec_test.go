@@ -231,19 +231,22 @@ func TestRunExpandInto(t *testing.T) {
 }
 
 func TestExpandByBoundaries(t *testing.T) {
-	got, err := ExpandByBoundaries([]int64{4, 9}, []int64{3, 5})
+	got, err := ExpandByBoundariesInto(make([]int64, 5), []int64{4, 9}, []int64{3, 5})
 	if err != nil || !Equal(got, []int64{4, 4, 4, 9, 9}) {
-		t.Fatalf("ExpandByBoundaries = %v, %v", got, err)
+		t.Fatalf("ExpandByBoundariesInto = %v, %v", got, err)
 	}
-	got, err = ExpandByBoundaries([]int64{}, []int64{})
+	got, err = ExpandByBoundariesInto(nil, []int64{}, []int64{})
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty = %v, %v", got, err)
 	}
-	if _, err = ExpandByBoundaries([]int64{1, 2}, []int64{3, 2}); err == nil {
+	if _, err = ExpandByBoundariesInto(make([]int64, 2), []int64{1, 2}, []int64{3, 2}); err == nil {
 		t.Fatal("decreasing boundaries accepted")
 	}
-	if _, err = ExpandByBoundaries([]int64{1}, []int64{-1}); err == nil {
+	if _, err = ExpandByBoundariesInto(nil, []int64{1}, []int64{-1}); err == nil {
 		t.Fatal("negative total accepted")
+	}
+	if _, err = ExpandByBoundariesInto(make([]int64, 4), []int64{4, 9}, []int64{3, 5}); err == nil {
+		t.Fatal("short destination accepted")
 	}
 }
 
@@ -381,7 +384,7 @@ func TestRunExpandMatchesExpandByBoundaries(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		b, err := ExpandByBoundaries(values, PrefixSumInclusive(lengths))
+		b, err := ExpandByBoundariesInto(make([]int64, len(a)), values, PrefixSumInclusive(lengths))
 		if err != nil {
 			return false
 		}
