@@ -34,7 +34,7 @@ func main() {
 
 	ladder := func(title string, data []int64, schemes []lwcomp.Scheme) {
 		fmt.Println(title)
-		fmt.Printf("%-28s %12s %8s\n", "scheme", "bytes", "ratio")
+		fmt.Printf("%-48s %12s %8s\n", "scheme", "bytes", "ratio")
 		for _, s := range schemes {
 			col, err := lwcomp.Encode(data, lwcomp.WithScheme(s))
 			if err != nil {
@@ -50,7 +50,7 @@ func main() {
 				}
 			}
 			size := int(col.EncodedBits() / 8)
-			fmt.Printf("%-28s %12d %8.1f\n", s.Name(), size, float64(n*8)/float64(size))
+			fmt.Printf("%-48s %12d %8.1f\n", s.Name(), size, float64(n*8)/float64(size))
 		}
 		fmt.Println()
 	}

@@ -112,11 +112,11 @@ func runExpH(cfg Config) (*Table, error) {
 		data := workload.TrendNoise(cfg.N, slope, 12, cfg.Seed)
 		raw := len(data) * 8
 
-		stepForm, err := (scheme.ModelResidual{Fitter: scheme.StepFitter{SegLen: segLen}}).Compress(data)
+		stepForm, err := scheme.StepNS(segLen).Compress(data)
 		if err != nil {
 			return nil, err
 		}
-		linForm, err := (scheme.ModelResidual{Fitter: scheme.LinearFitter{SegLen: segLen}}).Compress(data)
+		linForm, err := scheme.LinearNS(segLen).Compress(data)
 		if err != nil {
 			return nil, err
 		}

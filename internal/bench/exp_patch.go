@@ -37,7 +37,7 @@ func runExpF(cfg Config) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		pforForm, err := (scheme.PFOR{SegLen: segLen}).Compress(data)
+		pforForm, err := scheme.PFORComposite(segLen).Compress(data)
 		if err != nil {
 			return nil, err
 		}

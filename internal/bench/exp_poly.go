@@ -46,9 +46,9 @@ func runExpM(cfg Config) (*Table, error) {
 		name string
 		s    core.Scheme
 	}{
-		{"step+ns (FOR)", scheme.ModelResidual{Fitter: scheme.StepFitter{SegLen: segLen}}},
-		{"linear+ns", scheme.ModelResidual{Fitter: scheme.LinearFitter{SegLen: segLen}}},
-		{"poly2+ns", scheme.ModelResidual{Fitter: scheme.Poly2Fitter{SegLen: segLen}}},
+		{"step+ns (FOR)", scheme.StepNS(segLen)},
+		{"linear+ns", scheme.LinearNS(segLen)},
+		{"poly2+ns", scheme.Poly2NS(segLen)},
 	}
 	datasets := []struct {
 		name string
@@ -97,9 +97,9 @@ func runExpM(cfg Config) (*Table, error) {
 		name string
 		s    core.Scheme
 	}{
-		{"linear+ns (unpatched)", scheme.ModelResidual{Fitter: scheme.LinearFitter{SegLen: segLen}}},
-		{"pfor (patched step)", scheme.PFOR{SegLen: segLen}},
-		{"patched linear", scheme.PatchedModel{Fitter: scheme.LinearFitter{SegLen: segLen}}},
+		{"linear+ns (unpatched)", scheme.LinearNS(segLen)},
+		{"pfor (patched step)", scheme.PFORComposite(segLen)},
+		{"patched linear", scheme.PatchedLinearNS(segLen)},
 	} {
 		f, err := m.s.Compress(spiked)
 		if err != nil {

@@ -2,15 +2,15 @@ package core
 
 import "fmt"
 
-// The compress contract: a scheme states its split once, and a
-// steady-state block encode should allocate only what the resulting
-// form retains (nodes and payloads), never its temporaries. A scheme
-// with temporaries takes them from a Scratch (ScratchCompressor); a
-// decomposable scheme hands its constituent columns out
-// (ConstituentCompressor), so a Composite compresses them straight
-// out of the buffers they were produced in and a bare Compress wraps
-// them in ID leaves. Scheme.Compress is the same body with an arena
-// taken from the pool for the call.
+// The compress contract: a scheme states its split once, as
+// CompressParts, and hands each constituent column it produces to an
+// emit callback, which decides what the column becomes — a Composite
+// compresses it with the inner scheme named for it, straight out of the
+// buffer the outer produced it in; a bare Compress (LeafEmit) retains
+// it as an ID leaf. Temporaries come from a Scratch, so a steady-state
+// block encode allocates only what the resulting form retains (nodes
+// and payloads). Scheme.Compress is the same body with an arena taken
+// from the pool for the call.
 
 // LeafSchemeName is the registered name of the identity scheme —
 // the raw pure-column leaf every decomposable scheme emits for its
@@ -18,44 +18,41 @@ import "fmt"
 // recognize ID leaves without importing the scheme package.
 const LeafSchemeName = "id"
 
-// ScratchCompressor is implemented by schemes whose compressor has
-// temporaries worth pooling: it draws them from a Scratch arena, so
-// steady-state block encode allocates only the retained form.
-type ScratchCompressor interface {
-	// CompressScratch encodes src into a form, borrowing temporaries
-	// from s (which may be nil).
-	CompressScratch(src []int64, s *Scratch) (*Form, error)
-}
-
-// ConstituentCompressor is implemented by decomposable schemes whose
-// compressor can hand each constituent column to the caller as a
-// short-lived slice instead of wrapping it in a retained ID form.
+// ConstituentCompressor is the compress contract: the scheme's one
+// compressor, handing each constituent column to the caller as a
+// short-lived slice instead of wrapping it in a retained ID form. A
+// terminal codec (NS) is one that emits nothing.
 type ConstituentCompressor interface {
-	// CompressParts encodes src; for each constituent column it calls
-	// emit(name, col) and installs the returned form as that child.
-	// col may be scratch-borrowed: it is valid only for the duration
-	// of the emit call.
+	// CompressParts encodes src, borrowing temporaries from s (which
+	// may be nil); for each constituent column it calls emit(name, col)
+	// and installs the returned form as that child. col may be
+	// scratch-borrowed: it is valid only for the duration of the emit
+	// call.
 	CompressParts(src []int64, s *Scratch, emit func(name string, col []int64) (*Form, error)) (*Form, error)
 }
 
 // CompressScratch encodes src under sch, handing s to a scheme that
-// takes its temporaries from an arena — under either contract; for
-// the rest it is plain Compress.
+// compresses through the contract and retaining every constituent it
+// emits as an ID leaf; a scheme outside the contract is plain
+// Compress.
 func CompressScratch(sch Scheme, src []int64, s *Scratch) (*Form, error) {
-	switch sc := sch.(type) {
-	case ScratchCompressor:
-		return sc.CompressScratch(src, s)
-	case ConstituentCompressor:
-		return sc.CompressParts(src, s, LeafEmit)
+	return compressParts(sch, src, s, LeafEmit)
+}
+
+// compressParts runs sch's CompressParts, or its Compress — which
+// emits nothing — for a scheme outside the contract.
+func compressParts(sch Scheme, src []int64, s *Scratch, emit func(string, []int64) (*Form, error)) (*Form, error) {
+	if cc, ok := sch.(ConstituentCompressor); ok {
+		return cc.CompressParts(src, s, emit)
 	}
 	return sch.Compress(src)
 }
 
 // CompressPooled is CompressScratch over an arena taken from the pool
 // for the call — the whole of Scheme.Compress for a scheme whose one
-// compressor is its CompressScratch or CompressParts. (A scheme with
-// neither must not define Compress through it: CompressScratch would
-// call straight back.)
+// compressor is its CompressParts. (A scheme without one must not
+// define Compress through it: CompressScratch would call straight
+// back.)
 func CompressPooled(sch Scheme, src []int64) (*Form, error) {
 	s := GetScratch()
 	defer s.Release()
@@ -74,74 +71,78 @@ func NewLeafForm(col []int64) *Form {
 // every constituent column is retained as an ID leaf.
 func LeafEmit(_ string, col []int64) (*Form, error) { return NewLeafForm(col), nil }
 
-// CompressScratch implements ScratchCompressor for compositions. An
-// outer scheme that can hand out its parts (ConstituentCompressor)
-// has each constituent column compressed directly from the buffer the
-// outer produced it in; one that cannot takes the
-// compress-then-rewrite route.
-func (c *Composite) CompressScratch(src []int64, s *Scratch) (*Form, error) {
-	cc, ok := c.outer.(ConstituentCompressor)
-	if !ok {
-		return c.compressRewrite(src, s)
-	}
-	seen := 0
-	f, err := cc.CompressParts(src, s, func(name string, col []int64) (*Form, error) {
-		inner, composed := c.inner[name]
-		if !composed {
-			return NewLeafForm(col), nil
-		}
-		seen++
-		cf, err := CompressScratch(inner, col, s)
-		if err != nil {
-			return nil, fmt.Errorf("composite %q: inner %q on child %q: %w", c.Name(), inner.Name(), name, err)
-		}
-		return cf, nil
-	})
+// CompressParts implements ConstituentCompressor for compositions:
+// each constituent column the outer emits is compressed by the inner
+// scheme named for it, directly from the buffer the outer produced it
+// in, and the ones no inner names are handed on to emit — so a
+// composite nests as an outer, and a bare one (LeafEmit) keeps them as
+// ID leaves.
+func (c *Composite) CompressParts(src []int64, s *Scratch, emit func(name string, col []int64) (*Form, error)) (*Form, error) {
+	r := s.router(c, emit)
+	defer s.putRouter(r)
+	f, err := compressParts(c.outer, src, s, r.emit)
 	if err != nil {
 		return nil, err
 	}
-	if seen != len(c.inner) {
+	if r.seen != len(c.inner) {
 		// Some configured inner never matched an emitted constituent:
-		// surface the same loud failure compressRewrite gives for
-		// unknown child keys.
+		// fail loudly instead of leaving it silently unapplied.
 		for name := range c.inner {
 			if _, err := f.Child(name); err != nil {
 				return nil, fmt.Errorf("composite %q: %w", c.Name(), err)
 			}
 		}
+		return nil, fmt.Errorf("composite %q: %s hands out no column for %d of its inner schemes",
+			c.Name(), c.outer.Name(), len(c.inner)-r.seen)
 	}
 	return f, nil
 }
 
-// compressRewrite composes over an outer scheme that cannot hand out
-// its parts: compress with the outer, then replace each named child
-// with its inner compression. Pure columns are read straight from ID
-// leaves when the outer emitted them that way, avoiding a decompress
-// copy.
-func (c *Composite) compressRewrite(src []int64, s *Scratch) (*Form, error) {
-	f, err := CompressScratch(c.outer, src, s)
+// router is the emit of one Composite.CompressParts call. A Scratch
+// keeps routers with their emit bound once, so a steady-state
+// composite encode allocates no closure.
+type router struct {
+	c    *Composite
+	s    *Scratch
+	next func(string, []int64) (*Form, error)
+	seen int                                  // columns compressed by an inner scheme
+	emit func(string, []int64) (*Form, error) // r.route
+}
+
+// route compresses a column c's inner map names with that inner scheme
+// and hands any other on to next.
+func (r *router) route(name string, col []int64) (*Form, error) {
+	inner, composed := r.c.inner[name]
+	if !composed {
+		return r.next(name, col)
+	}
+	r.seen++
+	cf, err := CompressScratch(inner, col, r.s)
 	if err != nil {
-		return nil, fmt.Errorf("composite outer %q: %w", c.outer.Name(), err)
+		return nil, fmt.Errorf("composite %q: inner %q on child %q: %w", r.c.Name(), inner.Name(), name, err)
 	}
-	for name, inner := range c.inner {
-		child, err := f.Child(name)
-		if err != nil {
-			return nil, fmt.Errorf("composite %q: %w", c.Name(), err)
-		}
-		var pure []int64
-		if child.Scheme == LeafSchemeName && len(child.Leaf) == child.N {
-			pure = child.Leaf
-		} else {
-			pure, err = Decompress(child)
-			if err != nil {
-				return nil, fmt.Errorf("composite %q: resolving child %q: %w", c.Name(), name, err)
-			}
-		}
-		cf, err := CompressScratch(inner, pure, s)
-		if err != nil {
-			return nil, fmt.Errorf("composite %q: inner %q on child %q: %w", c.Name(), inner.Name(), name, err)
-		}
-		f.Children[name] = cf
+	return cf, nil
+}
+
+// router borrows a router for one CompressParts call of c; return it
+// with putRouter.
+func (s *Scratch) router(c *Composite, next func(string, []int64) (*Form, error)) *router {
+	var r *router
+	if s != nil && len(s.routers) > 0 {
+		r = s.routers[len(s.routers)-1]
+		s.routers = s.routers[:len(s.routers)-1]
+	} else {
+		r = new(router)
+		r.emit = r.route
 	}
-	return f, nil
+	r.c, r.s, r.next, r.seen = c, s, next, 0
+	return r
+}
+
+// putRouter returns a router borrowed with router.
+func (s *Scratch) putRouter(r *router) {
+	if s != nil {
+		r.c, r.s, r.next = nil, nil, nil
+		s.routers = append(s.routers, r)
+	}
 }

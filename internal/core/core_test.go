@@ -27,25 +27,28 @@ func (m mockRaw) DecompressInto(f *Form, dst []int64, _ *Scratch) error {
 
 func (m mockRaw) DecompressCostPerElement(*Form) float64 { return 1 }
 
-// mockDouble halves on compress, doubles on decompress, storing the
-// halves in a child named "halves".
+// mockDouble halves on compress, doubles on decompress, handing the
+// halves out as a constituent column named "halves".
 type mockDouble struct{ name string }
 
 func (m mockDouble) Name() string { return m.name }
 
-func (m mockDouble) Compress(src []int64) (*Form, error) {
-	halves := make([]int64, len(src))
+func (m mockDouble) Compress(src []int64) (*Form, error) { return CompressPooled(m, src) }
+
+func (m mockDouble) CompressParts(src []int64, s *Scratch, emit func(string, []int64) (*Form, error)) (*Form, error) {
+	halves := s.I64(len(src))
+	defer s.PutI64(halves)
 	for i, v := range src {
 		if v%2 != 0 {
 			return nil, fmt.Errorf("%w: odd value %d", ErrNotRepresentable, v)
 		}
 		halves[i] = v / 2
 	}
-	return &Form{
-		Scheme:   m.name,
-		N:        len(src),
-		Children: map[string]*Form{"halves": {Scheme: "raw-mock", N: len(src), Leaf: halves}},
-	}, nil
+	h, err := emit("halves", halves)
+	if err != nil {
+		return nil, err
+	}
+	return &Form{Scheme: m.name, N: len(src), Children: map[string]*Form{"halves": h}}, nil
 }
 
 func (m mockDouble) DecompressInto(f *Form, dst []int64, s *Scratch) error {
@@ -68,6 +71,7 @@ func (m mockDouble) Plan(f *Form) (*exec.Plan, error) {
 
 func init() {
 	Register(mockRaw{"raw-mock"})
+	Register(mockRaw{LeafSchemeName}) // the ID leaf a bare CompressParts emits
 	Register(mockDouble{"double-mock"})
 }
 
@@ -180,7 +184,7 @@ func TestFormTreeHelpers(t *testing.T) {
 	if names := f.ChildNames(); len(names) != 1 || names[0] != "halves" {
 		t.Fatalf("ChildNames = %v", names)
 	}
-	if d := f.Describe(); d != "double-mock(halves=raw-mock)" {
+	if d := f.Describe(); d != "double-mock(halves=id)" {
 		t.Fatalf("Describe = %q", d)
 	}
 	count := 0
@@ -338,7 +342,7 @@ func TestDecompressionCost(t *testing.T) {
 		t.Fatal(err)
 	}
 	// double-mock has no Coster (default 2.0 × 2 elements) and its
-	// raw child costs 1.0 × 2.
+	// ID child costs 1.0 × 2.
 	if cost != 2*2+1*2 {
 		t.Fatalf("cost = %f", cost)
 	}

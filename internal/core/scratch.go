@@ -20,8 +20,9 @@ import "sync"
 // each hold their own. All methods tolerate a nil receiver (they fall
 // back to plain allocation), so scratch-threading is always optional.
 type Scratch struct {
-	i64 freelist[int64]
-	u64 freelist[uint64]
+	i64     freelist[int64]
+	u64     freelist[uint64]
+	routers []*router // Composite emit routers, see compress.go
 }
 
 // freelist is a capacity-retaining stack of returned buffers.

@@ -100,15 +100,17 @@ func plusConst(t *testing.T, col []int64) *core.Form {
 // plusStep is plus(model=step(refs), residual=ns) with 32-row segments
 // whose reference is the segment's first value — a signed residual.
 func plusStep(t *testing.T, col []int64) *core.Form {
-	var refs []int64
+	steps := make([]int64, len(col))
 	residual := make([]int64, len(col))
 	for i, v := range col {
-		if i%32 == 0 {
-			refs = append(refs, v)
-		}
-		residual[i] = v - refs[i/32]
+		steps[i] = col[i-i%32]
+		residual[i] = v - steps[i]
 	}
-	f, err := scheme.NewPlusForm(scheme.NewStepForm(refs, 32, len(col)), asNS(t, residual))
+	model, err := scheme.Step{SegLen: 32}.Compress(steps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := scheme.NewPlusForm(model, asNS(t, residual))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,11 +131,11 @@ func patchOver(enc child, positions, values []int64) child {
 				base[p] = base[p-1]
 			}
 		}
-		f, err := scheme.NewPatchForm(enc(t, base), positions, values)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return f
+		return &core.Form{Scheme: scheme.PatchName, N: len(col), Children: map[string]*core.Form{
+			"base":      enc(t, base),
+			"positions": scheme.NewIDForm(positions),
+			"values":    scheme.NewIDForm(values),
+		}}
 	}
 }
 

@@ -27,8 +27,8 @@ func compressors() map[string]core.Scheme {
 		"for+ns":    scheme.FORComposite(64),
 		"for+vns":   scheme.FORVNSComposite(64, 64),
 		"dict+ns":   scheme.DictComposite(),
-		"pfor":      scheme.PFOR{SegLen: 64},
-		"mres-step": scheme.ModelResidual{Fitter: scheme.StepFitter{SegLen: 64}},
+		"pfor":      scheme.PFORComposite(64),
+		"mres-step": scheme.StepNS(64),
 		"varint":    scheme.Varint{},
 	}
 }
@@ -243,7 +243,7 @@ func TestApproxSumBoundsContainTruth(t *testing.T) {
 	for _, s := range []core.Scheme{
 		scheme.FORComposite(128),
 		scheme.FORVNSComposite(128, 128),
-		scheme.ModelResidual{Fitter: scheme.StepFitter{SegLen: 128}},
+		scheme.StepNS(128),
 	} {
 		f, err := s.Compress(src)
 		if err != nil {

@@ -9,9 +9,12 @@
 // and the storage format; they are documented per scheme.
 //
 // Each scheme's file holds its one split and its one reconstruction:
-// Compress is the pooled compressor (CompressScratch, or CompressParts
-// with core.LeafEmit) over an arena from the pool, and DecompressInto fills
-// the caller's destination, borrowing temporaries from the core.Scratch
-// it is handed. The whole-column API and the blocked path therefore
-// run the same code; nothing selects between bodies.
+// CompressParts hands its constituent columns to the caller (Compress
+// is that body with core.LeafEmit over an arena from the pool), and
+// DecompressInto fills the caller's destination, borrowing temporaries
+// from the core.Scratch it is handed. The whole-column API, the blocked
+// path and every composition therefore run the same code; nothing
+// selects between bodies. The model compositions — PFOR, the model
+// plus NS residuals, patched lines — are Compose values over Plus and
+// Patch, which fit a Model (Step, Linear, Poly2) through its own Fit.
 package scheme

@@ -13,9 +13,9 @@ import (
 // estimate equals the bits the compressed form will actually report.
 
 // Compile-time checks: the terminal codecs predict their own size,
-// the decomposable schemes predict their constituents (giving every
-// composite over them an estimate for free), and the model/patch
-// combinators carry bounded estimators.
+// and the decomposable schemes — the model combinators among them —
+// predict their constituents (giving every composite over them an
+// estimate for free).
 var (
 	_ core.SizeEstimator = ID{}
 	_ core.SizeEstimator = Const{}
@@ -23,15 +23,14 @@ var (
 	_ core.SizeEstimator = Varint{}
 	_ core.SizeEstimator = Elias{}
 	_ core.SizeEstimator = VNS{}
-	_ core.SizeEstimator = PFOR{}
-	_ core.SizeEstimator = ModelResidual{}
-	_ core.SizeEstimator = PatchedModel{}
 
 	_ core.ConstituentStatser = RLE{}
 	_ core.ConstituentStatser = RPE{}
 	_ core.ConstituentStatser = Delta{}
 	_ core.ConstituentStatser = FOR{}
 	_ core.ConstituentStatser = Dict{}
+	_ core.ConstituentStatser = Plus{}
+	_ core.ConstituentStatser = Patch{}
 )
 
 // nsFormBits is the exact analytic size of an NS form over n values
@@ -53,13 +52,4 @@ func nsWidthMinMax(n int, minV, maxV int64) uint {
 	st := core.BlockStats{N: n, Min: minV, Max: maxV, HasMinMax: true}
 	w, _ := st.NSShape()
 	return w
-}
-
-// widthMaxValue returns the largest non-negative value of the given
-// bit width, for deriving Min/Max bounds from a width estimate.
-func widthMaxValue(w uint) int64 {
-	if w >= 63 {
-		return 1<<63 - 1
-	}
-	return int64(bitpack.Mask(w))
 }

@@ -1,6 +1,8 @@
 package scheme
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"reflect"
@@ -308,6 +310,49 @@ func TestBoundedSearchMatchesNaive(t *testing.T) {
 	}
 }
 
+// goldenPricesHash and goldenAliasPricesHash are SHA-256s over the
+// (label, bits, bound) price of every DefaultCandidates entry and of
+// the five model-composition aliases, across the named workloads,
+// recorded at commit 61c52de — the last one whose PFOR and model
+// compositions priced themselves as monoliths. Heuristic prices pick
+// the default search's shortlist, so a moved price can move a winner.
+const (
+	goldenPricesHash      = "ccddf93797bef002789a10f74f161580227e2c9803b2266c15eeb172d9e39ff5"
+	goldenAliasPricesHash = "4c159d0597b73571305e2cc70ef4df842ead23e7e3494041386158e01f5ac2f9"
+)
+
+// TestGoldenPrices pins that the prices moved to Plus and Patch
+// unchanged.
+func TestGoldenPrices(t *testing.T) {
+	defaults, aliases := sha256.New(), sha256.New()
+	for kind := uint8(0); kind < 10; kind++ {
+		for _, n := range []int{0, 1, 2, 100, 5000, 65536} {
+			data := estimateWorkload(kind, n, 17, 42)[:n]
+			st := core.CollectStats(data, nil)
+			for i, c := range DefaultCandidates(&st) {
+				bits, bound, ok := core.EstimateOf(c.Scheme, &st)
+				fmt.Fprintf(defaults, "kind%d n%d #%d %d %v %v\n", kind, n, i, bits, bound, ok)
+			}
+			for _, name := range []string{"pfor", "stepns", "linearns", "poly2ns", "plinearns"} {
+				for _, segLen := range []int{128, 1024} {
+					sc, err := ByName(name, segLen, true)
+					if err != nil {
+						t.Fatal(err)
+					}
+					bits, bound, ok := core.EstimateOf(sc, &st)
+					fmt.Fprintf(aliases, "kind%d n%d %s[%d] %d %v %v\n", kind, n, name, segLen, bits, bound, ok)
+				}
+			}
+		}
+	}
+	if got := hex.EncodeToString(defaults.Sum(nil)); got != goldenPricesHash {
+		t.Errorf("DefaultCandidates prices hash %s, want %s", got, goldenPricesHash)
+	}
+	if got := hex.EncodeToString(aliases.Sum(nil)); got != goldenAliasPricesHash {
+		t.Errorf("alias prices hash %s, want %s", got, goldenAliasPricesHash)
+	}
+}
+
 // TestConstEstimateImpossible pins the impossibility sentinel: CONST
 // on a multi-run column must estimate ImpossibleBits and never be
 // trialed.
@@ -342,9 +387,9 @@ func TestScratchCompressMatchesCompress(t *testing.T) {
 		RPEComposite(),
 		DeltaNS(),
 		DictComposite(),
-		PFOR{SegLen: 1024},
+		PFORComposite(1024),
 		LinearNS(1024),
-		ModelResidual{Fitter: StepFitter{SegLen: 512}},
+		StepNS(512),
 	}
 	for _, input := range [][]int64{data, neg, nil} {
 		for _, sch := range schemes {

@@ -40,34 +40,54 @@ func (FOR) Name() string { return FORName }
 // Compress encodes src against per-segment minimum references.
 func (sch FOR) Compress(src []int64) (*core.Form, error) { return core.CompressPooled(sch, src) }
 
-// CompressParts implements core.ConstituentCompressor: references and
-// offsets are produced in borrowed buffers and handed straight to the
-// composite's inner compressors.
-func (sch FOR) CompressParts(src []int64, s *core.Scratch, emit func(name string, col []int64) (*core.Form, error)) (*core.Form, error) {
-	segLen := sch.SegLen
+// segLenOf resolves a segment-length knob — zero means
+// DefaultSegmentLength — and refuses one below 1: the one check every
+// segmented scheme makes where it reads its parameters, before anything
+// is sized from them. The resolved value is returned even on error, for
+// naming.
+func segLenOf(scheme string, segLen int) (int, error) {
 	if segLen == 0 {
 		segLen = DefaultSegmentLength
 	}
 	if segLen < 1 {
-		return nil, fmt.Errorf("for: invalid segment length %d", segLen)
+		return segLen, fmt.Errorf("%s: invalid segment length %d", scheme, segLen)
 	}
-	nseg := (len(src) + segLen - 1) / segLen
-	refs := s.I64(nseg)
+	return segLen, nil
+}
+
+// segments returns the number of segLen-long segments covering n
+// values.
+func segments(n, segLen int) int { return (n + segLen - 1) / segLen }
+
+// segmentMin returns the minimum of a non-empty segment: FOR's
+// reference, and STEP's L∞ fit (the constant every residual from which
+// is non-negative and narrowest).
+func segmentMin(seg []int64) int64 {
+	ref := seg[0]
+	for _, v := range seg[1:] {
+		if v < ref {
+			ref = v
+		}
+	}
+	return ref
+}
+
+// CompressParts implements core.ConstituentCompressor: references and
+// offsets are produced in borrowed buffers and handed straight to the
+// composite's inner compressors.
+func (sch FOR) CompressParts(src []int64, s *core.Scratch, emit func(name string, col []int64) (*core.Form, error)) (*core.Form, error) {
+	segLen, err := segLenOf(FORName, sch.SegLen)
+	if err != nil {
+		return nil, err
+	}
+	refs := s.I64(segments(len(src), segLen))
 	defer s.PutI64(refs)
 	offsets := s.I64(len(src))
 	defer s.PutI64(offsets)
-	for seg := 0; seg < nseg; seg++ {
+	for seg := range refs {
 		lo := seg * segLen
-		hi := lo + segLen
-		if hi > len(src) {
-			hi = len(src)
-		}
-		ref := src[lo]
-		for _, v := range src[lo+1 : hi] {
-			if v < ref {
-				ref = v
-			}
-		}
+		hi := min(lo+segLen, len(src))
+		ref := segmentMin(src[lo:hi])
 		refs[seg] = ref
 		for i := lo; i < hi; i++ {
 			offsets[i] = src[i] - ref
@@ -170,11 +190,8 @@ func (s FOR) ConstituentStats(st *core.BlockStats) (uint64, []core.PredictedChil
 	if !st.HasMinMax {
 		return 0, nil, false, false
 	}
-	segLen := s.SegLen
-	if segLen == 0 {
-		segLen = DefaultSegmentLength
-	}
-	if segLen < 1 {
+	segLen, err := segLenOf(FORName, s.SegLen)
+	if err != nil {
 		return 0, nil, false, false
 	}
 	maxOff, refMin, refMax, exact := st.SegFold(segLen)
@@ -186,12 +203,8 @@ func (s FOR) ConstituentStats(st *core.BlockStats) (uint64, []core.PredictedChil
 		maxOff = 1<<63 - 1
 		exact = false
 	}
-	nseg := 0
-	if st.N > 0 {
-		nseg = (st.N + segLen - 1) / segLen
-	}
 	var refs, offs core.BlockStats
-	refs.N = nseg
+	refs.N = segments(st.N, segLen)
 	refs.HasMinMax = true
 	offs.N = st.N
 	offs.HasMinMax = true

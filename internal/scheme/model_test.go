@@ -20,11 +20,10 @@ func trendColumn(n int, slope float64, noise int64, seed int64) []int64 {
 }
 
 func TestModelResidualFORIdentity(t *testing.T) {
-	// ModelResidual(StepFitter, NS) must be value-equivalent to
-	// FOR+NS: same refs (segment minima), same offsets.
+	// Plus{Step} over NS residuals must be value-equivalent to FOR+NS:
+	// same refs (segment minima), same offsets.
 	src := trendColumn(1000, 3.0, 20, 1)
-	mr := ModelResidual{Fitter: StepFitter{SegLen: 128}, Residual: NS{}}
-	mrForm, err := mr.Compress(src)
+	mrForm, err := StepNS(128).Compress(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,11 +47,11 @@ func TestModelResidualFORIdentity(t *testing.T) {
 
 func TestLinearFitterShrinksResidualsOnTrends(t *testing.T) {
 	src := trendColumn(4096, 7.5, 10, 2)
-	stepForm, err := (ModelResidual{Fitter: StepFitter{SegLen: 256}}).Compress(src)
+	stepForm, err := StepNS(256).Compress(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	linForm, err := (ModelResidual{Fitter: LinearFitter{SegLen: 256}}).Compress(src)
+	linForm, err := LinearNS(256).Compress(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,12 +67,20 @@ func TestLinearFitterShrinksResidualsOnTrends(t *testing.T) {
 	}
 }
 
-func TestLinearFitterResidualsNonNegative(t *testing.T) {
-	src := trendColumn(512, -3.3, 15, 3)
-	form, pred, err := (LinearFitter{SegLen: 64}).Fit(src, nil)
+// fitPredictions fits m to src and evaluates the fit, as Plus and Patch
+// do.
+func fitPredictions(t *testing.T, m Model, src []int64) (*core.Form, []int64) {
+	t.Helper()
+	form, pred, err := fitModel("test", m, src, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return form, pred
+}
+
+func TestLinearFitterResidualsNonNegative(t *testing.T) {
+	src := trendColumn(512, -3.3, 15, 3)
+	form, pred := fitPredictions(t, Linear{SegLen: 64}, src)
 	if form.Scheme != LinearName {
 		t.Fatalf("fit scheme = %q", form.Scheme)
 	}
@@ -86,10 +93,7 @@ func TestLinearFitterResidualsNonNegative(t *testing.T) {
 
 func TestStepFitterPredictionsAreMinima(t *testing.T) {
 	src := []int64{5, 3, 9, 100, 50, 80}
-	form, pred, err := (StepFitter{SegLen: 3}).Fit(src, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	form, pred := fitPredictions(t, Step{SegLen: 3}, src)
 	refs, _ := core.DecompressChild(form, "refs")
 	if !vec.Equal(refs, []int64{3, 50}) {
 		t.Fatalf("refs = %v", refs)
@@ -109,7 +113,7 @@ func TestPFORSplitsOutliers(t *testing.T) {
 	for i := 0; i < len(src); i += 100 {
 		src[i] = 1 << 40
 	}
-	pforForm, err := (PFOR{SegLen: 1024}).Compress(src)
+	pforForm, err := PFORComposite(1024).Compress(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +141,7 @@ func TestPFORNoOutliersDegeneratesToFOR(t *testing.T) {
 	for i := range src {
 		src[i] = int64(i % 100)
 	}
-	pforForm, err := (PFOR{SegLen: 512}).Compress(src)
+	pforForm, err := PFORComposite(512).Compress(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +165,8 @@ func TestPFORMaxExceptionRate(t *testing.T) {
 			src[i] = rng.Int63n(64)
 		}
 	}
-	form, err := (PFOR{SegLen: 1024, MaxExceptionRate: 0.05}).Compress(src)
+	form, err := core.Compose(Patch{Model: Step{SegLen: 1024}, MaxExceptionRate: 0.05},
+		map[string]core.Scheme{"base": FORComposite(1024)}).Compress(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,12 +181,12 @@ func TestPFORMaxExceptionRate(t *testing.T) {
 }
 
 func TestModelResidualNames(t *testing.T) {
-	mr := ModelResidual{Fitter: StepFitter{SegLen: 128}}
-	if mr.Name() != "plus(step[128], ns)" {
+	mr := StepNS(128)
+	if mr.Name() != "plus[step[128]](residual=ns)" {
 		t.Fatalf("name = %q", mr.Name())
 	}
-	p := PFOR{SegLen: 256}
-	if p.Name() != "patch(for[256]+ns)" {
+	p := PFORComposite(256)
+	if p.Name() != "patch[step[256]](base=for(offsets=ns, refs=ns))" {
 		t.Fatalf("name = %q", p.Name())
 	}
 }

@@ -53,9 +53,10 @@ func unsignedScratch(src []int64, s *core.Scratch) ([]uint64, int64) {
 	return u, zig
 }
 
-// CompressScratch implements core.ScratchCompressor: the zigzag
-// staging buffer is borrowed; only the packed payload is allocated.
-func (NS) CompressScratch(src []int64, s *core.Scratch) (*core.Form, error) {
+// CompressParts implements core.ConstituentCompressor for the terminal
+// codec, which emits nothing: the zigzag staging buffer is borrowed;
+// only the packed payload is allocated.
+func (NS) CompressParts(src []int64, s *core.Scratch, _ func(string, []int64) (*core.Form, error)) (*core.Form, error) {
 	u, zig := unsignedScratch(src, s)
 	defer s.PutU64(u)
 	w := bitpack.MaxWidth(u)

@@ -12,10 +12,12 @@ import (
 // the same syntax Form.Describe emits:
 //
 //	expr    := name [ '[' int ']' ] [ '(' child '=' expr { ',' child '=' expr } ')' ]
-//	name    := registered scheme name, or "pfor" / "stepns" / "linearns"
+//	name    := registered scheme name, or one of the model compositions
+//	           "pfor" / "stepns" / "linearns" / "poly2ns" / "plinearns"
 //
 // The optional bracket argument sets the scheme's main tuning knob
-// (segment length for for/pfor/step/linear, block length for vns).
+// (segment length for for/step/linear/poly2 and the model compositions,
+// block length for vns).
 // Examples:
 //
 //	ns
@@ -167,17 +169,17 @@ func ByName(name string, arg int, hasArg bool) (core.Scheme, error) {
 	case Poly2Name:
 		return Poly2{SegLen: argOr(0)}, nil
 	case "pfor":
-		return PFOR{SegLen: argOr(0)}, nil
+		return PFORComposite(argOr(0)), nil
 	case "stepns":
-		return ModelResidual{Fitter: StepFitter{SegLen: argOr(0)}}, nil
+		return StepNS(argOr(0)), nil
 	case "linearns":
-		return ModelResidual{Fitter: LinearFitter{SegLen: argOr(0)}}, nil
+		return LinearNS(argOr(0)), nil
 	case "poly2ns":
-		return ModelResidual{Fitter: Poly2Fitter{SegLen: argOr(0)}}, nil
+		return Poly2NS(argOr(0)), nil
 	case "plinearns":
-		return PatchedModel{Fitter: LinearFitter{SegLen: argOr(0)}}, nil
+		return PatchedLinearNS(argOr(0)), nil
 	case PlusName, PatchName:
-		return nil, fmt.Errorf("scheme: %q has no free-standing compressor (use stepns/linearns/pfor)", name)
+		return nil, fmt.Errorf("scheme: %q needs a model to fit (use stepns/linearns/poly2ns/pfor/plinearns)", name)
 	}
 	return nil, fmt.Errorf("%w: %q", core.ErrUnknownScheme, name)
 }

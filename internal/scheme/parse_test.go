@@ -68,7 +68,7 @@ func TestParseArgs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Name() != "patch(for[256]+ns)" {
+	if s.Name() != "patch[step[256]](base=for(offsets=ns, refs=ns))" {
 		t.Fatalf("pfor name = %q", s.Name())
 	}
 	if _, err := Parse("stepns[128]"); err != nil {
@@ -101,5 +101,52 @@ func TestParseErrors(t *testing.T) {
 	}
 	if _, err := Parse("unknown-scheme"); !errors.Is(err, core.ErrUnknownScheme) {
 		t.Fatalf("unknown err = %v", err)
+	}
+}
+
+// TestNegativeSegmentLengthsRefused: a segment (or block) length below
+// 1 is refused where the scheme reads it — Compress errors before
+// anything is sized from it, and no price is offered.
+func TestNegativeSegmentLengthsRefused(t *testing.T) {
+	src := []int64{5, 5, 5, 9, 9, 13, 13, 13, 13}
+	st := core.CollectStats(src, nil)
+	for _, name := range []string{FORName, StepName, LinearName, Poly2Name, VNSName,
+		"pfor", "stepns", "linearns", "poly2ns", "plinearns"} {
+		sc, err := ByName(name, -3, true)
+		if err != nil {
+			t.Fatalf("%s[-3]: %v", name, err)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s[-3]: Compress panicked: %v", name, r)
+				}
+			}()
+			if _, err := sc.Compress(src); err == nil {
+				t.Errorf("%s[-3]: Compress accepted", name)
+			}
+		}()
+		if bits, kind, ok := core.EstimateOf(sc, &st); ok {
+			t.Errorf("%s[-3]: priced at %d bits (%v)", name, bits, kind)
+		}
+	}
+}
+
+// TestMisconfiguredCompositionsFail: an inner naming a column the
+// outer never hands out, and a model combinator without a model, fail
+// loudly rather than compressing something else.
+func TestMisconfiguredCompositionsFail(t *testing.T) {
+	src := []int64{1, 2, 3, 4}
+	if _, err := core.Compose(NS{}, map[string]core.Scheme{"x": NS{}}).Compress(src); err == nil ||
+		errors.Is(err, core.ErrNotRepresentable) {
+		t.Errorf("ns(x=ns): err = %v, want a configuration error", err)
+	}
+	if _, err := core.Compose(Plus{Model: Step{}}, map[string]core.Scheme{"model": NS{}}).Compress(src); err == nil {
+		t.Error("plus(model=ns): a column plus never hands out was silently ignored")
+	}
+	for _, sc := range []core.Scheme{Plus{}, Patch{}} {
+		if _, err := sc.Compress(src); !errors.Is(err, core.ErrNotRepresentable) {
+			t.Errorf("model-less %s: err = %v, want ErrNotRepresentable", sc.Name(), err)
+		}
 	}
 }

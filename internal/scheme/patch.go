@@ -1,8 +1,10 @@
 package scheme
 
 import (
+	"cmp"
 	"fmt"
 
+	"lwcomp/internal/bitpack"
 	"lwcomp/internal/core"
 	"lwcomp/internal/exec"
 	"lwcomp/internal/vec"
@@ -18,42 +20,179 @@ const PatchName = "patch"
 // metric d(x,y) = |{i : xi ≠ yi}|, Patch captures all columns within
 // distance |positions| of the base scheme's domain.
 //
-// Like Plus, Patch has no free-standing Compress (choosing which
-// elements become exceptions is the fitter's job — see NewPatched in
-// fitters.go); decompression is generic.
+// Choosing which elements become exceptions takes a model: Patch fits
+// its Model, makes exceptions of the elements whose residual is wider
+// than one width policy allows (patchWidth), and hands out the patched
+// column as "base" — so PFOR is Compose(Patch{Step}, base=for(…)),
+// literally Patch ∘ FOR. Decompression is generic; the registered
+// Patch{} decodes any PATCH form but, having no model, compresses
+// nothing.
 //
 // Form layout: Children{"base"} (any form of length N),
 // Children{"positions", "values"} (equal-length exception lists;
 // positions strictly increasing in [0, N)).
-type Patch struct{}
-
-// Name implements core.Scheme.
-func (Patch) Name() string { return PatchName }
-
-// Compress reports that Patch needs a fitter.
-func (Patch) Compress([]int64) (*core.Form, error) {
-	return nil, fmt.Errorf("%w: patch scheme has no canonical exception choice; use NewPatched",
-		core.ErrNotRepresentable)
+type Patch struct {
+	// Model is fitted to the column to measure each element's
+	// residual.
+	Model Model
+	// ExcBits is the assumed per-exception cost in bits for width
+	// selection; zero means DefaultExceptionBits.
+	ExcBits uint
+	// MaxExceptionRate, when positive, bounds the exception fraction;
+	// if the chosen width would exceed it, the width grows until the
+	// rate is within bounds.
+	MaxExceptionRate float64
 }
 
-// NewPatchForm builds the canonical PATCH form.
-func NewPatchForm(base *core.Form, positions, values []int64) (*core.Form, error) {
-	if len(positions) != len(values) {
-		return nil, fmt.Errorf("%w: patch exception lists differ: %d positions, %d values",
-			core.ErrCorruptForm, len(positions), len(values))
+// DefaultExceptionBits is the assumed per-exception storage cost used
+// by the patch width policy: a position plus a 64-bit value.
+const DefaultExceptionBits = 96
+
+// Name implements core.Scheme.
+func (p Patch) Name() string { return withModel(PatchName, p.Model) }
+
+// Compress splits the exceptions off and retains the patched column as
+// an ID leaf.
+func (p Patch) Compress(src []int64) (*core.Form, error) { return core.CompressPooled(p, src) }
+
+// patchWidth is the one exception policy, over a histogram of residual
+// widths: the width minimizing packed bits plus ExcBits per exception
+// (the classical PFOR choice), widened until at most MaxExceptionRate
+// of the values are exceptions. It returns the width and how many
+// values exceed it.
+func (p Patch) patchWidth(h bitpack.WidthHistogram) (uint, int) {
+	w, _ := h.BestPatchWidth(cmp.Or(p.ExcBits, DefaultExceptionBits))
+	if p.MaxExceptionRate > 0 && h.N > 0 {
+		for w < 64 && float64(h.ExceptionsAt(w))/float64(h.N) > p.MaxExceptionRate {
+			w++
+		}
 	}
-	if err := checkPatchPositions(positions, base.N); err != nil {
+	return w, h.ExceptionsAt(w)
+}
+
+// CompressParts implements core.ConstituentCompressor. The model is
+// fitted and every element whose residual is wider than patchWidth
+// becomes an exception; the exception lists and the patched column go
+// to emit, all from borrowed buffers. The base compressor refits the
+// model to the patched column, which is what a sloped model's fit
+// needs: least squares is pulled toward the very outliers patching
+// removes, so each exception's slot holds the nearest preceding inlier
+// (its successor at row 0) and the refit sees none of their mass, and
+// round-one residuals are measured zigzagged — signed, as a line the
+// outliers skewed leaves them. The step model's minimum is never an
+// exception, so its fit is already the refit: the slot takes the
+// prediction (offset zero) and residuals are measured raw.
+func (p Patch) CompressParts(src []int64, s *core.Scratch, emit func(name string, col []int64) (*core.Form, error)) (*core.Form, error) {
+	_, pred, err := fitModel(PatchName, p.Model, src, s)
+	if err != nil {
+		return nil, err
+	}
+	step := isStep(p.Model)
+	resid := s.U64(len(src))
+	var hist bitpack.WidthHistogram
+	for i, v := range src {
+		r := v - pred[i]
+		resid[i] = uint64(r)
+		if !step {
+			resid[i] = bitpack.Zigzag(r)
+		}
+		hist.Observe(resid[i])
+	}
+	w, exc := p.patchWidth(hist)
+	base, positions, values := s.I64(len(src)), s.I64(exc), s.I64(exc)
+	defer s.PutI64(base)
+	defer s.PutI64(positions)
+	defer s.PutI64(values)
+	copy(base, src)
+	k := 0
+	for i, r := range resid {
+		if bitpack.Width(r) <= w {
+			continue
+		}
+		positions[k], values[k] = int64(i), src[i]
+		k++
+		switch {
+		case step:
+			base[i] = pred[i]
+		case i > 0:
+			base[i] = base[i-1]
+		case len(src) > 1:
+			base[i] = src[1]
+		}
+	}
+	// Returned before the base is compressed, which reuses them.
+	s.PutI64(pred)
+	s.PutU64(resid)
+	baseForm, err := emit("base", base)
+	if err != nil {
+		return nil, err
+	}
+	positionsForm, err := emit("positions", positions)
+	if err != nil {
+		return nil, err
+	}
+	valuesForm, err := emit("values", values)
+	if err != nil {
 		return nil, err
 	}
 	return &core.Form{
 		Scheme: PatchName,
-		N:      base.N,
+		N:      len(src),
 		Children: map[string]*core.Form{
-			"base":      base,
-			"positions": NewIDForm(positions),
-			"values":    NewIDForm(values),
+			"base":      baseForm,
+			"positions": positionsForm,
+			"values":    valuesForm,
 		},
 	}, nil
+}
+
+// ConstituentStats implements core.ConstituentStatser, heuristically.
+// The exception count follows patchWidth over the one-pass histogram
+// that stands in for the residuals: for the step model the
+// probe-offset histogram (offsets from each probe segment's running
+// minimum, close to the minimum-referenced offsets the compressor
+// sees), capped at the exact full offset width from the per-segment
+// fold; for a sloped one the delta histogram (its residuals are near
+// the local variation, and its outliers become patches). The patched
+// base is priced here rather than by its inner scheme, because its
+// per-segment extremes do not follow from the block stats: as the
+// shape the model's refit leaves, its residual packed at the patch
+// width — for[ℓ](refs=ns, offsets=ns) for the step model,
+// plus(model, residual=ns) for a sloped one.
+func (p Patch) ConstituentStats(st *core.BlockStats) (uint64, []core.PredictedChild, bool, bool) {
+	if p.Model == nil || !st.HasMinMax {
+		return 0, nil, false, false
+	}
+	segLen, modelBits, err := p.Model.shape(st.N)
+	if err != nil {
+		return 0, nil, false, false
+	}
+	maxOff, refMin, refMax, foldOK := st.SegFold(segLen)
+	if !foldOK {
+		maxOff = uint64(st.Max - st.Min)
+		refMin, refMax = st.Min, st.Max
+	}
+	step := isStep(p.Model)
+	w, exc := bitpack.Width(maxOff), 0
+	hist, usable := st.DeltaHist, st.HasDeltas && st.N > 1
+	if step {
+		hist, usable = st.OffsetHist, st.OffsetSegLen == segLen && st.OffsetHist.N == st.N && st.N > 0
+	}
+	if usable {
+		if wp, e := p.patchWidth(hist); wp < w {
+			w, exc = wp, e
+		}
+	}
+	base := core.FormOverheadBits(0) + modelBits
+	if step {
+		nseg := segments(st.N, segLen)
+		base = core.FormOverheadBits(1) + nsFormBits(nseg, nsWidthMinMax(nseg, refMin, refMax))
+	}
+	exceptions := core.BlockStats{N: exc}
+	return core.FormOverheadBits(0) + base + nsFormBits(st.N, w), []core.PredictedChild{
+		{Name: "positions", Stats: exceptions},
+		{Name: "values", Stats: exceptions},
+	}, false, true
 }
 
 // DecompressInto decodes the base into dst and scatters the exception

@@ -190,8 +190,7 @@ func TestStepPlanIsFORPlanSansAddition(t *testing.T) {
 // TestPlusAndPatchPlans covers the combinator schemes' plans.
 func TestPlusAndPatchPlans(t *testing.T) {
 	src := []int64{10, 20, 30, 40, 41, 43}
-	mr := ModelResidual{Fitter: StepFitter{SegLen: 3}}
-	f, err := mr.Compress(src)
+	f, err := StepNS(3).Compress(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +199,7 @@ func TestPlusAndPatchPlans(t *testing.T) {
 		t.Fatalf("plus plan = %v, %v", got, err)
 	}
 
-	pf, err := (PFOR{SegLen: 3}).Compress(src)
+	pf, err := PFORComposite(3).Compress(src)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,8 +70,8 @@ func TestDecompressViaTreePlanMatchesKernel(t *testing.T) {
 			"codes": core.Compose(RLE{}, map[string]core.Scheme{"lengths": NS{}, "values": NS{}}),
 			"dict":  NS{},
 		}), dates},
-		{"mres-step", ModelResidual{Fitter: StepFitter{SegLen: 128}}, walk},
-		{"pfor", PFOR{SegLen: 128}, walk},
+		{"mres-step", StepNS(128), walk},
+		{"pfor", PFORComposite(128), walk},
 	}
 	for _, tc := range cases {
 		form, err := tc.s.Compress(tc.data)

@@ -2,7 +2,9 @@ package scheme
 
 import (
 	"fmt"
+	"math"
 
+	"lwcomp/internal/bitpack"
 	"lwcomp/internal/core"
 	"lwcomp/internal/exec"
 	"lwcomp/internal/vec"
@@ -17,21 +19,139 @@ const PlusName = "plus"
 // representation of the data") and a residual ("finer, local,
 // noise-like complementary features", Lessons 2).
 //
-// Plus has no free-standing Compress: splitting a column into model
-// plus residual requires choosing a model, which is the job of the
-// fitters (ModelResidual). Decompression, by contrast, is entirely
-// generic.
+// Splitting a column into model plus residual requires choosing a
+// model: Plus compresses by fitting its Model and handing out the
+// residual, so FOR is recovered as Compose(Plus{Step}, residual=ns) —
+// the compressor-side reading of FOR ≡ (STEPFUNCTION + NS).
+// Decompression is entirely generic; the registered Plus{} decodes
+// any PLUS form but, having no model, compresses nothing.
 //
 // Form layout: Children{"model", "residual"}, both of length N.
-type Plus struct{}
+type Plus struct {
+	// Model is fitted to the column; the model form is retained with
+	// its coefficient columns as ID leaves.
+	Model Model
+}
+
+// Model is a scheme whose forms are the evaluation of a coarse,
+// fixed-segment function — Step, Linear, Poly2 — and which can fit
+// itself to any column: Fit returns the model form nearest src under
+// the L∞ metric of §II-B whose every residual src − model is
+// non-negative, with its coefficient columns as ID leaves. The
+// predictions are the model's own DecompressInto of that form.
+type Model interface {
+	core.Scheme
+	Fit(src []int64, s *core.Scratch) (*core.Form, error)
+	// shape returns the resolved segment length (even on error, for
+	// naming) and the analytic size of the form Fit emits over n
+	// values, or the error that refuses the model's parameters.
+	shape(n int) (segLen int, bits uint64, err error)
+}
+
+// isStep reports whether m is the step model — the one whose fit an
+// exception cannot move (its minimum is never one) and whose residual
+// width the block stats give exactly.
+func isStep(m Model) bool {
+	_, ok := m.(Step)
+	return ok
+}
+
+// withModel names a model combinator after the model it fits, e.g.
+// plus[linear[1024]]; without one it is the bare registry name.
+func withModel(name string, m Model) string {
+	if m == nil {
+		return name
+	}
+	segLen, _, _ := m.shape(0)
+	return fmt.Sprintf("%s[%s[%d]]", name, m.Name(), segLen)
+}
+
+// fitModel fits m to src and evaluates the fit with m's own decoder,
+// returning the model form and its predictions, borrowed from s (the
+// caller returns them with s.PutI64).
+func fitModel(combinator string, m Model, src []int64, s *core.Scratch) (*core.Form, []int64, error) {
+	if m == nil {
+		return nil, nil, fmt.Errorf("%w: %s scheme has no model to fit", core.ErrNotRepresentable, combinator)
+	}
+	model, err := m.Fit(src, s)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", combinator, err)
+	}
+	pred := s.I64(len(src))
+	if err := m.DecompressInto(model, pred, s); err != nil {
+		s.PutI64(pred)
+		return nil, nil, err
+	}
+	return model, pred, nil
+}
 
 // Name implements core.Scheme.
-func (Plus) Name() string { return PlusName }
+func (p Plus) Name() string { return withModel(PlusName, p.Model) }
 
-// Compress reports that Plus needs a fitter.
-func (Plus) Compress([]int64) (*core.Form, error) {
-	return nil, fmt.Errorf("%w: plus scheme has no canonical split; use a ModelResidual fitter",
-		core.ErrNotRepresentable)
+// Compress fits the model and retains the residual as an ID leaf.
+func (p Plus) Compress(src []int64) (*core.Form, error) { return core.CompressPooled(p, src) }
+
+// CompressParts implements core.ConstituentCompressor: the model is
+// fitted, and the residual src − model goes to emit from the borrowed
+// buffer the predictions were evaluated in.
+func (p Plus) CompressParts(src []int64, s *core.Scratch, emit func(name string, col []int64) (*core.Form, error)) (*core.Form, error) {
+	model, pred, err := fitModel(PlusName, p.Model, src, s)
+	if err != nil {
+		return nil, err
+	}
+	defer s.PutI64(pred)
+	for i, v := range src {
+		pred[i] = v - pred[i]
+	}
+	residual, err := emit("residual", pred)
+	if err != nil {
+		return nil, err
+	}
+	return NewPlusForm(model, residual)
+}
+
+// ConstituentStats implements core.ConstituentStatser: the model form
+// is priced from its shape, and the residual's widest value from the
+// per-segment fold — exactly for the step model, whose residuals are
+// precisely FOR's minimum-referenced offsets; heuristically for a
+// sloped one, which tracks trends the step model pays range for and
+// leaves residuals near the local variation.
+func (p Plus) ConstituentStats(st *core.BlockStats) (uint64, []core.PredictedChild, bool, bool) {
+	if p.Model == nil || !st.HasMinMax {
+		return 0, nil, false, false
+	}
+	segLen, modelBits, err := p.Model.shape(st.N)
+	if err != nil {
+		return 0, nil, false, false
+	}
+	maxOff, _, _, exact := st.SegFold(segLen)
+	if !exact {
+		maxOff = uint64(st.Max - st.Min)
+	}
+	if !isStep(p.Model) {
+		exact = false
+		if st.HasDeltas && st.N > 1 {
+			if wd := st.DeltaHist.WidthCovering(0.98) + 2; wd < bitpack.Width(maxOff) {
+				maxOff = bitpack.Mask(wd)
+			}
+		}
+	}
+	residual, fits := offsetStats(st.N, maxOff)
+	return core.FormOverheadBits(0) + modelBits, []core.PredictedChild{{Name: "residual", Stats: residual}},
+		exact && fits, true
+}
+
+// offsetStats describes n non-negative offsets whose widest is maxOff
+// (and, for n > 0, whose narrowest is 0 — each segment's reference is
+// its minimum). Past MaxInt64 the column wraps negative and only its
+// NS width, 64, is described: fits is false.
+func offsetStats(n int, maxOff uint64) (st core.BlockStats, fits bool) {
+	st = core.BlockStats{N: n, HasMinMax: true, Max: int64(maxOff)}
+	if maxOff > math.MaxInt64 {
+		st.Min, st.Max = -1, math.MaxInt64
+		return st, false
+	}
+	return st, true
 }
 
 // NewPlusForm builds the canonical PLUS form over two child forms.

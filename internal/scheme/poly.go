@@ -1,6 +1,7 @@
 package scheme
 
 import (
+	"cmp"
 	"fmt"
 
 	"lwcomp/internal/core"
@@ -19,8 +20,8 @@ const Poly2Name = "poly2"
 //
 //	c0[s] + (c1[s]·j) >> frac + (c2[s]·j²) >> frac
 //
-// As with Step and Linear, Compress accepts only exact columns; lossy
-// fitting goes through Poly2Fitter + ModelResidual.
+// As with Step and Linear, Compress accepts only exact columns; the
+// lossy fit is Fit, which Plus and Patch use as their model.
 //
 // Form layout: Params{"seglen", "frac"}; Children{"c0", "c1", "c2"}
 // of length ⌈N/ℓ⌉.
@@ -42,57 +43,71 @@ func Poly2Predict(c0, c1, c2 int64, j int, frac uint) int64 {
 	return c0 + (c1*jj)>>frac + (c2*jj*jj)>>frac
 }
 
-// Compress verifies src is exactly piecewise quadratic under the
-// least-squares fit and stores three coefficients per segment.
-func (s Poly2) Compress(src []int64) (*core.Form, error) {
-	segLen := s.SegLen
-	if segLen == 0 {
-		segLen = DefaultSegmentLength
+// params resolves and validates the segment length and fraction width.
+func (p Poly2) params() (segLen int, frac uint, err error) {
+	frac = cmp.Or(p.Frac, DefaultFracBits)
+	if segLen, err = segLenOf(Poly2Name, p.SegLen); err == nil && frac > 24 {
+		err = fmt.Errorf("poly2: fraction width %d too large (max 24)", frac)
 	}
-	frac := s.Frac
-	if frac == 0 {
-		frac = DefaultFracBits
-	}
-	if segLen < 1 {
-		return nil, fmt.Errorf("poly2: invalid segment length %d", segLen)
-	}
-	if frac > 24 {
-		return nil, fmt.Errorf("poly2: fraction width %d too large (max 24)", frac)
-	}
-	nseg := (len(src) + segLen - 1) / segLen
-	c0s := make([]int64, nseg)
-	c1s := make([]int64, nseg)
-	c2s := make([]int64, nseg)
-	for seg := 0; seg < nseg; seg++ {
-		lo := seg * segLen
-		hi := lo + segLen
-		if hi > len(src) {
-			hi = len(src)
-		}
-		c0, c1, c2 := fitQuadratic(src[lo:hi], frac)
-		c0s[seg], c1s[seg], c2s[seg] = c0, c1, c2
-		for i := lo; i < hi; i++ {
-			if Poly2Predict(c0, c1, c2, i-lo, frac) != src[i] {
-				return nil, fmt.Errorf("%w: poly2 scheme: segment %d deviates at element %d",
-					core.ErrNotRepresentable, seg, i)
-			}
-		}
-	}
-	return NewPoly2Form(c0s, c1s, c2s, segLen, frac, len(src)), nil
+	return segLen, frac, err
 }
 
-// NewPoly2Form builds the canonical POLY2 form.
-func NewPoly2Form(c0, c1, c2 []int64, segLen int, frac uint, n int) *core.Form {
-	return &core.Form{
-		Scheme: Poly2Name,
-		N:      n,
-		Params: core.Params{"seglen": int64(segLen), "frac": int64(frac)},
-		Children: map[string]*core.Form{
-			"c0": NewIDForm(c0),
-			"c1": NewIDForm(c1),
-			"c2": NewIDForm(c2),
-		},
+// Compress verifies src is exactly piecewise quadratic under the
+// least-squares fit and stores three coefficients per segment.
+func (p Poly2) Compress(src []int64) (*core.Form, error) { return core.CompressPooled(p, src) }
+
+// CompressParts implements core.ConstituentCompressor: the column must
+// be exactly piecewise quadratic; its coefficient columns go to emit.
+func (p Poly2) CompressParts(src []int64, s *core.Scratch, emit func(name string, col []int64) (*core.Form, error)) (*core.Form, error) {
+	return p.fit(src, s, emit, true)
+}
+
+// Fit implements Model: a least-squares quadratic per segment, c0
+// shifted down so every residual is non-negative.
+func (p Poly2) Fit(src []int64, s *core.Scratch) (*core.Form, error) {
+	return p.fit(src, s, core.LeafEmit, false)
+}
+
+// fit fits one least-squares quadratic per segment and either checks
+// that every element lies on it or shifts c0 down to the lowest
+// residual.
+func (p Poly2) fit(src []int64, s *core.Scratch, emit func(string, []int64) (*core.Form, error), exact bool) (*core.Form, error) {
+	segLen, frac, err := p.params()
+	if err != nil {
+		return nil, err
 	}
+	nseg := segments(len(src), segLen)
+	c0s, c1s, c2s := s.I64(nseg), s.I64(nseg), s.I64(nseg)
+	defer s.PutI64(c0s)
+	defer s.PutI64(c1s)
+	defer s.PutI64(c2s)
+	for seg := range c0s {
+		lo := seg * segLen
+		part := src[lo:min(lo+segLen, len(src))]
+		c0, c1, c2 := fitQuadratic(part, frac)
+		low := int64(0)
+		for j, v := range part {
+			r := v - Poly2Predict(c0, c1, c2, j, frac)
+			if exact && r != 0 {
+				return nil, fmt.Errorf("%w: poly2 scheme: segment %d deviates at element %d",
+					core.ErrNotRepresentable, seg, lo+j)
+			}
+			if j == 0 || r < low {
+				low = r
+			}
+		}
+		c0s[seg], c1s[seg], c2s[seg] = c0+low, c1, c2
+	}
+	return modelForm(Poly2Name, len(src), segLen, frac, emit, []string{"c0", "c1", "c2"}, c0s, c1s, c2s)
+}
+
+// shape implements Model: three ID coefficients per segment.
+func (p Poly2) shape(n int) (int, uint64, error) {
+	segLen, _, err := p.params()
+	if err != nil {
+		return segLen, 0, err
+	}
+	return segLen, core.FormOverheadBits(2) + 3*leafBits(segments(n, segLen)), nil
 }
 
 // fitQuadratic computes the least-squares parabola of a segment in
@@ -216,73 +231,4 @@ func checkPoly2(f *core.Form) error {
 		}
 	}
 	return nil
-}
-
-// Poly2Fitter fits fixed-segment quadratics by least squares, with
-// bases shifted so residuals are non-negative.
-type Poly2Fitter struct {
-	// SegLen is the segment length; zero means
-	// DefaultSegmentLength.
-	SegLen int
-	// Frac is the fixed-point fraction width; zero means
-	// DefaultFracBits.
-	Frac uint
-}
-
-// FitName implements ModelFitter.
-func (pf Poly2Fitter) FitName() string { return fmt.Sprintf("poly2[%d]", pf.segLen()) }
-
-func (pf Poly2Fitter) segLen() int {
-	if pf.SegLen == 0 {
-		return DefaultSegmentLength
-	}
-	return pf.SegLen
-}
-
-func (pf Poly2Fitter) frac() uint {
-	if pf.Frac == 0 {
-		return DefaultFracBits
-	}
-	return pf.Frac
-}
-
-// Fit implements ModelFitter.
-func (pf Poly2Fitter) Fit(src []int64, s *core.Scratch) (*core.Form, []int64, error) {
-	segLen := pf.segLen()
-	frac := pf.frac()
-	if segLen < 1 {
-		return nil, nil, fmt.Errorf("poly2 fitter: invalid segment length %d", segLen)
-	}
-	if frac > 24 {
-		return nil, nil, fmt.Errorf("poly2 fitter: fraction width %d too large (max 24)", frac)
-	}
-	nseg := (len(src) + segLen - 1) / segLen
-	c0s := make([]int64, nseg)
-	c1s := make([]int64, nseg)
-	c2s := make([]int64, nseg)
-	pred := s.I64(len(src))
-	for seg := 0; seg < nseg; seg++ {
-		lo := seg * segLen
-		hi := lo + segLen
-		if hi > len(src) {
-			hi = len(src)
-		}
-		c0, c1, c2 := fitQuadratic(src[lo:hi], frac)
-		// Shift c0 down so all residuals are ≥ 0.
-		minResid := int64(0)
-		first := true
-		for i := lo; i < hi; i++ {
-			r := src[i] - Poly2Predict(c0, c1, c2, i-lo, frac)
-			if first || r < minResid {
-				minResid = r
-				first = false
-			}
-		}
-		c0 += minResid
-		c0s[seg], c1s[seg], c2s[seg] = c0, c1, c2
-		for i := lo; i < hi; i++ {
-			pred[i] = Poly2Predict(c0, c1, c2, i-lo, frac)
-		}
-	}
-	return NewPoly2Form(c0s, c1s, c2s, segLen, frac, len(src)), pred, nil
 }

@@ -40,7 +40,7 @@ func TestPoly2FitterRoundTrip(t *testing.T) {
 		x := float64(i % 1024)
 		src[i] = int64(0.02*x*x) + rng.Int63n(21) - 10
 	}
-	polyForm, err := (ModelResidual{Fitter: Poly2Fitter{SegLen: 1024}}).Compress(src)
+	polyForm, err := Poly2NS(1024).Compress(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestPoly2FitterRoundTrip(t *testing.T) {
 	if err != nil || !vec.Equal(got, src) {
 		t.Fatalf("poly2 model roundtrip: %v", err)
 	}
-	linForm, err := (ModelResidual{Fitter: LinearFitter{SegLen: 1024}}).Compress(src)
+	linForm, err := LinearNS(1024).Compress(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,10 +67,7 @@ func TestPoly2FitterResidualsNonNegative(t *testing.T) {
 		x := float64(i % 256)
 		src[i] = int64(-0.05*x*x+3*x) + rng.Int63n(9) - 4
 	}
-	_, pred, err := (Poly2Fitter{SegLen: 256}).Fit(src, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, pred := fitPredictions(t, Poly2{SegLen: 256}, src)
 	for i := range src {
 		if src[i]-pred[i] < 0 {
 			t.Fatalf("negative residual at %d", i)
@@ -127,7 +124,7 @@ func TestPatchedModelLinear(t *testing.T) {
 	for i := 100; i < len(src); i += 500 {
 		src[i] += 1 << 35
 	}
-	pm := PatchedModel{Fitter: LinearFitter{SegLen: 1024}}
+	pm := PatchedLinearNS(1024)
 	pmForm, err := pm.Compress(src)
 	if err != nil {
 		t.Fatal(err)
@@ -141,11 +138,11 @@ func TestPatchedModelLinear(t *testing.T) {
 		t.Fatal("no patches extracted")
 	}
 
-	linForm, err := (ModelResidual{Fitter: LinearFitter{SegLen: 1024}}).Compress(src)
+	linForm, err := LinearNS(1024).Compress(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	pforForm, err := (PFOR{SegLen: 1024}).Compress(src)
+	pforForm, err := PFORComposite(1024).Compress(src)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +160,7 @@ func TestPatchedModelNoOutliers(t *testing.T) {
 	for i := range src {
 		src[i] = int64(3 * i)
 	}
-	pm := PatchedModel{Fitter: LinearFitter{SegLen: 512}}
+	pm := PatchedLinearNS(512)
 	f, err := pm.Compress(src)
 	if err != nil {
 		t.Fatal(err)
@@ -175,8 +172,8 @@ func TestPatchedModelNoOutliers(t *testing.T) {
 }
 
 func TestPatchedModelName(t *testing.T) {
-	pm := PatchedModel{Fitter: LinearFitter{SegLen: 256}}
-	if pm.Name() != "patch(plus(linear[256], ns))" {
+	pm := PatchedLinearNS(256)
+	if pm.Name() != "patch[linear[256]](base=plus[linear[256]](residual=ns))" {
 		t.Fatalf("name = %q", pm.Name())
 	}
 }

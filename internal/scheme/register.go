@@ -27,20 +27,27 @@ func init() {
 	core.Register(Poly2{})
 }
 
-// Compile-time checks of the optional encode contracts: a scheme that
-// stopped matching one would still compress, but a Composite over it
-// would silently leave the pooled route.
+// Compile-time checks of the compress contract: a scheme that stopped
+// matching it would still compress, but off the pooled route and with
+// constituents no Composite could reach. The models are checked
+// against the one interface Plus and Patch fit through.
 var (
-	_ core.ScratchCompressor = NS{}
-	_ core.ScratchCompressor = VNS{}
-	_ core.ScratchCompressor = PFOR{}
-	_ core.ScratchCompressor = ModelResidual{}
-
+	_ core.ConstituentCompressor = NS{}
+	_ core.ConstituentCompressor = VNS{}
 	_ core.ConstituentCompressor = FOR{}
 	_ core.ConstituentCompressor = RLE{}
 	_ core.ConstituentCompressor = RPE{}
 	_ core.ConstituentCompressor = Delta{}
 	_ core.ConstituentCompressor = Dict{}
+	_ core.ConstituentCompressor = Plus{}
+	_ core.ConstituentCompressor = Patch{}
+	_ core.ConstituentCompressor = Step{}
+	_ core.ConstituentCompressor = Linear{}
+	_ core.ConstituentCompressor = Poly2{}
+
+	_ Model = Step{}
+	_ Model = Linear{}
+	_ Model = Poly2{}
 )
 
 // NSLeaf is the conventional terminal compressor for constituent
@@ -120,13 +127,41 @@ func DictComposite() core.Scheme {
 	})
 }
 
+// PFORComposite returns patched FOR at the given segment length — the
+// paper's L0 extension applied to FOR, recovering the classical PFOR
+// family as the composition Patch ∘ FOR: exceptions are split off a
+// step model, and the patched column is FOR with NS refs and offsets.
+func PFORComposite(segLen int) core.Scheme {
+	return core.Compose(Patch{Model: Step{SegLen: segLen}}, map[string]core.Scheme{
+		"base": FORComposite(segLen),
+	})
+}
+
+// StepNS returns the step-function model with NS residuals —
+// value-equivalent to FOR by the paper's identity FOR ≡ STEP + NS.
+func StepNS(segLen int) core.Scheme { return modelNS(Step{SegLen: segLen}) }
+
 // LinearNS returns the piecewise-linear model with NS residuals at
 // the given segment length.
-func LinearNS(segLen int) core.Scheme {
-	return ModelResidual{
-		Fitter:   LinearFitter{SegLen: segLen},
-		Residual: NS{},
-	}
+func LinearNS(segLen int) core.Scheme { return modelNS(Linear{SegLen: segLen}) }
+
+// Poly2NS returns the piecewise-quadratic model with NS residuals —
+// the paper's "stepwise low-degree polynomials" enrichment.
+func Poly2NS(segLen int) core.Scheme { return modelNS(Poly2{SegLen: segLen}) }
+
+// PatchedLinearNS returns patched diagonal lines — the paper's L0 and
+// L∞ extensions composed, a scheme it implies but names nowhere:
+// exceptions are split off a linear model, and the patched column is
+// refitted as LinearNS.
+func PatchedLinearNS(segLen int) core.Scheme {
+	return core.Compose(Patch{Model: Linear{SegLen: segLen}}, map[string]core.Scheme{
+		"base": LinearNS(segLen),
+	})
+}
+
+// modelNS returns Plus over the model with NS residuals.
+func modelNS(m Model) core.Scheme {
+	return core.Compose(Plus{Model: m}, map[string]core.Scheme{"residual": NS{}})
 }
 
 // DefaultCandidates returns the composite-scheme space the analyzer
@@ -147,7 +182,7 @@ func DefaultCandidates(st *core.BlockStats) []core.Candidate {
 		core.FromScheme(DeltaNS()),
 		core.FromScheme(FORComposite(128)),
 		core.FromScheme(FORComposite(1024)),
-		core.FromScheme(PFOR{SegLen: 1024}),
+		core.FromScheme(PFORComposite(1024)),
 		core.FromScheme(LinearNS(1024)),
 	}
 	if st.N > 0 && st.Runs == 1 {
@@ -181,29 +216,4 @@ func DefaultCandidates(st *core.BlockStats) []core.Candidate {
 		}
 	}
 	return cands
-}
-
-// AllCandidates returns the unpruned candidate space (used by tests
-// and the exhaustive analyzer mode).
-func AllCandidates() []core.Candidate {
-	return []core.Candidate{
-		core.FromScheme(Const{}),
-		core.FromScheme(NS{}),
-		core.FromScheme(Varint{}),
-		core.FromScheme(Elias{}),
-		core.FromScheme(VNS{}),
-		core.FromScheme(DeltaNS()),
-		core.FromScheme(FORComposite(128)),
-		core.FromScheme(FORComposite(1024)),
-		core.FromScheme(FORVNSComposite(1024, 128)),
-		core.FromScheme(PFOR{SegLen: 1024}),
-		core.FromScheme(LinearNS(1024)),
-		core.FromScheme(ModelResidual{Fitter: Poly2Fitter{SegLen: 1024}}),
-		core.FromScheme(PatchedModel{Fitter: LinearFitter{SegLen: 1024}}),
-		core.FromScheme(RLEComposite()),
-		core.FromScheme(RLEDeltaComposite()),
-		core.FromScheme(RLEDeltaVNSComposite()),
-		core.FromScheme(RPEComposite()),
-		core.FromScheme(DictComposite()),
-	}
 }

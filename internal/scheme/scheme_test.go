@@ -70,10 +70,10 @@ func roundTrippers() map[string]core.Scheme {
 		"for+ns":       FORComposite(32),
 		"for+vns":      FORVNSComposite(64, 32),
 		"dict+ns":      DictComposite(),
-		"pfor":         PFOR{SegLen: 64},
-		"mres-step":    ModelResidual{Fitter: StepFitter{SegLen: 32}},
-		"mres-linear":  ModelResidual{Fitter: LinearFitter{SegLen: 32}},
-		"mres-lin-vns": ModelResidual{Fitter: LinearFitter{SegLen: 32}, Residual: VNS{Block: 32}},
+		"pfor":         PFORComposite(64),
+		"mres-step":    StepNS(32),
+		"mres-linear":  LinearNS(32),
+		"mres-lin-vns": core.Compose(Plus{Model: Linear{SegLen: 32}}, map[string]core.Scheme{"residual": VNS{Block: 32}}),
 	}
 }
 
@@ -108,7 +108,7 @@ func TestRoundTripCorpus(t *testing.T) {
 func TestRoundTripProperty(t *testing.T) {
 	schemes := []core.Scheme{
 		NS{}, Varint{}, VNS{Block: 16}, Delta{}, RLE{}, RPE{},
-		FOR{SegLen: 16}, Dict{}, RLEDeltaComposite(), PFOR{SegLen: 16},
+		FOR{SegLen: 16}, Dict{}, RLEDeltaComposite(), PFORComposite(16),
 	}
 	for _, s := range schemes {
 		s := s

@@ -18,8 +18,8 @@ const StepName = "step"
 // scheme … but quite useful conceptually": FOR ≡ STEPFUNCTION + NS.
 //
 // Compress reports core.ErrNotRepresentable for any column that is
-// not exactly a step function; lossy fitting is the job of the
-// model-residual combinator (fitters.go).
+// not exactly a step function; the lossy fit is Fit, which Plus and
+// Patch use as their model.
 //
 // Form layout: Params{"seglen"}; Children{"refs"} of length ⌈N/ℓ⌉.
 type Step struct {
@@ -33,42 +33,65 @@ func (Step) Name() string { return StepName }
 
 // Compress verifies src is a step function and stores one value per
 // segment.
-func (s Step) Compress(src []int64) (*core.Form, error) {
-	segLen := s.SegLen
-	if segLen == 0 {
-		segLen = DefaultSegmentLength
+func (st Step) Compress(src []int64) (*core.Form, error) { return core.CompressPooled(st, src) }
+
+// CompressParts implements core.ConstituentCompressor: the column must
+// be exactly a step function; its refs go to emit.
+func (st Step) CompressParts(src []int64, s *core.Scratch, emit func(name string, col []int64) (*core.Form, error)) (*core.Form, error) {
+	return st.fit(src, s, emit, true)
+}
+
+// Fit implements Model: each segment's minimum is its reference — the
+// L∞ fit of §II-B ("FOR captures all columns which are L∞-metric-close
+// to the evaluation of a step function") whose residuals are exactly
+// FOR's offsets.
+func (st Step) Fit(src []int64, s *core.Scratch) (*core.Form, error) {
+	return st.fit(src, s, core.LeafEmit, false)
+}
+
+// fit takes each segment's minimum as its reference and, when the
+// column must be exactly a step function, checks that nothing in the
+// segment lies above it.
+func (st Step) fit(src []int64, s *core.Scratch, emit func(string, []int64) (*core.Form, error), exact bool) (*core.Form, error) {
+	segLen, err := segLenOf(StepName, st.SegLen)
+	if err != nil {
+		return nil, err
 	}
-	if segLen < 1 {
-		return nil, fmt.Errorf("step: invalid segment length %d", segLen)
-	}
-	nseg := (len(src) + segLen - 1) / segLen
-	refs := make([]int64, nseg)
-	for seg := 0; seg < nseg; seg++ {
+	refs := s.I64(segments(len(src), segLen))
+	defer s.PutI64(refs)
+	for seg := range refs {
 		lo := seg * segLen
-		hi := lo + segLen
-		if hi > len(src) {
-			hi = len(src)
+		part := src[lo:min(lo+segLen, len(src))]
+		refs[seg] = segmentMin(part)
+		if !exact {
+			continue
 		}
-		refs[seg] = src[lo]
-		for i := lo + 1; i < hi; i++ {
-			if src[i] != refs[seg] {
+		for j, v := range part {
+			if v != refs[seg] {
 				return nil, fmt.Errorf("%w: step scheme: segment %d is not constant (element %d)",
-					core.ErrNotRepresentable, seg, i)
+					core.ErrNotRepresentable, seg, lo+j)
 			}
 		}
 	}
-	return NewStepForm(refs, segLen, len(src)), nil
-}
-
-// NewStepForm builds the canonical STEP form; the FOR decomposition
-// rewrite uses it directly.
-func NewStepForm(refs []int64, segLen, n int) *core.Form {
+	refsForm, err := emit("refs", refs)
+	if err != nil {
+		return nil, err
+	}
 	return &core.Form{
 		Scheme:   StepName,
-		N:        n,
+		N:        len(src),
 		Params:   core.Params{"seglen": int64(segLen)},
-		Children: map[string]*core.Form{"refs": NewIDForm(refs)},
+		Children: map[string]*core.Form{"refs": refsForm},
+	}, nil
+}
+
+// shape implements Model: one ID reference per segment.
+func (st Step) shape(n int) (int, uint64, error) {
+	segLen, err := segLenOf(StepName, st.SegLen)
+	if err != nil {
+		return segLen, 0, err
 	}
+	return segLen, core.FormOverheadBits(1) + leafBits(segments(n, segLen)), nil
 }
 
 // DecompressInto evaluates the step function: each segment's
@@ -82,8 +105,11 @@ func (Step) DecompressInto(f *core.Form, dst []int64, s *core.Scratch) error {
 		return err
 	}
 	defer s.PutI64(refs)
-	vec.ConstantInto(dst, 0)
-	addSegmentRefs(dst, refs, int(f.Params["seglen"]))
+	segLen := int(f.Params["seglen"])
+	for seg, ref := range refs {
+		lo := seg * segLen
+		vec.ConstantInto(dst[lo:min(lo+segLen, len(dst))], ref)
+	}
 	return nil
 }
 

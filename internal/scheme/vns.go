@@ -37,10 +37,11 @@ func (VNS) Name() string { return VNSName }
 // Compress packs each mini-block at its own width.
 func (sch VNS) Compress(src []int64) (*core.Form, error) { return core.CompressPooled(sch, src) }
 
-// CompressScratch implements core.ScratchCompressor: widths are
-// computed into a borrowed buffer and the payload is packed in one
-// exactly-sized allocation instead of per-mini-block appends.
-func (sch VNS) CompressScratch(src []int64, s *core.Scratch) (*core.Form, error) {
+// CompressParts implements core.ConstituentCompressor: widths are
+// computed into a borrowed buffer and handed to emit, and the payload
+// is packed in one exactly-sized allocation instead of per-mini-block
+// appends.
+func (sch VNS) CompressParts(src []int64, s *core.Scratch, emit func(name string, col []int64) (*core.Form, error)) (*core.Form, error) {
 	block := sch.Block
 	if block == 0 {
 		block = DefaultVNSBlock
@@ -78,11 +79,15 @@ func (sch VNS) CompressScratch(src []int64, s *core.Scratch) (*core.Form, error)
 		}
 		wordPos += need
 	}
+	widthsForm, err := emit("widths", widths)
+	if err != nil {
+		return nil, err
+	}
 	return &core.Form{
 		Scheme:   VNSName,
 		N:        len(src),
 		Params:   core.Params{"block": int64(block), "zigzag": zig},
-		Children: map[string]*core.Form{"widths": NewIDForm(widths)},
+		Children: map[string]*core.Form{"widths": widthsForm},
 		Packed:   packed,
 	}, nil
 }

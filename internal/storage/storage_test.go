@@ -26,8 +26,8 @@ func corpusSchemes() []core.Scheme {
 		scheme.RLEDeltaComposite(),
 		scheme.RPEComposite(),
 		scheme.FORComposite(64),
-		scheme.PFOR{SegLen: 64},
-		scheme.ModelResidual{Fitter: scheme.LinearFitter{SegLen: 32}},
+		scheme.PFORComposite(64),
+		scheme.LinearNS(32),
 		scheme.DictComposite(),
 	}
 }

@@ -306,29 +306,23 @@ func FOR(segLen int) Scheme { return scheme.FOR{SegLen: segLen} }
 func Dict() Scheme { return scheme.Dict{} }
 
 // PFOR returns patched FOR (the L0 extension; Patch ∘ FOR).
-func PFOR(segLen int) Scheme { return scheme.PFOR{SegLen: segLen} }
+func PFOR(segLen int) Scheme { return scheme.PFORComposite(segLen) }
 
 // StepNS returns the step-function model with NS residuals —
 // value-equivalent to FOR by the paper's identity.
-func StepNS(segLen int) Scheme {
-	return scheme.ModelResidual{Fitter: scheme.StepFitter{SegLen: segLen}}
-}
+func StepNS(segLen int) Scheme { return scheme.StepNS(segLen) }
 
 // LinearNS returns the piecewise-linear model with NS residuals.
 func LinearNS(segLen int) Scheme { return scheme.LinearNS(segLen) }
 
 // Poly2NS returns the piecewise-quadratic model with NS residuals —
 // the paper's "stepwise low-degree polynomials" enrichment.
-func Poly2NS(segLen int) Scheme {
-	return scheme.ModelResidual{Fitter: scheme.Poly2Fitter{SegLen: segLen}}
-}
+func Poly2NS(segLen int) Scheme { return scheme.Poly2NS(segLen) }
 
 // PatchedLinearNS returns the piecewise-linear model with NS
 // residuals and L0 patches for outliers — the paper's L∞ and L0
 // extensions composed.
-func PatchedLinearNS(segLen int) Scheme {
-	return scheme.PatchedModel{Fitter: scheme.LinearFitter{SegLen: segLen}}
-}
+func PatchedLinearNS(segLen int) Scheme { return scheme.PatchedLinearNS(segLen) }
 
 // Convenience composites matching common practice.
 
