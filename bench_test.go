@@ -1,12 +1,14 @@
-// Benchmarks, one per reproduction experiment (EXP-A … EXP-N; see
-// DESIGN.md §2), plus micro-benchmarks of the NS kernels. Run:
+// Benchmarks, one per reproduction experiment (EXP-A … EXP-M; see
+// DESIGN.md §2), the per-code-path benchmarks DESIGN.md §2 maps the
+// system's own perf checks onto (blocked, fused, lazy, table, encode,
+// compact), and micro-benchmarks of the NS kernels. Run:
 //
 //	go test -bench=. -benchmem
 //
-// The experiment *tables* (ratios, crossovers, pruning counts) are
-// produced by cmd/lwcbench; the benchmarks here measure the same code
-// paths under the Go benchmark harness, reporting ns/op, MB/s-style
-// element throughput and allocations.
+// The paper's experiment *tables* (ratios, crossovers, pruning counts)
+// are produced by cmd/lwcbench; the benchmarks here measure code paths
+// under the Go benchmark harness, reporting ns/op, MB/s-style element
+// throughput and allocations.
 package lwcomp_test
 
 import (
@@ -486,9 +488,9 @@ func BenchmarkBitpack(b *testing.B) {
 }
 
 // BenchmarkBlockedEncode compares whole-column encode against
-// blocked encode at 1, 4 and NumCPU workers (EXP-N's timing under
-// the Go harness). The column mixes run-heavy, noisy and sorted
-// regions so per-block re-composition has something to win.
+// blocked encode at 1, 4 and NumCPU workers. The column mixes
+// run-heavy, noisy and sorted regions so per-block re-composition has
+// something to win.
 func BenchmarkBlockedEncode(b *testing.B) {
 	third := benchN / 3
 	data := append(workload.OrderShipDates(third, 256, 730120, 1),
@@ -623,9 +625,8 @@ func BenchmarkBlockedSelectAllRuns(b *testing.B) {
 }
 
 // BenchmarkFusedScan measures the fused unpack-and-compare scan of an
-// NS form against decompress-then-filter (EXP-O's timing under the Go
-// harness): the fused path touches only the packed words and
-// allocates nothing.
+// NS form against decompress-then-filter: the fused path touches only
+// the packed words and allocates nothing.
 func BenchmarkFusedScan(b *testing.B) {
 	data := workload.UniformBits(benchN, 20, 1)
 	form, err := lwcomp.NS().Compress(data)
@@ -754,10 +755,9 @@ func itoa(v int) string {
 	return string(buf[i:])
 }
 
-// BenchmarkLazyOpen measures the file-backed path of PR 3: cold open
-// + point lookup (header, index and one block read per iteration),
-// the warm cached lookup, and the eager whole-file baseline it
-// replaces. See EXP-P for the recorded full-scale numbers.
+// BenchmarkLazyOpen measures the file-backed path: cold open + point
+// lookup (header, index and one block read per iteration), the warm
+// cached lookup, and the eager whole-file baseline it replaces.
 func BenchmarkLazyOpen(b *testing.B) {
 	src := workload.OrderShipDates(1<<20, 64, 730120, 42)
 	col, err := lwcomp.Encode(src, lwcomp.WithBlockSize(1<<16))
@@ -1062,10 +1062,10 @@ func BenchmarkCollectStats(b *testing.B) {
 	reportElems(b, benchN)
 }
 
-// BenchmarkTableScan measures the PR-4 two-predicate table scan —
+// BenchmarkTableScan measures the two-predicate table scan —
 // cross-column per-block planning, fused leaf evaluation, bitmap
 // intersection, late-materialized sum — against decompress-then-
-// filter over the same columns (table: lwcbench -exp Q).
+// filter over the same columns.
 func BenchmarkTableScan(b *testing.B) {
 	date := workload.OrderShipDates(benchN, 64, 730120, 42)
 	status := workload.LowCardinality(benchN, 8, 43)
@@ -1200,7 +1200,7 @@ func BenchmarkTableScan(b *testing.B) {
 // (CountWhere / SumWhere) against the classic Scan+Count+Sum pipeline
 // across data shapes that drive the encoder to different scheme
 // families — runs (RLE), low cardinality (dict), step segments
-// (model) — the Go-harness twin of EXP-U.
+// (model).
 func BenchmarkFusedAggregate(b *testing.B) {
 	ctx := context.Background()
 	for _, sh := range []struct {

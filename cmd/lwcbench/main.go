@@ -1,63 +1,31 @@
-// Command lwcbench regenerates the reproduction's experiment tables
-// (EXP-A … EXP-W; see DESIGN.md §2 for the experiment ↔ paper-claim
-// index and EXPERIMENTS.md for a recorded run).
+// Command lwcbench regenerates the paper reproduction's experiment
+// tables (EXP-A … EXP-M; see DESIGN.md §2 for the experiment ↔
+// paper-claim index and EXPERIMENTS.md for a recorded run).
 //
 // Usage:
 //
 //	lwcbench                 # run every experiment at full scale
-//	lwcbench -exp A,C,F      # run a subset (IDs A..W)
+//	lwcbench -exp A,C,F      # run a subset (IDs A..M)
 //	lwcbench -n 262144       # reduced column length
-//	lwcbench -json out.json  # also write machine-readable results
 //	lwcbench -list           # list experiments
-//
-// The -json file is the repo's perf-trajectory format: one snapshot
-// per PR (BENCH_PR2.json, …) holding every experiment's table plus
-// its Metrics (ns/op, MB/s, allocs/op), so regressions diff cleanly.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strings"
 	"time"
 
 	"lwcomp/internal/bench"
 )
 
-// jsonReport is the schema of a BENCH_*.json snapshot.
-type jsonReport struct {
-	SchemaVersion int              `json:"schema_version"`
-	Timestamp     string           `json:"timestamp"`
-	GoVersion     string           `json:"go_version"`
-	GOOS          string           `json:"goos"`
-	GOARCH        string           `json:"goarch"`
-	CPUs          int              `json:"cpus"`
-	N             int              `json:"n"`
-	Seed          int64            `json:"seed"`
-	Reps          int              `json:"reps"`
-	Experiments   []jsonExperiment `json:"experiments"`
-}
-
-type jsonExperiment struct {
-	ID      string         `json:"id"`
-	Title   string         `json:"title"`
-	Seconds float64        `json:"seconds"`
-	Headers []string       `json:"headers"`
-	Rows    [][]string     `json:"rows"`
-	Notes   []string       `json:"notes,omitempty"`
-	Metrics []bench.Metric `json:"metrics,omitempty"`
-}
-
 func main() {
 	var (
-		expFlag  = flag.String("exp", "all", "comma-separated experiment IDs (A..W) or 'all'")
+		expFlag  = flag.String("exp", "all", "comma-separated experiment IDs (A..M) or 'all'")
 		nFlag    = flag.Int("n", 1<<20, "base column length")
 		seedFlag = flag.Int64("seed", 42, "workload seed")
 		repsFlag = flag.Int("reps", 3, "timing repetitions (best kept)")
-		jsonFlag = flag.String("json", "", "write machine-readable results to this file")
 		listFlag = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
@@ -85,17 +53,6 @@ func main() {
 		}
 	}
 
-	report := jsonReport{
-		SchemaVersion: 1,
-		Timestamp:     time.Now().UTC().Format(time.RFC3339),
-		GoVersion:     runtime.Version(),
-		GOOS:          runtime.GOOS,
-		GOARCH:        runtime.GOARCH,
-		CPUs:          runtime.NumCPU(),
-		N:             cfg.N,
-		Seed:          cfg.Seed,
-		Reps:          cfg.Reps,
-	}
 	start := time.Now()
 	for i, e := range selected {
 		if i > 0 {
@@ -107,32 +64,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "lwcbench: EXP-%s failed: %v\n", e.ID, err)
 			os.Exit(1)
 		}
-		elapsed := time.Since(t0)
 		fmt.Print(table.Render())
-		fmt.Printf("(%.1fs)\n", elapsed.Seconds())
-		report.Experiments = append(report.Experiments, jsonExperiment{
-			ID:      table.ID,
-			Title:   table.Title,
-			Seconds: elapsed.Seconds(),
-			Headers: table.Headers,
-			Rows:    table.Rows,
-			Notes:   table.Notes,
-			Metrics: table.Metrics,
-		})
+		fmt.Printf("(%.1fs)\n", time.Since(t0).Seconds())
 	}
 	fmt.Printf("\ntotal: %.1fs, n=%d, seed=%d\n", time.Since(start).Seconds(), cfg.N, cfg.Seed)
-
-	if *jsonFlag != "" {
-		buf, err := json.MarshalIndent(report, "", "  ")
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "lwcbench: encoding -json: %v\n", err)
-			os.Exit(1)
-		}
-		buf = append(buf, '\n')
-		if err := os.WriteFile(*jsonFlag, buf, 0o644); err != nil {
-			fmt.Fprintf(os.Stderr, "lwcbench: writing %s: %v\n", *jsonFlag, err)
-			os.Exit(1)
-		}
-		fmt.Printf("wrote %s (%d experiments)\n", *jsonFlag, len(report.Experiments))
-	}
 }

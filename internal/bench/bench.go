@@ -2,7 +2,6 @@ package bench
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -40,35 +39,11 @@ type Table struct {
 	Headers []string
 	Rows    [][]string
 	Notes   []string
-	// Metrics are the experiment's machine-readable measurements;
-	// cmd/lwcbench -json serializes them so BENCH_*.json snapshots
-	// can track the perf trajectory across PRs.
-	Metrics []Metric
-}
-
-// Metric is one machine-readable measurement: a named operation's
-// best-of-reps latency, the uncompressed-data throughput it implies,
-// and its steady-state heap allocations.
-type Metric struct {
-	Name        string  `json:"name"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	MBPerS      float64 `json:"mb_per_s"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
 }
 
 // AddRow appends a formatted row.
 func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, cells)
-}
-
-// AddMetric records a measurement over n int64 elements taking d per
-// operation with the given steady-state allocations.
-func (t *Table) AddMetric(name string, n int, d time.Duration, allocsPerOp float64) {
-	m := Metric{Name: name, NsPerOp: float64(d.Nanoseconds()), AllocsPerOp: allocsPerOp}
-	if d > 0 {
-		m.MBPerS = float64(n) * 8 / d.Seconds() / 1e6
-	}
-	t.Metrics = append(t.Metrics, m)
 }
 
 // Render formats the table as aligned ASCII.
@@ -143,26 +118,6 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// allocsPerRun reports the average heap allocations per call to f,
-// mirroring testing.AllocsPerRun: a warm-up call primes any pools,
-// GOMAXPROCS(1) keeps unrelated goroutines from contaminating the
-// mallocs delta.
-func allocsPerRun(runs int, f func() error) (float64, error) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	if err := f(); err != nil {
-		return 0, err
-	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		if err := f(); err != nil {
-			return 0, err
-		}
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs), nil
 }
 
 // timeBest runs f reps times and returns the best wall-clock

@@ -13,8 +13,8 @@ import (
 func TestAllExperimentsRunSmall(t *testing.T) {
 	cfg := Config{N: 1 << 14, Seed: 7, Reps: 1}
 	exps := All()
-	if len(exps) != 23 {
-		t.Fatalf("registered %d experiments, want 23 (A..W)", len(exps))
+	if len(exps) != 13 {
+		t.Fatalf("registered %d experiments, want 13 (A..M)", len(exps))
 	}
 	for _, e := range exps {
 		e := e
@@ -49,7 +49,7 @@ func TestAllExperimentsRunSmall(t *testing.T) {
 
 func TestExperimentIDsAreOrdered(t *testing.T) {
 	exps := All()
-	want := []string{"A", "B", "C", "D", "E", "F", "G", "H", "I", "J", "K", "L", "M", "N", "O", "P", "Q", "R", "S", "T", "U", "V", "W"}
+	want := []string{"A", "B", "C", "D", "E", "F", "G", "H", "I", "J", "K", "L", "M"}
 	if len(exps) != len(want) {
 		t.Fatalf("registered %d experiments, want %d", len(exps), len(want))
 	}
@@ -61,8 +61,8 @@ func TestExperimentIDsAreOrdered(t *testing.T) {
 	if _, ok := ByID("A"); !ok {
 		t.Fatal("ByID(A) missing")
 	}
-	if _, ok := ByID("Z"); ok {
-		t.Fatal("ByID(Z) should not exist")
+	if _, ok := ByID("N"); ok {
+		t.Fatal("ByID(N) should not exist")
 	}
 }
 

@@ -8,8 +8,7 @@
 // Every decision is a pure function of (seed, offset, per-offset
 // attempt number), never of wall-clock time or goroutine scheduling,
 // so a run with N parallel scan workers injects exactly the same
-// faults as a serial one: tests assert on them, and lwcbench's EXP-T
-// reproduces them.
+// faults as a serial one, and tests can assert on them.
 package faults
 
 import (

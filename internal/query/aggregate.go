@@ -3,7 +3,6 @@ package query
 import (
 	"fmt"
 
-	"lwcomp/internal/bitpack"
 	"lwcomp/internal/core"
 	"lwcomp/internal/scheme"
 	"lwcomp/internal/vec"
@@ -93,63 +92,10 @@ func extremes(f *core.Form, op string, needMax bool) (lo, hi int64, err error) {
 	return vec.MinMax(col)
 }
 
-// MaxBound returns an upper bound on the column maximum without
-// decompressing element payloads, using the model + residual-width
-// structure (the same machinery as ApproxSum). The bound is certain
-// but not necessarily tight.
-func MaxBound(f *core.Form) (int64, error) {
-	if f.N == 0 {
-		return 0, fmt.Errorf("query: MaxBound of empty column")
-	}
-	switch f.Scheme {
-	case scheme.ConstName:
-		return f.Params["value"], nil
-	case scheme.FORName:
-		offsets, err := f.Child("offsets")
-		if err != nil {
-			return 0, err
-		}
-		if isUnsignedPacked(offsets) {
-			refs, err := core.DecompressChild(f, "refs")
-			if err != nil {
-				return 0, err
-			}
-			_, m, err := vec.MinMax(refs)
-			if err != nil {
-				return 0, err
-			}
-			return m + perElementBound(offsets), nil
-		}
-	}
-	return Max(f)
-}
-
 // isUnsignedPacked reports whether a form is an NS or VNS payload
 // without zigzag (values known non-negative).
 func isUnsignedPacked(f *core.Form) bool {
 	return (f.Scheme == scheme.NSName || f.Scheme == scheme.VNSName) && f.Params["zigzag"] == 0
-}
-
-// perElementBound returns the largest value representable by an
-// unsigned packed form's widths.
-func perElementBound(f *core.Form) int64 {
-	switch f.Scheme {
-	case scheme.NSName:
-		return int64(bitpack.Mask(uint(f.Params["width"])))
-	case scheme.VNSName:
-		widths, err := core.DecompressChild(f, "widths")
-		if err != nil {
-			return 0
-		}
-		var m int64
-		for _, w := range widths {
-			if b := int64(bitpack.Mask(uint(w))); b > m {
-				m = b
-			}
-		}
-		return m
-	}
-	return 0
 }
 
 // DistinctCount returns the number of distinct values, shortcut for

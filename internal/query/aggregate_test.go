@@ -62,34 +62,6 @@ func TestMinFORUsesRefsOnly(t *testing.T) {
 	}
 }
 
-func TestMaxBoundContainsMax(t *testing.T) {
-	src := workload(13, 4096)
-	f, err := scheme.FORComposite(256).Compress(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, wantMax, err := vec.MinMax(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound, err := MaxBound(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bound < wantMax {
-		t.Fatalf("MaxBound %d below true max %d", bound, wantMax)
-	}
-	// For an exact-max scheme the bound collapses.
-	cf, err := scheme.Const{}.Compress([]int64{5, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bound, err = MaxBound(cf)
-	if err != nil || bound != 5 {
-		t.Fatalf("const MaxBound = %d, %v", bound, err)
-	}
-}
-
 func TestMinMaxEmptyRejected(t *testing.T) {
 	f, err := scheme.NS{}.Compress(nil)
 	if err != nil {
@@ -100,9 +72,6 @@ func TestMinMaxEmptyRejected(t *testing.T) {
 	}
 	if _, err := Max(f); err == nil {
 		t.Fatal("Max of empty accepted")
-	}
-	if _, err := MaxBound(f); err == nil {
-		t.Fatal("MaxBound of empty accepted")
 	}
 	if _, _, err := MinMax(f); err == nil {
 		t.Fatal("MinMax of empty accepted")

@@ -168,11 +168,15 @@ func TestCompactDaemonSweep(t *testing.T) {
 		Queries struct {
 			Rejected int64 `json:"rejected"`
 			Errors   int64 `json:"errors"`
+			Timeouts int64 `json:"timeouts"`
 		} `json:"queries"`
 		Compaction *metricsCompaction `json:"compaction"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&met); err != nil {
 		t.Fatal(err)
+	}
+	if q := met.Queries; q.Rejected != 0 || q.Errors != 0 || q.Timeouts != 0 {
+		t.Fatalf("server counted queries failing around the sweep: %+v", q)
 	}
 	if met.Compaction == nil {
 		t.Fatal("metrics missing compaction section")
@@ -181,7 +185,7 @@ func TestCompactDaemonSweep(t *testing.T) {
 	if c.ContainersScanned < 2 || c.ContainersRewritten != 2 || c.BytesReclaimed != before-after {
 		t.Fatalf("compaction metrics = %+v, want 2 rewritten reclaiming %d bytes", c, before-after)
 	}
-	if c.CPUSeconds <= 0 || c.Sweeps != 1 || c.SweepsAborted != 0 || c.Generation != 2 {
+	if c.CPUSeconds <= 0 || c.Sweeps != 1 || c.SweepsAborted != 0 || c.ContainersFailed != 0 || c.Generation != 2 {
 		t.Fatalf("compaction metrics = %+v", c)
 	}
 

@@ -175,8 +175,10 @@ func TestFaultDegradedQueryEndToEnd(t *testing.T) {
 		t.Fatalf("degraded manifest = %v, want exactly one entry", body["degraded"])
 	}
 	entry := deg[0].(map[string]any)
+	reason, _ := entry["reason"].(string)
 	if entry["column"] != "amount" || entry["block"].(float64) != 2 ||
-		entry["row_start"].(float64) != float64(2*testBlock) || entry["row_count"].(float64) != testBlock {
+		entry["row_start"].(float64) != float64(2*testBlock) || entry["row_count"].(float64) != testBlock ||
+		reason == "" {
 		t.Fatalf("manifest entry = %v", entry)
 	}
 	var want int64
@@ -407,6 +409,10 @@ func TestFaultCrashSafeWriteNoTornFile(t *testing.T) {
 	}
 	if _, err := os.Stat(path); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("aborted write left a file under the final name (stat: %v)", err)
+	}
+	// Nor a temp file beside it.
+	if ents, err := os.ReadDir(dir); err != nil || len(ents) != 0 {
+		t.Fatalf("aborted write left %d entries in the directory (%v)", len(ents), err)
 	}
 	if err := lwcomp.WriteColumnsFile(path, []lwcomp.NamedColumn{{Name: "c", Col: col}}); err != nil {
 		t.Fatal(err)

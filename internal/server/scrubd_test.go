@@ -3,11 +3,14 @@ package server
 import (
 	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -67,7 +70,7 @@ func sumOf(vals []int64) int64 {
 // loop by hand: a scrub-only sweep detects the rotten generation and
 // quarantines the block, a healing sweep salvages the container back
 // to the truthful writer's exact bytes, reloads, and clears the
-// ledger.
+// ledger — while queries on the healthy columns keep answering.
 func TestScrubSweepQuarantinesThenHeals(t *testing.T) {
 	d := makeData(2048)
 	dir := newTestDir(t, d)
@@ -81,6 +84,50 @@ func TestScrubSweepQuarantinesThenHeals(t *testing.T) {
 
 	_, ts := newTestServer(t, Config{Dir: dir, CacheBytes: -1})
 	swapLyingAmount(t, dir, d.amount)
+
+	// Status-only counts run concurrently through both sweeps. None of
+	// them touches the rotten column, so every one must answer 200 with
+	// the exact count, across the heal's reload too.
+	var wantCount int64
+	for _, v := range d.status {
+		if v == 3 {
+			wantCount++
+		}
+	}
+	stop := make(chan struct{})
+	errs := make(chan string, 8)
+	var wg sync.WaitGroup
+	for c := 0; c < 8; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				resp, err := http.Post(ts.URL+"/query", "application/json",
+					strings.NewReader(`{"table":"orders","where":"status = 3","op":"count"}`))
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
+				var out struct {
+					Matched int64 `json:"matched"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&out)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || err != nil || out.Matched != wantCount {
+					errs <- fmt.Sprintf("count during sweeps: status %d, matched %d (want %d), %v",
+						resp.StatusCode, out.Matched, wantCount, err)
+					return
+				}
+			}
+		}()
+	}
+	stopCounts := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	t.Cleanup(stopCounts)
 
 	// Phase 1: detect and quarantine, no healing.
 	res := postScrub(t, ts, "?heal=0")
@@ -103,6 +150,11 @@ func TestScrubSweepQuarantinesThenHeals(t *testing.T) {
 	// and re-derives the lied-about stats, so the healed file is
 	// byte-identical to the pre-corruption original.
 	res = postScrub(t, ts, "?heal=1")
+	stopCounts()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
 	if res.Healed != 1 || !res.Reloaded || res.QuarantineCleared < 1 || res.Unrepairable != 0 {
 		t.Fatalf("healing sweep: %+v", res)
 	}
@@ -136,7 +188,7 @@ func TestScrubSweepQuarantinesThenHeals(t *testing.T) {
 	if m.Scrub == nil {
 		t.Fatal("/metrics has no scrub section")
 	}
-	if m.Scrub.Sweeps < 2 || m.Scrub.ErrorsFound < 1 || m.Scrub.Healed != 1 ||
+	if m.Scrub.Sweeps < 2 || m.Scrub.ErrorsFound < 1 || m.Scrub.Healed != 1 || m.Scrub.Unrepairable != 0 ||
 		m.Scrub.Quarantined < 1 || m.Scrub.BlocksScanned == 0 || m.Scrub.BytesScanned == 0 {
 		t.Fatalf("scrub metrics: %+v", *m.Scrub)
 	}

@@ -57,8 +57,8 @@ type Config struct {
 	// retrying. Integrity failures are permanent and never retried.
 	ReadRetries int
 	// FaultInjection, when non-nil, wraps every mounted container's
-	// reader — the hook fault-injection tests and lwcbench's EXP-T use
-	// to exercise the retry and quarantine paths (see internal/faults).
+	// reader — the hook fault-injection tests use to exercise the retry
+	// and quarantine paths (see internal/faults).
 	// Setting it disables mmap for the mounted containers.
 	FaultInjection func(io.ReaderAt) io.ReaderAt
 	// Compact enables the background recompaction daemon: periodic
@@ -290,8 +290,8 @@ func (s *Server) Ready() bool {
 }
 
 // Table returns the named table's scan handle from the current mount
-// set — the hook fault-injection tests and lwcbench's EXP-T use to
-// wrap a mounted column's block source. The handle is safe to use only
+// set — the hook fault-injection tests use to wrap a mounted column's
+// block source. The handle is safe to use only
 // while no reload retires the set it came from.
 func (s *Server) Table(name string) (*lwcomp.Table, bool) {
 	ms := s.acquireMounts()

@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -391,6 +392,37 @@ func TestSaturation(t *testing.T) {
 	<-srv.gate.slots // free the slot
 	if code, _ := postQuery(t, ts, queryRequest{Table: "orders", Op: "count"}); code != http.StatusOK {
 		t.Fatalf("query after slot freed: code=%d, want 200", code)
+	}
+
+	// A concurrent herd against the one slot sees only the two
+	// in-contract answers: 200, or 429 with a usable (non-zero)
+	// Retry-After.
+	var wg sync.WaitGroup
+	errs := make(chan string, 64)
+	for c := 0; c < 16; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 4; i++ {
+				resp, err := http.Post(ts.URL+"/query", "application/json",
+					strings.NewReader(`{"table":"orders","op":"rows","columns":["amount"]}`))
+				if err != nil {
+					errs <- err.Error()
+					return
+				}
+				io.Copy(io.Discard, resp.Body)
+				resp.Body.Close()
+				ra := resp.Header.Get("Retry-After")
+				if resp.StatusCode != http.StatusOK && (resp.StatusCode != http.StatusTooManyRequests || ra == "" || ra == "0") {
+					errs <- fmt.Sprintf("herd query: status %d, Retry-After %q", resp.StatusCode, ra)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

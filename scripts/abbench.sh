@@ -2,8 +2,9 @@
 # abbench.sh <base-ref> <workload> [pairs=3] [first-seed=1]
 #
 # A/B the repository benchmark between a base commit and the working
-# tree: checks <base-ref> out into a temporary git worktree (a shared
-# clone where worktrees are refused), alternates base and head runs of
+# tree: exports <base-ref> into a temporary directory with
+# `git archive | tar -x` (the benchmark needs no .git; its tree hash
+# comes from embedded sources), alternates base and head runs of
 #
 #     benchmark/run.sh --workload <workload> --seconds 20 --trace 0
 #
@@ -28,18 +29,9 @@ base_ref=$1 workload=$2 pairs=${3:-3} seed=${4:-1}
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 
 tmp="$(mktemp -d)"
-cleanup() {
-	git -C "$root" worktree remove --force "$tmp/base" >/dev/null 2>&1 || true
-	rm -rf "$tmp"
-}
-trap cleanup EXIT
-if ! git -C "$root" worktree add --detach "$tmp/base" "$base_ref" >/dev/null 2>&1; then
-	# Sandboxes that forbid worktrees still allow a clone sharing the
-	# object store.
-	rm -rf "$tmp/base"
-	git clone --quiet --shared "$root" "$tmp/base"
-	git -C "$tmp/base" checkout --quiet --detach "$(git -C "$root" rev-parse "$base_ref")"
-fi
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$tmp/base"
+git -C "$root" archive "$base_ref" | tar -x -C "$tmp/base"
 
 # run <side> <dir> <seed>: one benchmark run; its result line (the last
 # line of stdout) is appended to $tmp/<side>.ndjson.
