@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"lwcomp"
@@ -392,19 +393,33 @@ func TestRowsRequestAllocs(t *testing.T) {
 
 // TestFusedAggregateAllocs: the fused scan+aggregate paths —
 // CountWhere and SumWhere over leaf and composite predicates,
-// including the packed-word fast paths and the prefetch announce that
-// runs one block ahead of the serial loop — stay allocation-free in
-// steady state on an aligned in-memory table.
+// including the packed-word fast paths, the sum under a selection on
+// the forms the encoder picks for a noisy ramp, a spiky and a uniform
+// column, and the prefetch announce that runs one block ahead of the
+// serial loop — stay allocation-free in steady state on an aligned
+// in-memory table.
 func TestFusedAggregateAllocs(t *testing.T) {
 	const n, bs = 1 << 15, 1 << 12
 	date := workload.Sorted(n, 1<<40, 21)
 	status := workload.LowCardinality(n, 4, 22)
 	amount := workload.RandomWalk(n, 10, 1<<30, 23)
+	// The sum columns of the sum-under-a-selection cases, and the scheme
+	// each one's first block must be encoded with for the case to cover
+	// that form.
+	selSums := []struct {
+		name, scheme string
+		data         []int64
+	}{
+		{"ramp", "plus(model=linear", workload.TrendNoise(n, 2.9, 40, 24)},
+		{"spiky", "patch(base=for", workload.SpikedUniform(n, 10, 30, 0.001, 25)},
+		{"qty", "ns", workload.UniformBits(n, 16, 26)},
+	}
 	var cols []lwcomp.NamedColumn
 	for _, c := range []struct {
 		name string
 		data []int64
-	}{{"date", date}, {"status", status}, {"amount", amount}} {
+	}{{"date", date}, {"status", status}, {"amount", amount},
+		{selSums[0].name, selSums[0].data}, {selSums[1].name, selSums[1].data}, {selSums[2].name, selSums[2].data}} {
 		col, err := lwcomp.Encode(c.data, lwcomp.WithBlockSize(bs), lwcomp.WithParallelism(1))
 		if err != nil {
 			t.Fatal(err)
@@ -449,6 +464,16 @@ func TestFusedAggregateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	for i, c := range selSums {
+		if got := cols[3+i].Col.Blocks[0].Form.Describe(); !strings.HasPrefix(got, c.scheme) {
+			t.Fatalf("%s: first block encoded as %s, want %s…; the fixture no longer covers that form", c.name, got, c.scheme)
+		}
+		mustZeroAllocs(t, "fused-sum-and/"+c.name, func() {
+			if _, _, err := tbl.SumWhere(ctx, exprAnd, c.name); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 // TestPrefetchAnnounceAllocs: announcing block prefetches against a

@@ -14,6 +14,7 @@ package lwcomp_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -1200,9 +1201,16 @@ func BenchmarkTableScan(b *testing.B) {
 // (CountWhere / SumWhere) against the classic Scan+Count+Sum pipeline
 // across data shapes that drive the encoder to different scheme
 // families — runs (RLE), low cardinality (dict), step segments
-// (model).
+// (model), a noisy ramp (plus∘linear), spikes (patch∘for) and a walk
+// (for). fused-sum-other sums v under a predicate on a second, uniform
+// column u at ~5 % and ~50 % selectivity: every block of v is only
+// partly selected, so the sum runs under a selection.
 func BenchmarkFusedAggregate(b *testing.B) {
 	ctx := context.Background()
+	u, err := lwcomp.Encode(workload.UniformBits(benchN, 16, 45), lwcomp.WithBlockSize(1<<14))
+	if err != nil {
+		b.Fatal(err)
+	}
 	for _, sh := range []struct {
 		name string
 		data []int64
@@ -1210,12 +1218,15 @@ func BenchmarkFusedAggregate(b *testing.B) {
 		{"runs", workload.Runs(benchN, 64, 1<<20, 42)},
 		{"lowcard", workload.LowCardinality(benchN, 64, 43)},
 		{"step", workload.StepData(benchN, 512, 44)},
+		{"ramp", workload.TrendNoise(benchN, 2.9, 40, 46)},
+		{"spiky", workload.SpikedUniform(benchN, 10, 30, 0.001, 47)},
+		{"walk", workload.RandomWalk(benchN, 12, 1<<30, 48)},
 	} {
 		col, err := lwcomp.Encode(sh.data, lwcomp.WithBlockSize(1<<14))
 		if err != nil {
 			b.Fatal(err)
 		}
-		tbl, err := lwcomp.NewTable([]lwcomp.NamedColumn{{Name: "v", Col: col}})
+		tbl, err := lwcomp.NewTable([]lwcomp.NamedColumn{{Name: "v", Col: col}, {Name: "u", Col: u}})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1264,5 +1275,17 @@ func BenchmarkFusedAggregate(b *testing.B) {
 			}
 			reportElems(b, benchN)
 		})
+		for _, pct := range []int64{5, 50} {
+			other := lwcomp.Range("u", 0, (1<<16)*pct/100-1)
+			b.Run(fmt.Sprintf("%s/fused-sum-other-%dpct", sh.name, pct), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, _, err := tbl.SumWhere(ctx, other, "v"); err != nil {
+						b.Fatal(err)
+					}
+				}
+				reportElems(b, benchN)
+			})
+		}
 	}
 }

@@ -651,6 +651,21 @@ func (c *Column) SumBlock(i int) (int64, error) {
 	return query.Sum(f)
 }
 
+// SumBlockSel returns the sum of the rows of block i that bm selects —
+// row r of the block counts when bit base+r is set — on the compressed
+// form (query.SumSel): the table scan uses it for blocks only some rows
+// of survive, which it would otherwise decode just to mask.
+func (c *Column) SumBlockSel(i int, bm *sel.Selection, base int) (int64, error) {
+	if i < 0 || i >= len(c.Blocks) {
+		return 0, fmt.Errorf("blocked: block %d out of range [0, %d)", i, len(c.Blocks))
+	}
+	f, err := c.form(i)
+	if err != nil {
+		return 0, err
+	}
+	return query.SumSel(f, bm, base)
+}
+
 // BoundariesEqual reports whether c and o partition their rows
 // identically: same length, same block count, and the same
 // (start, count) for every block. Identical boundaries are what lets

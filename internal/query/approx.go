@@ -30,8 +30,13 @@ func (iv Interval) Contains(v int64) bool { return v >= iv.Lower && v <= iv.Uppe
 // "rough correspondence of the column data to a simple model". For a
 // FOR form the model sum (Σ refs·|segment|) is exact and each
 // element's offset lies in [0, 2^w−1], so the sum is bracketed
-// without touching the offsets payload at all.
+// without touching the offsets payload at all. Every node walked passes
+// its scheme's check first, so a form decode refuses is refused here
+// too instead of indexing past its refs.
 func ApproxSum(f *core.Form) (Interval, error) {
+	if err := check(f); err != nil {
+		return Interval{}, err
+	}
 	switch f.Scheme {
 	case scheme.ConstName:
 		s := f.Params["value"] * int64(f.N)
@@ -105,6 +110,9 @@ func sumStep(refs []int64, segLen, n int) int64 {
 // residualSlack bounds the total contribution of a non-negative
 // residual form from its width parameters alone.
 func residualSlack(f *core.Form) (int64, error) {
+	if err := check(f); err != nil {
+		return 0, err
+	}
 	switch f.Scheme {
 	case scheme.NSName:
 		if f.Params["zigzag"] == 1 {

@@ -17,6 +17,10 @@
 //     correspondence of the column data to a simple model can be used
 //     to speed up selections"), and a patched form runs its base's
 //     kernel and corrects at the exceptions;
+//   - a fourth verb sums the rows a selection on another column holds,
+//     handing the selection unchanged to the position-aligned
+//     constituents: Σ (model + residual) = Σ model + Σ residual under
+//     any selection (SumSel, sum.go);
 //   - values at given rows are gathered the same way, by position
 //     (query.go);
 //   - SUM over FOR-like forms splits into an exact model part and a

@@ -1,6 +1,9 @@
 package query
 
 import (
+	"fmt"
+	"math/bits"
+
 	"lwcomp/internal/bitpack"
 	"lwcomp/internal/core"
 	"lwcomp/internal/scheme"
@@ -23,6 +26,10 @@ type leaf interface {
 	apply(p *pushdown, start, count int, lo, hi, add int64) error
 	// sum returns the wrapping sum of rows [start, start+count).
 	sum(start, count int) (int64, error)
+	// sumSel returns the wrapping sum of the rows p's selection holds,
+	// each value read through tab when tab is non-nil (a dictionary,
+	// the leaf its codes).
+	sumSel(p *pushdown, tab []int64) (int64, error)
 	// at returns the value of row i.
 	at(i int) int64
 }
@@ -217,6 +224,85 @@ func (k *packed) sum(start, count int) (total int64, err error) {
 	return total, err
 }
 
+// sparseGroup is the most selected rows of a 64-row group that are
+// read one value at a time; past it, unpacking the whole group costs
+// less.
+const sparseGroup = 16
+
+// sumSel walks each mini-block 64 rows at a time: rows the selection
+// skips are not read, a fully selected group of plain values goes
+// through the fused sum kernels, a sparsely selected one reads just its
+// selected values, and any other group is unpacked and its selected
+// values added.
+func (k *packed) sumSel(p *pushdown, tab []int64) (total int64, err error) {
+	buf := p.s.U64(bitpack.BlockLen)
+	defer p.s.PutU64(buf)
+	for b := 0; b*k.block < k.n; b++ {
+		words, w, first := k.miniBlock(b)
+		end := min(first+k.block, k.n)
+		if w == 0 && tab == nil {
+			continue // every value is 0, zigzag or not
+		}
+		for r := first; r < end; r += bitpack.BlockLen {
+			c := min(bitpack.BlockLen, end-r)
+			m := p.word(r, end)
+			var s int64
+			switch {
+			case m == 0:
+				continue
+			case m == bitpack.Mask(uint(c)) && tab == nil:
+				s, err = k.sum(r, c)
+			case bits.OnesCount64(m) <= sparseGroup:
+				n := 0
+				for ; m != 0; m &= m - 1 {
+					buf[n] = bitpack.ValueAt(words, r-first+bits.TrailingZeros64(m), w)
+					n++
+				}
+				s, err = k.add(buf[:n], bitpack.Mask(uint(n)), tab)
+			default:
+				// r−first is a multiple of 64, so its values start on a word.
+				if err = bitpack.UnpackInto(buf[:c], words[(r-first)/bitpack.BlockLen*int(w):], w); err == nil {
+					s, err = k.add(buf[:c], m, tab)
+				}
+			}
+			if err != nil {
+				return 0, err
+			}
+			total += s
+		}
+	}
+	return total, nil
+}
+
+// add returns the wrapping sum of the packed values vals[j] for the set
+// bits j of m, each zigzag-decoded for a zigzag payload and read
+// through tab when tab is non-nil. Plain values, the common case, take
+// a loop of their own.
+func (k *packed) add(vals []uint64, m uint64, tab []int64) (int64, error) {
+	var sum int64
+	if tab == nil && !k.zz {
+		for ; m != 0; m &= m - 1 {
+			sum += int64(vals[bits.TrailingZeros64(m)])
+		}
+		return sum, nil
+	}
+	for ; m != 0; m &= m - 1 {
+		u := vals[bits.TrailingZeros64(m)]
+		v := int64(u)
+		if k.zz {
+			v = bitpack.Unzigzag(u)
+		}
+		if tab != nil {
+			if uint64(v) >= uint64(len(tab)) {
+				return 0, errCode(v)
+			}
+			v = tab[v]
+		}
+		sum += v
+	}
+	return sum, nil
+}
+
 func (k *packed) at(i int) int64 {
 	words, w, first := k.miniBlock(i / k.block)
 	u := bitpack.ValueAt(words, i-first, w)
@@ -253,6 +339,28 @@ func (v *plain) apply(p *pushdown, start, count int, lo, hi, add int64) error {
 
 func (v *plain) sum(start, count int) (int64, error) {
 	return vec.Sum(v.vals[start : start+count]), nil
+}
+
+func (v *plain) sumSel(p *pushdown, tab []int64) (int64, error) {
+	if tab == nil {
+		return p.dst.MaskedSum(p.base, v.vals), nil
+	}
+	var total int64
+	for r := 0; r < len(v.vals); r += bitpack.BlockLen {
+		for m := p.word(r, len(v.vals)); m != 0; m &= m - 1 {
+			c := v.vals[r+bits.TrailingZeros64(m)]
+			if uint64(c) >= uint64(len(tab)) {
+				return 0, errCode(c)
+			}
+			total += tab[c]
+		}
+	}
+	return total, nil
+}
+
+// errCode reports a dictionary code outside its dictionary.
+func errCode(c int64) error {
+	return fmt.Errorf("%w: dict code %d out of range", core.ErrCorruptForm, c)
 }
 
 func (v *plain) at(i int) int64 { return v.vals[i] }

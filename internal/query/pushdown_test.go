@@ -139,11 +139,11 @@ func patchOver(enc child, positions, values []int64) child {
 	}
 }
 
-// checkVerbs asserts count, select, sum-under-range, Sum and
-// PointLookup on f against its own decode, for every range drawn from
-// bounds, and returns whether a count or select pushdown, and whether
-// a sum pushdown, materialised some node.
-func checkVerbs(t *testing.T, name string, f *core.Form, bounds []int64) (materialised, sumMaterialised bool) {
+// checkVerbs asserts count, select, sum-under-range, sum-under-selection,
+// Sum and PointLookup on f against its own decode, for every range
+// drawn from bounds, and returns whether a count or select pushdown, a
+// range sum pushdown, and a selection sum materialised some node.
+func checkVerbs(t *testing.T, name string, f *core.Form, bounds []int64) (materialised, sumMaterialised, selMaterialised bool) {
 	t.Helper()
 	col, err := core.Decompress(f)
 	if err != nil {
@@ -153,6 +153,21 @@ func checkVerbs(t *testing.T, name string, f *core.Form, bounds []int64) (materi
 	defer s.Release()
 	if got, err := Sum(f); err != nil || got != vec.Sum(col) {
 		t.Errorf("%s: Sum = %d, %v; want %d", name, got, err, vec.Sum(col))
+	}
+	// The selection sum, over every third row plus the first and last.
+	const selBase = 70
+	bm := sel.New(selBase + len(col))
+	var wantSel int64
+	for i, v := range col {
+		if i%3 == 0 || i == len(col)-1 {
+			bm.Add(selBase + i)
+			wantSel += v
+		}
+	}
+	if a, err := run(sumSelVerb, f, 0, 0, bm, selBase, s); err != nil || a.sum != wantSel {
+		t.Errorf("%s: SumSel = %d, %v; want %d", name, a.sum, err, wantSel)
+	} else {
+		selMaterialised = a.materialised
 	}
 	for _, row := range []int{0, 31, 32, len(col) / 2, len(col) - 1} {
 		if got, err := PointLookup(f, int64(row)); err != nil || got != col[row] {
@@ -181,7 +196,7 @@ func checkVerbs(t *testing.T, name string, f *core.Form, bounds []int64) (materi
 				got.Add(base + i)
 			}
 			sa, err := run(selectVerb, f, lo, hi, got, base, s)
-			if err != nil || !slices.Equal(got.Words(), want.Words()) {
+			if err != nil || !slices.Equal(got.Rows(), want.Rows()) {
 				t.Fatalf("%s [%d, %d]: select: %v, %d bits set, want %d", name, lo, hi, err, got.Count(), want.Count())
 			}
 			ca, err := run(CountVerb, f, lo, hi, nil, 0, s)
@@ -199,7 +214,7 @@ func checkVerbs(t *testing.T, name string, f *core.Form, bounds []int64) (materi
 			sumMaterialised = sumMaterialised || ua.materialised
 		}
 	}
-	return materialised, sumMaterialised
+	return materialised, sumMaterialised, selMaterialised
 }
 
 func TestCompositionTimesVerb(t *testing.T) {
@@ -228,30 +243,32 @@ func TestCompositionTimesVerb(t *testing.T) {
 		col  []int64
 		enc  child
 		// Some node has no rule and materialises: under count and
-		// select, and under sum.
-		fallback, sumFallback bool
+		// select, under a range sum, and under a selection sum.
+		fallback, sumFallback, selFallback bool
 	}{
-		{"ns", narrow, asNS, false, false},
-		{"ns-zigzag", walk, asNS, false, false},
-		{"vns", narrow, asVNS, false, false},
-		{"vns-zigzag", walk, asVNS, false, false},
-		{"for(ns)", narrow, forOver(asNS), false, false},
-		{"for(vns)", walk, forOver(asVNS), false, false},
-		{"for(id)", walk, forOver(asID), false, false},
-		{"for(rle)", walk, forOver(asRLE), true, true},
-		{"dict(ns)", walk, dictOver(asNS), false, true},
-		{"dict(rle)", walk, dictOver(asRLE), false, true},
-		{"rle", walk, asRLE, false, false},
-		{"plus(const,ns)", walk, plusConst, false, false},
-		{"plus(step,ns)", walk, plusStep, false, false},
-		{"patch(ns)", narrow, inner, false, false},
-		{"delta(ns)", walk, compressWith(scheme.DeltaNS()), true, true},
+		{"ns", narrow, asNS, false, false, false},
+		{"ns-zigzag", walk, asNS, false, false, false},
+		{"vns", narrow, asVNS, false, false, false},
+		{"vns-zigzag", walk, asVNS, false, false, false},
+		{"for(ns)", narrow, forOver(asNS), false, false, false},
+		{"for(vns)", walk, forOver(asVNS), false, false, false},
+		{"for(id)", walk, forOver(asID), false, false, false},
+		{"for(rle)", walk, forOver(asRLE), true, true, false},
+		{"dict(ns)", walk, dictOver(asNS), false, true, false},
+		{"dict(rle)", walk, dictOver(asRLE), false, true, true},
+		{"rle", walk, asRLE, false, false, false},
+		{"plus(const,ns)", walk, plusConst, false, false, false},
+		{"plus(step,ns)", walk, plusStep, false, false, false},
+		{"plus(linear,ns)", walk, compressWith(scheme.LinearNS(32)), true, true, false},
+		{"plus(poly2,ns)", walk, compressWith(scheme.Poly2NS(32)), true, true, true},
+		{"patch(ns)", narrow, inner, false, false, false},
+		{"delta(ns)", walk, compressWith(scheme.DeltaNS()), true, true, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := tc.enc(t, tc.col)
-			if m, sm := checkVerbs(t, tc.name, f, bounds); m != tc.fallback || sm != tc.sumFallback {
-				t.Errorf("%s (%s): materialised = %v, under sum %v; want %v, %v",
-					tc.name, f.Describe(), m, sm, tc.fallback, tc.sumFallback)
+			if m, sm, ss := checkVerbs(t, tc.name, f, bounds); m != tc.fallback || sm != tc.sumFallback || ss != tc.selFallback {
+				t.Errorf("%s (%s): materialised = %v, under sum %v, under a selection %v; want %v, %v, %v",
+					tc.name, f.Describe(), m, sm, ss, tc.fallback, tc.sumFallback, tc.selFallback)
 			}
 			// And the same form as the base of a patch: the exceptions
 			// ride on whatever rule the base has.
@@ -260,9 +277,9 @@ func TestCompositionTimesVerb(t *testing.T) {
 				col[p] = values[i]
 			}
 			patched := patchOver(tc.enc, positions, values)(t, col)
-			if m, sm := checkVerbs(t, "patch("+tc.name+")", patched, bounds); m != tc.fallback || sm != tc.sumFallback {
-				t.Errorf("patch(%s) (%s): materialised = %v, under sum %v; want %v, %v",
-					tc.name, patched.Describe(), m, sm, tc.fallback, tc.sumFallback)
+			if m, sm, ss := checkVerbs(t, "patch("+tc.name+")", patched, bounds); m != tc.fallback || sm != tc.sumFallback || ss != tc.selFallback {
+				t.Errorf("patch(%s) (%s): materialised = %v, under sum %v, under a selection %v; want %v, %v, %v",
+					tc.name, patched.Describe(), m, sm, ss, tc.fallback, tc.sumFallback, tc.selFallback)
 			}
 		})
 	}

@@ -29,7 +29,8 @@ func PointLookup(f *core.Form, row int64) (int64, error) {
 // gather writes f's values at the given row positions — ascending, each
 // inside [0, f.N) — into out, parallel to positions. Like push it is a
 // rewrite over the decomposed form, of positions instead of ranges:
-// models are indexed by segment, runs are walked to the position (the
+// models are indexed by segment (a line evaluated at the position's
+// offset in it), runs are walked to the position (the
 // lookup RPE gets for free, recovered for RLE by integrating its
 // lengths — Algorithm 1's first operation only, the paper's
 // partial-decompression reading), a sum of two columns gathers both, a
@@ -70,20 +71,31 @@ func (p *pushdown) gather(f *core.Form, positions, out []int64) error {
 		if err != nil {
 			return err
 		}
-		defer p.s.PutI64(refs)
-		var l leaf
-		if f.Scheme == scheme.FORName {
-			if l, err = p.leafOf(f.Children["offsets"]); err != nil {
-				return err
-			}
-			defer p.close(p.s)
-		}
 		segLen := f.Params["seglen"]
 		for i, pos := range positions {
 			out[i] = refs[pos/segLen]
-			if l != nil {
-				out[i] += l.at(int(pos))
-			}
+		}
+		p.s.PutI64(refs)
+		if f.Scheme == scheme.StepName {
+			return nil
+		}
+		return p.gatherAdd(f.Children["offsets"], positions, out)
+
+	case scheme.LinearName:
+		bases, err := core.ChildScratch(f, "bases", p.s)
+		if err != nil {
+			return err
+		}
+		defer p.s.PutI64(bases)
+		slopes, err := core.ChildScratch(f, "slopes", p.s)
+		if err != nil {
+			return err
+		}
+		defer p.s.PutI64(slopes)
+		segLen, frac := f.Params["seglen"], uint(f.Params["frac"])
+		for i, pos := range positions {
+			seg := pos / segLen
+			out[i] = scheme.LinearPredict(bases[seg], slopes[seg], int(pos-seg*segLen), frac)
 		}
 		return nil
 
@@ -91,15 +103,7 @@ func (p *pushdown) gather(f *core.Form, positions, out []int64) error {
 		if err := p.gather(f.Children["model"], positions, out); err != nil {
 			return err
 		}
-		residual := p.s.I64(len(positions))
-		defer p.s.PutI64(residual)
-		if err := p.gather(f.Children["residual"], positions, residual); err != nil {
-			return err
-		}
-		for i, r := range residual {
-			out[i] += r
-		}
-		return nil
+		return p.gatherAdd(f.Children["residual"], positions, out)
 
 	case scheme.DictName:
 		if err := p.gather(f.Children["codes"], positions, out); err != nil {
@@ -112,7 +116,7 @@ func (p *pushdown) gather(f *core.Form, positions, out []int64) error {
 		defer p.s.PutI64(dict)
 		for i, c := range out {
 			if c < 0 || c >= int64(len(dict)) {
-				return fmt.Errorf("%w: dict code %d out of range", core.ErrCorruptForm, c)
+				return errCode(c)
 			}
 			out[i] = dict[c]
 		}
@@ -150,6 +154,20 @@ func (p *pushdown) gather(f *core.Form, positions, out []int64) error {
 	defer p.close(p.s)
 	for i, pos := range positions {
 		out[i] = l.at(int(pos))
+	}
+	return nil
+}
+
+// gatherAdd adds f's values at positions to out: the gather of the
+// second column of a sum (for's offsets, plus's residual).
+func (p *pushdown) gatherAdd(f *core.Form, positions, out []int64) error {
+	vals := p.s.I64(len(positions))
+	defer p.s.PutI64(vals)
+	if err := p.gather(f, positions, vals); err != nil {
+		return err
+	}
+	for i, v := range vals {
+		out[i] += v
 	}
 	return nil
 }

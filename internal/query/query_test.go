@@ -271,6 +271,45 @@ func TestApproxSumBoundsContainTruth(t *testing.T) {
 	}
 }
 
+// TestApproxSumRefusesCorruptForms: a step model whose segment length
+// disagrees with its refs — zero, negative, or too short for them — is
+// refused by ApproxSum as decode refuses it, instead of indexing past
+// the refs. The model sits bare (step), under FOR's offsets (for), and
+// as the model of a plus.
+func TestApproxSumRefusesCorruptForms(t *testing.T) {
+	src := workload(7, 5000) // five 1024-row segments
+	for _, tc := range []struct {
+		name string
+		s    core.Scheme
+		step func(f *core.Form) *core.Form // the node holding seglen
+	}{
+		{"for", scheme.FORComposite(1024), func(f *core.Form) *core.Form { return f }},
+		{"step", scheme.Step{SegLen: 1024}, func(f *core.Form) *core.Form { return f }},
+		{"plus(model=step)", scheme.StepNS(1024), func(f *core.Form) *core.Form { return f.Children["model"] }},
+	} {
+		col := src
+		if tc.name == "step" {
+			col = make([]int64, len(src))
+			for i := range col {
+				col[i] = src[i-i%1024]
+			}
+		}
+		for _, segLen := range []int64{0, -3, 1} {
+			f, err := tc.s.Compress(col)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tc.step(f).Params["seglen"] = segLen
+			if _, err := core.Decompress(f); !errors.Is(err, core.ErrCorruptForm) {
+				t.Fatalf("%s, seglen %d: Decompress err = %v, want ErrCorruptForm", tc.name, segLen, err)
+			}
+			if _, err := ApproxSum(f); !errors.Is(err, core.ErrCorruptForm) {
+				t.Errorf("%s, seglen %d: ApproxSum err = %v, want ErrCorruptForm", tc.name, segLen, err)
+			}
+		}
+	}
+}
+
 func TestGradualSummerConvergence(t *testing.T) {
 	src := workload(6, 64*64)
 	want := vec.Sum(src)
@@ -428,7 +467,7 @@ func TestRLEOverrunningRuns(t *testing.T) {
 // TestCorruptRunBoundsSharedTable is the shared corrupt-payload table
 // for every consumer of RLE/RPE run bounds and of patch positions: the
 // scalar decode path (core.Decompress) and the pushed-down select and
-// aggregate verbs (SelectRange, CountRange, Sum, SumRange) must all
+// aggregate verbs (SelectRange, CountRange, Sum, SumRange, SumSel) must all
 // reject the same corrupt run sets and exception lists with the same
 // error class, core.ErrCorruptForm. A path that accepted what the
 // others reject would let a corrupt block answer differently depending
@@ -509,6 +548,11 @@ func TestCorruptRunBoundsSharedTable(t *testing.T) {
 			}
 			if _, _, err := SumRange(tc.f, 0, 100); !errors.Is(err, core.ErrCorruptForm) {
 				t.Errorf("SumRange: err = %v, want ErrCorruptForm", err)
+			}
+			every := sel.New(tc.f.N)
+			every.AddRun(0, tc.f.N)
+			if _, err := SumSel(tc.f, every, 0); !errors.Is(err, core.ErrCorruptForm) {
+				t.Errorf("SumSel: err = %v, want ErrCorruptForm", err)
 			}
 		})
 	}

@@ -19,7 +19,10 @@ import (
 // (leaf.go), packed words or materialised values, which is the only
 // place the three verbs differ. A composition nobody wrote a kernel for
 // is pushed down by construction, and count, select and sum cannot
-// disagree about a scheme because they share its rule.
+// disagree about a scheme because they share its rule. A fourth verb,
+// sum under a selection, has no range to move and so its own rule per
+// scheme (the table's right-hand column), but the same pushdown, leaves
+// and fallback.
 
 // Verb is what a pushdown does with the rows whose value is in range.
 type Verb uint8
@@ -28,12 +31,13 @@ const (
 	CountVerb  Verb = iota // count them
 	SumVerb                // count them and sum their values
 	selectVerb             // set their bits in a selection (SelectRangeSel)
+	sumSelVerb             // no range: sum the rows a selection holds (SumSel)
 )
 
 // answer is what a pushdown accumulates.
 type answer struct {
-	// count and sum are CountVerb's and SumVerb's result; sums wrap mod
-	// 2^64 like plain int64 addition.
+	// count and sum are CountVerb's and SumVerb's result, and sum is
+	// sumSelVerb's; sums wrap mod 2^64 like plain int64 addition.
 	count, sum int64
 	// stats counts the leaf ranges the walk classified and the ones it
 	// had to scan (SelectRangeFORWithStats reports it).
@@ -47,7 +51,8 @@ type answer struct {
 type pushdown struct {
 	verb Verb
 	answer
-	// selectVerb sets bit base+r of dst for a matching row r.
+	// dst holds row r of the form at bit base+r: selectVerb sets the
+	// bits of matching rows, sumSelVerb reads which rows to sum.
 	dst  *sel.Selection
 	base int
 	s    *core.Scratch
@@ -56,12 +61,18 @@ type pushdown struct {
 
 var pushdownPool = sync.Pool{New: func() any { return new(pushdown) }}
 
-// run pushes verb v with range [lo, hi] down f. The pushdown is
-// pooled, so the steady state allocates nothing.
+// run pushes verb v with range [lo, hi] down f (sumSelVerb takes no
+// range). The pushdown is pooled, so the steady state allocates
+// nothing.
 func run(v Verb, f *core.Form, lo, hi int64, dst *sel.Selection, base int, s *core.Scratch) (answer, error) {
 	p := pushdownPool.Get().(*pushdown)
 	*p = pushdown{verb: v, dst: dst, base: base, s: s}
-	err := p.push(f, lo, hi, 0)
+	var err error
+	if v == sumSelVerb {
+		p.sum, err = p.sumSel(f)
+	} else {
+		err = p.push(f, lo, hi, 0)
+	}
 	a := p.answer
 	*p = pushdown{}
 	pushdownPool.Put(p)
@@ -145,30 +156,52 @@ const (
 // lo ≤ v ≤ hi; under SumVerb a matching row contributes v + add (add is
 // what the schemes above f contribute to each of its rows). The switch
 // is the rewrite table: per scheme, the child range and the combinator.
+// Its right-hand column is the fourth verb, the sum of the rows a
+// selection holds (sumSel, sum.go): there is no range to move, and
+// every child is summed under the parent's selection unchanged, since
+// a constituent is position-aligned with its parent.
 //
-//	const   decides for the whole column from its one value
-//	rle/rpe test one value per run, expand matches by the run bounds
-//	step    a segment matches as a whole when its reference is in range
-//	for     v = ref + offset: per segment, the range moves by the
-//	        reference onto the offsets (window); segments the offsets'
-//	        width proves inside or outside are not scanned
-//	plus    v = model + residual: a const model moves the range once
-//	        and recurses; a step model is for's segment walk over the
-//	        residual
-//	dict    v = dict[code], dict sorted: value bounds become code
-//	        bounds, recurse into codes (count and select; a sum of
-//	        dict[code] is not a sum of codes)
-//	patch   run the verb on base, then correct it at the exception
-//	        positions
-//	ns/vns  a leaf: the fused kernels scan the packed words
+//	         range [lo, hi] (push)                  selection (sumSel)
+//	const    decides for the whole column from      value·|sel|
+//	         its one value
+//	rle/rpe  test one value per run, expand         Σ value·|sel ∩ run|
+//	         matches by the run bounds
+//	step     a segment matches as a whole when      Σ ref·|sel ∩ segment|
+//	         its reference is in range
+//	for      v = ref + offset: per segment, the     step's sum plus the
+//	         range moves by the reference onto      offsets' sum
+//	         the offsets (window); segments the
+//	         offsets' width proves inside or
+//	         outside are not scanned
+//	plus     v = model + residual: a const model    the model's sum plus
+//	         moves the range once and recurses; a   the residual's, for
+//	         step model is for's segment walk over  any model
+//	         the residual
+//	linear   —                                      the line evaluated at
+//	                                                the selected rows
+//	dict     v = dict[code], dict sorted: value     dict[code] summed over
+//	         bounds become code bounds, recurse     the selected rows
+//	         into codes (count and select; a sum
+//	         of dict[code] is not a sum of codes)
+//	patch    run the verb on base, then correct it  the base's sum, then
+//	         at the exception positions             values[i] − base at
+//	                                                the selected exceptions
+//	ns/vns   a leaf: the fused kernels scan the     a leaf: empty words
+//	         packed words                           skipped, full ones
+//	                                                summed in place, the
+//	                                                selected values of
+//	                                                others read or
+//	                                                unpacked and added
 //
 // Anything else is materialised and scanned as a plain leaf: delta (a
-// value is a prefix sum, so a range on values is no range on deltas),
-// linear and poly models and plus over them (the range on the residual
-// would change every row), varint and elias (byte and bit streams
-// without random access), a dict under sum, and any ns/vns layout the
-// kernels cannot take. That fallback is leaves.open, and exists once;
-// answer.materialised reports that it was taken.
+// value is a prefix sum, so a range on values is no range on deltas,
+// and a selection on values none on deltas), linear and poly models
+// and plus over them under a range (the range on the residual would
+// change every row), poly models under a selection, varint and elias
+// (byte and bit streams without random access), a dict under a range
+// sum, and any ns/vns layout the kernels cannot take. That fallback is
+// leaves.open, and exists once; answer.materialised reports that it
+// was taken.
 func (p *pushdown) push(f *core.Form, lo, hi, add int64) error {
 	if lo > hi || f.N == 0 {
 		return nil

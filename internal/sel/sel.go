@@ -229,13 +229,43 @@ func (s *Selection) CountRange(lo, hi int) int {
 	return c + bits.OnesCount64(s.words[lastWord]&(allOnes>>(64-endBits)))
 }
 
-// Words returns the selection's backing bitmap: word w holds rows
-// [64w, 64w+64), row i at bit i&63, and bits at or beyond n are
-// always zero. The slice is a live view — callers must treat it as
-// read-only and must not retain it past the selection's Release. It
-// exists for word-at-a-time consumers (masked aggregation over a
-// decoded block) that cannot afford a per-row callback.
-func (s *Selection) Words() []uint64 { return s.words }
+// Window returns the bits of rows [pos, pos+64) as one word, bit j
+// standing for row pos+j, with only the first n kept when fewer than
+// 64 remain (0 < n, pos+n <= Len). pos need not be word-aligned: it is
+// how consumers of a block's rows read a selection at the block's row
+// offset.
+func (s *Selection) Window(pos, n int) uint64 {
+	m := s.words[pos>>6] >> (uint(pos) & 63)
+	if pos&63 != 0 && pos>>6+1 < len(s.words) {
+		m |= s.words[pos>>6+1] << (64 - uint(pos)&63)
+	}
+	if n < 64 {
+		m &= 1<<uint(n) - 1
+	}
+	return m
+}
+
+// MaskedSum returns the wrapping sum of the vals[i] whose row pos+i is
+// selected, word-at-a-time: full words add 64 values branch-free,
+// sparse words walk their set bits. It is the masked aggregation over a
+// decoded block.
+func (s *Selection) MaskedSum(pos int, vals []int64) int64 {
+	var total int64
+	for r := 0; r < len(vals); r += 64 {
+		switch m := s.Window(pos+r, len(vals)-r); m {
+		case 0:
+		case allOnes:
+			for _, v := range vals[r : r+64] {
+				total += v
+			}
+		default:
+			for ; m != 0; m &= m - 1 {
+				total += vals[r+bits.TrailingZeros64(m)]
+			}
+		}
+	}
+	return total
+}
 
 // Count returns the number of selected rows (the rank of the full
 // domain), one popcount per word of the dirty span.

@@ -235,10 +235,10 @@ func (a *aggregation) foldLeaf(f *core.Form, b *blocked.Block, verb query.Verb) 
 }
 
 // addSums folds every sum column over chunk k's rows selected in local
-// — all of them when local is nil — into a.sums. A whole block with
-// every row selected sums on its compressed form; a leaf predicate over
-// the sum column itself pushes the sum verb down the form; everything
-// else masks the decoded values. A permanently unreadable block
+// — all of them when local is nil — into a.sums. A whole block sums on
+// its compressed form: all of it, the rows inside a leaf predicate over
+// the sum column itself, or the rows local selects. Only a chunk inside
+// a larger block masks decoded values. A permanently unreadable block
 // degrades in place: recorded, and only that column's contribution is
 // omitted.
 func (a *aggregation) addSums(k int, local *sel.Selection) error {
@@ -252,12 +252,14 @@ func (a *aggregation) addSums(k int, local *sel.Selection) error {
 			if err = ferr; err == nil {
 				_, v, err = a.foldLeaf(f, b, query.SumVerb)
 			}
+		} else if whole {
+			v, err = c.SumBlockSel(bi, local, 0)
 		} else {
 			sc := core.GetScratch()
 			var vals []int64
 			vals, err = a.p.load(sc, ci, k) // empty on error
 			if local != nil {
-				v = maskedSum(local, 0, vals)
+				v = local.MaskedSum(0, vals)
 			} else {
 				for _, x := range vals {
 					v += x

@@ -539,11 +539,11 @@ func (w *survivors) done() {
 	w.sc.Release()
 }
 
-// Sum returns the sum of the named column over the surviving rows,
-// late-materialized: blocks with no set bits are never fetched,
-// fully-selected blocks sum on their compressed form without
-// materializing, and only partially selected blocks decode (into
-// pooled scratch, so the steady state allocates nothing).
+// Sum returns the sum of the named column over the surviving rows
+// without decoding them: blocks with no set bits are never fetched,
+// fully-selected blocks sum on their compressed form, and partially
+// selected blocks push the selection down the form (query.SumSel), so
+// the steady state allocates nothing.
 func (s *Scan) Sum(col string) (int64, error) {
 	return s.SumContext(context.Background(), col)
 }
@@ -561,22 +561,20 @@ func (s *Scan) SumContext(ctx context.Context, col string) (int64, error) {
 	defer w.done()
 	for w.next() {
 		// One column: the walk's chunks are its blocks.
-		if c, bi, _ := w.blockOf(ci, w.k); w.hits == w.count {
-			v, err := c.SumBlock(bi)
-			if err != nil {
-				err = s.p.skipColumn(ci, bi, err)
-			}
-			if err != nil {
-				return 0, err
-			}
-			total += v
-			continue
+		c, bi, _ := w.blockOf(ci, w.k)
+		var v int64
+		if w.hits == w.count {
+			v, err = c.SumBlock(bi)
+		} else {
+			v, err = c.SumBlockSel(bi, s.sink.Dst, w.start)
 		}
-		vals, err := w.values(ci, &w.vals)
+		if err != nil {
+			err = s.p.skipColumn(ci, bi, err)
+		}
 		if err != nil {
 			return 0, err
 		}
-		total += maskedSum(s.sink.Dst, w.start, vals)
+		total += v
 	}
 	return total, w.err
 }
@@ -732,62 +730,23 @@ chunks:
 	return flush()
 }
 
-// window returns the selection bits of rows [pos, pos+64) as one word,
-// bit j standing for row pos+j, with only the first n kept when fewer
-// than 64 remain. It is how the masked walks below and selectChunk read
-// a selection at a row offset that need not be word-aligned.
-func window(words []uint64, pos, n int) uint64 {
-	m := words[pos>>6] >> (uint(pos) & 63)
-	if pos&63 != 0 && pos>>6+1 < len(words) {
-		m |= words[pos>>6+1] << (64 - uint(pos)&63)
-	}
-	if n < 64 {
-		m &= 1<<uint(n) - 1
-	}
-	return m
-}
-
 // maskedAppendRows appends the global positions of the set bits in
 // [start, start+count) to out, mirroring maskedAppend's walk.
 func maskedAppendRows(out []int64, bm *sel.Selection, start, count int) []int64 {
-	words := bm.Words()
 	for r := 0; r < count; r += 64 {
-		for m := window(words, start+r, count-r); m != 0; m &= m - 1 {
+		for m := bm.Window(start+r, count-r); m != 0; m &= m - 1 {
 			out = append(out, int64(start+r+bits.TrailingZeros64(m)))
 		}
 	}
 	return out
 }
 
-// maskedSum adds the values of vals (decoded at row offset start)
-// whose rows are set in bm, word-at-a-time: full words add 64 values
-// branch-free, sparse words walk their set bits. No callback, no
-// allocation.
-func maskedSum(bm *sel.Selection, start int, vals []int64) int64 {
-	words := bm.Words()
-	var total int64
-	for r := 0; r < len(vals); r += 64 {
-		switch m := window(words, start+r, len(vals)-r); m {
-		case 0:
-		case ^uint64(0):
-			for _, v := range vals[r : r+64] {
-				total += v
-			}
-		default:
-			for ; m != 0; m &= m - 1 {
-				total += vals[r+bits.TrailingZeros64(m)]
-			}
-		}
-	}
-	return total
-}
-
 // maskedAppend appends the selected values of vals (decoded at row
-// offset start) to out, mirroring maskedSum's word-at-a-time walk.
+// offset start) to out, mirroring Selection.MaskedSum's word-at-a-time
+// walk.
 func maskedAppend(out []int64, bm *sel.Selection, start int, vals []int64) []int64 {
-	words := bm.Words()
 	for r := 0; r < len(vals); r += 64 {
-		switch m := window(words, start+r, len(vals)-r); m {
+		switch m := bm.Window(start+r, len(vals)-r); m {
 		case 0:
 		case ^uint64(0):
 			out = append(out, vals[r:r+64]...)
