@@ -24,7 +24,9 @@ import (
 // once, to produce the form. Heuristic prices prove nothing: the
 // default search lets them exclude all but the top few candidates,
 // the Exhaustive search does not, and that is the only difference
-// between the two.
+// between the two. What a heuristic-priced candidate's form provably
+// cannot undercut is its floor (SizeFloorer), and a floor excludes it
+// the way a LowerBound price does, in both searches.
 
 // Candidate is one point in the composite-scheme space: a description
 // and a compressor.
@@ -59,10 +61,10 @@ type Choice struct {
 	// Ranking holds per-candidate evaluations, in input order, for
 	// reporting. A candidate the search did not compress — excluded
 	// by the shortlist, or proved unable to win by an Exact or
-	// LowerBound price — carries only that price (EstBits, EstBound)
-	// with Trialed unset; one that failed, or that the stats prove
-	// must fail (EstBits == ImpossibleBits, an ErrNotRepresentable),
-	// carries Err.
+	// LowerBound price or by its floor — carries only that price
+	// (EstBits, EstBound) and floor (EstFloor) with Trialed unset; one
+	// that failed, or that the stats prove must fail (EstBits ==
+	// ImpossibleBits, an ErrNotRepresentable), carries Err.
 	Ranking []RankEntry
 }
 
@@ -81,6 +83,13 @@ type RankEntry struct {
 	EstBits uint64
 	// EstBound says what EstBits proves about the encoded size.
 	EstBound Bound
+	// EstFloor is a size in bits the encoded size is proved never to
+	// fall below (SizeFloorer). It is computed only for a candidate the
+	// search considered whose price is Heuristic, and only when the
+	// search ran over the whole column (and, for a floor that needs
+	// another pass over it, exhaustively); 0 means none was computed
+	// or proved.
+	EstFloor uint64
 	// Trialed reports whether the candidate was compressed and
 	// evaluated; when it was not, EstBits is all that is known.
 	Trialed bool
@@ -154,25 +163,51 @@ func (a *Analyzer) compressCand(c *Candidate, data []int64) (*Form, error) {
 var errProvedImpossible = fmt.Errorf("%w: proved by the block statistics", ErrNotRepresentable)
 
 // price fills in the stats-predicted size of every candidate that
-// has one, collecting the stats of src first when none were supplied.
-func (a *Analyzer) price(rank []RankEntry, src []int64) {
+// has one and returns the stats it priced from: a.Stats, or — when
+// none were supplied and some candidate has a price — those of src
+// collected into local, whose segment arrays the caller releases.
+func (a *Analyzer) price(rank []RankEntry, src []int64, local *BlockStats) *BlockStats {
 	st := a.Stats
-	var local BlockStats
 	for i := range a.Candidates {
 		sch := a.Candidates[i].Scheme
 		if _, ok := sch.(SizeEstimator); !ok {
 			continue
 		}
 		if st == nil {
-			local = CollectStats(src, a.Scratch)
-			st = &local
+			*local = CollectStats(src, a.Scratch)
+			st = local
 		}
 		if bits, kind, ok := EstimateOf(sch, st); ok {
 			rank[i].EstBits, rank[i].EstBound = bits, kind
 		}
 	}
-	if st == &local {
-		local.ReleaseSeg(a.Scratch)
+	return st
+}
+
+// floor fills in the floor of every candidate in visit whose price
+// proves nothing. A floor that needs one more pass over the column
+// (BlockStats.Curvature, a quarter of what CollectStats costs) gets
+// it only in the exhaustive search, which must settle every
+// candidate: there the floors read a private copy of st that carries
+// src, and the pass one of them takes is cached for the rest. The
+// default search visits a few candidates its estimates ranked, and
+// the one such floor there is (the sloped model's) would mostly pay
+// for a candidate that is compressed first, with nothing yet to lose
+// to.
+func (a *Analyzer) floor(rank []RankEntry, visit []int, st *BlockStats, src []int64) {
+	fst := st
+	for _, idx := range visit {
+		e := &rank[idx]
+		fl, ok := a.Candidates[idx].Scheme.(SizeFloorer)
+		if !ok || e.EstBound != Heuristic || e.EstBits == ImpossibleBits {
+			continue
+		}
+		if a.Exhaustive && fst == st {
+			fst = new(BlockStats)
+			*fst = *st
+			fst.column = src
+		}
+		e.EstFloor = fl.SizeFloor(fst, nil)
 	}
 }
 
@@ -234,8 +269,12 @@ func (a *Analyzer) Best(src []int64) (*Choice, error) {
 	for i := range a.Candidates {
 		rank[i].Desc = a.Candidates[i].Desc
 	}
+	var st *BlockStats
+	var local BlockStats
 	if whole || !a.Exhaustive {
-		a.price(rank, src)
+		if st = a.price(rank, src, &local); st == &local {
+			defer local.ReleaseSeg(a.Scratch)
+		}
 	}
 
 	// order is the candidates in preference order — input order under
@@ -255,19 +294,23 @@ func (a *Analyzer) Best(src []int64) (*Choice, error) {
 		pos[idx] = p
 	}
 
-	// Visit the shortlist in ascending order of the size each price
-	// proves the candidate cannot undercut (nothing, for a heuristic
-	// or a sampled search), compressing one only while that bound can
-	// still beat the incumbent. The winner has the smallest bound that
-	// is also a size, so everything it beats is passed over unvisited
-	// and an Exact price is compressed only to produce the winning
-	// form. Past the shortlist the search continues, in preference
-	// order, only until some candidate is admissible.
+	// Visit the shortlist in ascending order of the size each candidate
+	// is proved unable to undercut — what its price proves or, for a
+	// heuristic price, its floor; nothing, in a sampled search —
+	// compressing one only while that bound can still beat the
+	// incumbent. The winner has the smallest bound that is also a size,
+	// so everything it beats is passed over unvisited and an Exact
+	// price is compressed only to produce the winning form. Past the
+	// shortlist the search continues, in preference order, only until
+	// some candidate is admissible.
+	if whole && st != nil {
+		a.floor(rank, order[:short], st, src)
+	}
 	bound := func(idx int) uint64 {
 		if e := &rank[idx]; whole && e.EstBound != Heuristic {
 			return e.EstBits
 		}
-		return 0
+		return rank[idx].EstFloor
 	}
 	slices.SortStableFunc(order[:short], func(x, y int) int { return cmp.Compare(bound(x), bound(y)) })
 	bestIdx := -1

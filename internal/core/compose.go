@@ -47,6 +47,11 @@ func (c *Composite) Name() string {
 	return out + ")"
 }
 
+// Parts returns the outer scheme and the inner schemes keyed by the
+// constituent they compress. The map is the composite's own; callers
+// must not modify it.
+func (c *Composite) Parts() (outer Scheme, inner map[string]Scheme) { return c.outer, c.inner }
+
 // Compress is CompressScratch with an arena from the pool.
 func (c *Composite) Compress(src []int64) (*Form, error) { return CompressPooled(c, src) }
 

@@ -47,6 +47,21 @@ type SizeEstimator interface {
 	EstimateSize(st *BlockStats) (bits uint64, kind Bound)
 }
 
+// SizeFloorer is implemented by schemes (and composites) whose price
+// proves nothing (Heuristic) but whose form the stats still bound from
+// below. The analyzer never compresses a candidate whose floor already
+// loses to a size it has measured, so a floor must be proven: it may
+// never exceed Form.PayloadBits of the form the scheme compresses a
+// column with these stats to.
+type SizeFloorer interface {
+	// SizeFloor returns a size in bits that the form of compressing a
+	// column with stats st cannot undercut, or 0 when the stats prove
+	// none. inner names the schemes composed over the scheme's
+	// constituent columns (nil for a bare scheme, whose constituents
+	// stay ID leaves); PartFloor prices one such constituent.
+	SizeFloor(st *BlockStats, inner map[string]Scheme) uint64
+}
+
 // ImpossibleBits is the EstimateSize sentinel for "the stats prove
 // compression would fail" (for example CONST on a column with more
 // than one run). Such candidates rank last and are never compressed.
@@ -130,13 +145,7 @@ func (c *Composite) EstimateSize(st *BlockStats) (bits uint64, kind Bound) {
 	total := selfBits
 	for i := range children {
 		ch := &children[i]
-		inner, composed := c.inner[ch.Name]
-		if !composed {
-			// The child stays the ID form the outer emitted.
-			total = SatAddBits(total, SatAddBits(FormOverheadBits(0), uint64(ch.Stats.N)*64))
-			continue
-		}
-		cb, ckind, cok := EstimateOf(inner, &ch.Stats)
+		cb, ckind, cok := partPrice(ch.Name, &ch.Stats, c.inner)
 		if !cok {
 			return 0, Heuristic
 		}
@@ -144,4 +153,42 @@ func (c *Composite) EstimateSize(st *BlockStats) (bits uint64, kind Bound) {
 		kind = min(kind, ckind)
 	}
 	return total, kind
+}
+
+// partPrice prices the constituent column name, with stats st, as a
+// composition with inner over its parent stores it: the ID form the
+// outer emitted when no inner names it, else the inner scheme's price.
+func partPrice(name string, st *BlockStats, inner map[string]Scheme) (bits uint64, kind Bound, ok bool) {
+	in, composed := inner[name]
+	if !composed {
+		return SatAddBits(FormOverheadBits(0), uint64(st.N)*64), Exact, true
+	}
+	return EstimateOf(in, st)
+}
+
+// PartFloor is the floor half of partPrice, for SizeFloor
+// implementations: what the constituent column name costs at least
+// when its true stats are nowhere below st in a field its price reads.
+// It is the uncomposed ID leaf's size, or the composed inner scheme's
+// Exact or LowerBound price; ok is false when that price proves
+// nothing. The ID, NS and RLE prices never fall as N, Max, Runs or
+// MaxRunLen rise with Min held, which is what lets a caller state
+// smaller child stats than it can know and still price a floor.
+func PartFloor(name string, st *BlockStats, inner map[string]Scheme) (uint64, bool) {
+	bits, kind, ok := partPrice(name, st, inner)
+	if !ok || kind == Heuristic || bits == ImpossibleBits {
+		return 0, false
+	}
+	return bits, true
+}
+
+// SizeFloor implements SizeFloorer for compositions: the outer scheme
+// bounds the composition from below, pricing its constituents through
+// the composite's inner schemes.
+func (c *Composite) SizeFloor(st *BlockStats, inner map[string]Scheme) uint64 {
+	f, ok := c.outer.(SizeFloorer)
+	if !ok || len(inner) > 0 {
+		return 0
+	}
+	return f.SizeFloor(st, c.inner)
 }

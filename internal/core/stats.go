@@ -71,7 +71,11 @@ type BlockStats struct {
 	// Distinct is a linear-counting estimate of the distinct-value
 	// count, saturating at DistinctCap+1.
 	Distinct int
-	// HasDistinct reports Distinct validity.
+	// DistinctFloor is the number of bits the distinct values set in
+	// the linear-counting sketch. Every set bit was set by at least one
+	// distinct value, so the true distinct count is never below it.
+	DistinctFloor int
+	// HasDistinct reports Distinct/DistinctFloor validity.
 	HasDistinct bool
 
 	// SegLen is the base segment granularity of SegMin/SegMax
@@ -94,6 +98,13 @@ type BlockStats struct {
 	// understate the final min-referenced offsets, so estimates err
 	// toward trialing the patched candidate.
 	OffsetHist bitpack.WidthHistogram
+
+	// column is the column these stats describe, set only on the
+	// exhaustive search's private copy while it computes floors, so
+	// Curvature can take its one extra pass; curvature caches it.
+	column         []int64
+	curvature      uint64
+	curvatureKnown bool
 }
 
 // StatsSegLen is the base granularity of BlockStats.SegMin/SegMax.
@@ -250,6 +261,7 @@ func CollectStats(src []int64, s *Scratch) BlockStats {
 		ones += bits.OnesCount64(w)
 	}
 	s.PutU64(sketch)
+	st.DistinctFloor = ones
 	const m = 1 << distinctSketchLogBits
 	if ones >= m {
 		st.Distinct = DistinctCap + 1
@@ -316,6 +328,34 @@ func (st *BlockStats) NSShape() (w uint, zigzag bool) {
 		return wmax, true
 	}
 	return bitpack.Width(uint64(st.Max)), false
+}
+
+// curvatureLimit bounds the values Curvature measures: inside
+// ±2^60 every second difference fits an int64.
+const curvatureLimit = 1 << 60
+
+// Curvature returns Δ, the largest |x[i] − 2x[i+1] + x[i+2]| over the
+// triples of consecutive elements that lie inside one base segment
+// (StatsSegLen rows), taking one pass over the column the first time
+// it is asked. ok is false when the column is not at hand (only the
+// exhaustive search's floor computation carries it) or holds a value
+// beyond ±2^60.
+func (st *BlockStats) Curvature() (delta uint64, ok bool) {
+	if st.column == nil || st.Min < -curvatureLimit || st.Max > curvatureLimit {
+		return 0, false
+	}
+	if !st.curvatureKnown {
+		var most int64
+		for lo := 0; lo < len(st.column); lo += StatsSegLen {
+			seg := st.column[lo:min(lo+StatsSegLen, len(st.column))]
+			for i := 2; i < len(seg); i++ {
+				d := seg[i-2] - 2*seg[i-1] + seg[i]
+				most = max(most, (d^d>>63)-d>>63)
+			}
+		}
+		st.curvature, st.curvatureKnown = uint64(most), true
+	}
+	return st.curvature, true
 }
 
 // SegFold folds the base per-segment extremes up to segment length

@@ -124,6 +124,7 @@ func collectStatsReference(src []int64) BlockStats {
 		ones += bits.OnesCount64(w)
 	}
 	s.PutU64(sketch)
+	st.DistinctFloor = ones
 	const m = 1 << distinctSketchLogBits
 	if ones >= m {
 		st.Distinct = DistinctCap + 1
@@ -149,7 +150,7 @@ func TestCollectStatsSmall(t *testing.T) {
 		Runs: 3, MaxRunLen: 3, HasRuns: true,
 		RunDeltaMin: -2, RunDeltaMax: 6, HasRunDeltas: true,
 		DeltaMin: -2, DeltaMax: 6, SumAbsDelta: 8, HasDeltas: true,
-		HasValueHist: true, Distinct: 3, HasDistinct: true,
+		HasValueHist: true, Distinct: 3, DistinctFloor: 3, HasDistinct: true,
 		SegLen: StatsSegLen, SegMin: []int64{3}, SegMax: []int64{9},
 		OffsetSegLen: StatsProbeSegLen,
 	}
@@ -202,5 +203,49 @@ func TestCollectStatsMatchesReference(t *testing.T) {
 		}
 		pooled.ReleaseSeg(s)
 		s.Release()
+	}
+}
+
+// TestCurvature pins the floors' extra pass to its definition — the
+// widest second difference over the triples inside one base segment —
+// and to its refusals: no column at hand, or a value beyond ±2^60.
+func TestCurvature(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, n := range []int{0, 1, 2, 3, 127, 128, 129, 130, 131, 1000} {
+		src := make([]int64, n)
+		for i := range src {
+			src[i] = rng.Int63n(1<<20) - 1<<19
+		}
+		var want uint64
+		for i := 0; i+2 < n; i++ {
+			if i/StatsSegLen == (i+2)/StatsSegLen {
+				d := src[i] - 2*src[i+1] + src[i+2]
+				want = max(want, uint64(max(d, -d)))
+			}
+		}
+		st := CollectStats(src, nil)
+		if _, ok := st.Curvature(); ok {
+			t.Fatalf("n=%d: curvature without the column", n)
+		}
+		st.column = src
+		if got, ok := st.Curvature(); !ok || got != want {
+			t.Fatalf("n=%d: curvature = %d, %v; want %d", n, got, ok, want)
+		}
+	}
+	// Lines that jump at every segment boundary curve only across it.
+	saw := make([]int64, 3*StatsSegLen)
+	for i := range saw {
+		saw[i] = int64(i%StatsSegLen) * 1000
+	}
+	st := CollectStats(saw, nil)
+	st.column = saw
+	if got, ok := st.Curvature(); !ok || got != 0 {
+		t.Fatalf("sawtooth curvature = %d, %v; want 0", got, ok)
+	}
+	wide := []int64{0, 1 << 61, 0}
+	st = CollectStats(wide, nil)
+	st.column = wide
+	if _, ok := st.Curvature(); ok {
+		t.Fatal("curvature over a value beyond 2^60")
 	}
 }

@@ -189,14 +189,41 @@ func (Dict) ConstituentStats(st *core.BlockStats) (uint64, []core.PredictedChild
 	if !st.HasMinMax || !st.HasDistinct {
 		return 0, nil, false, false
 	}
-	d := st.Distinct
-	if d > st.N {
-		d = st.N
+	codes, dict := dictParts(st, st.Distinct)
+	return core.FormOverheadBits(0), []core.PredictedChild{
+		{Name: "codes", Stats: codes},
+		{Name: "dict", Stats: dict},
+	}, false, true
+}
+
+// SizeFloor implements core.SizeFloorer: ConstituentStats evaluated at
+// st.DistinctFloor, the sketch's set-bit count, which never exceeds
+// the true distinct count D. The codes are the ranks 0…D−1, each
+// present, and run exactly as the values do; the sorted dictionary
+// holds D values spanning the column's Min and Max. So the children
+// stated at that count have the true Min, Runs and MaxRunLen and an N
+// and Max no larger than the true ones, and the inner prices PartFloor
+// reads (ID, NS, RLE over NS) cannot exceed the true children's sizes.
+func (Dict) SizeFloor(st *core.BlockStats, inner map[string]core.Scheme) uint64 {
+	if !st.HasMinMax || !st.HasDistinct {
+		return 0
 	}
-	if st.N > 0 && d < 1 {
-		d = 1
+	codes, dict := dictParts(st, st.DistinctFloor)
+	cb, cok := core.PartFloor("codes", &codes, inner)
+	db, dok := core.PartFloor("dict", &dict, inner)
+	if !cok || !dok {
+		return 0
 	}
-	var codes, dict core.BlockStats
+	return core.FormOverheadBits(0) + cb + db
+}
+
+// dictParts states the codes and dictionary columns of a column with d
+// distinct values (clamped to [1, N] for a non-empty column).
+func dictParts(st *core.BlockStats, d int) (codes, dict core.BlockStats) {
+	d = min(d, st.N)
+	if st.N > 0 {
+		d = max(d, 1)
+	}
 	codes.N = st.N
 	codes.HasMinMax = true
 	dict.N = d
@@ -210,10 +237,7 @@ func (Dict) ConstituentStats(st *core.BlockStats) (uint64, []core.PredictedChild
 		codes.MaxRunLen = st.MaxRunLen
 		codes.HasRuns = true
 	}
-	return core.FormOverheadBits(0), []core.PredictedChild{
-		{Name: "codes", Stats: codes},
-		{Name: "dict", Stats: dict},
-	}, false, true
+	return codes, dict
 }
 
 func checkDict(f *core.Form) error {

@@ -31,6 +31,12 @@ var (
 	_ core.ConstituentStatser = Dict{}
 	_ core.ConstituentStatser = Plus{}
 	_ core.ConstituentStatser = Patch{}
+
+	// The four heuristic prices, each backed by a proven floor.
+	_ core.SizeFloorer = VNS{}
+	_ core.SizeFloorer = Dict{}
+	_ core.SizeFloorer = Plus{}
+	_ core.SizeFloorer = Patch{}
 )
 
 // nsFormBits is the exact analytic size of an NS form over n values

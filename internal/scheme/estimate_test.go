@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
@@ -44,35 +46,45 @@ func estimateWorkload(kind uint8, n int, param uint8, seed int64) []int64 {
 }
 
 // checkEstimates asserts that every candidate's price proves what its
-// bound kind claims: an exact estimate equals the actual encoded
+// bound kind claims — an exact estimate equals the actual encoded
 // size, a lower bound is never above it, and an ImpossibleBits
-// candidate really fails.
-func checkEstimates(t *testing.T, data []int64, st *core.BlockStats) {
+// candidate really fails — and that no floor is above the actual
+// size. The candidates are DefaultCandidates plus extra; their floors
+// are the ones an exhaustive search over data reports.
+func checkEstimates(t *testing.T, data []int64, st *core.BlockStats, extra ...core.Candidate) {
 	t.Helper()
-	for _, c := range DefaultCandidates(st) {
-		if c.Scheme == nil {
-			continue
+	cands := append(DefaultCandidates(st), extra...)
+	floors := make([]uint64, len(cands))
+	if choice, err := (&core.Analyzer{Candidates: cands, Exhaustive: true, Stats: st}).Best(data); err == nil {
+		for i, r := range choice.Ranking {
+			floors[i] = r.EstFloor
 		}
+	}
+	for i, c := range cands {
 		bits, kind, ok := core.EstimateOf(c.Scheme, st)
-		if !ok || kind == core.Heuristic {
+		proves := ok && kind != core.Heuristic
+		if !proves && floors[i] == 0 {
 			continue
 		}
 		form, err := c.Compress(data)
-		if bits == core.ImpossibleBits {
+		if proves && bits == core.ImpossibleBits {
 			if !errors.Is(err, core.ErrNotRepresentable) {
 				t.Errorf("%s: estimate says impossible but compression returned %v", c.Desc, err)
 			}
 			continue
 		}
 		if err != nil {
-			if kind == core.Exact {
+			if proves && kind == core.Exact {
 				t.Errorf("%s: exact estimate %d bits but compression failed: %v", c.Desc, bits, err)
 			}
 			continue
 		}
 		got := form.PayloadBits()
-		if kind == core.Exact && got != bits || got < bits {
+		if proves && (kind == core.Exact && got != bits || got < bits) {
 			t.Errorf("%s: %s estimate %d bits, actual %d", c.Desc, kind, bits, got)
+		}
+		if floors[i] > got {
+			t.Errorf("%s: floor %d bits, actual %d", c.Desc, floors[i], got)
 		}
 	}
 }
@@ -260,6 +272,95 @@ func TestExactEstimatesMatchActual(t *testing.T) {
 				checkPrunedVsExhaustive(t, data, &st, 0)
 				checkPrunedVsExhaustive(t, data, &st, n/3)
 			})
+		}
+	}
+}
+
+// TestFloorsHoldOnExtremeValues drives the floors over columns at the
+// edges of int64, where an offset, a second difference or a model fit
+// can wrap, and over extra candidates whose shapes take a floor (a
+// wider VNS mini-block, sloped models at other segment lengths and
+// fraction widths, a dictionary the stats gate would leave out).
+// Every floor must stay at or below the size its candidate compresses
+// to.
+func TestFloorsHoldOnExtremeValues(t *testing.T) {
+	const n = 3000
+	rng := rand.New(rand.NewSource(5))
+	column := func(f func(i int) int64) []int64 {
+		out := make([]int64, n)
+		for i := range out {
+			out[i] = f(i)
+		}
+		return out
+	}
+	var walk int64
+	cols := []struct {
+		name string
+		data []int64
+	}{
+		{"maxint-mix", column(func(int) int64 {
+			return []int64{math.MaxInt64, math.MinInt64, 0, -1, 1}[rng.Intn(5)]
+		})},
+		{"full-range", column(func(int) int64 { return int64(rng.Uint64()) })},
+		{"near-max-walk", column(func(i int) int64 {
+			if i == 0 {
+				walk = math.MaxInt64 - 40
+			}
+			walk += rng.Int63n(21) - 10 // wraps past MaxInt64
+			return walk
+		})},
+		{"min-spikes", column(func(int) int64 {
+			if rng.Intn(100) == 0 {
+				return math.MinInt64 + rng.Int63n(4)
+			}
+			return rng.Int63n(1 << 10)
+		})},
+		{"huge-slope", column(func(i int) int64 { return int64(i) << 52 })},
+		{"steep-line", column(func(i int) int64 { return int64(i)<<28 + rng.Int63n(1<<12) - 1<<40 })},
+		{"domain-edge", column(func(i int) int64 { return (1<<41 - 1) - int64(i%7)*(1<<38) })},
+		{"narrow-line", column(func(i int) int64 { return int64(i)<<14 - rng.Int63n(1<<8) })},
+		// Exact lines that jump every 128 rows (the stats segment) and
+		// every 100 (a model segment that is not a multiple of it): a
+		// triple across a jump says nothing about the residual.
+		{"sawtooth-128", column(func(i int) int64 { return int64(i%128) * 1000 })},
+		{"sawtooth-100", column(func(i int) int64 { return int64(i%100) * 1000 })},
+	}
+	extra := []core.Candidate{
+		core.FromScheme(DictComposite()),
+		core.FromScheme(VNS{Block: 256}),
+		core.FromScheme(LinearNS(128)),
+		core.FromScheme(modelNS(Linear{SegLen: 256, Frac: 30})),
+		core.FromScheme(modelNS(Linear{SegLen: 384, Frac: 1})),
+		core.FromScheme(LinearNS(100)),
+	}
+	for _, c := range cols {
+		for _, m := range []int{1, 3, 130, n} {
+			data := c.data[:m]
+			st := core.CollectStats(data, nil)
+			checkEstimates(t, data, &st, extra...)
+		}
+	}
+}
+
+// TestExhaustiveSearchPrunes pins what the floors spare the
+// compactor: on every maintenance shape, the exhaustive search over a
+// default-size block compresses at most two candidates (before floors,
+// every heuristic-priced candidate was compressed: three to six).
+func TestExhaustiveSearchPrunes(t *testing.T) {
+	for _, sh := range workload.MaintainShapes(1<<16, 1) {
+		st := core.CollectStats(sh.Data, nil)
+		choice, err := (&core.Analyzer{Candidates: DefaultCandidates(&st), Exhaustive: true, Stats: &st}).Best(sh.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var compressed []string
+		for _, r := range choice.Ranking {
+			if r.Trialed || r.Err != nil && r.EstBits != core.ImpossibleBits {
+				compressed = append(compressed, r.Desc)
+			}
+		}
+		if len(compressed) > 2 {
+			t.Errorf("%s: exhaustive search compressed %d candidates: %v", sh.Name, len(compressed), compressed)
 		}
 	}
 }

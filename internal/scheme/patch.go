@@ -3,6 +3,7 @@ package scheme
 import (
 	"cmp"
 	"fmt"
+	"math"
 
 	"lwcomp/internal/bitpack"
 	"lwcomp/internal/core"
@@ -193,6 +194,71 @@ func (p Patch) ConstituentStats(st *core.BlockStats) (uint64, []core.PredictedCh
 		{Name: "positions", Stats: exceptions},
 		{Name: "values", Stats: exceptions},
 	}, false, true
+}
+
+// SizeFloor implements core.SizeFloorer for the step model patching a
+// base of FOR at the model's segment length, with the exception lists
+// left uncomposed — PFORComposite's shape.
+//
+// The step fit's residuals are FOR's minimum-referenced offsets, and a
+// segment's minimum (offset 0) is never an exception, so the patched
+// base keeps every segment minimum: its refs are exactly the ones
+// SegFold gives. Let the patch width be w and w* ≤ w the widest offset
+// that is not an exception. The base's offsets are those offsets plus
+// zeros, so they pack at w*; and since no offset is wider than w* but
+// not wider than w, the exceptions are exactly the E(w*) offsets wider
+// than w*. The size is therefore
+//
+//	patch + for + refs + offsets at w* + 2·ID(E(w*))
+//
+// which is at least the minimum of that expression over every w. Each
+// OffsetHist offset is taken from a running segment minimum no lower
+// than the true one, so it is never wider than the true offset and the
+// histogram's exception counts never exceed E. The refs and offsets
+// are priced through the base's inner schemes with PartFloor.
+func (p Patch) SizeFloor(st *core.BlockStats, inner map[string]core.Scheme) uint64 {
+	step, ok := p.Model.(Step)
+	if !ok || !st.HasMinMax || st.N == 0 || len(inner) != 1 {
+		return 0
+	}
+	base, ok := inner["base"].(*core.Composite)
+	if !ok {
+		return 0
+	}
+	segLen, err := segLenOf(StepName, step.SegLen)
+	if err != nil || st.OffsetSegLen != segLen || st.OffsetHist.N != st.N {
+		return 0
+	}
+	outer, parts := base.Parts()
+	if f, ok := outer.(FOR); !ok || cmp.Or(f.SegLen, DefaultSegmentLength) != segLen {
+		return 0
+	}
+	maxOff, refMin, refMax, ok := st.SegFold(segLen)
+	if !ok || maxOff > math.MaxInt64 {
+		return 0
+	}
+	refs := core.BlockStats{N: segments(st.N, segLen), HasMinMax: true, Min: refMin, Max: refMax}
+	rb, ok := core.PartFloor("refs", &refs, parts)
+	if !ok {
+		return 0
+	}
+	fixed := core.FormOverheadBits(0) + core.FormOverheadBits(1) + rb
+	offsets := core.BlockStats{N: st.N, HasMinMax: true}
+	h := &st.OffsetHist
+	floor := uint64(core.ImpossibleBits)
+	w := bitpack.Width(maxOff)
+	for exc := h.ExceptionsAt(w); ; w-- {
+		offsets.Max = int64(bitpack.Mask(w))
+		ob, ok := core.PartFloor("offsets", &offsets, parts)
+		if !ok {
+			return 0
+		}
+		floor = min(floor, fixed+ob+2*leafBits(exc))
+		if w == 0 {
+			return floor
+		}
+		exc += h.Counts[w]
+	}
 }
 
 // DecompressInto decodes the base into dst and scatters the exception

@@ -141,6 +141,54 @@ func (p Plus) ConstituentStats(st *core.BlockStats) (uint64, []core.PredictedChi
 		exact && fits, true
 }
 
+// SizeFloor implements core.SizeFloorer for the linear model, whose
+// residuals the block stats do not settle but bound from below.
+//
+// Inside one model segment the predictions are p_j = b + ⌊s·j/2^f⌋.
+// With a_j = s·j/2^f, whose second differences vanish, p's second
+// difference is −({a_j} − 2{a_{j+1}} + {a_{j+2}}), an integer strictly
+// between −2 and 2. Fit makes every residual r_j = x_j − p_j
+// non-negative (the Model contract), so with R the widest residual,
+// r's second differences lie in [−2R, 2R] and every triple of x inside
+// one segment has |x_i − 2x_{i+1} + x_{i+2}| ≤ 2R + 1. A segment length
+// that is a multiple of StatsSegLen puts every triple Curvature
+// measures inside one model segment, so R ≥ ⌈(Δ−1)/2⌉ = ⌊Δ/2⌋, and the
+// residual column, priced through PartFloor with that Max, costs at
+// least what it states. The model form's size follows from its shape.
+// Δ costs a pass over the column, which only the exhaustive search
+// takes; elsewhere there is no floor.
+//
+// All of that is integer arithmetic only while the fit cannot wrap.
+// With every |x| ≤ V, a segment of n values has a least-squares slope
+// of at most 12V/(n+1) in magnitude (13V/n leaves room for float
+// rounding), so |s·j| ≤ 13V·2^f + n, and the base, predictions and
+// residuals stay within 44V + 2n + 4. V < 2^(57−f) keeps all of them
+// inside an int64; outside that range there is no floor.
+func (p Plus) SizeFloor(st *core.BlockStats, inner map[string]core.Scheme) uint64 {
+	l, ok := p.Model.(Linear)
+	if !ok || !st.HasMinMax || st.N == 0 {
+		return 0
+	}
+	segLen, frac, err := l.params()
+	if err != nil || segLen%core.StatsSegLen != 0 {
+		return 0
+	}
+	if lim := int64(1) << (57 - frac); st.Min <= -lim || st.Max >= lim {
+		return 0
+	}
+	delta, ok := st.Curvature()
+	if !ok {
+		return 0
+	}
+	_, modelBits, _ := l.shape(st.N)
+	residual, _ := offsetStats(st.N, delta/2)
+	rb, ok := core.PartFloor("residual", &residual, inner)
+	if !ok {
+		return 0
+	}
+	return core.FormOverheadBits(0) + modelBits + rb
+}
+
 // offsetStats describes n non-negative offsets whose widest is maxOff
 // (and, for n > 0, whose narrowest is 0 — each segment's reference is
 // its minimum). Past MaxInt64 the column wraps negative and only its

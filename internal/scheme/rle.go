@@ -196,7 +196,7 @@ func runValueStats(st *core.BlockStats) core.BlockStats {
 		cs.HasRunDeltas = true
 	}
 	if st.HasDistinct {
-		cs.Distinct = st.Distinct
+		cs.Distinct, cs.DistinctFloor = st.Distinct, st.DistinctFloor
 		cs.HasDistinct = true
 	}
 	return cs

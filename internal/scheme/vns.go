@@ -1,7 +1,9 @@
 package scheme
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"lwcomp/internal/bitpack"
 	"lwcomp/internal/core"
@@ -175,6 +177,43 @@ func (s VNS) EstimateSize(st *core.BlockStats) (uint64, core.Bound) {
 		words += uint64(bitpack.PackedWords(rem, w))
 	}
 	return core.FormOverheadBits(2) + leafBits(nblocks) + words*64, core.Heuristic
+}
+
+// SizeFloor implements core.SizeFloorer, exactly, when the mini-block
+// length is a multiple of the stats' base segment length (the default
+// 128 is StatsSegLen). VNS zigzags iff some value is negative, i.e.
+// iff st.Min < 0. A mini-block then covers whole base segments, so its
+// extremes fold from SegMin/SegMax, and its width is the width of its
+// widest packed value: the larger zigzag of its two extremes (zigzag
+// falls toward zero and rises away from it, so its maximum over an
+// interval sits at an end), or its raw maximum when nothing is
+// negative. That gives every payload word, and the widths column's
+// exact extremes price it through PartFloor. The sum is the size.
+func (s VNS) SizeFloor(st *core.BlockStats, inner map[string]core.Scheme) uint64 {
+	block := cmp.Or(s.Block, DefaultVNSBlock)
+	if block < 1 || !st.HasMinMax || st.N == 0 || st.SegLen <= 0 || block%st.SegLen != 0 ||
+		len(st.SegMin) != segments(st.N, st.SegLen) {
+		return 0
+	}
+	zig := st.Min < 0
+	group := block / st.SegLen
+	widths := core.BlockStats{N: segments(st.N, block), HasMinMax: true, Min: 64}
+	var words uint64
+	for lo := 0; lo < len(st.SegMin); lo += group {
+		hi := min(lo+group, len(st.SegMin))
+		mn, mx := slices.Min(st.SegMin[lo:hi]), slices.Max(st.SegMax[lo:hi])
+		w := bitpack.Width(uint64(mx))
+		if zig {
+			w = max(bitpack.Width(bitpack.Zigzag(mn)), bitpack.Width(bitpack.Zigzag(mx)))
+		}
+		words += uint64(bitpack.PackedWords(min(block, st.N-lo*st.SegLen), w))
+		widths.Min, widths.Max = min(widths.Min, int64(w)), max(widths.Max, int64(w))
+	}
+	wb, ok := core.PartFloor("widths", &widths, inner)
+	if !ok {
+		return 0
+	}
+	return core.FormOverheadBits(2) + words*64 + wb
 }
 
 func checkVNS(f *core.Form) error {

@@ -96,12 +96,14 @@ type Stats = column.Stats
 // size was established: a candidate the search compressed has Trialed
 // set and its measured Eval; one it did not compress carries only its
 // stats-predicted EstBits with what that prediction proves (EstBound)
-// — under the exhaustive search that is always a BoundExact or
-// BoundLower price that already could not beat the winner, under the
-// default search possibly a BoundHeuristic one the shortlist left
-// out; a candidate that failed, or whose EstBits is the impossible
-// sentinel because the stats prove it cannot represent the column,
-// carries an Err matching ErrNotRepresentable.
+// and, behind a BoundHeuristic price, the size its form is proved
+// never to undercut (EstFloor). Under the exhaustive search a skip
+// always rests on a BoundExact or BoundLower price, or a floor, that
+// already could not beat the winner; under the default search it may
+// also be a BoundHeuristic price the shortlist left out. A candidate
+// that failed, or whose EstBits is the impossible sentinel because the
+// stats prove it cannot represent the column, carries an Err matching
+// ErrNotRepresentable.
 type Choice = core.Choice
 
 // Bound says what a Choice ranking entry's EstBits proves about the

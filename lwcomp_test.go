@@ -338,10 +338,12 @@ func TestPublicAnalyzerOptions(t *testing.T) {
 
 // TestExhaustiveRankingTruthful pins what the exhaustive search
 // reports about each candidate: one it compressed carries its measured
-// size; one it did not carries a price that proves something (never a
-// heuristic), that really bounds the size the candidate compresses to,
-// and that already could not beat the winner; one the stats prove
-// impossible carries ErrNotRepresentable without having been tried.
+// size; one it did not carries what the skip rests on — a price that
+// proves something or, behind a heuristic price, a floor — which
+// really bounds the size the candidate compresses to and already could
+// not beat the winner; one the stats prove impossible carries
+// ErrNotRepresentable without having been tried. No floor exceeds the
+// size its candidate compresses to.
 func TestExhaustiveRankingTruthful(t *testing.T) {
 	constant, err := lwcomp.ParseScheme("const")
 	if err != nil {
@@ -369,6 +371,9 @@ func TestExhaustiveRankingTruthful(t *testing.T) {
 		}
 		for i, r := range choice.Ranking {
 			form, cerr := cands[i].Compress(sh.Data)
+			if cerr == nil && r.EstFloor > form.PayloadBits() {
+				t.Errorf("%s: %s floor %d bits above its actual %d", sh.Name, r.Desc, r.EstFloor, form.PayloadBits())
+			}
 			switch {
 			case r.EstBits == core.ImpossibleBits:
 				if r.Trialed || !errors.Is(r.Err, lwcomp.ErrNotRepresentable) || !errors.Is(cerr, lwcomp.ErrNotRepresentable) {
@@ -384,12 +389,16 @@ func TestExhaustiveRankingTruthful(t *testing.T) {
 					t.Errorf("%s: %s neither compressed nor priced impossible: err=%v, compress err=%v", sh.Name, r.Desc, r.Err, cerr)
 					continue
 				}
-				actual := form.PayloadBits()
-				if r.EstBound == lwcomp.BoundHeuristic || r.EstBits > actual || r.EstBound == lwcomp.BoundExact && r.EstBits != actual {
-					t.Errorf("%s: %s skipped on a %v price of %d bits; actual %d", sh.Name, r.Desc, r.EstBound, r.EstBits, actual)
+				actual, proved := form.PayloadBits(), r.EstFloor
+				if r.EstBound != lwcomp.BoundHeuristic {
+					proved = r.EstBits
 				}
-				if r.EstBits < choice.Eval.Bits || r.EstBits == choice.Eval.Bits && i < winner {
-					t.Errorf("%s: %s skipped at %d bits although the winner took %d", sh.Name, r.Desc, r.EstBits, choice.Eval.Bits)
+				if proved == 0 || proved > actual || r.EstBound == lwcomp.BoundExact && r.EstBits != actual {
+					t.Errorf("%s: %s skipped on a %v price of %d bits and a floor of %d; actual %d",
+						sh.Name, r.Desc, r.EstBound, r.EstBits, r.EstFloor, actual)
+				}
+				if proved < choice.Eval.Bits || proved == choice.Eval.Bits && i < winner {
+					t.Errorf("%s: %s skipped at %d bits although the winner took %d", sh.Name, r.Desc, proved, choice.Eval.Bits)
 				}
 			}
 		}
