@@ -11,12 +11,15 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
 	"lwcomp"
 	"lwcomp/internal/query"
 	"lwcomp/internal/server"
+	"lwcomp/internal/storage"
 	"lwcomp/internal/workload"
 )
 
@@ -512,6 +515,46 @@ func TestPrefetchAnnounceAllocs(t *testing.T) {
 			lazy.Prefetch(ctx, i)
 		}
 	})
+}
+
+// TestVerifyFileAllocs: verifying a 64Ki-row container decodes its
+// block into a pooled buffer, so once the pool is warm a call
+// allocates far less than the block's 512 KiB of values. The median of
+// nine calls is measured, so a pooled buffer a collection drops does
+// not decide the outcome.
+func TestVerifyFileAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector defeats sync.Pool reuse")
+	}
+	vals := make([]int64, 1<<16)
+	for i := range vals {
+		vals[i] = int64(i / 64)
+	}
+	col, err := lwcomp.Encode(vals)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "v.lwc")
+	if err := lwcomp.WriteColumnsFile(path, []lwcomp.NamedColumn{{Name: "v", Col: col}}); err != nil {
+		t.Fatal(err)
+	}
+	per := make([]uint64, 9)
+	var before, after runtime.MemStats
+	for i := -1; i < len(per); i++ {
+		runtime.ReadMemStats(&before)
+		rep, err := storage.VerifyFile(path)
+		runtime.ReadMemStats(&after)
+		if err != nil || !rep.OK() {
+			t.Fatalf("verify: %v %+v", err, rep)
+		}
+		if i >= 0 { // the first call warms the pool
+			per[i] = after.TotalAlloc - before.TotalAlloc
+		}
+	}
+	slices.Sort(per)
+	if median := per[len(per)/2]; median >= 64<<10 {
+		t.Fatalf("VerifyFile allocates %d bytes per call (sorted: %v), want < 64 KiB", median, per)
+	}
 }
 
 // TestSelectRangeSelMatchesRows: the bitmap boundary conversion and

@@ -1017,10 +1017,11 @@ func compressedPerBlock(b *testing.B, data []int64) float64 {
 // BenchmarkCompactFile measures background recompaction as the
 // maintenance lifecycle runs it: a container of 64Ki-row blocks
 // encoded by the default search, compacted with the exhaustive search
-// (TrialK 0) at any gain. Per shape it reports the compactor's whole cost per value —
-// read, re-analyze every block, serialize, compare — and how many of
-// the block's candidates the search had to compress to establish
-// every candidate's size.
+// (TrialK 0) at any gain. The default search certifies these blocks,
+// so the compactor's whole cost per value is the index-only skip;
+// compressed/block reports how many of a block's candidates the
+// exhaustive search compresses to establish every candidate's size —
+// what re-analyzing a container the encoder could not certify costs.
 func BenchmarkCompactFile(b *testing.B) {
 	for _, sh := range workload.MaintainShapes(benchN, 1) {
 		b.Run(sh.Name, func(b *testing.B) {

@@ -57,7 +57,9 @@
 // re-analyzed block by block (exhaustively, or pruned with -trialk)
 // and atomically rewritten only when the byte win clears the
 // threshold — the candidate is verified value-for-value before the
-// rename, so a failed rewrite leaves the old file untouched. -dry-run
+// rename, so a failed rewrite leaves the old file untouched. A
+// container whose every block inspect reports as certified is already
+// the exhaustive search's result and is skipped from its index. -dry-run
 // estimates per-container savings from the block stats alone, without
 // a trial encode or a write; -merge coalesces groups of small
 // same-table single-column containers into one container per table.
@@ -85,6 +87,7 @@ import (
 
 	"lwcomp"
 	"lwcomp/internal/compact"
+	"lwcomp/internal/scheme"
 	"lwcomp/internal/scrub"
 	"lwcomp/internal/server"
 	"lwcomp/internal/storage"
@@ -376,12 +379,18 @@ func cmdInspect(args []string) error {
 			c.Name, c.Col.N, c.Col.NumBlocks(), sz, float64(c.Col.N*8)/float64(sz))
 		for i := range c.Col.Blocks {
 			b := &c.Col.Blocks[i]
+			line := fmt.Sprintf("  block %d: rows %d..%d", i, b.Start, b.Start+int64(b.Count)-1)
 			if b.HasStats {
-				fmt.Printf("  block %d: rows %d..%d, [%d, %d]\n",
-					i, b.Start, b.Start+int64(b.Count)-1, b.Min, b.Max)
-			} else {
-				fmt.Printf("  block %d: rows %d..%d\n", i, b.Start, b.Start+int64(b.Count)-1)
+				line += fmt.Sprintf(", [%d, %d]", b.Min, b.Max)
 			}
+			switch b.Certificate {
+			case 0:
+			case scheme.SearchFingerprint():
+				line += ", certified"
+			default:
+				line += fmt.Sprintf(", certified by another search (%08x)", b.Certificate)
+			}
+			fmt.Println(line)
 			printTree(b.Form, "    ")
 		}
 	}

@@ -495,7 +495,8 @@ func FuzzOpenCorrupt(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		raw.Blocks = append(raw.Blocks, storage.RawBlock{Count: b.Count, HasStats: true, Min: b.Min, Max: b.Max, Payload: enc})
+		raw.Blocks = append(raw.Blocks, storage.RawBlock{Count: b.Count, HasStats: true, Min: b.Min, Max: b.Max,
+			Certificate: b.Certificate, Payload: enc})
 	}
 	hostile, err := lwcomp.PFOR(64).Compress([]int64{5, 6, 1 << 40, 7, 5, 1 << 41, 6, 7})
 	if err != nil {
@@ -512,6 +513,14 @@ func FuzzOpenCorrupt(f *testing.F) {
 		f.Fatal(err)
 	}
 	template := buf.Bytes()
+	// The index opens with ncols (1 byte), the name (2), the block size
+	// and row count (2 each), nblocks (1) and block 0's count (2); then
+	// comes block 0's flag, 3 for the certified blocks the encoder
+	// writes.
+	const flag0 = 14 + 1 + 2 + 2 + 2 + 1 + 2
+	if template[flag0] != 3 {
+		f.Fatalf("block 0 has index flag %d, want 3 (stats and certificate)", template[flag0])
+	}
 
 	f.Add(uint32(0), byte(0))                          // intact bytes: only the hostile block fails
 	f.Add(uint32(0), byte(0xFF))                       // magic
@@ -519,6 +528,7 @@ func FuzzOpenCorrupt(f *testing.F) {
 	f.Add(uint32(9), byte(0x01))                       // index length
 	f.Add(uint32(40), byte(0x10))                      // inside the index
 	f.Add(uint32(uint32(len(template)-8)), byte(0x04)) // payload tail
+	f.Add(uint32(flag0), byte(0x07))                   // block 0's flag 3 -> 4
 
 	allowed := func(err error) bool {
 		for _, sentinel := range []error{

@@ -49,6 +49,16 @@ type Block struct {
 	// condemning error of the generation that lost it. Persisted in
 	// the container index so the reason survives reopen.
 	TombstoneReason string
+	// Certificate, when non-zero, is the search fingerprint
+	// (scheme.SearchFingerprint) under which the exhaustive search
+	// over the default candidates picks exactly Form for this block:
+	// the encoder's search proved every other candidate loses
+	// (core.Choice.Certified). 0 means no such proof. Persisted in the
+	// container index beside the stats. The compactor skips a container
+	// whose every block carries the current fingerprint, so a stale or
+	// wrong certificate can cost a missed compaction, never a wrong
+	// value.
+	Certificate uint32
 }
 
 // BlockSource supplies block forms on demand for columns whose
@@ -221,8 +231,10 @@ func (o EncodeOptions) workers() int {
 // Block record with stats. The one-pass stats collected here feed
 // both the block index ([min, max] skipping) and the analyzer's
 // size-estimating candidate ranking, so a block is scanned for
-// statistics exactly once. Temporaries come from s: workers that
-// encode many blocks reuse one scratch arena across all of them.
+// statistics exactly once. A block the search certified over exactly
+// the default candidates, with no cost budget, is stamped with the
+// search fingerprint. Temporaries come from s: workers that encode
+// many blocks reuse one scratch arena across all of them.
 func encodeBlock(src []int64, start int64, opt EncodeOptions, s *core.Scratch) (Block, error) {
 	b := Block{Start: start, Count: len(src), HasStats: true}
 	var f *core.Form
@@ -257,8 +269,15 @@ func encodeBlock(src []int64, start int64, opt EncodeOptions, s *core.Scratch) (
 			Stats:      &st,
 			Scratch:    s,
 		}
-		f, err = a.BestForm(src)
+		var choice *core.Choice
+		choice, err = a.Best(src)
 		st.ReleaseSeg(s)
+		if err == nil {
+			f = choice.Form
+			if choice.Certified && len(opt.Extra) == 0 && opt.CostBudget == 0 {
+				b.Certificate = scheme.SearchFingerprint()
+			}
+		}
 	}
 	if err != nil {
 		return Block{}, fmt.Errorf("blocked: block at row %d: %w", start, err)
@@ -334,6 +353,27 @@ func Encode(src []int64, opt EncodeOptions) (*Column, error) {
 		return nil, first
 	}
 	return col, nil
+}
+
+// EncodeTiled reports whether c's blocks partition its rows the way
+// Encode partitions them at c.BlockSize: a single block when BlockSize
+// is 0, otherwise blocks of BlockSize rows and one shorter tail, with
+// BlockSize below N. Encoding the column's values again at its
+// BlockSize then reproduces its block boundaries and its BlockSize.
+func (c *Column) EncodeTiled() bool {
+	bs := c.BlockSize
+	if bs == 0 {
+		return len(c.Blocks) == 1
+	}
+	if bs < 0 || bs >= c.N || len(c.Blocks) != (c.N+bs-1)/bs {
+		return false
+	}
+	for i := range c.Blocks {
+		if c.Blocks[i].Count != min(bs, c.N-i*bs) {
+			return false
+		}
+	}
+	return true
 }
 
 // FromForm adopts an existing (v1-style) form as a single-block

@@ -1,0 +1,173 @@
+package blocked_test
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"lwcomp/internal/blocked"
+	"lwcomp/internal/core"
+	"lwcomp/internal/scheme"
+	"lwcomp/internal/storage"
+	"lwcomp/internal/workload"
+)
+
+// certified counts the blocks of col stamped with the current search
+// fingerprint, failing on a stamp under any other.
+func certified(t *testing.T, name string, col *blocked.Column) int {
+	t.Helper()
+	n := 0
+	for i := range col.Blocks {
+		switch col.Blocks[i].Certificate {
+		case 0:
+		case scheme.SearchFingerprint():
+			n++
+		default:
+			t.Fatalf("%s block %d: stamped %08x, the search is %08x", name, i, col.Blocks[i].Certificate, scheme.SearchFingerprint())
+		}
+	}
+	return n
+}
+
+// TestEncodeTiled: every column Encode builds is tiled the way Encode
+// tiles it; a builder's lone block under a block size above the row
+// count is not (Encode would record block size 0), and neither is a
+// column cut at other boundaries.
+func TestEncodeTiled(t *testing.T) {
+	data := workload.Sorted(10000, 1<<20, 1)
+	for _, bs := range []int{0, 1000, 4096, 9999, 10000, 20000} {
+		col, err := blocked.Encode(data, blocked.EncodeOptions{BlockSize: bs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !col.EncodeTiled() {
+			t.Fatalf("block size %d: Encode's own column is not tiled", bs)
+		}
+		if len(col.Blocks) > 1 {
+			col.Blocks[0].Count--
+			col.Blocks[1].Count++
+			if col.EncodeTiled() {
+				t.Fatalf("block size %d: a moved boundary still counts as tiled", bs)
+			}
+		}
+	}
+	b := blocked.NewBuilder(blocked.EncodeOptions{BlockSize: 20000})
+	if err := b.Append(data); err != nil {
+		t.Fatal(err)
+	}
+	col, err := b.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if col.EncodeTiled() {
+		t.Fatal("a builder's lone short block under block size 20000 counts as tiled")
+	}
+}
+
+// TestCertificateMatchesExhaustive pins what a block certificate
+// claims: every block the default search stamps encodes, under the
+// exhaustive search, to the same form bytes — on the maintenance
+// shapes at several block sizes (ragged tails included) and on the
+// estimator workloads. It also pins that the claim is made where it
+// pays (≥95 % of the maintenance blocks) and never where the encoder
+// cannot make it.
+func TestCertificateMatchesExhaustive(t *testing.T) {
+	type column struct {
+		name string
+		data []int64
+		bs   int
+	}
+	var cols []column
+	var share []column // the maintenance blocks the ≥95 % share is over
+	for _, bs := range []int{4096, 16384, 65536} {
+		for _, sh := range workload.MaintainShapes(65536, 1) {
+			share = append(share, column{fmt.Sprintf("%s/%d", sh.Name, bs), sh.Data, bs})
+		}
+	}
+	cols = append(cols, share...)
+	for _, sh := range workload.MaintainShapes(65536+777, 2) {
+		cols = append(cols, column{sh.Name + "/ragged", sh.Data, 65536})
+	}
+	for i, data := range [][]int64{
+		workload.OrderShipDates(5000, 18, 730120, 42),
+		workload.RandomWalk(5000, 18, 1<<30, 42),
+		workload.OutlierWalk(5000, 18, 0.01, 1<<38, 42),
+		workload.TrendNoise(5000, 1.5, 18, 42),
+		workload.LowCardinality(5000, 19, 42),
+		workload.SkewedMagnitude(5000, 21, 42),
+		workload.UniformBits(5000, 17, 42),
+		workload.Sorted(5000, 1<<40, 42),
+		workload.Runs(5000, 18, 1<<16, 42),
+		workload.StepData(5000, 768, 42),
+	} {
+		cols = append(cols, column{fmt.Sprintf("estimate%d", i), data, 4096}, column{fmt.Sprintf("estimate%d/100", i), data[:100], 0})
+	}
+
+	stamped := 0
+	for ci, c := range cols {
+		def, err := blocked.Encode(c.data, blocked.EncodeOptions{BlockSize: c.bs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := blocked.Encode(c.data, blocked.EncodeOptions{BlockSize: c.bs, Exhaustive: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := certified(t, c.name+" exhaustive", ex); got != len(ex.Blocks) {
+			t.Fatalf("%s: the exhaustive encode certified %d of %d blocks", c.name, got, len(ex.Blocks))
+		}
+		n := certified(t, c.name, def)
+		if ci < len(share) {
+			stamped += n
+		}
+		for i := range def.Blocks {
+			if def.Blocks[i].Certificate == 0 {
+				continue
+			}
+			got, err := storage.EncodeForm(def.Blocks[i].Form)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := storage.EncodeForm(ex.Blocks[i].Form)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%s block %d: certified %s, but the exhaustive search picks %s",
+					c.name, i, def.Blocks[i].Form.Describe(), ex.Blocks[i].Form.Describe())
+			}
+		}
+	}
+	blocks := 0
+	for _, c := range share {
+		blocks += (len(c.data) + c.bs - 1) / c.bs
+	}
+	if 100*stamped < 95*blocks {
+		t.Fatalf("certified %d of %d maintenance blocks, want ≥95 %%", stamped, blocks)
+	}
+
+	// Never certified: a search over more than the default candidates,
+	// under a cost budget, with no search at all, or over a sample.
+	data := workload.MaintainShapes(8192, 3)[0].Data
+	for name, opt := range map[string]blocked.EncodeOptions{
+		"extra":  {BlockSize: 4096, Extra: []core.Candidate{core.FromScheme(scheme.NS{})}},
+		"budget": {BlockSize: 4096, CostBudget: 1e9},
+		"scheme": {BlockSize: 4096, Scheme: scheme.NS{}},
+		"sample": {BlockSize: 4096, SampleSize: 1000},
+	} {
+		col, err := blocked.Encode(data, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := certified(t, name, col); n != 0 {
+			t.Fatalf("%s: %d block(s) certified", name, n)
+		}
+		opt.Exhaustive = true
+		if col, err = blocked.Encode(data, opt); err != nil {
+			t.Fatal(err)
+		}
+		if n := certified(t, name+" exhaustive", col); n != 0 {
+			t.Fatalf("%s exhaustive: %d block(s) certified", name, n)
+		}
+	}
+}

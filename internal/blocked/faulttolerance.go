@@ -110,6 +110,7 @@ func (c *Column) MarkTombstone(i int, reason string) {
 	// Statless blocks are always fetched — and the fetch fails fast.
 	b.HasStats = false
 	b.Min, b.Max = 0, 0
+	b.Certificate = 0
 	err := ErrTombstone
 	if reason != "" {
 		err = fmt.Errorf("%w: %s", ErrTombstone, reason)

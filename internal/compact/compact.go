@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"lwcomp/internal/blocked"
+	"lwcomp/internal/scheme"
 	"lwcomp/internal/storage"
 	"lwcomp/internal/vec"
 )
@@ -247,11 +248,16 @@ func (c *Compactor) Counters() Counters {
 var testMutateCandidate func([]byte)
 
 // CompactFile re-analyzes one container and swaps in the smaller
-// generation when the win clears the threshold. Integrity failures —
-// an unreadable block, a candidate that does not verify — come back
-// as an ActionFailed Result with a nil error and leave the old
-// generation byte-for-byte intact; only environmental failures (the
-// file missing, the rename failing) return a non-nil error.
+// generation when the win clears the threshold. A container whose
+// every block is certified under the current search (certified) is
+// skipped from its index alone, with CandidateBytes equal to
+// BytesBefore: the re-encode would rebuild it byte for byte. Its
+// payloads are not read, so payload rot there is the scrubber's to
+// find. Integrity failures — an unreadable block, a candidate that
+// does not verify — come back as an ActionFailed Result with a nil
+// error and leave the old generation byte-for-byte intact; only
+// environmental failures (the file missing, the rename failing)
+// return a non-nil error.
 func (c *Compactor) CompactFile(path string) (res Result, err error) {
 	start := time.Now()
 	res = Result{Path: path}
@@ -281,6 +287,14 @@ func (c *Compactor) CompactFile(path string) (res Result, err error) {
 			// rows are not there to re-encode. It stays as-is until a
 			// future repair (or operator action) retires it.
 			res.Action = ActionSkipped
+			return res, nil
+		}
+		if errors.Is(err, errCertified) {
+			// The exhaustive re-encode would rebuild these very bytes,
+			// and a pruned one cannot price below them: nothing to win,
+			// and nothing was read past the index to know it.
+			res.Action, res.CandidateBytes = ActionSkipped, res.BytesBefore
+			c.skipped.Add(1)
 			return res, nil
 		}
 		if blocked.IsPermanent(err) {
@@ -399,9 +413,17 @@ func ListContainers(dir string) ([]string, error) {
 // than failing them.
 var errTombstoned = errors.New("compact: container has tombstoned blocks")
 
+// errCertified marks containers the exhaustive re-encode would
+// reproduce byte for byte (certified), so compaction skips them
+// without reading a payload.
+var errCertified = errors.New("compact: container is certified")
+
 // readContainer decompresses every column of the container at path:
 // the names, the raw values, and each column's encode-time block size
-// (what a faithful re-encode must preserve).
+// (what a faithful re-encode must preserve). A container whose index
+// alone settles its compaction is not decompressed: one with a
+// tombstoned block fails with errTombstoned, and then a certified one
+// with errCertified.
 func readContainer(path string) (names []string, data [][]int64, blockSizes []int, err error) {
 	cf, err := storage.OpenContainerFile(path, storage.OpenOptions{CacheBytes: -1})
 	if err != nil {
@@ -414,6 +436,11 @@ func readContainer(path string) (names []string, data [][]int64, blockSizes []in
 				return nil, nil, nil, fmt.Errorf("column %q block %d: %w", bc.Name, i, errTombstoned)
 			}
 		}
+	}
+	if certified(cf.Columns()) {
+		return nil, nil, nil, errCertified
+	}
+	for _, bc := range cf.Columns() {
 		raw := make([]int64, bc.Col.N)
 		if err := bc.Col.DecompressInto(raw); err != nil {
 			return nil, nil, nil, fmt.Errorf("column %q: %w", bc.Name, err)
@@ -423,6 +450,26 @@ func readContainer(path string) (names []string, data [][]int64, blockSizes []in
 		blockSizes = append(blockSizes, bc.Col.BlockSize)
 	}
 	return names, data, blockSizes, nil
+}
+
+// certified reports, from the index alone, that the exhaustive
+// re-encode of cols is byte-identical to them: every column is tiled
+// as the re-encode tiles it, and every block carries the current
+// search fingerprint, so its form, stats and certificate are what the
+// exhaustive search writes for its values.
+func certified(cols []storage.BlockedColumn) bool {
+	fp := scheme.SearchFingerprint()
+	for _, bc := range cols {
+		if !bc.Col.EncodeTiled() {
+			return false
+		}
+		for i := range bc.Col.Blocks {
+			if bc.Col.Blocks[i].Certificate != fp {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // verifyCandidate fsck-walks a candidate container held in memory:

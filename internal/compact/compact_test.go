@@ -1,6 +1,7 @@
 package compact
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"testing"
@@ -175,7 +176,10 @@ func TestCompactThreshold(t *testing.T) {
 }
 
 // TestCompactIdempotent: a second pass finds nothing left to win and
-// skips — compaction converges instead of churning.
+// skips — compaction converges instead of churning — and decides so
+// from the index alone: the compactor's own output is certified, so a
+// payload flipped after the first pass is neither read nor reported by
+// compaction, while the verifier still finds it.
 func TestCompactIdempotent(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "runs.lwc")
@@ -193,9 +197,133 @@ func TestCompactIdempotent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.Action != ActionSkipped {
+	if second.Action != ActionSkipped || second.CandidateBytes != second.BytesBefore {
 		t.Fatalf("second pass: %q, want skipped (bytes %d -> candidate %d)",
 			second.Action, second.BytesBefore, second.CandidateBytes)
+	}
+
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)-1] ^= 0x01 // the last block's payload
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	third, err := c.CompactFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if third.Action != ActionSkipped || third.CandidateBytes != third.BytesBefore {
+		t.Fatalf("pass over a flipped payload: %q (err %v), candidate %d of %d — it read a payload",
+			third.Action, third.Err, third.CandidateBytes, third.BytesBefore)
+	}
+	rep, err := storage.VerifyFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.OK() {
+		t.Fatal("the verifier missed the flipped payload")
+	}
+	if ctr := c.Counters(); ctr.Skipped != 2 || ctr.Rewritten != 1 || ctr.Failed != 0 {
+		t.Fatalf("counters = %+v", ctr)
+	}
+}
+
+// TestCompactReencodesUntiledContainer: a certificate vouches for a
+// block's form, not for the container's layout. A builder's lone block
+// under a block size above the row count is certified, but the
+// re-encode records block size 0 and is two index bytes smaller, so
+// the container takes the full path and is rewritten.
+func TestCompactReencodesUntiledContainer(t *testing.T) {
+	b := blocked.NewBuilder(blocked.EncodeOptions{BlockSize: 1 << 16})
+	if err := b.Append(workload.OrderShipDates(40000, 64, 730120, 7)); err != nil {
+		t.Fatal(err)
+	}
+	col, err := b.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(col.Blocks) != 1 || col.Blocks[0].Certificate != scheme.SearchFingerprint() {
+		t.Fatalf("builder wrote %d block(s), block 0 certificate %08x", len(col.Blocks), col.Blocks[0].Certificate)
+	}
+	var buf bytes.Buffer
+	if err := storage.WriteContainerV3(&buf, []storage.BlockedColumn{{Name: "d", Col: col}}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "d.lwc")
+	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	res, err := New(Options{MinGainBytes: -1}).CompactFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Action != ActionRewritten || res.Gain() != 2 {
+		t.Fatalf("action %q (err %v), %d -> %d bytes, want rewritten 2 bytes smaller",
+			res.Action, res.Err, res.BytesBefore, res.BytesAfter)
+	}
+}
+
+// TestCompactReencodesForeignCertificate: a certificate from another
+// search proves nothing about this one, so a container stamped with
+// one is re-encoded as any uncertified container is — its payloads are
+// read (a flipped one fails the pass) and the candidate is built.
+func TestCompactReencodesForeignCertificate(t *testing.T) {
+	data := workload.OrderShipDates(40000, 64, 730120, 7)
+	col, err := blocked.Encode(data, blocked.EncodeOptions{BlockSize: 8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var current bytes.Buffer
+	if err := storage.WriteContainerV3(&current, []storage.BlockedColumn{{Name: "d", Col: col}}); err != nil {
+		t.Fatal(err)
+	}
+	// Odd and one past, or two past, the current fingerprint: never it,
+	// never 0.
+	foreign := (scheme.SearchFingerprint() + 1) | 1
+	raw := storage.RawColumn{Name: "d", BlockSize: col.BlockSize}
+	for i := range col.Blocks {
+		b := &col.Blocks[i]
+		if b.Certificate != scheme.SearchFingerprint() {
+			t.Fatalf("block %d: the default search did not certify it", i)
+		}
+		enc, err := storage.EncodeForm(b.Form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw.Blocks = append(raw.Blocks, storage.RawBlock{Count: b.Count, HasStats: true, Min: b.Min, Max: b.Max,
+			Certificate: foreign, Payload: enc})
+	}
+	var stamped bytes.Buffer
+	if err := storage.WriteContainerV3Raw(&stamped, []storage.RawColumn{raw}); err != nil {
+		t.Fatal(err)
+	}
+
+	path := filepath.Join(t.TempDir(), "d.lwc")
+	if err := os.WriteFile(path, stamped.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c := New(Options{MinGainBytes: -1})
+	res, err := c.CompactFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Action != ActionSkipped || res.CandidateBytes != int64(current.Len()) {
+		t.Fatalf("action %q (err %v), candidate %d bytes, want skipped with the %d-byte re-encode",
+			res.Action, res.Err, res.CandidateBytes, current.Len())
+	}
+
+	flipped := append([]byte(nil), stamped.Bytes()...)
+	flipped[len(flipped)-1] ^= 0x01
+	if err := os.WriteFile(path, flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = c.CompactFile(path); err != nil {
+		t.Fatal(err)
+	}
+	if res.Action != ActionFailed {
+		t.Fatalf("action over a flipped payload %q, want failed: the payloads must be read", res.Action)
 	}
 }
 
@@ -328,6 +456,28 @@ func TestDryRunEstimates(t *testing.T) {
 		t.Fatal("dry run mutated a container")
 	}
 	_ = origBig
+
+	// A container the default search wrote is certified block by block:
+	// already the exhaustive choice, priced at its payload.
+	def := filepath.Join(t.TempDir(), "default.lwc")
+	col, err := blocked.Encode(workload.OrderShipDates(60000, 64, 730120, 7), blocked.EncodeOptions{BlockSize: 8192})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := storage.WriteContainerV3(&buf, []storage.BlockedColumn{{Name: "d", Col: col}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(def, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e, err := c.EstimateFile(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e.PayloadBytes == 0 || e.EstSavings() != 0 {
+		t.Fatalf("default-encoded container: payload %d, EstSavings %d, want 0", e.PayloadBytes, e.EstSavings())
+	}
 }
 
 // TestMergeSmall: many tiny same-table single-column containers
@@ -365,6 +515,41 @@ func TestMergeSmall(t *testing.T) {
 	equalCols(t, readBack(t, filepath.Join(dir, "t.lwc")), map[string][]int64{"a": a, "b": b})
 	if c.Counters().Merged != 1 {
 		t.Fatalf("counters = %+v", c.Counters())
+	}
+}
+
+// TestMergeCarriesCertificates: merging copies blocks verbatim, search
+// certificates included, so a table merged from certified parts is
+// still skipped from its index.
+func TestMergeCarriesCertificates(t *testing.T) {
+	dir := t.TempDir()
+	for name, data := range map[string][]int64{
+		"t.a.lwc": workload.LowCardinality(5000, 16, 1),
+		"t.b.lwc": workload.Sorted(5000, 1<<30, 2),
+	} {
+		col, err := blocked.Encode(data, blocked.EncodeOptions{BlockSize: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := storage.WriteContainerV3(&buf, []storage.BlockedColumn{{Name: "col0", Col: col}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c := New(Options{MinGainBytes: -1, MergeSmall: true})
+	rep, err := c.CompactDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rewritten, skipped, failed, merged := rep.Counts()
+	if merged != 1 || skipped != 1 || rewritten != 0 || failed != 0 {
+		t.Fatalf("counts: merged=%d skipped=%d rewritten=%d failed=%d; results %+v", merged, skipped, rewritten, failed, rep.Results)
+	}
+	if res := rep.Results[1]; res.CandidateBytes != res.BytesBefore {
+		t.Fatalf("merged table: candidate %d of %d bytes, want the index-only skip", res.CandidateBytes, res.BytesBefore)
 	}
 }
 

@@ -4,7 +4,10 @@
 // Compactor later walks the resulting v3 containers, re-analyzes every
 // block — exhaustively by default, or with a size-biased pruned search
 // via Options.TrialK — and atomically rewrites a container when the
-// byte win clears a configurable threshold.
+// byte win clears a configurable threshold. A container whose every
+// block the encoder certified (blocked.Block.Certificate) is already
+// the exhaustive search's result and is skipped from its index alone,
+// so a compacted directory is an index-only fixed point.
 //
 // A rewrite is a generation swap, not an in-place mutation: the
 // candidate container is serialized to memory, verified with `lwc

@@ -51,7 +51,9 @@ func (e Estimate) EstSavingsFraction() float64 {
 // alone: every block is decompressed once, its one-pass BlockStats
 // collected, and the candidate space's size estimators queried for
 // the smallest prediction — the ranking half of the analyzer with the
-// trial-compression half left out.
+// trial-compression half left out. A block certified under the
+// current search is already the exhaustive choice and is priced at
+// its current payload, from the index alone.
 func (c *Compactor) EstimateFile(path string) (Estimate, error) {
 	est := Estimate{Path: path}
 	st, err := os.Stat(path)
@@ -68,19 +70,26 @@ func (c *Compactor) EstimateFile(path string) (Estimate, error) {
 
 	s := core.GetScratch()
 	defer s.Release()
+	fp := scheme.SearchFingerprint()
 	var buf []int64
 	for ci, bc := range cf.Columns() {
 		extents := cf.Extents(ci)
 		for i := range bc.Col.Blocks {
 			b := &bc.Col.Blocks[i]
+			var payload int64
 			if extents != nil {
-				est.PayloadBytes += extents[i].Bytes
+				payload = extents[i].Bytes
 			} else if f, err := bc.Col.BlockForm(i); err == nil {
 				// Eager (v1/v2) containers carry no extent table; the
 				// resident form's serialized size is the same number.
 				if sz, err := storage.EncodedSize(f); err == nil {
-					est.PayloadBytes += int64(sz)
+					payload = int64(sz)
 				}
+			}
+			est.PayloadBytes += payload
+			if b.Certificate == fp {
+				est.EstPayloadBytes += payload
+				continue
 			}
 			if cap(buf) < b.Count {
 				buf = make([]int64, b.Count)

@@ -15,7 +15,8 @@ import (
 
 // naiveContainer serializes data as the v3 container an all-candidates
 // search yields: per block, every default candidate is compressed and
-// the first smallest wins — no estimate spares a compression.
+// the first smallest wins — no estimate spares a compression. Being
+// the exhaustive result, every block carries the search certificate.
 func naiveContainer(t *testing.T, name string, data []int64, blockSize int) []byte {
 	t.Helper()
 	col := &blocked.Column{N: len(data), BlockSize: blockSize}
@@ -33,7 +34,7 @@ func naiveContainer(t *testing.T, name string, data []int64, blockSize int) []by
 			}
 		}
 		col.Blocks = append(col.Blocks, blocked.Block{Form: best, Start: int64(lo), Count: len(block),
-			Min: st.Min, Max: st.Max, HasStats: true})
+			Min: st.Min, Max: st.Max, HasStats: true, Certificate: scheme.SearchFingerprint()})
 	}
 	var buf bytes.Buffer
 	if err := storage.WriteContainerV3(&buf, []storage.BlockedColumn{{Name: name, Col: col}}); err != nil {

@@ -26,7 +26,9 @@ import (
 // the Exhaustive search does not, and that is the only difference
 // between the two. What a heuristic-priced candidate's form provably
 // cannot undercut is its floor (SizeFloorer), and a floor excludes it
-// the way a LowerBound price does, in both searches.
+// the way a LowerBound price does, in both searches. When the default
+// search ends with every candidate it passed over provably beaten too,
+// its winner is the exhaustive one, and the Choice says so (Certified).
 
 // Candidate is one point in the composite-scheme space: a description
 // and a compressor.
@@ -66,6 +68,16 @@ type Choice struct {
 	// that failed, or that the stats prove must fail (EstBits ==
 	// ImpossibleBits, an ErrNotRepresentable), carries Err.
 	Ranking []RankEntry
+	// Certified reports that the Exhaustive search over the same
+	// candidates, cost budget and column would choose this same winner,
+	// and so the byte-identical Form. It is set by every whole-column
+	// Exhaustive search, and by a whole-column default search without a
+	// cost budget that proved every candidate it did not choose loses
+	// under the exhaustive rule (larger, or equal and later in input
+	// order): by failing, by its measured size, by an Exact or
+	// LowerBound price, or by its floor taken as the exhaustive search
+	// takes it. A search over a strict-prefix sample is never certified.
+	Certified bool
 }
 
 // RankEntry is one candidate's evaluation.
@@ -84,11 +96,13 @@ type RankEntry struct {
 	// EstBound says what EstBits proves about the encoded size.
 	EstBound Bound
 	// EstFloor is a size in bits the encoded size is proved never to
-	// fall below (SizeFloorer). It is computed only for a candidate the
-	// search considered whose price is Heuristic, and only when the
-	// search ran over the whole column (and, for a floor that needs
-	// another pass over it, exhaustively); 0 means none was computed
-	// or proved.
+	// fall below (SizeFloorer). It is computed only for a candidate
+	// whose price is Heuristic, and only when the search ran over the
+	// whole column: for every shortlisted one (with, for a floor that
+	// needs another pass over the column, the pass taken only
+	// exhaustively), and past the shortlist for one the default search
+	// needed to certify its winner (Choice.Certified), pass included;
+	// 0 means none was computed or proved.
 	EstFloor uint64
 	// Trialed reports whether the candidate was compressed and
 	// evaluated; when it was not, EstBits is all that is known.
@@ -137,17 +151,6 @@ type Analyzer struct {
 // ErrNoCandidate is returned when every candidate fails or is over
 // budget.
 var ErrNoCandidate = errors.New("core: no admissible candidate scheme")
-
-// BestForm is Best returning only the winning form — the entry point
-// for callers (like the blocked-column encoder) that re-run the
-// search many times and do not keep the per-candidate ranking.
-func (a *Analyzer) BestForm(src []int64) (*Form, error) {
-	choice, err := a.Best(src)
-	if err != nil {
-		return nil, err
-	}
-	return choice.Form, nil
-}
 
 // compressCand encodes data under candidate c, through the pooled
 // path when the candidate carries its scheme.
@@ -203,12 +206,71 @@ func (a *Analyzer) floor(rank []RankEntry, visit []int, st *BlockStats, src []in
 			continue
 		}
 		if a.Exhaustive && fst == st {
-			fst = new(BlockStats)
-			*fst = *st
-			fst.column = src
+			fst = withColumn(st, src)
 		}
 		e.EstFloor = fl.SizeFloor(fst, nil)
 	}
+}
+
+// withColumn returns a private copy of st that carries src, so a floor
+// read through it can take Curvature's pass, cached in the copy for
+// every later floor.
+func withColumn(st *BlockStats, src []int64) *BlockStats {
+	fst := new(BlockStats)
+	*fst = *st
+	fst.column = src
+	return fst
+}
+
+// certify reports whether the exhaustive search would choose best, the
+// default search's winner over the whole column src with stats st:
+// whether every other candidate provably loses to it under the
+// exhaustive rule — larger, or equal and later in input order. A
+// candidate that failed, or whose price is ImpossibleBits, is out; one
+// the search compressed loses by its measured size; any other by its
+// Exact or LowerBound price or, behind a heuristic price, by its floor
+// taken the way the exhaustive search takes it, the column at hand for
+// Curvature. What the search already learned is checked first, so a
+// floor is computed only once nothing cheaper can fail the
+// certificate, and the first candidate its floor leaves open ends it.
+func (a *Analyzer) certify(rank []RankEntry, best int, st *BlockStats, src []int64) bool {
+	bits := rank[best].Eval.Bits
+	loses := func(size uint64, idx int) bool { return size > bits || size == bits && idx > best }
+	// known settles idx on what the search learned, or says whether a
+	// floor could still settle it.
+	known := func(idx int) (settled, floorable bool) {
+		e := &rank[idx]
+		switch {
+		case idx == best || e.Err != nil || e.EstBits == ImpossibleBits:
+			return true, false
+		case e.Trialed:
+			return loses(e.Eval.Bits, idx), false
+		case e.EstBound != Heuristic:
+			return loses(e.EstBits, idx), false
+		}
+		_, ok := a.Candidates[idx].Scheme.(SizeFloorer)
+		return e.EstFloor != 0 && loses(e.EstFloor, idx), ok && st != nil
+	}
+	for idx := range rank {
+		if settled, floorable := known(idx); !settled && !floorable {
+			return false
+		}
+	}
+	var fst *BlockStats
+	for idx := range rank {
+		if settled, _ := known(idx); settled {
+			continue
+		}
+		if fst == nil {
+			fst = withColumn(st, src)
+		}
+		e := &rank[idx]
+		e.EstFloor = a.Candidates[idx].Scheme.(SizeFloorer).SizeFloor(fst, nil)
+		if !loses(e.EstFloor, idx) {
+			return false
+		}
+	}
+	return true
 }
 
 // shortlist sorts order by ascending price — unpriced candidates
@@ -356,13 +418,14 @@ func (a *Analyzer) Best(src []int64) (*Choice, error) {
 
 	// Produce the winner's full-column form. When the sample covered
 	// the whole column the winning trial form is the final form — no
-	// second compression. A winner that fails on the full column falls
-	// back down the already-computed ranking instead of re-running
-	// the search.
+	// second compression — and the search may certify it. A winner
+	// that fails on the full column falls back down the
+	// already-computed ranking instead of re-running the search.
 	if whole {
 		choice.Desc = a.Candidates[bestIdx].Desc
 		choice.Form = bestTrialForm
 		choice.Eval = choice.Ranking[bestIdx].Eval
+		choice.Certified = a.Exhaustive || a.CostBudget == 0 && a.certify(rank, bestIdx, st, src)
 		return choice, nil
 	}
 	for _, idx := range a.fallbackOrder(choice, bestIdx, order) {

@@ -487,6 +487,61 @@ func TestAnalyzerReusesFullSampleForm(t *testing.T) {
 	}
 }
 
+// pricedScheme is a countingScheme with a stated price.
+type pricedScheme struct {
+	countingScheme
+	price uint64
+	bound Bound
+}
+
+func (p pricedScheme) EstimateSize(*BlockStats) (uint64, Bound) { return p.price, p.bound }
+
+// TestAnalyzerCertifiesOnlyTheExhaustiveChoice pins the certify step's
+// tie rule. The default search breaks equal sizes by price order, the
+// exhaustive search by input order, so a winner tied with an earlier
+// candidate — compressed, or priced exactly at the winner's size — is
+// not certified, while one that every other candidate provably exceeds
+// is; the exhaustive search agrees in every case.
+func TestAnalyzerCertifiesOnlyTheExhaustiveChoice(t *testing.T) {
+	src := []int64{1, 2, 3, 4}
+	calls := 0
+	raw := func(name string, pad int) countingScheme { return countingScheme{name: name, pad: pad, calls: &calls} }
+	size := func(pad int) uint64 {
+		f, err := raw("", pad).Compress(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f.PayloadBits()
+	}
+	// "b" comes second in input order but first in price order, and
+	// always wins the default search.
+	b := FromScheme(pricedScheme{raw("b", 0), 1, Heuristic})
+	for _, tc := range []struct {
+		name   string
+		a      pricedScheme
+		trialK int
+		want   bool
+	}{
+		{"tie, both compressed", pricedScheme{raw("a", 0), size(0) + 1, Heuristic}, 2, false},
+		{"tie, proved by an exact price", pricedScheme{raw("a", 0), size(0), Exact}, 2, false},
+		{"proved larger", pricedScheme{raw("a", 1), size(1), Exact}, 1, true},
+	} {
+		cands := []Candidate{FromScheme(tc.a), b}
+		got, err := (&Analyzer{Candidates: cands, TrialK: tc.trialK}).Best(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ex, err := (&Analyzer{Candidates: cands, Exhaustive: true}).Best(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Desc != "b" || got.Certified != tc.want || (ex.Desc == "b") != tc.want || !ex.Certified {
+			t.Fatalf("%s: default %s (certified %v), exhaustive %s (certified %v), want certified %v",
+				tc.name, got.Desc, got.Certified, ex.Desc, ex.Certified, tc.want)
+		}
+	}
+}
+
 func TestAnalyzerCostBudget(t *testing.T) {
 	// With a budget below raw's cost of 1/element nothing qualifies.
 	a := &Analyzer{

@@ -100,8 +100,8 @@ type BlockStats struct {
 	OffsetHist bitpack.WidthHistogram
 
 	// column is the column these stats describe, set only on the
-	// exhaustive search's private copy while it computes floors, so
-	// Curvature can take its one extra pass; curvature caches it.
+	// private copy the analyzer computes floors through when a floor
+	// may take Curvature's one extra pass; curvature caches it.
 	column         []int64
 	curvature      uint64
 	curvatureKnown bool
@@ -338,8 +338,8 @@ const curvatureLimit = 1 << 60
 // triples of consecutive elements that lie inside one base segment
 // (StatsSegLen rows), taking one pass over the column the first time
 // it is asked. ok is false when the column is not at hand (only the
-// exhaustive search's floor computation carries it) or holds a value
-// beyond ±2^60.
+// exhaustive search's floors and the default search's certify step
+// carry it) or holds a value beyond ±2^60.
 func (st *BlockStats) Curvature() (delta uint64, ok bool) {
 	if st.column == nil || st.Min < -curvatureLimit || st.Max > curvatureLimit {
 		return 0, false

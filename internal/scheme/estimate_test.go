@@ -249,6 +249,12 @@ func checkPrunedVsExhaustive(t *testing.T, data []int64, st *core.BlockStats, sa
 	if perr != nil {
 		return
 	}
+	// A certified winner is the exhaustive one, and only a whole-column
+	// search can certify.
+	if pc.Certified && (pc.Desc != edesc || pc.Eval.Bits != eev.Bits || sampleSize > 0 && sampleSize < len(data)) {
+		t.Fatalf("certified %s = %d bits (sample %d of %d), exhaustive winner %s = %d bits",
+			pc.Desc, pc.Eval.Bits, sampleSize, len(data), edesc, eev.Bits)
+	}
 	// 1.05x relative slack, with one node header of absolute slack so
 	// tiny columns aren't dominated by constant overheads.
 	limit := 1.05*float64(eev.Bits) + float64(core.FormOverheadBits(2))
@@ -411,6 +417,50 @@ func TestBoundedSearchMatchesNaive(t *testing.T) {
 	}
 }
 
+// TestCertifiedChoiceIsExhaustive holds the certify step to the
+// search it vouches for where the two can disagree: the pruned search
+// at every effort and budget, over the estimator workloads at sizes
+// where equal-sized candidates tie. Whenever the pruned search
+// certifies its winner it must be the exhaustive search's winner under
+// the same budget, and the workloads must include choices it rightly
+// leaves uncertified because the exhaustive winner differs.
+func TestCertifiedChoiceIsExhaustive(t *testing.T) {
+	certified, differ := 0, 0
+	for kind := uint8(0); kind < 10; kind++ {
+		for _, n := range []int{1, 2, 3, 100, 5000} {
+			for _, param := range []uint8{3, 17, 90} {
+				data := estimateWorkload(kind, n, param, 42)[:n]
+				st := core.CollectStats(data, nil)
+				for _, budget := range []float64{0, 2, 4} {
+					truth := &core.Analyzer{Candidates: DefaultCandidates(&st), Exhaustive: true, CostBudget: budget}
+					wantDesc, _, wantEv, wantErr := referenceBest(truth, data)
+					for _, k := range []int{1, 2, 3} {
+						a := &core.Analyzer{Candidates: DefaultCandidates(&st), Stats: &st, TrialK: k, CostBudget: budget}
+						got, err := a.Best(data)
+						if err != nil || wantErr != nil {
+							continue
+						}
+						if got.Desc != wantDesc {
+							differ++
+						}
+						if !got.Certified {
+							continue
+						}
+						certified++
+						if got.Desc != wantDesc || got.Eval.Bits != wantEv.Bits {
+							t.Fatalf("kind%d n%d param%d budget%v k%d: certified %s (%d bits), exhaustive %s (%d bits)",
+								kind, n, param, budget, k, got.Desc, got.Eval.Bits, wantDesc, wantEv.Bits)
+						}
+					}
+				}
+			}
+		}
+	}
+	if certified == 0 || differ == 0 {
+		t.Fatalf("%d certified choices, %d pruned choices off the exhaustive one: the test lost its teeth", certified, differ)
+	}
+}
+
 // goldenPricesHash and goldenAliasPricesHash are SHA-256s over the
 // (label, bits, bound) price of every DefaultCandidates entry and of
 // the five model-composition aliases, across the named workloads,
@@ -451,6 +501,33 @@ func TestGoldenPrices(t *testing.T) {
 	}
 	if got := hex.EncodeToString(aliases.Sum(nil)); got != goldenAliasPricesHash {
 		t.Errorf("alias prices hash %s, want %s", got, goldenAliasPricesHash)
+	}
+}
+
+// TestSearchFingerprintCoversEveryGate pins what SearchFingerprint
+// hashes: every list DefaultCandidates returns on the named workloads
+// is an in-order selection from the all-gates-open list, so no
+// candidate the search can run escapes the fingerprint.
+func TestSearchFingerprintCoversEveryGate(t *testing.T) {
+	if SearchFingerprint() == 0 {
+		t.Fatal("SearchFingerprint is 0, the no-certificate value")
+	}
+	every := everyCandidate()
+	for kind := uint8(0); kind < 10; kind++ {
+		for _, n := range []int{0, 1, 2, 100, 5000} {
+			data := estimateWorkload(kind, n, 17, 42)[:n]
+			st := core.CollectStats(data, nil)
+			next := 0
+			for _, c := range DefaultCandidates(&st) {
+				for next < len(every) && every[next].Desc != c.Desc {
+					next++
+				}
+				if next == len(every) {
+					t.Fatalf("kind%d n%d: candidate %s is not in the fingerprinted list, in order", kind, n, c.Desc)
+				}
+				next++
+			}
+		}
 	}
 }
 
@@ -551,7 +628,8 @@ func formsEqual(a, b *core.Form) bool {
 // FuzzAnalyzerEstimateEquivalence drives random workloads through
 // the estimate-pruned analyzer and asserts (a) it picks a form within
 // a bounded size ratio (1.05x) of the compress-everything ground
-// truth, and (b) every estimate proves what its bound kind claims:
+// truth, and exactly that truth's winner whenever it certifies its
+// choice, and (b) every estimate proves what its bound kind claims:
 // exact ones equal the actual encoded bits, lower bounds never exceed
 // them, impossible ones fail.
 func FuzzAnalyzerEstimateEquivalence(f *testing.F) {

@@ -1,6 +1,10 @@
 package scheme
 
 import (
+	"fmt"
+	"hash/fnv"
+	"sync"
+
 	"lwcomp/internal/core"
 )
 
@@ -216,4 +220,36 @@ func DefaultCandidates(st *core.BlockStats) []core.Candidate {
 		}
 	}
 	return cands
+}
+
+// searchRevision is hashed into SearchFingerprint beside the candidate
+// descriptions. Bump it whenever a default candidate's compressed
+// output can change under an unchanged Desc (a new width policy, a
+// different model fit), so blocks certified by the old code stop
+// matching the new search.
+const searchRevision = 1
+
+// SearchFingerprint identifies the search a block certificate vouches
+// for (blocked.Block.Certificate): a 32-bit FNV-1a hash over
+// searchRevision and the Desc of every candidate DefaultCandidates can
+// return, in order, with every stats gate open. Adding, removing or
+// reordering a candidate changes it — the exhaustive search breaks
+// ties by input order — and so does a searchRevision bump. It is never
+// 0, which means "not certified".
+func SearchFingerprint() uint32 { return searchFingerprint() }
+
+var searchFingerprint = sync.OnceValue(func() uint32 {
+	h := fnv.New32a()
+	fmt.Fprintf(h, "revision %d\n", searchRevision)
+	for _, c := range everyCandidate() {
+		fmt.Fprintln(h, c.Desc)
+	}
+	return max(h.Sum32(), 1)
+})
+
+// everyCandidate is DefaultCandidates with every stats gate open: one
+// run of a repeated value admits CONST, the RLE family and both
+// dictionaries.
+func everyCandidate() []core.Candidate {
+	return DefaultCandidates(&core.BlockStats{N: 4, Runs: 1, Distinct: 1})
 }

@@ -199,9 +199,11 @@ func RepairFile(path string, opt RepairOptions) (*RepairResult, error) {
 }
 
 // salvageBlock decides one block's fate: preserve, re-read, fix its
-// index entry, or tombstone. It updates the result's tallies and
-// reports whether the block's index entry or payload differs from the
-// original container (requiring a new generation).
+// index entry, or tombstone. A block keeps its search certificate
+// while its payload passes the recorded CRC (stats fixes included) and
+// loses it otherwise. It updates the result's tallies and reports
+// whether the block's index entry or payload differs from the original
+// container (requiring a new generation).
 func salvageBlock(src storage.BlockReader, i int, ext storage.BlockExtent, b *blocked.Block,
 	opt RepairOptions, scratch *[]byte, res *RepairResult) (storage.RawBlock, bool) {
 	var lastErr error
@@ -245,8 +247,14 @@ func salvageBlock(src storage.BlockReader, i int, ext storage.BlockExtent, b *bl
 		}
 		rb := storage.RawBlock{Count: b.Count, Payload: append([]byte(nil), data...)}
 		blockChanged := !crcOK
-		if crcOK && attempt > 1 {
-			res.Reread++
+		if crcOK {
+			// Bytes that passed their recorded CRC are still the
+			// encoder's, so its certificate still vouches for them;
+			// bytes blessed under a recomputed CRC may not be.
+			rb.Certificate = b.Certificate
+			if attempt > 1 {
+				res.Reread++
+			}
 		}
 		if b.HasStats && len(vals) > 0 {
 			lo, hi, _ := vec.MinMax(vals) // non-empty: len(vals) > 0

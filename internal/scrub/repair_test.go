@@ -259,6 +259,18 @@ func TestRepairStableDecodableBytesFixChecksum(t *testing.T) {
 	if !rep.OK() || len(rep.Tombstones) != 0 {
 		t.Fatalf("checksum-fixed file fails verification: %+v", rep)
 	}
+	// The accepted bytes may not be the encoder's, so block 1 loses its
+	// search certificate; the untouched blocks keep theirs.
+	cf, err := storage.OpenContainerFile(path, storage.OpenOptions{CacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cf.Close()
+	for i, b := range cf.Columns()[0].Col.Blocks {
+		if (b.Certificate == 0) != (i == 1) {
+			t.Fatalf("block %d has certificate %08x after a checksum fix of block 1", i, b.Certificate)
+		}
+	}
 }
 
 func TestRepairUnparseableIndexUnrepairable(t *testing.T) {

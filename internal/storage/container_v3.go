@@ -35,8 +35,10 @@ import (
 //	    nblocks   varint
 //	    per block:
 //	      count      varint
-//	      flag       u8 (0 = no stats, 1 = stats, 2 = tombstone)
-//	      min,max    zigzag varints (present only when flag = 1)
+//	      flag       u8 (0 = no stats, 1 = stats, 2 = tombstone,
+//	                     3 = stats + certificate)
+//	      min,max    zigzag varints (present only when flag = 1 or 3)
+//	      cert       u32 search fingerprint (present only when flag = 3)
 //	      reason     u8-len + bytes (present only when flag = 2)
 //	      payloadOff varint (relative to the payload region start)
 //	      payloadLen varint (0 when flag = 2)
@@ -51,6 +53,14 @@ import (
 // block — fetches fail fast with blocked.ErrTombstone, degraded scans
 // skip exactly the declared range. Readers from before flag 2 reject
 // such containers at open ("bad stats flag"), never misread them.
+//
+// Flag 3 is flag 1 plus the block's certificate
+// (blocked.Block.Certificate): the fingerprint of the search that
+// proved the payload is the exhaustive search's choice, which lets the
+// compactor skip the container from its index alone. A block with a
+// certificate but no stats is written as flag 0, losing the
+// certificate. Readers from before flag 3 reject such containers at
+// open ("bad stats flag"), as with flag 2.
 //
 // Invariants a reader enforces: payload extents lie inside the
 // payload region, and the largest extent end equals the region size
@@ -98,7 +108,8 @@ func WriteContainerV3(w io.Writer, cols []BlockedColumn) error {
 			b := &c.Col.Blocks[i]
 			rb := RawBlock{
 				Count: b.Count, HasStats: b.HasStats, Min: b.Min, Max: b.Max,
-				Tombstone: b.Tombstone, TombstoneReason: b.TombstoneReason,
+				Certificate: b.Certificate,
+				Tombstone:   b.Tombstone, TombstoneReason: b.TombstoneReason,
 			}
 			if !b.Tombstone {
 				f, err := c.Col.BlockForm(i)
@@ -130,6 +141,11 @@ type RawBlock struct {
 	HasStats bool
 	// Min and Max are the block's raw-value extremes.
 	Min, Max int64
+	// Certificate is the block's search certificate
+	// (blocked.Block.Certificate), written only beside stats; 0 means
+	// none. It vouches for Payload, so a caller that cannot vouch for
+	// the bytes being the encoder's must leave it 0.
+	Certificate uint32
 	// Tombstone marks a block whose payload is lost; Payload must be
 	// nil.
 	Tombstone bool
@@ -195,9 +211,16 @@ func WriteContainerV3Raw(w io.Writer, cols []RawColumn) error {
 				index = append(index, byte(len(reason)))
 				index = append(index, reason...)
 			case b.HasStats:
-				index = append(index, 1)
+				flag := byte(1)
+				if b.Certificate != 0 {
+					flag = 3
+				}
+				index = append(index, flag)
 				index = binary.AppendUvarint(index, bitpack.Zigzag(b.Min))
 				index = binary.AppendUvarint(index, bitpack.Zigzag(b.Max))
+				if flag == 3 {
+					index = binary.LittleEndian.AppendUint32(index, b.Certificate)
+				}
 			default:
 				index = append(index, 0)
 			}
@@ -283,12 +306,12 @@ func parseIndexV3(index []byte, payloadSize int64) (*parsedIndex, error) {
 			if err != nil {
 				return nil, err
 			}
-			if flag > 2 {
+			if flag > 3 {
 				return nil, fmt.Errorf("%w: bad stats flag %d", ErrCorrupt, flag)
 			}
-			blk := blocked.Block{Start: start, Count: count, HasStats: flag == 1}
+			blk := blocked.Block{Start: start, Count: count, HasStats: flag == 1 || flag == 3}
 			switch flag {
-			case 1:
+			case 1, 3:
 				zzMin, err := d.uvarint()
 				if err != nil {
 					return nil, err
@@ -301,6 +324,11 @@ func parseIndexV3(index []byte, payloadSize int64) (*parsedIndex, error) {
 				blk.Max = bitpack.Unzigzag(zzMax)
 				if blk.Min > blk.Max {
 					return nil, fmt.Errorf("%w: block stats min %d > max %d", ErrCorrupt, blk.Min, blk.Max)
+				}
+				if flag == 3 {
+					if blk.Certificate, err = d.u32(); err != nil {
+						return nil, err
+					}
 				}
 			case 2:
 				rl, err := d.u8()
@@ -337,19 +365,11 @@ func parseIndexV3(index []byte, payloadSize int64) (*parsedIndex, error) {
 			if end > maxEnd {
 				maxEnd = end
 			}
-			var crcBytes [4]byte
-			for k := range crcBytes {
-				b, err := d.u8()
-				if err != nil {
-					return nil, err
-				}
-				crcBytes[k] = b
+			crc, err := d.u32()
+			if err != nil {
+				return nil, err
 			}
-			locs = append(locs, blockLoc{
-				off:    int64(off),
-				length: int64(length),
-				crc:    binary.LittleEndian.Uint32(crcBytes[:]),
-			})
+			locs = append(locs, blockLoc{off: int64(off), length: int64(length), crc: crc})
 			col.Blocks = append(col.Blocks, blk)
 			start += int64(count)
 		}

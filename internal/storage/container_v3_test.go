@@ -2,9 +2,13 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -64,6 +68,76 @@ func TestContainerV3RoundTrip(t *testing.T) {
 	}
 	if len(cols) != 2 {
 		t.Fatalf("ReadAnyContainer found %d columns", len(cols))
+	}
+}
+
+// TestContainerV3StatsFlags round-trips every block flag — 0 (no
+// stats), 1 (stats), 2 (tombstone), 3 (stats and certificate) — through
+// the eager and the lazy reader, drops a certificate that has no stats
+// to sit beside, and rejects flag 4 at open even under a valid index
+// checksum.
+func TestContainerV3StatsFlags(t *testing.T) {
+	payload := func(vals ...int64) []byte {
+		f, err := blocked.Encode(vals, blocked.EncodeOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		enc, err := EncodeForm(f.Blocks[0].Form)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return enc
+	}
+	want := []blocked.Block{
+		{Count: 2},
+		{Count: 2, HasStats: true, Min: -3, Max: 9},
+		{Count: 2, Tombstone: true, TombstoneReason: "lost"},
+		{Count: 2, HasStats: true, Min: 4, Max: 5, Certificate: 0xC0FFEE},
+		{Count: 2},
+	}
+	raw := RawColumn{Name: "c", BlockSize: 2, Blocks: []RawBlock{
+		{Count: 2, Payload: payload(1, 2)},
+		{Count: 2, HasStats: true, Min: -3, Max: 9, Payload: payload(-3, 9)},
+		{Count: 2, Tombstone: true, TombstoneReason: "lost"},
+		{Count: 2, HasStats: true, Min: 4, Max: 5, Certificate: 0xC0FFEE, Payload: payload(4, 5)},
+		{Count: 2, Certificate: 0xC0FFEE, Payload: payload(6, 7)},
+	}}
+	var buf bytes.Buffer
+	if err := WriteContainerV3Raw(&buf, []RawColumn{raw}); err != nil {
+		t.Fatal(err)
+	}
+	eager, err := ReadAnyContainer(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cf, err := OpenContainer(bytes.NewReader(buf.Bytes()), int64(buf.Len()), OpenOptions{CacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cf.Close()
+	for _, col := range []*blocked.Column{eager[0].Col, cf.Columns()[0].Col} {
+		for i, w := range want {
+			b := col.Blocks[i]
+			if b.Count != w.Count || b.HasStats != w.HasStats || b.Min != w.Min || b.Max != w.Max ||
+				b.Certificate != w.Certificate || b.Tombstone != w.Tombstone || b.TombstoneReason != w.TombstoneReason {
+				t.Fatalf("block %d read back as %+v, want %+v", i, b, w)
+			}
+		}
+	}
+
+	// Rewrite block 3's flag byte to 4 and re-seal the index.
+	data := append([]byte(nil), buf.Bytes()...)
+	indexLen := int(binary.LittleEndian.Uint64(data[6:14]))
+	index := data[v3PrefixLen : v3PrefixLen+indexLen]
+	certBytes := binary.LittleEndian.AppendUint32(nil, 0xC0FFEE)
+	at := bytes.Index(index, certBytes) - 3 // the flag, then min and max as one-byte varints
+	if at < 0 || index[at] != 3 {
+		t.Fatalf("no flag-3 block found in the index")
+	}
+	index[at] = 4
+	binary.LittleEndian.PutUint32(index[indexLen-4:], crc32.Checksum(index[:indexLen-4], castagnoli))
+	if _, err := ReadAnyContainer(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "bad stats flag 4") {
+		t.Fatalf("flag 4: %v", err)
 	}
 }
 

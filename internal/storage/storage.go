@@ -176,6 +176,16 @@ func (d *decoder) u8() (byte, error) {
 	return b, nil
 }
 
+// u32 reads a little-endian uint32.
+func (d *decoder) u32() (uint32, error) {
+	if len(d.data)-d.pos < 4 {
+		return 0, fmt.Errorf("%w: truncated at byte %d", ErrCorrupt, d.pos)
+	}
+	v := binary.LittleEndian.Uint32(d.data[d.pos:])
+	d.pos += 4
+	return v, nil
+}
+
 func (d *decoder) name() (string, error) {
 	n, err := d.u8()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync"
 
 	"lwcomp/internal/blocked"
 	"lwcomp/internal/vec"
@@ -153,10 +154,20 @@ func VerifyReader(ra io.ReaderAt, size int64, opts VerifyOptions) (*VerifyReport
 	return r, nil
 }
 
+// verifyBufs pools the buffer verifyWalk decodes blocks into, so a
+// steady stream of verifications does not allocate (and zero) a
+// block-sized buffer per call. It is a pool of its own rather than a
+// core.Scratch: a scratch's freelist hands its block-sized buffer to
+// the first smaller request, so borrowing there kept several
+// block-sized buffers alive across collections, where this pool keeps
+// one.
+var verifyBufs = sync.Pool{New: func() any { return new([]int64) }}
+
 // verifyWalk runs the per-block checks over an open container,
 // appending findings to r.
 func verifyWalk(cf *ContainerFile, r *VerifyReport) {
-	var buf []int64
+	pooled := verifyBufs.Get().(*[]int64)
+	defer verifyBufs.Put(pooled)
 	for _, bc := range cf.Columns() {
 		r.Columns++
 		if err := bc.Col.Validate(); err != nil {
@@ -174,9 +185,10 @@ func verifyWalk(cf *ContainerFile, r *VerifyReport) {
 				})
 				continue
 			}
-			if cap(buf) < b.Count {
-				buf = make([]int64, b.Count)
+			if cap(*pooled) < b.Count {
+				*pooled = make([]int64, b.Count)
 			}
+			buf := *pooled
 			// DecompressBlock pulls the payload through the source:
 			// CRC verification, form decode, and decompression in one
 			// pass — exactly the path a query would take.

@@ -103,7 +103,13 @@ type Stats = column.Stats
 // also be a BoundHeuristic price the shortlist left out. A candidate
 // that failed, or whose EstBits is the impossible sentinel because the
 // stats prove it cannot represent the column, carries an Err matching
-// ErrNotRepresentable.
+// ErrNotRepresentable. Certified reports that the exhaustive search
+// over the same candidates would choose this same form: always under
+// the exhaustive search over the whole column, and under the default
+// search (without a cost budget or sampling) when every candidate it
+// did not pick provably loses — by failing, by its measured size, by a
+// BoundExact or BoundLower price, or by its floor, which the default
+// search then computes past its shortlist too.
 type Choice = core.Choice
 
 // Bound says what a Choice ranking entry's EstBits proves about the
