@@ -1016,8 +1016,8 @@ func compressedPerBlock(b *testing.B, data []int64) float64 {
 
 // BenchmarkCompactFile measures background recompaction as the
 // maintenance lifecycle runs it: a container of 64Ki-row blocks
-// encoded by the default search, compacted with the exhaustive search
-// (TrialK 0) at any gain. The default search certifies these blocks,
+// encoded by the default search, compacted (always with the exhaustive
+// search) at any gain. The default search certifies these blocks,
 // so the compactor's whole cost per value is the index-only skip;
 // compressed/block reports how many of a block's candidates the
 // exhaustive search compresses to establish every candidate's size —

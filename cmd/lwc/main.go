@@ -54,8 +54,8 @@
 // The same salvage runs inside lwcd under -scrub-heal.
 //
 // compact is the single-shot recompaction pass: each container is
-// re-analyzed block by block (exhaustively, or pruned with -trialk)
-// and atomically rewritten only when the byte win clears the
+// re-analyzed block by block with the exhaustive search and
+// atomically rewritten only when the byte win clears the
 // threshold — the candidate is verified value-for-value before the
 // rename, so a failed rewrite leaves the old file untouched. A
 // container whose every block inspect reports as certified is already
@@ -650,7 +650,6 @@ func cmdCompact(args []string) error {
 	dryRun := fs.Bool("dry-run", false, "estimate savings from block stats only; no trial encode, no write")
 	minGain := fs.Int64("min-gain-bytes", 0, "rewrite threshold in bytes (0 = 4096, negative = any gain)")
 	minFrac := fs.Float64("min-gain-frac", 0, "rewrite threshold as a fraction of the old container size (0 = off)")
-	trialK := fs.Int("trialk", 0, "prune the per-block scheme search to the top K estimates (0 = exhaustive)")
 	parallel := fs.Int("parallel", 0, "concurrent block encoders (0 = GOMAXPROCS)")
 	merge := fs.Bool("merge", false, "also merge small same-table single-column containers (directory mode only)")
 	if err := fs.Parse(args); err != nil {
@@ -673,7 +672,6 @@ func cmdCompact(args []string) error {
 	c := compact.New(compact.Options{
 		MinGainBytes:    *minGain,
 		MinGainFraction: *minFrac,
-		TrialK:          *trialK,
 		Parallelism:     *parallel,
 		MergeSmall:      *merge,
 	})

@@ -52,6 +52,10 @@
 // blocks scanned, errors found, bytes scanned against the rate budget,
 // last sweep age).
 //
+// Compaction and scrub sweeps share one maintenance plane: at most one
+// sweep of either kind runs at a time, and shutdown stops both loops
+// and aborts a sweep in flight at its next container.
+//
 // At startup the daemon also sweeps orphaned .<name>.tmp-* files — the
 // only litter a crash mid-write can leave — so an interrupted compact,
 // repair, or compress never accumulates garbage in the mount.

@@ -15,7 +15,6 @@ import (
 	"lwcomp/internal/blocked"
 	"lwcomp/internal/scheme"
 	"lwcomp/internal/storage"
-	"lwcomp/internal/vec"
 )
 
 // DefaultMinGainBytes is the rewrite threshold used when Options does
@@ -23,13 +22,14 @@ import (
 // compactor never churns a directory for byte-level noise.
 const DefaultMinGainBytes int64 = 4096
 
-// DefaultSmallBytes is the merge-eligibility bound used when Options
-// does not set one: single-column containers under 1 MiB are "small"
-// and worth coalescing into one multi-column container.
+// DefaultSmallBytes is the merge-eligibility bound: single-column
+// containers under 1 MiB are "small" and worth coalescing into one
+// multi-column container.
 const DefaultSmallBytes int64 = 1 << 20
 
 // Options configures a Compactor. The zero value of every field means
-// "use the default".
+// "use the default". There is no search knob: every re-encode runs the
+// exhaustive search, the one whose result a certificate vouches for.
 type Options struct {
 	// MinGainBytes is the absolute rewrite threshold: a container is
 	// rewritten only when the candidate saves at least this many
@@ -41,22 +41,14 @@ type Options struct {
 	// the knob that keeps the compactor from rewriting a gigabyte to
 	// save a kilobyte.
 	MinGainFraction float64
-	// TrialK selects the re-analysis effort: 0 runs the exhaustive
-	// search (every candidate's size established, proved from the
-	// block stats or measured by compressing), a positive value runs
-	// the size-biased pruned search, shortlisting only the top-K
-	// estimate-ranked candidates per block.
-	TrialK int
 	// Parallelism bounds concurrent block re-encodes per container;
 	// <= 0 means GOMAXPROCS.
 	Parallelism int
-	// MergeSmall lets CompactDir coalesce groups of small same-table
-	// single-column containers (`<table>.<column>.lwc`) into one
-	// multi-column `<table>.lwc` before compacting.
+	// MergeSmall lets CompactDir coalesce groups of small
+	// (DefaultSmallBytes) same-table single-column containers
+	// (`<table>.<column>.lwc`) into one multi-column `<table>.lwc`
+	// before compacting.
 	MergeSmall bool
-	// SmallBytes bounds merge eligibility: only containers under this
-	// size coalesce. 0 means DefaultSmallBytes.
-	SmallBytes int64
 }
 
 // minGain resolves the absolute threshold knob.
@@ -78,14 +70,6 @@ func (o Options) threshold(oldSize int64) int64 {
 		min = frac
 	}
 	return min
-}
-
-// smallBytes resolves the merge-eligibility bound.
-func (o Options) smallBytes() int64 {
-	if o.SmallBytes <= 0 {
-		return DefaultSmallBytes
-	}
-	return o.SmallBytes
 }
 
 // Action is what the compactor did with one container.
@@ -242,10 +226,10 @@ func (c *Compactor) Counters() Counters {
 	}
 }
 
-// testMutateCandidate, when non-nil, corrupts the candidate container
+// testMutateCandidate, when non-nil, replaces the candidate container
 // bytes before the pre-swap verification — the test seam proving that
 // a failed verification keeps the old generation untouched.
-var testMutateCandidate func([]byte)
+var testMutateCandidate func([]byte) []byte
 
 // CompactFile re-analyzes one container and swaps in the smaller
 // generation when the win clears the threshold. A container whose
@@ -290,9 +274,9 @@ func (c *Compactor) CompactFile(path string) (res Result, err error) {
 			return res, nil
 		}
 		if errors.Is(err, errCertified) {
-			// The exhaustive re-encode would rebuild these very bytes,
-			// and a pruned one cannot price below them: nothing to win,
-			// and nothing was read past the index to know it.
+			// The exhaustive re-encode would rebuild these very bytes:
+			// nothing to win, and nothing was read past the index to
+			// know it.
 			res.Action, res.CandidateBytes = ActionSkipped, res.BytesBefore
 			c.skipped.Add(1)
 			return res, nil
@@ -305,15 +289,14 @@ func (c *Compactor) CompactFile(path string) (res Result, err error) {
 		return res, err
 	}
 
-	// Re-analyze every block at the configured effort. The encode is
-	// deterministic, so a container already at its best size yields an
-	// identical candidate and skips below.
+	// Re-analyze every block exhaustively. The encode is deterministic,
+	// so a container already at its best size yields an identical
+	// candidate and skips below.
 	cols := make([]storage.BlockedColumn, len(names))
 	for i := range names {
 		enc, err := blocked.Encode(data[i], blocked.EncodeOptions{
 			BlockSize:   blockSizes[i],
-			TrialK:      c.opt.TrialK,
-			Exhaustive:  c.opt.TrialK == 0,
+			Exhaustive:  true,
 			Parallelism: c.opt.Parallelism,
 		})
 		if err != nil {
@@ -334,15 +317,16 @@ func (c *Compactor) CompactFile(path string) (res Result, err error) {
 		return res, nil
 	}
 
+	candidate := buf.Bytes()
 	if testMutateCandidate != nil {
-		testMutateCandidate(buf.Bytes())
+		candidate = testMutateCandidate(candidate)
 	}
 	// `lwc verify` semantics plus value equality, before the swap:
 	// every candidate block re-read through the CRC path, decoded,
 	// stats re-derived against the index, and the decompressed values
 	// compared against what the old generation held. Any mismatch
 	// keeps the old generation.
-	if err := verifyCandidate(buf.Bytes(), names, data); err != nil {
+	if err := verifyCandidate(candidate, names, data); err != nil {
 		return fail(fmt.Errorf("candidate failed pre-swap verification: %w", err))
 	}
 
@@ -351,7 +335,7 @@ func (c *Compactor) CompactFile(path string) (res Result, err error) {
 	// finish on the retired inode; every open after the rename sees
 	// the compacted generation.
 	if err := storage.AtomicWriteFile(path, func(w io.Writer) error {
-		_, err := w.Write(buf.Bytes())
+		_, err := w.Write(candidate)
 		return err
 	}); err != nil {
 		return res, err
@@ -472,12 +456,14 @@ func certified(cols []storage.BlockedColumn) bool {
 	return true
 }
 
-// verifyCandidate fsck-walks a candidate container held in memory:
-// structure, per-block CRC + decode (DecompressBlock pulls every
-// payload through the checksum path), index stats re-derived from the
-// decoded values, and the values themselves compared against want.
-// It is the abort-before-swap gate — nothing it rejects ever reaches
-// the filesystem.
+// verifyCandidate is the abort-before-swap gate over a candidate
+// container held in memory: its columns must carry names and row
+// counts as want does, and the verifier's walk (storage.VerifyContainer:
+// every payload through the CRC path, decoded, its index stats
+// re-derived) must pass with every block's values equal to want's. A
+// candidate has no business declaring a block lost, so a tombstone
+// fails it too. It returns the first failure; nothing it rejects ever
+// reaches the filesystem.
 func verifyCandidate(candidate []byte, names []string, want [][]int64) error {
 	cf, err := storage.OpenContainer(bytes.NewReader(candidate), int64(len(candidate)),
 		storage.OpenOptions{CacheBytes: -1})
@@ -489,42 +475,26 @@ func verifyCandidate(candidate []byte, names []string, want [][]int64) error {
 	if len(cols) != len(names) {
 		return fmt.Errorf("%w: candidate has %d column(s), want %d", storage.ErrCorrupt, len(cols), len(names))
 	}
-	var buf []int64
 	for ci, bc := range cols {
 		if bc.Name != names[ci] {
 			return fmt.Errorf("%w: candidate column %d is %q, want %q", storage.ErrCorrupt, ci, bc.Name, names[ci])
-		}
-		if err := bc.Col.Validate(); err != nil {
-			return fmt.Errorf("column %q: %w", bc.Name, err)
 		}
 		if bc.Col.N != len(want[ci]) {
 			return fmt.Errorf("%w: candidate column %q holds %d row(s), want %d",
 				storage.ErrCorrupt, bc.Name, bc.Col.N, len(want[ci]))
 		}
-		for i := range bc.Col.Blocks {
-			b := &bc.Col.Blocks[i]
-			if cap(buf) < b.Count {
-				buf = make([]int64, b.Count)
-			}
-			if err := bc.Col.DecompressBlock(i, buf[:b.Count]); err != nil {
-				return fmt.Errorf("column %q block %d: %w", bc.Name, i, err)
-			}
-			ref := want[ci][b.Start : b.Start+int64(b.Count)]
-			for j, v := range buf[:b.Count] {
-				if v != ref[j] {
-					return fmt.Errorf("%w: column %q block %d row %d decodes to %d, want %d",
-						storage.ErrCorrupt, bc.Name, i, b.Start+int64(j), v, ref[j])
-				}
-			}
-			if b.Count == 0 {
-				continue
-			}
-			lo, hi, _ := vec.MinMax(buf[:b.Count]) // non-empty: b.Count > 0
-			if !b.HasStats || lo != b.Min || hi != b.Max {
-				return fmt.Errorf("%w: column %q block %d index stats [%d, %d], data spans [%d, %d]",
-					storage.ErrCorrupt, bc.Name, i, b.Min, b.Max, lo, hi)
+	}
+	rep := storage.VerifyContainer(cf, func(ci int, b *blocked.Block, vals []int64) error {
+		ref := want[ci][b.Start:]
+		for j, v := range vals {
+			if v != ref[j] {
+				return fmt.Errorf("%w: row %d decodes to %d, want %d", storage.ErrCorrupt, b.Start+int64(j), v, ref[j])
 			}
 		}
+		return nil
+	})
+	if issues := append(rep.Issues, rep.Tombstones...); len(issues) > 0 {
+		return fmt.Errorf("column %q block %d: %w", issues[0].Column, issues[0].Block, issues[0].Err)
 	}
 	return nil
 }

@@ -340,7 +340,7 @@ func TestCompactVerifyAbortKeepsOld(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	testMutateCandidate = func(b []byte) { b[len(b)-3] ^= 0x40 } // flip a payload bit
+	testMutateCandidate = func(b []byte) []byte { b[len(b)-3] ^= 0x40; return b } // flip a payload bit
 	defer func() { testMutateCandidate = nil }()
 
 	c := New(Options{MinGainBytes: -1})
@@ -361,25 +361,6 @@ func TestCompactVerifyAbortKeepsOld(t *testing.T) {
 	if ctr := c.Counters(); ctr.Failed != 1 || ctr.Rewritten != 0 {
 		t.Fatalf("counters = %+v", ctr)
 	}
-}
-
-// TestCompactPrunedSearch: TrialK > 0 runs the size-biased pruned
-// search; on this workload it lands on the same win as exhaustive.
-func TestCompactPrunedSearch(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "dates.lwc")
-	cols := map[string][]int64{"d": workload.OrderShipDates(40000, 64, 730120, 7)}
-	writeCheap(t, path, 8192, cols)
-
-	c := New(Options{MinGainBytes: -1, TrialK: 3})
-	res, err := c.CompactFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Action != ActionRewritten {
-		t.Fatalf("action = %q (err %v)", res.Action, res.Err)
-	}
-	equalCols(t, readBack(t, path), cols)
 }
 
 // TestCompactDir: a directory pass compacts every container and the
@@ -554,8 +535,8 @@ func TestMergeCarriesCertificates(t *testing.T) {
 }
 
 // TestMergeRefusals: groups that cannot merge cleanly are left
-// untouched — an existing <table>.lwc, mismatched row counts, or an
-// oversized sibling.
+// untouched — an existing <table>.lwc, mismatched row counts, or a
+// sibling of at least DefaultSmallBytes.
 func TestMergeRefusals(t *testing.T) {
 	dir := t.TempDir()
 	a := workload.LowCardinality(5000, 16, 1)
@@ -568,6 +549,14 @@ func TestMergeRefusals(t *testing.T) {
 	// Table "x": row counts disagree.
 	writeCheap(t, filepath.Join(dir, "x.a.lwc"), 1024, map[string][]int64{"col0": a})
 	writeCheap(t, filepath.Join(dir, "x.b.lwc"), 1024, map[string][]int64{"col0": short})
+	// Table "y": two small parts beside one of at least DefaultSmallBytes.
+	writeCheap(t, filepath.Join(dir, "y.a.lwc"), 1024, map[string][]int64{"col0": a})
+	writeCheap(t, filepath.Join(dir, "y.b.lwc"), 1024, map[string][]int64{"col0": a})
+	big := filepath.Join(dir, "y.c.lwc")
+	writeCheap(t, big, 1024, map[string][]int64{"col0": workload.UniformBits(150000, 62, 3)})
+	if size := fileSize(t, big); size < DefaultSmallBytes {
+		t.Fatalf("the oversized part is %d bytes, under the %d-byte bound", size, DefaultSmallBytes)
+	}
 
 	before, err := ListContainers(dir)
 	if err != nil {
@@ -587,16 +576,6 @@ func TestMergeRefusals(t *testing.T) {
 	}
 	if len(after) != len(before) {
 		t.Fatalf("file set changed: %v -> %v", before, after)
-	}
-
-	// SmallBytes = 1 disqualifies everything by size.
-	tiny := New(Options{MergeSmall: true, SmallBytes: 1})
-	results, err = tiny.MergeDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 0 {
-		t.Fatalf("oversized parts merged anyway: %+v", results)
 	}
 }
 

@@ -2,17 +2,17 @@
 // now, shrink later. Ingest encodes blocks with whatever search effort
 // the write path can afford (a fixed scheme, a pruned top-K trial); a
 // Compactor later walks the resulting v3 containers, re-analyzes every
-// block — exhaustively by default, or with a size-biased pruned search
-// via Options.TrialK — and atomically rewrites a container when the
-// byte win clears a configurable threshold. A container whose every
-// block the encoder certified (blocked.Block.Certificate) is already
-// the exhaustive search's result and is skipped from its index alone,
-// so a compacted directory is an index-only fixed point.
+// block with the exhaustive search, and atomically rewrites a container
+// when the byte win clears a configurable threshold. A container whose
+// every block the encoder certified (blocked.Block.Certificate) is
+// already the exhaustive search's result and is skipped from its index
+// alone, so a compacted directory is an index-only fixed point.
 //
 // A rewrite is a generation swap, not an in-place mutation: the
-// candidate container is serialized to memory, verified with `lwc
-// verify` semantics (every block CRC-checked, decoded, its re-derived
-// [min, max] compared against the index) plus value-for-value equality
+// candidate container is serialized to memory, verified by the same
+// walk `lwc verify` runs (storage.VerifyContainer: every block
+// CRC-checked, decoded, its re-derived [min, max] compared against the
+// index) with a per-block visit adding value-for-value equality
 // against the data the old generation held, and only then renamed over
 // the old file through storage.AtomicWriteFile. Concurrent readers
 // holding the old generation's file descriptor finish on the retired

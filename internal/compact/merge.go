@@ -36,7 +36,7 @@ type mergePart struct {
 // present, parts too large, mismatched row counts, a part holding
 // more than one column — are left untouched rather than failed.
 func (c *Compactor) MergeDir(dir string) ([]Result, error) {
-	groups, err := c.mergeGroups(dir)
+	groups, err := mergeGroups(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -57,12 +57,11 @@ func (c *Compactor) MergeDir(dir string) ([]Result, error) {
 // files grouped by table, at least two to a group, each under the
 // small-container bound, and no `<table>.lwc` already claiming the
 // merged name.
-func (c *Compactor) mergeGroups(dir string) ([]mergeGroup, error) {
+func mergeGroups(dir string) ([]mergeGroup, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	small := c.opt.smallBytes()
 	byTable := map[string][]mergePart{}
 	whole := map[string]bool{}
 	oversized := map[string]bool{}
@@ -82,7 +81,7 @@ func (c *Compactor) mergeGroups(dir string) ([]mergeGroup, error) {
 		if err != nil {
 			return nil, err
 		}
-		if info.Size() >= small {
+		if info.Size() >= DefaultSmallBytes {
 			// One big part disqualifies the table: merging the small
 			// siblings would orphan the naming convention mid-table.
 			oversized[tbl] = true

@@ -44,7 +44,7 @@ func naiveContainer(t *testing.T, name string, data []int64, blockSize int) []by
 }
 
 // TestExhaustiveCompactionMatchesNaiveSearch re-pins the compaction
-// contract on the bound-ordered search: at TrialK == 0 the compactor's
+// contract on the bound-ordered search: the compactor's exhaustive
 // candidate is byte-identical to the container the all-candidates
 // search yields, whether it starts from a container the default search
 // wrote (where the candidate usually only confirms there is nothing to

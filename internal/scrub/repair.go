@@ -3,14 +3,12 @@ package scrub
 import (
 	"bytes"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 
 	"lwcomp/internal/blocked"
 	"lwcomp/internal/core"
 	"lwcomp/internal/storage"
-	"lwcomp/internal/vec"
 )
 
 // Salvage repair rebuilds a damaged container as a new generation:
@@ -88,9 +86,6 @@ type RepairResult struct {
 	// ActionUnrepairable.
 	Err string `json:"error,omitempty"`
 }
-
-// castagnoli mirrors the storage layer's payload CRC polynomial.
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // RepairFile salvages the container at path per the package rules. It
 // returns a result for every container-shaped outcome — including
@@ -227,8 +222,14 @@ func salvageBlock(src storage.BlockReader, i int, ext storage.BlockExtent, b *bl
 		if cap(data) > cap(*scratch) {
 			*scratch = data[:0]
 		}
-		crcOK := crc32.Checksum(data, castagnoli) == ext.CRC
-		vals, derr := decodePayload(data, b.Count)
+		// The lazy read path's own two halves, run apart: bytes that
+		// decode cleanly under a failed CRC may still be the block.
+		crcOK := storage.PayloadCRCMatches(data, ext.CRC)
+		f, derr := storage.DecodeBlockPayload(data, b.Count)
+		var vals []int64
+		if derr == nil {
+			vals, derr = core.Decompress(f)
+		}
 		if derr != nil {
 			lastErr = derr
 			unconfirmed = nil
@@ -257,9 +258,9 @@ func salvageBlock(src storage.BlockReader, i int, ext storage.BlockExtent, b *bl
 			}
 		}
 		if b.HasStats && len(vals) > 0 {
-			lo, hi, _ := vec.MinMax(vals) // non-empty: len(vals) > 0
+			lo, hi, err := storage.CheckStats(b, vals)
 			rb.HasStats, rb.Min, rb.Max = true, lo, hi
-			if lo != b.Min || hi != b.Max {
+			if err != nil {
 				res.StatsFixed++
 				blockChanged = true
 			}
@@ -272,25 +273,4 @@ func salvageBlock(src storage.BlockReader, i int, ext storage.BlockExtent, b *bl
 	reason := fmt.Sprintf("payload unrecoverable after %d reads: %v", opt.ReadAttempts, lastErr)
 	res.Tombstoned++
 	return storage.RawBlock{Count: b.Count, Tombstone: true, TombstoneReason: reason}, true
-}
-
-// decodePayload checks a raw payload end to end: decode, full
-// consumption, declared row count, decompression. It returns the
-// decompressed values for stats re-derivation.
-func decodePayload(data []byte, count int) ([]int64, error) {
-	f, consumed, err := storage.DecodeForm(data)
-	if err != nil {
-		return nil, err
-	}
-	if consumed != len(data) {
-		return nil, fmt.Errorf("%w: payload decoded %d of %d bytes", storage.ErrCorrupt, consumed, len(data))
-	}
-	if f.N != count {
-		return nil, fmt.Errorf("%w: payload holds %d rows, index declares %d", storage.ErrCorrupt, f.N, count)
-	}
-	vals, err := core.Decompress(f)
-	if err != nil {
-		return nil, err
-	}
-	return vals, nil
 }

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"lwcomp/internal/blocked"
+	"lwcomp/internal/core"
 	"lwcomp/internal/faults"
 	"lwcomp/internal/storage"
 )
@@ -234,7 +235,11 @@ func TestRepairStableDecodableBytesFixChecksum(t *testing.T) {
 	flipped := int64(-1)
 	for i := int64(length) - 1; i >= 0; i-- {
 		corrupt[off+i] ^= 0x01
-		if _, err := decodePayload(corrupt[off:off+int64(length)], 128); err == nil {
+		f, err := storage.DecodeBlockPayload(corrupt[off:off+int64(length)], 128)
+		if err == nil {
+			_, err = core.Decompress(f)
+		}
+		if err == nil {
 			flipped = off + i
 			break
 		}

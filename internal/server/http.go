@@ -730,8 +730,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			ContainersMerged:    ctr.Merged,
 			BytesReclaimed:      ctr.BytesReclaimed,
 			CPUSeconds:          ctr.CPUSeconds,
-			Sweeps:              s.sweeps.Load(),
-			SweepsAborted:       s.sweepsAborted.Load(),
+			Sweeps:              s.compactSweeps.started.Load(),
+			SweepsAborted:       s.compactSweeps.aborted.Load(),
 			Generation:          s.compactor.Generation(),
 		}
 	}
@@ -755,8 +755,8 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Quarantined:       s.scrubQuarantined.Load(),
 		Healed:            s.scrubHealed.Load(),
 		Unrepairable:      s.scrubUnrepairable.Load(),
-		Sweeps:            s.scrubSweeps.Load(),
-		SweepsAborted:     s.scrubAborted.Load(),
+		Sweeps:            s.scrubSweeps.started.Load(),
+		SweepsAborted:     s.scrubSweeps.aborted.Load(),
 	}
 	writeJSON(w, body)
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -194,6 +195,61 @@ func TestScrubSweepQuarantinesThenHeals(t *testing.T) {
 	}
 	if m.Scrub.LastSweepAgeS < 0 {
 		t.Fatalf("last sweep age %v after two sweeps", m.Scrub.LastSweepAgeS)
+	}
+}
+
+// scrubSweepsStarted reads the scrub section's sweep count off
+// /metrics.
+func scrubSweepsStarted(t *testing.T, ts *httptest.Server) int64 {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m struct {
+		Scrub *metricsScrub `json:"scrub"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil || m.Scrub == nil {
+		t.Fatalf("/metrics scrub section: %v", err)
+	}
+	return m.Scrub.Sweeps
+}
+
+// TestScrubSweepDoesNotOutliveClose: an on-demand healing sweep parked
+// behind query traffic when Close runs is aborted by it, rather than
+// healing and re-mounting afterwards onto the closed server — a mount
+// set nothing would ever retire, leaking its descriptors.
+func TestScrubSweepDoesNotOutliveClose(t *testing.T) {
+	d := makeData(1024)
+	dir := newTestDir(t, d)
+	srv, ts := newTestServer(t, Config{Dir: dir, CacheBytes: -1, MaxConcurrent: 1})
+	swapLyingAmount(t, dir, d.amount)
+
+	// The one admission slot is busy, so the sweep parks in its yield.
+	if err := srv.gate.acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan scrubResult, 1)
+	go func() { done <- srv.scrubSweep(true) }()
+	deadline := time.Now().Add(5 * time.Second)
+	for scrubSweepsStarted(t, ts) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the sweep never started")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	srv.gate.release()
+	res := <-done
+	if !res.Aborted || res.Healed != 0 || res.Reloaded {
+		t.Fatalf("sweep across Close = %+v, want aborted with no heal and no reload", res)
+	}
+	if got := srv.Tables(); len(got) != 0 {
+		t.Fatalf("the closed server has table(s) %v mounted", got)
 	}
 }
 

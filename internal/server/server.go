@@ -77,9 +77,6 @@ type Config struct {
 	// CompactMinGainFraction additionally requires the gain to clear
 	// this fraction of the old container's size; 0 disables.
 	CompactMinGainFraction float64
-	// CompactTrialK prunes the compactor's per-block scheme search to
-	// the top K candidates by estimated size; 0 means exhaustive.
-	CompactTrialK int
 	// CompactMerge also coalesces groups of small same-table
 	// single-column containers into one container per table.
 	CompactMerge bool
@@ -172,24 +169,23 @@ type Server struct {
 	reloading atomic.Int64
 	draining  atomic.Int64
 
-	// The background recompaction daemon (nil/zero unless cfg.Compact):
-	// compactor does the rewrites, sweepMu serializes sweeps, the
-	// channels stop the loop, and the counters feed /metrics.
-	compactor     *compact.Compactor
-	compactStop   chan struct{}
-	compactDone   chan struct{}
-	sweepMu       sync.Mutex
-	sweeps        atomic.Int64
-	sweepsAborted atomic.Int64
+	// The maintenance plane (maintain.go): stop closes on Close, ending
+	// the loops counted in loops and aborting any sweep at its next
+	// yield; sweepMu lets one sweep run at a time.
+	stop    chan struct{}
+	loops   sync.WaitGroup
+	sweepMu sync.Mutex
 
-	// The background scrubber (loop runs only with cfg.Scrub, but the
+	// The recompaction sweep (nil/zero unless cfg.Compact): compactor
+	// does the rewrites, the counters feed /metrics.
+	compactor     *compact.Compactor
+	compactSweeps sweepCounters
+
+	// The scrub sweep (its loop runs only with cfg.Scrub, but the
 	// scrubber itself always exists so /-/scrub can trigger sweeps on
 	// demand): counters feed the /metrics scrub section.
 	scrubber          *scrub.Scrubber
-	scrubStop         chan struct{}
-	scrubDone         chan struct{}
-	scrubSweeps       atomic.Int64
-	scrubAborted      atomic.Int64
+	scrubSweeps       sweepCounters
 	scrubQuarantined  atomic.Int64
 	scrubHealed       atomic.Int64
 	scrubUnrepairable atomic.Int64
@@ -206,6 +202,7 @@ func New(cfg Config) (*Server, error) {
 		gate:     newGate(cfg.MaxConcurrent, cfg.MaxQueue),
 		met:      newMetrics(),
 		start:    time.Now(),
+		stop:     make(chan struct{}),
 		scrubber: scrub.New(cfg.scrubOptions()),
 	}
 	// Startup janitor: a crash mid-write leaves orphaned
@@ -219,22 +216,20 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Compact {
 		s.compactor = compact.New(cfg.compactOptions())
-		s.compactStop = make(chan struct{})
-		s.compactDone = make(chan struct{})
-		go s.compactLoop()
 	}
-	if cfg.Scrub {
-		s.scrubStop = make(chan struct{})
-		s.scrubDone = make(chan struct{})
-		go s.scrubLoop()
-	}
+	s.startMaintenance()
 	return s, nil
 }
+
+// errClosed is Reload's refusal on a closed server: nothing would ever
+// retire the set it mounted.
+var errClosed = errors.New("server closed")
 
 // Reload re-mounts the configured directory and atomically swaps the
 // served table set. In-flight queries finish against the set they
 // started on; the old set's containers close when its last query
-// drains. On error the previous set keeps serving untouched.
+// drains. On error the previous set keeps serving untouched; once the
+// server is closed, Reload fails with errClosed.
 func (s *Server) Reload() error {
 	s.reloading.Add(1)
 	defer s.reloading.Add(-1)
@@ -246,6 +241,13 @@ func (s *Server) Reload() error {
 		return err
 	}
 	s.mu.Lock()
+	if s.closed.Load() {
+		// Close retires whatever set it finds under mu; this one came
+		// too late to be found.
+		s.mu.Unlock()
+		ms.retire(nil)
+		return errClosed
+	}
 	old := s.mounts
 	s.mounts = ms
 	s.mu.Unlock()
@@ -260,17 +262,14 @@ func (s *Server) Reload() error {
 // in-flight query drains. The server rejects new queries afterwards.
 func (s *Server) Close() error {
 	if s.closed.CompareAndSwap(false, true) {
-		// Stop the background daemons first and wait them out: a sweep
-		// mid-rewrite finishes its atomic write, then sees the stop and
-		// aborts before the next container.
-		if s.compactStop != nil {
-			close(s.compactStop)
-			<-s.compactDone
-		}
-		if s.scrubStop != nil {
-			close(s.scrubStop)
-			<-s.scrubDone
-		}
+		// Stop the maintenance plane first and wait it out: the loops
+		// exit, and a sweep — background or on demand — finishes the
+		// container it is on (an atomic write included), aborts at its
+		// next yield, and takes no reload past this point.
+		close(s.stop)
+		s.loops.Wait()
+		s.sweepMu.Lock() // waits out a running sweep
+		s.sweepMu.Unlock()
 	}
 	s.mu.Lock()
 	old := s.mounts
@@ -392,7 +391,6 @@ func Main(args []string) error {
 	fs.DurationVar(&cfg.CompactInterval, "compact-interval", 0, "pause between background compaction sweeps (0 = 1m)")
 	fs.Int64Var(&cfg.CompactMinGainBytes, "compact-min-gain", 0, "rewrite threshold in bytes (0 = 4096, negative = any gain)")
 	fs.Float64Var(&cfg.CompactMinGainFraction, "compact-min-gain-frac", 0, "rewrite threshold as a fraction of the old container size (0 = off)")
-	fs.IntVar(&cfg.CompactTrialK, "compact-trialk", 0, "shortlist the compactor's scheme search to the top K estimates (0 = exhaustive: every candidate's size is established, proved from the stats or measured by compressing)")
 	fs.BoolVar(&cfg.CompactMerge, "compact-merge", false, "also merge small same-table single-column containers")
 	fs.BoolVar(&cfg.Scrub, "scrub", false, "run the background scrubber over the mounted containers")
 	fs.DurationVar(&cfg.ScrubInterval, "scrub-interval", 0, "pause between background scrub sweeps (0 = 5m)")

@@ -191,19 +191,11 @@ func decodeContainerV2(data []byte) ([]BlockedColumn, error) {
 			if d.pos+formLen > len(body) {
 				return nil, fmt.Errorf("%w: truncated block form in column %q", ErrCorrupt, name)
 			}
-			f, consumed, err := DecodeForm(body[d.pos : d.pos+formLen])
+			f, err := DecodeBlockPayload(body[d.pos:d.pos+formLen], count)
 			if err != nil {
 				return nil, fmt.Errorf("column %q block %d: %w", name, bi, err)
 			}
-			if consumed != formLen {
-				return nil, fmt.Errorf("%w: column %q block %d has %d trailing bytes",
-					ErrCorrupt, name, bi, formLen-consumed)
-			}
 			d.pos += formLen
-			if f.N != count {
-				return nil, fmt.Errorf("%w: column %q block %d form length %d, index says %d",
-					ErrCorrupt, name, bi, f.N, count)
-			}
 			blk.Form = f
 			col.Blocks = append(col.Blocks, blk)
 			start += int64(count)

@@ -403,20 +403,38 @@ func parseIndexV3(index []byte, payloadSize int64) (*parsedIndex, error) {
 // element count. The lazy read path runs it once per fetch, on the way
 // into the block cache, so a cached form is always verified.
 func decodeBlockPayload(data []byte, loc blockLoc, name string, blockIdx, count int) (*core.Form, error) {
-	if crc32.Checksum(data, castagnoli) != loc.crc {
+	if !PayloadCRCMatches(data, loc.crc) {
 		return nil, fmt.Errorf("column %q block %d: %w", name, blockIdx, ErrChecksum)
 	}
-	f, consumed, err := DecodeForm(data)
+	f, err := DecodeBlockPayload(data, count)
 	if err != nil {
 		return nil, fmt.Errorf("column %q block %d: %w", name, blockIdx, err)
 	}
+	return f, nil
+}
+
+// PayloadCRCMatches reports whether a block payload hashes to the
+// CRC-32C its index entry recorded — the first half of every block
+// fetch. Salvage repair runs it apart from the decode, to tell a
+// rotten payload from a rotten index CRC.
+func PayloadCRCMatches(data []byte, crc uint32) bool {
+	return crc32.Checksum(data, castagnoli) == crc
+}
+
+// DecodeBlockPayload is the decode half of every block fetch: data
+// must decode as one form that consumes it exactly and holds count
+// rows, the count the index declares. Failures are ErrCorrupt (or the
+// form layer's permanent errors).
+func DecodeBlockPayload(data []byte, count int) (*core.Form, error) {
+	f, consumed, err := DecodeForm(data)
+	if err != nil {
+		return nil, err
+	}
 	if consumed != len(data) {
-		return nil, fmt.Errorf("%w: column %q block %d has %d trailing bytes",
-			ErrCorrupt, name, blockIdx, len(data)-consumed)
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-consumed)
 	}
 	if f.N != count {
-		return nil, fmt.Errorf("%w: column %q block %d form length %d, index says %d",
-			ErrCorrupt, name, blockIdx, f.N, count)
+		return nil, fmt.Errorf("%w: form length %d, index says %d", ErrCorrupt, f.N, count)
 	}
 	return f, nil
 }

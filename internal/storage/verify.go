@@ -10,13 +10,15 @@ import (
 	"lwcomp/internal/vec"
 )
 
-// This file is the offline integrity verifier behind `lwc verify` and
-// the background scrubber: an fsck for containers. It walks every
-// block extent of every column, re-reads and CRC-checks each payload,
-// decodes and decompresses it, and re-derives the block's [min, max]
-// to compare against the index stats — catching both payload rot
-// (CRC) and index rot that a CRC cannot see (self-consistent but
-// wrong stats would silently turn block skipping into wrong answers).
+// This file is the one block check: the integrity verifier behind
+// `lwc verify`, the background scrubber, and the pre-swap gates of
+// compaction and salvage repair — an fsck for containers. It walks
+// every block extent of every column, re-reads and CRC-checks each
+// payload, decodes and decompresses it, and re-derives the block's
+// [min, max] to compare against the index stats — catching both
+// payload rot (CRC) and index rot that a CRC cannot see
+// (self-consistent but wrong stats would silently turn block skipping
+// into wrong answers).
 
 // VerifyIssue is one verification finding: a block (or, with Block
 // -1, the container as a whole) that failed a check.
@@ -111,24 +113,11 @@ func VerifyFile(path string) (*VerifyReport, error) {
 
 // VerifyFileOpts is VerifyFile with explicit options.
 func VerifyFileOpts(path string, opts VerifyOptions) (*VerifyReport, error) {
-	r := &VerifyReport{Path: path}
-	// Uncached: verification must touch the bytes on disk, and the
-	// walk reads every block exactly once anyway.
-	cf, err := OpenContainerFile(path, OpenOptions{
-		CacheBytes: -1,
-		Retry:      opts.Retry,
-		WrapReader: opts.WrapReader,
-	})
-	if err != nil {
-		if blocked.IsPermanent(err) {
-			r.Issues = append(r.Issues, VerifyIssue{Block: -1, Err: err})
-			return r, nil
-		}
-		return nil, err
+	r, err := verifyOpened(OpenContainerFile(path, opts.open()))
+	if r != nil {
+		r.Path = path
 	}
-	defer cf.Close()
-	verifyWalk(cf, r)
-	return r, nil
+	return r, err
 }
 
 // VerifyReader fsck-walks a container served from ra — the pre-swap
@@ -136,25 +125,31 @@ func VerifyFileOpts(path string, opts VerifyOptions) (*VerifyReport, error) {
 // semantics as VerifyFile: integrity failures land in the report,
 // only environmental failures return an error.
 func VerifyReader(ra io.ReaderAt, size int64, opts VerifyOptions) (*VerifyReport, error) {
-	r := &VerifyReport{}
-	cf, err := OpenContainer(ra, size, OpenOptions{
-		CacheBytes: -1,
-		Retry:      opts.Retry,
-		WrapReader: opts.WrapReader,
-	})
+	return verifyOpened(OpenContainer(ra, size, opts.open()))
+}
+
+// open maps the verification options onto an uncached open:
+// verification must touch the bytes on disk, and the walk reads every
+// block exactly once anyway.
+func (o VerifyOptions) open() OpenOptions {
+	return OpenOptions{CacheBytes: -1, Retry: o.Retry, WrapReader: o.WrapReader}
+}
+
+// verifyOpened walks cf and closes it, or, when the open failed,
+// reports an integrity failure as the container-level issue and
+// returns any other failure as environmental.
+func verifyOpened(cf *ContainerFile, err error) (*VerifyReport, error) {
 	if err != nil {
 		if blocked.IsPermanent(err) {
-			r.Issues = append(r.Issues, VerifyIssue{Block: -1, Err: err})
-			return r, nil
+			return &VerifyReport{Issues: []VerifyIssue{{Block: -1, Err: err}}}, nil
 		}
 		return nil, err
 	}
 	defer cf.Close()
-	verifyWalk(cf, r)
-	return r, nil
+	return VerifyContainer(cf, nil), nil
 }
 
-// verifyBufs pools the buffer verifyWalk decodes blocks into, so a
+// verifyBufs pools the buffer VerifyContainer decodes blocks into, so a
 // steady stream of verifications does not allocate (and zero) a
 // block-sized buffer per call. It is a pool of its own rather than a
 // core.Scratch: a scratch's freelist hands its block-sized buffer to
@@ -163,12 +158,19 @@ func VerifyReader(ra io.ReaderAt, size int64, opts VerifyOptions) (*VerifyReport
 // one.
 var verifyBufs = sync.Pool{New: func() any { return new([]int64) }}
 
-// verifyWalk runs the per-block checks over an open container,
-// appending findings to r.
-func verifyWalk(cf *ContainerFile, r *VerifyReport) {
+// VerifyContainer is the verification walk every fsck runs over an
+// open container: each block pulled through the read path and its
+// index stats checked against the values (CheckStats). visit, when
+// non-nil, then sees every block that passed — ci is the column's
+// position, b its index entry, vals its decoded values (a pooled
+// buffer, valid only for the call) — and an error it returns becomes
+// the block's issue: the compactor's pre-swap gate adds value equality
+// against the source that way.
+func VerifyContainer(cf *ContainerFile, visit func(ci int, b *blocked.Block, vals []int64) error) *VerifyReport {
+	r := &VerifyReport{}
 	pooled := verifyBufs.Get().(*[]int64)
 	defer verifyBufs.Put(pooled)
-	for _, bc := range cf.Columns() {
+	for ci, bc := range cf.Columns() {
 		r.Columns++
 		if err := bc.Col.Validate(); err != nil {
 			r.Issues = append(r.Issues, VerifyIssue{Column: bc.Name, Block: -1, Err: err})
@@ -188,26 +190,40 @@ func verifyWalk(cf *ContainerFile, r *VerifyReport) {
 			if cap(*pooled) < b.Count {
 				*pooled = make([]int64, b.Count)
 			}
-			buf := *pooled
+			vals := (*pooled)[:b.Count]
 			// DecompressBlock pulls the payload through the source:
 			// CRC verification, form decode, and decompression in one
 			// pass — exactly the path a query would take.
-			if err := bc.Col.DecompressBlock(i, buf[:b.Count]); err != nil {
+			err := bc.Col.DecompressBlock(i, vals)
+			if err == nil {
+				_, _, err = CheckStats(b, vals)
+			}
+			if err == nil && visit != nil {
+				err = visit(ci, b, vals)
+			}
+			if err != nil {
 				r.Issues = append(r.Issues, VerifyIssue{
 					Column: bc.Name, Block: i, RowStart: b.Start, RowCount: b.Count, Err: err,
 				})
-				continue
-			}
-			if !b.HasStats || b.Count == 0 {
-				continue
-			}
-			lo, hi, _ := vec.MinMax(buf[:b.Count]) // non-empty: b.Count > 0
-			if lo != b.Min || hi != b.Max {
-				r.Issues = append(r.Issues, VerifyIssue{
-					Column: bc.Name, Block: i, RowStart: b.Start, RowCount: b.Count,
-					Err: fmt.Errorf("%w: index stats [%d, %d] but data spans [%d, %d]",
-						ErrCorrupt, b.Min, b.Max, lo, hi)})
 			}
 		}
 	}
+	return r
+}
+
+// CheckStats re-derives a block's [min, max] from its decoded values
+// and checks them against the block's index entry — catching the index
+// rot a CRC cannot see (self-consistent but wrong stats would silently
+// turn block skipping into wrong answers). The verifier and salvage
+// repair share it; repair writes the re-derived lo, hi. A block
+// without stats or rows has nothing to check and passes with its own.
+func CheckStats(b *blocked.Block, vals []int64) (lo, hi int64, err error) {
+	if !b.HasStats || len(vals) == 0 {
+		return b.Min, b.Max, nil
+	}
+	lo, hi, _ = vec.MinMax(vals) // non-empty
+	if lo != b.Min || hi != b.Max {
+		err = fmt.Errorf("%w: index stats [%d, %d] but data spans [%d, %d]", ErrCorrupt, b.Min, b.Max, lo, hi)
+	}
+	return lo, hi, err
 }
