@@ -9,6 +9,10 @@
 //     with generated, fully unrolled, branch-free kernels per width
 //     (the scalar stand-in for the SIMD kernels used by the paper's
 //     lineage — see DESIGN.md, "Hardware substitution");
+//   - fused range kernels that count or select a block's values in
+//     [lo, hi] straight from the packed words; up to 16 bits they are
+//     lane-parallel, each 64-bit word testing all ⌊64/w⌋ of its
+//     values at once (SWAR), and wider they test one value at a time;
 //   - a generic bit-granular fallback for partial tail blocks;
 //   - zigzag mapping between signed and unsigned domains;
 //   - LEB128 varints and Elias gamma/delta codes for the paper's

@@ -11,7 +11,9 @@ import (
 // packed words — a straddling block of an NS or FOR form is scanned
 // without ever materializing the unpacked values, which is what makes
 // the compressed-scan path memory-traffic-bound rather than
-// decode-bound (see DESIGN.md, "Fused compressed scans").
+// decode-bound (see DESIGN.md, "Fused compressed scans"). Up to 16
+// bits a kernel tests all the lanes of a word at once (laneArc below
+// sets up its bounds).
 //
 // Both scans operate on the unsigned domain: callers translate their
 // signed query range first (and fall back to decoding for zigzag
@@ -114,13 +116,41 @@ func headLen(p, end int) int {
 	return head
 }
 
+// laneArc translates the kernels' window — v matches iff
+// v-lo <= span, mod 2^64 — onto the w-bit value domain [0, m],
+// m = 2^w-1, for the word-parallel (SWAR) kernels of packed_gen.go.
+// On that domain the window is an arc of the lane ring Z/2^w, or its
+// complement: v matches iff ((v-a) mod 2^w <= s) xor inv, with
+// s < 2^(w-1) so that a lane compares only its low w-1 bits. When
+// the window holds all of [0, m] or none of it, ok is false and every
+// value matches iff inv is all ones. It is small enough to inline
+// into every kernel, which calls it once per block.
+func laneArc(lo, span, m uint64) (a, s, inv uint64, ok bool) {
+	x, y := lo, lo+span // the matches are [x, y], complemented when inv is set
+	if y < x {
+		// The window wraps: it holds everything outside (y, x).
+		x, y, inv = y+1, x-1, ^uint64(0)
+	}
+	y = min(y, m)
+	if x > y {
+		return 0, 0, inv, false
+	}
+	s = y - x
+	if s > m>>1 {
+		// Match the complement arc instead: it starts after y and is
+		// short. If [x, y] was the whole domain, s wraps above m.
+		x, s, inv = (y+1)&m, m-s-1, ^inv
+	}
+	return x, s, inv, s <= m
+}
+
 // scalarRangeMask evaluates the range predicate on count (<= 64)
 // values starting at position start, bit-granularly, and returns the
 // match mask (bit j = position start+j). It is the unaligned-edge
 // companion of the block kernels.
 func scalarRangeMask(src []uint64, start, count int, w uint, lo, span uint64) uint64 {
 	if w == 0 {
-		if lo == 0 {
+		if 0-lo <= span {
 			return Mask(uint(count))
 		}
 		return 0

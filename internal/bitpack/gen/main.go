@@ -8,8 +8,11 @@
 // routines used by the systems the paper builds on (see DESIGN.md).
 // Each kernel is straight-line code — one or two shift/or terms per
 // value — so per-width cost is constant and proportional to width.
-// The fused kernels add one subtract-and-compare per value and emit a
-// 64-bit match mask, which drops straight into a sel.Selection word.
+// The fused kernels emit a 64-bit match mask, which drops straight
+// into a sel.Selection word. Up to swarMaxWidth bits they are
+// lane-parallel: each 64-bit word tests all of its ⌊64/w⌋ lanes in
+// about ten word operations (emitRangeSWAR). Wider, they extract and
+// compare one value at a time.
 //
 // Beyond pack/unpack/compare, the generator emits the wide kernels
 // the dict/RLE/RPE/model scheme family scans through (DESIGN.md
@@ -32,14 +35,27 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"go/format"
+	"log"
 	"os"
+	"strings"
 )
+
+// swarMaxWidth is the widest bit width whose range kernels are
+// lane-parallel; wider ones compare one value at a time.
+// BenchmarkRangeKernels is the matrix behind it (DESIGN.md §1.7):
+// lanes win through width 21 (three lanes a word) and lose from 22
+// (two). No benchmark workload stores widths 17-21, so those keep the
+// per-value kernels until a raised cut is measured end to end.
+const swarMaxWidth = 16
 
 func main() {
 	var b bytes.Buffer
 	fmt.Fprintln(&b, "// Code generated by internal/bitpack/gen. DO NOT EDIT.")
 	fmt.Fprintln(&b)
 	fmt.Fprintln(&b, "package bitpack")
+	fmt.Fprintln(&b)
+	fmt.Fprintln(&b, `import "math/bits"`)
 	fmt.Fprintln(&b)
 	fmt.Fprintln(&b, "// blockFunc packs or unpacks one 64-value block.")
 	fmt.Fprintln(&b, "type blockFunc func(src, dst []uint64)")
@@ -51,6 +67,8 @@ func main() {
 
 	fmt.Fprintln(&b, "// countRangeFunc counts the values of one 64-value block inside")
 	fmt.Fprintln(&b, "// [lo, lo+span] (unsigned, span = hi-lo so the window never wraps).")
+	fmt.Fprintln(&b, "// Every width evaluates the same predicate, v-lo <= span mod 2^64,")
+	fmt.Fprintln(&b, "// so a wrapping window gets the same answer at every width too.")
 	fmt.Fprintln(&b, "type countRangeFunc func(src []uint64, lo, span uint64) int")
 	fmt.Fprintln(&b)
 	fmt.Fprintln(&b, "// selectRangeFunc returns the match bitmap of one 64-value block")
@@ -58,9 +76,9 @@ func main() {
 	fmt.Fprintln(&b, "type selectRangeFunc func(src []uint64, lo, span uint64) uint64")
 	fmt.Fprintln(&b)
 	fmt.Fprintln(&b, "// countInRangeBlock0 handles width 0: every value is 0, inside the")
-	fmt.Fprintln(&b, "// window exactly when lo == 0.")
+	fmt.Fprintln(&b, "// window exactly when 0-lo <= span.")
 	fmt.Fprintln(&b, "func countInRangeBlock0(src []uint64, lo, span uint64) int {")
-	fmt.Fprintln(&b, "\tif lo == 0 {")
+	fmt.Fprintln(&b, "\tif 0-lo <= span {")
 	fmt.Fprintln(&b, "\t\treturn 64")
 	fmt.Fprintln(&b, "\t}")
 	fmt.Fprintln(&b, "\treturn 0")
@@ -68,7 +86,7 @@ func main() {
 	fmt.Fprintln(&b)
 	fmt.Fprintln(&b, "// selectInRangeBlock0 is the width-0 match mask: all or nothing.")
 	fmt.Fprintln(&b, "func selectInRangeBlock0(src []uint64, lo, span uint64) uint64 {")
-	fmt.Fprintln(&b, "\tif lo == 0 {")
+	fmt.Fprintln(&b, "\tif 0-lo <= span {")
 	fmt.Fprintln(&b, "\t\treturn ^uint64(0)")
 	fmt.Fprintln(&b, "\t}")
 	fmt.Fprintln(&b, "\treturn 0")
@@ -141,8 +159,13 @@ func main() {
 	for w := 1; w <= 64; w++ {
 		emitPack(&b, w)
 		emitUnpack(&b, w)
-		emitCountInRange(&b, w)
-		emitSelectInRange(&b, w)
+		if w <= swarMaxWidth {
+			emitRangeSWAR(&b, w, false)
+			emitRangeSWAR(&b, w, true)
+		} else {
+			emitCountInRange(&b, w)
+			emitSelectInRange(&b, w)
+		}
 		emitSum(&b, w)
 		emitSumInRange(&b, w)
 		if w <= 32 {
@@ -188,7 +211,11 @@ func main() {
 	emitDispatch(&b, "sumInRangeZZFuncs", "sumRangeFunc", "sumInRangeZZBlock", 64)
 	emitDispatch(&b, "sumZZFuncs", "sumFunc", "sumZZBlock", 64)
 
-	os.Stdout.Write(b.Bytes())
+	src, err := format.Source(b.Bytes())
+	if err != nil {
+		log.Fatalf("gen: generated code does not parse: %v", err)
+	}
+	os.Stdout.Write(src)
 }
 
 // emitDispatch writes a [maxW+1]-entry kernel dispatch array indexed
@@ -265,10 +292,10 @@ func valueExpr(w, i int) string {
 	}
 }
 
-// emitCountInRange writes countInRangeBlockW: the fused
-// unpack-and-compare count kernel. The predicate v-lo <= span is the
-// standard wrap-around trick for lo <= v <= lo+span on unsigned
-// values.
+// emitCountInRange writes countInRangeBlockW for a width above
+// swarMaxWidth: the per-value fused unpack-and-compare count kernel.
+// The predicate v-lo <= span is the standard wrap-around trick for
+// lo <= v <= lo+span on unsigned values.
 func emitCountInRange(b *bytes.Buffer, w int) {
 	fmt.Fprintf(b, "// countInRangeBlock%d counts the 64 %d-bit values of src[0:%d] inside [lo, lo+span].\n", w, w, w)
 	fmt.Fprintf(b, "func countInRangeBlock%d(src []uint64, lo, span uint64) int {\n", w)
@@ -285,9 +312,9 @@ func emitCountInRange(b *bytes.Buffer, w int) {
 	fmt.Fprintln(b)
 }
 
-// emitSelectInRange writes selectInRangeBlockW: the fused
-// unpack-and-compare select kernel, producing one selection-bitmap
-// word per block.
+// emitSelectInRange writes selectInRangeBlockW for a width above
+// swarMaxWidth: the per-value fused unpack-and-compare select kernel,
+// producing one selection-bitmap word per block.
 func emitSelectInRange(b *bytes.Buffer, w int) {
 	fmt.Fprintf(b, "// selectInRangeBlock%d returns the bitmap of which of the 64 %d-bit values of src[0:%d] lie inside [lo, lo+span].\n", w, w, w)
 	fmt.Fprintf(b, "func selectInRangeBlock%d(src []uint64, lo, span uint64) uint64 {\n", w)
@@ -302,6 +329,196 @@ func emitSelectInRange(b *bytes.Buffer, w int) {
 	fmt.Fprintln(b, "\treturn m")
 	fmt.Fprintln(b, "}")
 	fmt.Fprintln(b)
+}
+
+// emitRangeSWAR writes countInRangeBlockW or selectInRangeBlockW for
+// a width up to swarMaxWidth as a word-parallel (SWAR) kernel: each
+// 64-bit window holds k = ⌊64/w⌋ whole lanes, funnel-shifted across
+// word boundaries, and all k lanes are compared at once.
+//
+// laneArc (fused.go) first turns [lo, lo+span] into an arc of the
+// lane ring: v matches iff ((v-a) mod 2^w <= s) xor inv, s < 2^(w-1).
+// Per window, with h the lane tops and every constant broadcast to
+// all lanes:
+//
+//	d = (x | h) - al               al: a's low w-1 bits
+//	f = (sh - d&^h) &^ (x^d^an) & h
+//
+// Forcing each lane's top bit to 1 before the subtract keeps borrows
+// inside the lane: the low w-1 bits of d are those of (v-a) mod 2^w,
+// and d's top bit says whether the low bits borrowed, so x^d^an (an:
+// a's top bit complemented) is the difference's real top bit.
+// sh = s | 2^(w-1), so sh - d&^h keeps a lane's top bit iff
+// s >= the difference's low bits; the difference is <= s iff, in
+// addition, its real top bit is clear. f holds one flag per lane, at
+// the lane's top bit.
+//
+// count popcounts each window's flags. select gathers them into
+// consecutive mask bits. From w = 8 up one multiply does it: flag i,
+// at bit (i+1)w-1, times the multiplier's term 2^((k-1-i)(w-1)) lands
+// on bit k(w-1)+i, and carryFree checks that no two partial products
+// share a bit, so the product is an OR and those k bits are exactly
+// the flags (for w >= 9 it holds because w-1 >= k). Below w = 8 a
+// compress network with a constant mask does it (Hacker's Delight
+// 7-4, steps whose mask is zero left out); at w = 1 the flags are the
+// mask.
+func emitRangeSWAR(b *bytes.Buffer, w int, sel bool) {
+	k := 64 / w
+	windows := (64 + k - 1) / k
+	tops := func(n int) uint64 { return lanes(w, n) << (w - 1) }
+	half := uint64(1) << (w - 1)
+	multiply := carryFree(w, k) // else gather with a compress network
+
+	if sel {
+		fmt.Fprintf(b, "// selectInRangeBlock%d returns the bitmap of which of the 64 %d-bit values of src[0:%d] lie inside [lo, lo+span], %d lanes per word.\n", w, w, w, k)
+		fmt.Fprintf(b, "func selectInRangeBlock%d(src []uint64, lo, span uint64) uint64 {\n", w)
+	} else {
+		fmt.Fprintf(b, "// countInRangeBlock%d counts the 64 %d-bit values of src[0:%d] inside [lo, lo+span], %d lanes per word.\n", w, w, w, k)
+		fmt.Fprintf(b, "func countInRangeBlock%d(src []uint64, lo, span uint64) int {\n", w)
+	}
+	fmt.Fprintf(b, "\t_ = src[%d]\n", w-1)
+	fmt.Fprintf(b, "\ta, s, inv, ok := laneArc(lo, span, %#x)\n", uint64(1)<<w-1)
+	fmt.Fprintln(b, "\tif !ok {")
+	if sel {
+		fmt.Fprintln(b, "\t\treturn inv")
+	} else {
+		// inv is 0 or all ones here: no value matches, or all 64 do.
+		fmt.Fprintln(b, "\t\treturn int(inv & 64)")
+	}
+	fmt.Fprintln(b, "\t}")
+	fmt.Fprintf(b, "\tconst h = %#x\n", tops(k))
+	dx := "x | h" // at w = 1 a lane has no low bits to subtract
+	if w > 1 {
+		fmt.Fprintf(b, "\tal := (a & %#x) * %#x\n", half-1, lanes(w, k))
+		dx = "(x | h) - al"
+	}
+	fmt.Fprintf(b, "\tan := (^a & %#x) * %#x\n", half, lanes(w, k))
+	fmt.Fprintf(b, "\tsh := (s | %#x) * %#x\n", half, lanes(w, k))
+	if sel {
+		fmt.Fprintln(b, "\tvar m uint64")
+		if w > 1 && !multiply {
+			fmt.Fprintln(b, "\tvar t uint64")
+		}
+	} else {
+		fmt.Fprintln(b, "\tn := 0")
+	}
+	for j := 0; j < windows; j++ {
+		n := min(k, 64-j*k)
+		p := j * k * w
+		word, off := p/64, p%64
+		x := fmt.Sprintf("src[%d]", word)
+		if off > 0 {
+			x = fmt.Sprintf("src[%d]>>%d", word, off)
+			if off+n*w > 64 {
+				x += fmt.Sprintf(" | src[%d]<<%d", word+1, 64-off)
+			}
+		}
+		hj := "h"
+		if n < k {
+			hj = fmt.Sprintf("%#x", tops(n))
+		}
+		decl := "="
+		if j == 0 {
+			decl = ":="
+		}
+		fmt.Fprintf(b, "\tx%s %s\n", decl, x)
+		fmt.Fprintf(b, "\td%s %s\n", decl, dx)
+		fmt.Fprintf(b, "\tf%s (sh - d&^h) &^ (x ^ d ^ an) & %s\n", decl, hj)
+		if !sel {
+			fmt.Fprintln(b, "\tn += bits.OnesCount64(f)")
+			continue
+		}
+		if multiply {
+			// The product's result bits start at k(w-1); bits above the
+			// window's k are cut unless they fall off the word anyway.
+			g := fmt.Sprintf("f * %#x >> %d", lanes(w-1, k), k*(w-1))
+			if k*w < 64 && j < windows-1 {
+				g = fmt.Sprintf("(%s) & %#x", g, uint64(1)<<k-1)
+			}
+			fmt.Fprintf(b, "\tm |= %s\n", shiftExpr(g, j*k))
+			continue
+		}
+		for i, mv := range compressSteps(tops(n)) {
+			if mv != 0 {
+				fmt.Fprintf(b, "\tt = f & %#x\n", mv)
+				fmt.Fprintf(b, "\tf = f ^ t | t>>%d\n", 1<<i)
+			}
+		}
+		fmt.Fprintf(b, "\tm |= %s\n", shiftExpr("f", j*k))
+	}
+	if sel {
+		fmt.Fprintln(b, "\treturn m ^ inv")
+	} else {
+		fmt.Fprintln(b, "\tif inv != 0 {")
+		fmt.Fprintln(b, "\t\treturn 64 - n")
+		fmt.Fprintln(b, "\t}")
+		fmt.Fprintln(b, "\treturn n")
+	}
+	fmt.Fprintln(b, "}")
+	fmt.Fprintln(b)
+}
+
+// carryFree reports whether the multiply gather is exact at width w
+// with k lanes: every partial product of a lane flag (bit (i+1)w-1)
+// and a multiplier term (bit m(w-1)) that stays inside the word lands
+// on a bit of its own, so the product is an OR and carries nothing
+// into the result bits. It holds whenever w-1 >= k, and at w = 8.
+func carryFree(w, k int) bool {
+	var seen uint64
+	for i := 0; i < k; i++ {
+		for m := 0; m < k; m++ {
+			p := (i+1)*w - 1 + m*(w-1)
+			if p >= 64 {
+				continue
+			}
+			if seen&(1<<p) != 0 {
+				return false
+			}
+			seen |= 1 << p
+		}
+	}
+	return true
+}
+
+// shiftExpr returns e << by, or e itself when by is 0.
+func shiftExpr(e string, by int) string {
+	if by == 0 {
+		return e
+	}
+	if strings.Contains(e, " ") {
+		e = "(" + e + ")"
+	}
+	return fmt.Sprintf("%s << %d", e, by)
+}
+
+// lanes returns the word with bit 0 of each of the n low w-bit lanes
+// set: the multiplier that broadcasts a lane value to n lanes.
+func lanes(w, n int) uint64 {
+	var r uint64
+	for i := 0; i < n; i++ {
+		r |= 1 << (i * w)
+	}
+	return r
+}
+
+// compressSteps returns the six move masks of Hacker's Delight's
+// compress (7-4) for a constant mask: step i moves the bits under
+// mv[i] right by 2^i, so that applying the steps in order packs the
+// bits of x&mask into the low bits, order kept.
+func compressSteps(mask uint64) (mv [6]uint64) {
+	mk := ^mask << 1 // counts the zeros to a bit's right
+	for i := range mv {
+		mp := mk ^ mk<<1 // parallel suffix
+		mp ^= mp << 2
+		mp ^= mp << 4
+		mp ^= mp << 8
+		mp ^= mp << 16
+		mp ^= mp << 32
+		mv[i] = mp & mask
+		mask = mask ^ mv[i] | mv[i]>>(1<<i)
+		mk &^= mp
+	}
+	return mv
 }
 
 // emitSum writes sumBlockW: the fully unrolled wrapping sum of one
