@@ -457,6 +457,14 @@ func TestFusedAggregateAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
+	// date decodes to a plain leaf; qty's ns blocks are summed over the
+	// range on their packed words (bitpack.SumRangeU).
+	exprQty := lwcomp.Range("qty", 1<<14, 3<<14)
+	mustZeroAllocs(t, "fused-sum-same-column/qty", func() {
+		if _, _, err := tbl.SumWhere(ctx, exprQty, "qty"); err != nil {
+			t.Fatal(err)
+		}
+	})
 	mustZeroAllocs(t, "fused-sum-other-column", func() {
 		if _, _, err := tbl.SumWhere(ctx, exprLeaf, "amount"); err != nil {
 			t.Fatal(err)

@@ -13,6 +13,9 @@
 //     [lo, hi] straight from the packed words; up to 16 bits they are
 //     lane-parallel, each 64-bit word testing all ⌊64/w⌋ of its
 //     values at once (SWAR), and wider they test one value at a time;
+//   - fused sums over a range and under a mask; up to 16 bits they add
+//     the lanes a mask keeps on the packed words, and a sum over a
+//     range is the select kernel's mask, then that masked sum;
 //   - a generic bit-granular fallback for partial tail blocks;
 //   - zigzag mapping between signed and unsigned domains;
 //   - LEB128 varints and Elias gamma/delta codes for the paper's

@@ -7,10 +7,13 @@ import (
 
 // This file exposes the wide kernels emitted for the dict/RLE/RPE/
 // model scheme family (DESIGN.md §1.12): fused sums, fused
-// filter+sum, dictionary gathers, and the zigzag variants of the
-// range scans in fused.go. Like the range scans, every entry point
-// processes full 64-value blocks through generated kernels and the
-// unaligned head and tail bit-granularly, allocating nothing.
+// filter+sum, sums under a mask, dictionary gathers, and the zigzag
+// variants of the range scans in fused.go. Like the range scans, every
+// entry point processes full 64-value blocks through generated kernels
+// and the unaligned head and tail bit-granularly, allocating nothing.
+// Up to 16 bits the sums under a mask and over a range are lane
+// parallel, like the range scans: a sum over a range is the select
+// kernel's mask, then the masked sum of the lanes it keeps.
 //
 // Sums are wrapping (mod 2^64); callers accumulate into int64 with
 // two's-complement wrap, matching the documented Column.Sum
@@ -73,9 +76,57 @@ func SumZZ(packed []uint64, start, count int, w uint) (int64, error) {
 	return int64(total), nil
 }
 
+// MaxMaskedWidth is the widest bit width SumMaskedU takes: up to it a
+// block's selected values are added lane by lane on the packed words
+// (DESIGN.md §1.7), and wider payloads have no masked kernel.
+const MaxMaskedWidth = uint(len(sumMaskedFuncs) - 1)
+
+// sparseMasked is the most set bits of a mask whose values SumMaskedU
+// reads one at a time: the masked kernel costs the same whatever the
+// mask, about what reading five or six values does.
+const sparseMasked = 4
+
+// SumMaskedU returns the wrapping sum of the values of the 64-value
+// block at positions [start, start+64) of the packed width-w payload
+// whose bit is set in m (bit j = position start+j). The block is not
+// unpacked: a sparse mask reads just its values, and any other goes
+// through the masked kernel. start must be a multiple of 64 and w at
+// most MaxMaskedWidth. No memory is allocated.
+func SumMaskedU(packed []uint64, start int, w uint, m uint64) (uint64, error) {
+	// One test on the hot path: a selection sum calls this per 64 rows.
+	b := start >> 6
+	if w > MaxMaskedWidth || start < 0 || start&(BlockLen-1) != 0 || (b+1)*int(w) > len(packed) {
+		return 0, maskedSumError(packed, start, w)
+	}
+	if w == 0 {
+		return 0, nil
+	}
+	src := packed[b*int(w) : (b+1)*int(w)]
+	if bits.OnesCount64(m) > sparseMasked {
+		return sumMaskedFuncs[w](src, m), nil
+	}
+	var s uint64
+	for ; m != 0; m &= m - 1 {
+		s += ValueAt(src, bits.TrailingZeros64(m), w)
+	}
+	return s, nil
+}
+
+// maskedSumError says why SumMaskedU refused its arguments.
+func maskedSumError(packed []uint64, start int, w uint) error {
+	switch {
+	case w > MaxMaskedWidth:
+		return fmt.Errorf("%w: masked sum width %d exceeds %d", ErrWidth, w, MaxMaskedWidth)
+	case start < 0 || start&(BlockLen-1) != 0:
+		return fmt.Errorf("bitpack: masked sum at position %d, not a block start", start)
+	}
+	return checkFusedRange(packed, start, BlockLen, w)
+}
+
 // SumRangeU sums and counts the values at positions
-// [start, start+count) that lie in [lo, hi] (unsigned), fusing the
-// predicate and the aggregate into one pass over the packed words.
+// [start, start+count) that lie in [lo, hi] (unsigned). Up to
+// MaxMaskedWidth a full block is its match mask and then the masked
+// sum of what it keeps; wider, one pass compares and adds each value.
 func SumRangeU(packed []uint64, start, count int, w uint, lo, hi uint64) (sum uint64, n int64, err error) {
 	if err := checkFusedRange(packed, start, count, w); err != nil {
 		return 0, 0, err

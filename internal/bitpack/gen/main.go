@@ -16,16 +16,20 @@
 //
 // Beyond pack/unpack/compare, the generator emits the wide kernels
 // the dict/RLE/RPE/model scheme family scans through (DESIGN.md
-// §1.12): sumBlockW (fully unrolled wrapping sum), and a hybrid
-// family that unpacks one 64-value block into a stack buffer and
-// applies the operator in a second branch-light loop —
-// sumInRangeBlockW (fused filter+sum), gatherBlockW (dict code
-// gather through a value table, widths ≤ 32), and the zigzag
-// variants countInRangeZZBlockW / selectInRangeZZBlockW /
-// sumInRangeZZBlockW / sumZZBlockW, which decode the zigzag mapping
-// inline and compare in the signed domain via the two's-complement
-// wrap-around trick. The stack buffer never escapes (unpackBlockW
-// does not retain its dst), so every kernel is allocation-free.
+// §1.12): sumBlockW (fully unrolled wrapping sum), and up to
+// swarMaxWidth two lane-parallel sums: sumMaskedBlockW, the sum of
+// the lanes a mask keeps (emitSumMasked), and sumInRangeBlockW, the
+// composition of selectInRangeBlockW and sumMaskedBlockW. The rest is
+// a hybrid family that unpacks one 64-value block into a stack buffer
+// and applies the operator in a second branch-light loop —
+// sumInRangeBlockW above swarMaxWidth (fused filter+sum),
+// gatherBlockW (dict code gather through a value table, widths ≤ 32),
+// and the zigzag variants countInRangeZZBlockW /
+// selectInRangeZZBlockW / sumInRangeZZBlockW / sumZZBlockW, which
+// decode the zigzag mapping inline and compare in the signed domain
+// via the two's-complement wrap-around trick. The stack buffer never
+// escapes (unpackBlockW does not retain its dst), so every kernel is
+// allocation-free.
 //
 // Regenerate with:
 //
@@ -41,12 +45,13 @@ import (
 	"strings"
 )
 
-// swarMaxWidth is the widest bit width whose range kernels are
-// lane-parallel; wider ones compare one value at a time.
+// swarMaxWidth is the widest bit width whose range kernels and sums
+// are lane-parallel; wider ones compare and add one value at a time.
 // BenchmarkRangeKernels is the matrix behind it (DESIGN.md §1.7):
 // lanes win through width 21 (three lanes a word) and lose from 22
 // (two). No benchmark workload stores widths 17-21, so those keep the
 // per-value kernels until a raised cut is measured end to end.
+// BenchmarkSumKernels is the sums' matrix.
 const swarMaxWidth = 16
 
 func main() {
@@ -104,20 +109,17 @@ func main() {
 	fmt.Fprintln(&b, "// through tab into dst[0:64]; false reports an out-of-range code.")
 	fmt.Fprintln(&b, "type gatherFunc func(src []uint64, tab, dst []int64) bool")
 	fmt.Fprintln(&b)
+	fmt.Fprintln(&b, "// sumMaskedFunc sums the values of one 64-value block whose bit is")
+	fmt.Fprintln(&b, "// set in m (bit i = value i), wrapping mod 2^64.")
+	fmt.Fprintln(&b, "type sumMaskedFunc func(src []uint64, m uint64) uint64")
+	fmt.Fprintln(&b)
 	fmt.Fprintln(&b, "// sumBlock0 is the width-0 sum: 64 zeros.")
 	fmt.Fprintln(&b, "func sumBlock0(src []uint64) uint64 { return 0 }")
 	fmt.Fprintln(&b)
 	fmt.Fprintln(&b, "// sumZZBlock0 is the width-0 zigzag sum: 64 zeros.")
 	fmt.Fprintln(&b, "func sumZZBlock0(src []uint64) uint64 { return 0 }")
 	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, "// sumInRangeBlock0 handles width 0: 64 zeros, inside iff lo == 0.")
-	fmt.Fprintln(&b, "func sumInRangeBlock0(src []uint64, lo, span uint64) (uint64, int) {")
-	fmt.Fprintln(&b, "\tif lo == 0 {")
-	fmt.Fprintln(&b, "\t\treturn 0, 64")
-	fmt.Fprintln(&b, "\t}")
-	fmt.Fprintln(&b, "\treturn 0, 0")
-	fmt.Fprintln(&b, "}")
-	fmt.Fprintln(&b)
+	emitSumInRangeComposed(&b, 0)
 	fmt.Fprintln(&b, "// countInRangeZZBlock0: width-0 zigzag decodes to 64 signed zeros.")
 	fmt.Fprintln(&b, "func countInRangeZZBlock0(src []uint64, lo, span uint64) int {")
 	fmt.Fprintln(&b, "\tif 0-lo <= span {")
@@ -162,12 +164,15 @@ func main() {
 		if w <= swarMaxWidth {
 			emitRangeSWAR(&b, w, false)
 			emitRangeSWAR(&b, w, true)
+			emitSum(&b, w)
+			emitSumMasked(&b, w)
+			emitSumInRangeComposed(&b, w)
 		} else {
 			emitCountInRange(&b, w)
 			emitSelectInRange(&b, w)
+			emitSum(&b, w)
+			emitSumInRange(&b, w)
 		}
-		emitSum(&b, w)
-		emitSumInRange(&b, w)
 		if w <= 32 {
 			emitGather(&b, w)
 		}
@@ -205,6 +210,15 @@ func main() {
 	fmt.Fprintln(&b)
 	emitDispatch(&b, "sumFuncs", "sumFunc", "sumBlock", 64)
 	emitDispatch(&b, "sumInRangeFuncs", "sumRangeFunc", "sumInRangeBlock", 64)
+	fmt.Fprintln(&b, "// sumMaskedFuncs holds the lane-parallel masked sums. Entry 0 is nil:")
+	fmt.Fprintln(&b, "// a width-0 block sums to 0 under any mask.")
+	fmt.Fprintf(&b, "var sumMaskedFuncs = [%d]sumMaskedFunc{\n", swarMaxWidth+1)
+	fmt.Fprintln(&b, "\tnil,")
+	for w := 1; w <= swarMaxWidth; w++ {
+		fmt.Fprintf(&b, "\tsumMaskedBlock%d,\n", w)
+	}
+	fmt.Fprintln(&b, "}")
+	fmt.Fprintln(&b)
 	emitDispatch(&b, "gatherFuncs", "gatherFunc", "gatherBlock", 32)
 	emitDispatch(&b, "countInRangeZZFuncs", "countRangeFunc", "countInRangeZZBlock", 64)
 	emitDispatch(&b, "selectInRangeZZFuncs", "selectRangeFunc", "selectInRangeZZBlock", 64)
@@ -367,7 +381,7 @@ func emitRangeSWAR(b *bytes.Buffer, w int, sel bool) {
 	windows := (64 + k - 1) / k
 	tops := func(n int) uint64 { return lanes(w, n) << (w - 1) }
 	half := uint64(1) << (w - 1)
-	multiply := carryFree(w, k) // else gather with a compress network
+	multiply := carryFree(w, k, func(i int) int { return (i+1)*w - 1 }) // else gather with a compress network
 
 	if sel {
 		fmt.Fprintf(b, "// selectInRangeBlock%d returns the bitmap of which of the 64 %d-bit values of src[0:%d] lie inside [lo, lo+span], %d lanes per word.\n", w, w, w, k)
@@ -404,15 +418,7 @@ func emitRangeSWAR(b *bytes.Buffer, w int, sel bool) {
 	}
 	for j := 0; j < windows; j++ {
 		n := min(k, 64-j*k)
-		p := j * k * w
-		word, off := p/64, p%64
-		x := fmt.Sprintf("src[%d]", word)
-		if off > 0 {
-			x = fmt.Sprintf("src[%d]>>%d", word, off)
-			if off+n*w > 64 {
-				x += fmt.Sprintf(" | src[%d]<<%d", word+1, 64-off)
-			}
-		}
+		x := window(w, k, j, n)
 		hj := "h"
 		if n < k {
 			hj = fmt.Sprintf("%#x", tops(n))
@@ -458,16 +464,18 @@ func emitRangeSWAR(b *bytes.Buffer, w int, sel bool) {
 	fmt.Fprintln(b)
 }
 
-// carryFree reports whether the multiply gather is exact at width w
-// with k lanes: every partial product of a lane flag (bit (i+1)w-1)
-// and a multiplier term (bit m(w-1)) that stays inside the word lands
-// on a bit of its own, so the product is an OR and carries nothing
-// into the result bits. It holds whenever w-1 >= k, and at w = 8.
-func carryFree(w, k int) bool {
+// carryFree reports whether multiplying a word whose set bits lie at
+// bit(i), i < k, by lanes(w-1, k) is exact: every partial product of
+// such a bit and a multiplier term (bit m(w-1)) that stays inside the
+// word lands on a bit of its own, so the product is an OR and carries
+// nothing. The select gather (bits at the lane tops, (i+1)w-1) has it
+// whenever w-1 >= k, and at w = 8; the masked sum's spread (bits i)
+// whenever w-1 >= k.
+func carryFree(w, k int, bit func(i int) int) bool {
 	var seen uint64
 	for i := 0; i < k; i++ {
 		for m := 0; m < k; m++ {
-			p := (i+1)*w - 1 + m*(w-1)
+			p := bit(i) + m*(w-1)
 			if p >= 64 {
 				continue
 			}
@@ -519,6 +527,255 @@ func compressSteps(mask uint64) (mv [6]uint64) {
 		mk &^= mp
 	}
 	return mv
+}
+
+// window returns the expression for window j of a lane kernel with k
+// w-bit lanes a window: src's bits from lane jk on, funnel-shifted
+// across a word boundary when the window's n lanes straddle one. Bits
+// above the n lanes are the next window's; each kernel masks them.
+func window(w, k, j, n int) string {
+	p := j * k * w
+	word, off := p/64, p%64
+	if off == 0 {
+		return fmt.Sprintf("src[%d]", word)
+	}
+	x := fmt.Sprintf("src[%d]>>%d", word, off)
+	if off+n*w > 64 {
+		x += fmt.Sprintf(" | src[%d]<<%d", word+1, 64-off)
+	}
+	return x
+}
+
+// emitSumMasked writes sumMaskedBlockW for a width up to swarMaxWidth:
+// the wrapping sum of the values of a 64-value block whose bit is set
+// in m, computed on the packed words without unpacking them.
+//
+// Each window holds k lanes (sumLayout). Its k bits of m are spread
+// onto the lanes' low bits (spreadSteps), the spread word times
+// Mask(w) fills every chosen lane with ones, and that ANDed with the
+// window leaves the kept lanes and zeros. Halving folds (folds) then
+// add neighbouring fields: a field that sums j lanes of w bits needs
+// w + log2(j) bits and has jw of them. Each window folds once before
+// it is added into one accumulator, and the accumulator takes the
+// remaining folds once, at the end. At w = 1 the kept lanes are
+// single bits, and their sum is a popcount.
+func emitSumMasked(b *bytes.Buffer, w int) {
+	fmt.Fprintf(b, "// sumMaskedBlock%d sums the %d-bit values of src[0:%d] whose bit is set in m, lane by lane on the packed words.\n", w, w, w)
+	fmt.Fprintf(b, "func sumMaskedBlock%d(src []uint64, m uint64) uint64 {\n", w)
+	if w == 1 {
+		fmt.Fprintln(b, "\treturn uint64(bits.OnesCount64(src[0] & m))")
+		fmt.Fprintln(b, "}")
+		fmt.Fprintln(b)
+		return
+	}
+	k := sumLayout(w)
+	fs := folds(w, k)
+	fmt.Fprintf(b, "\t_ = src[%d]\n", w-1)
+	for j, decl := 0, ":="; j*k < 64; j, decl = j+1, "=" {
+		n := min(k, 64-j*k)
+		e := "m"
+		if j > 0 {
+			e = fmt.Sprintf("m >> %d", j*k)
+		}
+		if j*k+n < 64 {
+			e += fmt.Sprintf(" & %#x", uint64(1)<<n-1)
+		}
+		steps := spreadSteps(w, n)
+		if steps == nil {
+			e += fmt.Sprintf(" * %#x", lanes(w-1, n))
+		}
+		fmt.Fprintf(b, "\te%s %s\n", decl, e)
+		for i := len(steps) - 1; i >= 0; i-- {
+			if mv := steps[i]; mv != 0 {
+				fmt.Fprintf(b, "\te = e&^%#x | e<<%d&%#x\n", mv, 1<<i, mv)
+			}
+		}
+		x := window(w, k, j, n)
+		if strings.Contains(x, " ") {
+			x = "(" + x + ")"
+		}
+		fmt.Fprintf(b, "\tv%s %s & (e & %#x * %#x)\n", decl, x, lanes(w, n), uint64(1)<<w-1)
+		acc := "acc += "
+		if j == 0 {
+			acc = "acc := "
+		}
+		fmt.Fprintf(b, "\t%s%s\n", acc, fs[0].expr("v"))
+	}
+	for _, fo := range fs[1:] {
+		fmt.Fprintf(b, "\tacc = %s\n", fo.expr("acc"))
+	}
+	fmt.Fprintln(b, "\treturn acc")
+	fmt.Fprintln(b, "}")
+	fmt.Fprintln(b)
+}
+
+// spreadSteps returns how sumMaskedBlockW moves bit i of a window's
+// mask bits onto bit iw, the start of lane i, for every i < n. A nil
+// result means one multiply by lanes(w-1, n) does it: bit i times the
+// term 2^(i(w-1)) lands on bit iw, and when the product is carry-free
+// (w-1 >= n) no other partial product lands on a lane start. Otherwise
+// it returns the expand network of Hacker's Delight 7-5, which is
+// compressSteps(lanes(w, n)) run backwards: for i from 5 down to 0,
+// e = e&^mv[i] | e<<2^i&mv[i]. Either way stray bits may be left
+// between the lane starts; the kernel's lane mask clears them.
+// spreadSteps checks its answer on every single bit, which covers every
+// mask: both spreads are linear over GF(2), the multiply because it
+// is carry-free.
+func spreadSteps(w, n int) []uint64 {
+	var steps []uint64
+	if !carryFree(w, n, func(i int) int { return i }) {
+		mv := compressSteps(lanes(w, n))
+		steps = mv[:]
+	}
+	for i := 0; i < n; i++ {
+		e := uint64(1) << i
+		if steps == nil {
+			e *= lanes(w-1, n)
+		}
+		for s := len(steps) - 1; s >= 0; s-- {
+			e = e&^steps[s] | e<<(1<<s)&steps[s]
+		}
+		if e&lanes(w, n) != 1<<(i*w) {
+			log.Fatalf("gen: the spread of bit %d at width %d, %d lanes, is %#x", i, w, n, e)
+		}
+	}
+	return steps
+}
+
+// fold is one halving fold, v&e + v>>l&o, of a word of l-bit fields:
+// e keeps the even fields where they are and o takes the odd ones,
+// shifted down onto them.
+type fold struct {
+	l    int
+	e, o uint64
+}
+
+// expr returns the fold applied to v. When the odd fields are all of
+// v above the lowest, the shift alone takes them.
+func (fo fold) expr(v string) string {
+	if fo.o == ^uint64(0)>>fo.l {
+		return fmt.Sprintf("%s&%#x + %s>>%d", v, fo.e, v, fo.l)
+	}
+	return fmt.Sprintf("%s&%#x + %s>>%d&%#x", v, fo.e, v, fo.l, fo.o)
+}
+
+// folds returns the halving folds that add k lanes of w bits into one
+// field. At each level the fields are l bits wide: field i runs from
+// bit il to the next field's start, and the last one to bit 63, so a
+// top field holding fewer lanes than the others keeps the spare bits
+// above them.
+func folds(w, k int) []fold {
+	var fs []fold
+	for l, n := w, k; n > 1; l, n = 2*l, (n+1)/2 {
+		var e, o uint64
+		for i := 0; i < n; i++ {
+			end := 64
+			if i+1 < n {
+				end = (i + 1) * l
+			}
+			field := ^uint64(0) >> (64 - end + i*l) << (i * l)
+			if i%2 == 0 {
+				e |= field
+			} else {
+				o |= field >> l
+			}
+		}
+		fs = append(fs, fold{l, e, o})
+	}
+	return fs
+}
+
+// foldsFit reports whether sumMaskedBlockW can add its windows of k
+// w-bit lanes together once each has folded once: whether, with every
+// value at its largest, 2^w-1, every field of the accumulator, and of
+// each fold that finishes it, stays below its neighbour. A window's
+// own fold always fits: two lanes of w bits sum to at most w+1 bits.
+func foldsFit(w, k int) bool {
+	field := make([]uint64, (k+1)/2) // the largest value each field can hold
+	for j := 0; j*k < 64; j++ {
+		for i := range min(k, 64-j*k) {
+			field[i/2] += 1<<w - 1
+		}
+	}
+	for l := 2 * w; ; l *= 2 {
+		for i, v := range field {
+			end := 64
+			if i+1 < len(field) {
+				end = (i + 1) * l
+			}
+			if end-i*l < 64 && v>>(end-i*l) != 0 {
+				return false
+			}
+		}
+		if len(field) == 1 {
+			return true
+		}
+		next := make([]uint64, (len(field)+1)/2)
+		for i, v := range field {
+			next[i/2] += v
+		}
+		field = next
+	}
+}
+
+// sumLayout returns the lanes per window k of sumMaskedBlockW at width
+// w: among k from ⌊64/w⌋ down to half of it whose accumulator fits
+// (foldsFit), the one with the fewest word operations by a rough
+// count. A full word of lanes is not always best: at w = 7, nine lanes
+// leave the top lane one spare bit, so no accumulator fits, and eight
+// spread through an expand network, where six spread with one
+// multiply. Widths 3 and 6 to 9 take the narrower windows.
+func sumLayout(w int) (k int) {
+	best := -1
+	for kk := 64 / w; 2*kk >= 64/w; kk-- {
+		if !foldsFit(w, kk) {
+			continue
+		}
+		cost := 4 * (len(folds(w, kk)) - 1) // the accumulator's folds
+		for j := 0; j*kk < 64; j++ {
+			n := min(kk, 64-j*kk)
+			cost += 9 // mask bits, lane mask, fill, keep, fold, accumulate
+			if strings.Contains(window(w, kk, j, n), "|") {
+				cost += 2
+			}
+			steps := spreadSteps(w, n)
+			if steps == nil {
+				cost++
+			}
+			for _, mv := range steps {
+				if mv != 0 {
+					cost += 4
+				}
+			}
+		}
+		if best < 0 || cost < best {
+			best, k = cost, kk
+		}
+	}
+	if best < 0 {
+		log.Fatalf("gen: no window of %d-bit lanes leaves the masked sum room", w)
+	}
+	return k
+}
+
+// emitSumInRangeComposed writes sumInRangeBlockW for a width up to
+// swarMaxWidth as the composition of two lane kernels: the block's
+// match mask, then the masked sum of the lanes it keeps.
+func emitSumInRangeComposed(b *bytes.Buffer, w int) {
+	if w == 0 {
+		fmt.Fprintln(b, "// sumInRangeBlock0 handles width 0: 64 zeros, all inside the window or none.")
+	} else {
+		fmt.Fprintf(b, "// sumInRangeBlock%d sums and counts the 64 %d-bit values of src[0:%d] inside [lo, lo+span]: the match mask, then the masked sum.\n", w, w, w)
+	}
+	fmt.Fprintf(b, "func sumInRangeBlock%d(src []uint64, lo, span uint64) (uint64, int) {\n", w)
+	fmt.Fprintf(b, "\tm := selectInRangeBlock%d(src, lo, span)\n", w)
+	sum := "0"
+	if w > 0 {
+		sum = fmt.Sprintf("sumMaskedBlock%d(src, m)", w)
+	}
+	fmt.Fprintf(b, "\treturn %s, bits.OnesCount64(m)\n", sum)
+	fmt.Fprintln(b, "}")
+	fmt.Fprintln(b)
 }
 
 // emitSum writes sumBlockW: the fully unrolled wrapping sum of one

@@ -71,6 +71,24 @@ func rangeBounds(rng *rand.Rand, w uint, present uint64) [][2]uint64 {
 	return bs
 }
 
+// kernelBlocks returns the 64-value blocks every width's kernels are
+// checked on: all zero, all at the width's maximum, four random ones,
+// and one of three distinct values, so that narrow windows match some.
+func kernelBlocks(rng *rand.Rand, w uint) [][]uint64 {
+	blocks := [][]uint64{make([]uint64, BlockLen), make([]uint64, BlockLen)}
+	for i := range blocks[1] {
+		blocks[1][i] = Mask(w)
+	}
+	for i := 0; i < 4; i++ {
+		blocks = append(blocks, randomValues(rng, BlockLen, w))
+	}
+	few := randomValues(rng, BlockLen, w)
+	for i := range few {
+		few[i] = few[i%3]
+	}
+	return append(blocks, few)
+}
+
 // TestRangeKernelsEveryWidth checks the select and count kernels of
 // every width 0..64 — the lane-parallel ones and the per-value ones —
 // bit for bit against the reference predicate, on random, all-zero
@@ -79,20 +97,7 @@ func rangeBounds(rng *rand.Rand, w uint, present uint64) [][2]uint64 {
 func TestRangeKernelsEveryWidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for w := uint(0); w <= 64; w++ {
-		blocks := [][]uint64{make([]uint64, BlockLen), make([]uint64, BlockLen)}
-		for i := range blocks[1] {
-			blocks[1][i] = Mask(w)
-		}
-		for i := 0; i < 4; i++ {
-			blocks = append(blocks, randomValues(rng, BlockLen, w))
-		}
-		// Few distinct values, so that narrow windows match some.
-		few := randomValues(rng, BlockLen, w)
-		for i := range few {
-			few[i] = few[i%3]
-		}
-		blocks = append(blocks, few)
-		for _, vals := range blocks {
+		for _, vals := range kernelBlocks(rng, w) {
 			for _, bd := range rangeBounds(rng, w, vals[rng.Intn(BlockLen)]) {
 				checkRangeKernels(t, w, vals, bd[0], bd[1])
 			}

@@ -1,0 +1,254 @@
+package bitpack
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/bits"
+	"math/rand"
+	"testing"
+)
+
+// refSum is the reference masked sum: the wrapping sum of vals[i] for
+// every set bit i of m.
+func refSum(vals []uint64, m uint64) uint64 {
+	var s uint64
+	for i, v := range vals {
+		if m&(1<<uint(i)) != 0 {
+			s += v
+		}
+	}
+	return s
+}
+
+// checkSumInRange runs sumInRangeFuncs[w] on one packed 64-value block
+// and compares it with the reference sum and count of the values
+// inside the window, and with scalarSumRange.
+func checkSumInRange(t *testing.T, w uint, packed, vals []uint64, lo, span uint64) {
+	t.Helper()
+	m := refMask(vals, lo, span)
+	want, wantN := refSum(vals, m), bits.OnesCount64(m)
+	if s, n := sumInRangeFuncs[w](packed, lo, span); s != want || n != wantN {
+		t.Fatalf("w=%d lo=%#x span=%#x: sumInRange = (%d, %d), want (%d, %d) (vals %v)", w, lo, span, s, n, want, wantN, vals)
+	}
+	if s, n := scalarSumRange(packed, 0, BlockLen, w, lo, span, false); s != want || n != wantN {
+		t.Fatalf("w=%d lo=%#x span=%#x: scalarSumRange = (%d, %d), want (%d, %d)", w, lo, span, s, n, want, wantN)
+	}
+}
+
+// checkSumMasked runs sumMaskedFuncs[w] on one packed 64-value block
+// and compares it with the reference masked sum.
+func checkSumMasked(t *testing.T, w uint, packed, vals []uint64, m uint64) {
+	t.Helper()
+	if got, want := sumMaskedFuncs[w](packed, m), refSum(vals, m); got != want {
+		t.Fatalf("w=%d m=%#x: sumMasked = %d, want %d (vals %v)", w, m, got, want, vals)
+	}
+}
+
+// randomMask returns a mask whose bits are each set with probability p.
+func randomMask(rng *rand.Rand, p float64) uint64 {
+	var m uint64
+	for i := 0; i < BlockLen; i++ {
+		if rng.Float64() < p {
+			m |= 1 << uint(i)
+		}
+	}
+	return m
+}
+
+// sumMasks returns the masks every masked-sum width is checked with:
+// none, all, the first and the last bit alone, alternating bits, and
+// random masks at 1 %, 50 % and 99 % density.
+func sumMasks(rng *rand.Rand) []uint64 {
+	return []uint64{
+		0, math.MaxUint64, 1, 1 << 63, 0x5555555555555555, 0xaaaaaaaaaaaaaaaa,
+		randomMask(rng, 0.01), randomMask(rng, 0.5), randomMask(rng, 0.99),
+	}
+}
+
+// TestSumKernelsEveryWidth checks the sum-over-a-range kernels of every
+// width 0..64 — the select-then-masked-sum compositions up to
+// MaxMaskedWidth and the per-value ones above it — and the masked sums
+// of every width 1..MaxMaskedWidth against the reference sums on the
+// kernelBlocks of each width. It then drives
+// them through SumRangeU, with unaligned heads and tails, and through
+// SumMaskedU on blocks at non-zero word offsets.
+func TestSumKernelsEveryWidth(t *testing.T) {
+	// A window that wraps over 0 holds every width-0 value.
+	if s, n := sumInRangeFuncs[0](nil, 5, math.MaxUint64-4); s != 0 || n != BlockLen {
+		t.Fatalf("width 0, window [5, 2^64+0]: sumInRange = (%d, %d), want (0, 64)", s, n)
+	}
+	rng := rand.New(rand.NewSource(32))
+	for w := uint(0); w <= 64; w++ {
+		for _, vals := range kernelBlocks(rng, w) {
+			packed, err := Pack(vals, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, bd := range rangeBounds(rng, w, vals[rng.Intn(BlockLen)]) {
+				checkSumInRange(t, w, packed, vals, bd[0], bd[1])
+			}
+			if w >= 1 && w <= MaxMaskedWidth {
+				for _, m := range sumMasks(rng) {
+					checkSumMasked(t, w, packed, vals, m)
+				}
+			}
+		}
+
+		// Whole blocks at word offsets w, 2w, … and unaligned edges.
+		n := 4*BlockLen + 40
+		vals := randomValues(rng, n, w)
+		packed, err := Pack(vals, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range [][2]int{{64, 128}, {128, 64}, {192, 104}, {17, 250}} {
+			start, count := r[0], r[1]
+			for _, bd := range rangeBounds(rng, w, vals[start]) {
+				lo, span := bd[0], bd[1]
+				if lo+span < lo {
+					continue // SumRangeU takes [lo, hi]; it never wraps
+				}
+				var want uint64
+				var wantN int64
+				for _, v := range vals[start : start+count] {
+					if v-lo <= span {
+						want += v
+						wantN++
+					}
+				}
+				s, c, err := SumRangeU(packed, start, count, w, lo, lo+span)
+				if err != nil || s != want || c != wantN {
+					t.Fatalf("w=%d [%d,+%d) [%#x,+%#x]: SumRangeU = (%d, %d), %v, want (%d, %d)", w, start, count, lo, span, s, c, err, want, wantN)
+				}
+			}
+		}
+		if w > MaxMaskedWidth {
+			if _, err := SumMaskedU(packed, 0, w, 1); !errors.Is(err, ErrWidth) {
+				t.Fatalf("w=%d: SumMaskedU = %v, want ErrWidth", w, err)
+			}
+			continue
+		}
+		for _, start := range []int{64, 128, 192} {
+			for _, m := range sumMasks(rng) {
+				got, err := SumMaskedU(packed, start, w, m)
+				if want := refSum(vals[start:start+BlockLen], m); err != nil || got != want {
+					t.Fatalf("w=%d block at %d m=%#x: SumMaskedU = %d, %v, want %d", w, start, m, got, err, want)
+				}
+			}
+		}
+		// Only whole blocks whose words the payload holds are summed; at
+		// width 0 a block has no words.
+		bad := []int{17, -BlockLen}
+		if w > 0 {
+			bad = append(bad, 5*BlockLen)
+		}
+		for _, start := range bad {
+			if _, err := SumMaskedU(packed, start, w, 1); err == nil {
+				t.Fatalf("w=%d: SumMaskedU at %d of %d values: no error", w, start, n)
+			}
+		}
+	}
+}
+
+// FuzzSumKernels checks one width's sum-over-a-range kernel, and up to
+// MaxMaskedWidth its masked sum, against the reference sums on a
+// seeded block whose values mix random words with the window's edges.
+func FuzzSumKernels(f *testing.F) {
+	f.Add(uint8(3), uint64(1), uint64(1), uint64(0x5555555555555555), uint64(1))
+	f.Add(uint8(16), uint64(1000), uint64(40000), uint64(math.MaxUint64), uint64(2))
+	f.Add(uint8(10), uint64(1<<9), uint64(0), uint64(1<<63), uint64(3))
+	f.Add(uint8(9), uint64(5), uint64(math.MaxUint64-4), uint64(0xf0f0f0f0f0f0f0f0), uint64(4))
+	f.Add(uint8(7), uint64(math.MaxUint64-3), uint64(70), uint64(1), uint64(5))
+	f.Add(uint8(0), uint64(5), uint64(math.MaxUint64-4), uint64(0), uint64(6))
+	f.Add(uint8(33), uint64(1)<<32, uint64(1)<<31, uint64(0), uint64(7))
+	f.Fuzz(func(t *testing.T, w8 uint8, lo, span, mask, seed uint64) {
+		w := uint(w8) % 65
+		rng := rand.New(rand.NewSource(int64(seed)))
+		vals := randomValues(rng, BlockLen, w)
+		edges := [...]uint64{lo, lo - 1, lo + span, lo + span + 1, 0, Mask(w), Mask(w) >> 1, Mask(w)>>1 + 1}
+		for i := range vals {
+			if rng.Intn(2) == 0 {
+				vals[i] = edges[rng.Intn(len(edges))] & Mask(w)
+			}
+		}
+		packed, err := Pack(vals, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkSumInRange(t, w, packed, vals, lo, span)
+		if w >= 1 && w <= MaxMaskedWidth {
+			checkSumMasked(t, w, packed, vals, mask)
+		}
+	})
+}
+
+// BenchmarkSumKernels measures, at widths 1..24 over 256 random blocks
+// in ns per value, the sum over a range (sumInRangeBlockW) and the sum
+// of a block under a random selection of 1 %, 50 % and 99 % of its
+// rows, the way a selection sum over a plain packed leaf adds up a
+// full group: an empty mask reads nothing; up to MaxMaskedWidth
+// SumMaskedU; wider, a full mask goes through the fused sum, the
+// selected values are read one at a time when at most 16 are
+// selected, and otherwise the block is unpacked and its selected
+// values added. It is the matrix that places the masked kernels' cut.
+func BenchmarkSumKernels(b *testing.B) {
+	const blocks = 256
+	perValue := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blocks*BlockLen), "ns/value")
+	}
+	for w := uint(1); w <= 24; w++ {
+		rng := rand.New(rand.NewSource(int64(w)))
+		packed, err := Pack(randomValues(rng, blocks*BlockLen, w), w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(fmt.Sprintf("w=%d/range", w), func(b *testing.B) {
+			kernel := sumInRangeFuncs[w]
+			lo, span := Mask(w)/4, Mask(w)/4
+			var sink uint64
+			for i := 0; i < b.N; i++ {
+				for k := 0; k < blocks; k++ {
+					s, n := kernel(packed[k*int(w):(k+1)*int(w)], lo, span)
+					sink += s + uint64(n)
+				}
+			}
+			perValue(b)
+			benchSink = sink
+		})
+		for _, pct := range []int{1, 50, 99} {
+			masks := make([]uint64, blocks)
+			for k := range masks {
+				masks[k] = randomMask(rng, float64(pct)/100)
+			}
+			b.Run(fmt.Sprintf("w=%d/sel%d", w, pct), func(b *testing.B) {
+				var buf [BlockLen]uint64
+				var sink uint64
+				for i := 0; i < b.N; i++ {
+					for k, m := range masks {
+						blk := packed[k*int(w) : (k+1)*int(w)]
+						switch {
+						case m == 0:
+						case w <= MaxMaskedWidth:
+							s, _ := SumMaskedU(packed, k*BlockLen, w, m)
+							sink += s
+						case m == math.MaxUint64:
+							sink += sumFuncs[w](blk)
+						case bits.OnesCount64(m) <= 16:
+							for ; m != 0; m &= m - 1 {
+								sink += ValueAt(blk, bits.TrailingZeros64(m), w)
+							}
+						default:
+							unpackFuncs[w](blk, buf[:])
+							for ; m != 0; m &= m - 1 {
+								sink += buf[bits.TrailingZeros64(m)]
+							}
+						}
+					}
+				}
+				perValue(b)
+				benchSink = sink
+			})
+		}
+	}
+}

@@ -225,15 +225,18 @@ func (k *packed) sum(start, count int) (total int64, err error) {
 }
 
 // sparseGroup is the most selected rows of a 64-row group that are
-// read one value at a time; past it, unpacking the whole group costs
-// less.
+// read one value at a time where no masked kernel applies; past it,
+// unpacking the whole group costs less.
 const sparseGroup = 16
 
-// sumSel walks each mini-block 64 rows at a time: rows the selection
-// skips are not read, a fully selected group of plain values goes
-// through the fused sum kernels, a sparsely selected one reads just its
-// selected values, and any other group is unpacked and its selected
-// values added.
+// sumSel walks each mini-block 64 rows at a time. Rows the selection
+// skips are not read. A full group of plain values up to
+// bitpack.MaxMaskedWidth bits is one bitpack.SumMaskedU call, however
+// many of its rows are selected. Every other group — dictionary codes, zigzag payloads, wider values
+// and a mini-block's partial last group — goes through the fused sum
+// kernels when fully selected of plain values, reads just its selected
+// values when sparsely selected, and is otherwise unpacked and its
+// selected values added.
 func (k *packed) sumSel(p *pushdown, tab []int64) (total int64, err error) {
 	buf := p.s.U64(bitpack.BlockLen)
 	defer p.s.PutU64(buf)
@@ -243,6 +246,7 @@ func (k *packed) sumSel(p *pushdown, tab []int64) (total int64, err error) {
 		if w == 0 && tab == nil {
 			continue // every value is 0, zigzag or not
 		}
+		masked := tab == nil && !k.zz && w <= bitpack.MaxMaskedWidth
 		for r := first; r < end; r += bitpack.BlockLen {
 			c := min(bitpack.BlockLen, end-r)
 			m := p.word(r, end)
@@ -250,6 +254,10 @@ func (k *packed) sumSel(p *pushdown, tab []int64) (total int64, err error) {
 			switch {
 			case m == 0:
 				continue
+			case masked && c == bitpack.BlockLen:
+				var us uint64
+				us, err = bitpack.SumMaskedU(words, r-first, w, m)
+				s = int64(us)
 			case m == bitpack.Mask(uint(c)) && tab == nil:
 				s, err = k.sum(r, c)
 			case bits.OnesCount64(m) <= sparseGroup:

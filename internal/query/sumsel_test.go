@@ -19,9 +19,16 @@ import (
 func TestSumSelMatchesDecode(t *testing.T) {
 	const n = 3000 // 46 full words and a partial one
 	forced := map[string]func(*testing.T, []int64) (*core.Form, error){
-		"vns":       compressor(scheme.VNS{}),
-		"rle∘delta": compressor(scheme.RLEDeltaComposite()),
-		"dict":      compressor(scheme.DictComposite()),
+		"vns": compressor(scheme.VNS{}),
+		// Mini-blocks of 100 rows end mid-word: a full 64-row group and
+		// a partial one of 36 rows in each, at each block's own width.
+		"vns(block=100)": compressor(scheme.VNS{Block: 100}),
+		// Plain payloads at the widths the masked kernels sum.
+		"ns(width=3)":  nsAtWidth(3),
+		"ns(width=10)": nsAtWidth(10),
+		"ns(width=16)": nsAtWidth(16),
+		"rle∘delta":    compressor(scheme.RLEDeltaComposite()),
+		"dict":         compressor(scheme.DictComposite()),
 		"plus(const)": func(t *testing.T, col []int64) (*core.Form, error) {
 			return plusConst(t, col), nil
 		},
@@ -89,6 +96,23 @@ func TestSumSelMatchesDecode(t *testing.T) {
 
 func compressor(s core.Scheme) func(*testing.T, []int64) (*core.Form, error) {
 	return func(_ *testing.T, col []int64) (*core.Form, error) { return s.Compress(col) }
+}
+
+// nsAtWidth returns an encoder that packs the column's low w bits with
+// NS, one value raised to 2^w-1 so that the width is exactly w.
+func nsAtWidth(w uint) func(*testing.T, []int64) (*core.Form, error) {
+	return func(t *testing.T, col []int64) (*core.Form, error) {
+		vals := make([]int64, len(col))
+		for i, v := range col {
+			vals[i] = v & (1<<w - 1)
+		}
+		vals[len(vals)/2] = 1<<w - 1
+		f, err := scheme.NS{}.Compress(vals)
+		if err == nil && f.Params["width"] != int64(w) {
+			t.Fatalf("ns at width %d: packed at %d", w, f.Params["width"])
+		}
+		return f, err
+	}
 }
 
 // selection is one named choice of the rows of an n-row form.
