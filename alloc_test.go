@@ -487,6 +487,45 @@ func TestFusedAggregateAllocs(t *testing.T) {
 	}
 }
 
+// TestLinearRangeAllocs: a plus(linear) block — the noisy ramp of the
+// fused-aggregate pins above — is counted, summed under a range and
+// selected from its model's per-group bands and its residual's packed
+// words, none of it allocating.
+func TestLinearRangeAllocs(t *testing.T) {
+	const n = 1 << 14
+	data := workload.TrendNoise(n, 2.9, 40, 27)
+	col, err := lwcomp.Encode(data, lwcomp.WithBlockSize(n), lwcomp.WithParallelism(1),
+		lwcomp.WithScheme(lwcomp.LinearNS(1024)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	form, err := col.BlockForm(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := form.Describe(); got != "plus(model=linear(bases=id, slopes=id), residual=ns)" {
+		t.Fatalf("fixture encodes as %s; want plus(linear, ns)", got)
+	}
+	lo, hi := data[n/2]-40, data[n/2]+40 // straddles a few groups
+	mustZeroAllocs(t, "linear-count", func() {
+		if c, err := query.CountRange(form, lo, hi); err != nil || c == 0 {
+			t.Fatalf("CountRange = %d, %v", c, err)
+		}
+	})
+	mustZeroAllocs(t, "linear-sum-range", func() {
+		if _, _, err := query.SumRange(form, lo, hi); err != nil {
+			t.Fatal(err)
+		}
+	})
+	bm := lwcomp.NewSelection(n)
+	mustZeroAllocs(t, "linear-select", func() {
+		bm.Reset(n)
+		if err := query.SelectRangeSel(form, lo, hi, bm, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestPrefetchAnnounceAllocs: announcing block prefetches against a
 // lazy container — the scan paths do it once per undecided block —
 // allocates nothing in steady state, whether the block is already

@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"lwcomp"
@@ -1287,6 +1288,54 @@ func BenchmarkFusedAggregate(b *testing.B) {
 				}
 				reportElems(b, benchN)
 			})
+		}
+	}
+}
+
+// BenchmarkLinearRange counts, selects and sums under a range on one
+// 16,384-row plus(linear, ns) block in the shapes of the benchmark's
+// level column (a noisy ramp) and amount column (a walk): narrow is
+// ±40 around a stored value, so a few groups straddle and the rest are
+// skipped by their bands; half is the middle half of the values, so
+// most groups land whole. Reported in ns per value of the block.
+func BenchmarkLinearRange(b *testing.B) {
+	const n = 1 << 14
+	for _, sh := range []struct {
+		name string
+		data []int64
+	}{
+		{"level", workload.TrendNoise(n, 2.9, 40, 61)},
+		{"amount", workload.RandomWalk(n, 12, 1<<30, 62)},
+	} {
+		f, err := lwcomp.LinearNS(1024).Compress(sh.data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		sorted := slices.Sorted(slices.Values(sh.data))
+		v := sh.data[n/2]
+		for _, r := range []struct {
+			name   string
+			lo, hi int64
+		}{{"narrow", v - 40, v + 40}, {"half", sorted[n/4], sorted[3*n/4]}} {
+			bm := lwcomp.NewSelection(n)
+			for _, verb := range []struct {
+				name string
+				run  func() error
+			}{
+				{"count", func() error { _, err := query.CountRange(f, r.lo, r.hi); return err }},
+				{"select", func() error { bm.Reset(n); return query.SelectRangeSel(f, r.lo, r.hi, bm, 0) }},
+				{"sum", func() error { _, _, err := query.SumRange(f, r.lo, r.hi); return err }},
+			} {
+				b.Run(sh.name+"/"+r.name+"/"+verb.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if err := verb.run(); err != nil {
+							b.Fatal(err)
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/value")
+				})
+			}
 		}
 	}
 }

@@ -26,6 +26,9 @@ type leaf interface {
 	apply(p *pushdown, start, count int, lo, hi, add int64) error
 	// sum returns the wrapping sum of rows [start, start+count).
 	sum(start, count int) (int64, error)
+	// sumMask returns the wrapping sum of rows start+j for the set bits
+	// j of m.
+	sumMask(start int, m uint64) (int64, error)
 	// sumSel returns the wrapping sum of the rows p's selection holds,
 	// each value read through tab when tab is non-nil (a dictionary,
 	// the leaf its codes).
@@ -205,6 +208,40 @@ func (k *packed) apply(p *pushdown, start, count int, lo, hi, add int64) error {
 	return nil
 }
 
+// sumMask adds a full word-aligned group of plain values up to
+// bitpack.MaxMaskedWidth bits with one bitpack.SumMaskedU call, and
+// reads the selected values one at a time otherwise.
+func (k *packed) sumMask(start int, m uint64) (int64, error) {
+	words, w, first := k.miniBlock(start / k.block)
+	rel, n := k.overlap(first, start, start+bitpack.BlockLen)
+	if !k.zz && w <= bitpack.MaxMaskedWidth && rel%bitpack.BlockLen == 0 && n == bitpack.BlockLen {
+		s, err := bitpack.SumMaskedU(words, rel, w, m)
+		return int64(s), err
+	}
+	var s int64
+	for ; m != 0; m &= m - 1 {
+		s += k.at(start + bits.TrailingZeros64(m))
+	}
+	return s, nil
+}
+
+// groupMask returns the bits of the 64-row group at row rel of a
+// mini-block's words (rel a multiple of 64) whose value lies in
+// [lo, hi], a range inside the extent: the fused select kernel's one
+// match mask.
+func (k *packed) groupMask(words []uint64, w uint, rel int, lo, hi int64) (m uint64, err error) {
+	if lo > hi {
+		return 0, nil
+	}
+	emit := func(_ int, got uint64) { m = got }
+	if k.zz {
+		err = bitpack.SelectRangeZZ(words, rel, bitpack.BlockLen, w, lo, hi, emit)
+	} else {
+		err = bitpack.SelectRangeU(words, rel, bitpack.BlockLen, w, uint64(lo), uint64(hi), emit)
+	}
+	return m, err
+}
+
 func (k *packed) sum(start, count int) (total int64, err error) {
 	for b, end := start/k.block, start+count; b*k.block < end && err == nil; b++ {
 		words, w, first := k.miniBlock(b)
@@ -347,6 +384,14 @@ func (v *plain) apply(p *pushdown, start, count int, lo, hi, add int64) error {
 
 func (v *plain) sum(start, count int) (int64, error) {
 	return vec.Sum(v.vals[start : start+count]), nil
+}
+
+func (v *plain) sumMask(start int, m uint64) (int64, error) {
+	var s int64
+	for ; m != 0; m &= m - 1 {
+		s += v.vals[start+bits.TrailingZeros64(m)]
+	}
+	return s, nil
 }
 
 func (v *plain) sumSel(p *pushdown, tab []int64) (int64, error) {

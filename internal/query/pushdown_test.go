@@ -117,6 +117,19 @@ func plusStep(t *testing.T, col []int64) *core.Form {
 	return f
 }
 
+// asLinear is the bare linear form fitted to the column with 32-row
+// segments: a lossy fit, so the form stands for its own decode, which
+// is all checkVerbs compares against.
+func asLinear(t *testing.T, col []int64) *core.Form {
+	s := core.GetScratch()
+	defer s.Release()
+	f, err := scheme.Linear{SegLen: 32}.Fit(col, s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
 // patchOver is patch(base=enc(col with the exceptions filled in),
 // positions, values): each exception's slot in the base holds its left
 // neighbour's value (its right one at row 0), as a patched encoder
@@ -174,47 +187,56 @@ func checkVerbs(t *testing.T, name string, f *core.Form, bounds []int64) (materi
 			t.Errorf("%s: PointLookup(%d) = %d, %v; want %d", name, row, got, err, col[row])
 		}
 	}
-	const base = 70 // not word-aligned, so select's masks straddle words
 	for _, lo := range bounds {
 		for _, hi := range bounds {
-			// The destination already holds bits — another leaf's
-			// matches — which a select must leave set.
-			want := sel.New(base + len(col) + 3)
-			var wantCount, wantSum int64
-			for i, v := range col {
-				if i%7 == 3 {
-					want.Add(base + i)
-				}
-				if v >= lo && v <= hi {
-					want.Add(base + i)
-					wantCount++
-					wantSum += v
-				}
-			}
-			got := sel.New(want.Len())
-			for i := 3; i < len(col); i += 7 {
-				got.Add(base + i)
-			}
-			sa, err := run(selectVerb, f, lo, hi, got, base, s)
-			if err != nil || !slices.Equal(got.Rows(), want.Rows()) {
-				t.Fatalf("%s [%d, %d]: select: %v, %d bits set, want %d", name, lo, hi, err, got.Count(), want.Count())
-			}
-			ca, err := run(CountVerb, f, lo, hi, nil, 0, s)
-			if err != nil || ca.count != wantCount {
-				t.Fatalf("%s [%d, %d]: count = %d, %v; want %d", name, lo, hi, ca.count, err, wantCount)
-			}
-			ua, err := run(SumVerb, f, lo, hi, nil, 0, s)
-			if err != nil || ua.count != wantCount || ua.sum != wantSum {
-				t.Fatalf("%s [%d, %d]: sum = (%d, %d), %v; want (%d, %d)", name, lo, hi, ua.sum, ua.count, err, wantSum, wantCount)
-			}
-			if lo <= hi && sa.materialised != ca.materialised {
-				t.Fatalf("%s [%d, %d]: select materialised = %v, count %v", name, lo, hi, sa.materialised, ca.materialised)
-			}
-			materialised = materialised || ca.materialised
-			sumMaterialised = sumMaterialised || ua.materialised
+			m, sm := checkRange(t, name, f, col, lo, hi, s)
+			materialised = materialised || m
+			sumMaterialised = sumMaterialised || sm
 		}
 	}
 	return materialised, sumMaterialised, selMaterialised
+}
+
+// checkRange asserts count, select and sum under [lo, hi] on f against
+// col, f's decode, and returns whether the count (and select) and the
+// sum materialised some node.
+func checkRange(t *testing.T, name string, f *core.Form, col []int64, lo, hi int64, s *core.Scratch) (materialised, sumMaterialised bool) {
+	t.Helper()
+	const base = 70 // not word-aligned, so select's masks straddle words
+	// The destination already holds bits — another leaf's matches —
+	// which a select must leave set.
+	want := sel.New(base + len(col) + 3)
+	var wantCount, wantSum int64
+	for i, v := range col {
+		if i%7 == 3 {
+			want.Add(base + i)
+		}
+		if v >= lo && v <= hi {
+			want.Add(base + i)
+			wantCount++
+			wantSum += v
+		}
+	}
+	got := sel.New(want.Len())
+	for i := 3; i < len(col); i += 7 {
+		got.Add(base + i)
+	}
+	sa, err := run(selectVerb, f, lo, hi, got, base, s)
+	if err != nil || !slices.Equal(got.Rows(), want.Rows()) {
+		t.Fatalf("%s [%d, %d]: select: %v, %d bits set, want %d", name, lo, hi, err, got.Count(), want.Count())
+	}
+	ca, err := run(CountVerb, f, lo, hi, nil, 0, s)
+	if err != nil || ca.count != wantCount {
+		t.Fatalf("%s [%d, %d]: count = %d, %v; want %d", name, lo, hi, ca.count, err, wantCount)
+	}
+	ua, err := run(SumVerb, f, lo, hi, nil, 0, s)
+	if err != nil || ua.count != wantCount || ua.sum != wantSum {
+		t.Fatalf("%s [%d, %d]: sum = (%d, %d), %v; want (%d, %d)", name, lo, hi, ua.sum, ua.count, err, wantSum, wantCount)
+	}
+	if lo <= hi && sa.materialised != ca.materialised {
+		t.Fatalf("%s [%d, %d]: select materialised = %v, count %v", name, lo, hi, sa.materialised, ca.materialised)
+	}
+	return ca.materialised, ua.materialised
 }
 
 func TestCompositionTimesVerb(t *testing.T) {
@@ -259,7 +281,8 @@ func TestCompositionTimesVerb(t *testing.T) {
 		{"rle", walk, asRLE, false, false, false},
 		{"plus(const,ns)", walk, plusConst, false, false, false},
 		{"plus(step,ns)", walk, plusStep, false, false, false},
-		{"plus(linear,ns)", walk, compressWith(scheme.LinearNS(32)), true, true, false},
+		{"plus(linear,ns)", walk, compressWith(scheme.LinearNS(32)), false, false, false},
+		{"linear", walk, asLinear, false, false, false},
 		{"plus(poly2,ns)", walk, compressWith(scheme.Poly2NS(32)), true, true, true},
 		{"patch(ns)", narrow, inner, false, false, false},
 		{"delta(ns)", walk, compressWith(scheme.DeltaNS()), true, true, true},

@@ -176,9 +176,15 @@ const (
 //	plus     v = model + residual: a const model    the model's sum plus
 //	         moves the range once and recurses; a   the residual's, for
 //	         step model is for's segment walk over  any model
-//	         the residual
-//	linear   —                                      the line evaluated at
-//	                                                the selected rows
+//	         the residual; a linear model is
+//	         linear's rule over the residual leaf
+//	linear   per 64-row group, the line's two ends  the line evaluated at
+//	         and the residual's extent bound a      the selected rows
+//	         band: outside it skip, inside land
+//	         whole, straddling run the residual's
+//	         select kernel on the two windows the
+//	         band admits surely and possibly
+//	         (linear.go)
 //	dict     v = dict[code], dict sorted: value     dict[code] summed over
 //	         bounds become code bounds, recurse     the selected rows
 //	         into codes (count and select; a sum
@@ -195,13 +201,12 @@ const (
 //
 // Anything else is materialised and scanned as a plain leaf: delta (a
 // value is a prefix sum, so a range on values is no range on deltas,
-// and a selection on values none on deltas), linear and poly models
-// and plus over them under a range (the range on the residual would
-// change every row), poly models under a selection, varint and elias
-// (byte and bit streams without random access), a dict under a range
-// sum, and any ns/vns layout the kernels cannot take. That fallback is
-// leaves.open, and exists once; answer.materialised reports that it
-// was taken.
+// and a selection on values none on deltas), poly models and plus over
+// them (a quadratic is not monotone inside a segment, so its ends bound
+// nothing), varint and elias (byte and bit streams without random
+// access), a dict under a range sum, and any ns/vns layout the kernels
+// cannot take. That fallback is leaves.open, and exists once;
+// answer.materialised reports that it was taken.
 func (p *pushdown) push(f *core.Form, lo, hi, add int64) error {
 	if lo > hi || f.N == 0 {
 		return nil
@@ -256,7 +261,12 @@ func (p *pushdown) push(f *core.Form, lo, hi, add int64) error {
 			return nil
 		case scheme.StepName:
 			return p.segments(model, residual, lo, hi, add)
+		case scheme.LinearName:
+			return p.lines(model, residual, lo, hi, add)
 		}
+
+	case scheme.LinearName:
+		return p.lines(f, nil, lo, hi, add)
 
 	case scheme.DictName:
 		if p.verb == SumVerb {

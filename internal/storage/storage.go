@@ -259,6 +259,21 @@ func (d *decoder) count(perItemBytes int) (int, error) {
 	return int(v), nil
 }
 
+// words reads a word count and returns the bytes of that many 64-bit
+// words, advancing past them once; what names the payload in errors.
+func (d *decoder) words(what string) ([]byte, error) {
+	cnt, err := d.count(8)
+	if err != nil {
+		return nil, err
+	}
+	if cnt > (len(d.data)-d.pos)/8 {
+		return nil, fmt.Errorf("%w: truncated %s payload", ErrCorrupt, what)
+	}
+	src := d.data[d.pos : d.pos+cnt*8]
+	d.pos += len(src)
+	return src, nil
+}
+
 func (d *decoder) form(depth int) (*core.Form, error) {
 	if depth > maxFormDepth {
 		return nil, fmt.Errorf("%w: form nesting deeper than %d", ErrCorrupt, maxFormDepth)
@@ -329,30 +344,22 @@ func (d *decoder) form(depth int) (*core.Form, error) {
 	switch kind {
 	case payloadNone:
 	case payloadLeaf:
-		cnt, err := d.count(8)
+		src, err := d.words("leaf")
 		if err != nil {
 			return nil, err
 		}
-		if d.pos+cnt*8 > len(d.data) {
-			return nil, fmt.Errorf("%w: truncated leaf payload", ErrCorrupt)
-		}
-		f.Leaf = make([]int64, cnt)
+		f.Leaf = make([]int64, len(src)/8)
 		for i := range f.Leaf {
-			f.Leaf[i] = int64(binary.LittleEndian.Uint64(d.data[d.pos:]))
-			d.pos += 8
+			f.Leaf[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
 		}
 	case payloadPacked:
-		cnt, err := d.count(8)
+		src, err := d.words("packed")
 		if err != nil {
 			return nil, err
 		}
-		if d.pos+cnt*8 > len(d.data) {
-			return nil, fmt.Errorf("%w: truncated packed payload", ErrCorrupt)
-		}
-		f.Packed = make([]uint64, cnt)
+		f.Packed = make([]uint64, len(src)/8)
 		for i := range f.Packed {
-			f.Packed[i] = binary.LittleEndian.Uint64(d.data[d.pos:])
-			d.pos += 8
+			f.Packed[i] = binary.LittleEndian.Uint64(src[8*i:])
 		}
 	case payloadBytes:
 		cnt, err := d.count(1)

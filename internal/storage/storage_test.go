@@ -375,3 +375,38 @@ func TestEncodeRejectsBadForms(t *testing.T) {
 		t.Fatal("mixed arms accepted")
 	}
 }
+
+// BenchmarkDecodeForm decodes 16,384-row forms whose payloads are packed
+// words (ns, and the residual of plus(linear, ns)) or int64 leaf words
+// (id), reported per payload word: the cold half of a block fetch once
+// its CRC is checked.
+func BenchmarkDecodeForm(b *testing.B) {
+	src := make([]int64, 1<<14)
+	for i := range src {
+		src[i] = int64(i)*3 + int64(i*7919%61)
+	}
+	for _, sch := range []core.Scheme{scheme.NS{}, scheme.LinearNS(1024), scheme.ID{}} {
+		f, err := sch.Compress(src)
+		if err != nil {
+			b.Fatal(err)
+		}
+		data, err := EncodeForm(f)
+		if err != nil {
+			b.Fatal(err)
+		}
+		words := 0
+		f.Walk(func(n *core.Form) error {
+			words += len(n.Packed) + len(n.Leaf)
+			return nil
+		})
+		b.Run(sch.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := DecodeForm(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(words), "ns/word")
+		})
+	}
+}
