@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"testing"
 )
@@ -64,15 +66,21 @@ func TestAppendInt64s(t *testing.T) {
 		"down":                   {201, 200, 199, 198, 100, 99, 98, 10, 9, -99, -100, -101},
 		"alternate":              {5, -5, 500, -500, 123456789, -123456789, math.MaxInt64, math.MinInt64, math.MaxInt64},
 		"same pair across signs": {1234, -1234, 1234, 1250, -1250, -1234},
-		// The wrap the fast path must not take: base+99 overflows for a
-		// previous value this close to the ends.
+		// The wrap the fast path must not take: base+9999 overflows for
+		// a previous value this close to the ends.
 		"near max": {math.MaxInt64 - 7, math.MinInt64 + 91, math.MaxInt64 - 7, math.MaxInt64 - 6, math.MaxInt64},
 		"near min": {math.MinInt64 + 8, math.MaxInt64 - 91, math.MinInt64 + 8, math.MinInt64 + 7, math.MinInt64},
-		// Nothing of the reservation is left over but the overshoot.
-		"longest then shortest": {math.MinInt64, math.MinInt64, math.MinInt64, 7},
-		"around 2^62":           {1<<62 - 2, 1<<62 - 1, 1 << 62, 1<<62 + 1, -(1<<62 - 1), -(1 << 62), -(1<<62 + 1)},
+		// Nothing of the reservation is left over but the overshoot;
+		// the last token is a memo hit, copied as 24 bytes.
+		"longest then shortest":  {math.MinInt64, math.MinInt64, math.MinInt64, 7},
+		"longest, memoized":      {math.MinInt64, math.MinInt64, math.MinInt64, math.MinInt64},
+		"memoized after longest": {math.MinInt64, math.MaxInt64, math.MinInt64, 123456789, 123456789},
+		"around 2^62":            {1<<62 - 2, 1<<62 - 1, 1 << 62, 1<<62 + 1, -(1<<62 - 1), -(1 << 62), -(1<<62 + 1)},
 	}
 	for name, vs := range cases {
+		checkInt64s(t, name, vs)
+	}
+	for name, vs := range runEdges() {
 		checkInt64s(t, name, vs)
 	}
 
@@ -103,43 +111,72 @@ func TestAppendInt64s(t *testing.T) {
 	}
 }
 
-// TestDigits8 checks the word-parallel digit split: both lane
-// divisions exhaustively over their ranges, and the eight digits
-// against fmt on every boundary and a sample.
-func TestDigits8(t *testing.T) {
-	for x := uint64(0); x < 1e4; x++ {
-		if x*10486>>20 != x/100 {
-			t.Fatalf("%d·10486>>20 = %d, want %d", x, x*10486>>20, x/100)
+// runEdges returns the arrays at the edges of the encoder's shortcuts:
+// runs on the last four digits and on the last pair, the memo of long
+// tokens, and the back-off after a run that ends at once.
+func runEdges() map[string][]int64 {
+	span := func(from int64, steps ...int64) []int64 {
+		vs := []int64{from}
+		for _, s := range steps {
+			from += s
+			vs = append(vs, from)
 		}
+		return vs
 	}
-	for y := uint64(0); y < 100; y++ {
-		if y*103>>10 != y/10 {
-			t.Fatalf("%d·103>>10 = %d, want %d", y, y*103>>10, y/10)
-		}
+	edges := map[string][]int64{
+		// A run meets a multiple of 10^4 going up, then comes back.
+		"across 10^4 up and down":  span(9997, 1, 1, 1, 1, 1, -1, -1, -1, -1, -1),
+		"across 2·10^4":            span(19998, 1, 1, 1, -1, -1, -1, 1),
+		"7 digits across 10^4":     span(1239998, 1, 1, 1, -1, -1, -1),
+		"8 digits across 10^4":     span(12349998, 1, 1, 1, -1, -1, -1),
+		"9 digits across 10^4":     span(123449998, 1, 1, 1, -1, -1, -1),
+		"16 digits across 10^4":    span(1234567890119998, 1, 1, 1, -1, -1, -1),
+		"pair run across 100":      span(198, 1, 1, 1, -1, -1, -1),
+		"pair run into four":       span(9998, 1, 1, -1, -1),
+		"7-digit run":              span(1234567, 1, 1, 0, 9000, -9999, 3),
+		"8-digit run":              span(12345678, 1, 1, 0, 4000, -4321, 3),
+		"9-digit run":              span(123456789, 1, 1, 0, 4000, -4321, 3),
+		"16-digit run":             span(1234567890123456, 1, 1, 0, 4000, -4321, 3),
+		"largest run":              span(runBelow-3, 1, 1, 1, -1, -1, -1),
+		"largest 8 digits":         span(1e8-3, 1, 1, 1, -1, -1, -1),
+		"10^8 ± 1":                 {1e8 - 1, 1e8, 1e8 + 1, -1e8 + 1, -1e8, -1e8 - 1, 1e8 - 1},
+		"10^16 ± 1":                {1e16 - 1, 1e16, 1e16 + 1, -1e16 + 1, -1e16, -1e16 - 1, 1e16 - 1},
+		"negatives next to runs":   {-12345, 12345, 12346, -12346, 12347, -99, 100, 101, -101, 102, -1234567, 1234567, -1234568},
+		"negative long codes":      {-123456789012, -123456789012, 123456789012, -123456789012, -98765432109},
+		"equal long codes":         {123456789012, 123456789012, 123456789012, 123456789013, 123456789012},
+		"a long code's neighbours": {123456789012, 123456789011, 123456789012, 123456789010, 123456789012},
 	}
-	check := func(u uint32) {
-		var got [8]byte
-		binary.LittleEndian.PutUint64(got[:], digits8(u)|ascii)
-		if want := fmt.Sprintf("%08d", u); string(got[:]) != want {
-			t.Fatalf("digits8(%d) = %q, want %q", u, got, want)
-		}
+	// Two long values that share a memo slot, alternating: each evicts
+	// the other.
+	a := int64(123456789012)
+	b := a + 1
+	for memoSlot(b) != memoSlot(a) {
+		b++
 	}
-	for p := uint32(1); p <= 1e8; p *= 10 {
-		check(p - 1)
-		if p < 1e8 {
-			check(p)
-			check(p + 1)
-		}
+	edges["memo slot shared"] = []int64{a, b, a, b, b, a, -a, a, b}
+	// An attempt that ends at once, runBackoff values without one, then
+	// a run again.
+	backoff := []int64{50000}
+	for k := 0; k < runBackoff; k++ {
+		backoff = append(backoff, 90000+int64(k)*10000)
 	}
-	r := rand.New(rand.NewSource(3))
-	for i := 0; i < 200000; i++ {
-		check(uint32(r.Intn(1e8)))
+	edges["back-off then run"] = append(backoff, span(123456, 1, 1, 1)...)
+	return edges
+}
+
+// rawInt64s is the fuzz input that fuzzInt64s decodes back into vs.
+func rawInt64s(vs []int64) []byte {
+	data := []byte{0}
+	for _, v := range vs {
+		data = binary.LittleEndian.AppendUint64(data, uint64(v))
 	}
+	return data
 }
 
 // TestAppendInt64sShapes runs the encoder over long arrays shaped like
 // the columns it serves: row numbers, runs, narrow walks, uniform and
-// low-cardinality values, and full-range noise.
+// low-cardinality values, rare spikes, a noisy line, and full-range
+// noise.
 func TestAppendInt64sShapes(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for name, vs := range frameShapes(r, 20000) {
@@ -162,7 +199,7 @@ func TestAppendInt64sShapes(t *testing.T) {
 // columns (see benchmark/data.go) and the row numbers of a window.
 func frameShapes(r *rand.Rand, n int) map[string][]int64 {
 	shapes := map[string][]int64{}
-	for _, name := range []string{"rows", "ship", "amount", "qty", "status"} {
+	for _, name := range shapeNames {
 		shapes[name] = make([]int64, n)
 	}
 	var domain [8]int64
@@ -185,9 +222,21 @@ func frameShapes(r *rand.Rand, n int) map[string][]int64 {
 			k++
 		}
 		shapes["status"][i] = domain[k]
+		// Spikes up to 2^30 in one value of a thousand, the rest below
+		// 2^10.
+		if r.Intn(1000) == 0 {
+			shapes["price"][i] = r.Int63n(1 << 30)
+		} else {
+			shapes["price"][i] = r.Int63n(1 << 10)
+		}
+		// A line of slope 2.9 with ±40 of noise, at the window's rows.
+		shapes["level"][i] = int64(float64(1234567+i)*2.9) + r.Int63n(81) - 40
 	}
 	return shapes
 }
+
+// shapeNames lists the shapes of frameShapes, in benchmark order.
+var shapeNames = []string{"rows", "ship", "amount", "qty", "status", "price", "level"}
 
 // fuzzInt64s decodes fuzz bytes into an array: the first byte picks
 // raw 8-byte words or a delta decoding of small signed steps, which
@@ -221,6 +270,10 @@ func FuzzAppendInt64s(f *testing.F) {
 	f.Add([]byte{1, 0xc6, 0, 0, 0, 0, 0, 0, 0, 0x10, 0x10, 0, 0x10, 0xf0, 0xf0})
 	f.Add([]byte{1, 0xf9, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x7f, 0x10, 0x10, 0x70, 0x70})
 	f.Add([]byte{1, 0xfd, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x10, 0x10, 0x10, 0x10, 0x10})
+	edges := runEdges()
+	for _, name := range slices.Sorted(maps.Keys(edges)) {
+		f.Add(rawInt64s(edges[name]))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkInt64s(t, "fuzz", fuzzInt64s(data))
 	})
@@ -230,7 +283,7 @@ func FuzzAppendInt64s(f *testing.F) {
 // 4,096-value array of each column shape op=rows serves.
 func BenchmarkRowsFrame(b *testing.B) {
 	shapes := frameShapes(rand.New(rand.NewSource(1)), 4096)
-	for _, name := range []string{"rows", "ship", "amount", "qty", "status"} {
+	for _, name := range shapeNames {
 		vs := shapes[name]
 		b.Run(name, func(b *testing.B) {
 			var buf []byte

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -185,14 +186,15 @@ type queryRequest struct {
 	// every row.
 	Where string `json:"where"`
 	// Columns names the columns to aggregate (op=sum) or project
-	// (op=rows). Unused for count.
+	// (op=rows), each at most once. Unused for count.
 	Columns []string `json:"columns"`
 	// Op is count, sum or rows; empty means count.
 	Op string `json:"op"`
 	// TimeoutMS shortens the server's per-query deadline; it can
 	// never extend it.
 	TimeoutMS int64 `json:"timeout_ms"`
-	// BatchRows overrides the server's rows-per-frame for op=rows.
+	// BatchRows overrides the server's rows-per-frame for op=rows; more
+	// than 65,536 (maxBatchRows) means 65,536.
 	BatchRows int `json:"batch_rows"`
 	// Limit caps the rows streamed by op=rows; 0 means all.
 	Limit int64 `json:"limit"`
@@ -292,9 +294,17 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no table %q mounted", req.Table)
 		return
 	}
-	for _, colName := range req.Columns {
+	// Every listed column costs a rows request its batch state, decode
+	// buffer and frame array, so a column may be listed once. Every
+	// name must exist, so a repeat shows up within the table's first
+	// columns+1 names and the quadratic check stays that small.
+	for i, colName := range req.Columns {
 		if _, err := mt.tbl.Column(colName); err != nil {
 			writeError(w, http.StatusBadRequest, "table %q has no column %q", req.Table, colName)
+			return
+		}
+		if slices.Contains(req.Columns[:i], colName) {
+			writeError(w, http.StatusBadRequest, "column %q is listed more than once", colName)
 			return
 		}
 	}
@@ -398,6 +408,7 @@ func (s *Server) streamRows(ctx context.Context, w http.ResponseWriter, scan *lw
 	if batch <= 0 {
 		batch = s.cfg.BatchRows
 	}
+	batch = min(batch, maxBatchRows)
 	header.Columns = req.Columns
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
@@ -411,8 +422,10 @@ func (s *Server) streamRows(ctx context.Context, w http.ResponseWriter, scan *lw
 	frame := framePool.Get().(*[]byte)
 	buf := *frame
 	defer func() {
-		*frame = buf
-		framePool.Put(frame)
+		if cap(buf) <= maxPooledFrame {
+			*frame = buf
+			framePool.Put(frame)
+		}
 	}()
 	err := scan.StreamBatches(ctx, req.Columns, batch, func(rows []int64, vals [][]int64) error {
 		if req.Limit > 0 && streamed+int64(len(rows)) > req.Limit {
@@ -473,8 +486,13 @@ func (s *Server) streamRows(ctx context.Context, w http.ResponseWriter, scan *lw
 
 // framePool holds the frame buffers of op=rows requests: a frame's
 // worst-case reservation is a few hundred KiB, too much to make anew
-// for every request.
+// for every request. A buffer larger than maxPooledFrame — a wide
+// projection at a large batch_rows — is left to the collector, so that
+// one such request does not pin its memory for the life of the process.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledFrame is the largest frame buffer framePool keeps.
+const maxPooledFrame = 4 << 20
 
 // appendRowsFrame renders one NDJSON row frame:
 // {"rows":[...],"cols":[[...],...]}\n — hand-built, because a server

@@ -47,7 +47,7 @@ type Config struct {
 	// (WithParallelism); 0 means GOMAXPROCS.
 	Parallelism int
 	// BatchRows is the default row count per streamed NDJSON frame;
-	// 0 means 4096.
+	// 0 means 4096, and more than 65,536 means 65,536 (maxBatchRows).
 	BatchRows int
 	// Mmap maps containers instead of issuing positioned reads.
 	Mmap bool
@@ -98,6 +98,11 @@ type Config struct {
 	ScrubHeal bool
 }
 
+// maxBatchRows caps the rows of one streamed NDJSON frame, whatever a
+// request's batch_rows or Config.BatchRows asks for: a frame is
+// built whole in one buffer, about 21 bytes a value at worst.
+const maxBatchRows = 1 << 16
+
 // DefaultCacheBytes is the shared block-cache budget used when the
 // config does not set one: generous enough to keep a working set of
 // hot blocks resident across several mounted tables, bounded enough
@@ -121,6 +126,7 @@ func (c Config) withDefaults() Config {
 	if c.BatchRows <= 0 {
 		c.BatchRows = 4096
 	}
+	c.BatchRows = min(c.BatchRows, maxBatchRows)
 	if c.ReadRetries == 0 {
 		c.ReadRetries = 3
 	}
@@ -384,7 +390,7 @@ func Main(args []string) error {
 	fs.IntVar(&cfg.MaxQueue, "max-queue", 0, "queries queued beyond the admission limit before 429 (0 = 4x max-concurrent, negative = none)")
 	fs.DurationVar(&cfg.QueryTimeout, "timeout", 0, "per-query deadline (0 = 30s)")
 	fs.IntVar(&cfg.Parallelism, "parallel", 0, "concurrent block workers per scan (0 = GOMAXPROCS)")
-	fs.IntVar(&cfg.BatchRows, "batch-rows", 0, "rows per streamed NDJSON frame (0 = 4096)")
+	fs.IntVar(&cfg.BatchRows, "batch-rows", 0, "rows per streamed NDJSON frame (0 = 4096, at most 65536)")
 	fs.BoolVar(&cfg.Mmap, "mmap", false, "memory-map containers instead of reading them")
 	fs.IntVar(&cfg.ReadRetries, "read-retries", 0, "retries per transiently failed container read (0 = 3, negative = none)")
 	fs.BoolVar(&cfg.Compact, "compact", false, "run the background recompaction daemon over -dir")

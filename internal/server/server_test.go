@@ -296,7 +296,7 @@ func parseRowsStream(t *testing.T, r interface{ Read([]byte) (int, error) }, max
 }
 
 // TestQueryErrors pins every 4xx contract: bad body, bad op, missing
-// columns, unknown table, unknown column, and — with the structured
+// columns, unknown table, unknown column, a repeated column, and — with the structured
 // offset/token fields — a predicate outside the language.
 func TestQueryErrors(t *testing.T) {
 	d := makeData(500)
@@ -311,6 +311,8 @@ func TestQueryErrors(t *testing.T) {
 		{"unknown op", queryRequest{Table: "orders", Op: "avg"}, http.StatusBadRequest},
 		{"sum without columns", queryRequest{Table: "orders", Op: "sum"}, http.StatusBadRequest},
 		{"unknown column", queryRequest{Table: "orders", Op: "sum", Columns: []string{"zz"}}, http.StatusBadRequest},
+		{"sum with a repeated column", queryRequest{Table: "orders", Op: "sum", Columns: []string{"amount", "date", "amount"}}, http.StatusBadRequest},
+		{"rows with a repeated column", queryRequest{Table: "orders", Op: "rows", Columns: []string{"date", "date"}}, http.StatusBadRequest},
 		{"bad predicate", queryRequest{Table: "orders", Op: "count", Where: "status <> 1"}, http.StatusBadRequest},
 	} {
 		code, body := postQuery(t, ts, tc.req)
@@ -319,6 +321,19 @@ func TestQueryErrors(t *testing.T) {
 		}
 		if body["error"] == "" {
 			t.Fatalf("%s: no error message in %v", tc.name, body)
+		}
+	}
+
+	// A repeated column is named, however long the list: the check
+	// stops at the first repeat.
+	for _, op := range []string{"sum", "rows"} {
+		cols := make([]string, 4000)
+		for i := range cols {
+			cols[i] = "amount"
+		}
+		code, body := postQuery(t, ts, queryRequest{Table: "orders", Op: op, Columns: append([]string{"date"}, cols...)})
+		if msg, _ := body["error"].(string); code != http.StatusBadRequest || !strings.Contains(msg, `"amount"`) {
+			t.Fatalf("%s with amount listed 4000 times: code=%d body=%v, want 400 naming amount", op, code, body)
 		}
 	}
 

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -175,6 +176,50 @@ func TestRowsStreamGolden(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestBatchRowsCap: a batch_rows past maxBatchRows, asked by a request
+// or by the server's default, streams frames of at most maxBatchRows
+// rows, and the frame buffer such a stream grows is not kept in
+// framePool.
+func TestBatchRowsCap(t *testing.T) {
+	n := maxBatchRows + 4500
+	// Three columns of 20-character values: a full frame's text alone
+	// is larger than maxPooledFrame.
+	names := []string{"a", "b", "c"}
+	cols := make([][]int64, len(names))
+	dir := t.TempDir()
+	for c, name := range names {
+		cols[c] = make([]int64, n)
+		for i := range cols[c] {
+			cols[c][i] = math.MinInt64 + int64(i*len(names)+c)
+		}
+		writeColumnFile(t, filepath.Join(dir, "wide."+name+".lwc"), cols[c])
+	}
+	for _, tc := range []struct {
+		name         string
+		cfg, request int
+	}{{"request", 0, 1 << 30}, {"default", 1 << 30, 0}} {
+		srv, err := New(Config{Dir: dir, BatchRows: tc.cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer srv.Close()
+		got := serveRows(t, srv.Handler(), queryRequest{Table: "wide", Op: "rows", Columns: names, BatchRows: tc.request}, maxBatchRows)
+		if !got.done || got.streamed != int64(n) {
+			t.Fatalf("%s: streamed %d rows (done=%v), want all %d", tc.name, got.streamed, got.done, n)
+		}
+		for c := range cols {
+			if !slices.Equal(got.cols[c], cols[c]) {
+				t.Fatalf("%s: column %s diverges", tc.name, names[c])
+			}
+		}
+		for i := 0; i < 4; i++ {
+			if frame := framePool.Get().(*[]byte); cap(*frame) > maxPooledFrame {
+				t.Fatalf("%s: framePool holds a %d-byte frame buffer, bound %d", tc.name, cap(*frame), maxPooledFrame)
 			}
 		}
 	}
