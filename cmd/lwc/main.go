@@ -24,11 +24,16 @@
 //	lwc repair -dir /data/containers -json
 //	lwc compact -dry-run -dir /data/containers
 //	lwc compact -dir /data/containers -min-gain-bytes 4096 -merge
+//	lwc upgrade -i old.lwc -o new.lwc
 //	lwc serve -dir /data/containers -addr 127.0.0.1:7207
 //
-// compress writes lazily openable (v3) containers; every command also
-// reads v2/v1 containers written by older builds. Container writes are
-// crash-safe: the file is written to a temporary name in the same
+// compress writes lazily openable (v3) containers, the one format every
+// other command reads. upgrade is the only command that reads a v1 or
+// v2 container written by an older build: it rewrites the columns as
+// v3, adopting each v1 column as one block with [min, max] stats and
+// keeping v2 blocks, forms and stats as stored. Every other command
+// rejects such a file after its 4-byte magic and names upgrade.
+// Container writes are crash-safe: the file is written to a temporary name in the same
 // directory, fsynced, and renamed into place, so an interrupted
 // compress never leaves a torn container under the final name. stat,
 // query and decompress open containers lazily — header and block index
@@ -121,6 +126,8 @@ func main() {
 		err = cmdRepair(os.Args[2:])
 	case "compact":
 		err = cmdCompact(os.Args[2:])
+	case "upgrade":
+		err = cmdUpgrade(os.Args[2:])
 	case "serve":
 		err = server.Main(os.Args[2:])
 	case "help", "-h", "--help":
@@ -168,6 +175,7 @@ commands:
   verify      fsck a container: re-read, CRC-check and decode every block
   repair      salvage a damaged container: preserve good blocks, tombstone lost ones
   compact     re-analyze containers and atomically rewrite the ones that shrink
+  upgrade     rewrite a v1 or v2 container from an older build as v3
   serve       serve a directory of containers as tables over HTTP (same as lwcd)
 
 run 'lwc <command> -h' for flags`)
@@ -746,6 +754,34 @@ func cmdCompact(args []string) error {
 	return nil
 }
 
+// cmdUpgrade rewrites a v1 or v2 container from an older build as a
+// v3 container — the only place those formats are still decoded. The
+// output is written crash-safely; the input is left as it was.
+func cmdUpgrade(args []string) error {
+	fs := flag.NewFlagSet("upgrade", flag.ExitOnError)
+	in := fs.String("i", "", "v1 or v2 container to read")
+	out := fs.String("o", "", "v3 container to write")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *in == "" || *out == "" {
+		return errors.New("pass both -i and -o")
+	}
+	data, err := os.ReadFile(*in)
+	if err != nil {
+		return err
+	}
+	cols, err := storage.ReadLegacy(data)
+	if err != nil {
+		return err
+	}
+	if err := lwcomp.WriteColumnsFile(*out, cols); err != nil {
+		return err
+	}
+	fmt.Printf("wrote %s: %d column(s) from format v%c container %s\n", *out, len(cols), data[3], *in)
+	return nil
+}
+
 // queryWhere runs a table scan: the predicate is parsed in the
 // mini-language, planned per block across every column it names, and
 // evaluated on the compressed forms — on a lazily opened container
@@ -789,21 +825,16 @@ func queryWhere(in, where, sumCol string, doSum, mmap, cache bool) error {
 	return nil
 }
 
-// printCacheStats renders a lazily opened column's shared block-cache
-// counters; eagerly opened (v1/v2) and in-memory columns have none.
+// printCacheStats renders an opened column's shared block-cache
+// counters.
 func printCacheStats(col *lwcomp.Column) {
-	st, ok := col.CacheStats()
-	if !ok {
-		fmt.Println("cache: none (column not lazily opened)")
-		return
-	}
+	st, _ := col.CacheStats()
 	fmt.Printf("cache: %d/%d bytes resident, %d hits, %d misses, %d evictions\n",
 		st.BytesUsed, st.BytesBudget, st.Hits, st.Misses, st.Evictions)
 }
 
-// loadColumn lazily opens one column from a container of any
-// generation (v3 serves blocks on demand; v2/v1 fall back to an eager
-// read). The returned func releases the container.
+// loadColumn lazily opens one column from a container. The returned
+// func releases the container.
 func loadColumn(path, name string, mmap bool) (*lwcomp.Column, string, func() error, error) {
 	opts := []lwcomp.Option{lwcomp.WithMmap(mmap)}
 	cf, err := lwcomp.OpenContainer(path, opts...)
@@ -829,8 +860,7 @@ func loadColumn(path, name string, mmap bool) (*lwcomp.Column, string, func() er
 
 // cmdStat prints a container's block index — column layout, per-block
 // row spans, [min, max] stats and payload extents — without decoding
-// a single block payload. On a lazily opened (v3) container this
-// reads only the file header and index.
+// a single block payload: it reads only the file header and index.
 func cmdStat(args []string) error {
 	fs := flag.NewFlagSet("stat", flag.ExitOnError)
 	in := fs.String("i", "", "input container")
@@ -844,12 +874,9 @@ func cmdStat(args []string) error {
 		return err
 	}
 	defer cf.Close()
-	mode := "eager (v1/v2 compatibility)"
-	if cf.Lazy() {
-		mode = "lazy (v3)"
-		if cf.Mapped() {
-			mode = "lazy (v3, mmap)"
-		}
+	mode := "lazy (v3)"
+	if cf.Mapped() {
+		mode = "lazy (v3, mmap)"
 	}
 	fmt.Printf("%s: %d column(s), %s\n", *in, len(cf.Columns()), mode)
 	for ci, c := range cf.Columns() {
@@ -862,13 +889,9 @@ func cmdStat(args []string) error {
 			if b.HasStats {
 				stats = fmt.Sprintf(" [%d, %d]", b.Min, b.Max)
 			}
-			extent := ""
-			if extents != nil {
-				e := extents[bi]
-				extent = fmt.Sprintf(" payload %d bytes @ %d (crc %08x)", e.Bytes, e.Offset, e.CRC)
-			}
-			fmt.Printf("  block %d: rows %d..%d%s%s\n",
-				bi, b.Start, b.Start+int64(b.Count)-1, stats, extent)
+			e := extents[bi]
+			fmt.Printf("  block %d: rows %d..%d%s payload %d bytes @ %d (crc %08x)\n",
+				bi, b.Start, b.Start+int64(b.Count)-1, stats, e.Bytes, e.Offset, e.CRC)
 		}
 	}
 	if *cache && len(cf.Columns()) > 0 {

@@ -76,10 +76,10 @@ func NewColumnBuilder(opts ...Option) *ColumnBuilder {
 	return blocked.NewBuilder(buildOptions(opts).enc)
 }
 
-// ColumnFromForm adopts a v1-style compressed Form as a single-block
-// Column, computing the block's [min, max] stats from the form so
-// range queries can skip it. Every form read from a v1 container
-// round-trips through this.
+// ColumnFromForm adopts a compressed Form as a single-block Column,
+// computing the block's [min, max] stats from the form so range
+// queries can skip it. `lwc upgrade` adopts every column of a v1
+// container the same way.
 func ColumnFromForm(f *Form) (*Column, error) {
 	return blocked.FromForm(f, true)
 }
@@ -107,11 +107,11 @@ func WriteColumnsFile(path string, cols []NamedColumn) error {
 	})
 }
 
-// ReadColumns eagerly reads a container of any generation — v3 or v2
-// written by WriteColumns past or present, or a v1 container written
-// by WriteContainer, whose single forms come back as single-block
-// Columns. Prefer OpenFile/OpenContainer to query a v3 container
-// without materializing it.
+// ReadColumns reads a whole container written by WriteColumns, with
+// every block form resident. Any other format is rejected after its
+// 4-byte magic; a v1 or v2 container's error names `lwc upgrade`.
+// Prefer OpenFile/OpenContainer to query a container without
+// materializing it.
 func ReadColumns(r io.Reader) ([]NamedColumn, error) {
-	return storage.ReadAnyContainer(r)
+	return storage.LoadContainer(r)
 }

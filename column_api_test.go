@@ -336,66 +336,6 @@ func TestColumnContainerV2RoundTrip(t *testing.T) {
 	}
 }
 
-// TestV1ContainerThroughColumnAPI is the acceptance-criteria test:
-// containers written by the v1 format stay readable through
-// ReadContainer AND round-trip through the new Column API.
-func TestV1ContainerThroughColumnAPI(t *testing.T) {
-	data := workload.Runs(20000, 64, 1<<16, 8)
-	form, err := lwcomp.CompressBest(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := lwcomp.WriteContainer(&buf, []lwcomp.StoredColumn{{Name: "col0", Form: form}}); err != nil {
-		t.Fatal(err)
-	}
-
-	// Old path still works.
-	v1cols, err := lwcomp.ReadContainer(bytes.NewReader(buf.Bytes()))
-	if err != nil || len(v1cols) != 1 {
-		t.Fatalf("ReadContainer: %v", err)
-	}
-
-	// New path adopts the same bytes.
-	cols, err := lwcomp.ReadColumns(bytes.NewReader(buf.Bytes()))
-	if err != nil || len(cols) != 1 {
-		t.Fatalf("ReadColumns on v1: %v", err)
-	}
-	col := cols[0].Col
-	if col.NumBlocks() != 1 {
-		t.Fatalf("v1 adoption: %d blocks", col.NumBlocks())
-	}
-	back, err := col.Decompress()
-	if err != nil || !equal(back, data) {
-		t.Fatalf("v1 adoption roundtrip: %v", err)
-	}
-	wantSum, _ := lwcomp.Sum(form)
-	if s, err := col.Sum(); err != nil || s != wantSum {
-		t.Fatalf("Sum = %d, want %d (%v)", s, wantSum, err)
-	}
-
-	// And it can be re-written as a v2 container.
-	adopted, err := lwcomp.ColumnFromForm(form)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !adopted.Blocks[0].HasStats {
-		t.Fatal("ColumnFromForm must compute stats")
-	}
-	var buf2 bytes.Buffer
-	if err := lwcomp.WriteColumns(&buf2, []lwcomp.NamedColumn{{Name: "col0", Col: adopted}}); err != nil {
-		t.Fatal(err)
-	}
-	cols2, err := lwcomp.ReadColumns(bytes.NewReader(buf2.Bytes()))
-	if err != nil || len(cols2) != 1 {
-		t.Fatalf("v2 rewrite: %v", err)
-	}
-	back, err = cols2[0].Col.Decompress()
-	if err != nil || !equal(back, data) {
-		t.Fatalf("v2 rewrite roundtrip: %v", err)
-	}
-}
-
 // TestColumnEdgeCases: empty and tiny columns behave like the free
 // functions.
 func TestColumnEdgeCases(t *testing.T) {

@@ -11,7 +11,7 @@
 // This example builds the whole order table (date, quantity, customer
 // and a sorted order id), ingests it in batches through streaming
 // ColumnBuilders (orders accrue over time — exactly the builder's
-// case), writes a blocked (v2) container file, reads it back and runs
+// case), writes a blocked (v3) container file, reads it back and runs
 // analytics on the compressed columns with block skipping.
 //
 //	go run ./examples/shippedorders
@@ -76,7 +76,7 @@ func main() {
 		cols = append(cols, lwcomp.NamedColumn{Name: c.name, Col: col})
 	}
 
-	// Persist and reload the whole table as a v2 (blocked) container.
+	// Persist and reload the whole table as a v3 (blocked) container.
 	var file bytes.Buffer
 	if err := lwcomp.WriteColumns(&file, cols); err != nil {
 		log.Fatal(err)

@@ -76,16 +76,7 @@ func (c *Compactor) EstimateFile(path string) (Estimate, error) {
 		extents := cf.Extents(ci)
 		for i := range bc.Col.Blocks {
 			b := &bc.Col.Blocks[i]
-			var payload int64
-			if extents != nil {
-				payload = extents[i].Bytes
-			} else if f, err := bc.Col.BlockForm(i); err == nil {
-				// Eager (v1/v2) containers carry no extent table; the
-				// resident form's serialized size is the same number.
-				if sz, err := storage.EncodedSize(f); err == nil {
-					payload = int64(sz)
-				}
-			}
+			payload := extents[i].Bytes
 			est.PayloadBytes += payload
 			if b.Certificate == fp {
 				est.EstPayloadBytes += payload

@@ -190,5 +190,5 @@ func readEager(path string) ([]storage.BlockedColumn, error) {
 		return nil, err
 	}
 	defer f.Close()
-	return storage.ReadAnyContainer(f)
+	return storage.LoadContainer(f)
 }

@@ -119,14 +119,6 @@ func RepairFile(path string, opt RepairOptions) (*RepairResult, error) {
 		return nil, err
 	}
 
-	if !cf.Lazy() {
-		// v1/v2 fallback containers decode eagerly at open: reaching
-		// here means every block already passed, so there is nothing a
-		// salvage could improve on.
-		cf.Close()
-		return res, nil
-	}
-
 	raw := make([]storage.RawColumn, 0, len(cf.Columns()))
 	changed := false
 	var scratch []byte

@@ -17,23 +17,24 @@ import (
 // only a container's prefix and block index, and hands back column
 // handles whose block payloads are fetched — and CRC-verified — on
 // first touch. The BlockReader abstraction separates "where payload
-// bytes come from" (mmap, io.ReaderAt, resident memory) from the
-// query layer above, which only ever asks for decoded block forms.
+// bytes come from" (mmap, io.ReaderAt) from the query layer above,
+// which only ever asks for decoded block forms. v3 is the only
+// generation it opens: any other magic is rejected after its 4 bytes
+// (checkMagic).
 
 // BlockReader supplies the raw payload bytes of one column's blocks.
 // It is the seam between the container layout and the query engine:
-// the in-memory implementation serves from a resident byte slice, the
-// file-backed one from an io.ReaderAt or an mmap window. Payload
-// returns either a view into the source (mmap) or the provided
-// scratch buffer filled (ReadAt), so callers can pool scratch.
-// Implementations must be safe for concurrent use.
+// an open container's column handles serve it from an io.ReaderAt or
+// an mmap window. Payload returns either a view into the source
+// (mmap) or the provided scratch buffer filled (ReadAt), so callers
+// can pool scratch. Implementations must be safe for concurrent use.
 type BlockReader interface {
 	// NumBlocks returns the column's block count.
 	NumBlocks() int
 	// Payload returns block i's raw encoded-form bytes. When the
-	// source can hand out a stable view (mmap, resident memory) it
-	// does so without copying; otherwise it fills and returns scratch
-	// (growing it if needed).
+	// source can hand out a stable view (mmap) it does so without
+	// copying; otherwise it fills and returns scratch (growing it if
+	// needed).
 	Payload(i int, scratch []byte) ([]byte, error)
 }
 
@@ -121,16 +122,12 @@ func (s *mmapSource) Close() error { return munmap(s.data) }
 // demand: only the prefix and block index are resident. All columns
 // share one byte source and one block cache, so hot blocks are served
 // as cached decoded forms while cold blocks never enter memory.
-//
-// Containers of earlier generations (v1, v2) open eagerly — their
-// layouts cannot be read incrementally — and behave identically
-// afterwards, with every form resident.
 type ContainerFile struct {
 	src          byteSource
 	cache        *blockCache
 	payloadStart int64
 	cols         []BlockedColumn
-	locs         [][]blockLoc // nil for eagerly opened generations
+	locs         [][]blockLoc
 	mapped       bool
 	// owner namespaces this container's keys inside a shared cache;
 	// shared records that the cache's budget and eviction traffic are
@@ -180,10 +177,10 @@ type prefetchReq struct {
 // block regardless.
 const prefetchQueueLen = 32
 
-// OpenContainerFile opens a container file lazily: for v3 it reads
-// only the prefix and block index (optionally mmapping the file when
-// opt.Mmap is set); v1 and v2 files are read eagerly as a fallback.
-// Close the container (or any of its columns) when done.
+// OpenContainerFile opens a v3 container file lazily: it reads only
+// the prefix and block index (optionally mmapping the file when
+// opt.Mmap is set). Close the container (or any of its columns) when
+// done.
 func OpenContainerFile(path string, opt OpenOptions) (*ContainerFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -204,9 +201,7 @@ func OpenContainerFile(path string, opt OpenOptions) (*ContainerFile, error) {
 				munmap(data)
 				return nil, err
 			}
-			// The eager v1/v2 fallback has already released the
-			// mapping; only a lazy container is still backed by it.
-			cf.mapped = cf.Lazy()
+			cf.mapped = true
 			return cf, nil
 		}
 		// Mapping failed: fall through to ReadAt on the open file.
@@ -220,9 +215,8 @@ func OpenContainerFile(path string, opt OpenOptions) (*ContainerFile, error) {
 }
 
 // OpenContainer opens a container from any io.ReaderAt (a file, a
-// bytes.Reader, a counting test wrapper). For v3 sources only the
-// prefix and index are read; earlier generations fall back to one
-// eager full read. If ra also implements io.Closer, Close closes it.
+// bytes.Reader, a counting test wrapper). Only the prefix and index
+// are read. If ra also implements io.Closer, Close closes it.
 func OpenContainer(ra io.ReaderAt, size int64, opt OpenOptions) (*ContainerFile, error) {
 	// Close targets the original reader even when a fault-injection
 	// wrapper sits between it and the container.
@@ -233,7 +227,7 @@ func OpenContainer(ra io.ReaderAt, size int64, opt OpenOptions) (*ContainerFile,
 	return openSource(&readerAtSource{ra: ra, closer: closer}, size, opt)
 }
 
-// openSource dispatches on the container generation behind src.
+// openSource opens the v3 container behind src.
 func openSource(src byteSource, size int64, opt OpenOptions) (*ContainerFile, error) {
 	if opt.Retry.MaxRetries > 0 {
 		// Decorate below everything so the open-time prefix and index
@@ -248,9 +242,8 @@ func openSource(src byteSource, size int64, opt OpenOptions) (*ContainerFile, er
 	if err != nil {
 		return nil, err
 	}
-	if string(magic) != string(MagicV3[:]) {
-		// v1/v2 (or garbage — the eager reader reports it): slurp.
-		return openEager(src, size)
+	if err := checkMagic(magic); err != nil {
+		return nil, err
 	}
 	if size < v3PrefixLen+4 {
 		return nil, fmt.Errorf("%w: container too short", ErrCorrupt)
@@ -296,52 +289,21 @@ func openSource(src byteSource, size int64, opt OpenOptions) (*ContainerFile, er
 	return cf, nil
 }
 
-// openEager reads an entire v1/v2 container through the source and
-// closes it — the compatibility path for generations whose layout
-// interleaves index and payloads under one whole-body checksum.
-func openEager(src byteSource, size int64) (*ContainerFile, error) {
-	var data []byte
-	var err error
-	if ms, ok := src.(*mmapSource); ok {
-		// An mmap source ignores scratch; read straight from the
-		// mapping instead of allocating a file-sized buffer.
-		data = ms.data
-	} else {
-		data, err = src.view(0, int(size), make([]byte, size))
-		if err != nil {
-			return nil, err
-		}
+// checkMagic accepts the v3 magic and rejects any other, naming
+// `lwc upgrade` when the magic is a v1 or v2 container's.
+func checkMagic(magic []byte) error {
+	if string(magic) == string(MagicV3[:]) {
+		return nil
 	}
-	var cols []BlockedColumn
-	if string(data[:4]) == string(MagicV2[:]) {
-		cols, err = decodeContainerV2(data)
-	} else {
-		var v1 []Column
-		v1, err = readContainerBytes(data)
-		if err == nil {
-			cols = make([]BlockedColumn, 0, len(v1))
-			for _, c := range v1 {
-				bc, ferr := blocked.FromForm(c.Form, false)
-				if ferr != nil {
-					return nil, ferr
-				}
-				cols = append(cols, BlockedColumn{Name: c.Name, Col: bc})
-			}
-		}
+	if err := legacyError(magic); err != nil {
+		return err
 	}
-	if err != nil {
-		return nil, err
-	}
-	// Everything is resident; the source is no longer needed.
-	if cerr := src.Close(); cerr != nil {
-		return nil, cerr
-	}
-	return &ContainerFile{cols: cols}, nil
+	return fmt.Errorf("%w: bad magic", ErrCorrupt)
 }
 
-// Columns returns the container's column handles in file order. On a
-// lazily opened container the handles share the container's source
-// and cache; closing the container invalidates them.
+// Columns returns the container's column handles in file order. The
+// handles share the container's source and cache; closing the
+// container invalidates them.
 func (cf *ContainerFile) Columns() []BlockedColumn { return cf.cols }
 
 // Column returns the named column's handle.
@@ -353,10 +315,6 @@ func (cf *ContainerFile) Column(name string) (*blocked.Column, error) {
 	}
 	return nil, fmt.Errorf("storage: column %q not found", name)
 }
-
-// Lazy reports whether the container serves block payloads on demand
-// (v3) rather than holding every form resident (v1/v2 fallback).
-func (cf *ContainerFile) Lazy() bool { return cf.locs != nil }
 
 // Mapped reports whether the container is backed by a memory mapping.
 func (cf *ContainerFile) Mapped() bool { return cf.mapped }
@@ -375,8 +333,8 @@ func (cf *ContainerFile) CacheStats() CacheStats {
 	return st
 }
 
-// BlockExtent describes one block's payload location inside a lazily
-// opened container — what `lwc stat` prints without decoding.
+// BlockExtent describes one block's payload location inside an open
+// container — what `lwc stat` prints without decoding.
 type BlockExtent struct {
 	// Offset is the payload's position relative to the payload
 	// region's start.
@@ -388,10 +346,9 @@ type BlockExtent struct {
 }
 
 // Extents returns the payload extents of column ci's blocks, or nil
-// when the container was opened eagerly (v1/v2) and has no extent
-// table.
+// when ci is out of range.
 func (cf *ContainerFile) Extents(ci int) []BlockExtent {
-	if cf.locs == nil || ci < 0 || ci >= len(cf.locs) {
+	if ci < 0 || ci >= len(cf.locs) {
 		return nil
 	}
 	out := make([]BlockExtent, len(cf.locs[ci]))
@@ -414,9 +371,7 @@ func (cf *ContainerFile) Close() error {
 		}
 		cf.pfMu.Unlock()
 		cf.pfWG.Wait()
-		if cf.src != nil {
-			cf.closeErr = cf.src.Close()
-		}
+		cf.closeErr = cf.src.Close()
 	})
 	return cf.closeErr
 }
@@ -475,7 +430,7 @@ func (cf *ContainerFile) fetchForm(colIdx, i int) (*core.Form, error) {
 // skipped, and a full queue drops the request. ctx may be nil (no
 // cancellation); an expired ctx is dropped at dequeue time.
 func (cf *ContainerFile) prefetchAsync(ctx context.Context, colIdx, i int) {
-	if cf.cache == nil || cf.locs == nil {
+	if cf.cache == nil {
 		return
 	}
 	if _, ok := cf.cache.peek(cacheKey{owner: cf.owner, col: colIdx, block: i}); ok {
@@ -573,23 +528,3 @@ func (r *colReader) Close() error { return r.cf.Close() }
 // container share one cache; per-column fetches land in the same
 // counters.
 func (r *colReader) CacheStats() blocked.CacheStats { return r.cf.cache.stats() }
-
-// MemBlockReader is the in-memory BlockReader: a column's encoded
-// payloads held as byte slices. It mirrors the file-backed reader for
-// tests and for code that builds containers in memory.
-type MemBlockReader struct {
-	// Payloads holds each block's encoded form bytes.
-	Payloads [][]byte
-}
-
-// NumBlocks implements BlockReader.
-func (m *MemBlockReader) NumBlocks() int { return len(m.Payloads) }
-
-// Payload implements BlockReader, returning the resident slice
-// without copying.
-func (m *MemBlockReader) Payload(i int, _ []byte) ([]byte, error) {
-	if i < 0 || i >= len(m.Payloads) {
-		return nil, fmt.Errorf("storage: block %d out of range [0, %d)", i, len(m.Payloads))
-	}
-	return m.Payloads[i], nil
-}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -16,10 +17,9 @@ import (
 // block index is self-contained at the front of the file and every
 // block payload carries its own CRC-32C, so a reader can open a
 // container by reading only the fixed prefix and the index, then
-// fetch and verify individual block payloads on demand. v2 kept one
-// CRC over the whole body, which forced ReadAnyContainer to slurp the
-// entire file before the first query; v3 is what makes OpenContainer
-// O(index) instead of O(file).
+// fetch and verify individual block payloads on demand. It is the one
+// generation any open path reads; v1 and v2 files (legacy.go) are
+// rejected at their magic, and `lwc upgrade` rewrites them as v3.
 //
 // v3 layout (all little-endian, varints LEB128, signed zigzagged):
 //
@@ -77,6 +77,12 @@ const VersionV3 uint16 = 3
 // v3PrefixLen is the fixed byte length of magic + version + indexLen.
 const v3PrefixLen = 4 + 2 + 8
 
+// BlockedColumn pairs a name with a blocked column inside a container.
+type BlockedColumn struct {
+	Name string
+	Col  *blocked.Column
+}
+
 // blockLoc is one block's payload extent inside the payload region.
 type blockLoc struct {
 	off, length int64
@@ -89,8 +95,7 @@ type blockLoc struct {
 // are written as index tombstones with no payload. The writer buffers
 // the encoded index and payload region in memory before writing
 // (offsets must be known up front), so writing costs O(container)
-// memory — same bound as the v1/v2 writers; a spooling writer is
-// future work if containers outgrow RAM.
+// memory; a spooling writer is future work if containers outgrow RAM.
 func WriteContainerV3(w io.Writer, cols []BlockedColumn) error {
 	raw := make([]RawColumn, 0, len(cols))
 	for _, c := range cols {
@@ -439,56 +444,46 @@ func DecodeBlockPayload(data []byte, count int) (*core.Form, error) {
 	return f, nil
 }
 
-// decodeContainerV3 decodes a v3 container held fully in memory —
-// the eager path ReadAnyContainer uses; every block form comes back
-// resident.
-func decodeContainerV3(data []byte) ([]BlockedColumn, error) {
-	if len(data) < v3PrefixLen+4 {
-		return nil, fmt.Errorf("%w: container too short", ErrCorrupt)
-	}
-	for i := range MagicV3 {
-		if data[i] != MagicV3[i] {
-			return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+// LoadContainer reads a whole v3 container from r and returns its
+// columns with every block form resident and no source behind them —
+// what a caller that rewrites or prints every form needs. A reader
+// whose first 4 bytes are not the v3 magic is rejected before anything
+// past them is read. Tombstoned blocks stay quarantined, with no form.
+// Use OpenContainer to query a container without reading its payloads.
+func LoadContainer(r io.Reader) ([]BlockedColumn, error) {
+	var magic [4]byte
+	if _, err := io.ReadFull(r, magic[:]); err != nil {
+		if err == io.EOF || err == io.ErrUnexpectedEOF {
+			return nil, fmt.Errorf("%w: container too short", ErrCorrupt)
 		}
+		return nil, err
 	}
-	if v := binary.LittleEndian.Uint16(data[4:]); v != VersionV3 {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
+	if err := checkMagic(magic[:]); err != nil {
+		return nil, err
 	}
-	indexLen := binary.LittleEndian.Uint64(data[6:])
-	if indexLen < 4 || indexLen > uint64(len(data)-v3PrefixLen) {
-		return nil, fmt.Errorf("%w: index length %d out of range", ErrCorrupt, indexLen)
-	}
-	index := data[v3PrefixLen : v3PrefixLen+int(indexLen)]
-	payload := data[v3PrefixLen+int(indexLen):]
-	p, err := parseIndexV3(index, int64(len(payload)))
+	rest, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
 	}
-	for ci := range p.cols {
-		col := p.cols[ci].Col
-		for bi := range col.Blocks {
-			if col.Blocks[bi].Tombstone {
-				// No payload exists; the block stays quarantined.
+	data := append(magic[:], rest...)
+	cf, err := OpenContainer(bytes.NewReader(data), int64(len(data)), OpenOptions{CacheBytes: -1})
+	if err != nil {
+		return nil, err
+	}
+	defer cf.Close()
+	cols := cf.Columns()
+	for _, bc := range cols {
+		for i := range bc.Col.Blocks {
+			if bc.Col.Blocks[i].Tombstone {
 				continue
 			}
-			loc := p.locs[ci][bi]
-			f, err := decodeBlockPayload(payload[loc.off:loc.off+loc.length], loc,
-				p.cols[ci].Name, bi, col.Blocks[bi].Count)
+			f, err := bc.Col.BlockForm(i)
 			if err != nil {
 				return nil, err
 			}
-			col.Blocks[bi].Form = f
+			bc.Col.Blocks[i].Form = f
 		}
+		bc.Col.Source = nil
 	}
-	return p.cols, nil
-}
-
-// ReadContainerV3 reads a v3 container written by WriteContainerV3,
-// decoding every block eagerly. Use OpenContainer for the lazy path.
-func ReadContainerV3(r io.Reader) ([]BlockedColumn, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return decodeContainerV3(data)
+	return cols, nil
 }

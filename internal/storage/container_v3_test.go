@@ -38,8 +38,8 @@ func TestContainerV3RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Eager read.
-	cols, err := ReadContainerV3(bytes.NewReader(buf.Bytes()))
+	// Resident read.
+	cols, err := LoadContainer(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,20 +60,21 @@ func TestContainerV3RoundTrip(t *testing.T) {
 			}
 		}
 	}
-
-	// ReadAnyContainer dispatches on the v3 magic too.
-	cols, err = ReadAnyContainer(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(cols) != 2 {
-		t.Fatalf("ReadAnyContainer found %d columns", len(cols))
+	for _, c := range cols {
+		for i := range c.Col.Blocks {
+			if c.Col.Blocks[i].Form == nil {
+				t.Fatalf("column %q block %d not resident", c.Name, i)
+			}
+		}
+		if c.Col.Source != nil {
+			t.Fatalf("column %q still has a source", c.Name)
+		}
 	}
 }
 
 // TestContainerV3StatsFlags round-trips every block flag — 0 (no
 // stats), 1 (stats), 2 (tombstone), 3 (stats and certificate) — through
-// the eager and the lazy reader, drops a certificate that has no stats
+// the resident and the lazy reader, drops a certificate that has no stats
 // to sit beside, and rejects flag 4 at open even under a valid index
 // checksum.
 func TestContainerV3StatsFlags(t *testing.T) {
@@ -106,7 +107,7 @@ func TestContainerV3StatsFlags(t *testing.T) {
 	if err := WriteContainerV3Raw(&buf, []RawColumn{raw}); err != nil {
 		t.Fatal(err)
 	}
-	eager, err := ReadAnyContainer(bytes.NewReader(buf.Bytes()))
+	eager, err := LoadContainer(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +137,7 @@ func TestContainerV3StatsFlags(t *testing.T) {
 	}
 	index[at] = 4
 	binary.LittleEndian.PutUint32(index[indexLen-4:], crc32.Checksum(index[:indexLen-4], castagnoli))
-	if _, err := ReadAnyContainer(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "bad stats flag 4") {
+	if _, err := LoadContainer(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), "bad stats flag 4") {
 		t.Fatalf("flag 4: %v", err)
 	}
 }
@@ -153,9 +154,6 @@ func TestOpenContainerLazyAndCacheCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cf.Close()
-	if !cf.Lazy() {
-		t.Fatal("v3 container opened eagerly")
-	}
 	lazy := cf.Columns()[0].Col
 	if lazy.Source == nil {
 		t.Fatal("lazy column has no source")
@@ -339,28 +337,6 @@ func TestBlockReaderPayloads(t *testing.T) {
 		scratch = payload[:0]
 	}
 
-	// The in-memory mirror behaves identically.
-	mem := &MemBlockReader{}
-	for i := 0; i < br.NumBlocks(); i++ {
-		p, err := br.Payload(i, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mem.Payloads = append(mem.Payloads, append([]byte(nil), p...))
-	}
-	if mem.NumBlocks() != br.NumBlocks() {
-		t.Fatalf("mem reader has %d blocks", mem.NumBlocks())
-	}
-	p, err := mem.Payload(0, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if int64(len(p)) != extents[0].Bytes {
-		t.Fatalf("mem payload %d bytes", len(p))
-	}
-	if _, err := mem.Payload(99, nil); err == nil {
-		t.Fatal("out-of-range payload accepted")
-	}
 }
 
 // TestConcurrentQueriesUnderCachePressure hammers a lazily opened
@@ -430,5 +406,20 @@ func TestConcurrentQueriesUnderCachePressure(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+func TestWriteContainerV3RejectsBrokenColumn(t *testing.T) {
+	col, _ := encodeBlockedV3(t, 2048, 1024)
+	col.Blocks[1].Start = 7 // break the tiling
+	var buf bytes.Buffer
+	if err := WriteContainerV3(&buf, []BlockedColumn{{Name: "c", Col: col}}); err == nil {
+		t.Fatal("broken block index accepted")
+	}
+	if err := WriteContainerV3(&buf, []BlockedColumn{{Name: "", Col: nil}}); err == nil {
+		t.Fatal("empty name accepted")
+	}
+	if err := WriteContainerV3(&buf, []BlockedColumn{{Name: "c", Col: nil}}); err == nil {
+		t.Fatal("nil column accepted")
 	}
 }

@@ -1,6 +1,5 @@
 // Package storage serializes compressed Form trees to bytes and
-// container files, and opens container files back — eagerly or
-// lazily.
+// container files, and opens container files back.
 //
 // The form encoding mirrors the paper's columnar view directly: a
 // form is a scheme tag, scalar parameters, named child forms, and (at
@@ -10,27 +9,28 @@
 // little-endian; lengths and parameters are LEB128 varints (zigzagged
 // where signed).
 //
-// Three container generations wrap that encoding:
-//
-//   - v1 ("LWC1"): one form per column, whole-body CRC-32C. Written
-//     by WriteContainer; kept readable forever.
-//   - v2 ("LWC2"): blocked columns with an interleaved block index
-//     ([min, max] stats per block), still under one whole-body CRC —
-//     so reading anything means reading everything.
-//   - v3 ("LWC3"): the lazily openable generation. A self-contained
-//     index at the front carries each block's stats, payload extent
-//     and per-block CRC-32C; payloads follow. OpenContainer reads
-//     only the prefix and index, then serves block payloads on
-//     demand, verifying each block's checksum at first touch.
+// Container format v3 ("LWC3") wraps that encoding: a self-contained
+// index at the front carries each block's stats, payload extent and
+// per-block CRC-32C; payloads follow. OpenContainer reads only the
+// prefix and index, then serves block payloads on demand, verifying
+// each block's checksum at first touch; LoadContainer reads a whole
+// container with every form resident. v3 is the only generation any
+// open path reads: a file whose 4-byte magic is anything else is
+// rejected before another byte is read, and for the two older
+// generations (v1, one form per column; v2, blocked columns — both
+// under one whole-body CRC) the error names `lwc upgrade`. legacy.go
+// keeps their decoders behind one entry point that only that command
+// calls, to rewrite such a file as v3.
 //
 // The lazy path is built from three pieces: a byte source (plain
 // io.ReaderAt with pooled scratch buffers, or an mmap window when
 // requested and available), the BlockReader seam that hands out raw
-// per-block payloads, and a byte-budgeted LRU cache of verified
-// payloads shared by all queries on a ContainerFile. Cache insertion
-// takes buffer ownership permanently — cached slices travel to
-// concurrent readers, so evicted buffers are left to the garbage
-// collector rather than recycled. DESIGN.md §1.8
+// per-block payloads, and a byte-budgeted LRU cache of verified,
+// decoded block forms shared by all queries on a ContainerFile (or by
+// every container joined to one SharedCache). A payload buffer lives
+// only for its fetch: the form decoded from it owns its words, so the
+// buffer goes back to the payload pool at once and the cache charges
+// each form its encoded payload length. DESIGN.md §1.8
 // states the invariants; the short version: the index alone decides
 // truncation at open time, payload corruption surfaces as ErrChecksum
 // at first touch of the affected block only, and a block is never

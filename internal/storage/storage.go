@@ -4,20 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"math"
-	"sort"
 	"sync"
 
 	"lwcomp/internal/bitpack"
 	"lwcomp/internal/core"
 )
-
-// Magic identifies lwcomp container files.
-var Magic = [4]byte{'L', 'W', 'C', '1'}
-
-// Version is the current container format version.
-const Version uint16 = 1
 
 // Payload kind tags.
 const (
@@ -377,115 +369,6 @@ func (d *decoder) form(depth int) (*core.Form, error) {
 	return f, nil
 }
 
-// Column pairs a name with its compressed form inside a container.
-type Column struct {
-	Name string
-	Form *core.Form
-}
-
-// WriteContainer writes named compressed columns as one container:
-// magic, version, column count, per-column name + encoded form, and a
-// CRC-32C of everything after the magic.
-func WriteContainer(w io.Writer, cols []Column) error {
-	var body []byte
-	body = binary.LittleEndian.AppendUint16(body, Version)
-	body = binary.AppendUvarint(body, uint64(len(cols)))
-	for _, c := range cols {
-		if len(c.Name) == 0 || len(c.Name) > maxNameLen {
-			return fmt.Errorf("%w: column name %q", ErrCorrupt, c.Name)
-		}
-		body = append(body, byte(len(c.Name)))
-		body = append(body, c.Name...)
-		enc, err := EncodeForm(c.Form)
-		if err != nil {
-			return err
-		}
-		body = binary.AppendUvarint(body, uint64(len(enc)))
-		body = append(body, enc...)
-	}
-	if _, err := w.Write(Magic[:]); err != nil {
-		return err
-	}
-	if _, err := w.Write(body); err != nil {
-		return err
-	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(body, castagnoli))
-	_, err := w.Write(crc[:])
-	return err
-}
-
-// ReadContainer reads a container written by WriteContainer. Columns
-// come back in file order.
-func ReadContainer(r io.Reader) ([]Column, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return readContainerBytes(data)
-}
-
-// readContainerBytes decodes a v1 container from memory (shared by
-// ReadContainer and the v2 reader's fallback path).
-func readContainerBytes(data []byte) ([]Column, error) {
-	if len(data) < len(Magic)+2+4 {
-		return nil, fmt.Errorf("%w: container too short", ErrCorrupt)
-	}
-	for i := range Magic {
-		if data[i] != Magic[i] {
-			return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-		}
-	}
-	body := data[len(Magic) : len(data)-4]
-	wantCRC := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, castagnoli) != wantCRC {
-		return nil, ErrChecksum
-	}
-	d := &decoder{data: body}
-	verLo, err := d.u8()
-	if err != nil {
-		return nil, err
-	}
-	verHi, err := d.u8()
-	if err != nil {
-		return nil, err
-	}
-	if v := uint16(verLo) | uint16(verHi)<<8; v != Version {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, v)
-	}
-	ncols, err := d.count(2)
-	if err != nil {
-		return nil, err
-	}
-	cols := make([]Column, 0, ncols)
-	for i := 0; i < ncols; i++ {
-		name, err := d.name()
-		if err != nil {
-			return nil, err
-		}
-		formLen, err := d.count(1)
-		if err != nil {
-			return nil, err
-		}
-		if d.pos+formLen > len(body) {
-			return nil, fmt.Errorf("%w: truncated column %q", ErrCorrupt, name)
-		}
-		f, consumed, err := DecodeForm(body[d.pos : d.pos+formLen])
-		if err != nil {
-			return nil, fmt.Errorf("column %q: %w", name, err)
-		}
-		if consumed != formLen {
-			return nil, fmt.Errorf("%w: column %q has %d trailing bytes", ErrCorrupt, name, formLen-consumed)
-		}
-		d.pos += formLen
-		cols = append(cols, Column{Name: name, Form: f})
-	}
-	if d.pos != len(body) {
-		return nil, fmt.Errorf("%w: %d trailing bytes in container", ErrCorrupt, len(body)-d.pos)
-	}
-	return cols, nil
-}
-
 // EncodedSize returns the exact serialized size in bytes of a form —
 // the honest number the experiments report alongside the analytic
 // PayloadBits estimate.
@@ -495,10 +378,4 @@ func EncodedSize(f *core.Form) (int, error) {
 		return 0, err
 	}
 	return len(enc), nil
-}
-
-// SortColumns orders columns by name (for deterministic containers
-// built from maps).
-func SortColumns(cols []Column) {
-	sort.Slice(cols, func(i, j int) bool { return cols[i].Name < cols[j].Name })
 }

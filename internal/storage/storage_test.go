@@ -2,12 +2,12 @@ package storage
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"testing"
 	"testing/quick"
 	"unsafe"
 
+	"lwcomp/internal/blocked"
 	"lwcomp/internal/core"
 	"lwcomp/internal/scheme"
 	"lwcomp/internal/vec"
@@ -193,61 +193,6 @@ func TestDeterministicEncoding(t *testing.T) {
 	}
 }
 
-func TestContainerRoundTrip(t *testing.T) {
-	src := testColumn()
-	f1, err := scheme.RLEDeltaComposite().Compress(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f2, err := scheme.NS{}.Compress(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	cols := []Column{{Name: "ship_date", Form: f1}, {Name: "qty", Form: f2}}
-	if err := WriteContainer(&buf, cols); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadContainer(bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != 2 || back[0].Name != "ship_date" || back[1].Name != "qty" {
-		t.Fatalf("columns = %+v", back)
-	}
-	for i := range back {
-		got, err := core.Decompress(back[i].Form)
-		if err != nil || !vec.Equal(got, src) {
-			t.Fatalf("column %d roundtrip: %v", i, err)
-		}
-	}
-}
-
-func TestContainerChecksumDetected(t *testing.T) {
-	f, err := scheme.NS{}.Compress(testColumn())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := WriteContainer(&buf, []Column{{Name: "c", Form: f}}); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	data[len(data)/2] ^= 0xFF
-	if _, err := ReadContainer(bytes.NewReader(data)); !errors.Is(err, ErrChecksum) {
-		t.Fatalf("corrupted container err = %v", err)
-	}
-}
-
-func TestContainerBadMagicAndTruncation(t *testing.T) {
-	if _, err := ReadContainer(bytes.NewReader([]byte("XXXX000000"))); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("bad magic err = %v", err)
-	}
-	if _, err := ReadContainer(bytes.NewReader([]byte("LW"))); !errors.Is(err, ErrCorrupt) {
-		t.Fatalf("short err = %v", err)
-	}
-}
-
 func TestDecodeFormCorruptInputsNeverPanic(t *testing.T) {
 	f, err := scheme.FORComposite(16).Compress(testColumn()[:100])
 	if err != nil {
@@ -312,16 +257,16 @@ func TestEncodedSizeMatchesEncoding(t *testing.T) {
 func TestContainerEmptyAndMany(t *testing.T) {
 	// Zero columns.
 	var buf bytes.Buffer
-	if err := WriteContainer(&buf, nil); err != nil {
+	if err := WriteContainerV3(&buf, nil); err != nil {
 		t.Fatal(err)
 	}
-	cols, err := ReadContainer(bytes.NewReader(buf.Bytes()))
+	cols, err := LoadContainer(bytes.NewReader(buf.Bytes()))
 	if err != nil || len(cols) != 0 {
 		t.Fatalf("empty container = %v, %v", cols, err)
 	}
 	// Many columns with distinct schemes.
 	src := testColumn()[:200]
-	var many []Column
+	var many []BlockedColumn
 	for i, s := range corpusSchemes() {
 		if s.Name() == "const" {
 			continue
@@ -330,33 +275,29 @@ func TestContainerEmptyAndMany(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		many = append(many, Column{Name: string(rune('a' + i)), Form: f})
+		col, err := blocked.FromForm(f, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		many = append(many, BlockedColumn{Name: string(rune('a' + i)), Col: col})
 	}
 	buf.Reset()
-	if err := WriteContainer(&buf, many); err != nil {
+	if err := WriteContainerV3(&buf, many); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadContainer(bytes.NewReader(buf.Bytes()))
+	back, err := LoadContainer(bytes.NewReader(buf.Bytes()))
 	if err != nil || len(back) != len(many) {
 		t.Fatalf("many columns: %v", err)
 	}
 	for i := range back {
-		got, err := core.Decompress(back[i].Form)
+		got, err := back[i].Col.Decompress()
 		if err != nil || !vec.Equal(got, src) {
-			t.Fatalf("column %d (%s): %v", i, back[i].Form.Describe(), err)
+			t.Fatalf("column %d (%s): %v", i, back[i].Col.Blocks[0].Form.Describe(), err)
 		}
 	}
 	// Invalid column name rejected at write time.
-	if err := WriteContainer(&buf, []Column{{Name: "", Form: many[0].Form}}); err == nil {
+	if err := WriteContainerV3(&buf, []BlockedColumn{{Name: "", Col: many[0].Col}}); err == nil {
 		t.Fatal("empty column name accepted")
-	}
-}
-
-func TestSortColumns(t *testing.T) {
-	cols := []Column{{Name: "b"}, {Name: "a"}}
-	SortColumns(cols)
-	if cols[0].Name != "a" {
-		t.Fatal("not sorted")
 	}
 }
 

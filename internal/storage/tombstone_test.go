@@ -94,7 +94,7 @@ func TestVerifyTombstoneRoundTripEager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols, err := ReadAnyContainer(bytes.NewReader(data))
+	cols, err := LoadContainer(bytes.NewReader(data))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestTombstoneAllBlocksRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols, err := ReadAnyContainer(bytes.NewReader(buf.Bytes()))
+	cols, err := LoadContainer(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestTombstoneReasonTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cols, err := ReadAnyContainer(bytes.NewReader(buf.Bytes()))
+	cols, err := LoadContainer(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

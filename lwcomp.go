@@ -28,8 +28,9 @@
 // cost, WithParallelism bounds concurrent block encodes, and a
 // streaming ColumnBuilder (Append/Flush) covers ingest. Containers
 // written by WriteColumns carry a self-contained block index with
-// per-block checksums (format v3); ReadColumns also accepts v2 and
-// v1 containers.
+// per-block checksums (format v3), the one format every read path
+// accepts; `lwc upgrade` converts a v1 or v2 container written by an
+// older build.
 //
 // # On-disk columns
 //
@@ -64,8 +65,6 @@
 package lwcomp
 
 import (
-	"io"
-
 	"lwcomp/internal/blocked"
 	"lwcomp/internal/column"
 	"lwcomp/internal/core"
@@ -138,9 +137,6 @@ type Interval = query.Interval
 // GradualSummer refines an approximate sum to exactness segment by
 // segment.
 type GradualSummer = query.GradualSummer
-
-// StoredColumn pairs a name with a form inside a container file.
-type StoredColumn = storage.Column
 
 // Errors re-exported for errors.Is checks.
 var (
@@ -453,12 +449,3 @@ func DecodeForm(data []byte) (*Form, int, error) { return storage.DecodeForm(dat
 
 // EncodedSize returns the exact serialized size of a form in bytes.
 func EncodedSize(f *Form) (int, error) { return storage.EncodedSize(f) }
-
-// WriteContainer writes named compressed columns as a checksummed
-// container file.
-func WriteContainer(w io.Writer, cols []StoredColumn) error {
-	return storage.WriteContainer(w, cols)
-}
-
-// ReadContainer reads a container written by WriteContainer.
-func ReadContainer(r io.Reader) ([]StoredColumn, error) { return storage.ReadContainer(r) }

@@ -59,15 +59,19 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Serialize and read back.
-	var buf bytes.Buffer
-	if err := lwcomp.WriteContainer(&buf, []lwcomp.StoredColumn{{Name: "ship_date", Form: form}}); err != nil {
+	col, err := lwcomp.ColumnFromForm(form)
+	if err != nil {
 		t.Fatal(err)
 	}
-	cols, err := lwcomp.ReadContainer(bytes.NewReader(buf.Bytes()))
+	var buf bytes.Buffer
+	if err := lwcomp.WriteColumns(&buf, []lwcomp.NamedColumn{{Name: "ship_date", Col: col}}); err != nil {
+		t.Fatal(err)
+	}
+	cols, err := lwcomp.ReadColumns(bytes.NewReader(buf.Bytes()))
 	if err != nil || len(cols) != 1 {
 		t.Fatalf("container: %v", err)
 	}
-	back, err = lwcomp.Decompress(cols[0].Form)
+	back, err = cols[0].Col.Decompress()
 	if err != nil || !equal(back, dates) {
 		t.Fatalf("container roundtrip: %v", err)
 	}

@@ -20,10 +20,9 @@ import (
 // and its bounded LRU block cache. Close it (or any column obtained
 // from it) exactly once when done — the handles share one lifetime.
 //
-// Containers of earlier generations (v1, v2) open eagerly, because
-// their layouts interleave payloads with the index under a whole-file
-// checksum; afterwards they behave identically with every block
-// resident and Close a no-op on the file (it is already released).
+// Only v3 containers open. Any other file is rejected after its
+// 4-byte magic with a permanent error; a v1 or v2 container's error
+// names `lwc upgrade`, which rewrites it as v3.
 type Container = storage.ContainerFile
 
 // BlockExtent locates one block's payload inside a lazily opened
@@ -75,9 +74,8 @@ func NewSharedBlockCache(bytes int64) *SharedBlockCache {
 //	v, err := col.PointLookup(123_456) // reads header + index + one block
 //
 // The container must hold exactly one column unless WithColumn picks
-// one by name. Close the column to release the file. v1 and v2
-// containers open too, eagerly (their formats cannot be read
-// incrementally); the returned column then has every block resident.
+// one by name. Close the column to release the file. A v1 or v2
+// container is rejected after its magic (see Container).
 func OpenFile(path string, opts ...Option) (*Column, error) {
 	o := buildOptions(opts)
 	cf, err := storage.OpenContainerFile(path, o.openOptions())

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -291,68 +292,71 @@ func TestOpenReaderCorruptBlockDetectedLazily(t *testing.T) {
 	}
 }
 
-// TestOpenFileV1Container routes a v1 (single-form) container through
-// OpenFile: it opens eagerly but serves the same queries.
-func TestOpenFileV1Container(t *testing.T) {
-	src := sortedColumn(5000)
-	form, err := lwcomp.CompressBest(src)
+// legacyFixture returns one of the checked-in v1/v2 containers; their
+// provenance is pinned by cmd/lwc/upgrade_test.go.
+func legacyFixture(t testing.TB, name string) []byte {
+	t.Helper()
+	data, err := os.ReadFile(filepath.Join("testdata", "legacy", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := lwcomp.WriteContainer(&buf, []lwcomp.StoredColumn{{Name: "v1col", Form: form}}); err != nil {
-		t.Fatal(err)
+	return data
+}
+
+// checkLegacyRejected opens a legacy fixture through every public open
+// path: each turns it away with a permanent error naming the upgrade.
+func checkLegacyRejected(t *testing.T, name string) {
+	data := legacyFixture(t, name)
+	path := writeTemp(t, data)
+	errs := map[string]error{}
+	_, errs["OpenFile"] = lwcomp.OpenFile(path)
+	_, errs["OpenFile+mmap"] = lwcomp.OpenFile(path, lwcomp.WithMmap(true))
+	_, errs["OpenReader"] = lwcomp.OpenReader(bytes.NewReader(data), int64(len(data)))
+	_, errs["OpenContainer"] = lwcomp.OpenContainer(path)
+	_, errs["OpenTable"] = lwcomp.OpenTable(path)
+	_, errs["ReadColumns"] = lwcomp.ReadColumns(bytes.NewReader(data))
+	rep, err := storage.VerifyFile(path)
+	if err != nil || rep.OK() {
+		t.Fatalf("verify: %+v, %v", rep, err)
 	}
-	col, err := lwcomp.OpenFile(writeTemp(t, buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	if col.NumBlocks() != 1 || col.N != len(src) {
-		t.Fatalf("v1 adoption: %d blocks, n=%d", col.NumBlocks(), col.N)
-	}
-	back, err := col.Decompress()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equal(back, src) {
-		t.Fatal("v1 round trip mismatch")
-	}
-	if v, err := col.PointLookup(1234); err != nil || v != src[1234] {
-		t.Fatalf("PointLookup = %d, %v", v, err)
+	errs["VerifyFile"] = rep.Issues[0].Err
+	for path, err := range errs {
+		if !errors.Is(err, lwcomp.ErrCorrupt) || !strings.Contains(err.Error(), "lwc upgrade") {
+			t.Errorf("%s: %s: err = %v", name, path, err)
+		}
 	}
 }
 
-// TestOpenFileV2Container routes a v2 (blocked, whole-body CRC)
-// container through OpenFile's eager fallback.
-func TestOpenFileV2Container(t *testing.T) {
-	src := sortedColumn(1 << 14)
-	col, err := lwcomp.Encode(src, lwcomp.WithBlockSize(4096))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := storage.WriteContainerV2(&buf, []storage.BlockedColumn{{Name: "v2col", Col: col}}); err != nil {
-		t.Fatal(err)
-	}
-	opened, err := lwcomp.OpenFile(writeTemp(t, buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer opened.Close()
-	if opened.NumBlocks() != col.NumBlocks() {
-		t.Fatalf("v2 open: %d blocks, want %d", opened.NumBlocks(), col.NumBlocks())
-	}
-	sum1, err := col.Sum()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum2, err := opened.Sum()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum1 != sum2 {
-		t.Fatalf("v2 sums differ: %d != %d", sum1, sum2)
+// TestOpenFileV1Container: a v1 (one form per column) container opens
+// nowhere; `lwc upgrade` converts it.
+func TestOpenFileV1Container(t *testing.T) { checkLegacyRejected(t, "v1.lwc") }
+
+// TestOpenFileV2Container: neither does a v2 (blocked, whole-body CRC)
+// container.
+func TestOpenFileV2Container(t *testing.T) { checkLegacyRejected(t, "v2.lwc") }
+
+// TestOpenRejectsAfterMagic: a file that is not a v3 container is
+// turned away after its 4-byte magic however large it is — 64 MiB of
+// zeros costs no more reading than a legacy container does.
+func TestOpenRejectsAfterMagic(t *testing.T) {
+	const v3PrefixLen = 14 // magic, version and index length
+	for _, tc := range []struct {
+		name    string
+		data    []byte
+		upgrade bool
+	}{
+		{"zeros", make([]byte, 64<<20), false},
+		{"v1", legacyFixture(t, "v1.lwc"), true},
+		{"v2", legacyFixture(t, "v2.lwc"), true},
+	} {
+		ra := &countingReaderAt{data: tc.data}
+		_, err := lwcomp.OpenReader(ra, int64(len(tc.data)))
+		if !errors.Is(err, lwcomp.ErrCorrupt) || strings.Contains(err.Error(), "lwc upgrade") != tc.upgrade {
+			t.Fatalf("%s: err = %v", tc.name, err)
+		}
+		if _, total, _ := ra.snapshot(); total > v3PrefixLen {
+			t.Fatalf("%s: read %d bytes before rejecting, want at most %d", tc.name, total, v3PrefixLen)
+		}
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"lwcomp"
+	"lwcomp/internal/storage"
 	"lwcomp/internal/workload"
 )
 
@@ -166,24 +167,18 @@ func TestSerializationBitFlips(t *testing.T) {
 	}
 }
 
-// TestContainerCorruption: both container generations detect
-// truncation and bit flips via structure or checksum.
+// TestContainerCorruption: every container generation detects
+// truncation and bit flips via structure or checksum — v3 through
+// ReadColumns, the legacy fixtures through the upgrade's decoder.
 func TestContainerCorruption(t *testing.T) {
 	data := workload.OrderShipDates(8000, 50, 730120, 16)
-	form, err := lwcomp.CompressBest(data)
-	if err != nil {
-		t.Fatal(err)
-	}
 	col, err := lwcomp.Encode(data, lwcomp.WithBlockSize(1<<11))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	var v1, v2 bytes.Buffer
-	if err := lwcomp.WriteContainer(&v1, []lwcomp.StoredColumn{{Name: "c", Form: form}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := lwcomp.WriteColumns(&v2, []lwcomp.NamedColumn{{Name: "c", Col: col}}); err != nil {
+	var v3 bytes.Buffer
+	if err := lwcomp.WriteColumns(&v3, []lwcomp.NamedColumn{{Name: "c", Col: col}}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -211,16 +206,14 @@ func TestContainerCorruption(t *testing.T) {
 		}
 	}
 
-	check("v1/ReadContainer", func(b []byte) error {
-		_, err := lwcomp.ReadContainer(bytes.NewReader(b))
-		return err
-	}, v1.Bytes())
-	check("v2/ReadColumns", func(b []byte) error {
+	check("v3/ReadColumns", func(b []byte) error {
 		_, err := lwcomp.ReadColumns(bytes.NewReader(b))
 		return err
-	}, v2.Bytes())
-	check("v1/ReadColumns", func(b []byte) error {
-		_, err := lwcomp.ReadColumns(bytes.NewReader(b))
-		return err
-	}, v1.Bytes())
+	}, v3.Bytes())
+	for _, name := range []string{"v1.lwc", "v2.lwc"} {
+		check(name+"/ReadLegacy", func(b []byte) error {
+			_, err := storage.ReadLegacy(b)
+			return err
+		}, legacyFixture(t, name))
+	}
 }
