@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -52,7 +53,6 @@ func BenchmarkEXPA_Composition(b *testing.B) {
 		{"delta+ns", scheme.DeltaNS()},
 		{"rle+ns", lwcomp.RLENS()},
 		{"rle-delta", lwcomp.RLEDeltaNS()},
-		{"rle-delta-vns", scheme.RLEDeltaVNSComposite()},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
 			var form *lwcomp.Form
@@ -1336,6 +1336,113 @@ func BenchmarkLinearRange(b *testing.B) {
 					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/value")
 				})
 			}
+		}
+	}
+}
+
+// amountWalk returns n rows of the shape of an order amount: a ±12
+// random walk near 2^30 that drifts up by one every eighth row on
+// average.
+func amountWalk(n int, seed int64) []int64 {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]int64, n)
+	v := int64(1 << 30)
+	for i := range out {
+		v += rng.Int63n(25) - 12
+		if rng.Intn(8) == 0 {
+			v++
+		}
+		out[i] = v
+	}
+	return out
+}
+
+// BenchmarkDeltaRange measures the delta rule (internal/query/delta.go)
+// on one 16,384-row amount-shaped block in three ways: the delta(ns)
+// form the analyzer picks for it, the for(ns)[128] form it picked
+// before delta forms kept their first value, and decode-then-filter of
+// the delta(ns) form, the cost the rule replaces. Count and select run
+// over a ±40 window around a value the block holds and over its middle
+// half; sum is the block's whole sum, and sumsel the sum under a 30 %
+// random selection.
+func BenchmarkDeltaRange(b *testing.B) {
+	const n = 1 << 14
+	data := amountWalk(n, 63)
+	deltaForm, err := scheme.DeltaNS().Compress(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	forForm, err := lwcomp.FORNS(128).Compress(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sorted := slices.Sorted(slices.Values(data))
+	v := data[n/2]
+	ranges := []struct {
+		name   string
+		lo, hi int64
+	}{{"narrow", v - 40, v + 40}, {"half", sorted[n/4], sorted[3*n/4]}}
+	picked := lwcomp.NewSelection(n)
+	rng := rand.New(rand.NewSource(64))
+	for i := 0; i < n; i++ {
+		if rng.Intn(10) < 3 {
+			picked.Add(i)
+		}
+	}
+	bm := lwcomp.NewSelection(n)
+	vals := make([]int64, n)
+	sc := core.GetScratch()
+	defer sc.Release()
+	decode := func(f *core.Form) error { return core.DecompressInto(f, vals, sc) }
+	for _, form := range []struct {
+		name string
+		f    *core.Form
+	}{{"delta", deltaForm}, {"for", forForm}, {"decode", deltaForm}} {
+		f := form.f
+		type verb struct {
+			name string
+			run  func() error
+		}
+		var verbs []verb
+		for _, r := range ranges {
+			if form.name == "decode" {
+				verbs = append(verbs,
+					verb{r.name + "/count", func() error { err := decode(f); vec.CountRange(vals, r.lo, r.hi); return err }},
+					verb{r.name + "/select", func() error {
+						bm.Reset(n)
+						err := decode(f)
+						for i, x := range vals {
+							if x >= r.lo && x <= r.hi {
+								bm.Add(i)
+							}
+						}
+						return err
+					}})
+				continue
+			}
+			verbs = append(verbs,
+				verb{r.name + "/count", func() error { _, err := query.CountRange(f, r.lo, r.hi); return err }},
+				verb{r.name + "/select", func() error { bm.Reset(n); return query.SelectRangeSel(f, r.lo, r.hi, bm, 0) }})
+		}
+		if form.name == "decode" {
+			verbs = append(verbs,
+				verb{"sum", func() error { err := decode(f); vec.Sum(vals); return err }},
+				verb{"sumsel", func() error { err := decode(f); picked.MaskedSum(0, vals); return err }})
+		} else {
+			verbs = append(verbs,
+				verb{"sum", func() error { _, err := query.Sum(f); return err }},
+				verb{"sumsel", func() error { _, err := query.SumSel(f, picked, 0); return err }})
+		}
+		for _, vb := range verbs {
+			b.Run(form.name+"/"+vb.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := vb.run(); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/value")
+			})
 		}
 	}
 }

@@ -4,6 +4,8 @@ package lwcomp_test
 // in the public package and in every internal package must carry a
 // godoc comment. It fails listing the undocumented symbols, so the
 // fix is always "write the missing comment", never "find the tool".
+// DESIGN.md must carry no placeholder left for a figure to be
+// measured later.
 
 import (
 	"go/ast"
@@ -12,9 +14,40 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
+
+// placeholder matches an all-caps token with an underscore, such as
+// RUNS_TABLE: the shape of a figure left to be filled in. Code spans
+// and fenced blocks are not prose and are not searched.
+var (
+	placeholder = regexp.MustCompile(`\b[A-Z][A-Z0-9]*_[A-Z0-9_]*[A-Z0-9]\b`)
+	codeSpan    = regexp.MustCompile("`[^`]*`")
+)
+
+// TestDesignHasNoPlaceholders fails on every placeholder token in
+// DESIGN.md's prose, with its line.
+func TestDesignHasNoPlaceholders(t *testing.T) {
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fenced := false
+	for i, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			fenced = !fenced
+			continue
+		}
+		if fenced {
+			continue
+		}
+		for _, tok := range placeholder.FindAllString(codeSpan.ReplaceAllString(line, ""), -1) {
+			t.Errorf("DESIGN.md:%d: placeholder %s", i+1, tok)
+		}
+	}
+}
 
 // packageDirs returns the repository's Go package directories: the
 // root and every directory under internal/ and cmd/ that holds Go

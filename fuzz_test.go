@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -474,7 +476,11 @@ func spikySeed(f *testing.F) []byte {
 // every failure is a classified error (ErrCorrupt / ErrChecksum /
 // ErrCorruptForm / ErrUnknownScheme / ErrQuarantined), and a degraded
 // table scan over the same bytes either fails the same way or answers
-// with the omission recorded in its manifest.
+// with the omission recorded in its manifest. The container is either
+// one assembled here, whose last block is hostile, or — when fixture
+// is set — the checked-in delta fixture (deltaFixture), whose delta
+// forms have no first-value parameter and which intact answers every
+// query.
 func FuzzOpenCorrupt(f *testing.F) {
 	vals := make([]int64, 1024)
 	for i := range vals {
@@ -522,13 +528,20 @@ func FuzzOpenCorrupt(f *testing.F) {
 		f.Fatalf("block 0 has index flag %d, want 3 (stats and certificate)", template[flag0])
 	}
 
-	f.Add(uint32(0), byte(0))                          // intact bytes: only the hostile block fails
-	f.Add(uint32(0), byte(0xFF))                       // magic
-	f.Add(uint32(5), byte(0x80))                       // version
-	f.Add(uint32(9), byte(0x01))                       // index length
-	f.Add(uint32(40), byte(0x10))                      // inside the index
-	f.Add(uint32(uint32(len(template)-8)), byte(0x04)) // payload tail
-	f.Add(uint32(flag0), byte(0x07))                   // block 0's flag 3 -> 4
+	f.Add(uint32(0), byte(0), false)                          // intact bytes: only the hostile block fails
+	f.Add(uint32(0), byte(0xFF), false)                       // magic
+	f.Add(uint32(5), byte(0x80), false)                       // version
+	f.Add(uint32(9), byte(0x01), false)                       // index length
+	f.Add(uint32(40), byte(0x10), false)                      // inside the index
+	f.Add(uint32(uint32(len(template)-8)), byte(0x04), false) // payload tail
+	f.Add(uint32(flag0), byte(0x07), false)                   // block 0's flag 3 -> 4
+	fixture, err := os.ReadFile(filepath.FromSlash(deltaFixture))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint32(0), byte(0), true)                           // intact: every query answers
+	f.Add(uint32(60), byte(0x01), true)                       // inside the index
+	f.Add(uint32(uint32(len(fixture)-100)), byte(0x08), true) // a payload
 
 	allowed := func(err error) bool {
 		for _, sentinel := range []error{
@@ -542,30 +555,40 @@ func FuzzOpenCorrupt(f *testing.F) {
 		return false
 	}
 
-	f.Fuzz(func(t *testing.T, pos uint32, mut byte) {
-		data := append([]byte(nil), template...)
+	f.Fuzz(func(t *testing.T, pos uint32, mut byte, useFixture bool) {
+		data, col, lo, hi := append([]byte(nil), template...), "c", int64(10), int64(200)
+		if useFixture {
+			data, col, lo, hi = append([]byte(nil), fixture...), "walk", 1<<30+500, 1<<30+1100
+		}
 		data[int(pos)%len(data)] ^= mut
+		// Intact, the hostile block is the template's only fault, and
+		// each path must find it; the fixture has none.
+		intact := mut == 0
+		hostile := func(err error) bool {
+			if useFixture {
+				return err == nil
+			}
+			return errors.Is(err, lwcomp.ErrCorruptForm)
+		}
 
-		c, err := lwcomp.OpenReader(bytes.NewReader(data), int64(len(data)), lwcomp.WithBlockCache(-1))
+		c, err := lwcomp.OpenReader(bytes.NewReader(data), int64(len(data)), lwcomp.WithBlockCache(-1), lwcomp.WithColumn(col))
 		if err != nil {
 			if !allowed(err) {
 				t.Fatalf("open: unclassified error %v", err)
 			}
 		} else {
-			// With the bytes intact (mut == 0) the hostile block is the
-			// only fault, and each path must find it.
 			_, err := c.Sum()
-			if err != nil && !allowed(err) || mut == 0 && !errors.Is(err, lwcomp.ErrCorruptForm) {
+			if err != nil && !allowed(err) || intact && !hostile(err) {
 				t.Fatalf("sum: error %v", err)
 			}
-			_, err = c.CountRange(10, 200)
-			if err != nil && !allowed(err) || mut == 0 && !errors.Is(err, lwcomp.ErrCorruptForm) {
+			_, err = c.CountRange(lo, hi)
+			if err != nil && !allowed(err) || intact && !hostile(err) {
 				t.Fatalf("count: error %v", err)
 			}
 			// A block that failed permanently above must now be
 			// quarantined: the second pass fails fast, same class.
 			_, err = c.Decompress()
-			if err != nil && !allowed(err) || mut == 0 && err == nil {
+			if err != nil && !allowed(err) || intact && (err == nil) != useFixture {
 				t.Fatalf("decompress: error %v", err)
 			}
 		}
@@ -579,7 +602,7 @@ func FuzzOpenCorrupt(f *testing.F) {
 			return
 		}
 		defer tbl.Close()
-		scan, err := tbl.Scan(lwcomp.Range("c", 10, 200))
+		scan, err := tbl.Scan(lwcomp.Range(col, lo, hi))
 		if err != nil {
 			if !allowed(err) {
 				t.Fatalf("degraded scan: unclassified error %v", err)
@@ -587,13 +610,13 @@ func FuzzOpenCorrupt(f *testing.F) {
 			return
 		}
 		defer scan.Release()
-		if _, err := scan.Sum("c"); err != nil && !allowed(err) {
+		if _, err := scan.Sum(col); err != nil && !allowed(err) {
 			t.Fatalf("degraded sum: unclassified error %v", err)
 		}
 		// Whatever was skipped is accounted for, exactly once each.
 		seen := map[int]bool{}
 		for _, sb := range scan.Manifest().Skipped() {
-			if seen[sb.Block] && sb.Column == "c" {
+			if seen[sb.Block] && sb.Column == col {
 				t.Fatalf("manifest lists block %d twice", sb.Block)
 			}
 			seen[sb.Block] = true

@@ -77,7 +77,7 @@ func TestExpectedShapes(t *testing.T) {
 	}
 	found := false
 	for _, row := range table.Rows {
-		if row[0] == "256" && strings.HasPrefix(row[1], "rle(delta+vns)") {
+		if row[0] == "256" && strings.HasPrefix(row[1], "rle(delta+ns)") {
 			found = true
 			var gain float64
 			if _, err := sscan(row[4], &gain); err != nil {

@@ -45,7 +45,6 @@ func runExpA(cfg Config) (*Table, error) {
 	}
 	composites := []entry{
 		{"rle(delta+ns)   [paper §I]", scheme.RLEDeltaComposite()},
-		{"rle(delta+vns)  [§I + §II-B widths]", scheme.RLEDeltaVNSComposite()},
 	}
 
 	for _, runLen := range []float64{16, 64, 256, 1024} {
@@ -100,8 +99,7 @@ func runExpA(cfg Config) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"'vs best single' > 1 means the composite beats every non-composite scheme",
-		"rle(delta+ns) shows the first-delta width trap: DELTA's first entry is the absolute value, forcing NS's global width up;",
-		"rle(delta+vns) fixes it with the paper's variable-width extension — one composition repairing another",
+		"DELTA keeps its first value as a parameter, so NS packs the run-head deltas at their own width, not the first value's",
 		fmt.Sprintf("n = %d date values per row group", cfg.N),
 	)
 	return t, nil

@@ -426,3 +426,118 @@ func scalarGather(src []uint64, start, count int, w uint, tab, dst []int64) bool
 	}
 	return true
 }
+
+// PrefixRange returns the bitmap of which of the values a delta form
+// decodes to — x plus the running sums of the 64 values at positions
+// [start, start+64) of the packed width-w payload, each zigzag-decoded
+// when zz, wrapping as int64 addition does — lie inside [lo, hi] (bit
+// j for position start+j), and the last of them. start must be a
+// multiple of 64. No memory is allocated.
+func PrefixRange(packed []uint64, start int, w uint, zz bool, x, lo, hi int64) (m uint64, last int64, err error) {
+	if err := checkFusedRange(packed, start, BlockLen, w); err != nil {
+		return 0, 0, err
+	}
+	if start&(BlockLen-1) != 0 {
+		return 0, 0, fmt.Errorf("bitpack: prefix range at position %d, not a block start", start)
+	}
+	src := packed[start>>6*int(w):]
+	span := uint64(hi) - uint64(lo)
+	if w >= 1 && int(w) < len(prefixRangeFuncs) && span != ^uint64(0) {
+		if zz {
+			m, last = prefixRangeZZFuncs[w](src, x, uint64(lo), span)
+		} else {
+			m, last = prefixRangeFuncs[w](src, x, uint64(lo), span)
+		}
+		return m, last, nil
+	}
+	for j := range BlockLen {
+		x += valueAt(src, j, w, zz)
+		if uint64(x)-uint64(lo) <= span {
+			m |= 1 << uint(j)
+		}
+	}
+	return m, x, nil
+}
+
+// PrefixMaskedSum returns the wrapping sum of the values a delta form
+// decodes to — x plus the running sums of the packed width-w payload's
+// values, each zigzag-decoded when zz — at the positions [0, n) whose
+// bit is set in masks (bit j of masks[i] is position 64i+j), and the
+// running sum at position n-1 (x when n is 0). A block with an empty
+// mask is passed over by its sum kernel; the others run a fused
+// prefix-and-masked-sum kernel. No memory is allocated.
+func PrefixMaskedSum(packed []uint64, n int, w uint, zz bool, x int64, masks []uint64) (sum, last int64, err error) {
+	if err := checkFusedRange(packed, 0, n, w); err != nil {
+		return 0, 0, err
+	}
+	if nb := (n + BlockLen - 1) / BlockLen; len(masks) < nb {
+		return 0, 0, fmt.Errorf("bitpack: %d masks for %d blocks", len(masks), nb)
+	}
+	full := n / BlockLen
+	if w >= 1 && int(w) < len(prefixMaskedFuncs) {
+		kernel, sumKernel := prefixMaskedFuncs[w], sumFuncs[w]
+		if zz {
+			kernel, sumKernel = prefixMaskedZZFuncs[w], sumZZFuncs[w]
+		}
+		for b, m := range masks[:full] {
+			src := packed[b*int(w) : (b+1)*int(w)]
+			if m == 0 {
+				x += int64(sumKernel(src))
+				continue
+			}
+			s, last := kernel(src, x, m)
+			sum, x = sum+s, last
+		}
+	} else {
+		for b, m := range masks[:full] {
+			for j := range BlockLen {
+				x += valueAt(packed, b*BlockLen+j, w, zz)
+				sum += x & (int64(m<<(63-j)) >> 63)
+			}
+		}
+	}
+	for j := 0; full*BlockLen+j < n; j++ {
+		x += valueAt(packed, full*BlockLen+j, w, zz)
+		sum += x & (int64(masks[full]<<(63-j)) >> 63)
+	}
+	return sum, x, nil
+}
+
+// valueAt is ValueAt, zigzag-decoded when zz.
+func valueAt(packed []uint64, i int, w uint, zz bool) int64 {
+	u := ValueAt(packed, i, w)
+	if zz {
+		return Unzigzag(u)
+	}
+	return int64(u)
+}
+
+// BlockSums writes into dst[i] the wrapping sum of the values at
+// positions [64i, min(64i+64, n)) of the packed width-w payload of n
+// values, each zigzag-decoded when zz: one sum kernel call a block.
+// dst must hold a sum for every block. No memory is allocated.
+func BlockSums(packed []uint64, n int, w uint, zz bool, dst []int64) error {
+	if err := checkFusedRange(packed, 0, n, w); err != nil {
+		return err
+	}
+	nb := (n + BlockLen - 1) / BlockLen
+	if len(dst) < nb {
+		return fmt.Errorf("bitpack: %d block sums into %d values", nb, len(dst))
+	}
+	if w == 0 {
+		clear(dst[:nb])
+		return nil
+	}
+	kernel := sumFuncs[w]
+	if zz {
+		kernel = sumZZFuncs[w]
+	}
+	full := n / BlockLen
+	for b := range dst[:full] {
+		dst[b] = int64(kernel(packed[b*int(w) : (b+1)*int(w)]))
+	}
+	if full < nb {
+		dst[full] = int64(scalarSum(packed, full*BlockLen, n-full*BlockLen, w, zz))
+	}
+	return nil
+}

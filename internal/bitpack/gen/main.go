@@ -113,6 +113,22 @@ func main() {
 	fmt.Fprintln(&b, "// set in m (bit i = value i), wrapping mod 2^64.")
 	fmt.Fprintln(&b, "type sumMaskedFunc func(src []uint64, m uint64) uint64")
 	fmt.Fprintln(&b)
+	fmt.Fprintln(&b, "// borrow is 1 when a < s and 0 otherwise: the borrow out of a − s.")
+	fmt.Fprintln(&b, "func borrow(a, s uint64) uint64 {")
+	fmt.Fprintln(&b, "\t_, c := bits.Sub64(a, s, 0)")
+	fmt.Fprintln(&b, "\treturn c")
+	fmt.Fprintln(&b, "}")
+	fmt.Fprintln(&b)
+	fmt.Fprintln(&b, "// prefixRangeFunc returns the bitmap of which running sums x plus")
+	fmt.Fprintln(&b, "// the first i+1 values of one block lie inside [lo, lo+span]")
+	fmt.Fprintln(&b, "// (span < 2^64-1), and the last running sum.")
+	fmt.Fprintln(&b, "type prefixRangeFunc func(src []uint64, x int64, lo, span uint64) (uint64, int64)")
+	fmt.Fprintln(&b)
+	fmt.Fprintln(&b, "// prefixMaskedFunc returns the wrapping sum of the running sums x")
+	fmt.Fprintln(&b, "// plus the first i+1 values of one block for the set bits i of m,")
+	fmt.Fprintln(&b, "// and the last running sum.")
+	fmt.Fprintln(&b, "type prefixMaskedFunc func(src []uint64, x int64, m uint64) (int64, int64)")
+	fmt.Fprintln(&b)
 	fmt.Fprintln(&b, "// sumBlock0 is the width-0 sum: 64 zeros.")
 	fmt.Fprintln(&b, "func sumBlock0(src []uint64) uint64 { return 0 }")
 	fmt.Fprintln(&b)
@@ -179,7 +195,15 @@ func main() {
 		emitCountInRangeZZ(&b, w)
 		emitSelectInRangeZZ(&b, w)
 		emitSumInRangeZZ(&b, w)
-		emitSumZZ(&b, w)
+		if w <= swarMaxWidth {
+			emitSumZZSWAR(&b, w)
+			for _, zz := range []bool{false, true} {
+				emitPrefixRange(&b, w, zz)
+				emitPrefixMasked(&b, w, zz)
+			}
+		} else {
+			emitSumZZ(&b, w)
+		}
 	}
 
 	fmt.Fprintln(&b, "var packFuncs = [65]blockFunc{")
@@ -224,6 +248,25 @@ func main() {
 	emitDispatch(&b, "selectInRangeZZFuncs", "selectRangeFunc", "selectInRangeZZBlock", 64)
 	emitDispatch(&b, "sumInRangeZZFuncs", "sumRangeFunc", "sumInRangeZZBlock", 64)
 	emitDispatch(&b, "sumZZFuncs", "sumFunc", "sumZZBlock", 64)
+	fmt.Fprintln(&b, "// The prefixRange and prefixMasked tables hold the delta kernels of")
+	fmt.Fprintln(&b, "// the lane-parallel widths, plain and zigzag. Entry 0 is nil: a")
+	fmt.Fprintln(&b, "// width-0 block adds nothing.")
+	for _, zz := range []string{"", "ZZ"} {
+		fmt.Fprintf(&b, "var prefixRange%sFuncs = [%d]prefixRangeFunc{\n", zz, swarMaxWidth+1)
+		fmt.Fprintln(&b, "\tnil,")
+		for w := 1; w <= swarMaxWidth; w++ {
+			fmt.Fprintf(&b, "\tprefixRange%sBlock%d,\n", zz, w)
+		}
+		fmt.Fprintln(&b, "}")
+		fmt.Fprintln(&b)
+		fmt.Fprintf(&b, "var prefixMasked%sFuncs = [%d]prefixMaskedFunc{\n", zz, swarMaxWidth+1)
+		fmt.Fprintln(&b, "\tnil,")
+		for w := 1; w <= swarMaxWidth; w++ {
+			fmt.Fprintf(&b, "\tprefixMasked%sBlock%d,\n", zz, w)
+		}
+		fmt.Fprintln(&b, "}")
+		fmt.Fprintln(&b)
+	}
 
 	src, err := format.Source(b.Bytes())
 	if err != nil {
@@ -918,4 +961,148 @@ func emitSumZZ(b *bytes.Buffer, w int) {
 	fmt.Fprintln(b, "\treturn s")
 	fmt.Fprintln(b, "}")
 	fmt.Fprintln(b)
+}
+
+// emitSumZZSWAR writes sumZZBlockW for a width up to swarMaxWidth,
+// lane by lane on the packed words, in the windows of sumMaskedBlockW
+// (sumLayout). A zigzag lane u decodes to h = u>>1 when its low bit o
+// is 0 and to −h−1 = h − u when it is 1, so the block sums to
+// Σh − Σ{u : o = 1} = (Σu − #odd)/2 − Σ{u : o = 1}. Per window the odd
+// lanes' low bits, times Mask(w), select the odd lanes; the window and
+// its odd lanes fold into two accumulators and the low bits are
+// popcounted, and the accumulators take the remaining folds at the
+// end. At w = 1 every set bit is a −1.
+func emitSumZZSWAR(b *bytes.Buffer, w int) {
+	fmt.Fprintf(b, "// sumZZBlock%d sums the 64 zigzag %d-bit values of src[0:%d], wrapping mod 2^64, lane by lane on the packed words.\n", w, w, w)
+	fmt.Fprintf(b, "func sumZZBlock%d(src []uint64) uint64 {\n", w)
+	if w == 1 {
+		fmt.Fprintln(b, "\treturn -uint64(bits.OnesCount64(src[0]))")
+		fmt.Fprintln(b, "}")
+		fmt.Fprintln(b)
+		return
+	}
+	k := sumLayout(w)
+	fs := folds(w, k)
+	fmt.Fprintf(b, "\t_ = src[%d]\n", w-1)
+	for j, decl := 0, ":="; j*k < 64; j, decl = j+1, "=" {
+		n := min(k, 64-j*k)
+		x := window(w, k, j, n)
+		if strings.Contains(x, " ") {
+			x = "(" + x + ")"
+		}
+		fmt.Fprintf(b, "\tx%s %s & %#x\n", decl, x, lanes(w, n)*(uint64(1)<<w-1))
+		fmt.Fprintf(b, "\to%s x & %#x\n", decl, lanes(w, n))
+		fmt.Fprintf(b, "\tv%s x & (o * %#x)\n", decl, uint64(1)<<w-1)
+		if j == 0 {
+			fmt.Fprintln(b, "\tc := bits.OnesCount64(o)")
+			fmt.Fprintf(b, "\tacc := %s\n", fs[0].expr("x"))
+			fmt.Fprintf(b, "\todd := %s\n", fs[0].expr("v"))
+			continue
+		}
+		fmt.Fprintln(b, "\tc += bits.OnesCount64(o)")
+		fmt.Fprintf(b, "\tacc += %s\n", fs[0].expr("x"))
+		fmt.Fprintf(b, "\todd += %s\n", fs[0].expr("v"))
+	}
+	for _, fo := range fs[1:] {
+		fmt.Fprintf(b, "\tacc = %s\n", fo.expr("acc"))
+		fmt.Fprintf(b, "\todd = %s\n", fo.expr("odd"))
+	}
+	fmt.Fprintln(b, "\treturn (acc-uint64(c))>>1 - odd")
+	fmt.Fprintln(b, "}")
+	fmt.Fprintln(b)
+}
+
+// emitPrefixRange writes prefixRangeBlockW, or prefixRangeZZBlockW
+// when zz: the values a delta form decodes to — the running sums of
+// the block's values — each tested against the window as it is made,
+// with no block buffer between the unpack, the sum and the test. With
+// span+1 = s ≠ 0, v-lo <= span exactly when v-lo-s borrows, and the
+// borrow is the match bit.
+func emitPrefixRange(b *bytes.Buffer, w int, zz bool) {
+	name, what := "prefixRangeBlock", ""
+	if zz {
+		name, what = "prefixRangeZZBlock", " zigzag"
+	}
+	fmt.Fprintf(b, "// %s%d returns the bitmap of which running sums of x and the 64%s %d-bit values of src[0:%d] lie inside [lo, lo+span], and the last, wrapping.\n", name, w, what, w, w)
+	fmt.Fprintf(b, "func %s%d(src []uint64, x int64, lo, span uint64) (uint64, int64) {\n", name, w)
+	fmt.Fprintln(b, "\ts := span + 1")
+	fmt.Fprintln(b, "\tvar m uint64")
+	emitPrefixValues(b, w, zz, func(i int) {
+		fmt.Fprintf(b, "\tm |= borrow(uint64(x)-lo, s) << %d\n", i)
+	})
+	fmt.Fprintln(b, "\treturn m, x")
+	fmt.Fprintln(b, "}")
+	fmt.Fprintln(b)
+}
+
+// emitPrefixMasked writes prefixMaskedBlockW, or prefixMaskedZZBlockW
+// when zz: emitPrefixRange's running sums, each added to a second sum
+// when its bit of m is set, without being stored. int64(m<<(63-i))>>63
+// is all ones exactly when bit i is set: no branch, and no test of a
+// 64-bit constant.
+func emitPrefixMasked(b *bytes.Buffer, w int, zz bool) {
+	name, what := "prefixMaskedBlock", ""
+	if zz {
+		name, what = "prefixMaskedZZBlock", " zigzag"
+	}
+	fmt.Fprintf(b, "// %s%d returns the sum of the running sums of x and the 64%s %d-bit values of src[0:%d] whose bit is set in m, and the last running sum, wrapping.\n", name, w, what, w, w)
+	fmt.Fprintf(b, "func %s%d(src []uint64, x int64, m uint64) (int64, int64) {\n", name, w)
+	fmt.Fprintln(b, "\tvar s int64")
+	emitPrefixValues(b, w, zz, func(i int) {
+		fmt.Fprintf(b, "\ts += x & (int64(m<<%d) >> 63)\n", 63-i)
+	})
+	fmt.Fprintln(b, "\treturn s, x")
+	fmt.Fprintln(b, "}")
+	fmt.Fprintln(b)
+}
+
+// emitPrefixValues writes the body the prefix kernels share: x
+// advanced by each of the block's 64 values in turn, then use(i) on
+// it. Plain values are extracted one by one. Zigzag ones are decoded
+// a word of ⌊64/w⌋ lanes at a time: a lane u = 2h+o (o its low bit)
+// decodes to h when o is 0 and to −h−1, which is h with its w bits
+// inverted, when o is 1 — so h per lane, XORed with o times Mask(w),
+// is each lane's value as a w-bit two's complement, and one shift up
+// to the word's top and one arithmetic shift back sign-extend it.
+func emitPrefixValues(b *bytes.Buffer, w int, zz bool, use func(i int)) {
+	fmt.Fprintf(b, "\t_ = src[%d]\n", w-1)
+	if !zz {
+		fmt.Fprintf(b, "\tconst mask = uint64(1)<<%d - 1\n", w)
+		for i := 0; i < 64; i++ {
+			fmt.Fprintf(b, "\tx += int64(%s)\n", valueExpr(w, i))
+			use(i)
+		}
+		return
+	}
+	k := 64 / w
+	if w == 1 {
+		fmt.Fprintln(b, "\tvar v uint64")
+	} else {
+		fmt.Fprintln(b, "\tvar v, o uint64")
+	}
+	for j := 0; j*k < 64; j++ {
+		n := min(k, 64-j*k)
+		x := window(w, k, j, n)
+		low := lanes(w, n)
+		if w == 1 {
+			// A 1-bit lane is its own low bit: 0 decodes to 0, 1 to −1.
+			fmt.Fprintf(b, "\tv = %s\n", x)
+		} else {
+			if strings.Contains(x, " ") {
+				x = "(" + x + ")"
+			}
+			fmt.Fprintf(b, "\tv = %s\n", x)
+			fmt.Fprintf(b, "\to = v & %#x\n", low)
+			fmt.Fprintf(b, "\tv = v>>1&%#x ^ o*%#x\n", low*(uint64(1)<<(w-1)-1), uint64(1)<<w-1)
+		}
+		for l := 0; l < n; l++ {
+			up := 64 - w - l*w
+			e := "v"
+			if up > 0 {
+				e = fmt.Sprintf("v<<%d", up)
+			}
+			fmt.Fprintf(b, "\tx += int64(%s) >> %d\n", e, 64-w)
+			use(j*k + l)
+		}
+	}
 }

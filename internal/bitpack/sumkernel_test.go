@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -69,7 +70,8 @@ func sumMasks(rng *rand.Rand) []uint64 {
 // TestSumKernelsEveryWidth checks the sum-over-a-range kernels of every
 // width 0..64 — the select-then-masked-sum compositions up to
 // MaxMaskedWidth and the per-value ones above it — and the masked sums
-// of every width 1..MaxMaskedWidth against the reference sums on the
+// of every width 1..MaxMaskedWidth and the zigzag sums of every width
+// against the reference sums on the
 // kernelBlocks of each width. It then drives
 // them through SumRangeU, with unaligned heads and tails, and through
 // SumMaskedU on blocks at non-zero word offsets.
@@ -93,6 +95,14 @@ func TestSumKernelsEveryWidth(t *testing.T) {
 					checkSumMasked(t, w, packed, vals, m)
 				}
 			}
+			var wantZ uint64
+			for _, v := range vals {
+				wantZ += uint64(Unzigzag(v))
+			}
+			if got := sumZZFuncs[w](packed); got != wantZ {
+				t.Fatalf("w=%d: sumZZ = %d, want %d (vals %v)", w, int64(got), int64(wantZ), vals)
+			}
+			checkPrefixKernels(t, w, packed, vals, rng)
 		}
 
 		// Whole blocks at word offsets w, 2w, … and unaligned edges.
@@ -249,6 +259,66 @@ func BenchmarkSumKernels(b *testing.B) {
 				perValue(b)
 				benchSink = sink
 			})
+		}
+	}
+}
+
+// checkPrefixKernels checks the delta kernels of width w on one packed
+// block against the running sums of its values — plain and zigzag,
+// from a random start — PrefixRange's match masks, PrefixMaskedSum's
+// masked sums and BlockSums' block sums.
+func checkPrefixKernels(t *testing.T, w uint, packed, vals []uint64, rng *rand.Rand) {
+	t.Helper()
+	for _, zz := range []bool{false, true} {
+		x0 := int64(rng.Uint64())
+		run := make([]int64, BlockLen)
+		x := x0
+		for i, v := range vals {
+			if zz {
+				x += Unzigzag(v)
+			} else {
+				x += int64(v)
+			}
+			run[i] = x
+		}
+		lo := run[rng.Intn(BlockLen)]
+		for _, r := range [][2]int64{{lo - 3, lo + 3}, {lo, lo}, {math.MinInt64, math.MaxInt64}, {lo, lo - 1}, {math.MinInt64, lo}} {
+			var want uint64
+			for i, v := range run {
+				if v >= r[0] && v <= r[1] {
+					want |= 1 << uint(i)
+				}
+			}
+			if r[0] > r[1] {
+				want = 0
+			}
+			m, last, err := PrefixRange(packed, 0, w, zz, x0, r[0], r[1])
+			if r[0] <= r[1] && (err != nil || m != want || last != x) {
+				t.Fatalf("w=%d zz=%v [%d, %d]: PrefixRange = %#x, %d, %v; want %#x, %d", w, zz, r[0], r[1], m, last, err, want, x)
+			}
+		}
+		for _, m := range sumMasks(rng) {
+			var want int64
+			for i, v := range run {
+				if m&(1<<uint(i)) != 0 {
+					want += v
+				}
+			}
+			masks := []uint64{m, m >> 3}
+			for i, v := range run[:20] {
+				if masks[1]&(1<<uint(i)) != 0 {
+					want += v + x - x0
+				}
+			}
+			two := append(slices.Clone(packed[:w]), packed[:w]...) // the block twice
+			sum, last, err := PrefixMaskedSum(two, BlockLen+20, w, zz, x0, masks)
+			if err != nil || sum != want || last != run[19]+x-x0 {
+				t.Fatalf("w=%d zz=%v m=%#x: PrefixMaskedSum = %d, %d, %v; want %d, %d", w, zz, m, sum, last, err, want, run[19]+x-x0)
+			}
+			var sums [2]int64
+			if err := BlockSums(two, BlockLen+20, w, zz, sums[:]); err != nil || sums[0] != x-x0 || sums[1] != run[19]-x0 {
+				t.Fatalf("w=%d zz=%v: BlockSums = %v, %v; want [%d %d]", w, zz, sums, err, x-x0, run[19]-x0)
+			}
 		}
 	}
 }

@@ -28,8 +28,8 @@ type Stats struct {
 	// NonDecreasing and NonIncreasing report monotonicity.
 	NonDecreasing, NonIncreasing bool
 	// MaxDeltaWidth is the bit width needed for zigzagged
-	// consecutive differences (first delta taken from 0, as DELTA
-	// stores it).
+	// consecutive differences (DELTA keeps the first value as a
+	// parameter, so it sets no width).
 	MaxDeltaWidth uint
 	// ValueWidth is the bit width needed for zigzagged values.
 	ValueWidth uint
@@ -67,9 +67,6 @@ func Analyze(src []int64) Stats {
 		s.ValueWidth = widthMinMax(bs.Min, bs.Max)
 		s.MaxRunValueWidth = s.ValueWidth
 		s.MaxDeltaWidth = bs.DeltaHist.MaxWidth()
-		if fw := uint(bits.Len64(bitpack.Zigzag(bs.First))); fw > s.MaxDeltaWidth {
-			s.MaxDeltaWidth = fw
-		}
 		s.RangeWidth = uint(bits.Len64(uint64(bs.Max - bs.Min)))
 	}
 

@@ -57,7 +57,7 @@ func TestAnalyzeWidths(t *testing.T) {
 	if s.ValueWidth != 4 {
 		t.Fatalf("value width = %d", s.ValueWidth)
 	}
-	if s.MaxDeltaWidth != 4 { // first delta is 5→zigzag 10→width 4
+	if s.MaxDeltaWidth != 2 { // DELTA keeps the first value as a parameter
 		t.Fatalf("delta width = %d", s.MaxDeltaWidth)
 	}
 	if s.RangeWidth != 2 { // max-min = 2

@@ -141,7 +141,8 @@ type Analyzer struct {
 	// among equals.
 	Exhaustive bool
 	// Stats, when non-nil, supplies precomputed one-pass statistics
-	// of the column given to Best; nil collects them on demand.
+	// of the column given to Best; nil collects them on demand. A
+	// search over a strict-prefix sample prices from the sample's own.
 	Stats *BlockStats
 	// Scratch, when non-nil, supplies pooled encode temporaries to
 	// stats collection and trial compression.
@@ -166,11 +167,10 @@ func (a *Analyzer) compressCand(c *Candidate, data []int64) (*Form, error) {
 var errProvedImpossible = fmt.Errorf("%w: proved by the block statistics", ErrNotRepresentable)
 
 // price fills in the stats-predicted size of every candidate that
-// has one and returns the stats it priced from: a.Stats, or — when
-// none were supplied and some candidate has a price — those of src
-// collected into local, whose segment arrays the caller releases.
-func (a *Analyzer) price(rank []RankEntry, src []int64, local *BlockStats) *BlockStats {
-	st := a.Stats
+// has one and returns the stats it priced from: st, or — when st is
+// nil and some candidate has a price — those of src collected into
+// local, whose segment arrays the caller releases.
+func (a *Analyzer) price(rank []RankEntry, st *BlockStats, src []int64, local *BlockStats) *BlockStats {
 	for i := range a.Candidates {
 		sch := a.Candidates[i].Scheme
 		if _, ok := sch.(SizeEstimator); !ok {
@@ -322,9 +322,11 @@ func (a *Analyzer) Best(src []int64) (*Choice, error) {
 	if a.SampleSize > 0 && len(src) > a.SampleSize {
 		sample = src[:a.SampleSize]
 	}
-	// Prices are of the whole column. Over a strict-prefix sample they
-	// still rank, but prove nothing about what the sample compresses
-	// to — so Exhaustive, which does not rank, has no use for them.
+	// Prices are of what the search compares: the whole column, or,
+	// over a strict-prefix sample, the sample — whose sizes decide the
+	// winner there, so that is what the shortlist must rank. A
+	// sample's prices prove nothing about the column, so Exhaustive,
+	// which does not rank, has no use for them.
 	whole := len(sample) == len(src)
 	choice := &Choice{Ranking: make([]RankEntry, n)}
 	rank := choice.Ranking
@@ -334,7 +336,11 @@ func (a *Analyzer) Best(src []int64) (*Choice, error) {
 	var st *BlockStats
 	var local BlockStats
 	if whole || !a.Exhaustive {
-		if st = a.price(rank, src, &local); st == &local {
+		given := a.Stats
+		if !whole {
+			given = nil // the caller's stats are the column's
+		}
+		if st = a.price(rank, given, sample, &local); st == &local {
 			defer local.ReleaseSeg(a.Scratch)
 		}
 	}

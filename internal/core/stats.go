@@ -22,13 +22,9 @@ import (
 type BlockStats struct {
 	// N is the number of elements.
 	N int
-	// First is the first element (zero for an empty column). DELTA
-	// stores it as the first delta from zero, so delta-size estimates
-	// need it separately from the delta histogram.
-	First int64
 	// Min and Max are the extreme values (zero for empty columns).
 	Min, Max int64
-	// HasMinMax reports Min/Max (and First) validity.
+	// HasMinMax reports Min/Max validity.
 	HasMinMax bool
 	// NonDecreasing and NonIncreasing report monotonicity (both true
 	// for empty columns).
@@ -43,20 +39,20 @@ type BlockStats struct {
 
 	// RunDeltaMin and RunDeltaMax bound the deltas between
 	// consecutive run-head values as DELTA would store them over
-	// RLE's values column (first delta taken from zero, i.e. First
-	// itself).
+	// RLE's values column: the first delta is 0, since DELTA keeps
+	// the first run head as a parameter.
 	RunDeltaMin, RunDeltaMax int64
 	// RunDeltaHist is the width histogram of zigzagged run-head
-	// deltas, excluding the synthetic first delta (First).
+	// deltas, excluding the first delta.
 	RunDeltaHist bitpack.WidthHistogram
 	// HasRunDeltas reports RunDelta* validity.
 	HasRunDeltas bool
 
-	// DeltaMin and DeltaMax bound the deltas DELTA would store (first
-	// delta taken from zero, i.e. First itself).
+	// DeltaMin and DeltaMax bound the deltas DELTA would store: the
+	// consecutive deltas and the first delta, 0.
 	DeltaMin, DeltaMax int64
 	// DeltaHist is the width histogram of zigzagged consecutive
-	// deltas, excluding the synthetic first delta.
+	// deltas, excluding the first delta.
 	DeltaHist bitpack.WidthHistogram
 	// SumAbsDelta accumulates |delta| between consecutive elements.
 	SumAbsDelta uint64
@@ -162,12 +158,10 @@ func CollectStats(src []int64, s *Scratch) BlockStats {
 	clear(sketch)
 
 	first := src[0]
-	st.First = first
 	var offsets, values, deltas [65]int
 	minV, maxV := first, first
-	deltaMin, deltaMax := first, first
-	runDeltaMin, runDeltaMax := first, first
-	var unordered uint // bit 0: some element fell below its predecessor; bit 1: some rose above
+	var deltaMin, deltaMax, runDeltaMin, runDeltaMax int64 // the first delta is 0
+	var unordered uint                                     // bit 0: some element fell below its predecessor; bit 1: some rose above
 	var sumAbsDelta uint64
 	runStart, maxRunLen := 0, 0
 	prev, probeMin := first, first
@@ -238,9 +232,6 @@ func CollectStats(src []int64, s *Scratch) BlockStats {
 	offsets[offW] += repeats
 	values[valW] += repeats
 	deltas[0] += repeats
-	if deltas[0] > 0 { // the repeats' zero deltas, which the walk skipped
-		deltaMin, deltaMax = min(deltaMin, 0), max(deltaMax, 0)
-	}
 	st.Min, st.Max = minV, maxV
 	st.NonDecreasing, st.NonIncreasing = unordered&1 == 0, unordered&2 == 0
 	st.MaxRunLen = int64(max(maxRunLen, len(src)-runStart))

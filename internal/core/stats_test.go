@@ -36,11 +36,11 @@ func collectStatsReference(src []int64) BlockStats {
 	}
 
 	first := src[0]
-	st.First = first
 	st.Min, st.Max = first, first
 	st.Runs = 1
-	st.DeltaMin, st.DeltaMax = first, first
-	st.RunDeltaMin, st.RunDeltaMax = first, first
+	// DELTA keeps the first value as a parameter: its first delta is 0.
+	st.DeltaMin, st.DeltaMax = 0, 0
+	st.RunDeltaMin, st.RunDeltaMax = 0, 0
 
 	prev := first
 	prevRunHead := first
@@ -146,7 +146,7 @@ func collectStatsReference(src []int64) BlockStats {
 func TestCollectStatsSmall(t *testing.T) {
 	st := CollectStats([]int64{5, 5, 3, 3, 3, 9}, nil)
 	want := BlockStats{
-		N: 6, First: 5, Min: 3, Max: 9, HasMinMax: true,
+		N: 6, Min: 3, Max: 9, HasMinMax: true,
 		Runs: 3, MaxRunLen: 3, HasRuns: true,
 		RunDeltaMin: -2, RunDeltaMax: 6, HasRunDeltas: true,
 		DeltaMin: -2, DeltaMax: 6, SumAbsDelta: 8, HasDeltas: true,

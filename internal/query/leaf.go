@@ -33,6 +33,19 @@ type leaf interface {
 	// each value read through tab when tab is non-nil (a dictionary,
 	// the leaf its codes).
 	sumSel(p *pushdown, tab []int64) (int64, error)
+	// prefixRange returns which of x plus the running sums of rows
+	// [start, start+count) — a 64-row group's, start a multiple of 64 —
+	// lie in [lo, hi] (bit j for row start+j), wrapping, and the last
+	// of them: a delta form's matches over its deltas.
+	prefixRange(start, count int, x, lo, hi int64) (m uint64, last int64, err error)
+	// groups writes the wrapping sum of each 64-row group of the leaf
+	// into dst, one per group, the last possibly partial.
+	groups(dst []int64) error
+	// prefixSel returns the wrapping sum of x plus the running sums of
+	// the leaf's rows at the rows masks selects (bit j of masks[g] is
+	// row 64g+j), and x plus the sum of every row: a delta form's
+	// selection sum over its deltas.
+	prefixSel(masks []uint64, x int64) (sum, last int64, err error)
 	// at returns the value of row i.
 	at(i int) int64
 }
@@ -348,6 +361,77 @@ func (k *packed) add(vals []uint64, m uint64, tab []int64) (int64, error) {
 	return sum, nil
 }
 
+// prefixSel hands the rows of each mini-block to
+// bitpack.PrefixMaskedSum when its groups are whole, and reads the
+// rows one at a time otherwise.
+func (k *packed) prefixSel(masks []uint64, x int64) (sum, last int64, err error) {
+	if k.block%bitpack.BlockLen != 0 {
+		return prefixSelRows(k, k.n, masks, x)
+	}
+	for b := 0; b*k.block < k.n; b++ {
+		words, w, first := k.miniBlock(b)
+		s, last, err := bitpack.PrefixMaskedSum(words, min(k.block, k.n-first), w, k.zz, x, masks[first/bitpack.BlockLen:])
+		if err != nil {
+			return 0, 0, err
+		}
+		sum, x = sum+s, last
+	}
+	return sum, x, nil
+}
+
+// prefixSelRows is prefixSel over n rows, one at a time.
+func prefixSelRows(l leaf, n int, masks []uint64, x int64) (sum, last int64, err error) {
+	for i := 0; i < n; i++ {
+		x += l.at(i)
+		sum += x & (int64(masks[i/bitpack.BlockLen]<<(63-uint(i)%bitpack.BlockLen)) >> 63)
+	}
+	return sum, x, nil
+}
+
+// groups takes each mini-block's group sums from one bitpack.BlockSums
+// call when mini-blocks are whole groups, and sums each group
+// otherwise.
+func (k *packed) groups(dst []int64) error {
+	if k.block%bitpack.BlockLen != 0 {
+		for g := range dst {
+			s, err := k.sum(g*bitpack.BlockLen, min(bitpack.BlockLen, k.n-g*bitpack.BlockLen))
+			if err != nil {
+				return err
+			}
+			dst[g] = s
+		}
+		return nil
+	}
+	for b := 0; b*k.block < k.n; b++ {
+		words, w, first := k.miniBlock(b)
+		if err := bitpack.BlockSums(words, min(k.block, k.n-first), w, k.zz, dst[first/bitpack.BlockLen:]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// prefixRange runs the fused kernel on a full word-aligned group and
+// reads the rows one at a time otherwise.
+func (k *packed) prefixRange(start, count int, x, lo, hi int64) (uint64, int64, error) {
+	words, w, first := k.miniBlock(start / k.block)
+	if rel, n := k.overlap(first, start, start+count); n == bitpack.BlockLen && rel%bitpack.BlockLen == 0 {
+		return bitpack.PrefixRange(words, rel, w, k.zz, x, lo, hi)
+	}
+	return prefixRangeRows(k, start, count, x, lo, hi)
+}
+
+// prefixRangeRows is prefixRange one row at a time.
+func prefixRangeRows(l leaf, start, count int, x, lo, hi int64) (m uint64, last int64, err error) {
+	for j := 0; j < count; j++ {
+		x += l.at(start + j)
+		if x >= lo && x <= hi {
+			m |= 1 << uint(j)
+		}
+	}
+	return m, x, nil
+}
+
 func (k *packed) at(i int) int64 {
 	words, w, first := k.miniBlock(i / k.block)
 	u := bitpack.ValueAt(words, i-first, w)
@@ -414,6 +498,21 @@ func (v *plain) sumSel(p *pushdown, tab []int64) (int64, error) {
 // errCode reports a dictionary code outside its dictionary.
 func errCode(c int64) error {
 	return fmt.Errorf("%w: dict code %d out of range", core.ErrCorruptForm, c)
+}
+
+func (v *plain) prefixSel(masks []uint64, x int64) (int64, int64, error) {
+	return prefixSelRows(v, len(v.vals), masks, x)
+}
+
+func (v *plain) groups(dst []int64) error {
+	for g := range dst {
+		dst[g] = vec.Sum(v.vals[g*bitpack.BlockLen : min(g*bitpack.BlockLen+bitpack.BlockLen, len(v.vals))])
+	}
+	return nil
+}
+
+func (v *plain) prefixRange(start, count int, x, lo, hi int64) (uint64, int64, error) {
+	return prefixRangeRows(v, start, count, x, lo, hi)
 }
 
 func (v *plain) at(i int) int64 { return v.vals[i] }

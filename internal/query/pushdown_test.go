@@ -183,6 +183,9 @@ func checkVerbs(t *testing.T, name string, f *core.Form, bounds []int64) (materi
 		selMaterialised = a.materialised
 	}
 	for _, row := range []int{0, 31, 32, len(col) / 2, len(col) - 1} {
+		if row >= len(col) {
+			continue
+		}
 		if got, err := PointLookup(f, int64(row)); err != nil || got != col[row] {
 			t.Errorf("%s: PointLookup(%d) = %d, %v; want %d", name, row, got, err, col[row])
 		}
@@ -285,7 +288,8 @@ func TestCompositionTimesVerb(t *testing.T) {
 		{"linear", walk, asLinear, false, false, false},
 		{"plus(poly2,ns)", walk, compressWith(scheme.Poly2NS(32)), true, true, true},
 		{"patch(ns)", narrow, inner, false, false, false},
-		{"delta(ns)", walk, compressWith(scheme.DeltaNS()), true, true, true},
+		{"delta(ns)", walk, compressWith(scheme.DeltaNS()), false, false, false},
+		{"delta(vns)", narrow, compressWith(core.Compose(scheme.Delta{}, map[string]core.Scheme{"deltas": scheme.VNS{Block: 32}})), false, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			f := tc.enc(t, tc.col)

@@ -35,9 +35,10 @@ func PointLookup(f *core.Form, row int64) (int64, error) {
 // lengths — Algorithm 1's first operation only, the paper's
 // partial-decompression reading), a sum of two columns gathers both, a
 // dict gathers its codes, a patch its base with the exceptions laid
-// over it, and packed words are unpacked one value at a time. What has
-// no random access — delta, the byte-stream codecs — is decoded once:
-// the leaf fallback again.
+// over it, a delta form adds its deltas' sums up to each position to
+// its first value, and packed words are unpacked one value at a time.
+// What has no random access — the byte-stream codecs — is decoded
+// once: the leaf fallback again.
 func (p *pushdown) gather(f *core.Form, positions, out []int64) error {
 	if len(positions) == 0 {
 		return nil
@@ -146,6 +147,9 @@ func (p *pushdown) gather(f *core.Form, positions, out []int64) error {
 			}
 		}
 		return nil
+
+	case scheme.DeltaName:
+		return p.deltaGather(f, positions, out)
 	}
 	l, err := p.leafOf(f)
 	if err != nil {

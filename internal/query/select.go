@@ -192,6 +192,12 @@ const (
 //	patch    run the verb on base, then correct it  the base's sum, then
 //	         at the exception positions             values[i] − base at
 //	                                                the selected exceptions
+//	delta    v = first + a running sum of deltas:   the selected running
+//	         per 64-row group, the group's ends     sums, group by group,
+//	         and the deltas' extent bound a band:   a group it holds no
+//	         outside it skip, inside land whole,    row of passed over by
+//	         straddling make the group's running    its sum (delta.go)
+//	         sums and compare them (delta.go)
 //	ns/vns   a leaf: the fused kernels scan the     a leaf: empty words
 //	         packed words                           skipped, full ones
 //	                                                summed in place, the
@@ -199,11 +205,9 @@ const (
 //	                                                others read or
 //	                                                unpacked and added
 //
-// Anything else is materialised and scanned as a plain leaf: delta (a
-// value is a prefix sum, so a range on values is no range on deltas,
-// and a selection on values none on deltas), poly models and plus over
-// them (a quadratic is not monotone inside a segment, so its ends bound
-// nothing), varint and elias (byte and bit streams without random
+// Anything else is materialised and scanned as a plain leaf: poly
+// models and plus over them (a quadratic is not monotone inside a
+// segment, so its ends bound nothing), varint and elias (byte and bit streams without random
 // access), a dict under a range sum, and any ns/vns layout the kernels
 // cannot take. That fallback is leaves.open, and exists once;
 // answer.materialised reports that it was taken.
@@ -283,6 +287,9 @@ func (p *pushdown) push(f *core.Form, lo, hi, add int64) error {
 
 	case scheme.PatchName:
 		return p.patch(f, lo, hi, add)
+
+	case scheme.DeltaName:
+		return p.deltas(f, lo, hi, add)
 	}
 
 	l, err := p.leafOf(f)

@@ -32,7 +32,8 @@ func Sum(f *core.Form) (int64, error) {
 // steady-state zero-allocation entry point for block workers. A sum is
 // the sum verb over the range that holds every int64 — runs contribute
 // length·value, models reference·size, packed words the fused sum
-// kernels, a patch its base plus the exceptions' corrections — except
+// kernels, a delta form its groups' prefix sums, a patch its base plus
+// the exceptions' corrections — except
 // where a scheme sums in a way no range pushdown would:
 func SumScratch(f *core.Form, s *core.Scratch) (int64, error) {
 	switch f.Scheme {
@@ -47,20 +48,6 @@ func SumScratch(f *core.Form, s *core.Scratch) (int64, error) {
 		}
 		rs, err := SumScratch(f.Children["residual"], s)
 		return ms + rs, err
-
-	case scheme.DeltaName:
-		// Σ prefixsum(d) = Σ (n−i)·d[i]: one pass over the deltas.
-		deltas, err := core.ChildScratch(f, "deltas", s)
-		if err != nil {
-			return 0, err
-		}
-		defer s.PutI64(deltas)
-		var acc int64
-		n := int64(len(deltas))
-		for i, d := range deltas {
-			acc += (n - int64(i)) * d
-		}
-		return acc, nil
 	}
 	a, err := run(SumVerb, f, minInt64, maxInt64, nil, 0, s)
 	return a.sum, err
@@ -171,6 +158,9 @@ func (p *pushdown) sumSel(f *core.Form) (int64, error) {
 
 	case scheme.PatchName:
 		return p.patchSel(f)
+
+	case scheme.DeltaName:
+		return p.deltaSel(f)
 	}
 	l, err := p.leafOf(f)
 	if err != nil {

@@ -126,9 +126,11 @@ func referenceBest(a *core.Analyzer, src []int64) (desc string, form *core.Form,
 	}
 	shortlist := n
 	if !a.Exhaustive {
+		// Prices are of what the search compares: the column, or a
+		// strict-prefix sample.
 		st := a.Stats
-		if st == nil {
-			collected := core.CollectStats(src, nil)
+		if st == nil || len(sample) < len(src) {
+			collected := core.CollectStats(sample, nil)
 			st = &collected
 		}
 		for i, c := range cands {
@@ -468,7 +470,7 @@ func TestCertifiedChoiceIsExhaustive(t *testing.T) {
 // compositions priced themselves as monoliths. Heuristic prices pick
 // the default search's shortlist, so a moved price can move a winner.
 const (
-	goldenPricesHash      = "ccddf93797bef002789a10f74f161580227e2c9803b2266c15eeb172d9e39ff5"
+	goldenPricesHash      = "2b4fc8b84aee44cbbd3cd294bb46f0c3843af1b00a6d0f854f9801e933fbc6cb"
 	goldenAliasPricesHash = "4c159d0597b73571305e2cc70ef4df842ead23e7e3494041386158e01f5ac2f9"
 )
 
@@ -561,7 +563,6 @@ func TestScratchCompressMatchesCompress(t *testing.T) {
 		FORComposite(1024),
 		RLEComposite(),
 		RLEDeltaComposite(),
-		RLEDeltaVNSComposite(),
 		RPEComposite(),
 		DeltaNS(),
 		DictComposite(),

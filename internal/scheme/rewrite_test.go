@@ -264,3 +264,85 @@ func TestRewriteWrongSchemeRejected(t *testing.T) {
 		t.Fatal("RecomposeFOR accepted non-step model")
 	}
 }
+
+// TestDeltaFirstIdentities: a delta form whose first value is not 0
+// decodes the same through its operator plan as through its kernel,
+// and the RLE rewrites keep it exact — DecomposeRLE then RecomposeRLE
+// gives back the form it started from, and an RPE form whose delta
+// positions start elsewhere than 0 recomposes by value, not by
+// structure.
+func TestDeltaFirstIdentities(t *testing.T) {
+	const minI, maxI = -1 << 63, 1<<63 - 1
+	cols := map[string][]int64{
+		"walk":   {1 << 30, 1<<30 + 3, 1<<30 - 2, 1<<30 - 2, 1<<30 + 9},
+		"neg":    {-1 << 40, -1<<40 + 1, -1 << 40, 5},
+		"wrap":   {maxI, minI, maxI, 0, minI, -1},
+		"single": {-7},
+	}
+	schemes := map[string]core.Scheme{
+		"delta":      Delta{},
+		"delta(ns)":  DeltaNS(),
+		"delta(vns)": core.Compose(Delta{}, map[string]core.Scheme{"deltas": VNS{Block: 2}}),
+	}
+	for cn, col := range cols {
+		for sn, s := range schemes {
+			f, err := s.Compress(col)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", sn, cn, err)
+			}
+			if DeltaFirst(f) != col[0] {
+				t.Fatalf("%s on %s: first = %d, want %d", sn, cn, DeltaFirst(f), col[0])
+			}
+			kernel, err := core.Decompress(f)
+			if err != nil || !vec.Equal(kernel, col) {
+				t.Fatalf("%s on %s: kernel = %v, %v", sn, cn, kernel, err)
+			}
+			for _, fuse := range []bool{false, true} {
+				if got, err := core.DecompressViaPlan(f, fuse); err != nil || !vec.Equal(got, kernel) {
+					t.Errorf("%s on %s: plan (fuse %v) = %v, %v; kernel %v", sn, cn, fuse, got, err, kernel)
+				}
+			}
+		}
+	}
+
+	src := runnyColumn(300)
+	for i := range src {
+		src[i] += 1 << 35
+	}
+	rle, err := RLEDeltaComposite().Compress(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first := DeltaFirst(rle.Children["values"]); first != src[0] {
+		t.Fatalf("run values' first = %d, want %d", first, src[0])
+	}
+	rpe, err := DecomposeRLE(rle)
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := RecomposeRLE(rpe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back.Describe() != rle.Describe() || back.Children["lengths"] != rle.Children["lengths"] ||
+		back.Children["values"] != rle.Children["values"] {
+		t.Fatalf("RecomposeRLE(DecomposeRLE(f)) = %s, not f = %s", back.Describe(), rle.Describe())
+	}
+
+	// Positions delta-compressed from their first value: the deltas are
+	// not the run lengths, so the recomposition differentiates.
+	rpeDelta, err := core.Compose(RPE{}, map[string]core.Scheme{"positions": DeltaNS(), "values": NS{}}).Compress(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if DeltaFirst(rpeDelta.Children["positions"]) == 0 {
+		t.Fatal("positions' first value is 0; the test needs another")
+	}
+	back, err = RecomposeRLE(rpeDelta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := core.Decompress(back); err != nil || !vec.Equal(got, src) {
+		t.Fatalf("recomposed from delta positions: %v", err)
+	}
+}

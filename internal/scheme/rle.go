@@ -180,7 +180,6 @@ func runValueStats(st *core.BlockStats) core.BlockStats {
 	var cs core.BlockStats
 	cs.N = st.Runs
 	cs.HasMinMax = true
-	cs.First = st.First
 	cs.Min, cs.Max = st.Min, st.Max
 	cs.Runs = st.Runs
 	if st.Runs > 0 {

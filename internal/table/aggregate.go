@@ -118,9 +118,9 @@ func (t *Table) aggregate(ctx context.Context, e Expr, sumCols []string, sums []
 	a.p = t.plan(e, man, a.cols)
 	switch n := e.(type) {
 	case *rangeNode:
-		a.leaf = t.index[n.col]
+		a.leaf = n.pos(&a.p.chunks)
 	case *inNode:
-		a.leaf = t.index[n.col]
+		a.leaf = n.pos(&a.p.chunks)
 	default:
 		a.leaf = -1
 	}

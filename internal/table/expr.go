@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync/atomic"
 
 	"lwcomp/internal/blocked"
 	"lwcomp/internal/sel"
@@ -22,8 +23,10 @@ type Expr interface {
 	String() string
 
 	// check validates the expression against a table (columns exist,
-	// no nil children). It must not allocate on success: Scan calls it
-	// on the steady-state path.
+	// no nil children) and binds every leaf to its column's position in
+	// it (colSlot), so the per-chunk calls of the plan built next look
+	// no name up. It must not allocate on success: Scan calls it on the
+	// steady-state path.
 	check(t *Table) error
 	// prune classifies chunk ck of the scan's cut (see chunks; on an
 	// aligned table a chunk is a block) with stats only, never fetching
@@ -108,10 +111,37 @@ func Not(kid Expr) Expr {
 	return &notNode{kid: kid}
 }
 
+// colSlot is a leaf's column position, bound by check to the table
+// the leaf was last checked against: the table's id in the high half
+// and the position in the low. A leaf shared by scans of two tables
+// stays correct — a binding to the other table is not read, and the
+// name is looked up instead — and the atomic keeps an expression safe
+// for concurrent use.
+type colSlot struct{ bound atomic.Uint64 }
+
+// bind resolves name in t and records its position.
+func (s *colSlot) bind(t *Table, name string) error {
+	ci, err := t.colIndex(name)
+	if err == nil {
+		s.bound.Store(uint64(t.id)<<32 | uint64(ci))
+	}
+	return err
+}
+
+// pos returns name's position in t: the bound one when it was bound to
+// t, and a lookup otherwise.
+func (s *colSlot) pos(t *Table, name string) int {
+	if b := s.bound.Load(); uint32(b>>32) == t.id {
+		return int(uint32(b))
+	}
+	return t.index[name]
+}
+
 // rangeNode is the Range/Eq leaf: lo ≤ col ≤ hi.
 type rangeNode struct {
 	col    string
 	lo, hi int64
+	at     colSlot
 }
 
 func (n *rangeNode) String() string {
@@ -129,21 +159,21 @@ func (n *rangeNode) String() string {
 	}
 }
 
-func (n *rangeNode) check(t *Table) error {
-	_, err := t.colIndex(n.col)
-	return err
-}
+func (n *rangeNode) check(t *Table) error { return n.at.bind(t, n.col) }
+
+// pos returns the leaf's column position in ch's table.
+func (n *rangeNode) pos(ch *chunks) int { return n.at.pos(ch.t, n.col) }
 
 func (n *rangeNode) prune(ch *chunks, ck int) blocked.RangeClass {
-	return ch.stats(n.col, ck).ClassifyRange(n.lo, n.hi)
+	return ch.stats(n.pos(ch), ck).ClassifyRange(n.lo, n.hi)
 }
 
 func (n *rangeNode) evalBlock(ch *chunks, ck int, dst *sel.Selection) error {
-	return ch.selectChunk(ch.t.index[n.col], ck, n.lo, n.hi, dst)
+	return ch.selectChunk(n.pos(ch), ck, n.lo, n.hi, dst)
 }
 
 func (n *rangeNode) estimate(ch *chunks, ck int) float64 {
-	b := ch.stats(n.col, ck)
+	b := ch.stats(n.pos(ch), ck)
 	if !b.HasStats || n.lo > n.hi {
 		return 1
 	}
@@ -168,13 +198,14 @@ func (n *rangeNode) prefetchCol(ch *chunks, ck int) (int, bool) {
 	if n.prune(ch, ck) != blocked.RangePart {
 		return 0, false
 	}
-	return ch.t.index[n.col], true
+	return n.pos(ch), true
 }
 
 // inNode is the In leaf: col ∈ vals, vals sorted and deduplicated.
 type inNode struct {
 	col  string
 	vals []int64
+	at   colSlot
 }
 
 func (n *inNode) String() string {
@@ -191,10 +222,10 @@ func (n *inNode) String() string {
 	return b.String()
 }
 
-func (n *inNode) check(t *Table) error {
-	_, err := t.colIndex(n.col)
-	return err
-}
+func (n *inNode) check(t *Table) error { return n.at.bind(t, n.col) }
+
+// pos returns the leaf's column position in ch's table.
+func (n *inNode) pos(ch *chunks) int { return n.at.pos(ch.t, n.col) }
 
 // run returns the maximal run of consecutive values starting at
 // vals[i] as an inclusive [lo, hi] range, and the index after it —
@@ -212,7 +243,7 @@ func (n *inNode) prune(ch *chunks, ck int) blocked.RangeClass {
 	if len(n.vals) == 0 {
 		return blocked.RangeMiss
 	}
-	b := ch.stats(n.col, ck)
+	b := ch.stats(n.pos(ch), ck)
 	if !b.HasStats {
 		return blocked.RangePart
 	}
@@ -229,7 +260,7 @@ func (n *inNode) prune(ch *chunks, ck int) blocked.RangeClass {
 }
 
 func (n *inNode) evalBlock(ch *chunks, ck int, dst *sel.Selection) error {
-	ci := ch.t.index[n.col]
+	ci := n.pos(ch)
 	for i := 0; i < len(n.vals); {
 		var lo, hi int64
 		lo, hi, i = n.run(i)
@@ -241,7 +272,7 @@ func (n *inNode) evalBlock(ch *chunks, ck int, dst *sel.Selection) error {
 }
 
 func (n *inNode) estimate(ch *chunks, ck int) float64 {
-	b := ch.stats(n.col, ck)
+	b := ch.stats(n.pos(ch), ck)
 	if !b.HasStats {
 		return 1
 	}
@@ -255,12 +286,12 @@ func (n *inNode) estimate(ch *chunks, ck int) float64 {
 func (n *inNode) prefetchCol(ch *chunks, ck int) (int, bool) {
 	// evalBlock probes each run against the payload; any run the stats
 	// cannot decide forces a fetch of the leaf's column.
-	b := ch.stats(n.col, ck)
+	b := ch.stats(n.pos(ch), ck)
 	for i := 0; i < len(n.vals); {
 		var lo, hi int64
 		lo, hi, i = n.run(i)
 		if b.ClassifyRange(lo, hi) == blocked.RangePart {
-			return ch.t.index[n.col], true
+			return n.pos(ch), true
 		}
 	}
 	return 0, false
@@ -504,9 +535,9 @@ func columnsOf(t *Table, e Expr, cols []int) []int {
 	var kids []Expr
 	switch n := e.(type) {
 	case *rangeNode:
-		return append(cols, t.index[n.col])
+		return append(cols, n.at.pos(t, n.col))
 	case *inNode:
-		return append(cols, t.index[n.col])
+		return append(cols, n.at.pos(t, n.col))
 	case *notNode:
 		return columnsOf(t, n.kid, cols)
 	case *andNode:

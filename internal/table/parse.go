@@ -67,7 +67,16 @@ type parser struct {
 	input string
 	pos   int
 	tok   token
+	// depth counts the "not"s and open parentheses around the token.
+	depth int
 }
+
+// MaxDepth caps how deeply "not" and parentheses may nest in a
+// predicate. Parsing recurses once per level, and so do printing,
+// planning and folding the tree, so without a cap a request's stack
+// would grow with its length; past the cap Parse stops with a
+// ParseError at the token that went one level too deep.
+const MaxDepth = 64
 
 // ParseError is the error Parse returns for input outside the
 // mini-language: what went wrong, the byte offset where, and the
@@ -193,6 +202,13 @@ func (p *parser) parseAnd() (Expr, error) {
 }
 
 func (p *parser) parseNot() (Expr, error) {
+	if p.keyword("not") || p.tok.kind == tokLParen {
+		if p.depth == MaxDepth {
+			return nil, p.errorf("predicate nests deeper than %d", MaxDepth)
+		}
+		p.depth++
+		defer func() { p.depth-- }()
+	}
 	if p.keyword("not") {
 		p.next()
 		k, err := p.parseNot()

@@ -3,8 +3,10 @@ package table
 import (
 	"errors"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestParseSemantics parses predicates and checks the resulting trees
@@ -245,5 +247,49 @@ func TestParseExtremeLiterals(t *testing.T) {
 			t.Fatalf("Parse(%q): %v", tc.src, err)
 		}
 		checkScan(t, tbl, raw, "amount", e, tc.pred)
+	}
+}
+
+// TestParseDepthCap: "not" and parentheses nest at most MaxDepth deep.
+// A 1,000,005-byte predicate of 500,000 nested parentheses is refused
+// at the parenthesis one level too deep, quickly and without growing
+// the stack by the input's length, while MaxDepth levels — every
+// mixture of the two — still parse.
+func TestParseDepthCap(t *testing.T) {
+	const levels = 500000
+	hostile := strings.Repeat("(", levels) + "a = 1" + strings.Repeat(")", levels)
+	if len(hostile) != 1000005 {
+		t.Fatalf("hostile predicate is %d bytes", len(hostile))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	done := make(chan error)
+	go func() { _, err := Parse(hostile); done <- err }()
+	err := <-done
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	var pe *ParseError
+	if !errors.As(err, &pe) || pe.Offset != MaxDepth || pe.Token != "(" {
+		t.Fatalf("Parse(500,000 parentheses) = %v, want a ParseError at offset %d", err, MaxDepth)
+	}
+	if elapsed > time.Second {
+		t.Errorf("refusing took %v", elapsed)
+	}
+	if grew := int64(after.StackInuse) - int64(before.StackInuse); grew > 1<<20 {
+		t.Errorf("stack in use grew by %d bytes", grew)
+	}
+
+	for _, src := range []string{
+		strings.Repeat("(", MaxDepth) + "a = 1" + strings.Repeat(")", MaxDepth),
+		strings.Repeat("not ", MaxDepth) + "a = 1",
+		strings.Repeat("not (", MaxDepth/2) + "a = 1 or b = 2" + strings.Repeat(")", MaxDepth/2),
+	} {
+		if _, err := Parse(src); err != nil {
+			t.Errorf("Parse at depth %d: %v", MaxDepth, err)
+		}
+		if _, err := Parse("not " + src); err == nil {
+			t.Errorf("Parse at depth %d succeeded", MaxDepth+1)
+		}
 	}
 }

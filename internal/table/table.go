@@ -24,7 +24,10 @@ import (
 type Table struct {
 	cols  []storage.BlockedColumn
 	index map[string]int
-	n     int
+	// id tells this table's bound expression leaves from other
+	// tables' (colSlot).
+	id uint32
+	n  int
 	// aligned reports whether every column shares cols[0]'s block
 	// boundaries, which makes every scan's chunks exactly the blocks.
 	aligned bool
@@ -55,6 +58,10 @@ func New(cols []storage.BlockedColumn, closer io.Closer) (*Table, error) {
 	return NewWithClosers(cols, closer)
 }
 
+// tableIDs numbers the tables built in this process, from 1: an
+// unbound colSlot holds id 0.
+var tableIDs atomic.Uint32
+
 // NewWithClosers builds a table whose columns come from several open
 // containers — a server mounting `<table>.<column>.lwc` files, one
 // container per column. Close releases every closer exactly once,
@@ -67,6 +74,7 @@ func NewWithClosers(cols []storage.BlockedColumn, closers ...io.Closer) (*Table,
 	t := &Table{
 		cols:    cols,
 		index:   make(map[string]int, len(cols)),
+		id:      tableIDs.Add(1),
 		closers: closers,
 	}
 	for i, c := range cols {
@@ -285,10 +293,9 @@ func (ch *chunks) blockOf(ci, k int) (c *blocked.Column, bi int, whole bool) {
 	return c, bi, c.Blocks[bi].Count == ch.start[k+1]-ch.start[k]
 }
 
-// stats returns the index entry of the named column's block holding
-// chunk k.
-func (ch *chunks) stats(name string, k int) *blocked.Block {
-	c, bi, _ := ch.blockOf(ch.t.index[name], k)
+// stats returns the index entry of column ci's block holding chunk k.
+func (ch *chunks) stats(ci, k int) *blocked.Block {
+	c, bi, _ := ch.blockOf(ci, k)
 	return &c.Blocks[bi]
 }
 

@@ -487,3 +487,48 @@ func TestScanPruneCounts(t *testing.T) {
 		t.Fatalf("Count = %d, want %d", got, want)
 	}
 }
+
+// TestExprSharedAcrossTables: a leaf binds its column's position to the
+// table it was last checked against. One expression, scanned — in turn
+// and at once — against two tables that hold its columns at different
+// positions, answers for each table as a fresh expression would.
+func TestExprSharedAcrossTables(t *testing.T) {
+	const n = 3000
+	a, b := make([]int64, n), make([]int64, n)
+	for i := range a {
+		a[i], b[i] = int64(i%97), int64(i*31%1000)
+	}
+	ab, _ := buildTable(t, 256, []string{"a", "b"}, [][]int64{a, b})
+	ba, _ := buildTable(t, 256, []string{"b", "a"}, [][]int64{b, a})
+	e := And(Range("b", 100, 400), In("a", 3, 4, 5, 50), Not(Eq("a", 4)))
+	want := int64(0)
+	for i := range a {
+		if b[i] >= 100 && b[i] <= 400 && (a[i] == 3 || a[i] == 5 || a[i] == 50) {
+			want++
+		}
+	}
+	ctx := context.Background()
+	check := func(tbl *Table) error {
+		got, err := tbl.CountWhere(ctx, e)
+		if err == nil && got != want {
+			err = fmt.Errorf("count = %d, want %d", got, want)
+		}
+		return err
+	}
+	for range 3 {
+		for _, tbl := range []*Table{ab, ba} {
+			if err := check(tbl); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	errs := make(chan error, 8)
+	for i := range 8 {
+		go func() { errs <- check([]*Table{ab, ba}[i%2]) }()
+	}
+	for range 8 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+}
