@@ -158,7 +158,7 @@ func UnpackInto(dst, packed []uint64, w uint) error {
 	i := 0
 	in := 0
 	for ; i+BlockLen <= n; i += BlockLen {
-		unpackBlock(packed[in:in+int(w)], w, dst[i:i+BlockLen])
+		unpack64(packed[in:in+int(w)], (*[BlockLen]uint64)(dst[i:]))
 		in += int(w)
 	}
 	if i < n {
@@ -242,12 +242,6 @@ func packBlock(src []uint64, w uint, dst []uint64) {
 		dst[i] = 0
 	}
 	packFuncs[w](src, dst)
-}
-
-// unpackBlock unpacks exactly BlockLen values at width w (1..64) from
-// src[0:w] into dst using the generated kernels.
-func unpackBlock(src []uint64, w uint, dst []uint64) {
-	unpackFuncs[w](src, dst)
 }
 
 // Zigzag maps a signed value to an unsigned one with small absolute

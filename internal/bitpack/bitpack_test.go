@@ -164,8 +164,8 @@ func TestGenericMatchesKernels(t *testing.T) {
 				t.Fatalf("w=%d: packed word %d differs: kernel %x generic %x", w, i, kernel[i], generic[i])
 			}
 		}
-		kOut := make([]uint64, BlockLen)
-		unpackBlock(kernel, w, kOut)
+		var kOut [BlockLen]uint64
+		unpack64(kernel, &kOut)
 		gOut := make([]uint64, BlockLen)
 		unpackGeneric(gOut, generic, w, 0)
 		for i := range kOut {

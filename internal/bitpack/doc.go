@@ -11,12 +11,16 @@
 //     lineage — see DESIGN.md, "Hardware substitution");
 //   - fused range kernels that count or select a block's values in
 //     [lo, hi] straight from the packed words; up to 16 bits they are
-//     lane-parallel, each 64-bit word testing all ⌊64/w⌋ of its
-//     values at once (SWAR), and wider they test one value at a time;
+//     generated and lane-parallel, each 64-bit word testing all
+//     ⌊64/w⌋ of its values at once (SWAR);
 //   - fused sums over a range and under a mask; up to 16 bits they add
 //     the lanes a mask keeps on the packed words, and a sum over a
 //     range is the select kernel's mask, then that masked sum;
-//   - a generic bit-granular fallback for partial tail blocks;
+//   - one hand-written unpack-then-loop per operator for every block
+//     without a lane kernel: wider than 16 bits, zigzag compares, and
+//     dictionary gathers;
+//   - one block walk for every scan: a head, a tail or a short last
+//     block runs the same kernel on a zero-padded copy;
 //   - zigzag mapping between signed and unsigned domains;
 //   - LEB128 varints and Elias gamma/delta codes for the paper's
 //     bit-metric, variable-width extension.

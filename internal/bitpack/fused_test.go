@@ -16,20 +16,25 @@ func refCount(vals []uint64, start, count int, lo, hi uint64) int64 {
 	return n
 }
 
+// fusedRanges are the [start, +count) ranges of a 500-value payload the
+// entry points are checked over: whole, whole blocks, unaligned heads
+// and tails, a head and a tail alone, a range inside one block, ranges
+// ending inside the payload's short last block, and an empty one.
+var fusedRanges = [][2]int{{0, 500}, {0, 64}, {64, 128}, {17, 300}, {63, 66}, {499, 1}, {100, 0}, {5, 59}, {70, 430}}
+
 // TestFusedRangeAgainstUnpack cross-checks CountRangeU and
-// SelectRangeU against unpack-then-compare for every width class,
-// aligned and unaligned ranges, and boundary-heavy value ranges.
+// SelectRangeU against unpack-then-compare at every width, over
+// aligned and unaligned ranges and boundary-heavy value ranges.
 func TestFusedRangeAgainstUnpack(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for _, w := range []uint{0, 1, 3, 7, 8, 13, 20, 31, 32, 33, 63, 64} {
+	for w := uint(0); w <= 64; w++ {
 		n := 500
 		vals := randomValues(rng, n, w)
 		packed, err := Pack(vals, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranges := [][2]int{{0, n}, {0, 64}, {64, 128}, {17, 300}, {63, 66}, {499, 1}, {100, 0}}
-		for _, r := range ranges {
+		for _, r := range fusedRanges {
 			start, count := r[0], r[1]
 			var lo, hi uint64
 			if w > 0 {

@@ -5,75 +5,50 @@ import (
 	"math/bits"
 )
 
-// This file exposes the wide kernels emitted for the dict/RLE/RPE/
-// model scheme family (DESIGN.md §1.12): fused sums, fused
-// filter+sum, sums under a mask, dictionary gathers, and the zigzag
-// variants of the range scans in fused.go. Like the range scans, every
-// entry point processes full 64-value blocks through generated kernels
-// and the unaligned head and tail bit-granularly, allocating nothing.
-// Up to 16 bits the sums under a mask and over a range are lane
-// parallel, like the range scans: a sum over a range is the select
+// This file exposes the sums, the dictionary gather and the running
+// sums of a delta form over a packed payload, which the dict/RLE/RPE/
+// model scheme family scans through (DESIGN.md §1.12). The sums walk
+// the payload's blocks as the range scans of fused.go do, allocating
+// nothing. Up to 16 bits the sums under a mask and over a range, and
+// the zigzag sum, are lane parallel: a sum over a range is the select
 // kernel's mask, then the masked sum of the lanes it keeps.
 //
 // Sums are wrapping (mod 2^64); callers accumulate into int64 with
 // two's-complement wrap, matching the documented Column.Sum
 // semantics. The ZZ entry points take signed bounds and compare in
-// the signed domain — the zigzag mapping does not preserve unsigned
-// order, so these payloads need their own kernels rather than a
-// range translation.
+// the signed domain, as the ZZ range scans do.
 
 // SumU sums the values at positions [start, start+count) of the
 // packed width-w payload, wrapping mod 2^64.
 func SumU(packed []uint64, start, count int, w uint) (uint64, error) {
-	if err := checkFusedRange(packed, start, count, w); err != nil {
-		return 0, err
-	}
-	if count == 0 || w == 0 {
-		return 0, nil
-	}
-	end := start + count
-	p := start
-	var total uint64
-	if head := headLen(p, end); head > 0 {
-		total += scalarSum(packed, p, head, w, false)
-		p += head
-	}
-	kernel := sumFuncs[w]
-	for ; p+BlockLen <= end; p += BlockLen {
-		b := p >> 6
-		total += kernel(packed[b*int(w) : (b+1)*int(w)])
-	}
-	if p < end {
-		total += scalarSum(packed, p, end-p, w, false)
-	}
-	return total, nil
+	return sumValues(packed, start, count, w, false)
 }
 
 // SumZZ sums the zigzag-decoded signed values at positions
 // [start, start+count) of the packed width-w payload, wrapping.
 func SumZZ(packed []uint64, start, count int, w uint) (int64, error) {
+	s, err := sumValues(packed, start, count, w, true)
+	return int64(s), err
+}
+
+// sumValues sums the values at positions [start, start+count),
+// zigzag-decoded when zz. The lanes edgeBlock clears read 0 and add
+// nothing.
+func sumValues(packed []uint64, start, count int, w uint, zz bool) (uint64, error) {
 	if err := checkFusedRange(packed, start, count, w); err != nil {
 		return 0, err
 	}
-	if count == 0 || w == 0 {
-		return 0, nil
+	var s uint64
+	for p, end := start, start+count; p < end; p = p&^63 + BlockLen {
+		if src, ok := whole(packed, p, end, w); ok {
+			s += sumBlock(src, zz)
+			continue
+		}
+		var buf [BlockLen]uint64
+		src, _ := edgeBlock(packed, p, end, w, &buf)
+		s += sumBlock(src, zz)
 	}
-	end := start + count
-	p := start
-	var total uint64
-	if head := headLen(p, end); head > 0 {
-		total += scalarSum(packed, p, head, w, true)
-		p += head
-	}
-	kernel := sumZZFuncs[w]
-	for ; p+BlockLen <= end; p += BlockLen {
-		b := p >> 6
-		total += kernel(packed[b*int(w) : (b+1)*int(w)])
-	}
-	if p < end {
-		total += scalarSum(packed, p, end-p, w, true)
-	}
-	return int64(total), nil
+	return s, nil
 }
 
 // MaxMaskedWidth is the widest bit width SumMaskedU takes: up to it a
@@ -124,307 +99,73 @@ func maskedSumError(packed []uint64, start int, w uint) error {
 }
 
 // SumRangeU sums and counts the values at positions
-// [start, start+count) that lie in [lo, hi] (unsigned). Up to
-// MaxMaskedWidth a full block is its match mask and then the masked
-// sum of what it keeps; wider, one pass compares and adds each value.
+// [start, start+count) that lie in [lo, hi] (unsigned).
 func SumRangeU(packed []uint64, start, count int, w uint, lo, hi uint64) (sum uint64, n int64, err error) {
-	if err := checkFusedRange(packed, start, count, w); err != nil {
-		return 0, 0, err
-	}
-	if count == 0 || hi < lo {
-		return 0, 0, nil
-	}
-	span := hi - lo
-	end := start + count
-	p := start
-	if head := headLen(p, end); head > 0 {
-		s, c := scalarSumRange(packed, p, head, w, lo, span, false)
-		sum += s
-		n += int64(c)
-		p += head
-	}
-	kernel := sumInRangeFuncs[w]
-	for ; p+BlockLen <= end; p += BlockLen {
-		b := p >> 6
-		s, c := kernel(packed[b*int(w):(b+1)*int(w)], lo, span)
-		sum += s
-		n += int64(c)
-	}
-	if p < end {
-		s, c := scalarSumRange(packed, p, end-p, w, lo, span, false)
-		sum += s
-		n += int64(c)
-	}
-	return sum, n, nil
+	return sumRange(packed, start, count, w, lo, hi, false)
 }
 
 // SumRangeZZ is SumRangeU for zigzag payloads: bounds are signed and
 // the returned sum is the wrapping int64 sum of the decoded values
 // inside [lo, hi].
 func SumRangeZZ(packed []uint64, start, count int, w uint, lo, hi int64) (sum int64, n int64, err error) {
-	if err := checkFusedRange(packed, start, count, w); err != nil {
+	s, n, err := sumRange(packed, start, count, w, uint64(lo), uint64(hi), true)
+	return int64(s), n, err
+}
+
+// sumRange sums and counts the values at positions [start, start+count)
+// inside [lo, hi], as countRange counts them. The lanes edgeBlock clears
+// add nothing to the sum, and cleared takes them back out of the count.
+func sumRange(packed []uint64, start, count int, w uint, lo, hi uint64, zz bool) (sum uint64, n int64, err error) {
+	if err := checkFusedRange(packed, start, count, w); err != nil || inverted(lo, hi, zz) {
 		return 0, 0, err
 	}
-	if count == 0 || hi < lo {
-		return 0, 0, nil
-	}
-	ulo := uint64(lo)
-	span := uint64(hi) - uint64(lo)
-	end := start + count
-	p := start
-	var total uint64
-	if head := headLen(p, end); head > 0 {
-		s, c := scalarSumRange(packed, p, head, w, ulo, span, true)
-		total += s
-		n += int64(c)
-		p += head
-	}
-	kernel := sumInRangeZZFuncs[w]
-	for ; p+BlockLen <= end; p += BlockLen {
-		b := p >> 6
-		s, c := kernel(packed[b*int(w):(b+1)*int(w)], ulo, span)
-		total += s
-		n += int64(c)
-	}
-	if p < end {
-		s, c := scalarSumRange(packed, p, end-p, w, ulo, span, true)
-		total += s
-		n += int64(c)
-	}
-	return int64(total), n, nil
-}
-
-// CountRangeZZ counts the zigzag-decoded values at positions
-// [start, start+count) that lie in the signed range [lo, hi].
-func CountRangeZZ(packed []uint64, start, count int, w uint, lo, hi int64) (int64, error) {
-	if err := checkFusedRange(packed, start, count, w); err != nil {
-		return 0, err
-	}
-	if count == 0 || hi < lo {
-		return 0, nil
-	}
-	ulo := uint64(lo)
-	span := uint64(hi) - uint64(lo)
-	end := start + count
-	p := start
-	var total int64
-	if head := headLen(p, end); head > 0 {
-		total += int64(bits.OnesCount64(scalarRangeMaskZZ(packed, p, head, w, ulo, span)))
-		p += head
-	}
-	kernel := countInRangeZZFuncs[w]
-	for ; p+BlockLen <= end; p += BlockLen {
-		b := p >> 6
-		total += int64(kernel(packed[b*int(w):(b+1)*int(w)], ulo, span))
-	}
-	if p < end {
-		total += int64(bits.OnesCount64(scalarRangeMaskZZ(packed, p, end-p, w, ulo, span)))
-	}
-	return total, nil
-}
-
-// SelectRangeZZ is SelectRangeU for zigzag payloads: signed bounds,
-// same emit contract (ascending, non-overlapping, non-zero masks).
-func SelectRangeZZ(packed []uint64, start, count int, w uint, lo, hi int64, emit func(pos int, mask uint64)) error {
-	if err := checkFusedRange(packed, start, count, w); err != nil {
-		return err
-	}
-	if count == 0 || hi < lo {
-		return nil
-	}
-	ulo := uint64(lo)
-	span := uint64(hi) - uint64(lo)
-	end := start + count
-	p := start
-	if head := headLen(p, end); head > 0 {
-		if m := scalarRangeMaskZZ(packed, p, head, w, ulo, span); m != 0 {
-			emit(p, m)
+	span := hi - lo
+	for p, end := start, start+count; p < end; p = p&^63 + BlockLen {
+		if src, ok := whole(packed, p, end, w); ok {
+			s, c := sumInRangeBlock(src, lo, span, zz)
+			sum, n = sum+s, n+int64(c)
+			continue
 		}
-		p += head
+		var buf [BlockLen]uint64
+		src, lanes := edgeBlock(packed, p, end, w, &buf)
+		s, c := sumInRangeBlock(src, lo, span, zz)
+		sum, n = sum+s, n+int64(c-cleared(lanes, lo, span))
 	}
-	kernel := selectInRangeZZFuncs[w]
-	for ; p+BlockLen <= end; p += BlockLen {
-		b := p >> 6
-		if m := kernel(packed[b*int(w):(b+1)*int(w)], ulo, span); m != 0 {
-			emit(p, m)
-		}
-	}
-	if p < end {
-		if m := scalarRangeMaskZZ(packed, p, end-p, w, ulo, span); m != 0 {
-			emit(p, m)
-		}
-	}
-	return nil
+	return sum, n, nil
 }
 
 // GatherU decodes the codes at positions [start, start+count) of the
 // packed width-w payload and gathers tab through them into
 // dst[0:count] — the dict decode loop fused into the unpack. A code
-// outside tab reports ErrCorrupt. Gather kernels exist for widths up
-// to 32 (a dictionary is at most block-sized); wider widths report
-// ErrWidth.
+// outside tab reports ErrCorrupt. No memory is allocated.
 func GatherU(packed []uint64, start, count int, w uint, tab, dst []int64) error {
-	if w > 32 {
-		return fmt.Errorf("%w: gather width %d exceeds 32", ErrWidth, w)
-	}
 	if err := checkFusedRange(packed, start, count, w); err != nil {
 		return err
-	}
-	if count == 0 {
-		return nil
 	}
 	if len(dst) < count {
 		return fmt.Errorf("%w: gather dst holds %d of %d values", ErrCorrupt, len(dst), count)
 	}
-	if w == 0 {
-		if len(tab) == 0 {
-			return fmt.Errorf("%w: dict code 0 outside table of 0 entries", ErrCorrupt)
+	for p, end := start, start+count; p < end; p = p&^63 + BlockLen {
+		if src, ok := whole(packed, p, end, w); ok {
+			if !gatherBlock(src, tab, dst[p-start:]) {
+				return errCode(tab)
+			}
+			continue
 		}
-		v := tab[0]
-		for i := 0; i < count; i++ {
-			dst[i] = v
+		var buf [BlockLen]uint64
+		var out [BlockLen]int64 // the edge's gather, before its lanes in range are copied to dst
+		src, _ := edgeBlock(packed, p, end, w, &buf)
+		if !gatherBlock(src, tab, out[:]) {
+			return errCode(tab)
 		}
-		return nil
-	}
-	end := start + count
-	p := start
-	if head := headLen(p, end); head > 0 {
-		if !scalarGather(packed, p, head, w, tab, dst[:head]) {
-			return fmt.Errorf("%w: dict code outside table of %d entries", ErrCorrupt, len(tab))
-		}
-		p += head
-	}
-	kernel := gatherFuncs[w]
-	for ; p+BlockLen <= end; p += BlockLen {
-		b := p >> 6
-		if !kernel(packed[b*int(w):(b+1)*int(w)], tab, dst[p-start:]) {
-			return fmt.Errorf("%w: dict code outside table of %d entries", ErrCorrupt, len(tab))
-		}
-	}
-	if p < end {
-		if !scalarGather(packed, p, end-p, w, tab, dst[p-start:]) {
-			return fmt.Errorf("%w: dict code outside table of %d entries", ErrCorrupt, len(tab))
-		}
+		copy(dst[p-start:end-start], out[p&63:])
 	}
 	return nil
 }
 
-// zigzag decodes one zigzag word into the unsigned image of its
-// signed value.
-func zigzag(x uint64) uint64 {
-	return uint64(int64(x>>1) ^ -int64(x&1))
-}
-
-// scalarSum is the unaligned-edge companion of sumBlockW/sumZZBlockW:
-// a bit-granular wrapping sum of count (<= 64) values at position
-// start, zigzag-decoded first when zz is set. Width 0 is handled by
-// the callers (the sum is zero).
-func scalarSum(src []uint64, start, count int, w uint, zz bool) uint64 {
-	var s uint64
-	vmask := Mask(w)
-	bitPos := uint64(start) * uint64(w)
-	for j := 0; j < count; j++ {
-		word := bitPos >> 6
-		off := uint(bitPos & 63)
-		v := src[word] >> off
-		if off+w > 64 {
-			v |= src[word+1] << (64 - off)
-		}
-		v &= vmask
-		if zz {
-			v = zigzag(v)
-		}
-		s += v
-		bitPos += uint64(w)
-	}
-	return s
-}
-
-// scalarSumRange is the unaligned-edge companion of the fused
-// filter+sum kernels.
-func scalarSumRange(src []uint64, start, count int, w uint, lo, span uint64, zz bool) (uint64, int) {
-	if w == 0 {
-		var v uint64
-		if zz {
-			v = zigzag(0)
-		}
-		if v-lo <= span {
-			return 0, count
-		}
-		return 0, 0
-	}
-	var s uint64
-	n := 0
-	vmask := Mask(w)
-	bitPos := uint64(start) * uint64(w)
-	for j := 0; j < count; j++ {
-		word := bitPos >> 6
-		off := uint(bitPos & 63)
-		v := src[word] >> off
-		if off+w > 64 {
-			v |= src[word+1] << (64 - off)
-		}
-		v &= vmask
-		if zz {
-			v = zigzag(v)
-		}
-		if v-lo <= span {
-			s += v
-			n++
-		}
-		bitPos += uint64(w)
-	}
-	return s, n
-}
-
-// scalarRangeMaskZZ is scalarRangeMask with the zigzag decode
-// inlined: the unaligned-edge companion of selectInRangeZZBlockW.
-func scalarRangeMaskZZ(src []uint64, start, count int, w uint, lo, span uint64) uint64 {
-	if w == 0 {
-		if 0-lo <= span {
-			return Mask(uint(count))
-		}
-		return 0
-	}
-	var m uint64
-	vmask := Mask(w)
-	bitPos := uint64(start) * uint64(w)
-	for j := 0; j < count; j++ {
-		word := bitPos >> 6
-		off := uint(bitPos & 63)
-		v := src[word] >> off
-		if off+w > 64 {
-			v |= src[word+1] << (64 - off)
-		}
-		if zigzag(v&vmask)-lo <= span {
-			m |= 1 << uint(j)
-		}
-		bitPos += uint64(w)
-	}
-	return m
-}
-
-// scalarGather is the unaligned-edge companion of gatherBlockW:
-// decode+gather count (<= 64) codes at position start into dst.
-func scalarGather(src []uint64, start, count int, w uint, tab, dst []int64) bool {
-	t := uint64(len(tab))
-	vmask := Mask(w)
-	bitPos := uint64(start) * uint64(w)
-	for j := 0; j < count; j++ {
-		word := bitPos >> 6
-		off := uint(bitPos & 63)
-		v := src[word] >> off
-		if off+w > 64 {
-			v |= src[word+1] << (64 - off)
-		}
-		c := v & vmask
-		if c >= t {
-			return false
-		}
-		dst[j] = tab[c]
-		bitPos += uint64(w)
-	}
-	return true
+// errCode is GatherU's error for a code outside tab.
+func errCode(tab []int64) error {
+	return fmt.Errorf("%w: dict code outside table of %d entries", ErrCorrupt, len(tab))
 }
 
 // PrefixRange returns the bitmap of which of the values a delta form
@@ -475,14 +216,14 @@ func PrefixMaskedSum(packed []uint64, n int, w uint, zz bool, x int64, masks []u
 	}
 	full := n / BlockLen
 	if w >= 1 && int(w) < len(prefixMaskedFuncs) {
-		kernel, sumKernel := prefixMaskedFuncs[w], sumFuncs[w]
+		kernel := prefixMaskedFuncs[w]
 		if zz {
-			kernel, sumKernel = prefixMaskedZZFuncs[w], sumZZFuncs[w]
+			kernel = prefixMaskedZZFuncs[w]
 		}
 		for b, m := range masks[:full] {
 			src := packed[b*int(w) : (b+1)*int(w)]
 			if m == 0 {
-				x += int64(sumKernel(src))
+				x += int64(sumBlock(src, zz))
 				continue
 			}
 			s, last := kernel(src, x, m)
@@ -524,20 +265,14 @@ func BlockSums(packed []uint64, n int, w uint, zz bool, dst []int64) error {
 	if len(dst) < nb {
 		return fmt.Errorf("bitpack: %d block sums into %d values", nb, len(dst))
 	}
-	if w == 0 {
-		clear(dst[:nb])
-		return nil
-	}
-	kernel := sumFuncs[w]
-	if zz {
-		kernel = sumZZFuncs[w]
-	}
-	full := n / BlockLen
-	for b := range dst[:full] {
-		dst[b] = int64(kernel(packed[b*int(w) : (b+1)*int(w)]))
-	}
-	if full < nb {
-		dst[full] = int64(scalarSum(packed, full*BlockLen, n-full*BlockLen, w, zz))
+	for b := range dst[:nb] {
+		if src, ok := whole(packed, b*BlockLen, n, w); ok {
+			dst[b] = int64(sumBlock(src, zz))
+			continue
+		}
+		var buf [BlockLen]uint64
+		src, _ := edgeBlock(packed, b*BlockLen, n, w, &buf)
+		dst[b] = int64(sumBlock(src, zz))
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package bitpack
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 )
@@ -8,21 +9,20 @@ import (
 // zz decodes one zigzag word for the reference paths.
 func zz(x uint64) int64 { return int64(x>>1) ^ -int64(x&1) }
 
-// TestWideKernelsAgainstUnpack cross-checks the wide-kernel wrappers
-// (SumU, SumZZ, SumRangeU, SumRangeZZ, CountRangeZZ, SelectRangeZZ)
-// against unpack-then-operate for every width class, aligned and
-// unaligned ranges, and boundary-heavy signed windows.
+// TestWideKernelsAgainstUnpack cross-checks SumU, SumZZ, SumRangeU,
+// SumRangeZZ, CountRangeZZ and SelectRangeZZ against unpack-then-operate
+// at every width, over aligned and unaligned ranges and boundary-heavy
+// signed windows.
 func TestWideKernelsAgainstUnpack(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, w := range []uint{0, 1, 3, 7, 8, 13, 20, 31, 32, 33, 63, 64} {
+	for w := uint(0); w <= 64; w++ {
 		n := 500
 		vals := randomValues(rng, n, w)
 		packed, err := Pack(vals, w)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ranges := [][2]int{{0, n}, {0, 64}, {64, 128}, {17, 300}, {63, 66}, {499, 1}, {100, 0}}
-		for _, r := range ranges {
+		for _, r := range fusedRanges {
 			start, count := r[0], r[1]
 
 			// Plain and zigzag sums against the reference fold.
@@ -138,18 +138,16 @@ func TestWideKernelsAgainstUnpack(t *testing.T) {
 }
 
 // TestGatherAgainstUnpack cross-checks GatherU against
-// unpack-then-index, and its rejection of out-of-table codes.
+// unpack-then-index at every width, and its rejection of out-of-table
+// codes. Above 12 bits the table holds 4096 entries and the codes are
+// spread over the width: the ones below 4096 index it, and each block
+// keeps one code at the width's top bit, out of the table, outside the
+// range gathered, which must not fail the gather.
 func TestGatherAgainstUnpack(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for _, w := range []uint{0, 1, 5, 8, 11, 16, 21, 32} {
-		n := 300
-		tabLen := 1 << w
-		if w == 0 {
-			tabLen = 1
-		}
-		if tabLen > 4096 {
-			tabLen = 4096
-		}
+	for w := uint(0); w <= 64; w++ {
+		n := 500
+		tabLen := min(1<<min(w, 12), 4096)
 		tab := make([]int64, tabLen)
 		for i := range tab {
 			tab[i] = rng.Int63() - rng.Int63()
@@ -157,17 +155,48 @@ func TestGatherAgainstUnpack(t *testing.T) {
 		vals := make([]uint64, n)
 		for i := range vals {
 			vals[i] = uint64(rng.Intn(tabLen))
+			if w > 12 && i%64 == 40 {
+				vals[i] = 1 << (w - 1)
+			}
 		}
 		packed, err := Pack(vals, w)
 		if err != nil {
 			t.Fatal(err)
 		}
 		dst := make([]int64, n)
-		for _, r := range [][2]int{{0, n}, {0, 64}, {64, 128}, {17, 250}, {63, 66}, {299, 1}, {100, 0}} {
+		for _, r := range [][2]int{{0, 40}, {41, 63}, {104, 0}, {5, 35}, {169, 7}, {489, 11}, {497, 3}} {
 			start, count := r[0], r[1]
 			for i := range dst {
 				dst[i] = -999
 			}
+			if err := GatherU(packed, start, count, w, tab, dst); err != nil {
+				t.Fatalf("w=%d [%d,+%d): GatherU: %v", w, start, count, err)
+			}
+			for j := 0; j < count; j++ {
+				if want := tab[vals[start+j]]; dst[j] != want {
+					t.Fatalf("w=%d [%d,+%d): dst[%d] = %d, want %d", w, start, count, j, dst[j], want)
+				}
+			}
+			for j := count; j < n; j++ {
+				if dst[j] != -999 {
+					t.Fatalf("w=%d [%d,+%d): dst[%d] = %d, written past the count", w, start, count, j, dst[j])
+				}
+			}
+		}
+		if w > 12 {
+			if err := GatherU(packed, 0, n, w, tab, dst); !errors.Is(err, ErrCorrupt) {
+				t.Fatalf("w=%d: a code of %d bits through a table of %d: %v, want ErrCorrupt", w, w, tabLen, err)
+			}
+			vals = vals[:0]
+			for i := 0; i < n; i++ {
+				vals = append(vals, uint64(rng.Intn(tabLen)))
+			}
+			if packed, err = Pack(vals, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, r := range fusedRanges {
+			start, count := r[0], r[1]
 			if err := GatherU(packed, start, count, w, tab, dst); err != nil {
 				t.Fatalf("w=%d [%d,+%d): GatherU: %v", w, start, count, err)
 			}
@@ -192,8 +221,8 @@ func TestGatherAgainstUnpack(t *testing.T) {
 			}
 		}
 	}
-	if err := GatherU(nil, 0, 1, 33, nil, make([]int64, 1)); err == nil {
-		t.Fatal("gather width 33 must error")
+	if err := GatherU(nil, 0, 1, 65, nil, make([]int64, 1)); !errors.Is(err, ErrWidth) {
+		t.Fatalf("gather width 65: %v, want ErrWidth", err)
 	}
 	if err := GatherU(nil, 0, 64, 0, nil, make([]int64, 64)); err == nil {
 		t.Fatal("width-0 gather through an empty table must error")

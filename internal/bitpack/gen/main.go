@@ -1,35 +1,32 @@
 // Command gen emits packed_gen.go: fully unrolled, branch-free pack
-// and unpack kernels for 64-value blocks at every bit width 1..64,
-// plus fused unpack-and-compare kernels (countInRangeBlockW,
-// selectInRangeBlockW) that evaluate a range predicate directly on
-// the packed words without materializing the unpacked block.
+// and unpack kernels for 64-value blocks at every bit width 1..64, and
+// the lane-parallel (SWAR) kernels of widths up to swarMaxWidth, which
+// compute on the packed words without unpacking them.
 //
-// These kernels are the scalar stand-in for the SIMD bit-packing
-// routines used by the systems the paper builds on (see DESIGN.md).
-// Each kernel is straight-line code — one or two shift/or terms per
-// value — so per-width cost is constant and proportional to width.
-// The fused kernels emit a 64-bit match mask, which drops straight
-// into a sel.Selection word. Up to swarMaxWidth bits they are
-// lane-parallel: each 64-bit word tests all of its ⌊64/w⌋ lanes in
-// about ten word operations (emitRangeSWAR). Wider, they extract and
-// compare one value at a time.
+// The pack and unpack kernels are the scalar stand-in for the SIMD
+// bit-packing routines used by the systems the paper builds on (see
+// DESIGN.md): straight-line code, one or two shift/or terms per value.
+// The lane kernels test or add all ⌊64/w⌋ lanes of a word in a few
+// word operations: count and select against a range (emitRangeSWAR),
+// the masked sum (emitSumMasked) and the sum over a range composed of
+// the two, the zigzag sum (emitSumZZSWAR), and the running sums of a
+// delta form (emitPrefixRange, emitPrefixMasked). Beside them those
+// widths keep an unrolled plain sum (emitSum).
 //
-// Beyond pack/unpack/compare, the generator emits the wide kernels
-// the dict/RLE/RPE/model scheme family scans through (DESIGN.md
-// §1.12): sumBlockW (fully unrolled wrapping sum), and up to
-// swarMaxWidth two lane-parallel sums: sumMaskedBlockW, the sum of
-// the lanes a mask keeps (emitSumMasked), and sumInRangeBlockW, the
-// composition of selectInRangeBlockW and sumMaskedBlockW. The rest is
-// a hybrid family that unpacks one 64-value block into a stack buffer
-// and applies the operator in a second branch-light loop —
-// sumInRangeBlockW above swarMaxWidth (fused filter+sum),
-// gatherBlockW (dict code gather through a value table, widths ≤ 32),
-// and the zigzag variants countInRangeZZBlockW /
-// selectInRangeZZBlockW / sumInRangeZZBlockW / sumZZBlockW, which
-// decode the zigzag mapping inline and compare in the signed domain
-// via the two's-complement wrap-around trick. The stack buffer never
-// escapes (unpackBlockW does not retain its dst), so every kernel is
-// allocation-free.
+// Nothing else is generated. Every other block operator — any width
+// above swarMaxWidth, the zigzag compares at every width, the
+// dictionary gather — is one hand-written loop (internal/bitpack's
+// fused.go) that unpacks the block into a stack [64]uint64 through
+// unpack64, the generated switch over the unpack kernels, and then
+// compares or adds. Per-value kernels of their own paid only at widths
+// no workload scans (DESIGN.md §1.7).
+//
+// The per-block functions countInRangeBlock, selectInRangeBlock,
+// sumInRangeBlock and sumBlock are generated switches on the block's
+// width: each lane kernel is written as its case, and every other block
+// goes to its loop. A block thus costs one static call. A call through
+// a table of functions would cost as much, but it would move a stack
+// buffer passed to it to the heap.
 //
 // Regenerate with:
 //
@@ -45,13 +42,12 @@ import (
 	"strings"
 )
 
-// swarMaxWidth is the widest bit width whose range kernels and sums
-// are lane-parallel; wider ones compare and add one value at a time.
-// BenchmarkRangeKernels is the matrix behind it (DESIGN.md §1.7):
-// lanes win through width 21 (three lanes a word) and lose from 22
-// (two). No benchmark workload stores widths 17-21, so those keep the
-// per-value kernels until a raised cut is measured end to end.
-// BenchmarkSumKernels is the sums' matrix.
+// swarMaxWidth is the widest bit width that has lane kernels; wider
+// blocks go through the hand-written loops. BenchmarkRangeKernels is
+// the matrix behind it (DESIGN.md §1.7): lanes win through width 21
+// (three lanes a word) and lose from 22 (two). No benchmark workload
+// stores widths 17-21, so those take the loops until a raised cut is
+// measured end to end. BenchmarkSumKernels is the sums' matrix.
 const swarMaxWidth = 16
 
 func main() {
@@ -62,52 +58,12 @@ func main() {
 	fmt.Fprintln(&b)
 	fmt.Fprintln(&b, `import "math/bits"`)
 	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, "// blockFunc packs or unpacks one 64-value block.")
+	fmt.Fprintln(&b, "// blockFunc packs one 64-value block.")
 	fmt.Fprintln(&b, "type blockFunc func(src, dst []uint64)")
 	fmt.Fprintln(&b)
 	fmt.Fprintln(&b, "func blockWidth0(src, dst []uint64) {")
 	fmt.Fprintln(&b, "\tpanic(\"bitpack: width-0 blocks are handled before kernel dispatch\")")
 	fmt.Fprintln(&b, "}")
-	fmt.Fprintln(&b)
-
-	fmt.Fprintln(&b, "// countRangeFunc counts the values of one 64-value block inside")
-	fmt.Fprintln(&b, "// [lo, lo+span] (unsigned, span = hi-lo so the window never wraps).")
-	fmt.Fprintln(&b, "// Every width evaluates the same predicate, v-lo <= span mod 2^64,")
-	fmt.Fprintln(&b, "// so a wrapping window gets the same answer at every width too.")
-	fmt.Fprintln(&b, "type countRangeFunc func(src []uint64, lo, span uint64) int")
-	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, "// selectRangeFunc returns the match bitmap of one 64-value block")
-	fmt.Fprintln(&b, "// against [lo, lo+span]: bit i is set iff value i is inside.")
-	fmt.Fprintln(&b, "type selectRangeFunc func(src []uint64, lo, span uint64) uint64")
-	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, "// countInRangeBlock0 handles width 0: every value is 0, inside the")
-	fmt.Fprintln(&b, "// window exactly when 0-lo <= span.")
-	fmt.Fprintln(&b, "func countInRangeBlock0(src []uint64, lo, span uint64) int {")
-	fmt.Fprintln(&b, "\tif 0-lo <= span {")
-	fmt.Fprintln(&b, "\t\treturn 64")
-	fmt.Fprintln(&b, "\t}")
-	fmt.Fprintln(&b, "\treturn 0")
-	fmt.Fprintln(&b, "}")
-	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, "// selectInRangeBlock0 is the width-0 match mask: all or nothing.")
-	fmt.Fprintln(&b, "func selectInRangeBlock0(src []uint64, lo, span uint64) uint64 {")
-	fmt.Fprintln(&b, "\tif 0-lo <= span {")
-	fmt.Fprintln(&b, "\t\treturn ^uint64(0)")
-	fmt.Fprintln(&b, "\t}")
-	fmt.Fprintln(&b, "\treturn 0")
-	fmt.Fprintln(&b, "}")
-	fmt.Fprintln(&b)
-
-	fmt.Fprintln(&b, "// sumFunc sums the 64 values of one block, wrapping mod 2^64.")
-	fmt.Fprintln(&b, "type sumFunc func(src []uint64) uint64")
-	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, "// sumRangeFunc sums and counts the values of one 64-value block")
-	fmt.Fprintln(&b, "// inside [lo, lo+span] (same window convention as countRangeFunc).")
-	fmt.Fprintln(&b, "type sumRangeFunc func(src []uint64, lo, span uint64) (uint64, int)")
-	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, "// gatherFunc decodes the 64 codes of one block and gathers them")
-	fmt.Fprintln(&b, "// through tab into dst[0:64]; false reports an out-of-range code.")
-	fmt.Fprintln(&b, "type gatherFunc func(src []uint64, tab, dst []int64) bool")
 	fmt.Fprintln(&b)
 	fmt.Fprintln(&b, "// sumMaskedFunc sums the values of one 64-value block whose bit is")
 	fmt.Fprintln(&b, "// set in m (bit i = value i), wrapping mod 2^64.")
@@ -129,80 +85,15 @@ func main() {
 	fmt.Fprintln(&b, "// and the last running sum.")
 	fmt.Fprintln(&b, "type prefixMaskedFunc func(src []uint64, x int64, m uint64) (int64, int64)")
 	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, "// sumBlock0 is the width-0 sum: 64 zeros.")
-	fmt.Fprintln(&b, "func sumBlock0(src []uint64) uint64 { return 0 }")
-	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, "// sumZZBlock0 is the width-0 zigzag sum: 64 zeros.")
-	fmt.Fprintln(&b, "func sumZZBlock0(src []uint64) uint64 { return 0 }")
-	fmt.Fprintln(&b)
-	emitSumInRangeComposed(&b, 0)
-	fmt.Fprintln(&b, "// countInRangeZZBlock0: width-0 zigzag decodes to 64 signed zeros.")
-	fmt.Fprintln(&b, "func countInRangeZZBlock0(src []uint64, lo, span uint64) int {")
-	fmt.Fprintln(&b, "\tif 0-lo <= span {")
-	fmt.Fprintln(&b, "\t\treturn 64")
-	fmt.Fprintln(&b, "\t}")
-	fmt.Fprintln(&b, "\treturn 0")
-	fmt.Fprintln(&b, "}")
-	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, "// selectInRangeZZBlock0 is the width-0 zigzag match mask.")
-	fmt.Fprintln(&b, "func selectInRangeZZBlock0(src []uint64, lo, span uint64) uint64 {")
-	fmt.Fprintln(&b, "\tif 0-lo <= span {")
-	fmt.Fprintln(&b, "\t\treturn ^uint64(0)")
-	fmt.Fprintln(&b, "\t}")
-	fmt.Fprintln(&b, "\treturn 0")
-	fmt.Fprintln(&b, "}")
-	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, "// sumInRangeZZBlock0 is the width-0 zigzag filter+sum.")
-	fmt.Fprintln(&b, "func sumInRangeZZBlock0(src []uint64, lo, span uint64) (uint64, int) {")
-	fmt.Fprintln(&b, "\tif 0-lo <= span {")
-	fmt.Fprintln(&b, "\t\treturn 0, 64")
-	fmt.Fprintln(&b, "\t}")
-	fmt.Fprintln(&b, "\treturn 0, 0")
-	fmt.Fprintln(&b, "}")
-	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, "// gatherBlock0 gathers 64 zero codes: 64 copies of tab[0].")
-	fmt.Fprintln(&b, "func gatherBlock0(src []uint64, tab, dst []int64) bool {")
-	fmt.Fprintln(&b, "\tif len(tab) == 0 {")
-	fmt.Fprintln(&b, "\t\treturn false")
-	fmt.Fprintln(&b, "\t}")
-	fmt.Fprintln(&b, "\t_ = dst[63]")
-	fmt.Fprintln(&b, "\tv := tab[0]")
-	fmt.Fprintln(&b, "\tfor i := 0; i < 64; i++ {")
-	fmt.Fprintln(&b, "\t\tdst[i] = v")
-	fmt.Fprintln(&b, "\t}")
-	fmt.Fprintln(&b, "\treturn true")
-	fmt.Fprintln(&b, "}")
-	fmt.Fprintln(&b)
-
 	for w := 1; w <= 64; w++ {
 		emitPack(&b, w)
 		emitUnpack(&b, w)
 		if w <= swarMaxWidth {
-			emitRangeSWAR(&b, w, false)
-			emitRangeSWAR(&b, w, true)
-			emitSum(&b, w)
 			emitSumMasked(&b, w)
-			emitSumInRangeComposed(&b, w)
-		} else {
-			emitCountInRange(&b, w)
-			emitSelectInRange(&b, w)
-			emitSum(&b, w)
-			emitSumInRange(&b, w)
-		}
-		if w <= 32 {
-			emitGather(&b, w)
-		}
-		emitCountInRangeZZ(&b, w)
-		emitSelectInRangeZZ(&b, w)
-		emitSumInRangeZZ(&b, w)
-		if w <= swarMaxWidth {
-			emitSumZZSWAR(&b, w)
 			for _, zz := range []bool{false, true} {
 				emitPrefixRange(&b, w, zz)
 				emitPrefixMasked(&b, w, zz)
 			}
-		} else {
-			emitSumZZ(&b, w)
 		}
 	}
 
@@ -213,27 +104,53 @@ func main() {
 	}
 	fmt.Fprintln(&b, "}")
 	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, "var unpackFuncs = [65]blockFunc{")
-	fmt.Fprintln(&b, "\tblockWidth0,")
+	fmt.Fprintln(&b, "// unpack64 unpacks the 64 values of one block, w = len(src) bits")
+	fmt.Fprintln(&b, "// each (0..64), into dst. It switches to the width's kernel rather")
+	fmt.Fprintln(&b, "// than indexing a table of them, so a dst on the caller's stack stays")
+	fmt.Fprintln(&b, "// there.")
+	fmt.Fprintln(&b, "func unpack64(src []uint64, dst *[64]uint64) {")
+	fmt.Fprintln(&b, "\tswitch len(src) {")
+	fmt.Fprintln(&b, "\tcase 0:")
+	fmt.Fprintln(&b, "\t\t*dst = [64]uint64{}")
 	for w := 1; w <= 64; w++ {
-		fmt.Fprintf(&b, "\tunpackBlock%d,\n", w)
+		fmt.Fprintf(&b, "\tcase %d:\n\t\tunpackBlock%d(src, dst)\n", w, w)
 	}
+	fmt.Fprintln(&b, "\t}")
 	fmt.Fprintln(&b, "}")
 	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, "var countInRangeFuncs = [65]countRangeFunc{")
-	for w := 0; w <= 64; w++ {
-		fmt.Fprintf(&b, "\tcountInRangeBlock%d,\n", w)
+	// Width 0 is 64 zeros: inside the window or not, all of them.
+	zero := func(all, none string) func(w int) {
+		return func(w int) {
+			fmt.Fprintf(&b, "if 0-lo <= span {\nreturn %s\n}\nreturn %s\n", all, none)
+		}
 	}
-	fmt.Fprintln(&b, "}")
-	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, "var selectInRangeFuncs = [65]selectRangeFunc{")
-	for w := 0; w <= 64; w++ {
-		fmt.Fprintf(&b, "\tselectInRangeBlock%d,\n", w)
-	}
-	fmt.Fprintln(&b, "}")
-	fmt.Fprintln(&b)
-	emitDispatch(&b, "sumFuncs", "sumFunc", "sumBlock", 64)
-	emitDispatch(&b, "sumInRangeFuncs", "sumRangeFunc", "sumInRangeBlock", 64)
+	emitDispatch(&b, []string{
+		"// countInRangeBlock counts the values of one block, w = len(src) bits",
+		"// each, inside [lo, lo+span] (unsigned, or the signed window over the",
+		"// zigzag-decoded values when zz). Every width evaluates the same",
+		"// predicate, v-lo <= span mod 2^64, so a wrapping window gets the",
+		"// same answer at every width too.",
+	}, "countInRangeBlock(src []uint64, lo, span uint64, zz bool) int",
+		zero("64", "0"), func(w int) { emitRangeSWAR(&b, w, false) }, nil, "countLoop(src, lo, span, zz)")
+	emitDispatch(&b, []string{
+		"// selectInRangeBlock returns the match mask of one block against",
+		"// [lo, lo+span], as countInRangeBlock counts it: bit i is set iff",
+		"// value i is inside.",
+	}, "selectInRangeBlock(src []uint64, lo, span uint64, zz bool) uint64",
+		zero("^uint64(0)", "0"), func(w int) { emitRangeSWAR(&b, w, true) }, nil, "selectLoop(src, lo, span, zz)")
+	emitDispatch(&b, []string{
+		"// sumInRangeBlock sums and counts the values of one block inside",
+		"// [lo, lo+span], as countInRangeBlock counts them; the sum wraps",
+		"// mod 2^64.",
+	}, "sumInRangeBlock(src []uint64, lo, span uint64, zz bool) (uint64, int)",
+		func(w int) { emitSumInRangeComposed(&b, 0) }, func(w int) { emitSumInRangeComposed(&b, w) }, nil,
+		"sumInRangeLoop(src, lo, span, zz)")
+	emitDispatch(&b, []string{
+		"// sumBlock sums the 64 values of one block, w = len(src) bits each,",
+		"// zigzag-decoded when zz, wrapping mod 2^64.",
+	}, "sumBlock(src []uint64, zz bool) uint64",
+		func(w int) { fmt.Fprintln(&b, "return 0") }, func(w int) { emitSum(&b, w) },
+		func(w int) { emitSumZZSWAR(&b, w) }, "sumLoop(src, zz)")
 	fmt.Fprintln(&b, "// sumMaskedFuncs holds the lane-parallel masked sums. Entry 0 is nil:")
 	fmt.Fprintln(&b, "// a width-0 block sums to 0 under any mask.")
 	fmt.Fprintf(&b, "var sumMaskedFuncs = [%d]sumMaskedFunc{\n", swarMaxWidth+1)
@@ -243,11 +160,6 @@ func main() {
 	}
 	fmt.Fprintln(&b, "}")
 	fmt.Fprintln(&b)
-	emitDispatch(&b, "gatherFuncs", "gatherFunc", "gatherBlock", 32)
-	emitDispatch(&b, "countInRangeZZFuncs", "countRangeFunc", "countInRangeZZBlock", 64)
-	emitDispatch(&b, "selectInRangeZZFuncs", "selectRangeFunc", "selectInRangeZZBlock", 64)
-	emitDispatch(&b, "sumInRangeZZFuncs", "sumRangeFunc", "sumInRangeZZBlock", 64)
-	emitDispatch(&b, "sumZZFuncs", "sumFunc", "sumZZBlock", 64)
 	fmt.Fprintln(&b, "// The prefixRange and prefixMasked tables hold the delta kernels of")
 	fmt.Fprintln(&b, "// the lane-parallel widths, plain and zigzag. Entry 0 is nil: a")
 	fmt.Fprintln(&b, "// width-0 block adds nothing.")
@@ -275,13 +187,36 @@ func main() {
 	os.Stdout.Write(src)
 }
 
-// emitDispatch writes a [maxW+1]-entry kernel dispatch array indexed
-// by bit width.
-func emitDispatch(b *bytes.Buffer, name, typ, prefix string, maxW int) {
-	fmt.Fprintf(b, "var %s = [%d]%s{\n", name, maxW+1, typ)
-	for w := 0; w <= maxW; w++ {
-		fmt.Fprintf(b, "\t%s%d,\n", prefix, w)
+// emitDispatch writes a per-block function, sig, whose width is
+// len(src): a block of at most swarMaxWidth bits runs its lane kernel,
+// written in its case of the function's switch by lane (zero at width
+// 0) — or by zzLane for a zigzag block when zzLane is not nil — and
+// every other block returns loop. The kernels are cases, not functions
+// of their own, so that a block costs one call.
+func emitDispatch(b *bytes.Buffer, doc []string, sig string, zero, lane, zzLane func(w int), loop string) {
+	cases := func(lane func(w int)) {
+		fmt.Fprintln(b, "switch len(src) {")
+		fmt.Fprintln(b, "case 0:")
+		zero(0)
+		for w := 1; w <= swarMaxWidth; w++ {
+			fmt.Fprintf(b, "case %d:\n", w)
+			lane(w)
+		}
+		fmt.Fprintln(b, "}")
 	}
+	fmt.Fprintln(b, strings.Join(doc, "\n"))
+	fmt.Fprintf(b, "func %s {\n", sig)
+	if zzLane == nil {
+		fmt.Fprintln(b, "if !zz {")
+		cases(lane)
+	} else {
+		fmt.Fprintln(b, "if zz {")
+		cases(zzLane)
+		fmt.Fprintln(b, "} else {")
+		cases(lane)
+	}
+	fmt.Fprintln(b, "}")
+	fmt.Fprintf(b, "return %s\n", loop)
 	fmt.Fprintln(b, "}")
 	fmt.Fprintln(b)
 }
@@ -313,9 +248,8 @@ func emitPack(b *bytes.Buffer, w int) {
 // emitUnpack writes unpackBlockW: expands src[0:w] into 64 values.
 func emitUnpack(b *bytes.Buffer, w int) {
 	fmt.Fprintf(b, "// unpackBlock%d unpacks 64 %d-bit values from src[0:%d].\n", w, w, w)
-	fmt.Fprintf(b, "func unpackBlock%d(src, dst []uint64) {\n", w)
+	fmt.Fprintf(b, "func unpackBlock%d(src []uint64, dst *[64]uint64) {\n", w)
 	fmt.Fprintf(b, "\t_ = src[%d]\n", w-1)
-	fmt.Fprintf(b, "\t_ = dst[63]\n")
 	if w < 64 {
 		fmt.Fprintf(b, "\tconst mask = uint64(1)<<%d - 1\n", w)
 	}
@@ -349,47 +283,9 @@ func valueExpr(w, i int) string {
 	}
 }
 
-// emitCountInRange writes countInRangeBlockW for a width above
-// swarMaxWidth: the per-value fused unpack-and-compare count kernel.
-// The predicate v-lo <= span is the standard wrap-around trick for
-// lo <= v <= lo+span on unsigned values.
-func emitCountInRange(b *bytes.Buffer, w int) {
-	fmt.Fprintf(b, "// countInRangeBlock%d counts the 64 %d-bit values of src[0:%d] inside [lo, lo+span].\n", w, w, w)
-	fmt.Fprintf(b, "func countInRangeBlock%d(src []uint64, lo, span uint64) int {\n", w)
-	fmt.Fprintf(b, "\t_ = src[%d]\n", w-1)
-	if w < 64 {
-		fmt.Fprintf(b, "\tconst mask = uint64(1)<<%d - 1\n", w)
-	}
-	fmt.Fprintln(b, "\tn := 0")
-	for i := 0; i < 64; i++ {
-		fmt.Fprintf(b, "\tif (%s)-lo <= span {\n\t\tn++\n\t}\n", valueExpr(w, i))
-	}
-	fmt.Fprintln(b, "\treturn n")
-	fmt.Fprintln(b, "}")
-	fmt.Fprintln(b)
-}
-
-// emitSelectInRange writes selectInRangeBlockW for a width above
-// swarMaxWidth: the per-value fused unpack-and-compare select kernel,
-// producing one selection-bitmap word per block.
-func emitSelectInRange(b *bytes.Buffer, w int) {
-	fmt.Fprintf(b, "// selectInRangeBlock%d returns the bitmap of which of the 64 %d-bit values of src[0:%d] lie inside [lo, lo+span].\n", w, w, w)
-	fmt.Fprintf(b, "func selectInRangeBlock%d(src []uint64, lo, span uint64) uint64 {\n", w)
-	fmt.Fprintf(b, "\t_ = src[%d]\n", w-1)
-	if w < 64 {
-		fmt.Fprintf(b, "\tconst mask = uint64(1)<<%d - 1\n", w)
-	}
-	fmt.Fprintln(b, "\tvar m uint64")
-	for i := 0; i < 64; i++ {
-		fmt.Fprintf(b, "\tif (%s)-lo <= span {\n\t\tm |= 1 << %d\n\t}\n", valueExpr(w, i), i)
-	}
-	fmt.Fprintln(b, "\treturn m")
-	fmt.Fprintln(b, "}")
-	fmt.Fprintln(b)
-}
-
-// emitRangeSWAR writes countInRangeBlockW or selectInRangeBlockW for
-// a width up to swarMaxWidth as a word-parallel (SWAR) kernel: each
+// emitRangeSWAR writes the count or select case of width w, up to
+// swarMaxWidth, of countInRangeBlock or selectInRangeBlock: a
+// word-parallel (SWAR) kernel, in which each
 // 64-bit window holds k = ⌊64/w⌋ whole lanes, funnel-shifted across
 // word boundaries, and all k lanes are compared at once.
 //
@@ -426,13 +322,7 @@ func emitRangeSWAR(b *bytes.Buffer, w int, sel bool) {
 	half := uint64(1) << (w - 1)
 	multiply := carryFree(w, k, func(i int) int { return (i+1)*w - 1 }) // else gather with a compress network
 
-	if sel {
-		fmt.Fprintf(b, "// selectInRangeBlock%d returns the bitmap of which of the 64 %d-bit values of src[0:%d] lie inside [lo, lo+span], %d lanes per word.\n", w, w, w, k)
-		fmt.Fprintf(b, "func selectInRangeBlock%d(src []uint64, lo, span uint64) uint64 {\n", w)
-	} else {
-		fmt.Fprintf(b, "// countInRangeBlock%d counts the 64 %d-bit values of src[0:%d] inside [lo, lo+span], %d lanes per word.\n", w, w, w, k)
-		fmt.Fprintf(b, "func countInRangeBlock%d(src []uint64, lo, span uint64) int {\n", w)
-	}
+	fmt.Fprintf(b, "\t// %d lanes per word.\n", k)
 	fmt.Fprintf(b, "\t_ = src[%d]\n", w-1)
 	fmt.Fprintf(b, "\ta, s, inv, ok := laneArc(lo, span, %#x)\n", uint64(1)<<w-1)
 	fmt.Fprintln(b, "\tif !ok {")
@@ -503,8 +393,6 @@ func emitRangeSWAR(b *bytes.Buffer, w int, sel bool) {
 		fmt.Fprintln(b, "\t}")
 		fmt.Fprintln(b, "\treturn n")
 	}
-	fmt.Fprintln(b, "}")
-	fmt.Fprintln(b)
 }
 
 // carryFree reports whether multiplying a word whose set bits lie at
@@ -801,171 +689,36 @@ func sumLayout(w int) (k int) {
 	return k
 }
 
-// emitSumInRangeComposed writes sumInRangeBlockW for a width up to
-// swarMaxWidth as the composition of two lane kernels: the block's
-// match mask, then the masked sum of the lanes it keeps.
+// emitSumInRangeComposed writes the case of width w, up to
+// swarMaxWidth, of sumInRangeBlock as the composition of two lane
+// kernels: the block's match mask, then the masked sum of the lanes it
+// keeps.
 func emitSumInRangeComposed(b *bytes.Buffer, w int) {
-	if w == 0 {
-		fmt.Fprintln(b, "// sumInRangeBlock0 handles width 0: 64 zeros, all inside the window or none.")
-	} else {
-		fmt.Fprintf(b, "// sumInRangeBlock%d sums and counts the 64 %d-bit values of src[0:%d] inside [lo, lo+span]: the match mask, then the masked sum.\n", w, w, w)
-	}
-	fmt.Fprintf(b, "func sumInRangeBlock%d(src []uint64, lo, span uint64) (uint64, int) {\n", w)
-	fmt.Fprintf(b, "\tm := selectInRangeBlock%d(src, lo, span)\n", w)
+	fmt.Fprintln(b, "\tm := selectInRangeBlock(src, lo, span, false)")
 	sum := "0"
 	if w > 0 {
 		sum = fmt.Sprintf("sumMaskedBlock%d(src, m)", w)
 	}
 	fmt.Fprintf(b, "\treturn %s, bits.OnesCount64(m)\n", sum)
-	fmt.Fprintln(b, "}")
-	fmt.Fprintln(b)
 }
 
-// emitSum writes sumBlockW: the fully unrolled wrapping sum of one
-// 64-value block — straight-line adds with no branches, so the
-// compiler is free to schedule them for ILP.
+// emitSum writes the plain case of width w, up to swarMaxWidth, of
+// sumBlock: the fully unrolled wrapping sum of one 64-value block —
+// straight-line adds with no branches, so the compiler is free to
+// schedule them for ILP.
 func emitSum(b *bytes.Buffer, w int) {
-	fmt.Fprintf(b, "// sumBlock%d sums the 64 %d-bit values of src[0:%d], wrapping mod 2^64.\n", w, w, w)
-	fmt.Fprintf(b, "func sumBlock%d(src []uint64) uint64 {\n", w)
 	fmt.Fprintf(b, "\t_ = src[%d]\n", w-1)
-	if w < 64 {
-		fmt.Fprintf(b, "\tconst mask = uint64(1)<<%d - 1\n", w)
-	}
+	fmt.Fprintf(b, "\tconst mask = uint64(1)<<%d - 1\n", w)
 	fmt.Fprintln(b, "\tvar s uint64")
 	for i := 0; i < 64; i++ {
 		fmt.Fprintf(b, "\ts += %s\n", valueExpr(w, i))
 	}
 	fmt.Fprintln(b, "\treturn s")
-	fmt.Fprintln(b, "}")
-	fmt.Fprintln(b)
 }
 
-// emitHybridHeader opens a hybrid kernel body: unroll-unpack the
-// block into a stack buffer, then apply the operator in a loop. The
-// buffer does not escape (unpackBlockW never retains dst), so the
-// kernel stays allocation-free.
-func emitHybridHeader(b *bytes.Buffer, w int) {
-	fmt.Fprintln(b, "\tvar u [64]uint64")
-	fmt.Fprintf(b, "\tunpackBlock%d(src, u[:])\n", w)
-}
-
-// zzExpr is the inline zigzag decode of x, as an unsigned word whose
-// bit pattern is the signed value's two's complement.
-const zzExpr = "uint64(int64(x>>1) ^ -int64(x&1))"
-
-// emitSumInRange writes sumInRangeBlockW: fused filter+sum over one
-// block, returning the wrapping sum of in-range values and how many
-// matched.
-func emitSumInRange(b *bytes.Buffer, w int) {
-	fmt.Fprintf(b, "// sumInRangeBlock%d sums and counts the 64 %d-bit values of src[0:%d] inside [lo, lo+span].\n", w, w, w)
-	fmt.Fprintf(b, "func sumInRangeBlock%d(src []uint64, lo, span uint64) (uint64, int) {\n", w)
-	emitHybridHeader(b, w)
-	fmt.Fprintln(b, "\tvar s uint64")
-	fmt.Fprintln(b, "\tn := 0")
-	fmt.Fprintln(b, "\tfor _, v := range u {")
-	fmt.Fprintln(b, "\t\tif v-lo <= span {")
-	fmt.Fprintln(b, "\t\t\ts += v")
-	fmt.Fprintln(b, "\t\t\tn++")
-	fmt.Fprintln(b, "\t\t}")
-	fmt.Fprintln(b, "\t}")
-	fmt.Fprintln(b, "\treturn s, n")
-	fmt.Fprintln(b, "}")
-	fmt.Fprintln(b)
-}
-
-// emitGather writes gatherBlockW: decode one block of dict codes and
-// gather the dictionary values they index in the same pass. Dict
-// codes never exceed 32 bits (a dictionary is at most block-sized),
-// so only widths 0..32 are emitted.
-func emitGather(b *bytes.Buffer, w int) {
-	fmt.Fprintf(b, "// gatherBlock%d decodes 64 %d-bit codes from src[0:%d] and gathers tab through them into dst[0:64].\n", w, w, w)
-	fmt.Fprintf(b, "func gatherBlock%d(src []uint64, tab, dst []int64) bool {\n", w)
-	emitHybridHeader(b, w)
-	fmt.Fprintln(b, "\t_ = dst[63]")
-	fmt.Fprintln(b, "\tt := uint64(len(tab))")
-	fmt.Fprintln(b, "\tfor i, c := range u {")
-	fmt.Fprintln(b, "\t\tif c >= t {")
-	fmt.Fprintln(b, "\t\t\treturn false")
-	fmt.Fprintln(b, "\t\t}")
-	fmt.Fprintln(b, "\t\tdst[i] = tab[c]")
-	fmt.Fprintln(b, "\t}")
-	fmt.Fprintln(b, "\treturn true")
-	fmt.Fprintln(b, "}")
-	fmt.Fprintln(b)
-}
-
-// emitCountInRangeZZ writes countInRangeZZBlockW: zigzag payloads
-// decoded inline and compared in the signed domain. lo and span are
-// the two's-complement images of the signed bounds; the wrap-around
-// trick v-lo <= span is exact there too.
-func emitCountInRangeZZ(b *bytes.Buffer, w int) {
-	fmt.Fprintf(b, "// countInRangeZZBlock%d counts the 64 zigzag %d-bit values of src[0:%d] inside the signed window [lo, lo+span].\n", w, w, w)
-	fmt.Fprintf(b, "func countInRangeZZBlock%d(src []uint64, lo, span uint64) int {\n", w)
-	emitHybridHeader(b, w)
-	fmt.Fprintln(b, "\tn := 0")
-	fmt.Fprintln(b, "\tfor _, x := range u {")
-	fmt.Fprintf(b, "\t\tif %s-lo <= span {\n", zzExpr)
-	fmt.Fprintln(b, "\t\t\tn++")
-	fmt.Fprintln(b, "\t\t}")
-	fmt.Fprintln(b, "\t}")
-	fmt.Fprintln(b, "\treturn n")
-	fmt.Fprintln(b, "}")
-	fmt.Fprintln(b)
-}
-
-// emitSelectInRangeZZ writes selectInRangeZZBlockW: the zigzag match
-// mask kernel.
-func emitSelectInRangeZZ(b *bytes.Buffer, w int) {
-	fmt.Fprintf(b, "// selectInRangeZZBlock%d returns the bitmap of which of the 64 zigzag %d-bit values of src[0:%d] lie inside the signed window [lo, lo+span].\n", w, w, w)
-	fmt.Fprintf(b, "func selectInRangeZZBlock%d(src []uint64, lo, span uint64) uint64 {\n", w)
-	emitHybridHeader(b, w)
-	fmt.Fprintln(b, "\tvar m uint64")
-	fmt.Fprintln(b, "\tfor i, x := range u {")
-	fmt.Fprintf(b, "\t\tif %s-lo <= span {\n", zzExpr)
-	fmt.Fprintln(b, "\t\t\tm |= 1 << uint(i)")
-	fmt.Fprintln(b, "\t\t}")
-	fmt.Fprintln(b, "\t}")
-	fmt.Fprintln(b, "\treturn m")
-	fmt.Fprintln(b, "}")
-	fmt.Fprintln(b)
-}
-
-// emitSumInRangeZZ writes sumInRangeZZBlockW: zigzag filter+sum.
-func emitSumInRangeZZ(b *bytes.Buffer, w int) {
-	fmt.Fprintf(b, "// sumInRangeZZBlock%d sums and counts the 64 zigzag %d-bit values of src[0:%d] inside the signed window [lo, lo+span].\n", w, w, w)
-	fmt.Fprintf(b, "func sumInRangeZZBlock%d(src []uint64, lo, span uint64) (uint64, int) {\n", w)
-	emitHybridHeader(b, w)
-	fmt.Fprintln(b, "\tvar s uint64")
-	fmt.Fprintln(b, "\tn := 0")
-	fmt.Fprintln(b, "\tfor _, x := range u {")
-	fmt.Fprintf(b, "\t\tif v := %s; v-lo <= span {\n", zzExpr)
-	fmt.Fprintln(b, "\t\t\ts += v")
-	fmt.Fprintln(b, "\t\t\tn++")
-	fmt.Fprintln(b, "\t\t}")
-	fmt.Fprintln(b, "\t}")
-	fmt.Fprintln(b, "\treturn s, n")
-	fmt.Fprintln(b, "}")
-	fmt.Fprintln(b)
-}
-
-// emitSumZZ writes sumZZBlockW: the wrapping sum of one zigzag
-// block's decoded signed values.
-func emitSumZZ(b *bytes.Buffer, w int) {
-	fmt.Fprintf(b, "// sumZZBlock%d sums the 64 zigzag %d-bit values of src[0:%d], wrapping mod 2^64.\n", w, w, w)
-	fmt.Fprintf(b, "func sumZZBlock%d(src []uint64) uint64 {\n", w)
-	emitHybridHeader(b, w)
-	fmt.Fprintln(b, "\tvar s uint64")
-	fmt.Fprintln(b, "\tfor _, x := range u {")
-	fmt.Fprintf(b, "\t\ts += %s\n", zzExpr)
-	fmt.Fprintln(b, "\t}")
-	fmt.Fprintln(b, "\treturn s")
-	fmt.Fprintln(b, "}")
-	fmt.Fprintln(b)
-}
-
-// emitSumZZSWAR writes sumZZBlockW for a width up to swarMaxWidth,
-// lane by lane on the packed words, in the windows of sumMaskedBlockW
-// (sumLayout). A zigzag lane u decodes to h = u>>1 when its low bit o
+// emitSumZZSWAR writes the zigzag case of width w, up to swarMaxWidth,
+// of sumBlock, lane by lane on the packed words, in the windows of
+// sumMaskedBlockW (sumLayout). A zigzag lane u decodes to h = u>>1 when its low bit o
 // is 0 and to −h−1 = h − u when it is 1, so the block sums to
 // Σh − Σ{u : o = 1} = (Σu − #odd)/2 − Σ{u : o = 1}. Per window the odd
 // lanes' low bits, times Mask(w), select the odd lanes; the window and
@@ -973,12 +726,8 @@ func emitSumZZ(b *bytes.Buffer, w int) {
 // popcounted, and the accumulators take the remaining folds at the
 // end. At w = 1 every set bit is a −1.
 func emitSumZZSWAR(b *bytes.Buffer, w int) {
-	fmt.Fprintf(b, "// sumZZBlock%d sums the 64 zigzag %d-bit values of src[0:%d], wrapping mod 2^64, lane by lane on the packed words.\n", w, w, w)
-	fmt.Fprintf(b, "func sumZZBlock%d(src []uint64) uint64 {\n", w)
 	if w == 1 {
 		fmt.Fprintln(b, "\treturn -uint64(bits.OnesCount64(src[0]))")
-		fmt.Fprintln(b, "}")
-		fmt.Fprintln(b)
 		return
 	}
 	k := sumLayout(w)
@@ -1008,8 +757,6 @@ func emitSumZZSWAR(b *bytes.Buffer, w int) {
 		fmt.Fprintf(b, "\todd = %s\n", fo.expr("odd"))
 	}
 	fmt.Fprintln(b, "\treturn (acc-uint64(c))>>1 - odd")
-	fmt.Fprintln(b, "}")
-	fmt.Fprintln(b)
 }
 
 // emitPrefixRange writes prefixRangeBlockW, or prefixRangeZZBlockW

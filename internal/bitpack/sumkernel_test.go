@@ -22,18 +22,18 @@ func refSum(vals []uint64, m uint64) uint64 {
 	return s
 }
 
-// checkSumInRange runs sumInRangeFuncs[w] on one packed 64-value block
-// and compares it with the reference sum and count of the values
-// inside the window, and with scalarSumRange.
+// checkSumInRange runs sumInRangeBlock on one packed 64-value block and
+// compares it with the reference sum and count of the values inside
+// the window, plain and zigzag-decoded.
 func checkSumInRange(t *testing.T, w uint, packed, vals []uint64, lo, span uint64) {
 	t.Helper()
-	m := refMask(vals, lo, span)
-	want, wantN := refSum(vals, m), bits.OnesCount64(m)
-	if s, n := sumInRangeFuncs[w](packed, lo, span); s != want || n != wantN {
-		t.Fatalf("w=%d lo=%#x span=%#x: sumInRange = (%d, %d), want (%d, %d) (vals %v)", w, lo, span, s, n, want, wantN, vals)
-	}
-	if s, n := scalarSumRange(packed, 0, BlockLen, w, lo, span, false); s != want || n != wantN {
-		t.Fatalf("w=%d lo=%#x span=%#x: scalarSumRange = (%d, %d), want (%d, %d)", w, lo, span, s, n, want, wantN)
+	for _, zz := range []bool{false, true} {
+		d := decoded(vals, zz)
+		m := refMask(d, lo, span)
+		want, wantN := refSum(d, m), bits.OnesCount64(m)
+		if s, n := sumInRangeBlock(packed, lo, span, zz); s != want || n != wantN {
+			t.Fatalf("w=%d zz=%v lo=%#x span=%#x: sumInRange = (%d, %d), want (%d, %d) (vals %v)", w, zz, lo, span, s, n, want, wantN, vals)
+		}
 	}
 }
 
@@ -67,17 +67,17 @@ func sumMasks(rng *rand.Rand) []uint64 {
 	}
 }
 
-// TestSumKernelsEveryWidth checks the sum-over-a-range kernels of every
-// width 0..64 — the select-then-masked-sum compositions up to
-// MaxMaskedWidth and the per-value ones above it — and the masked sums
-// of every width 1..MaxMaskedWidth and the zigzag sums of every width
-// against the reference sums on the
-// kernelBlocks of each width. It then drives
-// them through SumRangeU, with unaligned heads and tails, and through
-// SumMaskedU on blocks at non-zero word offsets.
+// TestSumKernelsEveryWidth checks the per-block sums of every width
+// 0..64 — over a range, plain and zigzag, and of all 64 values, plain
+// and zigzag: the lane kernels up to MaxMaskedWidth and the
+// unpack-then-add loops beside and above them — and the masked sums of
+// every width 1..MaxMaskedWidth against the reference sums on the
+// kernelBlocks of each width. It then drives them through SumRangeU,
+// with unaligned heads and tails, and through SumMaskedU on blocks at
+// non-zero word offsets.
 func TestSumKernelsEveryWidth(t *testing.T) {
 	// A window that wraps over 0 holds every width-0 value.
-	if s, n := sumInRangeFuncs[0](nil, 5, math.MaxUint64-4); s != 0 || n != BlockLen {
+	if s, n := sumInRangeBlock(nil, 5, math.MaxUint64-4, false); s != 0 || n != BlockLen {
 		t.Fatalf("width 0, window [5, 2^64+0]: sumInRange = (%d, %d), want (0, 64)", s, n)
 	}
 	rng := rand.New(rand.NewSource(32))
@@ -95,12 +95,10 @@ func TestSumKernelsEveryWidth(t *testing.T) {
 					checkSumMasked(t, w, packed, vals, m)
 				}
 			}
-			var wantZ uint64
-			for _, v := range vals {
-				wantZ += uint64(Unzigzag(v))
-			}
-			if got := sumZZFuncs[w](packed); got != wantZ {
-				t.Fatalf("w=%d: sumZZ = %d, want %d (vals %v)", w, int64(got), int64(wantZ), vals)
+			for _, zz := range []bool{false, true} {
+				if got, want := sumBlock(packed, zz), refSum(decoded(vals, zz), math.MaxUint64); got != want {
+					t.Fatalf("w=%d zz=%v: sum = %d, want %d (vals %v)", w, zz, int64(got), int64(want), vals)
+				}
 			}
 			checkPrefixKernels(t, w, packed, vals, rng)
 		}
@@ -161,27 +159,23 @@ func TestSumKernelsEveryWidth(t *testing.T) {
 	}
 }
 
-// FuzzSumKernels checks one width's sum-over-a-range kernel, and up to
-// MaxMaskedWidth its masked sum, against the reference sums on a
-// seeded block whose values mix random words with the window's edges.
+// FuzzSumKernels checks one width's per-block sum over a range, and up
+// to MaxMaskedWidth its masked sum, against the reference sums on a
+// seeded block whose values mix random words with the window's edges,
+// then the range scans and sums over [start, start+count) of a payload
+// of such values whose edges are padded blocks (checkEntryPoints).
 func FuzzSumKernels(f *testing.F) {
-	f.Add(uint8(3), uint64(1), uint64(1), uint64(0x5555555555555555), uint64(1))
-	f.Add(uint8(16), uint64(1000), uint64(40000), uint64(math.MaxUint64), uint64(2))
-	f.Add(uint8(10), uint64(1<<9), uint64(0), uint64(1<<63), uint64(3))
-	f.Add(uint8(9), uint64(5), uint64(math.MaxUint64-4), uint64(0xf0f0f0f0f0f0f0f0), uint64(4))
-	f.Add(uint8(7), uint64(math.MaxUint64-3), uint64(70), uint64(1), uint64(5))
-	f.Add(uint8(0), uint64(5), uint64(math.MaxUint64-4), uint64(0), uint64(6))
-	f.Add(uint8(33), uint64(1)<<32, uint64(1)<<31, uint64(0), uint64(7))
-	f.Fuzz(func(t *testing.T, w8 uint8, lo, span, mask, seed uint64) {
+	f.Add(uint8(3), uint64(1), uint64(1), uint64(0x5555555555555555), uint64(1), uint16(0), uint16(400), false)
+	f.Add(uint8(16), uint64(1000), uint64(40000), uint64(math.MaxUint64), uint64(2), uint16(5), uint16(54), true)
+	f.Add(uint8(10), uint64(1<<9), uint64(0), uint64(1<<63), uint64(3), uint16(70), uint16(287), false)
+	f.Add(uint8(9), uint64(5), uint64(math.MaxUint64-4), uint64(0xf0f0f0f0f0f0f0f0), uint64(4), uint16(63), uint16(2), true)
+	f.Add(uint8(7), uint64(math.MaxUint64-3), uint64(70), uint64(1), uint64(5), uint16(129), uint16(300), true)
+	f.Add(uint8(0), uint64(5), uint64(math.MaxUint64-4), uint64(0), uint64(6), uint16(1), uint16(356), false)
+	f.Add(uint8(33), uint64(1)<<32, uint64(1)<<31, uint64(0), uint64(7), uint16(17), uint16(250), true)
+	f.Fuzz(func(t *testing.T, w8 uint8, lo, span, mask, seed uint64, start, count uint16, zz bool) {
 		w := uint(w8) % 65
 		rng := rand.New(rand.NewSource(int64(seed)))
-		vals := randomValues(rng, BlockLen, w)
-		edges := [...]uint64{lo, lo - 1, lo + span, lo + span + 1, 0, Mask(w), Mask(w) >> 1, Mask(w)>>1 + 1}
-		for i := range vals {
-			if rng.Intn(2) == 0 {
-				vals[i] = edges[rng.Intn(len(edges))] & Mask(w)
-			}
-		}
+		vals := edgeValues(rng, BlockLen, w, lo, span)
 		packed, err := Pack(vals, w)
 		if err != nil {
 			t.Fatal(err)
@@ -190,37 +184,56 @@ func FuzzSumKernels(f *testing.F) {
 		if w >= 1 && w <= MaxMaskedWidth {
 			checkSumMasked(t, w, packed, vals, mask)
 		}
+		vals = edgeValues(rng, 5*BlockLen+37, w, lo, span)
+		s := int(start) % (len(vals) + 1)
+		checkEntryPoints(t, w, vals, s, int(count)%(len(vals)-s+1), lo, span, zz)
 	})
 }
 
-// BenchmarkSumKernels measures, at widths 1..24 over 256 random blocks
-// in ns per value, the sum over a range (sumInRangeBlockW) and the sum
-// of a block under a random selection of 1 %, 50 % and 99 % of its
-// rows, the way a selection sum over a plain packed leaf adds up a
-// full group: an empty mask reads nothing; up to MaxMaskedWidth
-// SumMaskedU; wider, a full mask goes through the fused sum, the
-// selected values are read one at a time when at most 16 are
-// selected, and otherwise the block is unpacked and its selected
-// values added. It is the matrix that places the masked kernels' cut.
+// BenchmarkSumKernels measures, at widths 1..64 over 256 random blocks
+// in ns per value, the per-block sum over a range (range, and rangeZZ
+// over the zigzag-decoded values, with BenchmarkRangeKernels' windows),
+// the zigzag sum of all 64 values (sumZZ), and the sum of a block under
+// a random selection of 1 %, 50 % and 99 % of its rows, the way a
+// selection sum over a plain packed leaf adds up a full group: an
+// empty mask reads nothing; up to MaxMaskedWidth SumMaskedU; wider, a
+// full mask goes through the block sum, the selected values are read
+// one at a time when at most 16 are selected, and otherwise the block
+// is unpacked and its selected values added. It is the matrix that
+// places the masked kernels' cut.
 func BenchmarkSumKernels(b *testing.B) {
 	const blocks = 256
 	perValue := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blocks*BlockLen), "ns/value")
 	}
-	for w := uint(1); w <= 24; w++ {
+	for w := uint(1); w <= 64; w++ {
 		rng := rand.New(rand.NewSource(int64(w)))
 		packed, err := Pack(randomValues(rng, blocks*BlockLen, w), w)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(fmt.Sprintf("w=%d/range", w), func(b *testing.B) {
-			kernel := sumInRangeFuncs[w]
-			lo, span := Mask(w)/4, Mask(w)/4
+		for _, zz := range []bool{false, true} {
+			lo, span, row := Mask(w)/4, Mask(w)/4, ""
+			if zz {
+				lo, row = -(Mask(w) / 8), "ZZ"
+			}
+			b.Run(fmt.Sprintf("w=%d/range%s", w, row), func(b *testing.B) {
+				var sink uint64
+				for i := 0; i < b.N; i++ {
+					for k := 0; k < blocks; k++ {
+						s, n := sumInRangeBlock(packed[k*int(w):(k+1)*int(w)], lo, span, zz)
+						sink += s + uint64(n)
+					}
+				}
+				perValue(b)
+				benchSink = sink
+			})
+		}
+		b.Run(fmt.Sprintf("w=%d/sumZZ", w), func(b *testing.B) {
 			var sink uint64
 			for i := 0; i < b.N; i++ {
 				for k := 0; k < blocks; k++ {
-					s, n := kernel(packed[k*int(w):(k+1)*int(w)], lo, span)
-					sink += s + uint64(n)
+					sink += sumBlock(packed[k*int(w):(k+1)*int(w)], true)
 				}
 			}
 			perValue(b)
@@ -243,13 +256,13 @@ func BenchmarkSumKernels(b *testing.B) {
 							s, _ := SumMaskedU(packed, k*BlockLen, w, m)
 							sink += s
 						case m == math.MaxUint64:
-							sink += sumFuncs[w](blk)
+							sink += sumBlock(blk, false)
 						case bits.OnesCount64(m) <= 16:
 							for ; m != 0; m &= m - 1 {
 								sink += ValueAt(blk, bits.TrailingZeros64(m), w)
 							}
 						default:
-							unpackFuncs[w](blk, buf[:])
+							unpack64(blk, &buf)
 							for ; m != 0; m &= m - 1 {
 								sink += buf[bits.TrailingZeros64(m)]
 							}

@@ -122,8 +122,8 @@ func (Dict) CompressParts(src []int64, s *core.Scratch, emit func(name string, c
 }
 
 // DecompressInto gathers dictionary entries by code. When the codes
-// child is a plain NS leaf the generated gather kernels unpack each
-// 64-code block and index the dictionary in the same pass; otherwise
+// child is a plain NS leaf, of any width, bitpack.GatherU unpacks each
+// 64-code block and indexes the dictionary in the same pass; otherwise
 // the codes decode into dst and the gather rewrites dst in place
 // (reading dst[i] before writing it is safe element-wise).
 func (Dict) DecompressInto(f *core.Form, dst []int64, s *core.Scratch) error {
@@ -140,7 +140,7 @@ func (Dict) DecompressInto(f *core.Form, dst []int64, s *core.Scratch) error {
 		return err
 	}
 	if codes.Scheme == NSName && codes.Params["zigzag"] != 1 {
-		if w := codes.Params["width"]; w >= 0 && w <= 32 && codes.N == f.N {
+		if w := codes.Params["width"]; w >= 0 && codes.N == f.N {
 			if err := bitpack.GatherU(codes.Packed, 0, f.N, uint(w), dict, dst[:f.N]); err != nil {
 				return fmt.Errorf("%w: dict gather: %v", core.ErrCorruptForm, err)
 			}

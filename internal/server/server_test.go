@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"lwcomp"
+	"lwcomp/internal/table"
 )
 
 // testBlock is the block size every test container uses: small enough
@@ -347,6 +348,14 @@ func TestQueryErrors(t *testing.T) {
 	}
 	if body["token"] != "~" {
 		t.Fatalf("parse error token = %v, want ~", body["token"])
+	}
+
+	// A predicate over the comparison cap is refused at the first
+	// comparison past it.
+	where := strings.Repeat("status = 1 or ", table.MaxLeaves) + "status = 2"
+	code, body = postQuery(t, ts, queryRequest{Table: "orders", Op: "count", Where: where})
+	if off, ok := body["offset"].(float64); code != http.StatusBadRequest || !ok || int(off) != len(where)-len("status = 2") {
+		t.Fatalf("%d comparisons: code=%d body=%v, want 400 at the last", table.MaxLeaves+1, code, body)
 	}
 
 	// A syntactically invalid body is a 400, not a 500.

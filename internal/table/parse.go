@@ -69,6 +69,8 @@ type parser struct {
 	tok   token
 	// depth counts the "not"s and open parentheses around the token.
 	depth int
+	// leaves counts the comparisons parsed so far.
+	leaves int
 }
 
 // MaxDepth caps how deeply "not" and parentheses may nest in a
@@ -77,6 +79,14 @@ type parser struct {
 // would grow with its length; past the cap Parse stops with a
 // ParseError at the token that went one level too deep.
 const MaxDepth = 64
+
+// MaxLeaves caps how many comparisons (Range, Eq and In leaves) a
+// predicate may hold. Planning and evaluating a predicate cost time in
+// its leaves for every block of a table, so without a cap a request
+// under the server's 1 MiB body limit could hold 50,000 of them; past
+// the cap Parse stops with a ParseError at the first comparison over
+// it. An in-list counts as one leaf, whatever its length.
+const MaxLeaves = 1024
 
 // ParseError is the error Parse returns for input outside the
 // mini-language: what went wrong, the byte offset where, and the
@@ -244,6 +254,10 @@ func (p *parser) parseCmp() (Expr, error) {
 	if p.tok.kind != tokIdent {
 		return nil, p.errorf("expected a column name, got %q", p.tok.text)
 	}
+	if p.leaves == MaxLeaves {
+		return nil, p.errorf("predicate has more than %d comparisons", MaxLeaves)
+	}
+	p.leaves++
 	col := p.tok.text
 	p.next()
 	if p.keyword("in") {

@@ -2,6 +2,7 @@ package table
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"runtime"
 	"strings"
@@ -291,5 +292,55 @@ func TestParseDepthCap(t *testing.T) {
 		if _, err := Parse("not " + src); err == nil {
 			t.Errorf("Parse at depth %d succeeded", MaxDepth+1)
 		}
+	}
+}
+
+// TestParseLeafCap: a predicate holds at most MaxLeaves comparisons. A
+// chain of "date = …" leaves joined by "or", just under 1 MiB, is
+// refused at the first comparison over the cap, quickly and without
+// growing the stack by the input's length, while MaxLeaves leaves —
+// comparisons and in-lists, under and, or and not — still parse.
+func TestParseLeafCap(t *testing.T) {
+	var b strings.Builder
+	over := 0 // the offset of comparison MaxLeaves+1
+	for i := 0; b.Len() < 1<<20-32; i++ {
+		if i > 0 {
+			b.WriteString(" or ")
+		}
+		if i == MaxLeaves {
+			over = b.Len()
+		}
+		fmt.Fprintf(&b, "date = %d", 730000+i)
+	}
+	hostile := b.String()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	done := make(chan error)
+	go func() { _, err := Parse(hostile); done <- err }()
+	err := <-done
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	var pe *ParseError
+	if !errors.As(err, &pe) || pe.Offset != over || pe.Token != "date" {
+		t.Fatalf("Parse(%d bytes of comparisons) = %v, want a ParseError at offset %d", len(hostile), err, over)
+	}
+	if elapsed > time.Second {
+		t.Errorf("refusing took %v", elapsed)
+	}
+	if grew := int64(after.StackInuse) - int64(before.StackInuse); grew > 1<<20 {
+		t.Errorf("stack in use grew by %d bytes", grew)
+	}
+
+	terms := make([]string, MaxLeaves/2) // two comparisons each
+	for i := range terms {
+		terms[i] = fmt.Sprintf("(a >= %d and not b in (%d, 7, 9))", i, i)
+	}
+	src := strings.Join(terms, " or ")
+	if _, err := Parse(src); err != nil {
+		t.Errorf("Parse of %d comparisons: %v", MaxLeaves, err)
+	}
+	if _, err := Parse(src + " or z = 1"); err == nil {
+		t.Errorf("Parse of %d comparisons succeeded", MaxLeaves+1)
 	}
 }
