@@ -485,6 +485,32 @@ func TestFusedAggregateAllocs(t *testing.T) {
 			}
 		})
 	}
+	// Three conjuncts, serially: the later two keep into the first's
+	// selection — on qty's ns words and the spiky column's patch, or,
+	// through the ramp's linear model, a pooled select-then-And.
+	tbl.Parallelism = 1
+	for _, third := range []string{"spiky", "ramp"} {
+		vals := cols[3].Col
+		if third == "spiky" {
+			vals = cols[4].Col
+		}
+		tlo, thi := vals.Blocks[0].Min, vals.Blocks[0].Max
+		expr := lwcomp.And(lwcomp.Eq("status", status[n/3]), lwcomp.Range("qty", 1<<13, 7<<13),
+			lwcomp.Range(third, tlo+(thi-tlo)/8, thi-(thi-tlo)/8))
+		if cnt, err := tbl.CountWhere(ctx, expr); err != nil || cnt == 0 {
+			t.Fatalf("CountWhere(%v) = %d, %v; the fixture is broken", expr, cnt, err)
+		}
+		mustZeroAllocs(t, "fused-count-and3/"+third, func() {
+			if _, err := tbl.CountWhere(ctx, expr); err != nil {
+				t.Fatal(err)
+			}
+		})
+		mustZeroAllocs(t, "fused-sum-and3/"+third, func() {
+			if _, _, err := tbl.SumWhere(ctx, expr, "amount"); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 }
 
 // TestLinearRangeAllocs: a plus(linear) block — the noisy ramp of the

@@ -15,6 +15,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -28,6 +29,7 @@ import (
 	"lwcomp/internal/core"
 	"lwcomp/internal/query"
 	"lwcomp/internal/scheme"
+	"lwcomp/internal/sel"
 	"lwcomp/internal/vec"
 	"lwcomp/internal/workload"
 )
@@ -1442,6 +1444,70 @@ func BenchmarkDeltaRange(b *testing.B) {
 					}
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/value")
+			})
+		}
+	}
+}
+
+// BenchmarkConjunctDensity prices the later leaf of a conjunction, an
+// AND of a 3-bit dict equality and a 16-bit NS range (qty >= 2^15,
+// half the rows), by the first leaf's density, 1/64 to 1/2, in ns per
+// row over 16,384-row blocks: keep clears the rows the range fails in
+// the equality's selection, reading only the rows it holds
+// (Column.KeepBlockRange), and select-and selects the range into a
+// selection of its own and ANDs the two, what a conjunct cost before
+// keep. Both first select the equality. It is the evidence for keep's
+// sparse/dense cut (DESIGN.md §1.14).
+func BenchmarkConjunctDensity(b *testing.B) {
+	const block = 1 << 14
+	rng := rand.New(rand.NewSource(45))
+	qty := make([]int64, benchN)
+	for i := range qty {
+		qty[i] = rng.Int63n(1 << 16)
+	}
+	qtyCol, err := lwcomp.Encode(qty, lwcomp.WithBlockSize(block), lwcomp.WithScheme(lwcomp.NS()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, inv := range []int{64, 32, 16, 8, 4, 2} {
+		status := make([]int64, benchN)
+		for i := range status {
+			if rng.Intn(inv) != 0 {
+				status[i] = 1 + rng.Int63n(7) // status 0 holds 1/inv of the rows
+			}
+		}
+		statusCol, err := lwcomp.Encode(status, lwcomp.WithBlockSize(block), lwcomp.WithScheme(lwcomp.DictNS()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, keep := range []bool{true, false} {
+			name := "keep"
+			if !keep {
+				name = "select-and"
+			}
+			b.Run(fmt.Sprintf("density=1/%d/%s", inv, name), func(b *testing.B) {
+				dst, tmp := sel.New(block), sel.New(block)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					for k := range statusCol.Blocks {
+						dst.Reset(block)
+						if err := statusCol.SelectBlockRangeSel(k, 0, 0, dst, 0); err != nil {
+							b.Fatal(err)
+						}
+						if keep {
+							err = qtyCol.KeepBlockRange(k, 1<<15, math.MaxInt64, dst)
+						} else {
+							tmp.Reset(block)
+							if err = qtyCol.SelectBlockRangeSel(k, 1<<15, math.MaxInt64, tmp, 0); err == nil {
+								err = dst.And(tmp)
+							}
+						}
+						if err != nil {
+							b.Fatal(err)
+						}
+					}
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*benchN), "ns/row")
 			})
 		}
 	}

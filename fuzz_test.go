@@ -6,10 +6,12 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
 	"lwcomp"
+	"lwcomp/internal/sel"
 	"lwcomp/internal/storage"
 )
 
@@ -679,6 +681,126 @@ func FuzzUpgrade(f *testing.F) {
 				t.Fatalf("column %q: legacy decodes (%v), upgraded decodes (%v) to other values", c.Name, werr, gerr)
 			}
 			up.Close()
+		}
+	})
+}
+
+// FuzzConjunctKeep asserts conjunct evaluation — the first leaf of an
+// AND selects and each later Range/Eq leaf keeps, clearing the rows it
+// fails in the running selection and reading only the rows that
+// selection holds — answers as decompress-then-filter does, and, block
+// by block, as selecting every leaf and ANDing the selections does.
+// Three columns, a low-cardinality one, a 16-bit one and a signed walk,
+// are each compressed with the scheme the byte program picks (ns, for,
+// patch(for), dict, delta or rle), and an AND of two or three Range/Eq
+// leaves filters them. Leaf bounds are quantiles of the column's own
+// values, so the first leaf's density runs from a few rows to all of
+// them, and blocks hold at least 128 rows, so the payload kernels walk
+// runs of whole 64-row groups.
+func FuzzConjunctKeep(f *testing.F) {
+	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0), []byte{0, 0, 10, 200, 1, 0, 255, 2, 50, 60})
+	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(9), []byte{1, 1, 3, 3, 2, 30, 240, 0, 5, 5, 7, 8})
+	f.Add([]byte{255, 0, 128, 64, 9, 9, 9, 1}, uint8(22), []byte{1, 4, 0, 128, 5, 128, 128, 3, 0, 255, 1, 2})
+	f.Add([]byte{7, 7, 7, 7, 200, 100, 50, 25}, uint8(35), []byte{0, 2, 1, 2, 3, 250, 255, 4, 0, 20, 9, 9})
+	schemes := []lwcomp.Scheme{lwcomp.NS(), lwcomp.FORNS(64), lwcomp.PFOR(64), lwcomp.DictNS(),
+		lwcomp.Compose(lwcomp.Delta(), map[string]lwcomp.Scheme{"deltas": lwcomp.NS()}), lwcomp.RLENS()}
+	names := []string{"low", "wide", "walk"}
+	f.Fuzz(func(t *testing.T, raw []byte, shape uint8, prog []byte) {
+		if len(raw) == 0 || len(raw) > 1024 || len(prog) < 10 {
+			return
+		}
+		n := 256 + 197*int(shape%8) // 256..1635 rows
+		bs := []int{128, 200, 256, 333}[shape>>3%4]
+		data := [3][]int64{make([]int64, n), make([]int64, n), make([]int64, n)}
+		var acc int64
+		for i := range n {
+			b, c := raw[i%len(raw)], raw[(7*i+3)%len(raw)]
+			data[0][i] = int64((b ^ byte(i/len(raw))) & 7)
+			data[1][i] = int64(b)<<8 | int64(c^byte(i))
+			acc += int64(int8(b ^ c))
+			data[2][i] = acc
+		}
+		cols := make([]lwcomp.NamedColumn, 3)
+		for k := range cols {
+			col, err := lwcomp.Encode(data[k], lwcomp.WithBlockSize(bs), lwcomp.WithParallelism(1),
+				lwcomp.WithScheme(schemes[int(prog[1+k])%len(schemes)]))
+			if err != nil {
+				t.Fatalf("Encode %s: %v", names[k], err)
+			}
+			cols[k] = lwcomp.NamedColumn{Name: names[k], Col: col}
+		}
+		tbl, err := lwcomp.NewTable(cols)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// The leaves, each on a column and a quantile range of it.
+		type leaf struct {
+			col    int
+			lo, hi int64
+		}
+		leaves := make([]leaf, 2+int(prog[0])%2)
+		exprs := make([]lwcomp.Expr, len(leaves))
+		for j := range leaves {
+			p := prog[4+2*j:]
+			k := (j + int(prog[1+j%3])) % 3
+			sorted := slices.Clone(data[k])
+			slices.Sort(sorted)
+			lo, hi := sorted[int(p[0])*(n-1)/255], sorted[int(p[1])*(n-1)/255]
+			if lo > hi {
+				lo, hi = hi, lo
+			}
+			if p[0]%5 == 0 {
+				hi = lo // an Eq leaf
+			}
+			leaves[j] = leaf{k, lo, hi}
+			exprs[j] = lwcomp.Range(names[k], lo, hi)
+		}
+		var wantN, wantSum int64
+	rows:
+		for i := range n {
+			for _, l := range leaves {
+				if v := data[l.col][i]; v < l.lo || v > l.hi {
+					continue rows
+				}
+			}
+			wantN++
+			wantSum += data[1][i]
+		}
+		expr := lwcomp.And(exprs...)
+		ctx := context.Background()
+		if got, err := tbl.CountWhere(ctx, expr); err != nil || got != wantN {
+			t.Fatalf("CountWhere(%v) = %d, %v; want %d", expr, got, err, wantN)
+		}
+		if got, matched, err := tbl.SumWhere(ctx, expr, "wide"); err != nil || got != wantSum || matched != wantN {
+			t.Fatalf("SumWhere(%v) = %d over %d, %v; want %d over %d", expr, got, matched, err, wantSum, wantN)
+		}
+		// Block by block: keep each later leaf into the first leaf's
+		// selection, against select-then-And.
+		for b := range cols[0].Col.Blocks {
+			count := cols[0].Col.Blocks[b].Count
+			kept, anded, tmp := sel.New(count), sel.New(count), sel.New(count)
+			l := leaves[0]
+			for _, s := range []*sel.Selection{kept, anded} {
+				if err := cols[l.col].Col.SelectBlockRangeSel(b, l.lo, l.hi, s, 0); err != nil {
+					t.Fatalf("block %d: select: %v", b, err)
+				}
+			}
+			for _, l := range leaves[1:] {
+				if err := cols[l.col].Col.KeepBlockRange(b, l.lo, l.hi, kept); err != nil {
+					t.Fatalf("block %d: keep: %v", b, err)
+				}
+				tmp.Reset(count)
+				if err := cols[l.col].Col.SelectBlockRangeSel(b, l.lo, l.hi, tmp, 0); err != nil {
+					t.Fatalf("block %d: select: %v", b, err)
+				}
+				if err := anded.And(tmp); err != nil {
+					t.Fatal(err)
+				}
+				if !slices.Equal(kept.Rows(), anded.Rows()) {
+					t.Fatalf("block %d (%s), leaf %s in [%d, %d]: keep holds %d rows, select-then-And %d",
+						b, cols[l.col].Col.BlockSchemes()[b], names[l.col], l.lo, l.hi, kept.Count(), anded.Count())
+				}
+			}
 		}
 	})
 }

@@ -1,13 +1,16 @@
 package bitpack
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
 // TestEntryPointsAllocs pins every entry point that reads a packed
 // payload to zero allocations, plain and zigzag, over aligned ranges and
-// over ranges whose head and tail are padded copies of their blocks.
+// over ranges whose head and tail are padded copies of their blocks,
+// the selects and keeps into selection words at an aligned and an
+// unaligned bit offset, and the masked sum over a run of masks.
 // The copies and the unpacked blocks live on the stack only while every
 // call that takes them is static: one call through a table of kernels
 // moves them to the heap, and this test fails.
@@ -34,7 +37,7 @@ func TestEntryPointsAllocs(t *testing.T) {
 		for i := range masks {
 			masks[i] = rng.Uint64()
 		}
-		emit := func(int, uint64) {}
+		bitsOut := make([]uint64, n/BlockLen+3)
 		lo, hi := Mask(w)/4, Mask(w)/2
 		for _, r := range [][2]int{{0, n}, {64, 384}, {5, 59}, {70, 430}} {
 			start, count := r[0], r[1]
@@ -42,7 +45,7 @@ func TestEntryPointsAllocs(t *testing.T) {
 				calls := map[string]func() error{
 					"BlockSums": func() error { return BlockSums(packed, n, w, zz, dst) },
 					"PrefixRange": func() error {
-						_, _, err := PrefixRange(packed, start&^63, w, zz, 3, -5, 1000)
+						_, err := PrefixRange(packed, start&^63, count, w, zz, 3, -5, 1000, masks)
 						return err
 					},
 					"PrefixMaskedSum": func() error {
@@ -55,8 +58,13 @@ func TestEntryPointsAllocs(t *testing.T) {
 						_, err := CountRangeZZ(packed, start, count, w, -int64(lo), int64(lo))
 						return err
 					}
-					calls["SelectRangeZZ"] = func() error {
-						return SelectRangeZZ(packed, start, count, w, -int64(lo), int64(lo), emit)
+					for _, off := range []int{0, 5} {
+						calls[fmt.Sprint("SelectRangeZZ@", off)] = func() error {
+							return SelectRangeZZ(packed, start, count, w, -int64(lo), int64(lo), bitsOut, off)
+						}
+						calls[fmt.Sprint("KeepRangeZZ@", off)] = func() error {
+							return KeepRangeZZ(packed, start, count, w, -int64(lo), int64(lo), bitsOut, off)
+						}
 					}
 					calls["SumZZ"] = func() error { _, err := SumZZ(packed, start, count, w); return err }
 					calls["SumRangeZZ"] = func() error {
@@ -65,13 +73,19 @@ func TestEntryPointsAllocs(t *testing.T) {
 					}
 				} else {
 					calls["CountRangeU"] = func() error { _, err := CountRangeU(packed, start, count, w, lo, hi); return err }
-					calls["SelectRangeU"] = func() error { return SelectRangeU(packed, start, count, w, lo, hi, emit) }
+					for _, off := range []int{0, 5} {
+						calls[fmt.Sprint("SelectRangeU@", off)] = func() error { return SelectRangeU(packed, start, count, w, lo, hi, bitsOut, off) }
+						calls[fmt.Sprint("KeepRangeU@", off)] = func() error { return KeepRangeU(packed, start, count, w, lo, hi, bitsOut, off) }
+					}
 					calls["SumU"] = func() error { _, err := SumU(packed, start, count, w); return err }
 					calls["SumRangeU"] = func() error { _, _, err := SumRangeU(packed, start, count, w, lo, hi); return err }
 					calls["GatherU"] = func() error { return GatherU(packedCodes, start, count, w, tab, dst) }
 					calls["UnpackInto"] = func() error { return UnpackInto(udst[:start+count], packed, w) }
 					if w <= MaxMaskedWidth {
-						calls["SumMaskedU"] = func() error { _, err := SumMaskedU(packed, start&^63, w, masks[0]); return err }
+						calls["SumMaskedU"] = func() error {
+							_, err := SumMaskedU(packed, start&^63, w, masks[start/BlockLen:(start+count)/BlockLen])
+							return err
+						}
 					}
 				}
 				for name, call := range calls {

@@ -6,20 +6,27 @@ import (
 )
 
 // This file exposes range scans over a packed payload, and holds the
-// block walk every scan and sum of the package shares and the
-// hand-written block loops.
+// payload walk every scan and sum of the package shares, the selection
+// words the select kernels write, and the hand-written block loops.
 //
-// A scan walks the payload's 64-value blocks one way: a block whole
-// inside the range is a slice of the payload (whole), and a head, a
-// tail or the payload's short last block is a zero-padded copy with its
-// lanes outside the range cleared (edgeBlock); the same per-block
-// function runs on either. Up to 16 bits a plain block is counted or
+// A scan walks the payload in runs: every whole 64-value block of the
+// range goes to one call of a payload kernel (run), and a head, a tail
+// or the payload's short last block is a zero-padded copy with its
+// lanes outside the range cleared (edgeBlock), which the same kernel
+// takes as a run of one block. Up to 16 bits a plain run is counted or
 // selected on its packed words, every lane of a word at once (the lane
-// kernels of packed_gen.go; laneArc below sets up their bounds), so a
-// straddling block of an NS or FOR form is scanned without
+// kernels of packed_gen.go; laneArc below sets up their bounds once a
+// call), so a straddling block of an NS or FOR form is scanned without
 // materializing its values (see DESIGN.md, "Fused compressed scans").
-// Every other block, wider or zigzag, is unpacked into a stack buffer
-// and compared value by value (countLoop, selectLoop).
+// Every other run, wider or zigzag, has each block unpacked into a
+// stack buffer and compared value by value (matches).
+//
+// A select writes the selection's own words: bit off+j of dst stands
+// for position start+j, and a run's block b for bits o+64b on of the
+// words from its first block's. Select ORs the matches in; keep clears
+// the bits whose values fail and reads only the rows dst holds (DESIGN
+// §1.14). The package does not know the selection type: callers hand
+// it the words.
 //
 // The U scans take unsigned bounds. The ZZ scans take signed bounds and
 // compare the zigzag-decoded values in the signed domain: the mapping
@@ -47,55 +54,93 @@ func countRange(packed []uint64, start, count int, w uint, lo, hi uint64, zz boo
 	}
 	span := hi - lo
 	var n int64
-	for p, end := start, start+count; p < end; p = p&^63 + BlockLen {
-		if src, ok := whole(packed, p, end, w); ok {
-			n += int64(countInRangeBlock(src, lo, span, zz))
+	for p, end := start, start+count; p < end; {
+		if words, nb := run(packed, p, end, w); nb > 0 {
+			n += int64(countRun(words, nb, w, lo, span, zz))
+			p += nb * BlockLen
 			continue
 		}
 		var buf [BlockLen]uint64
 		src, lanes := edgeBlock(packed, p, end, w, &buf)
-		n += int64(countInRangeBlock(src, lo, span, zz) - cleared(lanes, lo, span))
+		n += int64(countRun(src, 1, w, lo, span, zz) - cleared(lanes, lo, span))
+		p = p&^63 + BlockLen
 	}
 	return n, nil
 }
 
-// SelectRangeU scans the values at positions [start, start+count) of
-// the packed width-w payload and emits one match mask per 64-position
-// chunk: emit(pos, mask) means mask bit j reports whether the value
-// at position pos+j lies in [lo, hi]. Chunks are emitted in ascending
-// position order, never overlap, and all-zero masks are skipped.
-// Callers OR the masks into a sel.Selection (possibly at an offset).
-// No memory is allocated.
-func SelectRangeU(packed []uint64, start, count int, w uint, lo, hi uint64, emit func(pos int, mask uint64)) error {
-	return selectRange(packed, start, count, w, lo, hi, false, emit)
+// SelectRangeU sets bit off+j of dst for each position start+j of
+// [start, start+count) of the packed width-w payload whose value lies
+// in [lo, hi] (unsigned); bits dst already holds stay set, and no other
+// bit is touched. dst must hold bits [off, off+count). No memory is
+// allocated.
+func SelectRangeU(packed []uint64, start, count int, w uint, lo, hi uint64, dst []uint64, off int) error {
+	return selectRange(packed, start, count, w, lo, hi, false, false, dst, off)
 }
 
-// SelectRangeZZ is SelectRangeU for zigzag payloads: signed bounds,
-// same emit contract (ascending, non-overlapping, non-zero masks).
-func SelectRangeZZ(packed []uint64, start, count int, w uint, lo, hi int64, emit func(pos int, mask uint64)) error {
-	return selectRange(packed, start, count, w, uint64(lo), uint64(hi), true, emit)
+// SelectRangeZZ is SelectRangeU for zigzag payloads: signed bounds over
+// the zigzag-decoded values.
+func SelectRangeZZ(packed []uint64, start, count int, w uint, lo, hi int64, dst []uint64, off int) error {
+	return selectRange(packed, start, count, w, uint64(lo), uint64(hi), true, false, dst, off)
 }
 
-// selectRange emits the match masks of the values at positions
-// [start, start+count) against [lo, hi], as countRange counts them; the
-// mask of a head starts at its first position.
-func selectRange(packed []uint64, start, count int, w uint, lo, hi uint64, zz bool, emit func(pos int, mask uint64)) error {
-	if err := checkFusedRange(packed, start, count, w); err != nil || inverted(lo, hi, zz) {
+// KeepRangeU clears bit off+j of dst for each position start+j of
+// [start, start+count) whose value lies outside [lo, hi] (unsigned),
+// and touches no other bit: the conjunction of dst with the range. Only
+// the values of positions whose bit is set are read where that saves
+// work. No memory is allocated.
+func KeepRangeU(packed []uint64, start, count int, w uint, lo, hi uint64, dst []uint64, off int) error {
+	return selectRange(packed, start, count, w, lo, hi, false, true, dst, off)
+}
+
+// KeepRangeZZ is KeepRangeU for zigzag payloads: signed bounds over the
+// zigzag-decoded values.
+func KeepRangeZZ(packed []uint64, start, count int, w uint, lo, hi int64, dst []uint64, off int) error {
+	return selectRange(packed, start, count, w, uint64(lo), uint64(hi), true, true, dst, off)
+}
+
+// selectRange selects, or keeps, the values at positions
+// [start, start+count) against [lo, hi] into dst at bit off, as
+// countRange counts them. An edge block runs its kernel on a word of
+// its own: its lanes of dst moved to the block's lanes (keep), and its
+// matches moved back.
+func selectRange(packed []uint64, start, count int, w uint, lo, hi uint64, zz, keep bool, dst []uint64, off int) error {
+	if err := checkFusedRange(packed, start, count, w); err != nil {
 		return err
 	}
+	if off < 0 || len(dst)*64-off < count {
+		return fmt.Errorf("bitpack: fused select: %d selection words hold no bits [%d, +%d)", len(dst), off, count)
+	}
+	if inverted(lo, hi, zz) {
+		if keep {
+			for ; count > 0; off, count = off+BlockLen, count-BlockLen {
+				clearBits(dst, off, Mask(uint(min(count, BlockLen))))
+			}
+		}
+		return nil
+	}
 	span := hi - lo
-	for p, end := start, start+count; p < end; p = p&^63 + BlockLen {
-		var m uint64
-		if src, ok := whole(packed, p, end, w); ok {
-			m = selectInRangeBlock(src, lo, span, zz)
+	for p, end := start, start+count; p < end; {
+		bit := off + p - start
+		if words, nb := run(packed, p, end, w); nb > 0 {
+			selectRun(words, nb, w, lo, span, zz, keep, dst[bit>>6:], uint(bit&63))
+			p += nb * BlockLen
+			continue
+		}
+		var buf [BlockLen]uint64
+		src, lanes := edgeBlock(packed, p, end, w, &buf)
+		h := uint(p & 63)
+		var one [1]uint64
+		if keep {
+			one[0] = bitsAt(dst, bit, bits.OnesCount64(lanes)) << h
+		}
+		in := one[0]
+		selectRun(src, 1, w, lo, span, zz, keep, one[:], 0)
+		if keep {
+			clearBits(dst, bit, (in&^one[0])>>h)
 		} else {
-			var buf [BlockLen]uint64
-			src, lanes := edgeBlock(packed, p, end, w, &buf)
-			m = selectInRangeBlock(src, lo, span, zz) & lanes
+			orBits(dst, bit, (one[0]&lanes)>>h)
 		}
-		if m != 0 {
-			emit(p, m>>(p&63))
-		}
+		p = p&^63 + BlockLen
 	}
 	return nil
 }
@@ -125,15 +170,17 @@ func inverted(lo, hi uint64, zz bool) bool {
 	return hi < lo
 }
 
-// whole returns the w words of the 64-value block that holds position p
-// of the checked width-w payload, and true, when the block lies whole
-// inside [p, end). It is small enough to inline into every walk, which
-// passes the words straight to its per-block function.
-func whole(packed []uint64, p, end int, w uint) ([]uint64, bool) {
-	if p&63 != 0 || end-p < BlockLen {
-		return nil, false
+// run returns the words of the whole 64-value blocks of the checked
+// width-w payload that lie inside [p, end) from position p on, and how
+// many there are: none when p is not a block start. It is small enough
+// to inline into every walk, which passes the run straight to its
+// payload kernel.
+func run(packed []uint64, p, end int, w uint) ([]uint64, int) {
+	if p&63 != 0 {
+		return nil, 0
 	}
-	return packed[p>>6*int(w):][:w], true
+	nb := (end - p) / BlockLen
+	return packed[p>>6*int(w):][:nb*int(w)], nb
 }
 
 // edgeBlock copies the block that holds position p — a head, a tail or
@@ -175,7 +222,7 @@ func cleared(lanes, lo, span uint64) int {
 // s < 2^(w-1) so that a lane compares only its low w-1 bits. When
 // the window holds all of [0, m] or none of it, ok is false and every
 // value matches iff inv is all ones. It is small enough to inline
-// into every kernel, which calls it once per block.
+// into every kernel, which calls it once per run.
 func laneArc(lo, span, m uint64) (a, s, inv uint64, ok bool) {
 	x, y := lo, lo+span // the matches are [x, y], complemented when inv is set
 	if y < x {
@@ -195,50 +242,141 @@ func laneArc(lo, span, m uint64) (a, s, inv uint64, ok bool) {
 	return x, s, inv, s <= m
 }
 
-// The loops below are the block operators without a lane kernel: every
-// width above 16 bits, the zigzag compares at every width, and the
-// dictionary gather. Each unpacks its block, w = len(src) bits a value,
-// into a stack buffer through unpack64, then compares or adds in a
-// second loop. That loop comes twice, plain and zigzag: a decode whose
-// shift is a variable measured up to a third slower than either.
+// The selection words a select writes: a run's block b is bits o+64b
+// on of dst, and bits beyond the selection's domain are never set.
 
-// countLoop counts the values of one block inside [lo, lo+span],
-// zigzag-decoded when zz.
-func countLoop(src []uint64, lo, span uint64, zz bool) int {
-	var u [BlockLen]uint64
-	unpack64(src, &u)
-	n := 0
-	if zz {
-		for _, x := range &u {
-			if uint64(Unzigzag(x))-lo <= span {
-				n++
-			}
-		}
-		return n
+// setBlock writes block b's match mask m into dst: select ORs it in,
+// and keep clears the bits of in, the block's bits as they were, that
+// m does not keep.
+func setBlock(dst []uint64, o uint, b int, m, in uint64, keep bool) {
+	if keep {
+		clearBits(dst, b<<6+int(o), in&^m)
+		return
 	}
-	for _, v := range &u {
-		if v-lo <= span {
-			n++
-		}
-	}
-	return n
+	orBits(dst, b<<6+int(o), m)
 }
 
-// selectLoop returns the match mask of one block against [lo, lo+span],
-// zigzag-decoded when zz.
-func selectLoop(src []uint64, lo, span uint64, zz bool) uint64 {
-	var u [BlockLen]uint64
-	unpack64(src, &u)
+// keepMask is all ones under keep and 0 under select: the lane kernels
+// clear (in&^m)&keepMask and set m&^keepMask.
+func keepMask(keep bool) uint64 {
+	if keep {
+		return ^uint64(0)
+	}
+	return 0
+}
+
+// orBits ORs m into dst at bit: bit j of m is bit bit+j of dst.
+func orBits(dst []uint64, bit int, m uint64) {
+	i, s := bit>>6, uint(bit&63)
+	dst[i] |= m << s
+	if hi := m >> (64 - s); hi != 0 {
+		dst[i+1] |= hi
+	}
+}
+
+// clearBits clears m's bits in dst at bit, as orBits sets them.
+func clearBits(dst []uint64, bit int, m uint64) {
+	i, s := bit>>6, uint(bit&63)
+	dst[i] &^= m << s
+	if hi := m >> (64 - s); hi != 0 {
+		dst[i+1] &^= hi
+	}
+}
+
+// bitsAt returns the n <= 64 bits of dst from bit on.
+func bitsAt(dst []uint64, bit, n int) uint64 {
+	i, s := bit>>6, uint(bit&63)
+	x := dst[i] >> s
+	if s != 0 && int(64-s) < n {
+		x |= dst[i+1] << (64 - s)
+	}
+	return x & Mask(uint(n))
+}
+
+// fillRun writes m, all ones or none, as the match mask of each of the
+// nb blocks of a run: a window that holds every value or none of them.
+func fillRun(dst []uint64, o uint, nb int, m uint64, keep bool) {
+	for b := range nb {
+		var in uint64
+		if keep {
+			in = bitsAt(dst, b<<6+int(o), BlockLen)
+		}
+		setBlock(dst, o, b, m, in, keep)
+	}
+}
+
+// sparseKeep sets how many rows a block's selection word may hold for
+// keep to read just those rows' values rather than run the block's
+// kernel (sparseRows). A sparse read costs about 1.5 ns a row where a
+// value sits in one word and twice that where it can straddle two, and
+// the block's kernel 20-35 ns whatever the selection holds, so they
+// meet near 12 rows and near 6: BenchmarkKeepKernels (DESIGN.md §1.14).
+const sparseKeep = 12
+
+// sparseRows is the most rows of a block at width w > 0 that keep reads
+// one at a time: sparseKeep, half of it for a width whose values can
+// straddle two words, and never more than w, since narrow lane kernels
+// cost next to nothing.
+func sparseRows(w uint) int {
+	n := sparseKeep
+	if 64%w != 0 {
+		n /= 2
+	}
+	return min(int(w), n)
+}
+
+// keepSparse returns the bits of in whose values in the block src, w
+// bits each and zigzag-decoded when zz, lie in [lo, lo+span]: only
+// those values are read. Each value is read from the words that hold
+// its first and last bits, one word twice unless it straddles two, and
+// compared without a branch: whether a selected row matches is as good
+// as random.
+func keepSparse(src []uint64, w uint, in, lo, span uint64, zz bool) uint64 {
+	if len(src) == 0 { // w = 0: every value is 0, zigzag or not
+		if 0-lo <= span {
+			return in
+		}
+		return 0
+	}
+	mask := Mask(w)
+	m := in
+	for r := in; r != 0; r &= r - 1 {
+		i := uint(bits.TrailingZeros64(r))
+		p := i * w
+		off := p & 63
+		v := (src[p>>6]>>off | src[(p+w-1)>>6]<<1<<(63-off)) & mask
+		if zz {
+			v = uint64(Unzigzag(v))
+		}
+		var fail uint64
+		if v-lo > span {
+			fail = 1
+		}
+		m &^= r & -r & -fail // the row's bit, when its value fails
+	}
+	return m
+}
+
+// The loops below are the block operators without a lane kernel: every
+// width above 16 bits, the zigzag compares at every width, and the
+// dictionary gather. Each unpacks a block, w bits a value, into a stack
+// buffer through unpack64, then compares or adds in a second loop. The
+// compare comes twice, plain and zigzag: a decode whose shift is a
+// variable measured up to a third slower than either.
+
+// matches returns the match mask of the 64 unpacked values u against
+// [lo, lo+span], zigzag-decoded when zz.
+func matches(u *[BlockLen]uint64, lo, span uint64, zz bool) uint64 {
 	var m uint64
 	if zz {
-		for i, x := range &u {
+		for i, x := range u {
 			if uint64(Unzigzag(x))-lo <= span {
 				m |= 1 << uint(i)
 			}
 		}
 		return m
 	}
-	for i, v := range &u {
+	for i, v := range u {
 		if v-lo <= span {
 			m |= 1 << uint(i)
 		}
@@ -246,45 +384,90 @@ func selectLoop(src []uint64, lo, span uint64, zz bool) uint64 {
 	return m
 }
 
-// sumInRangeLoop sums and counts the values of one block inside
-// [lo, lo+span], zigzag-decoded when zz.
-func sumInRangeLoop(src []uint64, lo, span uint64, zz bool) (uint64, int) {
+// countLoop is countRun's loop: it counts each block's matches.
+func countLoop(words []uint64, nb int, w uint, lo, span uint64, zz bool) int {
 	var u [BlockLen]uint64
-	unpack64(src, &u)
+	n := 0
+	for b := range nb {
+		unpack64(words[b*int(w):][:w], &u)
+		n += bits.OnesCount64(matches(&u, lo, span, zz))
+	}
+	return n
+}
+
+// selectLoop is selectRun's loop, keep's sparse and empty words
+// included.
+func selectLoop(words []uint64, nb int, w uint, lo, span uint64, zz, keep bool, dst []uint64, o uint) {
+	var u [BlockLen]uint64
+	sparse := 0
+	if w > 0 {
+		sparse = sparseRows(w)
+	}
+	for b := range nb {
+		src := words[b*int(w):][:w]
+		var in uint64
+		if keep {
+			if in = bitsAt(dst, b<<6+int(o), BlockLen); in == 0 {
+				continue
+			}
+			if bits.OnesCount64(in) <= sparse {
+				setBlock(dst, o, b, keepSparse(src, w, in, lo, span, zz), in, true)
+				continue
+			}
+		}
+		unpack64(src, &u)
+		setBlock(dst, o, b, matches(&u, lo, span, zz), in, keep)
+	}
+}
+
+// sumInRangeLoop sums and counts the values of the nb whole blocks of
+// words inside [lo, lo+span], zigzag-decoded when zz.
+func sumInRangeLoop(words []uint64, nb int, w uint, lo, span uint64, zz bool) (uint64, int) {
+	var u [BlockLen]uint64
 	var s uint64
 	n := 0
-	if zz {
-		for _, x := range &u {
-			if v := uint64(Unzigzag(x)); v-lo <= span {
+	for b := range nb {
+		unpack64(words[b*int(w):][:w], &u)
+		if zz {
+			for _, x := range &u {
+				if v := uint64(Unzigzag(x)); v-lo <= span {
+					s += v
+					n++
+				}
+			}
+			continue
+		}
+		for _, v := range &u {
+			if v-lo <= span {
 				s += v
 				n++
 			}
-		}
-		return s, n
-	}
-	for _, v := range &u {
-		if v-lo <= span {
-			s += v
-			n++
 		}
 	}
 	return s, n
 }
 
-// sumLoop sums the 64 values of one block, zigzag-decoded when zz,
-// wrapping mod 2^64.
-func sumLoop(src []uint64, zz bool) uint64 {
+// sumLoop is sumRun's loop: each block's wrapping sum, zigzag-decoded
+// when zz, stored in dst when dst is not nil.
+func sumLoop(words []uint64, nb int, w uint, zz bool, dst []int64) uint64 {
 	var u [BlockLen]uint64
-	unpack64(src, &u)
 	var s uint64
-	if zz {
-		for _, x := range &u {
-			s += uint64(Unzigzag(x))
+	for b := range nb {
+		unpack64(words[b*int(w):][:w], &u)
+		var v uint64
+		if zz {
+			for _, x := range &u {
+				v += uint64(Unzigzag(x))
+			}
+		} else {
+			for _, x := range &u {
+				v += x
+			}
 		}
-		return s
-	}
-	for _, v := range &u {
 		s += v
+		if dst != nil {
+			dst[b] = int64(v)
+		}
 	}
 	return s
 }

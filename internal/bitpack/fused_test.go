@@ -54,22 +54,18 @@ func TestFusedRangeAgainstUnpack(t *testing.T) {
 				if got != want {
 					t.Fatalf("w=%d [%d,+%d) [%d,%d]: CountRangeU = %d, want %d", w, start, count, lo, hi, got, want)
 				}
-				// Select must agree bit-for-bit with the predicate.
-				matched := make([]bool, n)
-				lastPos := -1
-				err = SelectRangeU(packed, start, count, w, lo, hi, func(pos int, mask uint64) {
-					if pos <= lastPos {
-						t.Fatalf("w=%d: emit positions not ascending: %d after %d", w, pos, lastPos)
-					}
-					lastPos = pos
-					for b := 0; b < 64; b++ {
-						if mask&(1<<b) != 0 {
-							matched[pos+b] = true
-						}
-					}
-				})
-				if err != nil {
+				// Select must agree bit-for-bit with the predicate: the
+				// selection's bit 3+i stands for position i.
+				sel := make([]uint64, n/64+1)
+				if err := SelectRangeU(packed, start, count, w, lo, hi, sel, start+3); err != nil {
 					t.Fatal(err)
+				}
+				matched := make([]bool, n)
+				for i := range matched {
+					matched[i] = sel[(i+3)/64]>>((i+3)%64)&1 == 1
+				}
+				if sel[0]&7 != 0 {
+					t.Fatalf("w=%d: select set bits below its offset: %#x", w, sel[0])
 				}
 				var selCount int64
 				for i, m := range matched {
@@ -101,8 +97,11 @@ func TestFusedRangeErrors(t *testing.T) {
 	if _, err := CountRangeU([]uint64{0}, 0, 100, 8, 0, 1); err == nil {
 		t.Fatal("short payload must error")
 	}
-	if err := SelectRangeU([]uint64{0}, 0, 100, 8, 0, 1, func(int, uint64) {}); err == nil {
+	if err := SelectRangeU([]uint64{0}, 0, 100, 8, 0, 1, make([]uint64, 2), 0); err == nil {
 		t.Fatal("short payload must error")
+	}
+	if err := SelectRangeU(make([]uint64, 13), 0, 100, 8, 0, 1, make([]uint64, 2), 29); err == nil {
+		t.Fatal("short selection must error")
 	}
 	// Empty and inverted ranges are fine and find nothing.
 	if got, err := CountRangeU(nil, 0, 0, 8, 0, 1); err != nil || got != 0 {

@@ -8,10 +8,10 @@ import (
 // This file exposes the sums, the dictionary gather and the running
 // sums of a delta form over a packed payload, which the dict/RLE/RPE/
 // model scheme family scans through (DESIGN.md §1.12). The sums walk
-// the payload's blocks as the range scans of fused.go do, allocating
-// nothing. Up to 16 bits the sums under a mask and over a range, and
-// the zigzag sum, are lane parallel: a sum over a range is the select
-// kernel's mask, then the masked sum of the lanes it keeps.
+// the payload in runs as the range scans of fused.go do, allocating
+// nothing. Up to 16 bits the sums under masks and over a range, and the
+// zigzag sum, are lane parallel: a sum over a range is the select
+// kernel's masks, then the masked sum of the lanes they keep.
 //
 // Sums are wrapping (mod 2^64); callers accumulate into int64 with
 // two's-complement wrap, matching the documented Column.Sum
@@ -39,14 +39,16 @@ func sumValues(packed []uint64, start, count int, w uint, zz bool) (uint64, erro
 		return 0, err
 	}
 	var s uint64
-	for p, end := start, start+count; p < end; p = p&^63 + BlockLen {
-		if src, ok := whole(packed, p, end, w); ok {
-			s += sumBlock(src, zz)
+	for p, end := start, start+count; p < end; {
+		if words, nb := run(packed, p, end, w); nb > 0 {
+			s += sumRun(words, nb, w, zz, nil)
+			p += nb * BlockLen
 			continue
 		}
 		var buf [BlockLen]uint64
 		src, _ := edgeBlock(packed, p, end, w, &buf)
-		s += sumBlock(src, zz)
+		s += sumRun(src, 1, w, zz, nil)
+		p = p&^63 + BlockLen
 	}
 	return s, nil
 }
@@ -54,48 +56,50 @@ func sumValues(packed []uint64, start, count int, w uint, zz bool) (uint64, erro
 // MaxMaskedWidth is the widest bit width SumMaskedU takes: up to it a
 // block's selected values are added lane by lane on the packed words
 // (DESIGN.md §1.7), and wider payloads have no masked kernel.
-const MaxMaskedWidth = uint(len(sumMaskedFuncs) - 1)
+const MaxMaskedWidth = uint(swarMaxWidth)
 
-// sparseMasked is the most set bits of a mask whose values SumMaskedU
-// reads one at a time: the masked kernel costs the same whatever the
-// mask, about what reading five or six values does.
+// sparseMasked is the most set bits of a mask whose values the masked
+// sum reads one at a time: the masked kernel costs the same whatever
+// the mask, about what reading five or six values does.
 const sparseMasked = 4
 
-// SumMaskedU returns the wrapping sum of the values of the 64-value
-// block at positions [start, start+64) of the packed width-w payload
-// whose bit is set in m (bit j = position start+j). The block is not
-// unpacked: a sparse mask reads just its values, and any other goes
-// through the masked kernel. start must be a multiple of 64 and w at
-// most MaxMaskedWidth. No memory is allocated.
-func SumMaskedU(packed []uint64, start int, w uint, m uint64) (uint64, error) {
-	// One test on the hot path: a selection sum calls this per 64 rows.
+// SumMaskedU returns the wrapping sum of the values of the whole
+// 64-value blocks from position start of the packed width-w payload
+// whose bit is set in their mask: bit j of masks[i] is position
+// start+64i+j. The blocks are not unpacked: a block with an empty mask
+// is passed over, a sparse mask reads just its values, and any other
+// goes through the masked kernel. start must be a multiple of 64 and w
+// at most MaxMaskedWidth. No memory is allocated.
+func SumMaskedU(packed []uint64, start int, w uint, masks []uint64) (uint64, error) {
 	b := start >> 6
-	if w > MaxMaskedWidth || start < 0 || start&(BlockLen-1) != 0 || (b+1)*int(w) > len(packed) {
-		return 0, maskedSumError(packed, start, w)
+	if w > MaxMaskedWidth || start < 0 || start&(BlockLen-1) != 0 || (b+len(masks))*int(w) > len(packed) {
+		return 0, maskedSumError(packed, start, len(masks), w)
 	}
 	if w == 0 {
 		return 0, nil
 	}
-	src := packed[b*int(w) : (b+1)*int(w)]
-	if bits.OnesCount64(m) > sparseMasked {
-		return sumMaskedFuncs[w](src, m), nil
-	}
-	var s uint64
-	for ; m != 0; m &= m - 1 {
-		s += ValueAt(src, bits.TrailingZeros64(m), w)
-	}
-	return s, nil
+	return sumMaskedRun(packed[b*int(w):][:len(masks)*int(w)], w, masks), nil
 }
 
 // maskedSumError says why SumMaskedU refused its arguments.
-func maskedSumError(packed []uint64, start int, w uint) error {
+func maskedSumError(packed []uint64, start, blocks int, w uint) error {
 	switch {
 	case w > MaxMaskedWidth:
 		return fmt.Errorf("%w: masked sum width %d exceeds %d", ErrWidth, w, MaxMaskedWidth)
 	case start < 0 || start&(BlockLen-1) != 0:
 		return fmt.Errorf("bitpack: masked sum at position %d, not a block start", start)
 	}
-	return checkFusedRange(packed, start, BlockLen, w)
+	return checkFusedRange(packed, start, blocks*BlockLen, w)
+}
+
+// sumSparse returns the wrapping sum of the values of the block src, w
+// bits each, whose bit is set in m, read one at a time.
+func sumSparse(src []uint64, w uint, m uint64) uint64 {
+	var s uint64
+	for ; m != 0; m &= m - 1 {
+		s += ValueAt(src, bits.TrailingZeros64(m), w)
+	}
+	return s
 }
 
 // SumRangeU sums and counts the values at positions
@@ -120,18 +124,47 @@ func sumRange(packed []uint64, start, count int, w uint, lo, hi uint64, zz bool)
 		return 0, 0, err
 	}
 	span := hi - lo
-	for p, end := start, start+count; p < end; p = p&^63 + BlockLen {
-		if src, ok := whole(packed, p, end, w); ok {
-			s, c := sumInRangeBlock(src, lo, span, zz)
+	for p, end := start, start+count; p < end; {
+		if words, nb := run(packed, p, end, w); nb > 0 {
+			s, c := sumRangeRun(words, nb, w, lo, span, zz)
 			sum, n = sum+s, n+int64(c)
+			p += nb * BlockLen
 			continue
 		}
 		var buf [BlockLen]uint64
 		src, lanes := edgeBlock(packed, p, end, w, &buf)
-		s, c := sumInRangeBlock(src, lo, span, zz)
+		s, c := sumRangeRun(src, 1, w, lo, span, zz)
 		sum, n = sum+s, n+int64(c-cleared(lanes, lo, span))
+		p = p&^63 + BlockLen
 	}
 	return sum, n, nil
+}
+
+// sumRangeRun sums and counts the values of the nb whole blocks of
+// words inside [lo, lo+span]. A plain run of at most swarMaxWidth bits
+// is the composition of two payload kernels, a stack buffer of masks at
+// a time: selectRun's masks, then sumMaskedRun's sum of the lanes they
+// keep. Every other run compares and adds each unpacked block in one
+// loop.
+func sumRangeRun(words []uint64, nb int, w uint, lo, span uint64, zz bool) (uint64, int) {
+	if zz || w > swarMaxWidth {
+		return sumInRangeLoop(words, nb, w, lo, span, zz)
+	}
+	var masks [BlockLen]uint64
+	var s uint64
+	n := 0
+	for nb > 0 {
+		k := min(nb, len(masks))
+		run, m := words[:k*int(w)], masks[:k]
+		clear(m)
+		selectRun(run, k, w, lo, span, false, false, m, 0)
+		for _, x := range m {
+			n += bits.OnesCount64(x)
+		}
+		s += sumMaskedRun(run, w, m)
+		words, nb = words[k*int(w):], nb-k
+	}
+	return s, n
 }
 
 // GatherU decodes the codes at positions [start, start+count) of the
@@ -145,11 +178,14 @@ func GatherU(packed []uint64, start, count int, w uint, tab, dst []int64) error 
 	if len(dst) < count {
 		return fmt.Errorf("%w: gather dst holds %d of %d values", ErrCorrupt, len(dst), count)
 	}
-	for p, end := start, start+count; p < end; p = p&^63 + BlockLen {
-		if src, ok := whole(packed, p, end, w); ok {
-			if !gatherBlock(src, tab, dst[p-start:]) {
-				return errCode(tab)
+	for p, end := start, start+count; p < end; {
+		if words, nb := run(packed, p, end, w); nb > 0 {
+			for b := range nb {
+				if !gatherBlock(words[b*int(w):][:w], tab, dst[p-start+b*BlockLen:]) {
+					return errCode(tab)
+				}
 			}
+			p += nb * BlockLen
 			continue
 		}
 		var buf [BlockLen]uint64
@@ -159,6 +195,7 @@ func GatherU(packed []uint64, start, count int, w uint, tab, dst []int64) error 
 			return errCode(tab)
 		}
 		copy(dst[p-start:end-start], out[p&63:])
+		p = p&^63 + BlockLen
 	}
 	return nil
 }
@@ -168,45 +205,69 @@ func errCode(tab []int64) error {
 	return fmt.Errorf("%w: dict code outside table of %d entries", ErrCorrupt, len(tab))
 }
 
-// PrefixRange returns the bitmap of which of the values a delta form
-// decodes to — x plus the running sums of the 64 values at positions
-// [start, start+64) of the packed width-w payload, each zigzag-decoded
-// when zz, wrapping as int64 addition does — lie inside [lo, hi] (bit
-// j for position start+j), and the last of them. start must be a
-// multiple of 64. No memory is allocated.
-func PrefixRange(packed []uint64, start int, w uint, zz bool, x, lo, hi int64) (m uint64, last int64, err error) {
-	if err := checkFusedRange(packed, start, BlockLen, w); err != nil {
-		return 0, 0, err
+// PrefixRange writes into masks[g] which of the values a delta form
+// decodes to — x plus the running sums of the values at positions
+// [start, start+count) of the packed width-w payload, each
+// zigzag-decoded when zz, wrapping as int64 addition does — lie inside
+// [lo, hi], bit j for position start+64g+j, and returns the last of
+// them. start must be a multiple of 64, and masks must hold a word for
+// every 64 positions. No memory is allocated.
+func PrefixRange(packed []uint64, start, count int, w uint, zz bool, x, lo, hi int64, masks []uint64) (last int64, err error) {
+	if err := checkFusedRange(packed, start, count, w); err != nil {
+		return 0, err
 	}
 	if start&(BlockLen-1) != 0 {
-		return 0, 0, fmt.Errorf("bitpack: prefix range at position %d, not a block start", start)
+		return 0, fmt.Errorf("bitpack: prefix range at position %d, not a block start", start)
 	}
-	src := packed[start>>6*int(w):]
+	nb := (count + BlockLen - 1) / BlockLen
+	if len(masks) < nb {
+		return 0, fmt.Errorf("bitpack: %d masks for %d blocks", len(masks), nb)
+	}
 	span := uint64(hi) - uint64(lo)
-	if w >= 1 && int(w) < len(prefixRangeFuncs) && span != ^uint64(0) {
-		if zz {
-			m, last = prefixRangeZZFuncs[w](src, x, uint64(lo), span)
-		} else {
-			m, last = prefixRangeFuncs[w](src, x, uint64(lo), span)
-		}
-		return m, last, nil
+	if words, full := run(packed, start, start+count, w); full > 0 {
+		x = prefixRange(words, full, w, zz, x, uint64(lo), span, masks)
 	}
-	for j := range BlockLen {
-		x += valueAt(src, j, w, zz)
-		if uint64(x)-uint64(lo) <= span {
-			m |= 1 << uint(j)
-		}
+	if p := start + count&^63; p < start+count {
+		var buf [BlockLen]uint64
+		src, lanes := edgeBlock(packed, p, start+count, w, &buf)
+		x = prefixRange(src, 1, w, zz, x, uint64(lo), span, masks[nb-1:])
+		masks[nb-1] &= lanes // a cleared lane adds 0 and repeats the last sum
 	}
-	return m, x, nil
+	return x, nil
+}
+
+// prefixRange is prefixRangeRun, or its loop for the window that holds
+// every int64: the lane kernels test v-lo against span+1, which wraps
+// to 0 there.
+func prefixRange(words []uint64, nb int, w uint, zz bool, x int64, lo, span uint64, masks []uint64) int64 {
+	if span == ^uint64(0) {
+		return prefixRangeLoop(words, nb, w, zz, x, lo, span, masks)
+	}
+	return prefixRangeRun(words, nb, w, zz, x, lo, span, masks)
+}
+
+// prefixRangeLoop is prefixRangeRun's loop, one value at a time.
+func prefixRangeLoop(words []uint64, nb int, w uint, zz bool, x int64, lo, span uint64, masks []uint64) int64 {
+	for b := range nb {
+		var m uint64
+		for j := range BlockLen {
+			x += valueAt(words, b*BlockLen+j, w, zz)
+			if uint64(x)-lo <= span {
+				m |= 1 << uint(j)
+			}
+		}
+		masks[b] = m
+	}
+	return x
 }
 
 // PrefixMaskedSum returns the wrapping sum of the values a delta form
 // decodes to — x plus the running sums of the packed width-w payload's
 // values, each zigzag-decoded when zz — at the positions [0, n) whose
 // bit is set in masks (bit j of masks[i] is position 64i+j), and the
-// running sum at position n-1 (x when n is 0). A block with an empty
-// mask is passed over by its sum kernel; the others run a fused
-// prefix-and-masked-sum kernel. No memory is allocated.
+// running sum at position n-1 (x when n is 0). A run of blocks with
+// empty masks is passed over by the sum kernel; every other run goes to
+// the fused prefix-and-masked-sum kernel. No memory is allocated.
 func PrefixMaskedSum(packed []uint64, n int, w uint, zz bool, x int64, masks []uint64) (sum, last int64, err error) {
 	if err := checkFusedRange(packed, 0, n, w); err != nil {
 		return 0, 0, err
@@ -215,33 +276,39 @@ func PrefixMaskedSum(packed []uint64, n int, w uint, zz bool, x int64, masks []u
 		return 0, 0, fmt.Errorf("bitpack: %d masks for %d blocks", len(masks), nb)
 	}
 	full := n / BlockLen
-	if w >= 1 && int(w) < len(prefixMaskedFuncs) {
-		kernel := prefixMaskedFuncs[w]
-		if zz {
-			kernel = prefixMaskedZZFuncs[w]
+	for g := 0; g < full; {
+		e, empty := g+1, masks[g] == 0
+		for e < full && (masks[e] == 0) == empty {
+			e++
 		}
-		for b, m := range masks[:full] {
-			src := packed[b*int(w) : (b+1)*int(w)]
-			if m == 0 {
-				x += int64(sumBlock(src, zz))
-				continue
-			}
-			s, last := kernel(src, x, m)
+		words := packed[g*int(w) : e*int(w)]
+		if empty {
+			x += int64(sumRun(words, e-g, w, zz, nil))
+		} else {
+			s, last := prefixMaskedRun(words, w, zz, x, masks[g:e])
 			sum, x = sum+s, last
 		}
-	} else {
-		for b, m := range masks[:full] {
-			for j := range BlockLen {
-				x += valueAt(packed, b*BlockLen+j, w, zz)
-				sum += x & (int64(m<<(63-j)) >> 63)
-			}
-		}
+		g = e
 	}
-	for j := 0; full*BlockLen+j < n; j++ {
-		x += valueAt(packed, full*BlockLen+j, w, zz)
-		sum += x & (int64(masks[full]<<(63-j)) >> 63)
+	if full*BlockLen < n {
+		var buf [BlockLen]uint64
+		src, lanes := edgeBlock(packed, full*BlockLen, n, w, &buf)
+		one := [1]uint64{masks[full] & lanes} // a cleared lane adds 0 and repeats the last sum
+		s, last := prefixMaskedRun(src, w, zz, x, one[:])
+		sum, x = sum+s, last
 	}
 	return sum, x, nil
+}
+
+// prefixMaskedLoop is prefixMaskedRun's loop, one value at a time.
+func prefixMaskedLoop(words []uint64, w uint, zz bool, x int64, masks []uint64) (sum, last int64) {
+	for b, m := range masks {
+		for j := range BlockLen {
+			x += valueAt(words, b*BlockLen+j, w, zz)
+			sum += x & (int64(m<<(63-j)) >> 63)
+		}
+	}
+	return sum, x
 }
 
 // valueAt is ValueAt, zigzag-decoded when zz.
@@ -255,8 +322,9 @@ func valueAt(packed []uint64, i int, w uint, zz bool) int64 {
 
 // BlockSums writes into dst[i] the wrapping sum of the values at
 // positions [64i, min(64i+64, n)) of the packed width-w payload of n
-// values, each zigzag-decoded when zz: one sum kernel call a block.
-// dst must hold a sum for every block. No memory is allocated.
+// values, each zigzag-decoded when zz: one sum kernel call for the
+// whole blocks. dst must hold a sum for every block. No memory is
+// allocated.
 func BlockSums(packed []uint64, n int, w uint, zz bool, dst []int64) error {
 	if err := checkFusedRange(packed, 0, n, w); err != nil {
 		return err
@@ -265,14 +333,12 @@ func BlockSums(packed []uint64, n int, w uint, zz bool, dst []int64) error {
 	if len(dst) < nb {
 		return fmt.Errorf("bitpack: %d block sums into %d values", nb, len(dst))
 	}
-	for b := range dst[:nb] {
-		if src, ok := whole(packed, b*BlockLen, n, w); ok {
-			dst[b] = int64(sumBlock(src, zz))
-			continue
-		}
+	words, full := run(packed, 0, n, w)
+	sumRun(words, full, w, zz, dst)
+	if full < nb {
 		var buf [BlockLen]uint64
-		src, _ := edgeBlock(packed, b*BlockLen, n, w, &buf)
-		dst[b] = int64(sumBlock(src, zz))
+		src, _ := edgeBlock(packed, full*BlockLen, n, w, &buf)
+		dst[full] = int64(sumRun(src, 1, w, zz, nil))
 	}
 	return nil
 }

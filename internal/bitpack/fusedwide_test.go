@@ -109,25 +109,19 @@ func TestWideKernelsAgainstUnpack(t *testing.T) {
 					t.Fatalf("w=%d [%d,+%d) signed [%d,%d]: SumRangeZZ = (%d, %d), want (%d, %d)",
 						w, start, count, lo, hi, gotSum, gotC, wantSum, wantN)
 				}
-				var selN int64
-				lastPos := -1
-				err = SelectRangeZZ(packed, start, count, w, lo, hi, func(pos int, mask uint64) {
-					if pos <= lastPos {
-						t.Fatalf("w=%d: emit positions not ascending", w)
-					}
-					lastPos = pos
-					for b := 0; b < 64; b++ {
-						if mask&(1<<b) == 0 {
-							continue
-						}
-						selN++
-						if d := zz(vals[pos+b]); d < lo || d > hi {
-							t.Fatalf("w=%d: SelectRangeZZ matched %d outside [%d,%d]", w, d, lo, hi)
-						}
-					}
-				})
-				if err != nil {
+				sel := make([]uint64, n/64+1)
+				if err := SelectRangeZZ(packed, start, count, w, lo, hi, sel, start); err != nil {
 					t.Fatal(err)
+				}
+				var selN int64
+				for i := range n {
+					if sel[i/64]>>(i%64)&1 == 0 {
+						continue
+					}
+					selN++
+					if d := zz(vals[i]); d < lo || d > hi || i < start || i >= start+count {
+						t.Fatalf("w=%d: SelectRangeZZ matched %d at %d outside [%d,%d]", w, d, i, lo, hi)
+					}
 				}
 				if selN != wantN {
 					t.Fatalf("w=%d signed [%d,%d]: select found %d, want %d", w, lo, hi, selN, wantN)

@@ -8,25 +8,27 @@
 // DESIGN.md): straight-line code, one or two shift/or terms per value.
 // The lane kernels test or add all ⌊64/w⌋ lanes of a word in a few
 // word operations: count and select against a range (emitRangeSWAR),
-// the masked sum (emitSumMasked) and the sum over a range composed of
-// the two, the zigzag sum (emitSumZZSWAR), and the running sums of a
-// delta form (emitPrefixRange, emitPrefixMasked). Beside them those
-// widths keep an unrolled plain sum (emitSum).
+// the masked sum (emitSumMasked), the zigzag sum (emitSumZZSWAR), and
+// the running sums of a delta form (emitPrefixRange,
+// emitPrefixMasked). Beside them those widths keep an unrolled plain
+// sum (emitSum).
+//
+// The lane kernels are written as the cases of six payload functions
+// that switch on the width — countRun, selectRun, sumRun, sumMaskedRun,
+// prefixRangeRun and prefixMaskedRun — and each case loops over every
+// whole 64-value block of the run it is given, so the switch, laneArc
+// and the broadcast constants are paid once a call, not once a block.
+// A call through a table of functions would cost as much as the
+// switch, but it would move a stack buffer passed to it to the heap.
 //
 // Nothing else is generated. Every other block operator — any width
 // above swarMaxWidth, the zigzag compares at every width, the
 // dictionary gather — is one hand-written loop (internal/bitpack's
-// fused.go) that unpacks the block into a stack [64]uint64 through
+// fused.go) that unpacks each block into a stack [64]uint64 through
 // unpack64, the generated switch over the unpack kernels, and then
-// compares or adds. Per-value kernels of their own paid only at widths
-// no workload scans (DESIGN.md §1.7).
-//
-// The per-block functions countInRangeBlock, selectInRangeBlock,
-// sumInRangeBlock and sumBlock are generated switches on the block's
-// width: each lane kernel is written as its case, and every other block
-// goes to its loop. A block thus costs one static call. A call through
-// a table of functions would cost as much, but it would move a stack
-// buffer passed to it to the heap.
+// compares or adds; the payload functions fall back to it. Per-value
+// kernels of their own paid only at widths no workload scans
+// (DESIGN.md §1.7).
 //
 // Regenerate with:
 //
@@ -58,6 +60,9 @@ func main() {
 	fmt.Fprintln(&b)
 	fmt.Fprintln(&b, `import "math/bits"`)
 	fmt.Fprintln(&b)
+	fmt.Fprintln(&b, "// swarMaxWidth is the widest bit width with lane kernels.")
+	fmt.Fprintf(&b, "const swarMaxWidth = %d\n", swarMaxWidth)
+	fmt.Fprintln(&b)
 	fmt.Fprintln(&b, "// blockFunc packs one 64-value block.")
 	fmt.Fprintln(&b, "type blockFunc func(src, dst []uint64)")
 	fmt.Fprintln(&b)
@@ -65,36 +70,15 @@ func main() {
 	fmt.Fprintln(&b, "\tpanic(\"bitpack: width-0 blocks are handled before kernel dispatch\")")
 	fmt.Fprintln(&b, "}")
 	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, "// sumMaskedFunc sums the values of one 64-value block whose bit is")
-	fmt.Fprintln(&b, "// set in m (bit i = value i), wrapping mod 2^64.")
-	fmt.Fprintln(&b, "type sumMaskedFunc func(src []uint64, m uint64) uint64")
-	fmt.Fprintln(&b)
 	fmt.Fprintln(&b, "// borrow is 1 when a < s and 0 otherwise: the borrow out of a − s.")
 	fmt.Fprintln(&b, "func borrow(a, s uint64) uint64 {")
 	fmt.Fprintln(&b, "\t_, c := bits.Sub64(a, s, 0)")
 	fmt.Fprintln(&b, "\treturn c")
 	fmt.Fprintln(&b, "}")
 	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, "// prefixRangeFunc returns the bitmap of which running sums x plus")
-	fmt.Fprintln(&b, "// the first i+1 values of one block lie inside [lo, lo+span]")
-	fmt.Fprintln(&b, "// (span < 2^64-1), and the last running sum.")
-	fmt.Fprintln(&b, "type prefixRangeFunc func(src []uint64, x int64, lo, span uint64) (uint64, int64)")
-	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, "// prefixMaskedFunc returns the wrapping sum of the running sums x")
-	fmt.Fprintln(&b, "// plus the first i+1 values of one block for the set bits i of m,")
-	fmt.Fprintln(&b, "// and the last running sum.")
-	fmt.Fprintln(&b, "type prefixMaskedFunc func(src []uint64, x int64, m uint64) (int64, int64)")
-	fmt.Fprintln(&b)
 	for w := 1; w <= 64; w++ {
 		emitPack(&b, w)
 		emitUnpack(&b, w)
-		if w <= swarMaxWidth {
-			emitSumMasked(&b, w)
-			for _, zz := range []bool{false, true} {
-				emitPrefixRange(&b, w, zz)
-				emitPrefixMasked(&b, w, zz)
-			}
-		}
 	}
 
 	fmt.Fprintln(&b, "var packFuncs = [65]blockFunc{")
@@ -118,67 +102,64 @@ func main() {
 	fmt.Fprintln(&b, "\t}")
 	fmt.Fprintln(&b, "}")
 	fmt.Fprintln(&b)
-	// Width 0 is 64 zeros: inside the window or not, all of them.
-	zero := func(all, none string) func(w int) {
-		return func(w int) {
-			fmt.Fprintf(&b, "if 0-lo <= span {\nreturn %s\n}\nreturn %s\n", all, none)
-		}
-	}
 	emitDispatch(&b, []string{
-		"// countInRangeBlock counts the values of one block, w = len(src) bits",
-		"// each, inside [lo, lo+span] (unsigned, or the signed window over the",
-		"// zigzag-decoded values when zz). Every width evaluates the same",
-		"// predicate, v-lo <= span mod 2^64, so a wrapping window gets the",
+		"// countRun counts the values of the nb whole 64-value blocks of words,",
+		"// w bits each, inside [lo, lo+span] (unsigned, or the signed window",
+		"// over the zigzag-decoded values when zz). Every width evaluates the",
+		"// same predicate, v-lo <= span mod 2^64, so a wrapping window gets the",
 		"// same answer at every width too.",
-	}, "countInRangeBlock(src []uint64, lo, span uint64, zz bool) int",
-		zero("64", "0"), func(w int) { emitRangeSWAR(&b, w, false) }, nil, "countLoop(src, lo, span, zz)")
+	}, "countRun(words []uint64, nb int, w uint, lo, span uint64, zz bool) int", "!zz",
+		func(w int) { fmt.Fprintf(&b, "if 0-lo <= span {\nreturn 64 * nb\n}\nreturn 0\n") },
+		func(w int) { emitRangeSWAR(&b, w, false) }, nil,
+		"return countLoop(words, nb, w, lo, span, zz)")
 	emitDispatch(&b, []string{
-		"// selectInRangeBlock returns the match mask of one block against",
-		"// [lo, lo+span], as countInRangeBlock counts it: bit i is set iff",
-		"// value i is inside.",
-	}, "selectInRangeBlock(src []uint64, lo, span uint64, zz bool) uint64",
-		zero("^uint64(0)", "0"), func(w int) { emitRangeSWAR(&b, w, true) }, nil, "selectLoop(src, lo, span, zz)")
+		"// selectRun writes the matches of the nb whole blocks of words against",
+		"// [lo, lo+span], as countRun counts them, into the bits of dst: block",
+		"// b's value i is bit o+64b+i. Select (keep false) ORs each block's",
+		"// match mask in. Keep clears the bits of the values that fail and",
+		"// reads only the rows dst holds: a block whose bits are all clear is",
+		"// passed over, and one with at most sparseRows(w) set has just those",
+		"// values read.",
+	}, "selectRun(words []uint64, nb int, w uint, lo, span uint64, zz, keep bool, dst []uint64, o uint)", "!zz",
+		func(w int) {
+			fmt.Fprintln(&b, "fill := uint64(0)\nif 0-lo <= span {\nfill = ^fill\n}")
+			fmt.Fprintln(&b, "fillRun(dst, o, nb, fill, keep)\nreturn")
+		},
+		func(w int) { emitRangeSWAR(&b, w, true) }, nil,
+		"selectLoop(words, nb, w, lo, span, zz, keep, dst, o)")
 	emitDispatch(&b, []string{
-		"// sumInRangeBlock sums and counts the values of one block inside",
-		"// [lo, lo+span], as countInRangeBlock counts them; the sum wraps",
-		"// mod 2^64.",
-	}, "sumInRangeBlock(src []uint64, lo, span uint64, zz bool) (uint64, int)",
-		func(w int) { emitSumInRangeComposed(&b, 0) }, func(w int) { emitSumInRangeComposed(&b, w) }, nil,
-		"sumInRangeLoop(src, lo, span, zz)")
+		"// sumRun returns the wrapping sum of the values of the nb whole blocks",
+		"// of words, w bits each, zigzag-decoded when zz, and writes each",
+		"// block's sum into dst[b] when dst is not nil.",
+	}, "sumRun(words []uint64, nb int, w uint, zz bool, dst []int64) uint64", "",
+		func(w int) { fmt.Fprintln(&b, "if dst != nil {\nclear(dst[:nb])\n}\nreturn 0") },
+		func(w int) { emitSum(&b, w) }, func(w int) { emitSumZZSWAR(&b, w) },
+		"return sumLoop(words, nb, w, zz, dst)")
 	emitDispatch(&b, []string{
-		"// sumBlock sums the 64 values of one block, w = len(src) bits each,",
-		"// zigzag-decoded when zz, wrapping mod 2^64.",
-	}, "sumBlock(src []uint64, zz bool) uint64",
-		func(w int) { fmt.Fprintln(&b, "return 0") }, func(w int) { emitSum(&b, w) },
-		func(w int) { emitSumZZSWAR(&b, w) }, "sumLoop(src, zz)")
-	fmt.Fprintln(&b, "// sumMaskedFuncs holds the lane-parallel masked sums. Entry 0 is nil:")
-	fmt.Fprintln(&b, "// a width-0 block sums to 0 under any mask.")
-	fmt.Fprintf(&b, "var sumMaskedFuncs = [%d]sumMaskedFunc{\n", swarMaxWidth+1)
-	fmt.Fprintln(&b, "\tnil,")
-	for w := 1; w <= swarMaxWidth; w++ {
-		fmt.Fprintf(&b, "\tsumMaskedBlock%d,\n", w)
-	}
-	fmt.Fprintln(&b, "}")
-	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, "// The prefixRange and prefixMasked tables hold the delta kernels of")
-	fmt.Fprintln(&b, "// the lane-parallel widths, plain and zigzag. Entry 0 is nil: a")
-	fmt.Fprintln(&b, "// width-0 block adds nothing.")
-	for _, zz := range []string{"", "ZZ"} {
-		fmt.Fprintf(&b, "var prefixRange%sFuncs = [%d]prefixRangeFunc{\n", zz, swarMaxWidth+1)
-		fmt.Fprintln(&b, "\tnil,")
-		for w := 1; w <= swarMaxWidth; w++ {
-			fmt.Fprintf(&b, "\tprefixRange%sBlock%d,\n", zz, w)
-		}
-		fmt.Fprintln(&b, "}")
-		fmt.Fprintln(&b)
-		fmt.Fprintf(&b, "var prefixMasked%sFuncs = [%d]prefixMaskedFunc{\n", zz, swarMaxWidth+1)
-		fmt.Fprintln(&b, "\tnil,")
-		for w := 1; w <= swarMaxWidth; w++ {
-			fmt.Fprintf(&b, "\tprefixMasked%sBlock%d,\n", zz, w)
-		}
-		fmt.Fprintln(&b, "}")
-		fmt.Fprintln(&b)
-	}
+		"// sumMaskedRun returns the wrapping sum of the values of the whole",
+		"// blocks of words, w <= swarMaxWidth bits each, whose bit is set in",
+		"// their mask: bit i of masks[b] is value i of block b. A block with an",
+		"// empty mask is not read, and one with at most sparseMasked bits set",
+		"// has just those values read.",
+	}, "sumMaskedRun(words []uint64, w uint, masks []uint64) uint64", "-",
+		nil, func(w int) { emitSumMasked(&b, w) }, nil, "return 0")
+	emitDispatch(&b, []string{
+		"// prefixRangeRun writes into masks[b] which of the running sums of x",
+		"// and the values of the nb whole blocks of words, w bits each and",
+		"// zigzag-decoded when zz, lie inside [lo, lo+span] (bit i for value i",
+		"// of block b), wrapping, and returns the last of them.",
+	}, "prefixRangeRun(words []uint64, nb int, w uint, zz bool, x int64, lo, span uint64, masks []uint64) int64", "",
+		nil, func(w int) { emitPrefixRange(&b, w, false) }, func(w int) { emitPrefixRange(&b, w, true) },
+		"return prefixRangeLoop(words, nb, w, zz, x, lo, span, masks)")
+	emitDispatch(&b, []string{
+		"// prefixMaskedRun returns the wrapping sum of the running sums of x",
+		"// and the values of the whole blocks of words, w bits each and",
+		"// zigzag-decoded when zz, at the values whose bit is set in their",
+		"// block's mask (bit i of masks[b] for value i of block b), and the last",
+		"// running sum.",
+	}, "prefixMaskedRun(words []uint64, w uint, zz bool, x int64, masks []uint64) (int64, int64)", "",
+		nil, func(w int) { emitPrefixMasked(&b, w, false) }, func(w int) { emitPrefixMasked(&b, w, true) },
+		"return prefixMaskedLoop(words, w, zz, x, masks)")
 
 	src, err := format.Source(b.Bytes())
 	if err != nil {
@@ -187,17 +168,21 @@ func main() {
 	os.Stdout.Write(src)
 }
 
-// emitDispatch writes a per-block function, sig, whose width is
-// len(src): a block of at most swarMaxWidth bits runs its lane kernel,
-// written in its case of the function's switch by lane (zero at width
-// 0) — or by zzLane for a zigzag block when zzLane is not nil — and
-// every other block returns loop. The kernels are cases, not functions
-// of their own, so that a block costs one call.
-func emitDispatch(b *bytes.Buffer, doc []string, sig string, zero, lane, zzLane func(w int), loop string) {
+// emitDispatch writes a payload function, sig, that switches on the
+// width w: a width up to swarMaxWidth runs its lane kernel, written in
+// its case of the switch by lane (zero at width 0, when not nil) — or
+// by zzLane for a zigzag payload when zzLane is not nil — and every
+// other payload runs fallback. Under cond "!zz" only plain payloads
+// have lane kernels, and under "-" the function takes no zz. The
+// kernels are cases, not functions of their own, so that a payload
+// costs one call and a stack buffer passed down never escapes.
+func emitDispatch(b *bytes.Buffer, doc []string, sig, cond string, zero, lane, zzLane func(w int), fallback string) {
 	cases := func(lane func(w int)) {
-		fmt.Fprintln(b, "switch len(src) {")
-		fmt.Fprintln(b, "case 0:")
-		zero(0)
+		fmt.Fprintln(b, "switch w {")
+		if zero != nil {
+			fmt.Fprintln(b, "case 0:")
+			zero(0)
+		}
 		for w := 1; w <= swarMaxWidth; w++ {
 			fmt.Fprintf(b, "case %d:\n", w)
 			lane(w)
@@ -206,19 +191,34 @@ func emitDispatch(b *bytes.Buffer, doc []string, sig string, zero, lane, zzLane 
 	}
 	fmt.Fprintln(b, strings.Join(doc, "\n"))
 	fmt.Fprintf(b, "func %s {\n", sig)
-	if zzLane == nil {
+	switch {
+	case cond == "-":
+		cases(lane)
+	case zzLane == nil:
 		fmt.Fprintln(b, "if !zz {")
 		cases(lane)
-	} else {
+		fmt.Fprintln(b, "}")
+	default:
 		fmt.Fprintln(b, "if zz {")
 		cases(zzLane)
 		fmt.Fprintln(b, "} else {")
 		cases(lane)
+		fmt.Fprintln(b, "}")
 	}
-	fmt.Fprintln(b, "}")
-	fmt.Fprintf(b, "return %s\n", loop)
+	fmt.Fprintln(b, fallback)
 	fmt.Fprintln(b, "}")
 	fmt.Fprintln(b)
+}
+
+// blockLoop opens the loop of a payload kernel over its whole blocks,
+// each of them src, w words; a masked kernel takes block b's mask as m.
+func blockLoop(b *bytes.Buffer, w int, masked bool) {
+	if masked {
+		fmt.Fprintln(b, "for b, m := range masks {")
+	} else {
+		fmt.Fprintln(b, "for b := range nb {")
+	}
+	fmt.Fprintf(b, "src := words[b*%d:][:%d]\n", w, w)
 }
 
 // emitPack writes packBlockW: dst[0:w] must be zeroed by the caller;
@@ -284,15 +284,15 @@ func valueExpr(w, i int) string {
 }
 
 // emitRangeSWAR writes the count or select case of width w, up to
-// swarMaxWidth, of countInRangeBlock or selectInRangeBlock: a
-// word-parallel (SWAR) kernel, in which each
-// 64-bit window holds k = ⌊64/w⌋ whole lanes, funnel-shifted across
-// word boundaries, and all k lanes are compared at once.
+// swarMaxWidth, of countRun or selectRun: a word-parallel (SWAR) kernel
+// looping over the payload's blocks, in which each 64-bit window holds
+// k = ⌊64/w⌋ whole lanes, funnel-shifted across word boundaries, and
+// all k lanes are compared at once.
 //
 // laneArc (fused.go) first turns [lo, lo+span] into an arc of the
-// lane ring: v matches iff ((v-a) mod 2^w <= s) xor inv, s < 2^(w-1).
-// Per window, with h the lane tops and every constant broadcast to
-// all lanes:
+// lane ring, once a call: v matches iff ((v-a) mod 2^w <= s) xor inv,
+// s < 2^(w-1). Per window, with h the lane tops and every constant
+// broadcast to all lanes:
 //
 //	d = (x | h) - al               al: a's low w-1 bits
 //	f = (sh - d&^h) &^ (x^d^an) & h
@@ -314,7 +314,8 @@ func valueExpr(w, i int) string {
 // the flags (for w >= 9 it holds because w-1 >= k). Below w = 8 a
 // compress network with a constant mask does it (Hacker's Delight
 // 7-4, steps whose mask is zero left out); at w = 1 the flags are the
-// mask.
+// mask. In keep mode select first reads the block's bits of dst: an
+// empty word skips the block and a sparse one reads just its rows.
 func emitRangeSWAR(b *bytes.Buffer, w int, sel bool) {
 	k := 64 / w
 	windows := (64 + k - 1) / k
@@ -323,14 +324,13 @@ func emitRangeSWAR(b *bytes.Buffer, w int, sel bool) {
 	multiply := carryFree(w, k, func(i int) int { return (i+1)*w - 1 }) // else gather with a compress network
 
 	fmt.Fprintf(b, "\t// %d lanes per word.\n", k)
-	fmt.Fprintf(b, "\t_ = src[%d]\n", w-1)
 	fmt.Fprintf(b, "\ta, s, inv, ok := laneArc(lo, span, %#x)\n", uint64(1)<<w-1)
 	fmt.Fprintln(b, "\tif !ok {")
 	if sel {
-		fmt.Fprintln(b, "\t\treturn inv")
+		fmt.Fprintln(b, "\t\tfillRun(dst, o, nb, inv, keep)\nreturn")
 	} else {
 		// inv is 0 or all ones here: no value matches, or all 64 do.
-		fmt.Fprintln(b, "\t\treturn int(inv & 64)")
+		fmt.Fprintln(b, "\t\treturn int(inv&64) * nb")
 	}
 	fmt.Fprintln(b, "\t}")
 	fmt.Fprintf(b, "\tconst h = %#x\n", tops(k))
@@ -341,13 +341,34 @@ func emitRangeSWAR(b *bytes.Buffer, w int, sel bool) {
 	}
 	fmt.Fprintf(b, "\tan := (^a & %#x) * %#x\n", half, lanes(w, k))
 	fmt.Fprintf(b, "\tsh := (s | %#x) * %#x\n", half, lanes(w, k))
+	if !sel {
+		fmt.Fprintln(b, "\tn := 0")
+	} else {
+		fmt.Fprintln(b, "\tkm := keepMask(keep)")
+	}
+	blockLoop(b, w, false)
 	if sel {
+		// The block's bits of dst are read and written here, not through
+		// bitsAt and setBlock: a function this large inlines only the
+		// smallest calls.
+		fmt.Fprintln(b, "\tvar in uint64")
+		fmt.Fprintln(b, "\tif keep {")
+		fmt.Fprintln(b, "\t\tif in = dst[b] >> o; o != 0 {\nin |= dst[b+1] << (64 - o)\n}")
+		fmt.Fprintln(b, "\t\tif in == 0 {\ncontinue\n}")
+		// sparseRows(w), folded: a value that can straddle two words costs
+		// two word reads.
+		rows := "sparseKeep"
+		if 64%w != 0 {
+			rows = "sparseKeep/2"
+		}
+		fmt.Fprintf(b, "\t\tif bits.OnesCount64(in) <= min(%d, %s) {\n", w, rows)
+		emitKeepSparse(b, w)
+		fmt.Fprintln(b, "\t\t}")
+		fmt.Fprintln(b, "\t}")
 		fmt.Fprintln(b, "\tvar m uint64")
 		if w > 1 && !multiply {
 			fmt.Fprintln(b, "\tvar t uint64")
 		}
-	} else {
-		fmt.Fprintln(b, "\tn := 0")
 	}
 	for j := 0; j < windows; j++ {
 		n := min(k, 64-j*k)
@@ -386,13 +407,49 @@ func emitRangeSWAR(b *bytes.Buffer, w int, sel bool) {
 		fmt.Fprintf(b, "\tm |= %s\n", shiftExpr("f", j*k))
 	}
 	if sel {
-		fmt.Fprintln(b, "\treturn m ^ inv")
+		// Select ORs m in and keep clears in's bits outside it: with km
+		// all ones under keep and zero otherwise, one expression does both.
+		fmt.Fprintln(b, "\tm ^= inv")
+		fmt.Fprintln(b, "\tclr, set := (in&^m)&km, m&^km")
+		fmt.Fprintln(b, "\tdst[b] = dst[b]&^(clr<<o) | set<<o")
+		fmt.Fprintln(b, "\tif o != 0 {\ndst[b+1] = dst[b+1]&^(clr>>(64-o)) | set>>(64-o)\n}")
+		fmt.Fprintln(b, "}")
+		fmt.Fprintln(b, "return")
 	} else {
+		fmt.Fprintln(b, "}")
 		fmt.Fprintln(b, "\tif inv != 0 {")
-		fmt.Fprintln(b, "\t\treturn 64 - n")
+		fmt.Fprintln(b, "\t\treturn 64*nb - n")
 		fmt.Fprintln(b, "\t}")
 		fmt.Fprintln(b, "\treturn n")
 	}
+}
+
+// emitKeepSparse writes keep's sparse path in the select case of width
+// w: only the values of the rows in holds are read, each straight from
+// its word (and the next, when it straddles two) at the case's constant
+// width, compared without a branch, and the bits of those that fail
+// cleared. A call of its own per block would cost as much as the rows.
+func emitKeepSparse(b *bytes.Buffer, w int) {
+	fmt.Fprintln(b, "\t\t\tclr := uint64(0)")
+	fmt.Fprintln(b, "\t\t\tfor r := in; r != 0; r &= r - 1 {")
+	fmt.Fprintln(b, "\t\t\t\ti := uint(bits.TrailingZeros64(r))")
+	mask := uint64(1)<<w - 1
+	if 64%w == 0 {
+		k := 64 / w
+		fmt.Fprintf(b, "\t\t\t\tv := src[i/%d&%d] >> (i %% %d * %d) & %#x\n", k, w-1, k, w, mask)
+	} else {
+		// The value's first and last bits lie in words p>>6 and
+		// (p+w-1)>>6, the same word unless it straddles two; shifting
+		// by 1 and then 63-(p&63) keeps every shift below 64.
+		fmt.Fprintf(b, "\t\t\t\tp := i * %d\n", w)
+		fmt.Fprintf(b, "\t\t\t\tv := (src[p>>6]>>(p&63) | src[(p+%d)>>6]<<1<<(63-p&63)) & %#x\n", w-1, mask)
+	}
+	fmt.Fprintln(b, "\t\t\t\tvar fail uint64")
+	fmt.Fprintln(b, "\t\t\t\tif v-lo > span {\nfail = 1\n}")
+	fmt.Fprintln(b, "\t\t\t\tclr |= r & -r & -fail")
+	fmt.Fprintln(b, "\t\t\t}")
+	fmt.Fprintln(b, "\t\t\tif dst[b] &^= clr << o; o != 0 {\ndst[b+1] &^= clr >> (64 - o)\n}")
+	fmt.Fprintln(b, "\t\t\tcontinue")
 }
 
 // carryFree reports whether multiplying a word whose set bits lie at
@@ -477,9 +534,10 @@ func window(w, k, j, n int) string {
 	return x
 }
 
-// emitSumMasked writes sumMaskedBlockW for a width up to swarMaxWidth:
-// the wrapping sum of the values of a 64-value block whose bit is set
-// in m, computed on the packed words without unpacking them.
+// emitSumMasked writes the case of width w, up to swarMaxWidth, of
+// sumMaskedRun: per block, the wrapping sum of the values whose bit is
+// set in the block's mask m, computed on the packed words without
+// unpacking them.
 //
 // Each window holds k lanes (sumLayout). Its k bits of m are spread
 // onto the lanes' low bits (spreadSteps), the spread word times
@@ -491,17 +549,22 @@ func window(w, k, j, n int) string {
 // remaining folds once, at the end. At w = 1 the kept lanes are
 // single bits, and their sum is a popcount.
 func emitSumMasked(b *bytes.Buffer, w int) {
-	fmt.Fprintf(b, "// sumMaskedBlock%d sums the %d-bit values of src[0:%d] whose bit is set in m, lane by lane on the packed words.\n", w, w, w)
-	fmt.Fprintf(b, "func sumMaskedBlock%d(src []uint64, m uint64) uint64 {\n", w)
+	fmt.Fprintln(b, "\tvar s uint64")
 	if w == 1 {
-		fmt.Fprintln(b, "\treturn uint64(bits.OnesCount64(src[0] & m))")
+		fmt.Fprintln(b, "for b, m := range masks {")
+		fmt.Fprintln(b, "\ts += uint64(bits.OnesCount64(words[b] & m))")
 		fmt.Fprintln(b, "}")
-		fmt.Fprintln(b)
+		fmt.Fprintln(b, "\treturn s")
 		return
 	}
 	k := sumLayout(w)
 	fs := folds(w, k)
-	fmt.Fprintf(b, "\t_ = src[%d]\n", w-1)
+	fmt.Fprintln(b, "for b, m := range masks {")
+	fmt.Fprintln(b, "\tif m == 0 {\ncontinue\n}")
+	fmt.Fprintf(b, "src := words[b*%d:][:%d]\n", w, w)
+	fmt.Fprintln(b, "\tif bits.OnesCount64(m) <= sparseMasked {")
+	fmt.Fprintf(b, "\t\ts += sumSparse(src, %d, m)\ncontinue\n", w)
+	fmt.Fprintln(b, "\t}")
 	for j, decl := 0, ":="; j*k < 64; j, decl = j+1, "=" {
 		n := min(k, 64-j*k)
 		e := "m"
@@ -535,12 +598,12 @@ func emitSumMasked(b *bytes.Buffer, w int) {
 	for _, fo := range fs[1:] {
 		fmt.Fprintf(b, "\tacc = %s\n", fo.expr("acc"))
 	}
-	fmt.Fprintln(b, "\treturn acc")
+	fmt.Fprintln(b, "\ts += acc")
 	fmt.Fprintln(b, "}")
-	fmt.Fprintln(b)
+	fmt.Fprintln(b, "\treturn s")
 }
 
-// spreadSteps returns how sumMaskedBlockW moves bit i of a window's
+// spreadSteps returns how the masked sum moves bit i of a window's
 // mask bits onto bit iw, the start of lane i, for every i < n. A nil
 // result means one multiply by lanes(w-1, n) does it: bit i times the
 // term 2^(i(w-1)) lands on bit iw, and when the product is carry-free
@@ -616,7 +679,7 @@ func folds(w, k int) []fold {
 	return fs
 }
 
-// foldsFit reports whether sumMaskedBlockW can add its windows of k
+// foldsFit reports whether the masked sum can add its windows of k
 // w-bit lanes together once each has folded once: whether, with every
 // value at its largest, 2^w-1, every field of the accumulator, and of
 // each fold that finishes it, stays below its neighbour. A window's
@@ -649,7 +712,7 @@ func foldsFit(w, k int) bool {
 	}
 }
 
-// sumLayout returns the lanes per window k of sumMaskedBlockW at width
+// sumLayout returns the lanes per window k of the masked sum at width
 // w: among k from ⌊64/w⌋ down to half of it whose accumulator fits
 // (foldsFit), the one with the fewest word operations by a rough
 // count. A full word of lanes is not always best: at w = 7, nine lanes
@@ -689,50 +752,52 @@ func sumLayout(w int) (k int) {
 	return k
 }
 
-// emitSumInRangeComposed writes the case of width w, up to
-// swarMaxWidth, of sumInRangeBlock as the composition of two lane
-// kernels: the block's match mask, then the masked sum of the lanes it
-// keeps.
-func emitSumInRangeComposed(b *bytes.Buffer, w int) {
-	fmt.Fprintln(b, "\tm := selectInRangeBlock(src, lo, span, false)")
-	sum := "0"
-	if w > 0 {
-		sum = fmt.Sprintf("sumMaskedBlock%d(src, m)", w)
-	}
-	fmt.Fprintf(b, "\treturn %s, bits.OnesCount64(m)\n", sum)
-}
-
 // emitSum writes the plain case of width w, up to swarMaxWidth, of
-// sumBlock: the fully unrolled wrapping sum of one 64-value block —
+// sumRun: per block the fully unrolled wrapping sum of its 64 values —
 // straight-line adds with no branches, so the compiler is free to
 // schedule them for ILP.
 func emitSum(b *bytes.Buffer, w int) {
-	fmt.Fprintf(b, "\t_ = src[%d]\n", w-1)
-	fmt.Fprintf(b, "\tconst mask = uint64(1)<<%d - 1\n", w)
 	fmt.Fprintln(b, "\tvar s uint64")
+	blockLoop(b, w, false)
+	fmt.Fprintf(b, "\tconst mask = uint64(1)<<%d - 1\n", w)
 	for i := 0; i < 64; i++ {
-		fmt.Fprintf(b, "\ts += %s\n", valueExpr(w, i))
+		op := "+="
+		if i == 0 {
+			op = ":="
+		}
+		fmt.Fprintf(b, "\tv %s %s\n", op, valueExpr(w, i))
 	}
+	sumBlockEnd(b)
+}
+
+// sumBlockEnd closes a sumRun case's block loop: the block's sum v is
+// added to the run's and, when dst is not nil, stored.
+func sumBlockEnd(b *bytes.Buffer) {
+	fmt.Fprintln(b, "\ts += v")
+	fmt.Fprintln(b, "\tif dst != nil {\ndst[b] = int64(v)\n}")
+	fmt.Fprintln(b, "}")
 	fmt.Fprintln(b, "\treturn s")
 }
 
 // emitSumZZSWAR writes the zigzag case of width w, up to swarMaxWidth,
-// of sumBlock, lane by lane on the packed words, in the windows of
-// sumMaskedBlockW (sumLayout). A zigzag lane u decodes to h = u>>1 when its low bit o
-// is 0 and to −h−1 = h − u when it is 1, so the block sums to
+// of sumRun, lane by lane on the packed words, in the windows of the
+// masked sum (sumLayout). A zigzag lane u decodes to h = u>>1 when its
+// low bit o is 0 and to −h−1 = h − u when it is 1, so the block sums to
 // Σh − Σ{u : o = 1} = (Σu − #odd)/2 − Σ{u : o = 1}. Per window the odd
 // lanes' low bits, times Mask(w), select the odd lanes; the window and
 // its odd lanes fold into two accumulators and the low bits are
 // popcounted, and the accumulators take the remaining folds at the
 // end. At w = 1 every set bit is a −1.
 func emitSumZZSWAR(b *bytes.Buffer, w int) {
+	fmt.Fprintln(b, "\tvar s uint64")
+	blockLoop(b, w, false)
 	if w == 1 {
-		fmt.Fprintln(b, "\treturn -uint64(bits.OnesCount64(src[0]))")
+		fmt.Fprintln(b, "\tv := -uint64(bits.OnesCount64(src[0]))")
+		sumBlockEnd(b)
 		return
 	}
 	k := sumLayout(w)
 	fs := folds(w, k)
-	fmt.Fprintf(b, "\t_ = src[%d]\n", w-1)
 	for j, decl := 0, ":="; j*k < 64; j, decl = j+1, "=" {
 		n := min(k, 64-j*k)
 		x := window(w, k, j, n)
@@ -756,51 +821,41 @@ func emitSumZZSWAR(b *bytes.Buffer, w int) {
 		fmt.Fprintf(b, "\tacc = %s\n", fo.expr("acc"))
 		fmt.Fprintf(b, "\todd = %s\n", fo.expr("odd"))
 	}
-	fmt.Fprintln(b, "\treturn (acc-uint64(c))>>1 - odd")
+	fmt.Fprintln(b, "\tv = (acc-uint64(c))>>1 - odd")
+	sumBlockEnd(b)
 }
 
-// emitPrefixRange writes prefixRangeBlockW, or prefixRangeZZBlockW
-// when zz: the values a delta form decodes to — the running sums of
-// the block's values — each tested against the window as it is made,
+// emitPrefixRange writes the case of width w, plain or zigzag, of
+// prefixRangeRun: the values a delta form decodes to — the running sums
+// of the blocks' values — each tested against the window as it is made,
 // with no block buffer between the unpack, the sum and the test. With
 // span+1 = s ≠ 0, v-lo <= span exactly when v-lo-s borrows, and the
 // borrow is the match bit.
 func emitPrefixRange(b *bytes.Buffer, w int, zz bool) {
-	name, what := "prefixRangeBlock", ""
-	if zz {
-		name, what = "prefixRangeZZBlock", " zigzag"
-	}
-	fmt.Fprintf(b, "// %s%d returns the bitmap of which running sums of x and the 64%s %d-bit values of src[0:%d] lie inside [lo, lo+span], and the last, wrapping.\n", name, w, what, w, w)
-	fmt.Fprintf(b, "func %s%d(src []uint64, x int64, lo, span uint64) (uint64, int64) {\n", name, w)
 	fmt.Fprintln(b, "\ts := span + 1")
+	blockLoop(b, w, false)
 	fmt.Fprintln(b, "\tvar m uint64")
 	emitPrefixValues(b, w, zz, func(i int) {
 		fmt.Fprintf(b, "\tm |= borrow(uint64(x)-lo, s) << %d\n", i)
 	})
-	fmt.Fprintln(b, "\treturn m, x")
+	fmt.Fprintln(b, "\tmasks[b] = m")
 	fmt.Fprintln(b, "}")
-	fmt.Fprintln(b)
+	fmt.Fprintln(b, "\treturn x")
 }
 
-// emitPrefixMasked writes prefixMaskedBlockW, or prefixMaskedZZBlockW
-// when zz: emitPrefixRange's running sums, each added to a second sum
-// when its bit of m is set, without being stored. int64(m<<(63-i))>>63
-// is all ones exactly when bit i is set: no branch, and no test of a
-// 64-bit constant.
+// emitPrefixMasked writes the case of width w, plain or zigzag, of
+// prefixMaskedRun: emitPrefixRange's running sums, each added to a
+// second sum when its bit of the block's mask m is set, without being
+// stored. int64(m<<(63-i))>>63 is all ones exactly when bit i is set:
+// no branch, and no test of a 64-bit constant.
 func emitPrefixMasked(b *bytes.Buffer, w int, zz bool) {
-	name, what := "prefixMaskedBlock", ""
-	if zz {
-		name, what = "prefixMaskedZZBlock", " zigzag"
-	}
-	fmt.Fprintf(b, "// %s%d returns the sum of the running sums of x and the 64%s %d-bit values of src[0:%d] whose bit is set in m, and the last running sum, wrapping.\n", name, w, what, w, w)
-	fmt.Fprintf(b, "func %s%d(src []uint64, x int64, m uint64) (int64, int64) {\n", name, w)
 	fmt.Fprintln(b, "\tvar s int64")
+	blockLoop(b, w, true)
 	emitPrefixValues(b, w, zz, func(i int) {
 		fmt.Fprintf(b, "\ts += x & (int64(m<<%d) >> 63)\n", 63-i)
 	})
-	fmt.Fprintln(b, "\treturn s, x")
 	fmt.Fprintln(b, "}")
-	fmt.Fprintln(b)
+	fmt.Fprintln(b, "\treturn s, x")
 }
 
 // emitPrefixValues writes the body the prefix kernels share: x
@@ -812,7 +867,6 @@ func emitPrefixMasked(b *bytes.Buffer, w int, zz bool) {
 // is each lane's value as a w-bit two's complement, and one shift up
 // to the word's top and one arithmetic shift back sign-extend it.
 func emitPrefixValues(b *bytes.Buffer, w int, zz bool, use func(i int)) {
-	fmt.Fprintf(b, "\t_ = src[%d]\n", w-1)
 	if !zz {
 		fmt.Fprintf(b, "\tconst mask = uint64(1)<<%d - 1\n", w)
 		for i := 0; i < 64; i++ {

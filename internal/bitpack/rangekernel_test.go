@@ -23,9 +23,19 @@ func refMask(vals []uint64, lo, span uint64) uint64 {
 	return m
 }
 
-// checkRangeKernels runs selectInRangeBlock and countInRangeBlock on
-// one packed 64-value block and compares them with the reference
-// predicate on vals, plain and zigzag-decoded.
+// keepWords are the incoming selection words keep is checked with on
+// every block: empty, full, one row at either end, 3, 6, 7, 8,
+// sparseKeep and sparseKeep+1 rows — each side of every width's
+// sparseRows — and two dense patterns.
+var keepWords = [...]uint64{
+	0, ^uint64(0), 1, 1 << 63, Mask(3) << 9, Mask(6) << 40, Mask(7) << 2, Mask(8) << 30,
+	Mask(sparseKeep) << 20, Mask(sparseKeep+1) << 7,
+	0x5555555555555555, 0xfff0fff00f0f00ff,
+}
+
+// checkRangeKernels runs countRun and selectRun, in select and in keep
+// mode, on one packed 64-value block and compares them with the
+// reference predicate on vals, plain and zigzag-decoded.
 func checkRangeKernels(t *testing.T, w uint, vals []uint64, lo, span uint64) {
 	t.Helper()
 	packed, err := Pack(vals, w)
@@ -34,11 +44,18 @@ func checkRangeKernels(t *testing.T, w uint, vals []uint64, lo, span uint64) {
 	}
 	for _, zz := range []bool{false, true} {
 		want := refMask(decoded(vals, zz), lo, span)
-		if got := selectInRangeBlock(packed, lo, span, zz); got != want {
-			t.Fatalf("w=%d zz=%v lo=%#x span=%#x: select = %#x, want %#x (vals %v)", w, zz, lo, span, got, want, vals)
+		var got [1]uint64
+		if selectRun(packed, 1, w, lo, span, zz, false, got[:], 0); got[0] != want {
+			t.Fatalf("w=%d zz=%v lo=%#x span=%#x: select = %#x, want %#x (vals %v)", w, zz, lo, span, got[0], want, vals)
 		}
-		if got, want := countInRangeBlock(packed, lo, span, zz), bits.OnesCount64(want); got != want {
+		if got, want := countRun(packed, 1, w, lo, span, zz), bits.OnesCount64(want); got != want {
 			t.Fatalf("w=%d zz=%v lo=%#x span=%#x: count = %d, want %d (vals %v)", w, zz, lo, span, got, want, vals)
+		}
+		for _, in := range keepWords {
+			got[0] = in
+			if selectRun(packed, 1, w, lo, span, zz, true, got[:], 0); got[0] != in&want {
+				t.Fatalf("w=%d zz=%v lo=%#x span=%#x in=%#x: keep = %#x, want %#x (vals %v)", w, zz, lo, span, in, got[0], in&want, vals)
+			}
 		}
 	}
 }
@@ -103,12 +120,13 @@ func kernelBlocks(rng *rand.Rand, w uint) [][]uint64 {
 	return append(blocks, few)
 }
 
-// TestRangeKernelsEveryWidth checks the per-block select and count of
+// TestRangeKernelsEveryWidth checks the count, select and keep of
 // every width 0..64 — the lane kernels and the unpack-then-compare
 // loops, plain and zigzag — bit for bit against the reference
-// predicate, on random, all-zero and all-max blocks, then drives them
-// through SelectRangeU and CountRangeU on blocks at non-zero word
-// offsets.
+// predicate on one block, on random, all-zero and all-max blocks, then
+// drives them through CountRangeU, SelectRangeU and KeepRangeU on runs
+// of blocks at non-zero word offsets, with unaligned edges, into
+// selection words at an unaligned bit offset.
 func TestRangeKernelsEveryWidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for w := uint(0); w <= 64; w++ {
@@ -130,7 +148,7 @@ func TestRangeKernelsEveryWidth(t *testing.T) {
 			for _, bd := range rangeBounds(rng, w, vals[start]) {
 				lo, span := bd[0], bd[1]
 				if lo+span < lo {
-					continue // CountRangeU takes [lo, hi]; it never wraps
+					continue // the U entry points take [lo, hi]; they never wrap
 				}
 				var wantN int64
 				for _, v := range vals[start : start+count] {
@@ -142,23 +160,66 @@ func TestRangeKernelsEveryWidth(t *testing.T) {
 				if err != nil || gotN != wantN {
 					t.Fatalf("w=%d [%d,+%d) [%#x,+%#x]: CountRangeU = %d, %v, want %d", w, start, count, lo, span, gotN, err, wantN)
 				}
-				var selN int64
-				err = SelectRangeU(packed, start, count, w, lo, lo+span, func(pos int, mask uint64) {
-					// A mask covers its position up to the next block boundary.
-					if want := refMask(vals[pos:min((pos|63)+1, start+count)], lo, span); mask != want {
-						t.Fatalf("w=%d [%d,+%d) [%#x,+%#x]: SelectRangeU at %d = %#x, want %#x", w, start, count, lo, span, pos, mask, want)
+				match := func(i int) bool { return vals[i]-lo <= span }
+				checkSelectBits(t, rng, vals, start, count, match, func(dst []uint64, off int, keep bool) error {
+					if keep {
+						return KeepRangeU(packed, start, count, w, lo, lo+span, dst, off)
 					}
-					selN += int64(bits.OnesCount64(mask))
+					return SelectRangeU(packed, start, count, w, lo, lo+span, dst, off)
 				})
-				if err != nil || selN != wantN {
-					t.Fatalf("w=%d [%d,+%d) [%#x,+%#x]: SelectRangeU found %d, %v, want %d", w, start, count, lo, span, selN, err, wantN)
+			}
+		}
+	}
+}
+
+// checkSelectBits runs sel, a select (keep false) or a keep of the
+// positions [start, start+count) of vals into selection words at bit
+// off, on words holding random bits of mixed density, at an aligned and
+// an unaligned offset. Select must set bit off+j exactly where the bit
+// was set or position start+j matches; keep must leave it set only
+// where it was set and the position matches. No bit outside
+// [off, off+count) may change.
+func checkSelectBits(t *testing.T, rng *rand.Rand, vals []uint64, start, count int, match func(i int) bool, sel func(dst []uint64, off int, keep bool) error) {
+	t.Helper()
+	for _, off := range []int{64, 64 + rng.Intn(63) + 1} {
+		in := make([]uint64, (off+count+2*BlockLen)/BlockLen)
+		for i := range in {
+			switch rng.Intn(5) {
+			case 0:
+			case 1:
+				in[i] = ^uint64(0)
+			case 2:
+				in[i] = 1 << uint(rng.Intn(64))
+			case 3:
+				in[i] = rng.Uint64() & rng.Uint64() & rng.Uint64() & rng.Uint64()
+			default:
+				in[i] = rng.Uint64()
+			}
+		}
+		for _, keep := range []bool{false, true} {
+			dst := slices.Clone(in)
+			if err := sel(dst, off, keep); err != nil {
+				t.Fatalf("[%d,+%d) at bit %d, keep %v: %v", start, count, off, keep, err)
+			}
+			for k := range len(dst) * 64 {
+				was, got := in[k/64]>>(k%64)&1 == 1, dst[k/64]>>(k%64)&1 == 1
+				want := was
+				if j := k - off; j >= 0 && j < count {
+					if keep {
+						want = was && match(start+j)
+					} else {
+						want = was || match(start+j)
+					}
+				}
+				if got != want {
+					t.Fatalf("[%d,+%d) at bit %d, keep %v: bit %d = %v, want %v (was %v)", start, count, off, keep, k, got, want, was)
 				}
 			}
 		}
 	}
 }
 
-// FuzzRangeKernels checks one width's per-block select and count
+// FuzzRangeKernels checks one width's select, keep and count of one block
 // against the reference predicate on a seeded block whose values mix
 // random words with the window's edges, then the range scans and sums
 // over [start, start+count) of a payload of such values whose edges are
@@ -193,11 +254,11 @@ func edgeValues(rng *rand.Rand, n int, w uint, lo, span uint64) []uint64 {
 	return vals
 }
 
-// checkEntryPoints checks CountRange, SelectRange, Sum and SumRange —
-// the U entry points, or the ZZ ones when zz — over positions
-// [start, start+count) of vals packed at width w, against a plain loop
-// over vals. The window is [lo, lo+span], cut at the top of its domain
-// (unsigned, or signed when zz) when it would wrap.
+// checkEntryPoints checks CountRange, SelectRange, KeepRange, Sum and
+// SumRange — the U entry points, or the ZZ ones when zz — over
+// positions [start, start+count) of vals packed at width w, against a
+// plain loop over vals. The window is [lo, lo+span], cut at the top of
+// its domain (unsigned, or signed when zz) when it would wrap.
 func checkEntryPoints(t *testing.T, w uint, vals []uint64, start, count int, lo, span uint64, zz bool) {
 	t.Helper()
 	packed, err := Pack(vals, w)
@@ -217,54 +278,58 @@ func checkEntryPoints(t *testing.T, w uint, vals []uint64, start, count int, lo,
 		}
 		return v >= lo && v <= hi
 	}
-	want := make([]bool, len(vals))
+	dec := decoded(vals, zz)
 	var wantN int64
 	var wantSum, wantRange uint64
-	for i, v := range decoded(vals, zz)[start : start+count] {
+	for _, v := range dec[start : start+count] {
 		wantSum += v
 		if inside(v) {
-			want[start+i] = true
 			wantN++
 			wantRange += v
 		}
 	}
-	got := make([]bool, len(vals))
-	emit := func(pos int, m uint64) {
-		for ; m != 0; m &= m - 1 {
-			got[pos+bits.TrailingZeros64(m)] = true
-		}
-	}
-	var errs [4]error
+	var errs [3]error
 	var n, rangeN int64
 	var sum, rangeSum uint64
 	if zz {
 		var s, rs int64
 		n, errs[0] = CountRangeZZ(packed, start, count, w, int64(lo), int64(hi))
-		errs[1] = SelectRangeZZ(packed, start, count, w, int64(lo), int64(hi), emit)
-		s, errs[2] = SumZZ(packed, start, count, w)
-		rs, rangeN, errs[3] = SumRangeZZ(packed, start, count, w, int64(lo), int64(hi))
+		s, errs[1] = SumZZ(packed, start, count, w)
+		rs, rangeN, errs[2] = SumRangeZZ(packed, start, count, w, int64(lo), int64(hi))
 		sum, rangeSum = uint64(s), uint64(rs)
 	} else {
 		n, errs[0] = CountRangeU(packed, start, count, w, lo, hi)
-		errs[1] = SelectRangeU(packed, start, count, w, lo, hi, emit)
-		sum, errs[2] = SumU(packed, start, count, w)
-		rangeSum, rangeN, errs[3] = SumRangeU(packed, start, count, w, lo, hi)
+		sum, errs[1] = SumU(packed, start, count, w)
+		rangeSum, rangeN, errs[2] = SumRangeU(packed, start, count, w, lo, hi)
 	}
 	if err := errors.Join(errs[:]...); err != nil {
 		t.Fatalf("w=%d zz=%v [%d,+%d): %v", w, zz, start, count, err)
 	}
-	if n != wantN || !slices.Equal(got, want) || sum != wantSum || rangeSum != wantRange || rangeN != wantN {
-		t.Fatalf("w=%d zz=%v [%d,+%d) [%#x, %#x]: count %d, sum %d, range sum %d over %d, select %v; want %d, %d, %d, %v",
-			w, zz, start, count, lo, hi, n, sum, rangeSum, rangeN, got, wantN, wantSum, wantRange, want)
+	if n != wantN || sum != wantSum || rangeSum != wantRange || rangeN != wantN {
+		t.Fatalf("w=%d zz=%v [%d,+%d) [%#x, %#x]: count %d, sum %d, range sum %d over %d; want %d, %d, %d",
+			w, zz, start, count, lo, hi, n, sum, rangeSum, rangeN, wantN, wantSum, wantRange)
 	}
+	rng := rand.New(rand.NewSource(int64(start)<<16 | int64(count)))
+	checkSelectBits(t, rng, vals, start, count, func(i int) bool { return inside(dec[i]) }, func(dst []uint64, off int, keep bool) error {
+		switch {
+		case zz && keep:
+			return KeepRangeZZ(packed, start, count, w, int64(lo), int64(hi), dst, off)
+		case zz:
+			return SelectRangeZZ(packed, start, count, w, int64(lo), int64(hi), dst, off)
+		case keep:
+			return KeepRangeU(packed, start, count, w, lo, hi, dst, off)
+		}
+		return SelectRangeU(packed, start, count, w, lo, hi, dst, off)
+	})
 }
 
-// BenchmarkRangeKernels measures the per-block select and count at
-// widths 1..64, plain and zigzag (the ZZ rows), over 256 random blocks
-// in ns per value: the matrix that places the lane-parallel cut
-// (swarMaxWidth in gen/main.go) and prices the unpack-then-compare
-// loops. A plain window is a quarter of the domain from Mask(w)/4, a
-// zigzag one a quarter centred on 0.
+// BenchmarkRangeKernels measures count, select and keep over a run of
+// 256 random blocks at widths 1..64, plain and zigzag (the ZZ rows), in
+// ns per value: one payload kernel call a run, the matrix that places
+// the lane-parallel cut (swarMaxWidth in gen/main.go) and prices the
+// unpack-then-compare loops. A plain window is a quarter of the domain
+// from Mask(w)/4, a zigzag one a quarter centred on 0. Keep runs on a
+// selection holding every row, so every block takes the kernel.
 func BenchmarkRangeKernels(b *testing.B) {
 	const blocks = 256
 	for w := uint(1); w <= 64; w++ {
@@ -276,30 +341,86 @@ func BenchmarkRangeKernels(b *testing.B) {
 		perValue := func(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blocks*BlockLen), "ns/value")
 		}
+		dst := make([]uint64, blocks)
 		for _, zz := range []bool{false, true} {
 			lo, span, row := Mask(w)/4, Mask(w)/4, ""
 			if zz {
 				lo, row = -(Mask(w) / 8), "ZZ"
 			}
-			b.Run(fmt.Sprintf("w=%d/select%s", w, row), func(b *testing.B) {
-				var sink uint64
-				for i := 0; i < b.N; i++ {
-					for k := 0; k < blocks; k++ {
-						sink ^= selectInRangeBlock(packed[k*int(w):(k+1)*int(w)], lo, span, zz)
-					}
+			for _, keep := range []bool{false, true} {
+				name := "select"
+				if keep {
+					name = "keep"
 				}
-				perValue(b)
-				benchSink = sink
-			})
+				b.Run(fmt.Sprintf("w=%d/%s%s", w, name, row), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						for k := range dst {
+							dst[k] = ^uint64(0)
+						}
+						selectRun(packed, blocks, w, lo, span, zz, keep, dst, 0)
+					}
+					perValue(b)
+					benchSink = dst[0]
+				})
+			}
 			b.Run(fmt.Sprintf("w=%d/count%s", w, row), func(b *testing.B) {
 				n := 0
 				for i := 0; i < b.N; i++ {
-					for k := 0; k < blocks; k++ {
-						n += countInRangeBlock(packed[k*int(w):(k+1)*int(w)], lo, span, zz)
-					}
+					n += countRun(packed, blocks, w, lo, span, zz)
 				}
 				perValue(b)
 				benchSink = uint64(n)
+			})
+		}
+	}
+}
+
+// BenchmarkKeepKernels prices keep by how many rows a block's
+// selection word holds, at widths 3, 10 and 16, in ns per block over a
+// run of 256 random blocks: keep, which reads just those rows' values
+// up to sparseKeep of them and runs the block's lane kernel above it,
+// against lanes, the select kernel's masks ANDed into the words — what
+// a conjunct cost before keep. Where the two meet places sparseKeep
+// (DESIGN.md §1.14).
+func BenchmarkKeepKernels(b *testing.B) {
+	const blocks = 256
+	for _, w := range []uint{3, 10, 16} {
+		rng := rand.New(rand.NewSource(int64(w)))
+		packed, err := Pack(randomValues(rng, blocks*BlockLen, w), w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lo, span := Mask(w)/4, Mask(w)/2
+		for _, rows := range []int{1, 2, 4, 6, 8, 12, 16, 32} {
+			in := make([]uint64, blocks)
+			for k := range in {
+				for bits.OnesCount64(in[k]) < rows {
+					in[k] |= 1 << uint(rng.Intn(BlockLen))
+				}
+			}
+			dst, sel := make([]uint64, blocks), make([]uint64, blocks)
+			perBlock := func(b *testing.B) {
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blocks), "ns/block")
+			}
+			b.Run(fmt.Sprintf("w=%d/rows=%d/keep", w, rows), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(dst, in)
+					selectRun(packed, blocks, w, lo, span, false, true, dst, 0)
+				}
+				perBlock(b)
+				benchSink = dst[0]
+			})
+			b.Run(fmt.Sprintf("w=%d/rows=%d/lanes", w, rows), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					copy(dst, in)
+					clear(sel)
+					selectRun(packed, blocks, w, lo, span, false, false, sel, 0)
+					for k, m := range sel {
+						dst[k] &= m
+					}
+				}
+				perBlock(b)
+				benchSink = dst[0]
 			})
 		}
 	}

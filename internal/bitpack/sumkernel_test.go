@@ -22,7 +22,7 @@ func refSum(vals []uint64, m uint64) uint64 {
 	return s
 }
 
-// checkSumInRange runs sumInRangeBlock on one packed 64-value block and
+// checkSumInRange runs sumRangeRun on one packed 64-value block and
 // compares it with the reference sum and count of the values inside
 // the window, plain and zigzag-decoded.
 func checkSumInRange(t *testing.T, w uint, packed, vals []uint64, lo, span uint64) {
@@ -31,17 +31,17 @@ func checkSumInRange(t *testing.T, w uint, packed, vals []uint64, lo, span uint6
 		d := decoded(vals, zz)
 		m := refMask(d, lo, span)
 		want, wantN := refSum(d, m), bits.OnesCount64(m)
-		if s, n := sumInRangeBlock(packed, lo, span, zz); s != want || n != wantN {
+		if s, n := sumRangeRun(packed, 1, w, lo, span, zz); s != want || n != wantN {
 			t.Fatalf("w=%d zz=%v lo=%#x span=%#x: sumInRange = (%d, %d), want (%d, %d) (vals %v)", w, zz, lo, span, s, n, want, wantN, vals)
 		}
 	}
 }
 
-// checkSumMasked runs sumMaskedFuncs[w] on one packed 64-value block
-// and compares it with the reference masked sum.
+// checkSumMasked runs sumMaskedRun on one packed 64-value block and
+// compares it with the reference masked sum.
 func checkSumMasked(t *testing.T, w uint, packed, vals []uint64, m uint64) {
 	t.Helper()
-	if got, want := sumMaskedFuncs[w](packed, m), refSum(vals, m); got != want {
+	if got, want := sumMaskedRun(packed, w, []uint64{m}), refSum(vals, m); got != want {
 		t.Fatalf("w=%d m=%#x: sumMasked = %d, want %d (vals %v)", w, m, got, want, vals)
 	}
 }
@@ -67,17 +67,17 @@ func sumMasks(rng *rand.Rand) []uint64 {
 	}
 }
 
-// TestSumKernelsEveryWidth checks the per-block sums of every width
+// TestSumKernelsEveryWidth checks the sums of one block at every width
 // 0..64 — over a range, plain and zigzag, and of all 64 values, plain
 // and zigzag: the lane kernels up to MaxMaskedWidth and the
 // unpack-then-add loops beside and above them — and the masked sums of
 // every width 1..MaxMaskedWidth against the reference sums on the
 // kernelBlocks of each width. It then drives them through SumRangeU,
-// with unaligned heads and tails, and through SumMaskedU on blocks at
-// non-zero word offsets.
+// with unaligned heads and tails, and through SumMaskedU over a run of
+// masks from non-zero word offsets.
 func TestSumKernelsEveryWidth(t *testing.T) {
 	// A window that wraps over 0 holds every width-0 value.
-	if s, n := sumInRangeBlock(nil, 5, math.MaxUint64-4, false); s != 0 || n != BlockLen {
+	if s, n := sumRangeRun(nil, 1, 0, 5, math.MaxUint64-4, false); s != 0 || n != BlockLen {
 		t.Fatalf("width 0, window [5, 2^64+0]: sumInRange = (%d, %d), want (0, 64)", s, n)
 	}
 	rng := rand.New(rand.NewSource(32))
@@ -96,7 +96,7 @@ func TestSumKernelsEveryWidth(t *testing.T) {
 				}
 			}
 			for _, zz := range []bool{false, true} {
-				if got, want := sumBlock(packed, zz), refSum(decoded(vals, zz), math.MaxUint64); got != want {
+				if got, want := sumRun(packed, 1, w, zz, nil), refSum(decoded(vals, zz), math.MaxUint64); got != want {
 					t.Fatalf("w=%d zz=%v: sum = %d, want %d (vals %v)", w, zz, int64(got), int64(want), vals)
 				}
 			}
@@ -132,17 +132,19 @@ func TestSumKernelsEveryWidth(t *testing.T) {
 			}
 		}
 		if w > MaxMaskedWidth {
-			if _, err := SumMaskedU(packed, 0, w, 1); !errors.Is(err, ErrWidth) {
+			if _, err := SumMaskedU(packed, 0, w, []uint64{1}); !errors.Is(err, ErrWidth) {
 				t.Fatalf("w=%d: SumMaskedU = %v, want ErrWidth", w, err)
 			}
 			continue
 		}
 		for _, start := range []int{64, 128, 192} {
-			for _, m := range sumMasks(rng) {
-				got, err := SumMaskedU(packed, start, w, m)
-				if want := refSum(vals[start:start+BlockLen], m); err != nil || got != want {
-					t.Fatalf("w=%d block at %d m=%#x: SumMaskedU = %d, %v, want %d", w, start, m, got, err, want)
-				}
+			masks := sumMasks(rng)[:(n-start)/BlockLen]
+			var want uint64
+			for i, m := range masks {
+				want += refSum(vals[start+i*BlockLen:start+(i+1)*BlockLen], m)
+			}
+			if got, err := SumMaskedU(packed, start, w, masks); err != nil || got != want {
+				t.Fatalf("w=%d blocks from %d masks %#x: SumMaskedU = %d, %v, want %d", w, start, masks, got, err, want)
 			}
 		}
 		// Only whole blocks whose words the payload holds are summed; at
@@ -152,14 +154,14 @@ func TestSumKernelsEveryWidth(t *testing.T) {
 			bad = append(bad, 5*BlockLen)
 		}
 		for _, start := range bad {
-			if _, err := SumMaskedU(packed, start, w, 1); err == nil {
+			if _, err := SumMaskedU(packed, start, w, []uint64{1}); err == nil {
 				t.Fatalf("w=%d: SumMaskedU at %d of %d values: no error", w, start, n)
 			}
 		}
 	}
 }
 
-// FuzzSumKernels checks one width's per-block sum over a range, and up
+// FuzzSumKernels checks one width's sum of one block over a range, and up
 // to MaxMaskedWidth its masked sum, against the reference sums on a
 // seeded block whose values mix random words with the window's edges,
 // then the range scans and sums over [start, start+count) of a payload
@@ -190,17 +192,17 @@ func FuzzSumKernels(f *testing.F) {
 	})
 }
 
-// BenchmarkSumKernels measures, at widths 1..64 over 256 random blocks
-// in ns per value, the per-block sum over a range (range, and rangeZZ
-// over the zigzag-decoded values, with BenchmarkRangeKernels' windows),
-// the zigzag sum of all 64 values (sumZZ), and the sum of a block under
-// a random selection of 1 %, 50 % and 99 % of its rows, the way a
-// selection sum over a plain packed leaf adds up a full group: an
-// empty mask reads nothing; up to MaxMaskedWidth SumMaskedU; wider, a
-// full mask goes through the block sum, the selected values are read
-// one at a time when at most 16 are selected, and otherwise the block
-// is unpacked and its selected values added. It is the matrix that
-// places the masked kernels' cut.
+// BenchmarkSumKernels measures, at widths 1..64 over a run of 256
+// random blocks in ns per value, the sum over a range (range, and
+// rangeZZ over the zigzag-decoded values, with BenchmarkRangeKernels'
+// windows), the zigzag sum of all values (sumZZ), and the sum under a
+// random selection of 1 %, 50 % and 99 % of the rows, the way a
+// selection sum over a plain packed leaf adds up its whole groups: up
+// to MaxMaskedWidth one SumMaskedU call over the run's masks; wider, a
+// group is passed over when empty, summed whole when full, has its
+// selected values read one at a time when at most 16 are selected, and
+// is otherwise unpacked and its selected values added. It is the
+// matrix that places the masked kernels' cut.
 func BenchmarkSumKernels(b *testing.B) {
 	const blocks = 256
 	perValue := func(b *testing.B) {
@@ -220,10 +222,8 @@ func BenchmarkSumKernels(b *testing.B) {
 			b.Run(fmt.Sprintf("w=%d/range%s", w, row), func(b *testing.B) {
 				var sink uint64
 				for i := 0; i < b.N; i++ {
-					for k := 0; k < blocks; k++ {
-						s, n := sumInRangeBlock(packed[k*int(w):(k+1)*int(w)], lo, span, zz)
-						sink += s + uint64(n)
-					}
+					s, n := sumRangeRun(packed, blocks, w, lo, span, zz)
+					sink += s + uint64(n)
 				}
 				perValue(b)
 				benchSink = sink
@@ -232,9 +232,7 @@ func BenchmarkSumKernels(b *testing.B) {
 		b.Run(fmt.Sprintf("w=%d/sumZZ", w), func(b *testing.B) {
 			var sink uint64
 			for i := 0; i < b.N; i++ {
-				for k := 0; k < blocks; k++ {
-					sink += sumBlock(packed[k*int(w):(k+1)*int(w)], true)
-				}
+				sink += sumRun(packed, blocks, w, true, nil)
 			}
 			perValue(b)
 			benchSink = sink
@@ -248,19 +246,19 @@ func BenchmarkSumKernels(b *testing.B) {
 				var buf [BlockLen]uint64
 				var sink uint64
 				for i := 0; i < b.N; i++ {
+					if w <= MaxMaskedWidth {
+						s, _ := SumMaskedU(packed, 0, w, masks)
+						sink += s
+						continue
+					}
 					for k, m := range masks {
 						blk := packed[k*int(w) : (k+1)*int(w)]
 						switch {
 						case m == 0:
-						case w <= MaxMaskedWidth:
-							s, _ := SumMaskedU(packed, k*BlockLen, w, m)
-							sink += s
 						case m == math.MaxUint64:
-							sink += sumBlock(blk, false)
+							sink += sumRun(blk, 1, w, false, nil)
 						case bits.OnesCount64(m) <= 16:
-							for ; m != 0; m &= m - 1 {
-								sink += ValueAt(blk, bits.TrailingZeros64(m), w)
-							}
+							sink += sumSparse(blk, w, m)
 						default:
 							unpack64(blk, &buf)
 							for ; m != 0; m &= m - 1 {
@@ -305,9 +303,23 @@ func checkPrefixKernels(t *testing.T, w uint, packed, vals []uint64, rng *rand.R
 			if r[0] > r[1] {
 				want = 0
 			}
-			m, last, err := PrefixRange(packed, 0, w, zz, x0, r[0], r[1])
-			if r[0] <= r[1] && (err != nil || m != want || last != x) {
-				t.Fatalf("w=%d zz=%v [%d, %d]: PrefixRange = %#x, %d, %v; want %#x, %d", w, zz, r[0], r[1], m, last, err, want, x)
+			var m [1]uint64
+			last, err := PrefixRange(packed, 0, BlockLen, w, zz, x0, r[0], r[1], m[:])
+			if r[0] <= r[1] && (err != nil || m[0] != want || last != x) {
+				t.Fatalf("w=%d zz=%v [%d, %d]: PrefixRange = %#x, %d, %v; want %#x, %d", w, zz, r[0], r[1], m[0], last, err, want, x)
+			}
+			// The block twice, its second copy cut after 20 values.
+			two := append(slices.Clone(packed[:w]), packed[:w]...)
+			var ms [2]uint64
+			last, err = PrefixRange(two, 0, BlockLen+20, w, zz, x0, r[0], r[1], ms[:])
+			want2 := uint64(0)
+			for i, v := range run[:20] {
+				if v += x - x0; v >= r[0] && v <= r[1] {
+					want2 |= 1 << uint(i)
+				}
+			}
+			if r[0] <= r[1] && (err != nil || ms != [2]uint64{want, want2} || last != run[19]+x-x0) {
+				t.Fatalf("w=%d zz=%v [%d, %d]: PrefixRange over 84 = %#x, %d, %v; want %#x, %d", w, zz, r[0], r[1], ms, last, err, [2]uint64{want, want2}, run[19]+x-x0)
 			}
 		}
 		for _, m := range sumMasks(rng) {

@@ -650,6 +650,33 @@ func (c *Column) SelectBlockRangeSel(i int, lo, hi int64, dst *sel.Selection, ba
 	return query.SelectRangeSel(f, lo, hi, dst, base)
 }
 
+// KeepBlockRange intersects dst with the predicate lo ≤ v ≤ hi on
+// block i alone: row r of the block is bit r of dst, and a set bit
+// stays set only when its row's value lies in [lo, hi]. Stats decide
+// first, neither fetching the payload: a refuted block clears the
+// block's rows, and a proved block leaves them. Only RangePart blocks
+// decode, through query.KeepRangeSel, which reads just the rows dst
+// holds where the form allows. It is how the table-scan planner runs a
+// conjunct after the first.
+func (c *Column) KeepBlockRange(i int, lo, hi int64, dst *sel.Selection) error {
+	if i < 0 || i >= len(c.Blocks) {
+		return fmt.Errorf("blocked: block %d out of range [0, %d)", i, len(c.Blocks))
+	}
+	b := &c.Blocks[i]
+	switch b.ClassifyRange(lo, hi) {
+	case RangeMiss:
+		dst.ClearRun(0, b.Count)
+		return nil
+	case RangeAll:
+		return nil
+	}
+	f, err := c.form(i)
+	if err != nil {
+		return err
+	}
+	return query.KeepRangeSel(f, lo, hi, dst, 0)
+}
+
 // DecompressBlock decodes block i alone into dst, whose length must
 // equal the block's count. The table scan's late-materialization
 // paths use it to decode only the blocks holding surviving rows;

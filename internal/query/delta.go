@@ -12,17 +12,19 @@ import (
 // first + d[0] + … + d[r], wrapping as decode's prefix sum does. The
 // deltas leaf is walked one 64-row group at a time, carrying the value
 // before the group, which the leaf's group sums (one sum kernel call a
-// group, lane-parallel on the packed words) advance without unpacking
+// mini-block, lane-parallel on the packed words) advance without unpacking
 // it. A group running from x to e whose deltas lie in the leaf's
 // extent can only reach values inside two cones, one out of x and one
 // back from e; their intersection bounds a band (cone.band), as a
 // line's ends bound one in linear.go. A group clear of the range is
 // skipped and one inside it lands whole; only a straddling group is
-// unpacked, prefix-summed and compared, all in one fused kernel
-// (bitpack.PrefixRange). A sum then adds up the matches of every group
-// in one pass (bitpack.PrefixMaskedSum), which is also the whole of a
-// selection sum: a group the selection holds no row of is passed over
-// by its sum kernel. What no band bounds — a plain leaf, deltas wider
+// unpacked, prefix-summed and compared, in one fused kernel call for
+// each run of straddling groups (bitpack.PrefixRange). A sum then adds
+// up the matches of every group in one pass (bitpack.PrefixMaskedSum),
+// which is also the whole of a selection sum: a group the selection
+// holds no row of is passed over by its sum kernel. Keep has no rule
+// here: it selects into a temporary (selectThenAnd). What no band
+// bounds — a plain leaf, deltas wider
 // than bandWidth, a band that wraps — is prefix-summed and compared
 // too, so the rule is exact at the int64 extremes by construction.
 
@@ -105,27 +107,40 @@ func (p *pushdown) deltas(f *core.Form, lo, hi, add int64) error {
 	// One extent for the whole leaf: an NS leaf has only one, and a VNS
 	// leaf's widest bounds each of its mini-blocks.
 	c := coneOf(l.extent(0, f.N))
-	var count int64
+	// Groups no band decides are made and compared by runs: run is the
+	// first group of the pending one (-1 for none) and rx the value
+	// before it.
+	run, rx := -1, x
 	for g, sum := range sums {
-		a, k := g*bitpack.BlockLen, min(bitpack.BlockLen, f.N-g*bitpack.BlockLen)
+		k := min(bitpack.BlockLen, f.N-g*bitpack.BlockLen)
 		e := x + sum
 		vmin, vmax, ok := c.band(x, e, k)
-		var m uint64
 		switch {
 		case ok && (vmax < lo || vmin > hi):
+			masks[g] = 0
 		case ok && lo <= vmin && vmax <= hi:
-			m = bitpack.Mask(uint(k))
+			masks[g] = bitpack.Mask(uint(k))
 		default:
-			if m, _, err = l.prefixRange(a, k, x, lo, hi); err != nil {
-				return err
+			if run < 0 {
+				run, rx = g, x
 			}
+			x = e
+			continue
 		}
-		masks[g] = m
+		if err := straddling(l, run, g, f.N, rx, lo, hi, masks); err != nil {
+			return err
+		}
+		run, x = -1, e
+	}
+	if err := straddling(l, run, len(sums), f.N, rx, lo, hi, masks); err != nil {
+		return err
+	}
+	var count int64
+	for g, m := range masks {
 		count += int64(bits.OnesCount64(m))
 		if p.verb == selectVerb {
-			p.dst.OrWord(p.base+a, m)
+			p.dst.OrWord(p.base+g*bitpack.BlockLen, m)
 		}
-		x = e
 	}
 	p.count += count
 	if p.verb == SumVerb && count > 0 {
@@ -134,6 +149,18 @@ func (p *pushdown) deltas(f *core.Form, lo, hi, add int64) error {
 		return err
 	}
 	return nil
+}
+
+// straddling makes the masks of groups [run, end) of an n-row delta
+// form, whose running sums start after x, with one prefixRange call:
+// the groups no band decided. A run of -1 is none.
+func straddling(l leaf, run, end, n int, x, lo, hi int64, masks []uint64) error {
+	if run < 0 {
+		return nil
+	}
+	a := run * bitpack.BlockLen
+	_, err := l.prefixRange(a, min(end*bitpack.BlockLen, n)-a, x, lo, hi, masks[run:end])
+	return err
 }
 
 // deltaSel is sumSel's walk over a delta form: the selection, one

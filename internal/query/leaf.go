@@ -33,11 +33,11 @@ type leaf interface {
 	// each value read through tab when tab is non-nil (a dictionary,
 	// the leaf its codes).
 	sumSel(p *pushdown, tab []int64) (int64, error)
-	// prefixRange returns which of x plus the running sums of rows
-	// [start, start+count) — a 64-row group's, start a multiple of 64 —
-	// lie in [lo, hi] (bit j for row start+j), wrapping, and the last
-	// of them: a delta form's matches over its deltas.
-	prefixRange(start, count int, x, lo, hi int64) (m uint64, last int64, err error)
+	// prefixRange writes into masks[g] which of x plus the running sums
+	// of rows [start, start+count) — start a multiple of 64 — lie in
+	// [lo, hi] (bit j for row start+64g+j), wrapping, and returns the
+	// last of them: a delta form's matches over its deltas.
+	prefixRange(start, count int, x, lo, hi int64, masks []uint64) (last int64, err error)
 	// groups writes the wrapping sum of each 64-row group of the leaf
 	// into dst, one per group, the last possibly partial.
 	groups(dst []int64) error
@@ -194,13 +194,9 @@ func (k *packed) apply(p *pushdown, start, count int, lo, hi, add int64) error {
 		var c, s int64
 		var err error
 		switch {
-		case p.verb == selectVerb:
-			emit := func(pos int, m uint64) { p.dst.OrWord(p.base+first+pos, m) }
-			if k.zz {
-				err = bitpack.SelectRangeZZ(words, rel, n, w, lo, hi, emit)
-			} else {
-				err = bitpack.SelectRangeU(words, rel, n, w, uint64(lo), uint64(hi), emit)
-			}
+		case p.verb == selectVerb || p.verb == keepVerb:
+			dst, off := p.dst.Words(p.base+first+rel, n)
+			err = k.selectWords(words, w, rel, n, lo, hi, p.verb == keepVerb, dst, off)
 		case p.verb == CountVerb && k.zz:
 			c, err = bitpack.CountRangeZZ(words, rel, n, w, lo, hi)
 		case p.verb == CountVerb:
@@ -228,7 +224,8 @@ func (k *packed) sumMask(start int, m uint64) (int64, error) {
 	words, w, first := k.miniBlock(start / k.block)
 	rel, n := k.overlap(first, start, start+bitpack.BlockLen)
 	if !k.zz && w <= bitpack.MaxMaskedWidth && rel%bitpack.BlockLen == 0 && n == bitpack.BlockLen {
-		s, err := bitpack.SumMaskedU(words, rel, w, m)
+		ms := [1]uint64{m}
+		s, err := bitpack.SumMaskedU(words, rel, w, ms[:])
 		return int64(s), err
 	}
 	var s int64
@@ -238,21 +235,32 @@ func (k *packed) sumMask(start int, m uint64) (int64, error) {
 	return s, nil
 }
 
+// selectWords selects, or keeps, the rows [rel, rel+n) of a
+// mini-block's words against [lo, hi] into the selection words dst from
+// bit off: the fused kernels write the selection in place.
+func (k *packed) selectWords(words []uint64, w uint, rel, n int, lo, hi int64, keep bool, dst []uint64, off int) error {
+	switch {
+	case k.zz && keep:
+		return bitpack.KeepRangeZZ(words, rel, n, w, lo, hi, dst, off)
+	case k.zz:
+		return bitpack.SelectRangeZZ(words, rel, n, w, lo, hi, dst, off)
+	case keep:
+		return bitpack.KeepRangeU(words, rel, n, w, uint64(lo), uint64(hi), dst, off)
+	}
+	return bitpack.SelectRangeU(words, rel, n, w, uint64(lo), uint64(hi), dst, off)
+}
+
 // groupMask returns the bits of the 64-row group at row rel of a
 // mini-block's words (rel a multiple of 64) whose value lies in
 // [lo, hi], a range inside the extent: the fused select kernel's one
 // match mask.
-func (k *packed) groupMask(words []uint64, w uint, rel int, lo, hi int64) (m uint64, err error) {
+func (k *packed) groupMask(words []uint64, w uint, rel int, lo, hi int64) (uint64, error) {
 	if lo > hi {
 		return 0, nil
 	}
-	emit := func(_ int, got uint64) { m = got }
-	if k.zz {
-		err = bitpack.SelectRangeZZ(words, rel, bitpack.BlockLen, w, lo, hi, emit)
-	} else {
-		err = bitpack.SelectRangeU(words, rel, bitpack.BlockLen, w, uint64(lo), uint64(hi), emit)
-	}
-	return m, err
+	var m [1]uint64
+	err := k.selectWords(words, w, rel, bitpack.BlockLen, lo, hi, false, m[:], 0)
+	return m[0], err
 }
 
 func (k *packed) sum(start, count int) (total int64, err error) {
@@ -280,13 +288,15 @@ func (k *packed) sum(start, count int) (total int64, err error) {
 const sparseGroup = 16
 
 // sumSel walks each mini-block 64 rows at a time. Rows the selection
-// skips are not read. A full group of plain values up to
-// bitpack.MaxMaskedWidth bits is one bitpack.SumMaskedU call, however
-// many of its rows are selected. Every other group — dictionary codes, zigzag payloads, wider values
-// and a mini-block's partial last group — goes through the fused sum
-// kernels when fully selected of plain values, reads just its selected
-// values when sparsely selected, and is otherwise unpacked and its
-// selected values added.
+// skips are not read. The whole groups of plain values up to
+// bitpack.MaxMaskedWidth bits are one bitpack.SumMaskedU call a
+// mini-block, over the selection's own words where they line up with
+// the groups, however many of their rows are selected. Every other
+// group — dictionary codes, zigzag payloads, wider values and a
+// mini-block's partial last group — goes through the fused sum kernels
+// when fully selected of plain values, reads just its selected values
+// when sparsely selected, and is otherwise unpacked and its selected
+// values added.
 func (k *packed) sumSel(p *pushdown, tab []int64) (total int64, err error) {
 	buf := p.s.U64(bitpack.BlockLen)
 	defer p.s.PutU64(buf)
@@ -296,18 +306,22 @@ func (k *packed) sumSel(p *pushdown, tab []int64) (total int64, err error) {
 		if w == 0 && tab == nil {
 			continue // every value is 0, zigzag or not
 		}
-		masked := tab == nil && !k.zz && w <= bitpack.MaxMaskedWidth
-		for r := first; r < end; r += bitpack.BlockLen {
+		r := first
+		if full := (end - first) / bitpack.BlockLen; tab == nil && !k.zz && w <= bitpack.MaxMaskedWidth && full > 0 {
+			s, err := k.sumMasked(p, words, w, first, full)
+			if err != nil {
+				return 0, err
+			}
+			total += s
+			r += full * bitpack.BlockLen
+		}
+		for ; r < end; r += bitpack.BlockLen {
 			c := min(bitpack.BlockLen, end-r)
 			m := p.word(r, end)
 			var s int64
 			switch {
 			case m == 0:
 				continue
-			case masked && c == bitpack.BlockLen:
-				var us uint64
-				us, err = bitpack.SumMaskedU(words, r-first, w, m)
-				s = int64(us)
 			case m == bitpack.Mask(uint(c)) && tab == nil:
 				s, err = k.sum(r, c)
 			case bits.OnesCount64(m) <= sparseGroup:
@@ -330,6 +344,23 @@ func (k *packed) sumSel(p *pushdown, tab []int64) (total int64, err error) {
 		}
 	}
 	return total, nil
+}
+
+// sumMasked sums the selected rows of the first full groups of a
+// mini-block's plain words, whose first row is first, with one
+// bitpack.SumMaskedU call: its masks are the selection's words when the
+// groups start on one, and a copy of the groups' windows otherwise.
+func (k *packed) sumMasked(p *pushdown, words []uint64, w uint, first, full int) (int64, error) {
+	masks, off := p.dst.Words(p.base+first, full*bitpack.BlockLen)
+	if off != 0 {
+		masks = p.s.U64(full)
+		defer p.s.PutU64(masks)
+		for g := range masks {
+			masks[g] = p.word(first+g*bitpack.BlockLen, first+full*bitpack.BlockLen)
+		}
+	}
+	s, err := bitpack.SumMaskedU(words, 0, w, masks[:full])
+	return int64(s), err
 }
 
 // add returns the wrapping sum of the packed values vals[j] for the set
@@ -361,11 +392,17 @@ func (k *packed) add(vals []uint64, m uint64, tab []int64) (int64, error) {
 	return sum, nil
 }
 
+// grouped reports whether every mini-block starts on a 64-row group,
+// so that the kernels that work a group at a time take its words.
+func (k *packed) grouped() bool {
+	return k.offs == nil || k.block%bitpack.BlockLen == 0
+}
+
 // prefixSel hands the rows of each mini-block to
-// bitpack.PrefixMaskedSum when its groups are whole, and reads the
-// rows one at a time otherwise.
+// bitpack.PrefixMaskedSum when they start on groups, and reads the rows
+// one at a time otherwise.
 func (k *packed) prefixSel(masks []uint64, x int64) (sum, last int64, err error) {
-	if k.block%bitpack.BlockLen != 0 {
+	if !k.grouped() {
 		return prefixSelRows(k, k.n, masks, x)
 	}
 	for b := 0; b*k.block < k.n; b++ {
@@ -389,10 +426,9 @@ func prefixSelRows(l leaf, n int, masks []uint64, x int64) (sum, last int64, err
 }
 
 // groups takes each mini-block's group sums from one bitpack.BlockSums
-// call when mini-blocks are whole groups, and sums each group
-// otherwise.
+// call when mini-blocks start on groups, and sums each group otherwise.
 func (k *packed) groups(dst []int64) error {
-	if k.block%bitpack.BlockLen != 0 {
+	if !k.grouped() {
 		for g := range dst {
 			s, err := k.sum(g*bitpack.BlockLen, min(bitpack.BlockLen, k.n-g*bitpack.BlockLen))
 			if err != nil {
@@ -411,25 +447,38 @@ func (k *packed) groups(dst []int64) error {
 	return nil
 }
 
-// prefixRange runs the fused kernel on a full word-aligned group and
-// reads the rows one at a time otherwise.
-func (k *packed) prefixRange(start, count int, x, lo, hi int64) (uint64, int64, error) {
-	words, w, first := k.miniBlock(start / k.block)
-	if rel, n := k.overlap(first, start, start+count); n == bitpack.BlockLen && rel%bitpack.BlockLen == 0 {
-		return bitpack.PrefixRange(words, rel, w, k.zz, x, lo, hi)
+// prefixRange runs the fused kernel over the rows of each mini-block
+// the range covers when mini-blocks start on groups, and reads the rows
+// one at a time otherwise.
+func (k *packed) prefixRange(start, count int, x, lo, hi int64, masks []uint64) (int64, error) {
+	if !k.grouped() {
+		return prefixRangeRows(k, start, count, x, lo, hi, masks)
 	}
-	return prefixRangeRows(k, start, count, x, lo, hi)
+	for end := start + count; start < end; {
+		words, w, first := k.miniBlock(start / k.block)
+		rel, n := k.overlap(first, start, end)
+		var err error
+		if x, err = bitpack.PrefixRange(words, rel, n, w, k.zz, x, lo, hi, masks); err != nil {
+			return 0, err
+		}
+		masks = masks[(n+bitpack.BlockLen-1)/bitpack.BlockLen:]
+		start += n
+	}
+	return x, nil
 }
 
 // prefixRangeRows is prefixRange one row at a time.
-func prefixRangeRows(l leaf, start, count int, x, lo, hi int64) (m uint64, last int64, err error) {
+func prefixRangeRows(l leaf, start, count int, x, lo, hi int64, masks []uint64) (last int64, err error) {
 	for j := 0; j < count; j++ {
+		if j%bitpack.BlockLen == 0 {
+			masks[j/bitpack.BlockLen] = 0
+		}
 		x += l.at(start + j)
 		if x >= lo && x <= hi {
-			m |= 1 << uint(j)
+			masks[j/bitpack.BlockLen] |= 1 << uint(j%bitpack.BlockLen)
 		}
 	}
-	return m, x, nil
+	return x, nil
 }
 
 func (k *packed) at(i int) int64 {
@@ -454,8 +503,8 @@ func (*plain) extent(int, int) (int64, int64) { return minInt64, maxInt64 }
 func (v *plain) apply(p *pushdown, start, count int, lo, hi, add int64) error {
 	rows := v.vals[start : start+count]
 	switch p.verb {
-	case selectVerb:
-		selectPlain(rows, lo, hi, p.dst, p.base+start)
+	case selectVerb, keepVerb:
+		selectPlain(rows, lo, hi, p.dst, p.base+start, p.verb == keepVerb)
 	case CountVerb:
 		p.count += vec.CountRange(rows, lo, hi)
 	default:
@@ -511,8 +560,8 @@ func (v *plain) groups(dst []int64) error {
 	return nil
 }
 
-func (v *plain) prefixRange(start, count int, x, lo, hi int64) (uint64, int64, error) {
-	return prefixRangeRows(v, start, count, x, lo, hi)
+func (v *plain) prefixRange(start, count int, x, lo, hi int64, masks []uint64) (int64, error) {
+	return prefixRangeRows(v, start, count, x, lo, hi, masks)
 }
 
 func (v *plain) at(i int) int64 { return v.vals[i] }

@@ -200,7 +200,7 @@ func checkVerbs(t *testing.T, name string, f *core.Form, bounds []int64) (materi
 	return materialised, sumMaterialised, selMaterialised
 }
 
-// checkRange asserts count, select and sum under [lo, hi] on f against
+// checkRange asserts count, select, keep and sum under [lo, hi] on f against
 // col, f's decode, and returns whether the count (and select) and the
 // sum materialised some node.
 func checkRange(t *testing.T, name string, f *core.Form, col []int64, lo, hi int64, s *core.Scratch) (materialised, sumMaterialised bool) {
@@ -238,6 +238,33 @@ func checkRange(t *testing.T, name string, f *core.Form, col []int64, lo, hi int
 	}
 	if lo <= hi && sa.materialised != ca.materialised {
 		t.Fatalf("%s [%d, %d]: select materialised = %v, count %v", name, lo, hi, sa.materialised, ca.materialised)
+	}
+	// Keep, from a dense and from a sparse selection: only the rows it
+	// holds that match stay, and the bits beside the form's rows stay.
+	for _, holds := range []func(i int) bool{
+		func(i int) bool { return i%5 != 1 },
+		func(i int) bool { return i%17 == 0 },
+	} {
+		kept, wantKept := sel.New(want.Len()), sel.New(want.Len())
+		for _, i := range []int{-1, len(col)} {
+			kept.Add(base + i)
+			wantKept.Add(base + i)
+		}
+		for i, v := range col {
+			if holds(i) {
+				kept.Add(base + i)
+				if v >= lo && v <= hi {
+					wantKept.Add(base + i)
+				}
+			}
+		}
+		ka, err := run(keepVerb, f, lo, hi, kept, base, s)
+		if err != nil || !slices.Equal(kept.Rows(), wantKept.Rows()) {
+			t.Fatalf("%s [%d, %d]: keep: %v, %d bits set, want %d", name, lo, hi, err, kept.Count(), wantKept.Count())
+		}
+		if lo <= hi && ka.materialised != ca.materialised {
+			t.Fatalf("%s [%d, %d]: keep materialised = %v, count %v", name, lo, hi, ka.materialised, ca.materialised)
+		}
 	}
 	return ca.materialised, ua.materialised
 }

@@ -123,9 +123,9 @@ func TestSelectRangeEmptyAndInverted(t *testing.T) {
 }
 
 // TestSelectPlainExtremes pins the branch-free scan of the plain leaf
-// (selectPlain) against the two-sided compare where the arithmetic is
-// least forgiving: full-span bounds, inverted ranges, and values at
-// both int64 extremes.
+// (selectPlain), select and keep, against the two-sided compare where
+// the arithmetic is least forgiving: full-span bounds, inverted ranges,
+// and values at both int64 extremes.
 func TestSelectPlainExtremes(t *testing.T) {
 	vals := make([]int64, 150) // two full mask words and a tail
 	rng := rand.New(rand.NewSource(9))
@@ -142,16 +142,29 @@ func TestSelectPlainExtremes(t *testing.T) {
 	bounds := []int64{math.MinInt64, math.MinInt64 + 2, -2, 0, 2, math.MaxInt64 - 2, math.MaxInt64}
 	for _, lo := range bounds {
 		for _, hi := range bounds {
-			var want []int64
+			var want, wantKept []int64
 			for i, v := range vals {
 				if v >= lo && v <= hi {
 					want = append(want, int64(7+i))
+					if i%3 != 0 {
+						wantKept = append(wantKept, int64(7+i))
+					}
 				}
 			}
 			dst := sel.New(7 + len(vals))
-			selectPlain(vals, lo, hi, dst, 7)
+			selectPlain(vals, lo, hi, dst, 7, false)
 			if got := dst.Rows(); !vec.Equal(got, want) {
 				t.Fatalf("[%d, %d]: %d rows, want %d", lo, hi, len(got), len(want))
+			}
+			dst.Reset(7 + len(vals))
+			for i := range vals {
+				if i%3 != 0 {
+					dst.Add(7 + i)
+				}
+			}
+			selectPlain(vals, lo, hi, dst, 7, true)
+			if got := dst.Rows(); !vec.Equal(got, wantKept) {
+				t.Fatalf("[%d, %d] keep: %d rows, want %d", lo, hi, len(got), len(wantKept))
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"lwcomp/internal/bitpack"
 	"lwcomp/internal/core"
 	"lwcomp/internal/scheme"
 	"lwcomp/internal/sel"
@@ -22,7 +23,9 @@ import (
 // disagree about a scheme because they share its rule. A fourth verb,
 // sum under a selection, has no range to move and so its own rule per
 // scheme (the table's right-hand column), but the same pushdown, leaves
-// and fallback.
+// and fallback. Select has a second mode, keep, which clears the bits
+// of the rows that fail and reads only the rows a selection already
+// holds: how a later conjunct runs (DESIGN.md §1.14).
 
 // Verb is what a pushdown does with the rows whose value is in range.
 type Verb uint8
@@ -31,6 +34,7 @@ const (
 	CountVerb  Verb = iota // count them
 	SumVerb                // count them and sum their values
 	selectVerb             // set their bits in a selection (SelectRangeSel)
+	keepVerb               // clear the bits of the rows that fail (KeepRangeSel)
 	sumSelVerb             // no range: sum the rows a selection holds (SumSel)
 )
 
@@ -52,7 +56,8 @@ type pushdown struct {
 	verb Verb
 	answer
 	// dst holds row r of the form at bit base+r: selectVerb sets the
-	// bits of matching rows, sumSelVerb reads which rows to sum.
+	// bits of matching rows, keepVerb clears those of the others, and
+	// sumSelVerb reads which rows to sum.
 	dst  *sel.Selection
 	base int
 	s    *core.Scratch
@@ -110,6 +115,20 @@ func SelectRangeSel(f *core.Form, lo, hi int64, dst *sel.Selection, base int) er
 	s := core.GetScratch()
 	defer s.Release()
 	_, err := run(selectVerb, f, lo, hi, dst, base, s)
+	return err
+}
+
+// KeepRangeSel clears the bit base+r of dst of each row r of f whose
+// value falls outside [lo, hi], and touches no other bit: dst becomes
+// its conjunction with the range. Where the form allows, only the rows
+// dst holds are read — a packed word whose rows are all clear is passed
+// over, a sparse one has just its rows' values read — and the forms
+// without a keep rule select into a pooled temporary that is ANDed in.
+// Like SelectRangeSel it allocates nothing in the steady state.
+func KeepRangeSel(f *core.Form, lo, hi int64, dst *sel.Selection, base int) error {
+	s := core.GetScratch()
+	defer s.Release()
+	_, err := run(keepVerb, f, lo, hi, dst, base, s)
 	return err
 }
 
@@ -212,7 +231,11 @@ const (
 // cannot take. That fallback is leaves.open, and exists once;
 // answer.materialised reports that it was taken.
 func (p *pushdown) push(f *core.Form, lo, hi, add int64) error {
-	if lo > hi || f.N == 0 {
+	if lo > hi {
+		p.none(0, f.N)
+		return nil
+	}
+	if f.N == 0 {
 		return nil
 	}
 	if err := check(f); err != nil {
@@ -223,6 +246,8 @@ func (p *pushdown) push(f *core.Form, lo, hi, add int64) error {
 	case scheme.ConstName:
 		if v := f.Params["value"]; in(v) {
 			p.whole(0, f.N, (v+add)*int64(f.N))
+		} else {
+			p.none(0, f.N)
 		}
 		return nil
 
@@ -235,6 +260,8 @@ func (p *pushdown) push(f *core.Form, lo, hi, add int64) error {
 		for i, end := range bounds {
 			if in(values[i]) {
 				p.whole(int(start), int(end-start), (values[i]+add)*(end-start))
+			} else {
+				p.none(int(start), int(end-start))
 			}
 			start = end
 		}
@@ -257,20 +284,22 @@ func (p *pushdown) push(f *core.Form, lo, hi, add int64) error {
 		case scheme.ConstName:
 			m := model.Params["value"]
 			w, n, _ := window(lo, hi, m, minInt64, maxInt64)
-			for _, r := range w[:n] {
-				if err := p.push(residual, r[0], r[1], add+m); err != nil {
-					return err
+			return p.pieces(0, f.N, n, func() error {
+				for _, r := range w[:n] {
+					if err := p.push(residual, r[0], r[1], add+m); err != nil {
+						return err
+					}
 				}
-			}
-			return nil
+				return nil
+			})
 		case scheme.StepName:
 			return p.segments(model, residual, lo, hi, add)
 		case scheme.LinearName:
-			return p.lines(model, residual, lo, hi, add)
+			return p.selectThenAnd(0, f.N, func() error { return p.lines(model, residual, lo, hi, add) })
 		}
 
 	case scheme.LinearName:
-		return p.lines(f, nil, lo, hi, add)
+		return p.selectThenAnd(0, f.N, func() error { return p.lines(f, nil, lo, hi, add) })
 
 	case scheme.DictName:
 		if p.verb == SumVerb {
@@ -289,7 +318,7 @@ func (p *pushdown) push(f *core.Form, lo, hi, add int64) error {
 		return p.patch(f, lo, hi, add)
 
 	case scheme.DeltaName:
-		return p.deltas(f, lo, hi, add)
+		return p.selectThenAnd(0, f.N, func() error { return p.deltas(f, lo, hi, add) })
 	}
 
 	l, err := p.leafOf(f)
@@ -315,13 +344,57 @@ func check(f *core.Form) error {
 }
 
 // whole records that every row of [start, start+count) matches; sum is
-// what they add up to.
+// what they add up to. Keep leaves the rows as they are.
 func (p *pushdown) whole(start, count int, sum int64) {
 	p.count += int64(count)
 	p.sum += sum
 	if p.verb == selectVerb {
 		p.dst.AddRun(p.base+start, count)
 	}
+}
+
+// none records that no row of [start, start+count) matches: keep clears
+// them, and every other verb has nothing to do.
+func (p *pushdown) none(start, count int) {
+	if p.verb == keepVerb {
+		p.dst.ClearRun(p.base+start, count)
+	}
+}
+
+// pieces runs eval, which applies the verb to each of the n pieces of a
+// range over rows [start, start+count). Keep runs it as it is on one
+// piece and clears the rows on none, but two pieces would each clear
+// the other's matches: it selects them (selectThenAnd).
+func (p *pushdown) pieces(start, count, n int, eval func() error) error {
+	switch {
+	case p.verb != keepVerb || n == 1:
+		return eval()
+	case n == 0:
+		p.none(start, count)
+		return nil
+	}
+	return p.selectThenAnd(start, count, eval)
+}
+
+// selectThenAnd runs eval, which applies the verb to rows
+// [start, start+count), as it is unless the verb is keep; then it
+// selects those rows into a pooled temporary, whose complement keep
+// clears: the rule of the forms without a keep rule of their own
+// (linear models, delta forms) and of two-piece ranges.
+func (p *pushdown) selectThenAnd(start, count int, eval func() error) error {
+	if p.verb != keepVerb {
+		return eval()
+	}
+	tmp := sel.Get(count)
+	defer tmp.Release()
+	dst, base := p.dst, p.base
+	p.verb, p.dst, p.base = selectVerb, tmp, -start
+	err := eval()
+	p.verb, p.dst, p.base = keepVerb, dst, base
+	if err == nil {
+		dst.AndAt(tmp, base+start)
+	}
+	return err
 }
 
 // segments is the walk for, step and plus(model=step) share: model is
@@ -379,12 +452,14 @@ func (p *pushdown) leafRange(l leaf, start, count int, lo, hi, ref, add int64) e
 	if n > 0 {
 		p.stats.DecodedSegments++
 	}
-	for _, r := range w[:n] {
-		if err := l.apply(p, start, count, r[0], r[1], ref+add); err != nil {
-			return err
+	return p.pieces(start, count, n, func() error {
+		for _, r := range w[:n] {
+			if err := l.apply(p, start, count, r[0], r[1], ref+add); err != nil {
+				return err
+			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // window moves the range lo ≤ v ≤ hi on v = ref + o onto o, for o known
@@ -431,7 +506,9 @@ func window(lo, hi, ref, omin, omax int64) (w [2][2]int64, n int, all bool) {
 // the base says: count and sum take the base's value back out and put
 // the exception's in, each under the range test; select restores the
 // bit to what the exception's value says — unless it was set before
-// this call, since dst may hold another leaf's matches.
+// this call, since dst may hold another leaf's matches — and keep sets
+// it back when it was set before this call and the exception's value
+// matches, and clears it otherwise.
 func (p *pushdown) patch(f *core.Form, lo, hi, add int64) error {
 	base := f.Children["base"]
 	positions, err := core.ChildScratch(f, "positions", p.s)
@@ -449,7 +526,8 @@ func (p *pushdown) patch(f *core.Form, lo, hi, add int64) error {
 	// the base's value (count, sum).
 	was := p.s.I64(len(positions))
 	defer p.s.PutI64(was)
-	if p.verb == selectVerb {
+	selects := p.verb == selectVerb || p.verb == keepVerb
+	if selects {
 		for i, pos := range positions {
 			was[i] = 0
 			if p.dst.Contains(p.base + int(pos)) {
@@ -460,11 +538,11 @@ func (p *pushdown) patch(f *core.Form, lo, hi, add int64) error {
 	if err := p.push(base, lo, hi, add); err != nil {
 		return err
 	}
-	if p.verb == selectVerb {
+	if selects {
 		for i, pos := range positions {
 			switch {
-			case was[i] == 1:
-			case in(values[i]):
+			case was[i] == 1 && p.verb == selectVerb:
+			case in(values[i]) && (was[i] == 1 || p.verb == selectVerb):
 				p.dst.Add(p.base + int(pos))
 			default:
 				p.dst.Remove(p.base + int(pos))
@@ -546,11 +624,15 @@ func checkRunBounds(f *core.Form, bounds []int64) error {
 	return nil
 }
 
-// selectPlain scans materialized values chunk-wise, ORing one match
-// mask per 64 values into dst at base. One unsigned compare tests both
+// selectPlain scans materialized values chunk-wise into dst at base,
+// ORing one match mask per 64 values in (select) or clearing the bits of
+// the values outside the range (keep). One unsigned compare tests both
 // bounds, branch-free.
-func selectPlain(vals []int64, lo, hi int64, dst *sel.Selection, base int) {
+func selectPlain(vals []int64, lo, hi int64, dst *sel.Selection, base int, keep bool) {
 	if lo > hi {
+		if keep {
+			dst.ClearRun(base, len(vals))
+		}
 		return
 	}
 	span := uint64(hi) - uint64(lo)
@@ -563,6 +645,10 @@ func selectPlain(vals []int64, lo, hi int64, dst *sel.Selection, base int) {
 			}
 			m |= bit << uint(j)
 		}
-		dst.OrWord(base+chunk, m)
+		if keep {
+			dst.ClearWord(base+chunk, ^m&bitpack.Mask(uint(min(64, len(vals)-chunk))))
+		} else {
+			dst.OrWord(base+chunk, m)
+		}
 	}
 }

@@ -121,6 +121,40 @@ func (s *Selection) AddRun(start, count int) {
 
 const allOnes = ^uint64(0)
 
+// ClearRun deselects the contiguous rows [start, start+count), whole
+// words at a time, as AddRun selects them.
+func (s *Selection) ClearRun(start, count int) {
+	for ; count > 0; start, count = start+64, count-64 {
+		s.ClearWord(start, allOnes>>(64-uint(min(count, 64))))
+	}
+}
+
+// ClearWord deselects the rows pos+j for the set bits j of mask, as
+// OrWord selects them: bits beyond the domain must be zero in mask.
+// It is how a conjunct that keeps clears one 64-row chunk's failing
+// rows.
+func (s *Selection) ClearWord(pos int, mask uint64) {
+	word, off := pos>>6, uint(pos)&63
+	s.words[word] &^= mask << off
+	if hi := mask >> (64 - off); hi != 0 {
+		s.words[word+1] &^= hi
+	}
+}
+
+// Words returns the words that hold rows [pos, pos+n) and the bit of
+// row pos in the first of them, for kernels that write a selection's
+// bits in place (the fused selects of package bitpack): such a kernel
+// may change only the bits of those rows. The dirty span widens to
+// cover them.
+func (s *Selection) Words(pos, n int) ([]uint64, int) {
+	if n <= 0 {
+		return nil, 0
+	}
+	first, last := pos>>6, (pos+n-1)>>6
+	s.touch(first, last)
+	return s.words[first : last+1], pos & 63
+}
+
 // OrWord ORs mask into the selection at bit offset pos: mask bit j
 // selects row pos+j. pos need not be word-aligned; bits beyond the
 // domain must be zero in mask. This is how the fused
@@ -147,6 +181,17 @@ func (s *Selection) OrWord(pos int, mask uint64) {
 func (s *Selection) OrAt(o *Selection, offset int) {
 	for w := o.lo; w < o.hi; w++ {
 		s.OrWord(offset+w*64, o.words[w])
+	}
+}
+
+// AndAt intersects the rows [offset, offset+o.Len()) of s with o: row
+// offset+i stays selected only if o holds row i. Rows outside that span
+// are untouched. It is the merge of a conjunct evaluated into a
+// temporary of its own rows.
+func (s *Selection) AndAt(o *Selection, offset int) {
+	for w, m := range o.words {
+		n := min(64, o.n-w*64)
+		s.ClearWord(offset+w*64, ^m&(allOnes>>(64-uint(n))))
 	}
 }
 

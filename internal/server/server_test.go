@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -356,6 +357,18 @@ func TestQueryErrors(t *testing.T) {
 	code, body = postQuery(t, ts, queryRequest{Table: "orders", Op: "count", Where: where})
 	if off, ok := body["offset"].(float64); code != http.StatusBadRequest || !ok || int(off) != len(where)-len("status = 2") {
 		t.Fatalf("%d comparisons: code=%d body=%v, want 400 at the last", table.MaxLeaves+1, code, body)
+	}
+
+	// So is an in-list whose runs of consecutive values pass the cap,
+	// at the first value of the first run past it.
+	vals := make([]string, table.MaxLeaves+1)
+	for i := range vals {
+		vals[i] = strconv.Itoa(3 * i)
+	}
+	where = "status in (" + strings.Join(vals, ", ") + ")"
+	code, body = postQuery(t, ts, queryRequest{Table: "orders", Op: "count", Where: where})
+	if off, ok := body["offset"].(float64); code != http.StatusBadRequest || !ok || int(off) != strings.LastIndex(where, " ")+1 {
+		t.Fatalf("an in-list of %d runs: code=%d body=%v, want 400 at its last value", table.MaxLeaves+1, code, body)
 	}
 
 	// A syntactically invalid body is a 400, not a 500.

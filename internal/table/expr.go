@@ -169,7 +169,7 @@ func (n *rangeNode) prune(ch *chunks, ck int) blocked.RangeClass {
 }
 
 func (n *rangeNode) evalBlock(ch *chunks, ck int, dst *sel.Selection) error {
-	return ch.selectChunk(n.pos(ch), ck, n.lo, n.hi, dst)
+	return ch.selectChunk(n.pos(ch), ck, n.lo, n.hi, dst, false)
 }
 
 func (n *rangeNode) estimate(ch *chunks, ck int) float64 {
@@ -264,7 +264,7 @@ func (n *inNode) evalBlock(ch *chunks, ck int, dst *sel.Selection) error {
 	for i := 0; i < len(n.vals); {
 		var lo, hi int64
 		lo, hi, i = n.run(i)
-		if err := ch.selectChunk(ci, ck, lo, hi, dst); err != nil {
+		if err := ch.selectChunk(ci, ck, lo, hi, dst, false); err != nil {
 			return err
 		}
 	}
@@ -324,7 +324,10 @@ func (n *andNode) prune(ch *chunks, ck int) blocked.RangeClass {
 // and every later child is skipped once the intersection is empty —
 // on a lazy container that means later columns' payloads are never
 // fetched. Children the stats already prove contribute nothing to the
-// intersection and are skipped outright.
+// intersection and are skipped outright. A later Range/Eq child keeps:
+// it clears the rows it fails in dst itself, reading only the rows dst
+// still holds (DESIGN.md §1.14). Any other child selects into a pooled
+// temporary that is ANDed in.
 func (n *andNode) evalBlock(ch *chunks, ck int, dst *sel.Selection) error {
 	best, refuted := n.first(ch, ck)
 	if refuted {
@@ -345,6 +348,12 @@ func (n *andNode) evalBlock(ch *chunks, ck int, dst *sel.Selection) error {
 		}
 		if dst.Count() == 0 {
 			return nil
+		}
+		if r, ok := k.(*rangeNode); ok {
+			if err := ch.selectChunk(r.pos(ch), ck, r.lo, r.hi, dst, true); err != nil {
+				return err
+			}
+			continue
 		}
 		tmp := sel.Get(dst.Len())
 		if err := k.evalBlock(ch, ck, tmp); err != nil {

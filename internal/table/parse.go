@@ -85,7 +85,10 @@ const MaxDepth = 64
 // its leaves for every block of a table, so without a cap a request
 // under the server's 1 MiB body limit could hold 50,000 of them; past
 // the cap Parse stops with a ParseError at the first comparison over
-// it. An in-list counts as one leaf, whatever its length.
+// it. An in-list counts as the probes it evaluates to, one per maximal
+// run of consecutive values (the runs evalBlock and the count/sum sink
+// probe each block with), and the first run over the cap is the error,
+// at the offset of that run's first value.
 const MaxLeaves = 1024
 
 // ParseError is the error Parse returns for input outside the
@@ -300,11 +303,13 @@ func (p *parser) parseCmp() (Expr, error) {
 }
 
 // parseIn parses the parenthesized value list of "col in (...)". An
-// empty list is allowed and matches nothing.
+// empty list is allowed and matches nothing. The comparison is already
+// counted as one leaf; its further runs count too (MaxLeaves).
 func (p *parser) parseIn(col string) (Expr, error) {
 	if p.tok.kind != tokLParen {
 		return nil, p.errorf("expected '(' after 'in', got %q", p.tok.text)
 	}
+	open := p.tok.pos
 	p.next()
 	var vals []int64
 	if p.tok.kind != tokRParen {
@@ -324,7 +329,29 @@ func (p *parser) parseIn(col string) (Expr, error) {
 		return nil, p.errorf("expected ')' closing the in-list, got %q", p.tok.text)
 	}
 	p.next()
-	return In(col, vals...), nil
+	n := In(col, vals...).(*inNode)
+	for i := 0; i < len(n.vals); {
+		if i > 0 { // the list's first run is the leaf parseCmp counted
+			if p.leaves == MaxLeaves {
+				return nil, p.valueError(open, n.vals[i], "predicate has more than %d comparisons and in-list runs", MaxLeaves)
+			}
+			p.leaves++
+		}
+		_, _, i = n.run(i)
+	}
+	return n, nil
+}
+
+// valueError returns a ParseError at the first token of the in-list
+// opening at offset open that holds the value v.
+func (p *parser) valueError(open int, v int64, format string, args ...any) error {
+	q := &parser{input: p.input, pos: open}
+	for q.next(); q.tok.kind != tokEOF && q.tok.kind != tokRParen; q.next() {
+		if x, err := strconv.ParseInt(q.tok.text, 10, 64); err == nil && x == v {
+			break
+		}
+	}
+	return q.errorf(format, args...)
 }
 
 func (p *parser) parseValue() (int64, error) {

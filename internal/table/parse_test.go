@@ -334,7 +334,7 @@ func TestParseLeafCap(t *testing.T) {
 
 	terms := make([]string, MaxLeaves/2) // two comparisons each
 	for i := range terms {
-		terms[i] = fmt.Sprintf("(a >= %d and not b in (%d, 7, 9))", i, i)
+		terms[i] = fmt.Sprintf("(a >= %d and not b in (%d, %d))", i, i+1, i) // one run
 	}
 	src := strings.Join(terms, " or ")
 	if _, err := Parse(src); err != nil {
@@ -342,5 +342,72 @@ func TestParseLeafCap(t *testing.T) {
 	}
 	if _, err := Parse(src + " or z = 1"); err == nil {
 		t.Errorf("Parse of %d comparisons succeeded", MaxLeaves+1)
+	}
+}
+
+// TestParseInListCap: an in-list counts against MaxLeaves as the probes
+// it evaluates to, one per maximal run of consecutive values. A 1 MiB
+// list of distinct values 3 apart is refused at its first run over the
+// cap, quickly and without growing the stack by the input's length;
+// a list that collapses into runs is not, however long; and the runs
+// add up with the predicate's other comparisons.
+func TestParseInListCap(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("date in (")
+	over := 0 // the offset of run MaxLeaves+1, listed last to first
+	var vals []int
+	for size := 0; size < 1<<20-32; size += len(fmt.Sprint(3*len(vals))) + 2 {
+		vals = append(vals, 3*len(vals))
+	}
+	for i := len(vals) - 1; i >= 0; i-- {
+		if i < len(vals)-1 {
+			b.WriteString(", ")
+		}
+		if i == MaxLeaves {
+			over = b.Len()
+		}
+		fmt.Fprintf(&b, "%d", vals[i])
+	}
+	b.WriteString(")")
+	hostile := b.String()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	done := make(chan error)
+	go func() { _, err := Parse(hostile); done <- err }()
+	err := <-done
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	var pe *ParseError
+	if !errors.As(err, &pe) || pe.Offset != over || pe.Token != fmt.Sprint(3*MaxLeaves) {
+		t.Fatalf("Parse(%d bytes of in-list) = %v, want a ParseError at offset %d", len(hostile), err, over)
+	}
+	if elapsed > time.Second {
+		t.Errorf("refusing took %v", elapsed)
+	}
+	if grew := int64(after.StackInuse) - int64(before.StackInuse); grew > 1<<20 {
+		t.Errorf("stack in use grew by %d bytes", grew)
+	}
+
+	long := make([]string, 100000) // one run
+	for i := range long {
+		long[i] = fmt.Sprint(len(long) - i)
+	}
+	if _, err := Parse("date in (" + strings.Join(long, ", ") + ")"); err != nil {
+		t.Errorf("Parse of a %d-value run: %v", len(long), err)
+	}
+	runs := make([]string, MaxLeaves-1) // with "a = 1", exactly at the cap
+	for i := range runs {
+		runs[i] = fmt.Sprint(2 * i)
+	}
+	list := "a = 1 and b in (" + strings.Join(runs, ", ")
+	if _, err := Parse(list + ")"); err != nil {
+		t.Errorf("Parse of %d probes: %v", MaxLeaves, err)
+	}
+	if _, err := Parse(list + ", 5000)"); err == nil {
+		t.Errorf("Parse of %d probes succeeded", MaxLeaves+1)
+	}
+	if _, err := Parse(list + ") or c = 2"); err == nil {
+		t.Errorf("Parse of %d probes and a comparison succeeded", MaxLeaves+1)
 	}
 }

@@ -321,27 +321,36 @@ func (ch *chunks) load(sc *core.Scratch, ci, k int) ([]int64, error) {
 }
 
 // selectChunk evaluates lo ≤ v ≤ hi on column ci over chunk k into the
-// chunk-local dst: on the block's compressed form when the chunk is the
-// whole block, on its window of the decoded block otherwise.
-func (ch *chunks) selectChunk(ci, k int, lo, hi int64, dst *sel.Selection) error {
+// chunk-local dst — ORing the matches in, or with keep clearing the
+// bits of the rows that fail: on the block's compressed form when the
+// chunk is the whole block, on its window of the decoded block
+// otherwise.
+func (ch *chunks) selectChunk(ci, k int, lo, hi int64, dst *sel.Selection, keep bool) error {
 	c, bi, whole := ch.blockOf(ci, k)
-	if whole {
+	switch {
+	case whole && keep:
+		return c.KeepBlockRange(bi, lo, hi, dst)
+	case whole:
 		return c.SelectBlockRangeSel(bi, lo, hi, dst, 0)
 	}
 	sc := core.GetScratch()
 	defer sc.Release()
 	vals, err := ch.load(sc, ci, k)
-	for r := 0; r < len(vals) && lo <= hi; r += 64 {
+	for r := 0; r < len(vals); r += 64 {
 		var m uint64
 		for j, v := range vals[r:min(r+64, len(vals))] {
 			// One unsigned compare tests both bounds, branch-free.
 			var bit uint64
-			if uint64(v)-uint64(lo) <= uint64(hi)-uint64(lo) {
+			if lo <= hi && uint64(v)-uint64(lo) <= uint64(hi)-uint64(lo) {
 				bit = 1
 			}
 			m |= bit << uint(j)
 		}
-		dst.OrWord(r, m)
+		if keep {
+			dst.ClearWord(r, ^m&(1<<uint(min(64, len(vals)-r))-1))
+		} else {
+			dst.OrWord(r, m)
+		}
 	}
 	sc.PutI64(vals)
 	return err
