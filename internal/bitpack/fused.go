@@ -305,57 +305,15 @@ func fillRun(dst []uint64, o uint, nb int, m uint64, keep bool) {
 	}
 }
 
-// sparseKeep sets how many rows a block's selection word may hold for
-// keep to read just those rows' values rather than run the block's
-// kernel (sparseRows). A sparse read costs about 1.5 ns a row where a
-// value sits in one word and twice that where it can straddle two, and
-// the block's kernel 20-35 ns whatever the selection holds, so they
-// meet near 12 rows and near 6: BenchmarkKeepKernels (DESIGN.md §1.14).
+// sparseKeep sets how many rows a block's selection word may hold for a
+// lane kernel's keep (w <= 16, not zigzag) to read just those rows'
+// values rather than run the block's SWAR compare: at most min(w,
+// sparseKeep), halved where a value can straddle two words. A sparse
+// read costs about 1.5 ns a row where a value sits in one word and
+// twice that where it can straddle two, and the block's lane kernel
+// 20-35 ns whatever the selection holds, so they meet near 12 rows and
+// near 6: BenchmarkKeepKernels (DESIGN.md §1.14).
 const sparseKeep = 12
-
-// sparseRows is the most rows of a block at width w > 0 that keep reads
-// one at a time: sparseKeep, half of it for a width whose values can
-// straddle two words, and never more than w, since narrow lane kernels
-// cost next to nothing.
-func sparseRows(w uint) int {
-	n := sparseKeep
-	if 64%w != 0 {
-		n /= 2
-	}
-	return min(int(w), n)
-}
-
-// keepSparse returns the bits of in whose values in the block src, w
-// bits each and zigzag-decoded when zz, lie in [lo, lo+span]: only
-// those values are read. Each value is read from the words that hold
-// its first and last bits, one word twice unless it straddles two, and
-// compared without a branch: whether a selected row matches is as good
-// as random.
-func keepSparse(src []uint64, w uint, in, lo, span uint64, zz bool) uint64 {
-	if len(src) == 0 { // w = 0: every value is 0, zigzag or not
-		if 0-lo <= span {
-			return in
-		}
-		return 0
-	}
-	mask := Mask(w)
-	m := in
-	for r := in; r != 0; r &= r - 1 {
-		i := uint(bits.TrailingZeros64(r))
-		p := i * w
-		off := p & 63
-		v := (src[p>>6]>>off | src[(p+w-1)>>6]<<1<<(63-off)) & mask
-		if zz {
-			v = uint64(Unzigzag(v))
-		}
-		var fail uint64
-		if v-lo > span {
-			fail = 1
-		}
-		m &^= r & -r & -fail // the row's bit, when its value fails
-	}
-	return m
-}
 
 // The loops below are the block operators without a lane kernel: every
 // width above 16 bits, the zigzag compares at every width, and the
@@ -395,27 +353,18 @@ func countLoop(words []uint64, nb int, w uint, lo, span uint64, zz bool) int {
 	return n
 }
 
-// selectLoop is selectRun's loop, keep's sparse and empty words
-// included.
+// selectLoop is selectRun's loop; keep passes over a block whose
+// selection word is empty.
 func selectLoop(words []uint64, nb int, w uint, lo, span uint64, zz, keep bool, dst []uint64, o uint) {
 	var u [BlockLen]uint64
-	sparse := 0
-	if w > 0 {
-		sparse = sparseRows(w)
-	}
 	for b := range nb {
-		src := words[b*int(w):][:w]
 		var in uint64
 		if keep {
 			if in = bitsAt(dst, b<<6+int(o), BlockLen); in == 0 {
 				continue
 			}
-			if bits.OnesCount64(in) <= sparse {
-				setBlock(dst, o, b, keepSparse(src, w, in, lo, span, zz), in, true)
-				continue
-			}
 		}
-		unpack64(src, &u)
+		unpack64(words[b*int(w):][:w], &u)
 		setBlock(dst, o, b, matches(&u, lo, span, zz), in, keep)
 	}
 }

@@ -118,8 +118,9 @@ func main() {
 		"// b's value i is bit o+64b+i. Select (keep false) ORs each block's",
 		"// match mask in. Keep clears the bits of the values that fail and",
 		"// reads only the rows dst holds: a block whose bits are all clear is",
-		"// passed over, and one with at most sparseRows(w) set has just those",
-		"// values read.",
+		"// passed over, and at a lane kernel's width one with at most",
+		"// min(w, sparseKeep) set, halved where a value can straddle two words,",
+		"// has just those values read.",
 	}, "selectRun(words []uint64, nb int, w uint, lo, span uint64, zz, keep bool, dst []uint64, o uint)", "!zz",
 		func(w int) {
 			fmt.Fprintln(&b, "fill := uint64(0)\nif 0-lo <= span {\nfill = ^fill\n}")
@@ -355,8 +356,8 @@ func emitRangeSWAR(b *bytes.Buffer, w int, sel bool) {
 		fmt.Fprintln(b, "\tif keep {")
 		fmt.Fprintln(b, "\t\tif in = dst[b] >> o; o != 0 {\nin |= dst[b+1] << (64 - o)\n}")
 		fmt.Fprintln(b, "\t\tif in == 0 {\ncontinue\n}")
-		// sparseRows(w), folded: a value that can straddle two words costs
-		// two word reads.
+		// A value that can straddle two words costs two word reads, so
+		// such widths read half as many rows one at a time.
 		rows := "sparseKeep"
 		if 64%w != 0 {
 			rows = "sparseKeep/2"

@@ -25,8 +25,8 @@ func refMask(vals []uint64, lo, span uint64) uint64 {
 
 // keepWords are the incoming selection words keep is checked with on
 // every block: empty, full, one row at either end, 3, 6, 7, 8,
-// sparseKeep and sparseKeep+1 rows — each side of every width's
-// sparseRows — and two dense patterns.
+// sparseKeep and sparseKeep+1 rows — each side of every lane width's
+// sparse cut — and two dense patterns.
 var keepWords = [...]uint64{
 	0, ^uint64(0), 1, 1 << 63, Mask(3) << 9, Mask(6) << 40, Mask(7) << 2, Mask(8) << 30,
 	Mask(sparseKeep) << 20, Mask(sparseKeep+1) << 7,

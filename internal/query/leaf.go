@@ -504,7 +504,7 @@ func (v *plain) apply(p *pushdown, start, count int, lo, hi, add int64) error {
 	rows := v.vals[start : start+count]
 	switch p.verb {
 	case selectVerb, keepVerb:
-		selectPlain(rows, lo, hi, p.dst, p.base+start, p.verb == keepVerb)
+		SelectPlain(rows, lo, hi, p.dst, p.base+start, p.verb == keepVerb)
 	case CountVerb:
 		p.count += vec.CountRange(rows, lo, hi)
 	default:

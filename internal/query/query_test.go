@@ -123,7 +123,7 @@ func TestSelectRangeEmptyAndInverted(t *testing.T) {
 }
 
 // TestSelectPlainExtremes pins the branch-free scan of the plain leaf
-// (selectPlain), select and keep, against the two-sided compare where
+// (SelectPlain), select and keep, against the two-sided compare where
 // the arithmetic is least forgiving: full-span bounds, inverted ranges,
 // and values at both int64 extremes.
 func TestSelectPlainExtremes(t *testing.T) {
@@ -152,7 +152,7 @@ func TestSelectPlainExtremes(t *testing.T) {
 				}
 			}
 			dst := sel.New(7 + len(vals))
-			selectPlain(vals, lo, hi, dst, 7, false)
+			SelectPlain(vals, lo, hi, dst, 7, false)
 			if got := dst.Rows(); !vec.Equal(got, want) {
 				t.Fatalf("[%d, %d]: %d rows, want %d", lo, hi, len(got), len(want))
 			}
@@ -162,7 +162,7 @@ func TestSelectPlainExtremes(t *testing.T) {
 					dst.Add(7 + i)
 				}
 			}
-			selectPlain(vals, lo, hi, dst, 7, true)
+			SelectPlain(vals, lo, hi, dst, 7, true)
 			if got := dst.Rows(); !vec.Equal(got, wantKept) {
 				t.Fatalf("[%d, %d] keep: %d rows, want %d", lo, hi, len(got), len(wantKept))
 			}

@@ -624,11 +624,12 @@ func checkRunBounds(f *core.Form, bounds []int64) error {
 	return nil
 }
 
-// selectPlain scans materialized values chunk-wise into dst at base,
-// ORing one match mask per 64 values in (select) or clearing the bits of
-// the values outside the range (keep). One unsigned compare tests both
-// bounds, branch-free.
-func selectPlain(vals []int64, lo, hi int64, dst *sel.Selection, base int, keep bool) {
+// SelectPlain evaluates lo ≤ v ≤ hi on decoded values into dst at
+// base, 64 values at a time: select ORs each chunk's match mask in, and
+// keep clears the bits of the values outside the range. One unsigned
+// compare tests both bounds, branch-free. It is the plain leaf's verb
+// and the table's over a window of a decoded block.
+func SelectPlain(vals []int64, lo, hi int64, dst *sel.Selection, base int, keep bool) {
 	if lo > hi {
 		if keep {
 			dst.ClearRun(base, len(vals))

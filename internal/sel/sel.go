@@ -157,8 +157,8 @@ func (s *Selection) Words(pos, n int) ([]uint64, int) {
 
 // OrWord ORs mask into the selection at bit offset pos: mask bit j
 // selects row pos+j. pos need not be word-aligned; bits beyond the
-// domain must be zero in mask. This is how the fused
-// unpack-and-compare kernels emit one packed block's matches.
+// domain must be zero in mask. The plain, linear and delta select rules
+// land their match masks through it.
 func (s *Selection) OrWord(pos int, mask uint64) {
 	if mask == 0 {
 		return

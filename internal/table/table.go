@@ -11,6 +11,7 @@ import (
 
 	"lwcomp/internal/blocked"
 	"lwcomp/internal/core"
+	"lwcomp/internal/query"
 	"lwcomp/internal/sel"
 	"lwcomp/internal/storage"
 )
@@ -336,24 +337,12 @@ func (ch *chunks) selectChunk(ci, k int, lo, hi int64, dst *sel.Selection, keep 
 	sc := core.GetScratch()
 	defer sc.Release()
 	vals, err := ch.load(sc, ci, k)
-	for r := 0; r < len(vals); r += 64 {
-		var m uint64
-		for j, v := range vals[r:min(r+64, len(vals))] {
-			// One unsigned compare tests both bounds, branch-free.
-			var bit uint64
-			if lo <= hi && uint64(v)-uint64(lo) <= uint64(hi)-uint64(lo) {
-				bit = 1
-			}
-			m |= bit << uint(j)
-		}
-		if keep {
-			dst.ClearWord(r, ^m&(1<<uint(min(64, len(vals)-r))-1))
-		} else {
-			dst.OrWord(r, m)
-		}
+	if err != nil {
+		return err
 	}
+	query.SelectPlain(vals, lo, hi, dst, 0, keep)
 	sc.PutI64(vals)
-	return err
+	return nil
 }
 
 // plan lays one predicate over a cut of the table: the blocked.Plan

@@ -2,6 +2,7 @@ package lwcomp_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -307,6 +308,21 @@ func TestOpenTableQueries(t *testing.T) {
 	}
 	sm.Release()
 	sa.Release()
+
+	// A narrow amount range selects first, so the status equality is
+	// a later conjunct whose 512-row chunk lies inside a 2048-row
+	// block: it keeps on a window of the decoded block.
+	lo, hi := int64(n/2+100), int64(n/2+300)
+	want := int64(0)
+	for i := range n {
+		if amount[i] >= lo && amount[i] <= hi && status[i] == 1 {
+			want++
+		}
+	}
+	if got, err := mis.CountWhere(context.Background(),
+		lwcomp.And(lwcomp.Eq("status", 1), lwcomp.Range("amount", lo, hi))); err != nil || got != want {
+		t.Fatalf("misaligned conjunct kept on a window: CountWhere = %d, %v; want %d", got, err, want)
+	}
 }
 
 // TestColumnCacheStats pins the satellite: cache accounting is
