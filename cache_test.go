@@ -254,6 +254,47 @@ func TestColdFetchDecodesOnce(t *testing.T) {
 	}
 }
 
+// TestColumnCacheStatsAreContainers: two containers on one shared
+// cache each see their own hits and misses through a column handle —
+// the container's counters, not the pool's.
+func TestColumnCacheStatsAreContainers(t *testing.T) {
+	_, _, _, data := cacheFixture(t, 1<<13, 1<<11)
+	sc := lwcomp.NewSharedBlockCache(64 << 20)
+	var cfs [2]*lwcomp.Container
+	for i := range cfs {
+		cf, err := lwcomp.OpenContainer(writeTemp(t, data), lwcomp.WithSharedBlockCache(sc))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cf.Close()
+		cfs[i] = cf
+	}
+	// Different traffic per container: one cold pass on the first, a
+	// cold and a warm pass on the second.
+	for i, passes := range []int{1, 2} {
+		for p := 0; p < passes; p++ {
+			if _, err := cfs[i].Columns()[0].Col.Sum(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pooled := sc.Stats()
+	for i, cf := range cfs {
+		own := cf.CacheStats()
+		got, ok := cf.Columns()[0].Col.CacheStats()
+		if !ok {
+			t.Fatalf("container %d: column reports no cache", i)
+		}
+		if got.Hits != own.Hits || got.Misses != own.Misses {
+			t.Fatalf("container %d: column hits/misses %d/%d, want the container's %d/%d (pool %d/%d)",
+				i, got.Hits, got.Misses, own.Hits, own.Misses, pooled.Hits, pooled.Misses)
+		}
+		if own.Hits+own.Misses == pooled.Hits+pooled.Misses {
+			t.Fatalf("container %d: own lookups %+v equal the pool's %+v — the test cannot tell them apart", i, own, pooled)
+		}
+	}
+}
+
 // TestUndecodablePayloadIsNotCached: a payload whose CRC checks out
 // but which is not a form (the writer was handed garbage) fails with
 // the decode error, leaves the cache as it was, and quarantines the

@@ -17,7 +17,7 @@
 //	lwc inspect -i dates.lwc
 //	lwc decompress -i dates.lwc -o back.raw
 //	lwc query -i dates.lwc -sum
-//	lwc query -i dates.lwc -range 730200:730400 --mmap
+//	lwc query -i dates.lwc -range 730200:730400
 //	lwc query -i orders.lwc -where 'date >= 730200 and date <= 730400 and status = 1' -sum -col amount
 //	lwc verify -i dates.lwc
 //	lwc verify -json /data/containers/*.lwc
@@ -37,9 +37,8 @@
 // directory, fsynced, and renamed into place, so an interrupted
 // compress never leaves a torn container under the final name. stat,
 // query and decompress open containers lazily — header and block index
-// only, block payloads on demand (--mmap maps the file instead of
-// reading it) — so stat never decodes a payload and query reads only
-// the blocks the query touches.
+// only, each block payload a positioned read on demand — so stat never
+// decodes a payload and query reads only the blocks the query touches.
 //
 // verify is the offline fsck: it re-reads every block payload, checks
 // its CRC, decodes and decompresses it, and re-derives the block's
@@ -339,11 +338,10 @@ func cmdDecompress(args []string) error {
 	in := fs.String("i", "", "input container")
 	out := fs.String("o", "column.raw", "output raw column")
 	col := fs.String("col", "", "column name (default: first)")
-	mmap := fs.Bool("mmap", false, "memory-map the container instead of reading it")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	column, name, closeCol, err := loadColumn(*in, *col, *mmap)
+	column, name, closeCol, err := loadColumn(*in, *col)
 	if err != nil {
 		return err
 	}
@@ -435,7 +433,6 @@ func cmdQuery(args []string) error {
 	rangeExpr := fs.String("range", "", "count rows in lo:hi")
 	point := fs.Int64("point", -1, "look up one row")
 	where := fs.String("where", "", "predicate over the container's columns, e.g. 'date >= 730200 and status = 1'")
-	mmap := fs.Bool("mmap", false, "memory-map the container instead of reading it")
 	describe := fs.Bool("describe", false, "print per-block schemes (decodes every block)")
 	cache := fs.Bool("cache", false, "print block-cache statistics after the queries")
 	if err := fs.Parse(args); err != nil {
@@ -447,9 +444,9 @@ func cmdQuery(args []string) error {
 		if *rangeExpr != "" || *point >= 0 || *doApprox || *describe {
 			return errors.New("-where cannot be combined with -range, -point, -approx-sum or -describe")
 		}
-		return queryWhere(*in, *where, *col, *doSum, *mmap, *cache)
+		return queryWhere(*in, *where, *col, *doSum, *cache)
 	}
-	column, name, closeCol, err := loadColumn(*in, *col, *mmap)
+	column, name, closeCol, err := loadColumn(*in, *col)
 	if err != nil {
 		return err
 	}
@@ -788,12 +785,12 @@ func cmdUpgrade(args []string) error {
 // only the blocks the plan admits are read. With -sum, the named (or
 // first) column is aggregated over the survivors, decoding only the
 // blocks that still hold matches.
-func queryWhere(in, where, sumCol string, doSum, mmap, cache bool) error {
+func queryWhere(in, where, sumCol string, doSum, cache bool) error {
 	expr, err := lwcomp.ParsePredicate(where)
 	if err != nil {
 		return err
 	}
-	tbl, err := lwcomp.OpenTable(in, lwcomp.WithMmap(mmap))
+	tbl, err := lwcomp.OpenTable(in)
 	if err != nil {
 		return err
 	}
@@ -835,9 +832,8 @@ func printCacheStats(col *lwcomp.Column) {
 
 // loadColumn lazily opens one column from a container. The returned
 // func releases the container.
-func loadColumn(path, name string, mmap bool) (*lwcomp.Column, string, func() error, error) {
-	opts := []lwcomp.Option{lwcomp.WithMmap(mmap)}
-	cf, err := lwcomp.OpenContainer(path, opts...)
+func loadColumn(path, name string) (*lwcomp.Column, string, func() error, error) {
+	cf, err := lwcomp.OpenContainer(path)
 	if err != nil {
 		return nil, "", nil, err
 	}
@@ -864,21 +860,16 @@ func loadColumn(path, name string, mmap bool) (*lwcomp.Column, string, func() er
 func cmdStat(args []string) error {
 	fs := flag.NewFlagSet("stat", flag.ExitOnError)
 	in := fs.String("i", "", "input container")
-	mmap := fs.Bool("mmap", false, "memory-map the container instead of reading it")
 	cache := fs.Bool("cache", false, "print the block cache's budget and traffic counters")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cf, err := lwcomp.OpenContainer(*in, lwcomp.WithMmap(*mmap))
+	cf, err := lwcomp.OpenContainer(*in)
 	if err != nil {
 		return err
 	}
 	defer cf.Close()
-	mode := "lazy (v3)"
-	if cf.Mapped() {
-		mode = "lazy (v3, mmap)"
-	}
-	fmt.Printf("%s: %d column(s), %s\n", *in, len(cf.Columns()), mode)
+	fmt.Printf("%s: %d column(s), lazy (v3)\n", *in, len(cf.Columns()))
 	for ci, c := range cf.Columns() {
 		fmt.Printf("column %q: n=%d, block-size=%d, %d block(s)\n",
 			c.Name, c.Col.N, c.Col.BlockSize, c.Col.NumBlocks())

@@ -792,8 +792,8 @@ type CacheStatsSource interface {
 }
 
 // CacheStats snapshots the block-cache counters behind a lazily
-// opened column — the same shared cache the owning container reports,
-// reachable here without holding the container handle. ok is false
+// opened column — the owning container's CacheStats, reachable here
+// without holding the container handle. ok is false
 // for in-memory columns and sources without a cache.
 func (c *Column) CacheStats() (stats CacheStats, ok bool) {
 	if s, isCached := c.Source.(CacheStatsSource); isCached {

@@ -32,10 +32,9 @@ func rebuildBlock(t *testing.T, container []byte, edit func(rb *storage.RawBlock
 	}
 	defer cf.Close()
 	bc := cf.Columns()[0]
-	src := bc.Col.Source.(storage.BlockReader)
 	rc := storage.RawColumn{Name: bc.Name, BlockSize: bc.Col.BlockSize}
 	for i, b := range bc.Col.Blocks {
-		payload, err := src.Payload(i, nil)
+		payload, err := cf.Payload(0, i, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -291,10 +291,6 @@ func (st *BlockStats) AvgRunLength() float64 {
 // cap.
 func (st *BlockStats) DistinctSaturated() bool { return st.Distinct > DistinctCap }
 
-// Monotone reports whether the column is non-decreasing or
-// non-increasing.
-func (st *BlockStats) Monotone() bool { return st.NonDecreasing || st.NonIncreasing }
-
 // RangeWidth returns the bit width of (Max − Min), i.e. the offset
 // width a whole-column frame of reference would need.
 func (st *BlockStats) RangeWidth() uint {

@@ -124,13 +124,6 @@ func RepairFile(path string, opt RepairOptions) (*RepairResult, error) {
 	var scratch []byte
 	for ci, bc := range cf.Columns() {
 		res.Columns++
-		src, ok := bc.Col.Source.(storage.BlockReader)
-		if !ok {
-			cf.Close()
-			res.Action = ActionUnrepairable
-			res.Err = fmt.Sprintf("column %q has no raw block view", bc.Name)
-			return res, nil
-		}
 		exts := cf.Extents(ci)
 		rc := storage.RawColumn{Name: bc.Name, BlockSize: bc.Col.BlockSize}
 		for i := range bc.Col.Blocks {
@@ -143,7 +136,7 @@ func RepairFile(path string, opt RepairOptions) (*RepairResult, error) {
 				res.CarriedTombstones++
 				continue
 			}
-			rb, blockChanged := salvageBlock(src, i, exts[i], b, opt, &scratch, res)
+			rb, blockChanged := salvageBlock(cf, ci, i, exts[i], b, opt, &scratch, res)
 			if blockChanged {
 				changed = true
 			}
@@ -191,7 +184,7 @@ func RepairFile(path string, opt RepairOptions) (*RepairResult, error) {
 // loses it otherwise. It updates the result's tallies and reports
 // whether the block's index entry or payload differs from the original
 // container (requiring a new generation).
-func salvageBlock(src storage.BlockReader, i int, ext storage.BlockExtent, b *blocked.Block,
+func salvageBlock(cf *storage.ContainerFile, ci, i int, ext storage.BlockExtent, b *blocked.Block,
 	opt RepairOptions, scratch *[]byte, res *RepairResult) (storage.RawBlock, bool) {
 	var lastErr error
 	// unconfirmed holds the previous read's bytes when they decoded
@@ -202,7 +195,7 @@ func salvageBlock(src storage.BlockReader, i int, ext storage.BlockExtent, b *bl
 	// index CRC are the one consistent explanation left.
 	var unconfirmed []byte
 	for attempt := 1; attempt <= opt.ReadAttempts; attempt++ {
-		data, err := src.Payload(i, *scratch)
+		data, err := cf.Payload(ci, i, *scratch)
 		if err != nil {
 			// The storage retry layer already absorbed transient I/O;
 			// an error here exhausted that budget. A fresh attempt

@@ -221,18 +221,6 @@ func (s *Selection) And(o *Selection) error {
 	return nil
 }
 
-// AndNot removes o's rows from s in place (set difference s \ o), one
-// AND-NOT per word. The domains must match.
-func (s *Selection) AndNot(o *Selection) error {
-	if o.n != s.n {
-		return fmt.Errorf("sel: AndNot domains differ: %d vs %d", s.n, o.n)
-	}
-	for w, m := range o.words {
-		s.words[w] &^= m
-	}
-	return nil
-}
-
 // Not complements s in place over its whole domain [0, n): every
 // selected row is dropped and every unselected row selected. Bits
 // beyond the domain in the last word stay zero, preserving the

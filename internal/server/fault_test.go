@@ -6,9 +6,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"lwcomp"
@@ -385,6 +387,51 @@ func TestFaultInjectionAbsorbedByRetries(t *testing.T) {
 	}
 	if orders["read_giveups"].(float64) != 0 {
 		t.Fatalf("read_giveups = %v, want 0", orders["read_giveups"])
+	}
+}
+
+// TestFaultTruncatedContainerKeepsServing cuts a mounted container to
+// half its length under the running server — the file shrinking under
+// an open descriptor. A query needing a block past the cut answers an
+// error status rather than dropping the connection or killing the
+// process; the daemon stays healthy, another table answers exactly,
+// and /metrics counts the failed read as a giveup.
+func TestFaultTruncatedContainerKeepsServing(t *testing.T) {
+	d := makeData(2000)
+	dir := newTestDir(t, d)
+	_, ts := newTestServer(t, Config{Dir: dir})
+
+	amountPath := filepath.Join(dir, "orders.amount.lwc")
+	st, err := os.Stat(amountPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(amountPath, st.Size()/2); err != nil {
+		t.Fatal(err)
+	}
+
+	// amount climbs, so this predicate's stats admit only the last
+	// block, whose payload lies past the cut.
+	where := fmt.Sprintf("amount >= %d", d.amount[d.n-1])
+	status, body := postQuery(t, ts, queryRequest{Table: "orders", Where: where, Op: "count"})
+	if status != http.StatusInternalServerError {
+		t.Fatalf("query past the cut: status %d, body %v", status, body)
+	}
+	if msg, _ := body["error"].(string); !strings.Contains(msg, "EOF") {
+		t.Fatalf("query past the cut: error %q does not name the short read", msg)
+	}
+
+	if code, _ := getJSON(t, ts.URL+"/healthz"); code != http.StatusOK {
+		t.Fatalf("healthz after the failed read: %d", code)
+	}
+	status, body = postQuery(t, ts, queryRequest{Table: "events", Where: "kind = 1", Op: "count"})
+	if status != http.StatusOK || body["matched"].(float64) != float64(d.n/5) {
+		t.Fatalf("other table: status %d, matched %v, want %d", status, body["matched"], d.n/5)
+	}
+	_, met := getJSON(t, ts.URL+"/metrics")
+	orders := met["tables"].(map[string]any)["orders"].(map[string]any)
+	if orders["read_giveups"].(float64) == 0 {
+		t.Fatalf("read_giveups = %v, want the failed read counted", orders["read_giveups"])
 	}
 }
 

@@ -527,7 +527,10 @@ func (s *Server) queryError(w http.ResponseWriter, err error) {
 	}
 }
 
-// metricsCache is the cache section of /metrics.
+// metricsCache is the cache section of /metrics. In a table's section
+// only Hits, Misses and HitRate are the table's own traffic; Evictions,
+// BytesUsed, BytesBudget and Decodes are the shared cache's pooled
+// counters, the same figures as the top-level section.
 type metricsCache struct {
 	// Hits, Misses, Evictions, BytesUsed, BytesBudget and Decodes
 	// mirror lwcomp.CacheStats.

@@ -23,7 +23,7 @@ type mountedTable struct {
 	containers []*lwcomp.Container
 }
 
-// cacheStats sums the table's containers' cache counters — one
+// cacheStats sums the table's containers' hits and misses — one
 // container per column under the `<table>.<column>.lwc` convention,
 // so the sum is the table's own traffic even under a shared budget.
 func (mt *mountedTable) cacheStats() lwcomp.CacheStats {
@@ -32,9 +32,10 @@ func (mt *mountedTable) cacheStats() lwcomp.CacheStats {
 		st := cf.CacheStats()
 		total.Hits += st.Hits
 		total.Misses += st.Misses
-		total.Evictions += st.Evictions
-		// Bytes and decodes are pooled across the whole shared cache;
-		// report them once rather than a meaningless per-table sum.
+		// Evictions, decodes and bytes are pooled across the whole
+		// shared cache; report them once rather than a per-table sum
+		// that counts the pool once per container.
+		total.Evictions = st.Evictions
 		total.Decodes = st.Decodes
 		total.BytesUsed = st.BytesUsed
 		total.BytesBudget = st.BytesBudget
@@ -182,7 +183,6 @@ func mountTable(cfg Config, cache *lwcomp.SharedBlockCache, name string, files [
 		cf, err := storage.OpenContainerFile(f.path, storage.OpenOptions{
 			CacheBytes: storage.DefaultBlockCacheBytes,
 			Shared:     cache,
-			Mmap:       cfg.Mmap,
 			Retry:      cfg.retryPolicy(),
 			WrapReader: cfg.FaultInjection,
 		})

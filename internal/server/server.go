@@ -49,8 +49,6 @@ type Config struct {
 	// BatchRows is the default row count per streamed NDJSON frame;
 	// 0 means 4096, and more than 65,536 means 65,536 (maxBatchRows).
 	BatchRows int
-	// Mmap maps containers instead of issuing positioned reads.
-	Mmap bool
 	// ReadRetries bounds how many times a transiently failed container
 	// read is re-issued (capped exponential backoff, 1ms doubling to
 	// 50ms) before the error surfaces; 0 means 3, negative disables
@@ -59,7 +57,6 @@ type Config struct {
 	// FaultInjection, when non-nil, wraps every mounted container's
 	// reader — the hook fault-injection tests use to exercise the retry
 	// and quarantine paths (see internal/faults).
-	// Setting it disables mmap for the mounted containers.
 	FaultInjection func(io.ReaderAt) io.ReaderAt
 	// Compact enables the background recompaction daemon: periodic
 	// low-priority sweeps that re-analyze each mounted container and
@@ -391,7 +388,6 @@ func Main(args []string) error {
 	fs.DurationVar(&cfg.QueryTimeout, "timeout", 0, "per-query deadline (0 = 30s)")
 	fs.IntVar(&cfg.Parallelism, "parallel", 0, "concurrent block workers per scan (0 = GOMAXPROCS)")
 	fs.IntVar(&cfg.BatchRows, "batch-rows", 0, "rows per streamed NDJSON frame (0 = 4096, at most 65536)")
-	fs.BoolVar(&cfg.Mmap, "mmap", false, "memory-map containers instead of reading them")
 	fs.IntVar(&cfg.ReadRetries, "read-retries", 0, "retries per transiently failed container read (0 = 3, negative = none)")
 	fs.BoolVar(&cfg.Compact, "compact", false, "run the background recompaction daemon over -dir")
 	fs.DurationVar(&cfg.CompactInterval, "compact-interval", 0, "pause between background compaction sweeps (0 = 1m)")

@@ -719,3 +719,34 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	rr.Body.Close()
 }
+
+// TestMetricsTableEvictionsPooled: evictions are a pooled figure of
+// the shared cache, so a table spread over two containers reports the
+// server-wide count once, not once per container.
+func TestMetricsTableEvictionsPooled(t *testing.T) {
+	// Scattered 16-bit values: every block's payload is a few hundred
+	// bytes, so the two columns' 24 blocks overflow a 4 KiB cache.
+	a, b := make([]int64, 3000), make([]int64, 3000)
+	for i := range a {
+		a[i] = int64(i*7919) % 65521
+		b[i] = int64(i*104729) % 65519
+	}
+	dir := t.TempDir()
+	writeColumnFile(t, filepath.Join(dir, "pair.a.lwc"), a)
+	writeColumnFile(t, filepath.Join(dir, "pair.b.lwc"), b)
+	_, ts := newTestServer(t, Config{Dir: dir, CacheBytes: 4 << 10})
+	for i := 0; i < 2; i++ {
+		if code, body := postQuery(t, ts, queryRequest{Table: "pair", Op: "sum", Columns: []string{"a", "b"}}); code != 200 {
+			t.Fatalf("sum: status %d, body %v", code, body)
+		}
+	}
+	_, met := getJSON(t, ts.URL+"/metrics")
+	pooled := met["cache"].(map[string]any)["evictions"].(float64)
+	table := met["tables"].(map[string]any)["pair"].(map[string]any)["cache"].(map[string]any)["evictions"].(float64)
+	if pooled == 0 {
+		t.Fatal("two full scans over a 4 KiB cache evicted nothing")
+	}
+	if table != pooled {
+		t.Fatalf("table evictions = %v, want the pooled %v", table, pooled)
+	}
+}

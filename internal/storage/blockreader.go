@@ -8,6 +8,7 @@ import (
 	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"lwcomp/internal/blocked"
 	"lwcomp/internal/core"
@@ -16,27 +17,12 @@ import (
 // This file is the lazy, file-backed read path: OpenContainer parses
 // only a container's prefix and block index, and hands back column
 // handles whose block payloads are fetched — and CRC-verified — on
-// first touch. The BlockReader abstraction separates "where payload
-// bytes come from" (mmap, io.ReaderAt) from the query layer above,
-// which only ever asks for decoded block forms. v3 is the only
+// first touch. Every container byte is read by one method, readAt: a
+// positioned read from the container's io.ReaderAt into a caller's
+// buffer, retried per the container's RetryPolicy. The query layer
+// above only ever asks for decoded block forms. v3 is the only
 // generation it opens: any other magic is rejected after its 4 bytes
 // (checkMagic).
-
-// BlockReader supplies the raw payload bytes of one column's blocks.
-// It is the seam between the container layout and the query engine:
-// an open container's column handles serve it from an io.ReaderAt or
-// an mmap window. Payload returns either a view into the source
-// (mmap) or the provided scratch buffer filled (ReadAt), so callers
-// can pool scratch. Implementations must be safe for concurrent use.
-type BlockReader interface {
-	// NumBlocks returns the column's block count.
-	NumBlocks() int
-	// Payload returns block i's raw encoded-form bytes. When the
-	// source can hand out a stable view (mmap) it does so without
-	// copying; otherwise it fills and returns scratch (growing it if
-	// needed).
-	Payload(i int, scratch []byte) ([]byte, error)
-}
 
 // OpenOptions configures lazy container opening.
 type OpenOptions struct {
@@ -52,11 +38,6 @@ type OpenOptions struct {
 	// SharedCache so the total of cached blocks stays bounded
 	// regardless of how many tables are open.
 	Shared *SharedCache
-	// Mmap maps the file instead of issuing ReadAt calls. Ignored
-	// (with a silent fallback to ReadAt) when the platform does not
-	// support it or the mapping fails. Only honored by
-	// OpenContainerFile — OpenContainer has no file to map.
-	Mmap bool
 	// Retry, when its MaxRetries is positive, re-issues transiently
 	// failed reads with capped exponential backoff. Integrity errors
 	// (ErrCorrupt, ErrChecksum) are permanent and never retried. The
@@ -64,71 +45,29 @@ type OpenOptions struct {
 	Retry RetryPolicy
 	// WrapReader, when non-nil, decorates the container's io.ReaderAt
 	// before any byte is read — the fault-injection seam tests and
-	// benchmarks hook (see internal/faults). Setting it disables Mmap:
-	// a mapping would bypass the wrapper.
+	// benchmarks hook (see internal/faults).
 	WrapReader func(ra io.ReaderAt) io.ReaderAt
 }
 
-// byteSource abstracts where a lazy container's bytes live.
-type byteSource interface {
-	// view returns n bytes at off — either a direct slice (mmap) or
-	// scratch filled (ReadAt). scratch always has length >= n.
-	view(off int64, n int, scratch []byte) ([]byte, error)
-	io.Closer
-}
-
-// readerAtSource serves views by ReadAt; closer (the underlying file,
-// when the container owns one) is closed with the container.
-type readerAtSource struct {
-	ra     io.ReaderAt
-	closer io.Closer
-}
-
-func (s *readerAtSource) view(off int64, n int, scratch []byte) ([]byte, error) {
-	m, err := s.ra.ReadAt(scratch[:n], off)
-	// The io.ReaderAt contract permits a full read to return io.EOF
-	// when it ends exactly at end-of-file — which every container's
-	// last block payload does. Short reads and other errors are
-	// reported as the underlying I/O failure, not as corruption: the
-	// bytes were never seen, so nothing can be said about them.
-	if err != nil && !(m == n && err == io.EOF) {
-		return nil, fmt.Errorf("storage: reading %d bytes at offset %d: %w", n, off, err)
-	}
-	return scratch[:n], nil
-}
-
-func (s *readerAtSource) Close() error {
-	if s.closer == nil {
-		return nil
-	}
-	return s.closer.Close()
-}
-
-// mmapSource serves views as subslices of a read-only mapping.
-type mmapSource struct {
-	data []byte
-}
-
-func (s *mmapSource) view(off int64, n int, _ []byte) ([]byte, error) {
-	if off < 0 || off+int64(n) > int64(len(s.data)) {
-		return nil, fmt.Errorf("%w: view %d+%d outside mapping of %d bytes", ErrCorrupt, off, n, len(s.data))
-	}
-	return s.data[off : off+int64(n)], nil
-}
-
-func (s *mmapSource) Close() error { return munmap(s.data) }
-
 // ContainerFile is an open container whose block payloads load on
 // demand: only the prefix and block index are resident. All columns
-// share one byte source and one block cache, so hot blocks are served
-// as cached decoded forms while cold blocks never enter memory.
+// share one reader and one block cache, so hot blocks are served as
+// cached decoded forms while cold blocks never enter memory.
 type ContainerFile struct {
-	src          byteSource
+	// ra is the container's (possibly WrapReader-decorated) reader;
+	// closer is the original reader when it is an io.Closer (the file
+	// OpenContainerFile opened), closed with the container.
+	ra     io.ReaderAt
+	closer io.Closer
+	// retry is the container's read-retry policy (defaults filled);
+	// retries and giveups are its tallies, reported by ReadStats.
+	retry            RetryPolicy
+	retries, giveups atomic.Int64
+
 	cache        *blockCache
 	payloadStart int64
 	cols         []BlockedColumn
 	locs         [][]blockLoc
-	mapped       bool
 	// owner namespaces this container's keys inside a shared cache;
 	// shared records that the cache's budget and eviction traffic are
 	// pooled with other containers, so CacheStats reports the
@@ -178,9 +117,8 @@ type prefetchReq struct {
 const prefetchQueueLen = 32
 
 // OpenContainerFile opens a v3 container file lazily: it reads only
-// the prefix and block index (optionally mmapping the file when
-// opt.Mmap is set). Close the container (or any of its columns) when
-// done.
+// the prefix and block index. Close the container (or any of its
+// columns) when done.
 func OpenContainerFile(path string, opt OpenOptions) (*ContainerFile, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -191,22 +129,7 @@ func OpenContainerFile(path string, opt OpenOptions) (*ContainerFile, error) {
 		f.Close()
 		return nil, err
 	}
-	size := st.Size()
-	if opt.Mmap && opt.WrapReader == nil && mmapSupported && size > 0 {
-		if data, merr := mmapFile(f, size); merr == nil {
-			// The mapping survives the descriptor; drop it now.
-			f.Close()
-			cf, err := openSource(&mmapSource{data: data}, size, opt)
-			if err != nil {
-				munmap(data)
-				return nil, err
-			}
-			cf.mapped = true
-			return cf, nil
-		}
-		// Mapping failed: fall through to ReadAt on the open file.
-	}
-	cf, err := OpenContainer(f, size, opt)
+	cf, err := OpenContainer(f, st.Size(), opt)
 	if err != nil {
 		f.Close()
 		return nil, err
@@ -220,36 +143,27 @@ func OpenContainerFile(path string, opt OpenOptions) (*ContainerFile, error) {
 func OpenContainer(ra io.ReaderAt, size int64, opt OpenOptions) (*ContainerFile, error) {
 	// Close targets the original reader even when a fault-injection
 	// wrapper sits between it and the container.
-	closer, _ := ra.(io.Closer)
+	cf := &ContainerFile{ra: ra, retry: opt.Retry.withDefaults()}
+	cf.closer, _ = ra.(io.Closer)
 	if opt.WrapReader != nil {
-		ra = opt.WrapReader(ra)
-	}
-	return openSource(&readerAtSource{ra: ra, closer: closer}, size, opt)
-}
-
-// openSource opens the v3 container behind src.
-func openSource(src byteSource, size int64, opt OpenOptions) (*ContainerFile, error) {
-	if opt.Retry.MaxRetries > 0 {
-		// Decorate below everything so the open-time prefix and index
-		// reads enjoy the same tolerance as block fetches.
-		src = &retrySource{src: src, policy: opt.Retry.withDefaults()}
+		cf.ra = opt.WrapReader(ra)
 	}
 	if size < 4 {
 		return nil, fmt.Errorf("%w: container too short", ErrCorrupt)
 	}
-	var scratch [v3PrefixLen]byte
-	magic, err := src.view(0, 4, scratch[:])
-	if err != nil {
+	// The open-time prefix and index reads go through readAt too, so
+	// they enjoy the same retry tolerance as block fetches.
+	var prefix [v3PrefixLen]byte
+	if err := cf.readAt(0, prefix[:4]); err != nil {
 		return nil, err
 	}
-	if err := checkMagic(magic); err != nil {
+	if err := checkMagic(prefix[:4]); err != nil {
 		return nil, err
 	}
 	if size < v3PrefixLen+4 {
 		return nil, fmt.Errorf("%w: container too short", ErrCorrupt)
 	}
-	prefix, err := src.view(0, v3PrefixLen, scratch[:])
-	if err != nil {
+	if err := cf.readAt(0, prefix[:]); err != nil {
 		return nil, err
 	}
 	if v := binary.LittleEndian.Uint16(prefix[4:]); v != VersionV3 {
@@ -259,25 +173,19 @@ func openSource(src byteSource, size int64, opt OpenOptions) (*ContainerFile, er
 	if indexLen < 4 || indexLen > uint64(size-v3PrefixLen) {
 		return nil, fmt.Errorf("%w: index length %d out of range", ErrCorrupt, indexLen)
 	}
-	indexBuf := getPayloadBuf(int(indexLen))
-	defer putPayloadBuf(indexBuf)
-	index, err := src.view(v3PrefixLen, int(indexLen), indexBuf)
+	index := getPayloadBuf(int(indexLen))
+	defer putPayloadBuf(index)
+	if err := cf.readAt(v3PrefixLen, index); err != nil {
+		return nil, err
+	}
+	cf.payloadStart = int64(v3PrefixLen) + int64(indexLen)
+	p, err := parseIndexV3(index, size-cf.payloadStart)
 	if err != nil {
 		return nil, err
 	}
-	payloadStart := int64(v3PrefixLen) + int64(indexLen)
-	p, err := parseIndexV3(index, size-payloadStart)
-	if err != nil {
-		return nil, err
-	}
-	cf := &ContainerFile{
-		src:          src,
-		payloadStart: payloadStart,
-		cols:         p.cols,
-		locs:         p.locs,
-		owner:        nextCacheOwner.Add(1),
-		flights:      make(map[cacheKey]*blockFlight),
-	}
+	cf.cols, cf.locs = p.cols, p.locs
+	cf.owner = nextCacheOwner.Add(1)
+	cf.flights = make(map[cacheKey]*blockFlight)
 	if opt.Shared != nil {
 		cf.cache, cf.shared = opt.Shared.c, true
 	} else {
@@ -287,6 +195,42 @@ func openSource(src byteSource, size int64, opt OpenOptions) (*ContainerFile, er
 		cf.cols[ci].Col.Source = &colReader{cf: cf, colIdx: ci}
 	}
 	return cf, nil
+}
+
+// readAt fills buf with the container bytes at off. It is the one
+// path every container byte is read through. The io.ReaderAt contract
+// permits a full read to return io.EOF when it ends exactly at
+// end-of-file — which every container's last block payload does.
+// Short reads and other errors are reported as the underlying I/O
+// failure, not as corruption: the bytes were never seen, so nothing
+// can be said about them. Under a retry policy a failed read is
+// re-issued with capped exponential backoff; an integrity error
+// (blocked.IsPermanent) is never retried.
+func (cf *ContainerFile) readAt(off int64, buf []byte) error {
+	read := func() error {
+		m, err := cf.ra.ReadAt(buf, off)
+		if err != nil && !(m == len(buf) && err == io.EOF) {
+			return fmt.Errorf("storage: reading %d bytes at offset %d: %w", len(buf), off, err)
+		}
+		return nil
+	}
+	err := read()
+	if err == nil || cf.retry.MaxRetries <= 0 || blocked.IsPermanent(err) {
+		return err
+	}
+	delay := cf.retry.BaseDelay
+	for attempt := 0; attempt < cf.retry.MaxRetries; attempt++ {
+		cf.retries.Add(1)
+		time.Sleep(delay)
+		if delay *= 2; delay > cf.retry.MaxDelay {
+			delay = cf.retry.MaxDelay
+		}
+		if err = read(); err == nil || blocked.IsPermanent(err) {
+			return err
+		}
+	}
+	cf.giveups.Add(1)
+	return fmt.Errorf("storage: read failed after %d retries: %w", cf.retry.MaxRetries, err)
 }
 
 // checkMagic accepts the v3 magic and rejects any other, naming
@@ -315,9 +259,6 @@ func (cf *ContainerFile) Column(name string) (*blocked.Column, error) {
 	}
 	return nil, fmt.Errorf("storage: column %q not found", name)
 }
-
-// Mapped reports whether the container is backed by a memory mapping.
-func (cf *ContainerFile) Mapped() bool { return cf.mapped }
 
 // CacheStats snapshots the container's block-cache counters. On a
 // container that joined a SharedCache, hits and misses are the
@@ -358,9 +299,9 @@ func (cf *ContainerFile) Extents(ci int) []BlockExtent {
 	return out
 }
 
-// Close releases the container's byte source (file handle or
-// mapping), first draining and joining the prefetch worker so no
-// background read outlives the source. It is idempotent, and closing
+// Close releases the container's file handle (when it owns one),
+// first draining and joining the prefetch worker so no background
+// read outlives the reader. It is idempotent, and closing
 // any column of the container forwards here.
 func (cf *ContainerFile) Close() error {
 	cf.closeOnce.Do(func() {
@@ -371,7 +312,9 @@ func (cf *ContainerFile) Close() error {
 		}
 		cf.pfMu.Unlock()
 		cf.pfWG.Wait()
-		cf.closeErr = cf.src.Close()
+		if cf.closer != nil {
+			cf.closeErr = cf.closer.Close()
+		}
 	})
 	return cf.closeErr
 }
@@ -401,16 +344,14 @@ func (cf *ContainerFile) fetchForm(colIdx, i int) (*core.Form, error) {
 	cf.flightMu.Unlock()
 
 	loc := cf.locs[colIdx][i]
-	n := int(loc.length)
-	// ReadAt fills the scratch; an mmap source returns a view into the
-	// mapping and leaves it untouched. Either way the decoded form owns
-	// its words, so the scratch goes straight back.
-	scratch := getPayloadBuf(n)
+	// The decoded form owns its words, so the scratch goes straight
+	// back.
+	scratch := getPayloadBuf(int(loc.length))
 	var f *core.Form
-	data, err := cf.src.view(cf.payloadStart+loc.off, n, scratch)
+	err := cf.readAt(cf.payloadStart+loc.off, scratch)
 	if err == nil {
 		col := &cf.cols[colIdx]
-		f, err = decodeBlockPayload(data, loc, col.Name, i, col.Col.Blocks[i].Count)
+		f, err = decodeBlockPayload(scratch, loc, col.Name, i, col.Col.Blocks[i].Count)
 	}
 	putPayloadBuf(scratch)
 	if err == nil {
@@ -471,26 +412,26 @@ func (cf *ContainerFile) prefetchLoop(ch chan prefetchReq) {
 	}
 }
 
-// colReader adapts one column of a lazy container to both the
-// blocked.BlockSource the query layer fetches forms through and the
-// BlockReader raw-payload view.
-type colReader struct {
-	cf     *ContainerFile
-	colIdx int
-}
-
-// NumBlocks implements BlockReader.
-func (r *colReader) NumBlocks() int { return len(r.cf.locs[r.colIdx]) }
-
-// Payload implements BlockReader: it returns block i's raw encoded
-// bytes without CRC verification or decoding.
-func (r *colReader) Payload(i int, scratch []byte) ([]byte, error) {
-	loc := r.cf.locs[r.colIdx][i]
+// Payload returns block i of column ci's raw encoded bytes, without
+// CRC verification or decoding, in scratch (grown when it is too
+// short).
+func (cf *ContainerFile) Payload(ci, i int, scratch []byte) ([]byte, error) {
+	loc := cf.locs[ci][i]
 	n := int(loc.length)
 	if cap(scratch) < n {
 		scratch = make([]byte, n)
 	}
-	return r.cf.src.view(r.cf.payloadStart+loc.off, n, scratch[:n])
+	if err := cf.readAt(cf.payloadStart+loc.off, scratch[:n]); err != nil {
+		return nil, err
+	}
+	return scratch[:n], nil
+}
+
+// colReader adapts one column of a lazy container to the
+// blocked.BlockSource the query layer fetches forms through.
+type colReader struct {
+	cf     *ContainerFile
+	colIdx int
 }
 
 // BlockForm implements blocked.BlockSource: a hot block is one cache
@@ -522,9 +463,9 @@ func (r *colReader) PrefetchBlock(ctx context.Context, i int) {
 // container share one lifetime.
 func (r *colReader) Close() error { return r.cf.Close() }
 
-// CacheStats implements blocked.CacheStatsSource: it snapshots the
-// container's shared block cache, so a column handle can report cache
+// CacheStats implements blocked.CacheStatsSource: it reports the
+// owning container's CacheStats, so a column handle can report cache
 // traffic without holding the ContainerFile. All columns of one
 // container share one cache; per-column fetches land in the same
 // counters.
-func (r *colReader) CacheStats() blocked.CacheStats { return r.cf.cache.stats() }
+func (r *colReader) CacheStats() blocked.CacheStats { return r.cf.CacheStats() }

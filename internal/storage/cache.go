@@ -13,8 +13,8 @@ import (
 // container is opened lazily without an explicit cache size.
 const DefaultBlockCacheBytes = 32 << 20
 
-// payloadPool recycles the scratch buffers non-mmap block fetches
-// read payloads into. Nothing keeps a payload past its decode — the
+// payloadPool recycles the scratch buffers block fetches read
+// payloads into. Nothing keeps a payload past its decode — the
 // cache holds the decoded form, which does not alias the bytes — so
 // every buffer comes back.
 var payloadPool = sync.Pool{New: func() any { return new([]byte) }}

@@ -259,7 +259,10 @@ func TestOpenContainerTinyCacheEvicts(t *testing.T) {
 	}
 }
 
-func TestOpenContainerFileMmap(t *testing.T) {
+// TestOpenContainerFileCloseForwards opens a container from disk,
+// reads it back whole, and closes it through a column handle: that
+// forwards to the container, and closing again is harmless.
+func TestOpenContainerFileCloseForwards(t *testing.T) {
 	col, src := encodeBlockedV3(t, 1<<13, 2048)
 	var buf bytes.Buffer
 	if err := WriteContainerV3(&buf, []BlockedColumn{{Name: "c", Col: col}}); err != nil {
@@ -269,14 +272,11 @@ func TestOpenContainerFileMmap(t *testing.T) {
 	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cf, err := OpenContainerFile(path, OpenOptions{Mmap: true, CacheBytes: DefaultBlockCacheBytes})
+	cf, err := OpenContainerFile(path, OpenOptions{CacheBytes: DefaultBlockCacheBytes})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer cf.Close()
-	if mmapSupported && !cf.Mapped() {
-		t.Fatal("mmap requested and supported but not used")
-	}
 	got, err := cf.Columns()[0].Col.Decompress()
 	if err != nil {
 		t.Fatal(err)
@@ -286,8 +286,6 @@ func TestOpenContainerFileMmap(t *testing.T) {
 			t.Fatalf("element %d: %d != %d", i, got[i], src[i])
 		}
 	}
-	// Close is idempotent, and closing a column forwards to the
-	// container.
 	if err := cf.Columns()[0].Col.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -296,6 +294,9 @@ func TestOpenContainerFileMmap(t *testing.T) {
 	}
 }
 
+// TestBlockReaderPayloads reads every block's raw payload through
+// ContainerFile.Payload: each is as long as its extent and decodes
+// standalone.
 func TestBlockReaderPayloads(t *testing.T) {
 	col, _ := encodeBlockedV3(t, 1<<13, 2048)
 	var buf bytes.Buffer
@@ -308,17 +309,10 @@ func TestBlockReaderPayloads(t *testing.T) {
 	}
 	defer cf.Close()
 	lazy := cf.Columns()[0].Col
-	br, ok := lazy.Source.(BlockReader)
-	if !ok {
-		t.Fatal("lazy source does not expose BlockReader")
-	}
-	if br.NumBlocks() != len(lazy.Blocks) {
-		t.Fatalf("NumBlocks = %d, want %d", br.NumBlocks(), len(lazy.Blocks))
-	}
 	extents := cf.Extents(0)
 	var scratch []byte
-	for i := 0; i < br.NumBlocks(); i++ {
-		payload, err := br.Payload(i, scratch)
+	for i := range lazy.Blocks {
+		payload, err := cf.Payload(0, i, scratch)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -22,16 +22,18 @@
 // keeps their decoders behind one entry point that only that command
 // calls, to rewrite such a file as v3.
 //
-// The lazy path is built from three pieces: a byte source (plain
-// io.ReaderAt with pooled scratch buffers, or an mmap window when
-// requested and available), the BlockReader seam that hands out raw
-// per-block payloads, and a byte-budgeted LRU cache of verified,
-// decoded block forms shared by all queries on a ContainerFile (or by
-// every container joined to one SharedCache). A payload buffer lives
-// only for its fetch: the form decoded from it owns its words, so the
-// buffer goes back to the payload pool at once and the cache charges
-// each form its encoded payload length. DESIGN.md §1.8
-// states the invariants; the short version: the index alone decides
+// The lazy path is built from two pieces: one positioned-read method,
+// ContainerFile.readAt, that every container byte — prefix, index,
+// block payload — is read through (from the container's io.ReaderAt,
+// retried under its RetryPolicy), and a byte-budgeted LRU cache of
+// verified, decoded block forms shared by all queries on a
+// ContainerFile (or by every container joined to one SharedCache).
+// ContainerFile.Payload hands a block's raw bytes to the salvage pass
+// (internal/scrub). A block payload is read into a pooled buffer that
+// lives only for its fetch: the form decoded from it owns its words,
+// so the buffer goes back to the pool at once and the cache charges
+// each form its encoded payload length. DESIGN.md §1.8 states the
+// invariants; the short version: the index alone decides
 // truncation at open time, payload corruption surfaces as ErrChecksum
 // at first touch of the affected block only, and a block is never
 // resident unless a query touched it or the cache still holds it.

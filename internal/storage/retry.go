@@ -1,20 +1,18 @@
 package storage
 
 import (
-	"fmt"
-	"sync/atomic"
 	"time"
 
 	"lwcomp/internal/blocked"
 )
 
 // This file is the transient-failure half of the fault-tolerance
-// layer: a byteSource decorator that re-issues failed reads with
-// capped exponential backoff. Only transient errors — the byte source
-// reporting it could not deliver the bytes — are retried; integrity
-// failures (ErrCorrupt, ErrChecksum, undecodable forms) are permanent
-// by definition and pass through untouched, to be quarantined by the
-// blocked layer above.
+// layer: the policy under which ContainerFile.readAt re-issues failed
+// reads with capped exponential backoff. Only transient errors — the
+// reader reporting it could not deliver the bytes — are retried;
+// integrity failures (ErrCorrupt, ErrChecksum, undecodable forms) are
+// permanent by definition and pass through untouched, to be
+// quarantined by the blocked layer above.
 
 // RetryPolicy configures capped-exponential-backoff retries of
 // transient block-read failures. The zero value disables retries.
@@ -40,55 +38,13 @@ func (p RetryPolicy) withDefaults() RetryPolicy {
 	return p
 }
 
-// retrySource decorates a byteSource with the retry policy. It wraps
-// the container's source below the cache and above the file, so every
-// read — open-time prefix and index reads included — gets the same
-// tolerance.
-type retrySource struct {
-	src              byteSource
-	policy           RetryPolicy
-	retries, giveups atomic.Int64
-}
-
-func (s *retrySource) view(off int64, n int, scratch []byte) ([]byte, error) {
-	data, err := s.src.view(off, n, scratch)
-	if err == nil || blocked.IsPermanent(err) {
-		return data, err
-	}
-	delay := s.policy.BaseDelay
-	for attempt := 0; attempt < s.policy.MaxRetries; attempt++ {
-		s.retries.Add(1)
-		time.Sleep(delay)
-		if delay *= 2; delay > s.policy.MaxDelay {
-			delay = s.policy.MaxDelay
-		}
-		data, err = s.src.view(off, n, scratch)
-		if err == nil || blocked.IsPermanent(err) {
-			return data, err
-		}
-	}
-	s.giveups.Add(1)
-	return nil, fmt.Errorf("storage: read failed after %d retries: %w", s.policy.MaxRetries, err)
-}
-
-func (s *retrySource) Close() error { return s.src.Close() }
-
-// stats snapshots the decorator's counters as the canonical
-// blocked.ReadStats.
-func (s *retrySource) stats() blocked.ReadStats {
-	return blocked.ReadStats{Retries: s.retries.Load(), Giveups: s.giveups.Load()}
-}
-
 // ReadStats snapshots the container's transient-read retry counters:
 // zero-valued when the container was opened without a retry policy.
 func (cf *ContainerFile) ReadStats() blocked.ReadStats {
-	if rs, ok := cf.src.(*retrySource); ok {
-		return rs.stats()
-	}
-	return blocked.ReadStats{}
+	return blocked.ReadStats{Retries: cf.retries.Load(), Giveups: cf.giveups.Load()}
 }
 
 // ReadStats implements blocked.ReadStatsSource: column handles report
 // the owning container's retry counters. All columns of one container
-// share one byte source; per-column reads land in the same counters.
+// share one reader; per-column reads land in the same counters.
 func (r *colReader) ReadStats() blocked.ReadStats { return r.cf.ReadStats() }

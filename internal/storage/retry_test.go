@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"testing"
 	"time"
 
@@ -11,55 +12,58 @@ import (
 	"lwcomp/internal/faults"
 )
 
-// flakySource fails its first failN views transiently (or every view
-// with a permanent error), counting calls.
-type flakySource struct {
+// flakyReaderAt fails its first failN reads transiently (or every
+// read with a permanent error), counting calls.
+type flakyReaderAt struct {
 	data  []byte
 	failN int
 	perm  error
 	calls int
 }
 
-func (s *flakySource) view(off int64, n int, scratch []byte) ([]byte, error) {
-	s.calls++
-	if s.perm != nil {
-		return nil, fmt.Errorf("decorated: %w", s.perm)
+func (r *flakyReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	r.calls++
+	if r.perm != nil {
+		return 0, fmt.Errorf("decorated: %w", r.perm)
 	}
-	if s.calls <= s.failN {
-		return nil, errors.New("transient I/O error")
+	if r.calls <= r.failN {
+		return 0, errors.New("transient I/O error")
 	}
-	return s.data[off : off+int64(n)], nil
+	return copy(p, r.data[off:]), nil
 }
 
-func (s *flakySource) Close() error { return nil }
+// retryingContainer is a bare container over ra that reads under
+// policy — enough to drive readAt without a container layout.
+func retryingContainer(ra io.ReaderAt, policy RetryPolicy) *ContainerFile {
+	return &ContainerFile{ra: ra, retry: policy.withDefaults()}
+}
 
 func TestFaultRetryAbsorbsTransient(t *testing.T) {
-	src := &flakySource{data: []byte("payload"), failN: 2}
-	rs := &retrySource{src: src, policy: RetryPolicy{MaxRetries: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}}
-	got, err := rs.view(0, 7, nil)
-	if err != nil {
-		t.Fatalf("view after transient failures: %v", err)
+	ra := &flakyReaderAt{data: []byte("payload"), failN: 2}
+	cf := retryingContainer(ra, RetryPolicy{MaxRetries: 3, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond})
+	got := make([]byte, 7)
+	if err := cf.readAt(0, got); err != nil {
+		t.Fatalf("read after transient failures: %v", err)
 	}
 	if string(got) != "payload" {
-		t.Fatalf("view = %q", got)
+		t.Fatalf("read = %q", got)
 	}
-	st := rs.stats()
+	st := cf.ReadStats()
 	if st.Retries != 2 || st.Giveups != 0 {
 		t.Fatalf("stats = %+v, want 2 retries, 0 giveups", st)
 	}
 }
 
 func TestFaultRetryGivesUp(t *testing.T) {
-	src := &flakySource{data: []byte("payload"), failN: 100}
-	rs := &retrySource{src: src, policy: RetryPolicy{MaxRetries: 2, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond}}
-	_, err := rs.view(0, 7, nil)
-	if err == nil {
-		t.Fatal("view succeeded past the retry budget")
+	ra := &flakyReaderAt{data: []byte("payload"), failN: 100}
+	cf := retryingContainer(ra, RetryPolicy{MaxRetries: 2, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond})
+	if err := cf.readAt(0, make([]byte, 7)); err == nil {
+		t.Fatal("read succeeded past the retry budget")
 	}
-	if src.calls != 3 {
-		t.Fatalf("source called %d times, want 1 + 2 retries", src.calls)
+	if ra.calls != 3 {
+		t.Fatalf("reader called %d times, want 1 + 2 retries", ra.calls)
 	}
-	st := rs.stats()
+	st := cf.ReadStats()
 	if st.Retries != 2 || st.Giveups != 1 {
 		t.Fatalf("stats = %+v, want 2 retries, 1 giveup", st)
 	}
@@ -67,16 +71,16 @@ func TestFaultRetryGivesUp(t *testing.T) {
 
 func TestFaultRetryNeverRetriesPermanent(t *testing.T) {
 	for _, perm := range []error{ErrChecksum, ErrCorrupt} {
-		src := &flakySource{perm: perm}
-		rs := &retrySource{src: src, policy: RetryPolicy{MaxRetries: 5, BaseDelay: time.Microsecond}}
-		_, err := rs.view(0, 1, nil)
+		ra := &flakyReaderAt{perm: perm}
+		cf := retryingContainer(ra, RetryPolicy{MaxRetries: 5, BaseDelay: time.Microsecond})
+		err := cf.readAt(0, make([]byte, 1))
 		if !errors.Is(err, perm) {
 			t.Fatalf("error %v does not preserve the permanent sentinel", err)
 		}
-		if src.calls != 1 {
-			t.Fatalf("%v: source called %d times — permanent errors must not be retried", perm, src.calls)
+		if ra.calls != 1 {
+			t.Fatalf("%v: reader called %d times — permanent errors must not be retried", perm, ra.calls)
 		}
-		if st := rs.stats(); st.Retries != 0 || st.Giveups != 0 {
+		if st := cf.ReadStats(); st.Retries != 0 || st.Giveups != 0 {
 			t.Fatalf("%v: stats = %+v, want zero", perm, st)
 		}
 	}

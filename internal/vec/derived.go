@@ -122,18 +122,6 @@ func ReplicateSegments(refs []int64, segLen, n int) ([]int64, error) {
 	return out, nil
 }
 
-// Select returns the positions i at which keep(src[i]) is true, as an
-// index column suitable for Gather.
-func Select(src []int64, keep func(int64) bool) []int64 {
-	out := make([]int64, 0, len(src)/4+1)
-	for i, v := range src {
-		if keep(v) {
-			out = append(out, int64(i))
-		}
-	}
-	return out
-}
-
 // SelectRange returns the positions i with lo <= src[i] <= hi. It is
 // the selection operator of the paper's range-query discussion.
 func SelectRange(src []int64, lo, hi int64) []int64 {
@@ -224,13 +212,6 @@ func MinMax(src []int64) (minV, maxV int64, err error) {
 	return minV, maxV, nil
 }
 
-// Compact returns src[indices[i]] for each i — identical to Gather but
-// named for its role of compacting a column through a selection
-// vector.
-func Compact(src, indices []int64) ([]int64, error) {
-	return Gather(src, indices)
-}
-
 // LowerBound returns the smallest index i in the sorted column src
 // with src[i] >= v, or len(src) if no such element exists. RPE's
 // positional lookups use it to map row numbers to runs.
@@ -256,11 +237,4 @@ func Equal(a, b []int64) bool {
 		}
 	}
 	return true
-}
-
-// Clone returns a copy of src that shares no storage with it.
-func Clone(src []int64) []int64 {
-	out := make([]int64, len(src))
-	copy(out, src)
-	return out
 }

@@ -124,21 +124,6 @@ func Delta(src []int64) []int64 {
 	return out
 }
 
-// DeltaInto writes the consecutive differences of src into dst, which
-// must have the same length. src and dst may alias only if they are
-// the same slice; the loop is written to tolerate exact aliasing.
-func DeltaInto(dst, src []int64) ([]int64, error) {
-	if len(dst) != len(src) {
-		return nil, fmt.Errorf("%w: dst %d, src %d", ErrLengthMismatch, len(dst), len(src))
-	}
-	var prev int64
-	for i, v := range src {
-		dst[i] = v - prev
-		prev = v
-	}
-	return dst, nil
-}
-
 // PopBack returns src without its final element. It is the PopBack
 // operator of Algorithm 1. The returned slice shares storage with src.
 func PopBack(src []int64) ([]int64, error) {
@@ -163,15 +148,6 @@ func Last(src []int64) (int64, error) {
 func Gather(data, indices []int64) ([]int64, error) {
 	out := make([]int64, len(indices))
 	return out, gatherInto(out, data, indices)
-}
-
-// GatherInto writes data[indices[i]] into dst[i]. dst must have the
-// same length as indices.
-func GatherInto(dst, data, indices []int64) ([]int64, error) {
-	if len(dst) != len(indices) {
-		return nil, fmt.Errorf("%w: dst %d, indices %d", ErrLengthMismatch, len(dst), len(indices))
-	}
-	return dst, gatherInto(dst, data, indices)
 }
 
 func gatherInto(dst, data, indices []int64) error {
@@ -279,15 +255,6 @@ func Elementwise(op BinaryOp, a, b []int64) ([]int64, error) {
 	return out, elementwiseInto(out, op, a, b)
 }
 
-// ElementwiseInto applies op pairwise into dst. All three slices must
-// have equal lengths; dst may alias a or b.
-func ElementwiseInto(dst []int64, op BinaryOp, a, b []int64) ([]int64, error) {
-	if len(a) != len(b) || len(dst) != len(a) {
-		return nil, fmt.Errorf("%w: dst %d, a %d, b %d", ErrLengthMismatch, len(dst), len(a), len(b))
-	}
-	return dst, elementwiseInto(dst, op, a, b)
-}
-
 func elementwiseInto(dst []int64, op BinaryOp, a, b []int64) error {
 	switch op {
 	case Add:
@@ -343,15 +310,6 @@ func elementwiseInto(dst []int64, op BinaryOp, a, b []int64) error {
 func ElementwiseScalar(op BinaryOp, a []int64, c int64) ([]int64, error) {
 	out := make([]int64, len(a))
 	return out, elementwiseScalarInto(out, op, a, c)
-}
-
-// ElementwiseScalarInto is the into-destination form of
-// ElementwiseScalar; dst may alias a.
-func ElementwiseScalarInto(dst []int64, op BinaryOp, a []int64, c int64) ([]int64, error) {
-	if len(dst) != len(a) {
-		return nil, fmt.Errorf("%w: dst %d, a %d", ErrLengthMismatch, len(dst), len(a))
-	}
-	return dst, elementwiseScalarInto(dst, op, a, c)
 }
 
 func elementwiseScalarInto(dst []int64, op BinaryOp, a []int64, c int64) error {

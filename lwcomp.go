@@ -40,8 +40,7 @@
 // individual block payloads at first touch:
 //
 //	col, err := lwcomp.OpenFile("dates.lwc",
-//	    lwcomp.WithBlockCache(64<<20),   // LRU over verified, decoded blocks
-//	    lwcomp.WithMmap(true))           // optional, where the platform allows
+//	    lwcomp.WithBlockCache(64<<20))   // LRU over verified, decoded blocks
 //	defer col.Close()
 //	v, err := col.PointLookup(1_000_000) // reads exactly one block
 //

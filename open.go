@@ -68,8 +68,7 @@ func NewSharedBlockCache(bytes int64) *SharedBlockCache {
 // SelectRange only the blocks its [min, max] stats admit.
 //
 //	col, err := lwcomp.OpenFile("dates.lwc",
-//	    lwcomp.WithBlockCache(64<<20), // decoded-block LRU, shared across queries
-//	    lwcomp.WithMmap(true))         // let the page cache own residency
+//	    lwcomp.WithBlockCache(64<<20)) // decoded-block LRU, shared across queries
 //	defer col.Close()
 //	v, err := col.PointLookup(123_456) // reads header + index + one block
 //
@@ -93,9 +92,8 @@ func OpenFile(path string, opts ...Option) (*Column, error) {
 
 // OpenReader opens a container from any io.ReaderAt covering size
 // bytes — an *os.File, a bytes.Reader, or a counting wrapper in a
-// test asserting how little a query reads. Semantics match OpenFile
-// except WithMmap is ignored (there is no file to map). If r also
-// implements io.Closer, closing the column closes it.
+// test asserting how little a query reads. Semantics match OpenFile.
+// If r also implements io.Closer, closing the column closes it.
 func OpenReader(r io.ReaderAt, size int64, opts ...Option) (*Column, error) {
 	o := buildOptions(opts)
 	cf, err := storage.OpenContainer(r, size, o.openOptions())

@@ -310,7 +310,6 @@ func checkLegacyRejected(t *testing.T, name string) {
 	path := writeTemp(t, data)
 	errs := map[string]error{}
 	_, errs["OpenFile"] = lwcomp.OpenFile(path)
-	_, errs["OpenFile+mmap"] = lwcomp.OpenFile(path, lwcomp.WithMmap(true))
 	_, errs["OpenReader"] = lwcomp.OpenReader(bytes.NewReader(data), int64(len(data)))
 	_, errs["OpenContainer"] = lwcomp.OpenContainer(path)
 	_, errs["OpenTable"] = lwcomp.OpenTable(path)
@@ -471,28 +470,6 @@ func TestOpenReaderCacheEviction(t *testing.T) {
 	}
 	if calls, _, ranges := ra.snapshot(); calls != 0 {
 		t.Fatalf("warm pass issued %d reads: %v", calls, ranges)
-	}
-}
-
-// TestOpenFileMmap exercises the mmap path (falling back silently
-// where unsupported) against the plain path.
-func TestOpenFileMmap(t *testing.T) {
-	src := sortedColumn(1 << 14)
-	data := buildContainer(t, src, 4096)
-	col, err := lwcomp.OpenFile(writeTemp(t, data), lwcomp.WithMmap(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer col.Close()
-	back, err := col.Decompress()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !equal(back, src) {
-		t.Fatal("mmap round trip mismatch")
-	}
-	if v, err := col.PointLookup(777); err != nil || v != src[777] {
-		t.Fatalf("mmap PointLookup = %d, %v", v, err)
 	}
 }
 

@@ -23,7 +23,6 @@ type options struct {
 	// open mirrors storage.OpenOptions plus the column selector.
 	cacheBytes   int64
 	sharedCache  *storage.SharedCache
-	mmap         bool
 	retry        storage.RetryPolicy
 	degraded     bool
 	columnName   string
@@ -33,7 +32,7 @@ type options struct {
 // Option configures Encode, NewColumnBuilder, OpenFile and
 // OpenContainer. Encode-time options (WithBlockSize, WithScheme, ...)
 // are ignored by the open functions, and open-time options
-// (WithBlockCache, WithMmap, WithColumn) are ignored by the encode
+// (WithBlockCache, WithColumn) are ignored by the encode
 // functions — except WithParallelism, which both honor: at encode
 // time it bounds concurrent block encoders, and on an opened column
 // it bounds concurrent block scans.
@@ -124,15 +123,6 @@ func WithSharedBlockCache(sc *SharedBlockCache) Option {
 	return func(o *options) { o.sharedCache = sc }
 }
 
-// WithMmap asks OpenFile / OpenContainer to memory-map the container
-// instead of issuing positioned reads, letting the OS page cache own
-// residency. On platforms without mmap support (or if the mapping
-// fails) the open silently falls back to positioned reads; OpenReader
-// ignores the option, having no file to map.
-func WithMmap(enabled bool) Option {
-	return func(o *options) { o.mmap = enabled }
-}
-
 // WithReadRetry makes an opened container re-issue transiently failed
 // reads with capped exponential backoff before surfacing the error:
 // p.MaxRetries attempts, sleeping p.BaseDelay doubling up to
@@ -175,5 +165,5 @@ func buildOptions(opts []Option) options {
 // openOptions projects the merged options onto the storage layer's
 // open configuration.
 func (o *options) openOptions() storage.OpenOptions {
-	return storage.OpenOptions{CacheBytes: o.cacheBytes, Shared: o.sharedCache, Mmap: o.mmap, Retry: o.retry}
+	return storage.OpenOptions{CacheBytes: o.cacheBytes, Shared: o.sharedCache, Retry: o.retry}
 }

@@ -90,7 +90,7 @@ func NewTableWithClosers(cols []NamedColumn, closers ...io.Closer) (*Table, erro
 // OpenTable opens a container file as a lazily backed table: only the
 // header and block index are read, and scans fetch exactly the blocks
 // their predicate stats admit. All open options apply (WithBlockCache,
-// WithMmap, WithParallelism); Close the table to release the file.
+// WithReadRetry, WithParallelism); Close the table to release the file.
 func OpenTable(path string, opts ...Option) (*Table, error) {
 	o := buildOptions(opts)
 	cf, err := storage.OpenContainerFile(path, o.openOptions())
