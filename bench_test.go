@@ -960,50 +960,50 @@ func BenchmarkWholeColumnCodec(b *testing.B) {
 }
 
 // BenchmarkEncodeAnalyzer measures the statistics-driven analyzer
-// encode: candidates are priced from one-pass block stats, the top
-// few by estimate are shortlisted, and a shortlisted candidate is
-// compressed only while what its price proves can still beat the best
-// size measured so far. The exhaustive variant shortlists every
-// candidate (no heuristic estimate may exclude one); the effort-1
-// variant shortlists only the single best estimate.
+// encode: candidates are priced from one-pass block stats and visited
+// in ascending order of the size their price or floor proves, and one
+// is compressed only while that bound can still beat the best size
+// measured so far. pruned-default searches each 64Ki block whole;
+// sampled encodes a 1Mi column as one block, as `lwc compress` does by
+// default, so the search runs over the column's first
+// blocked.SearchSample values and the winner compresses the rest.
 func BenchmarkEncodeAnalyzer(b *testing.B) {
-	third := benchN / 3
-	data := append(workload.OrderShipDates(third, 256, 730120, 1),
-		workload.RandomWalk(third, 10, 1<<33, 2)...)
-	data = append(data, workload.Sorted(benchN-2*third, 1<<40, 3)...)
+	column := func(n int) []int64 {
+		third := n / 3
+		data := append(workload.OrderShipDates(third, 256, 730120, 1),
+			workload.RandomWalk(third, 10, 1<<33, 2)...)
+		return append(data, workload.Sorted(n-2*third, 1<<40, 3)...)
+	}
 	for _, tc := range []struct {
-		name string
-		opts []lwcomp.Option
+		name      string
+		n         int
+		blockSize int
 	}{
-		{"pruned-default", nil},
-		{"effort-1", []lwcomp.Option{lwcomp.WithSearchEffort(1)}},
-		{"exhaustive", []lwcomp.Option{lwcomp.WithExhaustiveSearch()}},
+		{"pruned-default", benchN, 1 << 16},
+		{"sampled", 1 << 20, 0},
 	} {
 		b.Run(tc.name, func(b *testing.B) {
-			opts := append([]lwcomp.Option{
-				lwcomp.WithBlockSize(1 << 16),
-				lwcomp.WithParallelism(1),
-			}, tc.opts...)
+			data := column(tc.n)
 			b.ReportAllocs()
-			b.SetBytes(int64(benchN * 8))
+			b.SetBytes(int64(tc.n * 8))
 			for i := 0; i < b.N; i++ {
-				if _, err := lwcomp.Encode(data, opts...); err != nil {
+				if _, err := lwcomp.Encode(data, lwcomp.WithBlockSize(tc.blockSize), lwcomp.WithParallelism(1)); err != nil {
 					b.Fatal(err)
 				}
 			}
-			reportElems(b, benchN)
+			reportElems(b, tc.n)
 		})
 	}
 }
 
-// compressedPerBlock returns how many candidates the exhaustive search
-// compressed, on average, over the blocks of data.
+// compressedPerBlock returns how many candidates the search compressed,
+// on average, over the blocks of data.
 func compressedPerBlock(b *testing.B, data []int64) float64 {
 	b.Helper()
 	compressed, blocks := 0, 0
 	for lo := 0; lo < len(data); lo += lwcomp.DefaultBlockSize {
 		block := data[lo:min(lo+lwcomp.DefaultBlockSize, len(data))]
-		choice, err := lwcomp.CompressBestWithOptions(block, lwcomp.AnalyzerOptions{Exhaustive: true})
+		choice, err := lwcomp.CompressBestChoice(block)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -1018,13 +1018,12 @@ func compressedPerBlock(b *testing.B, data []int64) float64 {
 }
 
 // BenchmarkCompactFile measures background recompaction as the
-// maintenance lifecycle runs it: a container of 64Ki-row blocks
-// encoded by the default search, compacted (always with the exhaustive
-// search) at any gain. The default search certifies these blocks,
-// so the compactor's whole cost per value is the index-only skip;
-// compressed/block reports how many of a block's candidates the
-// exhaustive search compresses to establish every candidate's size —
-// what re-analyzing a container the encoder could not certify costs.
+// maintenance lifecycle runs it: a container of 64Ki-row blocks,
+// compacted at any gain. The encoder certifies these blocks, so the
+// compactor's whole cost per value is the index-only skip;
+// compressed/block reports how many of a block's candidates the search
+// compresses to establish every candidate's size — what re-analyzing a
+// container the encoder could not certify costs.
 func BenchmarkCompactFile(b *testing.B) {
 	for _, sh := range workload.MaintainShapes(benchN, 1) {
 		b.Run(sh.Name, func(b *testing.B) {

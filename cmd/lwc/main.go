@@ -58,12 +58,12 @@
 // The same salvage runs inside lwcd under -scrub-heal.
 //
 // compact is the single-shot recompaction pass: each container is
-// re-analyzed block by block with the exhaustive search and
+// re-analyzed block by block with the encoder's search and
 // atomically rewritten only when the byte win clears the
 // threshold — the candidate is verified value-for-value before the
 // rename, so a failed rewrite leaves the old file untouched. A
 // container whose every block inspect reports as certified is already
-// the exhaustive search's result and is skipped from its index. -dry-run
+// that search's result and is skipped from its index. -dry-run
 // estimates per-container savings from the block stats alone, without
 // a trial encode or a write; -merge coalesces groups of small
 // same-table single-column containers into one container per table.

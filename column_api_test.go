@@ -252,11 +252,9 @@ func TestColumnOptions(t *testing.T) {
 		}
 	}
 
-	// Extra candidates join every block's search space and a cheap
-	// sample keeps it fast.
+	// Extra candidates join every block's search space.
 	extra, err := lwcomp.Encode(data,
 		lwcomp.WithBlockSize(1<<12),
-		lwcomp.WithSampleSize(1<<10),
 		lwcomp.WithExtraCandidates(lwcomp.SchemeCandidate(lwcomp.VNS(16))))
 	if err != nil {
 		t.Fatal(err)

@@ -50,14 +50,14 @@ type Block struct {
 	// the container index so the reason survives reopen.
 	TombstoneReason string
 	// Certificate, when non-zero, is the search fingerprint
-	// (scheme.SearchFingerprint) under which the exhaustive search
-	// over the default candidates picks exactly Form for this block:
-	// the encoder's search proved every other candidate loses
-	// (core.Choice.Certified). 0 means no such proof. Persisted in the
-	// container index beside the stats. The compactor skips a container
-	// whose every block carries the current fingerprint, so a stale or
-	// wrong certificate can cost a missed compaction, never a wrong
-	// value.
+	// (scheme.SearchFingerprint) under which the analyzer's search over
+	// the default candidates, run on the whole block, picks exactly
+	// Form: the encoder ran that search, so a re-encode would rebuild
+	// these bytes. 0 means the block was encoded any other way.
+	// Persisted in the container index beside the stats. The compactor
+	// skips a container whose every block carries the current
+	// fingerprint, so a stale or wrong certificate can cost a missed
+	// compaction, never a wrong value.
 	Certificate uint32
 }
 
@@ -200,25 +200,20 @@ type EncodeOptions struct {
 	// Scheme, when non-nil, compresses every block with this fixed
 	// scheme instead of running the analyzer.
 	Scheme core.Scheme
-	// CostBudget and SampleSize tune the per-block analyzer search
-	// (see core.Analyzer).
+	// CostBudget disqualifies candidates whose decompression cost per
+	// element exceeds it (see core.Analyzer); 0 means unbounded.
 	CostBudget float64
-	// SampleSize caps the per-block analyzer sample; 0 means 65536.
-	SampleSize int
 	// Parallelism bounds concurrent block encodes; <= 0 means
 	// GOMAXPROCS.
 	Parallelism int
 	// Extra appends candidates to the per-block analyzer space.
 	Extra []core.Candidate
-	// TrialK bounds how many of the top estimate-ranked candidates
-	// the per-block analyzer trial-compresses; 0 means
-	// core.DefaultTrialK.
-	TrialK int
-	// Exhaustive lets no heuristic estimate exclude a candidate
-	// from the per-block analyzer: every candidate's size is
-	// established, proved from the stats or measured by compressing.
-	Exhaustive bool
 }
+
+// SearchSample is the prefix sample the analyzer compares candidates
+// on: a block of at most this many values is searched whole, a longer
+// one over its first SearchSample values.
+const SearchSample = 1 << 16
 
 func (o EncodeOptions) workers() int {
 	if o.Parallelism > 0 {
@@ -231,10 +226,10 @@ func (o EncodeOptions) workers() int {
 // Block record with stats. The one-pass stats collected here feed
 // both the block index ([min, max] skipping) and the analyzer's
 // size-estimating candidate ranking, so a block is scanned for
-// statistics exactly once. A block the search certified over exactly
-// the default candidates, with no cost budget, is stamped with the
-// search fingerprint. Temporaries come from s: workers that encode
-// many blocks reuse one scratch arena across all of them.
+// statistics exactly once. A block searched whole over exactly the
+// default candidates, with no cost budget, is stamped with the search
+// fingerprint. Temporaries come from s: workers that encode many
+// blocks reuse one scratch arena across all of them.
 func encodeBlock(src []int64, start int64, opt EncodeOptions, s *core.Scratch) (Block, error) {
 	b := Block{Start: start, Count: len(src), HasStats: true}
 	var f *core.Form
@@ -256,16 +251,10 @@ func encodeBlock(src []int64, start int64, opt EncodeOptions, s *core.Scratch) (
 	} else {
 		st := core.CollectStats(src, s)
 		b.Min, b.Max = st.Min, st.Max
-		sample := opt.SampleSize
-		if sample == 0 {
-			sample = 1 << 16
-		}
 		a := &core.Analyzer{
 			Candidates: append(scheme.DefaultCandidates(&st), opt.Extra...),
 			CostBudget: opt.CostBudget,
-			SampleSize: sample,
-			TrialK:     opt.TrialK,
-			Exhaustive: opt.Exhaustive,
+			SampleSize: SearchSample,
 			Stats:      &st,
 			Scratch:    s,
 		}
@@ -274,7 +263,7 @@ func encodeBlock(src []int64, start int64, opt EncodeOptions, s *core.Scratch) (
 		st.ReleaseSeg(s)
 		if err == nil {
 			f = choice.Form
-			if choice.Certified && len(opt.Extra) == 0 && opt.CostBudget == 0 {
+			if len(src) <= SearchSample && len(opt.Extra) == 0 && opt.CostBudget == 0 {
 				b.Certificate = scheme.SearchFingerprint()
 			}
 		}

@@ -29,7 +29,7 @@ const DefaultSmallBytes int64 = 1 << 20
 
 // Options configures a Compactor. The zero value of every field means
 // "use the default". There is no search knob: every re-encode runs the
-// exhaustive search, the one whose result a certificate vouches for.
+// encoder's one search, the one whose result a certificate vouches for.
 type Options struct {
 	// MinGainBytes is the absolute rewrite threshold: a container is
 	// rewritten only when the candidate saves at least this many
@@ -190,7 +190,8 @@ type Counters struct {
 	CPUSeconds float64
 }
 
-// Compactor rewrites containers toward their exhaustive-search size.
+// Compactor rewrites containers toward the size the analyzer's search
+// gives them.
 // It is safe for concurrent use; the generation stamp and the
 // counters are shared across all of its passes.
 type Compactor struct {
@@ -274,7 +275,7 @@ func (c *Compactor) CompactFile(path string) (res Result, err error) {
 			return res, nil
 		}
 		if errors.Is(err, errCertified) {
-			// The exhaustive re-encode would rebuild these very bytes:
+			// The re-encode would rebuild these very bytes:
 			// nothing to win, and nothing was read past the index to
 			// know it.
 			res.Action, res.CandidateBytes = ActionSkipped, res.BytesBefore
@@ -289,14 +290,13 @@ func (c *Compactor) CompactFile(path string) (res Result, err error) {
 		return res, err
 	}
 
-	// Re-analyze every block exhaustively. The encode is deterministic,
-	// so a container already at its best size yields an identical
-	// candidate and skips below.
+	// Re-analyze every block. The encode is deterministic, so a
+	// container already at its best size yields an identical candidate
+	// and skips below.
 	cols := make([]storage.BlockedColumn, len(names))
 	for i := range names {
 		enc, err := blocked.Encode(data[i], blocked.EncodeOptions{
 			BlockSize:   blockSizes[i],
-			Exhaustive:  true,
 			Parallelism: c.opt.Parallelism,
 		})
 		if err != nil {
@@ -397,8 +397,8 @@ func ListContainers(dir string) ([]string, error) {
 // than failing them.
 var errTombstoned = errors.New("compact: container has tombstoned blocks")
 
-// errCertified marks containers the exhaustive re-encode would
-// reproduce byte for byte (certified), so compaction skips them
+// errCertified marks containers the re-encode would reproduce byte for
+// byte (certified), so compaction skips them
 // without reading a payload.
 var errCertified = errors.New("compact: container is certified")
 
@@ -436,11 +436,11 @@ func readContainer(path string) (names []string, data [][]int64, blockSizes []in
 	return names, data, blockSizes, nil
 }
 
-// certified reports, from the index alone, that the exhaustive
-// re-encode of cols is byte-identical to them: every column is tiled
-// as the re-encode tiles it, and every block carries the current
-// search fingerprint, so its form, stats and certificate are what the
-// exhaustive search writes for its values.
+// certified reports, from the index alone, that the re-encode of cols
+// is byte-identical to them: every column is tiled as the re-encode
+// tiles it, and every block carries the current search fingerprint, so
+// its form, stats and certificate are what the search writes for its
+// values.
 func certified(cols []storage.BlockedColumn) bool {
 	fp := scheme.SearchFingerprint()
 	for _, bc := range cols {

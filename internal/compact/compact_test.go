@@ -89,7 +89,7 @@ func equalCols(t *testing.T, got, want map[string][]int64) {
 }
 
 // TestCompactFileReclaims: a container ingested with the fixed fast
-// scheme shrinks under exhaustive re-analysis, the data survives
+// scheme shrinks under re-analysis, the data survives
 // bit-for-bit, and the result carries a generation stamp.
 func TestCompactFileReclaims(t *testing.T) {
 	dir := t.TempDir()
@@ -286,7 +286,7 @@ func TestCompactReencodesForeignCertificate(t *testing.T) {
 	for i := range col.Blocks {
 		b := &col.Blocks[i]
 		if b.Certificate != scheme.SearchFingerprint() {
-			t.Fatalf("block %d: the default search did not certify it", i)
+			t.Fatalf("block %d: the encoder did not certify it", i)
 		}
 		enc, err := storage.EncodeForm(b.Form)
 		if err != nil {
@@ -438,8 +438,8 @@ func TestDryRunEstimates(t *testing.T) {
 	}
 	_ = origBig
 
-	// A container the default search wrote is certified block by block:
-	// already the exhaustive choice, priced at its payload.
+	// A container the encoder wrote is certified block by block:
+	// already the search's choice, priced at its payload.
 	def := filepath.Join(t.TempDir(), "default.lwc")
 	col, err := blocked.Encode(workload.OrderShipDates(60000, 64, 730120, 7), blocked.EncodeOptions{BlockSize: 8192})
 	if err != nil {

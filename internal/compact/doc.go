@@ -1,12 +1,13 @@
 // Package compact is the background recompaction service: write fast
-// now, shrink later. Ingest encodes blocks with whatever search effort
-// the write path can afford (a fixed scheme, a pruned top-K trial); a
-// Compactor later walks the resulting v3 containers, re-analyzes every
-// block with the exhaustive search, and atomically rewrites a container
-// when the byte win clears a configurable threshold. A container whose
-// every block the encoder certified (blocked.Block.Certificate) is
-// already the exhaustive search's result and is skipped from its index
-// alone, so a compacted directory is an index-only fixed point.
+// now, shrink later. Ingest may encode blocks cheaply (a fixed scheme, a
+// cost budget, extra candidates, a block longer than the search
+// sample); a Compactor later walks the resulting v3 containers,
+// re-analyzes every block with the encoder's search over the default
+// candidates, and atomically rewrites a container when the byte win
+// clears a configurable threshold. A container whose every block the
+// encoder certified (blocked.Block.Certificate) is already that
+// search's result and is skipped from its index alone, so a compacted
+// directory is an index-only fixed point.
 //
 // A rewrite is a generation swap, not an in-place mutation: the
 // candidate container is serialized to memory, verified by the same

@@ -52,7 +52,7 @@ func (e Estimate) EstSavingsFraction() float64 {
 // collected, and the candidate space's size estimators queried for
 // the smallest prediction — the ranking half of the analyzer with the
 // trial-compression half left out. A block certified under the
-// current search is already the exhaustive choice and is priced at
+// current search is already the search's choice and is priced at
 // its current payload, from the index alone.
 func (c *Compactor) EstimateFile(path string) (Estimate, error) {
 	est := Estimate{Path: path}

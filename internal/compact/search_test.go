@@ -16,7 +16,7 @@ import (
 // naiveContainer serializes data as the v3 container an all-candidates
 // search yields: per block, every default candidate is compressed and
 // the first smallest wins — no estimate spares a compression. Being
-// the exhaustive result, every block carries the search certificate.
+// the search's result, every block carries the search certificate.
 func naiveContainer(t *testing.T, name string, data []int64, blockSize int) []byte {
 	t.Helper()
 	col := &blocked.Column{N: len(data), BlockSize: blockSize}
@@ -44,11 +44,11 @@ func naiveContainer(t *testing.T, name string, data []int64, blockSize int) []by
 }
 
 // TestExhaustiveCompactionMatchesNaiveSearch re-pins the compaction
-// contract on the bound-ordered search: the compactor's exhaustive
-// candidate is byte-identical to the container the all-candidates
-// search yields, whether it starts from a container the default search
-// wrote (where the candidate usually only confirms there is nothing to
-// reclaim) or from a cheaply written one (where it is swapped in).
+// contract on the bound-ordered search: the compactor's candidate is
+// byte-identical to the container the all-candidates search yields,
+// whether it starts from a container the encoder wrote (where the
+// certificates skip it from the index) or from a cheaply written one
+// (where the candidate is swapped in).
 func TestExhaustiveCompactionMatchesNaiveSearch(t *testing.T) {
 	const blockSize = 1 << 14
 	dir := t.TempDir()
@@ -56,8 +56,8 @@ func TestExhaustiveCompactionMatchesNaiveSearch(t *testing.T) {
 	for _, sh := range workload.MaintainShapes(4*blockSize+777, 11) {
 		want := naiveContainer(t, sh.Name, sh.Data, blockSize)
 
-		// The compactor's own re-encode, as CompactFile configures it.
-		enc, err := blocked.Encode(sh.Data, blocked.EncodeOptions{BlockSize: blockSize, Exhaustive: true})
+		// The encoder's output, which is also the compactor's re-encode.
+		enc, err := blocked.Encode(sh.Data, blocked.EncodeOptions{BlockSize: blockSize})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,21 +66,13 @@ func TestExhaustiveCompactionMatchesNaiveSearch(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(got.Bytes(), want) {
-			t.Fatalf("%s: exhaustive re-encode (%d bytes) differs from the all-candidates container (%d bytes)",
+			t.Fatalf("%s: re-encode (%d bytes) differs from the all-candidates container (%d bytes)",
 				sh.Name, got.Len(), len(want))
 		}
 
-		def, err := blocked.Encode(sh.Data, blocked.EncodeOptions{BlockSize: blockSize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var defBytes bytes.Buffer
-		if err := storage.WriteContainerV3(&defBytes, []storage.BlockedColumn{{Name: sh.Name, Col: def}}); err != nil {
-			t.Fatal(err)
-		}
 		for start, write := range map[string]func(path string){
 			"default": func(path string) {
-				if err := os.WriteFile(path, defBytes.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			},

@@ -496,13 +496,12 @@ type pricedScheme struct {
 
 func (p pricedScheme) EstimateSize(*BlockStats) (uint64, Bound) { return p.price, p.bound }
 
-// TestAnalyzerCertifiesOnlyTheExhaustiveChoice pins the certify step's
-// tie rule. The default search breaks equal sizes by price order, the
-// exhaustive search by input order, so a winner tied with an earlier
-// candidate — compressed, or priced exactly at the winner's size — is
-// not certified, while one that every other candidate provably exceeds
-// is; the exhaustive search agrees in every case.
-func TestAnalyzerCertifiesOnlyTheExhaustiveChoice(t *testing.T) {
+// TestAnalyzerTiesGoToInputOrder pins the search's tie rule: of two
+// candidates of equal size the earlier in input order wins, however
+// their prices order the visits — whether both are compressed or the
+// earlier one's exact price proves the tie — while a candidate an
+// exact price proves larger is never compressed.
+func TestAnalyzerTiesGoToInputOrder(t *testing.T) {
 	src := []int64{1, 2, 3, 4}
 	calls := 0
 	raw := func(name string, pad int) countingScheme { return countingScheme{name: name, pad: pad, calls: &calls} }
@@ -513,31 +512,25 @@ func TestAnalyzerCertifiesOnlyTheExhaustiveChoice(t *testing.T) {
 		}
 		return f.PayloadBits()
 	}
-	// "b" comes second in input order but first in price order, and
-	// always wins the default search.
+	// "b" comes second in input order but is visited first.
 	b := FromScheme(pricedScheme{raw("b", 0), 1, Heuristic})
 	for _, tc := range []struct {
-		name   string
-		a      pricedScheme
-		trialK int
-		want   bool
+		name  string
+		a     pricedScheme
+		want  string
+		calls int
 	}{
-		{"tie, both compressed", pricedScheme{raw("a", 0), size(0) + 1, Heuristic}, 2, false},
-		{"tie, proved by an exact price", pricedScheme{raw("a", 0), size(0), Exact}, 2, false},
-		{"proved larger", pricedScheme{raw("a", 1), size(1), Exact}, 1, true},
+		{"tie, both compressed", pricedScheme{raw("a", 0), size(0) + 1, Heuristic}, "a", 2},
+		{"tie, proved by an exact price", pricedScheme{raw("a", 0), size(0), Exact}, "a", 2},
+		{"proved larger", pricedScheme{raw("a", 1), size(1), Exact}, "b", 1},
 	} {
-		cands := []Candidate{FromScheme(tc.a), b}
-		got, err := (&Analyzer{Candidates: cands, TrialK: tc.trialK}).Best(src)
+		calls = 0
+		got, err := (&Analyzer{Candidates: []Candidate{FromScheme(tc.a), b}}).Best(src)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ex, err := (&Analyzer{Candidates: cands, Exhaustive: true}).Best(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Desc != "b" || got.Certified != tc.want || (ex.Desc == "b") != tc.want || !ex.Certified {
-			t.Fatalf("%s: default %s (certified %v), exhaustive %s (certified %v), want certified %v",
-				tc.name, got.Desc, got.Certified, ex.Desc, ex.Certified, tc.want)
+		if got.Desc != tc.want || calls != tc.calls {
+			t.Fatalf("%s: winner %s after %d compressions, want %s after %d", tc.name, got.Desc, calls, tc.want, tc.calls)
 		}
 	}
 }

@@ -16,8 +16,8 @@ import "math"
 type Bound uint8
 
 const (
-	// Heuristic estimates are good enough to rank candidates by; the
-	// actual size may fall on either side.
+	// Heuristic estimates prove nothing: the actual size may fall on
+	// either side, so the analyzer never skips a candidate on one.
 	Heuristic Bound = iota
 	// LowerBound estimates are never above the actual size.
 	LowerBound

@@ -325,8 +325,7 @@ const curvatureLimit = 1 << 60
 // triples of consecutive elements that lie inside one base segment
 // (StatsSegLen rows), taking one pass over the column the first time
 // it is asked. ok is false when the column is not at hand (only the
-// exhaustive search's floors and the default search's certify step
-// carry it) or holds a value beyond ±2^60.
+// analyzer's floors carry it) or holds a value beyond ±2^60.
 func (st *BlockStats) Curvature() (delta uint64, ok bool) {
 	if st.column == nil || st.Min < -curvatureLimit || st.Max > curvatureLimit {
 		return 0, false

@@ -50,12 +50,12 @@ func estimateWorkload(kind uint8, n int, param uint8, seed int64) []int64 {
 // size, a lower bound is never above it, and an ImpossibleBits
 // candidate really fails — and that no floor is above the actual
 // size. The candidates are DefaultCandidates plus extra; their floors
-// are the ones an exhaustive search over data reports.
+// are the ones the analyzer's search over data reports.
 func checkEstimates(t *testing.T, data []int64, st *core.BlockStats, extra ...core.Candidate) {
 	t.Helper()
 	cands := append(DefaultCandidates(st), extra...)
 	floors := make([]uint64, len(cands))
-	if choice, err := (&core.Analyzer{Candidates: cands, Exhaustive: true, Stats: st}).Best(data); err == nil {
+	if choice, err := (&core.Analyzer{Candidates: cands, Stats: st}).Best(data); err == nil {
 		for i, r := range choice.Ranking {
 			floors[i] = r.EstFloor
 		}
@@ -103,91 +103,26 @@ func overBudget(a *core.Analyzer, ev core.CostedSize, n int) bool {
 }
 
 // referenceBest is the search core.Analyzer.Best must reproduce,
-// written the slow way: no estimate spares a candidate its
-// compression. Under Exhaustive every candidate is compressed on the
-// sample in input order and the first minimum within budget wins —
-// ground truth. Otherwise estimates only rank and shortlist
-// (unestimated candidates, the TrialK smallest estimates, the best
-// exact one; past that only until something is admissible), every
-// shortlisted candidate is compressed, and the first minimum in
-// estimate order wins. A strict-prefix sample then compresses the
-// full column, falling back down the trials by ascending sample size.
+// written the slow way: no price or floor spares a candidate its
+// compression. Every candidate is compressed on the sample, in input
+// order, and the first minimum within budget wins. A strict-prefix
+// sample then compresses the full column, falling back down the
+// trials by ascending sample size.
 func referenceBest(a *core.Analyzer, src []int64) (desc string, form *core.Form, ev core.CostedSize, err error) {
 	cands := a.Candidates
-	n := len(cands)
 	sample := src
 	if a.SampleSize > 0 && len(src) > a.SampleSize {
 		sample = src[:a.SampleSize]
 	}
-	est, exact := make([]uint64, n), make([]bool, n)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	shortlist := n
-	if !a.Exhaustive {
-		// Prices are of what the search compares: the column, or a
-		// strict-prefix sample.
-		st := a.Stats
-		if st == nil || len(sample) < len(src) {
-			collected := core.CollectStats(sample, nil)
-			st = &collected
-		}
-		for i, c := range cands {
-			if c.Scheme != nil {
-				bits, kind, _ := core.EstimateOf(c.Scheme, st)
-				est[i], exact[i] = bits, kind == core.Exact
-			}
-		}
-		sort.SliceStable(order, func(x, y int) bool { return est[order[x]] < est[order[y]] })
-		shortlist = 0
-		k := a.TrialK
-		if k <= 0 {
-			k = core.DefaultTrialK
-		}
-		bestExact := -1
-		for p, idx := range order {
-			switch {
-			case est[idx] == core.ImpossibleBits:
-				continue
-			case est[idx] == 0:
-				shortlist++
-				continue
-			case k > 0:
-				shortlist++
-				k--
-			}
-			if exact[idx] && bestExact < 0 {
-				bestExact = p
-			}
-		}
-		if bestExact >= shortlist {
-			idx := order[bestExact]
-			copy(order[shortlist+1:bestExact+1], order[shortlist:bestExact])
-			order[shortlist] = idx
-			shortlist++
-		}
-		shortlist = max(shortlist, 1)
-	}
-
-	var trials []trial // every successful trial, in visiting order
-	failed := make([]bool, n)
-	best := -1 // index into trials
-	for p, idx := range order {
-		if p >= shortlist && best >= 0 {
-			break
-		}
-		if est[idx] == core.ImpossibleBits {
-			continue
-		}
-		f, err := cands[idx].Compress(sample)
+	var trials []trial // every successful trial, in input order
+	best := -1         // index into trials
+	for idx, c := range cands {
+		f, err := c.Compress(sample)
 		if err != nil {
-			failed[idx] = true
 			continue
 		}
 		ev, err := core.Evaluate(f)
 		if err != nil {
-			failed[idx] = true
 			continue
 		}
 		trials = append(trials, trial{idx, f, ev})
@@ -204,20 +139,12 @@ func referenceBest(a *core.Analyzer, src []int64) (desc string, form *core.Form,
 	}
 
 	// Full-column encode: the winner, then the other trials by
-	// ascending sample size, then the never-tried in estimate order.
+	// ascending sample size.
 	rest := append(append([]trial{}, trials[:best]...), trials[best+1:]...)
 	sort.SliceStable(rest, func(x, y int) bool { return rest[x].ev.Bits < rest[y].ev.Bits })
-	fallback, tried := []int{w.idx}, map[int]bool{}
-	for _, t := range trials {
-		tried[t.idx] = true
-	}
+	fallback := []int{w.idx}
 	for _, t := range rest {
 		fallback = append(fallback, t.idx)
-	}
-	for _, idx := range order {
-		if !tried[idx] && !failed[idx] && est[idx] != core.ImpossibleBits {
-			fallback = append(fallback, idx)
-		}
 	}
 	for _, idx := range fallback {
 		f, err := cands[idx].Compress(src)
@@ -233,37 +160,25 @@ func referenceBest(a *core.Analyzer, src []int64) (desc string, form *core.Form,
 	return "", nil, core.CostedSize{}, core.ErrNoCandidate
 }
 
-// checkPrunedVsExhaustive asserts the estimate-pruned analyzer lands
-// within the bounded size ratio of ground truth — every candidate
-// compressed, first minimum taken (referenceBest). Both searches get
-// the same sampleSize, so a non-zero value exercises the riskier
-// configuration where candidates are ranked on full-column stats but
-// trialed on a prefix.
-func checkPrunedVsExhaustive(t *testing.T, data []int64, st *core.BlockStats, sampleSize int) {
+// checkMatchesReference asserts the analyzer's search picks exactly
+// what compressing every candidate picks (referenceBest): the same
+// winner, size and form tree. A non-zero sampleSize searches a prefix,
+// priced from the prefix's own stats, and compresses the winner over
+// the whole column.
+func checkMatchesReference(t *testing.T, data []int64, st *core.BlockStats, sampleSize int) {
 	t.Helper()
-	pruned := &core.Analyzer{Candidates: DefaultCandidates(st), Stats: st, SampleSize: sampleSize}
-	pc, perr := pruned.Best(data)
-	truth := &core.Analyzer{Candidates: DefaultCandidates(st), Exhaustive: true, SampleSize: sampleSize}
-	edesc, _, eev, eerr := referenceBest(truth, data)
-	if (perr == nil) != (eerr == nil) {
-		t.Fatalf("pruned err = %v, exhaustive err = %v", perr, eerr)
+	a := &core.Analyzer{Candidates: DefaultCandidates(st), Stats: st, SampleSize: sampleSize}
+	got, err := a.Best(data)
+	wantDesc, wantForm, wantEv, wantErr := referenceBest(a, data)
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("search err = %v, reference err = %v", err, wantErr)
 	}
-	if perr != nil {
+	if err != nil {
 		return
 	}
-	// A certified winner is the exhaustive one, and only a whole-column
-	// search can certify.
-	if pc.Certified && (pc.Desc != edesc || pc.Eval.Bits != eev.Bits || sampleSize > 0 && sampleSize < len(data)) {
-		t.Fatalf("certified %s = %d bits (sample %d of %d), exhaustive winner %s = %d bits",
-			pc.Desc, pc.Eval.Bits, sampleSize, len(data), edesc, eev.Bits)
-	}
-	// 1.05x relative slack, with one node header of absolute slack so
-	// tiny columns aren't dominated by constant overheads.
-	limit := 1.05*float64(eev.Bits) + float64(core.FormOverheadBits(2))
-	if float64(pc.Eval.Bits) > limit {
-		t.Fatalf("pruned winner %s = %d bits, exhaustive winner %s = %d bits (ratio %.3f)",
-			pc.Desc, pc.Eval.Bits, edesc, eev.Bits,
-			float64(pc.Eval.Bits)/float64(eev.Bits))
+	if got.Desc != wantDesc || got.Eval.Bits != wantEv.Bits || !reflect.DeepEqual(got.Form, wantForm) {
+		t.Fatalf("sample %d of %d: winner %s (%d bits), reference %s (%d bits), forms equal = %v", sampleSize, len(data),
+			got.Desc, got.Eval.Bits, wantDesc, wantEv.Bits, reflect.DeepEqual(got.Form, wantForm))
 	}
 }
 
@@ -277,8 +192,8 @@ func TestExactEstimatesMatchActual(t *testing.T) {
 				data := estimateWorkload(kind, n, 17, 42)[:n]
 				st := core.CollectStats(data, nil)
 				checkEstimates(t, data, &st)
-				checkPrunedVsExhaustive(t, data, &st, 0)
-				checkPrunedVsExhaustive(t, data, &st, n/3)
+				checkMatchesReference(t, data, &st, 0)
+				checkMatchesReference(t, data, &st, n/3)
 			})
 		}
 	}
@@ -350,14 +265,14 @@ func TestFloorsHoldOnExtremeValues(t *testing.T) {
 	}
 }
 
-// TestExhaustiveSearchPrunes pins what the floors spare the
-// compactor: on every maintenance shape, the exhaustive search over a
-// default-size block compresses at most two candidates (before floors,
-// every heuristic-priced candidate was compressed: three to six).
-func TestExhaustiveSearchPrunes(t *testing.T) {
+// TestSearchPrunes pins what the prices and floors spare every encode:
+// on every maintenance shape, the search over a default-size block
+// compresses at most two candidates (before floors, every
+// heuristic-priced candidate was compressed: three to six).
+func TestSearchPrunes(t *testing.T) {
 	for _, sh := range workload.MaintainShapes(1<<16, 1) {
 		st := core.CollectStats(sh.Data, nil)
-		choice, err := (&core.Analyzer{Candidates: DefaultCandidates(&st), Exhaustive: true, Stats: &st}).Best(sh.Data)
+		choice, err := (&core.Analyzer{Candidates: DefaultCandidates(&st), Stats: &st}).Best(sh.Data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -368,21 +283,16 @@ func TestExhaustiveSearchPrunes(t *testing.T) {
 			}
 		}
 		if len(compressed) > 2 {
-			t.Errorf("%s: exhaustive search compressed %d candidates: %v", sh.Name, len(compressed), compressed)
+			t.Errorf("%s: the search compressed %d candidates: %v", sh.Name, len(compressed), compressed)
 		}
 	}
 }
 
 // TestBoundedSearchMatchesNaive pins the bound-ordered search to the
-// search that compresses everything it considers: same winner, same
-// size, same form tree, across modes, budgets, sampling and whether
-// the caller supplied the stats.
+// search that compresses every candidate: same winner, same size, same
+// form tree, across budgets, sampling and whether the caller supplied
+// the stats.
 func TestBoundedSearchMatchesNaive(t *testing.T) {
-	modes := []struct {
-		name       string
-		exhaustive bool
-		trialK     int
-	}{{"exhaustive", true, 0}, {"default", false, 0}, {"trialk1", false, 1}}
 	for kind := uint8(0); kind < 10; kind++ {
 		for _, n := range []int{0, 1, 2, 100, 5000, 65536} {
 			if n == 65536 && testing.Short() {
@@ -390,76 +300,29 @@ func TestBoundedSearchMatchesNaive(t *testing.T) {
 			}
 			data := estimateWorkload(kind, n, 17, 42)[:n]
 			st := core.CollectStats(data, nil)
-			for _, m := range modes {
-				for _, budget := range []float64{0, 2, 4} {
-					for _, sampleSize := range []int{0, n / 3} {
-						ref := &core.Analyzer{Candidates: DefaultCandidates(&st), Stats: &st,
-							CostBudget: budget, SampleSize: sampleSize, TrialK: m.trialK, Exhaustive: m.exhaustive}
-						wantDesc, wantForm, wantEv, wantErr := referenceBest(ref, data)
-						for _, stats := range []*core.BlockStats{&st, nil} {
-							a := *ref
-							a.Stats = stats
-							got, err := a.Best(data)
-							name := fmt.Sprintf("kind%d n%d %s budget%v sample%d stats=%v", kind, n, m.name, budget, sampleSize, stats != nil)
-							if (err == nil) != (wantErr == nil) {
-								t.Fatalf("%s: err = %v, reference err = %v", name, err, wantErr)
-							}
-							if err != nil {
-								continue
-							}
-							if got.Desc != wantDesc || got.Eval.Bits != wantEv.Bits || !reflect.DeepEqual(got.Form, wantForm) {
-								t.Fatalf("%s: winner %s (%d bits), reference %s (%d bits), forms equal = %v", name,
-									got.Desc, got.Eval.Bits, wantDesc, wantEv.Bits, reflect.DeepEqual(got.Form, wantForm))
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestCertifiedChoiceIsExhaustive holds the certify step to the
-// search it vouches for where the two can disagree: the pruned search
-// at every effort and budget, over the estimator workloads at sizes
-// where equal-sized candidates tie. Whenever the pruned search
-// certifies its winner it must be the exhaustive search's winner under
-// the same budget, and the workloads must include choices it rightly
-// leaves uncertified because the exhaustive winner differs.
-func TestCertifiedChoiceIsExhaustive(t *testing.T) {
-	certified, differ := 0, 0
-	for kind := uint8(0); kind < 10; kind++ {
-		for _, n := range []int{1, 2, 3, 100, 5000} {
-			for _, param := range []uint8{3, 17, 90} {
-				data := estimateWorkload(kind, n, param, 42)[:n]
-				st := core.CollectStats(data, nil)
-				for _, budget := range []float64{0, 2, 4} {
-					truth := &core.Analyzer{Candidates: DefaultCandidates(&st), Exhaustive: true, CostBudget: budget}
-					wantDesc, _, wantEv, wantErr := referenceBest(truth, data)
-					for _, k := range []int{1, 2, 3} {
-						a := &core.Analyzer{Candidates: DefaultCandidates(&st), Stats: &st, TrialK: k, CostBudget: budget}
+			for _, budget := range []float64{0, 2, 4} {
+				for _, sampleSize := range []int{0, n / 3} {
+					ref := &core.Analyzer{Candidates: DefaultCandidates(&st), CostBudget: budget, SampleSize: sampleSize}
+					wantDesc, wantForm, wantEv, wantErr := referenceBest(ref, data)
+					for _, stats := range []*core.BlockStats{&st, nil} {
+						a := *ref
+						a.Stats = stats
 						got, err := a.Best(data)
-						if err != nil || wantErr != nil {
+						name := fmt.Sprintf("kind%d n%d budget%v sample%d stats=%v", kind, n, budget, sampleSize, stats != nil)
+						if (err == nil) != (wantErr == nil) {
+							t.Fatalf("%s: err = %v, reference err = %v", name, err, wantErr)
+						}
+						if err != nil {
 							continue
 						}
-						if got.Desc != wantDesc {
-							differ++
-						}
-						if !got.Certified {
-							continue
-						}
-						certified++
-						if got.Desc != wantDesc || got.Eval.Bits != wantEv.Bits {
-							t.Fatalf("kind%d n%d param%d budget%v k%d: certified %s (%d bits), exhaustive %s (%d bits)",
-								kind, n, param, budget, k, got.Desc, got.Eval.Bits, wantDesc, wantEv.Bits)
+						if got.Desc != wantDesc || got.Eval.Bits != wantEv.Bits || !reflect.DeepEqual(got.Form, wantForm) {
+							t.Fatalf("%s: winner %s (%d bits), reference %s (%d bits), forms equal = %v", name,
+								got.Desc, got.Eval.Bits, wantDesc, wantEv.Bits, reflect.DeepEqual(got.Form, wantForm))
 						}
 					}
 				}
 			}
 		}
-	}
-	if certified == 0 || differ == 0 {
-		t.Fatalf("%d certified choices, %d pruned choices off the exhaustive one: the test lost its teeth", certified, differ)
 	}
 }
 
@@ -467,8 +330,9 @@ func TestCertifiedChoiceIsExhaustive(t *testing.T) {
 // (label, bits, bound) price of every DefaultCandidates entry and of
 // the five model-composition aliases, across the named workloads,
 // recorded at commit 61c52de — the last one whose PFOR and model
-// compositions priced themselves as monoliths. Heuristic prices pick
-// the default search's shortlist, so a moved price can move a winner.
+// compositions priced themselves as monoliths. Prices order the
+// search's visits and prove what it may skip, so a moved price can
+// move the trial count, or, if it no longer proves its bound, a winner.
 const (
 	goldenPricesHash      = "2b4fc8b84aee44cbbd3cd294bb46f0c3843af1b00a6d0f854f9801e933fbc6cb"
 	goldenAliasPricesHash = "4c159d0597b73571305e2cc70ef4df842ead23e7e3494041386158e01f5ac2f9"
@@ -627,12 +491,11 @@ func formsEqual(a, b *core.Form) bool {
 }
 
 // FuzzAnalyzerEstimateEquivalence drives random workloads through
-// the estimate-pruned analyzer and asserts (a) it picks a form within
-// a bounded size ratio (1.05x) of the compress-everything ground
-// truth, and exactly that truth's winner whenever it certifies its
-// choice, and (b) every estimate proves what its bound kind claims:
-// exact ones equal the actual encoded bits, lower bounds never exceed
-// them, impossible ones fail.
+// the analyzer and asserts (a) it picks exactly the compress-everything
+// reference's winner, size and form, and (b) every estimate proves
+// what its bound kind claims: exact ones equal the actual encoded
+// bits, lower bounds never exceed them, impossible ones fail, and no
+// floor is above the actual size.
 func FuzzAnalyzerEstimateEquivalence(f *testing.F) {
 	f.Add(uint8(0), uint16(100), uint8(17), int64(1))
 	f.Add(uint8(4), uint16(4096), uint8(3), int64(2))
@@ -643,13 +506,12 @@ func FuzzAnalyzerEstimateEquivalence(f *testing.F) {
 		data := estimateWorkload(kind, n, param, seed)[:n]
 		st := core.CollectStats(data, nil)
 		checkEstimates(t, data, &st)
-		// Odd seeds additionally exercise prefix sampling: candidates
-		// rank on full-column stats but trial on a prefix, for both
-		// the pruned and the ground-truth analyzer alike.
+		// Odd seeds additionally exercise prefix sampling: the search
+		// prices and compares the prefix, then encodes the column.
 		sampleSize := 0
 		if seed%2 != 0 {
 			sampleSize = n/2 + 1
 		}
-		checkPrunedVsExhaustive(t, data, &st, sampleSize)
+		checkMatchesReference(t, data, &st, sampleSize)
 	})
 }

@@ -155,8 +155,8 @@ func (p Plus) ConstituentStats(st *core.BlockStats) (uint64, []core.PredictedChi
 // measures inside one model segment, so R ≥ ⌈(Δ−1)/2⌉ = ⌊Δ/2⌋, and the
 // residual column, priced through PartFloor with that Max, costs at
 // least what it states. The model form's size follows from its shape.
-// Δ costs a pass over the column, which only the exhaustive search and
-// the default search's certify step take; elsewhere there is no floor.
+// Δ costs a pass over the column, which the analyzer's search takes
+// once per column it prices; elsewhere there is no floor.
 //
 // All of that is integer arithmetic only while the fit cannot wrap.
 // With every |x| ≤ V, a segment of n values has a least-squares slope

@@ -218,8 +218,8 @@ const searchRevision = 2
 // for (blocked.Block.Certificate): a 32-bit FNV-1a hash over
 // searchRevision and the Desc of every candidate DefaultCandidates can
 // return, in order, with every stats gate open. Adding, removing or
-// reordering a candidate changes it — the exhaustive search breaks
-// ties by input order — and so does a searchRevision bump. It is never
+// reordering a candidate changes it — the search breaks ties by input
+// order — and so does a searchRevision bump. It is never
 // 0, which means "not certified".
 func SearchFingerprint() uint32 { return searchFingerprint() }
 

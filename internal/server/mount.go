@@ -179,9 +179,11 @@ func mountTable(cfg Config, cache *lwcomp.SharedBlockCache, name string, files [
 	for _, f := range files {
 		// Open through the storage layer directly: the retry policy and
 		// the fault-injection reader hook are serving-infrastructure
-		// knobs, not public API options.
+		// knobs, not public API options. A container joins the shared
+		// cache or, with none (a negative Config.CacheBytes), caches
+		// nothing: it never opens a cache of its own.
 		cf, err := storage.OpenContainerFile(f.path, storage.OpenOptions{
-			CacheBytes: storage.DefaultBlockCacheBytes,
+			CacheBytes: -1,
 			Shared:     cache,
 			Retry:      cfg.retryPolicy(),
 			WrapReader: cfg.FaultInjection,

@@ -720,6 +720,25 @@ func TestMetricsEndpoint(t *testing.T) {
 	rr.Body.Close()
 }
 
+// TestMetricsUncached: a negative cache budget mounts every container
+// uncached — no shared cache and no per-container one — so a repeated
+// query is served without a single cache hit and no budget is
+// reported.
+func TestMetricsUncached(t *testing.T) {
+	d := makeData(3000)
+	_, ts := newTestServer(t, Config{Dir: newTestDir(t, d), CacheBytes: -1})
+	for i := 0; i < 2; i++ {
+		if code, body := postQuery(t, ts, queryRequest{Table: "orders", Op: "sum", Columns: []string{"amount"}}); code != 200 {
+			t.Fatalf("sum: status %d, body %v", code, body)
+		}
+	}
+	_, met := getJSON(t, ts.URL+"/metrics")
+	cache := met["tables"].(map[string]any)["orders"].(map[string]any)["cache"].(map[string]any)
+	if cache["bytes_budget"].(float64) != 0 || cache["hits"].(float64) != 0 {
+		t.Fatalf("orders cache with -cache-bytes -1: %v, want no budget and no hits", cache)
+	}
+}
+
 // TestMetricsTableEvictionsPooled: evictions are a pooled figure of
 // the shared cache, so a table spread over two containers reports the
 // server-wide count once, not once per container.

@@ -56,8 +56,8 @@ import (
 //
 // Flag 3 is flag 1 plus the block's certificate
 // (blocked.Block.Certificate): the fingerprint of the search that
-// proved the payload is the exhaustive search's choice, which lets the
-// compactor skip the container from its index alone. A block with a
+// chose the payload over the whole block, which lets the compactor
+// skip the container from its index alone. A block with a
 // certificate but no stats is written as flag 0, losing the
 // certificate. Readers from before flag 3 reject such containers at
 // open ("bad stats flag"), as with flag 2.

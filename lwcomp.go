@@ -95,19 +95,15 @@ type Stats = column.Stats
 // set and its measured Eval; one it did not compress carries only its
 // stats-predicted EstBits with what that prediction proves (EstBound)
 // and, behind a BoundHeuristic price, the size its form is proved
-// never to undercut (EstFloor). Under the exhaustive search a skip
-// always rests on a BoundExact or BoundLower price, or a floor, that
-// already could not beat the winner; under the default search it may
-// also be a BoundHeuristic price the shortlist left out. A candidate
-// that failed, or whose EstBits is the impossible sentinel because the
-// stats prove it cannot represent the column, carries an Err matching
-// ErrNotRepresentable. Certified reports that the exhaustive search
-// over the same candidates would choose this same form: always under
-// the exhaustive search over the whole column, and under the default
-// search (without a cost budget or sampling) when every candidate it
-// did not pick provably loses — by failing, by its measured size, by a
-// BoundExact or BoundLower price, or by its floor, which the default
-// search then computes past its shortlist too.
+// never to undercut (EstFloor). A skip always rests on a BoundExact or
+// BoundLower price, or a floor, that already could not beat the
+// winner, so the winner is the one compressing every candidate would
+// pick: the smallest, the first in candidate order among equals. A
+// candidate that failed, or whose EstBits is the impossible sentinel
+// because the stats prove it cannot represent the column, carries an
+// Err matching ErrNotRepresentable. On a column longer than 65536
+// values the search runs over its first 65536, and Ranking describes
+// that sample.
 type Choice = core.Choice
 
 // Bound says what a Choice ranking entry's EstBits proves about the
@@ -116,7 +112,8 @@ type Bound = core.Bound
 
 // The bound kinds, weakest first.
 const (
-	// BoundHeuristic estimates only rank candidates.
+	// BoundHeuristic estimates prove nothing about the compressed
+	// size; the search skips no candidate on one.
 	BoundHeuristic = core.Heuristic
 	// BoundLower estimates are never above the compressed size.
 	BoundLower = core.LowerBound
@@ -230,21 +227,9 @@ type AnalyzerOptions struct {
 	// would slow down … below what the incoming bandwidth allows").
 	// A plain copy costs about 1.0; NS about 1.5; Elias about 6.0.
 	CostBudget float64
-	// SampleSize caps the prefix sample candidates are evaluated on;
-	// zero means 65536.
-	SampleSize int
 	// Extra appends additional candidates (e.g. hand-built
 	// composites) to the default stats-pruned space.
 	Extra []Candidate
-	// TrialK bounds how many of the top estimate-ranked candidates
-	// are trial-compressed; zero means the default (3). See
-	// WithSearchEffort.
-	TrialK int
-	// Exhaustive lets no heuristic estimate exclude a candidate:
-	// every candidate's size is established — proved from the stats
-	// or measured by compressing — and the smallest wins. See
-	// WithExhaustiveSearch.
-	Exhaustive bool
 }
 
 // CompressBestWithOptions searches the composite-scheme space under
@@ -254,16 +239,10 @@ func CompressBestWithOptions(src []int64, opts AnalyzerOptions) (*Choice, error)
 	defer s.Release()
 	st := core.CollectStats(src, s)
 	defer st.ReleaseSeg(s)
-	sample := opts.SampleSize
-	if sample == 0 {
-		sample = 1 << 16
-	}
 	a := &core.Analyzer{
 		Candidates: append(scheme.DefaultCandidates(&st), opts.Extra...),
 		CostBudget: opts.CostBudget,
-		SampleSize: sample,
-		TrialK:     opts.TrialK,
-		Exhaustive: opts.Exhaustive,
+		SampleSize: blocked.SearchSample,
 		Stats:      &st,
 		Scratch:    s,
 	}

@@ -340,8 +340,8 @@ func TestPublicAnalyzerOptions(t *testing.T) {
 	}
 }
 
-// TestExhaustiveRankingTruthful pins what the exhaustive search
-// reports about each candidate: one it compressed carries its measured
+// TestExhaustiveRankingTruthful pins what the search reports about
+// each candidate: one it compressed carries its measured
 // size; one it did not carries what the skip rests on — a price that
 // proves something or, behind a heuristic price, a floor — which
 // really bounds the size the candidate compresses to and already could
@@ -356,8 +356,7 @@ func TestExhaustiveRankingTruthful(t *testing.T) {
 	for _, sh := range workload.MaintainShapes(20000, 3) {
 		st := core.CollectStats(sh.Data, nil)
 		cands := append(scheme.DefaultCandidates(&st), lwcomp.SchemeCandidate(constant))
-		choice, err := lwcomp.CompressBestWithOptions(sh.Data, lwcomp.AnalyzerOptions{
-			Exhaustive: true, Extra: cands[len(cands)-1:]})
+		choice, err := lwcomp.CompressBestWithOptions(sh.Data, lwcomp.AnalyzerOptions{Extra: cands[len(cands)-1:]})
 		if err != nil {
 			t.Fatal(err)
 		}

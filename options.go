@@ -68,34 +68,6 @@ func WithParallelism(p int) Option {
 	return func(o *options) { o.enc.Parallelism = p }
 }
 
-// WithSampleSize caps the prefix sample the per-block analyzer
-// evaluates candidates on; 0 means 65536.
-func WithSampleSize(n int) Option {
-	return func(o *options) { o.enc.SampleSize = n }
-}
-
-// WithSearchEffort bounds how many of the top estimate-ranked
-// candidate schemes the per-block analyzer shortlists (the default
-// is 3). The analyzer predicts every candidate's encoded size from
-// one-pass block statistics and considers only the k most promising,
-// so lower effort encodes faster at a small risk of a slightly larger
-// block; candidates without estimators and the best
-// exactly-estimated candidate are always shortlisted.
-func WithSearchEffort(k int) Option {
-	return func(o *options) { o.enc.TrialK = k }
-}
-
-// WithExhaustiveSearch lets no heuristic estimate exclude a candidate
-// scheme: on every block every candidate's size is established —
-// proved from the block statistics or measured by compressing — and
-// the smallest wins. Encoding is slower than the default search,
-// which compresses only the few best-estimated candidates; use it
-// when encode time matters less than the last byte, as background
-// compaction does.
-func WithExhaustiveSearch() Option {
-	return func(o *options) { o.enc.Exhaustive = true }
-}
-
 // WithExtraCandidates appends hand-built composites to every block's
 // analyzer search space.
 func WithExtraCandidates(extra ...Candidate) Option {
