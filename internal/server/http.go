@@ -240,8 +240,21 @@ var errStreamLimit = errors.New("stream limit reached")
 // with the byte offset and offending token.
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	started := time.Now()
+	// One pooled buffer holds the request body, then the reply or the
+	// rows frames.
+	frame := framePool.Get().(*[]byte)
+	defer func() {
+		if cap(*frame) <= maxPooledFrame {
+			framePool.Put(frame)
+		}
+	}()
 	var req queryRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
+	body, err := readBody((*frame)[:0], http.MaxBytesReader(w, r.Body, maxRequestBody))
+	*frame = body
+	if err == nil {
+		err = decodeQueryRequest(body, &req)
+	}
+	if err != nil {
 		writeError(w, http.StatusBadRequest, "decoding request body: %v", err)
 		return
 	}
@@ -311,7 +324,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	expr := lwcomp.And()
 	if req.Where != "" {
-		var err error
 		expr, err = lwcomp.ParsePredicate(req.Where)
 		if err != nil {
 			var pe *lwcomp.ParseError
@@ -350,7 +362,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			res.Degraded = m.Skipped()
 		}
 		res.ElapsedMS = msSince(started)
-		writeJSON(w, res)
+		*frame = appendQueryResult((*frame)[:0], &res)
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(*frame)
 	case "rows":
 		scan, err := mt.tbl.ScanWith(ctx, expr, lwcomp.ScanOptions{Degraded: req.AllowDegraded})
 		if err != nil {
@@ -359,7 +373,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		defer scan.Release()
 		res.Matched = int64(scan.Count())
-		s.streamRows(ctx, w, scan, req, res, started)
+		s.streamRows(ctx, w, scan, req, res, started, frame)
 	}
 }
 
@@ -402,31 +416,26 @@ func writeJSON(w http.ResponseWriter, v any) {
 // the match count and column order, then row frames of at most
 // batch_rows rows each, then a final frame. Frames are flushed as
 // written, and each holds one batch — the server never materializes
-// the full result, whatever its size.
-func (s *Server) streamRows(ctx context.Context, w http.ResponseWriter, scan *lwcomp.Scan, req queryRequest, header queryResult, started time.Time) {
+// the full result, whatever its size. Frames are rendered into the
+// request's pooled buffer, frame.
+func (s *Server) streamRows(ctx context.Context, w http.ResponseWriter, scan *lwcomp.Scan, req queryRequest, header queryResult, started time.Time, frame *[]byte) {
 	batch := req.BatchRows
 	if batch <= 0 {
 		batch = s.cfg.BatchRows
 	}
 	batch = min(batch, maxBatchRows)
 	header.Columns = req.Columns
+	buf := (*frame)[:0]
+	defer func() { *frame = buf }()
 	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	enc.Encode(header)
+	buf = appendQueryResult(buf, &header)
+	w.Write(buf)
 	flusher, _ := w.(http.Flusher)
 	if flusher != nil {
 		flusher.Flush()
 	}
 
 	var streamed int64
-	frame := framePool.Get().(*[]byte)
-	buf := *frame
-	defer func() {
-		if cap(buf) <= maxPooledFrame {
-			*frame = buf
-			framePool.Put(frame)
-		}
-	}()
 	err := scan.StreamBatches(ctx, req.Columns, batch, func(rows []int64, vals [][]int64) error {
 		if req.Limit > 0 && streamed+int64(len(rows)) > req.Limit {
 			keep := req.Limit - streamed
@@ -451,6 +460,9 @@ func (s *Server) streamRows(ctx context.Context, w http.ResponseWriter, scan *lw
 		}
 		return nil
 	})
+	// The done and error frames, written once a stream, keep
+	// encoding/json.
+	enc := json.NewEncoder(w)
 	if err != nil && !errors.Is(err, errStreamLimit) {
 		// The 200 and header frame are gone; the error becomes the
 		// stream's terminal frame — with an explicit "done": false — so
@@ -484,11 +496,12 @@ func (s *Server) streamRows(ctx context.Context, w http.ResponseWriter, scan *lw
 	}{true, streamed, msSince(started), degradedBlocks(scan)})
 }
 
-// framePool holds the frame buffers of op=rows requests: a frame's
-// worst-case reservation is a few hundred KiB, too much to make anew
-// for every request. A buffer larger than maxPooledFrame — a wide
-// projection at a large batch_rows — is left to the collector, so that
-// one such request does not pin its memory for the life of the process.
+// framePool holds each query's buffer: its request body, then its
+// reply or its op=rows frames. A frame's worst-case reservation is a
+// few hundred KiB, too much to make anew for every request. A buffer
+// larger than maxPooledFrame — a wide projection at a large batch_rows
+// — is left to the collector, so that one such request does not pin
+// its memory for the life of the process.
 var framePool = sync.Pool{New: func() any { return new([]byte) }}
 
 // maxPooledFrame is the largest frame buffer framePool keeps.

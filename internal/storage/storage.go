@@ -6,6 +6,7 @@ import (
 	"hash/crc32"
 	"math"
 	"sync"
+	"unsafe"
 
 	"lwcomp/internal/bitpack"
 	"lwcomp/internal/core"
@@ -141,7 +142,11 @@ func appendForm(buf []byte, f *core.Form) ([]byte, error) {
 }
 
 // DecodeForm deserializes a form tree, returning the form and the
-// number of bytes consumed.
+// number of bytes consumed. Every word payload of the tree — Packed
+// and Leaf alike — is carved from one []uint64 slab, no larger than
+// len(data) bytes, each arm with cap == len so that an append by a
+// consumer reallocates instead of overwriting its sibling. The form
+// never aliases data.
 func DecodeForm(data []byte) (*core.Form, int, error) {
 	d := &decoder{data: data}
 	f, err := d.form(0)
@@ -157,7 +162,16 @@ const maxFormDepth = 64
 type decoder struct {
 	data []byte
 	pos  int
+	// slab holds the words not yet handed to a payload arm. It is
+	// allocated at the first word payload, sized from the bytes that
+	// remain: every word still to come takes 8 of them.
+	slab []uint64
 }
+
+// littleEndian reports whether the host stores words little-endian,
+// as the encoding does: then a payload's bytes are its words' memory
+// image and one copy moves them.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
 
 func (d *decoder) u8() (byte, error) {
 	if d.pos >= len(d.data) {
@@ -266,6 +280,51 @@ func (d *decoder) words(what string) ([]byte, error) {
 	return src, nil
 }
 
+// wordArm reads a word payload into the slab's next words and returns
+// them with cap == len; what names the payload in errors.
+func (d *decoder) wordArm(what string) ([]uint64, error) {
+	src, err := d.words(what)
+	if err != nil {
+		return nil, err
+	}
+	if d.slab == nil {
+		d.slab = make([]uint64, (len(d.data)-d.pos+len(src))/8)
+	}
+	n := len(src) / 8
+	dst := d.slab[:n:n]
+	d.slab = d.slab[n:]
+	copyWords(dst, src)
+	return dst, nil
+}
+
+// copyWords fills dst with the little-endian words of src, which holds
+// exactly 8*len(dst) bytes.
+func copyWords(dst []uint64, src []byte) {
+	if littleEndian {
+		copyWordsLE(dst, src)
+	} else {
+		copyWordsLoop(dst, src)
+	}
+}
+
+// copyWordsLE is copyWords on a little-endian host: one copy into a
+// byte view of dst. Only the destination is viewed — it is a []uint64,
+// so word-aligned — never the read buffer, which need not be.
+func copyWordsLE(dst []uint64, src []byte) {
+	if len(dst) == 0 {
+		return
+	}
+	copy(unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(dst))), 8*len(dst)), src)
+}
+
+// copyWordsLoop is copyWords on any host, a word at a time — the path
+// a big-endian host takes.
+func copyWordsLoop(dst []uint64, src []byte) {
+	for i := range dst {
+		dst[i] = binary.LittleEndian.Uint64(src[8*i:])
+	}
+}
+
 func (d *decoder) form(depth int) (*core.Form, error) {
 	if depth > maxFormDepth {
 		return nil, fmt.Errorf("%w: form nesting deeper than %d", ErrCorrupt, maxFormDepth)
@@ -336,22 +395,18 @@ func (d *decoder) form(depth int) (*core.Form, error) {
 	switch kind {
 	case payloadNone:
 	case payloadLeaf:
-		src, err := d.words("leaf")
+		w, err := d.wordArm("leaf")
 		if err != nil {
 			return nil, err
 		}
-		f.Leaf = make([]int64, len(src)/8)
-		for i := range f.Leaf {
-			f.Leaf[i] = int64(binary.LittleEndian.Uint64(src[8*i:]))
+		// The same words, read as int64s.
+		f.Leaf = []int64{}
+		if len(w) > 0 {
+			f.Leaf = unsafe.Slice((*int64)(unsafe.Pointer(unsafe.SliceData(w))), len(w))
 		}
 	case payloadPacked:
-		src, err := d.words("packed")
-		if err != nil {
+		if f.Packed, err = d.wordArm("packed"); err != nil {
 			return nil, err
-		}
-		f.Packed = make([]uint64, len(src)/8)
-		for i := range f.Packed {
-			f.Packed[i] = binary.LittleEndian.Uint64(src[8*i:])
 		}
 	case payloadBytes:
 		cnt, err := d.count(1)

@@ -2,7 +2,12 @@ package storage
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"maps"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -349,5 +354,161 @@ func BenchmarkDecodeForm(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(words), "ns/word")
 		})
+	}
+}
+
+// slabForms returns one form per family the slab test and the cold
+// fetch benchmark cover, compressed from n rows of a column with runs,
+// few distinct values, a gentle trend and an outlier every 97 rows, so
+// that patch has exceptions to split off and every child is non-empty.
+func slabForms(tb testing.TB, n int) (map[string]core.Scheme, []int64) {
+	tb.Helper()
+	src := make([]int64, n)
+	v := int64(1000)
+	for i := range src {
+		if i%13 == 0 {
+			v += int64(i%5) - 1
+		}
+		src[i] = v
+		if i%97 == 0 {
+			src[i] += 1 << 20
+		}
+	}
+	return map[string]core.Scheme{
+		"ns":    scheme.NS{},
+		"delta": scheme.DeltaNS(),
+		"dict":  scheme.DictComposite(),
+		"rle":   scheme.RLEDeltaComposite(),
+		"patch": scheme.PFORComposite(64),
+		"plus":  scheme.LinearNS(32),
+	}, src
+}
+
+// wordArm is one decoded Packed or Leaf payload, by address.
+type wordArm struct {
+	start, end uintptr
+	words      []uint64
+}
+
+// wordArms lists a form's non-empty word payloads, failing on any whose
+// capacity exceeds its length.
+func wordArms(t *testing.T, f *core.Form) []wordArm {
+	t.Helper()
+	var arms []wordArm
+	f.Walk(func(n *core.Form) error {
+		var w []uint64
+		switch {
+		case n.Packed != nil:
+			if cap(n.Packed) != len(n.Packed) {
+				t.Errorf("%s: Packed cap %d, len %d", n.Scheme, cap(n.Packed), len(n.Packed))
+			}
+			w = n.Packed
+		case n.Leaf != nil:
+			if cap(n.Leaf) != len(n.Leaf) {
+				t.Errorf("%s: Leaf cap %d, len %d", n.Scheme, cap(n.Leaf), len(n.Leaf))
+			}
+			w = unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(n.Leaf))), len(n.Leaf))
+		}
+		if len(w) > 0 {
+			start := uintptr(unsafe.Pointer(unsafe.SliceData(w)))
+			arms = append(arms, wordArm{start, start + 8*uintptr(len(w)), w})
+		}
+		return nil
+	})
+	return arms
+}
+
+// TestDecodeFormOneSlab: a decode puts every word payload of the tree
+// into one allocation, handed out back to back with cap == len, and
+// the form is the one encoded. The little-endian copy and the portable
+// word loop read the same words from the same (unaligned) bytes.
+func TestDecodeFormOneSlab(t *testing.T) {
+	schemes, src := slabForms(t, 4096)
+	for name, sch := range schemes {
+		f, err := sch.Compress(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		enc, err := EncodeForm(f)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		back, _, err := DecodeForm(enc)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		again, err := EncodeForm(back)
+		if err != nil || !bytes.Equal(again, enc) {
+			t.Fatalf("%s: decoded form re-encodes differently (%v)", name, err)
+		}
+		if !reflect.DeepEqual(back, f) {
+			t.Fatalf("%s: decoded form %s differs from %s", name, back.Describe(), f.Describe())
+		}
+		arms := wordArms(t, back)
+		if len(arms) == 0 {
+			t.Fatalf("%s: no word payload", name)
+		}
+		sort.Slice(arms, func(i, j int) bool { return arms[i].start < arms[j].start })
+		for i := 1; i < len(arms); i++ {
+			if arms[i].start != arms[i-1].end {
+				t.Fatalf("%s (%s): word arm %d starts at %#x, the one before ends at %#x: not one slab",
+					name, back.Describe(), i, arms[i].start, arms[i-1].end)
+			}
+		}
+		if span := arms[len(arms)-1].end - arms[0].start; span > uintptr(len(enc)) {
+			t.Fatalf("%s: slab spans %d bytes of a %d-byte payload", name, span, len(enc))
+		}
+		if len(arms) < 2 && name != "ns" && name != "delta" {
+			t.Fatalf("%s: %d word arms, want a multi-arm form", name, len(arms))
+		}
+		for _, a := range arms {
+			for off := 0; off < 8; off++ {
+				raw := make([]byte, off, off+8*len(a.words))
+				for _, w := range a.words {
+					raw = binary.LittleEndian.AppendUint64(raw, w)
+				}
+				le, loop := make([]uint64, len(a.words)), make([]uint64, len(a.words))
+				copyWordsLE(le, raw[off:])
+				copyWordsLoop(loop, raw[off:])
+				if !slices.Equal(le, a.words) || !slices.Equal(loop, a.words) {
+					t.Fatalf("%s: word copies disagree at byte offset %d", name, off)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkColdBlockForm fetches blocks of a lazily opened container
+// with no block cache, so that every BlockForm is a cold fetch: the
+// positioned read into pooled scratch, the CRC and the decode. One
+// container per form family, each of eight 16,384-row blocks written
+// with WriteContainerV3; ns, B and allocs are per BlockForm.
+func BenchmarkColdBlockForm(b *testing.B) {
+	const blockRows, blocks = 1 << 14, 8
+	schemes, src := slabForms(b, blockRows*blocks)
+	names := slices.Sorted(maps.Keys(schemes))
+	for _, name := range names {
+		col, err := blocked.Encode(src, blocked.EncodeOptions{BlockSize: blockRows, Scheme: schemes[name]})
+		if err != nil {
+			b.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := WriteContainerV3(&buf, []BlockedColumn{{Name: name, Col: col}}); err != nil {
+			b.Fatal(err)
+		}
+		cf, err := OpenContainer(bytes.NewReader(buf.Bytes()), int64(buf.Len()), OpenOptions{CacheBytes: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		lazy := cf.Columns()[0].Col
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := lazy.BlockForm(i % blocks); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		cf.Close()
 	}
 }
