@@ -514,9 +514,9 @@ func TestFusedAggregateAllocs(t *testing.T) {
 }
 
 // TestLinearRangeAllocs: a plus(linear) block — the noisy ramp of the
-// fused-aggregate pins above — is counted, summed under a range and
-// selected from its model's per-group bands and its residual's packed
-// words, none of it allocating.
+// fused-aggregate pins above — has no range rule, so it is counted,
+// summed under a range and selected through the decode fallback, which
+// decodes into pooled scratch: none of it allocates.
 func TestLinearRangeAllocs(t *testing.T) {
 	const n = 1 << 14
 	data := workload.TrendNoise(n, 2.9, 40, 27)

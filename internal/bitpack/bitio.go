@@ -45,9 +45,6 @@ func (bw *BitWriter) WriteUnary(q uint) {
 	bw.WriteBits(1<<q, q+1)
 }
 
-// Len returns the number of bits written.
-func (bw *BitWriter) Len() uint64 { return bw.nbits }
-
 // Words returns the backing word stream; the final word is
 // zero-padded.
 func (bw *BitWriter) Words() []uint64 { return bw.words }
@@ -100,6 +97,3 @@ func (br *BitReader) ReadUnary() (uint, error) {
 		}
 	}
 }
-
-// Pos returns the current bit cursor.
-func (br *BitReader) Pos() uint64 { return br.pos }

@@ -56,12 +56,6 @@ func PackedWords(n int, w uint) int {
 	return int((totalBits + 63) / 64)
 }
 
-// PackedBytes returns the payload size in bytes for n values at width
-// w (a whole number of 64-bit words).
-func PackedBytes(n int, w uint) int {
-	return PackedWords(n, w) * 8
-}
-
 // Pack packs src at width w into a fresh word slice. Values wider
 // than w are reported as ErrOverflow (packing never silently
 // truncates: the NS scheme chooses w from the data, and anything else
@@ -165,28 +159,6 @@ func UnpackInto(dst, packed []uint64, w uint) error {
 		unpackGeneric(dst[i:], packed, w, uint64(i)*uint64(w))
 	}
 	return nil
-}
-
-// UnpackRange expands values [start, start+count) of width w from
-// packed without touching the rest of the column. Segment-pruned
-// scans use it to decode only candidate segments.
-func UnpackRange(packed []uint64, start, count int, w uint) ([]uint64, error) {
-	if w > 64 {
-		return nil, fmt.Errorf("%w: %d", ErrWidth, w)
-	}
-	if start < 0 || count < 0 {
-		return nil, fmt.Errorf("bitpack: UnpackRange: negative range [%d, +%d)", start, count)
-	}
-	dst := make([]uint64, count)
-	if w == 0 || count == 0 {
-		return dst, nil
-	}
-	if len(packed) < PackedWords(start+count, w) {
-		return nil, fmt.Errorf("%w: have %d words, need %d for range end %d at width %d",
-			ErrCorrupt, len(packed), PackedWords(start+count, w), start+count, w)
-	}
-	unpackGeneric(dst, packed, w, uint64(start)*uint64(w))
-	return dst, nil
 }
 
 // ValueAt returns value i of the width-w payload without unpacking its

@@ -58,9 +58,6 @@ func TestPackedWords(t *testing.T) {
 	if PackedWords(0, 7) != 0 || PackedWords(10, 0) != 0 {
 		t.Fatal("degenerate PackedWords wrong")
 	}
-	if PackedBytes(64, 7) != 56 {
-		t.Fatalf("PackedBytes = %d", PackedBytes(64, 7))
-	}
 }
 
 // TestPackUnpackAllWidths round-trips every width at lengths that

@@ -5,61 +5,13 @@ import (
 	"math/bits"
 )
 
-// The Elias codes realize the paper's bit-metric exactly: under
+// The Elias delta code realizes the paper's bit-metric exactly: under
 // d(x, y) = ⌈log2|x−y|+1⌉ the cost of an element is its own bit
 // width, and a per-element variable-width code spends approximately
 // that many bits (plus the logarithmic self-delimiting overhead).
 //
-// Both codes operate on non-negative values; encoders add one so that
-// zero is representable (the classical codes start at 1).
-
-// EliasGammaEncode encodes each v ≥ 0 as gamma(v+1): a unary length
-// prefix followed by the value's low bits.
-func EliasGammaEncode(src []int64) ([]uint64, error) {
-	bw := NewBitWriter(len(src) * 8)
-	for i, v := range src {
-		if v < 0 {
-			return nil, fmt.Errorf("bitpack: EliasGammaEncode: negative value %d at position %d (zigzag first)", v, i)
-		}
-		u := uint64(v) + 1
-		nb := uint(bits.Len64(u)) // number of bits in u, ≥ 1
-		bw.WriteUnary(nb - 1)
-		bw.WriteBits(u&Mask(nb-1), nb-1)
-	}
-	return bw.Words(), nil
-}
-
-// EliasGammaDecode decodes n gamma codes.
-func EliasGammaDecode(words []uint64, n int) ([]int64, error) {
-	br := NewBitReader(words)
-	out := make([]int64, n)
-	for i := 0; i < n; i++ {
-		q, err := br.ReadUnary()
-		if err != nil {
-			return nil, fmt.Errorf("gamma code %d of %d: %w", i, n, err)
-		}
-		low, err := br.ReadBits(q)
-		if err != nil {
-			return nil, fmt.Errorf("gamma code %d of %d: %w", i, n, err)
-		}
-		out[i] = int64(((uint64(1) << q) | low) - 1)
-	}
-	return out, nil
-}
-
-// EliasGammaSizeBits returns the exact encoded size in bits of src
-// under EliasGammaEncode.
-func EliasGammaSizeBits(src []int64) (uint64, error) {
-	var total uint64
-	for i, v := range src {
-		if v < 0 {
-			return 0, fmt.Errorf("bitpack: EliasGammaSizeBits: negative value %d at position %d", v, i)
-		}
-		nb := uint64(bits.Len64(uint64(v) + 1))
-		total += 2*nb - 1
-	}
-	return total, nil
-}
+// The code operates on non-negative values; the encoder adds one so
+// that zero is representable (the classical codes start at 1).
 
 // EliasDeltaEncode encodes each v ≥ 0 as delta(v+1): the bit length is
 // itself gamma-coded, making large values cheaper than under gamma.
@@ -103,19 +55,4 @@ func EliasDeltaDecode(dst []int64, words []uint64) error {
 		dst[i] = int64(((uint64(1) << (nb - 1)) | low) - 1)
 	}
 	return nil
-}
-
-// EliasDeltaSizeBits returns the exact encoded size in bits of src
-// under EliasDeltaEncode.
-func EliasDeltaSizeBits(src []int64) (uint64, error) {
-	var total uint64
-	for i, v := range src {
-		if v < 0 {
-			return 0, fmt.Errorf("bitpack: EliasDeltaSizeBits: negative value %d at position %d", v, i)
-		}
-		nb := uint64(bits.Len64(uint64(v) + 1))
-		lb := uint64(bits.Len64(nb))
-		total += (2*lb - 1) + (nb - 1)
-	}
-	return total, nil
 }

@@ -1,6 +1,7 @@
 package bitpack
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -12,8 +13,8 @@ func TestBitWriterReader(t *testing.T) {
 	bw.WriteBits(0xFFFF, 16)
 	bw.WriteBits(1, 64)
 	bw.WriteUnary(70) // spans the 63-bit chunking path
-	if bw.Len() != 3+16+64+71 {
-		t.Fatalf("Len = %d", bw.Len())
+	if n := len(bw.Words()); n != (3+16+64+71+63)/64 {
+		t.Fatalf("%d words for %d bits", n, 3+16+64+71)
 	}
 	br := NewBitReader(bw.Words())
 	if v, err := br.ReadBits(3); err != nil || v != 0b101 {
@@ -30,45 +31,6 @@ func TestBitWriterReader(t *testing.T) {
 	}
 	if _, err := br.ReadBits(64); err == nil {
 		t.Fatal("read past end accepted")
-	}
-}
-
-func TestEliasGammaRoundTrip(t *testing.T) {
-	src := []int64{0, 1, 2, 3, 100, 1 << 30, (1 << 62) - 1}
-	words, err := EliasGammaEncode(src)
-	if err != nil {
-		t.Fatalf("encode: %v", err)
-	}
-	got, err := EliasGammaDecode(words, len(src))
-	if err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	for i := range src {
-		if got[i] != src[i] {
-			t.Fatalf("element %d: %d != %d", i, got[i], src[i])
-		}
-	}
-	bits, err := EliasGammaSizeBits(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Gamma(v+1) costs 2⌈log2(v+2)⌉−1 bits; check the total against
-	// the writer's cursor.
-	bw := NewBitWriter(0)
-	for range src {
-	}
-	_ = bw
-	if bits == 0 {
-		t.Fatal("size must be positive")
-	}
-}
-
-func TestEliasGammaRejectsNegative(t *testing.T) {
-	if _, err := EliasGammaEncode([]int64{-1}); err == nil {
-		t.Fatal("negative accepted")
-	}
-	if _, err := EliasGammaSizeBits([]int64{-1}); err == nil {
-		t.Fatal("negative accepted by size")
 	}
 }
 
@@ -95,14 +57,6 @@ func TestEliasRoundTripProperty(t *testing.T) {
 		for i, r := range raw {
 			src[i] = int64(r)
 		}
-		g, err := EliasGammaEncode(src)
-		if err != nil {
-			return false
-		}
-		gd, err := EliasGammaDecode(g, len(src))
-		if err != nil {
-			return false
-		}
 		d, err := EliasDeltaEncode(src)
 		if err != nil {
 			return false
@@ -112,7 +66,7 @@ func TestEliasRoundTripProperty(t *testing.T) {
 			return false
 		}
 		for i := range src {
-			if gd[i] != src[i] || dd[i] != src[i] {
+			if dd[i] != src[i] {
 				return false
 			}
 		}
@@ -123,51 +77,58 @@ func TestEliasRoundTripProperty(t *testing.T) {
 	}
 }
 
+// eliasBits is the length in bits of the Elias delta code of each
+// v+1, and of the gamma code when gamma is set: the reference the
+// encoder's output is measured against.
+func eliasBits(src []int64, gamma bool) uint64 {
+	var total uint64
+	for _, v := range src {
+		nb := uint64(bits.Len64(uint64(v) + 1))
+		if gamma {
+			total += 2*nb - 1
+		} else {
+			total += 2*uint64(bits.Len64(nb)) - 1 + nb - 1
+		}
+	}
+	return total
+}
+
+// TestEliasSizesMatchEncoding: the delta encoder spends exactly the
+// code's bits, rounded up to whole words.
 func TestEliasSizesMatchEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	src := make([]int64, 300)
 	for i := range src {
 		src[i] = rng.Int63n(1 << uint(rng.Intn(40)))
 	}
-	gBits, err := EliasGammaSizeBits(src)
+	words, err := EliasDeltaEncode(src)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gWords, err := EliasGammaEncode(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (gBits + 63) / 64; uint64(len(gWords)) != want {
-		t.Fatalf("gamma: %d words, size predicts %d", len(gWords), want)
-	}
-	dBits, err := EliasDeltaSizeBits(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dWords, err := EliasDeltaEncode(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := (dBits + 63) / 64; uint64(len(dWords)) != want {
-		t.Fatalf("delta: %d words, size predicts %d", len(dWords), want)
+	if want := (eliasBits(src, false) + 63) / 64; uint64(len(words)) != want {
+		t.Fatalf("delta: %d words, the code's length predicts %d", len(words), want)
 	}
 }
 
+// TestEliasDeltaBeatsGammaOnLargeValues: on wide values the delta
+// encoder's output is shorter than the gamma code of the same values.
 func TestEliasDeltaBeatsGammaOnLargeValues(t *testing.T) {
 	src := make([]int64, 200)
 	for i := range src {
 		src[i] = (1 << 40) + int64(i)
 	}
-	g, _ := EliasGammaSizeBits(src)
-	d, _ := EliasDeltaSizeBits(src)
-	if d >= g {
+	words, err := EliasDeltaEncode(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d, g := uint64(len(words))*64, eliasBits(src, true); d >= g {
 		t.Fatalf("delta %d bits should beat gamma %d bits on wide values", d, g)
 	}
 }
 
 func TestEliasDecodeCorrupt(t *testing.T) {
-	if _, err := EliasGammaDecode([]uint64{0}, 1); err == nil {
-		t.Fatal("all-zero gamma stream accepted")
+	if err := EliasDeltaDecode(make([]int64, 1), []uint64{0}); err == nil {
+		t.Fatal("all-zero delta stream accepted")
 	}
 	if err := EliasDeltaDecode(make([]int64, 1), nil); err == nil {
 		t.Fatal("empty delta stream accepted")

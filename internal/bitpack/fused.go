@@ -145,8 +145,9 @@ func selectRange(packed []uint64, start, count int, w uint, lo, hi uint64, zz, k
 	return nil
 }
 
-// checkFusedRange validates the scan arguments against the payload,
-// mirroring UnpackRange's contract.
+// checkFusedRange validates the scan arguments against the payload: a
+// width over 64 is ErrWidth, a negative range an error, and a payload
+// too short for the range ErrCorrupt.
 func checkFusedRange(packed []uint64, start, count int, w uint) error {
 	if w > 64 {
 		return fmt.Errorf("%w: %d", ErrWidth, w)

@@ -32,22 +32,6 @@ func VarintDecode(dst []int64, data []byte) error {
 	return nil
 }
 
-// VarintSize returns the encoded size in bytes of src under
-// VarintEncode without materializing the encoding.
-func VarintSize(src []int64) int {
-	total := 0
-	for _, v := range src {
-		u := Zigzag(v)
-		n := 1
-		for u >= 0x80 {
-			u >>= 7
-			n++
-		}
-		total += n
-	}
-	return total
-}
-
 // VarintEncodeUnsigned encodes a non-negative column without the
 // zigzag step (for monotone position columns whose values are known
 // non-negative, the zigzag doubling would waste a bit per element).

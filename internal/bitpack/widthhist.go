@@ -123,9 +123,3 @@ func (h WidthHistogram) BestPatchWidth(excBits uint) (uint, int) {
 	}
 	return bestW, bestExc
 }
-
-// TotalBitsAt returns the cost in bits of packing every value at
-// width w with exceptions stored at excBits bits each.
-func (h WidthHistogram) TotalBitsAt(w uint, excBits uint) uint64 {
-	return uint64(h.N)*uint64(w) + uint64(h.ExceptionsAt(w))*uint64(excBits)
-}

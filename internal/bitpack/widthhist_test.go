@@ -74,8 +74,8 @@ func TestBestPatchWidthSkewed(t *testing.T) {
 	if exc < 10 {
 		t.Fatalf("exceptions = %d, want at least the 10 outliers", exc)
 	}
-	if got := h.TotalBitsAt(w, 96); got >= h.TotalBitsAt(40, 96) {
-		t.Fatalf("patched cost %d not below unpatched %d", got, h.TotalBitsAt(40, 96))
+	if got := patchCost(h, w, 96); got >= patchCost(h, 40, 96) {
+		t.Fatalf("patched cost %d not below unpatched %d", got, patchCost(h, 40, 96))
 	}
 }
 
@@ -100,9 +100,9 @@ func TestBestPatchWidthIsOptimalProperty(t *testing.T) {
 		}
 		h := HistogramOf(src)
 		w, _ := h.BestPatchWidth(96)
-		best := h.TotalBitsAt(w, 96)
+		best := patchCost(h, w, 96)
 		for cand := uint(0); cand <= h.MaxWidth(); cand++ {
-			if h.TotalBitsAt(cand, 96) < best {
+			if patchCost(h, cand, 96) < best {
 				return false
 			}
 		}
@@ -119,4 +119,11 @@ func TestBestPatchWidthEmpty(t *testing.T) {
 	if w != 0 || exc != 0 {
 		t.Fatalf("empty = %d, %d", w, exc)
 	}
+}
+
+// patchCost is the cost BestPatchWidth minimises, in bits: every value
+// packed at width w, and each one wider stored as an exception of
+// excBits bits.
+func patchCost(h WidthHistogram, w, excBits uint) uint64 {
+	return uint64(h.N)*uint64(w) + uint64(h.ExceptionsAt(w))*uint64(excBits)
 }

@@ -291,12 +291,6 @@ func (st *BlockStats) AvgRunLength() float64 {
 // cap.
 func (st *BlockStats) DistinctSaturated() bool { return st.Distinct > DistinctCap }
 
-// RangeWidth returns the bit width of (Max − Min), i.e. the offset
-// width a whole-column frame of reference would need.
-func (st *BlockStats) RangeWidth() uint {
-	return bitpack.Width(uint64(st.Max - st.Min))
-}
-
 // NSShape returns the width and zigzag flag the NS scheme would
 // choose for a column with these stats — exactly, from Min/Max alone:
 // with negatives present NS zigzags, and the widest zigzagged value

@@ -60,11 +60,11 @@ func ApproxSum(f *core.Form) (Interval, error) {
 		if err != nil {
 			return Interval{}, err
 		}
-		slack, err := residualSlack(offsets)
+		lo, hi, err := residualSlack(offsets)
 		if err != nil {
 			return Interval{}, err
 		}
-		return Interval{base, base + slack}, nil
+		return Interval{base + lo, base + hi}, nil
 
 	case scheme.PlusName:
 		model, err := f.Child("model")
@@ -79,11 +79,11 @@ func ApproxSum(f *core.Form) (Interval, error) {
 		if err != nil {
 			return Interval{}, err
 		}
-		slack, err := residualSlack(residual)
+		lo, hi, err := residualSlack(residual)
 		if err != nil {
 			return Interval{}, err
 		}
-		return Interval{mi.Lower, mi.Upper + slack}, nil
+		return Interval{mi.Lower + lo, mi.Upper + hi}, nil
 	}
 
 	// No model structure: the exact sum is its own interval.
@@ -107,54 +107,34 @@ func sumStep(refs []int64, segLen, n int) int64 {
 	return acc
 }
 
-// residualSlack bounds the total contribution of a non-negative
-// residual form from its width parameters alone.
-func residualSlack(f *core.Form) (int64, error) {
+// residualSlack bounds the total contribution of a residual form: an
+// unsigned NS or VNS payload adds between 0 and what its widths admit,
+// known without reading it; any other residual (zigzag, or a form with
+// no width to read) may be negative, so its exact sum is added to both
+// ends.
+func residualSlack(f *core.Form) (lo, hi int64, err error) {
 	if err := check(f); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	switch f.Scheme {
-	case scheme.NSName:
-		if f.Params["zigzag"] == 1 {
-			// Not guaranteed non-negative: fall back to exact.
-			s, err := Sum(f)
-			if err != nil {
-				return 0, err
-			}
-			return s, nil
-		}
-		return int64(f.N) * int64(bitpack.Mask(uint(f.Params["width"]))), nil
-
-	case scheme.VNSName:
-		if f.Params["zigzag"] == 1 {
-			s, err := Sum(f)
-			if err != nil {
-				return 0, err
-			}
-			return s, nil
-		}
+	unsigned := f.Params["zigzag"] != 1
+	switch {
+	case unsigned && f.Scheme == scheme.NSName:
+		return 0, int64(f.N) * int64(bitpack.Mask(uint(f.Params["width"]))), nil
+	case unsigned && f.Scheme == scheme.VNSName:
 		widths, err := core.DecompressChild(f, "widths")
 		if err != nil {
-			return 0, err
+			return 0, 0, err
 		}
 		block := int(f.Params["block"])
 		var slack int64
 		for b, w := range widths {
-			lo := b * block
-			hi := lo + block
-			if hi > f.N {
-				hi = f.N
-			}
-			slack += int64(hi-lo) * int64(bitpack.Mask(uint(w)))
+			start := b * block
+			slack += int64(min(start+block, f.N)-start) * int64(bitpack.Mask(uint(w)))
 		}
-		return slack, nil
+		return 0, slack, nil
 	}
-	// Unknown residual: exact sum (slack is then exact too).
 	s, err := Sum(f)
-	if err != nil {
-		return 0, err
-	}
-	return s, nil
+	return s, s, err
 }
 
 // GradualSummer implements the paper's "gradual-refinement query
@@ -173,8 +153,9 @@ type GradualSummer struct {
 	refined int
 	// exact accumulates the exact offset sums of refined segments.
 	exact int64
-	// remainingSlack is the summed slack of unrefined segments.
-	remainingSlack int64
+	// slackLo and slackHi bound the offset sum of the unrefined
+	// segments.
+	slackLo, slackHi int64
 	// modelSum is the exact Σ refs·|segment|.
 	modelSum int64
 }
@@ -198,7 +179,8 @@ func NewGradualSummer(f *core.Form) (*GradualSummer, error) {
 	for seg, ref := range refs {
 		start, size := g.segment(seg)
 		g.modelSum += ref * int64(size)
-		g.remainingSlack += g.slack(start, size)
+		lo, hi := g.slack(start, size)
+		g.slackLo, g.slackHi = g.slackLo+lo, g.slackHi+hi
 	}
 	return g, nil
 }
@@ -210,16 +192,17 @@ func (g *GradualSummer) segment(seg int) (start, size int) {
 }
 
 // slack bounds the offset sum of rows [start, start+size) from the
-// leaf's extent alone: offsets are non-negative, so it is size times
-// the largest offset the packing width admits. Offsets that had to be
-// materialised have no such bound short of their own sum.
-func (g *GradualSummer) slack(start, size int) int64 {
+// leaf's extent alone: size times the least and the greatest offset
+// the packing width admits (zigzag offsets may be negative). Offsets
+// that had to be materialised have no such bound short of their own
+// sum.
+func (g *GradualSummer) slack(start, size int) (lo, hi int64) {
 	if _, ok := g.offsets.(*plain); ok {
 		sum, _ := g.offsets.sum(start, size)
-		return sum
+		return sum, sum
 	}
-	_, top := g.offsets.extent(start, size)
-	return int64(size) * top
+	bot, top := g.offsets.extent(start, size)
+	return int64(size) * bot, int64(size) * top
 }
 
 // Segments returns the total number of segments.
@@ -234,7 +217,7 @@ func (g *GradualSummer) Done() bool { return g.refined >= g.Segments() }
 // Bounds returns the current certain interval for the sum.
 func (g *GradualSummer) Bounds() Interval {
 	base := g.modelSum + g.exact
-	return Interval{base, base + g.remainingSlack}
+	return Interval{base + g.slackLo, base + g.slackHi}
 }
 
 // Refine sums up to k more segments exactly and tightens the
@@ -248,7 +231,8 @@ func (g *GradualSummer) Refine(k int) (int, error) {
 			return done, err
 		}
 		g.exact += sum
-		g.remainingSlack -= g.slack(start, size)
+		lo, hi := g.slack(start, size)
+		g.slackLo, g.slackHi = g.slackLo-lo, g.slackHi-hi
 		done++
 	}
 	return done, nil

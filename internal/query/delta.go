@@ -15,22 +15,34 @@ import (
 // mini-block, lane-parallel on the packed words) advance without unpacking
 // it. A group running from x to e whose deltas lie in the leaf's
 // extent can only reach values inside two cones, one out of x and one
-// back from e; their intersection bounds a band (cone.band), as a
-// line's ends bound one in linear.go. A group clear of the range is
-// skipped and one inside it lands whole; only a straddling group is
-// unpacked, prefix-summed and compared, in one fused kernel call for
-// each run of straddling groups (bitpack.PrefixRange). A sum then adds
-// up the matches of every group in one pass (bitpack.PrefixMaskedSum),
-// which is also the whole of a selection sum: a group the selection
-// holds no row of is passed over by its sum kernel. Keep has no rule
-// here: it selects into a temporary (selectThenAnd). What no band
-// bounds — a plain leaf, deltas wider
-// than bandWidth, a band that wraps — is prefix-summed and compared
-// too, so the rule is exact at the int64 extremes by construction.
+// back from e; their intersection bounds a band (cone.band). A group
+// clear of the range is skipped and one inside it lands whole; only a
+// straddling group is unpacked, prefix-summed and compared, in one
+// fused kernel call for each run of straddling groups
+// (bitpack.PrefixRange). A sum then adds up the matches of every group
+// in one pass (bitpack.PrefixMaskedSum), which is also the whole of a
+// selection sum: a group the selection holds no row of is passed over
+// by its sum kernel. Keep has no rule here: it selects into a
+// temporary (selectThenAnd). What no band bounds — a plain leaf,
+// deltas wider than bandWidth, a band that wraps — is prefix-summed and
+// compared too, so the rule is exact at the int64 extremes by
+// construction.
 
 // bandWidth bounds the delta extents a band is computed for: inside
 // ±2^bandWidth, a 64-row group's cone stays far inside an int64.
 const bandWidth = 24
+
+// addOK returns a + b and whether the sum did not wrap.
+func addOK(a, b int64) (int64, bool) {
+	c := a + b
+	return c, (c > a) == (b > 0)
+}
+
+// subOK returns a − b and whether the difference did not wrap.
+func subOK(a, b int64) (int64, bool) {
+	c := a - b
+	return c, (c < a) == (b > 0)
+}
 
 // cone is the extent [dmin, dmax] of a leaf's deltas, which bounds
 // where the running sums from a known value can go. A packed leaf's

@@ -8,6 +8,18 @@ import (
 	"lwcomp/internal/scheme"
 )
 
+// around returns [v−d, v+d], cut off at the ends of int64.
+func around(v, d int64) [2]int64 {
+	lo, hi := v-d, v+d
+	if lo > v {
+		lo = math.MinInt64
+	}
+	if hi < v {
+		hi = math.MaxInt64
+	}
+	return [2]int64{lo, hi}
+}
+
 // deltaForm builds a delta form by hand: first as its parameter (none
 // when omitFirst, the form every writer before the parameter made) and
 // deltas encoded by enc.

@@ -15,11 +15,9 @@
 //     SUM over RLE is Σ lengths·values, FOR prunes whole segments by
 //     its refs and the offsets' width (the paper's "rough
 //     correspondence of the column data to a simple model can be used
-//     to speed up selections"), a linear model bounds each 64-row
-//     group by its line's two ends plus its residual's extent
-//     (linear.go), a delta form bounds each 64-row group by its two
-//     ends and its deltas' extent (delta.go), and a patched form runs
-//     its base's kernel and corrects at the exceptions;
+//     to speed up selections"), a delta form bounds each 64-row group
+//     by its two ends and its deltas' extent (delta.go), and a patched
+//     form runs its base's kernel and corrects at the exceptions;
 //   - a fourth verb sums the rows a selection on another column holds,
 //     handing the selection unchanged to the position-aligned
 //     constituents: Σ (model + residual) = Σ model + Σ residual under

@@ -26,9 +26,6 @@ type leaf interface {
 	apply(p *pushdown, start, count int, lo, hi, add int64) error
 	// sum returns the wrapping sum of rows [start, start+count).
 	sum(start, count int) (int64, error)
-	// sumMask returns the wrapping sum of rows start+j for the set bits
-	// j of m.
-	sumMask(start int, m uint64) (int64, error)
 	// sumSel returns the wrapping sum of the rows p's selection holds,
 	// each value read through tab when tab is non-nil (a dictionary,
 	// the leaf its codes).
@@ -217,24 +214,6 @@ func (k *packed) apply(p *pushdown, start, count int, lo, hi, add int64) error {
 	return nil
 }
 
-// sumMask adds a full word-aligned group of plain values up to
-// bitpack.MaxMaskedWidth bits with one bitpack.SumMaskedU call, and
-// reads the selected values one at a time otherwise.
-func (k *packed) sumMask(start int, m uint64) (int64, error) {
-	words, w, first := k.miniBlock(start / k.block)
-	rel, n := k.overlap(first, start, start+bitpack.BlockLen)
-	if !k.zz && w <= bitpack.MaxMaskedWidth && rel%bitpack.BlockLen == 0 && n == bitpack.BlockLen {
-		ms := [1]uint64{m}
-		s, err := bitpack.SumMaskedU(words, rel, w, ms[:])
-		return int64(s), err
-	}
-	var s int64
-	for ; m != 0; m &= m - 1 {
-		s += k.at(start + bits.TrailingZeros64(m))
-	}
-	return s, nil
-}
-
 // selectWords selects, or keeps, the rows [rel, rel+n) of a
 // mini-block's words against [lo, hi] into the selection words dst from
 // bit off: the fused kernels write the selection in place.
@@ -248,19 +227,6 @@ func (k *packed) selectWords(words []uint64, w uint, rel, n int, lo, hi int64, k
 		return bitpack.KeepRangeU(words, rel, n, w, uint64(lo), uint64(hi), dst, off)
 	}
 	return bitpack.SelectRangeU(words, rel, n, w, uint64(lo), uint64(hi), dst, off)
-}
-
-// groupMask returns the bits of the 64-row group at row rel of a
-// mini-block's words (rel a multiple of 64) whose value lies in
-// [lo, hi], a range inside the extent: the fused select kernel's one
-// match mask.
-func (k *packed) groupMask(words []uint64, w uint, rel int, lo, hi int64) (uint64, error) {
-	if lo > hi {
-		return 0, nil
-	}
-	var m [1]uint64
-	err := k.selectWords(words, w, rel, bitpack.BlockLen, lo, hi, false, m[:], 0)
-	return m[0], err
 }
 
 func (k *packed) sum(start, count int) (total int64, err error) {
@@ -517,14 +483,6 @@ func (v *plain) apply(p *pushdown, start, count int, lo, hi, add int64) error {
 
 func (v *plain) sum(start, count int) (int64, error) {
 	return vec.Sum(v.vals[start : start+count]), nil
-}
-
-func (v *plain) sumMask(start int, m uint64) (int64, error) {
-	var s int64
-	for ; m != 0; m &= m - 1 {
-		s += v.vals[start+bits.TrailingZeros64(m)]
-	}
-	return s, nil
 }
 
 func (v *plain) sumSel(p *pushdown, tab []int64) (int64, error) {

@@ -311,8 +311,8 @@ func TestCompositionTimesVerb(t *testing.T) {
 		{"rle", walk, asRLE, false, false, false},
 		{"plus(const,ns)", walk, plusConst, false, false, false},
 		{"plus(step,ns)", walk, plusStep, false, false, false},
-		{"plus(linear,ns)", walk, compressWith(scheme.LinearNS(32)), false, false, false},
-		{"linear", walk, asLinear, false, false, false},
+		{"plus(linear,ns)", walk, compressWith(scheme.LinearNS(32)), true, true, false},
+		{"linear", walk, asLinear, true, true, false},
 		{"plus(poly2,ns)", walk, compressWith(scheme.Poly2NS(32)), true, true, true},
 		{"patch(ns)", narrow, inner, false, false, false},
 		{"delta(ns)", walk, compressWith(scheme.DeltaNS()), false, false, false},

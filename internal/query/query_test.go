@@ -273,6 +273,47 @@ func TestApproxSumBoundsContainTruth(t *testing.T) {
 			t.Fatalf("%s: interval should be approximate, not exact", s.Name())
 		}
 	}
+	// Residuals that may be negative: a plus over a zigzag NS residual,
+	// whose exact sum 382 lies below the model's 400, and a for whose
+	// offsets are zigzag.
+	signed := []int64{-5, -7, 3, -9}
+	residual, err := scheme.NS{}.Compress(signed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := &core.Form{Scheme: scheme.ConstName, N: len(signed), Params: core.Params{"value": 100}}
+	plus, err := scheme.NewPlusForm(model, residual)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forZZ := &core.Form{
+		Scheme: scheme.FORName, N: len(signed), Params: core.Params{"seglen": 2},
+		Children: map[string]*core.Form{"refs": scheme.NewIDForm([]int64{100, 200}), "offsets": residual},
+	}
+	for _, f := range []*core.Form{plus, forZZ} {
+		col, err := core.Decompress(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		iv, err := ApproxSum(f)
+		if err != nil || !iv.Contains(vec.Sum(col)) {
+			t.Fatalf("%s: interval [%d, %d], %v misses true sum %d", f.Describe(), iv.Lower, iv.Upper, err, vec.Sum(col))
+		}
+	}
+	// The gradual summer starts from the same kind of interval over
+	// the for's zigzag offsets, and keeps the truth as it refines.
+	g, err := NewGradualSummer(forZZ)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for !g.Done() {
+		if iv := g.Bounds(); !iv.Contains(582) {
+			t.Fatalf("gradual, %d segments refined: interval [%d, %d] misses true sum 582", g.Refined(), iv.Lower, iv.Upper)
+		}
+		if _, err := g.Refine(1); err != nil {
+			t.Fatal(err)
+		}
+	}
 	// Exact fallbacks collapse.
 	f, err := scheme.NS{}.Compress(src)
 	if err != nil {

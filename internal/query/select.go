@@ -195,15 +195,9 @@ const (
 //	plus     v = model + residual: a const model    the model's sum plus
 //	         moves the range once and recurses; a   the residual's, for
 //	         step model is for's segment walk over  any model
-//	         the residual; a linear model is
-//	         linear's rule over the residual leaf
-//	linear   per 64-row group, the line's two ends  the line evaluated at
-//	         and the residual's extent bound a      the selected rows
-//	         band: outside it skip, inside land
-//	         whole, straddling run the residual's
-//	         select kernel on the two windows the
-//	         band admits surely and possibly
-//	         (linear.go)
+//	         the residual
+//	linear   (materialised)                         the line evaluated at
+//	                                                the selected rows
 //	dict     v = dict[code], dict sorted: value     dict[code] summed over
 //	         bounds become code bounds, recurse     the selected rows
 //	         into codes (count and select; a sum
@@ -224,12 +218,13 @@ const (
 //	                                                others read or
 //	                                                unpacked and added
 //
-// Anything else is materialised and scanned as a plain leaf: poly
-// models and plus over them (a quadratic is not monotone inside a
-// segment, so its ends bound nothing), varint and elias (byte and bit streams without random
-// access), a dict under a range sum, and any ns/vns layout the kernels
-// cannot take. That fallback is leaves.open, and exists once;
-// answer.materialised reports that it was taken.
+// Anything else is materialised and scanned as a plain leaf: linear
+// and poly models and plus over them (no workload ranges over a linear
+// column, so no rule is kept for one; DESIGN.md §1.3), varint and elias
+// (byte and bit streams without random access), a dict under a range
+// sum, and any ns/vns layout the kernels cannot take. That fallback is
+// leaves.open, and exists once; answer.materialised reports that it was
+// taken.
 func (p *pushdown) push(f *core.Form, lo, hi, add int64) error {
 	if lo > hi {
 		p.none(0, f.N)
@@ -294,12 +289,7 @@ func (p *pushdown) push(f *core.Form, lo, hi, add int64) error {
 			})
 		case scheme.StepName:
 			return p.segments(model, residual, lo, hi, add)
-		case scheme.LinearName:
-			return p.selectThenAnd(0, f.N, func() error { return p.lines(model, residual, lo, hi, add) })
 		}
-
-	case scheme.LinearName:
-		return p.selectThenAnd(0, f.N, func() error { return p.lines(f, nil, lo, hi, add) })
 
 	case scheme.DictName:
 		if p.verb == SumVerb {
@@ -380,7 +370,7 @@ func (p *pushdown) pieces(start, count, n int, eval func() error) error {
 // [start, start+count), as it is unless the verb is keep; then it
 // selects those rows into a pooled temporary, whose complement keep
 // clears: the rule of the forms without a keep rule of their own
-// (linear models, delta forms) and of two-piece ranges.
+// (delta forms) and of two-piece ranges.
 func (p *pushdown) selectThenAnd(start, count int, eval func() error) error {
 	if p.verb != keepVerb {
 		return eval()

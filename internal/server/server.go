@@ -313,9 +313,6 @@ func (s *Server) Tables() []string {
 	return append([]string(nil), ms.names...)
 }
 
-// CacheStats snapshots the shared block cache's pooled counters.
-func (s *Server) CacheStats() lwcomp.CacheStats { return s.cache.Stats() }
-
 // acquireMounts returns the current mounted set with a reference
 // held; callers must release it when their query finishes so retired
 // sets can close.

@@ -173,8 +173,9 @@ func OpenContainer(ra io.ReaderAt, size int64, opt OpenOptions) (*ContainerFile,
 	if indexLen < 4 || indexLen > uint64(size-v3PrefixLen) {
 		return nil, fmt.Errorf("%w: index length %d out of range", ErrCorrupt, indexLen)
 	}
-	index := getPayloadBuf(int(indexLen))
-	defer putPayloadBuf(index)
+	indexBuf := getPayloadBuf(int(indexLen))
+	defer putPayloadBuf(indexBuf)
+	index := *indexBuf
 	if err := cf.readAt(v3PrefixLen, index); err != nil {
 		return nil, err
 	}
@@ -348,10 +349,10 @@ func (cf *ContainerFile) fetchForm(colIdx, i int) (*core.Form, error) {
 	// back.
 	scratch := getPayloadBuf(int(loc.length))
 	var f *core.Form
-	err := cf.readAt(cf.payloadStart+loc.off, scratch)
+	err := cf.readAt(cf.payloadStart+loc.off, *scratch)
 	if err == nil {
 		col := &cf.cols[colIdx]
-		f, err = decodeBlockPayload(scratch, loc, col.Name, i, col.Col.Blocks[i].Count)
+		f, err = decodeBlockPayload(*scratch, loc, col.Name, i, col.Col.Blocks[i].Count)
 	}
 	putPayloadBuf(scratch)
 	if err == nil {

@@ -19,18 +19,21 @@ const DefaultBlockCacheBytes = 32 << 20
 // every buffer comes back.
 var payloadPool = sync.Pool{New: func() any { return new([]byte) }}
 
-// getPayloadBuf returns a pooled buffer of length n.
-func getPayloadBuf(n int) []byte {
+// getPayloadBuf returns a pooled buffer of length n, behind the pointer
+// the pool holds it by: handing that pointer back to putPayloadBuf
+// keeps the round trip free of allocations.
+func getPayloadBuf(n int) *[]byte {
 	bp := payloadPool.Get().(*[]byte)
 	if cap(*bp) < n {
 		*bp = make([]byte, n)
 	}
-	return (*bp)[:n]
+	*bp = (*bp)[:n]
+	return bp
 }
 
 // putPayloadBuf returns a buffer to the pool.
-func putPayloadBuf(b []byte) {
-	payloadPool.Put(&b)
+func putPayloadBuf(bp *[]byte) {
+	payloadPool.Put(bp)
 }
 
 // cacheKey addresses one block of one column of one container. The

@@ -478,6 +478,19 @@ func TestDecodeFormOneSlab(t *testing.T) {
 	}
 }
 
+// TestPayloadBufAllocs: a pooled payload buffer goes out and comes back
+// without allocating, as every cold block fetch and container open
+// takes and returns one.
+func TestPayloadBufAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	putPayloadBuf(getPayloadBuf(4096)) // the pool now holds a buffer this size
+	if n := testing.AllocsPerRun(100, func() { putPayloadBuf(getPayloadBuf(4096)) }); n != 0 {
+		t.Fatalf("a get/put round trip allocates %v times; want 0", n)
+	}
+}
+
 // BenchmarkColdBlockForm fetches blocks of a lazily opened container
 // with no block cache, so that every BlockForm is a cold fetch: the
 // positioned read into pooled scratch, the CRC and the decode. One

@@ -181,19 +181,6 @@ func Sum(src []int64) int64 {
 	return acc
 }
 
-// DotProduct returns Σ a[i]*b[i]; it is the fused kernel for
-// aggregating RLE data without decompression (Σ lengths·values).
-func DotProduct(a, b []int64) (int64, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("%w: a %d, b %d", ErrLengthMismatch, len(a), len(b))
-	}
-	var acc int64
-	for i := range a {
-		acc += a[i] * b[i]
-	}
-	return acc, nil
-}
-
 // MinMax returns the minimum and maximum of src. It requires a
 // non-empty input.
 func MinMax(src []int64) (minV, maxV int64, err error) {

@@ -335,13 +335,6 @@ func TestAggregates(t *testing.T) {
 	if s := Sum(nil); s != 0 {
 		t.Fatalf("Sum(nil) = %d", s)
 	}
-	dp, err := DotProduct([]int64{2, 3}, []int64{10, 100})
-	if err != nil || dp != 320 {
-		t.Fatalf("DotProduct = %d, %v", dp, err)
-	}
-	if _, err = DotProduct([]int64{1}, []int64{1, 2}); !errors.Is(err, ErrLengthMismatch) {
-		t.Fatalf("dot mismatch err = %v", err)
-	}
 	lo, hi, err := MinMax([]int64{3, -1, 7})
 	if err != nil || lo != -1 || hi != 7 {
 		t.Fatalf("MinMax = %d,%d,%v", lo, hi, err)
