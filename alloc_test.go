@@ -8,6 +8,7 @@ package lwcomp_test
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -325,27 +326,13 @@ func (w *discardWriter) Header() http.Header         { return w.h }
 func (w *discardWriter) WriteHeader(int)             {}
 func (w *discardWriter) Write(p []byte) (int, error) { w.n += len(p); return len(p), nil }
 
-// rowsRequestAllocs is the pinned allocation count of one op=rows
-// request through Server.Handler(): routing, the request's JSON
-// decode, predicate parse, deadline context, the pooled scan, and the
-// header and terminal frames of the stream's json.Encoder. Row frames
-// add nothing to it — the batch state, decode buffers and frame buffer
-// are pooled — so it does not depend on how many rows stream.
-const rowsRequestAllocs = 32
-
-// TestRowsRequestAllocs: an op=rows request that streams tens of
-// thousands of rows in many frames allocates what one that matches
-// nothing does, and both stay under the pinned constant.
-func TestRowsRequestAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool reuse is defeated under the race detector")
-	}
-	const n, bs = 1 << 16, 1 << 12
+// serveOrders writes each column as its own orders.<name>.lwc
+// container in blocks of bs rows and returns the handler of a server
+// mounting them with one scan worker per query.
+func serveOrders(t *testing.T, bs int, cols map[string][]int64) http.Handler {
+	t.Helper()
 	dir := t.TempDir()
-	for name, data := range map[string][]int64{
-		"date":   workload.Sorted(n, 1<<20, 31),
-		"amount": workload.RandomWalk(n, 10, 1<<30, 32),
-	} {
+	for name, data := range cols {
 		col, err := lwcomp.Encode(data, lwcomp.WithBlockSize(bs), lwcomp.WithParallelism(1))
 		if err != nil {
 			t.Fatal(err)
@@ -362,23 +349,51 @@ func TestRowsRequestAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	h := srv.Handler()
+	t.Cleanup(func() { srv.Close() })
+	return srv.Handler()
+}
 
-	measure := func(where string) (allocs float64, wire int) {
-		body := &rewindBody{}
-		payload := []byte(`{"table":"orders","op":"rows","columns":["date","amount"],"batch_rows":1000,"where":"` + where + `"}`)
-		req, err := http.NewRequest(http.MethodPost, "/query", body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := &discardWriter{h: http.Header{}}
-		allocs = testing.AllocsPerRun(20, func() {
-			body.Reset(payload)
-			w.n = 0
-			h.ServeHTTP(w, req)
-		})
-		return allocs, w.n
+// requestAllocs serves the POST /query body payload through h 20 times
+// into a reused writer and returns the allocations per request and the
+// reply's bytes.
+func requestAllocs(t *testing.T, h http.Handler, payload string) (allocs float64, wire int) {
+	t.Helper()
+	body := &rewindBody{}
+	req, err := http.NewRequest(http.MethodPost, "/query", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &discardWriter{h: http.Header{}}
+	allocs = testing.AllocsPerRun(20, func() {
+		body.Reset([]byte(payload))
+		w.n = 0
+		h.ServeHTTP(w, req)
+	})
+	return allocs, w.n
+}
+
+// rowsRequestAllocs is the pinned allocation count of one op=rows
+// request through Server.Handler(): routing, the request's JSON
+// decode, predicate parse, deadline context, the pooled scan, and the
+// header and terminal frames of the stream's json.Encoder. Row frames
+// add nothing to it — the batch state, decode buffers and frame buffer
+// are pooled — so it does not depend on how many rows stream.
+const rowsRequestAllocs = 30
+
+// TestRowsRequestAllocs: an op=rows request that streams tens of
+// thousands of rows in many frames allocates what one that matches
+// nothing does, and both stay under the pinned constant.
+func TestRowsRequestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool reuse is defeated under the race detector")
+	}
+	const n, bs = 1 << 16, 1 << 12
+	h := serveOrders(t, bs, map[string][]int64{
+		"date":   workload.Sorted(n, 1<<20, 31),
+		"amount": workload.RandomWalk(n, 10, 1<<30, 32),
+	})
+	measure := func(where string) (float64, int) {
+		return requestAllocs(t, h, `{"table":"orders","op":"rows","columns":["date","amount"],"batch_rows":1000,"where":"`+where+`"}`)
 	}
 	many, manyWire := measure("date >= 0")
 	none, noneWire := measure("date < 0")
@@ -392,6 +407,46 @@ func TestRowsRequestAllocs(t *testing.T) {
 		t.Errorf("op=rows request: %.0f allocs, pinned at %d", many, rowsRequestAllocs)
 	}
 	t.Logf("op=rows request: %.0f allocs streaming, %.0f matching nothing", many, none)
+}
+
+// TestCountRequestAllocs pins the allocations of a point query through
+// Server.Handler(), one pin per shape the point-cold workload sends: a
+// day of a clustered column, a narrow range of another, that range
+// under a third leaf, and a sum over a few days. What remains is the
+// request's JSON decode, the parsed predicate's nodes, the deadline
+// context and the scan's plan; the echoed predicate is rendered
+// straight into the reply buffer and the sums need no map.
+func TestCountRequestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool reuse is defeated under the race detector")
+	}
+	const n, bs = 1 << 16, 1 << 12
+	ship := workload.OrderShipDates(n, 64, 730120, 41)
+	amount := workload.Sorted(n, 1<<30, 42)
+	h := serveOrders(t, bs, map[string][]int64{
+		"ship":   ship,
+		"amount": amount,
+		"qty":    workload.UniformBits(n, 16, 43),
+	})
+	day, a := ship[n/3], amount[n/2]
+	for _, tc := range []struct {
+		name, op, where, columns string
+		pin                      float64
+	}{
+		{"ship day", "count", fmt.Sprintf("ship = %d", day), "", 11},
+		{"amount range", "count", fmt.Sprintf("amount >= %d and amount <= %d", a-20, a+20), "", 15},
+		{"amount range, qty", "count", fmt.Sprintf("amount >= %d and amount <= %d and qty <= 30000", a-20, a+20), "", 18},
+		{"ship days, sum", "sum", fmt.Sprintf("ship >= %d and ship <= %d", day, day+2), `,"columns":["qty"]`, 18},
+	} {
+		allocs, wire := requestAllocs(t, h, `{"table":"orders","op":"`+tc.op+`","where":"`+tc.where+`"`+tc.columns+`}`)
+		if wire < 60 || wire > 300 {
+			t.Fatalf("%s: a %d-byte reply; the fixture is broken", tc.name, wire)
+		}
+		t.Logf("%s: %.0f allocs", tc.name, allocs)
+		if allocs > tc.pin {
+			t.Errorf("%s: %.0f allocs per request, pinned at %.0f", tc.name, allocs, tc.pin)
+		}
+	}
 }
 
 // TestFusedAggregateAllocs: the fused scan+aggregate paths —

@@ -718,6 +718,30 @@ func BenchmarkParallelScan(b *testing.B) {
 	}
 }
 
+// BenchmarkConcurrentScans runs CountRange from GOMAXPROCS callers at
+// once (b.RunParallel) over a column of 32 straddling blocks, more than
+// there are cores: a server whose cores are all busy with queries,
+// where a scan should start no helper to compete with another scan.
+func BenchmarkConcurrentScans(b *testing.B) {
+	data := workload.UniformBits(benchN, 30, 2)
+	lo, hi := int64(1)<<28, int64(1)<<29
+	col, err := lwcomp.Encode(data, lwcomp.WithBlockSize(1<<13))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, err := col.CountRange(lo, hi); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+	reportElems(b, benchN)
+}
+
 // BenchmarkBlockedDecompress measures block-parallel decompression
 // at 1 worker vs NumCPU workers.
 func BenchmarkBlockedDecompress(b *testing.B) {

@@ -558,55 +558,80 @@ func (b *Block) ClassifyRange(lo, hi int64) RangeClass {
 	return RangePart
 }
 
-// ParallelFor fans fn out over indices [0, n) from the given number
-// of goroutines, drawing work from an atomic counter, and returns the
+// ParallelFor fans fn out over indices [0, n) from min(workers, n)
+// goroutines, drawing work from an atomic counter, and returns the
 // first error (workers drain remaining indices after an error —
 // blocks are independent and bounded, so cancellation plumbing is not
-// worth its cost). Callers keep their workers<=1 loops inline:
-// constructing the fn closure allocates, which the serial zero-alloc
-// scan paths must avoid.
+// worth its cost). The caller is worker 0: it starts only the other
+// workers − 1 as helpers and runs the same loop itself. Callers keep
+// their workers<=1 loops inline: constructing the fn closure
+// allocates, which the serial zero-alloc scan paths must avoid.
 func ParallelFor(workers, n int, fn func(i int) error) error {
-	var (
-		wg    sync.WaitGroup
-		next  int64 = -1
-		errMu sync.Mutex
-		first error
-	)
-	// call shields the worker goroutines from panics in fn: a panic in
-	// one block's kernel must surface as that block's error, not kill
-	// the whole process (a server runs these workers on behalf of HTTP
-	// requests). The one closure per ParallelFor call is amortized over
-	// all n indices.
-	call := func(i int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				recoveredPanics.Add(1)
-				err = fmt.Errorf("blocked: panic in parallel worker on index %d: %v", i, r)
-			}
-		}()
-		return fn(i)
+	l := &forLoop{fn: fn, n: n}
+	l.next.Store(-1)
+	for range min(workers, n) - 1 {
+		l.wg.Add(1)
+		go l.helper()
 	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(atomic.AddInt64(&next, 1))
-				if i >= n {
-					return
-				}
-				if err := call(i); err != nil {
-					errMu.Lock()
-					if first == nil {
-						first = err
-					}
-					errMu.Unlock()
-				}
+	// The last goroutine started waits in this P's next-to-run slot,
+	// which an idle P steals only after a 3 µs back-off that the OS timer
+	// slack stretches to tens of µs. One more, empty, goroutine moves the
+	// last helper to the run queue, where an idle P takes it at once; on
+	// busy cores nothing takes it, the caller visits every index, and
+	// the helper finds none left.
+	go func() {}()
+	l.work()
+	l.wg.Wait()
+	return l.first
+}
+
+// forLoop is one ParallelFor call's shared state, held in one
+// allocation.
+type forLoop struct {
+	fn    func(i int) error
+	n     int
+	next  atomic.Int64
+	wg    sync.WaitGroup
+	mu    sync.Mutex
+	first error
+}
+
+// helper is the loop of a worker other than the caller.
+func (l *forLoop) helper() {
+	defer l.wg.Done()
+	l.work()
+}
+
+// work is one worker's loop: it draws indices until none is left and
+// keeps the first error.
+func (l *forLoop) work() {
+	for {
+		i := int(l.next.Add(1))
+		if i >= l.n {
+			return
+		}
+		if err := l.call(i); err != nil {
+			l.mu.Lock()
+			if l.first == nil {
+				l.first = err
 			}
-		}()
+			l.mu.Unlock()
+		}
 	}
-	wg.Wait()
-	return first
+}
+
+// call shields every worker, the caller included, from panics in fn: a
+// panic in one block's kernel must surface as that block's error, not
+// kill the whole process (a server runs these workers on behalf of
+// HTTP requests).
+func (l *forLoop) call(i int) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			recoveredPanics.Add(1)
+			err = fmt.Errorf("blocked: panic in parallel worker on index %d: %v", i, r)
+		}
+	}()
+	return l.fn(i)
 }
 
 // SelectBlockRangeSel evaluates the predicate lo ≤ v ≤ hi on block i
@@ -760,9 +785,10 @@ type CacheStats struct {
 // ScanCounters is the cumulative block-level outcome tally of a
 // table's scans: how many blocks the stats refuted (skipped without a
 // fetch), proved (emitted as whole runs without a fetch), and left
-// undecided (payload consulted). Like CacheStats, the canonical type
-// lives here so both the table planner and a server's metrics
-// endpoint can speak it without import cycles.
+// undecided (payload consulted), and how many helper goroutines
+// visited the undecided ones beside the scans' callers. Like
+// CacheStats, the canonical type lives here so both the table planner
+// and a server's metrics endpoint can speak it without import cycles.
 type ScanCounters struct {
 	// Skipped counts blocks refuted by stats — never fetched.
 	Skipped int64
@@ -771,6 +797,9 @@ type ScanCounters struct {
 	Proved int64
 	// Fetched counts undecided blocks whose payloads were consulted.
 	Fetched int64
+	// Helpers counts the goroutines scans started beside their callers
+	// to visit the fetched blocks (see Scan).
+	Helpers int64
 }
 
 // CacheStatsSource is implemented by block sources backed by a shared

@@ -55,13 +55,25 @@ type workList struct{ parts []int }
 
 var workPool = sync.Pool{New: func() any { return new(workList) }}
 
+// running counts the scans in progress in this process. A scan's
+// workers are capped at the cores the others leave idle, so a scan
+// started while the cores are busy with other queries runs on its own
+// goroutine instead of queueing helpers behind them.
+var running atomic.Int64
+
 // Scan drives one scan: it classifies every chunk of p from stats,
-// hands the proved ones to sink, and visits the undecided rest —
-// inline when one worker suffices (the allocation-free path), through
-// ParallelFor otherwise — checking ctx and announcing the following
-// chunk before each visit. workers <= 0 means GOMAXPROCS. It returns
-// the chunk tally whatever the outcome.
+// hands the proved ones to sink, and visits the undecided rest,
+// checking ctx and announcing the following chunk before each visit.
+// It visits on
+//
+//	max(1, min(workers, undecided chunks, GOMAXPROCS − other running scans))
+//
+// goroutines, the caller first: inline when that is one (the
+// allocation-free path), through ParallelFor otherwise. workers <= 0
+// means GOMAXPROCS. It returns the chunk tally whatever the outcome.
 func Scan(ctx context.Context, workers int, p Plan, sink Sink) (ScanCounters, error) {
+	others := running.Add(1) - 1
+	defer running.Add(-1)
 	w := workPool.Get().(*workList)
 	defer workPool.Put(w)
 	w.parts = w.parts[:0]
@@ -83,10 +95,7 @@ func Scan(ctx context.Context, workers int, p Plan, sink Sink) (ScanCounters, er
 			w.parts = append(w.parts, k)
 		}
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers = min(workers, len(w.parts)); workers <= 1 {
+	if workers = scanWorkers(workers, len(w.parts), others); workers == 1 {
 		for i := range w.parts {
 			if err := w.visit(ctx, i, p, sink); err != nil {
 				return n, err
@@ -94,11 +103,27 @@ func Scan(ctx context.Context, workers int, p Plan, sink Sink) (ScanCounters, er
 		}
 		return n, nil
 	}
+	n.Helpers = int64(workers - 1)
 	// The closure captures only values that are never reassigned, so
 	// building it allocates here and nowhere on the serial path.
 	return n, ParallelFor(workers, len(w.parts), func(i int) error {
 		return w.visit(ctx, i, p, sink)
 	})
+}
+
+// scanWorkers is the rule Scan sizes its visits by: the requested
+// workers (<= 0: GOMAXPROCS), at most one per undecided chunk and at
+// most the cores the other running scans leave idle, never fewer than
+// one. The serial cases return before reading GOMAXPROCS.
+func scanWorkers(workers, parts int, others int64) int {
+	if workers == 1 || parts <= 1 {
+		return 1
+	}
+	procs := runtime.GOMAXPROCS(0)
+	if workers <= 0 {
+		workers = procs
+	}
+	return max(1, min(workers, parts, procs-int(others)))
 }
 
 // visit handles the i-th undecided chunk: the per-chunk body both

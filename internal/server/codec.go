@@ -330,36 +330,55 @@ func (p *reqParser) bool() (bool, bool) {
 	return false, false
 }
 
-// appendQueryResult renders res as json.NewEncoder(w).Encode(res)
-// writes it, byte for byte: the fields in struct order, omitempty as
-// tagged, sums in key order, encoding/json's HTML-safe string escaping
-// and float format, and the trailing newline. It renders the count and
-// sum reply and the rows header frame. ElapsedMS must be finite, as
-// msSince always is: encoding/json refuses NaN and the infinities.
+// appendQueryResult renders res as the JSON object
+//
+//	{"table":…,"op":…,"where":…,"matched":…,"sums":{…},"columns":[…],"elapsed_ms":…,"degraded":[…]}
+//
+// followed by a newline: the fields in that order, "sums" (keyed by
+// column, in key order), "columns", "elapsed_ms" and "degraded" left
+// out when empty or zero, and every string, number and float written
+// as json.NewEncoder's Encode writes it, HTML-safe escaping included.
+// It renders the count and sum reply and the rows header frame.
+// ElapsedMS must be finite, as msSince always is: encoding/json
+// refuses NaN and the infinities.
 func appendQueryResult(buf []byte, res *queryResult) []byte {
 	buf = append(buf, `{"table":`...)
 	buf = appendJSONString(buf, res.Table)
 	buf = append(buf, `,"op":`...)
 	buf = appendJSONString(buf, res.Op)
 	buf = append(buf, `,"where":`...)
-	buf = appendJSONString(buf, res.Where)
+	if res.Where == nil {
+		buf = append(buf, `""`...)
+	} else {
+		// The predicate renders at the end of the buffer, its quoted
+		// copy after it, and the copy then moves down over it.
+		raw := len(buf)
+		buf = res.Where.AppendString(buf)
+		end := len(buf)
+		buf = appendJSONString(buf, buf[raw:end])
+		buf = append(buf[:raw], buf[end:]...)
+	}
 	buf = append(buf, `,"matched":`...)
 	buf = strconv.AppendInt(buf, res.Matched, 10)
 	if len(res.Sums) > 0 {
-		var arr [8]string
-		keys := arr[:0]
-		for k := range res.Sums {
-			keys = append(keys, k)
-		}
-		slices.Sort(keys)
 		buf = append(buf, `,"sums":{`...)
-		for i, k := range keys {
+		// Selection by key, smallest first: the columns are few and
+		// distinct, and sorting a copy would allocate.
+		var prev string
+		for i := range res.SumColumns {
+			next := -1
+			for j, c := range res.SumColumns {
+				if (i == 0 || c > prev) && (next < 0 || c < res.SumColumns[next]) {
+					next = j
+				}
+			}
 			if i > 0 {
 				buf = append(buf, ',')
 			}
-			buf = appendJSONString(buf, k)
+			prev = res.SumColumns[next]
+			buf = appendJSONString(buf, prev)
 			buf = append(buf, ':')
-			buf = strconv.AppendInt(buf, res.Sums[k], 10)
+			buf = strconv.AppendInt(buf, res.Sums[next], 10)
 		}
 		buf = append(buf, '}')
 	}
@@ -425,7 +444,7 @@ const hexDigits = "0123456789abcdef"
 // on: \" \\ \b \f \n \r \t, \u00XX for the other control bytes and for
 // < > &, \ufffd for each byte of invalid UTF-8, and U+2028 and
 // U+2029 escaped.
-func appendJSONString(buf []byte, s string) []byte {
+func appendJSONString[S string | []byte](buf []byte, s S) []byte {
 	buf = append(buf, '"')
 	start := 0
 	for i := 0; i < len(s); {
@@ -455,7 +474,7 @@ func appendJSONString(buf []byte, s string) []byte {
 			start = i
 			continue
 		}
-		r, size := utf8.DecodeRuneInString(s[i:])
+		r, size := utf8.DecodeRuneInString(string(s[i:min(i+utf8.UTFMax, len(s))]))
 		switch {
 		case r == utf8.RuneError && size == 1:
 			buf = append(buf, s[start:i]...)

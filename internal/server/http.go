@@ -206,29 +206,33 @@ type queryRequest struct {
 }
 
 // queryResult is the single-object response of count and sum queries,
-// and the header frame of a rows stream.
+// and the header frame of a rows stream. appendQueryResult renders it;
+// its doc gives the JSON shape.
 type queryResult struct {
 	// Table and Op echo the request.
-	Table string `json:"table"`
+	Table string
 	// Op is the executed operation.
-	Op string `json:"op"`
+	Op string
 	// Where is the parsed predicate, rendered back (the canonical
-	// form, not the request's spelling).
-	Where string `json:"where"`
+	// form, not the request's spelling); nil renders as "".
+	Where lwcomp.Expr
 	// Matched is the number of rows the predicate selected.
-	Matched int64 `json:"matched"`
-	// Sums maps column name to sum over the matched rows (op=sum).
-	Sums map[string]int64 `json:"sums,omitempty"`
+	Matched int64
+	// SumColumns names the summed columns (op=sum), each once; Sums
+	// holds the sum over the matched rows of each, in the same order.
+	SumColumns []string
+	// Sums is parallel to SumColumns.
+	Sums []int64
 	// Columns lists the projected columns, in frame order (op=rows).
-	Columns []string `json:"columns,omitempty"`
+	Columns []string
 	// ElapsedMS is the server-side query time (omitted on the rows
 	// header frame, where the stream is still running).
-	ElapsedMS float64 `json:"elapsed_ms,omitempty"`
+	ElapsedMS float64
 	// Degraded lists the blocks a degraded scan omitted — present only
 	// when the request set allow_degraded and at least one block was
 	// quarantined. Its presence means Matched and Sums undercount the
 	// unreadable rows by exactly the listed row ranges.
-	Degraded []lwcomp.SkippedBlock `json:"degraded,omitempty"`
+	Degraded []lwcomp.SkippedBlock
 }
 
 // errStreamLimit aborts a rows stream cleanly once the limit is hit.
@@ -337,7 +341,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	res := queryResult{Table: req.Table, Op: op, Where: expr.String()}
+	res := queryResult{Table: req.Table, Op: op, Where: expr}
 	switch op {
 	case "count", "sum":
 		// Count and sum run through the fused aggregate: one pass over
@@ -353,10 +357,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		res.Matched = agg.Matched
 		if op == "sum" {
-			res.Sums = make(map[string]int64, len(sumCols))
-			for i, colName := range sumCols {
-				res.Sums[colName] = agg.Sums[i]
-			}
+			res.SumColumns, res.Sums = sumCols, agg.Sums
 		}
 		if m := agg.Manifest; m != nil && m.Len() > 0 {
 			res.Degraded = m.Skipped()
@@ -587,6 +588,9 @@ type metricsTable struct {
 	BlocksProved int64 `json:"blocks_proved"`
 	// BlocksFetched counts undecided blocks whose payloads were read.
 	BlocksFetched int64 `json:"blocks_fetched"`
+	// ScanHelpers counts the goroutines the table's scans started
+	// beside their callers: fan-out into cores no other scan was using.
+	ScanHelpers int64 `json:"scan_helpers"`
 	// BlocksQuarantined is the number of blocks currently quarantined
 	// across the table's columns (permanent integrity failures pinned
 	// at first detection).
@@ -749,6 +753,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			BlocksSkipped:     sc.Skipped,
 			BlocksProved:      sc.Proved,
 			BlocksFetched:     sc.Fetched,
+			ScanHelpers:       sc.Helpers,
 			BlocksQuarantined: quar,
 			ReadRetries:       rst.Retries,
 			ReadGiveups:       rst.Giveups,

@@ -44,7 +44,8 @@ type Config struct {
 	// may shorten but never extend it. 0 means 30s.
 	QueryTimeout time.Duration
 	// Parallelism bounds each scan's concurrent block workers
-	// (WithParallelism); 0 means GOMAXPROCS.
+	// (WithParallelism); 0 means GOMAXPROCS. It is an upper bound: a
+	// scan takes only the cores other running scans leave idle.
 	Parallelism int
 	// BatchRows is the default row count per streamed NDJSON frame;
 	// 0 means 4096, and more than 65,536 means 65,536 (maxBatchRows).
@@ -383,7 +384,7 @@ func Main(args []string) error {
 	fs.IntVar(&cfg.MaxConcurrent, "max-concurrent", 0, "admission limit on in-flight queries (0 = 2x GOMAXPROCS)")
 	fs.IntVar(&cfg.MaxQueue, "max-queue", 0, "queries queued beyond the admission limit before 429 (0 = 4x max-concurrent, negative = none)")
 	fs.DurationVar(&cfg.QueryTimeout, "timeout", 0, "per-query deadline (0 = 30s)")
-	fs.IntVar(&cfg.Parallelism, "parallel", 0, "concurrent block workers per scan (0 = GOMAXPROCS)")
+	fs.IntVar(&cfg.Parallelism, "parallel", 0, "most concurrent block workers per scan (0 = GOMAXPROCS); a scan takes only the cores other running scans leave idle")
 	fs.IntVar(&cfg.BatchRows, "batch-rows", 0, "rows per streamed NDJSON frame (0 = 4096, at most 65536)")
 	fs.IntVar(&cfg.ReadRetries, "read-retries", 0, "retries per transiently failed container read (0 = 3, negative = none)")
 	fs.BoolVar(&cfg.Compact, "compact", false, "run the background recompaction daemon over -dir")

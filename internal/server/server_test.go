@@ -261,7 +261,7 @@ func parseRowsStream(t *testing.T, r interface{ Read([]byte) (int, error) }, max
 		line := sc.Bytes()
 		if first {
 			first = false
-			var hdr queryResult
+			var hdr wireResult
 			if err := json.Unmarshal(line, &hdr); err != nil {
 				t.Fatalf("bad header frame %s: %v", line, err)
 			}

@@ -46,7 +46,7 @@ func serveRows(t *testing.T, h http.Handler, req queryRequest, maxBatch int) row
 	sc.Buffer(make([]byte, 1<<20), 1<<24)
 	for first := true; sc.Scan(); first = false {
 		if first {
-			var hdr queryResult
+			var hdr wireResult
 			if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
 				t.Fatalf("bad header frame %s: %v", sc.Bytes(), err)
 			}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"strconv"
-	"strings"
 	"sync/atomic"
 
 	"lwcomp/internal/blocked"
@@ -21,6 +20,9 @@ import (
 type Expr interface {
 	// String renders the predicate in the mini-language Parse accepts.
 	String() string
+	// AppendString appends String's rendering to buf and returns the
+	// extended buffer; String is this over a new buffer.
+	AppendString(buf []byte) []byte
 
 	// check validates the expression against a table (columns exist,
 	// no nil children) and binds every leaf to its column's position in
@@ -144,18 +146,23 @@ type rangeNode struct {
 	at     colSlot
 }
 
-func (n *rangeNode) String() string {
+func (n *rangeNode) String() string { return string(n.AppendString(nil)) }
+
+func (n *rangeNode) AppendString(buf []byte) []byte {
+	buf = append(buf, n.col...)
 	switch {
 	case n.lo > n.hi:
-		return fmt.Sprintf("%s in ()", n.col) // the canonical never-matches form
+		return append(buf, " in ()"...) // the canonical never-matches form
 	case n.lo == n.hi:
-		return fmt.Sprintf("%s = %d", n.col, n.lo)
+		return strconv.AppendInt(append(buf, " = "...), n.lo, 10)
 	case n.lo == math.MinInt64:
-		return fmt.Sprintf("%s <= %d", n.col, n.hi)
+		return strconv.AppendInt(append(buf, " <= "...), n.hi, 10)
 	case n.hi == math.MaxInt64:
-		return fmt.Sprintf("%s >= %d", n.col, n.lo)
+		return strconv.AppendInt(append(buf, " >= "...), n.lo, 10)
 	default:
-		return fmt.Sprintf("%s >= %d and %s <= %d", n.col, n.lo, n.col, n.hi)
+		buf = strconv.AppendInt(append(buf, " >= "...), n.lo, 10)
+		buf = append(append(append(buf, " and "...), n.col...), " <= "...)
+		return strconv.AppendInt(buf, n.hi, 10)
 	}
 }
 
@@ -208,18 +215,17 @@ type inNode struct {
 	at   colSlot
 }
 
-func (n *inNode) String() string {
-	var b strings.Builder
-	b.WriteString(n.col)
-	b.WriteString(" in (")
+func (n *inNode) String() string { return string(n.AppendString(nil)) }
+
+func (n *inNode) AppendString(buf []byte) []byte {
+	buf = append(append(buf, n.col...), " in ("...)
 	for i, v := range n.vals {
 		if i > 0 {
-			b.WriteString(", ")
+			buf = append(buf, ", "...)
 		}
-		b.WriteString(strconv.FormatInt(v, 10))
+		buf = strconv.AppendInt(buf, v, 10)
 	}
-	b.WriteString(")")
-	return b.String()
+	return append(buf, ')')
 }
 
 func (n *inNode) check(t *Table) error { return n.at.bind(t, n.col) }
@@ -302,7 +308,9 @@ type andNode struct {
 	kids []Expr
 }
 
-func (n *andNode) String() string { return joinKids(n.kids, " and ", "true") }
+func (n *andNode) String() string { return string(n.AppendString(nil)) }
+
+func (n *andNode) AppendString(buf []byte) []byte { return appendKids(buf, n.kids, " and ", "true") }
 
 func (n *andNode) check(t *Table) error { return checkKids(t, n.kids) }
 
@@ -411,7 +419,9 @@ type orNode struct {
 	kids []Expr
 }
 
-func (n *orNode) String() string { return joinKids(n.kids, " or ", "false") }
+func (n *orNode) String() string { return string(n.AppendString(nil)) }
+
+func (n *orNode) AppendString(buf []byte) []byte { return appendKids(buf, n.kids, " or ", "false") }
 
 func (n *orNode) check(t *Table) error { return checkKids(t, n.kids) }
 
@@ -503,7 +513,11 @@ type notNode struct {
 	kid Expr
 }
 
-func (n *notNode) String() string { return "not (" + n.kid.String() + ")" }
+func (n *notNode) String() string { return string(n.AppendString(nil)) }
+
+func (n *notNode) AppendString(buf []byte) []byte {
+	return append(n.kid.AppendString(append(buf, "not ("...)), ')')
+}
 
 func (n *notNode) check(t *Table) error {
 	if n.kid == nil {
@@ -560,21 +574,23 @@ func columnsOf(t *Table, e Expr, cols []int) []int {
 	return cols
 }
 
-// joinKids renders a combinator's children, parenthesized, or the
-// identity literal when there are none.
-func joinKids(kids []Expr, sep, empty string) string {
+// appendKids renders a combinator's children, parenthesized and
+// separated by sep, or the identity literal when there are none.
+func appendKids(buf []byte, kids []Expr, sep, empty string) []byte {
 	if len(kids) == 0 {
-		return empty
+		return append(buf, empty...)
 	}
-	parts := make([]string, len(kids))
 	for i, k := range kids {
+		if i > 0 {
+			buf = append(buf, sep...)
+		}
 		if k == nil {
-			parts[i] = "<nil>"
+			buf = append(buf, "<nil>"...)
 			continue
 		}
-		parts[i] = "(" + k.String() + ")"
+		buf = append(k.AppendString(append(buf, '(')), ')')
 	}
-	return strings.Join(parts, sep)
+	return buf
 }
 
 // checkKids validates a combinator's children against t.

@@ -33,7 +33,9 @@ type Table struct {
 	// boundaries, which makes every scan's chunks exactly the blocks.
 	aligned bool
 	// Parallelism bounds the number of blocks scanned concurrently;
-	// <= 0 means GOMAXPROCS. New seeds it from the first column.
+	// <= 0 means GOMAXPROCS. It is an upper bound: a scan takes only
+	// the cores other running scans leave idle (see blocked.Scan). New
+	// seeds it from the first column.
 	Parallelism int
 	// Degraded makes Scan and ScanContext run in degraded mode by
 	// default (see ScanOptions.Degraded); ScanWith overrides it per
@@ -44,7 +46,7 @@ type Table struct {
 	closeErr  error
 	// counters accumulates block-level plan outcomes across every
 	// scan on the table (see ScanCounters).
-	counters struct{ skipped, proved, fetched atomic.Int64 }
+	counters struct{ skipped, proved, fetched, helpers atomic.Int64 }
 }
 
 // New builds a table over cols, validating that there is at least one
@@ -157,7 +159,8 @@ func (t *Table) Close() error {
 // ScanCounters snapshots the cumulative block-level outcomes of every
 // scan planned on this table: blocks skipped (stats refuted — never
 // fetched), proved (stats satisfied — emitted as whole runs, never
-// fetched), and fetched (undecided — payloads consulted). A scan over
+// fetched), fetched (undecided — payloads consulted), and the helper
+// goroutines the scans started beside their callers. A scan over
 // columns that do not share block boundaries counts its chunks, which
 // are then smaller than blocks (see Aligned). Servers
 // export the counters per table; the deltas across a query window are
@@ -167,6 +170,7 @@ func (t *Table) ScanCounters() blocked.ScanCounters {
 		Skipped: t.counters.skipped.Load(),
 		Proved:  t.counters.proved.Load(),
 		Fetched: t.counters.fetched.Load(),
+		Helpers: t.counters.helpers.Load(),
 	}
 }
 
@@ -386,6 +390,7 @@ func (p *plan) run(ctx context.Context, sink blocked.Sink) error {
 	p.t.counters.skipped.Add(n.Skipped)
 	p.t.counters.proved.Add(n.Proved)
 	p.t.counters.fetched.Add(n.Fetched)
+	p.t.counters.helpers.Add(n.Helpers)
 	return err
 }
 

@@ -62,8 +62,9 @@ func WithCostBudget(budget float64) Option {
 	return func(o *options) { o.enc.CostBudget = budget }
 }
 
-// WithParallelism bounds the number of blocks encoded (and decoded)
-// concurrently. p <= 0 means GOMAXPROCS.
+// WithParallelism bounds the number of blocks encoded, decoded and
+// scanned concurrently. p <= 0 means GOMAXPROCS. It is an upper bound:
+// a scan takes only the cores other running scans leave idle.
 func WithParallelism(p int) Option {
 	return func(o *options) { o.enc.Parallelism = p }
 }

@@ -17,8 +17,15 @@
 # than the bound, so the comparison cannot tell. GAIN: head won at
 # least nine tenths of the pairs and the medians differ by more than
 # the base's inter-quartile distance — the rule a claimed improvement
-# has to meet. Read-only with respect to benchmark/ and BENCHMARK.json;
-# each side builds into its own .bench_build/.
+# has to meet. Beside that table it prints each side's median of two
+# notes every run prints: the uncorrected CPU ms/op
+# ("whole phase as measured, uncorrected") and the host probe's median
+# ("host probe: median"), so a claim can quote both arms without the
+# probe's correction. Every run's full stdout is kept as
+# <side>-<pair>.txt under
+# .bench_build/abbench/<workload>-<base-ref>-<UTC time>/, a path the
+# script prints. Read-only with respect to benchmark/ and
+# BENCHMARK.json; each side builds into its own .bench_build/.
 set -euo pipefail
 
 if [ $# -lt 2 ]; then
@@ -32,43 +39,48 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 mkdir "$tmp/base"
 git -C "$root" archive "$base_ref" | tar -x -C "$tmp/base"
+out="$root/.bench_build/abbench/$workload-${base_ref//[^A-Za-z0-9._-]/_}-$(date -u +%Y%m%dT%H%M%SZ)"
+mkdir -p "$out"
+echo "runs kept in $out" >&2
 
-# run <side> <dir> <seed>: one benchmark run; its result line (the last
-# line of stdout) is appended to $tmp/<side>.ndjson.
+# run <side> <dir> <pair>: one benchmark run at the pair's seed, its
+# stdout kept as $out/<side>-<pair>.txt (the result line is its last
+# line).
 run() {
-	echo "  $1 seed $3" >&2
-	bash "$2/benchmark/run.sh" --workload "$workload" --seed "$3" --seconds 20 --trace 0 | tail -n 1 >>"$tmp/$1.ndjson"
+	echo "  $1 seed $((seed + $3 - 1))" >&2
+	bash "$2/benchmark/run.sh" --workload "$workload" --seed "$((seed + $3 - 1))" --seconds 20 --trace 0 >"$out/$1-$3.txt"
 }
 
 for ((i = 1; i <= pairs; i++)); do
 	echo "pair $i/$pairs" >&2
 	if ((i % 2)); then
-		run base "$tmp/base" "$((seed + i - 1))"
-		run head "$root" "$((seed + i - 1))"
+		run base "$tmp/base" "$i"
+		run head "$root" "$i"
 	else
-		run head "$root" "$((seed + i - 1))"
-		run base "$tmp/base" "$((seed + i - 1))"
+		run head "$root" "$i"
+		run base "$tmp/base" "$i"
 	fi
 done
 
-python3 - "$root/BENCHMARK.json" "$tmp/base.ndjson" "$tmp/head.ndjson" "$workload" "$base_ref" <<'EOF'
-import json, statistics, sys
+python3 - "$root/BENCHMARK.json" "$out" "$pairs" "$workload" "$base_ref" <<'EOF'
+import json, re, statistics, sys
 
-spec, base_path, head_path, workload, base_ref = sys.argv[1:6]
-load = lambda p: [json.loads(line) for line in open(p) if line.strip()]
-base, head = load(base_path), load(head_path)
+spec, out, npairs, workload, base_ref = sys.argv[1:6]
+sides = ("base", "head")
+# Run i of each side used the same seed, so pairs match by position.
+text = {s: [open(f"{out}/{s}-{i}.txt").read() for i in range(1, int(npairs) + 1)] for s in sides}
+base, head = ([json.loads(t.splitlines()[-1]) for t in text[s]] for s in sides)
 
 def failed(runs):
     return sum(r["failed"] for r in runs), sum(r["attempted"] for r in runs)
 
-print(f"{workload}: {base_ref} (base) vs working tree (head), {len(base)} pairs")
+print(f"{workload}: {base_ref} (base) vs working tree (head), {len(base)} pairs, runs kept in {out}")
 print(f"failed ops: base {failed(base)[0]}/{failed(base)[1]}, head {failed(head)[0]}/{failed(head)[1]}"
       + ("" if all(r["correct"] for r in base + head) else "   INCORRECT RUN"))
 print(f"{'metric':<26}{'base':>11}{'head':>11}{'head/base':>10}{'bound':>7}{'base spread':>12}"
       f"{'base q1..q3':>22}{'head won':>10}")
 for m in json.load(open(spec))["end_to_end"]:
     name, bound, lower = m["name"], m["bound"], m["better"] == "lower"
-    # Pairs are matched by position: run i of each side used seed i.
     pairs = [(b["metrics"][name]["value"], h["metrics"][name]["value"])
              for b, h in zip(base, head) if name in b["metrics"] and name in h["metrics"]]
     if not pairs:
@@ -85,4 +97,16 @@ for m in json.load(open(spec))["end_to_end"]:
     verdict = "GAIN" if gain else "UNRESOLVED" if spread > bound else "WORSE" if worse else ""
     print(f"{name:<26}{mb:>11.4g}{mh:>11.4g}{ratio:>10.3f}{bound:>7.3g}{spread:>11.1%}"
           f"{q1:>12.4g}..{q3:<8.4g}{won:>5}/{len(pairs):<4} {verdict}")
+
+# Two notes of each run's report, neither corrected for the probe; a
+# note missing from one side's reports is left out.
+print("report notes, median of each side:")
+for label, pattern in (("CPU ms/op (uncorrected)", r"whole phase as measured, uncorrected: .*? ([0-9.e+-]+) CPU ms/op"),
+                       ("host probe median, ms", r"host probe: median ([0-9.e+-]+) ms")):
+    vals = {s: [float(m.group(1)) for t in text[s] if (m := re.search(pattern, t))] for s in sides}
+    if not all(vals.values()):
+        continue
+    mb, mh = statistics.median(vals["base"]), statistics.median(vals["head"])
+    won = sum(hv < bv for bv, hv in zip(vals["base"], vals["head"]))
+    print(f"{label:<26}{mb:>11.4g}{mh:>11.4g}{mh / mb:>10.3f}   head lower in {won}/{len(vals['base'])} pairs")
 EOF
