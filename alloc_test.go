@@ -378,7 +378,7 @@ func requestAllocs(t *testing.T, h http.Handler, payload string) (allocs float64
 // header and terminal frames of the stream's json.Encoder. Row frames
 // add nothing to it — the batch state, decode buffers and frame buffer
 // are pooled — so it does not depend on how many rows stream.
-const rowsRequestAllocs = 30
+const rowsRequestAllocs = 14
 
 // TestRowsRequestAllocs: an op=rows request that streams tens of
 // thousands of rows in many frames allocates what one that matches
@@ -433,10 +433,10 @@ func TestCountRequestAllocs(t *testing.T) {
 		name, op, where, columns string
 		pin                      float64
 	}{
-		{"ship day", "count", fmt.Sprintf("ship = %d", day), "", 11},
-		{"amount range", "count", fmt.Sprintf("amount >= %d and amount <= %d", a-20, a+20), "", 15},
-		{"amount range, qty", "count", fmt.Sprintf("amount >= %d and amount <= %d and qty <= 30000", a-20, a+20), "", 18},
-		{"ship days, sum", "sum", fmt.Sprintf("ship >= %d and ship <= %d", day, day+2), `,"columns":["qty"]`, 18},
+		{"ship day", "count", fmt.Sprintf("ship = %d", day), "", 10},
+		{"amount range", "count", fmt.Sprintf("amount >= %d and amount <= %d", a-20, a+20), "", 14},
+		{"amount range, qty", "count", fmt.Sprintf("amount >= %d and amount <= %d and qty <= 30000", a-20, a+20), "", 17},
+		{"ship days, sum", "sum", fmt.Sprintf("ship >= %d and ship <= %d", day, day+2), `,"columns":["qty"]`, 17},
 	} {
 		allocs, wire := requestAllocs(t, h, `{"table":"orders","op":"`+tc.op+`","where":"`+tc.where+`"`+tc.columns+`}`)
 		if wire < 60 || wire > 300 {

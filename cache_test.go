@@ -349,3 +349,133 @@ func TestUndecodablePayloadIsNotCached(t *testing.T) {
 		t.Fatalf("good block after the failure: %v", err)
 	}
 }
+
+// TestEvictionUnderLoad runs counts, sums, keep-mode conjunctions and
+// row streams from 8 goroutines over a lazily opened table whose cache
+// holds about two blocks, so nearly every fetch evicts a block another
+// goroutine may still be reading, and the freed slabs go straight into
+// the next decodes. Every slab is poisoned as it enters the free list:
+// a form whose words were recycled while a reader still leased it
+// shows as a wrong answer against the plain []int64 oracle, not only
+// when the reuse happens to land on it.
+func TestEvictionUnderLoad(t *testing.T) {
+	const n, bs = 1 << 15, 1 << 11
+	qty, price, day, data := cacheFixture(t, n, bs)
+	cf, err := storage.OpenContainer(bytes.NewReader(data), int64(len(data)), storage.OpenOptions{CacheBytes: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var block int64
+	for ci := range cf.Columns() {
+		for _, e := range cf.Extents(ci) {
+			block = max(block, e.Bytes)
+		}
+	}
+	cf.Close()
+	storage.SlabFreeHook = func(words []uint64) {
+		for i := range words {
+			words[i] = 0xa5a5a5a5a5a5a5a5
+		}
+	}
+	t.Cleanup(func() { storage.SlabFreeHook = nil })
+	tbl, err := lwcomp.OpenTableReader(bytes.NewReader(data), int64(len(data)), lwcomp.WithBlockCache(2*block))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl.Close()
+	ctx := context.Background()
+
+	queries := []struct {
+		expr lwcomp.Expr
+		pred func(r int) bool
+	}{
+		{lwcomp.Range("qty", 9000, 41000), func(r int) bool { return qty[r] >= 9000 && qty[r] <= 41000 }},
+		{lwcomp.Range("price", 100, 700), func(r int) bool { return price[r] >= 100 && price[r] <= 700 }},
+		// Conjunctions: the leaves after the first keep, reading only
+		// the rows still selected.
+		{lwcomp.And(lwcomp.Range("qty", 0, 30000), lwcomp.Range("price", 200, 900)),
+			func(r int) bool { return qty[r] <= 30000 && price[r] >= 200 && price[r] <= 900 }},
+		{lwcomp.And(lwcomp.Range("day", day[n/4], day[3*n/4]), lwcomp.Range("qty", 5000, 60000), lwcomp.Range("price", 0, 511)),
+			func(r int) bool {
+				return day[r] >= day[n/4] && day[r] <= day[3*n/4] && qty[r] >= 5000 && qty[r] <= 60000 && price[r] <= 511
+			}},
+	}
+	type answer struct{ count, sumQty, sumPrice, rowSum int64 }
+	want := make([]answer, len(queries))
+	for qi, q := range queries {
+		for r := 0; r < n; r++ {
+			if q.pred(r) {
+				want[qi].count++
+				want[qi].sumQty += qty[r]
+				want[qi].sumPrice += price[r]
+				want[qi].rowSum += int64(r)
+			}
+		}
+	}
+
+	run := func(w, it int) error {
+		qi := (w + it) % len(queries)
+		q, exp := queries[qi], want[qi]
+		switch (w/2 + it) % 3 {
+		case 0:
+			if got, err := tbl.CountWhere(ctx, q.expr); err != nil || got != exp.count {
+				return fmt.Errorf("CountWhere(%s) = %d, %v; want %d", q.expr, got, err, exp.count)
+			}
+		case 1:
+			sum, matched, err := tbl.SumWhere(ctx, q.expr, "qty")
+			if err != nil || sum != exp.sumQty || matched != exp.count {
+				return fmt.Errorf("SumWhere(%s, qty) = (%d, %d), %v; want (%d, %d)",
+					q.expr, sum, matched, err, exp.sumQty, exp.count)
+			}
+		default:
+			s, err := tbl.ScanWith(ctx, q.expr, lwcomp.ScanOptions{})
+			if err != nil {
+				return fmt.Errorf("ScanWith(%s): %v", q.expr, err)
+			}
+			defer s.Release()
+			var got answer
+			err = s.StreamBatches(ctx, []string{"qty", "price"}, 1000, func(rs []int64, vals [][]int64) error {
+				for i, r := range rs {
+					got.count++
+					got.rowSum += r
+					got.sumQty += vals[0][i]
+					got.sumPrice += vals[1][i]
+				}
+				return nil
+			})
+			if err != nil || got != exp {
+				return fmt.Errorf("StreamBatches(%s) = %+v, %v; want %+v", q.expr, got, err, exp)
+			}
+		}
+		return nil
+	}
+
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for it := 0; it < 12; it++ {
+				if err := run(w, it); err != nil {
+					errs <- fmt.Errorf("worker %d iter %d: %w", w, it, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	col, err := tbl.Column("qty")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _ := col.CacheStats()
+	t.Logf("%d-byte blocks, cache %+v", block, st)
+	if st.Evictions == 0 || st.Reused == 0 {
+		t.Fatalf("cache %+v: the load must evict blocks and decode into their slabs", st)
+	}
+}

@@ -72,10 +72,35 @@ type Block struct {
 // implementation that also satisfies io.Closer is closed by
 // Column.Close.
 type BlockSource interface {
-	// BlockForm returns the decoded form of block i. The returned
-	// form must not be mutated by the caller; the source may hand the
-	// same form to concurrent callers.
-	BlockForm(i int) (*core.Form, error)
+	// BlockForm returns the decoded form of block i and the lease that
+	// keeps its words valid. The caller must not mutate the form — the
+	// source may hand the same form to concurrent callers — and must
+	// not read it after releasing the lease: the source may then
+	// recycle its words into the next block it decodes. On error the
+	// lease is the zero Lease.
+	BlockForm(i int) (*core.Form, Lease, error)
+}
+
+// Releaser ends one lease on a fetched form; see Lease.
+type Releaser interface {
+	Release()
+}
+
+// Lease is a reader's hold on a fetched form's words. While any lease
+// on a form is held its words stay as decoded; once every lease is
+// released (and, for a cached form, the cache has evicted it) the
+// source may recycle them. The zero Lease holds nothing and releases
+// nothing — what a resident form carries. A Lease is released once.
+type Lease struct{ r Releaser }
+
+// LeaseOf returns the lease whose Release calls r.Release.
+func LeaseOf(r Releaser) Lease { return Lease{r} }
+
+// Release ends the lease.
+func (l Lease) Release() {
+	if l.r != nil {
+		l.r.Release()
+	}
 }
 
 // BlockPrefetcher is the optional warm-ahead face of a BlockSource:
@@ -117,49 +142,64 @@ type Column struct {
 	quar   map[int]error
 }
 
-// form returns block i's form: the resident one when present,
-// otherwise fetched from the column's Source. The resident branch is
-// the hot path and stays allocation-free.
-func (c *Column) form(i int) (*core.Form, error) {
+// form returns block i's form and its lease: the resident form with
+// the zero lease when present, otherwise the form fetched from the
+// column's Source. The caller releases the lease when it is done with
+// the form. The resident branch is the hot path and stays
+// allocation-free.
+func (c *Column) form(i int) (*core.Form, Lease, error) {
 	b := &c.Blocks[i]
 	if b.Form != nil {
-		return b.Form, nil
+		return b.Form, Lease{}, nil
 	}
 	// Quarantine (which includes tombstones) is checked before the
 	// source so a condemned block fails fast whether the column is
 	// lazy or in-memory, instead of re-reading payload bytes that are
 	// known bad — or, for a tombstone, do not exist at all.
 	if qerr, ok := c.QuarantineError(i); ok {
-		return nil, fmt.Errorf("%w: block %d: %w", ErrQuarantined, i, qerr)
+		return nil, Lease{}, fmt.Errorf("%w: block %d: %w", ErrQuarantined, i, qerr)
 	}
 	if c.Source == nil {
-		return nil, fmt.Errorf("%w: block %d has no form and the column has no source",
+		return nil, Lease{}, fmt.Errorf("%w: block %d has no form and the column has no source",
 			core.ErrCorruptForm, i)
 	}
-	f, err := c.Source.BlockForm(i)
+	f, l, err := c.Source.BlockForm(i)
 	if err != nil {
 		if IsPermanent(err) {
 			c.quarantine(i, err)
 		}
-		return nil, err
+		return nil, Lease{}, err
 	}
 	if f == nil || f.N != b.Count {
+		l.Release()
 		err := fmt.Errorf("%w: block %d fetched form does not match index count %d",
 			core.ErrCorruptForm, i, b.Count)
 		c.quarantine(i, err)
-		return nil, err
+		return nil, Lease{}, err
 	}
-	return f, nil
+	return f, l, nil
+}
+
+// LeasedForm returns the decoded form of block i and the lease that
+// keeps its words valid: the resident form with the zero lease for
+// in-memory columns, a fetch through the source for lazily opened
+// ones. Callers must not mutate the form, and must release the lease
+// once done with it and not read the form afterwards.
+func (c *Column) LeasedForm(i int) (*core.Form, Lease, error) {
+	if i < 0 || i >= len(c.Blocks) {
+		return nil, Lease{}, fmt.Errorf("blocked: block %d out of range [0, %d)", i, len(c.Blocks))
+	}
+	return c.form(i)
 }
 
 // BlockForm returns the decoded form of block i — the resident form
 // for in-memory columns, a fetch through the source for lazily
-// opened ones. Callers must not mutate the result.
+// opened ones. Callers must not mutate the result. Its lease is never
+// released, so a form handed out here is never recycled: it lives
+// until the garbage collector frees it.
 func (c *Column) BlockForm(i int) (*core.Form, error) {
-	if i < 0 || i >= len(c.Blocks) {
-		return nil, fmt.Errorf("blocked: block %d out of range [0, %d)", i, len(c.Blocks))
-	}
-	return c.form(i)
+	f, _, err := c.LeasedForm(i)
+	return f, err
 }
 
 // Prefetch hints that block i will be needed soon, forwarding to the
@@ -444,10 +484,11 @@ func (c *Column) DecompressInto(dst []int64) error {
 
 func (c *Column) decompressBlockInto(out []int64, i int, s *core.Scratch) error {
 	b := &c.Blocks[i]
-	f, err := c.form(i)
+	f, l, err := c.form(i)
 	if err != nil {
 		return err
 	}
+	defer l.Release()
 	if f.N != b.Count {
 		return fmt.Errorf("%w: block %d form does not match index count %d",
 			core.ErrCorruptForm, i, b.Count)
@@ -473,11 +514,12 @@ func (c *Column) Min() (int64, error) {
 		}
 		v := b.Min
 		if !b.HasStats {
-			f, err := c.form(i)
+			f, l, err := c.form(i)
 			if err != nil {
 				return 0, err
 			}
 			v, err = query.Min(f)
+			l.Release()
 			if err != nil {
 				return 0, err
 			}
@@ -506,11 +548,12 @@ func (c *Column) Max() (int64, error) {
 		}
 		v := b.Max
 		if !b.HasStats {
-			f, err := c.form(i)
+			f, l, err := c.form(i)
 			if err != nil {
 				return 0, err
 			}
 			v, err = query.Max(f)
+			l.Release()
 			if err != nil {
 				return 0, err
 			}
@@ -657,10 +700,11 @@ func (c *Column) SelectBlockRangeSel(i int, lo, hi int64, dst *sel.Selection, ba
 		dst.AddRun(base, b.Count)
 		return nil
 	}
-	f, err := c.form(i)
+	f, l, err := c.form(i)
 	if err != nil {
 		return err
 	}
+	defer l.Release()
 	return query.SelectRangeSel(f, lo, hi, dst, base)
 }
 
@@ -684,10 +728,11 @@ func (c *Column) KeepBlockRange(i int, lo, hi int64, dst *sel.Selection) error {
 	case RangeAll:
 		return nil
 	}
-	f, err := c.form(i)
+	f, l, err := c.form(i)
 	if err != nil {
 		return err
 	}
+	defer l.Release()
 	return query.KeepRangeSel(f, lo, hi, dst, 0)
 }
 
@@ -705,10 +750,11 @@ func (c *Column) DecompressBlock(i int, dst []int64) error {
 		return fmt.Errorf("%w: DecompressBlock dst length %d, block %d holds %d",
 			core.ErrCorruptForm, len(dst), i, b.Count)
 	}
-	f, err := c.form(i)
+	f, l, err := c.form(i)
 	if err != nil {
 		return err
 	}
+	defer l.Release()
 	s := core.GetScratch()
 	defer s.Release()
 	if err := core.DecompressInto(f, dst, s); err != nil {
@@ -725,10 +771,11 @@ func (c *Column) SumBlock(i int) (int64, error) {
 	if i < 0 || i >= len(c.Blocks) {
 		return 0, fmt.Errorf("blocked: block %d out of range [0, %d)", i, len(c.Blocks))
 	}
-	f, err := c.form(i)
+	f, l, err := c.form(i)
 	if err != nil {
 		return 0, err
 	}
+	defer l.Release()
 	return query.Sum(f)
 }
 
@@ -740,10 +787,11 @@ func (c *Column) SumBlockSel(i int, bm *sel.Selection, base int) (int64, error) 
 	if i < 0 || i >= len(c.Blocks) {
 		return 0, fmt.Errorf("blocked: block %d out of range [0, %d)", i, len(c.Blocks))
 	}
-	f, err := c.form(i)
+	f, l, err := c.form(i)
 	if err != nil {
 		return 0, err
 	}
+	defer l.Release()
 	return query.SumSel(f, bm, base)
 }
 
@@ -776,6 +824,10 @@ type CacheStats struct {
 	// Decodes counts payload→form decodes performed on the way into the
 	// cache; a hit performs none.
 	Decodes int64
+	// Reused counts the decodes whose words went into a slab an
+	// evicted block had released, taken from the free list instead of
+	// allocated.
+	Reused int64
 	// BytesUsed is the encoded payload total of the resident blocks.
 	BytesUsed int64
 	// BytesBudget is the configured capacity.
@@ -848,10 +900,11 @@ func (c *Column) PointLookup(row int64) (int64, error) {
 	if i < 0 || row >= c.Blocks[i].Start+int64(c.Blocks[i].Count) {
 		return 0, fmt.Errorf("%w: block index does not cover row %d", core.ErrCorruptForm, row)
 	}
-	f, err := c.form(i)
+	f, l, err := c.form(i)
 	if err != nil {
 		return 0, err
 	}
+	defer l.Release()
 	return query.PointLookup(f, row-c.Blocks[i].Start)
 }
 
@@ -860,11 +913,12 @@ func (c *Column) PointLookup(row int64) (int64, error) {
 func (c *Column) ApproxSum() (query.Interval, error) {
 	var total query.Interval
 	for i := range c.Blocks {
-		f, err := c.form(i)
+		f, l, err := c.form(i)
 		if err != nil {
 			return query.Interval{}, err
 		}
 		iv, err := query.ApproxSum(f)
+		l.Release()
 		if err != nil {
 			return query.Interval{}, err
 		}
@@ -880,11 +934,12 @@ func (c *Column) ApproxSum() (query.Interval, error) {
 func (c *Column) EncodedBits() uint64 {
 	var total uint64
 	for i := range c.Blocks {
-		f, err := c.form(i)
+		f, l, err := c.form(i)
 		if err != nil {
 			continue
 		}
 		total += f.PayloadBits()
+		l.Release()
 	}
 	return total
 }
@@ -904,10 +959,11 @@ func (c *Column) BlockSchemes() []string {
 // error note when the block's payload cannot be fetched (Describe and
 // BlockSchemes have no error to return).
 func (c *Column) describeBlock(i int) string {
-	f, err := c.form(i)
+	f, l, err := c.form(i)
 	if err != nil {
 		return fmt.Sprintf("<unreadable: %v>", err)
 	}
+	defer l.Release()
 	return f.Describe()
 }
 

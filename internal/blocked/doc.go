@@ -17,8 +17,10 @@
 // file-backed: a Column whose Source is set may leave its Blocks'
 // Forms nil, and every query path fetches just the forms it touches
 // through the BlockSource at first use (the lazy path behind
-// lwcomp.OpenFile). In-memory columns keep their forms resident and
-// never consult a source, so the hot scan paths stay allocation-free.
+// lwcomp.OpenFile), under a Lease it releases when the block's work is
+// done, so that the source may recycle the form's words. In-memory
+// columns keep their forms resident and never consult a source, so the
+// hot scan paths stay allocation-free.
 //
 // The package also owns the scan driver (scan.go): the one loop —
 // classify chunks from stats, prefetch, evaluate the undecided ones

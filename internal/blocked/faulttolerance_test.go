@@ -33,12 +33,12 @@ type pickySource struct {
 	fetches map[int]int
 }
 
-func (s *pickySource) BlockForm(i int) (*core.Form, error) {
+func (s *pickySource) BlockForm(i int) (*core.Form, Lease, error) {
 	s.fetches[i]++
 	if err, ok := s.fail[i]; ok {
-		return nil, err
+		return nil, Lease{}, err
 	}
-	return s.orig.Blocks[i].Form, nil
+	return s.orig.Blocks[i].Form, Lease{}, nil
 }
 
 func TestFaultQuarantinePermanentError(t *testing.T) {

@@ -243,10 +243,11 @@ func (r *rangeScan) Proved(k int) error {
 // Visit counts (or, for Sum, totals) block k on its compressed form:
 // the fused range kernels, or the structural sum of runs and models.
 func (r *rangeScan) Visit(k int) error {
-	f, err := r.c.form(k)
+	f, l, err := r.c.form(k)
 	if err != nil {
 		return err
 	}
+	defer l.Release()
 	var v int64
 	if r.sum {
 		v, err = query.Sum(f)

@@ -183,12 +183,12 @@ func NewBlockSource(inner blocked.BlockSource, fail map[int]error, panics map[in
 }
 
 // BlockForm implements blocked.BlockSource.
-func (b *BlockSource) BlockForm(i int) (*core.Form, error) {
+func (b *BlockSource) BlockForm(i int) (*core.Form, blocked.Lease, error) {
 	if b.PanicBlocks[i] {
 		panic(fmt.Sprintf("faults: injected panic fetching block %d", i))
 	}
 	if err, ok := b.FailBlocks[i]; ok {
-		return nil, err
+		return nil, blocked.Lease{}, err
 	}
 	return b.inner.BlockForm(i)
 }

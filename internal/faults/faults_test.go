@@ -114,7 +114,9 @@ func TestFaultWrapScrapesLastWrapper(t *testing.T) {
 // residentSource serves the forms of an already-encoded column.
 type residentSource struct{ col *blocked.Column }
 
-func (s residentSource) BlockForm(i int) (*core.Form, error) { return s.col.Blocks[i].Form, nil }
+func (s residentSource) BlockForm(i int) (*core.Form, blocked.Lease, error) {
+	return s.col.Blocks[i].Form, blocked.Lease{}, nil
+}
 
 func TestFaultBlockSource(t *testing.T) {
 	vals := make([]int64, 256)
@@ -127,10 +129,10 @@ func TestFaultBlockSource(t *testing.T) {
 	}
 	failErr := errors.New("boom")
 	bs := NewBlockSource(residentSource{col}, map[int]error{1: failErr}, map[int]bool{2: true})
-	if _, err := bs.BlockForm(0); err != nil {
+	if _, _, err := bs.BlockForm(0); err != nil {
 		t.Fatalf("block 0 should pass through: %v", err)
 	}
-	if _, err := bs.BlockForm(1); !errors.Is(err, failErr) {
+	if _, _, err := bs.BlockForm(1); !errors.Is(err, failErr) {
 		t.Fatalf("block 1: want injected error, got %v", err)
 	}
 	func() {

@@ -16,6 +16,15 @@ import (
 	"lwcomp/internal/blocked"
 )
 
+// The Content-Type values of the replies. A reply's header map takes
+// one of these shared slices by direct assignment — net/http allows
+// it, and never writes to a header's values — where Header().Set
+// would allocate a fresh one per reply.
+var (
+	jsonContentType   = []string{"application/json"}
+	ndjsonContentType = []string{"application/x-ndjson"}
+)
+
 // Handler returns the server's HTTP mux, wrapped in the panic
 // recovery barrier.
 func (s *Server) Handler() http.Handler {
@@ -28,14 +37,14 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /-/scrub", s.handleScrub)
 	// /healthz is pure liveness: the process is up and serving HTTP.
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = jsonContentType
 		w.Write([]byte(`{"ok":true}` + "\n"))
 	})
 	// /readyz is readiness: 503 while closed, mid-reload, or draining a
 	// retired mount set. A deploy should pull a draining server from
 	// rotation, not restart it — which is why the two probes differ.
 	mux.HandleFunc("GET /readyz", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = jsonContentType
 		if !s.Ready() {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			w.Write([]byte(`{"ready":false}` + "\n"))
@@ -87,7 +96,7 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 
 // writeErrorBody sends a prebuilt error body.
 func writeErrorBody(w http.ResponseWriter, status int, body errorBody) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(body)
 }
@@ -150,7 +159,7 @@ func (s *Server) handleTables(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Tables = append(out.Tables, ct)
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	json.NewEncoder(w).Encode(out)
 }
 
@@ -364,7 +373,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		res.ElapsedMS = msSince(started)
 		*frame = appendQueryResult((*frame)[:0], &res)
-		w.Header().Set("Content-Type", "application/json")
+		w.Header()["Content-Type"] = jsonContentType
 		w.Write(*frame)
 	case "rows":
 		scan, err := mt.tbl.ScanWith(ctx, expr, lwcomp.ScanOptions{Degraded: req.AllowDegraded})
@@ -409,7 +418,7 @@ func msSince(t time.Time) float64 { return float64(time.Since(t).Nanoseconds()) 
 
 // writeJSON sends one JSON object.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	json.NewEncoder(w).Encode(v)
 }
 
@@ -428,7 +437,7 @@ func (s *Server) streamRows(ctx context.Context, w http.ResponseWriter, scan *lw
 	header.Columns = req.Columns
 	buf := (*frame)[:0]
 	defer func() { *frame = buf }()
-	w.Header().Set("Content-Type", "application/x-ndjson")
+	w.Header()["Content-Type"] = ndjsonContentType
 	buf = appendQueryResult(buf, &header)
 	w.Write(buf)
 	flusher, _ := w.(http.Flusher)
@@ -543,8 +552,8 @@ func (s *Server) queryError(w http.ResponseWriter, err error) {
 
 // metricsCache is the cache section of /metrics. In a table's section
 // only Hits, Misses and HitRate are the table's own traffic; Evictions,
-// BytesUsed, BytesBudget and Decodes are the shared cache's pooled
-// counters, the same figures as the top-level section.
+// BytesUsed, BytesBudget, Decodes and SlabsReused are the shared
+// cache's pooled counters, the same figures as the top-level section.
 type metricsCache struct {
 	// Hits, Misses, Evictions, BytesUsed, BytesBudget and Decodes
 	// mirror lwcomp.CacheStats.
@@ -559,6 +568,9 @@ type metricsCache struct {
 	// Decodes counts payload→form decodes: what the misses cost beyond
 	// the read. A warm cache serves hits without adding to it.
 	Decodes int64 `json:"decodes"`
+	// SlabsReused counts the decodes whose words went into a slab an
+	// evicted block had released instead of a new allocation.
+	SlabsReused int64 `json:"slabs_reused"`
 }
 
 // toMetricsCache converts CacheStats for the JSON surface.
@@ -566,7 +578,7 @@ func toMetricsCache(st lwcomp.CacheStats) metricsCache {
 	mc := metricsCache{
 		Hits: st.Hits, Misses: st.Misses, Evictions: st.Evictions,
 		BytesUsed: st.BytesUsed, BytesBudget: st.BytesBudget,
-		Decodes: st.Decodes,
+		Decodes: st.Decodes, SlabsReused: st.Reused,
 	}
 	if total := st.Hits + st.Misses; total > 0 {
 		mc.HitRate = float64(st.Hits) / float64(total)

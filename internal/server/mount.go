@@ -32,11 +32,12 @@ func (mt *mountedTable) cacheStats() lwcomp.CacheStats {
 		st := cf.CacheStats()
 		total.Hits += st.Hits
 		total.Misses += st.Misses
-		// Evictions, decodes and bytes are pooled across the whole
-		// shared cache; report them once rather than a per-table sum
-		// that counts the pool once per container.
+		// Evictions, decodes, reused slabs and bytes are pooled across
+		// the whole shared cache; report them once rather than a
+		// per-table sum that counts the pool once per container.
 		total.Evictions = st.Evictions
 		total.Decodes = st.Decodes
+		total.Reused = st.Reused
 		total.BytesUsed = st.BytesUsed
 		total.BytesBudget = st.BytesBudget
 	}

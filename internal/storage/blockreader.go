@@ -95,12 +95,15 @@ type ContainerFile struct {
 	closeErr  error
 }
 
-// blockFlight is one in-progress block fetch. Late callers wait on
-// done; the flight leader publishes form and err before closing it.
+// blockFlight is one in-progress block fetch. Late callers count
+// themselves in waiters, under the container's flightMu, and wait on
+// done; the flight leader takes a lease on ent for each of them, then
+// publishes ent and err before closing done.
 type blockFlight struct {
-	done chan struct{}
-	form *core.Form
-	err  error
+	done    chan struct{}
+	waiters int64
+	ent     *cacheEntry
+	err     error
 }
 
 // prefetchReq names one block a scan expects to need next. A nil ctx
@@ -324,21 +327,23 @@ func (cf *ContainerFile) Close() error {
 // inserts the form into the block cache, coalescing concurrent fetches
 // of the same block — a prefetch and the demand fetch it races, or two
 // scan workers straddling one block — into a single read and decode.
-// Callers must not mutate the returned form: the cache and every
-// waiter on the flight share it.
-func (cf *ContainerFile) fetchForm(colIdx, i int) (*core.Form, error) {
+// The returned entry holds a lease for the caller, who releases it
+// when done with the form. Callers must not mutate the form: the cache
+// and every waiter on the flight share it.
+func (cf *ContainerFile) fetchForm(colIdx, i int) (*cacheEntry, error) {
 	key := cacheKey{owner: cf.owner, col: colIdx, block: i}
 	cf.flightMu.Lock()
 	if fl, ok := cf.flights[key]; ok {
+		fl.waiters++
 		cf.flightMu.Unlock()
 		<-fl.done
-		return fl.form, fl.err
+		return fl.ent, fl.err
 	}
-	if f, ok := cf.cache.peek(key); ok {
+	if e, ok := cf.cache.peek(key, true); ok {
 		// A finished flight cached the block between the caller's cache
 		// miss and here.
 		cf.flightMu.Unlock()
-		return f, nil
+		return e, nil
 	}
 	fl := &blockFlight{done: make(chan struct{})}
 	cf.flights[key] = fl
@@ -348,22 +353,28 @@ func (cf *ContainerFile) fetchForm(colIdx, i int) (*core.Form, error) {
 	// The decoded form owns its words, so the scratch goes straight
 	// back.
 	scratch := getPayloadBuf(int(loc.length))
-	var f *core.Form
+	var e *cacheEntry
 	err := cf.readAt(cf.payloadStart+loc.off, *scratch)
 	if err == nil {
 		col := &cf.cols[colIdx]
-		f, err = decodeBlockPayload(*scratch, loc, col.Name, i, col.Col.Blocks[i].Count)
+		e, err = decodeBlockPayload(*scratch, loc, col.Name, i, col.Col.Blocks[i].Count)
 	}
 	putPayloadBuf(scratch)
 	if err == nil {
-		cf.cache.add(key, f, loc.length)
+		cf.cache.add(key, e)
 	}
-	fl.form, fl.err = f, err
 	cf.flightMu.Lock()
 	delete(cf.flights, key)
+	waiters := fl.waiters
 	cf.flightMu.Unlock()
+	if e != nil {
+		// Our own lease keeps e unrecycled while the waiters' are
+		// taken.
+		e.pin(waiters)
+	}
+	fl.ent, fl.err = e, err
 	close(fl.done)
-	return f, err
+	return e, err
 }
 
 // prefetchAsync asks the container's background worker to stage block
@@ -375,7 +386,7 @@ func (cf *ContainerFile) prefetchAsync(ctx context.Context, colIdx, i int) {
 	if cf.cache == nil {
 		return
 	}
-	if _, ok := cf.cache.peek(cacheKey{owner: cf.owner, col: colIdx, block: i}); ok {
+	if _, ok := cf.cache.peek(cacheKey{owner: cf.owner, col: colIdx, block: i}, false); ok {
 		return
 	}
 	cf.pfMu.Lock()
@@ -406,10 +417,12 @@ func (cf *ContainerFile) prefetchLoop(ch chan prefetchReq) {
 		if req.ctx != nil && req.ctx.Err() != nil {
 			continue
 		}
-		if _, ok := cf.cache.peek(cacheKey{owner: cf.owner, col: req.col, block: req.block}); ok {
+		if _, ok := cf.cache.peek(cacheKey{owner: cf.owner, col: req.col, block: req.block}, false); ok {
 			continue
 		}
-		_, _ = cf.fetchForm(req.col, req.block)
+		if e, err := cf.fetchForm(req.col, req.block); err == nil {
+			e.Release()
+		}
 	}
 }
 
@@ -438,17 +451,22 @@ type colReader struct {
 // BlockForm implements blocked.BlockSource: a hot block is one cache
 // lookup returning the shared decoded form; a cold one goes through
 // the coalesced fetch path, where its CRC is verified and its payload
-// decoded once, on first touch.
-func (r *colReader) BlockForm(i int) (*core.Form, error) {
+// decoded once, on first touch. Either way the lease is the cache
+// entry itself, so taking one allocates nothing.
+func (r *colReader) BlockForm(i int) (*core.Form, blocked.Lease, error) {
 	cf := r.cf
 	if cf.cache != nil {
-		if f, ok := cf.cache.get(cacheKey{owner: cf.owner, col: r.colIdx, block: i}); ok {
+		if e, ok := cf.cache.get(cacheKey{owner: cf.owner, col: r.colIdx, block: i}); ok {
 			cf.localHits.Add(1)
-			return f, nil
+			return e.form, blocked.LeaseOf(e), nil
 		}
 		cf.localMisses.Add(1)
 	}
-	return cf.fetchForm(r.colIdx, i)
+	e, err := cf.fetchForm(r.colIdx, i)
+	if err != nil {
+		return nil, blocked.Lease{}, err
+	}
+	return e.form, blocked.LeaseOf(e), nil
 }
 
 // PrefetchBlock implements blocked.BlockPrefetcher: it hints that

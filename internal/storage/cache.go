@@ -16,7 +16,8 @@ const DefaultBlockCacheBytes = 32 << 20
 // payloadPool recycles the scratch buffers block fetches read
 // payloads into. Nothing keeps a payload past its decode — the
 // cache holds the decoded form, which does not alias the bytes — so
-// every buffer comes back.
+// every buffer comes back. The decoded forms' words have their own
+// free list (slab.go).
 var payloadPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // getPayloadBuf returns a pooled buffer of length n, behind the pointer
@@ -44,15 +45,56 @@ type cacheKey struct {
 	col, block int
 }
 
-// cacheEntry is one cached block: its decoded form, charged at the
-// length of the payload it was decoded from. Forms are immutable once
-// inserted (the blocked.BlockSource contract), so get hands the same
-// pointer to every reader outside the lock and eviction merely drops
-// the reference.
+// cacheEntry is one fetched block: its decoded form, charged at the
+// length of the payload it was decoded from, and the slab the form's
+// words live in. Forms are immutable once decoded (the
+// blocked.BlockSource contract), so every reader shares one pointer
+// outside the lock.
+//
+// The entry is also the readers' lease (blocked.Releaser). state is
+// pins<<1 | evicted:
+//   - a pin is taken under the cache mutex while the entry is resident
+//     (get, peek), or by the fetch that decoded it — its own, and one
+//     per waiter on its flight, added while it still holds its own;
+//   - eviction sets the bit once: under the mutex when the cache drops
+//     the entry, at once when the cache refuses it or there is none;
+//   - Release drops a pin with one atomic add.
+//
+// An evicted entry gains no new pin, so exactly one of those steps
+// moves state to 1 — evicted, unpinned — and that step alone returns
+// the slab to the free list: never twice, never under a reader.
 type cacheEntry struct {
-	key  cacheKey
-	form *core.Form
-	size int64
+	key    cacheKey
+	form   *core.Form
+	size   int64
+	slab   *slab
+	reused bool
+	state  atomic.Int64
+}
+
+// newCacheEntry returns the entry of a form just decoded into sl (nil
+// when the form has no words), holding one pin for the decoder.
+func newCacheEntry(f *core.Form, size int64, sl *slab, reused bool) *cacheEntry {
+	e := &cacheEntry{form: f, size: size, slab: sl, reused: reused}
+	e.state.Store(2)
+	return e
+}
+
+// pin takes n leases.
+func (e *cacheEntry) pin(n int64) { e.state.Add(2 * n) }
+
+// Release implements blocked.Releaser: it ends one lease.
+func (e *cacheEntry) Release() {
+	if e.state.Add(-2) == 1 {
+		putSlab(e.slab)
+	}
+}
+
+// evict marks the entry as out of the cache.
+func (e *cacheEntry) evict() {
+	if e.state.Add(1) == 1 {
+		putSlab(e.slab)
+	}
 }
 
 // blockCache is a byte-budgeted LRU over decoded block forms — CRC-
@@ -66,7 +108,7 @@ type blockCache struct {
 	ll     *list.List // front = most recently used
 	m      map[cacheKey]*list.Element
 
-	hits, misses, evictions, decodes int64
+	hits, misses, evictions, decodes, reused int64
 }
 
 // newBlockCache returns a cache with the given byte budget, or nil
@@ -78,9 +120,9 @@ func newBlockCache(budget int64) *blockCache {
 	return &blockCache{budget: budget, ll: list.New(), m: make(map[cacheKey]*list.Element)}
 }
 
-// get returns the cached form for key, promoting it to most recently
-// used.
-func (c *blockCache) get(key cacheKey) (*core.Form, bool) {
+// get returns the cached entry for key with a lease taken for the
+// caller, promoting it to most recently used.
+func (c *blockCache) get(key cacheKey) (*cacheEntry, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.m[key]
@@ -90,14 +132,17 @@ func (c *blockCache) get(key cacheKey) (*core.Form, bool) {
 	}
 	c.hits++
 	c.ll.MoveToFront(e)
-	return e.Value.(*cacheEntry).form, true
+	ent := e.Value.(*cacheEntry)
+	ent.pin(1)
+	return ent, true
 }
 
-// peek returns the cached form for key without promoting it or
-// touching the hit/miss counters — the presence probe the prefetcher
-// uses to skip warm blocks and the fetch coalescer uses for its
-// last-moment recheck. Nil-safe, like stats.
-func (c *blockCache) peek(key cacheKey) (*core.Form, bool) {
+// peek returns the cached entry for key without promoting it or
+// touching the hit/miss counters, leasing it for the caller when pin
+// is set — the presence probe the prefetcher uses to skip warm blocks
+// (no pin), and the fetch coalescer's last-moment recheck (pinned).
+// Nil-safe, like stats.
+func (c *blockCache) peek(key cacheKey, pin bool) (*cacheEntry, bool) {
 	if c == nil {
 		return nil, false
 	}
@@ -107,32 +152,41 @@ func (c *blockCache) peek(key cacheKey) (*core.Form, bool) {
 	if !ok {
 		return nil, false
 	}
-	return e.Value.(*cacheEntry).form, true
+	ent := e.Value.(*cacheEntry)
+	if pin {
+		ent.pin(1)
+	}
+	return ent, true
 }
 
-// add records one payload→form decode and inserts the form, charged
-// size bytes (its encoded payload length), evicting least-recently-
-// used entries until the budget holds. An entry larger than the whole
-// budget, or a key that raced in from another goroutine, is not
-// inserted. Nil-safe: an uncached container decodes without counting.
-func (c *blockCache) add(key cacheKey, f *core.Form, size int64) {
+// add records one payload→form decode and inserts its entry under key,
+// charged its size (the encoded payload length), evicting least-
+// recently-used entries until the budget holds. An entry larger than
+// the whole budget, or a key that raced in from another goroutine, is
+// not inserted but marked evicted, so its slab is recycled when its
+// last lease ends. Nil-safe: an uncached container decodes without
+// counting, and every entry is evicted at once.
+func (c *blockCache) add(key cacheKey, e *cacheEntry) {
 	if c == nil {
+		e.evict()
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.decodes++
-	if size > c.budget {
+	if e.reused {
+		c.reused++
+	}
+	if _, dup := c.m[key]; dup || e.size > c.budget {
+		e.evict()
 		return
 	}
-	if _, dup := c.m[key]; dup {
-		return
-	}
-	for c.used+size > c.budget {
+	for c.used+e.size > c.budget {
 		c.evictOldestLocked()
 	}
-	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, form: f, size: size})
-	c.used += size
+	e.key = key
+	c.m[key] = c.ll.PushFront(e)
+	c.used += e.size
 }
 
 // evictOldestLocked drops the least-recently-used entry. Callers hold
@@ -147,6 +201,7 @@ func (c *blockCache) evictOldestLocked() {
 	delete(c.m, ent.key)
 	c.used -= ent.size
 	c.evictions++
+	ent.evict()
 }
 
 // CacheStats reports a container's block-cache traffic. Zero values
@@ -205,6 +260,7 @@ func (c *blockCache) stats() CacheStats {
 		Misses:      c.misses,
 		Evictions:   c.evictions,
 		Decodes:     c.decodes,
+		Reused:      c.reused,
 		BytesUsed:   c.used,
 		BytesBudget: c.budget,
 	}

@@ -117,11 +117,12 @@ func WriteContainerV3(w io.Writer, cols []BlockedColumn) error {
 				Tombstone:   b.Tombstone, TombstoneReason: b.TombstoneReason,
 			}
 			if !b.Tombstone {
-				f, err := c.Col.BlockForm(i)
+				f, l, err := c.Col.LeasedForm(i)
 				if err != nil {
 					return err
 				}
 				enc, err := EncodeForm(f)
+				l.Release()
 				if err != nil {
 					return err
 				}
@@ -405,17 +406,21 @@ func parseIndexV3(index []byte, payloadSize int64) (*parsedIndex, error) {
 
 // decodeBlockPayload checks a block payload against the CRC-32C the
 // index recorded for it and decodes it into a form with the expected
-// element count. The lazy read path runs it once per fetch, on the way
-// into the block cache, so a cached form is always verified.
-func decodeBlockPayload(data []byte, loc blockLoc, name string, blockIdx, count int) (*core.Form, error) {
+// element count, its words in a slab from the free list. The lazy read
+// path runs it once per fetch, on the way into the block cache, so a
+// cached form is always verified. The entry it returns holds one
+// lease, the caller's.
+func decodeBlockPayload(data []byte, loc blockLoc, name string, blockIdx, count int) (*cacheEntry, error) {
 	if !PayloadCRCMatches(data, loc.crc) {
 		return nil, fmt.Errorf("column %q block %d: %w", name, blockIdx, ErrChecksum)
 	}
-	f, err := DecodeBlockPayload(data, count)
+	d := decoder{data: data, pooled: true}
+	f, err := d.block(count)
 	if err != nil {
+		putSlab(d.sl) // nothing holds a failed decode's words
 		return nil, fmt.Errorf("column %q block %d: %w", name, blockIdx, err)
 	}
-	return f, nil
+	return newCacheEntry(f, loc.length, d.sl, d.reused), nil
 }
 
 // PayloadCRCMatches reports whether a block payload hashes to the
@@ -431,12 +436,18 @@ func PayloadCRCMatches(data []byte, crc uint32) bool {
 // rows, the count the index declares. Failures are ErrCorrupt (or the
 // form layer's permanent errors).
 func DecodeBlockPayload(data []byte, count int) (*core.Form, error) {
-	f, consumed, err := DecodeForm(data)
+	d := decoder{data: data}
+	return d.block(count)
+}
+
+// block decodes d's data as one block payload of count rows.
+func (d *decoder) block(count int) (*core.Form, error) {
+	f, err := d.form(0)
 	if err != nil {
 		return nil, err
 	}
-	if consumed != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-consumed)
+	if d.pos != len(d.data) {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.data)-d.pos)
 	}
 	if f.N != count {
 		return nil, fmt.Errorf("%w: form length %d, index says %d", ErrCorrupt, f.N, count)
@@ -477,6 +488,7 @@ func LoadContainer(r io.Reader) ([]BlockedColumn, error) {
 			if bc.Col.Blocks[i].Tombstone {
 				continue
 			}
+			// The form stays resident, so its lease is never released.
 			f, err := bc.Col.BlockForm(i)
 			if err != nil {
 				return nil, err

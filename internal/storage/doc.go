@@ -30,12 +30,15 @@
 // ContainerFile (or by every container joined to one SharedCache).
 // ContainerFile.Payload hands a block's raw bytes to the salvage pass
 // (internal/scrub). A block payload is read into a pooled buffer that
-// lives only for its fetch: its CRC is checked, then DecodeForm copies
+// lives only for its fetch: its CRC is checked, then the decoder copies
 // each word payload once into one slab the form owns, so the buffer
 // goes back to the pool at once and the cache charges each form its
-// encoded payload length, which the slab never exceeds. DESIGN.md §1.8 states the
-// invariants; the short version: the index alone decides
-// truncation at open time, payload corruption surfaces as ErrChecksum
-// at first touch of the affected block only, and a block is never
-// resident unless a query touched it or the cache still holds it.
+// encoded payload length. The slab comes from a free list (slab.go)
+// that the cache refills: a form's slab goes back once the cache has
+// evicted the form and the last reader's lease on it is released.
+// DESIGN.md §1.8 states the invariants; the short version: the index
+// alone decides truncation at open time, payload corruption surfaces
+// as ErrChecksum at first touch of the affected block only, and a
+// block is never resident unless a query touched it or the cache still
+// holds it.
 package storage

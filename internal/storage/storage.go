@@ -166,6 +166,12 @@ type decoder struct {
 	// allocated at the first word payload, sized from the bytes that
 	// remain: every word still to come takes 8 of them.
 	slab []uint64
+	// pooled makes that allocation a getSlab: sl is then the slab the
+	// arms are carved from, and reused reports that it came off the
+	// free list.
+	pooled bool
+	sl     *slab
+	reused bool
 }
 
 // littleEndian reports whether the host stores words little-endian,
@@ -288,7 +294,13 @@ func (d *decoder) wordArm(what string) ([]uint64, error) {
 		return nil, err
 	}
 	if d.slab == nil {
-		d.slab = make([]uint64, (len(d.data)-d.pos+len(src))/8)
+		n := (len(d.data) - d.pos + len(src)) / 8
+		if d.pooled {
+			d.sl, d.reused = getSlab(n)
+			d.slab = d.sl.words
+		} else {
+			d.slab = make([]uint64, n)
+		}
 	}
 	n := len(src) / 8
 	dst := d.slab[:n:n]

@@ -492,10 +492,13 @@ func TestPayloadBufAllocs(t *testing.T) {
 }
 
 // BenchmarkColdBlockForm fetches blocks of a lazily opened container
-// with no block cache, so that every BlockForm is a cold fetch: the
-// positioned read into pooled scratch, the CRC and the decode. One
-// container per form family, each of eight 16,384-row blocks written
-// with WriteContainerV3; ns, B and allocs are per BlockForm.
+// with no block cache, so that every fetch is a cold one: the
+// positioned read into pooled scratch, the CRC and the decode into a
+// slab from the free list. Each form's lease is released at once, as
+// a query releases it when done with the block, which hands the slab
+// back for the next fetch. One container per form family, each of
+// eight 16,384-row blocks written with WriteContainerV3; ns, B and
+// allocs are per fetch.
 func BenchmarkColdBlockForm(b *testing.B) {
 	const blockRows, blocks = 1 << 14, 8
 	schemes, src := slabForms(b, blockRows*blocks)
@@ -517,9 +520,11 @@ func BenchmarkColdBlockForm(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := lazy.BlockForm(i % blocks); err != nil {
+				_, l, err := lazy.LeasedForm(i % blocks)
+				if err != nil {
 					b.Fatal(err)
 				}
+				l.Release()
 			}
 		})
 		cf.Close()

@@ -162,12 +162,13 @@ func (a *aggregation) Visit(k int) error {
 		if len(a.cols) == 1 {
 			verb = query.SumVerb
 		}
-		if f, b, err := a.leafForm(a.leaf, k); err != nil {
+		if f, b, l, err := a.leafForm(a.leaf, k); err != nil {
 			return err
 		} else if f != nil {
 			// Committed once, after every probe succeeded, so a failing
 			// block contributes nothing.
 			cnt, sum, err := a.foldLeaf(f, b, verb)
+			l.Release()
 			if err != nil {
 				return err
 			}
@@ -195,23 +196,24 @@ func (a *aggregation) Visit(k int) error {
 	return a.addSums(k, local)
 }
 
-// leafForm returns the form (and index entry) of column ci's block
-// holding chunk k when the predicate is a leaf over ci and the chunk is
-// that whole block: then the rows the predicate matches are exactly the
-// rows of the block inside the leaf's ranges, and a verb pushed down
-// the form answers for them without a selection or a decode. Otherwise
-// f is nil. A composite predicate matches a subset of any one leaf's
-// range and never gets here (e is the whole expression).
-func (a *aggregation) leafForm(ci, k int) (f *core.Form, b *blocked.Block, err error) {
+// leafForm returns the form (with its index entry and lease) of column
+// ci's block holding chunk k when the predicate is a leaf over ci and
+// the chunk is that whole block: then the rows the predicate matches
+// are exactly the rows of the block inside the leaf's ranges, and a
+// verb pushed down the form answers for them without a selection or a
+// decode. Otherwise f is nil. A composite predicate matches a subset of
+// any one leaf's range and never gets here (e is the whole expression).
+// The caller releases l once done with f.
+func (a *aggregation) leafForm(ci, k int) (f *core.Form, b *blocked.Block, l blocked.Lease, err error) {
 	if ci < 0 || a.leaf != ci {
-		return nil, nil, nil
+		return nil, nil, l, nil
 	}
 	c, bi, whole := a.p.blockOf(ci, k)
 	if !whole {
-		return nil, nil, nil
+		return nil, nil, l, nil
 	}
-	f, err = c.BlockForm(bi)
-	return f, &c.Blocks[bi], err
+	f, l, err = c.LeasedForm(bi)
+	return f, &c.Blocks[bi], l, err
 }
 
 // foldLeaf pushes verb down f for the leaf predicate: a Range leaf is
@@ -248,9 +250,10 @@ func (a *aggregation) addSums(k int, local *sel.Selection) error {
 		var err error
 		if local == nil && whole {
 			v, err = c.SumBlock(bi)
-		} else if f, b, ferr := a.leafForm(ci, k); f != nil || ferr != nil {
+		} else if f, b, l, ferr := a.leafForm(ci, k); f != nil || ferr != nil {
 			if err = ferr; err == nil {
 				_, v, err = a.foldLeaf(f, b, query.SumVerb)
+				l.Release()
 			}
 		} else if whole {
 			v, err = c.SumBlockSel(bi, local, 0)

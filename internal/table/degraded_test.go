@@ -18,11 +18,11 @@ type failingSource struct {
 	fail map[int]error
 }
 
-func (s *failingSource) BlockForm(i int) (*core.Form, error) {
+func (s *failingSource) BlockForm(i int) (*core.Form, blocked.Lease, error) {
 	if err, ok := s.fail[i]; ok {
-		return nil, err
+		return nil, blocked.Lease{}, err
 	}
-	return s.orig.Blocks[i].Form, nil
+	return s.orig.Blocks[i].Form, blocked.Lease{}, nil
 }
 
 // degradedTable builds a 3-column aligned table (a=2, b=i, amount=i%100;

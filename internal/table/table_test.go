@@ -284,11 +284,11 @@ type countingSource struct {
 	fetches []int
 }
 
-func (s *countingSource) BlockForm(i int) (*core.Form, error) {
+func (s *countingSource) BlockForm(i int) (*core.Form, blocked.Lease, error) {
 	s.mu.Lock()
 	s.fetches[i]++
 	s.mu.Unlock()
-	return s.orig.Blocks[i].Form, nil
+	return s.orig.Blocks[i].Form, blocked.Lease{}, nil
 }
 
 // take returns the most fetches any block saw and their total, and
