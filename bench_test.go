@@ -1384,20 +1384,26 @@ func amountWalk(n int, seed int64) []int64 {
 }
 
 // BenchmarkDeltaRange measures the delta rule (internal/query/delta.go)
-// on one 16,384-row amount-shaped block in three ways: the delta(ns)
-// form the analyzer picks for it, the for(ns)[128] form it picked
-// before delta forms kept their first value, and decode-then-filter of
-// the delta(ns) form, the cost the rule replaces. Count and select run
+// on one 16,384-row amount-shaped block in four ways: the framed
+// delta(ns) form the analyzer picks for it, the same form without its
+// frame (as every delta form was written before frames, built by hand
+// since Delta frames a block this long), the for(ns)[128] form it
+// picked before delta forms kept their first value, and
+// decode-then-filter of the delta(ns) form, the cost the rule
+// replaces. Count and select run
 // over a ±40 window around a value the block holds and over its middle
 // half; sum is the block's whole sum, and sumsel the sum under a 30 %
 // random selection.
 func BenchmarkDeltaRange(b *testing.B) {
 	const n = 1 << 14
 	data := amountWalk(n, 63)
-	deltaForm, err := scheme.DeltaNS().Compress(data)
+	framed, err := scheme.DeltaNS().Compress(data)
 	if err != nil {
 		b.Fatal(err)
 	}
+	unframed := &core.Form{Scheme: framed.Scheme, N: framed.N,
+		Params:   core.Params{"first": scheme.DeltaFirst(framed)},
+		Children: map[string]*core.Form{"deltas": framed.Children["deltas"]}}
 	forForm, err := lwcomp.FORNS(128).Compress(data)
 	if err != nil {
 		b.Fatal(err)
@@ -1423,7 +1429,7 @@ func BenchmarkDeltaRange(b *testing.B) {
 	for _, form := range []struct {
 		name string
 		f    *core.Form
-	}{{"delta", deltaForm}, {"for", forForm}, {"decode", deltaForm}} {
+	}{{"framed", framed}, {"delta", unframed}, {"for", forForm}, {"decode", framed}} {
 		f := form.f
 		type verb struct {
 			name string

@@ -427,14 +427,6 @@ func FromForm(f *core.Form, withStats bool) (*Column, error) {
 // NumBlocks returns the block count.
 func (c *Column) NumBlocks() int { return len(c.Blocks) }
 
-// workers mirrors the encode-time parallelism bound.
-func (c *Column) workers() int {
-	if c.Parallelism > 0 {
-		return c.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // Decompress reconstructs the full column, decoding blocks
 // concurrently into one preallocated result.
 func (c *Column) Decompress() ([]int64, error) {
@@ -446,20 +438,21 @@ func (c *Column) Decompress() ([]int64, error) {
 }
 
 // DecompressInto reconstructs the column into dst, whose length must
-// equal c.N. Blocks decode concurrently (bounded by the column's
-// parallelism), each worker drawing temporaries from a pooled scratch
-// arena, so a reused destination makes steady-state decode
-// allocation-free.
+// equal c.N. It counts as a running scan while it decodes and sizes
+// its workers as Scan does (scanWorkers): at most the column's
+// parallelism, one per block, and the cores the other running scans
+// leave idle, the caller among them. Each worker draws temporaries
+// from a pooled scratch arena, so a reused destination makes
+// steady-state decode allocation-free.
 func (c *Column) DecompressInto(dst []int64) error {
 	if len(dst) != c.N {
 		return fmt.Errorf("%w: DecompressInto dst length %d, column declares %d",
 			core.ErrCorruptForm, len(dst), c.N)
 	}
-	workers := c.workers()
-	if workers > len(c.Blocks) {
-		workers = len(c.Blocks)
-	}
-	if workers <= 1 {
+	others := running.Add(1) - 1
+	defer running.Add(-1)
+	workers := scanWorkers(c.Parallelism, len(c.Blocks), others)
+	if workers == 1 {
 		s := core.GetScratch()
 		defer s.Release()
 		for i := range c.Blocks {

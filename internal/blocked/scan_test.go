@@ -6,10 +6,12 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"lwcomp/internal/core"
 	"lwcomp/internal/sel"
 )
 
@@ -109,5 +111,105 @@ func TestScanTakesIdleCores(t *testing.T) {
 	}
 	if RecoveredPanics() != before+1 {
 		t.Fatalf("RecoveredPanics rose by %d, want 1", RecoveredPanics()-before)
+	}
+}
+
+// hookSource serves a resident column's forms, each fetch first
+// through the test's hook.
+type hookSource struct {
+	orig  *Column
+	fetch func(i int)
+}
+
+func (s *hookSource) BlockForm(i int) (*core.Form, Lease, error) {
+	s.fetch(i)
+	return s.orig.Blocks[i].Form, Lease{}, nil
+}
+
+// TestDecompressTakesIdleCores: a whole-column decode sizes its workers
+// as a scan does and counts as a running scan while it decodes. On two
+// cores a lone decode fans out onto a helper; one started while a scan
+// is inside a Visit decodes every block on its caller; and a scan
+// started while a decode is inside a fetch starts no helper.
+func TestDecompressTakesIdleCores(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	ctx := context.Background()
+	vals := make([]int64, 8*64)
+	var fetch func(i int)
+	col := lazify(t, vals, 64, func(orig *Column) BlockSource {
+		return &hookSource{orig: orig, fetch: func(i int) { fetch(i) }}
+	})
+	dst := make([]int64, len(vals))
+
+	// Lone: a fetch waits until a second goroutine has fetched, which
+	// only a helper can.
+	var mu sync.Mutex
+	fetchers := map[string]bool{}
+	second := make(chan struct{})
+	fetch = func(int) {
+		mu.Lock()
+		if id := goid(); !fetchers[id] {
+			if fetchers[id] = true; len(fetchers) == 2 {
+				close(second)
+			}
+		}
+		mu.Unlock()
+		select {
+		case <-second:
+		case <-time.After(10 * time.Second):
+		}
+	}
+	if err := col.DecompressInto(dst); err != nil || len(fetchers) != 2 {
+		t.Fatalf("lone decode on two idle cores: %d goroutines fetched, %v; want 2", len(fetchers), err)
+	}
+
+	// Beside a scan held inside its Visit: every fetch on the caller.
+	held, release := make(chan struct{}), make(chan struct{})
+	a := &hookScan{n: 1, visit: func(int) error {
+		close(held)
+		<-release
+		return nil
+	}}
+	done := make(chan error)
+	go func() {
+		_, err := Scan(ctx, 0, a, a)
+		done <- err
+	}()
+	<-held
+	caller, others := goid(), 0
+	fetch = func(int) {
+		if goid() != caller {
+			others++ // only read after DecompressInto returns
+		}
+	}
+	err := col.DecompressInto(dst)
+	close(release)
+	if aErr := <-done; aErr != nil {
+		t.Fatalf("held scan: %v", aErr)
+	}
+	if err != nil || others != 0 {
+		t.Fatalf("decode beside a running scan: %d fetches off the caller, %v", others, err)
+	}
+
+	// A decode inside a fetch holds a core: a scan beside it starts no
+	// helper.
+	inFetch, leave := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	fetch = func(int) {
+		once.Do(func() {
+			close(inFetch)
+			<-leave
+		})
+	}
+	go func() { done <- col.DecompressInto(dst) }()
+	<-inFetch
+	b := &hookScan{n: 8, visit: func(int) error { return nil }}
+	n, err := Scan(ctx, 0, b, b)
+	close(leave)
+	if dErr := <-done; dErr != nil {
+		t.Fatalf("held decode: %v", dErr)
+	}
+	if err != nil || n.Helpers != 0 {
+		t.Fatalf("scan beside a running decode: %+v, %v; want 0 helpers", n, err)
 	}
 }

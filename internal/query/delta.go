@@ -2,6 +2,7 @@ package query
 
 import (
 	"math/bits"
+	"slices"
 
 	"lwcomp/internal/bitpack"
 	"lwcomp/internal/core"
@@ -9,20 +10,26 @@ import (
 )
 
 // This file is push's and sumSel's rule for a delta form: row r holds
-// first + d[0] + … + d[r], wrapping as decode's prefix sum does. The
-// deltas leaf is walked one 64-row group at a time, carrying the value
-// before the group, which the leaf's group sums (one sum kernel call a
-// mini-block, lane-parallel on the packed words) advance without unpacking
-// it. A group running from x to e whose deltas lie in the leaf's
+// first + d[0] + … + d[r], wrapping as decode's prefix sum does. A
+// framed form records each segment's first value and [min, max]
+// (scheme.Delta): a segment clear of the range is not read and one
+// inside it lands whole, and the rest of the rule runs inside the
+// other segments only, each from the value before it; a form without
+// a frame is one such segment. Inside a segment the deltas leaf is
+// walked one 64-row group at a time, carrying the value before the
+// group, which the leaf's group sums (one sum kernel call a
+// mini-block, lane-parallel on the packed words) advance without
+// unpacking it. A group running from x to e whose deltas lie in the leaf's
 // extent can only reach values inside two cones, one out of x and one
 // back from e; their intersection bounds a band (cone.band). A group
 // clear of the range is skipped and one inside it lands whole; only a
 // straddling group is unpacked, prefix-summed and compared, in one
 // fused kernel call for each run of straddling groups
 // (bitpack.PrefixRange). A sum then adds up the matches of every group
-// in one pass (bitpack.PrefixMaskedSum), which is also the whole of a
-// selection sum: a group the selection holds no row of is passed over
-// by its sum kernel. Keep has no rule here: it selects into a
+// segment by segment (bitpack.PrefixMaskedSum), which is also the
+// whole of a selection sum: a segment the selection holds no row of is
+// not read, and a group it holds no row of is passed over by its sum
+// kernel. Keep has no rule here: it selects into a
 // temporary (selectThenAnd). What no band bounds — a plain leaf,
 // deltas wider than bandWidth, a band that wraps — is prefix-summed and
 // compared too, so the rule is exact at the int64 extremes by
@@ -97,34 +104,134 @@ func (c *cone) band(x, e int64, n int) (vmin, vmax int64, ok bool) {
 	return vmin, vmax, ok0 && ok1
 }
 
-// deltas is push's walk over a delta form: each group's matches, found
-// by its band or by the leaf's prefixRange, go into one word of a mask
-// array, which the verb then takes whole.
+// segs is a delta form's segments as the rule reads them: n rows
+// each and, for a framed form, its frame column — per segment the
+// first value, the minimum and the maximum, offsets from base — read
+// in place, one value at a time. A form without a frame is one
+// segment of N rows with no recorded extremes.
+type segs struct {
+	n     int
+	frame leaf // nil without a frame
+	base  int64
+	first int64
+}
+
+// segsOf returns f's segments, the frame leaf opened in p.frame (close
+// it with p.frame.close); l is f's deltas leaf. f has passed its check,
+// so a frame holds three values a segment.
+func (p *pushdown) segsOf(f *core.Form, l leaf) (segs, error) {
+	sg := segs{n: max(f.N, 1), first: scheme.DeltaFirst(f)}
+	segLen, frame := scheme.DeltaFrame(f)
+	if frame == nil {
+		return sg, nil
+	}
+	fl, err := p.frame.open(frame, p.s)
+	if err != nil {
+		return sg, err
+	}
+	sg.n, sg.frame = segLen, fl
+	sg.base = sg.first + l.at(0) - fl.at(0)
+	return sg, nil
+}
+
+// extent returns the recorded [min, max] of segment s; ok is false
+// without a frame.
+func (sg *segs) extent(s int) (lo, hi int64, ok bool) {
+	if sg.frame == nil {
+		return 0, 0, false
+	}
+	return sg.base + sg.frame.at(3*s+1), sg.base + sg.frame.at(3*s+2), true
+}
+
+// anchor returns the value of segment s's first row, for s > 0 of a
+// framed form.
+func (sg *segs) anchor(s int) int64 { return sg.base + sg.frame.at(3*s) }
+
+// before returns the value before segment s's first row: first for
+// the first segment, otherwise its anchor less its own delta.
+func (sg *segs) before(s int, l leaf) int64 {
+	if s == 0 {
+		return sg.first
+	}
+	return sg.anchor(s) - l.at(s*sg.n)
+}
+
+// groupsOf returns the number of 64-row groups of n rows.
+func groupsOf(n int) int { return (n + bitpack.BlockLen - 1) / bitpack.BlockLen }
+
+// deltas is push's walk over a delta form: each segment its frame
+// puts clear of the range or inside it is decided whole, and the
+// groups of the others are decided by their bands or made by the
+// leaf's prefixRange, from the value before the segment. The matches
+// go into one word a group of a mask array, which the verb then takes
+// whole.
 func (p *pushdown) deltas(f *core.Form, lo, hi, add int64) error {
 	l, err := p.leafOf(f.Children["deltas"])
 	if err != nil {
 		return err
 	}
 	defer p.close(p.s)
-	ngroups := (f.N + bitpack.BlockLen - 1) / bitpack.BlockLen
-	sums := p.s.I64(ngroups)
-	defer p.s.PutI64(sums)
-	masks := p.s.U64(ngroups)
-	defer p.s.PutU64(masks)
-	if err := l.groups(sums); err != nil {
+	sg, err := p.segsOf(f, l)
+	if err != nil {
 		return err
 	}
-	first := scheme.DeltaFirst(f)
-	x := first
+	defer p.frame.close(p.s)
+	masks := p.s.U64(groupsOf(f.N))
+	defer p.s.PutU64(masks)
+	sums := p.s.I64(groupsOf(min(sg.n, f.N)))
+	defer p.s.PutI64(sums)
 	// One extent for the whole leaf: an NS leaf has only one, and a VNS
 	// leaf's widest bounds each of its mini-blocks.
 	c := coneOf(l.extent(0, f.N))
-	// Groups no band decides are made and compared by runs: run is the
-	// first group of the pending one (-1 for none) and rx the value
-	// before it.
+	for s := 0; s*sg.n < f.N; s++ {
+		a, b := s*sg.n, min(f.N, (s+1)*sg.n)
+		m := masks[a/bitpack.BlockLen : groupsOf(b)]
+		if vmin, vmax, ok := sg.extent(s); ok {
+			switch {
+			case vmax < lo || vmin > hi:
+				clear(m)
+				continue
+			case lo <= vmin && vmax <= hi:
+				for g := range m {
+					m[g] = bitpack.Mask(uint(min(bitpack.BlockLen, b-a-g*bitpack.BlockLen)))
+				}
+				continue
+			}
+		}
+		if err := walk(l, &c, a, b-a, sg.before(s, l), lo, hi, sums[:len(m)], m); err != nil {
+			return err
+		}
+	}
+	var count int64
+	for g, m := range masks {
+		count += int64(bits.OnesCount64(m))
+		if p.verb == selectVerb {
+			p.dst.OrWord(p.base+g*bitpack.BlockLen, m)
+		}
+	}
+	p.count += count
+	if p.verb == SumVerb && count > 0 {
+		sum, err := sg.prefixSel(l, masks, f.N)
+		p.sum += sum + add*count
+		return err
+	}
+	return nil
+}
+
+// walk makes the masks of the count rows from start — a multiple of
+// 64 — whose running sums start after x: each group's band, from its
+// sum and the cone c, decides it, and the groups no band decides are
+// made and compared by runs, one prefixRange call a run. sums holds a
+// value a group.
+func walk(l leaf, c *cone, start, count int, x, lo, hi int64, sums []int64, masks []uint64) error {
+	if err := l.groups(start, count, sums); err != nil {
+		return err
+	}
+	// run is the first group of the pending run (-1 for none) and rx
+	// the value before it.
 	run, rx := -1, x
 	for g, sum := range sums {
-		k := min(bitpack.BlockLen, f.N-g*bitpack.BlockLen)
+		k := min(bitpack.BlockLen, count-g*bitpack.BlockLen)
 		e := x + sum
 		vmin, vmax, ok := c.band(x, e, k)
 		switch {
@@ -139,78 +246,106 @@ func (p *pushdown) deltas(f *core.Form, lo, hi, add int64) error {
 			x = e
 			continue
 		}
-		if err := straddling(l, run, g, f.N, rx, lo, hi, masks); err != nil {
+		if err := straddling(l, start, run, g, count, rx, lo, hi, masks); err != nil {
 			return err
 		}
 		run, x = -1, e
 	}
-	if err := straddling(l, run, len(sums), f.N, rx, lo, hi, masks); err != nil {
-		return err
-	}
-	var count int64
-	for g, m := range masks {
-		count += int64(bits.OnesCount64(m))
-		if p.verb == selectVerb {
-			p.dst.OrWord(p.base+g*bitpack.BlockLen, m)
-		}
-	}
-	p.count += count
-	if p.verb == SumVerb && count > 0 {
-		sum, _, err := l.prefixSel(masks, first)
-		p.sum += sum + add*count
-		return err
-	}
-	return nil
+	return straddling(l, start, run, len(sums), count, rx, lo, hi, masks)
 }
 
-// straddling makes the masks of groups [run, end) of an n-row delta
-// form, whose running sums start after x, with one prefixRange call:
-// the groups no band decided. A run of -1 is none.
-func straddling(l leaf, run, end, n int, x, lo, hi int64, masks []uint64) error {
+// straddling makes the masks of groups [run, end) of the count rows
+// from start, whose running sums start after x, with one prefixRange
+// call: the groups no band decided. A run of -1 is none.
+func straddling(l leaf, start, run, end, count int, x, lo, hi int64, masks []uint64) error {
 	if run < 0 {
 		return nil
 	}
 	a := run * bitpack.BlockLen
-	_, err := l.prefixRange(a, min(end*bitpack.BlockLen, n)-a, x, lo, hi, masks[run:end])
+	_, err := l.prefixRange(start+a, min(end*bitpack.BlockLen, count)-a, x, lo, hi, masks[run:end])
 	return err
 }
 
+// prefixSel returns the wrapping sum of the rows of an n-row delta
+// form that masks selects (one word a 64-row group): the leaf's
+// prefixSel over each segment that holds a selected row, from the
+// value before it — carried over from the segment before when that one
+// was walked, taken from the frame otherwise. A segment with no
+// selected row is not read.
+func (sg *segs) prefixSel(l leaf, masks []uint64, n int) (int64, error) {
+	var sum int64
+	x, next := sg.first, 0 // x is the value before row next
+	for s := 0; s*sg.n < n; s++ {
+		a, b := s*sg.n, min(n, (s+1)*sg.n)
+		m := masks[a/bitpack.BlockLen : groupsOf(b)]
+		if !slices.ContainsFunc(m, nonZero) {
+			continue
+		}
+		if a != next {
+			x = sg.before(s, l)
+		}
+		ss, last, err := l.prefixSel(a, b-a, m, x)
+		if err != nil {
+			return 0, err
+		}
+		sum, x, next = sum+ss, last, b
+	}
+	return sum, nil
+}
+
+func nonZero(w uint64) bool { return w != 0 }
+
 // deltaSel is sumSel's walk over a delta form: the selection, one
-// word per 64-row group, goes to the leaf's prefixSel, which passes
-// over a group it holds no row of by the group's sum and prefix-sums
-// the others (bitpack.PrefixMaskedSum).
+// word per 64-row group, goes to the leaf's prefixSel segment by
+// segment, which passes over a group it holds no row of by the group's
+// sum and prefix-sums the others (bitpack.PrefixMaskedSum).
 func (p *pushdown) deltaSel(f *core.Form) (int64, error) {
 	l, err := p.leafOf(f.Children["deltas"])
 	if err != nil {
 		return 0, err
 	}
 	defer p.close(p.s)
-	masks := p.s.U64((f.N + bitpack.BlockLen - 1) / bitpack.BlockLen)
+	sg, err := p.segsOf(f, l)
+	if err != nil {
+		return 0, err
+	}
+	defer p.frame.close(p.s)
+	masks := p.s.U64(groupsOf(f.N))
 	defer p.s.PutU64(masks)
 	for g := range masks {
 		masks[g] = p.word(g*bitpack.BlockLen, f.N)
 	}
-	sum, _, err := l.prefixSel(masks, scheme.DeltaFirst(f))
-	return sum, err
+	return sg.prefixSel(l, masks, f.N)
 }
 
 // deltaGather writes a delta form's values at the ascending positions
 // into out: the value before each is first plus the leaf's sum up to
-// it, advanced from the one before.
+// it, advanced from the one before — or, where the position's segment
+// starts past the rows summed so far, from that segment's anchor.
 func (p *pushdown) deltaGather(f *core.Form, positions, out []int64) error {
 	l, err := p.leafOf(f.Children["deltas"])
 	if err != nil {
 		return err
 	}
 	defer p.close(p.s)
-	x, next := scheme.DeltaFirst(f), 0
+	sg, err := p.segsOf(f, l)
+	if err != nil {
+		return err
+	}
+	defer p.frame.close(p.s)
+	x, next := sg.first, 0 // x is the value before row next
 	for i, pos := range positions {
-		s, err := l.sum(next, int(pos)+1-next)
-		if err != nil {
-			return err
+		if s := int(pos) / sg.n; sg.frame != nil && s > 0 && s*sg.n >= next {
+			x, next = sg.anchor(s), s*sg.n+1
 		}
-		x += s
-		next = int(pos) + 1
+		if k := int(pos) + 1 - next; k > 0 {
+			s, err := l.sum(next, k)
+			if err != nil {
+				return err
+			}
+			x += s
+			next = int(pos) + 1
+		}
 		out[i] = x
 	}
 	return nil

@@ -35,14 +35,16 @@ type leaf interface {
 	// [lo, hi] (bit j for row start+64g+j), wrapping, and returns the
 	// last of them: a delta form's matches over its deltas.
 	prefixRange(start, count int, x, lo, hi int64, masks []uint64) (last int64, err error)
-	// groups writes the wrapping sum of each 64-row group of the leaf
-	// into dst, one per group, the last possibly partial.
-	groups(dst []int64) error
+	// groups writes the wrapping sum of each 64-row group of rows
+	// [start, start+count) — start a multiple of 64 — into dst, one per
+	// group, the last possibly partial.
+	groups(start, count int, dst []int64) error
 	// prefixSel returns the wrapping sum of x plus the running sums of
-	// the leaf's rows at the rows masks selects (bit j of masks[g] is
-	// row 64g+j), and x plus the sum of every row: a delta form's
-	// selection sum over its deltas.
-	prefixSel(masks []uint64, x int64) (sum, last int64, err error)
+	// rows [start, start+count) — start a multiple of 64 — at the rows
+	// masks selects (bit j of masks[g] is row start+64g+j), and x plus
+	// the sum of every one of them: a delta form's selection sum over
+	// its deltas.
+	prefixSel(start, count int, masks []uint64, x int64) (sum, last int64, err error)
 	// at returns the value of row i.
 	at(i int) int64
 }
@@ -364,51 +366,70 @@ func (k *packed) grouped() bool {
 	return k.offs == nil || k.block%bitpack.BlockLen == 0
 }
 
-// prefixSel hands the rows of each mini-block to
-// bitpack.PrefixMaskedSum when they start on groups, and reads the rows
-// one at a time otherwise.
-func (k *packed) prefixSel(masks []uint64, x int64) (sum, last int64, err error) {
+// groupWords returns a mini-block's words from its row rel on, a
+// multiple of 64: a whole group's values fill w words.
+func groupWords(words []uint64, rel int, w uint) []uint64 {
+	return words[rel/bitpack.BlockLen*int(w):]
+}
+
+// prefixSel hands the rows of each mini-block the range covers to
+// bitpack.PrefixMaskedSum when mini-blocks start on groups, and reads
+// the rows one at a time otherwise.
+func (k *packed) prefixSel(start, count int, masks []uint64, x int64) (sum, last int64, err error) {
 	if !k.grouped() {
-		return prefixSelRows(k, k.n, masks, x)
+		return prefixSelRows(k, start, count, masks, x)
 	}
-	for b := 0; b*k.block < k.n; b++ {
-		words, w, first := k.miniBlock(b)
-		s, last, err := bitpack.PrefixMaskedSum(words, min(k.block, k.n-first), w, k.zz, x, masks[first/bitpack.BlockLen:])
+	for end := start + count; start < end; {
+		words, w, first := k.miniBlock(start / k.block)
+		rel, n := k.overlap(first, start, end)
+		s, last, err := bitpack.PrefixMaskedSum(groupWords(words, rel, w), n, w, k.zz, x, masks)
 		if err != nil {
 			return 0, 0, err
 		}
 		sum, x = sum+s, last
+		masks = masks[(n+bitpack.BlockLen-1)/bitpack.BlockLen:]
+		start += n
 	}
 	return sum, x, nil
 }
 
-// prefixSelRows is prefixSel over n rows, one at a time.
-func prefixSelRows(l leaf, n int, masks []uint64, x int64) (sum, last int64, err error) {
-	for i := 0; i < n; i++ {
-		x += l.at(i)
+// prefixSelRows is prefixSel one row at a time.
+func prefixSelRows(l leaf, start, count int, masks []uint64, x int64) (sum, last int64, err error) {
+	for i := 0; i < count; i++ {
+		x += l.at(start + i)
 		sum += x & (int64(masks[i/bitpack.BlockLen]<<(63-uint(i)%bitpack.BlockLen)) >> 63)
 	}
 	return sum, x, nil
 }
 
-// groups takes each mini-block's group sums from one bitpack.BlockSums
-// call when mini-blocks start on groups, and sums each group otherwise.
-func (k *packed) groups(dst []int64) error {
+// groups takes the group sums of each mini-block the range covers from
+// one bitpack.BlockSums call when mini-blocks start on groups, and sums
+// each group otherwise.
+func (k *packed) groups(start, count int, dst []int64) error {
 	if !k.grouped() {
-		for g := range dst {
-			s, err := k.sum(g*bitpack.BlockLen, min(bitpack.BlockLen, k.n-g*bitpack.BlockLen))
-			if err != nil {
-				return err
-			}
-			dst[g] = s
-		}
-		return nil
+		return groupsOfRows(k, start, count, dst)
 	}
-	for b := 0; b*k.block < k.n; b++ {
-		words, w, first := k.miniBlock(b)
-		if err := bitpack.BlockSums(words, min(k.block, k.n-first), w, k.zz, dst[first/bitpack.BlockLen:]); err != nil {
+	for end := start + count; start < end; {
+		words, w, first := k.miniBlock(start / k.block)
+		rel, n := k.overlap(first, start, end)
+		if err := bitpack.BlockSums(groupWords(words, rel, w), n, w, k.zz, dst); err != nil {
 			return err
 		}
+		dst = dst[(n+bitpack.BlockLen-1)/bitpack.BlockLen:]
+		start += n
+	}
+	return nil
+}
+
+// groupsOfRows is groups one group's sum call at a time.
+func groupsOfRows(l leaf, start, count int, dst []int64) error {
+	for g := range dst {
+		r := start + g*bitpack.BlockLen
+		s, err := l.sum(r, min(bitpack.BlockLen, start+count-r))
+		if err != nil {
+			return err
+		}
+		dst[g] = s
 	}
 	return nil
 }
@@ -507,15 +528,12 @@ func errCode(c int64) error {
 	return fmt.Errorf("%w: dict code %d out of range", core.ErrCorruptForm, c)
 }
 
-func (v *plain) prefixSel(masks []uint64, x int64) (int64, int64, error) {
-	return prefixSelRows(v, len(v.vals), masks, x)
+func (v *plain) prefixSel(start, count int, masks []uint64, x int64) (int64, int64, error) {
+	return prefixSelRows(v, start, count, masks, x)
 }
 
-func (v *plain) groups(dst []int64) error {
-	for g := range dst {
-		dst[g] = vec.Sum(v.vals[g*bitpack.BlockLen : min(g*bitpack.BlockLen+bitpack.BlockLen, len(v.vals))])
-	}
-	return nil
+func (v *plain) groups(start, count int, dst []int64) error {
+	return groupsOfRows(v, start, count, dst)
 }
 
 func (v *plain) prefixRange(start, count int, x, lo, hi int64, masks []uint64) (int64, error) {

@@ -62,6 +62,9 @@ type pushdown struct {
 	base int
 	s    *core.Scratch
 	leaves
+	// frame holds the leaf over a delta form's frame column, open
+	// beside the deltas leaf.
+	frame leaves
 }
 
 var pushdownPool = sync.Pool{New: func() any { return new(pushdown) }}

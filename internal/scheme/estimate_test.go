@@ -330,11 +330,14 @@ func TestBoundedSearchMatchesNaive(t *testing.T) {
 // (label, bits, bound) price of every DefaultCandidates entry and of
 // the five model-composition aliases, across the named workloads,
 // recorded at commit 61c52de — the last one whose PFOR and model
-// compositions priced themselves as monoliths. Prices order the
+// compositions priced themselves as monoliths — the defaults' hash
+// re-recorded once delta forms of two or more frame segments carried a
+// frame, which moved only the delta(deltas=ns) and
+// rle(values=delta(deltas=ns)) rows of 1,024 rows or more. Prices order the
 // search's visits and prove what it may skip, so a moved price can
 // move the trial count, or, if it no longer proves its bound, a winner.
 const (
-	goldenPricesHash      = "2b4fc8b84aee44cbbd3cd294bb46f0c3843af1b00a6d0f854f9801e933fbc6cb"
+	goldenPricesHash      = "268729afaa5f40347e2b37b628d37be2316e302fda2051c4101af2a87a9c83f5"
 	goldenAliasPricesHash = "4c159d0597b73571305e2cc70ef4df842ead23e7e3494041386158e01f5ac2f9"
 )
 

@@ -130,8 +130,11 @@ func TestDecompressIntoRoundTrip(t *testing.T) {
 // (corpus input, scheme) form, recorded at commit ff75fa2 — the last
 // one with separate allocating and pooled codec bodies — from
 // core.CompressScratch with a live scratch, the route every container
-// on disk was written by.
-const goldenFormsHash = "631a6f34be494ba17079b39b7aaf196d00e64fd27ec006a76b101ee30c047417"
+// on disk was written by, and re-recorded once delta forms of two or
+// more frame segments carried a frame: only the delta, delta(deltas=ns)
+// and rle(values=delta(deltas=ns)) forms of the 10,000-row inputs
+// moved.
+const goldenFormsHash = "972b6d7d02e615aad00e26c26a0cff5bf847a304bf752bd72d3207bbd59de007"
 
 // TestGoldenForms pins that the forms, byte for byte, did not change
 // when the allocating codec bodies became calls into the pooled ones,

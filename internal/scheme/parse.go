@@ -127,6 +127,12 @@ func (p *parser) expr() (core.Scheme, error) {
 		return nil, fmt.Errorf("scheme: expected ')' at %d in %q", p.pos, p.src)
 	}
 	p.pos++
+	if fr, ok := inner["frame"]; ok && base.Name() == DeltaName && fr.Name() == NSName {
+		// A delta form's frame is its own NS column, not a
+		// composition: Describe shows it, and it parses back to the
+		// delta that writes it.
+		delete(inner, "frame")
+	}
 	return core.Compose(base, inner), nil
 }
 

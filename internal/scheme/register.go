@@ -212,7 +212,7 @@ func DefaultCandidates(st *core.BlockStats) []core.Candidate {
 // output can change under an unchanged Desc (a new width policy, a
 // different model fit), so blocks certified by the old code stop
 // matching the new search.
-const searchRevision = 2
+const searchRevision = 3
 
 // SearchFingerprint identifies the search a block certificate vouches
 // for (blocked.Block.Certificate): a 32-bit FNV-1a hash over

@@ -38,9 +38,6 @@ func TestSlabClass(t *testing.T) {
 // allocating a new one. Once warm, a fetch allocates under an eighth of
 // its payload.
 func TestColdFetchReusesSlab(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool reuse is defeated under the race detector")
-	}
 	const blockRows, blocks = 1 << 14, 8
 	schemes, src := slabForms(t, blockRows*blocks)
 	col, err := blocked.Encode(src, blocked.EncodeOptions{BlockSize: blockRows, Scheme: schemes["ns"]})
@@ -94,5 +91,29 @@ func TestColdFetchReusesSlab(t *testing.T) {
 	}
 	if st.Evictions < 5*blocks || st.Reused == 0 {
 		t.Errorf("cache traffic %+v: want an eviction and a reused slab per cold fetch", st)
+	}
+}
+
+// TestSlabListKeepsFew: a class's free list keeps what keepSlab allows
+// — two slabs a thread for large slabs, more for small ones, never more
+// than slabKeepBytes a thread beyond those two — hands the rest of what
+// is freed to the collector, and gives back the ones it keeps.
+func TestSlabListKeepsFew(t *testing.T) {
+	procs := runtime.GOMAXPROCS(0)
+	for _, n := range []int{12345, 100} { // classes no other test in the package frees into
+		_, words := slabClass(n)
+		keep := max(2*procs, slabKeepBytes*procs/(8*words))
+		for range 3 * keep {
+			putSlab(&slab{words: make([]uint64, words)})
+		}
+		reused := 0
+		for range 3 * keep {
+			if _, ok := getSlab(n); ok {
+				reused++
+			}
+		}
+		if reused != keep {
+			t.Fatalf("%d-word slabs: %d of %d freed came back, want %d", words, reused, 3*keep, keep)
+		}
 	}
 }

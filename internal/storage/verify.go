@@ -7,6 +7,8 @@ import (
 	"sync"
 
 	"lwcomp/internal/blocked"
+	"lwcomp/internal/core"
+	"lwcomp/internal/scheme"
 	"lwcomp/internal/vec"
 )
 
@@ -15,10 +17,11 @@ import (
 // compaction and salvage repair — an fsck for containers. It walks
 // every block extent of every column, re-reads and CRC-checks each
 // payload, decodes and decompresses it, and re-derives the block's
-// [min, max] to compare against the index stats — catching both
-// payload rot (CRC) and index rot that a CRC cannot see
-// (self-consistent but wrong stats would silently turn block skipping
-// into wrong answers).
+// [min, max] to compare against the index stats, and every delta
+// frame's anchors and extremes to compare against its segments —
+// catching both payload rot (CRC) and the rot a CRC cannot see
+// (self-consistent but wrong stats or frames would silently turn block
+// or segment skipping into wrong answers).
 
 // VerifyIssue is one verification finding: a block (or, with Block
 // -1, the container as a whole) that failed a check.
@@ -159,8 +162,9 @@ func verifyOpened(cf *ContainerFile, err error) (*VerifyReport, error) {
 var verifyBufs = sync.Pool{New: func() any { return new([]int64) }}
 
 // VerifyContainer is the verification walk every fsck runs over an
-// open container: each block pulled through the read path and its
-// index stats checked against the values (CheckStats). visit, when
+// open container: each block pulled through the read path, its index
+// stats checked against the values (CheckStats) and its delta frames
+// against the values of their nodes (scheme.CheckFrames). visit, when
 // non-nil, then sees every block that passed — ci is the column's
 // position, b its index entry, vals its decoded values (a pooled
 // buffer, valid only for the call) — and an error it returns becomes
@@ -170,6 +174,8 @@ func VerifyContainer(cf *ContainerFile, visit func(ci int, b *blocked.Block, val
 	r := &VerifyReport{}
 	pooled := verifyBufs.Get().(*[]int64)
 	defer verifyBufs.Put(pooled)
+	s := core.GetScratch()
+	defer s.Release()
 	for ci, bc := range cf.Columns() {
 		r.Columns++
 		if err := bc.Col.Validate(); err != nil {
@@ -191,13 +197,7 @@ func VerifyContainer(cf *ContainerFile, visit func(ci int, b *blocked.Block, val
 				*pooled = make([]int64, b.Count)
 			}
 			vals := (*pooled)[:b.Count]
-			// DecompressBlock pulls the payload through the source:
-			// CRC verification, form decode, and decompression in one
-			// pass — exactly the path a query would take.
-			err := bc.Col.DecompressBlock(i, vals)
-			if err == nil {
-				_, _, err = CheckStats(b, vals)
-			}
+			err := verifyBlock(bc.Col, i, vals, s)
 			if err == nil && visit != nil {
 				err = visit(ci, b, vals)
 			}
@@ -209,6 +209,25 @@ func VerifyContainer(cf *ContainerFile, visit func(ci int, b *blocked.Block, val
 		}
 	}
 	return r
+}
+
+// verifyBlock pulls block i's payload through the column's source —
+// CRC verification and form decode, exactly the path a query takes —
+// decompresses it into vals, and checks the index stats and the delta
+// frames against the values.
+func verifyBlock(c *blocked.Column, i int, vals []int64, s *core.Scratch) error {
+	f, l, err := c.LeasedForm(i)
+	if err != nil {
+		return err
+	}
+	defer l.Release()
+	if err := core.DecompressInto(f, vals, s); err != nil {
+		return fmt.Errorf("blocked: block %d: %w", i, err)
+	}
+	if _, _, err := CheckStats(&c.Blocks[i], vals); err != nil {
+		return err
+	}
+	return scheme.CheckFrames(f, vals, s)
 }
 
 // CheckStats re-derives a block's [min, max] from its decoded values

@@ -8,6 +8,8 @@ import (
 	"testing"
 
 	"lwcomp/internal/blocked"
+	"lwcomp/internal/core"
+	"lwcomp/internal/scheme"
 )
 
 // writeV3File writes one encoded column to a v3 container on disk.
@@ -153,5 +155,47 @@ func TestVerifyUnopenableFile(t *testing.T) {
 	// A missing file is environmental, not an integrity finding.
 	if _, err := VerifyFile(filepath.Join(t.TempDir(), "missing.lwc")); err == nil {
 		t.Fatal("missing file did not error")
+	}
+}
+
+func TestFaultVerifyFlagsLyingFrame(t *testing.T) {
+	// A delta block whose frame claims a segment maximum below what the
+	// segment holds — its CRC computed over the lie, so only the
+	// re-derivation of the frame from the decoded values catches it.
+	vals := make([]int64, 4096)
+	x := int64(1 << 30)
+	for i := range vals {
+		vals[i] = x
+		x += int64(i*7919%25 - 12)
+	}
+	col, err := blocked.Encode(vals, blocked.EncodeOptions{BlockSize: 2048, Scheme: scheme.DeltaNS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := col.Blocks[1].Form
+	frame, err := core.Decompress(f.Children["frame"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[3*2+2] -= 7 // segment 2's maximum
+	f.Children["frame"], err = scheme.NS{}.Compress(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "lying.lwc")
+	out, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteContainerV3(out, []BlockedColumn{{Name: "c", Col: col}}); err != nil {
+		t.Fatal(err)
+	}
+	out.Close()
+	rep, err := VerifyFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Issues) != 1 || rep.Issues[0].Block != 1 || !errors.Is(rep.Issues[0].Err, core.ErrCorruptForm) {
+		t.Fatalf("frame lie on block 1 not flagged alone: %v", rep.Issues)
 	}
 }
