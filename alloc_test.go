@@ -453,8 +453,7 @@ func TestCountRequestAllocs(t *testing.T) {
 // CountWhere and SumWhere over leaf and composite predicates,
 // including the packed-word fast paths, the sum under a selection on
 // the forms the encoder picks for a noisy ramp, a spiky and a uniform
-// column, and the prefetch announce that runs one block ahead of the
-// serial loop — stay allocation-free in steady state on an aligned
+// column — stay allocation-free in steady state on an aligned
 // in-memory table.
 func TestFusedAggregateAllocs(t *testing.T) {
 	const n, bs = 1 << 15, 1 << 12
@@ -603,44 +602,6 @@ func TestLinearRangeAllocs(t *testing.T) {
 		bm.Reset(n)
 		if err := query.SelectRangeSel(form, lo, hi, bm, 0); err != nil {
 			t.Fatal(err)
-		}
-	})
-}
-
-// TestPrefetchAnnounceAllocs: announcing block prefetches against a
-// lazy container — the scan paths do it once per undecided block —
-// allocates nothing in steady state, whether the block is already
-// cached (presence probe, skip) or queued to the prefetch worker
-// (struct send on a buffered channel).
-func TestPrefetchAnnounceAllocs(t *testing.T) {
-	const n, bs = 1 << 14, 1 << 11
-	date := workload.Sorted(n, 1<<40, 31)
-	col, err := lwcomp.Encode(date, lwcomp.WithBlockSize(bs), lwcomp.WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := lwcomp.WriteColumns(&buf, []lwcomp.NamedColumn{{Name: "date", Col: col}}); err != nil {
-		t.Fatal(err)
-	}
-	data := buf.Bytes()
-	tbl, err := lwcomp.OpenTableReader(bytes.NewReader(data), int64(len(data)), lwcomp.WithParallelism(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tbl.Close()
-	// Warm the cache so the announces hit the presence probe.
-	if _, err := tbl.CountWhere(context.Background(), lwcomp.Range("date", date[0], date[n-1])); err != nil {
-		t.Fatal(err)
-	}
-	lazy, err := tbl.Column("date")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	mustZeroAllocs(t, "prefetch-announce", func() {
-		for i := 0; i < lazy.NumBlocks(); i++ {
-			lazy.Prefetch(ctx, i)
 		}
 	})
 }

@@ -1,7 +1,6 @@
 package blocked
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"runtime"
@@ -103,18 +102,6 @@ func (l Lease) Release() {
 	}
 }
 
-// BlockPrefetcher is the optional warm-ahead face of a BlockSource:
-// PrefetchBlock hints that block i's payload will be needed soon, so
-// the source can stage it (typically into the storage block cache)
-// while the caller is busy decoding the current block. It must be
-// asynchronous and best-effort — dropping a hint is always correct —
-// and must accept a nil ctx, meaning no cancellation. The scan paths
-// announce the next undecided block through it; sources without the
-// method simply never see the hints.
-type BlockPrefetcher interface {
-	PrefetchBlock(ctx context.Context, i int)
-}
-
 // Column is a compressed column partitioned into blocks.
 type Column struct {
 	// N is the total logical length.
@@ -200,26 +187,6 @@ func (c *Column) LeasedForm(i int) (*core.Form, Lease, error) {
 func (c *Column) BlockForm(i int) (*core.Form, error) {
 	f, _, err := c.LeasedForm(i)
 	return f, err
-}
-
-// Prefetch hints that block i will be needed soon, forwarding to the
-// column's source when it can warm blocks ahead of need. Resident
-// blocks, quarantined blocks, and sources without a prefetcher make
-// it a no-op; ctx may be nil (no cancellation). The scan paths call
-// it for the next undecided block while the current one decodes, so
-// cold payload reads overlap decode instead of serializing with it.
-func (c *Column) Prefetch(ctx context.Context, i int) {
-	if i < 0 || i >= len(c.Blocks) || c.Blocks[i].Form != nil {
-		return
-	}
-	p, ok := c.Source.(BlockPrefetcher)
-	if !ok {
-		return
-	}
-	if _, quarantined := c.QuarantineError(i); quarantined {
-		return
-	}
-	p.PrefetchBlock(ctx, i)
 }
 
 // Close releases the column's backing source (an open container
@@ -456,9 +423,6 @@ func (c *Column) DecompressInto(dst []int64) error {
 		s := core.GetScratch()
 		defer s.Release()
 		for i := range c.Blocks {
-			if i+1 < len(c.Blocks) {
-				c.Prefetch(nil, i+1)
-			}
 			if err := c.decompressBlockInto(dst, i, s); err != nil {
 				return err
 			}
@@ -466,9 +430,6 @@ func (c *Column) DecompressInto(dst []int64) error {
 		return nil
 	}
 	return ParallelFor(workers, len(c.Blocks), func(i int) error {
-		if i+1 < len(c.Blocks) {
-			c.Prefetch(nil, i+1)
-		}
 		s := core.GetScratch()
 		defer s.Release()
 		return c.decompressBlockInto(dst, i, s)

@@ -23,7 +23,7 @@
 // hot scan paths stay allocation-free.
 //
 // The package also owns the scan driver (scan.go): the one loop —
-// classify chunks from stats, prefetch, evaluate the undecided ones
+// classify chunks from stats, evaluate the undecided ones
 // serially or in parallel, hand the outcome to a sink — that both the
 // column's own range queries and package table's expression scans run
 // through. A Plan says how the rows split into chunks and what the

@@ -23,10 +23,6 @@ type Plan interface {
 	// Classify places the predicate against chunk k from stats alone,
 	// never fetching a payload.
 	Classify(k int) RangeClass
-	// Announce hints the storage layer that chunk k is about to be
-	// visited, so its first payload read overlaps the current chunk's
-	// decode. Best-effort; a plan with nothing to warm does nothing.
-	Announce(ctx context.Context, k int)
 	// Select evaluates the predicate on an undecided chunk k into dst, a
 	// cleared chunk-local selection (row r of the chunk is bit r).
 	Select(k int, dst *sel.Selection) error
@@ -63,8 +59,7 @@ var running atomic.Int64
 
 // Scan drives one scan: it classifies every chunk of p from stats,
 // hands the proved ones to sink, and visits the undecided rest,
-// checking ctx and announcing the following chunk before each visit.
-// It visits on
+// checking ctx before each visit. It visits on
 //
 //	max(1, min(workers, undecided chunks, GOMAXPROCS − other running scans))
 //
@@ -128,15 +123,10 @@ func scanWorkers(workers, parts int, others int64) int {
 
 // visit handles the i-th undecided chunk: the per-chunk body both
 // branches of Scan share, and the only place a degraded scan's
-// skip-and-record happens. In the parallel shape adjacent workers may
-// announce the same chunk, which the storage layer's coalescing makes
-// a cheap cache probe.
+// skip-and-record happens.
 func (w *workList) visit(ctx context.Context, i int, p Plan, sink Sink) error {
 	if err := ctx.Err(); err != nil {
 		return err
-	}
-	if i+1 < len(w.parts) {
-		p.Announce(ctx, w.parts[i+1])
 	}
 	err := sink.Visit(w.parts[i])
 	if err != nil && IsPermanent(err) && p.Tolerate(w.parts[i], err) {
@@ -226,8 +216,6 @@ func (r *rangeScan) Classify(k int) RangeClass {
 	}
 	return r.c.Blocks[k].ClassifyRange(r.lo, r.hi)
 }
-
-func (r *rangeScan) Announce(ctx context.Context, k int) { r.c.Prefetch(ctx, k) }
 
 func (r *rangeScan) Select(k int, dst *sel.Selection) error {
 	return r.c.SelectBlockRangeSel(k, r.lo, r.hi, dst, 0)

@@ -25,7 +25,6 @@ type hookScan struct {
 func (h *hookScan) Chunks() int                      { return h.n }
 func (h *hookScan) Bounds(k int) (start, count int)  { return k, 1 }
 func (h *hookScan) Classify(int) RangeClass          { return RangePart }
-func (h *hookScan) Announce(context.Context, int)    {}
 func (h *hookScan) Select(int, *sel.Selection) error { return nil }
 func (h *hookScan) Tolerate(int, error) bool         { return false }
 func (h *hookScan) Proved(int) error                 { return nil }

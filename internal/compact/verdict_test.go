@@ -83,7 +83,7 @@ func rotCRC(t *testing.T, container []byte) []byte {
 // verifier (storage.VerifyReader) and the compactor's pre-swap gate
 // refuse it with the same error class, and salvage repair fixes or
 // tombstones it for the same reason — because all four decode through
-// storage.DecodeBlockPayload and check stats with storage.CheckStats.
+// storage.DecodeBlockPayload and check stats with storage.CheckBlock.
 // Lying index stats are the one defect the lazy read does not see: it
 // trusts the index (that is what block skipping is), which is why the
 // verifier re-derives them.

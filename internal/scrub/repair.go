@@ -16,7 +16,8 @@ import (
 // lies are re-read a bounded number of times (transient path
 // corruption clears on re-read; the storage retry layer below already
 // absorbs transient I/O errors), index stats falsified by rot are
-// re-derived from the decompressed values, and only blocks that stay
+// re-derived from the decompressed values, blocks whose delta frames
+// lie are re-encoded from those values, and only blocks that stay
 // unreadable are tombstoned — an explicit, persisted record of the
 // exact lost row range, the same shape degraded scans already report.
 // The candidate is verified in memory before an atomic temp+rename
@@ -67,7 +68,9 @@ type RepairResult struct {
 	// bytes came back clean on a bounded re-read.
 	Reread int `json:"reread"`
 	// StatsFixed counts blocks whose index [min, max] disagreed with
-	// the decompressed values and was re-derived.
+	// the decompressed values and was re-derived, and blocks whose
+	// delta frames disagreed with them and which were re-encoded from
+	// those values.
 	StatsFixed int `json:"stats_fixed"`
 	// ChecksumsFixed counts blocks whose payload decoded cleanly but
 	// whose recorded index CRC was wrong — index rot — and was
@@ -179,11 +182,13 @@ func RepairFile(path string, opt RepairOptions) (*RepairResult, error) {
 }
 
 // salvageBlock decides one block's fate: preserve, re-read, fix its
-// index entry, or tombstone. A block keeps its search certificate
-// while its payload passes the recorded CRC (stats fixes included) and
-// loses it otherwise. It updates the result's tallies and reports
-// whether the block's index entry or payload differs from the original
-// container (requiring a new generation).
+// index entry, re-encode it, or tombstone. It checks a decoded block
+// as the verifier does (storage.CheckBlock). A block keeps its search
+// certificate while its payload passes the recorded CRC (stats fixes
+// included) and loses it otherwise; a re-encoded block carries the
+// encoder's. It updates the result's tallies and reports whether the
+// block's index entry or payload differs from the original container
+// (requiring a new generation).
 func salvageBlock(cf *storage.ContainerFile, ci, i int, ext storage.BlockExtent, b *blocked.Block,
 	opt RepairOptions, scratch *[]byte, res *RepairResult) (storage.RawBlock, bool) {
 	var lastErr error
@@ -194,6 +199,8 @@ func salvageBlock(cf *storage.ContainerFile, ci, i int, ext storage.BlockExtent,
 	// sighting, while genuinely stable decodable bytes under a rotten
 	// index CRC are the one consistent explanation left.
 	var unconfirmed []byte
+	s := core.GetScratch()
+	defer s.Release()
 	for attempt := 1; attempt <= opt.ReadAttempts; attempt++ {
 		data, err := cf.Payload(ci, i, *scratch)
 		if err != nil {
@@ -231,6 +238,19 @@ func salvageBlock(cf *storage.ContainerFile, ci, i int, ext storage.BlockExtent,
 			// CRC over it.
 			res.ChecksumsFixed++
 		}
+		lo, hi, stats, frames := storage.CheckBlock(b, f, vals, s)
+		if frames != nil {
+			// The values are sound but a frame lies about them: encode
+			// them afresh with the writer's own search, which derives
+			// true frames and stats and stamps its certificate.
+			rb, err := reencode(vals)
+			if err != nil {
+				lastErr = err
+				break
+			}
+			res.StatsFixed++
+			return rb, true
+		}
 		rb := storage.RawBlock{Count: b.Count, Payload: append([]byte(nil), data...)}
 		blockChanged := !crcOK
 		if crcOK {
@@ -243,9 +263,8 @@ func salvageBlock(cf *storage.ContainerFile, ci, i int, ext storage.BlockExtent,
 			}
 		}
 		if b.HasStats && len(vals) > 0 {
-			lo, hi, err := storage.CheckStats(b, vals)
 			rb.HasStats, rb.Min, rb.Max = true, lo, hi
-			if err != nil {
+			if stats != nil {
 				res.StatsFixed++
 				blockChanged = true
 			}
@@ -258,4 +277,22 @@ func salvageBlock(cf *storage.ContainerFile, ci, i int, ext storage.BlockExtent,
 	reason := fmt.Sprintf("payload unrecoverable after %d reads: %v", opt.ReadAttempts, lastErr)
 	res.Tombstoned++
 	return storage.RawBlock{Count: b.Count, Tombstone: true, TombstoneReason: reason}, true
+}
+
+// reencode encodes one block's values as the writer would, into a raw
+// block carrying the encoder's stats and certificate.
+func reencode(vals []int64) (storage.RawBlock, error) {
+	col, err := blocked.Encode(vals, blocked.EncodeOptions{Parallelism: 1})
+	if err != nil {
+		return storage.RawBlock{}, err
+	}
+	b := &col.Blocks[0]
+	payload, err := storage.EncodeForm(b.Form)
+	if err != nil {
+		return storage.RawBlock{}, err
+	}
+	return storage.RawBlock{
+		Count: b.Count, HasStats: b.HasStats, Min: b.Min, Max: b.Max,
+		Certificate: b.Certificate, Payload: payload,
+	}, nil
 }

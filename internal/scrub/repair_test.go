@@ -7,12 +7,14 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
 	"lwcomp/internal/blocked"
 	"lwcomp/internal/core"
 	"lwcomp/internal/faults"
+	"lwcomp/internal/scheme"
 	"lwcomp/internal/storage"
 )
 
@@ -127,6 +129,74 @@ func TestRepairStatsLieRestoresExactBytes(t *testing.T) {
 	}
 	if !rep.OK() || len(rep.Tombstones) != 0 {
 		t.Fatalf("healed file fails verification: %+v", rep)
+	}
+}
+
+// TestRepairLyingFrameReencodes: a delta block whose frame claims a
+// segment maximum below what the segment holds, its CRC computed over
+// the lie (the container storage's TestFaultVerifyFlagsLyingFrame
+// forges), decodes to the right values under true stats. Repair
+// re-encodes it from those values, so the new generation verifies and
+// reads back the same values.
+func TestRepairLyingFrameReencodes(t *testing.T) {
+	vals := make([]int64, 4096)
+	x := int64(1 << 30)
+	for i := range vals {
+		vals[i] = x
+		x += int64(i*7919%25 - 12)
+	}
+	col, err := blocked.Encode(vals, blocked.EncodeOptions{BlockSize: 2048, Scheme: scheme.DeltaNS()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := col.Blocks[1].Form
+	frame, err := core.Decompress(f.Children["frame"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame[3*2+2] -= 7 // segment 2's maximum
+	if f.Children["frame"], err = (scheme.NS{}).Compress(frame); err != nil {
+		t.Fatal(err)
+	}
+	var lying bytes.Buffer
+	if err := storage.WriteContainerV3(&lying, []storage.BlockedColumn{{Name: "c", Col: col}}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "c.lwc")
+	writeBytes(t, path, lying.Bytes())
+	if rep, err := storage.VerifyFile(path); err != nil || len(rep.Issues) != 1 {
+		t.Fatalf("forged frame not reported before repair: %v, %v", rep, err)
+	}
+
+	res, err := RepairFile(path, RepairOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Action != ActionRepaired || res.StatsFixed != 1 || res.Preserved != 1 || res.Tombstoned != 0 {
+		t.Fatalf("lying-frame repair: %+v", res)
+	}
+	rep, err := storage.VerifyFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK() || len(rep.Tombstones) != 0 {
+		t.Fatalf("repaired file fails verification: %+v", rep.Issues)
+	}
+	cf, err := storage.OpenContainerFile(path, storage.OpenOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cf.Close()
+	repaired := cf.Columns()[0].Col
+	if repaired.Blocks[1].Certificate == 0 {
+		t.Fatal("the re-encoded block carries no certificate")
+	}
+	got, err := repaired.Decompress()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, vals) {
+		t.Fatal("repair changed the values")
 	}
 }
 

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"context"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -77,47 +76,9 @@ type ContainerFile struct {
 	shared                 bool
 	localHits, localMisses atomic.Int64
 
-	// flights coalesces concurrent fetches of one block into a single
-	// source read and decode: a prefetch and the demand fetch it races
-	// join the same flight instead of doing the same work twice.
-	flightMu sync.Mutex
-	flights  map[cacheKey]*blockFlight
-
-	// The prefetch worker stages announced blocks into the cache in
-	// the background. It starts lazily on the first announcement and is
-	// drained and joined by Close, so no read outlives the source.
-	pfMu     sync.Mutex
-	pfCh     chan prefetchReq
-	pfClosed bool
-	pfWG     sync.WaitGroup
-
 	closeOnce sync.Once
 	closeErr  error
 }
-
-// blockFlight is one in-progress block fetch. Late callers count
-// themselves in waiters, under the container's flightMu, and wait on
-// done; the flight leader takes a lease on ent for each of them, then
-// publishes ent and err before closing done.
-type blockFlight struct {
-	done    chan struct{}
-	waiters int64
-	ent     *cacheEntry
-	err     error
-}
-
-// prefetchReq names one block a scan expects to need next. A nil ctx
-// means "no cancellation"; otherwise a request whose ctx has expired
-// by dequeue time is dropped.
-type prefetchReq struct {
-	ctx        context.Context
-	col, block int
-}
-
-// prefetchQueueLen bounds the prefetch backlog. Announcements beyond
-// it are dropped — prefetch is a hint, and the demand fetch reads the
-// block regardless.
-const prefetchQueueLen = 32
 
 // OpenContainerFile opens a v3 container file lazily: it reads only
 // the prefix and block index. Close the container (or any of its
@@ -189,7 +150,6 @@ func OpenContainer(ra io.ReaderAt, size int64, opt OpenOptions) (*ContainerFile,
 	}
 	cf.cols, cf.locs = p.cols, p.locs
 	cf.owner = nextCacheOwner.Add(1)
-	cf.flights = make(map[cacheKey]*blockFlight)
 	if opt.Shared != nil {
 		cf.cache, cf.shared = opt.Shared.c, true
 	} else {
@@ -303,127 +263,16 @@ func (cf *ContainerFile) Extents(ci int) []BlockExtent {
 	return out
 }
 
-// Close releases the container's file handle (when it owns one),
-// first draining and joining the prefetch worker so no background
-// read outlives the reader. It is idempotent, and closing
-// any column of the container forwards here.
+// Close releases the container's file handle (when it owns one). It
+// is idempotent, and closing any column of the container forwards
+// here.
 func (cf *ContainerFile) Close() error {
 	cf.closeOnce.Do(func() {
-		cf.pfMu.Lock()
-		cf.pfClosed = true
-		if cf.pfCh != nil {
-			close(cf.pfCh)
-		}
-		cf.pfMu.Unlock()
-		cf.pfWG.Wait()
 		if cf.closer != nil {
 			cf.closeErr = cf.closer.Close()
 		}
 	})
 	return cf.closeErr
-}
-
-// fetchForm reads, CRC-verifies and decodes block (colIdx, i) and
-// inserts the form into the block cache, coalescing concurrent fetches
-// of the same block — a prefetch and the demand fetch it races, or two
-// scan workers straddling one block — into a single read and decode.
-// The returned entry holds a lease for the caller, who releases it
-// when done with the form. Callers must not mutate the form: the cache
-// and every waiter on the flight share it.
-func (cf *ContainerFile) fetchForm(colIdx, i int) (*cacheEntry, error) {
-	key := cacheKey{owner: cf.owner, col: colIdx, block: i}
-	cf.flightMu.Lock()
-	if fl, ok := cf.flights[key]; ok {
-		fl.waiters++
-		cf.flightMu.Unlock()
-		<-fl.done
-		return fl.ent, fl.err
-	}
-	if e, ok := cf.cache.peek(key, true); ok {
-		// A finished flight cached the block between the caller's cache
-		// miss and here.
-		cf.flightMu.Unlock()
-		return e, nil
-	}
-	fl := &blockFlight{done: make(chan struct{})}
-	cf.flights[key] = fl
-	cf.flightMu.Unlock()
-
-	loc := cf.locs[colIdx][i]
-	// The decoded form owns its words, so the scratch goes straight
-	// back.
-	scratch := getPayloadBuf(int(loc.length))
-	var e *cacheEntry
-	err := cf.readAt(cf.payloadStart+loc.off, *scratch)
-	if err == nil {
-		col := &cf.cols[colIdx]
-		e, err = decodeBlockPayload(*scratch, loc, col.Name, i, col.Col.Blocks[i].Count)
-	}
-	putPayloadBuf(scratch)
-	if err == nil {
-		cf.cache.add(key, e)
-	}
-	cf.flightMu.Lock()
-	delete(cf.flights, key)
-	waiters := fl.waiters
-	cf.flightMu.Unlock()
-	if e != nil {
-		// Our own lease keeps e unrecycled while the waiters' are
-		// taken.
-		e.pin(waiters)
-	}
-	fl.ent, fl.err = e, err
-	close(fl.done)
-	return e, err
-}
-
-// prefetchAsync asks the container's background worker to stage block
-// (colIdx, i) into the block cache. It is a best-effort hint: without
-// a cache there is nowhere to stage, an already-resident block is
-// skipped, and a full queue drops the request. ctx may be nil (no
-// cancellation); an expired ctx is dropped at dequeue time.
-func (cf *ContainerFile) prefetchAsync(ctx context.Context, colIdx, i int) {
-	if cf.cache == nil {
-		return
-	}
-	if _, ok := cf.cache.peek(cacheKey{owner: cf.owner, col: colIdx, block: i}, false); ok {
-		return
-	}
-	cf.pfMu.Lock()
-	if cf.pfClosed {
-		cf.pfMu.Unlock()
-		return
-	}
-	if cf.pfCh == nil {
-		cf.pfCh = make(chan prefetchReq, prefetchQueueLen)
-		cf.pfWG.Add(1)
-		go cf.prefetchLoop(cf.pfCh)
-	}
-	select {
-	case cf.pfCh <- prefetchReq{ctx: ctx, col: colIdx, block: i}:
-	default:
-		// Backlogged: the demand fetch will read the block anyway.
-	}
-	cf.pfMu.Unlock()
-}
-
-// prefetchLoop is the container's one background prefetcher. Errors
-// are deliberately dropped: a failed prefetch leaves the block to the
-// demand fetch, whose own read reports (and quarantines) the failure
-// with full context.
-func (cf *ContainerFile) prefetchLoop(ch chan prefetchReq) {
-	defer cf.pfWG.Done()
-	for req := range ch {
-		if req.ctx != nil && req.ctx.Err() != nil {
-			continue
-		}
-		if _, ok := cf.cache.peek(cacheKey{owner: cf.owner, col: req.col, block: req.block}, false); ok {
-			continue
-		}
-		if e, err := cf.fetchForm(req.col, req.block); err == nil {
-			e.Release()
-		}
-	}
 }
 
 // Payload returns block i of column ci's raw encoded bytes, without
@@ -449,33 +298,39 @@ type colReader struct {
 }
 
 // BlockForm implements blocked.BlockSource: a hot block is one cache
-// lookup returning the shared decoded form; a cold one goes through
-// the coalesced fetch path, where its CRC is verified and its payload
-// decoded once, on first touch. Either way the lease is the cache
-// entry itself, so taking one allocates nothing.
+// lookup returning the shared decoded form. A cold one is read, its
+// CRC verified and its payload decoded into a slab, and the form is
+// offered to the cache. Misses that race on one block each read and
+// decode it; the cache keeps the first form and refuses the others,
+// whose slabs go back to the free list when their last lease ends.
+// Either way the lease is the cache entry itself, so taking one
+// allocates nothing. Callers must not mutate the form: the cache
+// shares it with every later hit.
 func (r *colReader) BlockForm(i int) (*core.Form, blocked.Lease, error) {
 	cf := r.cf
+	key := cacheKey{owner: cf.owner, col: r.colIdx, block: i}
 	if cf.cache != nil {
-		if e, ok := cf.cache.get(cacheKey{owner: cf.owner, col: r.colIdx, block: i}); ok {
+		if e, ok := cf.cache.get(key); ok {
 			cf.localHits.Add(1)
 			return e.form, blocked.LeaseOf(e), nil
 		}
 		cf.localMisses.Add(1)
 	}
-	e, err := cf.fetchForm(r.colIdx, i)
+	loc := cf.locs[r.colIdx][i]
+	// The decoded form owns its words, so the scratch goes back to the
+	// pool once the decode is done.
+	scratch := getPayloadBuf(int(loc.length))
+	defer putPayloadBuf(scratch)
+	if err := cf.readAt(cf.payloadStart+loc.off, *scratch); err != nil {
+		return nil, blocked.Lease{}, err
+	}
+	col := &cf.cols[r.colIdx]
+	e, err := decodeBlockPayload(*scratch, loc, col.Name, i, col.Col.Blocks[i].Count)
 	if err != nil {
 		return nil, blocked.Lease{}, err
 	}
+	cf.cache.add(key, e)
 	return e.form, blocked.LeaseOf(e), nil
-}
-
-// PrefetchBlock implements blocked.BlockPrefetcher: it hints that
-// block i will be needed soon, staging it into the block cache in the
-// background so the demand fetch hits a verified, decoded form.
-// Best-effort — no cache, a resident block, a full queue, or
-// an expired ctx all drop the hint.
-func (r *colReader) PrefetchBlock(ctx context.Context, i int) {
-	r.cf.prefetchAsync(ctx, r.colIdx, i)
 }
 
 // Close forwards to the container: the column handle and the

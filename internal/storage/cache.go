@@ -54,8 +54,7 @@ type cacheKey struct {
 // The entry is also the readers' lease (blocked.Releaser). state is
 // pins<<1 | evicted:
 //   - a pin is taken under the cache mutex while the entry is resident
-//     (get, peek), or by the fetch that decoded it — its own, and one
-//     per waiter on its flight, added while it still holds its own;
+//     (get), or by the fetch that decoded it;
 //   - eviction sets the bit once: under the mutex when the cache drops
 //     the entry, at once when the cache refuses it or there is none;
 //   - Release drops a pin with one atomic add.
@@ -80,8 +79,8 @@ func newCacheEntry(f *core.Form, size int64, sl *slab, reused bool) *cacheEntry 
 	return e
 }
 
-// pin takes n leases.
-func (e *cacheEntry) pin(n int64) { e.state.Add(2 * n) }
+// pin takes a lease.
+func (e *cacheEntry) pin() { e.state.Add(2) }
 
 // Release implements blocked.Releaser: it ends one lease.
 func (e *cacheEntry) Release() {
@@ -133,29 +132,7 @@ func (c *blockCache) get(key cacheKey) (*cacheEntry, bool) {
 	c.hits++
 	c.ll.MoveToFront(e)
 	ent := e.Value.(*cacheEntry)
-	ent.pin(1)
-	return ent, true
-}
-
-// peek returns the cached entry for key without promoting it or
-// touching the hit/miss counters, leasing it for the caller when pin
-// is set — the presence probe the prefetcher uses to skip warm blocks
-// (no pin), and the fetch coalescer's last-moment recheck (pinned).
-// Nil-safe, like stats.
-func (c *blockCache) peek(key cacheKey, pin bool) (*cacheEntry, bool) {
-	if c == nil {
-		return nil, false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.m[key]
-	if !ok {
-		return nil, false
-	}
-	ent := e.Value.(*cacheEntry)
-	if pin {
-		ent.pin(1)
-	}
+	ent.pin()
 	return ent, true
 }
 

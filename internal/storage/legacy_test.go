@@ -54,7 +54,7 @@ func TestContainerV2RoundTrip(t *testing.T) {
 	}
 	for i := range date.Blocks {
 		b := &date.Blocks[i]
-		if _, _, err := CheckStats(b, wants[0][b.Start:b.Start+int64(b.Count)]); err != nil || !b.HasStats {
+		if _, _, err := checkStats(b, wants[0][b.Start:b.Start+int64(b.Count)]); err != nil || !b.HasStats {
 			t.Fatalf("date block %d stats: %+v (%v)", i, b, err)
 		}
 	}
@@ -134,7 +134,7 @@ func TestContainerRoundTrip(t *testing.T) {
 		if err != nil || len(vals) != 256 {
 			t.Fatalf("column %q: %d values, %v", c.Name, len(vals), err)
 		}
-		if _, _, err := CheckStats(&c.Col.Blocks[0], vals); err != nil {
+		if _, _, err := checkStats(&c.Col.Blocks[0], vals); err != nil {
 			t.Fatalf("column %q: %v", c.Name, err)
 		}
 	}

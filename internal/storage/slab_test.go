@@ -2,11 +2,15 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
+	"io"
 	"runtime"
 	"slices"
+	"sync"
 	"testing"
 
 	"lwcomp/internal/blocked"
+	"lwcomp/internal/core"
 )
 
 // TestSlabClass: a class's slab holds every request it serves with
@@ -114,6 +118,109 @@ func TestSlabListKeepsFew(t *testing.T) {
 		}
 		if reused != keep {
 			t.Fatalf("%d-word slabs: %d of %d freed came back, want %d", words, reused, 3*keep, keep)
+		}
+	}
+}
+
+// gatedReaderAt holds every read at or past from until n reads are
+// waiting, so n callers that missed the cache read at once.
+type gatedReaderAt struct {
+	ra    io.ReaderAt
+	from  int64
+	n     int
+	mu    sync.Mutex
+	cond  *sync.Cond
+	reads int
+}
+
+func (g *gatedReaderAt) ReadAt(p []byte, off int64) (int, error) {
+	if off >= g.from {
+		g.mu.Lock()
+		if g.reads++; g.reads == g.n {
+			g.cond.Broadcast()
+		}
+		for g.reads < g.n {
+			g.cond.Wait()
+		}
+		g.mu.Unlock()
+	}
+	return g.ra.ReadAt(p, off)
+}
+
+// TestRacingColdMisses: callers that miss one cold block at once each
+// read and decode it. Every one gets the block's values, the cache
+// keeps the first form it is offered and refuses the rest, every decode
+// is counted, and once the last lease ends each refused form's slab has
+// gone back to the free list exactly once — the cached one's not at all.
+func TestRacingColdMisses(t *testing.T) {
+	const rows, callers = 1 << 12, 4
+	schemes, src := slabForms(t, rows)
+	col, err := blocked.Encode(src, blocked.EncodeOptions{Scheme: schemes["ns"]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteContainerV3(&buf, []BlockedColumn{{Name: "ns", Col: col}}); err != nil {
+		t.Fatal(err)
+	}
+	gate := &gatedReaderAt{ra: bytes.NewReader(buf.Bytes()), from: int64(buf.Len()), n: callers}
+	gate.cond = sync.NewCond(&gate.mu)
+	cf, err := OpenContainer(gate, int64(buf.Len()), OpenOptions{CacheBytes: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cf.Close()
+	gate.from = cf.payloadStart // open is done: gate the block reads only
+
+	freed := map[*uint64]int{}
+	SlabFreeHook = func(words []uint64) { freed[&words[0]]++ }
+	defer func() { SlabFreeHook = nil }()
+
+	lazy := cf.Columns()[0].Col
+	leases := make([]blocked.Lease, callers)
+	errs := make([]error, callers)
+	var wg sync.WaitGroup
+	for c := range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var f *core.Form
+			if f, leases[c], errs[c] = lazy.LeasedForm(0); errs[c] != nil {
+				return
+			}
+			got, err := core.Decompress(f)
+			if err == nil && !slices.Equal(got, src) {
+				err = fmt.Errorf("caller %d: wrong values", c)
+			}
+			errs[c] = err
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := cf.CacheStats()
+	if n := gate.reads; n != callers || st.Misses != callers || st.Decodes != callers {
+		t.Fatalf("%d callers: %d reads, cache %+v; want a miss, a read and a decode each", callers, n, st)
+	}
+	if len(cf.cache.m) != 1 {
+		t.Fatalf("the cache holds %d entries, want 1", len(cf.cache.m))
+	}
+	if len(freed) != 0 {
+		t.Fatalf("%d slabs freed while every form is leased", len(freed))
+	}
+	for _, l := range leases {
+		l.Release()
+	}
+	cached := &cf.cache.ll.Front().Value.(*cacheEntry).slab.words[0]
+	if len(freed) != callers-1 || freed[cached] != 0 {
+		t.Fatalf("freed %v (cached slab %p); want the %d refused slabs", freed, cached, callers-1)
+	}
+	for p, n := range freed {
+		if n != 1 {
+			t.Fatalf("slab %p freed %d times", p, n)
 		}
 	}
 }

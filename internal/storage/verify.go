@@ -163,13 +163,12 @@ var verifyBufs = sync.Pool{New: func() any { return new([]int64) }}
 
 // VerifyContainer is the verification walk every fsck runs over an
 // open container: each block pulled through the read path, its index
-// stats checked against the values (CheckStats) and its delta frames
-// against the values of their nodes (scheme.CheckFrames). visit, when
-// non-nil, then sees every block that passed — ci is the column's
-// position, b its index entry, vals its decoded values (a pooled
-// buffer, valid only for the call) — and an error it returns becomes
-// the block's issue: the compactor's pre-swap gate adds value equality
-// against the source that way.
+// stats and its delta frames checked against the values (CheckBlock).
+// visit, when non-nil, then sees every block that passed — ci is the
+// column's position, b its index entry, vals its decoded values (a
+// pooled buffer, valid only for the call) — and an error it returns
+// becomes the block's issue: the compactor's pre-swap gate adds value
+// equality against the source that way.
 func VerifyContainer(cf *ContainerFile, visit func(ci int, b *blocked.Block, vals []int64) error) *VerifyReport {
 	r := &VerifyReport{}
 	pooled := verifyBufs.Get().(*[]int64)
@@ -213,8 +212,7 @@ func VerifyContainer(cf *ContainerFile, visit func(ci int, b *blocked.Block, val
 
 // verifyBlock pulls block i's payload through the column's source —
 // CRC verification and form decode, exactly the path a query takes —
-// decompresses it into vals, and checks the index stats and the delta
-// frames against the values.
+// decompresses it into vals, and checks it with CheckBlock.
 func verifyBlock(c *blocked.Column, i int, vals []int64, s *core.Scratch) error {
 	f, l, err := c.LeasedForm(i)
 	if err != nil {
@@ -224,19 +222,30 @@ func verifyBlock(c *blocked.Column, i int, vals []int64, s *core.Scratch) error 
 	if err := core.DecompressInto(f, vals, s); err != nil {
 		return fmt.Errorf("blocked: block %d: %w", i, err)
 	}
-	if _, _, err := CheckStats(&c.Blocks[i], vals); err != nil {
-		return err
+	_, _, stats, frames := CheckBlock(&c.Blocks[i], f, vals, s)
+	if stats != nil {
+		return stats
 	}
-	return scheme.CheckFrames(f, vals, s)
+	return frames
 }
 
-// CheckStats re-derives a block's [min, max] from its decoded values
+// CheckBlock is the one check of a decoded block beyond its CRC and
+// decode: stats is set when the index [min, max] of b disagrees with
+// the values f decodes to (vals), lo, hi being the values' own, and
+// frames when a delta frame in f disagrees with the values of its node
+// (scheme.CheckFrames). The verifier reports either; salvage repair
+// writes lo, hi for the first and re-encodes vals for the second.
+func CheckBlock(b *blocked.Block, f *core.Form, vals []int64, s *core.Scratch) (lo, hi int64, stats, frames error) {
+	lo, hi, stats = checkStats(b, vals)
+	return lo, hi, stats, scheme.CheckFrames(f, vals, s)
+}
+
+// checkStats re-derives a block's [min, max] from its decoded values
 // and checks them against the block's index entry — catching the index
 // rot a CRC cannot see (self-consistent but wrong stats would silently
-// turn block skipping into wrong answers). The verifier and salvage
-// repair share it; repair writes the re-derived lo, hi. A block
-// without stats or rows has nothing to check and passes with its own.
-func CheckStats(b *blocked.Block, vals []int64) (lo, hi int64, err error) {
+// turn block skipping into wrong answers). A block without stats or
+// rows has nothing to check and passes with its own.
+func checkStats(b *blocked.Block, vals []int64) (lo, hi int64, err error) {
 	if !b.HasStats || len(vals) == 0 {
 		return b.Min, b.Max, nil
 	}

@@ -42,14 +42,6 @@ type Expr interface {
 	// from stats alone; the conjunction planner evaluates the leaf
 	// with the smallest estimate first.
 	estimate(ch *chunks, ck int) float64
-	// prefetchCol names the table column whose payload evalBlock on
-	// chunk ck will fetch first, from stats alone — the scan driver
-	// announces it to the storage prefetcher one chunk ahead. ok is
-	// false when no fetch is certain. Implementations must stay in
-	// lockstep with their evalBlock's evaluation order: naming a
-	// column evalBlock then never touches turns prefetch into wasted
-	// reads (never incorrectness, but measurable I/O).
-	prefetchCol(ch *chunks, ck int) (col int, ok bool)
 }
 
 // Range returns the predicate lo ≤ col ≤ hi (both bounds inclusive).
@@ -199,15 +191,6 @@ func (n *rangeNode) estimate(ch *chunks, ck int) float64 {
 	return (float64(hi) - float64(lo) + 1) / (float64(b.Max) - float64(b.Min) + 1)
 }
 
-func (n *rangeNode) prefetchCol(ch *chunks, ck int) (int, bool) {
-	// evalBlock fetches the leaf's column exactly when the stats leave
-	// the block undecided.
-	if n.prune(ch, ck) != blocked.RangePart {
-		return 0, false
-	}
-	return n.pos(ch), true
-}
-
 // inNode is the In leaf: col ∈ vals, vals sorted and deduplicated.
 type inNode struct {
 	col  string
@@ -287,20 +270,6 @@ func (n *inNode) estimate(ch *chunks, ck int) float64 {
 		return est
 	}
 	return 1
-}
-
-func (n *inNode) prefetchCol(ch *chunks, ck int) (int, bool) {
-	// evalBlock probes each run against the payload; any run the stats
-	// cannot decide forces a fetch of the leaf's column.
-	b := ch.stats(n.pos(ch), ck)
-	for i := 0; i < len(n.vals); {
-		var lo, hi int64
-		lo, hi, i = n.run(i)
-		if b.ClassifyRange(lo, hi) == blocked.RangePart {
-			return n.pos(ch), true
-		}
-	}
-	return 0, false
 }
 
 // andNode is the conjunction combinator.
@@ -388,8 +357,6 @@ func (n *andNode) estimate(ch *chunks, ck int) float64 {
 // first picks the child evalBlock runs first on chunk ck: the
 // undecided one with the smallest selectivity estimate, or -1 when the
 // stats prove them all. refuted reports a child the stats refute.
-// evalBlock and prefetchCol both plan through it, so the announced
-// column cannot drift from the evaluation order.
 func (n *andNode) first(ch *chunks, ck int) (best int, refuted bool) {
 	best, bestEst := -1, math.Inf(1)
 	for i, k := range n.kids {
@@ -404,14 +371,6 @@ func (n *andNode) first(ch *chunks, ck int) (best int, refuted bool) {
 		}
 	}
 	return best, false
-}
-
-func (n *andNode) prefetchCol(ch *chunks, ck int) (int, bool) {
-	best, refuted := n.first(ch, ck)
-	if refuted || best < 0 {
-		return 0, false
-	}
-	return n.kids[best].prefetchCol(ch, ck)
 }
 
 // orNode is the disjunction combinator.
@@ -493,21 +452,6 @@ func (n *orNode) estimate(ch *chunks, ck int) float64 {
 	return est
 }
 
-// prefetchCol mirrors evalBlock's order: the first non-refuted child
-// evaluates first, so its first fetch is the disjunction's.
-func (n *orNode) prefetchCol(ch *chunks, ck int) (int, bool) {
-	for _, k := range n.kids {
-		switch k.prune(ch, ck) {
-		case blocked.RangeMiss:
-			continue
-		case blocked.RangeAll:
-			return 0, false
-		}
-		return k.prefetchCol(ch, ck)
-	}
-	return 0, false
-}
-
 // notNode is the negation combinator.
 type notNode struct {
 	kid Expr
@@ -547,10 +491,6 @@ func (n *notNode) evalBlock(ch *chunks, ck int, dst *sel.Selection) error {
 
 func (n *notNode) estimate(ch *chunks, ck int) float64 {
 	return 1 - n.kid.estimate(ch, ck)
-}
-
-func (n *notNode) prefetchCol(ch *chunks, ck int) (int, bool) {
-	return n.kid.prefetchCol(ch, ck)
 }
 
 // columnsOf appends the table positions of the columns e names to cols.

@@ -370,17 +370,6 @@ func (t *Table) plan(e Expr, man *Manifest, also []int) plan {
 
 func (p *plan) Classify(k int) blocked.RangeClass { return p.e.prune(&p.chunks, k) }
 
-// Announce hints the storage layer about chunk k's first payload
-// fetch: the expression names the column its evaluation order touches
-// first. Columns without a prefetching source, resident blocks and
-// quarantined blocks all no-op.
-func (p *plan) Announce(ctx context.Context, k int) {
-	if ci, ok := p.e.prefetchCol(&p.chunks, k); ok {
-		c, bi, _ := p.blockOf(ci, k)
-		c.Prefetch(ctx, bi)
-	}
-}
-
 func (p *plan) Select(k int, dst *sel.Selection) error { return p.e.evalBlock(&p.chunks, k, dst) }
 
 // run drives the plan into sink and adds the chunk tally to the

@@ -163,6 +163,63 @@ func TestTableScanColdReadsOnlyAdmittedBlocks(t *testing.T) {
 	assertSameReads(t, "sum", ranges, expected)
 }
 
+// TestFusedCountReadsOnlyAdmittedBlocks is the read-set guarantee of
+// the fused count over a cached container at the default parallelism:
+// a cold CountWhere reads exactly the payloads the planner admits, each
+// once, and a second one over the warm cache reads nothing at all.
+// Every admitted block is one chunk, visited by one worker, so no two
+// fetches of a block race even when the chunks run in parallel.
+func TestFusedCountReadsOnlyAdmittedBlocks(t *testing.T) {
+	const n, bs = 1 << 16, 4096
+	date, status, _, data := buildTableFixture(t, n, bs)
+	extents, payloadStart := allExtents(t, data)
+	const dateCol, statusCol = 0, 1
+
+	ra := &countingReaderAt{data: data}
+	tbl, err := lwcomp.OpenTableReader(ra, int64(len(data)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tbl.Close()
+
+	lo, hi := date[6*bs+100], date[10*bs+99] // inside blocks 6 and 10
+	expr := lwcomp.And(lwcomp.Range("date", lo, hi), lwcomp.Eq("status", 1))
+	want := int64(0)
+	for i := range date {
+		if date[i] >= lo && date[i] <= hi && status[i] == 1 {
+			want++
+		}
+	}
+
+	ra.reset()
+	got, err := tbl.CountWhere(context.Background(), expr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("CountWhere = %d, want %d", got, want)
+	}
+	// Exactly the admitted set, each block read once: status on blocks
+	// 8 and 9 (date proved there), both columns on block 10.
+	expected := [][2]int64{
+		extentRange(extents[statusCol][8], payloadStart),
+		extentRange(extents[statusCol][9], payloadStart),
+		extentRange(extents[dateCol][10], payloadStart),
+		extentRange(extents[statusCol][10], payloadStart),
+	}
+	_, _, ranges := ra.snapshot()
+	assertSameReads(t, "cold fused count", ranges, expected)
+
+	// Warm: every admitted payload is cached; no reads at all.
+	ra.reset()
+	if got, err := tbl.CountWhere(context.Background(), expr); err != nil || got != want {
+		t.Fatalf("warm CountWhere = %d, %v", got, err)
+	}
+	if calls, _, ranges := ra.snapshot(); calls != 0 {
+		t.Fatalf("warm scan issued %d reads: %v", calls, ranges)
+	}
+}
+
 // extentRange converts a block extent to an absolute [offset, length]
 // pair as the counting reader records them.
 func extentRange(e lwcomp.BlockExtent, payloadStart int64) [2]int64 {
