@@ -22,6 +22,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"lwcomp"
 	"lwcomp/internal/bitpack"
@@ -1076,18 +1077,63 @@ func BenchmarkCompactFile(b *testing.B) {
 }
 
 // BenchmarkCollectStats measures the one-pass statistics collector
-// that feeds both the block index and the analyzer's estimates.
+// that feeds both the block index and the analyzer's estimates, on
+// one 65,536-value block of each maintenance shape.
 func BenchmarkCollectStats(b *testing.B) {
-	data := workload.OrderShipDates(benchN, 64, 730120, 1)
-	s := core.GetScratch()
-	defer s.Release()
-	b.ReportAllocs()
-	b.SetBytes(int64(benchN * 8))
-	for i := 0; i < b.N; i++ {
-		st := core.CollectStats(data, s)
-		st.ReleaseSeg(s)
+	const n = 1 << 16
+	for _, sh := range workload.MaintainShapes(n, 1) {
+		b.Run(sh.Name, func(b *testing.B) {
+			s := core.GetScratch()
+			defer s.Release()
+			b.ReportAllocs()
+			b.SetBytes(int64(n * 8))
+			for i := 0; i < b.N; i++ {
+				st := core.CollectStats(sh.Data, s)
+				st.ReleaseSeg(s)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/n, "ns/value")
+		})
 	}
-	reportElems(b, benchN)
+}
+
+// BenchmarkEncodeShapes splits one 65,536-value block encode of each
+// maintenance shape into the three stages a container write runs per
+// block — the statistics pass, the search (which compresses its
+// winner) and the serialization of the winning form — and reports
+// each stage's ns/value beside the allocation of all three.
+func BenchmarkEncodeShapes(b *testing.B) {
+	const n = 1 << 16
+	for _, sh := range workload.MaintainShapes(n, 1) {
+		b.Run(sh.Name, func(b *testing.B) {
+			s := core.GetScratch()
+			defer s.Release()
+			var statsNs, searchNs, writeNs int64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				st := core.CollectStats(sh.Data, s)
+				t1 := time.Now()
+				a := &core.Analyzer{Candidates: scheme.DefaultCandidates(&st), SampleSize: n, Stats: &st, Scratch: s}
+				choice, err := a.Best(sh.Data)
+				if err != nil {
+					b.Fatal(err)
+				}
+				t2 := time.Now()
+				if _, err := lwcomp.EncodeForm(choice.Form); err != nil {
+					b.Fatal(err)
+				}
+				t3 := time.Now()
+				st.ReleaseSeg(s)
+				statsNs += t1.Sub(t0).Nanoseconds()
+				searchNs += t2.Sub(t1).Nanoseconds()
+				writeNs += t3.Sub(t2).Nanoseconds()
+			}
+			per := float64(b.N) * n
+			b.ReportMetric(float64(statsNs)/per, "stats-ns/value")
+			b.ReportMetric(float64(searchNs)/per, "search-ns/value")
+			b.ReportMetric(float64(writeNs)/per, "write-ns/value")
+		})
+	}
 }
 
 // BenchmarkTableScan measures the two-predicate table scan —

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"unsafe"
 )
 
 // BlockLen is the number of values per packed block. At width w a
@@ -57,9 +58,10 @@ func PackedWords(n int, w uint) int {
 }
 
 // Pack packs src at width w into a fresh word slice. Values wider
-// than w are reported as ErrOverflow (packing never silently
-// truncates: the NS scheme chooses w from the data, and anything else
-// is a bug or corruption).
+// than w are reported as ErrOverflow: packing never silently
+// truncates. It is the checked form of PackSigned, which the NS
+// scheme encodes through with a width taken from the same values,
+// and the reference the tests hold PackSigned to.
 func Pack(src []uint64, w uint) ([]uint64, error) {
 	if w > 64 {
 		return nil, fmt.Errorf("%w: %d", ErrWidth, w)
@@ -79,17 +81,7 @@ func Pack(src []uint64, w uint) ([]uint64, error) {
 		}
 	}
 	dst := make([]uint64, PackedWords(len(src), w))
-	i := 0
-	out := 0
-	// Full blocks through the unrolled kernels.
-	for ; i+BlockLen <= len(src); i += BlockLen {
-		packBlock(src[i:i+BlockLen], w, dst[out:out+int(w)])
-		out += int(w)
-	}
-	// Generic bit-granular tail.
-	if i < len(src) {
-		packGeneric(src[i:], w, dst, uint64(i)*uint64(w))
-	}
+	packWords(dst, src, w)
 	return dst, nil
 }
 
@@ -118,19 +110,78 @@ func PackInto(dst, src []uint64, w uint) error {
 			return fmt.Errorf("%w: value %d at position %d, width %d", ErrOverflow, v, i, w)
 		}
 	}
-	for i := range dst {
-		dst[i] = 0
-	}
-	i := 0
-	out := 0
+	clear(dst)
+	packWords(dst, src, w)
+	return nil
+}
+
+// packWords packs src at width w (1..64) into the PackedWords(len(src),
+// w) zeroed words of dst: full blocks through the unrolled kernels, the
+// tail bit by bit. Values are assumed pre-validated against the mask.
+func packWords(dst, src []uint64, w uint) {
+	kernel := packFuncs[w]
+	i, out := 0, 0
 	for ; i+BlockLen <= len(src); i += BlockLen {
-		packBlock(src[i:i+BlockLen], w, dst[out:out+int(w)])
+		kernel(src[i:i+BlockLen], dst[out:out+int(w)])
 		out += int(w)
 	}
 	if i < len(src) {
 		packGeneric(src[i:], w, dst, uint64(i)*uint64(w))
 	}
-	return nil
+}
+
+// SignedShape returns the width and zigzag flag null suppression packs
+// src at, in one pass: zigzagged when some value is negative — the OR
+// of the raw values then has its sign bit set — and raw otherwise, at
+// the width of the widest value in that domain.
+func SignedShape(src []int64) (w uint, zigzag bool) {
+	var raw, zz uint64
+	for _, v := range src {
+		raw |= uint64(v)
+		zz |= Zigzag(v)
+	}
+	if int64(raw) < 0 {
+		return Width(zz), true
+	}
+	return Width(raw), false
+}
+
+// PackSigned packs src at width w into dst, zigzagging each value
+// first when zigzag is set: the words Pack makes of the column mapped
+// into that domain, without the mapped column. dst must hold
+// PackedWords(len(src), w) zeroed words. Unzigzagged values are their
+// own unsigned bits, so the kernels read src itself; zigzagged ones
+// are mapped 64 at a time into stage, of at least BlockLen words, on
+// their way to the kernels. Nothing is checked: every mapped value must
+// fit w bits, as SignedShape's width guarantees.
+func PackSigned(dst []uint64, src []int64, w uint, zigzag bool, stage []uint64) {
+	if w == 0 {
+		return
+	}
+	if !zigzag {
+		packWords(dst, unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(src))), len(src)), w)
+		return
+	}
+	stage = stage[:BlockLen]
+	kernel := packFuncs[w]
+	i, out := 0, 0
+	for ; i+BlockLen <= len(src); i += BlockLen {
+		zigzagInto(stage, src[i:i+BlockLen])
+		kernel(stage, dst[out:out+int(w)])
+		out += int(w)
+	}
+	if tail := src[i:]; len(tail) > 0 {
+		zigzagInto(stage, tail)
+		packGeneric(stage[:len(tail)], w, dst, uint64(i)*uint64(w))
+	}
+}
+
+// zigzagInto writes the zigzags of src into the front of dst.
+func zigzagInto(dst []uint64, src []int64) {
+	dst = dst[:len(src)]
+	for j, v := range src {
+		dst[j] = Zigzag(v)
+	}
 }
 
 // UnpackInto expands len(dst) values of width w from packed into dst.
@@ -205,15 +256,6 @@ func unpackGeneric(dst []uint64, src []uint64, w uint, bitPos uint64) {
 		dst[i] = v & mask
 		bitPos += uint64(w)
 	}
-}
-
-// packBlock packs exactly BlockLen values at width w (1..64) into
-// dst[0:w] using the generated kernels.
-func packBlock(src []uint64, w uint, dst []uint64) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	packFuncs[w](src, dst)
 }
 
 // Zigzag maps a signed value to an unsigned one with small absolute

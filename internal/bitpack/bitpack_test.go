@@ -2,6 +2,7 @@ package bitpack
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -60,12 +61,73 @@ func TestPackedWords(t *testing.T) {
 	}
 }
 
+// checkPackSigned packs a signed column through SignedShape and
+// PackSigned and requires what Pack makes of the column mapped into
+// null suppression's domain — zigzagged when a value is negative — at
+// the widest mapped value's width, word for word.
+func checkPackSigned(t *testing.T, what string, src []int64) {
+	t.Helper()
+	u := make([]uint64, len(src))
+	zigzag := false
+	for _, v := range src {
+		zigzag = zigzag || v < 0
+	}
+	for i, v := range src {
+		u[i] = uint64(v)
+		if zigzag {
+			u[i] = Zigzag(v)
+		}
+	}
+	w := MaxWidth(u)
+	want, err := Pack(u, w)
+	if err != nil {
+		t.Fatalf("%s: Pack: %v", what, err)
+	}
+	gotW, gotZ := SignedShape(src)
+	if gotW != w || gotZ != zigzag {
+		t.Fatalf("%s: SignedShape = %d, %v; want %d, %v", what, gotW, gotZ, w, zigzag)
+	}
+	stage := make([]uint64, BlockLen)
+	for i := range stage {
+		stage[i] = ^uint64(0) // a stage's old contents must not leak
+	}
+	got := make([]uint64, PackedWords(len(src), w))
+	PackSigned(got, src, w, zigzag, stage)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: word %d = %#x, Pack %#x", what, i, got[i], want[i])
+		}
+	}
+}
+
 // TestPackUnpackAllWidths round-trips every width at lengths that
-// exercise full blocks, tails, and the empty column.
+// exercise full blocks, tails, and the empty column, and packs the
+// signed columns of each width — without negatives (raw) and with
+// (zigzagged) — through PackSigned against Pack.
 func TestPackUnpackAllWidths(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for w := uint(0); w <= 64; w++ {
-		for _, n := range []int{0, 1, 63, 64, 65, 128, 200} {
+		for _, n := range []int{0, 1, 63, 64, 65, 128, 200, 4097} {
+			if w < 64 {
+				raw := make([]int64, n)
+				for i, v := range randomValues(rng, n, w) {
+					raw[i] = int64(v)
+				}
+				if n > 0 {
+					raw[n-1] = int64(Mask(w)) // the width is exactly w
+				}
+				checkPackSigned(t, fmt.Sprintf("raw w=%d n=%d", w, n), raw)
+			}
+			if w > 0 {
+				zz := make([]int64, n)
+				for i, v := range randomValues(rng, n, w) {
+					zz[i] = Unzigzag(v)
+				}
+				if n > 0 {
+					zz[n-1] = Unzigzag(Mask(w)) // negative, zigzag width exactly w
+				}
+				checkPackSigned(t, fmt.Sprintf("zigzag w=%d n=%d", w, n), zz)
+			}
 			src := randomValues(rng, n, w)
 			packed, err := Pack(src, w)
 			if err != nil {
@@ -113,6 +175,23 @@ func TestPackBoundaryValues(t *testing.T) {
 	}
 }
 
+// TestPackSignedExtremes packs columns holding MinInt64 — whose
+// zigzag is all ones, width 64 — and MaxInt64, the widest raw value.
+func TestPackSignedExtremes(t *testing.T) {
+	for _, n := range []int{1, 63, 64, 65, 4097} {
+		lo := make([]int64, n)
+		hi := make([]int64, n)
+		for i := range lo {
+			lo[i] = int64(i) - 3
+			hi[i] = int64(i)
+		}
+		lo[n/2] = math.MinInt64
+		hi[n-1] = math.MaxInt64
+		checkPackSigned(t, fmt.Sprintf("MinInt64 n=%d", n), lo)
+		checkPackSigned(t, fmt.Sprintf("MaxInt64 n=%d", n), hi)
+	}
+}
+
 func TestPackOverflowRejected(t *testing.T) {
 	if _, err := Pack([]uint64{4}, 2); !errors.Is(err, ErrOverflow) {
 		t.Fatalf("overflow err = %v", err)
@@ -152,7 +231,7 @@ func TestGenericMatchesKernels(t *testing.T) {
 		src := randomValues(rng, BlockLen, w)
 		// Kernel path.
 		kernel := make([]uint64, int(w))
-		packBlock(src, w, kernel)
+		packFuncs[w](src, kernel)
 		// Generic path.
 		generic := make([]uint64, PackedWords(BlockLen, w))
 		packGeneric(src, w, generic, 0)

@@ -39,16 +39,18 @@ type Stats struct {
 	// Distinct is the exact distinct count up to distinctCap,
 	// saturating at distinctCap+1.
 	Distinct int
-	// SumAbsDelta accumulates |delta| between consecutive elements;
-	// SumAbsDelta/N estimates local variation for FOR suitability.
+	// SumAbsDelta accumulates the distance |x[i] − x[i−1]| between
+	// consecutive elements, each taken exactly (a distance between two
+	// int64s fits a uint64) and summed modulo 2^64; SumAbsDelta/N
+	// estimates local variation for FOR suitability.
 	SumAbsDelta uint64
 }
 
 // Analyze computes Stats over src. The width and run structure come
-// from the shared one-pass collector (core.CollectStats); the exact
-// distinct count adds one more pass with a hash set, which the
-// encode hot path avoids by using the collector's sketch estimate
-// instead.
+// from the shared one-pass collector (core.CollectStats); one more
+// pass takes what no encode decision reads — monotonicity, the sum of
+// absolute deltas and the exact distinct count, with a hash set where
+// the encode hot path uses the collector's sketch estimate.
 func Analyze(src []int64) Stats {
 	bs := core.CollectStats(src, nil)
 	s := Stats{
@@ -56,9 +58,8 @@ func Analyze(src []int64) Stats {
 		Min:           bs.Min,
 		Max:           bs.Max,
 		Runs:          bs.Runs,
-		NonDecreasing: bs.NonDecreasing,
-		NonIncreasing: bs.NonIncreasing,
-		SumAbsDelta:   bs.SumAbsDelta,
+		NonDecreasing: true,
+		NonIncreasing: true,
 	}
 	if bs.N > 0 {
 		// Every element's value is some run's head value, so the
@@ -71,11 +72,22 @@ func Analyze(src []int64) Stats {
 	}
 
 	distinct := make(map[int64]struct{}, 256)
-	for _, v := range src {
-		if len(distinct) > distinctCap {
-			break
+	for i, v := range src {
+		if len(distinct) <= distinctCap {
+			distinct[v] = struct{}{}
 		}
-		distinct[v] = struct{}{}
+		if i == 0 {
+			continue
+		}
+		prev := src[i-1]
+		switch {
+		case v < prev:
+			s.NonDecreasing = false
+			s.SumAbsDelta += uint64(prev) - uint64(v)
+		case v > prev:
+			s.NonIncreasing = false
+			s.SumAbsDelta += uint64(v) - uint64(prev)
+		}
 	}
 	s.Distinct = len(distinct)
 	if s.Distinct > distinctCap {

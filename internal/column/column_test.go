@@ -1,8 +1,11 @@
 package column
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
+
+	"lwcomp/internal/workload"
 )
 
 func TestAnalyzeEmpty(t *testing.T) {
@@ -34,18 +37,80 @@ func TestAnalyzeBasics(t *testing.T) {
 	}
 }
 
+// orderReference is the plain loop Analyze's monotonicity flags and
+// SumAbsDelta must match: comparisons decide the order, and each
+// distance is taken exactly, whatever the int64 difference would wrap
+// to.
+func orderReference(src []int64) (nonDecreasing, nonIncreasing bool, sumAbsDelta uint64) {
+	nonDecreasing, nonIncreasing = true, true
+	for i := 1; i < len(src); i++ {
+		a, b := src[i-1], src[i]
+		if b < a {
+			nonDecreasing = false
+			sumAbsDelta += uint64(a) - uint64(b)
+		}
+		if b > a {
+			nonIncreasing = false
+			sumAbsDelta += uint64(b) - uint64(a)
+		}
+	}
+	return nonDecreasing, nonIncreasing, sumAbsDelta
+}
+
+// orderColumns are the columns the order checks run: hand-made
+// monotone and constant columns, columns whose deltas wrap at the
+// int64 extremes, and the six maintenance shapes.
+func orderColumns() map[string][]int64 {
+	cols := map[string][]int64{
+		"rising":        {1, 2, 2, 3},
+		"falling":       {3, 2, 2, 1},
+		"constant":      {7, 7, 7},
+		"min-max":       {math.MinInt64, math.MaxInt64},
+		"max-min-0":     {math.MaxInt64, math.MinInt64, 0},
+		"single":        {math.MinInt64},
+		"mixed":         {5, 5, 5, 2, 2, 9},
+		"wrapping-rise": {math.MinInt64, -1, 0, math.MaxInt64},
+	}
+	for _, sh := range workload.MaintainShapes(5000, 3) {
+		cols[sh.Name] = sh.Data
+	}
+	return cols
+}
+
 func TestAnalyzeMonotone(t *testing.T) {
-	s := Analyze([]int64{1, 2, 2, 3})
-	if !s.NonDecreasing || s.NonIncreasing || !s.Monotone() {
-		t.Fatalf("monotone flags = %+v", s)
+	for name, src := range orderColumns() {
+		s := Analyze(src)
+		nd, ni, _ := orderReference(src)
+		if s.NonDecreasing != nd || s.NonIncreasing != ni {
+			t.Errorf("%s: non-decreasing=%v non-increasing=%v, want %v %v",
+				name, s.NonDecreasing, s.NonIncreasing, nd, ni)
+		}
+		if s.Monotone() != (nd || ni) {
+			t.Errorf("%s: Monotone() = %v", name, s.Monotone())
+		}
 	}
-	s = Analyze([]int64{3, 2, 2, 1})
-	if s.NonDecreasing || !s.NonIncreasing {
-		t.Fatalf("monotone flags = %+v", s)
-	}
-	s = Analyze([]int64{7, 7, 7})
-	if !s.NonDecreasing || !s.NonIncreasing || s.Runs != 1 {
+	if s := Analyze([]int64{7, 7, 7}); !s.NonDecreasing || !s.NonIncreasing || s.Runs != 1 {
 		t.Fatalf("constant flags = %+v", s)
+	}
+	if s := Analyze([]int64{math.MaxInt64, math.MinInt64, 0}); s.NonDecreasing || s.NonIncreasing {
+		t.Fatalf("wrapping column reported monotone: %+v", s)
+	}
+}
+
+// TestAnalyzeSumAbsDelta checks the exact distances, modulo 2^64 over
+// the sum, including steps whose int64 difference wraps.
+func TestAnalyzeSumAbsDelta(t *testing.T) {
+	for name, src := range orderColumns() {
+		_, _, want := orderReference(src)
+		if got := Analyze(src).SumAbsDelta; got != want {
+			t.Errorf("%s: sum abs delta = %d, want %d", name, got, want)
+		}
+	}
+	if got := Analyze([]int64{math.MinInt64, math.MaxInt64}).SumAbsDelta; got != math.MaxUint64 {
+		t.Fatalf("sum abs delta across the int64 range = %d", got)
+	}
+	if got := Analyze([]int64{7, 7, 7}).SumAbsDelta; got != 0 {
+		t.Fatalf("constant column sum abs delta = %d", got)
 	}
 }
 

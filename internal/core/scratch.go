@@ -29,20 +29,27 @@ type Scratch struct {
 type freelist[T any] [][]T
 
 // get borrows a length-n buffer with unspecified contents, reusing
-// the most recently returned buffer that fits.
+// the smallest returned buffer that fits (the most recently returned
+// among equals). Best fit keeps a small request from taking a buffer
+// that a larger one would then have to allocate anew, so an arena
+// retains about what its callers borrow at once, not more.
 func (fl *freelist[T]) get(n int) []T {
 	l := *fl
+	best := -1
 	for i := len(l) - 1; i >= 0; i-- {
-		if cap(l[i]) >= n {
-			b := l[i][:n]
-			last := len(l) - 1
-			l[i] = l[last]
-			l[last] = nil
-			*fl = l[:last]
-			return b
+		if c := cap(l[i]); c >= n && (best < 0 || c < cap(l[best])) {
+			best = i
 		}
 	}
-	return make([]T, n)
+	if best < 0 {
+		return make([]T, n)
+	}
+	b := l[best][:n]
+	last := len(l) - 1
+	l[best] = l[last]
+	l[last] = nil
+	*fl = l[:last]
+	return b
 }
 
 // put returns a borrowed buffer to the freelist.

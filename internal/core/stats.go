@@ -26,9 +26,6 @@ type BlockStats struct {
 	Min, Max int64
 	// HasMinMax reports Min/Max validity.
 	HasMinMax bool
-	// NonDecreasing and NonIncreasing report monotonicity (both true
-	// for empty columns).
-	NonDecreasing, NonIncreasing bool
 
 	// Runs is the number of maximal runs of equal values.
 	Runs int
@@ -37,26 +34,16 @@ type BlockStats struct {
 	// HasRuns reports Runs/MaxRunLen validity.
 	HasRuns bool
 
-	// RunDeltaMin and RunDeltaMax bound the deltas between
-	// consecutive run-head values as DELTA would store them over
-	// RLE's values column: the first delta is 0, since DELTA keeps
-	// the first run head as a parameter.
-	RunDeltaMin, RunDeltaMax int64
-	// RunDeltaHist is the width histogram of zigzagged run-head
-	// deltas, excluding the first delta.
-	RunDeltaHist bitpack.WidthHistogram
-	// HasRunDeltas reports RunDelta* validity.
-	HasRunDeltas bool
-
 	// DeltaMin and DeltaMax bound the deltas DELTA would store: the
-	// consecutive deltas and the first delta, 0.
+	// consecutive deltas and the first delta, 0. They also bound the
+	// deltas between consecutive run heads (RunHeadDeltaHist): those
+	// are the non-zero consecutive deltas, and a zero delta moves
+	// neither bound, which the first delta already holds at 0.
 	DeltaMin, DeltaMax int64
 	// DeltaHist is the width histogram of zigzagged consecutive
 	// deltas, excluding the first delta.
 	DeltaHist bitpack.WidthHistogram
-	// SumAbsDelta accumulates |delta| between consecutive elements.
-	SumAbsDelta uint64
-	// HasDeltas reports Delta*/SumAbsDelta validity.
+	// HasDeltas reports Delta* validity.
 	HasDeltas bool
 
 	// ValueHist is the width histogram of zigzagged values.
@@ -136,14 +123,13 @@ func distinctSketchBit(v int64) uint64 {
 //
 // The pass walks one base segment at a time with everything it
 // accumulates per element — the segment's extremes, the probe
-// minimum, the four width histograms — in locals, so the inner loop
+// minimum, the three width histograms — in locals, so the inner loop
 // carries no index arithmetic and no loads or stores through the
 // result; the column's extremes fold up from the segments'.
 func CollectStats(src []int64, s *Scratch) BlockStats {
 	var st BlockStats
 	st.N = len(src)
-	st.NonDecreasing, st.NonIncreasing = true, true
-	st.HasMinMax, st.HasRuns, st.HasRunDeltas, st.HasDeltas = true, true, true, true
+	st.HasMinMax, st.HasRuns, st.HasDeltas = true, true, true
 	st.HasValueHist, st.HasDistinct = true, true
 	st.SegLen = StatsSegLen
 	st.OffsetSegLen = StatsProbeSegLen
@@ -154,16 +140,15 @@ func CollectStats(src []int64, s *Scratch) BlockStats {
 	nseg := (len(src) + StatsSegLen - 1) / StatsSegLen
 	st.SegMin = s.I64(nseg)
 	st.SegMax = s.I64(nseg)
-	sketch := s.U64(distinctSketchWords)
-	clear(sketch)
+	sketchBuf := s.U64(distinctSketchWords)
+	sketch := (*[distinctSketchWords]uint64)(sketchBuf)
+	clear(sketch[:])
 
 	first := src[0]
 	var offsets, values, deltas [65]int
 	minV, maxV := first, first
-	var deltaMin, deltaMax, runDeltaMin, runDeltaMax int64 // the first delta is 0
-	var unordered uint                                     // bit 0: some element fell below its predecessor; bit 1: some rose above
-	var sumAbsDelta uint64
-	runStart, maxRunLen := 0, 0
+	var deltaMin, deltaMax int64 // the first delta is 0
+	runLen, maxRunLen := 1, 0
 	prev, probeMin := first, first
 	// The first element has no delta and starts the first run: it is
 	// observed here, and the walk below starts after it. offW and valW
@@ -172,7 +157,9 @@ func CollectStats(src []int64, s *Scratch) BlockStats {
 	// falls in the same classes, moves no extreme and sets no new
 	// sketch bit, so such repeats are only counted, and credited in
 	// bulk when the next element that differs (or the next segment,
-	// where the probe minimum may restart) is observed.
+	// where the probe minimum may restart) is observed. runLen is the
+	// current run's length up to the latest element observed in full;
+	// credited repeats extend it.
 	offW, valW, repeats := 0, bits.Len64(bitpack.Zigzag(first)), 0
 	offsets[offW]++
 	values[valW]++
@@ -183,10 +170,11 @@ func CollectStats(src []int64, s *Scratch) BlockStats {
 		if lo%StatsProbeSegLen == 0 {
 			probeMin = src[lo]
 		}
-		segMin, segMax := src[lo], src[lo]
-		for i := max(lo, 1); i < min(lo+StatsSegLen, len(src)); i++ {
-			v := src[i]
-			if v == prev && i > lo {
+		part := src[lo:min(lo+StatsSegLen, len(src))]
+		segMin, segMax := part[0], part[0]
+		for j := max(1-lo, 0); j < len(part); j++ {
+			v := part[j]
+			if v == prev && j > 0 {
 				repeats++
 				continue
 			}
@@ -194,6 +182,7 @@ func CollectStats(src []int64, s *Scratch) BlockStats {
 				offsets[offW] += repeats
 				values[valW] += repeats
 				deltas[0] += repeats
+				runLen += repeats
 				repeats = 0
 			}
 			segMin, segMax = min(segMin, v), max(segMax, v)
@@ -203,26 +192,15 @@ func CollectStats(src []int64, s *Scratch) BlockStats {
 			values[valW]++
 			h = distinctSketchBit(v)
 			sketch[h>>6] |= 1 << (h & 63)
-			// Branch-free: on unordered data these comparisons are coin
-			// flips no predictor learns.
-			var down, up uint
-			if v < prev {
-				down = 1
-			}
-			if v > prev {
-				up = 2
-			}
-			unordered |= down | up
 			d := v - prev
 			deltas[bits.Len64(bitpack.Zigzag(d))]++
 			deltaMin, deltaMax = min(deltaMin, d), max(deltaMax, d)
-			sumAbsDelta += uint64((d ^ d>>63) - d>>63)
+			// A non-zero delta starts a run; a zero one, only here at a
+			// segment's first element, continues it.
+			maxRunLen = max(maxRunLen, runLen)
+			runLen++
 			if d != 0 {
-				// A run ends. Every element of it equalled its head, so
-				// d is also the delta between the two run heads.
-				maxRunLen = max(maxRunLen, i-runStart)
-				runStart = i
-				runDeltaMin, runDeltaMax = min(runDeltaMin, d), max(runDeltaMax, d)
+				runLen = 1
 			}
 			prev = v
 		}
@@ -233,25 +211,19 @@ func CollectStats(src []int64, s *Scratch) BlockStats {
 	values[valW] += repeats
 	deltas[0] += repeats
 	st.Min, st.Max = minV, maxV
-	st.NonDecreasing, st.NonIncreasing = unordered&1 == 0, unordered&2 == 0
-	st.MaxRunLen = int64(max(maxRunLen, len(src)-runStart))
-	st.DeltaMin, st.DeltaMax, st.SumAbsDelta = deltaMin, deltaMax, sumAbsDelta
-	st.RunDeltaMin, st.RunDeltaMax = runDeltaMin, runDeltaMax
+	st.MaxRunLen = int64(max(maxRunLen, runLen+repeats))
+	st.DeltaMin, st.DeltaMax = deltaMin, deltaMax
 	st.OffsetHist = bitpack.WidthHistogram{Counts: offsets, N: len(src)}
 	st.ValueHist = bitpack.WidthHistogram{Counts: values, N: len(src)}
 	st.DeltaHist = bitpack.WidthHistogram{Counts: deltas, N: len(src) - 1}
-	// The run-head deltas are the non-zero deltas, and only a zero has
-	// width 0.
-	st.RunDeltaHist = st.DeltaHist
-	st.RunDeltaHist.N -= deltas[0]
-	st.RunDeltaHist.Counts[0] = 0
-	st.Runs = st.RunDeltaHist.N + 1
+	// Every non-zero delta starts a run, and only a zero has width 0.
+	st.Runs = len(src) - deltas[0]
 
 	ones := 0
 	for _, w := range sketch {
 		ones += bits.OnesCount64(w)
 	}
-	s.PutU64(sketch)
+	s.PutU64(sketchBuf)
 	st.DistinctFloor = ones
 	const m = 1 << distinctSketchLogBits
 	if ones >= m {
@@ -290,6 +262,18 @@ func (st *BlockStats) AvgRunLength() float64 {
 // DistinctSaturated reports whether the distinct estimate hit its
 // cap.
 func (st *BlockStats) DistinctSaturated() bool { return st.Distinct > DistinctCap }
+
+// RunHeadDeltaHist returns the width histogram of the zigzagged deltas
+// between consecutive run heads, excluding the first: DELTA's deltas
+// over RLE's values column. Every element of a run equals its head,
+// so those deltas are the non-zero consecutive deltas, and only a
+// zero has width 0.
+func (st *BlockStats) RunHeadDeltaHist() bitpack.WidthHistogram {
+	h := st.DeltaHist
+	h.N -= h.Counts[0]
+	h.Counts[0] = 0
+	return h
+}
 
 // NSShape returns the width and zigzag flag the NS scheme would
 // choose for a column with these stats — exactly, from Min/Max alone:

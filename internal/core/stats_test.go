@@ -10,21 +10,30 @@ import (
 	"lwcomp/internal/bitpack"
 )
 
+// runHeadDeltas are the deltas between consecutive run heads, which
+// BlockStats does not store: its delta bounds and RunHeadDeltaHist
+// must reproduce them.
+type runHeadDeltas struct {
+	min, max int64
+	hist     bitpack.WidthHistogram
+}
+
 // collectStatsReference is the element-at-a-time collector the
 // segment-at-a-time CollectStats replaced: every field updated through
 // the result, the segment found by division per element. Kept as the
-// reference CollectStats must match field for field.
-func collectStatsReference(src []int64) BlockStats {
+// reference CollectStats must match field for field, beside the
+// run-head deltas it takes from its own walk over the run heads.
+func collectStatsReference(src []int64) (BlockStats, runHeadDeltas) {
 	var s *Scratch
 	var st BlockStats
+	var rh runHeadDeltas
 	st.N = len(src)
-	st.NonDecreasing, st.NonIncreasing = true, true
-	st.HasMinMax, st.HasRuns, st.HasRunDeltas, st.HasDeltas = true, true, true, true
+	st.HasMinMax, st.HasRuns, st.HasDeltas = true, true, true
 	st.HasValueHist, st.HasDistinct = true, true
 	st.SegLen = StatsSegLen
 	st.OffsetSegLen = StatsProbeSegLen
 	if len(src) == 0 {
-		return st
+		return st, rh
 	}
 
 	nseg := (len(src) + StatsSegLen - 1) / StatsSegLen
@@ -40,7 +49,6 @@ func collectStatsReference(src []int64) BlockStats {
 	st.Runs = 1
 	// DELTA keeps the first value as a parameter: its first delta is 0.
 	st.DeltaMin, st.DeltaMax = 0, 0
-	st.RunDeltaMin, st.RunDeltaMax = 0, 0
 
 	prev := first
 	prevRunHead := first
@@ -77,12 +85,6 @@ func collectStatsReference(src []int64) BlockStats {
 		if v > st.Max {
 			st.Max = v
 		}
-		if v < prev {
-			st.NonDecreasing = false
-		}
-		if v > prev {
-			st.NonIncreasing = false
-		}
 		d := v - prev
 		st.DeltaHist.Observe(bitpack.Zigzag(d))
 		if d < st.DeltaMin {
@@ -91,11 +93,6 @@ func collectStatsReference(src []int64) BlockStats {
 		if d > st.DeltaMax {
 			st.DeltaMax = d
 		}
-		if d < 0 {
-			st.SumAbsDelta += uint64(-d)
-		} else {
-			st.SumAbsDelta += uint64(d)
-		}
 		if v != prev {
 			st.Runs++
 			if rl := int64(i - runStart); rl > maxRunLen {
@@ -103,13 +100,8 @@ func collectStatsReference(src []int64) BlockStats {
 			}
 			runStart = i
 			rd := v - prevRunHead
-			st.RunDeltaHist.Observe(bitpack.Zigzag(rd))
-			if rd < st.RunDeltaMin {
-				st.RunDeltaMin = rd
-			}
-			if rd > st.RunDeltaMax {
-				st.RunDeltaMax = rd
-			}
+			rh.hist.Observe(bitpack.Zigzag(rd))
+			rh.min, rh.max = min(rh.min, rd), max(rh.max, rd)
 			prevRunHead = v
 		}
 		prev = v
@@ -138,7 +130,7 @@ func collectStatsReference(src []int64) BlockStats {
 		}
 		st.Distinct = est
 	}
-	return st
+	return st, rh
 }
 
 // TestCollectStatsSmall pins the collector on a column small enough
@@ -148,24 +140,28 @@ func TestCollectStatsSmall(t *testing.T) {
 	want := BlockStats{
 		N: 6, Min: 3, Max: 9, HasMinMax: true,
 		Runs: 3, MaxRunLen: 3, HasRuns: true,
-		RunDeltaMin: -2, RunDeltaMax: 6, HasRunDeltas: true,
-		DeltaMin: -2, DeltaMax: 6, SumAbsDelta: 8, HasDeltas: true,
+		DeltaMin: -2, DeltaMax: 6, HasDeltas: true,
 		HasValueHist: true, Distinct: 3, DistinctFloor: 3, HasDistinct: true,
 		SegLen: StatsSegLen, SegMin: []int64{3}, SegMax: []int64{9},
 		OffsetSegLen: StatsProbeSegLen,
 	}
-	want.RunDeltaHist = bitpack.HistogramOf([]uint64{bitpack.Zigzag(-2), bitpack.Zigzag(6)})
 	want.DeltaHist = bitpack.HistogramOf([]uint64{0, bitpack.Zigzag(-2), 0, 0, bitpack.Zigzag(6)})
 	want.ValueHist = bitpack.HistogramOf([]uint64{10, 10, 6, 6, 6, 18})
 	want.OffsetHist = bitpack.HistogramOf([]uint64{0, 0, 0, 0, 0, 6})
 	if !reflect.DeepEqual(st, want) {
 		t.Fatalf("stats =\n%+v\nwant\n%+v", st, want)
 	}
+	runHeads := bitpack.HistogramOf([]uint64{bitpack.Zigzag(-2), bitpack.Zigzag(6)})
+	if got := st.RunHeadDeltaHist(); got != runHeads {
+		t.Fatalf("run-head delta histogram = %+v, want %+v", got, runHeads)
+	}
 }
 
 // TestCollectStatsMatchesReference drives random columns of every
 // length around the segment and probe boundaries through both
-// collectors and requires identical results, field for field.
+// collectors and requires identical results, field for field, and the
+// reference's run-head deltas bounded by the delta bounds and
+// histogrammed by RunHeadDeltaHist.
 func TestCollectStatsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	var held int64
@@ -189,12 +185,20 @@ func TestCollectStatsMatchesReference(t *testing.T) {
 		for i := range src {
 			src[i] = gen()
 			if walk && i > 0 && n%len(gens) < 2 {
-				src[i] += src[i-1] // monotone-ish prefixes for the flags
+				src[i] += src[i-1] // monotone-ish prefixes
 			}
 		}
-		got, want := CollectStats(src, nil), collectStatsReference(src)
+		got := CollectStats(src, nil)
+		want, rh := collectStatsReference(src)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("n=%d: stats =\n%+v\nreference\n%+v", n, got, want)
+		}
+		if got.DeltaMin != rh.min || got.DeltaMax != rh.max {
+			t.Fatalf("n=%d: delta bounds [%d, %d], run-head delta bounds [%d, %d]",
+				n, got.DeltaMin, got.DeltaMax, rh.min, rh.max)
+		}
+		if hist := got.RunHeadDeltaHist(); hist != rh.hist {
+			t.Fatalf("n=%d: run-head delta histogram = %+v, reference %+v", n, hist, rh.hist)
 		}
 		s := GetScratch()
 		pooled := CollectStats(src, s)

@@ -29,40 +29,19 @@ func (NS) Name() string { return NSName }
 // Compress bit-packs src at its minimal width.
 func (sch NS) Compress(src []int64) (*core.Form, error) { return core.CompressPooled(sch, src) }
 
-// unsignedScratch fills a scratch-borrowed word buffer with src in
-// NS's packing domain (zigzag when negatives are present), returning
-// the buffer and the zigzag flag. The caller returns the buffer.
-func unsignedScratch(src []int64, s *core.Scratch) ([]uint64, int64) {
-	zig := int64(0)
-	for _, v := range src {
-		if v < 0 {
-			zig = 1
-			break
-		}
-	}
-	u := s.U64(len(src))
-	if zig == 1 {
-		for i, v := range src {
-			u[i] = bitpack.Zigzag(v)
-		}
-	} else {
-		for i, v := range src {
-			u[i] = uint64(v)
-		}
-	}
-	return u, zig
-}
-
 // CompressParts implements core.ConstituentCompressor for the terminal
-// codec, which emits nothing: the zigzag staging buffer is borrowed;
-// only the packed payload is allocated.
+// codec, which emits nothing: one pass over src finds the zigzag flag
+// and width, and the packing stages 64 values at a time in a
+// scratch-borrowed block, so only the packed payload is allocated.
 func (NS) CompressParts(src []int64, s *core.Scratch, _ func(string, []int64) (*core.Form, error)) (*core.Form, error) {
-	u, zig := unsignedScratch(src, s)
-	defer s.PutU64(u)
-	w := bitpack.MaxWidth(u)
-	packed, err := bitpack.Pack(u, w)
-	if err != nil {
-		return nil, fmt.Errorf("ns: %w", err)
+	w, zigzag := bitpack.SignedShape(src)
+	packed := make([]uint64, bitpack.PackedWords(len(src), w))
+	stage := s.U64(bitpack.BlockLen)
+	bitpack.PackSigned(packed, src, w, zigzag, stage)
+	s.PutU64(stage)
+	zig := int64(0)
+	if zigzag {
+		zig = 1
 	}
 	return &core.Form{
 		Scheme: NSName,

@@ -174,8 +174,9 @@ func runLengthStats(st *core.BlockStats) core.BlockStats {
 
 // runValueStats derives the stats of RLE's (and RPE's) values
 // column: the run-head values. Adjacent run heads always differ, so
-// the child is run-free (every run has length 1) and its delta
-// statistics are the parent's run-delta statistics.
+// the child is run-free (every run has length 1); its deltas are the
+// parent's non-zero deltas, which the parent's delta bounds bound and
+// whose histogram is the parent's RunHeadDeltaHist.
 func runValueStats(st *core.BlockStats) core.BlockStats {
 	var cs core.BlockStats
 	cs.N = st.Runs
@@ -186,13 +187,10 @@ func runValueStats(st *core.BlockStats) core.BlockStats {
 		cs.MaxRunLen = 1
 	}
 	cs.HasRuns = true
-	if st.HasRunDeltas {
-		cs.DeltaMin, cs.DeltaMax = st.RunDeltaMin, st.RunDeltaMax
-		cs.DeltaHist = st.RunDeltaHist
+	if st.HasDeltas {
+		cs.DeltaMin, cs.DeltaMax = st.DeltaMin, st.DeltaMax
+		cs.DeltaHist = st.RunHeadDeltaHist()
 		cs.HasDeltas = true
-		cs.RunDeltaMin, cs.RunDeltaMax = st.RunDeltaMin, st.RunDeltaMax
-		cs.RunDeltaHist = st.RunDeltaHist
-		cs.HasRunDeltas = true
 	}
 	if st.HasDistinct {
 		cs.Distinct, cs.DistinctFloor = st.Distinct, st.DistinctFloor

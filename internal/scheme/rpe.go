@@ -125,7 +125,6 @@ func (RPE) ConstituentStats(st *core.BlockStats) (uint64, []core.PredictedChild,
 	ps.HasMinMax = true
 	if st.Runs > 0 {
 		ps.Min, ps.Max = 1, int64(st.N)
-		ps.NonDecreasing = true
 	}
 	return core.FormOverheadBits(0), []core.PredictedChild{
 		{Name: "positions", Stats: ps},

@@ -39,6 +39,31 @@ func (VNS) Name() string { return VNSName }
 // Compress packs each mini-block at its own width.
 func (sch VNS) Compress(src []int64) (*core.Form, error) { return core.CompressPooled(sch, src) }
 
+// unsignedScratch fills a scratch-borrowed word buffer with src in
+// null suppression's packing domain (zigzag when negatives are
+// present), returning the buffer and the zigzag flag. The caller
+// returns the buffer.
+func unsignedScratch(src []int64, s *core.Scratch) ([]uint64, int64) {
+	zig := int64(0)
+	for _, v := range src {
+		if v < 0 {
+			zig = 1
+			break
+		}
+	}
+	u := s.U64(len(src))
+	if zig == 1 {
+		for i, v := range src {
+			u[i] = bitpack.Zigzag(v)
+		}
+	} else {
+		for i, v := range src {
+			u[i] = uint64(v)
+		}
+	}
+	return u, zig
+}
+
 // CompressParts implements core.ConstituentCompressor: widths are
 // computed into a borrowed buffer and handed to emit, and the payload
 // is packed in one exactly-sized allocation instead of per-mini-block

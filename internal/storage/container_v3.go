@@ -91,13 +91,22 @@ type blockLoc struct {
 
 // WriteContainerV3 writes named blocked columns as one v3 container.
 // Columns may be lazily opened handles: their block payloads are
-// fetched through the source as they are written. Tombstoned blocks
-// are written as index tombstones with no payload. The writer buffers
-// the encoded index and payload region in memory before writing
-// (offsets must be known up front), so writing costs O(container)
-// memory; a spooling writer is future work if containers outgrow RAM.
+// fetched through the source, and every fetched form stays leased
+// until the container is written. Tombstoned blocks are written as
+// index tombstones with no payload. The writer assembles the whole
+// container in one buffer of its exact size — every form serialized
+// straight into place — before one write (offsets must be known up
+// front), so writing costs O(container) memory; a spooling writer is
+// future work if containers outgrow RAM.
 func WriteContainerV3(w io.Writer, cols []BlockedColumn) error {
 	raw := make([]RawColumn, 0, len(cols))
+	defer func() {
+		for _, rc := range raw {
+			for i := range rc.Blocks {
+				rc.Blocks[i].lease.Release()
+			}
+		}
+	}()
 	for _, c := range cols {
 		if len(c.Name) == 0 || len(c.Name) > maxNameLen {
 			return fmt.Errorf("%w: column name %q", ErrCorrupt, c.Name)
@@ -108,10 +117,12 @@ func WriteContainerV3(w io.Writer, cols []BlockedColumn) error {
 		if err := c.Col.Validate(); err != nil {
 			return err
 		}
-		rc := RawColumn{Name: c.Name, BlockSize: c.Col.BlockSize}
+		rc := RawColumn{Name: c.Name, BlockSize: c.Col.BlockSize, Blocks: make([]RawBlock, len(c.Col.Blocks))}
+		raw = append(raw, rc)
 		for i := range c.Col.Blocks {
 			b := &c.Col.Blocks[i]
-			rb := RawBlock{
+			rb := &rc.Blocks[i]
+			*rb = RawBlock{
 				Count: b.Count, HasStats: b.HasStats, Min: b.Min, Max: b.Max,
 				Certificate: b.Certificate,
 				Tombstone:   b.Tombstone, TombstoneReason: b.TombstoneReason,
@@ -121,16 +132,9 @@ func WriteContainerV3(w io.Writer, cols []BlockedColumn) error {
 				if err != nil {
 					return err
 				}
-				enc, err := EncodeForm(f)
-				l.Release()
-				if err != nil {
-					return err
-				}
-				rb.Payload = enc
+				rb.form, rb.lease = f, l
 			}
-			rc.Blocks = append(rc.Blocks, rb)
 		}
-		raw = append(raw, rc)
 	}
 	return WriteContainerV3Raw(w, raw)
 }
@@ -160,6 +164,11 @@ type RawBlock struct {
 	TombstoneReason string
 	// Payload is the block's encoded form bytes, written verbatim.
 	Payload []byte
+
+	// form, when set (by WriteContainerV3), is serialized into place
+	// as the payload instead of Payload; lease holds it until then.
+	form  *core.Form
+	lease blocked.Lease
 }
 
 // RawColumn is one column of a raw-assembled v3 container. The row
@@ -180,9 +189,16 @@ type RawColumn struct {
 // writer — callers are responsible for payload validity (the index
 // CRC machinery will catch mismatches at read time, and repair
 // verifies candidates before swapping them in).
+//
+// The container is assembled in one buffer sized once and written
+// with one call. The index, whose length the payload sizes settle,
+// is built first with a placeholder for each payload CRC; each
+// payload's CRC is then taken as it is copied (or serialized) into
+// place and patched into the index's copy.
 func WriteContainerV3Raw(w io.Writer, cols []RawColumn) error {
 	var index []byte
-	var payload []byte
+	var crcAt []int // per block, where its payload CRC goes in index
+	payloadLen := 0
 	index = binary.AppendUvarint(index, uint64(len(cols)))
 	for _, c := range cols {
 		if len(c.Name) == 0 || len(c.Name) > maxNameLen {
@@ -202,12 +218,19 @@ func WriteContainerV3Raw(w io.Writer, cols []RawColumn) error {
 		index = binary.AppendUvarint(index, uint64(len(c.Blocks)))
 		for i := range c.Blocks {
 			b := &c.Blocks[i]
+			size := len(b.Payload)
+			if b.form != nil {
+				var err error
+				if size, err = formSize(b.form); err != nil {
+					return err
+				}
+			}
 			index = binary.AppendUvarint(index, uint64(b.Count))
 			switch {
 			case b.Tombstone:
-				if len(b.Payload) != 0 {
+				if size != 0 {
 					return fmt.Errorf("%w: column %q block %d is tombstoned but has %d payload bytes",
-						ErrCorrupt, c.Name, i, len(b.Payload))
+						ErrCorrupt, c.Name, i, size)
 				}
 				index = append(index, 2)
 				reason := b.TombstoneReason
@@ -230,28 +253,41 @@ func WriteContainerV3Raw(w io.Writer, cols []RawColumn) error {
 			default:
 				index = append(index, 0)
 			}
-			index = binary.AppendUvarint(index, uint64(len(payload)))
-			index = binary.AppendUvarint(index, uint64(len(b.Payload)))
-			index = binary.LittleEndian.AppendUint32(index, crc32.Checksum(b.Payload, castagnoli))
-			payload = append(payload, b.Payload...)
+			index = binary.AppendUvarint(index, uint64(payloadLen))
+			index = binary.AppendUvarint(index, uint64(size))
+			crcAt = append(crcAt, len(index))
+			index = append(index, 0, 0, 0, 0)
+			payloadLen += size
 		}
 	}
-	var prefix [v3PrefixLen]byte
-	copy(prefix[:], MagicV3[:])
-	binary.LittleEndian.PutUint16(prefix[4:], VersionV3)
-	binary.LittleEndian.PutUint64(prefix[6:], uint64(len(index)+4))
-	if _, err := w.Write(prefix[:]); err != nil {
-		return err
+
+	buf := make([]byte, 0, v3PrefixLen+len(index)+4+payloadLen)
+	buf = append(buf, MagicV3[:]...)
+	buf = binary.LittleEndian.AppendUint16(buf, VersionV3)
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(index)+4))
+	buf = append(buf, index...)
+	buf = append(buf, 0, 0, 0, 0) // the index CRC, once the payload CRCs are in
+	k := 0
+	for _, c := range cols {
+		for i := range c.Blocks {
+			b := &c.Blocks[i]
+			at := len(buf)
+			if b.form != nil {
+				buf = appendForm(buf, b.form)
+			} else {
+				buf = append(buf, b.Payload...)
+			}
+			binary.LittleEndian.PutUint32(buf[v3PrefixLen+crcAt[k]:], crc32.Checksum(buf[at:], castagnoli))
+			k++
+		}
 	}
-	if _, err := w.Write(index); err != nil {
-		return err
+	if len(buf) != cap(buf) {
+		// formSize and appendForm disagree: the index's extents are wrong.
+		return fmt.Errorf("storage: container assembled to %d bytes, sized at %d", len(buf), cap(buf))
 	}
-	var crc [4]byte
-	binary.LittleEndian.PutUint32(crc[:], crc32.Checksum(index, castagnoli))
-	if _, err := w.Write(crc[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
+	end := v3PrefixLen + len(index)
+	binary.LittleEndian.PutUint32(buf[end:], crc32.Checksum(buf[v3PrefixLen:end], castagnoli))
+	_, err := w.Write(buf)
 	return err
 }
 

@@ -6,13 +6,17 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
+	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"lwcomp/internal/blocked"
+	"lwcomp/internal/workload"
 )
 
 // encodeBlocked builds a deterministic multi-block column.
@@ -415,5 +419,47 @@ func TestWriteContainerV3RejectsBrokenColumn(t *testing.T) {
 	}
 	if err := WriteContainerV3(&buf, []BlockedColumn{{Name: "c", Col: nil}}); err == nil {
 		t.Fatal("nil column accepted")
+	}
+}
+
+// TestWriteContainerAllocs pins what writing a container allocates to
+// little more than the container itself: each form is serialized
+// straight into the one buffer the container is assembled in, sized
+// once, so no per-block payload copy or growing buffer is made.
+func TestWriteContainerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation may allocate")
+	}
+	const n, runs = 1 << 16, 5
+	for _, sh := range workload.MaintainShapes(n, 1) {
+		col, err := blocked.Encode(sh.Data, blocked.EncodeOptions{BlockSize: n, Parallelism: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cols := []BlockedColumn{{Name: sh.Name, Col: col}}
+		var out bytes.Buffer
+		if err := WriteContainerV3(&out, cols); err != nil {
+			t.Fatal(err)
+		}
+		size := out.Len()
+		// The counter is the process's: the least of three readings
+		// leaves out what another goroutine allocated meanwhile.
+		perWrite := math.Inf(1)
+		for range 3 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for range runs {
+				if err := WriteContainerV3(io.Discard, cols); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&after)
+			perWrite = min(perWrite, float64(after.TotalAlloc-before.TotalAlloc)/runs)
+		}
+		t.Logf("%s: %d-byte container, %.0f bytes allocated", sh.Name, size, perWrite)
+		if limit := 1.25 * float64(size); perWrite > limit {
+			t.Errorf("%s: writing a %d-byte container allocates %.0f bytes, limit %.0f",
+				sh.Name, size, perWrite, limit)
+		}
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"math/bits"
+	"slices"
 	"sync"
 	"unsafe"
 
@@ -50,87 +52,119 @@ const maxNameLen = 255
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// EncodeForm serializes a form tree.
+// EncodeForm serializes a form tree into one buffer of its exact
+// encoded size.
 func EncodeForm(f *core.Form) ([]byte, error) {
-	var buf []byte
-	return appendForm(buf, f)
+	n, err := formSize(f)
+	if err != nil {
+		return nil, err
+	}
+	return appendForm(make([]byte, 0, n), f), nil
 }
 
-func appendForm(buf []byte, f *core.Form) ([]byte, error) {
+// formSize returns the exact number of bytes appendForm adds for f,
+// rejecting every form it cannot serialize: a nil form, a name outside
+// [1, 255] bytes, a negative length, more than 255 parameters or
+// children, or payload arms mixed in one node.
+func formSize(f *core.Form) (int, error) {
 	if f == nil {
-		return nil, fmt.Errorf("%w: nil form", ErrCorrupt)
+		return 0, fmt.Errorf("%w: nil form", ErrCorrupt)
 	}
 	if len(f.Scheme) == 0 || len(f.Scheme) > maxNameLen {
-		return nil, fmt.Errorf("%w: scheme name length %d", ErrCorrupt, len(f.Scheme))
+		return 0, fmt.Errorf("%w: scheme name length %d", ErrCorrupt, len(f.Scheme))
 	}
+	if f.N < 0 {
+		return 0, fmt.Errorf("%w: negative length %d", ErrCorrupt, f.N)
+	}
+	if len(f.Params) > 255 {
+		return 0, fmt.Errorf("%w: %d parameters", ErrCorrupt, len(f.Params))
+	}
+	if len(f.Children) > 255 {
+		return 0, fmt.Errorf("%w: %d children", ErrCorrupt, len(f.Children))
+	}
+	n := 1 + len(f.Scheme) + uvarintLen(uint64(f.N)) + 1 + 1
+	for k, v := range f.Params {
+		if len(k) == 0 || len(k) > maxNameLen {
+			return 0, fmt.Errorf("%w: parameter name %q", ErrCorrupt, k)
+		}
+		n += 1 + len(k) + uvarintLen(bitpack.Zigzag(v))
+	}
+	for name, c := range f.Children {
+		if len(name) == 0 || len(name) > maxNameLen {
+			return 0, fmt.Errorf("%w: child name %q", ErrCorrupt, name)
+		}
+		cn, err := formSize(c)
+		if err != nil {
+			return 0, err
+		}
+		n += 1 + len(name) + cn
+	}
+	arms := 0
+	for _, has := range [...]bool{f.Leaf != nil, f.Packed != nil, f.Bytes != nil} {
+		if has {
+			arms++
+		}
+	}
+	if arms > 1 {
+		return 0, fmt.Errorf("%w: form %q mixes payload arms", ErrCorrupt, f.Scheme)
+	}
+	n++ // the payload kind
+	switch {
+	case f.Leaf != nil:
+		n += uvarintLen(uint64(len(f.Leaf))) + 8*len(f.Leaf)
+	case f.Packed != nil:
+		n += uvarintLen(uint64(len(f.Packed))) + 8*len(f.Packed)
+	case f.Bytes != nil:
+		n += uvarintLen(uint64(len(f.Bytes))) + len(f.Bytes)
+	}
+	return n, nil
+}
+
+// uvarintLen returns the length of x as a uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// appendForm appends the serialization of f, which formSize has
+// accepted, to buf. Parameters and children go in name order, so the
+// bytes are deterministic.
+func appendForm(buf []byte, f *core.Form) []byte {
 	buf = append(buf, byte(len(f.Scheme)))
 	buf = append(buf, f.Scheme...)
-	if f.N < 0 {
-		return nil, fmt.Errorf("%w: negative length %d", ErrCorrupt, f.N)
-	}
 	buf = binary.AppendUvarint(buf, uint64(f.N))
 
-	// Parameters, sorted for deterministic bytes.
-	keys := f.Params.Keys()
-	if len(keys) > 255 {
-		return nil, fmt.Errorf("%w: %d parameters", ErrCorrupt, len(keys))
+	var names [8]string
+	keys := names[:0]
+	for k := range f.Params {
+		keys = append(keys, k)
 	}
+	slices.Sort(keys)
 	buf = append(buf, byte(len(keys)))
 	for _, k := range keys {
-		if len(k) == 0 || len(k) > maxNameLen {
-			return nil, fmt.Errorf("%w: parameter name %q", ErrCorrupt, k)
-		}
 		buf = append(buf, byte(len(k)))
 		buf = append(buf, k...)
 		buf = binary.AppendUvarint(buf, bitpack.Zigzag(f.Params[k]))
 	}
 
-	// Children, sorted by name.
-	names := f.ChildNames()
-	if len(names) > 255 {
-		return nil, fmt.Errorf("%w: %d children", ErrCorrupt, len(names))
+	keys = names[:0]
+	for name := range f.Children {
+		keys = append(keys, name)
 	}
-	buf = append(buf, byte(len(names)))
-	for _, name := range names {
-		if len(name) == 0 || len(name) > maxNameLen {
-			return nil, fmt.Errorf("%w: child name %q", ErrCorrupt, name)
-		}
+	slices.Sort(keys)
+	buf = append(buf, byte(len(keys)))
+	for _, name := range keys {
 		buf = append(buf, byte(len(name)))
 		buf = append(buf, name...)
-		var err error
-		buf, err = appendForm(buf, f.Children[name])
-		if err != nil {
-			return nil, err
-		}
+		buf = appendForm(buf, f.Children[name])
 	}
 
-	// Payload.
-	arms := 0
-	if f.Leaf != nil {
-		arms++
-	}
-	if f.Packed != nil {
-		arms++
-	}
-	if f.Bytes != nil {
-		arms++
-	}
-	if arms > 1 {
-		return nil, fmt.Errorf("%w: form %q mixes payload arms", ErrCorrupt, f.Scheme)
-	}
 	switch {
 	case f.Leaf != nil:
 		buf = append(buf, payloadLeaf)
 		buf = binary.AppendUvarint(buf, uint64(len(f.Leaf)))
-		for _, v := range f.Leaf {
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(v))
-		}
+		buf = appendWords(buf, unsafe.Slice((*uint64)(unsafe.Pointer(unsafe.SliceData(f.Leaf))), len(f.Leaf)))
 	case f.Packed != nil:
 		buf = append(buf, payloadPacked)
 		buf = binary.AppendUvarint(buf, uint64(len(f.Packed)))
-		for _, v := range f.Packed {
-			buf = binary.LittleEndian.AppendUint64(buf, v)
-		}
+		buf = appendWords(buf, f.Packed)
 	case f.Bytes != nil:
 		buf = append(buf, payloadBytes)
 		buf = binary.AppendUvarint(buf, uint64(len(f.Bytes)))
@@ -138,7 +172,23 @@ func appendForm(buf []byte, f *core.Form) ([]byte, error) {
 	default:
 		buf = append(buf, payloadNone)
 	}
-	return buf, nil
+	return buf
+}
+
+// appendWords appends the little-endian bytes of words to buf: on a
+// little-endian host one copy from a byte view of words, which is a
+// []uint64 and so word-aligned; elsewhere a word at a time.
+func appendWords(buf []byte, words []uint64) []byte {
+	if !littleEndian {
+		for _, v := range words {
+			buf = binary.LittleEndian.AppendUint64(buf, v)
+		}
+		return buf
+	}
+	if len(words) == 0 {
+		return buf
+	}
+	return append(buf, unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(words))), 8*len(words))...)
 }
 
 // DecodeForm deserializes a form tree, returning the form and the
@@ -439,10 +489,4 @@ func (d *decoder) form(depth int) (*core.Form, error) {
 // EncodedSize returns the exact serialized size in bytes of a form —
 // the honest number the experiments report alongside the analytic
 // PayloadBits estimate.
-func EncodedSize(f *core.Form) (int, error) {
-	enc, err := EncodeForm(f)
-	if err != nil {
-		return 0, err
-	}
-	return len(enc), nil
-}
+func EncodedSize(f *core.Form) (int, error) { return formSize(f) }
