@@ -1430,16 +1430,17 @@ func amountWalk(n int, seed int64) []int64 {
 }
 
 // BenchmarkDeltaRange measures the delta rule (internal/query/delta.go)
-// on one 16,384-row amount-shaped block in four ways: the framed
+// on one 16,384-row amount-shaped block in five ways: the framed
 // delta(ns) form the analyzer picks for it, the same form without its
 // frame (as every delta form was written before frames, built by hand
-// since Delta frames a block this long), the for(ns)[128] form it
-// picked before delta forms kept their first value, and
-// decode-then-filter of the delta(ns) form, the cost the rule
-// replaces. Count and select run
-// over a ±40 window around a value the block holds and over its middle
-// half; sum is the block's whole sum, and sumsel the sum under a 30 %
-// random selection.
+// since Delta frames a block this long), the block sorted in a delta
+// form without its frame (non-negative deltas: a sorted column written
+// before frames), the for(ns)[128] form it picked before delta forms
+// kept their first value, and decode-then-filter of the delta(ns) form,
+// the cost the rule replaces. Count and select run over a ±40 window around a value the block holds and over its middle
+// half, and keep (the pushdown forms only) clears the rows outside them
+// from a 30 % random selection; sum is the block's whole sum, and
+// sumsel the sum under that selection.
 func BenchmarkDeltaRange(b *testing.B) {
 	const n = 1 << 14
 	data := amountWalk(n, 63)
@@ -1447,14 +1448,21 @@ func BenchmarkDeltaRange(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	unframed := &core.Form{Scheme: framed.Scheme, N: framed.N,
-		Params:   core.Params{"first": scheme.DeltaFirst(framed)},
-		Children: map[string]*core.Form{"deltas": framed.Children["deltas"]}}
+	unframe := func(f *core.Form) *core.Form {
+		return &core.Form{Scheme: f.Scheme, N: f.N,
+			Params:   core.Params{"first": scheme.DeltaFirst(f)},
+			Children: map[string]*core.Form{"deltas": f.Children["deltas"]}}
+	}
+	unframed := unframe(framed)
 	forForm, err := lwcomp.FORNS(128).Compress(data)
 	if err != nil {
 		b.Fatal(err)
 	}
 	sorted := slices.Sorted(slices.Values(data))
+	sortedFramed, err := scheme.DeltaNS().Compress(sorted)
+	if err != nil {
+		b.Fatal(err)
+	}
 	v := data[n/2]
 	ranges := []struct {
 		name   string
@@ -1475,7 +1483,7 @@ func BenchmarkDeltaRange(b *testing.B) {
 	for _, form := range []struct {
 		name string
 		f    *core.Form
-	}{{"framed", framed}, {"delta", unframed}, {"for", forForm}, {"decode", framed}} {
+	}{{"framed", framed}, {"delta", unframed}, {"sorted", unframe(sortedFramed)}, {"for", forForm}, {"decode", framed}} {
 		f := form.f
 		type verb struct {
 			name string
@@ -1500,7 +1508,8 @@ func BenchmarkDeltaRange(b *testing.B) {
 			}
 			verbs = append(verbs,
 				verb{r.name + "/count", func() error { _, err := query.CountRange(f, r.lo, r.hi); return err }},
-				verb{r.name + "/select", func() error { bm.Reset(n); return query.SelectRangeSel(f, r.lo, r.hi, bm, 0) }})
+				verb{r.name + "/select", func() error { bm.Reset(n); return query.SelectRangeSel(f, r.lo, r.hi, bm, 0) }},
+				verb{r.name + "/keep", func() error { bm.Reset(n); bm.OrAt(picked, 0); return query.KeepRangeSel(f, r.lo, r.hi, bm, 0) }})
 		}
 		if form.name == "decode" {
 			verbs = append(verbs,

@@ -696,12 +696,16 @@ func FuzzUpgrade(f *testing.F) {
 // leaves filters them. Leaf bounds are quantiles of the column's own
 // values, so the first leaf's density runs from a few rows to all of
 // them, and blocks hold at least 128 rows, so the payload kernels walk
-// runs of whole 64-row groups.
+// runs of whole 64-row groups; at the 1,536-row block size a delta block
+// spans two 512-row segments or more and carries a frame.
 func FuzzConjunctKeep(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8}, uint8(0), []byte{0, 0, 10, 200, 1, 0, 255, 2, 50, 60})
 	f.Add([]byte("the quick brown fox jumps over the lazy dog"), uint8(9), []byte{1, 1, 3, 3, 2, 30, 240, 0, 5, 5, 7, 8})
 	f.Add([]byte{255, 0, 128, 64, 9, 9, 9, 1}, uint8(22), []byte{1, 4, 0, 128, 5, 128, 128, 3, 0, 255, 1, 2})
 	f.Add([]byte{7, 7, 7, 7, 200, 100, 50, 25}, uint8(35), []byte{0, 2, 1, 2, 3, 250, 255, 4, 0, 20, 9, 9})
+	// Every column delta-encoded in one framed 1,044-row block, and the
+	// walk and the low column kept as later conjuncts.
+	f.Add([]byte("pack my box with five dozen liquor jugs"), uint8(36), []byte{1, 4, 4, 4, 21, 230, 41, 200, 1, 254})
 	schemes := []lwcomp.Scheme{lwcomp.NS(), lwcomp.FORNS(64), lwcomp.PFOR(64), lwcomp.DictNS(),
 		lwcomp.Compose(lwcomp.Delta(), map[string]lwcomp.Scheme{"deltas": lwcomp.NS()}), lwcomp.RLENS()}
 	names := []string{"low", "wide", "walk"}
@@ -710,7 +714,7 @@ func FuzzConjunctKeep(f *testing.F) {
 			return
 		}
 		n := 256 + 197*int(shape%8) // 256..1635 rows
-		bs := []int{128, 200, 256, 333}[shape>>3%4]
+		bs := []int{128, 200, 256, 333, 1536}[shape>>3%5]
 		data := [3][]int64{make([]int64, n), make([]int64, n), make([]int64, n)}
 		var acc int64
 		for i := range n {

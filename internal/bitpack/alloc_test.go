@@ -43,7 +43,6 @@ func TestEntryPointsAllocs(t *testing.T) {
 			start, count := r[0], r[1]
 			for _, zz := range []bool{false, true} {
 				calls := map[string]func() error{
-					"BlockSums": func() error { return BlockSums(packed, n, w, zz, dst) },
 					"PrefixRange": func() error {
 						_, err := PrefixRange(packed, start&^63, count, w, zz, 3, -5, 1000, masks)
 						return err

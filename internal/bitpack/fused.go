@@ -397,26 +397,21 @@ func sumInRangeLoop(words []uint64, nb int, w uint, lo, span uint64, zz bool) (u
 	return s, n
 }
 
-// sumLoop is sumRun's loop: each block's wrapping sum, zigzag-decoded
-// when zz, stored in dst when dst is not nil.
-func sumLoop(words []uint64, nb int, w uint, zz bool, dst []int64) uint64 {
+// sumLoop is sumRun's loop: the blocks' wrapping sum, zigzag-decoded
+// when zz.
+func sumLoop(words []uint64, nb int, w uint, zz bool) uint64 {
 	var u [BlockLen]uint64
 	var s uint64
 	for b := range nb {
 		unpack64(words[b*int(w):][:w], &u)
-		var v uint64
 		if zz {
 			for _, x := range &u {
-				v += uint64(Unzigzag(x))
+				s += uint64(Unzigzag(x))
 			}
 		} else {
 			for _, x := range &u {
-				v += x
+				s += x
 			}
-		}
-		s += v
-		if dst != nil {
-			dst[b] = int64(v)
 		}
 	}
 	return s

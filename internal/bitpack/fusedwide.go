@@ -41,13 +41,13 @@ func sumValues(packed []uint64, start, count int, w uint, zz bool) (uint64, erro
 	var s uint64
 	for p, end := start, start+count; p < end; {
 		if words, nb := run(packed, p, end, w); nb > 0 {
-			s += sumRun(words, nb, w, zz, nil)
+			s += sumRun(words, nb, w, zz)
 			p += nb * BlockLen
 			continue
 		}
 		var buf [BlockLen]uint64
 		src, _ := edgeBlock(packed, p, end, w, &buf)
-		s += sumRun(src, 1, w, zz, nil)
+		s += sumRun(src, 1, w, zz)
 		p = p&^63 + BlockLen
 	}
 	return s, nil
@@ -283,7 +283,7 @@ func PrefixMaskedSum(packed []uint64, n int, w uint, zz bool, x int64, masks []u
 		}
 		words := packed[g*int(w) : e*int(w)]
 		if empty {
-			x += int64(sumRun(words, e-g, w, zz, nil))
+			x += int64(sumRun(words, e-g, w, zz))
 		} else {
 			s, last := prefixMaskedRun(words, w, zz, x, masks[g:e])
 			sum, x = sum+s, last
@@ -318,27 +318,4 @@ func valueAt(packed []uint64, i int, w uint, zz bool) int64 {
 		return Unzigzag(u)
 	}
 	return int64(u)
-}
-
-// BlockSums writes into dst[i] the wrapping sum of the values at
-// positions [64i, min(64i+64, n)) of the packed width-w payload of n
-// values, each zigzag-decoded when zz: one sum kernel call for the
-// whole blocks. dst must hold a sum for every block. No memory is
-// allocated.
-func BlockSums(packed []uint64, n int, w uint, zz bool, dst []int64) error {
-	if err := checkFusedRange(packed, 0, n, w); err != nil {
-		return err
-	}
-	nb := (n + BlockLen - 1) / BlockLen
-	if len(dst) < nb {
-		return fmt.Errorf("bitpack: %d block sums into %d values", nb, len(dst))
-	}
-	words, full := run(packed, 0, n, w)
-	sumRun(words, full, w, zz, dst)
-	if full < nb {
-		var buf [BlockLen]uint64
-		src, _ := edgeBlock(packed, full*BlockLen, n, w, &buf)
-		dst[full] = int64(sumRun(src, 1, w, zz, nil))
-	}
-	return nil
 }

@@ -130,12 +130,11 @@ func main() {
 		"selectLoop(words, nb, w, lo, span, zz, keep, dst, o)")
 	emitDispatch(&b, []string{
 		"// sumRun returns the wrapping sum of the values of the nb whole blocks",
-		"// of words, w bits each, zigzag-decoded when zz, and writes each",
-		"// block's sum into dst[b] when dst is not nil.",
-	}, "sumRun(words []uint64, nb int, w uint, zz bool, dst []int64) uint64", "",
-		func(w int) { fmt.Fprintln(&b, "if dst != nil {\nclear(dst[:nb])\n}\nreturn 0") },
+		"// of words, w bits each, zigzag-decoded when zz.",
+	}, "sumRun(words []uint64, nb int, w uint, zz bool) uint64", "",
+		func(w int) { fmt.Fprintln(&b, "return 0") },
 		func(w int) { emitSum(&b, w) }, func(w int) { emitSumZZSWAR(&b, w) },
-		"return sumLoop(words, nb, w, zz, dst)")
+		"return sumLoop(words, nb, w, zz)")
 	emitDispatch(&b, []string{
 		"// sumMaskedRun returns the wrapping sum of the values of the whole",
 		"// blocks of words, w <= swarMaxWidth bits each, whose bit is set in",
@@ -772,10 +771,9 @@ func emitSum(b *bytes.Buffer, w int) {
 }
 
 // sumBlockEnd closes a sumRun case's block loop: the block's sum v is
-// added to the run's and, when dst is not nil, stored.
+// added to the run's.
 func sumBlockEnd(b *bytes.Buffer) {
 	fmt.Fprintln(b, "\ts += v")
-	fmt.Fprintln(b, "\tif dst != nil {\ndst[b] = int64(v)\n}")
 	fmt.Fprintln(b, "}")
 	fmt.Fprintln(b, "\treturn s")
 }

@@ -96,7 +96,7 @@ func TestSumKernelsEveryWidth(t *testing.T) {
 				}
 			}
 			for _, zz := range []bool{false, true} {
-				if got, want := sumRun(packed, 1, w, zz, nil), refSum(decoded(vals, zz), math.MaxUint64); got != want {
+				if got, want := sumRun(packed, 1, w, zz), refSum(decoded(vals, zz), math.MaxUint64); got != want {
 					t.Fatalf("w=%d zz=%v: sum = %d, want %d (vals %v)", w, zz, int64(got), int64(want), vals)
 				}
 			}
@@ -232,7 +232,7 @@ func BenchmarkSumKernels(b *testing.B) {
 		b.Run(fmt.Sprintf("w=%d/sumZZ", w), func(b *testing.B) {
 			var sink uint64
 			for i := 0; i < b.N; i++ {
-				sink += sumRun(packed, blocks, w, true, nil)
+				sink += sumRun(packed, blocks, w, true)
 			}
 			perValue(b)
 			benchSink = sink
@@ -256,7 +256,7 @@ func BenchmarkSumKernels(b *testing.B) {
 						switch {
 						case m == 0:
 						case m == math.MaxUint64:
-							sink += sumRun(blk, 1, w, false, nil)
+							sink += sumRun(blk, 1, w, false)
 						case bits.OnesCount64(m) <= 16:
 							sink += sumSparse(blk, w, m)
 						default:
@@ -276,8 +276,8 @@ func BenchmarkSumKernels(b *testing.B) {
 
 // checkPrefixKernels checks the delta kernels of width w on one packed
 // block against the running sums of its values — plain and zigzag,
-// from a random start — PrefixRange's match masks, PrefixMaskedSum's
-// masked sums and BlockSums' block sums.
+// from a random start — PrefixRange's match masks and PrefixMaskedSum's
+// masked sums.
 func checkPrefixKernels(t *testing.T, w uint, packed, vals []uint64, rng *rand.Rand) {
 	t.Helper()
 	for _, zz := range []bool{false, true} {
@@ -339,10 +339,6 @@ func checkPrefixKernels(t *testing.T, w uint, packed, vals []uint64, rng *rand.R
 			sum, last, err := PrefixMaskedSum(two, BlockLen+20, w, zz, x0, masks)
 			if err != nil || sum != want || last != run[19]+x-x0 {
 				t.Fatalf("w=%d zz=%v m=%#x: PrefixMaskedSum = %d, %d, %v; want %d, %d", w, zz, m, sum, last, err, want, run[19]+x-x0)
-			}
-			var sums [2]int64
-			if err := BlockSums(two, BlockLen+20, w, zz, sums[:]); err != nil || sums[0] != x-x0 || sums[1] != run[19]-x0 {
-				t.Fatalf("w=%d zz=%v: BlockSums = %v, %v; want [%d %d]", w, zz, sums, err, x-x0, run[19]-x0)
 			}
 		}
 	}

@@ -285,7 +285,9 @@ func encodeBlock(src []int64, start int64, opt EncodeOptions, s *core.Scratch) (
 // Encode partitions src into blocks, compresses every block
 // independently (the per-block re-composition the paper's
 // decomposition view enables), and returns the handle. Blocks are
-// encoded concurrently, bounded by the option's parallelism.
+// encoded concurrently by ParallelFor, bounded by the option's
+// parallelism; a block that fails, or panics, fails the encode with its
+// error.
 func Encode(src []int64, opt EncodeOptions) (*Column, error) {
 	col := &Column{N: len(src), Parallelism: opt.Parallelism}
 	bs := opt.BlockSize
@@ -305,48 +307,19 @@ func Encode(src []int64, opt EncodeOptions) (*Column, error) {
 
 	nblocks := (len(src) + bs - 1) / bs
 	col.Blocks = make([]Block, nblocks)
-	workers := opt.workers()
-	if workers > nblocks {
-		workers = nblocks
-	}
-	var (
-		wg    sync.WaitGroup
-		next  = make(chan int)
-		errMu sync.Mutex
-		first error
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := core.GetScratch()
-			defer s.Release()
-			for i := range next {
-				start := i * bs
-				end := start + bs
-				if end > len(src) {
-					end = len(src)
-				}
-				b, err := encodeBlock(src[start:end], int64(start), opt, s)
-				if err != nil {
-					errMu.Lock()
-					if first == nil {
-						first = err
-					}
-					errMu.Unlock()
-					continue
-				}
-				col.Blocks[i] = b
-			}
-		}()
-	}
-	for i := 0; i < nblocks; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
-	if first != nil {
-		return nil, first
+	// Each block draws its own scratch from the pool, since ParallelFor's
+	// workers hold no state. An encode is not a scan: it is not counted
+	// among the running ones that size a scan's workers.
+	err := ParallelFor(opt.workers(), nblocks, func(i int) error {
+		s := core.GetScratch()
+		defer s.Release()
+		start := i * bs
+		b, err := encodeBlock(src[start:min(start+bs, len(src))], int64(start), opt, s)
+		col.Blocks[i] = b
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return col, nil
 }
@@ -570,13 +543,6 @@ func ParallelFor(workers, n int, fn func(i int) error) error {
 		l.wg.Add(1)
 		go l.helper()
 	}
-	// The last goroutine started waits in this P's next-to-run slot,
-	// which an idle P steals only after a 3 µs back-off that the OS timer
-	// slack stretches to tens of µs. One more, empty, goroutine moves the
-	// last helper to the run queue, where an idle P takes it at once; on
-	// busy cores nothing takes it, the caller visits every index, and
-	// the helper finds none left.
-	go func() {}()
 	l.work()
 	l.wg.Wait()
 	return l.first

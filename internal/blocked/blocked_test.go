@@ -2,6 +2,8 @@ package blocked
 
 import (
 	"errors"
+	"slices"
+	"strings"
 	"testing"
 
 	"lwcomp/internal/core"
@@ -45,6 +47,54 @@ func TestEncodePartitioning(t *testing.T) {
 	back, err := col.Decompress()
 	if err != nil || !equal(back, data) {
 		t.Fatalf("roundtrip: %v", err)
+	}
+}
+
+// failOn compresses as its scheme does, except that it fails on a
+// block holding bad and panics on one holding boom.
+type failOn struct {
+	core.Scheme
+	bad, boom int64
+}
+
+var errBad = errors.New("bad block")
+
+func (f failOn) Compress(src []int64) (*core.Form, error) {
+	switch {
+	case slices.Contains(src, f.bad):
+		return nil, errBad
+	case slices.Contains(src, f.boom):
+		panic("boom")
+	}
+	return f.Scheme.Compress(src)
+}
+
+// TestEncodeBlockFails: a middle block that fails, or panics, fails the
+// whole encode with that block's error and no column, serially and in
+// parallel.
+func TestEncodeBlockFails(t *testing.T) {
+	ns, _ := core.Lookup("ns")
+	data := make([]int64, 1000)
+	for i := range data {
+		data[i] = int64(i % 50)
+	}
+	data[530], data[770] = -1, -2
+	for _, workers := range []int{1, 4} {
+		for _, c := range []struct {
+			sch  failOn
+			want string
+		}{
+			{failOn{ns, -1, 99}, "block at row 500: bad block"},
+			{failOn{ns, 99, -2}, "panic in parallel worker on index 7: boom"},
+		} {
+			col, err := Encode(data, EncodeOptions{BlockSize: 100, Scheme: c.sch, Parallelism: workers})
+			if col != nil || err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("workers=%d: Encode = %v, %v; want no column and %q", workers, col, err, c.want)
+			}
+			if c.sch.bad == -1 && !errors.Is(err, errBad) {
+				t.Fatalf("workers=%d: %v does not wrap the block's error", workers, err)
+			}
+		}
 	}
 }
 

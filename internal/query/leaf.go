@@ -35,10 +35,6 @@ type leaf interface {
 	// [lo, hi] (bit j for row start+64g+j), wrapping, and returns the
 	// last of them: a delta form's matches over its deltas.
 	prefixRange(start, count int, x, lo, hi int64, masks []uint64) (last int64, err error)
-	// groups writes the wrapping sum of each 64-row group of rows
-	// [start, start+count) — start a multiple of 64 — into dst, one per
-	// group, the last possibly partial.
-	groups(start, count int, dst []int64) error
 	// prefixSel returns the wrapping sum of x plus the running sums of
 	// rows [start, start+count) — start a multiple of 64 — at the rows
 	// masks selects (bit j of masks[g] is row start+64g+j), and x plus
@@ -402,38 +398,6 @@ func prefixSelRows(l leaf, start, count int, masks []uint64, x int64) (sum, last
 	return sum, x, nil
 }
 
-// groups takes the group sums of each mini-block the range covers from
-// one bitpack.BlockSums call when mini-blocks start on groups, and sums
-// each group otherwise.
-func (k *packed) groups(start, count int, dst []int64) error {
-	if !k.grouped() {
-		return groupsOfRows(k, start, count, dst)
-	}
-	for end := start + count; start < end; {
-		words, w, first := k.miniBlock(start / k.block)
-		rel, n := k.overlap(first, start, end)
-		if err := bitpack.BlockSums(groupWords(words, rel, w), n, w, k.zz, dst); err != nil {
-			return err
-		}
-		dst = dst[(n+bitpack.BlockLen-1)/bitpack.BlockLen:]
-		start += n
-	}
-	return nil
-}
-
-// groupsOfRows is groups one group's sum call at a time.
-func groupsOfRows(l leaf, start, count int, dst []int64) error {
-	for g := range dst {
-		r := start + g*bitpack.BlockLen
-		s, err := l.sum(r, min(bitpack.BlockLen, start+count-r))
-		if err != nil {
-			return err
-		}
-		dst[g] = s
-	}
-	return nil
-}
-
 // prefixRange runs the fused kernel over the rows of each mini-block
 // the range covers when mini-blocks start on groups, and reads the rows
 // one at a time otherwise.
@@ -530,10 +494,6 @@ func errCode(c int64) error {
 
 func (v *plain) prefixSel(start, count int, masks []uint64, x int64) (int64, int64, error) {
 	return prefixSelRows(v, start, count, masks, x)
-}
-
-func (v *plain) groups(start, count int, dst []int64) error {
-	return groupsOfRows(v, start, count, dst)
 }
 
 func (v *plain) prefixRange(start, count int, x, lo, hi int64, masks []uint64) (int64, error) {

@@ -239,11 +239,13 @@ func checkRange(t *testing.T, name string, f *core.Form, col []int64, lo, hi int
 	if lo <= hi && sa.materialised != ca.materialised {
 		t.Fatalf("%s [%d, %d]: select materialised = %v, count %v", name, lo, hi, sa.materialised, ca.materialised)
 	}
-	// Keep, from a dense and from a sparse selection: only the rows it
+	// Keep, from a dense and from a sparse selection, and from one that
+	// holds no row of a framed form's first segments: only the rows it
 	// holds that match stay, and the bits beside the form's rows stay.
 	for _, holds := range []func(i int) bool{
 		func(i int) bool { return i%5 != 1 },
 		func(i int) bool { return i%17 == 0 },
+		func(i int) bool { return i >= 128 && i%5 == 0 },
 	} {
 		kept, wantKept := sel.New(want.Len()), sel.New(want.Len())
 		for _, i := range []int{-1, len(col)} {

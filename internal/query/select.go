@@ -125,8 +125,9 @@ func SelectRangeSel(f *core.Form, lo, hi int64, dst *sel.Selection, base int) er
 // value falls outside [lo, hi], and touches no other bit: dst becomes
 // its conjunction with the range. Where the form allows, only the rows
 // dst holds are read — a packed word whose rows are all clear is passed
-// over, a sparse one has just its rows' values read — and the forms
-// without a keep rule select into a pooled temporary that is ANDed in.
+// over, a sparse one has just its rows' values read — and a range that
+// moves onto a child as two pieces selects them into a pooled temporary
+// that is ANDed in.
 // Like SelectRangeSel it allocates nothing in the steady state.
 func KeepRangeSel(f *core.Form, lo, hi int64, dst *sel.Selection, base int) error {
 	s := core.GetScratch()
@@ -209,11 +210,11 @@ const (
 //	         at the exception positions             values[i] − base at
 //	                                                the selected exceptions
 //	delta    v = first + a running sum of deltas:   the selected running
-//	         per 64-row group, the group's ends     sums, group by group,
-//	         and the deltas' extent bound a band:   a group it holds no
-//	         outside it skip, inside land whole,    row of passed over by
-//	         straddling make the group's running    its sum (delta.go)
-//	         sums and compare them (delta.go)
+//	         per segment, the frame's [min, max]    sums, segment by
+//	         skips it or lands it whole; the rest   segment, a group it
+//	         make the running sums and compare      holds no row of passed
+//	         them, one kernel call a segment        over by its sum
+//	         (delta.go)                             (delta.go)
 //	ns/vns   a leaf: the fused kernels scan the     a leaf: empty words
 //	         packed words                           skipped, full ones
 //	                                                summed in place, the
@@ -311,7 +312,7 @@ func (p *pushdown) push(f *core.Form, lo, hi, add int64) error {
 		return p.patch(f, lo, hi, add)
 
 	case scheme.DeltaName:
-		return p.selectThenAnd(0, f.N, func() error { return p.deltas(f, lo, hi, add) })
+		return p.deltas(f, lo, hi, add)
 	}
 
 	l, err := p.leafOf(f)
@@ -357,7 +358,8 @@ func (p *pushdown) none(start, count int) {
 // pieces runs eval, which applies the verb to each of the n pieces of a
 // range over rows [start, start+count). Keep runs it as it is on one
 // piece and clears the rows on none, but two pieces would each clear
-// the other's matches: it selects them (selectThenAnd).
+// the other's matches: it selects them into a pooled temporary, whose
+// complement it then clears.
 func (p *pushdown) pieces(start, count, n int, eval func() error) error {
 	switch {
 	case p.verb != keepVerb || n == 1:
@@ -365,18 +367,6 @@ func (p *pushdown) pieces(start, count, n int, eval func() error) error {
 	case n == 0:
 		p.none(start, count)
 		return nil
-	}
-	return p.selectThenAnd(start, count, eval)
-}
-
-// selectThenAnd runs eval, which applies the verb to rows
-// [start, start+count), as it is unless the verb is keep; then it
-// selects those rows into a pooled temporary, whose complement keep
-// clears: the rule of the forms without a keep rule of their own
-// (delta forms) and of two-piece ranges.
-func (p *pushdown) selectThenAnd(start, count int, eval func() error) error {
-	if p.verb != keepVerb {
-		return eval()
 	}
 	tmp := sel.Get(count)
 	defer tmp.Release()

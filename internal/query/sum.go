@@ -32,7 +32,7 @@ func Sum(f *core.Form) (int64, error) {
 // steady-state zero-allocation entry point for block workers. A sum is
 // the sum verb over the range that holds every int64 — runs contribute
 // length·value, models reference·size, packed words the fused sum
-// kernels, a delta form its groups' prefix sums, a patch its base plus
+// kernels, a delta form its segments' prefix sums, a patch its base plus
 // the exceptions' corrections — except
 // where a scheme sums in a way no range pushdown would:
 func SumScratch(f *core.Form, s *core.Scratch) (int64, error) {
