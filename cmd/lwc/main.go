@@ -296,7 +296,6 @@ func cmdCompress(args []string) error {
 	name := fs.String("name", "col0", "column name inside the container")
 	blockSize := fs.Int("block-size", 0, "values per block (0 = whole column as one block)")
 	parallel := fs.Int("parallel", 0, "concurrent block encoders (0 = GOMAXPROCS)")
-	budget := fs.Float64("cost-budget", 0, "max abstract decompression cost per element (0 = unbounded)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -307,7 +306,6 @@ func cmdCompress(args []string) error {
 	opts := []lwcomp.Option{
 		lwcomp.WithBlockSize(*blockSize),
 		lwcomp.WithParallelism(*parallel),
-		lwcomp.WithCostBudget(*budget),
 	}
 	if *schemeExpr != "auto" {
 		s, err := lwcomp.ParseScheme(*schemeExpr)

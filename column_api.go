@@ -47,8 +47,7 @@ type NamedColumn = storage.BlockedColumn
 //
 //	col, err := lwcomp.Encode(values,
 //	    lwcomp.WithBlockSize(1<<16),
-//	    lwcomp.WithParallelism(8),
-//	    lwcomp.WithCostBudget(4))
+//	    lwcomp.WithParallelism(8))
 //
 // With no options the whole column becomes a single block whose
 // scheme the analyzer picks — Encode(src) is CompressBest(src) with

@@ -221,8 +221,7 @@ func TestColumnBuilderMatchesEncode(t *testing.T) {
 	}
 }
 
-// TestColumnOptions covers WithScheme, WithCostBudget and
-// WithExtraCandidates on the blocked path.
+// TestColumnOptions covers WithScheme on the blocked path.
 func TestColumnOptions(t *testing.T) {
 	data := workload.SkewedMagnitude(30000, 40, 5)
 
@@ -238,30 +237,6 @@ func TestColumnOptions(t *testing.T) {
 	back, err := pinned.Decompress()
 	if err != nil || !equal(back, data) {
 		t.Fatalf("pinned roundtrip: %v", err)
-	}
-
-	// Elias costs ~6/element; a budget of 4 must exclude it in every
-	// block.
-	budgeted, err := lwcomp.Encode(data, lwcomp.WithBlockSize(1<<12), lwcomp.WithCostBudget(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range budgeted.BlockSchemes() {
-		if s == "elias" {
-			t.Fatalf("cost budget ignored: block chose %q", s)
-		}
-	}
-
-	// Extra candidates join every block's search space.
-	extra, err := lwcomp.Encode(data,
-		lwcomp.WithBlockSize(1<<12),
-		lwcomp.WithExtraCandidates(lwcomp.SchemeCandidate(lwcomp.VNS(16))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err = extra.Decompress()
-	if err != nil || !equal(back, data) {
-		t.Fatalf("extra-candidate roundtrip: %v", err)
 	}
 }
 

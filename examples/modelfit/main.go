@@ -11,9 +11,7 @@
 //
 // and then queried approximately: the model alone gives certain
 // bounds on SUM, refined gradually to exactness — the paper's
-// "approximate or gradual-refinement query processing". Finally the
-// size-vs-decompression-cost knob (WithCostBudget) shows the
-// bicriteria trade-off as a first-class per-column option.
+// "approximate or gradual-refinement query processing".
 //
 //	go run ./examples/modelfit
 package main
@@ -123,22 +121,6 @@ func main() {
 		log.Fatalf("gradual sum did not converge: %+v vs %d", final, truth)
 	}
 	fmt.Printf("  exact sum recovered: %d\n", final.Lower)
-
-	// The bicriteria knob: unconstrained, the analyzer may pick a
-	// slow-but-small scheme; under a cost budget it trades size for
-	// decompression speed — per column, per block.
-	skewed := workload.SkewedMagnitude(n, 40, 6)
-	free, err := lwcomp.Encode(skewed, lwcomp.WithBlockSize(1<<16))
-	if err != nil {
-		log.Fatal(err)
-	}
-	budgeted, err := lwcomp.Encode(skewed, lwcomp.WithBlockSize(1<<16), lwcomp.WithCostBudget(4))
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nbicriteria knob on skewed-width data (40-bit tail):\n")
-	fmt.Printf("  unconstrained: %8d bytes — %s\n", free.EncodedBits()/8, firstLine(free.Describe()))
-	fmt.Printf("  cost ≤ 4/elem: %8d bytes — %s\n", budgeted.EncodedBits()/8, firstLine(budgeted.Describe()))
 }
 
 func abs(v float64) float64 {
@@ -146,13 +128,4 @@ func abs(v float64) float64 {
 		return -v
 	}
 	return v
-}
-
-func firstLine(s string) string {
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\n' {
-			return s[:i] + " ..."
-		}
-	}
-	return s
 }

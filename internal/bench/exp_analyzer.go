@@ -3,6 +3,7 @@ package bench
 import (
 	"fmt"
 
+	"lwcomp/internal/blocked"
 	"lwcomp/internal/core"
 	"lwcomp/internal/scheme"
 	"lwcomp/internal/storage"
@@ -47,9 +48,7 @@ func runExpK(cfg Config) (*Table, error) {
 
 	for _, w := range workloads {
 		raw := len(w.data) * 8
-		st := core.CollectStats(w.data, nil)
-		a := &core.Analyzer{Candidates: scheme.DefaultCandidates(&st), SampleSize: 1 << 16, Stats: &st}
-		choice, err := a.Best(w.data)
+		choice, _, _, err := blocked.Search(w.data, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", w.name, err)
 		}
@@ -92,7 +91,7 @@ func runExpK(cfg Config) (*Table, error) {
 	}
 	t.Notes = append(t.Notes,
 		"'gain' = best-single bytes / chosen bytes; ≥ 1.00 everywhere is the claim under test",
-		fmt.Sprintf("n = %d per workload; analyzer samples the first %d values", cfg.N, 1<<16),
+		fmt.Sprintf("n = %d per workload; analyzer samples the first %d values", cfg.N, blocked.SearchSample),
 	)
 	return t, nil
 }

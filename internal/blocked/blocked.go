@@ -207,20 +207,32 @@ type EncodeOptions struct {
 	// Scheme, when non-nil, compresses every block with this fixed
 	// scheme instead of running the analyzer.
 	Scheme core.Scheme
-	// CostBudget disqualifies candidates whose decompression cost per
-	// element exceeds it (see core.Analyzer); 0 means unbounded.
-	CostBudget float64
 	// Parallelism bounds concurrent block encodes; <= 0 means
 	// GOMAXPROCS.
 	Parallelism int
-	// Extra appends candidates to the per-block analyzer space.
-	Extra []core.Candidate
 }
 
 // SearchSample is the prefix sample the analyzer compares candidates
 // on: a block of at most this many values is searched whole, a longer
 // one over its first SearchSample values.
 const SearchSample = 1 << 16
+
+// Search is the encoder's scheme search over one block: one-pass
+// stats, then core.Analyzer.Best over the default candidates, compared
+// on at most the first SearchSample values. It returns the winner and
+// the block's extremes. Temporaries come from s, which may be nil.
+func Search(src []int64, s *core.Scratch) (choice *core.Choice, lo, hi int64, err error) {
+	st := core.CollectStats(src, s)
+	defer st.ReleaseSeg(s)
+	a := &core.Analyzer{
+		Candidates: scheme.DefaultCandidates(&st),
+		SampleSize: SearchSample,
+		Stats:      &st,
+		Scratch:    s,
+	}
+	choice, err = a.Best(src)
+	return choice, st.Min, st.Max, err
+}
 
 func (o EncodeOptions) workers() int {
 	if o.Parallelism > 0 {
@@ -233,10 +245,10 @@ func (o EncodeOptions) workers() int {
 // Block record with stats. The one-pass stats collected here feed
 // both the block index ([min, max] skipping) and the analyzer's
 // size-estimating candidate ranking, so a block is scanned for
-// statistics exactly once. A block searched whole over exactly the
-// default candidates, with no cost budget, is stamped with the search
-// fingerprint. Temporaries come from s: workers that encode many
-// blocks reuse one scratch arena across all of them.
+// statistics exactly once. A block the search ran over whole is
+// stamped with the search fingerprint. Temporaries come from s:
+// workers that encode many blocks reuse one scratch arena across all
+// of them.
 func encodeBlock(src []int64, start int64, opt EncodeOptions, s *core.Scratch) (Block, error) {
 	b := Block{Start: start, Count: len(src), HasStats: true}
 	var f *core.Form
@@ -256,21 +268,11 @@ func encodeBlock(src []int64, start int64, opt EncodeOptions, s *core.Scratch) (
 		}
 		f, err = core.CompressScratch(opt.Scheme, src, s)
 	} else {
-		st := core.CollectStats(src, s)
-		b.Min, b.Max = st.Min, st.Max
-		a := &core.Analyzer{
-			Candidates: append(scheme.DefaultCandidates(&st), opt.Extra...),
-			CostBudget: opt.CostBudget,
-			SampleSize: SearchSample,
-			Stats:      &st,
-			Scratch:    s,
-		}
 		var choice *core.Choice
-		choice, err = a.Best(src)
-		st.ReleaseSeg(s)
+		choice, b.Min, b.Max, err = Search(src, s)
 		if err == nil {
 			f = choice.Form
-			if len(src) <= SearchSample && len(opt.Extra) == 0 && opt.CostBudget == 0 {
+			if len(src) <= SearchSample {
 				b.Certificate = scheme.SearchFingerprint()
 			}
 		}

@@ -86,11 +86,10 @@ func naiveForm(t *testing.T, block []int64) *core.Form {
 }
 
 // TestCertificateMatchesExhaustive pins what a block certificate
-// claims: every block the encoder searches whole over the default
-// candidates, without a cost budget, is stamped, and its form bytes
-// are those compressing every candidate picks — on the maintenance
-// shapes at several block sizes (ragged tails included) and on the
-// estimator workloads. It also pins that the claim is never made where
+// claims: every block the encoder searches whole is stamped, and its
+// form bytes are those compressing every candidate picks — on the
+// maintenance shapes at several block sizes (ragged tails included)
+// and on the estimator workloads. It also pins that the claim is never made where
 // the encoder cannot make it.
 func TestCertificateMatchesExhaustive(t *testing.T) {
 	type column struct {
@@ -148,17 +147,14 @@ func TestCertificateMatchesExhaustive(t *testing.T) {
 		}
 	}
 
-	// Never certified: a search over more than the default candidates,
-	// under a cost budget, with no search at all, or over a sample of a
-	// block longer than SearchSample.
+	// Never certified: a block encoded with no search at all, or
+	// searched over a sample of a block longer than SearchSample.
 	data := workload.MaintainShapes(8192, 3)[0].Data
 	long := workload.MaintainShapes(blocked.SearchSample+1, 3)[0].Data
 	for name, enc := range map[string]struct {
 		data []int64
 		opt  blocked.EncodeOptions
 	}{
-		"extra":  {data, blocked.EncodeOptions{BlockSize: 4096, Extra: []core.Candidate{core.FromScheme(scheme.NS{})}}},
-		"budget": {data, blocked.EncodeOptions{BlockSize: 4096, CostBudget: 1e9}},
 		"scheme": {data, blocked.EncodeOptions{BlockSize: 4096, Scheme: scheme.NS{}}},
 		"sample": {long, blocked.EncodeOptions{}},
 	} {

@@ -102,10 +102,7 @@ func estimateBlockBits(src []int64, s *core.Scratch) uint64 {
 	defer st.ReleaseSeg(s)
 	best := uint64(len(src)) * 64 // worst case: the raw bits
 	for _, cand := range scheme.DefaultCandidates(&st) {
-		if cand.Scheme == nil {
-			continue
-		}
-		bits, _, ok := core.EstimateOf(cand.Scheme, &st)
+		bits, _, ok := core.EstimateOf(cand, &st)
 		if ok && bits < best {
 			best = bits
 		}

@@ -28,36 +28,14 @@ import (
 // compressing every candidate would choose: the smallest, the first in
 // input order among equals.
 
-// Candidate is one point in the composite-scheme space: a description
-// and a compressor.
-type Candidate struct {
-	// Desc is a human-readable scheme expression, e.g.
-	// "rle(lengths=ns, values=delta(deltas=ns))".
-	Desc string
-	// Compress encodes a column under this candidate.
-	Compress func(src []int64) (*Form, error)
-	// Scheme, when non-nil, is the scheme behind Compress. It lets
-	// the analyzer predict the candidate's encoded size from block
-	// statistics (SizeEstimator) and pool its encode temporaries
-	// (CompressScratch). Candidates built from a bare Compress
-	// closure have no price and are always compressed.
-	Scheme Scheme
-}
-
-// FromScheme adapts a Scheme (or Composite) into a Candidate.
-func FromScheme(s Scheme) Candidate {
-	return Candidate{Desc: s.Name(), Compress: s.Compress, Scheme: s}
-}
-
 // Choice reports the analyzer's winner and the full ranking.
 type Choice struct {
-	// Desc is the winning candidate's description.
+	// Desc is the winning candidate's Name.
 	Desc string
 	// Form is the winning compressed form of the full input.
 	Form *Form
-	// Eval holds the winning size/cost evaluation (of the full
-	// input).
-	Eval CostedSize
+	// Bits is the winning form's PayloadBits.
+	Bits uint64
 	// Ranking holds per-candidate evaluations, in input order, for
 	// reporting. A candidate the search did not compress — proved
 	// unable to win by an Exact or LowerBound price or by its floor —
@@ -70,10 +48,11 @@ type Choice struct {
 
 // RankEntry is one candidate's evaluation.
 type RankEntry struct {
+	// Desc is the candidate's Name.
 	Desc string
-	// Eval is the trial evaluation over the sample; valid only when
-	// Trialed is set.
-	Eval CostedSize
+	// Bits is the PayloadBits of the candidate's form over the sample;
+	// valid only when Trialed is set.
+	Bits uint64
 	// Err is non-nil when the candidate could not compress the
 	// sample (e.g. a model scheme outside its domain).
 	Err error
@@ -89,21 +68,17 @@ type RankEntry struct {
 	// candidate whose price is Heuristic; 0 means none was proved.
 	EstFloor uint64
 	// Trialed reports whether the candidate was compressed and
-	// evaluated; when it was not, EstBits is all that is known.
+	// measured; when it was not, EstBits is all that is known.
 	Trialed bool
 }
 
 // Analyzer searches a candidate list for the best compression of a
 // column.
 type Analyzer struct {
-	// Candidates is the scheme space to search.
-	Candidates []Candidate
-	// CostBudget, when positive, disqualifies candidates whose
-	// abstract decompression cost per element exceeds it — the
-	// paper's bandwidth argument: "overly-demanding decompression
-	// would slow down the speed of processing data below what the
-	// incoming bandwidth allows".
-	CostBudget float64
+	// Candidates is the scheme space to search. A candidate that
+	// implements SizeEstimator is priced from the stats, and one that
+	// implements SizeFloorer behind a heuristic price is floored.
+	Candidates []Scheme
 	// SampleSize, when positive, evaluates candidates on a prefix
 	// sample of at most this many elements before compressing the
 	// full column with the winner.
@@ -117,18 +92,8 @@ type Analyzer struct {
 	Scratch *Scratch
 }
 
-// ErrNoCandidate is returned when every candidate fails or is over
-// budget.
+// ErrNoCandidate is returned when every candidate fails.
 var ErrNoCandidate = errors.New("core: no admissible candidate scheme")
-
-// compressCand encodes data under candidate c, through the pooled
-// path when the candidate carries its scheme.
-func (a *Analyzer) compressCand(c *Candidate, data []int64) (*Form, error) {
-	if c.Scheme != nil {
-		return CompressScratch(c.Scheme, data, a.Scratch)
-	}
-	return c.Compress(data)
-}
 
 // errProvedImpossible is the Err of a candidate the search never
 // compressed because its price was ImpossibleBits.
@@ -148,8 +113,7 @@ var errProvedImpossible = fmt.Errorf("%w: proved by the block statistics", ErrNo
 // pass.
 func (a *Analyzer) price(rank []RankEntry, st *BlockStats, src []int64, local *BlockStats) *BlockStats {
 	var fst *BlockStats
-	for i := range a.Candidates {
-		sch := a.Candidates[i].Scheme
+	for i, sch := range a.Candidates {
 		if _, ok := sch.(SizeEstimator); !ok {
 			continue
 		}
@@ -176,10 +140,10 @@ func (a *Analyzer) price(rank []RankEntry, st *BlockStats, src []int64, local *B
 }
 
 // Best searches the candidates and returns the winner: the smallest
-// encoding within the cost budget, the first in input order among
-// equals, compressed over the full column. Over a strict-prefix
-// sample the search compares sample sizes, priced from the sample's
-// own stats, and then compresses the winner over the full column.
+// encoding, the first in input order among equals, compressed over the
+// full column. Over a strict-prefix sample the search compares sample
+// sizes, priced from the sample's own stats, and then compresses the
+// winner over the full column.
 func (a *Analyzer) Best(src []int64) (*Choice, error) {
 	n := len(a.Candidates)
 	if n == 0 {
@@ -191,8 +155,8 @@ func (a *Analyzer) Best(src []int64) (*Choice, error) {
 	}
 	choice := &Choice{Ranking: make([]RankEntry, n)}
 	rank := choice.Ranking
-	for i := range a.Candidates {
-		rank[i].Desc = a.Candidates[i].Desc
+	for i, c := range a.Candidates {
+		rank[i].Desc = c.Name()
 	}
 	var local BlockStats
 	if a.price(rank, given, sample, &local) == &local {
@@ -233,23 +197,14 @@ func (a *Analyzer) Best(src []int64) (*Choice, error) {
 		if !beats(bound(idx), idx) {
 			continue
 		}
-		f, err := a.compressCand(&a.Candidates[idx], sample)
+		f, err := CompressScratch(a.Candidates[idx], sample, a.Scratch)
 		if err != nil {
 			e.Err = err
 			continue
 		}
-		ev, err := Evaluate(f)
-		if err != nil {
-			e.Err = err
-			continue
-		}
-		e.Eval = ev
-		e.Trialed = true
-		if a.CostBudget > 0 && len(sample) > 0 && ev.Cost/float64(len(sample)) > a.CostBudget {
-			continue
-		}
-		if beats(ev.Bits, idx) {
-			bestIdx, bestBits, bestTrialForm = idx, ev.Bits, f
+		e.Bits, e.Trialed = f.PayloadBits(), true
+		if beats(e.Bits, idx) {
+			bestIdx, bestBits, bestTrialForm = idx, e.Bits, f
 		}
 	}
 	if bestIdx < 0 {
@@ -262,37 +217,23 @@ func (a *Analyzer) Best(src []int64) (*Choice, error) {
 	// back down the already-computed ranking instead of re-running the
 	// search.
 	if len(sample) == len(src) {
-		choice.Desc = a.Candidates[bestIdx].Desc
-		choice.Form = bestTrialForm
-		choice.Eval = rank[bestIdx].Eval
+		choice.Desc, choice.Form, choice.Bits = rank[bestIdx].Desc, bestTrialForm, bestBits
 		return choice, nil
 	}
 	for _, idx := range fallbackOrder(rank, bestIdx, order) {
 		e := &rank[idx]
-		full, err := a.compressCand(&a.Candidates[idx], src)
+		full, err := CompressScratch(a.Candidates[idx], src, a.Scratch)
 		if err != nil {
 			if e.Err == nil {
 				e.Err = err
 			}
 			continue
 		}
-		ev, err := Evaluate(full)
-		if err != nil {
-			if e.Err == nil {
-				e.Err = err
-			}
-			continue
-		}
-		if a.CostBudget > 0 && len(src) > 0 && ev.Cost/float64(len(src)) > a.CostBudget {
-			continue
-		}
-		choice.Desc = a.Candidates[idx].Desc
-		choice.Form = full
-		choice.Eval = ev
+		choice.Desc, choice.Form, choice.Bits = e.Desc, full, full.PayloadBits()
 		return choice, nil
 	}
 	return nil, fmt.Errorf("core: winning candidate %q failed on full column: %w",
-		a.Candidates[bestIdx].Desc, ErrNoCandidate)
+		rank[bestIdx].Desc, ErrNoCandidate)
 }
 
 // fallbackOrder returns candidate indices in the order the
@@ -306,7 +247,7 @@ func fallbackOrder(rank []RankEntry, bestIdx int, order []int) []int {
 			out = append(out, idx)
 		}
 	}
-	slices.SortStableFunc(out[1:], func(x, y int) int { return cmp.Compare(rank[x].Eval.Bits, rank[y].Eval.Bits) })
+	slices.SortStableFunc(out[1:], func(x, y int) int { return cmp.Compare(rank[x].Bits, rank[y].Bits) })
 	for _, idx := range order {
 		if e := &rank[idx]; idx != bestIdx && !e.Trialed && e.Err == nil {
 			out = append(out, idx)

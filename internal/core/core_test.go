@@ -25,8 +25,6 @@ func (m mockRaw) DecompressInto(f *Form, dst []int64, _ *Scratch) error {
 	return nil
 }
 
-func (m mockRaw) DecompressCostPerElement(*Form) float64 { return 1 }
-
 // mockDouble halves on compress, doubles on decompress, handing the
 // halves out as a constituent column named "halves".
 type mockDouble struct{ name string }
@@ -332,31 +330,12 @@ func TestPlanOfAndDecompressViaPlan(t *testing.T) {
 	}
 }
 
-func TestDecompressionCost(t *testing.T) {
-	f, err := Compress("double-mock", []int64{2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cost, err := DecompressionCost(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// double-mock has no Coster (default 2.0 × 2 elements) and its
-	// ID child costs 1.0 × 2.
-	if cost != 2*2+1*2 {
-		t.Fatalf("cost = %f", cost)
-	}
-	if _, err := DecompressionCost(&Form{Scheme: "nope", N: 1}); !errors.Is(err, ErrUnknownScheme) {
-		t.Fatalf("unknown cost err = %v", err)
-	}
-}
-
 func TestAnalyzerBest(t *testing.T) {
 	// double-mock only works on even columns and yields smaller
 	// "payload" through the mock child; raw-mock always works.
-	a := &Analyzer{Candidates: []Candidate{
-		FromScheme(mockDouble{"double-mock"}),
-		FromScheme(mockRaw{"raw-mock"}),
+	a := &Analyzer{Candidates: []Scheme{
+		mockDouble{"double-mock"},
+		mockRaw{"raw-mock"},
 	}}
 	choice, err := a.Best([]int64{2, 4, 6, 8})
 	if err != nil {
@@ -390,9 +369,9 @@ func TestAnalyzerSampleFallback(t *testing.T) {
 	// double-mock wins on the even sample prefix but fails on the
 	// full column (odd tail); the analyzer must fall back to raw.
 	a := &Analyzer{
-		Candidates: []Candidate{
-			FromScheme(mockDouble{"double-mock"}),
-			FromScheme(mockRaw{"raw-mock"}),
+		Candidates: []Scheme{
+			mockDouble{"double-mock"},
+			mockRaw{"raw-mock"},
 		},
 		SampleSize: 2,
 	}
@@ -442,9 +421,9 @@ func (c countingScheme) DecompressInto(f *Form, dst []int64, _ *Scratch) error {
 func TestAnalyzerFallbackWalksRanking(t *testing.T) {
 	callsA, callsB := 0, 0
 	a := &Analyzer{
-		Candidates: []Candidate{
-			FromScheme(countingScheme{name: "small-but-fragile", failOver: 2, calls: &callsA}),
-			FromScheme(countingScheme{name: "big-but-sturdy", pad: 8, calls: &callsB}),
+		Candidates: []Scheme{
+			countingScheme{name: "small-but-fragile", failOver: 2, calls: &callsA},
+			countingScheme{name: "big-but-sturdy", pad: 8, calls: &callsB},
 		},
 		SampleSize: 2,
 	}
@@ -477,7 +456,7 @@ func TestAnalyzerFallbackWalksRanking(t *testing.T) {
 func TestAnalyzerReusesFullSampleForm(t *testing.T) {
 	calls := 0
 	a := &Analyzer{
-		Candidates: []Candidate{FromScheme(countingScheme{name: "only", calls: &calls})},
+		Candidates: []Scheme{countingScheme{name: "only", calls: &calls}},
 	}
 	if _, err := a.Best([]int64{1, 2, 3}); err != nil {
 		t.Fatal(err)
@@ -513,7 +492,7 @@ func TestAnalyzerTiesGoToInputOrder(t *testing.T) {
 		return f.PayloadBits()
 	}
 	// "b" comes second in input order but is visited first.
-	b := FromScheme(pricedScheme{raw("b", 0), 1, Heuristic})
+	b := pricedScheme{raw("b", 0), 1, Heuristic}
 	for _, tc := range []struct {
 		name  string
 		a     pricedScheme
@@ -525,23 +504,12 @@ func TestAnalyzerTiesGoToInputOrder(t *testing.T) {
 		{"proved larger", pricedScheme{raw("a", 1), size(1), Exact}, "b", 1},
 	} {
 		calls = 0
-		got, err := (&Analyzer{Candidates: []Candidate{FromScheme(tc.a), b}}).Best(src)
+		got, err := (&Analyzer{Candidates: []Scheme{tc.a, b}}).Best(src)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Desc != tc.want || calls != tc.calls {
 			t.Fatalf("%s: winner %s after %d compressions, want %s after %d", tc.name, got.Desc, calls, tc.want, tc.calls)
 		}
-	}
-}
-
-func TestAnalyzerCostBudget(t *testing.T) {
-	// With a budget below raw's cost of 1/element nothing qualifies.
-	a := &Analyzer{
-		Candidates: []Candidate{FromScheme(mockRaw{"raw-mock"})},
-		CostBudget: 0.5,
-	}
-	if _, err := a.Best([]int64{1, 2}); !errors.Is(err, ErrNoCandidate) {
-		t.Fatalf("budget err = %v", err)
 	}
 }

@@ -52,7 +52,7 @@ func TestSumSelMatchesDecode(t *testing.T) {
 		}
 		st := core.CollectStats(sh.Data, nil)
 		for _, c := range scheme.DefaultCandidates(&st) {
-			encoders[c.Desc] = func(_ *testing.T, col []int64) (*core.Form, error) { return c.Compress(col) }
+			encoders[c.Name()] = func(_ *testing.T, col []int64) (*core.Form, error) { return c.Compress(col) }
 		}
 		for name, enc := range encoders {
 			f, err := enc(t, sh.Data)

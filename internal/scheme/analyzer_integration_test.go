@@ -81,7 +81,7 @@ func TestAnalyzerEndToEnd(t *testing.T) {
 			t.Fatalf("%s: winner %q (%d bits) loses to NS (%d bits)",
 				name, choice.Desc, choice.Form.PayloadBits(), nsForm.PayloadBits())
 		}
-		t.Logf("%s: %s ratio %.1f", name, choice.Desc, choice.Eval.Ratio)
+		t.Logf("%s: %s ratio %.1f", name, choice.Desc, float64(64*len(src))/float64(choice.Bits))
 	}
 }
 

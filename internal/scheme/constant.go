@@ -50,9 +50,6 @@ func (Const) DecompressInto(f *core.Form, dst []int64, _ *core.Scratch) error {
 // ValidateForm implements core.Validator.
 func (Const) ValidateForm(f *core.Form) error { return checkConst(f) }
 
-// DecompressCostPerElement implements core.Coster: a fill.
-func (Const) DecompressCostPerElement(*core.Form) float64 { return 0.5 }
-
 // EstimateSize implements core.SizeEstimator, exactly: a constant
 // column costs one parameter, and Min ≠ Max proves the scheme cannot
 // represent the column at all.

@@ -218,10 +218,6 @@ func (Delta) Plan(f *core.Form) (*exec.Plan, error) {
 // ValidateForm implements core.Validator.
 func (Delta) ValidateForm(f *core.Form) error { return checkDelta(f) }
 
-// DecompressCostPerElement implements core.Coster: one addition per
-// element, sequentially dependent.
-func (Delta) DecompressCostPerElement(*core.Form) float64 { return 1.2 }
-
 // ConstituentStats implements core.ConstituentStatser, exactly: the
 // deltas column's extremes are the collected delta statistics (whose
 // first delta is the 0 DELTA stores), and its width histogram is the

@@ -177,10 +177,6 @@ func (Dict) Plan(f *core.Form) (*exec.Plan, error) {
 // ValidateForm implements core.Validator.
 func (Dict) ValidateForm(f *core.Form) error { return checkDict(f) }
 
-// DecompressCostPerElement implements core.Coster: one random-access
-// gather per element.
-func (Dict) DecompressCostPerElement(*core.Form) float64 { return 2.0 }
-
 // ConstituentStats implements core.ConstituentStatser, bounded: the
 // dictionary size is the (estimated) distinct count, codes run
 // exactly as the values do, and the sorted dictionary spans the

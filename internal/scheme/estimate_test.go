@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -51,7 +52,7 @@ func estimateWorkload(kind uint8, n int, param uint8, seed int64) []int64 {
 // candidate really fails — and that no floor is above the actual
 // size. The candidates are DefaultCandidates plus extra; their floors
 // are the ones the analyzer's search over data reports.
-func checkEstimates(t *testing.T, data []int64, st *core.BlockStats, extra ...core.Candidate) {
+func checkEstimates(t *testing.T, data []int64, st *core.BlockStats, extra ...core.Scheme) {
 	t.Helper()
 	cands := append(DefaultCandidates(st), extra...)
 	floors := make([]uint64, len(cands))
@@ -61,7 +62,7 @@ func checkEstimates(t *testing.T, data []int64, st *core.BlockStats, extra ...co
 		}
 	}
 	for i, c := range cands {
-		bits, kind, ok := core.EstimateOf(c.Scheme, st)
+		bits, kind, ok := core.EstimateOf(c, st)
 		proves := ok && kind != core.Heuristic
 		if !proves && floors[i] == 0 {
 			continue
@@ -69,22 +70,22 @@ func checkEstimates(t *testing.T, data []int64, st *core.BlockStats, extra ...co
 		form, err := c.Compress(data)
 		if proves && bits == core.ImpossibleBits {
 			if !errors.Is(err, core.ErrNotRepresentable) {
-				t.Errorf("%s: estimate says impossible but compression returned %v", c.Desc, err)
+				t.Errorf("%s: estimate says impossible but compression returned %v", c.Name(), err)
 			}
 			continue
 		}
 		if err != nil {
 			if proves && kind == core.Exact {
-				t.Errorf("%s: exact estimate %d bits but compression failed: %v", c.Desc, bits, err)
+				t.Errorf("%s: exact estimate %d bits but compression failed: %v", c.Name(), bits, err)
 			}
 			continue
 		}
 		got := form.PayloadBits()
 		if proves && (kind == core.Exact && got != bits || got < bits) {
-			t.Errorf("%s: %s estimate %d bits, actual %d", c.Desc, kind, bits, got)
+			t.Errorf("%s: %s estimate %d bits, actual %d", c.Name(), kind, bits, got)
 		}
 		if floors[i] > got {
-			t.Errorf("%s: floor %d bits, actual %d", c.Desc, floors[i], got)
+			t.Errorf("%s: floor %d bits, actual %d", c.Name(), floors[i], got)
 		}
 	}
 }
@@ -93,22 +94,16 @@ func checkEstimates(t *testing.T, data []int64, st *core.BlockStats, extra ...co
 type trial struct {
 	idx  int
 	form *core.Form
-	ev   core.CostedSize
-}
-
-// overBudget reports whether an evaluation of n elements exceeds the
-// analyzer's cost budget.
-func overBudget(a *core.Analyzer, ev core.CostedSize, n int) bool {
-	return a.CostBudget > 0 && n > 0 && ev.Cost/float64(n) > a.CostBudget
+	bits uint64
 }
 
 // referenceBest is the search core.Analyzer.Best must reproduce,
 // written the slow way: no price or floor spares a candidate its
 // compression. Every candidate is compressed on the sample, in input
-// order, and the first minimum within budget wins. A strict-prefix
+// order, and the first minimum wins. A strict-prefix
 // sample then compresses the full column, falling back down the
 // trials by ascending sample size.
-func referenceBest(a *core.Analyzer, src []int64) (desc string, form *core.Form, ev core.CostedSize, err error) {
+func referenceBest(a *core.Analyzer, src []int64) (desc string, form *core.Form, bits uint64, err error) {
 	cands := a.Candidates
 	sample := src
 	if a.SampleSize > 0 && len(src) > a.SampleSize {
@@ -121,27 +116,23 @@ func referenceBest(a *core.Analyzer, src []int64) (desc string, form *core.Form,
 		if err != nil {
 			continue
 		}
-		ev, err := core.Evaluate(f)
-		if err != nil {
-			continue
-		}
-		trials = append(trials, trial{idx, f, ev})
-		if !overBudget(a, ev, len(sample)) && (best < 0 || ev.Bits < trials[best].ev.Bits) {
+		trials = append(trials, trial{idx, f, f.PayloadBits()})
+		if best < 0 || f.PayloadBits() < trials[best].bits {
 			best = len(trials) - 1
 		}
 	}
 	if best < 0 {
-		return "", nil, core.CostedSize{}, core.ErrNoCandidate
+		return "", nil, 0, core.ErrNoCandidate
 	}
 	w := trials[best]
 	if len(sample) == len(src) {
-		return cands[w.idx].Desc, w.form, w.ev, nil
+		return cands[w.idx].Name(), w.form, w.bits, nil
 	}
 
 	// Full-column encode: the winner, then the other trials by
 	// ascending sample size.
 	rest := append(append([]trial{}, trials[:best]...), trials[best+1:]...)
-	sort.SliceStable(rest, func(x, y int) bool { return rest[x].ev.Bits < rest[y].ev.Bits })
+	sort.SliceStable(rest, func(x, y int) bool { return rest[x].bits < rest[y].bits })
 	fallback := []int{w.idx}
 	for _, t := range rest {
 		fallback = append(fallback, t.idx)
@@ -151,13 +142,9 @@ func referenceBest(a *core.Analyzer, src []int64) (desc string, form *core.Form,
 		if err != nil {
 			continue
 		}
-		ev, err := core.Evaluate(f)
-		if err != nil || overBudget(a, ev, len(src)) {
-			continue
-		}
-		return cands[idx].Desc, f, ev, nil
+		return cands[idx].Name(), f, f.PayloadBits(), nil
 	}
-	return "", nil, core.CostedSize{}, core.ErrNoCandidate
+	return "", nil, 0, core.ErrNoCandidate
 }
 
 // checkMatchesReference asserts the analyzer's search picks exactly
@@ -169,16 +156,16 @@ func checkMatchesReference(t *testing.T, data []int64, st *core.BlockStats, samp
 	t.Helper()
 	a := &core.Analyzer{Candidates: DefaultCandidates(st), Stats: st, SampleSize: sampleSize}
 	got, err := a.Best(data)
-	wantDesc, wantForm, wantEv, wantErr := referenceBest(a, data)
+	wantDesc, wantForm, wantBits, wantErr := referenceBest(a, data)
 	if (err == nil) != (wantErr == nil) {
 		t.Fatalf("search err = %v, reference err = %v", err, wantErr)
 	}
 	if err != nil {
 		return
 	}
-	if got.Desc != wantDesc || got.Eval.Bits != wantEv.Bits || !reflect.DeepEqual(got.Form, wantForm) {
+	if got.Desc != wantDesc || got.Bits != wantBits || !reflect.DeepEqual(got.Form, wantForm) {
 		t.Fatalf("sample %d of %d: winner %s (%d bits), reference %s (%d bits), forms equal = %v", sampleSize, len(data),
-			got.Desc, got.Eval.Bits, wantDesc, wantEv.Bits, reflect.DeepEqual(got.Form, wantForm))
+			got.Desc, got.Bits, wantDesc, wantBits, reflect.DeepEqual(got.Form, wantForm))
 	}
 }
 
@@ -248,13 +235,13 @@ func TestFloorsHoldOnExtremeValues(t *testing.T) {
 		{"sawtooth-128", column(func(i int) int64 { return int64(i%128) * 1000 })},
 		{"sawtooth-100", column(func(i int) int64 { return int64(i%100) * 1000 })},
 	}
-	extra := []core.Candidate{
-		core.FromScheme(DictComposite()),
-		core.FromScheme(VNS{Block: 256}),
-		core.FromScheme(LinearNS(128)),
-		core.FromScheme(modelNS(Linear{SegLen: 256, Frac: 30})),
-		core.FromScheme(modelNS(Linear{SegLen: 384, Frac: 1})),
-		core.FromScheme(LinearNS(100)),
+	extra := []core.Scheme{
+		DictComposite(),
+		VNS{Block: 256},
+		LinearNS(128),
+		modelNS(Linear{SegLen: 256, Frac: 30}),
+		modelNS(Linear{SegLen: 384, Frac: 1}),
+		LinearNS(100),
 	}
 	for _, c := range cols {
 		for _, m := range []int{1, 3, 130, n} {
@@ -290,8 +277,8 @@ func TestSearchPrunes(t *testing.T) {
 
 // TestBoundedSearchMatchesNaive pins the bound-ordered search to the
 // search that compresses every candidate: same winner, same size, same
-// form tree, across budgets, sampling and whether the caller supplied
-// the stats.
+// form tree, across sampling and whether the caller supplied the
+// stats.
 func TestBoundedSearchMatchesNaive(t *testing.T) {
 	for kind := uint8(0); kind < 10; kind++ {
 		for _, n := range []int{0, 1, 2, 100, 5000, 65536} {
@@ -300,25 +287,23 @@ func TestBoundedSearchMatchesNaive(t *testing.T) {
 			}
 			data := estimateWorkload(kind, n, 17, 42)[:n]
 			st := core.CollectStats(data, nil)
-			for _, budget := range []float64{0, 2, 4} {
-				for _, sampleSize := range []int{0, n / 3} {
-					ref := &core.Analyzer{Candidates: DefaultCandidates(&st), CostBudget: budget, SampleSize: sampleSize}
-					wantDesc, wantForm, wantEv, wantErr := referenceBest(ref, data)
-					for _, stats := range []*core.BlockStats{&st, nil} {
-						a := *ref
-						a.Stats = stats
-						got, err := a.Best(data)
-						name := fmt.Sprintf("kind%d n%d budget%v sample%d stats=%v", kind, n, budget, sampleSize, stats != nil)
-						if (err == nil) != (wantErr == nil) {
-							t.Fatalf("%s: err = %v, reference err = %v", name, err, wantErr)
-						}
-						if err != nil {
-							continue
-						}
-						if got.Desc != wantDesc || got.Eval.Bits != wantEv.Bits || !reflect.DeepEqual(got.Form, wantForm) {
-							t.Fatalf("%s: winner %s (%d bits), reference %s (%d bits), forms equal = %v", name,
-								got.Desc, got.Eval.Bits, wantDesc, wantEv.Bits, reflect.DeepEqual(got.Form, wantForm))
-						}
+			for _, sampleSize := range []int{0, n / 3} {
+				ref := &core.Analyzer{Candidates: DefaultCandidates(&st), SampleSize: sampleSize}
+				wantDesc, wantForm, wantBits, wantErr := referenceBest(ref, data)
+				for _, stats := range []*core.BlockStats{&st, nil} {
+					a := *ref
+					a.Stats = stats
+					got, err := a.Best(data)
+					name := fmt.Sprintf("kind%d n%d sample%d stats=%v", kind, n, sampleSize, stats != nil)
+					if (err == nil) != (wantErr == nil) {
+						t.Fatalf("%s: err = %v, reference err = %v", name, err, wantErr)
+					}
+					if err != nil {
+						continue
+					}
+					if got.Desc != wantDesc || got.Bits != wantBits || !reflect.DeepEqual(got.Form, wantForm) {
+						t.Fatalf("%s: winner %s (%d bits), reference %s (%d bits), forms equal = %v", name,
+							got.Desc, got.Bits, wantDesc, wantBits, reflect.DeepEqual(got.Form, wantForm))
 					}
 				}
 			}
@@ -350,7 +335,7 @@ func TestGoldenPrices(t *testing.T) {
 			data := estimateWorkload(kind, n, 17, 42)[:n]
 			st := core.CollectStats(data, nil)
 			for i, c := range DefaultCandidates(&st) {
-				bits, bound, ok := core.EstimateOf(c.Scheme, &st)
+				bits, bound, ok := core.EstimateOf(c, &st)
 				fmt.Fprintf(defaults, "kind%d n%d #%d %d %v %v\n", kind, n, i, bits, bound, ok)
 			}
 			for _, name := range []string{"pfor", "stepns", "linearns", "poly2ns", "plinearns"} {
@@ -388,15 +373,51 @@ func TestSearchFingerprintCoversEveryGate(t *testing.T) {
 			st := core.CollectStats(data, nil)
 			next := 0
 			for _, c := range DefaultCandidates(&st) {
-				for next < len(every) && every[next].Desc != c.Desc {
+				for next < len(every) && every[next].Name() != c.Name() {
 					next++
 				}
 				if next == len(every) {
-					t.Fatalf("kind%d n%d: candidate %s is not in the fingerprinted list, in order", kind, n, c.Desc)
+					t.Fatalf("kind%d n%d: candidate %s is not in the fingerprinted list, in order", kind, n, c.Name())
 				}
 				next++
 			}
 		}
+	}
+}
+
+// TestSearchFingerprintGolden pins the fingerprint every certified
+// block on disk carries, and the candidate names it hashes, in order.
+// A change to either makes compaction search every certified
+// container again, so it must be deliberate: bump searchRevision and
+// update this test in the same change. Both FOR entries share one
+// name, since a FOR's name leaves out its segment length.
+func TestSearchFingerprintGolden(t *testing.T) {
+	want := []string{
+		"const",
+		"ns",
+		"varint",
+		"elias",
+		"vns",
+		"delta(deltas=ns)",
+		"for(offsets=ns, refs=ns)",
+		"for(offsets=ns, refs=ns)",
+		"patch[step[1024]](base=for(offsets=ns, refs=ns))",
+		"plus[linear[1024]](residual=ns)",
+		"rle(lengths=ns, values=ns)",
+		"rle(lengths=ns, values=delta(deltas=ns))",
+		"rpe(positions=ns, values=ns)",
+		"dict(codes=ns, dict=ns)",
+		"dict(codes=rle(lengths=ns, values=ns), dict=ns)",
+	}
+	var got []string
+	for _, c := range everyCandidate() {
+		got = append(got, c.Name())
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("fingerprinted candidates:\n%q\nwant:\n%q", got, want)
+	}
+	if fp := SearchFingerprint(); fp != 0x7b49cb39 {
+		t.Errorf("SearchFingerprint() = %#x, want 0x7b49cb39", fp)
 	}
 }
 

@@ -177,10 +177,6 @@ func (FOR) Plan(f *core.Form) (*exec.Plan, error) {
 // ValidateForm implements core.Validator.
 func (FOR) ValidateForm(f *core.Form) error { return checkFOR(f) }
 
-// DecompressCostPerElement implements core.Coster: one add plus an
-// amortized segment lookup.
-func (FOR) DecompressCostPerElement(*core.Form) float64 { return 1.3 }
-
 // ConstituentStats implements core.ConstituentStatser: exact when the
 // stats carry base per-segment extremes and the segment length is a
 // multiple of the base granularity (references are the per-segment

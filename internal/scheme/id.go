@@ -34,9 +34,6 @@ func (ID) DecompressInto(f *core.Form, dst []int64, _ *core.Scratch) error {
 // ValidateForm implements core.Validator.
 func (ID) ValidateForm(f *core.Form) error { return checkID(f) }
 
-// DecompressCostPerElement implements core.Coster: a plain copy.
-func (ID) DecompressCostPerElement(*core.Form) float64 { return 1.0 }
-
 // EstimateSize implements core.SizeEstimator, exactly: raw storage
 // costs 64 bits per value plus the node header.
 func (ID) EstimateSize(st *core.BlockStats) (uint64, core.Bound) {

@@ -232,10 +232,6 @@ func (Linear) DecompressInto(f *core.Form, dst []int64, s *core.Scratch) error {
 // ValidateForm implements core.Validator.
 func (Linear) ValidateForm(f *core.Form) error { return checkLinear(f) }
 
-// DecompressCostPerElement implements core.Coster: a multiply, shift
-// and add per element.
-func (Linear) DecompressCostPerElement(*core.Form) float64 { return 1.6 }
-
 func checkLinear(f *core.Form) error {
 	if f.Scheme != LinearName {
 		return fmt.Errorf("%w: linear scheme given form %q", core.ErrCorruptForm, f.Scheme)

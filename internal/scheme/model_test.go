@@ -200,7 +200,7 @@ func TestDefaultCandidatesPruning(t *testing.T) {
 	}
 	stats := statsForTest(src)
 	for _, c := range DefaultCandidates(stats) {
-		if c.Desc == "rle(lengths=ns, values=ns)" {
+		if c.Name() == "rle(lengths=ns, values=ns)" {
 			t.Fatal("RLE offered for run-free data")
 		}
 	}

@@ -73,10 +73,6 @@ func (NS) DecompressInto(f *core.Form, dst []int64, s *core.Scratch) error {
 // ValidateForm implements core.Validator.
 func (NS) ValidateForm(f *core.Form) error { return checkNS(f) }
 
-// DecompressCostPerElement implements core.Coster: shift/mask work
-// per element, slightly above a copy.
-func (NS) DecompressCostPerElement(*core.Form) float64 { return 1.5 }
-
 // EstimateSize implements core.SizeEstimator, exactly: the zigzag
 // decision and the packed width both follow from Min/Max alone, so
 // the estimate equals the compressed form's PayloadBits.

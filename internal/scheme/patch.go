@@ -312,10 +312,6 @@ func (Patch) Plan(f *core.Form) (*exec.Plan, error) {
 // ValidateForm implements core.Validator.
 func (Patch) ValidateForm(f *core.Form) error { return checkPatch(f) }
 
-// DecompressCostPerElement implements core.Coster: base cost is
-// counted on the child; the patch pass itself is cheap and sparse.
-func (Patch) DecompressCostPerElement(*core.Form) float64 { return 0.3 }
-
 func checkPatch(f *core.Form) error {
 	if f.Scheme != PatchName {
 		return fmt.Errorf("%w: patch scheme given form %q", core.ErrCorruptForm, f.Scheme)

@@ -1,6 +1,7 @@
 package scheme
 
 import (
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -230,5 +231,83 @@ func TestFusionReducesOps(t *testing.T) {
 		if len(fused.Nodes) >= len(plan.Nodes) {
 			t.Errorf("%s: fusion %d -> %d nodes", s.Name(), len(plan.Nodes), len(fused.Nodes))
 		}
+	}
+}
+
+// TestFuseRecognizesIotaVariant checks the Algorithm 2 idiom matcher
+// on the Iota spelling of the id column (engines may build 0..n−1
+// either way).
+func TestFuseRecognizesIotaVariant(t *testing.T) {
+	b := exec.NewBuilder()
+	offsets := b.Input("offsets")
+	refs := b.Input("refs")
+	zero := b.ConstScalar(0)
+	n := b.Len(offsets)
+	id := b.Iota(zero, n)
+	ell := b.ConstScalar(4)
+	ells := b.ConstantCol(ell, n)
+	segIdx := b.Elementwise(3 /* Div */, id, ells)
+	repl := b.Gather(refs, segIdx)
+	b.Elementwise(0 /* Add */, repl, offsets)
+	plan, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	fused := exec.Fuse(plan)
+	found := false
+	for _, nd := range fused.Nodes {
+		if nd.Op == exec.OpFusedReplicateSegments {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("Iota idiom not fused:\n%s", fused)
+	}
+	env := map[string][]int64{
+		"refs":    {100, 200},
+		"offsets": {1, 2, 3, 4, 5, 6, 7, 8},
+	}
+	want, err := exec.Run(plan, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := exec.Run(fused, env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatal("fused Iota variant differs")
+		}
+	}
+}
+
+// TestPlanOnEmptyFormsErrorsCleanly pins down behavior at the n=0
+// boundary: Algorithm 1 reads n from the last element of a prefix
+// sum, which does not exist for an empty column — the plan must
+// surface an error, never panic, while the kernels handle empty
+// columns fine.
+func TestPlanOnEmptyFormsErrorsCleanly(t *testing.T) {
+	for _, s := range []core.Scheme{RLE{}, RPE{}} {
+		f, err := s.Compress(nil)
+		if err != nil {
+			t.Fatalf("%s: compress: %v", s.Name(), err)
+		}
+		if got, err := core.Decompress(f); err != nil || len(got) != 0 {
+			t.Fatalf("%s: kernel on empty: %v", s.Name(), err)
+		}
+		if _, err := core.DecompressViaPlan(f, false); err == nil {
+			t.Fatalf("%s: plan on empty should error (Last of empty column)", s.Name())
+		} else if strings.Contains(err.Error(), "panic") {
+			t.Fatalf("%s: plan panicked", s.Name())
+		}
+	}
+	// FOR's plan handles empty fine (Len of empty is 0).
+	f, err := (FOR{SegLen: 4}).Compress(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := core.DecompressViaPlan(f, false); err != nil || len(got) != 0 {
+		t.Fatalf("FOR plan on empty: %v", err)
 	}
 }

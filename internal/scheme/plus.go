@@ -251,9 +251,6 @@ func (Plus) Plan(f *core.Form) (*exec.Plan, error) {
 // ValidateForm implements core.Validator.
 func (Plus) ValidateForm(f *core.Form) error { return checkPlus(f) }
 
-// DecompressCostPerElement implements core.Coster: one addition.
-func (Plus) DecompressCostPerElement(*core.Form) float64 { return 1.0 }
-
 func checkPlus(f *core.Form) error {
 	if f.Scheme != PlusName {
 		return fmt.Errorf("%w: plus scheme given form %q", core.ErrCorruptForm, f.Scheme)

@@ -197,10 +197,6 @@ func (Poly2) DecompressInto(f *core.Form, dst []int64, s *core.Scratch) error {
 // ValidateForm implements core.Validator.
 func (Poly2) ValidateForm(f *core.Form) error { return checkPoly2(f) }
 
-// DecompressCostPerElement implements core.Coster: two multiplies,
-// two shifts and two adds per element.
-func (Poly2) DecompressCostPerElement(*core.Form) float64 { return 2.2 }
-
 func checkPoly2(f *core.Form) error {
 	if f.Scheme != Poly2Name {
 		return fmt.Errorf("%w: poly2 scheme given form %q", core.ErrCorruptForm, f.Scheme)

@@ -159,35 +159,30 @@ func modelNS(m Model) core.Scheme {
 // stats-pruned: candidates that cannot possibly win (RLE on run-free
 // data, DICT on near-unique data) are omitted so analysis stays
 // cheap, which is how a practical optimizer would consume the paper's
-// richer scheme space. Every returned candidate carries its scheme,
-// so the analyzer can price it from the stats (core.SizeEstimator)
-// and compress only the candidates whose price leaves the outcome
-// open.
-func DefaultCandidates(st *core.BlockStats) []core.Candidate {
-	cands := []core.Candidate{
-		core.FromScheme(NS{}),
-		core.FromScheme(Varint{}),
-		core.FromScheme(Elias{}),
-		core.FromScheme(VNS{}),
-		core.FromScheme(DeltaNS()),
-		core.FromScheme(FORComposite(128)),
-		core.FromScheme(FORComposite(1024)),
-		core.FromScheme(PFORComposite(1024)),
-		core.FromScheme(LinearNS(1024)),
+// richer scheme space. The analyzer prices every candidate from the
+// stats (core.SizeEstimator) and compresses only the candidates whose
+// price leaves the outcome open.
+func DefaultCandidates(st *core.BlockStats) []core.Scheme {
+	cands := []core.Scheme{
+		NS{},
+		Varint{},
+		Elias{},
+		VNS{},
+		DeltaNS(),
+		FORComposite(128),
+		FORComposite(1024),
+		PFORComposite(1024),
+		LinearNS(1024),
 	}
 	if st.N > 0 && st.Runs == 1 {
 		// Constant column: CONST wins outright.
-		cands = append([]core.Candidate{core.FromScheme(Const{})}, cands...)
+		cands = append([]core.Scheme{Const{}}, cands...)
 	}
 	if st.AvgRunLength() >= 2 {
-		cands = append(cands,
-			core.FromScheme(RLEComposite()),
-			core.FromScheme(RLEDeltaComposite()),
-			core.FromScheme(RPEComposite()),
-		)
+		cands = append(cands, RLEComposite(), RLEDeltaComposite(), RPEComposite())
 	}
 	if !st.DistinctSaturated() && st.Distinct <= st.N/4 {
-		cands = append(cands, core.FromScheme(DictComposite()))
+		cands = append(cands, DictComposite())
 		if st.AvgRunLength() >= 1.15 {
 			// RLE over the code column can only pay when the values
 			// (and hence the codes) actually run: break-even sits at
@@ -195,28 +190,28 @@ func DefaultCandidates(st *core.BlockStats) []core.Candidate {
 			// columns. The gate only trims run-free data, where the
 			// trial would be pure waste; near the break-even the
 			// estimate ranking decides.
-			cands = append(cands, core.FromScheme(core.Compose(Dict{}, map[string]core.Scheme{
+			cands = append(cands, core.Compose(Dict{}, map[string]core.Scheme{
 				"codes": core.Compose(RLE{}, map[string]core.Scheme{
 					"lengths": NS{},
 					"values":  NS{},
 				}),
 				"dict": NS{},
-			})))
+			}))
 		}
 	}
 	return cands
 }
 
 // searchRevision is hashed into SearchFingerprint beside the candidate
-// descriptions. Bump it whenever a default candidate's compressed
-// output can change under an unchanged Desc (a new width policy, a
+// names. Bump it whenever a default candidate's compressed
+// output can change under an unchanged Name (a new width policy, a
 // different model fit), so blocks certified by the old code stop
 // matching the new search.
 const searchRevision = 3
 
 // SearchFingerprint identifies the search a block certificate vouches
 // for (blocked.Block.Certificate): a 32-bit FNV-1a hash over
-// searchRevision and the Desc of every candidate DefaultCandidates can
+// searchRevision and the Name of every candidate DefaultCandidates can
 // return, in order, with every stats gate open. Adding, removing or
 // reordering a candidate changes it — the search breaks ties by input
 // order — and so does a searchRevision bump. It is never
@@ -227,7 +222,7 @@ var searchFingerprint = sync.OnceValue(func() uint32 {
 	h := fnv.New32a()
 	fmt.Fprintf(h, "revision %d\n", searchRevision)
 	for _, c := range everyCandidate() {
-		fmt.Fprintln(h, c.Desc)
+		fmt.Fprintln(h, c.Name())
 	}
 	return max(h.Sum32(), 1)
 })
@@ -235,6 +230,6 @@ var searchFingerprint = sync.OnceValue(func() uint32 {
 // everyCandidate is DefaultCandidates with every stats gate open: one
 // run of a repeated value admits CONST, the RLE family and both
 // dictionaries.
-func everyCandidate() []core.Candidate {
+func everyCandidate() []core.Scheme {
 	return DefaultCandidates(&core.BlockStats{N: 4, Runs: 1, Distinct: 1})
 }

@@ -140,10 +140,6 @@ func (RLE) Plan(f *core.Form) (*exec.Plan, error) {
 // ValidateForm implements core.Validator.
 func (RLE) ValidateForm(f *core.Form) error { return checkRLE(f) }
 
-// DecompressCostPerElement implements core.Coster: run expansion is a
-// sequential fill, near copy cost.
-func (RLE) DecompressCostPerElement(*core.Form) float64 { return 1.1 }
-
 // ConstituentStats implements core.ConstituentStatser, exactly:
 // every element's value is its run's head value, so the values
 // column inherits the parent's extremes, distinct count, and

@@ -109,10 +109,6 @@ func (RPE) Plan(f *core.Form) (*exec.Plan, error) {
 // ValidateForm implements core.Validator.
 func (RPE) ValidateForm(f *core.Form) error { return checkRPE(f) }
 
-// DecompressCostPerElement implements core.Coster: like RLE's fill
-// but without integrating lengths first.
-func (RPE) DecompressCostPerElement(*core.Form) float64 { return 1.0 }
-
 // ConstituentStats implements core.ConstituentStatser, exactly: run
 // end positions are strictly increasing with maximum exactly N, and
 // the values column is RLE's.

@@ -136,10 +136,6 @@ func (Step) Plan(f *core.Form) (*exec.Plan, error) {
 // ValidateForm implements core.Validator.
 func (Step) ValidateForm(f *core.Form) error { return checkStep(f) }
 
-// DecompressCostPerElement implements core.Coster: a segment-wise
-// fill.
-func (Step) DecompressCostPerElement(*core.Form) float64 { return 0.7 }
-
 func checkStep(f *core.Form) error {
 	if f.Scheme != StepName {
 		return fmt.Errorf("%w: step scheme given form %q", core.ErrCorruptForm, f.Scheme)

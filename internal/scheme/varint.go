@@ -66,10 +66,6 @@ func (Varint) DecompressInto(f *core.Form, dst []int64, _ *core.Scratch) error {
 // ValidateForm implements core.Validator.
 func (Varint) ValidateForm(f *core.Form) error { return checkVarint(f) }
 
-// DecompressCostPerElement implements core.Coster: per-byte branching
-// makes varints the most expensive terminal codec.
-func (Varint) DecompressCostPerElement(*core.Form) float64 { return 3.0 }
-
 // EstimateSize implements core.SizeEstimator, exactly: a LEB128
 // varint of a value of unsigned width w costs max(1, ⌈w/7⌉) bytes,
 // so the byte total follows from the width histogram (shifted out of
@@ -167,10 +163,6 @@ func (Elias) DecompressInto(f *core.Form, dst []int64, _ *core.Scratch) error {
 
 // ValidateForm implements core.Validator.
 func (Elias) ValidateForm(f *core.Form) error { return checkElias(f) }
-
-// DecompressCostPerElement implements core.Coster: bit-serial
-// decoding is the slowest route of all.
-func (Elias) DecompressCostPerElement(*core.Form) float64 { return 6.0 }
 
 // EstimateSize implements core.SizeEstimator, as a lower bound: an
 // Elias delta code of a value of width w costs w + 2⌊log₂w⌋ bits,

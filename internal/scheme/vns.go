@@ -166,10 +166,6 @@ func (VNS) DecompressInto(f *core.Form, dst []int64, s *core.Scratch) error {
 // ValidateForm implements core.Validator.
 func (VNS) ValidateForm(f *core.Form) error { return checkVNS(f) }
 
-// DecompressCostPerElement implements core.Coster: NS cost plus a
-// per-block width lookup.
-func (VNS) DecompressCostPerElement(*core.Form) float64 { return 1.7 }
-
 // EstimateSize implements core.SizeEstimator, bounded: the expected
 // per-mini-block width is approximated by a high quantile of the
 // value-width histogram (the maximum of `block` draws concentrates

@@ -24,13 +24,13 @@
 //
 // Encode with no options compresses the whole column as one block —
 // the original CompressBest behavior with a query handle around it.
-// WithScheme pins the scheme, WithCostBudget bounds decompression
-// cost, WithParallelism bounds concurrent block encodes, and a
-// streaming ColumnBuilder (Append/Flush) covers ingest. Containers
-// written by WriteColumns carry a self-contained block index with
-// per-block checksums (format v3), the one format every read path
-// accepts; `lwc upgrade` converts a v1 or v2 container written by an
-// older build.
+// Every block's scheme is the smallest encoding the search finds;
+// WithScheme pins one instead, WithParallelism bounds concurrent block
+// encodes, and a streaming ColumnBuilder (Append/Flush) covers ingest.
+// Containers written by WriteColumns carry a self-contained block
+// index with per-block checksums (format v3), the one format every read
+// path accepts; `lwc upgrade` converts a v1 or v2 container written by
+// an older build.
 //
 // # On-disk columns
 //
@@ -92,7 +92,7 @@ type Stats = column.Stats
 // Choice reports the analyzer's selected scheme and ranking. Ranking
 // holds one entry per candidate, in candidate order, and says how each
 // size was established: a candidate the search compressed has Trialed
-// set and its measured Eval; one it did not compress carries only its
+// set and its measured Bits; one it did not compress carries only its
 // stats-predicted EstBits with what that prediction proves (EstBound)
 // and, behind a BoundHeuristic price, the size its form is proved
 // never to undercut (EstFloor). A skip always rests on a BoundExact or
@@ -120,9 +120,6 @@ const (
 	// BoundExact estimates equal the compressed size bit for bit.
 	BoundExact = core.Exact
 )
-
-// Candidate is one point in the composite-scheme search space.
-type Candidate = core.Candidate
 
 // Plan is an operator-plan decompression program.
 type Plan = exec.Plan
@@ -214,44 +211,14 @@ func CompressBest(src []int64) (*Form, error) {
 }
 
 // CompressBestChoice is CompressBest returning the full analyzer
-// report (winner, evaluation, per-candidate ranking).
+// report (winner, size, per-candidate ranking). It runs the search the
+// blocked encoder runs on every block.
 func CompressBestChoice(src []int64) (*Choice, error) {
-	return CompressBestWithOptions(src, AnalyzerOptions{})
-}
-
-// AnalyzerOptions tunes the composite-scheme search.
-type AnalyzerOptions struct {
-	// CostBudget, when positive, disqualifies candidates whose
-	// abstract decompression cost per element exceeds it — the
-	// paper's bandwidth constraint ("overly-demanding decompression
-	// would slow down … below what the incoming bandwidth allows").
-	// A plain copy costs about 1.0; NS about 1.5; Elias about 6.0.
-	CostBudget float64
-	// Extra appends additional candidates (e.g. hand-built
-	// composites) to the default stats-pruned space.
-	Extra []Candidate
-}
-
-// CompressBestWithOptions searches the composite-scheme space under
-// the given options and returns the analyzer's full report.
-func CompressBestWithOptions(src []int64, opts AnalyzerOptions) (*Choice, error) {
 	s := core.GetScratch()
 	defer s.Release()
-	st := core.CollectStats(src, s)
-	defer st.ReleaseSeg(s)
-	a := &core.Analyzer{
-		Candidates: append(scheme.DefaultCandidates(&st), opts.Extra...),
-		CostBudget: opts.CostBudget,
-		SampleSize: blocked.SearchSample,
-		Stats:      &st,
-		Scratch:    s,
-	}
-	return a.Best(src)
+	choice, _, _, err := blocked.Search(src, s)
+	return choice, err
 }
-
-// SchemeCandidate adapts any Scheme into an analyzer Candidate for
-// AnalyzerOptions.Extra.
-func SchemeCandidate(s Scheme) Candidate { return core.FromScheme(s) }
 
 // Basic schemes. Each returns a ready-to-use Scheme value.
 

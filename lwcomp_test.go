@@ -300,43 +300,21 @@ func TestPublicRicherModels(t *testing.T) {
 	}
 }
 
-func TestPublicAnalyzerOptions(t *testing.T) {
+// TestPublicCompressBestChoice pins the public search report: on
+// width-skewed data elias is the smallest encoding, and the winner's
+// Bits is its form's size and round-trips.
+func TestPublicCompressBestChoice(t *testing.T) {
 	data := workload.SkewedMagnitude(20000, 40, 4)
-	// Unbounded: elias wins on this workload.
-	free, err := lwcomp.CompressBestChoice(data)
+	choice, err := lwcomp.CompressBestChoice(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Budgeted: elias (≈6.0/element) must be excluded.
-	tight, err := lwcomp.CompressBestWithOptions(data, lwcomp.AnalyzerOptions{CostBudget: 4})
-	if err != nil {
-		t.Fatal(err)
+	if choice.Desc != "elias" || choice.Bits != choice.Form.PayloadBits() {
+		t.Fatalf("winner %q at %d bits, form %d bits", choice.Desc, choice.Bits, choice.Form.PayloadBits())
 	}
-	if tight.Desc == "elias" {
-		t.Fatalf("budgeted winner = %q", tight.Desc)
-	}
-	if free.Eval.Bits > tight.Eval.Bits {
-		t.Fatalf("unbounded winner (%d bits) larger than budgeted (%d bits)",
-			free.Eval.Bits, tight.Eval.Bits)
-	}
-	// Extra candidates join the space.
-	custom := lwcomp.SchemeCandidate(lwcomp.VNS(16))
-	withExtra, err := lwcomp.CompressBestWithOptions(data, lwcomp.AnalyzerOptions{Extra: []lwcomp.Candidate{custom}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, r := range withExtra.Ranking {
-		if r.Desc == "vns" && r.Err == nil {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("extra candidate missing from ranking")
-	}
-	back, err := lwcomp.Decompress(tight.Form)
+	back, err := lwcomp.Decompress(choice.Form)
 	if err != nil || !equal(back, data) {
-		t.Fatalf("budgeted roundtrip: %v", err)
+		t.Fatalf("roundtrip: %v", err)
 	}
 }
 
@@ -349,14 +327,10 @@ func TestPublicAnalyzerOptions(t *testing.T) {
 // ErrNotRepresentable without having been tried. No floor exceeds the
 // size its candidate compresses to.
 func TestExhaustiveRankingTruthful(t *testing.T) {
-	constant, err := lwcomp.ParseScheme("const")
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, sh := range workload.MaintainShapes(20000, 3) {
 		st := core.CollectStats(sh.Data, nil)
-		cands := append(scheme.DefaultCandidates(&st), lwcomp.SchemeCandidate(constant))
-		choice, err := lwcomp.CompressBestWithOptions(sh.Data, lwcomp.AnalyzerOptions{Extra: cands[len(cands)-1:]})
+		cands := append(scheme.DefaultCandidates(&st), scheme.Const{})
+		choice, err := (&core.Analyzer{Candidates: cands, Stats: &st}).Best(sh.Data)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,7 +339,7 @@ func TestExhaustiveRankingTruthful(t *testing.T) {
 		}
 		winner, skipped := -1, 0
 		for i, r := range choice.Ranking {
-			if r.Trialed && r.Eval.Bits == choice.Eval.Bits && r.Desc == choice.Desc && winner < 0 {
+			if r.Trialed && r.Bits == choice.Bits && r.Desc == choice.Desc && winner < 0 {
 				winner = i
 			}
 		}
@@ -383,8 +357,8 @@ func TestExhaustiveRankingTruthful(t *testing.T) {
 					t.Errorf("%s: %s priced impossible: trialed=%v err=%v, compress err=%v", sh.Name, r.Desc, r.Trialed, r.Err, cerr)
 				}
 			case r.Trialed:
-				if cerr != nil || r.Err != nil || r.Eval.Bits != form.PayloadBits() {
-					t.Errorf("%s: %s compressed: reports %d bits, err %v; actual %v", sh.Name, r.Desc, r.Eval.Bits, r.Err, cerr)
+				if cerr != nil || r.Err != nil || r.Bits != form.PayloadBits() {
+					t.Errorf("%s: %s compressed: reports %d bits, err %v; actual %v", sh.Name, r.Desc, r.Bits, r.Err, cerr)
 				}
 			default:
 				skipped++
@@ -400,8 +374,8 @@ func TestExhaustiveRankingTruthful(t *testing.T) {
 					t.Errorf("%s: %s skipped on a %v price of %d bits and a floor of %d; actual %d",
 						sh.Name, r.Desc, r.EstBound, r.EstBits, r.EstFloor, actual)
 				}
-				if proved < choice.Eval.Bits || proved == choice.Eval.Bits && i < winner {
-					t.Errorf("%s: %s skipped at %d bits although the winner took %d", sh.Name, r.Desc, proved, choice.Eval.Bits)
+				if proved < choice.Bits || proved == choice.Bits && i < winner {
+					t.Errorf("%s: %s skipped at %d bits although the winner took %d", sh.Name, r.Desc, proved, choice.Bits)
 				}
 			}
 		}

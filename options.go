@@ -54,25 +54,11 @@ func WithScheme(s Scheme) Option {
 	return func(o *options) { o.enc.Scheme = s }
 }
 
-// WithCostBudget disqualifies candidate schemes whose abstract
-// decompression cost per element exceeds budget — the
-// size-vs-decompression-cost knob. A plain copy costs about 1.0; NS
-// about 1.5; Elias about 6.0. Zero means unbounded.
-func WithCostBudget(budget float64) Option {
-	return func(o *options) { o.enc.CostBudget = budget }
-}
-
 // WithParallelism bounds the number of blocks encoded, decoded and
 // scanned concurrently. p <= 0 means GOMAXPROCS. It is an upper bound:
 // a scan takes only the cores other running scans leave idle.
 func WithParallelism(p int) Option {
 	return func(o *options) { o.enc.Parallelism = p }
-}
-
-// WithExtraCandidates appends hand-built composites to every block's
-// analyzer search space.
-func WithExtraCandidates(extra ...Candidate) Option {
-	return func(o *options) { o.enc.Extra = append(o.enc.Extra, extra...) }
 }
 
 // WithBlockCache sets the byte budget of an opened container's block
