@@ -231,6 +231,39 @@ func TestPatchPushdownAllocs(t *testing.T) {
 	})
 }
 
+// TestRLEPushdownAllocs: a count and a keep on a run-length block push
+// the range down its values into a pooled selection over runs and sum
+// or place its lengths in place, none of it allocating.
+func TestRLEPushdownAllocs(t *testing.T) {
+	const n = 1 << 14
+	data := workload.OrderShipDates(n, 64, 730120, 41)
+	col, err := lwcomp.Encode(data, lwcomp.WithBlockSize(n), lwcomp.WithParallelism(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	form, err := col.BlockForm(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := form.Describe(); !strings.HasPrefix(got, "rle(") {
+		t.Fatalf("fixture encodes as %s; want rle", got)
+	}
+	day := data[n/2]
+	mustZeroAllocs(t, "rle-count", func() {
+		if _, err := query.CountRange(form, day, day+2); err != nil {
+			t.Fatal(err)
+		}
+	})
+	bm := lwcomp.NewSelection(n)
+	mustZeroAllocs(t, "rle-keep", func() {
+		bm.Reset(n)
+		bm.AddRun(0, n)
+		if err := query.KeepRangeSel(form, day, day+2, bm, 0); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
 // TestTableScanAllocs: the steady-state two-predicate table scan —
 // per-block cross-column planning, fused leaf evaluation, word-
 // granular bitmap intersection, pooled scan handle — allocates
@@ -380,7 +413,7 @@ func requestAllocs(t *testing.T, h http.Handler, payload string) (allocs float64
 // header and terminal frames of the stream's json.Encoder. Row frames
 // add nothing to it — the batch state, decode buffers and frame buffer
 // are pooled — so it does not depend on how many rows stream.
-const rowsRequestAllocs = 14
+const rowsRequestAllocs = 11
 
 // TestRowsRequestAllocs: an op=rows request that streams tens of
 // thousands of rows in many frames allocates what one that matches
@@ -435,10 +468,10 @@ func TestCountRequestAllocs(t *testing.T) {
 		name, op, where, columns string
 		pin                      float64
 	}{
-		{"ship day", "count", fmt.Sprintf("ship = %d", day), "", 10},
-		{"amount range", "count", fmt.Sprintf("amount >= %d and amount <= %d", a-20, a+20), "", 14},
-		{"amount range, qty", "count", fmt.Sprintf("amount >= %d and amount <= %d and qty <= 30000", a-20, a+20), "", 17},
-		{"ship days, sum", "sum", fmt.Sprintf("ship >= %d and ship <= %d", day, day+2), `,"columns":["qty"]`, 17},
+		{"ship day", "count", fmt.Sprintf("ship = %d", day), "", 7},
+		{"amount range", "count", fmt.Sprintf("amount >= %d and amount <= %d", a-20, a+20), "", 11},
+		{"amount range, qty", "count", fmt.Sprintf("amount >= %d and amount <= %d and qty <= 30000", a-20, a+20), "", 14},
+		{"ship days, sum", "sum", fmt.Sprintf("ship >= %d and ship <= %d", day, day+2), `,"columns":["qty"]`, 14},
 	} {
 		allocs, wire := requestAllocs(t, h, `{"table":"orders","op":"`+tc.op+`","where":"`+tc.where+`"`+tc.columns+`}`)
 		if wire < 60 || wire > 300 {

@@ -109,6 +109,19 @@ func TestRegisterEmptyNamePanics(t *testing.T) {
 	Register(mockRaw{""})
 }
 
+func TestRegisterAfterLookupPanics(t *testing.T) {
+	Lookup("raw-mock")
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Register after Lookup did not panic")
+		}
+		if _, ok := Lookup("late-mock"); ok {
+			t.Fatal("a refused registration was added")
+		}
+	}()
+	Register(mockRaw{"late-mock"})
+}
+
 func TestDecompressDriver(t *testing.T) {
 	src := []int64{2, 4, 6}
 	f, err := Compress("double-mock", src)

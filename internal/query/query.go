@@ -52,7 +52,7 @@ func (p *pushdown) gather(f *core.Form, positions, out []int64) error {
 		return nil
 
 	case scheme.RLEName, scheme.RPEName:
-		bounds, values, err := runBoundariesScratch(f, p.s)
+		bounds, values, err := p.runBoundariesScratch(f)
 		if err != nil {
 			return err
 		}

@@ -187,7 +187,12 @@ const (
 //	         range [lo, hi] (push)                  selection (sumSel)
 //	const    decides for the whole column from      value·|sel|
 //	         its one value
-//	rle/rpe  test one value per run, expand         Σ value·|sel ∩ run|
+//	rle      the range goes down values into a      Σ value·|sel ∩ run|
+//	         selection over runs; count sums
+//	         lengths under it, select and keep
+//	         place the runs it holds (rle.go); a
+//	         sum walks the runs as rpe does
+//	rpe      test one value per run, expand         Σ value·|sel ∩ run|
 //	         matches by the run bounds
 //	step     a segment matches as a whole when      Σ ref·|sel ∩ segment|
 //	         its reference is in range
@@ -251,7 +256,10 @@ func (p *pushdown) push(f *core.Form, lo, hi, add int64) error {
 		return nil
 
 	case scheme.RLEName, scheme.RPEName:
-		bounds, values, err := runBoundariesScratch(f, p.s)
+		if f.Scheme == scheme.RLEName && p.verb != SumVerb {
+			return p.runs(f, lo, hi)
+		}
+		bounds, values, err := p.runBoundariesScratch(f)
 		if err != nil {
 			return err
 		}
@@ -550,22 +558,21 @@ func (p *pushdown) patch(f *core.Form, lo, hi, add int64) error {
 }
 
 // runBoundariesScratch returns (exclusive run end positions, run
-// values) for RLE and RPE forms, both borrowed from s; the caller
-// returns them with PutI64.
-func runBoundariesScratch(f *core.Form, s *core.Scratch) ([]int64, []int64, error) {
+// values) for RLE and RPE forms, both borrowed from p.s; the caller
+// returns them with PutI64. It opens no leaf, so an rle form's decoded
+// lengths are checked through p's plain leaf.
+func (p *pushdown) runBoundariesScratch(f *core.Form) ([]int64, []int64, error) {
+	s := p.s
 	values, err := core.ChildScratch(f, "values", s)
 	if err != nil {
 		return nil, nil, err
 	}
-	var bounds []int64
-	if f.Scheme == scheme.RLEName {
-		bounds, err = core.ChildScratch(f, "lengths", s)
-		if err == nil {
-			_, err = vec.PrefixSumInclusiveInto(bounds, bounds)
-		}
-	} else {
-		bounds, err = core.ChildScratch(f, "positions", s)
+	rle := f.Scheme == scheme.RLEName
+	child := "positions"
+	if rle {
+		child = "lengths"
 	}
+	bounds, err := core.ChildScratch(f, child, s)
 	if err == nil && len(bounds) != len(values) {
 		// The scalar decode path rejects this via checkRLE/checkRPE;
 		// without the check here a short values child would panic in
@@ -573,7 +580,16 @@ func runBoundariesScratch(f *core.Form, s *core.Scratch) ([]int64, []int64, erro
 		err = fmt.Errorf("%w: %s has %d runs but %d values",
 			core.ErrCorruptForm, f.Scheme, len(bounds), len(values))
 	}
-	if err == nil {
+	switch {
+	case err != nil:
+	case rle: // the pushed-down rule's check, on the lengths before they are summed
+		p.pl = plain{vals: bounds}
+		err = checkRunLengths(f, &p.pl, len(bounds))
+		p.pl = plain{}
+		if err == nil {
+			_, err = vec.PrefixSumInclusiveInto(bounds, bounds)
+		}
+	default:
 		err = checkRunBounds(f, bounds)
 	}
 	if err != nil {
@@ -586,8 +602,9 @@ func runBoundariesScratch(f *core.Form, s *core.Scratch) ([]int64, []int64, erro
 	return bounds, values, nil
 }
 
-// checkRunBounds validates exclusive run end positions: non-negative,
-// non-decreasing, covering exactly [0, f.N). Without it, a corrupt
+// checkRunBounds validates an rpe form's exclusive run end positions:
+// non-negative, non-decreasing, covering exactly [0, f.N) — the rule
+// checkRunLengths states for rle's lengths. Without it, a corrupt
 // form whose runs overshoot N would panic inside Selection.AddRun
 // instead of erroring (decode validates the same invariant in
 // vec.ExpandByBoundariesInto / RunExpandInto).

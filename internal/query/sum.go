@@ -118,7 +118,7 @@ func (p *pushdown) sumSel(f *core.Form) (int64, error) {
 		return f.Params["value"] * p.selected(0, f.N), nil
 
 	case scheme.RLEName, scheme.RPEName:
-		bounds, values, err := runBoundariesScratch(f, p.s)
+		bounds, values, err := p.runBoundariesScratch(f)
 		if err != nil {
 			return 0, err
 		}

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -51,8 +52,10 @@ func TestSumSelMatchesDecode(t *testing.T) {
 			encoders[name] = enc
 		}
 		st := core.CollectStats(sh.Data, nil)
-		for _, c := range scheme.DefaultCandidates(&st) {
-			encoders[c.Name()] = func(_ *testing.T, col []int64) (*core.Form, error) { return c.Compress(col) }
+		// Candidates that differ only in parameters share a name (FOR at
+		// two segment lengths), so the index keeps each one.
+		for i, c := range scheme.DefaultCandidates(&st) {
+			encoders[fmt.Sprintf("%d:%s", i, c.Name())] = func(_ *testing.T, col []int64) (*core.Form, error) { return c.Compress(col) }
 		}
 		for name, enc := range encoders {
 			f, err := enc(t, sh.Data)

@@ -292,8 +292,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			timeout = d
 		}
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	defer cancel()
+	ctx := newDeadlineCtx(r.Context(), timeout)
+	defer ctx.stop()
 
 	// Admission: bounded wait for a slot, O(1) rejection past the
 	// queue bound. Retry-After names the configured deadline — the

@@ -4,10 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"math"
 	"math/bits"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"lwcomp/internal/bitpack"
@@ -272,26 +274,37 @@ func (d *decoder) name() (string, error) {
 // copy per node, about half of a cached block's objects. The table is
 // capped so that files inventing names cannot grow it without bound;
 // past the cap a new name is simply not shared.
+//
+// Every name of every decoded node is looked up here, from every
+// decoding goroutine, so a lookup takes no lock: the table is an
+// immutable map read through an atomic pointer. The rare insert copies
+// it under internMu and publishes the copy.
 var (
-	internMu sync.RWMutex
-	interned = make(map[string]string)
+	internMu sync.Mutex
+	interned atomic.Pointer[map[string]string]
 )
 
 const maxInternedNames = 1024
 
+func init() { interned.Store(&map[string]string{}) }
+
 func internName(b []byte) string {
-	internMu.RLock()
-	s, ok := interned[string(b)]
-	internMu.RUnlock()
-	if ok {
+	if s, ok := (*interned.Load())[string(b)]; ok {
 		return s
 	}
-	s = string(b)
+	s := string(b)
 	internMu.Lock()
-	if len(interned) < maxInternedNames {
-		interned[s] = s
+	defer internMu.Unlock()
+	old := *interned.Load()
+	if t, ok := old[s]; ok {
+		return t // interned while this call waited
 	}
-	internMu.Unlock()
+	if len(old) >= maxInternedNames {
+		return s
+	}
+	next := maps.Clone(old)
+	next[s] = s
+	interned.Store(&next)
 	return s
 }
 

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -160,23 +161,50 @@ func TestDecodeFormInternsNames(t *testing.T) {
 		}
 	}
 
-	internMu.Lock()
-	saved := interned
-	interned = make(map[string]string)
-	internMu.Unlock()
-	defer func() {
-		internMu.Lock()
-		interned = saved
-		internMu.Unlock()
-	}()
+	saved := interned.Swap(&map[string]string{})
+	defer interned.Store(saved)
 	for i := 0; i < 2*maxInternedNames; i++ {
 		want := fmt.Sprintf("name-%d", i)
 		if got := internName([]byte(want)); got != want {
 			t.Fatalf("internName(%q) = %q", want, got)
 		}
 	}
-	if len(interned) != maxInternedNames {
-		t.Fatalf("table holds %d names, want the cap %d", len(interned), maxInternedNames)
+	if n := len(*interned.Load()); n != maxInternedNames {
+		t.Fatalf("table holds %d names, want the cap %d", n, maxInternedNames)
+	}
+}
+
+// TestInternNameConcurrent: goroutines interning the same new names at
+// once, while others look up names already there, all get equal
+// strings, one shared copy per name once the inserts are done, and a
+// table that holds each name once.
+func TestInternNameConcurrent(t *testing.T) {
+	saved := interned.Swap(&map[string]string{})
+	defer interned.Store(saved)
+	const workers, names = 4, 200
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range names {
+				want := fmt.Sprintf("name-%d", (i+w*names/workers)%names)
+				if got := internName([]byte(want)); got != want {
+					t.Errorf("internName(%q) = %q", want, got)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if n := len(*interned.Load()); n != names {
+		t.Fatalf("table holds %d names, want %d", n, names)
+	}
+	for i := range names {
+		name := fmt.Sprintf("name-%d", i)
+		a, b := internName([]byte(name)), internName([]byte(name))
+		if unsafe.StringData(a) != unsafe.StringData(b) {
+			t.Fatalf("name %q is not shared", name)
+		}
 	}
 }
 
@@ -503,6 +531,7 @@ func BenchmarkColdBlockForm(b *testing.B) {
 	const blockRows, blocks = 1 << 14, 8
 	schemes, src := slabForms(b, blockRows*blocks)
 	names := slices.Sorted(maps.Keys(schemes))
+	var cols []*blocked.Column
 	for _, name := range names {
 		col, err := blocked.Encode(src, blocked.EncodeOptions{BlockSize: blockRows, Scheme: schemes[name]})
 		if err != nil {
@@ -516,7 +545,9 @@ func BenchmarkColdBlockForm(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		defer cf.Close()
 		lazy := cf.Columns()[0].Col
+		cols = append(cols, lazy)
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -527,6 +558,20 @@ func BenchmarkColdBlockForm(b *testing.B) {
 				l.Release()
 			}
 		})
-		cf.Close()
 	}
+	// parallel decodes every family's blocks from GOMAXPROCS goroutines
+	// at once: what a shared lock on the decode path costs shows here.
+	b.Run("parallel", func(b *testing.B) {
+		b.ReportAllocs()
+		b.RunParallel(func(pb *testing.PB) {
+			for i := 0; pb.Next(); i++ {
+				_, l, err := cols[i%len(cols)].LeasedForm(i / len(cols) % blocks)
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				l.Release()
+			}
+		})
+	})
 }

@@ -505,14 +505,14 @@ func (s *Scan) survivors(ctx context.Context, cols ...int) survivors {
 
 // next advances to the next chunk with surviving rows. It returns false
 // at the end of the table or when ctx expired, which leaves w.err set.
+// ctx is polled before each chunk the walk reads; the chunks without
+// surviving rows cost a popcount each, so they are passed over unpolled.
 func (w *survivors) next() bool {
 	for w.k++; w.k < w.Chunks(); w.k++ {
-		if w.err = w.ctx.Err(); w.err != nil {
-			return false
-		}
 		w.start, w.count = w.Bounds(w.k)
 		if w.hits = w.s.sink.Dst.CountRange(w.start, w.start+w.count); w.hits > 0 {
-			return true
+			w.err = w.ctx.Err()
+			return w.err == nil
 		}
 	}
 	return false
